@@ -6,6 +6,11 @@
 //! problem per GNN layer and direction, solves them in parallel (the paper
 //! uses a thread pool for the same reason), and scatters fresh per-message
 //! bit-width assignments back to the workers.
+//!
+//! Both control-plane messages are sparse little-endian binary (layouts on
+//! [`encode_trace`] and [`PairTable::encode_replies`]): a device names only
+//! the peers it exchanges messages with, so a message's size follows that
+//! device's own cut, not the size of the fleet.
 
 use crate::config::TrainingConfig;
 use crate::decompose::DevicePartition;
@@ -13,8 +18,7 @@ use bytes::Bytes;
 use comm::{CostModel, DeviceHandle};
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
-use serde::{Deserialize, Serialize};
-use solver::{solve, BiObjectiveProblem, GroupSpec, PairSpec};
+use solver::{solve, BiObjectiveProblem, GroupSpec, PairSpec, Solution};
 use tensor::{Matrix, Rng};
 
 /// How widths are chosen at each reassignment.
@@ -137,20 +141,43 @@ impl Trace {
     /// Records forward message ranges for `layer` from the current local
     /// embedding matrix.
     pub fn record_fwd(&mut self, part: &DevicePartition, layer: usize, x: &Matrix) {
-        for (q, set) in part.send_sets.iter().enumerate() {
-            for (k, &li) in set.iter().enumerate() {
-                self.fwd[layer].ranges[q][k] = row_range(x.row(li as usize));
-            }
-        }
+        record(&mut self.fwd[layer].ranges, &part.send_sets, |li| {
+            x.row(li as usize)
+        });
     }
 
     /// Records backward (embedding-gradient) message ranges for `layer` from
     /// the extended gradient matrix.
     pub fn record_bwd(&mut self, part: &DevicePartition, layer: usize, grad_ext: &Matrix) {
-        for (q, slots) in part.recv_slots.iter().enumerate() {
-            for (k, &slot) in slots.iter().enumerate() {
-                self.bwd[layer].ranges[q][k] =
-                    row_range(grad_ext.row(part.num_local() + slot as usize));
+        record(&mut self.bwd[layer].ranges, &part.recv_slots, |slot| {
+            grad_ext.row(part.num_local() + slot as usize)
+        });
+    }
+}
+
+/// Overwrites `ranges[peer][k]` with the value range of message `k`'s row.
+///
+/// A row holding ±Inf (or spanning more than `f32::MAX`) has no finite
+/// range; it records as the largest finite range of this trace (0 if there
+/// is none), so the message is treated as the most sensitive one seen
+/// instead of poisoning every `beta` sum it would meet at the master.
+fn record<'m>(ranges: &mut [Vec<f32>], sets: &[Vec<u32>], row_of: impl Fn(u32) -> &'m [f32]) {
+    let mut widest = 0.0f32;
+    let mut all_finite = true;
+    for (per_peer, set) in ranges.iter_mut().zip(sets) {
+        for (range, &row) in per_peer.iter_mut().zip(set) {
+            *range = row_range(row_of(row));
+            if range.is_finite() {
+                widest = widest.max(*range);
+            } else {
+                all_finite = false;
+            }
+        }
+    }
+    if !all_finite {
+        for range in ranges.iter_mut().flatten() {
+            if !range.is_finite() {
+                *range = widest;
             }
         }
     }
@@ -168,28 +195,6 @@ fn row_range(row: &[f32]) -> f32 {
     } else {
         mx - mn
     }
-}
-
-/// One device's serialized contribution to the master's problem: per layer,
-/// per direction, per peer, the per-message `beta` coefficients.
-#[derive(Debug, Serialize, Deserialize)]
-struct TraceMsg {
-    /// `fwd_betas[layer][peer][k]`.
-    fwd_betas: Vec<Vec<Vec<f64>>>,
-    /// `bwd_betas[layer][peer][k]`.
-    bwd_betas: Vec<Vec<Vec<f64>>>,
-    /// Message dims per layer (shared by both directions).
-    dims: Vec<u32>,
-}
-
-/// Master's reply: widths as raw bit counts, for both send and receive
-/// sides of every layer/direction.
-#[derive(Debug, Serialize, Deserialize)]
-struct AssignMsg {
-    fwd: Vec<Vec<Vec<u8>>>,
-    bwd: Vec<Vec<Vec<u8>>>,
-    fwd_recv: Vec<Vec<Vec<u8>>>,
-    bwd_recv: Vec<Vec<Vec<u8>>>,
 }
 
 /// Observability record of one reassignment round, identical on every rank
@@ -301,35 +306,16 @@ fn reassign_adaptive(
     trace: &Trace,
     cfg: &TrainingConfig,
 ) -> (WidthAssignment, SolveStats) {
-    let num_layers = trace.fwd.len();
     // Step 1-2 (Fig. 6): build and gather per-device betas.
-    let msg = TraceMsg {
-        fwd_betas: (0..num_layers)
-            .map(|l| fwd_betas(part, &trace.fwd[l]))
-            .collect(),
-        bwd_betas: (0..num_layers)
-            .map(|l| bwd_betas(part, &trace.bwd[l]))
-            .collect(),
-        dims: trace.fwd.iter().map(|t| t.dim as u32).collect(),
-    };
-    // lint:allow(no-panic): serializing an in-memory struct of plain numbers cannot fail
-    let payload = Bytes::from(serde_json::to_vec(&msg).expect("trace serializes"));
-    let gathered = dev.gather(0, payload);
+    let gathered = dev.gather(0, Bytes::from(encode_trace(&part.send_alpha_sq, trace)));
 
     // Step 3: master solves one problem per (layer, direction) in parallel.
-    let reply = if let Some(parts_raw) = gathered {
-        let all: Vec<TraceMsg> = parts_raw
-            .iter()
-            // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
-            .map(|b| serde_json::from_slice(b).expect("trace deserializes"))
-            .collect();
-        let ((replies, mut stats), secs) = comm::timing::measure(|| master_solve(&all, cost, cfg));
+    let (own, stats_bytes) = if let Some(traces) = gathered {
+        let (round, secs) = comm::timing::measure(|| master_round(&traces, cost, cfg));
+        // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
+        let (replies, mut stats) = round.expect("trace deserializes");
         stats.secs = secs;
-        let payloads: Vec<Bytes> = replies
-            .into_iter()
-            // lint:allow(no-panic): serializing an in-memory struct of plain numbers cannot fail
-            .map(|r| Bytes::from(serde_json::to_vec(&r).expect("assignment serializes")))
-            .collect();
+        let payloads = replies.into_iter().map(Bytes::from).collect();
         // Piggy-back the solve stats: broadcast after scatter.
         let own = dev.scatter(0, Some(payloads));
         let stats_b = dev.broadcast(0, Some(Bytes::from(stats.to_bytes().to_vec())));
@@ -339,226 +325,447 @@ fn reassign_adaptive(
         let stats_b = dev.broadcast(0, None);
         (own, stats_b)
     };
-    let (own, stats_bytes) = reply;
     let solve_stats = SolveStats::from_bytes(&stats_bytes);
+    let assignment = WidthAssignment::decode(&own, part.num_parts);
     // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
-    let parsed: AssignMsg = serde_json::from_slice(&own).expect("assignment deserializes");
-    let to_widths = |raw: &Vec<Vec<Vec<u8>>>| -> Vec<Vec<Vec<BitWidth>>> {
-        raw.iter()
-            .map(|per_peer| {
-                per_peer
-                    .iter()
-                    .map(|ws| {
-                        ws.iter()
-                            .map(|&b| {
-                                // lint:allow(no-panic): master only emits widths drawn from BitWidth::ALL
-                                BitWidth::from_bits(b as u32).expect("master sent valid widths")
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    (
-        WidthAssignment {
-            fwd: to_widths(&parsed.fwd),
-            bwd: to_widths(&parsed.bwd),
-            fwd_recv: to_widths(&parsed.fwd_recv),
-            bwd_recv: to_widths(&parsed.bwd_recv),
-        },
-        solve_stats,
-    )
+    (assignment.expect("assignment deserializes"), solve_stats)
 }
 
-/// Sender-side `beta_k` for forward messages: `alpha_sq * D * range^2 / 6`.
-fn fwd_betas(part: &DevicePartition, t: &LayerDirTrace) -> Vec<Vec<f64>> {
-    part.send_alpha_sq
-        .iter()
-        .zip(&t.ranges)
-        .map(|(alphas, ranges)| {
-            alphas
-                .iter()
-                .zip(ranges)
-                .map(|(&a, &r)| quant::variance::beta(a, t.dim, r))
-                .collect()
-        })
-        .collect()
-}
-
-/// `beta_k` for backward (gradient) messages. Gradient rows arriving at the
-/// owner are accumulated with unit coefficient (the aggregation weights were
-/// already applied by `A^T` on the sender), so `alpha_sq = 1`.
-fn bwd_betas(part: &DevicePartition, t: &LayerDirTrace) -> Vec<Vec<f64>> {
-    part.recv_slots
-        .iter()
-        .zip(&t.ranges)
-        .map(|(slots, ranges)| {
-            slots
-                .iter()
-                .zip(ranges)
-                .map(|(_, &r)| quant::variance::beta(1.0, t.dim, r))
-                .collect()
-        })
-        .collect()
-}
-
-/// One solved (layer, direction) task: `widths[src][peer][k]` bit counts,
-/// the solver's candidate-evaluation count, and its objective value.
-type SolvedTask = (Vec<Vec<Vec<u8>>>, u64, f64);
-
-/// Builds and solves the per-(layer, direction) problems on the master.
-/// Returns the per-device replies plus aggregate solve stats (`secs` is left
-/// zero for the caller to fill in from its own timer).
-fn master_solve(
-    all: &[TraceMsg],
+/// Everything the master does between gather and scatter: decode the traces,
+/// solve every (layer, direction) problem, encode one reply per device.
+/// Returns aggregate solve stats with `secs` left zero for the caller to fill
+/// in from its own timer.
+fn master_round(
+    traces: &[Bytes],
     cost: &CostModel,
     cfg: &TrainingConfig,
-) -> (Vec<AssignMsg>, SolveStats) {
-    let n = all.len();
-    let num_layers = all[0].dims.len();
-    // Task list: (layer, is_bwd).
-    let tasks: Vec<(usize, bool)> = (0..num_layers)
-        .flat_map(|l| [(l, false), (l, true)])
-        .collect();
-    // Solve tasks in parallel (paper: thread pool on the master device).
-    let solutions: Vec<SolvedTask> = std::thread::scope(|scope| {
-        let joins: Vec<_> = tasks
-            .iter()
-            .map(|&(layer, is_bwd)| scope.spawn(move || solve_one(all, cost, cfg, layer, is_bwd)))
-            .collect();
-        joins
-            .into_iter()
-            // lint:allow(no-panic): propagating a solver-thread panic; the solver itself is panic-free
-            .map(|j| j.join().expect("solver task panicked"))
-            .collect()
+) -> Result<(Vec<Vec<u8>>, SolveStats), WireError> {
+    let table = PairTable::decode(traces)?;
+    // One slot per problem, filled on the shared kernel pool (the paper uses
+    // a thread pool on the master for the same reason). The pool never runs
+    // more workers than it has tasks or, by default, cores: the problems
+    // share no data, so extra threads on a busy core only time-slice.
+    let mut solved: Vec<Option<(Vec<u8>, Solution)>> = vec![None; table.num_sections()];
+    let tasks: Vec<_> = solved.iter_mut().enumerate().collect();
+    tensor::par::run_tasks(tasks, |(section, slot)| {
+        let built = table.build(section, cost, cfg);
+        let solution = solve(&built.problem);
+        *slot = Some((built.message_widths(&solution), solution));
     });
     let mut stats = SolveStats::default();
-    for (_, iterations, objective) in &solutions {
-        stats.iterations += iterations;
-        stats.objective_sum += objective;
+    let mut widths = Vec::with_capacity(solved.len());
+    for (section_widths, solution) in solved.into_iter().flatten() {
+        stats.iterations += solution.iterations as u64;
+        stats.objective_sum += solution.objective;
         stats.problems += 1;
+        widths.push(section_widths);
     }
-    // Reassemble per-device replies.
-    let mut replies: Vec<AssignMsg> = (0..n)
-        .map(|_| AssignMsg {
-            fwd: vec![Vec::new(); num_layers],
-            bwd: vec![Vec::new(); num_layers],
-            fwd_recv: vec![vec![Vec::new(); n]; num_layers],
-            bwd_recv: vec![vec![Vec::new(); n]; num_layers],
-        })
-        .collect();
-    for (t, &(layer, is_bwd)) in tasks.iter().enumerate() {
-        for (src, per_peer) in solutions[t].0.iter().enumerate() {
-            if is_bwd {
-                replies[src].bwd[layer] = per_peer.clone();
-            } else {
-                replies[src].fwd[layer] = per_peer.clone();
+    Ok((table.encode_replies(&widths), stats))
+}
+
+/// Why a control-plane message failed to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The message ends inside a field.
+    Truncated,
+    /// Bytes remain after the last field.
+    TrailingBytes,
+    /// A peer id is out of range, repeated or out of ascending order.
+    Peer(u32),
+    /// A listed peer carries no messages (empty peers are left out).
+    EmptyPeer(u32),
+    /// A width byte is not 2, 4 or 8.
+    Width(u8),
+    /// Two devices disagree on the per-layer message dimensions.
+    DimsDisagree,
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Truncated => write!(f, "message ends inside a field"),
+            Self::TrailingBytes => write!(f, "bytes remain after the last field"),
+            Self::Peer(q) => write!(f, "peer {q} is out of range or out of order"),
+            Self::EmptyPeer(q) => write!(f, "peer {q} is listed with no messages"),
+            Self::Width(b) => write!(f, "{b} is not a bit-width"),
+            Self::DimsDisagree => write!(f, "devices disagree on the layer dimensions"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// Appends a count, id or dimension as a little-endian `u32`.
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    assert!(
+        v <= u32::MAX as usize,
+        "control-plane field {v} overflows u32"
+    );
+    out.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+/// Cursor over a received message; every read checks what is left.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn u32(&mut self) -> Result<u32, WireError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<4>()
+            .ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(u32::from_le_bytes(*head))
+    }
+
+    /// The next `count` items of `width` bytes each.
+    fn items(&mut self, count: u32, width: usize) -> Result<&'a [u8], WireError> {
+        let len = (count as usize)
+            .checked_mul(width)
+            .filter(|&len| len <= self.0.len())
+            .ok_or(WireError::Truncated)?;
+        let (head, rest) = self.0.split_at(len);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The header of one `(peer, count, payload)` entry: peers ascend
+    /// strictly below `n`, and only peers with messages are listed.
+    fn peer(&mut self, n: usize, prev: &mut Option<u32>) -> Result<(u32, u32), WireError> {
+        let peer = self.u32()?;
+        if peer as usize >= n || prev.is_some_and(|p| peer <= p) {
+            return Err(WireError::Peer(peer));
+        }
+        *prev = Some(peer);
+        match self.u32()? {
+            0 => Err(WireError::EmptyPeer(peer)),
+            count => Ok((peer, count)),
+        }
+    }
+
+    fn finish(self) -> Result<(), WireError> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::TrailingBytes)
+        }
+    }
+}
+
+/// Serializes one device's contribution to the master's problems.
+///
+/// ```text
+/// layers u32 | dim u32 x layers
+/// per layer, forward then backward:
+///     peers u32 | per peer with messages, ascending: peer u32, count u32, beta f64 x count
+/// ```
+///
+/// A forward `beta_k` is `alpha_sq * D * range^2 / 6` with the sender-side
+/// aggregation coefficients `send_alpha_sq[peer][k]`
+/// ([`DevicePartition::send_alpha_sq`]). Gradient rows arriving at the owner are
+/// accumulated with unit coefficient (the aggregation weights were already
+/// applied by `A^T` on the sender), so backward messages use `alpha_sq = 1`.
+pub fn encode_trace(send_alpha_sq: &[Vec<f64>], trace: &Trace) -> Vec<u8> {
+    let section_len = |t: &LayerDirTrace| -> usize {
+        let listed = t.ranges.iter().filter(|r| !r.is_empty());
+        4 + listed.map(|r| 8 + 8 * r.len()).sum::<usize>()
+    };
+    let len = 4 + trace
+        .fwd
+        .iter()
+        .zip(&trace.bwd)
+        .map(|(f, b)| 4 + section_len(f) + section_len(b))
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(len);
+    put_u32(&mut out, trace.fwd.len());
+    for t in &trace.fwd {
+        put_u32(&mut out, t.dim);
+    }
+    let mut put_section = |t: &LayerDirTrace, alpha_sq: Option<&[Vec<f64>]>| {
+        put_u32(&mut out, t.ranges.iter().filter(|r| !r.is_empty()).count());
+        for (q, ranges) in t.ranges.iter().enumerate() {
+            if ranges.is_empty() {
+                continue;
             }
-            // Mirror to the receiving side: what `src` sends to `dst` is
-            // what `dst` receives from `src` (the bit-retrieval index set).
-            for (dst, widths) in per_peer.iter().enumerate() {
-                if is_bwd {
-                    replies[dst].bwd_recv[layer][src] = widths.clone();
-                } else {
-                    replies[dst].fwd_recv[layer][src] = widths.clone();
+            put_u32(&mut out, q);
+            put_u32(&mut out, ranges.len());
+            for (k, &range) in ranges.iter().enumerate() {
+                let a = alpha_sq.map_or(1.0, |a| a[q][k]);
+                out.extend_from_slice(&quant::variance::beta(a, t.dim, range).to_le_bytes());
+            }
+        }
+    };
+    for (fwd, bwd) in trace.fwd.iter().zip(&trace.bwd) {
+        put_section(fwd, Some(send_alpha_sq));
+        put_section(bwd, None);
+    }
+    out
+}
+
+/// Every device's traced betas, decoded into one flat table of directed
+/// device pairs, grouped by section (`2 * layer + is_backward`) and, within a
+/// section, ascending by sender then receiver.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairTable {
+    /// Device count (one trace per device).
+    n: usize,
+    /// Message dims per layer (shared by both directions).
+    dims: Vec<u32>,
+    /// Section `s` owns pairs `section_start[s]..section_start[s + 1]`.
+    section_start: Vec<usize>,
+    /// `(sender, receiver)` of every pair.
+    ends: Vec<(u32, u32)>,
+    /// Pair `p`'s betas are `betas[beta_start[p]..beta_start[p + 1]]`.
+    beta_start: Vec<usize>,
+    betas: Vec<f64>,
+}
+
+impl PairTable {
+    /// Decodes the gathered [`encode_trace`] messages, `traces[r]` being
+    /// rank `r`'s.
+    pub fn decode<B: AsRef<[u8]>>(traces: &[B]) -> Result<Self, WireError> {
+        let n = traces.len();
+        let mut readers: Vec<Reader> = traces.iter().map(|t| Reader(t.as_ref())).collect();
+        let mut dims: Option<Vec<u32>> = None;
+        for r in &mut readers {
+            let layers = r.u32()?;
+            let own: Vec<u32> = (0..layers).map(|_| r.u32()).collect::<Result<_, _>>()?;
+            if *dims.get_or_insert_with(|| own.clone()) != own {
+                return Err(WireError::DimsDisagree);
+            }
+        }
+        let mut table = Self {
+            n,
+            dims: dims.unwrap_or_default(),
+            section_start: Vec::new(),
+            ends: Vec::new(),
+            beta_start: vec![0],
+            betas: Vec::new(),
+        };
+        // Each message lists its sections in order, so reading section `s`
+        // from every device in turn leaves the table section-major.
+        for _ in 0..2 * table.dims.len() {
+            table.section_start.push(table.ends.len());
+            for (src, r) in readers.iter_mut().enumerate() {
+                let mut prev = None;
+                for _ in 0..r.u32()? {
+                    let (dst, count) = r.peer(n, &mut prev)?;
+                    let (betas, _) = r.items(count, 8)?.as_chunks::<8>();
+                    table
+                        .betas
+                        .extend(betas.iter().map(|b| f64::from_le_bytes(*b)));
+                    table.ends.push((src as u32, dst));
+                    table.beta_start.push(table.betas.len());
                 }
             }
         }
+        table.section_start.push(table.ends.len());
+        readers.into_iter().try_for_each(Reader::finish)?;
+        Ok(table)
     }
-    (replies, stats)
-}
 
-/// Solves one (layer, direction) problem; returns `widths[src][peer][k]` as
-/// bit counts plus the solver's candidate-evaluation count and objective.
-fn solve_one(
-    all: &[TraceMsg],
-    cost: &CostModel,
-    cfg: &TrainingConfig,
-    layer: usize,
-    is_bwd: bool,
-) -> SolvedTask {
-    let n = all.len();
-    let dim = all[0].dims[layer] as usize;
-    let group_size = cfg.group_size.max(1);
-    // Collect directed pairs with their message betas.
-    struct PairRef {
-        src: usize,
-        dst: usize,
-        /// Permutation: sorted-group position -> original message index.
-        order: Vec<usize>,
-        /// Group boundaries into `order`.
-        group_of: Vec<usize>,
-        num_groups: usize,
+    /// Number of (layer, direction) problems: two per layer.
+    pub fn num_sections(&self) -> usize {
+        self.section_start.len() - 1
     }
-    let mut pair_refs = Vec::new();
-    let mut pair_specs = Vec::new();
-    for src in 0..n {
-        let betas_all = if is_bwd {
-            &all[src].bwd_betas[layer]
-        } else {
-            &all[src].fwd_betas[layer]
-        };
-        for (dst, betas) in betas_all.iter().enumerate() {
-            if betas.is_empty() {
-                continue;
-            }
-            // Sort messages by beta descending; chunk into groups.
-            let mut order: Vec<usize> = (0..betas.len()).collect();
-            order.sort_by(|&a, &b| {
-                betas[b]
-                    .partial_cmp(&betas[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let num_groups = betas.len().div_ceil(group_size);
-            let mut group_of = vec![0usize; betas.len()];
-            let mut groups = Vec::with_capacity(num_groups);
-            for g in 0..num_groups {
-                let lo = g * group_size;
-                let hi = ((g + 1) * group_size).min(betas.len());
-                let beta_sum: f64 = order[lo..hi].iter().map(|&k| betas[k]).sum();
-                let count = hi - lo;
-                for pos in lo..hi {
-                    group_of[pos] = g;
-                }
-                groups.push(GroupSpec {
-                    beta: beta_sum,
-                    bytes_per_bit: count as f64 * dim as f64 / 8.0,
-                });
-            }
-            let (theta, gamma) = cost.link_params(src, dst);
+
+    fn pairs_of(&self, section: usize) -> std::ops::Range<usize> {
+        self.section_start[section]..self.section_start[section + 1]
+    }
+
+    /// Pair `p`'s betas, in message order.
+    fn betas_of(&self, p: usize) -> &[f64] {
+        &self.betas[self.beta_start[p]..self.beta_start[p + 1]]
+    }
+
+    /// Builds one section's bi-objective problem: each pair's messages
+    /// sorted by beta descending and chunked into groups of
+    /// `cfg.group_size`.
+    pub fn build(
+        &self,
+        section: usize,
+        cost: &CostModel,
+        cfg: &TrainingConfig,
+    ) -> SectionProblem<'_> {
+        let group_size = cfg.group_size.max(1);
+        let dim = self.dims[section / 2] as usize;
+        let pairs = self.pairs_of(section);
+        let messages = self.beta_start[pairs.end] - self.beta_start[pairs.start];
+        let mut order: Vec<u32> = Vec::with_capacity(messages);
+        let mut specs = Vec::with_capacity(pairs.len());
+        for p in pairs {
+            let betas = self.betas_of(p);
+            let at = order.len();
+            order.extend(0..betas.len() as u32);
+            let sorted = &mut order[at..];
+            sorted.sort_by(|&a, &b| betas[b as usize].total_cmp(&betas[a as usize]));
+            let groups = sorted
+                .chunks(group_size)
+                .map(|group| GroupSpec {
+                    beta: group.iter().map(|&k| betas[k as usize]).sum(),
+                    bytes_per_bit: group.len() as f64 * dim as f64 / 8.0,
+                })
+                .collect();
+            let (src, dst) = self.ends[p];
+            let (theta, gamma) = cost.link_params(src as usize, dst as usize);
             // Fold fixed wire overhead into gamma.
             let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
-            pair_specs.push(PairSpec {
+            specs.push(PairSpec {
                 theta,
                 gamma: gamma + theta * overhead as f64,
                 groups,
             });
-            pair_refs.push(PairRef {
-                src,
-                dst,
-                order,
-                group_of,
-                num_groups,
-            });
+        }
+        SectionProblem {
+            table: self,
+            section,
+            group_size,
+            order,
+            problem: BiObjectiveProblem::new(specs, cfg.lambda),
         }
     }
-    let problem = BiObjectiveProblem::new(pair_specs, cfg.lambda);
-    let sol = solve(&problem);
-    // Materialize per-source replies.
-    let mut out: Vec<Vec<Vec<u8>>> = (0..n).map(|_| vec![Vec::new(); n]).collect();
-    for (p, r) in pair_refs.iter().enumerate() {
-        let widths = &sol.widths[p];
-        assert_eq!(widths.len(), r.num_groups);
-        let mut per_msg = vec![0u8; r.order.len()];
-        for (pos, &orig) in r.order.iter().enumerate() {
-            per_msg[orig] = widths[r.group_of[pos]].bits() as u8;
+
+    /// Serializes one reply per device from every section's per-message
+    /// widths ([`SectionProblem::message_widths`], in section order).
+    ///
+    /// ```text
+    /// layers u32
+    /// per layer: forward sent, forward received, backward sent, backward received:
+    ///     peers u32 | per peer with messages, ascending: peer u32, count u32, width u8 x count
+    /// ```
+    ///
+    /// What `src` sends to `dst` is what `dst` receives from `src` (the
+    /// bit-retrieval index set), so each pair's widths are copied twice:
+    /// into the sender's "sent" block and the receiver's "received" block.
+    pub fn encode_replies(&self, widths: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        assert_eq!(
+            widths.len(),
+            self.num_sections(),
+            "one width table per section"
+        );
+        let n = self.n;
+        let mut lens = vec![4 + 8 * self.num_sections(); n];
+        for (p, &(src, dst)) in self.ends.iter().enumerate() {
+            let entry = 8 + self.betas_of(p).len();
+            lens[src as usize] += entry;
+            lens[dst as usize] += entry;
         }
-        out[r.src][r.dst] = per_msg;
+        let mut replies: Vec<Vec<u8>> = lens.into_iter().map(Vec::with_capacity).collect();
+        for reply in &mut replies {
+            put_u32(reply, self.dims.len());
+        }
+        let mut by_dst: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (section, widths) in widths.iter().enumerate() {
+            let pairs = self.pairs_of(section);
+            let base = self.beta_start[pairs.start];
+            let put_pair = |reply: &mut Vec<u8>, p: usize, peer: u32| {
+                put_u32(reply, peer as usize);
+                put_u32(reply, self.betas_of(p).len());
+                reply.extend_from_slice(
+                    &widths[self.beta_start[p] - base..self.beta_start[p + 1] - base],
+                );
+            };
+            by_dst.iter_mut().for_each(Vec::clear);
+            for p in pairs.clone() {
+                by_dst[self.ends[p].1 as usize].push(p);
+            }
+            // Pairs ascend by sender, so each device's sent block is one run.
+            let mut sent = pairs.start;
+            for (rank, reply) in replies.iter_mut().enumerate() {
+                let run = self.ends[sent..pairs.end]
+                    .iter()
+                    .take_while(|&&(src, _)| src as usize == rank)
+                    .count();
+                put_u32(reply, run);
+                for p in sent..sent + run {
+                    put_pair(reply, p, self.ends[p].1);
+                }
+                sent += run;
+                put_u32(reply, by_dst[rank].len());
+                for &p in &by_dst[rank] {
+                    put_pair(reply, p, self.ends[p].0);
+                }
+            }
+        }
+        replies
     }
-    // Peers with no messages keep empty vectors (consistent with empty send
-    // sets).
-    (out, sol.iterations as u64, sol.objective)
+}
+
+/// One section's problem as handed to the solver, plus what it takes to turn
+/// the solver's per-group widths back into per-message ones.
+#[derive(Debug)]
+pub struct SectionProblem<'a> {
+    table: &'a PairTable,
+    section: usize,
+    group_size: usize,
+    /// Per pair, laid out like the section's betas: sorted position ->
+    /// message index.
+    order: Vec<u32>,
+    /// One [`PairSpec`] per pair of the section, in table order.
+    pub problem: BiObjectiveProblem,
+}
+
+impl SectionProblem<'_> {
+    /// Expands `solution` (of [`SectionProblem::problem`]) into one bit
+    /// count per message, laid out like the section's betas.
+    pub fn message_widths(&self, solution: &Solution) -> Vec<u8> {
+        let pairs = self.table.pairs_of(self.section);
+        let base = self.table.beta_start[pairs.start];
+        let mut out = vec![0u8; self.order.len()];
+        assert_eq!(
+            solution.widths.len(),
+            pairs.len(),
+            "one width list per pair"
+        );
+        for (p, widths) in pairs.zip(&solution.widths) {
+            let at = self.table.beta_start[p] - base;
+            let order = &self.order[at..at + self.table.betas_of(p).len()];
+            assert_eq!(widths.len(), order.len().div_ceil(self.group_size));
+            for (pos, &k) in order.iter().enumerate() {
+                out[at + k as usize] = widths[pos / self.group_size].bits() as u8;
+            }
+        }
+        out
+    }
+}
+
+impl WidthAssignment {
+    /// Decodes the master's reply ([`PairTable::encode_replies`]) on a
+    /// device of an `n`-device cluster; peers the reply does not list keep
+    /// empty tables.
+    pub fn decode(raw: &[u8], n: usize) -> Result<Self, WireError> {
+        let mut r = Reader(raw);
+        let layers = r.u32()? as usize;
+        // Every layer holds at least its four peer counts: refuse a count
+        // the message cannot back before allocating tables for it.
+        if layers > r.0.len() / 16 {
+            return Err(WireError::Truncated);
+        }
+        let mut tables: [Vec<Vec<Vec<BitWidth>>>; 4] =
+            std::array::from_fn(|_| Vec::with_capacity(layers));
+        for _ in 0..layers {
+            for table in &mut tables {
+                let mut per_peer = vec![Vec::new(); n];
+                let mut prev = None;
+                for _ in 0..r.u32()? {
+                    let (peer, count) = r.peer(n, &mut prev)?;
+                    per_peer[peer as usize] = r
+                        .items(count, 1)?
+                        .iter()
+                        .map(|&b| BitWidth::from_bits(u32::from(b)).ok_or(WireError::Width(b)))
+                        .collect::<Result<_, _>>()?;
+                }
+                table.push(per_peer);
+            }
+        }
+        r.finish()?;
+        let [fwd, fwd_recv, bwd, bwd_recv] = tables;
+        Ok(Self {
+            fwd,
+            bwd,
+            fwd_recv,
+            bwd_recv,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -566,6 +773,7 @@ mod tests {
     use super::*;
     use gnn::ConvKind;
     use graph::DatasetSpec;
+    use proptest::prelude::*;
 
     fn setup(k: usize) -> Vec<DevicePartition> {
         let ds = DatasetSpec::tiny().generate(21);
@@ -641,30 +849,304 @@ mod tests {
     #[test]
     fn betas_scale_with_range_squared() {
         let parts = setup(2);
-        let part = &parts[0];
-        let mut t = LayerDirTrace {
-            dim: 16,
-            ranges: part
-                .send_sets
+        let betas_at = |range: f32| {
+            let traces: Vec<Vec<u8>> = parts
                 .iter()
-                .map(|s| vec![1.0f32; s.len()])
-                .collect(),
+                .map(|part| {
+                    let mut trace = Trace::new(part, &[16]);
+                    trace.fwd[0]
+                        .ranges
+                        .iter_mut()
+                        .flatten()
+                        .for_each(|r| *r = range);
+                    encode_trace(&part.send_alpha_sq, &trace)
+                })
+                .collect();
+            let table = PairTable::decode(&traces).expect("valid traces");
+            // Section 0 is layer 0 forward; backward betas carry no alpha.
+            table.betas[..table.beta_start[table.section_start[1]]].to_vec()
         };
-        let b1 = fwd_betas(part, &t);
-        for r in t.ranges.iter_mut().flatten() {
-            *r = 2.0;
-        }
-        let b2 = fwd_betas(part, &t);
-        for (p1, p2) in b1.iter().zip(&b2) {
-            for (x, y) in p1.iter().zip(p2) {
-                assert!((y / x - 4.0).abs() < 1e-9);
-            }
+        let (b1, b2) = (betas_at(1.0), betas_at(2.0));
+        assert!(!b1.is_empty());
+        for (x, y) in b1.iter().zip(&b2) {
+            assert!((y / x - 4.0).abs() < 1e-9);
         }
     }
 
     #[test]
+    fn non_finite_rows_record_as_the_widest_finite_range() {
+        let parts = setup(2);
+        let part = &parts[0];
+        let boundary: Vec<u32> = part.send_sets.iter().flatten().copied().collect();
+        assert!(boundary.len() >= 3, "fixture needs three boundary rows");
+        let fill = |x: &mut Matrix, row: u32, v: f32| x.row_mut(row as usize)[1] = v;
+        let mut x = Matrix::from_fn(part.num_local(), 4, |i, j| (i % 5) as f32 + j as f32);
+        let mut clean = Trace::new(part, &[4]);
+        clean.record_fwd(part, 0, &x);
+        fill(&mut x, boundary[0], f32::INFINITY);
+        fill(&mut x, boundary[1], f32::NAN);
+        fill(&mut x, boundary[2], f32::NEG_INFINITY);
+        let mut trace = Trace::new(part, &[4]);
+        trace.record_fwd(part, 0, &x);
+        let widest = clean.fwd[0]
+            .ranges
+            .iter()
+            .flatten()
+            .fold(0.0f32, |m, &r| m.max(r));
+        for (q, set) in part.send_sets.iter().enumerate() {
+            for (k, row) in set.iter().enumerate() {
+                let got = trace.fwd[0].ranges[q][k];
+                if *row == boundary[0] || *row == boundary[2] {
+                    assert_eq!(got, widest, "row {row} holds an infinity");
+                } else if *row != boundary[1] {
+                    assert_eq!(got.to_bits(), clean.fwd[0].ranges[q][k].to_bits());
+                }
+                assert!(got.is_finite());
+            }
+        }
+        // Nothing finite to borrow from: the range falls back to zero.
+        let mut lone = vec![vec![7.0f32]];
+        record(&mut lone, &[vec![0]], |_| &[f32::INFINITY, 0.0]);
+        assert_eq!(lone, [[0.0]]);
+    }
+
+    /// `n` devices' traces over arbitrary sparse shapes (peers with no
+    /// messages, devices with no peers at all), their `alpha_sq` tables, and
+    /// the layer dims.
+    fn arb_traces(n: usize, layers: usize, rng: &mut Rng) -> (Vec<Vec<Vec<f64>>>, Vec<Trace>) {
+        let dims: Vec<usize> = (0..layers).map(|_| 1 + rng.below(64)).collect();
+        let per_peer = |rng: &mut Rng| -> Vec<usize> {
+            let silent = rng.below(4) == 0;
+            (0..n)
+                .map(|_| {
+                    if silent || rng.below(2) == 0 {
+                        0
+                    } else {
+                        1 + rng.below(6)
+                    }
+                })
+                .collect()
+        };
+        (0..n)
+            .map(|_| {
+                let (sends, recvs) = (per_peer(rng), per_peer(rng));
+                let mut ranges = |lens: &[usize]| -> Vec<Vec<f32>> {
+                    lens.iter()
+                        .map(|&len| (0..len).map(|_| rng.uniform(0.0, 3.0)).collect())
+                        .collect()
+                };
+                let trace = Trace {
+                    fwd: dims
+                        .iter()
+                        .map(|&dim| LayerDirTrace {
+                            dim,
+                            ranges: ranges(&sends),
+                        })
+                        .collect(),
+                    bwd: dims
+                        .iter()
+                        .map(|&dim| LayerDirTrace {
+                            dim,
+                            ranges: ranges(&recvs),
+                        })
+                        .collect(),
+                };
+                let alpha = sends
+                    .iter()
+                    .map(|&len| (0..len).map(|_| f64::from(rng.uniform(0.1, 2.0))).collect())
+                    .collect();
+                (alpha, trace)
+            })
+            .unzip()
+    }
+
+    fn encode_all(alphas: &[Vec<Vec<f64>>], traces: &[Trace]) -> Vec<Vec<u8>> {
+        alphas
+            .iter()
+            .zip(traces)
+            .map(|(a, t)| encode_trace(a, t))
+            .collect()
+    }
+
+    /// Arbitrary per-message widths for every section of `table`.
+    fn arb_widths(table: &PairTable, rng: &mut Rng) -> Vec<Vec<u8>> {
+        (0..table.num_sections())
+            .map(|s| {
+                let pairs = table.pairs_of(s);
+                let messages = table.beta_start[pairs.end] - table.beta_start[pairs.start];
+                (0..messages).map(|_| [2u8, 4, 8][rng.below(3)]).collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn trace_messages_round_trip(n in 1usize..=5, layers in 1usize..=3, seed in 0u64..u64::MAX) {
+            let (alphas, traces) = arb_traces(n, layers, &mut Rng::seed_from(seed));
+            let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
+            prop_assert_eq!(table.num_sections(), 2 * layers);
+            let mut p = 0;
+            for section in 0..2 * layers {
+                prop_assert_eq!(table.section_start[section], p);
+                for src in 0..n {
+                    let t = if section % 2 == 0 {
+                        &traces[src].fwd[section / 2]
+                    } else {
+                        &traces[src].bwd[section / 2]
+                    };
+                    for (dst, ranges) in t.ranges.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+                        prop_assert_eq!(table.ends[p], (src as u32, dst as u32));
+                        let want: Vec<u64> = ranges
+                            .iter()
+                            .enumerate()
+                            .map(|(k, &r)| {
+                                let a = if section % 2 == 0 { alphas[src][dst][k] } else { 1.0 };
+                                quant::variance::beta(a, t.dim, r).to_bits()
+                            })
+                            .collect();
+                        let got: Vec<u64> = table.betas_of(p).iter().map(|b| b.to_bits()).collect();
+                        prop_assert_eq!(got, want);
+                        p += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(table.ends.len(), p);
+        }
+
+        #[test]
+        fn replies_round_trip(n in 1usize..=5, layers in 1usize..=3, seed in 0u64..u64::MAX) {
+            let mut rng = Rng::seed_from(seed);
+            let (alphas, traces) = arb_traces(n, layers, &mut rng);
+            let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
+            let widths = arb_widths(&table, &mut rng);
+            let decoded: Vec<WidthAssignment> = table
+                .encode_replies(&widths)
+                .iter()
+                .map(|reply| WidthAssignment::decode(reply, n).expect("valid reply"))
+                .collect();
+            let mut listed = 0;
+            for (section, section_widths) in widths.iter().enumerate() {
+                let (layer, base) = (section / 2, table.beta_start[table.section_start[section]]);
+                for p in table.pairs_of(section) {
+                    let (src, dst) = (table.ends[p].0 as usize, table.ends[p].1 as usize);
+                    let want: Vec<BitWidth> = section_widths
+                        [table.beta_start[p] - base..table.beta_start[p + 1] - base]
+                        .iter()
+                        .map(|&b| BitWidth::from_bits(u32::from(b)).expect("2, 4 or 8"))
+                        .collect();
+                    let (sent, received) = if section % 2 == 0 {
+                        (&decoded[src].fwd, &decoded[dst].fwd_recv)
+                    } else {
+                        (&decoded[src].bwd, &decoded[dst].bwd_recv)
+                    };
+                    prop_assert_eq!(&sent[layer][dst], &want);
+                    prop_assert_eq!(&received[layer][src], &want);
+                    listed += 2;
+                }
+            }
+            // Nothing beyond the pairs: every other peer keeps an empty table.
+            let non_empty: usize = decoded
+                .iter()
+                .flat_map(|a| [&a.fwd, &a.bwd, &a.fwd_recv, &a.bwd_recv])
+                .inspect(|t| assert_eq!(t.len(), layers))
+                .flatten()
+                .inspect(|per_peer| assert_eq!(per_peer.len(), n))
+                .flatten()
+                .filter(|w| !w.is_empty())
+                .count();
+            prop_assert_eq!(non_empty, listed);
+        }
+    }
+
+    /// Every strict prefix and every single-bit flip of `msg`, in turn.
+    fn corruptions(msg: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let prefixes = (0..msg.len()).map(|len| msg[..len].to_vec());
+        let flips = (0..8 * msg.len()).map(|bit| {
+            let mut m = msg.to_vec();
+            m[bit / 8] ^= 1 << (bit % 8);
+            m
+        });
+        prefixes.chain(flips)
+    }
+
+    #[test]
+    fn corrupt_messages_decode_to_an_error_or_a_well_formed_value() {
+        let mut rng = Rng::seed_from(77);
+        let (alphas, traces) = arb_traces(3, 2, &mut rng);
+        let mut msgs = encode_all(&alphas, &traces);
+        let table = PairTable::decode(&msgs).expect("valid traces");
+        assert!(table.ends.len() > 4, "fixture lists some pairs");
+        let cost = CostModel::homogeneous(3, 1e6, 1e-5);
+        let cfg = TrainingConfig::default();
+        let (mut rejected, mut accepted) = (0, 0);
+        for rank in 0..msgs.len() {
+            let good = msgs[rank].clone();
+            for bad in corruptions(&good) {
+                msgs[rank] = bad;
+                match PairTable::decode(&msgs) {
+                    Err(_) => rejected += 1,
+                    Ok(t) => {
+                        // Well-formed: the whole master round runs on it.
+                        accepted += 1;
+                        assert_eq!(t.num_sections(), 4);
+                        for s in 0..t.num_sections() {
+                            let built = t.build(s, &cost, &cfg);
+                            assert_eq!(built.problem.pairs.len(), t.pairs_of(s).len());
+                        }
+                        assert_eq!(t.encode_replies(&arb_widths(&t, &mut rng)).len(), 3);
+                    }
+                }
+            }
+            msgs[rank] = good;
+        }
+        // Truncations and header flips are caught; a flipped beta bit is
+        // just another beta.
+        assert!(
+            rejected > 0 && accepted > 0,
+            "{rejected} rejected, {accepted} accepted"
+        );
+
+        let replies = table.encode_replies(&arb_widths(&table, &mut rng));
+        for reply in &replies {
+            assert!(WidthAssignment::decode(reply, 3).is_ok());
+            // A device that believes in a smaller cluster sees foreign peers.
+            for bad in corruptions(reply) {
+                if let Ok(a) = WidthAssignment::decode(&bad, 3) {
+                    for t in [&a.fwd, &a.bwd, &a.fwd_recv, &a.bwd_recv] {
+                        assert_eq!(t.len(), a.fwd.len());
+                        assert!(t.iter().all(|per_peer| per_peer.len() == 3));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            WidthAssignment::decode(&[1, 0, 0, 0], 3),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(
+            WidthAssignment::decode(&u32::MAX.to_le_bytes(), 3),
+            Err(WireError::Truncated),
+            "a layer count the message cannot back is refused before allocating"
+        );
+    }
+
+    #[test]
     fn full_reassign_roundtrip_on_cluster() {
-        // End-to-end: 2 devices run the collective reassignment.
+        reassign_on_two_devices(false);
+    }
+
+    #[test]
+    fn reassign_survives_inf_and_nan_rows() {
+        // An Inf range used to reach the master as JSON `null` and panic
+        // every rank; as a raw f64 it would poison the variance normalizer.
+        reassign_on_two_devices(true);
+    }
+
+    /// End-to-end: 2 devices run the collective reassignment; with
+    /// `poisoned`, each traces one boundary row holding +Inf and one NaN.
+    fn reassign_on_two_devices(poisoned: bool) {
         let ds = DatasetSpec::tiny().generate(23);
         let mut rng0 = Rng::seed_from(24);
         let p = graph::partition::metis_like(&ds.graph, 2, &mut rng0);
@@ -683,9 +1165,14 @@ mod tests {
             let dims = [16usize, 8];
             let mut trace = Trace::new(part, &dims);
             // Fabricate some activity so ranges are nonzero and varied.
-            let x = Matrix::from_fn(part.num_local(), 16, |i, j| {
+            let mut x = Matrix::from_fn(part.num_local(), 16, |i, j| {
                 ((i * 7 + j) % 13) as f32 * (0.1 + dev.rank() as f32)
             });
+            if poisoned {
+                let boundary: Vec<u32> = part.send_sets.iter().flatten().copied().collect();
+                x.row_mut(boundary[0] as usize)[3] = f32::INFINITY;
+                x.row_mut(boundary[1] as usize).fill(f32::NAN);
+            }
             trace.record_fwd(part, 0, &x);
             let mut rng = Rng::seed_from(100 + dev.rank() as u64);
             let (assign, solve) = reassign(

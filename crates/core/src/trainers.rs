@@ -373,35 +373,33 @@ impl<'a> DeviceTrainer<'a> {
                     self.charge_ring(tb, bytes, &stats, Some(32));
                     halo
                 } else if self.cfg.grouped_wire && self.method == Method::AdaQp {
-                    let send = self.assignment.fwd[l].clone();
-                    let recv = self.assignment.fwd_recv[l].clone();
                     let (halo, stats) = exchange_forward_grouped(
                         &mut self.dev,
                         self.part,
                         h,
-                        &send,
-                        &recv,
+                        &self.assignment.fwd[l],
+                        &self.assignment.fwd_recv[l],
                         &mut self.rng,
                     );
-                    self.charge_ring(tb, bytes, &stats, uniform_bits(&send));
+                    let bits = uniform_bits(&self.assignment.fwd[l]);
+                    self.charge_ring(tb, bytes, &stats, bits);
                     halo
                 } else if self.cfg.stream_quant {
                     // Pipelined quantize+send: same bytes and RNG stream as
                     // the plain quantized exchange, but encode time rides
                     // inside the per-destination send pipeline.
-                    let widths = self.assignment.fwd[l].clone();
                     let (halo, stats) = exchange_forward_quant_streamed(
                         &mut self.dev,
                         self.part,
                         h,
-                        &widths,
+                        &self.assignment.fwd[l],
                         &mut self.rng,
                         &self.cost,
                     );
-                    self.charge_ring(tb, bytes, &stats, uniform_bits(&widths));
+                    let bits = uniform_bits(&self.assignment.fwd[l]);
+                    self.charge_ring(tb, bytes, &stats, bits);
                     halo
                 } else {
-                    let widths = self.assignment.fwd[l].clone();
                     let residuals = if self.cfg.error_feedback {
                         Some(&mut self.ef_fwd[l])
                     } else {
@@ -411,11 +409,12 @@ impl<'a> DeviceTrainer<'a> {
                         &mut self.dev,
                         self.part,
                         h,
-                        &widths,
+                        &self.assignment.fwd[l],
                         residuals,
                         &mut self.rng,
                     );
-                    self.charge_ring(tb, bytes, &stats, uniform_bits(&widths));
+                    let bits = uniform_bits(&self.assignment.fwd[l]);
+                    self.charge_ring(tb, bytes, &stats, bits);
                     halo
                 }
             }
@@ -537,32 +536,30 @@ impl<'a> DeviceTrainer<'a> {
                         exchange_backward_fp32(&mut self.dev, self.part, grad_ext, grad_local);
                     self.charge_ring(tb, bytes, &stats, Some(32));
                 } else if self.cfg.grouped_wire && self.method == Method::AdaQp {
-                    let send = self.assignment.bwd[l].clone();
-                    let recv = self.assignment.bwd_recv[l].clone();
                     let stats = exchange_backward_grouped(
                         &mut self.dev,
                         self.part,
                         grad_ext,
                         grad_local,
-                        &send,
-                        &recv,
+                        &self.assignment.bwd[l],
+                        &self.assignment.bwd_recv[l],
                         &mut self.rng,
                     );
-                    self.charge_ring(tb, bytes, &stats, uniform_bits(&send));
+                    let bits = uniform_bits(&self.assignment.bwd[l]);
+                    self.charge_ring(tb, bytes, &stats, bits);
                 } else if self.cfg.stream_quant {
-                    let widths = self.assignment.bwd[l].clone();
                     let stats = crate::exchange::exchange_backward_quant_streamed(
                         &mut self.dev,
                         self.part,
                         grad_ext,
                         grad_local,
-                        &widths,
+                        &self.assignment.bwd[l],
                         &mut self.rng,
                         &self.cost,
                     );
-                    self.charge_ring(tb, bytes, &stats, uniform_bits(&widths));
+                    let bits = uniform_bits(&self.assignment.bwd[l]);
+                    self.charge_ring(tb, bytes, &stats, bits);
                 } else {
-                    let widths = self.assignment.bwd[l].clone();
                     let residuals = if self.cfg.error_feedback {
                         Some(&mut self.ef_bwd[l])
                     } else {
@@ -573,11 +570,12 @@ impl<'a> DeviceTrainer<'a> {
                         self.part,
                         grad_ext,
                         grad_local,
-                        &widths,
+                        &self.assignment.bwd[l],
                         residuals,
                         &mut self.rng,
                     );
-                    self.charge_ring(tb, bytes, &stats, uniform_bits(&widths));
+                    let bits = uniform_bits(&self.assignment.bwd[l]);
+                    self.charge_ring(tb, bytes, &stats, bits);
                 }
             }
             Method::PipeGcn => {

@@ -72,24 +72,30 @@ impl PairSpec {
             .sum()
     }
 
+    /// Transfer time with every group at width `w`.
+    pub fn time_at(&self, w: BitWidth) -> f64 {
+        let bytes: f64 = self.groups.iter().map(|g| g.bytes_at(w)).sum();
+        self.theta * bytes + self.gamma
+    }
+
+    /// Variance contribution with every group at width `w`.
+    pub fn variance_at(&self, w: BitWidth) -> f64 {
+        self.groups.iter().map(|g| g.variance_at(w)).sum()
+    }
+
     /// Fastest possible time (all groups at 2-bit).
     pub fn min_time(&self) -> f64 {
-        let bytes: f64 = self.groups.iter().map(|g| g.bytes_at(BitWidth::B2)).sum();
-        self.theta * bytes + self.gamma
+        self.time_at(BitWidth::B2)
     }
 
     /// Slowest time we would ever choose (all groups at 8-bit).
     pub fn max_time(&self) -> f64 {
-        let bytes: f64 = self.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum();
-        self.theta * bytes + self.gamma
+        self.time_at(BitWidth::B8)
     }
 
     /// Largest possible variance contribution (all groups at 2-bit).
     pub fn max_variance(&self) -> f64 {
-        self.groups
-            .iter()
-            .map(|g| g.variance_at(BitWidth::B2))
-            .sum()
+        self.variance_at(BitWidth::B2)
     }
 }
 

@@ -51,11 +51,7 @@ pub fn min_variance_within_budget(pair: &PairSpec, budget_seconds: f64) -> (Vec<
     // Sort ascending by ratio. Because variance is convex in the byte count
     // (1/(2^b-1)^2 decays faster than bytes grow), a group's 8->4 move always
     // has a smaller ratio than its 4->2 move, so sequencing is respected.
-    moves.sort_by(|a, b| {
-        a.ratio
-            .partial_cmp(&b.ratio)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    moves.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
     let mut current_bytes: f64 = pair.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum();
     let budget_bytes = if pair.theta > 0.0 {
         (budget_seconds - pair.gamma) / pair.theta
@@ -215,24 +211,31 @@ pub fn min_variance_within_budget_dp(
     (widths, true)
 }
 
-/// Precomputed downgrade schedule for one pair: the greedy's sorted move
-/// list turned into prefix sums, so any byte budget resolves with a binary
-/// search instead of a fresh sort.
-struct PairSchedule {
-    /// Bytes at all-8-bit.
-    bytes8: f64,
-    /// Variance at all-8-bit.
-    var8: f64,
-    /// After applying the first `k` moves: cumulative bytes saved.
+/// Downgrade schedules of every pair of one problem: each pair's greedy move
+/// list, sorted by variance added per byte saved and turned into prefix sums,
+/// so a byte budget resolves with a search instead of a fresh sort. All pairs
+/// share three arenas (at fleet scale most pairs hold a single group, and
+/// three heap blocks per pair cost more than the arithmetic they carry).
+struct Schedules {
+    heads: Vec<PairHead>,
+    /// Cumulative bytes saved after a pair's first `k + 1` moves.
     saved: Vec<f64>,
-    /// After applying the first `k` moves: cumulative variance added.
+    /// Cumulative variance added after a pair's first `k + 1` moves.
     dvar: Vec<f64>,
-    /// Move k's `(group, to)`.
+    /// Move `k`'s `(group, to)`.
     moves: Vec<(usize, BitWidth)>,
 }
 
-impl PairSchedule {
-    fn build(pair: &PairSpec) -> Self {
+/// One pair's slice of the [`Schedules`] arenas and its all-8-bit totals.
+struct PairHead {
+    start: usize,
+    end: usize,
+    bytes8: f64,
+    var8: f64,
+}
+
+impl Schedules {
+    fn build(problem: &BiObjectiveProblem) -> Self {
         struct Move {
             ratio: f64,
             group: usize,
@@ -240,128 +243,126 @@ impl PairSchedule {
             dv: f64,
             db: f64,
         }
-        let mut moves: Vec<Move> = Vec::with_capacity(2 * pair.groups.len());
-        for (k, g) in pair.groups.iter().enumerate() {
-            for (from, to) in [(BitWidth::B8, BitWidth::B4), (BitWidth::B4, BitWidth::B2)] {
-                let dv = g.variance_at(to) - g.variance_at(from);
-                let db = g.bytes_at(from) - g.bytes_at(to);
-                if db > 0.0 {
-                    moves.push(Move {
-                        ratio: dv / db,
-                        group: k,
-                        to,
-                        dv,
-                        db,
-                    });
+        let total = 2 * problem.num_groups();
+        let mut out = Self {
+            heads: Vec::with_capacity(problem.pairs.len()),
+            saved: Vec::with_capacity(total),
+            dvar: Vec::with_capacity(total),
+            moves: Vec::with_capacity(total),
+        };
+        let mut moves: Vec<Move> = Vec::new();
+        for pair in &problem.pairs {
+            moves.clear();
+            for (k, g) in pair.groups.iter().enumerate() {
+                for (from, to) in [(BitWidth::B8, BitWidth::B4), (BitWidth::B4, BitWidth::B2)] {
+                    let dv = g.variance_at(to) - g.variance_at(from);
+                    let db = g.bytes_at(from) - g.bytes_at(to);
+                    if db > 0.0 {
+                        moves.push(Move {
+                            ratio: dv / db,
+                            group: k,
+                            to,
+                            dv,
+                            db,
+                        });
+                    }
                 }
             }
+            // Convexity of 1/(2^b-1)^2 vs bytes guarantees a group's 8->4
+            // move sorts before its 4->2 move, so prefix application stays
+            // legal.
+            moves.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
+            let start = out.saved.len();
+            let mut s = 0.0;
+            let mut v = 0.0;
+            for m in &moves {
+                s += m.db;
+                v += m.dv;
+                out.saved.push(s);
+                out.dvar.push(v);
+                out.moves.push((m.group, m.to));
+            }
+            out.heads.push(PairHead {
+                start,
+                end: out.saved.len(),
+                bytes8: pair.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum(),
+                var8: pair.variance_at(BitWidth::B8),
+            });
         }
-        // Convexity of 1/(2^b-1)^2 vs bytes guarantees a group's 8->4 move
-        // sorts before its 4->2 move, so prefix application stays legal.
-        moves.sort_by(|a, b| {
-            a.ratio
-                .partial_cmp(&b.ratio)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut saved = Vec::with_capacity(moves.len());
-        let mut dvar = Vec::with_capacity(moves.len());
-        let mut s = 0.0;
-        let mut v = 0.0;
-        for m in &moves {
-            s += m.db;
-            v += m.dv;
-            saved.push(s);
-            dvar.push(v);
-        }
-        Self {
-            bytes8: pair.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum(),
-            var8: pair
-                .groups
-                .iter()
-                .map(|g| g.variance_at(BitWidth::B8))
-                .sum(),
-            saved,
-            dvar,
-            moves: moves.into_iter().map(|m| (m.group, m.to)).collect(),
-        }
+        out
     }
 
-    /// Number of prefix moves needed to fit `budget_seconds`; `None` when
-    /// even all moves (all-2-bit) do not fit.
-    fn moves_for_budget(&self, pair: &PairSpec, budget_seconds: f64) -> Option<usize> {
+    /// Number of prefix moves pair `p` needs to fit `budget_seconds` (all of
+    /// them when even all-2-bit does not fit).
+    ///
+    /// `cursor` is where the previous budget's search on this pair ended
+    /// (start it at 0): budgets swept in sorted order move it monotonically,
+    /// so a whole sweep walks each pair's moves once instead of
+    /// binary-searching them per budget. Any order is still answered
+    /// correctly.
+    fn moves_for_budget(
+        &self,
+        pair: &PairSpec,
+        p: usize,
+        budget_seconds: f64,
+        cursor: &mut usize,
+    ) -> usize {
+        let head = &self.heads[p];
+        let saved = &self.saved[head.start..head.end];
         let budget_bytes = if pair.theta > 0.0 {
             (budget_seconds - pair.gamma) / pair.theta
         } else {
             f64::INFINITY
         };
-        let need = self.bytes8 - budget_bytes;
+        let need = head.bytes8 - budget_bytes;
         if need <= 0.0 {
-            return Some(0);
+            return 0;
         }
-        // First k with saved[k-1] >= need.
-        let k = self.saved.partition_point(|&s| s < need - 1e-12);
-        if k >= self.saved.len() && self.saved.last().is_none_or(|&s| s < need - 1e-9) {
-            None
-        } else {
-            Some((k + 1).min(self.moves.len()))
+        // First k with saved[k] >= need: `saved` ascends, so the moves that
+        // fall short are a prefix and the cursor settles on its end.
+        let short = |s: f64| s < need - 1e-12;
+        while *cursor > 0 && !short(saved[*cursor - 1]) {
+            *cursor -= 1;
         }
+        while *cursor < saved.len() && short(saved[*cursor]) {
+            *cursor += 1;
+        }
+        (*cursor + 1).min(saved.len())
     }
 
-    /// `(variance, time)` after the first `k` moves.
-    fn stats_after(&self, pair: &PairSpec, k: usize) -> (f64, f64) {
+    /// `(variance, time)` of pair `p` after its first `k` moves.
+    fn stats_after(&self, pair: &PairSpec, p: usize, k: usize) -> (f64, f64) {
+        let head = &self.heads[p];
         let (saved, dvar) = if k == 0 {
             (0.0, 0.0)
         } else {
-            (self.saved[k - 1], self.dvar[k - 1])
+            (
+                self.saved[head.start + k - 1],
+                self.dvar[head.start + k - 1],
+            )
         };
         (
-            self.var8 + dvar,
-            pair.theta * (self.bytes8 - saved) + pair.gamma,
+            head.var8 + dvar,
+            pair.theta * (head.bytes8 - saved) + pair.gamma,
         )
     }
 
-    /// Materializes the width assignment for the first `k` moves.
-    fn widths_after(&self, num_groups: usize, k: usize) -> Vec<BitWidth> {
+    /// Materializes pair `p`'s width assignment after its first `k` moves.
+    fn widths_after(&self, p: usize, num_groups: usize, k: usize) -> Vec<BitWidth> {
+        let start = self.heads[p].start;
         let mut widths = vec![BitWidth::B8; num_groups];
-        for &(g, to) in &self.moves[..k] {
+        for &(g, to) in &self.moves[start..start + k] {
             widths[g] = to;
         }
         widths
     }
 }
 
-/// Solves the scalarized bi-objective problem (Eqn. 12).
-///
-/// Sweeps candidate `Z` values (pair time breakpoints plus a uniform grid),
-/// solves the per-pair budgeted sub-problems for each, and returns the best
-/// scalarized objective found. With `lambda == 1` the time term vanishes and
-/// everything gets 8-bit; with `lambda == 0` only the slowest pair matters
-/// and the result is the fastest feasible assignment.
-pub fn solve(problem: &BiObjectiveProblem) -> Solution {
+/// The Z candidates of the outer sweep, ascending and distinct: the global
+/// floor and ceiling, every pair's own extremes on small problems, and a
+/// uniform grid between.
+fn z_candidates(problem: &BiObjectiveProblem) -> Vec<f64> {
     let n_pairs = problem.pairs.len();
-    if n_pairs == 0 {
-        return Solution {
-            widths: Vec::new(),
-            variance: 0.0,
-            max_time: 0.0,
-            objective: 0.0,
-            iterations: 0,
-        };
-    }
-    if problem.lambda >= 1.0 {
-        // Pure variance objective: maximize precision everywhere.
-        let widths: Vec<Vec<BitWidth>> = problem
-            .pairs
-            .iter()
-            .map(|p| vec![BitWidth::B8; p.groups.len()])
-            .collect();
-        let mut sol = finish(problem, widths);
-        sol.iterations = 1;
-        return sol;
-    }
-
-    // Candidate Z values: every pair's min/max plus a grid between the
-    // global extremes.
     let z_floor = problem
         .pairs
         .iter()
@@ -390,65 +391,113 @@ pub fn solve(problem: &BiObjectiveProblem) -> Solution {
             candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
         }
     }
-    candidates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    candidates.sort_by(f64::total_cmp);
     candidates.dedup();
+    candidates
+}
 
-    // Seed with the three uniform assignments so the sweep can never lose
-    // to a trivial candidate.
-    let v_ref = problem.variance_ref();
-    let t_ref = problem.time_ref();
-    // Candidate-assignment evaluation count, reported on the solution.
-    let mut iterations = 0usize;
-    let mut best: Option<Solution> = None;
-    for w in BitWidth::ALL {
-        let widths: Vec<Vec<BitWidth>> = problem
+/// Solves the scalarized bi-objective problem (Eqn. 12).
+///
+/// Sweeps candidate `Z` values (pair time breakpoints plus a uniform grid),
+/// solves the per-pair budgeted sub-problems for each, and returns the best
+/// scalarized objective found. With `lambda == 1` the time term vanishes and
+/// everything gets 8-bit; with `lambda == 0` only the slowest pair matters
+/// and the result is the fastest feasible assignment.
+pub fn solve(problem: &BiObjectiveProblem) -> Solution {
+    let n_pairs = problem.pairs.len();
+    if n_pairs == 0 {
+        return Solution {
+            widths: Vec::new(),
+            variance: 0.0,
+            max_time: 0.0,
+            objective: 0.0,
+            iterations: 0,
+        };
+    }
+    let uniform = |w: BitWidth| -> Vec<Vec<BitWidth>> {
+        problem
             .pairs
             .iter()
             .map(|p| vec![w; p.groups.len()])
-            .collect();
-        let sol = finish_with_refs(problem, widths, v_ref, t_ref);
-        iterations += 1;
-        if best.as_ref().is_none_or(|b| sol.objective < b.objective) {
-            best = Some(sol);
+            .collect()
+    };
+    if problem.lambda >= 1.0 {
+        // Pure variance objective: maximize precision everywhere.
+        let mut sol = finish(problem, uniform(BitWidth::B8));
+        sol.iterations = 1;
+        return sol;
+    }
+    let candidates = z_candidates(problem);
+    let v_ref = problem.variance_ref();
+    let t_ref = problem.time_ref();
+
+    // Seed with the three uniform assignments so the sweep can never lose
+    // to a trivial candidate. Scored from the specs alone: only the one
+    // that survives the sweep is ever materialized.
+    let seeds = BitWidth::ALL.map(|w| {
+        let variance: f64 = problem.pairs.iter().map(|p| p.variance_at(w)).sum();
+        let max_time = problem
+            .pairs
+            .iter()
+            .map(|p| p.time_at(w))
+            .fold(0.0, f64::max);
+        let objective = problem.objective_from_parts(variance, max_time, v_ref, t_ref);
+        (objective, variance, max_time, w)
+    });
+    let mut seed = seeds[0];
+    for s in &seeds[1..] {
+        if s.0 < seed.0 {
+            seed = *s;
         }
     }
-    // Precompute per-pair downgrade schedules once; every candidate Z is
-    // then a binary search per pair and the winning candidate alone pays
-    // materialization.
-    let schedules: Vec<PairSchedule> = problem.pairs.iter().map(PairSchedule::build).collect();
-    let mut best_candidate: Option<(f64, f64, f64)> = None; // (objective, variance, z)
-    for &z in &candidates {
-        let mut variance = 0.0;
-        let mut max_time: f64 = 0.0;
-        for (p, sched) in problem.pairs.iter().zip(&schedules) {
-            let k = sched.moves_for_budget(p, z).unwrap_or(sched.moves.len());
-            let (v, t) = sched.stats_after(p, k);
-            variance += v;
-            max_time = max_time.max(t);
-        }
-        let obj = problem.objective_from_parts(variance, max_time, v_ref, t_ref);
-        iterations += 1;
-        if best_candidate.is_none_or(|(o, _, _)| obj < o) {
-            best_candidate = Some((obj, variance, z));
+
+    // Pair-major sweep: each pair walks the ascending candidates once with
+    // a cursor into its own schedule. Every candidate still accumulates its
+    // pairs in pair order, so the sums round exactly as a candidate-major
+    // loop's would.
+    let schedules = Schedules::build(problem);
+    let mut variance = vec![0.0f64; candidates.len()];
+    let mut max_time = vec![0.0f64; candidates.len()];
+    for (p, pair) in problem.pairs.iter().enumerate() {
+        let mut cursor = 0;
+        for (c, &z) in candidates.iter().enumerate() {
+            let k = schedules.moves_for_budget(pair, p, z, &mut cursor);
+            let (v, t) = schedules.stats_after(pair, p, k);
+            variance[c] += v;
+            max_time[c] = max_time[c].max(t);
         }
     }
-    if let Some((obj, _, z)) = best_candidate {
-        let current_best = best.as_ref().map_or(f64::INFINITY, |b| b.objective);
-        if obj < current_best {
-            let widths: Vec<Vec<BitWidth>> = problem
+    let mut best_candidate: Option<(f64, f64)> = None; // (objective, z)
+    for ((&z, &v), &t) in candidates.iter().zip(&variance).zip(&max_time) {
+        let obj = problem.objective_from_parts(v, t, v_ref, t_ref);
+        if best_candidate.is_none_or(|(o, _)| obj < o) {
+            best_candidate = Some((obj, z));
+        }
+    }
+    // Candidate-assignment evaluation count, reported on the solution.
+    let iterations = seeds.len() + candidates.len();
+
+    let mut sol = match best_candidate {
+        Some((obj, z)) if obj < seed.0 => {
+            let widths = problem
                 .pairs
                 .iter()
-                .zip(&schedules)
-                .map(|(p, sched)| {
-                    let k = sched.moves_for_budget(p, z).unwrap_or(sched.moves.len());
-                    sched.widths_after(p.groups.len(), k)
+                .enumerate()
+                .map(|(p, pair)| {
+                    let k = schedules.moves_for_budget(pair, p, z, &mut 0);
+                    schedules.widths_after(p, pair.groups.len(), k)
                 })
                 .collect();
-            best = Some(finish_with_refs(problem, widths, v_ref, t_ref));
+            finish_with_refs(problem, widths, v_ref, t_ref)
         }
-    }
-    // lint:allow(no-panic): the Z-candidate list is non-empty by construction, so a solution always exists
-    let mut sol = best.expect("at least one candidate evaluated");
+        _ => Solution {
+            widths: uniform(seed.3),
+            variance: seed.1,
+            max_time: seed.2,
+            objective: seed.0,
+            iterations: 0,
+        },
+    };
     sol.iterations = iterations;
     sol
 }
@@ -578,6 +627,7 @@ pub fn brute_force(problem: &BiObjectiveProblem) -> Solution {
 mod tests {
     use super::*;
     use crate::problem::GroupSpec;
+    use proptest::prelude::*;
 
     fn simple_pair(betas: &[f64], bytes_per_bit: f64, theta: f64, gamma: f64) -> PairSpec {
         PairSpec {
@@ -590,6 +640,167 @@ mod tests {
                     bytes_per_bit,
                 })
                 .collect(),
+        }
+    }
+
+    /// The sweep as it ran before it went pair-major — candidate-major, one
+    /// binary search per (candidate, pair), three `Vec`s per pair, every
+    /// seed materialized and scored through `finish_with_refs` — kept as the
+    /// oracle [`solve`] is pinned to, bit for bit.
+    fn reference_solve(problem: &BiObjectiveProblem) -> Solution {
+        struct Schedule {
+            bytes8: f64,
+            var8: f64,
+            saved: Vec<f64>,
+            dvar: Vec<f64>,
+            moves: Vec<(usize, BitWidth)>,
+        }
+        impl Schedule {
+            fn moves_for_budget(&self, pair: &PairSpec, z: f64) -> usize {
+                let budget_bytes = if pair.theta > 0.0 {
+                    (z - pair.gamma) / pair.theta
+                } else {
+                    f64::INFINITY
+                };
+                let need = self.bytes8 - budget_bytes;
+                if need <= 0.0 {
+                    return 0;
+                }
+                let k = self.saved.partition_point(|&s| s < need - 1e-12);
+                (k + 1).min(self.moves.len())
+            }
+        }
+        if problem.pairs.is_empty() || problem.lambda >= 1.0 {
+            return solve(problem);
+        }
+        let schedules: Vec<Schedule> = problem
+            .pairs
+            .iter()
+            .map(|pair| {
+                let mut moves = Vec::new();
+                for (k, g) in pair.groups.iter().enumerate() {
+                    for (from, to) in [(BitWidth::B8, BitWidth::B4), (BitWidth::B4, BitWidth::B2)] {
+                        let dv = g.variance_at(to) - g.variance_at(from);
+                        let db = g.bytes_at(from) - g.bytes_at(to);
+                        if db > 0.0 {
+                            moves.push((dv / db, k, to, dv, db));
+                        }
+                    }
+                }
+                moves.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let (mut s, mut v) = (0.0, 0.0);
+                let mut sched = Schedule {
+                    bytes8: pair.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum(),
+                    var8: pair
+                        .groups
+                        .iter()
+                        .map(|g| g.variance_at(BitWidth::B8))
+                        .sum(),
+                    saved: Vec::new(),
+                    dvar: Vec::new(),
+                    moves: Vec::new(),
+                };
+                for (_, k, to, dv, db) in moves {
+                    s += db;
+                    v += dv;
+                    sched.saved.push(s);
+                    sched.dvar.push(v);
+                    sched.moves.push((k, to));
+                }
+                sched
+            })
+            .collect();
+        let v_ref = problem.variance_ref();
+        let t_ref = problem.time_ref();
+        let mut iterations = 0;
+        let mut best: Option<Solution> = None;
+        for w in BitWidth::ALL {
+            let widths = problem
+                .pairs
+                .iter()
+                .map(|p| vec![w; p.groups.len()])
+                .collect();
+            let sol = finish_with_refs(problem, widths, v_ref, t_ref);
+            iterations += 1;
+            if best.as_ref().is_none_or(|b| sol.objective < b.objective) {
+                best = Some(sol);
+            }
+        }
+        let mut best_candidate: Option<(f64, f64)> = None;
+        for &z in &z_candidates(problem) {
+            let mut variance = 0.0;
+            let mut max_time: f64 = 0.0;
+            for (p, sched) in problem.pairs.iter().zip(&schedules) {
+                let k = sched.moves_for_budget(p, z);
+                let (saved, dvar) = if k == 0 {
+                    (0.0, 0.0)
+                } else {
+                    (sched.saved[k - 1], sched.dvar[k - 1])
+                };
+                variance += sched.var8 + dvar;
+                max_time = max_time.max(p.theta * (sched.bytes8 - saved) + p.gamma);
+            }
+            let obj = problem.objective_from_parts(variance, max_time, v_ref, t_ref);
+            iterations += 1;
+            if best_candidate.is_none_or(|(o, _)| obj < o) {
+                best_candidate = Some((obj, z));
+            }
+        }
+        let mut best = best.expect("three seeds were scored");
+        if let Some((obj, z)) = best_candidate {
+            if obj < best.objective {
+                let widths = problem
+                    .pairs
+                    .iter()
+                    .zip(&schedules)
+                    .map(|(p, sched)| {
+                        let mut widths = vec![BitWidth::B8; p.groups.len()];
+                        for &(g, to) in &sched.moves[..sched.moves_for_budget(p, z)] {
+                            widths[g] = to;
+                        }
+                        widths
+                    })
+                    .collect();
+                best = finish_with_refs(problem, widths, v_ref, t_ref);
+            }
+        }
+        best.iterations = iterations;
+        best
+    }
+
+    fn arb_problem() -> impl Strategy<Value = BiObjectiveProblem> {
+        let group = (0.0f64..100.0, 1.0f64..500.0).prop_map(|(beta, bytes_per_bit)| GroupSpec {
+            beta,
+            bytes_per_bit,
+        });
+        // Zero to six groups per pair, and enough pairs to cross the
+        // 32-pair line where the per-pair breakpoints leave the sweep.
+        let pair = (
+            prop_oneof![Just(0.0), 1e-7f64..1e-4],
+            0.0f64..1e-3,
+            proptest::collection::vec(group, 0..=6),
+        )
+            .prop_map(|(theta, gamma, groups)| PairSpec {
+                theta,
+                gamma,
+                groups,
+            });
+        (proptest::collection::vec(pair, 1..=40), 0.0f64..1.0)
+            .prop_map(|(pairs, lambda)| BiObjectiveProblem::new(pairs, lambda))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pair_major_sweep_matches_reference(problem in arb_problem()) {
+            let got = solve(&problem);
+            let want = reference_solve(&problem);
+            prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+            prop_assert_eq!(got.variance.to_bits(), want.variance.to_bits());
+            prop_assert_eq!(got.max_time.to_bits(), want.max_time.to_bits());
+            prop_assert_eq!(got.iterations, want.iterations);
+            prop_assert_eq!(got.widths, want.widths);
         }
     }
 

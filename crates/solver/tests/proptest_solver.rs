@@ -81,4 +81,53 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn hostile_betas_still_yield_a_solution(
+        specs in proptest::collection::vec(
+            (
+                1e-7f64..1e-4,
+                0.0f64..1e-3,
+                proptest::collection::vec(
+                    (
+                        prop_oneof![
+                            Just(f64::NAN),
+                            Just(f64::INFINITY),
+                            Just(-0.0f64),
+                            0.01f64..100.0
+                        ],
+                        1.0f64..500.0,
+                    ),
+                    1..=6,
+                ),
+            ),
+            1..=40,
+        ),
+        lambda in 0.0f64..=1.0,
+    ) {
+        // A NaN sort key used to reach `slice::sort` through a comparator
+        // that was not a total order, which is allowed to panic.
+        let pairs: Vec<PairSpec> = specs
+            .into_iter()
+            .map(|(theta, gamma, groups)| PairSpec {
+                theta,
+                gamma,
+                groups: groups
+                    .into_iter()
+                    .map(|(beta, bytes_per_bit)| GroupSpec { beta, bytes_per_bit })
+                    .collect(),
+            })
+            .collect();
+        let prob = BiObjectiveProblem::new(pairs.clone(), lambda);
+        let sol = solve(&prob);
+        prop_assert_eq!(sol.widths.len(), pairs.len());
+        for (w, p) in sol.widths.iter().zip(&pairs) {
+            prop_assert_eq!(w.len(), p.groups.len());
+            prop_assert!(w.iter().all(|b| quant::BitWidth::ALL.contains(b)));
+        }
+        for p in &pairs {
+            let (w, _) = solver::min_variance_within_budget(p, p.max_time() * 0.6);
+            prop_assert_eq!(w.len(), p.groups.len());
+        }
+    }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Kernel benchmark harness: runs the criterion benches that cover the
 # deterministic parallel runtime (matmul, aggregation, quant_kernels,
-# agg_parallel) in quick mode and records every reported mean into
+# agg_parallel) and the assigner's control plane (assigner_round) in quick
+# mode and records every reported mean into
 # results/BENCH_kernels.json as {bench -> {ns, threads}}.
 #
 # threads is parsed from the `_t<N>` suffix the agg_parallel benches encode
@@ -43,7 +44,7 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-BENCHES=(matmul aggregation quant_kernels agg_parallel)
+BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round)
 if [[ "$SMOKE" == 1 ]]; then
     BENCHES=(agg_parallel)
 fi

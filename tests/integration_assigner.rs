@@ -189,3 +189,127 @@ fn receive_tables_mirror_send_tables_exactly() {
         }
     }
 }
+
+/// FNV-1a over every table of an assignment: layer count, then per layer the
+/// peer count, then per peer the message count and each width's bit count.
+fn assignment_digest(a: &WidthAssignment) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for table in [&a.fwd, &a.bwd, &a.fwd_recv, &a.bwd_recv] {
+        eat(table.len() as u64);
+        for layer in table {
+            eat(layer.len() as u64);
+            for peer in layer {
+                eat(peer.len() as u64);
+                for w in peer {
+                    eat(u64::from(w.bits()));
+                }
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn golden_assignment_digests_on_four_devices() {
+    // Recorded with the JSON control plane and the candidate-major solver
+    // sweep, before either was replaced: the binary wire format and the
+    // pair-major sweep must hand every rank the very same tables.
+    let parts = setup(4, 71);
+    let cfg = TrainingConfig {
+        group_size: 4,
+        lambda: 0.5,
+        ..TrainingConfig::default()
+    };
+    let cost = CostModel::homogeneous(4, 1e6, 1e-5);
+    let (parts_ref, cfg_ref, cost_ref) = (&parts, &cfg, &cost);
+    let out = Cluster::run_fn(4, move |mut dev| {
+        let part = &parts_ref[dev.rank()];
+        let rank = dev.rank();
+        let mut trace = Trace::new(part, &[16, 24]);
+        for (l, dim) in [16usize, 24].into_iter().enumerate() {
+            let x = Matrix::from_fn(part.num_local(), dim, |i, j| {
+                ((i * 13 + j * 7 + rank + l) % 17) as f32 * 0.25
+            });
+            trace.record_fwd(part, l, &x);
+            let g = Matrix::from_fn(part.num_local() + part.num_halo(), dim, |i, j| {
+                ((i * 5 + j * 11 + 3 * rank + l) % 23) as f32 * 0.125 - 1.0
+            });
+            trace.record_bwd(part, l, &g);
+        }
+        let mut rng = Rng::seed_from(900 + rank as u64);
+        let mode = AssignMode::Adaptive;
+        let (assign, _) = reassign(&mut dev, part, cost_ref, &trace, cfg_ref, mode, &mut rng);
+        (assignment_digest(&assign), assign.histogram())
+    });
+    // The fixture is only worth pinning while the solver mixes widths on it.
+    let (h2, h4, h8) = out
+        .iter()
+        .fold((0, 0, 0), |h, (_, r)| (h.0 + r.0, h.1 + r.1, h.2 + r.2));
+    assert!(h2 > 0 && h4 > 0 && h8 > 0, "histogram ({h2}, {h4}, {h8})");
+    let digests: Vec<u64> = out.iter().map(|(d, _)| *d).collect();
+    assert_eq!(digests, GOLDEN_DIGESTS, "got {digests:#018x?}");
+}
+
+const GOLDEN_DIGESTS: [u64; 4] = [
+    0x652a_db20_6efa_ffa5,
+    0xe1d5_2f2e_6263_842f,
+    0x7a92_fced_78d7_a8a3,
+    0x5231_8b33_7ab6_e029,
+];
+
+#[test]
+fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
+    // 64 devices, ~75 nodes each: every device talks to some of the others.
+    // The reply lists only those, so its length is a function of the rank's
+    // own send/recv sets (DESIGN.md, assigner control plane):
+    //   4 + layers * 2 * (block(send_sets) + block(recv_slots)),
+    //   block(sets) = 4 + sum over non-empty sets of (8 + len).
+    let ds = DatasetSpec::tiny().scaled(16.0).generate(83);
+    let mut rng = Rng::seed_from(84);
+    let p = graph::partition::metis_like(&ds.graph, 64, &mut rng);
+    let parts = build_partitions(&ds, &p, ConvKind::Gcn);
+    let cfg = TrainingConfig::default();
+    let cost = CostModel::homogeneous(64, 1e6, 1e-5);
+    let (parts_ref, cfg_ref, cost_ref) = (&parts, &cfg, &cost);
+    let layers = 2;
+    let master = Cluster::run_fn(64, move |mut dev| {
+        dev.enable_metrics();
+        let part = &parts_ref[dev.rank()];
+        let trace = Trace::new(part, &[16, 24]);
+        let mut rng = Rng::seed_from(900);
+        let mode = AssignMode::Adaptive;
+        reassign(&mut dev, part, cost_ref, &trace, cfg_ref, mode, &mut rng);
+        dev.take_metrics().expect("metrics enabled")
+    })
+    .swap_remove(0);
+    let block = |sets: &[Vec<u32>]| -> usize {
+        4 + sets
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(|s| 8 + s.len())
+            .sum::<usize>()
+    };
+    let mut peers = Vec::new();
+    for (rank, part) in parts.iter().enumerate().skip(1) {
+        let reply = 4 + layers * 2 * (block(&part.send_sets) + block(&part.recv_slots));
+        let sent = master
+            .get(
+                "adaqp_comm_sent_bytes_total",
+                &[("src", "0"), ("dst", &rank.to_string())],
+            )
+            .expect("master sent to every rank")
+            .value;
+        // The scattered reply plus the 32-byte solve-stats broadcast.
+        assert_eq!(sent, (reply + 32) as f64, "rank {rank}");
+        peers.push(part.send_sets.iter().filter(|s| !s.is_empty()).count());
+    }
+    // Ranks differ in how many of the 63 possible peers they list, so no
+    // function of n alone could have produced those lengths.
+    let (min, max) = (peers.iter().min(), peers.iter().max());
+    assert!(min < max && max < Some(&63), "peers per rank: {peers:?}");
+}
