@@ -14,6 +14,9 @@
 //!   rendezvous that suspends the thread until the event loop satisfies
 //!   it, so results are identical to the state-machine form (and to the
 //!   retired thread backend, kept behind the `thread-backend` feature).
+//!   Every trainer `adaqp::run_experiment` ships is a closure, so today an
+//!   experiment on `n` devices does hold `n` OS threads, one running at a
+//!   time.
 
 use crate::event::{self, ClusterReport};
 use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};

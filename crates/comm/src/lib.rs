@@ -4,10 +4,13 @@
 //! that hardware with a faithful *functional* simulation:
 //!
 //! * **Devices are state machines.** Each device implements
-//!   [`DeviceProgram`] (or runs as an imperative closure through the
-//!   lockstep adapter of [`Cluster::run_fn`]) and is advanced by one
-//!   deterministic discrete-event scheduler — no OS thread per device, so a
-//!   single process simulates thousands of ranks.
+//!   [`DeviceProgram`] and is advanced by one deterministic discrete-event
+//!   scheduler, with no OS thread per device. An imperative closure runs
+//!   through the lockstep adapter of [`Cluster::run_fn`] instead, which
+//!   parks one OS thread per device and lets exactly one of them run at a
+//!   time. The shipped trainers (`adaqp::run_experiment`) are still such
+//!   closures, so a 256-device experiment is 256 threads; only native
+//!   programs (the examples, the model checker's subjects) are thread-free.
 //! * **Links are events.** Payloads (quantized byte streams) actually move
 //!   between devices, so numerics are end-to-end real; each transfer is an
 //!   event charged `theta * bytes + gamma` on the simulated clock.

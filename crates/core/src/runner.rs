@@ -172,7 +172,7 @@ fn run_experiment_on(
             &parts_ref[rank],
             training_ref,
             cfg.method,
-            cost_ref.clone(),
+            cost_ref,
             cfg.seed,
         );
         trainer.run()

@@ -31,7 +31,9 @@ pub struct DeviceTrainer<'a> {
     part: &'a DevicePartition,
     cfg: &'a TrainingConfig,
     method: Method,
-    cost: CostModel,
+    /// The cluster's cost model: two dense `n x n` tables, shared by every
+    /// device of the run.
+    cost: &'a CostModel,
     model: Gnn,
     adam: Adam,
     rng: Rng,
@@ -82,7 +84,7 @@ impl<'a> DeviceTrainer<'a> {
         part: &'a DevicePartition,
         cfg: &'a TrainingConfig,
         method: Method,
-        cost: CostModel,
+        cost: &'a CostModel,
         seed: u64,
     ) -> Self {
         if cfg.telemetry {
@@ -209,27 +211,10 @@ impl<'a> DeviceTrainer<'a> {
 
         // ---- Forward ----
         let num_layers = self.num_layers();
-        let mut h = self.part.features.clone();
-        let mut layer_inputs: Vec<Matrix> = Vec::with_capacity(num_layers);
-        for l in 0..num_layers {
-            self.dev.telemetry_mut().set_layer(Some(l as u32));
-            if trace_now {
-                self.trace.record_fwd(self.part, l, &h);
-            }
-            let halo = self.forward_halo(l, &h, epoch, &mut tb, &mut bytes);
-            let xe = Matrix::vstack(&[&h, &halo]);
-            let z = self.aggregate_split(&xe, &mut tb);
-            layer_inputs.push(h);
-            let self_path = self.model.kind().uses_self_path();
-            // lint:allow(no-panic): the push is two lines up; last() cannot be None
-            let input_ref = layer_inputs.last().expect("just pushed");
-            let out = {
-                let layer = &mut self.model.layers_mut()[l];
-                layer.forward_dense(&z, self_path.then_some(input_ref), true, &mut self.rng)
-            };
-            let ops = self.dense_ops(self.part.num_local(), l, 1.0);
-            self.charge_split_ops(&mut tb, ops);
-            h = out;
+        let part = self.part;
+        let mut h = self.forward_layer(0, &part.features, epoch, trace_now, &mut tb, &mut bytes);
+        for l in 1..num_layers {
+            h = self.forward_layer(l, &h, epoch, trace_now, &mut tb, &mut bytes);
         }
         let logits = h;
         self.dev.telemetry_mut().set_layer(None);
@@ -241,24 +226,21 @@ impl<'a> DeviceTrainer<'a> {
         let mut grad_h = grad_logits;
         for l in (0..num_layers).rev() {
             self.dev.telemetry_mut().set_layer(Some(l as u32));
-            let (grad_agg, grad_self) = {
-                let layer = &mut self.model.layers_mut()[l];
-                layer.backward_dense(&grad_h)
-            };
+            let grad_lin = self.model.layers_mut()[l].backward_params(&grad_h);
             self.charge_split_ops(&mut tb, self.dense_ops(self.part.num_local(), l, 2.0));
             if l == 0 {
-                // Features are not trainable: no need to propagate further
-                // or exchange feature gradients.
+                // Features are not trainable: no input gradients to compute,
+                // propagate or exchange.
                 break;
             }
+            let (grad_agg, grad_self) = self.model.layers()[l].backward_inputs(&grad_lin);
             let grad_ext = self.part.agg.backward(&grad_agg);
             let agg_ops = self.part.agg.num_entries() as f64 * self.dims[l] as f64 * 2.0;
             self.charge_split_ops(&mut tb, agg_ops);
             if trace_now {
                 self.trace.record_bwd(self.part, l, &grad_ext);
             }
-            let local_idx: Vec<usize> = (0..self.part.num_local()).collect();
-            let mut grad_local = grad_ext.gather_rows(&local_idx);
+            let mut grad_local = grad_ext.top_rows(self.part.num_local());
             if let Some(gs) = grad_self {
                 grad_local.add_assign(&gs);
             }
@@ -309,7 +291,7 @@ impl<'a> DeviceTrainer<'a> {
             let (assignment, solve) = reassign(
                 &mut self.dev,
                 self.part,
-                &self.cost,
+                self.cost,
                 &self.trace,
                 self.cfg,
                 mode,
@@ -348,6 +330,31 @@ impl<'a> DeviceTrainer<'a> {
             bytes_sent: bytes,
             grad_norm,
         }
+    }
+
+    /// Training forward pass of layer `l` on its input `x`: halo exchange,
+    /// split aggregation, dense transform.
+    fn forward_layer(
+        &mut self,
+        l: usize,
+        x: &Matrix,
+        epoch: usize,
+        trace_now: bool,
+        tb: &mut TimeBreakdown,
+        bytes: &mut usize,
+    ) -> Matrix {
+        self.dev.telemetry_mut().set_layer(Some(l as u32));
+        if trace_now {
+            self.trace.record_fwd(self.part, l, x);
+        }
+        let halo = self.forward_halo(l, x, epoch, tb, bytes);
+        let xe = Matrix::vstack(&[x, &halo]);
+        let z = self.aggregate_split(&xe, tb);
+        let x_self = self.model.kind().uses_self_path().then_some(x);
+        let out = self.model.layers_mut()[l].forward_dense(&z, x_self, true, &mut self.rng);
+        let ops = self.dense_ops(self.part.num_local(), l, 1.0);
+        self.charge_split_ops(tb, ops);
+        out
     }
 
     /// Produces the halo matrix for layer `l`'s aggregation, charging
@@ -394,7 +401,7 @@ impl<'a> DeviceTrainer<'a> {
                         h,
                         &self.assignment.fwd[l],
                         &mut self.rng,
-                        &self.cost,
+                        self.cost,
                     );
                     let bits = uniform_bits(&self.assignment.fwd[l]);
                     self.charge_ring(tb, bytes, &stats, bits);
@@ -505,7 +512,7 @@ impl<'a> DeviceTrainer<'a> {
                 halo.row_mut(slot as usize).copy_from_slice(m.row(r));
             }
         }
-        let comm_secs = stats.sequential_seconds(&self.cost, self.part.rank);
+        let comm_secs = stats.sequential_seconds(self.cost, self.part.rank);
         self.charge(tb, TimeCategory::Comm, comm_secs);
         *bytes += stats.total_sent();
         if self.dev.telemetry().is_enabled() {
@@ -555,7 +562,7 @@ impl<'a> DeviceTrainer<'a> {
                         grad_local,
                         &self.assignment.bwd[l],
                         &mut self.rng,
-                        &self.cost,
+                        self.cost,
                     );
                     let bits = uniform_bits(&self.assignment.bwd[l]);
                     self.charge_ring(tb, bytes, &stats, bits);
@@ -606,7 +613,7 @@ impl<'a> DeviceTrainer<'a> {
         stats: &ExchangeStats,
         width_bits: Option<u8>,
     ) {
-        let comm_secs = stats.ring_seconds(&self.cost, self.part.rank);
+        let comm_secs = stats.ring_seconds(self.cost, self.part.rank);
         let quant_secs = self.cost.ops_time_for(self.part.rank, stats.quant_ops);
         self.charge(tb, TimeCategory::Comm, comm_secs);
         self.charge(tb, TimeCategory::Quant, quant_secs);
@@ -836,18 +843,21 @@ impl<'a> DeviceTrainer<'a> {
     /// metric accumulators. Not charged to simulated time: the paper's
     /// throughput numbers measure training epochs only.
     fn evaluate(&mut self) -> MetricParts {
-        let num_layers = self.num_layers();
-        let mut h = self.part.features.clone();
-        for l in 0..num_layers {
-            let (halo, _) = exchange_forward_fp32(&mut self.dev, self.part, &h);
-            let xe = Matrix::vstack(&[&h, &halo]);
-            let z = self.part.agg.aggregate(&xe);
-            let self_path = self.model.kind().uses_self_path();
-            let h_prev = h.clone();
-            let layer = &mut self.model.layers_mut()[l];
-            h = layer.forward_dense(&z, self_path.then_some(&h_prev), false, &mut self.rng);
+        let part = self.part;
+        let mut h = self.eval_layer(0, &part.features);
+        for l in 1..self.num_layers() {
+            h = self.eval_layer(l, &h);
         }
         self.local_metrics(&h)
+    }
+
+    /// Evaluation forward pass of layer `l` on its input `x`.
+    fn eval_layer(&mut self, l: usize, x: &Matrix) -> Matrix {
+        let (halo, _) = exchange_forward_fp32(&mut self.dev, self.part, x);
+        let xe = Matrix::vstack(&[x, &halo]);
+        let z = self.part.agg.aggregate(&xe);
+        let x_self = self.model.kind().uses_self_path().then_some(x);
+        self.model.layers_mut()[l].forward_dense(&z, x_self, false, &mut self.rng)
     }
 
     fn local_metrics(&self, logits: &Matrix) -> MetricParts {
@@ -936,7 +946,7 @@ mod tests {
         let f_ref = &f;
         let mut out = comm::Cluster::run_fn(1, move |dev| {
             let cost = comm::CostModel::homogeneous(1, 1e9, 1e-5);
-            let mut t = DeviceTrainer::new(dev, &parts_ref[0], cfg_ref, method, cost, 17);
+            let mut t = DeviceTrainer::new(dev, &parts_ref[0], cfg_ref, method, &cost, 17);
             f_ref(&mut t)
         });
         out.pop().expect("one device ran")

@@ -176,54 +176,75 @@ impl GnnLayer {
         }
     }
 
-    /// Dense part of the backward pass. Accumulates parameter gradients and
+    /// Dense part of the backward pass: [`Self::backward_params`] followed by
+    /// [`Self::backward_inputs`]. Accumulates parameter gradients and
     /// returns `(grad_agg, grad_self)` (the latter `None` for GCN).
     ///
     /// # Panics
     ///
     /// Panics if called before `forward_dense` or on shape mismatch.
     pub fn backward_dense(&mut self, grad_out: &Matrix) -> (Matrix, Option<Matrix>) {
+        let grad_lin = self.backward_params(grad_out);
+        self.backward_inputs(&grad_lin)
+    }
+
+    /// Parameter half of the backward pass: consumes the forward caches,
+    /// accumulates the weight, bias and LayerNorm gradients and returns the
+    /// gradient with respect to the linear transform's output, which
+    /// [`Self::backward_inputs`] turns into input gradients. A caller that
+    /// reads no input gradient (the first layer: features are not trained)
+    /// stops here and saves one `grad * W^T` per weight matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward_dense` or on shape mismatch.
+    pub fn backward_params(&mut self, grad_out: &Matrix) -> Matrix {
         let agg = self
             .cache_agg
             .take()
             // lint:allow(no-panic): documented contract (see # Panics) — backward requires a prior forward
             .expect("backward_dense before forward_dense");
-        let mut grad = grad_out.clone();
-        if !self.is_output {
-            if let Some(mask) = self.cache_dropout.take() {
-                grad = dropout_backward(&grad, &mask);
-            }
+        let grad = if self.is_output {
+            grad_out.clone()
+        } else {
+            let undropped = self
+                .cache_dropout
+                .take()
+                .map(|mask| dropout_backward(grad_out, &mask));
             // lint:allow(no-panic): hidden-layer forward always fills this cache; absence is a model bug
             let relu_in = self.cache_relu_in.take().expect("missing relu cache");
-            grad = relu_backward(&grad, &relu_in);
+            let grad = relu_backward(undropped.as_ref().unwrap_or(grad_out), &relu_in);
             // lint:allow(no-panic): hidden-layer forward always fills this cache; absence is a model bug
             let ln_cache = self.cache_ln.take().expect("missing layernorm cache");
-            let (g, ggamma, gbeta) = layer_norm_backward(&grad, &ln_cache, &self.ln_gamma);
-            grad = g;
+            let (grad, ggamma, gbeta) = layer_norm_backward(&grad, &ln_cache, &self.ln_gamma);
             for (a, b) in self.gln_gamma.iter_mut().zip(ggamma) {
                 *a += b;
             }
             for (a, b) in self.gln_beta.iter_mut().zip(gbeta) {
                 *a += b;
             }
-        }
-        // grad wrt linear: accumulate weight/bias grads, propagate input grads.
+            grad
+        };
         self.gw_neigh.add_assign(&agg.matmul_tn(&grad));
         for (b, s) in self.gbias.iter_mut().zip(grad.column_sums()) {
             *b += s;
         }
-        let grad_agg = grad.matmul_nt(&self.w_neigh);
-        let grad_self = match (&self.w_self, self.cache_self.take()) {
-            (Some(ws), Some(xs)) => {
-                self.gw_self
-                    .as_mut()
-                    // lint:allow(no-panic): gw_self exists iff w_self does, and w_self was just matched Some
-                    .expect("sage grad buffer")
-                    .add_assign(&xs.matmul_tn(&grad));
-                Some(grad.matmul_nt(ws))
-            }
-            _ => None,
-        };
+        if let (Some(gw_self), Some(xs)) = (&mut self.gw_self, self.cache_self.take()) {
+            gw_self.add_assign(&xs.matmul_tn(&grad));
+        }
+        grad
+    }
+
+    /// Input half of the backward pass: `(grad_agg, grad_self)` from the
+    /// linear-output gradient [`Self::backward_params`] returned (`grad_self`
+    /// is `None` for GCN).
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn backward_inputs(&self, grad_lin: &Matrix) -> (Matrix, Option<Matrix>) {
+        let grad_agg = grad_lin.matmul_nt(&self.w_neigh);
+        let grad_self = self.w_self.as_ref().map(|ws| grad_lin.matmul_nt(ws));
         (grad_agg, grad_self)
     }
 
@@ -413,6 +434,40 @@ mod tests {
             "input grad: numeric {num} vs analytic {}",
             grad_agg.at(i, j)
         );
+    }
+
+    #[test]
+    fn skipping_the_input_gradients_leaves_parameter_gradients_bit_equal() {
+        for kind in [ConvKind::Gcn, ConvKind::Sage] {
+            for is_output in [false, true] {
+                let mut rng = Rng::seed_from(8);
+                let mut full = GnnLayer::new(kind, 6, 5, is_output, 0.3, &mut rng);
+                let agg = Matrix::from_fn(9, 6, |_, _| rng.uniform(-1.0, 1.0));
+                let xs = Matrix::from_fn(9, 6, |_, _| rng.uniform(-1.0, 1.0));
+                let x_self = kind.uses_self_path().then_some(&xs);
+                let grad_out = Matrix::from_fn(9, 5, |_, _| rng.uniform(-1.0, 1.0));
+                let mut params_only = full.clone();
+                // Same dropout mask on both copies.
+                let mut fwd_rng = rng.clone();
+                let _ = full.forward_dense(&agg, x_self, true, &mut fwd_rng);
+                let _ = params_only.forward_dense(&agg, x_self, true, &mut rng);
+
+                let (grad_agg, grad_self) = full.backward_dense(&grad_out);
+                let grad_lin = params_only.backward_params(&grad_out);
+
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                full.write_grads(&mut want);
+                params_only.write_grads(&mut got);
+                assert!(want.iter().any(|&g| g != 0.0));
+                let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{kind:?}, output {is_output}");
+                // The deferred half reproduces what the full call returned.
+                let (late_agg, late_self) = params_only.backward_inputs(&grad_lin);
+                assert_eq!(late_agg, grad_agg);
+                assert_eq!(late_self, grad_self);
+                assert_eq!(grad_self.is_some(), kind.uses_self_path());
+            }
+        }
     }
 
     #[test]

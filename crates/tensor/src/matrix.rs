@@ -8,8 +8,16 @@ use serde::{Deserialize, Serialize};
 /// full-graph training produces.
 const PAR_ROW_THRESHOLD: usize = 256;
 
-/// Cache-blocking factor for the inner matmul loops.
-const BLOCK: usize = 64;
+/// Output rows per register tile of the product kernel.
+const TILE_ROWS: usize = 2;
+
+/// `k` steps a tile's accumulators stay in registers before they are stored.
+const TILE_K: usize = 4;
+
+/// Rows of the operands `matmul_tn` transposes into scratch at a time:
+/// 32 x 128 columns is 16 KB, so the packed block and the matching block of
+/// the right operand both stay in L1 while the kernel sweeps the output.
+const TN_BLOCK: usize = 32;
 
 /// A dense row-major `f32` matrix.
 ///
@@ -216,6 +224,19 @@ impl Matrix {
         out
     }
 
+    /// Returns a new matrix holding the first `n` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > rows`.
+    pub fn top_rows(&self, n: usize) -> Matrix {
+        Matrix {
+            rows: n,
+            cols: self.cols,
+            data: self.data[..n * self.cols].to_vec(),
+        }
+    }
+
     /// Adds each row of `src` into the row of `self` selected by `indices`
     /// (`self[indices[k]] += src[k]`). The scatter-add primitive used when
     /// accumulating received remote embedding gradients.
@@ -236,6 +257,11 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
+    /// Every output element is the `f32` sum of its `self.cols()` products
+    /// in ascending `k`, starting from `+0.0`; all three products share one
+    /// kernel and this order. No term is skipped, so non-finite values
+    /// propagate as IEEE-754 says: `0 * inf` and `0 * NaN` are `NaN`.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
@@ -246,18 +272,35 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        matmul_into(
-            &self.data,
-            self.rows,
-            self.cols,
-            &rhs.data,
-            rhs.cols,
-            &mut out.data,
-        );
+        if self.rows >= PAR_ROW_THRESHOLD && rhs.cols > 0 {
+            // Output rows are independent, so the row-chunked parallel run
+            // is bitwise identical to the serial one.
+            crate::par::par_chunks_deterministic(
+                &mut out.data,
+                self.rows,
+                PAR_ROW_THRESHOLD / 4,
+                |s, e, chunk| {
+                    gemm_acc(
+                        &self.data[s * self.cols..e * self.cols],
+                        self.cols,
+                        &rhs.data,
+                        rhs.cols,
+                        chunk,
+                    );
+                },
+            );
+        } else {
+            gemm_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
+        }
         out
     }
 
     /// Matrix product `self^T * rhs` without materializing the transpose.
+    ///
+    /// Each output element sums its products in ascending row order (see
+    /// [`Matrix::matmul`]); from 256 rows up it does so per fixed 64-row
+    /// chunk and adds the chunk sums in chunk order, at any thread count.
+    /// Non-finite values propagate: `0 * inf` and `0 * NaN` are `NaN`.
     ///
     /// # Panics
     ///
@@ -281,9 +324,8 @@ impl Matrix {
             let tasks: Vec<((usize, usize), &mut Vec<f32>)> =
                 ranges.iter().copied().zip(partials.iter_mut()).collect();
             crate::par::run_range_tasks("tensor::matmul_tn", self.rows, tasks, |s, e, buf| {
-                matmul_tn_serial(
+                gemm_tn_acc(
                     &self.data[s * self.cols..e * self.cols],
-                    e - s,
                     self.cols,
                     &rhs.data[s * rhs.cols..e * rhs.cols],
                     rhs.cols,
@@ -297,18 +339,16 @@ impl Matrix {
             }
             return out;
         }
-        matmul_tn_serial(
-            &self.data,
-            self.rows,
-            self.cols,
-            &rhs.data,
-            rhs.cols,
-            &mut out.data,
-        );
+        gemm_tn_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         out
     }
 
-    /// Matrix product `self * rhs^T` without materializing the transpose.
+    /// Matrix product `self * rhs^T`.
+    ///
+    /// Packs `rhs^T` once per call (a weight matrix: small next to the
+    /// product) and runs [`Matrix::matmul`] on it, so the summation order
+    /// and the propagation of non-finite values (`0 * inf` and `0 * NaN`
+    /// are `NaN`) are that method's.
     ///
     /// # Panics
     ///
@@ -319,36 +359,7 @@ impl Matrix {
             "matmul_nt: lhs is {}x{}, rhs is {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        if self.rows >= PAR_ROW_THRESHOLD && rhs.rows > 0 {
-            // Every output row is an independent set of dot products, so the
-            // row-chunked parallel run is bitwise identical to the serial one.
-            crate::par::par_chunks_deterministic(
-                &mut out.data,
-                self.rows,
-                PAR_ROW_THRESHOLD / 4,
-                |s, e, chunk| {
-                    matmul_nt_serial(
-                        &self.data[s * self.cols..e * self.cols],
-                        e - s,
-                        self.cols,
-                        &rhs.data,
-                        rhs.rows,
-                        chunk,
-                    );
-                },
-            );
-            return out;
-        }
-        matmul_nt_serial(
-            &self.data,
-            self.rows,
-            self.cols,
-            &rhs.data,
-            rhs.rows,
-            &mut out.data,
-        );
-        out
+        self.matmul(&rhs.transpose())
     }
 
     /// Returns the transpose.
@@ -502,79 +513,113 @@ impl Matrix {
     }
 }
 
-/// Core blocked matmul: `out += a (ra x ca) * b (ca x cb)`.
+/// The product kernel behind [`Matrix::matmul`], [`Matrix::matmul_tn`] and
+/// [`Matrix::matmul_nt`]: `out[i][j] += sum_k a[i][k] * b[k][j]` for
+/// row-major `a` (`ca` columns), `b` (`ca x cb`) and `out` (`cb` columns).
 ///
-/// `out` must already be zeroed by the caller. Tall left operands are split
-/// into fixed row chunks on the shared runtime ([`crate::par`]); each chunk
-/// accumulates its own output rows with the serial kernel, so the result is
-/// byte-identical to a fully serial run at any thread count.
-fn matmul_into(a: &[f32], ra: usize, ca: usize, b: &[f32], cb: usize, out: &mut [f32]) {
-    if ra >= PAR_ROW_THRESHOLD && cb > 0 {
-        crate::par::par_chunks_deterministic(out, ra, PAR_ROW_THRESHOLD / 4, |s, e, chunk| {
-            matmul_serial(&a[s * ca..e * ca], e - s, ca, b, cb, chunk);
-        });
+/// Each output element takes its products in strictly ascending `k`, one
+/// `f32` add per product and none skipped: the order is the contract (losses,
+/// traced ranges, assigned widths and wire bytes all hang off these bits),
+/// the tiling below only decides how often an accumulator is loaded and
+/// stored.
+fn gemm_acc(a: &[f32], ca: usize, b: &[f32], cb: usize, out: &mut [f32]) {
+    if ca == 0 || cb == 0 {
         return;
     }
-    matmul_serial(a, ra, ca, b, cb, out);
-}
-
-/// Serial cache-blocked i-k-j matmul.
-fn matmul_serial(a: &[f32], ra: usize, ca: usize, b: &[f32], cb: usize, out: &mut [f32]) {
-    for kb in (0..ca).step_by(BLOCK) {
-        let kend = (kb + BLOCK).min(ca);
-        for i in 0..ra {
-            let arow = &a[i * ca..(i + 1) * ca];
-            let orow = &mut out[i * cb..(i + 1) * cb];
-            for k in kb..kend {
-                let av = arow[k];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[k * cb..(k + 1) * cb];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
+    let mut a_tiles = a.chunks_exact(TILE_ROWS * ca);
+    let mut out_tiles = out.chunks_exact_mut(TILE_ROWS * cb);
+    for (a_tile, out_tile) in (&mut a_tiles).zip(&mut out_tiles) {
+        tile_acc::<TILE_ROWS>(a_tile, ca, b, cb, out_tile);
+    }
+    let a_rest = a_tiles.remainder().chunks_exact(ca);
+    let out_rest = out_tiles.into_remainder().chunks_exact_mut(cb);
+    for (a_row, out_row) in a_rest.zip(out_rest) {
+        tile_acc::<1>(a_row, ca, b, cb, out_row);
     }
 }
 
-/// Serial transposed-lhs accumulation: `out += a^T (rows x ca) * b (rows x cb)`.
-fn matmul_tn_serial(a: &[f32], rows: usize, ca: usize, b: &[f32], cb: usize, out: &mut [f32]) {
-    for r in 0..rows {
-        let lrow = &a[r * ca..(r + 1) * ca];
-        let rrow = &b[r * cb..(r + 1) * cb];
-        for (c1, &lv) in lrow.iter().enumerate() {
-            if lv == 0.0 {
-                continue;
-            }
-            let orow = &mut out[c1 * cb..(c1 + 1) * cb];
-            for (o, &rv) in orow.iter_mut().zip(rrow) {
-                *o += lv * rv;
+/// [`gemm_acc`] on exactly `MR` rows of `a` and `out`: per [`TILE_K`] steps
+/// of `k`, each vector of output columns is loaded once, takes its `TILE_K`
+/// products in order and is stored once, and each vector of `b` is loaded
+/// once for all `MR` rows. The fixed-size arrays are what lets the compiler
+/// keep the coefficients in registers and vectorise the column loop with no
+/// bounds checks.
+#[inline(always)]
+fn tile_acc<const MR: usize>(a: &[f32], ca: usize, b: &[f32], cb: usize, out: &mut [f32]) {
+    debug_assert_eq!((a.len(), out.len()), (MR * ca, MR * cb));
+    let a_rows: [&[f32]; MR] = split_rows(a, ca);
+    let mut rest = out;
+    let out_rows: [&mut [f32]; MR] = std::array::from_fn(|_| {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(cb);
+        rest = tail;
+        row
+    });
+    let mut b_steps = b.chunks_exact(TILE_K * cb);
+    let mut k = 0;
+    for b_step in &mut b_steps {
+        let b_rows: [&[f32]; TILE_K] = split_rows(b_step, cb);
+        let coef: [[f32; TILE_K]; MR] =
+            std::array::from_fn(|r| std::array::from_fn(|t| a_rows[r][k + t]));
+        for j in 0..cb {
+            let x: [f32; TILE_K] = std::array::from_fn(|t| b_rows[t][j]);
+            for r in 0..MR {
+                let mut acc = out_rows[r][j];
+                for t in 0..TILE_K {
+                    acc += coef[r][t] * x[t];
+                }
+                out_rows[r][j] = acc;
             }
         }
+        k += TILE_K;
+    }
+    for b_row in b_steps.remainder().chunks_exact(cb) {
+        for r in 0..MR {
+            let av = a_rows[r][k];
+            for (o, &x) in out_rows[r].iter_mut().zip(b_row) {
+                *o += av * x;
+            }
+        }
+        k += 1;
     }
 }
 
-/// Serial transposed-rhs product: `out = a (rows x ca) * b^T (rb x ca)`.
-fn matmul_nt_serial(a: &[f32], rows: usize, ca: usize, b: &[f32], rb: usize, out: &mut [f32]) {
-    for i in 0..rows {
-        let lrow = &a[i * ca..(i + 1) * ca];
-        let orow = &mut out[i * rb..(i + 1) * rb];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let rrow = &b[j * ca..(j + 1) * ca];
-            let mut acc = 0.0;
-            for (x, y) in lrow.iter().zip(rrow) {
-                acc += x * y;
+/// The first `N` rows of `width` elements each.
+#[inline(always)]
+fn split_rows<const N: usize>(mut rows: &[f32], width: usize) -> [&[f32]; N] {
+    std::array::from_fn(|_| {
+        let (row, tail) = rows.split_at(width);
+        rows = tail;
+        row
+    })
+}
+
+/// Transposed-lhs accumulation `out += a^T * b` for `a` (`ca` columns) and
+/// `b` (`cb` columns) with equally many rows; `out` is `ca x cb`.
+///
+/// Walks the rows in blocks of [`TN_BLOCK`]: a block of `a` is transposed
+/// into scratch and handed to [`gemm_acc`] with the same block of `b`, so
+/// every output element still takes its rows in ascending order.
+fn gemm_tn_acc(a: &[f32], ca: usize, b: &[f32], cb: usize, out: &mut [f32]) {
+    if ca == 0 || cb == 0 {
+        return;
+    }
+    let mut a_t = vec![0.0f32; ca * TN_BLOCK];
+    for (a_blk, b_blk) in a.chunks(TN_BLOCK * ca).zip(b.chunks(TN_BLOCK * cb)) {
+        let n = a_blk.len() / ca;
+        let a_t = &mut a_t[..ca * n];
+        for (r, a_row) in a_blk.chunks_exact(ca).enumerate() {
+            for (c, &v) in a_row.iter().enumerate() {
+                a_t[c * n + r] = v;
             }
-            *o = acc;
         }
+        gemm_acc(a_t, n, b_blk, cb, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
         a.shape() == b.shape()
@@ -630,22 +675,148 @@ mod tests {
         assert!(approx_eq(&a.matmul_nt(&b), &expect, 1e-5));
     }
 
+    /// The three product loops this crate shipped before the shared tiled
+    /// kernel, kept as the reference for its summation order: on finite
+    /// inputs the public products must reproduce these bit for bit.
+    mod oracle {
+        use super::super::{Matrix, PAR_ROW_THRESHOLD};
+
+        /// Cache-blocked i-k-j loop that skips zero left-hand entries.
+        pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            const BLOCK: usize = 64;
+            let (ca, cb) = (a.cols(), b.cols());
+            let mut out = Matrix::zeros(a.rows(), cb);
+            for kb in (0..ca).step_by(BLOCK) {
+                let kend = (kb + BLOCK).min(ca);
+                for i in 0..a.rows() {
+                    for k in kb..kend {
+                        let av = a.at(i, k);
+                        if av == 0.0 {
+                            continue;
+                        }
+                        for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                            *o += av * bv;
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        fn tn_rows(a: &Matrix, b: &Matrix, rows: (usize, usize), out: &mut [f32]) {
+            let cb = b.cols();
+            for r in rows.0..rows.1 {
+                for (c1, &lv) in a.row(r).iter().enumerate() {
+                    if lv == 0.0 {
+                        continue;
+                    }
+                    for (o, &rv) in out[c1 * cb..(c1 + 1) * cb].iter_mut().zip(b.row(r)) {
+                        *o += lv * rv;
+                    }
+                }
+            }
+        }
+
+        /// Row-at-a-time rank-1 updates that skip zero left-hand entries;
+        /// tall operands reduce per fixed row chunk, merged in chunk order.
+        pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.cols(), b.cols());
+            if a.rows() >= PAR_ROW_THRESHOLD && !out.is_empty() {
+                for range in crate::par::chunk_ranges(a.rows(), PAR_ROW_THRESHOLD / 4) {
+                    let mut partial = vec![0.0f32; out.len()];
+                    tn_rows(a, b, range, &mut partial);
+                    for (o, v) in out.as_mut_slice().iter_mut().zip(&partial) {
+                        *o += v;
+                    }
+                }
+            } else {
+                tn_rows(a, b, (0, a.rows()), out.as_mut_slice());
+            }
+            out
+        }
+
+        /// One scalar dot product per output element.
+        pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+            Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+                let mut acc = 0.0;
+                for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                acc
+            })
+        }
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    /// Uniform values salted with the exact zeros ReLU and dropout leave
+    /// behind, of both signs.
+    fn salted_matrix(rows: usize, cols: usize, rng: &mut crate::Rng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.below(10) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            _ => rng.uniform(-2.0, 2.0),
+        })
+    }
+
+    proptest! {
+        // Enough draws to meet every (row band, thread count) pair.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn products_keep_the_oracle_summation_order(
+            // Empty, shorter than one tile, odd trailing rows, and both
+            // sides of a TN_BLOCK, of a row chunk and of PAR_ROW_THRESHOLD.
+            rows in prop_oneof![
+                0usize..9, 30usize..35, 62usize..67, 254usize..259, 319usize..322
+            ],
+            // Multiples of TILE_K and of the vector width, and neither.
+            inner in prop_oneof![0usize..14, 30usize..35],
+            cols in prop_oneof![0usize..11, 15usize..18],
+            threads in prop_oneof![Just(1usize), Just(2usize), Just(8usize)],
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = crate::Rng::seed_from(seed);
+            let a = salted_matrix(rows, inner, &mut rng);
+            let w = salted_matrix(inner, cols, &mut rng);
+            let g = salted_matrix(rows, cols, &mut rng);
+            crate::par::set_threads(threads);
+            let (nn, tn, nt) = (a.matmul(&w), a.matmul_tn(&g), g.matmul_nt(&w));
+            crate::par::set_threads(0);
+            assert_bits_eq(&nn, &oracle::matmul(&a, &w), "matmul");
+            assert_bits_eq(&tn, &oracle::matmul_tn(&a, &g), "matmul_tn");
+            assert_bits_eq(&nt, &oracle::matmul_nt(&g, &w), "matmul_nt");
+        }
+    }
+
     #[test]
-    fn parallel_matmul_matches_serial() {
-        // 300 rows crosses PAR_ROW_THRESHOLD.
-        let a = Matrix::from_fn(300, 17, |i, j| ((i * 31 + j * 7) % 13) as f32 - 6.0);
-        let b = Matrix::from_fn(17, 9, |i, j| ((i * 5 + j * 3) % 11) as f32 * 0.25);
-        let mut serial = Matrix::zeros(300, 9);
-        matmul_serial(
-            a.as_slice(),
-            300,
-            17,
-            b.as_slice(),
-            9,
-            serial.as_mut_slice(),
-        );
-        let par = a.matmul(&b);
-        assert!(approx_eq(&par, &serial, 1e-5));
+    fn products_propagate_non_finite_values_past_zero_factors() {
+        // The left operand's zero meets the right operand's inf/NaN in
+        // every product; before the shared kernel matmul and matmul_tn
+        // skipped the term and returned a finite value.
+        for poison in [f32::INFINITY, f32::NAN] {
+            let row = Matrix::from_rows(&[&[0.0, 1.0]]);
+            let col = Matrix::from_rows(&[&[0.0], &[1.0]]);
+            let poisoned_col = Matrix::from_rows(&[&[poison], &[2.0]]);
+            let poisoned_row = Matrix::from_rows(&[&[poison, 2.0]]);
+            assert!(
+                row.matmul(&poisoned_col).at(0, 0).is_nan(),
+                "matmul, {poison}"
+            );
+            assert!(
+                col.matmul_tn(&poisoned_col).at(0, 0).is_nan(),
+                "matmul_tn, {poison}"
+            );
+            assert!(
+                row.matmul_nt(&poisoned_row).at(0, 0).is_nan(),
+                "matmul_nt, {poison}"
+            );
+        }
     }
 
     #[test]
@@ -659,6 +830,7 @@ mod tests {
         let base = Matrix::from_fn(6, 3, |i, j| (i * 3 + j) as f32);
         let idx = [4, 1, 5];
         let gathered = base.gather_rows(&idx);
+        assert_eq!(base.top_rows(2), base.gather_rows(&[0, 1]));
         assert_eq!(gathered.row(0), base.row(4));
         assert_eq!(gathered.row(2), base.row(5));
 

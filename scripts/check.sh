@@ -33,8 +33,8 @@ ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
 echo "==> cargo test -q"
 cargo test --offline -q
 
-echo "==> sanitized codec tests (ADAQP_SAN=1: reference-pinning proptests under adversarial schedules)"
-ADAQP_SAN=1 cargo test --offline -q -p quant
+echo "==> sanitized codec and dense-kernel tests (ADAQP_SAN=1: reference-pinning proptests under adversarial schedules)"
+ADAQP_SAN=1 cargo test --offline -q -p quant -p tensor
 
 echo "==> scalability smoke (64 devices on the event core, racks + oversub)"
 cargo run --offline -q --release -p adaqp --bin adaqp -- \

@@ -100,3 +100,41 @@ fn method_only_changes_method_dependent_state() {
     // Later epochs diverge (quantization noise).
     assert_ne!(v.per_epoch[4].loss, a.per_epoch[4].loss);
 }
+
+/// FNV-1a over every epoch's loss bits.
+fn loss_digest(result: &adaqp::RunResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for e in &result.per_epoch {
+        for b in e.loss.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn golden_loss_digests_survive_kernel_changes() {
+    // Recorded at the commit before the three dense products moved onto one
+    // tiled kernel (ISSUE 14). A host-time change to tensor, gnn or the
+    // exchange path must reproduce every loss bit; the last two rows put
+    // 300 rows on each device, past the row count where `matmul_tn` reduces
+    // per chunk, so the chunk merge order is pinned end to end as well.
+    for (method, use_sage, scale, want) in [
+        (Method::Vanilla, false, 1.0, 0xd12c_36f1_43d1_b4aa_u64),
+        (Method::Vanilla, true, 1.0, 0x746e_8249_36eb_30c6),
+        (Method::AdaQp, false, 1.0, 0x81cd_68f0_6108_ad6d),
+        (Method::AdaQp, true, 1.0, 0x3f6c_5cbe_e16c_bcb3),
+        (Method::Vanilla, false, 2.0, 0x0eb6_683d_8fa2_b35d),
+        (Method::AdaQp, true, 2.0, 0x96bc_33b6_8394_452f),
+    ] {
+        let mut c = cfg(4242);
+        c.method = method;
+        c.training.use_sage = use_sage;
+        c.dataset = DatasetSpec::tiny().scaled(scale);
+        let got = loss_digest(&adaqp::run_experiment(&c).expect("valid config"));
+        assert_eq!(
+            got, want,
+            "{method:?}, sage {use_sage}, scale {scale}: {got:#018x} != {want:#018x}"
+        );
+    }
+}
