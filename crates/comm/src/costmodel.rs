@@ -459,4 +459,88 @@ mod hetero_tests {
     fn scales_length_checked() {
         let _ = CostModel::homogeneous(3, 1e9, 0.0).with_device_scales(vec![1.0]);
     }
+
+    // ---- schedule time models ----
+
+    fn uniform_bytes(n: usize, b: usize) -> Vec<Vec<usize>> {
+        (0..n)
+            .map(|s| (0..n).map(|d| if s == d { 0 } else { b }).collect())
+            .collect()
+    }
+
+    #[test]
+    fn ring_time_uniform_cluster() {
+        let cm = CostModel::homogeneous(4, 1e6, 0.0);
+        let bytes = uniform_bytes(4, 1000);
+        // 3 rounds, each 1ms.
+        let t = cm.ring_all2all_seconds(&bytes);
+        assert!((t - 3e-3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn straggler_dominates_round() {
+        let cm = CostModel::homogeneous(4, 1e6, 0.0);
+        let mut bytes = uniform_bytes(4, 1000);
+        bytes[0][1] = 100_000; // one heavy link in round 1
+        let t = cm.ring_all2all_seconds(&bytes);
+        assert!((t - (0.1 + 2e-3)).abs() < 1e-9, "t = {t}");
+    }
+
+    #[test]
+    fn per_device_times_reflect_local_load() {
+        let cm = CostModel::homogeneous(4, 1e6, 0.0);
+        let mut bytes = uniform_bytes(4, 1000);
+        bytes[0][1] = 50_000;
+        let times = cm.per_device_ring_seconds(&bytes);
+        // Device 0 (sender) and device 1 (receiver) are slower than 2, 3.
+        assert!(times[0] > times[2]);
+        assert!(times[1] > times[3]);
+    }
+
+    #[test]
+    fn per_device_max_bounds_sync_ring() {
+        // The synchronized ring is at least as slow as any single device's
+        // unsynchronized time.
+        let cm = CostModel::homogeneous(5, 1e6, 1e-5);
+        let mut bytes = uniform_bytes(5, 2000);
+        bytes[2][4] = 77_000;
+        bytes[3][0] = 9_000;
+        let sync = cm.ring_all2all_seconds(&bytes);
+        let per = cm.per_device_ring_seconds(&bytes);
+        for (d, t) in per.iter().enumerate() {
+            assert!(sync >= *t - 1e-12, "device {d}: sync {sync} < per {t}");
+        }
+    }
+
+    #[test]
+    fn sequential_broadcast_sums_turns() {
+        let cm = CostModel::homogeneous(3, 1e6, 0.0);
+        let bytes = uniform_bytes(3, 1000);
+        // Each broadcast costs 1ms (parallel to 2 peers), 3 turns.
+        let t = cm.sequential_broadcast_seconds(&bytes);
+        assert!((t - 3e-3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sequential_slower_than_ring_for_uniform_load() {
+        // With uniform load the ring pipelines all sends; sequential
+        // broadcast serializes device turns and loses.
+        let cm = CostModel::homogeneous(8, 1e6, 1e-4);
+        let bytes = uniform_bytes(8, 10_000);
+        let ring = cm.ring_all2all_seconds(&bytes);
+        let seq = cm.sequential_broadcast_seconds(&bytes);
+        // Ring: 7 rounds x 10ms; sequential: 8 turns x 10ms (+latency) —
+        // and the gap widens because a real broadcast of k messages on one
+        // NIC would serialize further. Here we at least check ordering.
+        assert!(seq > ring * 0.99, "seq {seq} ring {ring}");
+    }
+
+    #[test]
+    fn zero_traffic_costs_nothing() {
+        let cm = CostModel::homogeneous(4, 1e6, 1e-4);
+        let bytes = uniform_bytes(4, 0);
+        assert_eq!(cm.ring_all2all_seconds(&bytes), 0.0);
+        assert_eq!(cm.sequential_broadcast_seconds(&bytes), 0.0);
+        assert!(cm.per_device_ring_seconds(&bytes).iter().all(|&t| t == 0.0));
+    }
 }

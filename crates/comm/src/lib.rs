@@ -28,10 +28,6 @@
 //! Collectives provided: tagged point-to-point send/recv, barrier, ring
 //! all2all (Fig. 8), sequential broadcast (the SANCUS schedule), gather /
 //! scatter to the master rank, and sum-allreduce for model gradients.
-//!
-//! The pre-event-core execution model (one OS thread per device, crossbeam
-//! channels) is kept for one release behind the `thread-backend` feature so
-//! equivalence tests can pin the event core against it byte-for-byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,10 +40,7 @@ pub mod costmodel;
 pub mod event;
 pub mod flight;
 pub mod program;
-pub mod schedule;
 pub mod telemetry;
-#[cfg(feature = "thread-backend")]
-mod thread;
 pub mod timing;
 pub mod topology;
 pub mod waitgraph;
@@ -57,8 +50,6 @@ pub use costmodel::{ClusterTopology, CostModel};
 pub use event::ClusterReport;
 pub use flight::FlightRecorder;
 pub use program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
-#[allow(deprecated)]
-pub use schedule::{per_device_ring_times, ring_all2all_time, sequential_broadcast_time};
 pub use telemetry::{Event, EventDetail, EventKind, Recorder};
 pub use timing::{TimeBreakdown, TimeCategory};
 pub use topology::Topology;

@@ -1,7 +1,6 @@
 //! Property tests for the cluster runtime: random message schedules must
 //! deliver every payload exactly once, in order, regardless of
-//! interleaving — and the event core must agree with the retired thread
-//! backend on every schedule.
+//! interleaving.
 
 use bytes::Bytes;
 use comm::Cluster;
@@ -86,9 +85,6 @@ proptest! {
             acc
         };
         let results = Cluster::run_fn(n, device);
-        // The retired thread backend must agree on every schedule.
-        #[cfg(feature = "thread-backend")]
-        prop_assert_eq!(&results, &Cluster::run_fn_threaded(n, device));
         // Every device computed identical collective results.
         let expected_sum: u32 = (0..n as u32).sum::<u32>();
         for (rank, acc) in results.iter().enumerate() {

@@ -150,9 +150,8 @@ pub struct TrainingConfig {
     /// the critical-path analyzer over it (`comm::flight` +
     /// `obs::critpath`). Off by default; when off the scheduler pays one
     /// untaken branch per transition and results are byte-identical to an
-    /// unprofiled run. Event backend only — the runner rejects profiled
-    /// thread-backend runs with a typed error. The `ADAQP_PROFILE` env var
-    /// enables the mode independently of this flag.
+    /// unprofiled run. The `ADAQP_PROFILE` env var enables the mode
+    /// independently of this flag.
     #[serde(default)]
     pub profile: bool,
     /// Optional three-tier network section (racks + oversubscribable spine).

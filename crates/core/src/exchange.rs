@@ -1,12 +1,20 @@
 //! Halo exchange: moving boundary messages between devices, at full
 //! precision (Vanilla) or quantized (AdaQP), with byte and time accounting.
+//!
+//! There is one routine, [`halo_exchange`]: a payload per peer, round the
+//! ring, land what came back. [`Direction`] picks the rows read and the rows
+//! written; [`Wire`] is the only place a codec and its accounting differ.
+//! Peers are visited in ascending rank to send, then in ascending rank to
+//! receive: the [`Rng`] stream and the `f64` adds into
+//! [`ExchangeStats::quant_ops`] follow that order, and both reach results.
 
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
+use comm::timing::measure;
 use comm::{CostModel, DeviceHandle};
 use quant::{
-    decode_block, encode_block_streamed, encode_block_with_stats, BitWidth, EncodedBlock,
-    StreamProfile,
+    decode_block, decode_block_grouped, encode_block_grouped, encode_block_streamed,
+    encode_block_with_stats, BitWidth, EncodedBlock, StreamProfile,
 };
 use tensor::{Matrix, Rng};
 
@@ -24,25 +32,23 @@ pub struct ExchangeStats {
     pub sent_bytes: Vec<usize>,
     /// Bytes received from each source rank.
     pub recv_bytes: Vec<usize>,
-    /// Measured CPU seconds spent in quantize/de-quantize kernels
-    /// (diagnostic only; the clock charges `quant_ops` instead so the
-    /// simulation is immune to host load).
+    /// Measured CPU seconds in quantize/de-quantize kernels (diagnostic; the
+    /// clock charges `quant_ops`, so the simulation is immune to host load).
     pub quant_cpu_seconds: f64,
     /// Elements quantized (encoder side, including error-feedback
     /// self-decodes at decoder cost).
     pub quant_ops: f64,
     /// Per-width quantization statistics (rows, ranges, expected squared
-    /// error) from the row-major quantized exchanges; zero for fp32 and
-    /// group-major paths.
+    /// error) from the row-major quantized wires; zero for fp32 and
+    /// group-major wires.
     pub encode_stats: quant::EncodeStats,
-    /// Pipelined quantize+send seconds per destination, filled by the
-    /// streamed exchanges ([`exchange_forward_quant_streamed`]): chunk `k`'s
-    /// transfer starts once its rows are encoded and the previous chunk has
-    /// left the NIC, so this time *includes* both the encode compute and the
-    /// transfer for that destination. Zero entries mean the destination was
-    /// not streamed and [`ExchangeStats::ring_seconds`] falls back to the
-    /// plain transfer model (with encode charged separately via
-    /// `quant_ops`).
+    /// Pipelined quantize+send seconds per destination, filled by
+    /// [`Wire::Streamed`]: chunk `k`'s transfer starts once its rows are
+    /// encoded and the previous chunk has left the NIC, so this time
+    /// *includes* both the encode compute and the transfer. Zero entries
+    /// mean the destination was not streamed and
+    /// [`ExchangeStats::ring_seconds`] falls back to the plain transfer
+    /// model (with encode charged separately via `quant_ops`).
     pub streamed_send: Vec<f64>,
 }
 
@@ -51,32 +57,14 @@ impl ExchangeStats {
         Self {
             sent_bytes: vec![0; n],
             recv_bytes: vec![0; n],
-            quant_cpu_seconds: 0.0,
-            quant_ops: 0.0,
-            encode_stats: quant::EncodeStats::default(),
             streamed_send: vec![0.0; n],
+            ..Self::default()
         }
     }
 
     /// Total bytes sent.
     pub fn total_sent(&self) -> usize {
         self.sent_bytes.iter().sum()
-    }
-
-    /// Merges another exchange's accounting into this one.
-    pub fn merge(&mut self, other: &ExchangeStats) {
-        for (a, b) in self.sent_bytes.iter_mut().zip(&other.sent_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.recv_bytes.iter_mut().zip(&other.recv_bytes) {
-            *a += b;
-        }
-        self.quant_cpu_seconds += other.quant_cpu_seconds;
-        self.quant_ops += other.quant_ops;
-        self.encode_stats.merge(&other.encode_stats);
-        for (a, b) in self.streamed_send.iter_mut().zip(&other.streamed_send) {
-            *a += b;
-        }
     }
 
     /// Simulated communication seconds for this device under the
@@ -132,8 +120,7 @@ impl ExchangeStats {
     }
 }
 
-/// Writes `row` into `dst` as little-endian `f32` bytes (`dst` holds four
-/// bytes per element).
+/// Writes `row` into `dst` (four bytes per element) as little-endian `f32`s.
 fn write_row_le(dst: &mut [u8], row: &[f32]) {
     for (d, v) in dst.chunks_exact_mut(4).zip(row) {
         d.copy_from_slice(&v.to_le_bytes());
@@ -146,8 +133,8 @@ fn floats_le(src: &[u8]) -> impl Iterator<Item = f32> + '_ {
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
-/// The fp32 payload for one peer: the rows of `x` at `offset + idx[k]`, in
-/// order, serialized straight into the wire buffer.
+/// The fp32 payload for one peer: the rows of `x` at `offset + idx[k]`,
+/// serialized straight into the wire buffer.
 fn rows_to_bytes(x: &Matrix, offset: usize, idx: &[u32]) -> Bytes {
     let row_bytes = x.cols() * 4;
     let mut raw = vec![0u8; idx.len() * row_bytes];
@@ -158,22 +145,26 @@ fn rows_to_bytes(x: &Matrix, offset: usize, idx: &[u32]) -> Bytes {
     Bytes::from(raw)
 }
 
-/// Reads an fp32 payload of `idx.len()` rows into `m`: row `k` of the
-/// payload is combined into row `idx[k]` of `m`, element by element.
-///
-/// # Panics
-///
-/// Panics if the byte length is not `idx.len() * m.cols() * 4`.
-fn read_rows(payload: &[u8], m: &mut Matrix, idx: &[u32], combine: impl Fn(&mut f32, f32)) {
-    let row_bytes = m.cols() * 4;
-    assert_eq!(
-        payload.len(),
-        idx.len() * row_bytes,
-        "fp32 payload size mismatch"
-    );
-    for (src, &i) in payload.chunks_exact(row_bytes.max(1)).zip(idx) {
-        for (v, f) in m.row_mut(i as usize).iter_mut().zip(floats_le(src)) {
-            combine(v, f);
+/// The message matrix for one peer: the rows of `x` at `offset + idx[k]`.
+fn gather(x: &Matrix, offset: usize, idx: &[u32]) -> Matrix {
+    let mut out = Matrix::zeros(idx.len(), x.cols());
+    for (k, &i) in idx.iter().enumerate() {
+        out.row_mut(k).copy_from_slice(x.row(offset + i as usize));
+    }
+    out
+}
+
+/// Lands received rows: row `k` of `rows` is assigned to row `idx[k]` of
+/// `dst` going forward (halo slots), added to it going backward (gradients).
+fn land<R>(dir: Direction, dst: &mut Matrix, idx: &[u32], rows: impl Iterator<Item = R>)
+where
+    R: Iterator<Item = f32>,
+{
+    for (row, &i) in rows.zip(idx) {
+        let into = dst.row_mut(i as usize).iter_mut();
+        match dir {
+            Direction::Forward => into.zip(row).for_each(|(v, f)| *v = f),
+            Direction::Backward => into.zip(row).for_each(|(v, f)| *v += f),
         }
     }
 }
@@ -197,146 +188,6 @@ pub fn bytes_to_matrix(bytes: &Bytes, rows: usize, cols: usize) -> Matrix {
     let data: Vec<f32> = floats_le(bytes).collect();
     // lint:allow(no-panic): length asserted four lines up; from_vec can only reject a size mismatch
     Matrix::from_vec(rows, cols, data).expect("sized by construction")
-}
-
-/// Full-precision forward halo exchange: sends boundary rows of `x` to every
-/// peer and returns the filled halo matrix (`num_halo x dim`).
-///
-/// Send rows go from `x` straight into the payload and received rows from
-/// the payload straight into their halo slots; the bytes on the wire are
-/// those of [`matrix_to_bytes`] over [`DevicePartition::gather_send_rows`].
-///
-/// # Panics
-///
-/// Panics if `x.rows() != part.num_local()`.
-pub fn exchange_forward_fp32(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    x: &Matrix,
-) -> (Matrix, ExchangeStats) {
-    let n = part.num_parts;
-    let dim = x.cols();
-    assert_eq!(x.rows(), part.num_local(), "x must cover local nodes");
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        let b = rows_to_bytes(x, 0, &part.send_sets[q]);
-        stats.sent_bytes[q] = b.len();
-        payloads.push(b);
-    }
-    let received = dev.ring_all2all(payloads);
-    let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        read_rows(&payload, &mut halo, &part.recv_slots[q], |v, f| *v = f);
-    }
-    (halo, stats)
-}
-
-/// Quantized forward halo exchange. `widths[q]` gives the bit-width of each
-/// message to peer `q`, aligned with `part.send_sets[q]`.
-///
-/// # Panics
-///
-/// Panics if a width vector's length disagrees with its send set.
-pub fn exchange_forward_quant(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    x: &Matrix,
-    widths: &[Vec<BitWidth>],
-    rng: &mut Rng,
-) -> (Matrix, ExchangeStats) {
-    exchange_forward_quant_ef(dev, part, x, widths, None, rng)
-}
-
-/// [`exchange_forward_quant`] with optional error feedback: when `residuals`
-/// is provided (one matrix per peer, aligned with the send sets), the last
-/// round's quantization error is added to each outgoing message before
-/// quantizing and the new error is stored back — the classic
-/// error-compensated compression scheme (Wu et al. 2018), offered as an
-/// extension beyond the paper.
-///
-/// # Panics
-///
-/// Panics if widths or residual shapes disagree with the send sets.
-pub fn exchange_forward_quant_ef(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    x: &Matrix,
-    widths: &[Vec<BitWidth>],
-    mut residuals: Option<&mut Vec<Matrix>>,
-    rng: &mut Rng,
-) -> (Matrix, ExchangeStats) {
-    let n = part.num_parts;
-    let dim = x.cols();
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        assert_eq!(
-            widths[q].len(),
-            part.send_sets[q].len(),
-            "one width per message to peer {q}"
-        );
-        let mut msgs = part.gather_send_rows(x, q);
-        if let Some(res) = residuals.as_deref_mut() {
-            assert_eq!(res[q].shape(), msgs.shape(), "residual shape for peer {q}");
-            msgs.add_assign(&res[q]);
-        }
-        let ((block, enc_stats), secs) =
-            comm::timing::measure(|| encode_block_with_stats(&msgs, &widths[q], rng));
-        stats.quant_cpu_seconds += secs;
-        stats.quant_ops += msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
-        stats.encode_stats.merge(&enc_stats);
-        if let Some(res) = residuals.as_deref_mut() {
-            // New residual = compensated message - what the receiver decodes.
-            let (decoded, dsecs) =
-                // lint:allow(no-panic): decoding the block this function encoded two lines up
-                comm::timing::measure(|| decode_block(&block).expect("own block decodes"));
-            stats.quant_cpu_seconds += dsecs;
-            stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
-            let mut r = msgs;
-            r.sub_assign(&decoded);
-            res[q] = r;
-        }
-        stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
-    }
-    let received = dev.ring_all2all(payloads);
-    let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.recv_slots[q].len();
-        let block = EncodedBlock {
-            bytes: payload,
-            rows,
-            dim,
-        };
-        let (decoded, secs) =
-            // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-            comm::timing::measure(|| decode_block(&block).expect("peer sent a well-formed block"));
-        stats.quant_cpu_seconds += secs;
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        for (r, &slot) in part.recv_slots[q].iter().enumerate() {
-            halo.row_mut(slot as usize).copy_from_slice(decoded.row(r));
-        }
-    }
-    (halo, stats)
 }
 
 /// Pipelined quantize+send seconds for one destination under the streamed
@@ -370,423 +221,236 @@ pub fn streamed_send_seconds(
     nic
 }
 
-/// [`exchange_forward_quant`] with the quantize+send pipeline: each peer's
-/// block is encoded chunk by chunk and the chunks are charged to the wire
-/// as they finish, overlapping encode compute with the transfer
-/// ([`streamed_send_seconds`]). Wire bytes, decoded halos, statistics, and
-/// the RNG stream are byte-identical to the non-streamed exchange — only
-/// the time accounting changes: encode work is folded into
-/// `streamed_send` instead of `quant_ops`.
+/// Which way boundary data flows in one exchange.
+///
+/// | | rows read from `src` for peer `q` | `src` rows | received rows land in `dst` at | `dst` rows | by |
+/// |---|---|---|---|---|---|
+/// | `Forward` | `send_sets[q]` | `num_local` | `recv_slots[q]` | `num_halo` | assignment |
+/// | `Backward` | `num_local + recv_slots[q]` | `num_ext` | `send_sets[q]` | `num_local` | addition |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Owners ship boundary embeddings to the peers holding them as halo.
+    Forward,
+    /// Halo gradients return to their owners and accumulate there.
+    Backward,
+}
+
+/// How messages are encoded on the wire. Width tables are per peer:
+/// `widths[q]` has one entry per row sent to `q`.
+#[derive(Debug)]
+pub enum Wire<'a> {
+    /// Little-endian `f32` rows, no codec: the bytes of [`matrix_to_bytes`]
+    /// over the gathered rows. Adds nothing but byte counts to the stats.
+    Fp32,
+    /// Row-major quantized blocks. Charges encode and decode to
+    /// `quant_ops` and fills `encode_stats`. `residuals` (one matrix per
+    /// peer, aligned with the rows sent) turn on error feedback (Wu et al.
+    /// 2018, beyond the paper): last round's quantization error joins each
+    /// message before quantizing and the new error — message minus what the
+    /// receiver decodes, a self-decode charged to `quant_ops` — is stored.
+    Rows {
+        /// Widths of the rows sent to each peer.
+        widths: &'a [Vec<BitWidth>],
+        /// Error-feedback residuals per peer, updated in place.
+        residuals: Option<&'a mut Vec<Matrix>>,
+    },
+    /// [`Wire::Rows`] bytes, statistics and RNG stream with the
+    /// quantize+send pipeline: each block is encoded chunk by chunk and the
+    /// chunks enter the wire as they finish, so encode time is folded into
+    /// `streamed_send` ([`streamed_send_seconds`]) instead of `quant_ops`.
+    Streamed {
+        /// Widths of the rows sent to each peer.
+        widths: &'a [Vec<BitWidth>],
+        /// Prices the encode/transfer pipeline.
+        cost: &'a CostModel,
+    },
+    /// The paper's group-major serialization: one contiguous code stream
+    /// per bit-width, no per-row width bytes — so the receiver needs the
+    /// tables the assigner scatters. Charges `quant_ops`; no `encode_stats`.
+    Grouped {
+        /// Widths of the rows sent to each peer.
+        send_widths: &'a [Vec<BitWidth>],
+        /// Widths of the rows received from each peer (the sender's table).
+        recv_widths: &'a [Vec<BitWidth>],
+    },
+}
+
+impl Wire<'_> {
+    /// The payload for peer `q`: rows `offset + idx[k]` of `src`, encoded.
+    fn encode(
+        &mut self,
+        src: &Matrix,
+        (offset, idx): (usize, &[u32]),
+        (rank, q): (usize, usize),
+        rng: &mut Rng,
+        stats: &mut ExchangeStats,
+    ) -> Bytes {
+        let encode_ops = (idx.len() * src.cols()) as f64 * ENCODE_OPS_PER_ELEMENT;
+        match self {
+            Wire::Fp32 => rows_to_bytes(src, offset, idx),
+            Wire::Rows { widths, residuals } => {
+                let mut msgs = gather(src, offset, idx);
+                if let Some(res) = residuals {
+                    msgs.add_assign(&res[q]);
+                }
+                let ((block, enc_stats), secs) =
+                    measure(|| encode_block_with_stats(&msgs, &widths[q], rng));
+                stats.quant_cpu_seconds += secs;
+                stats.quant_ops += encode_ops;
+                stats.encode_stats.merge(&enc_stats);
+                if let Some(res) = residuals {
+                    let (decoded, secs) =
+                        // lint:allow(no-panic): decoding the block this function encoded five lines up
+                        measure(|| decode_block(&block).expect("own block decodes"));
+                    stats.quant_cpu_seconds += secs;
+                    stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
+                    msgs.sub_assign(&decoded);
+                    res[q] = msgs;
+                }
+                block.bytes
+            }
+            Wire::Streamed { widths, cost } => {
+                let msgs = gather(src, offset, idx);
+                let ((block, enc_stats, profile), secs) =
+                    measure(|| encode_block_streamed(&msgs, &widths[q], rng));
+                stats.quant_cpu_seconds += secs;
+                stats.encode_stats.merge(&enc_stats);
+                stats.streamed_send[q] = streamed_send_seconds(cost, rank, q, &profile);
+                block.bytes
+            }
+            Wire::Grouped { send_widths, .. } => {
+                let msgs = gather(src, offset, idx);
+                let (block, secs) = measure(|| encode_block_grouped(&msgs, &send_widths[q], rng));
+                stats.quant_cpu_seconds += secs;
+                stats.quant_ops += encode_ops;
+                block.bytes
+            }
+        }
+    }
+
+    /// Decodes peer `q`'s non-empty `payload` of `idx.len()` rows into `dst`.
+    fn decode(
+        &self,
+        payload: Bytes,
+        dir: Direction,
+        dst: &mut Matrix,
+        (q, idx): (usize, &[u32]),
+        stats: &mut ExchangeStats,
+    ) {
+        let dim = dst.cols();
+        if let Wire::Fp32 = self {
+            assert_eq!(payload.len(), idx.len() * dim * 4, "fp32 payload size");
+            return land(dir, dst, idx, payload.chunks_exact(dim * 4).map(floats_le));
+        }
+        let (bytes, rows) = (payload, idx.len());
+        let block = EncodedBlock { bytes, rows, dim };
+        let (decoded, secs) = measure(|| match self {
+            Wire::Grouped { recv_widths, .. } => decode_block_grouped(&block, &recv_widths[q]),
+            _ => decode_block(&block),
+        });
+        // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
+        let decoded = decoded.expect("peer sent a well-formed block");
+        stats.quant_cpu_seconds += secs;
+        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
+        land(
+            dir,
+            dst,
+            idx,
+            (0..rows).map(|r| decoded.row(r).iter().copied()),
+        );
+    }
+}
+
+/// The halo exchange (Sec. 3.2, Fig. 8): ships boundary rows of `src` to
+/// every peer over `wire` and lands the rows received from peers in `dst`;
+/// [`Direction`] says which rows and how. `src = None` sends nothing (a
+/// SANCUS device skipping its broadcast turn) but still receives.
+///
+/// The caller owns `dst`: rows no peer sent are left as they were, so fresh
+/// zeros give a plain halo, a stale cache keeps its stale rows, and a
+/// gradient matrix accumulates.
 ///
 /// # Panics
 ///
-/// Panics if a width vector's length disagrees with its send set.
-pub fn exchange_forward_quant_streamed(
+/// Panics if a shape or width table disagrees with the partition, or if a
+/// peer's payload does not decode.
+pub fn halo_exchange(
+    dev: &mut DeviceHandle,
+    part: &DevicePartition,
+    dir: Direction,
+    src: Option<&Matrix>,
+    dst: &mut Matrix,
+    mut wire: Wire<'_>,
+    rng: &mut Rng,
+) -> ExchangeStats {
+    let n = part.num_parts;
+    let (local, owned, halo) = (part.num_local(), &part.send_sets, &part.recv_slots);
+    let (offset, src_rows, send_idx, dst_rows, recv_idx) = match dir {
+        Direction::Forward => (0, local, owned, part.num_halo(), halo),
+        Direction::Backward => (local, part.num_ext(), halo, local, owned),
+    };
+    assert_eq!(dst.rows(), dst_rows, "{dir:?} dst rows");
+    if let Some(src) = src {
+        assert_eq!(src.shape(), (src_rows, dst.cols()), "{dir:?} src shape");
+    }
+    let mut stats = ExchangeStats::new(n);
+    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    for (q, idx) in send_idx.iter().enumerate() {
+        let payload = match src {
+            Some(src) if q != part.rank && !idx.is_empty() => {
+                wire.encode(src, (offset, idx), (part.rank, q), rng, &mut stats)
+            }
+            _ => Bytes::new(),
+        };
+        stats.sent_bytes[q] = payload.len();
+        payloads.push(payload);
+    }
+    let received = dev.ring_all2all(payloads);
+    for (q, payload) in received.into_iter().enumerate() {
+        let Some(payload) = payload else { continue };
+        stats.recv_bytes[q] = payload.len();
+        if !payload.is_empty() {
+            wire.decode(payload, dir, dst, (q, &recv_idx[q]), &mut stats);
+        }
+    }
+    stats
+}
+
+/// Full-precision forward [`halo_exchange`] of `x` (`num_local` rows) into a
+/// fresh halo matrix (`num_halo x dim`).
+pub fn exchange_forward_fp32(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
     x: &Matrix,
-    widths: &[Vec<BitWidth>],
-    rng: &mut Rng,
-    cost: &CostModel,
 ) -> (Matrix, ExchangeStats) {
-    let n = part.num_parts;
-    let dim = x.cols();
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        assert_eq!(
-            widths[q].len(),
-            part.send_sets[q].len(),
-            "one width per message to peer {q}"
-        );
-        let msgs = part.gather_send_rows(x, q);
-        let ((block, enc_stats, profile), secs) =
-            comm::timing::measure(|| encode_block_streamed(&msgs, &widths[q], rng));
-        stats.quant_cpu_seconds += secs;
-        stats.encode_stats.merge(&enc_stats);
-        stats.streamed_send[q] = streamed_send_seconds(cost, part.rank, q, &profile);
-        stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
-    }
-    let received = dev.ring_all2all(payloads);
-    let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.recv_slots[q].len();
-        let block = EncodedBlock {
-            bytes: payload,
-            rows,
-            dim,
-        };
-        let (decoded, secs) =
-            // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-            comm::timing::measure(|| decode_block(&block).expect("peer sent a well-formed block"));
-        stats.quant_cpu_seconds += secs;
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        for (r, &slot) in part.recv_slots[q].iter().enumerate() {
-            halo.row_mut(slot as usize).copy_from_slice(decoded.row(r));
-        }
-    }
+    // Fp32 draws nothing from the generator.
+    let (wire, rng) = (Wire::Fp32, &mut Rng::seed_from(0));
+    let mut halo = Matrix::zeros(part.num_halo(), x.cols());
+    let stats = halo_exchange(dev, part, Direction::Forward, Some(x), &mut halo, wire, rng);
     (halo, stats)
 }
 
-/// Gathers the halo-gradient rows destined for peer `q` (aligned with
-/// `recv_slots[q]`) out of an extended gradient matrix.
-fn gather_halo_grads(part: &DevicePartition, grad_ext: &Matrix, q: usize) -> Matrix {
-    let idx: Vec<usize> = part.recv_slots[q]
-        .iter()
-        .map(|&slot| part.num_local() + slot as usize)
-        .collect();
-    grad_ext.gather_rows(&idx)
-}
-
-/// Accumulates gradient rows received from peer `q` (aligned with
-/// `send_sets[q]`) into the local gradient matrix.
-fn scatter_grads(part: &DevicePartition, grad_local: &mut Matrix, q: usize, m: &Matrix) {
-    let idx: Vec<usize> = part.send_sets[q].iter().map(|&li| li as usize).collect();
-    grad_local.scatter_add_rows(&idx, m);
-}
-
-/// Full-precision backward exchange: ships the halo rows of `grad_ext` back
-/// to their owners and accumulates the rows received from peers into
-/// `grad_local` (the embedding-gradient "error" flow of the backward pass).
-/// Like [`exchange_forward_fp32`] it copies each row once per side, between
-/// the matrix and the wire buffer.
-///
-/// # Panics
-///
-/// Panics if matrix shapes disagree with the partition.
-pub fn exchange_backward_fp32(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    grad_ext: &Matrix,
-    grad_local: &mut Matrix,
-) -> ExchangeStats {
-    let n = part.num_parts;
-    assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
-    assert_eq!(grad_local.rows(), part.num_local(), "grad_local shape");
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        let b = rows_to_bytes(grad_ext, part.num_local(), &part.recv_slots[q]);
-        stats.sent_bytes[q] = b.len();
-        payloads.push(b);
-    }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        read_rows(&payload, grad_local, &part.send_sets[q], |v, f| *v += f);
-    }
-    stats
-}
-
-/// Quantized backward exchange; `widths[q]` is aligned with
-/// `part.recv_slots[q]` (the messages we send back to owner `q`).
-///
-/// # Panics
-///
-/// Panics if shapes or width vectors disagree with the partition.
-pub fn exchange_backward_quant(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    grad_ext: &Matrix,
-    grad_local: &mut Matrix,
-    widths: &[Vec<BitWidth>],
-    rng: &mut Rng,
-) -> ExchangeStats {
-    exchange_backward_quant_ef(dev, part, grad_ext, grad_local, widths, None, rng)
-}
-
-/// [`exchange_backward_quant`] with optional error feedback (see
-/// [`exchange_forward_quant_ef`]).
-///
-/// # Panics
-///
-/// Panics if shapes, widths or residuals disagree with the partition.
-pub fn exchange_backward_quant_ef(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    grad_ext: &Matrix,
-    grad_local: &mut Matrix,
-    widths: &[Vec<BitWidth>],
-    mut residuals: Option<&mut Vec<Matrix>>,
-    rng: &mut Rng,
-) -> ExchangeStats {
-    let n = part.num_parts;
-    let dim = grad_ext.cols();
-    assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        assert_eq!(
-            widths[q].len(),
-            part.recv_slots[q].len(),
-            "one width per gradient message to peer {q}"
-        );
-        let mut msgs = gather_halo_grads(part, grad_ext, q);
-        if let Some(res) = residuals.as_deref_mut() {
-            assert_eq!(res[q].shape(), msgs.shape(), "residual shape for peer {q}");
-            msgs.add_assign(&res[q]);
-        }
-        let ((block, enc_stats), secs) =
-            comm::timing::measure(|| encode_block_with_stats(&msgs, &widths[q], rng));
-        stats.quant_cpu_seconds += secs;
-        stats.quant_ops += msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
-        stats.encode_stats.merge(&enc_stats);
-        if let Some(res) = residuals.as_deref_mut() {
-            let (decoded, dsecs) =
-                // lint:allow(no-panic): decoding the block this function encoded two lines up
-                comm::timing::measure(|| decode_block(&block).expect("own block decodes"));
-            stats.quant_cpu_seconds += dsecs;
-            stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
-            let mut r = msgs;
-            r.sub_assign(&decoded);
-            res[q] = r;
-        }
-        stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
-    }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.send_sets[q].len();
-        let block = EncodedBlock {
-            bytes: payload,
-            rows,
-            dim,
-        };
-        let (decoded, secs) =
-            // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-            comm::timing::measure(|| decode_block(&block).expect("peer sent a well-formed block"));
-        stats.quant_cpu_seconds += secs;
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        scatter_grads(part, grad_local, q, &decoded);
-    }
-    stats
-}
-
-/// Backward counterpart of [`exchange_forward_quant_streamed`]: ships halo
-/// gradients back to their owners with the quantize+send pipeline.
-/// `widths[q]` aligns with `part.recv_slots[q]`.
-///
-/// # Panics
-///
-/// Panics if shapes or width vectors disagree with the partition.
-pub fn exchange_backward_quant_streamed(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    grad_ext: &Matrix,
-    grad_local: &mut Matrix,
-    widths: &[Vec<BitWidth>],
-    rng: &mut Rng,
-    cost: &CostModel,
-) -> ExchangeStats {
-    let n = part.num_parts;
-    let dim = grad_ext.cols();
-    assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        assert_eq!(
-            widths[q].len(),
-            part.recv_slots[q].len(),
-            "one width per gradient message to peer {q}"
-        );
-        let msgs = gather_halo_grads(part, grad_ext, q);
-        let ((block, enc_stats, profile), secs) =
-            comm::timing::measure(|| encode_block_streamed(&msgs, &widths[q], rng));
-        stats.quant_cpu_seconds += secs;
-        stats.encode_stats.merge(&enc_stats);
-        stats.streamed_send[q] = streamed_send_seconds(cost, part.rank, q, &profile);
-        stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
-    }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.send_sets[q].len();
-        let block = EncodedBlock {
-            bytes: payload,
-            rows,
-            dim,
-        };
-        let (decoded, secs) =
-            // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-            comm::timing::measure(|| decode_block(&block).expect("peer sent a well-formed block"));
-        stats.quant_cpu_seconds += secs;
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        scatter_grads(part, grad_local, q, &decoded);
-    }
-    stats
-}
-
-/// Quantized forward exchange over the *group-major* wire format (the
-/// paper's exact serialization: messages grouped by bit-width, one
-/// contiguous code stream per group, no per-row width bytes). Requires the
-/// receive-side width tables the Adaptive Bit-width Assigner scatters
-/// (`recv_widths[src]` aligned with `part.recv_slots[src]`).
-///
-/// # Panics
-///
-/// Panics if width tables disagree with the partition.
-pub fn exchange_forward_grouped(
-    dev: &mut DeviceHandle,
-    part: &DevicePartition,
-    x: &Matrix,
-    send_widths: &[Vec<BitWidth>],
-    recv_widths: &[Vec<BitWidth>],
-    rng: &mut Rng,
-) -> (Matrix, ExchangeStats) {
-    let n = part.num_parts;
-    let dim = x.cols();
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        assert_eq!(
-            send_widths[q].len(),
-            part.send_sets[q].len(),
-            "one width per message to peer {q}"
-        );
-        let msgs = part.gather_send_rows(x, q);
-        let block = quant::encode_block_grouped(&msgs, &send_widths[q], rng);
-        stats.quant_ops += msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
-        stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
-    }
-    let received = dev.ring_all2all(payloads);
-    let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.recv_slots[q].len();
-        assert_eq!(
-            recv_widths[q].len(),
-            rows,
-            "one recv width per message from peer {q}"
-        );
-        let block = EncodedBlock {
-            bytes: payload,
-            rows,
-            dim,
-        };
-        let decoded = quant::decode_block_grouped(&block, &recv_widths[q])
-            // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-            .expect("peer sent a well-formed grouped block");
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        for (r, &slot) in part.recv_slots[q].iter().enumerate() {
-            halo.row_mut(slot as usize).copy_from_slice(decoded.row(r));
-        }
-    }
-    (halo, stats)
-}
-
-/// Backward counterpart of [`exchange_forward_grouped`]: ships halo
-/// gradients back to owners in the group-major format. `send_widths[q]`
-/// aligns with `part.recv_slots[q]`; `recv_widths[q]` aligns with
+/// Quantized forward [`halo_exchange`] into a fresh halo matrix. `widths[q]`
+/// gives the bit-width of each message to peer `q`, aligned with
 /// `part.send_sets[q]`.
-///
-/// # Panics
-///
-/// Panics if shapes or width tables disagree with the partition.
-pub fn exchange_backward_grouped(
+pub fn exchange_forward_quant(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
-    grad_ext: &Matrix,
-    grad_local: &mut Matrix,
-    send_widths: &[Vec<BitWidth>],
-    recv_widths: &[Vec<BitWidth>],
+    x: &Matrix,
+    widths: &[Vec<BitWidth>],
     rng: &mut Rng,
-) -> ExchangeStats {
-    let n = part.num_parts;
-    let dim = grad_ext.cols();
-    assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
-    let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for q in 0..n {
-        if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
-            continue;
-        }
-        assert_eq!(
-            send_widths[q].len(),
-            part.recv_slots[q].len(),
-            "one width per gradient message to peer {q}"
-        );
-        let msgs = gather_halo_grads(part, grad_ext, q);
-        let block = quant::encode_block_grouped(&msgs, &send_widths[q], rng);
-        stats.quant_ops += msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
-        stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
-    }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.send_sets[q].len();
-        assert_eq!(
-            recv_widths[q].len(),
-            rows,
-            "one recv width per gradient message from peer {q}"
-        );
-        let block = EncodedBlock {
-            bytes: payload,
-            rows,
-            dim,
-        };
-        let decoded = quant::decode_block_grouped(&block, &recv_widths[q])
-            // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-            .expect("peer sent a well-formed grouped block");
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        scatter_grads(part, grad_local, q, &decoded);
-    }
-    stats
+) -> (Matrix, ExchangeStats) {
+    let residuals = None;
+    let wire = Wire::Rows { widths, residuals };
+    let mut halo = Matrix::zeros(part.num_halo(), x.cols());
+    let stats = halo_exchange(dev, part, Direction::Forward, Some(x), &mut halo, wire, rng);
+    (halo, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Direction::{Backward, Forward};
 
     #[test]
     fn matrix_bytes_roundtrip() {
@@ -796,119 +460,368 @@ mod tests {
         assert_eq!(bytes_to_matrix(&b, 2, 2), m);
     }
 
-    /// The fp32 exchanges as they were before rows moved straight between
+    /// Three tiny GCN partitions, so every device has two peers.
+    fn three_parts() -> Vec<DevicePartition> {
+        let ds = graph::DatasetSpec::tiny().generate(23);
+        let mut rng = Rng::seed_from(24);
+        let assignment = graph::partition::metis_like(&ds.graph, 3, &mut rng);
+        crate::decompose::build_partitions(&ds, &assignment, gnn::ConvKind::Gcn)
+    }
+
+    /// Rows of `src` a device sends to peer `q` and rows of `dst` it lands
+    /// peer `q`'s data in, as the `usize` index lists the `tensor`
+    /// primitives take.
+    fn peer_rows(part: &DevicePartition, dir: Direction, q: usize) -> (Vec<usize>, Vec<usize>) {
+        let wide = |v: &[u32], offset: usize| v.iter().map(|&i| offset + i as usize).collect();
+        match dir {
+            Forward => (wide(&part.send_sets[q], 0), wide(&part.recv_slots[q], 0)),
+            Backward => (
+                wide(&part.recv_slots[q], part.num_local()),
+                wide(&part.send_sets[q], 0),
+            ),
+        }
+    }
+
+    fn random_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0))
+    }
+
+    /// Source and (pre-filled) destination operands of one exchange.
+    fn operands(part: &DevicePartition, dir: Direction, rng: &mut Rng) -> (Matrix, Matrix) {
+        let (src_rows, dst_rows) = match dir {
+            Forward => (part.num_local(), part.num_halo()),
+            Backward => (part.num_ext(), part.num_local()),
+        };
+        (
+            random_matrix(src_rows, 5, rng),
+            random_matrix(dst_rows, 5, rng),
+        )
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fp32 exchange as it was before rows moved straight between
     /// matrix and wire buffer: gather into a message matrix, serialize,
-    /// ring, deserialize, copy / scatter-add.
-    fn composed_fp32_exchanges(
+    /// ring, deserialize, copy / scatter-add. Returns the payloads sent.
+    fn composed_fp32_exchange(
         dev: &mut DeviceHandle,
         part: &DevicePartition,
-        x: &Matrix,
-        grad_ext: &Matrix,
-        grad_local: &mut Matrix,
-    ) -> (Vec<Bytes>, Matrix, Vec<Bytes>) {
-        let n = part.num_parts;
-        let peers = |sets: &[Vec<u32>], q: usize| q != part.rank && !sets[q].is_empty();
-        let fwd: Vec<Bytes> = (0..n)
-            .map(|q| {
-                if peers(&part.send_sets, q) {
-                    matrix_to_bytes(&part.gather_send_rows(x, q))
-                } else {
-                    Bytes::new()
-                }
+        dir: Direction,
+        src: &Matrix,
+        dst: &mut Matrix,
+    ) -> Vec<Bytes> {
+        let sent: Vec<Bytes> = (0..part.num_parts)
+            .map(|q| match peer_rows(part, dir, q).0 {
+                idx if q == part.rank || idx.is_empty() => Bytes::new(),
+                _ if dir == Forward => matrix_to_bytes(&part.gather_send_rows(src, q)),
+                idx => matrix_to_bytes(&src.gather_rows(&idx)),
             })
             .collect();
-        let mut halo = Matrix::zeros(part.num_halo(), x.cols());
-        for (q, payload) in dev.ring_all2all(fwd.clone()).into_iter().enumerate() {
+        for (q, payload) in dev.ring_all2all(sent.clone()).into_iter().enumerate() {
             let Some(payload) = payload.filter(|p| !p.is_empty()) else {
                 continue;
             };
-            let m = bytes_to_matrix(&payload, part.recv_slots[q].len(), x.cols());
-            for (r, &slot) in part.recv_slots[q].iter().enumerate() {
-                halo.row_mut(slot as usize).copy_from_slice(m.row(r));
+            let idx = peer_rows(part, dir, q).1;
+            let m = bytes_to_matrix(&payload, idx.len(), src.cols());
+            match dir {
+                Forward => {
+                    for (r, &slot) in idx.iter().enumerate() {
+                        dst.row_mut(slot).copy_from_slice(m.row(r));
+                    }
+                }
+                Backward => dst.scatter_add_rows(&idx, &m),
             }
         }
-        let bwd: Vec<Bytes> = (0..n)
-            .map(|q| {
-                if peers(&part.recv_slots, q) {
-                    matrix_to_bytes(&gather_halo_grads(part, grad_ext, q))
-                } else {
-                    Bytes::new()
-                }
-            })
-            .collect();
-        for (q, payload) in dev.ring_all2all(bwd.clone()).into_iter().enumerate() {
-            let Some(payload) = payload.filter(|p| !p.is_empty()) else {
-                continue;
-            };
-            let m = bytes_to_matrix(&payload, part.send_sets[q].len(), grad_ext.cols());
-            scatter_grads(part, grad_local, q, &m);
-        }
-        (fwd, halo, bwd)
+        sent
     }
 
     #[test]
     fn fused_fp32_exchange_matches_the_gather_serialize_composition() {
-        let ds = graph::DatasetSpec::tiny().generate(23);
-        let mut rng = Rng::seed_from(24);
-        let assignment = graph::partition::metis_like(&ds.graph, 3, &mut rng);
-        let parts = crate::decompose::build_partitions(&ds, &assignment, gnn::ConvKind::Gcn);
-        let parts = &parts;
+        let parts = &three_parts();
         let outputs = comm::Cluster::run_fn(3, move |mut dev| {
             let part = &parts[dev.rank()];
             let mut rng = Rng::seed_from(25 + dev.rank() as u64);
-            let x = Matrix::from_fn(part.num_local(), 5, |_, _| rng.uniform(-1.0, 1.0));
-            let grad_ext = Matrix::from_fn(part.num_ext(), 5, |_, _| rng.uniform(-1.0, 1.0));
-            let grad_seed = Matrix::from_fn(part.num_local(), 5, |_, _| rng.uniform(-1.0, 1.0));
-
-            let mut want_grad = grad_seed.clone();
-            let (fwd, want_halo, bwd) =
-                composed_fp32_exchanges(&mut dev, part, &x, &grad_ext, &mut want_grad);
-            let (halo, fwd_stats) = exchange_forward_fp32(&mut dev, part, &x);
-            let mut grad_local = grad_seed;
-            let bwd_stats = exchange_backward_fp32(&mut dev, part, &grad_ext, &mut grad_local);
-
-            for q in 0..part.num_parts {
-                let sent = rows_to_bytes(&x, 0, &part.send_sets[q]);
-                let back = rows_to_bytes(&grad_ext, part.num_local(), &part.recv_slots[q]);
-                if q != part.rank {
-                    assert_eq!(sent.as_ref(), fwd[q].as_ref(), "forward payload to {q}");
-                    assert_eq!(back.as_ref(), bwd[q].as_ref(), "backward payload to {q}");
-                    assert_eq!(fwd_stats.sent_bytes[q], fwd[q].len());
-                    assert_eq!(bwd_stats.sent_bytes[q], bwd[q].len());
-                }
+            let mut total = 0;
+            for dir in [Forward, Backward] {
+                let (src, seed) = operands(part, dir, &mut rng);
+                let mut want = seed.clone();
+                let sent = composed_fp32_exchange(&mut dev, part, dir, &src, &mut want);
+                let mut dst = seed;
+                let stats = halo_exchange(
+                    &mut dev,
+                    part,
+                    dir,
+                    Some(&src),
+                    &mut dst,
+                    Wire::Fp32,
+                    &mut rng,
+                );
+                let lens: Vec<usize> = sent.iter().map(Bytes::len).collect();
+                assert_eq!(stats.sent_bytes, lens, "{dir:?} payload lengths");
+                assert_eq!(stats.quant_ops, 0.0);
+                assert_eq!(bits(&dst), bits(&want), "{dir:?} dst");
+                total += stats.total_sent();
             }
-            assert_eq!(halo, want_halo);
-            assert_eq!(grad_local, want_grad);
-            fwd_stats.total_sent() + bwd_stats.total_sent()
+            // The kept forward entry point is the routine over fresh zeros.
+            let x = random_matrix(part.num_local(), 5, &mut rng);
+            let mut want = Matrix::zeros(part.num_halo(), 5);
+            composed_fp32_exchange(&mut dev, part, Forward, &x, &mut want);
+            assert_eq!(exchange_forward_fp32(&mut dev, part, &x).0, want);
+            total
         });
         assert!(outputs.iter().all(|&b| b > 0), "every device has a peer");
     }
 
     #[test]
-    fn stats_merge_accumulates() {
-        let mut a = ExchangeStats {
-            sent_bytes: vec![1, 2],
-            recv_bytes: vec![3, 4],
-            quant_cpu_seconds: 0.5,
-            quant_ops: 100.0,
-            encode_stats: quant::EncodeStats::default(),
-            streamed_send: vec![0.0; 2],
-        };
-        let b = ExchangeStats {
-            sent_bytes: vec![10, 20],
-            recv_bytes: vec![30, 40],
-            quant_cpu_seconds: 0.25,
-            quant_ops: 50.0,
-            encode_stats: quant::EncodeStats::default(),
-            streamed_send: vec![0.5, 0.25],
-        };
-        a.merge(&b);
-        assert_eq!(a.sent_bytes, vec![11, 22]);
-        assert_eq!(a.recv_bytes, vec![33, 44]);
-        assert!((a.quant_cpu_seconds - 0.75).abs() < 1e-12);
-        assert_eq!(a.quant_ops, 150.0);
-        assert_eq!(a.total_sent(), 33);
-        assert_eq!(a.streamed_send, vec![0.5, 0.25]);
+    fn skipped_sancus_turn_sends_nothing_and_keeps_stale_rows() {
+        let parts = &three_parts();
+        comm::Cluster::run_fn(3, move |mut dev| {
+            let me = dev.rank();
+            let part = &parts[me];
+            // Row `i` of rank `r` holds `100 r + i` in every column.
+            let x = Matrix::from_fn(part.num_local(), 4, |i, _| (100 * me + i) as f32);
+            let mut cache = Matrix::from_fn(part.num_halo(), 4, |_, _| -1.0);
+            // Rank 1 skips its broadcast turn.
+            let src = (me != 1).then_some(&x);
+            let rng = &mut Rng::seed_from(0);
+            let stats = halo_exchange(&mut dev, part, Forward, src, &mut cache, Wire::Fp32, rng);
+            if me == 1 {
+                assert_eq!(stats.total_sent(), 0);
+            }
+            assert_eq!(stats.recv_bytes[1], 0);
+            for q in (0..3).filter(|&q| q != me) {
+                assert!(!part.recv_slots[q].is_empty(), "tiny cuts every pair");
+                for (k, &slot) in part.recv_slots[q].iter().enumerate() {
+                    let want = if q == 1 {
+                        -1.0 // stale
+                    } else {
+                        (100 * q + parts[q].send_sets[me][k] as usize) as f32
+                    };
+                    assert_eq!(cache.row(slot as usize), [want; 4], "slot {slot} from {q}");
+                }
+            }
+        });
+    }
+
+    /// The quantized wires under test.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Rows,
+        ErrorFeedback,
+        Streamed,
+        Grouped,
+    }
+
+    /// What one exchange leaves behind besides `dst`.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        sent: Vec<usize>,
+        quant_ops_bits: u64,
+        streamed_send: Vec<f64>,
+    }
+
+    /// The exchange composed, in the test, from the primitives the routine
+    /// is built on: `gather_send_rows` / `gather_rows` -> `quant::encode_*`
+    /// -> ring -> `quant::decode_*` -> row copy / `scatter_add_rows`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_exchange(
+        dev: &mut DeviceHandle,
+        part: &DevicePartition,
+        dir: Direction,
+        kind: Kind,
+        src: &Matrix,
+        dst: &mut Matrix,
+        (send_widths, recv_widths): (&[Vec<BitWidth>], &[Vec<BitWidth>]),
+        residuals: &mut [Matrix],
+        rng: &mut Rng,
+        cost: &CostModel,
+    ) -> Outcome {
+        let n = part.num_parts;
+        let mut ops = 0.0_f64;
+        let mut streamed_send = vec![0.0; n];
+        let mut payloads = Vec::with_capacity(n);
+        for q in 0..n {
+            let idx = peer_rows(part, dir, q).0;
+            if q == part.rank || idx.is_empty() {
+                payloads.push(Bytes::new());
+                continue;
+            }
+            let mut msgs = match dir {
+                Forward => part.gather_send_rows(src, q),
+                Backward => src.gather_rows(&idx),
+            };
+            let encode_ops = msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
+            let widths = &send_widths[q];
+            let block = match kind {
+                Kind::Rows => {
+                    ops += encode_ops;
+                    quant::encode_block(&msgs, widths, rng)
+                }
+                Kind::ErrorFeedback => {
+                    msgs.add_assign(&residuals[q]);
+                    let block = quant::encode_block(&msgs, widths, rng);
+                    ops += encode_ops;
+                    ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
+                    msgs.sub_assign(&decode_block(&block).expect("own block"));
+                    residuals[q] = msgs;
+                    block
+                }
+                Kind::Streamed => {
+                    let (block, _, profile) = encode_block_streamed(&msgs, widths, rng);
+                    streamed_send[q] = streamed_send_seconds(cost, part.rank, q, &profile);
+                    block
+                }
+                Kind::Grouped => {
+                    ops += encode_ops;
+                    encode_block_grouped(&msgs, widths, rng)
+                }
+            };
+            payloads.push(block.bytes);
+        }
+        let sent = payloads.iter().map(Bytes::len).collect();
+        for (q, payload) in dev.ring_all2all(payloads).into_iter().enumerate() {
+            let Some(bytes) = payload.filter(|p| !p.is_empty()) else {
+                continue;
+            };
+            let idx = peer_rows(part, dir, q).1;
+            let (rows, dim) = (idx.len(), dst.cols());
+            let block = EncodedBlock { bytes, rows, dim };
+            let decoded = match kind {
+                Kind::Grouped => decode_block_grouped(&block, &recv_widths[q]),
+                _ => decode_block(&block),
+            }
+            .expect("peer block decodes");
+            ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
+            match dir {
+                Forward => {
+                    for (r, &slot) in idx.iter().enumerate() {
+                        dst.row_mut(slot).copy_from_slice(decoded.row(r));
+                    }
+                }
+                Backward => dst.scatter_add_rows(&idx, &decoded),
+            }
+        }
+        Outcome {
+            sent,
+            quant_ops_bits: ops.to_bits(),
+            streamed_send,
+        }
+    }
+
+    /// Runs two rounds of `kind` x `dir` on three devices through the
+    /// routine and through [`reference_exchange`] with a cloned generator,
+    /// and demands bit-equal `dst`, payload lengths, `quant_ops`, streamed
+    /// charges, residuals and generator state.
+    fn routine_matches_reference(kind: Kind, dir: Direction) {
+        let parts = &three_parts();
+        let cost = &CostModel::homogeneous(3, 1e8, 5e-6);
+        // Mixed widths both ends of a pair derive alike: row `k` of the
+        // block from `s` to `r`.
+        let width = |s: usize, r: usize, k: usize| BitWidth::ALL[(s + 2 * r + k) % 3];
+        comm::Cluster::run_fn(3, move |mut dev| {
+            let me = dev.rank();
+            let part = &parts[me];
+            let lens = |q: usize| peer_rows(part, dir, q);
+            let send_widths: Vec<Vec<BitWidth>> = (0..3)
+                .map(|q| (0..lens(q).0.len()).map(|k| width(me, q, k)).collect())
+                .collect();
+            let recv_widths: Vec<Vec<BitWidth>> = (0..3)
+                .map(|q| (0..lens(q).1.len()).map(|k| width(q, me, k)).collect())
+                .collect();
+            let mut residuals: Vec<Matrix> =
+                (0..3).map(|q| Matrix::zeros(lens(q).0.len(), 5)).collect();
+            let mut want_residuals = residuals.clone();
+            let mut rng = Rng::seed_from(77 + me as u64);
+            let mut want_rng = rng.clone();
+            let mut data_rng = Rng::seed_from(99 + me as u64);
+            for round in 0..2 {
+                let (src, seed) = operands(part, dir, &mut data_rng);
+                let mut want = seed.clone();
+                let want_outcome = reference_exchange(
+                    &mut dev,
+                    part,
+                    dir,
+                    kind,
+                    &src,
+                    &mut want,
+                    (&send_widths, &recv_widths),
+                    &mut want_residuals,
+                    &mut want_rng,
+                    cost,
+                );
+                let wire = match kind {
+                    Kind::Rows | Kind::ErrorFeedback => Wire::Rows {
+                        widths: &send_widths,
+                        residuals: (kind == Kind::ErrorFeedback).then_some(&mut residuals),
+                    },
+                    Kind::Streamed => Wire::Streamed {
+                        widths: &send_widths,
+                        cost,
+                    },
+                    Kind::Grouped => Wire::Grouped {
+                        send_widths: &send_widths,
+                        recv_widths: &recv_widths,
+                    },
+                };
+                let mut dst = seed;
+                let stats =
+                    halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng);
+                let outcome = Outcome {
+                    sent: stats.sent_bytes.clone(),
+                    quant_ops_bits: stats.quant_ops.to_bits(),
+                    streamed_send: stats.streamed_send.clone(),
+                };
+                assert_eq!(outcome, want_outcome, "{kind:?} {dir:?} round {round}");
+                assert_eq!(bits(&dst), bits(&want), "{kind:?} {dir:?} round {round}");
+                assert_eq!(residuals, want_residuals);
+                assert!(stats.total_sent() > 0, "every device has a peer");
+                let has_stats = stats.encode_stats.total_rows() > 0;
+                assert_eq!(has_stats, kind != Kind::Grouped);
+            }
+            assert_eq!(rng.next_u64(), want_rng.next_u64(), "generator streams");
+        });
+    }
+
+    #[test]
+    fn rows_wire_forward_matches_reference() {
+        routine_matches_reference(Kind::Rows, Forward);
+    }
+
+    #[test]
+    fn rows_wire_backward_matches_reference() {
+        routine_matches_reference(Kind::Rows, Backward);
+    }
+
+    #[test]
+    fn error_feedback_wire_forward_matches_reference() {
+        routine_matches_reference(Kind::ErrorFeedback, Forward);
+    }
+
+    #[test]
+    fn error_feedback_wire_backward_matches_reference() {
+        routine_matches_reference(Kind::ErrorFeedback, Backward);
+    }
+
+    #[test]
+    fn streamed_wire_forward_matches_reference() {
+        routine_matches_reference(Kind::Streamed, Forward);
+    }
+
+    #[test]
+    fn streamed_wire_backward_matches_reference() {
+        routine_matches_reference(Kind::Streamed, Backward);
+    }
+
+    #[test]
+    fn grouped_wire_forward_matches_reference() {
+        routine_matches_reference(Kind::Grouped, Forward);
+    }
+
+    #[test]
+    fn grouped_wire_backward_matches_reference() {
+        routine_matches_reference(Kind::Grouped, Backward);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * **SANCUS-like** — staleness-aware broadcast skipping with sequential
 //!   node broadcasts (Peng et al. 2022).
 //!
-//! Devices are simulated by OS threads exchanging real (quantized) byte
-//! streams; transfer *time* comes from an affine per-link cost model. See
+//! Devices are advanced by one deterministic discrete-event scheduler
+//! (`comm::Cluster`) and exchange real (quantized) byte streams; transfer
+//! *time* comes from an affine per-link cost model. See
 //! `DESIGN.md` at the repository root for the substitution inventory.
 //!
 //! # Quickstart
@@ -71,7 +72,5 @@ pub use config::{ExperimentConfig, ExperimentConfigBuilder, Method, TopologySpec
 pub use decompose::{build_partitions, DevicePartition, GlobalInfo, LocalLabels};
 pub use error::Error;
 pub use metrics::{EpochMetrics, RunResult};
-#[cfg(feature = "thread-backend")]
-pub use runner::run_experiment_threaded;
 pub use runner::{run_experiment, run_experiment_profiled, RunProfile};
 pub use telemetry::{HostKernelSummary, TelemetryAggregate, TelemetryLog};

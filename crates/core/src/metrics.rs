@@ -2,6 +2,7 @@
 
 use crate::config::Method;
 use comm::TimeBreakdown;
+use obs::critpath::Schedule;
 use serde::{Deserialize, Serialize};
 
 /// Local metric accumulators one device reports for one epoch. For
@@ -133,20 +134,26 @@ pub fn epoch_time(method: Method, tb: &TimeBreakdown) -> f64 {
     epoch_time_with_overlap(method, false, tb)
 }
 
+/// The one method → schedule rule: how a device's phase sums compose into
+/// its epoch time. [`epoch_time_with_overlap`] and the critical-path
+/// analyzer both dispatch on what this returns.
+pub(crate) fn schedule_for(method: Method, disable_overlap: bool) -> Schedule {
+    match method {
+        Method::Vanilla | Method::Sancus => Schedule::Serial,
+        Method::AdaQp | Method::AdaQpUniform if disable_overlap => Schedule::Serial,
+        Method::AdaQp | Method::AdaQpUniform => Schedule::Overlapped,
+        Method::PipeGcn => Schedule::Pipelined,
+    }
+}
+
 /// [`epoch_time`] with the overlap-ablation switch: when
 /// `disable_overlap` is true AdaQP's central computation is *not* hidden
 /// under communication (design decision D4 in DESIGN.md).
 pub fn epoch_time_with_overlap(method: Method, disable_overlap: bool, tb: &TimeBreakdown) -> f64 {
-    match method {
-        Method::Vanilla | Method::Sancus => tb.serial_total(),
-        Method::AdaQp | Method::AdaQpUniform => {
-            if disable_overlap {
-                tb.serial_total()
-            } else {
-                tb.overlapped_total()
-            }
-        }
-        Method::PipeGcn => tb.comm.max(tb.total_comp()) + tb.quant + tb.solve,
+    match schedule_for(method, disable_overlap) {
+        Schedule::Serial => tb.serial_total(),
+        Schedule::Overlapped => tb.overlapped_total(),
+        Schedule::Pipelined => tb.comm.max(tb.total_comp()) + tb.quant + tb.solve,
     }
 }
 

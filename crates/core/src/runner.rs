@@ -2,28 +2,17 @@
 //! programs on the discrete-event cluster core and combines their records
 //! into a [`RunResult`].
 
-use crate::config::{ExperimentConfig, Method};
+use crate::config::ExperimentConfig;
 use crate::decompose::build_partitions;
 use crate::error::Error;
-use crate::metrics::{DeviceEpochRecord, EpochMetrics, MetricParts, RunResult};
+use crate::metrics::{schedule_for, DeviceEpochRecord, EpochMetrics, MetricParts, RunResult};
 use crate::telemetry::TelemetryLog;
 use crate::trainers::DeviceTrainer;
 use comm::telemetry::Event;
 use comm::Cluster;
 use graph::Task;
-use obs::critpath::{CritPathReport, FlightLog, Schedule};
+use obs::critpath::{CritPathReport, FlightLog};
 use tensor::Rng;
-
-/// Which cluster execution core drives the device trainers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// The deterministic discrete-event scheduler (the default).
-    Event,
-    /// The retired thread-per-device backend, kept one release for
-    /// cross-backend equivalence tests.
-    #[cfg(feature = "thread-backend")]
-    Thread,
-}
 
 /// Runs one experiment end-to-end on the discrete-event cluster core and
 /// returns its result.
@@ -40,7 +29,7 @@ enum Backend {
 /// (`TrainingConfig::sanitize` or `ADAQP_SAN=1`) observes a parallel-kernel
 /// determinism violation.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Result<RunResult, Error> {
-    run_experiment_on(cfg, Backend::Event).map(|(result, _)| result)
+    run_experiment_profiled(cfg).map(|(result, _)| result)
 }
 
 /// The causal profile of one run: the post-run critical-path analysis plus
@@ -56,6 +45,12 @@ pub struct RunProfile {
     pub flight: FlightLog,
 }
 
+/// Whether the environment forces profiling on (`ADAQP_PROFILE` set to
+/// anything but empty or `0`), mirroring the `ADAQP_SAN` convention.
+fn env_profile() -> bool {
+    std::env::var("ADAQP_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
 /// [`run_experiment`] with the causal flight recorder armed: also returns
 /// the [`RunProfile`] when profiling is active (`TrainingConfig::profile`
 /// or `ADAQP_PROFILE=1`), `None` otherwise.
@@ -66,66 +61,12 @@ pub struct RunProfile {
 ///
 /// # Errors
 ///
-/// As [`run_experiment`]; additionally [`Error::InvalidConfig`] when
-/// profiling is requested on the retired thread-per-device backend, which
-/// has no event DAG to record.
+/// As [`run_experiment`].
 pub fn run_experiment_profiled(
     cfg: &ExperimentConfig,
 ) -> Result<(RunResult, Option<RunProfile>), Error> {
-    run_experiment_on(cfg, Backend::Event)
-}
-
-/// Whether the environment forces profiling on (`ADAQP_PROFILE` set to
-/// anything but empty or `0`), mirroring the `ADAQP_SAN` convention.
-fn env_profile() -> bool {
-    std::env::var("ADAQP_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The epoch-time composition rule the critical-path analyzer must mirror
-/// for `method`: how [`crate::metrics::epoch_time_with_overlap`] folds a
-/// device's phase sums into its epoch time.
-fn schedule_for(method: Method, disable_overlap: bool) -> Schedule {
-    match method {
-        Method::Vanilla | Method::Sancus => Schedule::Serial,
-        Method::AdaQp | Method::AdaQpUniform => {
-            if disable_overlap {
-                Schedule::Serial
-            } else {
-                Schedule::Overlapped
-            }
-        }
-        Method::PipeGcn => Schedule::Pipelined,
-    }
-}
-
-/// [`run_experiment`] on the retired thread-per-device backend.
-///
-/// Exists so equivalence tests can pin the event core against the old
-/// execution model byte-for-byte; it will leave with the `thread-backend`
-/// feature after one release.
-///
-/// # Errors
-///
-/// As [`run_experiment`].
-#[cfg(feature = "thread-backend")]
-pub fn run_experiment_threaded(cfg: &ExperimentConfig) -> Result<RunResult, Error> {
-    run_experiment_on(cfg, Backend::Thread).map(|(result, _)| result)
-}
-
-fn run_experiment_on(
-    cfg: &ExperimentConfig,
-    backend: Backend,
-) -> Result<(RunResult, Option<RunProfile>), Error> {
     cfg.validate()?;
     let profiling = cfg.training.profile || env_profile();
-    #[cfg(feature = "thread-backend")]
-    if profiling && backend == Backend::Thread {
-        return Err(Error::InvalidConfig(
-            "profiling needs the event scheduler's causal DAG; the thread-per-device \
-             backend has none (drop --threads-backend or the profile flag)"
-                .to_string(),
-        ));
-    }
     // Pin the kernel runtime's worker count for this run (0 = auto-detect).
     // Kernel results are byte-identical at any thread count, so this only
     // affects host wall-clock, never simulated numerics.
@@ -181,11 +122,8 @@ fn run_experiment_on(
     // message departures with the theta*bytes + gamma split; the scheduler
     // itself keeps running uncosted, exactly as in an unprofiled run.
     let mut recorder = profiling.then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
-    let outputs: Vec<DeviceOutput> = match backend {
-        Backend::Event => Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device)?.outputs,
-        #[cfg(feature = "thread-backend")]
-        Backend::Thread => Cluster::try_run_fn_threaded(n, device)?,
-    };
+    let outputs: Vec<DeviceOutput> =
+        Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device)?.outputs;
     let profile = recorder.map(|rec| {
         let flight = rec.finish();
         let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);
@@ -585,17 +523,6 @@ mod tests {
             visible, plain_visible,
             "profiling leaked into gated metrics"
         );
-    }
-
-    #[cfg(feature = "thread-backend")]
-    #[test]
-    fn profiling_rejects_the_thread_backend() {
-        let mut cfg = quick_cfg(Method::Vanilla, 2);
-        cfg.training.profile = true;
-        assert!(matches!(
-            run_experiment_threaded(&cfg),
-            Err(Error::InvalidConfig(_))
-        ));
     }
 
     #[test]

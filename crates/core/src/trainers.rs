@@ -1,6 +1,6 @@
 //! Device-side training loops for AdaQP and every baseline.
 //!
-//! One [`DeviceTrainer`] runs on each simulated device (thread). All methods
+//! One [`DeviceTrainer`] runs on each simulated device. All methods
 //! share the same distributed forward/backward engine — per layer: halo
 //! exchange, split central/marginal aggregation, dense transform — and
 //! differ only in *how halo data is obtained* (fresh fp32, quantized, stale
@@ -10,11 +10,7 @@
 use crate::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use crate::config::{Method, TrainingConfig};
 use crate::decompose::{DevicePartition, LocalLabels};
-use crate::exchange::{
-    exchange_backward_fp32, exchange_backward_grouped, exchange_backward_quant_ef,
-    exchange_forward_fp32, exchange_forward_grouped, exchange_forward_quant_ef,
-    exchange_forward_quant_streamed, ExchangeStats,
-};
+use crate::exchange::{exchange_forward_fp32, halo_exchange, Direction, ExchangeStats, Wire};
 use crate::metrics::{DeviceEpochRecord, MetricParts};
 use comm::telemetry::{Event, EventDetail, EventKind};
 use comm::{CostModel, DeviceHandle, TimeBreakdown, TimeCategory};
@@ -357,6 +353,55 @@ impl<'a> DeviceTrainer<'a> {
         out
     }
 
+    /// Whether this epoch's exchanges are quantized: AdaQP and its uniform
+    /// ablation, after a first epoch at full precision while tracing.
+    fn quantized(&self, epoch: usize) -> bool {
+        matches!(self.method, Method::AdaQp | Method::AdaQpUniform) && epoch > 0
+    }
+
+    /// One ring-scheduled halo exchange of layer `l` from `src` into `dst`,
+    /// charged to `tb`: fp32, or — when `quantized` — over the wire the
+    /// config selects (the same choice for both directions).
+    #[allow(clippy::too_many_arguments)]
+    fn ring_exchange(
+        &mut self,
+        l: usize,
+        dir: Direction,
+        quantized: bool,
+        src: &Matrix,
+        dst: &mut Matrix,
+        tb: &mut TimeBreakdown,
+        bytes: &mut usize,
+    ) {
+        let a = &self.assignment;
+        // The residual buffers exist only under `cfg.error_feedback`.
+        let (widths, recv_widths, residuals) = match dir {
+            Direction::Forward => (&a.fwd[l], &a.fwd_recv[l], self.ef_fwd.get_mut(l)),
+            Direction::Backward => (&a.bwd[l], &a.bwd_recv[l], self.ef_bwd.get_mut(l)),
+        };
+        let bits = if quantized {
+            uniform_bits(widths)
+        } else {
+            Some(32)
+        };
+        let wire = if !quantized {
+            Wire::Fp32
+        } else if self.cfg.grouped_wire && self.method == Method::AdaQp {
+            Wire::Grouped {
+                send_widths: widths,
+                recv_widths,
+            }
+        } else if self.cfg.stream_quant {
+            let cost = self.cost;
+            Wire::Streamed { widths, cost }
+        } else {
+            Wire::Rows { widths, residuals }
+        };
+        let (dev, rng) = (&mut self.dev, &mut self.rng);
+        let stats = halo_exchange(dev, self.part, dir, Some(src), dst, wire, rng);
+        self.charge_ring(tb, bytes, &stats, bits);
+    }
+
     /// Produces the halo matrix for layer `l`'s aggregation, charging
     /// communication/quantization time according to the method.
     fn forward_halo(
@@ -367,77 +412,22 @@ impl<'a> DeviceTrainer<'a> {
         tb: &mut TimeBreakdown,
         bytes: &mut usize,
     ) -> Matrix {
-        match self.method {
-            Method::Vanilla => {
-                let (halo, stats) = exchange_forward_fp32(&mut self.dev, self.part, h);
-                self.charge_ring(tb, bytes, &stats, Some(32));
-                halo
-            }
-            Method::AdaQp | Method::AdaQpUniform => {
-                if epoch == 0 {
-                    // First epoch runs full precision while tracing.
-                    let (halo, stats) = exchange_forward_fp32(&mut self.dev, self.part, h);
-                    self.charge_ring(tb, bytes, &stats, Some(32));
-                    halo
-                } else if self.cfg.grouped_wire && self.method == Method::AdaQp {
-                    let (halo, stats) = exchange_forward_grouped(
-                        &mut self.dev,
-                        self.part,
-                        h,
-                        &self.assignment.fwd[l],
-                        &self.assignment.fwd_recv[l],
-                        &mut self.rng,
-                    );
-                    let bits = uniform_bits(&self.assignment.fwd[l]);
-                    self.charge_ring(tb, bytes, &stats, bits);
-                    halo
-                } else if self.cfg.stream_quant {
-                    // Pipelined quantize+send: same bytes and RNG stream as
-                    // the plain quantized exchange, but encode time rides
-                    // inside the per-destination send pipeline.
-                    let (halo, stats) = exchange_forward_quant_streamed(
-                        &mut self.dev,
-                        self.part,
-                        h,
-                        &self.assignment.fwd[l],
-                        &mut self.rng,
-                        self.cost,
-                    );
-                    let bits = uniform_bits(&self.assignment.fwd[l]);
-                    self.charge_ring(tb, bytes, &stats, bits);
-                    halo
-                } else {
-                    let residuals = if self.cfg.error_feedback {
-                        Some(&mut self.ef_fwd[l])
-                    } else {
-                        None
-                    };
-                    let (halo, stats) = exchange_forward_quant_ef(
-                        &mut self.dev,
-                        self.part,
-                        h,
-                        &self.assignment.fwd[l],
-                        residuals,
-                        &mut self.rng,
-                    );
-                    let bits = uniform_bits(&self.assignment.fwd[l]);
-                    self.charge_ring(tb, bytes, &stats, bits);
-                    halo
-                }
-            }
-            Method::PipeGcn => {
-                // Use last epoch's halo; refresh concurrently (pipelined).
-                let (fresh, stats) = exchange_forward_fp32(&mut self.dev, self.part, h);
-                self.charge_ring(tb, bytes, &stats, Some(32));
-                if epoch == 0 {
-                    self.halo_cache[l] = fresh.clone();
-                    fresh
-                } else {
-                    std::mem::replace(&mut self.halo_cache[l], fresh)
-                }
-            }
-            Method::Sancus => self.sancus_halo(l, h, epoch, tb, bytes),
+        if self.method == Method::Sancus {
+            return self.sancus_halo(l, h, epoch, tb, bytes);
         }
+        let mut halo = Matrix::zeros(self.part.num_halo(), h.cols());
+        let quantized = self.quantized(epoch);
+        self.ring_exchange(l, Direction::Forward, quantized, h, &mut halo, tb, bytes);
+        if self.method == Method::PipeGcn {
+            // Use last epoch's halo; the fresh one refreshes the cache
+            // concurrently (pipelined).
+            if epoch == 0 {
+                self.halo_cache[l] = halo.clone();
+            } else {
+                std::mem::swap(&mut self.halo_cache[l], &mut halo);
+            }
+        }
+        halo
     }
 
     /// SANCUS's staleness-aware skip-broadcast (Peng et al. 2022): each
@@ -456,8 +446,7 @@ impl<'a> DeviceTrainer<'a> {
         tb: &mut TimeBreakdown,
         bytes: &mut usize,
     ) -> Matrix {
-        let dim = h.cols();
-        let n = self.part.num_parts;
+        let part = self.part;
         // Sender-side refresh decision.
         let drifted = match &self.sancus_snapshot[l] {
             None => true,
@@ -470,56 +459,35 @@ impl<'a> DeviceTrainer<'a> {
         let stale_for = epoch.saturating_sub(self.sancus_last[l]);
         let broadcast = epoch == 0 || drifted || stale_for >= self.cfg.sancus_staleness.max(1);
 
-        // Move boundary rows (or nothing) to every peer.
-        let mut payloads: Vec<bytes::Bytes> = Vec::with_capacity(n);
-        for q in 0..n {
-            if !broadcast || q == self.part.rank || self.part.send_sets[q].is_empty() {
-                payloads.push(bytes::Bytes::new());
+        // Move boundary rows (or nothing) to every peer, into the stale
+        // cache: rows of a peer that skipped its broadcast stay as they were.
+        let (src, cache) = (broadcast.then_some(h), &mut self.halo_cache[l]);
+        let (dev, rng) = (&mut self.dev, &mut self.rng);
+        let mut stats = halo_exchange(dev, part, Direction::Forward, src, cache, Wire::Fp32, rng);
+        // Full-partition broadcast volume, not just the halo.
+        let row_bytes = h.cols() * 4;
+        for q in 0..part.num_parts {
+            let sends = broadcast && q != part.rank;
+            stats.sent_bytes[q] = if sends {
+                part.num_local() * row_bytes
             } else {
-                let msgs = self.part.gather_send_rows(h, q);
-                payloads.push(crate::exchange::matrix_to_bytes(&msgs));
+                0
+            };
+            if stats.recv_bytes[q] > 0 {
+                stats.recv_bytes[q] = part.part_sizes[q] * row_bytes;
             }
         }
-        let received = self.dev.ring_all2all(payloads);
-        let mut halo = std::mem::replace(&mut self.halo_cache[l], Matrix::zeros(0, 0));
-        let mut stats = ExchangeStats {
-            sent_bytes: vec![0; n],
-            recv_bytes: vec![0; n],
-            quant_cpu_seconds: 0.0,
-            quant_ops: 0.0,
-            encode_stats: quant::EncodeStats::default(),
-            streamed_send: vec![0.0; n],
-        };
         if broadcast {
             self.sancus_snapshot[l] = Some(h.clone());
             self.sancus_last[l] = epoch;
-            for q in 0..n {
-                if q != self.part.rank {
-                    // Full-partition broadcast volume, not just the halo.
-                    stats.sent_bytes[q] = self.part.num_local() * dim * 4;
-                }
-            }
         }
-        for (q, payload) in received.into_iter().enumerate() {
-            let Some(payload) = payload else { continue };
-            if payload.is_empty() {
-                continue; // peer skipped its broadcast: keep stale rows
-            }
-            stats.recv_bytes[q] = self.part.part_sizes[q] * dim * 4;
-            let rows = self.part.recv_slots[q].len();
-            let m = crate::exchange::bytes_to_matrix(&payload, rows, dim);
-            for (r, &slot) in self.part.recv_slots[q].iter().enumerate() {
-                halo.row_mut(slot as usize).copy_from_slice(m.row(r));
-            }
-        }
-        let comm_secs = stats.sequential_seconds(self.cost, self.part.rank);
+        let comm_secs = stats.sequential_seconds(self.cost, part.rank);
         self.charge(tb, TimeCategory::Comm, comm_secs);
         *bytes += stats.total_sent();
         if self.dev.telemetry().is_enabled() {
             self.emit_comm_events(&stats.sent_bytes, &stats.recv_bytes, comm_secs, Some(32));
         }
-        self.halo_cache[l] = halo.clone();
-        halo
+        self.halo_cache[l].clone()
     }
 
     /// Backward halo-gradient exchange per method.
@@ -532,76 +500,25 @@ impl<'a> DeviceTrainer<'a> {
         tb: &mut TimeBreakdown,
         bytes: &mut usize,
     ) {
+        let dir = Direction::Backward;
         match self.method {
-            Method::Vanilla => {
-                let stats = exchange_backward_fp32(&mut self.dev, self.part, grad_ext, grad_local);
-                self.charge_ring(tb, bytes, &stats, Some(32));
-            }
-            Method::AdaQp | Method::AdaQpUniform => {
-                if epoch == 0 {
-                    let stats =
-                        exchange_backward_fp32(&mut self.dev, self.part, grad_ext, grad_local);
-                    self.charge_ring(tb, bytes, &stats, Some(32));
-                } else if self.cfg.grouped_wire && self.method == Method::AdaQp {
-                    let stats = exchange_backward_grouped(
-                        &mut self.dev,
-                        self.part,
-                        grad_ext,
-                        grad_local,
-                        &self.assignment.bwd[l],
-                        &self.assignment.bwd_recv[l],
-                        &mut self.rng,
-                    );
-                    let bits = uniform_bits(&self.assignment.bwd[l]);
-                    self.charge_ring(tb, bytes, &stats, bits);
-                } else if self.cfg.stream_quant {
-                    let stats = crate::exchange::exchange_backward_quant_streamed(
-                        &mut self.dev,
-                        self.part,
-                        grad_ext,
-                        grad_local,
-                        &self.assignment.bwd[l],
-                        &mut self.rng,
-                        self.cost,
-                    );
-                    let bits = uniform_bits(&self.assignment.bwd[l]);
-                    self.charge_ring(tb, bytes, &stats, bits);
-                } else {
-                    let residuals = if self.cfg.error_feedback {
-                        Some(&mut self.ef_bwd[l])
-                    } else {
-                        None
-                    };
-                    let stats = exchange_backward_quant_ef(
-                        &mut self.dev,
-                        self.part,
-                        grad_ext,
-                        grad_local,
-                        &self.assignment.bwd[l],
-                        residuals,
-                        &mut self.rng,
-                    );
-                    let bits = uniform_bits(&self.assignment.bwd[l]);
-                    self.charge_ring(tb, bytes, &stats, bits);
-                }
-            }
+            // Communication-avoiding: remote gradient contributions are
+            // skipped entirely.
+            Method::Sancus => {}
             Method::PipeGcn => {
-                // Remote gradient contributions arrive one epoch late.
-                let mut fresh = Matrix::zeros(grad_local.rows(), grad_local.cols());
-                let stats = exchange_backward_fp32(&mut self.dev, self.part, grad_ext, &mut fresh);
-                self.charge_ring(tb, bytes, &stats, Some(32));
-                if epoch == 0 {
-                    // Warm-up epoch applies fresh gradients synchronously.
-                    grad_local.add_assign(&fresh);
-                    // Leave the stale buffer zeroed so nothing double-counts.
-                } else {
-                    let prev = std::mem::replace(&mut self.stale_grads[l], fresh);
-                    grad_local.add_assign(&prev);
+                // Remote gradient contributions arrive one epoch late. The
+                // warm-up epoch applies the fresh ones synchronously and
+                // leaves the stale buffer zeroed so nothing double-counts.
+                let mut grads = Matrix::zeros(grad_local.rows(), grad_local.cols());
+                self.ring_exchange(l, dir, false, grad_ext, &mut grads, tb, bytes);
+                if epoch > 0 {
+                    std::mem::swap(&mut self.stale_grads[l], &mut grads);
                 }
+                grad_local.add_assign(&grads);
             }
-            Method::Sancus => {
-                // Communication-avoiding: remote gradient contributions are
-                // skipped entirely.
+            Method::Vanilla | Method::AdaQp | Method::AdaQpUniform => {
+                let quantized = self.quantized(epoch);
+                self.ring_exchange(l, dir, quantized, grad_ext, grad_local, tb, bytes);
             }
         }
     }

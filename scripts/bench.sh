@@ -60,10 +60,6 @@ mkdir -p "$OUT_DIR"
 CPUS="$(nproc)"
 AT="${ADAQP_THREADS:-}"
 [[ "$AT" =~ ^[0-9]+$ ]] || AT=null
-# Cluster backend the workspace was built with: the discrete-event core
-# ("event", the default) or the retired thread-per-device transport
-# ("thread", only reachable through the test-only thread-backend feature).
-BACKEND="${ADAQP_BACKEND:-event}"
 # Effective worker-thread default: ADAQP_THREADS, else machine parallelism,
 # capped at the runtime's MAX_THREADS = 8 (crates/tensor/src/par.rs).
 EFFECTIVE="$CPUS"
@@ -72,7 +68,7 @@ EFFECTIVE="$CPUS"
 # Shim stdout rows look like:
 #   group/name        [      min       mean        max] ns/iter
 # Keep the id and the mean; derive threads from a trailing _t<N>.
-awk -v cpus="$CPUS" -v adaqp_threads="$AT" -v effective="$EFFECTIVE" -v backend="$BACKEND" '
+awk -v cpus="$CPUS" -v adaqp_threads="$AT" -v effective="$EFFECTIVE" '
     /ns\/iter/ {
         # Bench ids may contain spaces, so split on the [min mean max]
         # bracket instead of whitespace fields.
@@ -92,8 +88,8 @@ awk -v cpus="$CPUS" -v adaqp_threads="$AT" -v effective="$EFFECTIVE" -v backend=
     }
     BEGIN {
         printf "{"
-        printf "\n  \"_meta\": {\"cpus\": %s, \"default_worker_threads\": %s, \"adaqp_threads_env\": %s, \"backend\": \"%s\"}", \
-            cpus, effective, adaqp_threads, backend
+        printf "\n  \"_meta\": {\"cpus\": %s, \"default_worker_threads\": %s, \"adaqp_threads_env\": %s}", \
+            cpus, effective, adaqp_threads
         first = 1
     }
     END { printf "\n}\n" }

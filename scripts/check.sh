@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> benchmark harness compiles against the workspace (--locked: dependency lists match benchmark/Cargo.lock)"
+CARGO_TARGET_DIR=benchmark/target cargo check --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> adaqp-lint (simulation invariants; ratcheted against results/LINT_baseline.json)"
 mkdir -p results
 cargo run --offline --release -p analysis -- --workspace --json \

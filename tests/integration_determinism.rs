@@ -101,40 +101,120 @@ fn method_only_changes_method_dependent_state() {
     assert_ne!(v.per_epoch[4].loss, a.per_epoch[4].loss);
 }
 
-/// FNV-1a over every epoch's loss bits.
-fn loss_digest(result: &adaqp::RunResult) -> u64 {
+/// FNV-1a over every epoch's loss bits, analytic charges and bytes sent.
+/// `breakdown.solve` (hence `sim_seconds`) is left out: it is the assigner's
+/// host-measured solve time, the one non-analytic charge.
+fn run_digest(result: &adaqp::RunResult) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for e in &result.per_epoch {
-        for b in e.loss.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        let tb = &e.breakdown;
+        for word in [
+            e.loss.to_bits(),
+            tb.comm.to_bits(),
+            tb.quant.to_bits(),
+            tb.central_comp.to_bits(),
+            tb.marginal_comp.to_bits(),
+            e.bytes_sent as u64,
+        ] {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
     }
     h
 }
 
+type Tweak = fn(&mut TrainingConfig);
+
 #[test]
-fn golden_loss_digests_survive_kernel_changes() {
-    // Recorded at the commit before the three dense products moved onto one
-    // tiled kernel (ISSUE 14). A host-time change to tensor, gnn or the
-    // exchange path must reproduce every loss bit; the last two rows put
-    // 300 rows on each device, past the row count where `matmul_tn` reduces
-    // per chunk, so the chunk merge order is pinned end to end as well.
-    for (method, use_sage, scale, want) in [
-        (Method::Vanilla, false, 1.0, 0xd12c_36f1_43d1_b4aa_u64),
-        (Method::Vanilla, true, 1.0, 0x746e_8249_36eb_30c6),
-        (Method::AdaQp, false, 1.0, 0x81cd_68f0_6108_ad6d),
-        (Method::AdaQp, true, 1.0, 0x3f6c_5cbe_e16c_bcb3),
-        (Method::Vanilla, false, 2.0, 0x0eb6_683d_8fa2_b35d),
-        (Method::AdaQp, true, 2.0, 0x96bc_33b6_8394_452f),
+fn golden_run_digests_survive_refactors() {
+    // Recorded at the commit before the ten exchange functions became one
+    // routine (ISSUE 15). A host-time change to tensor, gnn or the exchange
+    // path must reproduce every loss bit, every analytic charge (the order
+    // of `f64` adds into `quant_ops` and the streamed send pipeline are
+    // visible in `quant` / `comm`) and every byte count, on every wire the
+    // trainers can pick. The scale-2 rows put 300 rows on each device, past
+    // the row count where `matmul_tn` reduces per chunk, so the chunk merge
+    // order is pinned end to end as well.
+    let plain: Tweak = |_| {};
+    let error_feedback: Tweak = |t| t.error_feedback = true;
+    let grouped: Tweak = |t| t.grouped_wire = true;
+    let streamed: Tweak = |t| t.stream_quant = true;
+    for (method, tweak, use_sage, scale, devices, want) in [
+        (
+            Method::Vanilla,
+            plain,
+            false,
+            1.0,
+            2,
+            0x8bd9_189b_b3e9_57e2_u64,
+        ),
+        (Method::Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6),
+        (Method::AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab),
+        (Method::AdaQp, plain, true, 1.0, 2, 0x9219_c7b3_a4f7_e4da),
+        (Method::Vanilla, plain, false, 2.0, 2, 0x116e_2f44_0b26_8339),
+        (Method::AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd),
+        (
+            Method::AdaQp,
+            error_feedback,
+            false,
+            1.0,
+            4,
+            0xa370_a56b_5dc2_8b77,
+        ),
+        (
+            Method::AdaQp,
+            error_feedback,
+            true,
+            1.0,
+            4,
+            0x81a3_b1b6_df50_d591,
+        ),
+        (Method::AdaQp, grouped, false, 1.0, 4, 0x54af_ca96_4680_14ef),
+        (Method::AdaQp, grouped, true, 1.0, 4, 0xdc21_edbf_0166_c0da),
+        (
+            Method::AdaQp,
+            streamed,
+            false,
+            1.0,
+            4,
+            0x3127_39f4_3bbc_5807,
+        ),
+        (Method::AdaQp, streamed, true, 1.0, 4, 0xf79f_8070_bc99_8ac2),
+        (
+            Method::AdaQpUniform,
+            plain,
+            false,
+            1.0,
+            4,
+            0xe186_fc2e_eee9_ad00,
+        ),
+        (
+            Method::AdaQpUniform,
+            plain,
+            true,
+            1.0,
+            4,
+            0x546c_deb1_78db_f1a8,
+        ),
+        (Method::PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980),
+        (Method::PipeGcn, plain, true, 1.0, 4, 0x30eb_5bd6_e148_bd92),
+        (Method::Sancus, plain, false, 1.0, 4, 0x519e_e9c7_8573_f017),
+        (Method::Sancus, plain, true, 1.0, 4, 0xcbea_d818_94f4_67ca),
     ] {
         let mut c = cfg(4242);
         c.method = method;
+        c.devices_per_machine = devices;
         c.training.use_sage = use_sage;
+        tweak(&mut c.training);
         c.dataset = DatasetSpec::tiny().scaled(scale);
-        let got = loss_digest(&adaqp::run_experiment(&c).expect("valid config"));
+        let got = run_digest(&adaqp::run_experiment(&c).expect("valid config"));
+        let t = &c.training;
         assert_eq!(
             got, want,
-            "{method:?}, sage {use_sage}, scale {scale}: {got:#018x} != {want:#018x}"
+            "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} grouped {} streamed {}: \
+             {got:#018x} != {want:#018x}",
+            t.error_feedback, t.grouped_wire, t.stream_quant
         );
     }
 }
