@@ -17,11 +17,11 @@ pub struct RuleDoc {
     pub good: &'static str,
 }
 
-/// Documentation for every rule, in [`RULE_NAMES`] order.
+/// Documentation for every rule, in [`crate::RULE_NAMES`] order.
 pub const RULE_DOCS: [RuleDoc; 11] = [
     RuleDoc {
         name: "sim-clock",
-        rationale: "All time must flow through the simulated clock (comm::timing). One \
+        rationale: "All time must flow through the simulated clock (obs::time). One \
                     stray Instant::now() or SystemTime mixes host wall-clock into the \
                     modeled timings and silently corrupts every reported figure.",
         bad: include_str!("../tests/fixtures/sim_clock_bad.rs"),

@@ -338,7 +338,7 @@ fn collect_helpers(code: &[&Tok]) -> BTreeMap<String, Helper> {
 /// Extracts the communication skeleton of every `impl … DeviceProgram …
 /// for …` block in a comment-free token slice. Calls to same-file helper
 /// functions containing `Command` constructions are inlined with argument
-/// substitution (see [`Helper`]).
+/// substitution (see `Helper`).
 pub fn extract_skeletons(code: &[&Tok]) -> Vec<Skeleton> {
     let helpers = collect_helpers(code);
     let mut out = Vec::new();

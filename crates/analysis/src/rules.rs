@@ -4,7 +4,7 @@
 //!
 //! | rule        | what it guards                                              |
 //! |-------------|-------------------------------------------------------------|
-//! | `sim-clock` | all time flows through the simulated clock (`comm::timing`) |
+//! | `sim-clock` | all time is charged to the simulated clock (`obs::time`); host time is read only by `comm::timing::measure` and the exporters |
 //! | `no-panic`  | library code reports errors, it does not abort              |
 //! | `det-iter`  | result-producing crates iterate in deterministic order      |
 //! | `lossy-cast`| narrowing `as` casts in quant kernels are deliberate        |
@@ -49,9 +49,10 @@ pub const RULE_NAMES: [&str; 11] = [
     "unmatched-comm",
 ];
 
-/// Files exempt from `sim-clock`: the simulated clock itself, the telemetry
-/// export paths (which legitimately timestamp host-side artifacts), and the
-/// obs profiling timer (whose measurements are diagnostic-flagged and never
+/// Files exempt from `sim-clock`: the host stopwatch beside the simulated
+/// clock's re-exports (`comm::timing::measure`), the telemetry export paths
+/// (which legitimately timestamp host-side artifacts), and the obs
+/// profiling timer (whose measurements are diagnostic-flagged and never
 /// enter simulated results).
 const SIM_CLOCK_ALLOWLIST: [&str; 4] = [
     "crates/comm/src/timing.rs",

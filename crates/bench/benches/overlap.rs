@@ -47,9 +47,9 @@ fn bench_overlap_composition(c: &mut Criterion) {
     c.bench_function("epoch_time_composition", |b| {
         b.iter(|| {
             (
-                adaqp::metrics::epoch_time(Method::Vanilla, &tb),
-                adaqp::metrics::epoch_time(Method::AdaQp, &tb),
-                adaqp::metrics::epoch_time(Method::PipeGcn, &tb),
+                adaqp::metrics::epoch_time_with_overlap(Method::Vanilla, false, &tb),
+                adaqp::metrics::epoch_time_with_overlap(Method::AdaQp, false, &tb),
+                adaqp::metrics::epoch_time_with_overlap(Method::PipeGcn, false, &tb),
             )
         });
     });

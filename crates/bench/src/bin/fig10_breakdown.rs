@@ -2,12 +2,13 @@
 //! quantization time of Vanilla vs AdaQP on every dataset (GCN); (b) the
 //! wall-clock split between bit-width assignment and actual training.
 //!
-//! All numbers come from the structured-telemetry aggregator: each run is
-//! executed with telemetry enabled and the per-phase times are reconstructed
-//! from the event log, so the table matches what a Chrome trace of the same
-//! run shows. The AdaQP run on the ogbn-products stand-in additionally dumps
-//! its trace to `results/fig10_products_adaqp_trace.json` (open in Perfetto
-//! or chrome://tracing).
+//! All numbers are the run's own totals (`RunResult::total_sim_seconds` /
+//! `total_breakdown`: per epoch, the slowest device under the method's
+//! schedule). Part (a) also records telemetry, for the host kernel time it
+//! prints next to them and for the trace of the AdaQP run on the
+//! ogbn-products stand-in, dumped to
+//! `results/fig10_products_adaqp_trace.json` (open in Perfetto or
+//! chrome://tracing).
 
 use adaqp::Method;
 
@@ -23,9 +24,10 @@ fn main() {
     for spec in bench::datasets() {
         let mut vanilla: Option<(f64, comm::TimeBreakdown)> = None;
         for method in [Method::Vanilla, Method::AdaQp] {
-            let cfg = bench::experiment(spec.clone(), 2, 2, method, false, seed);
-            let (r, agg) = bench::run_with_telemetry(&cfg);
-            let (total_s, tb) = agg.cluster_totals(cfg.method, cfg.training.disable_overlap);
+            let mut cfg = bench::experiment(spec.clone(), 2, 2, method, false, seed);
+            cfg.training.telemetry = true;
+            let r = bench::run(&cfg);
+            let (total_s, tb) = (r.total_sim_seconds, r.total_breakdown);
             let n = r.per_epoch.len().max(1) as f64;
             let comm = tb.comm / n;
             let comp = tb.total_comp() / n;
@@ -112,9 +114,9 @@ fn main() {
     let mut json_b = Vec::new();
     for spec in bench::datasets() {
         let cfg = bench::experiment(spec.clone(), 2, 2, Method::AdaQp, false, seed);
-        let (_, agg) = bench::run_with_telemetry(&cfg);
-        let (total_s, tb) = agg.cluster_totals(cfg.method, cfg.training.disable_overlap);
-        let assign = tb.solve;
+        let r = bench::run(&cfg);
+        let total_s = r.total_sim_seconds;
+        let assign = r.total_breakdown.solve;
         let train = total_s - assign;
         let share = 100.0 * assign / total_s.max(1e-12);
         println!(

@@ -41,11 +41,7 @@ fn main() {
                         use_sage,
                         bench::seeds()[0],
                     );
-                    // Wall-clock reconstructed from the telemetry event log
-                    // (matches RunResult::total_sim_seconds within float
-                    // tolerance; see the telemetry integration test).
-                    let (_, agg) = bench::run_with_telemetry(&cfg);
-                    let (wall, _) = agg.cluster_totals(cfg.method, cfg.training.disable_overlap);
+                    let wall = bench::run(&cfg).total_sim_seconds;
                     rows.push(serde_json::json!({
                         "dataset": spec.name,
                         "setting": format!("{machines}M-{dpm}D"),

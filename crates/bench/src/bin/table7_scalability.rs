@@ -94,7 +94,8 @@ fn main() {
             spec.machines_per_rack = Some(8);
             cfg.training.topology = Some(spec.oversubscription(4.0));
             let r = bench::run(&cfg);
-            let analytic = bench::analytic_sim_seconds(method, &r);
+            let schedule = adaqp::metrics::schedule_for(method, cfg.training.disable_overlap);
+            let analytic = bench::analytic_sim_seconds(schedule, &r);
             let epoch_s = analytic / cfg.training.epochs as f64;
             let tp = cfg.training.epochs as f64 / analytic;
             let solve_s = r.total_breakdown.solve;

@@ -8,6 +8,7 @@
 
 #![forbid(unsafe_code)]
 
+use adaqp::metrics::Schedule;
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
 use graph::DatasetSpec;
 
@@ -88,24 +89,6 @@ pub fn run(cfg: &ExperimentConfig) -> adaqp::RunResult {
     adaqp::run_experiment(cfg).expect("harness experiment config is valid")
 }
 
-/// Runs an experiment with structured telemetry enabled and returns the
-/// result together with the aggregated per-device/per-epoch breakdowns
-/// reconstructed from the event log. The figure binaries report *these*
-/// aggregates (not the runner's internal accumulators), so the numbers shown
-/// are exactly what a Chrome trace of the run contains.
-pub fn run_with_telemetry(cfg: &ExperimentConfig) -> (adaqp::RunResult, adaqp::TelemetryAggregate) {
-    let mut cfg = cfg.clone();
-    cfg.training.telemetry = true;
-    let r = run(&cfg);
-    let agg = r
-        .telemetry
-        .as_ref()
-        // lint:allow(no-panic): telemetry flag was set three lines up; absence is a runner bug
-        .expect("telemetry was enabled")
-        .aggregate();
-    (r, agg)
-}
-
 /// Runs an experiment with the causal flight recorder armed and returns the
 /// result together with its critical-path profile. The figure binaries use
 /// this for their "where does the time go?" sections: the profile's
@@ -123,17 +106,18 @@ pub fn run_profiled(cfg: &ExperimentConfig) -> (adaqp::RunResult, adaqp::RunProf
 
 /// Total simulated seconds with the assigner's host-measured solve time
 /// carved out: each epoch's breakdown is re-composed under the run's
-/// method schedule with `solve` zeroed. Everything left (comm, compute,
+/// `schedule` (`adaqp::metrics::schedule_for` of its method and overlap
+/// switch) with `solve` zeroed. Everything left (comm, compute,
 /// quantization) is analytic, so scalability artifacts built from this
 /// number are deterministic run-to-run; the wall-clock solve cost is the
 /// one non-analytic input and is worth reporting separately.
-pub fn analytic_sim_seconds(method: Method, r: &adaqp::RunResult) -> f64 {
+pub fn analytic_sim_seconds(schedule: Schedule, r: &adaqp::RunResult) -> f64 {
     r.per_epoch
         .iter()
         .map(|e| {
             let mut tb = e.breakdown;
             tb.solve = 0.0;
-            adaqp::metrics::epoch_time(method, &tb)
+            tb.total(schedule)
         })
         .sum()
 }
@@ -177,6 +161,33 @@ mod tests {
         assert_eq!(m, 2.0);
         assert_eq!(s, 1.0);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn analytic_seconds_follow_the_overlap_ablation() {
+        // Solve is the last addend of every composition, so putting it back
+        // must reproduce each epoch's simulated seconds to the bit — under
+        // the schedule the run was composed with, not the method's default.
+        let mut cfg = experiment(DatasetSpec::tiny(), 1, 2, Method::AdaQp, false, 9);
+        cfg.training.epochs = 4;
+        cfg.training.reassign_period = 2;
+        cfg.training.disable_overlap = true;
+        let schedule = adaqp::metrics::schedule_for(cfg.method, cfg.training.disable_overlap);
+        assert_eq!(schedule, Schedule::Serial);
+        let r = run(&cfg);
+        for e in &r.per_epoch {
+            let one = adaqp::RunResult {
+                per_epoch: vec![e.clone()],
+                ..adaqp::RunResult::default()
+            };
+            let rebuilt = analytic_sim_seconds(schedule, &one) + e.breakdown.solve;
+            assert_eq!(
+                rebuilt.to_bits(),
+                e.sim_seconds.to_bits(),
+                "epoch {}",
+                e.epoch
+            );
+        }
     }
 
     #[test]

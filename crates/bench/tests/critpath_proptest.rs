@@ -1,10 +1,10 @@
 //! Cross-validation property: the critical-path profiler and the harness's
-//! analytic epoch-time model are two independent readings of the same run —
-//! the profiler re-folds the flight log's phase advances, while
+//! analytic epoch time read the same run from two records — the profiler
+//! re-folds the flight log's phase advances, while
 //! `bench::analytic_sim_seconds` re-composes the runner's per-epoch
-//! breakdowns. On Vanilla runs (no host-measured solver time) the two must
-//! agree to the bit, and the profile itself must be byte-identical at any
-//! kernel thread count.
+//! breakdowns — through the one composition in `obs::time`. On Vanilla
+//! runs (no host-measured solver time) the two must agree to the bit, and
+//! the profile itself must be byte-identical at any kernel thread count.
 
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
 use graph::DatasetSpec;
@@ -44,7 +44,7 @@ proptest! {
             cfg.training.threads = threads;
             let (r, profile) = adaqp::run_experiment_profiled(&cfg).expect("valid config");
             let profile = profile.expect("profiling on");
-            let analytic = bench::analytic_sim_seconds(Method::Vanilla, &r);
+            let analytic = bench::analytic_sim_seconds(adaqp::metrics::Schedule::Serial, &r);
             prop_assert_eq!(
                 profile.report.total_seconds.to_bits(),
                 analytic.to_bits(),

@@ -68,9 +68,9 @@ pub struct CostModel {
     theta: Vec<f64>,
     /// Fixed per-transfer seconds, row-major `n x n`.
     gamma: Vec<f64>,
-    /// Divisor applied to measured CPU compute time to emulate accelerator
-    /// speed (a V100 is roughly an order of magnitude faster than the single
-    /// CPU thread a simulated device gets here).
+    /// Multiplier on [`BASE_CPU_OPS_PER_SEC`] to emulate accelerator speed
+    /// (a V100 is roughly an order of magnitude faster than the single CPU
+    /// thread a simulated device gets here).
     pub compute_speedup: f64,
     /// Optional per-device speedup multipliers on top of `compute_speedup`,
     /// for heterogeneous clusters (the paper's 6M-4D testbed mixes V100 and
@@ -237,23 +237,6 @@ impl CostModel {
         self
     }
 
-    /// Converts measured CPU seconds into simulated accelerator seconds.
-    pub fn compute_time(&self, cpu_seconds: f64) -> f64 {
-        cpu_seconds / self.compute_speedup
-    }
-
-    /// Per-device variant of [`CostModel::compute_time`]: applies the
-    /// device's heterogeneity scale when one is configured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn compute_time_for(&self, rank: usize, cpu_seconds: f64) -> f64 {
-        assert!(rank < self.n, "rank out of range");
-        let scale = self.per_device_scale.as_ref().map_or(1.0, |s| s[rank]);
-        cpu_seconds / (self.compute_speedup * scale)
-    }
-
     /// Simulated seconds for `ops` scalar operations on device `rank`.
     ///
     /// This is the load-independent way to charge compute: kernels report
@@ -270,80 +253,6 @@ impl CostModel {
         assert!(rank < self.n, "rank out of range");
         let scale = self.per_device_scale.as_ref().map_or(1.0, |s| s[rank]);
         ops / (BASE_CPU_OPS_PER_SEC * self.compute_speedup * scale)
-    }
-
-    /// Total ring-all2all time for a byte matrix `bytes[src][dst]` (Fig. 8).
-    ///
-    /// Each of the `N-1` rounds costs the max over devices of the transfer
-    /// on the links active that round — rounds are synchronized, so each one
-    /// waits for its slowest link (the straggler effect behind the minimax
-    /// term of Eqn. 10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not `n x n` for the model's device count.
-    pub fn ring_all2all_seconds(&self, bytes: &[Vec<usize>]) -> f64 {
-        let n = self.n;
-        assert_eq!(bytes.len(), n, "bytes matrix row count");
-        let mut total = 0.0;
-        for round in 1..n {
-            let mut round_max: f64 = 0.0;
-            for src in 0..n {
-                let dst = (src + round) % n;
-                assert_eq!(bytes[src].len(), n, "bytes matrix col count");
-                round_max = round_max.max(self.transfer_time(src, dst, bytes[src][dst]));
-            }
-            total += round_max;
-        }
-        total
-    }
-
-    /// Per-device ring-all2all time: device `d` spends, in round `r`, the
-    /// max of its own send and its own receive (full-duplex links); unlike
-    /// [`CostModel::ring_all2all_seconds`] this does *not* synchronize
-    /// rounds globally, which is how per-device communication times end up
-    /// unequal (Table 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not `n x n` for the model's device count.
-    pub fn per_device_ring_seconds(&self, bytes: &[Vec<usize>]) -> Vec<f64> {
-        let n = self.n;
-        assert_eq!(bytes.len(), n, "bytes matrix row count");
-        let mut times = vec![0.0; n];
-        for round in 1..n {
-            for dev in 0..n {
-                let dst = (dev + round) % n;
-                let src = (dev + n - round % n) % n;
-                let send = self.transfer_time(dev, dst, bytes[dev][dst]);
-                let recv = self.transfer_time(src, dev, bytes[src][dev]);
-                times[dev] += send.max(recv);
-            }
-        }
-        times
-    }
-
-    /// Total time for sequential one-by-one broadcasts (the SANCUS
-    /// schedule): device `i` broadcasts `bytes[i][dst]` to every other
-    /// device in parallel, devices take turns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not `n x n` for the model's device count.
-    pub fn sequential_broadcast_seconds(&self, bytes: &[Vec<usize>]) -> f64 {
-        let n = self.n;
-        assert_eq!(bytes.len(), n, "bytes matrix row count");
-        let mut total = 0.0;
-        for src in 0..n {
-            let mut bcast: f64 = 0.0;
-            for dst in 0..n {
-                if dst != src {
-                    bcast = bcast.max(self.transfer_time(src, dst, bytes[src][dst]));
-                }
-            }
-            total += bcast;
-        }
-        total
     }
 
     fn zero_diagonal(&mut self) {
@@ -413,12 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_time_divides_by_speedup() {
-        let cm = CostModel::homogeneous(2, 1e9, 0.0).with_compute_speedup(20.0);
-        assert!((cm.compute_time(1.0) - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
     fn link_params_roundtrip() {
         let cm = CostModel::homogeneous(2, 2.0, 3.0);
         let (theta, gamma) = cm.link_params(0, 1);
@@ -436,12 +339,13 @@ mod hetero_tests {
         let cm = CostModel::homogeneous(3, 1e9, 0.0)
             .with_compute_speedup(10.0)
             .with_device_scales(vec![1.0, 2.0, 0.5]);
-        assert!((cm.compute_time_for(0, 1.0) - 0.1).abs() < 1e-12);
-        assert!((cm.compute_time_for(1, 1.0) - 0.05).abs() < 1e-12);
-        assert!((cm.compute_time_for(2, 1.0) - 0.2).abs() < 1e-12);
-        // Homogeneous default matches compute_time.
-        let plain = CostModel::homogeneous(2, 1e9, 0.0).with_compute_speedup(10.0);
-        assert_eq!(plain.compute_time_for(1, 2.0), plain.compute_time(2.0));
+        let base = cm.ops_time_for(0, 1e9);
+        assert_eq!(cm.ops_time_for(1, 1e9), base / 2.0);
+        assert_eq!(cm.ops_time_for(2, 1e9), base * 2.0);
+        // No scales configured: every rank runs at the base rate.
+        let plain = CostModel::homogeneous(3, 1e9, 0.0).with_compute_speedup(10.0);
+        assert_eq!(plain.ops_time_for(1, 1e9), base);
+        assert_eq!(plain.ops_time_for(2, 1e9), base);
     }
 
     #[test]
@@ -458,89 +362,5 @@ mod hetero_tests {
     #[should_panic(expected = "one scale per device")]
     fn scales_length_checked() {
         let _ = CostModel::homogeneous(3, 1e9, 0.0).with_device_scales(vec![1.0]);
-    }
-
-    // ---- schedule time models ----
-
-    fn uniform_bytes(n: usize, b: usize) -> Vec<Vec<usize>> {
-        (0..n)
-            .map(|s| (0..n).map(|d| if s == d { 0 } else { b }).collect())
-            .collect()
-    }
-
-    #[test]
-    fn ring_time_uniform_cluster() {
-        let cm = CostModel::homogeneous(4, 1e6, 0.0);
-        let bytes = uniform_bytes(4, 1000);
-        // 3 rounds, each 1ms.
-        let t = cm.ring_all2all_seconds(&bytes);
-        assert!((t - 3e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn straggler_dominates_round() {
-        let cm = CostModel::homogeneous(4, 1e6, 0.0);
-        let mut bytes = uniform_bytes(4, 1000);
-        bytes[0][1] = 100_000; // one heavy link in round 1
-        let t = cm.ring_all2all_seconds(&bytes);
-        assert!((t - (0.1 + 2e-3)).abs() < 1e-9, "t = {t}");
-    }
-
-    #[test]
-    fn per_device_times_reflect_local_load() {
-        let cm = CostModel::homogeneous(4, 1e6, 0.0);
-        let mut bytes = uniform_bytes(4, 1000);
-        bytes[0][1] = 50_000;
-        let times = cm.per_device_ring_seconds(&bytes);
-        // Device 0 (sender) and device 1 (receiver) are slower than 2, 3.
-        assert!(times[0] > times[2]);
-        assert!(times[1] > times[3]);
-    }
-
-    #[test]
-    fn per_device_max_bounds_sync_ring() {
-        // The synchronized ring is at least as slow as any single device's
-        // unsynchronized time.
-        let cm = CostModel::homogeneous(5, 1e6, 1e-5);
-        let mut bytes = uniform_bytes(5, 2000);
-        bytes[2][4] = 77_000;
-        bytes[3][0] = 9_000;
-        let sync = cm.ring_all2all_seconds(&bytes);
-        let per = cm.per_device_ring_seconds(&bytes);
-        for (d, t) in per.iter().enumerate() {
-            assert!(sync >= *t - 1e-12, "device {d}: sync {sync} < per {t}");
-        }
-    }
-
-    #[test]
-    fn sequential_broadcast_sums_turns() {
-        let cm = CostModel::homogeneous(3, 1e6, 0.0);
-        let bytes = uniform_bytes(3, 1000);
-        // Each broadcast costs 1ms (parallel to 2 peers), 3 turns.
-        let t = cm.sequential_broadcast_seconds(&bytes);
-        assert!((t - 3e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sequential_slower_than_ring_for_uniform_load() {
-        // With uniform load the ring pipelines all sends; sequential
-        // broadcast serializes device turns and loses.
-        let cm = CostModel::homogeneous(8, 1e6, 1e-4);
-        let bytes = uniform_bytes(8, 10_000);
-        let ring = cm.ring_all2all_seconds(&bytes);
-        let seq = cm.sequential_broadcast_seconds(&bytes);
-        // Ring: 7 rounds x 10ms; sequential: 8 turns x 10ms (+latency) —
-        // and the gap widens because a real broadcast of k messages on one
-        // NIC would serialize further. Here we at least check ordering.
-        assert!(seq > ring * 0.99, "seq {seq} ring {ring}");
-    }
-
-    #[test]
-    fn zero_traffic_costs_nothing() {
-        let cm = CostModel::homogeneous(4, 1e6, 1e-4);
-        let bytes = uniform_bytes(4, 0);
-        assert_eq!(cm.ring_all2all_seconds(&bytes), 0.0);
-        assert_eq!(cm.sequential_broadcast_seconds(&bytes), 0.0);
-        assert!(cm.per_device_ring_seconds(&bytes).iter().all(|&t| t == 0.0));
     }
 }

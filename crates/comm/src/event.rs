@@ -23,8 +23,8 @@
 //! * **Collectives are rendezvous events.** A collective fires only when
 //!   all `n` devices have yielded it; kinds and roots must match. Entry
 //!   time is the max of the participants' clocks, and per-rank exit times
-//!   follow the schedule models in `costmodel`/`schedule` (the ring charges
-//!   each device its unsynchronized per-round `max(send, recv)` time).
+//!   follow the per-kind models in `run_collective` (the ring charges each
+//!   device its unsynchronized per-round `max(send, recv)` time).
 
 use crate::cluster::{panic_message, ClusterError};
 use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
@@ -422,7 +422,7 @@ fn run_collective(
                 let mut result: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
                 // Per-device unsynchronized ring time: each of the N-1
                 // rounds costs max(own send, own recv) on full-duplex links
-                // (the Table 2 model; see `CostModel::per_device_ring_seconds`).
+                // (the Table 2 model; see `ExchangeStats::ring_seconds`).
                 let mut elapsed = 0.0f64;
                 for round in 1..n {
                     let dst = (rank + round) % n;

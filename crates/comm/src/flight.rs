@@ -23,7 +23,7 @@
 
 use crate::timing::TimeCategory;
 use crate::CostModel;
-use obs::critpath::{EdgeKind, FlightEvent, FlightLog, FlightOp, Phase};
+use obs::critpath::{EdgeKind, FlightEvent, FlightLog, FlightOp};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Collects the causal flight log of one event-core run.
@@ -203,7 +203,7 @@ impl FlightRecorder {
         seconds: f64,
     ) {
         let mut ev = FlightEvent::new(self.next_seq(), rank, t, FlightOp::PhaseAdvance);
-        ev.phase = Phase::from_index(phase.index());
+        ev.phase = Some(phase);
         ev.epoch = Some(epoch);
         ev.seconds = seconds;
         self.push_program(ev);
@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(log.events[1].cause, None);
         assert_eq!(log.events[2].cause, Some(EdgeKind::Program));
         assert_eq!(log.events[2].pred, Some(0));
-        assert_eq!(log.events[2].phase, Some(Phase::Quant));
+        assert_eq!(log.events[2].phase, Some(TimeCategory::Quant));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Structured telemetry for the simulated cluster.
 //!
-//! Every phase the trainers charge to a [`TimeBreakdown`] bucket can also be
+//! Every phase the trainers charge to a [`crate::TimeBreakdown`] bucket can also be
 //! emitted as a typed [`Event`] carrying simulated-clock start/end stamps and
 //! context (epoch, layer, peer, payload bytes, bit-width). Events are recorded
 //! per device by a [`Recorder`] hanging off the device handle; the core crate
@@ -10,7 +10,7 @@
 //! charge site (no allocation, no clock arithmetic), so simulation numerics
 //! and runtime are unchanged when telemetry is off.
 
-use crate::timing::{TimeBreakdown, TimeCategory};
+use crate::timing::TimeCategory;
 use serde::{Deserialize, Serialize};
 
 /// What a telemetry [`Event`] measured.
@@ -33,7 +33,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The [`TimeBreakdown`] bucket this kind of event is charged to.
+    /// The [`crate::TimeBreakdown`] bucket this kind of event is charged to.
     pub fn category(self) -> TimeCategory {
         match self {
             EventKind::HaloSend | EventKind::HaloRecv | EventKind::AllReduce => TimeCategory::Comm,
@@ -221,17 +221,6 @@ impl Recorder {
     }
 }
 
-/// Sums event durations into the [`TimeBreakdown`] buckets their kinds map
-/// to. When emission mirrors the charge sites, this reconstructs the
-/// device's breakdown within float tolerance.
-pub fn breakdown_of(events: &[Event]) -> TimeBreakdown {
-    let mut tb = TimeBreakdown::new();
-    for e in events {
-        tb.charge(e.kind.category(), e.duration());
-    }
-    tb
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,23 +284,6 @@ mod tests {
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].bytes, 64);
         assert_eq!(ev[0].duration(), 0.0);
-    }
-
-    #[test]
-    fn breakdown_reconstructs_charges() {
-        let mut r = Recorder::enabled();
-        r.record(EventKind::HaloSend, 1.0);
-        r.record(EventKind::AllReduce, 0.5);
-        r.record(EventKind::QuantEncode, 0.25);
-        r.record(EventKind::CentralCompute, 2.0);
-        r.record(EventKind::MarginalCompute, 0.75);
-        r.record(EventKind::AssignerSolve, 0.1);
-        let tb = breakdown_of(r.events());
-        assert_eq!(tb.comm, 1.5);
-        assert_eq!(tb.quant, 0.25);
-        assert_eq!(tb.central_comp, 2.0);
-        assert_eq!(tb.marginal_comp, 0.75);
-        assert_eq!(tb.solve, 0.1);
     }
 
     #[test]

@@ -1,168 +1,14 @@
 //! Simulated-time accounting.
 //!
-//! Each device accumulates simulated seconds into labeled buckets; the
-//! buckets are exactly the decomposition the paper's Fig. 10 reports
-//! (communication / computation / quantization, plus the assigner's solve
-//! time for the wall-clock breakdown).
+//! The buckets a device charges simulated seconds to, and the rule that
+//! composes them into an epoch, live in [`obs::time`]; this module keeps
+//! their historical `comm::timing` paths and the host-side stopwatch.
 
-use serde::{Deserialize, Serialize};
-use std::ops::{Add, AddAssign};
+pub use obs::time::{TimeBreakdown, TimeCategory};
 
-/// Category a slice of simulated time is charged to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TimeCategory {
-    /// Message transfer time (marginal-graph halo exchange).
-    Comm,
-    /// Central-graph computation (overlappable with `Comm`).
-    CentralComp,
-    /// Marginal-graph computation (on the critical path after comm).
-    MarginalComp,
-    /// Quantization + de-quantization kernels.
-    Quant,
-    /// Bit-width assigner solve + trace gather/scatter.
-    Solve,
-}
-
-impl TimeCategory {
-    /// Every category, in bucket order (the order [`TimeBreakdown`] fields
-    /// are declared and the order trace exporters assign track ids).
-    pub const ALL: [TimeCategory; 5] = [
-        TimeCategory::Comm,
-        TimeCategory::CentralComp,
-        TimeCategory::MarginalComp,
-        TimeCategory::Quant,
-        TimeCategory::Solve,
-    ];
-
-    /// Stable index of this category in [`TimeCategory::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            TimeCategory::Comm => 0,
-            TimeCategory::CentralComp => 1,
-            TimeCategory::MarginalComp => 2,
-            TimeCategory::Quant => 3,
-            TimeCategory::Solve => 4,
-        }
-    }
-
-    /// Human-readable label (used for trace track names).
-    pub fn label(self) -> &'static str {
-        match self {
-            TimeCategory::Comm => "comm",
-            TimeCategory::CentralComp => "central_comp",
-            TimeCategory::MarginalComp => "marginal_comp",
-            TimeCategory::Quant => "quant",
-            TimeCategory::Solve => "solve",
-        }
-    }
-}
-
-/// Per-category accumulated simulated seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeBreakdown {
-    /// Communication seconds.
-    pub comm: f64,
-    /// Central-graph computation seconds.
-    pub central_comp: f64,
-    /// Marginal-graph computation seconds.
-    pub marginal_comp: f64,
-    /// Quantization/de-quantization seconds.
-    pub quant: f64,
-    /// Assigner solve seconds.
-    pub solve: f64,
-}
-
-impl TimeBreakdown {
-    /// An all-zero breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `seconds` to `category`.
-    pub fn charge(&mut self, category: TimeCategory, seconds: f64) {
-        debug_assert!(seconds >= 0.0, "cannot charge negative time");
-        match category {
-            TimeCategory::Comm => self.comm += seconds,
-            TimeCategory::CentralComp => self.central_comp += seconds,
-            TimeCategory::MarginalComp => self.marginal_comp += seconds,
-            TimeCategory::Quant => self.quant += seconds,
-            TimeCategory::Solve => self.solve += seconds,
-        }
-    }
-
-    /// Reads the bucket charged to `category`.
-    pub fn get(&self, category: TimeCategory) -> f64 {
-        match category {
-            TimeCategory::Comm => self.comm,
-            TimeCategory::CentralComp => self.central_comp,
-            TimeCategory::MarginalComp => self.marginal_comp,
-            TimeCategory::Quant => self.quant,
-            TimeCategory::Solve => self.solve,
-        }
-    }
-
-    /// Epoch time under AdaQP's overlap schedule: central-graph computation
-    /// hides under communication (Sec. 3.4's three-stage isolation), so the
-    /// critical path is `quant + max(comm, central) + marginal + solve`.
-    pub fn overlapped_total(&self) -> f64 {
-        self.quant + self.comm.max(self.central_comp) + self.marginal_comp + self.solve
-    }
-
-    /// Epoch time with no overlap (Vanilla): every stage serializes.
-    pub fn serial_total(&self) -> f64 {
-        self.quant + self.comm + self.central_comp + self.marginal_comp + self.solve
-    }
-
-    /// Total computation (central + marginal).
-    pub fn total_comp(&self) -> f64 {
-        self.central_comp + self.marginal_comp
-    }
-
-    /// Fraction of the serial total spent communicating (Table 1's
-    /// "communication cost").
-    pub fn comm_fraction(&self) -> f64 {
-        let t = self.serial_total();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.comm / t
-        }
-    }
-}
-
-impl Add for TimeBreakdown {
-    type Output = TimeBreakdown;
-
-    fn add(self, rhs: TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            comm: self.comm + rhs.comm,
-            central_comp: self.central_comp + rhs.central_comp,
-            marginal_comp: self.marginal_comp + rhs.marginal_comp,
-            quant: self.quant + rhs.quant,
-            solve: self.solve + rhs.solve,
-        }
-    }
-}
-
-impl AddAssign for TimeBreakdown {
-    fn add_assign(&mut self, rhs: TimeBreakdown) {
-        *self = *self + rhs;
-    }
-}
-
-impl std::fmt::Display for TimeBreakdown {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "comm {:.4}s, central {:.4}s, marginal {:.4}s, quant {:.4}s, solve {:.4}s",
-            self.comm, self.central_comp, self.marginal_comp, self.quant, self.solve
-        )
-    }
-}
-
-/// Measures the wall-clock CPU time of `f` in seconds and returns it with
-/// the closure's output. Used to price compute kernels before converting via
-/// [`crate::CostModel::compute_time`].
+/// Measures the host wall-clock time of `f` in seconds and returns it with
+/// the closure's output: the diagnostic kernel time telemetry spans carry
+/// next to their analytic simulated charge.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();
@@ -172,6 +18,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::time::Schedule;
 
     #[test]
     fn charge_routes_to_buckets() {
@@ -194,13 +41,13 @@ mod tests {
         tb.charge(TimeCategory::Comm, 10.0);
         tb.charge(TimeCategory::CentralComp, 4.0);
         tb.charge(TimeCategory::MarginalComp, 1.0);
-        assert_eq!(tb.overlapped_total(), 11.0);
-        assert_eq!(tb.serial_total(), 15.0);
+        assert_eq!(tb.total(Schedule::Overlapped), 11.0);
+        assert_eq!(tb.total(Schedule::Serial), 15.0);
         // When compute dominates, it becomes the critical path.
         let mut tb2 = TimeBreakdown::new();
         tb2.charge(TimeCategory::Comm, 2.0);
         tb2.charge(TimeCategory::CentralComp, 9.0);
-        assert_eq!(tb2.overlapped_total(), 9.0);
+        assert_eq!(tb2.total(Schedule::Overlapped), 9.0);
     }
 
     #[test]

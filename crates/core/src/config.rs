@@ -108,8 +108,8 @@ pub struct TrainingConfig {
     pub intra_bw: f64,
     /// Per-transfer latency, seconds.
     pub latency: f64,
-    /// Divisor converting measured CPU compute seconds to simulated device
-    /// seconds.
+    /// Simulated device speed as a multiple of one CPU thread's op rate
+    /// (`comm::costmodel::BASE_CPU_OPS_PER_SEC`).
     pub compute_speedup: f64,
     /// Optional per-device compute-speed multipliers for heterogeneous
     /// clusters (the paper's 6M-4D testbed mixes V100 and A100 machines);
@@ -150,8 +150,7 @@ pub struct TrainingConfig {
     /// the critical-path analyzer over it (`comm::flight` +
     /// `obs::critpath`). Off by default; when off the scheduler pays one
     /// untaken branch per transition and results are byte-identical to an
-    /// unprofiled run. The `ADAQP_PROFILE` env var enables the mode
-    /// independently of this flag.
+    /// unprofiled run.
     #[serde(default)]
     pub profile: bool,
     /// Optional three-tier network section (racks + oversubscribable spine).

@@ -73,4 +73,4 @@ pub use decompose::{build_partitions, DevicePartition, GlobalInfo, LocalLabels};
 pub use error::Error;
 pub use metrics::{EpochMetrics, RunResult};
 pub use runner::{run_experiment, run_experiment_profiled, RunProfile};
-pub use telemetry::{HostKernelSummary, TelemetryAggregate, TelemetryLog};
+pub use telemetry::{HostKernelSummary, TelemetryLog};

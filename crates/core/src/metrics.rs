@@ -2,7 +2,7 @@
 
 use crate::config::Method;
 use comm::TimeBreakdown;
-use obs::critpath::Schedule;
+pub use obs::time::Schedule;
 use serde::{Deserialize, Serialize};
 
 /// Local metric accumulators one device reports for one epoch. For
@@ -123,21 +123,16 @@ impl RunResult {
     }
 }
 
-/// Composes one device's epoch time from its breakdown under the method's
-/// schedule:
+/// The one method → schedule rule: how a device's phase sums compose into
+/// its epoch time.
 ///
 /// * Vanilla — strictly serial: `comm + comp + quant`;
-/// * AdaQP (and Uniform) — central compute hides under comm (Sec. 3.4);
+/// * AdaQP (and Uniform) — central compute hides under comm (Sec. 3.4),
+///   unless `disable_overlap` ablates that (design decision D4 in
+///   DESIGN.md);
 /// * PipeGCN — comm pipelines across iterations: `max(comm, comp) + quant`;
 /// * SANCUS — serial, but comm is already only the broadcast-refresh cost.
-pub fn epoch_time(method: Method, tb: &TimeBreakdown) -> f64 {
-    epoch_time_with_overlap(method, false, tb)
-}
-
-/// The one method → schedule rule: how a device's phase sums compose into
-/// its epoch time. [`epoch_time_with_overlap`] and the critical-path
-/// analyzer both dispatch on what this returns.
-pub(crate) fn schedule_for(method: Method, disable_overlap: bool) -> Schedule {
+pub fn schedule_for(method: Method, disable_overlap: bool) -> Schedule {
     match method {
         Method::Vanilla | Method::Sancus => Schedule::Serial,
         Method::AdaQp | Method::AdaQpUniform if disable_overlap => Schedule::Serial,
@@ -146,15 +141,10 @@ pub(crate) fn schedule_for(method: Method, disable_overlap: bool) -> Schedule {
     }
 }
 
-/// [`epoch_time`] with the overlap-ablation switch: when
-/// `disable_overlap` is true AdaQP's central computation is *not* hidden
-/// under communication (design decision D4 in DESIGN.md).
+/// One device's epoch time: its breakdown composed under
+/// [`schedule_for`]`(method, disable_overlap)`.
 pub fn epoch_time_with_overlap(method: Method, disable_overlap: bool, tb: &TimeBreakdown) -> f64 {
-    match schedule_for(method, disable_overlap) {
-        Schedule::Serial => tb.serial_total(),
-        Schedule::Overlapped => tb.overlapped_total(),
-        Schedule::Pipelined => tb.comm.max(tb.total_comp()) + tb.quant + tb.solve,
-    }
+    tb.total(schedule_for(method, disable_overlap))
 }
 
 #[cfg(test)]
@@ -187,10 +177,13 @@ mod tests {
         tb.charge(TimeCategory::CentralComp, 4.0);
         tb.charge(TimeCategory::MarginalComp, 2.0);
         tb.charge(TimeCategory::Quant, 1.0);
-        assert_eq!(epoch_time(Method::Vanilla, &tb), 17.0);
-        assert_eq!(epoch_time(Method::AdaQp, &tb), 13.0);
-        assert_eq!(epoch_time(Method::PipeGcn, &tb), 11.0);
-        assert_eq!(epoch_time(Method::Sancus, &tb), 17.0);
+        assert_eq!(epoch_time_with_overlap(Method::Vanilla, false, &tb), 17.0);
+        assert_eq!(epoch_time_with_overlap(Method::AdaQp, false, &tb), 13.0);
+        assert_eq!(epoch_time_with_overlap(Method::PipeGcn, false, &tb), 11.0);
+        assert_eq!(epoch_time_with_overlap(Method::Sancus, false, &tb), 17.0);
+        // The overlap ablation serializes AdaQP and nothing else.
+        assert_eq!(epoch_time_with_overlap(Method::AdaQp, true, &tb), 17.0);
+        assert_eq!(epoch_time_with_overlap(Method::PipeGcn, true, &tb), 11.0);
     }
 
     #[test]
@@ -198,6 +191,6 @@ mod tests {
         let mut tb = TimeBreakdown::new();
         tb.charge(TimeCategory::Comm, 3.0);
         tb.charge(TimeCategory::MarginalComp, 7.0);
-        assert_eq!(epoch_time(Method::PipeGcn, &tb), 7.0);
+        assert_eq!(epoch_time_with_overlap(Method::PipeGcn, false, &tb), 7.0);
     }
 }

@@ -12,6 +12,7 @@ use comm::telemetry::Event;
 use comm::Cluster;
 use graph::Task;
 use obs::critpath::{CritPathReport, FlightLog};
+use obs::time::straggler;
 use tensor::Rng;
 
 /// Runs one experiment end-to-end on the discrete-event cluster core and
@@ -45,15 +46,9 @@ pub struct RunProfile {
     pub flight: FlightLog,
 }
 
-/// Whether the environment forces profiling on (`ADAQP_PROFILE` set to
-/// anything but empty or `0`), mirroring the `ADAQP_SAN` convention.
-fn env_profile() -> bool {
-    std::env::var("ADAQP_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// [`run_experiment`] with the causal flight recorder armed: also returns
-/// the [`RunProfile`] when profiling is active (`TrainingConfig::profile`
-/// or `ADAQP_PROFILE=1`), `None` otherwise.
+/// the [`RunProfile`] when `TrainingConfig::profile` is set, `None`
+/// otherwise.
 ///
 /// Profiling is observation-only: the returned [`RunResult`] is
 /// byte-identical to an unprofiled run of the same config, and the profile
@@ -66,7 +61,6 @@ pub fn run_experiment_profiled(
     cfg: &ExperimentConfig,
 ) -> Result<(RunResult, Option<RunProfile>), Error> {
     cfg.validate()?;
-    let profiling = cfg.training.profile || env_profile();
     // Pin the kernel runtime's worker count for this run (0 = auto-detect).
     // Kernel results are byte-identical at any thread count, so this only
     // affects host wall-clock, never simulated numerics.
@@ -99,19 +93,13 @@ pub fn run_experiment_profiled(
     });
     let parts_ref = &parts;
     let cost_ref = &cost;
-    // Devices read the profile switch from their TrainingConfig; fold the
-    // ADAQP_PROFILE override in here so they mirror their phase charges to
-    // the scheduler when the environment (not the config) armed profiling.
-    let mut training = cfg.training.clone();
-    training.profile = profiling;
-    let training_ref = &training;
     type DeviceOutput = (Vec<DeviceEpochRecord>, Vec<Event>, Option<obs::Registry>);
     let device = |dev: comm::DeviceHandle| {
         let rank = dev.rank();
         let trainer = DeviceTrainer::new(
             dev,
             &parts_ref[rank],
-            training_ref,
+            &cfg.training,
             cfg.method,
             cost_ref,
             cfg.seed,
@@ -121,7 +109,10 @@ pub fn run_experiment_profiled(
     // The recorder carries its own cost-model copy purely to annotate
     // message departures with the theta*bytes + gamma split; the scheduler
     // itself keeps running uncosted, exactly as in an unprofiled run.
-    let mut recorder = profiling.then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
+    let mut recorder = cfg
+        .training
+        .profile
+        .then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
     let outputs: Vec<DeviceOutput> =
         Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device)?.outputs;
     let profile = recorder.map(|rec| {
@@ -256,6 +247,7 @@ pub(crate) fn combine(
     let epochs = records.first().map_or(0, Vec::len);
     let global_train = global_train.max(1) as f64;
     let mut per_epoch = Vec::with_capacity(epochs);
+    let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);
     let mut total_sim = 0.0;
     let mut total_breakdown = comm::TimeBreakdown::new();
     let mut total_bytes = 0usize;
@@ -265,23 +257,16 @@ pub(crate) fn combine(
         let mut loss_sum = 0.0;
         let mut metric = MetricParts::default();
         let mut bytes = 0usize;
-        let mut slowest = 0.0f64;
-        let mut slowest_tb = comm::TimeBreakdown::new();
         for dev_records in records {
             let r = &dev_records[e];
             loss_sum += r.loss_sum;
             metric.merge(&r.metric);
             bytes += r.bytes_sent;
-            let t = crate::metrics::epoch_time_with_overlap(
-                cfg.method,
-                cfg.training.disable_overlap,
-                &r.breakdown,
-            );
-            if t >= slowest {
-                slowest = t;
-                slowest_tb = r.breakdown;
-            }
         }
+        // The slowest device sets the epoch; its breakdown is the one
+        // reported.
+        let (rank, slowest) = straggler(schedule, records.iter().map(|dev| &dev[e].breakdown));
+        let slowest_tb = records[rank][e].breakdown;
         let val_score = MetricParts::score(&metric.val, multi);
         let test_score = MetricParts::score(&metric.test, multi);
         if val_score > best_val {
@@ -577,8 +562,15 @@ mod tests {
         assert_eq!(log.devices.len(), cfg.num_devices());
         assert!(log.num_events() > 0);
         // Events reconstruct the reported totals.
-        let agg = log.aggregate();
-        let (total, tb) = agg.cluster_totals(cfg.method, cfg.training.disable_overlap);
+        let tbs = log.epoch_breakdowns();
+        let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);
+        let mut total = 0.0;
+        let mut tb = comm::TimeBreakdown::new();
+        for e in 0..3 {
+            let (rank, t) = straggler(schedule, tbs.iter().map(|dev| &dev[e]));
+            total += t;
+            tb += tbs[rank][e];
+        }
         assert!((total - r.total_sim_seconds).abs() <= 1e-9 * r.total_sim_seconds.max(1.0));
         assert!((tb.comm - r.total_breakdown.comm).abs() <= 1e-9);
         assert!((tb.solve - r.total_breakdown.solve).abs() <= 1e-9);

@@ -2,19 +2,17 @@
 //!
 //! The comm crate records per-device [`Event`] streams on the simulated
 //! clock (see [`comm::telemetry`]); this module assembles them into a
-//! [`TelemetryLog`] stored on [`crate::RunResult`], reduces them to
-//! per-epoch [`TimeBreakdown`]s via [`TelemetryAggregate`] (the structure
-//! Fig. 10 and Table 5 report), and exports two formats:
+//! [`TelemetryLog`] stored on [`crate::RunResult`], folds them back into
+//! per-(rank, epoch) [`TimeBreakdown`]s ([`TelemetryLog::epoch_breakdowns`],
+//! the cross-check against the run's own charges), and exports two formats:
 //!
 //! * **JSONL** — one flattened event object per line, for ad-hoc analysis.
 //! * **Chrome `trace_event` JSON** — loadable in Perfetto / `chrome://tracing`;
 //!   devices become processes and [`TimeCategory`] tracks become threads, so
 //!   the comm/compute overlap is visible on the timeline.
 
-pub use comm::telemetry::{breakdown_of, Event, EventDetail, EventKind};
+pub use comm::telemetry::{Event, EventDetail, EventKind};
 
-use crate::config::Method;
-use crate::metrics::epoch_time_with_overlap;
 use comm::{TimeBreakdown, TimeCategory};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
@@ -54,8 +52,11 @@ impl TelemetryLog {
         self.devices.iter().map(|d| d.events.len()).sum()
     }
 
-    /// Reduces the event streams to per-device, per-epoch breakdowns.
-    pub fn aggregate(&self) -> TelemetryAggregate {
+    /// Folds every span's duration back into the bucket its kind is charged
+    /// to, indexed `[rank][epoch]`. Each breakdown matches what the device
+    /// charged that epoch within float tolerance (a comm charge is split
+    /// into per-peer spans); compose and combine them with [`obs::time`].
+    pub fn epoch_breakdowns(&self) -> Vec<Vec<TimeBreakdown>> {
         let epochs = self
             .devices
             .iter()
@@ -63,8 +64,7 @@ impl TelemetryLog {
             .map(|e| e.epoch as usize + 1)
             .max()
             .unwrap_or(0);
-        let per_device = self
-            .devices
+        self.devices
             .iter()
             .map(|d| {
                 let mut tbs = vec![TimeBreakdown::new(); epochs];
@@ -73,8 +73,7 @@ impl TelemetryLog {
                 }
                 tbs
             })
-            .collect();
-        TelemetryAggregate { per_device }
+            .collect()
     }
 
     /// Serializes to JSONL: one flattened `{rank, kind, start, ...}` object
@@ -127,41 +126,6 @@ impl TelemetryLog {
             }
             for e in &dev.events {
                 trace_events.push(span_event(dev.rank, e));
-            }
-        }
-        let mut root = Map::new();
-        root.insert("traceEvents".into(), Value::Array(trace_events));
-        root.insert("displayTimeUnit".into(), Value::String("ms".into()));
-        Value::Object(root)
-    }
-
-    /// [`TelemetryLog::chrome_trace`] rendered with paired duration events
-    /// (`"ph": "B"` / `"ph": "E"`) instead of complete `"X"` spans — some
-    /// trace consumers only understand begin/end pairs. Per-track clocks are
-    /// monotone and spans on one track never overlap, so emitting each
-    /// span's begin immediately followed by its end keeps every
-    /// `(pid, tid)` stream properly nested.
-    pub fn chrome_trace_begin_end(&self) -> Value {
-        let mut trace_events: Vec<Value> = Vec::with_capacity(2 * self.num_events() + 8);
-        for dev in &self.devices {
-            trace_events.push(metadata_event(
-                "process_name",
-                dev.rank,
-                None,
-                &format!("device {}", dev.rank),
-            ));
-            for cat in TimeCategory::ALL {
-                trace_events.push(metadata_event(
-                    "thread_name",
-                    dev.rank,
-                    Some(cat.index()),
-                    cat.label(),
-                ));
-            }
-            for e in &dev.events {
-                let (begin, end) = begin_end_events(dev.rank, e);
-                trace_events.push(begin);
-                trace_events.push(end);
             }
         }
         let mut root = Map::new();
@@ -256,27 +220,6 @@ fn span_event(rank: usize, e: &Event) -> Value {
     Value::Object(obj)
 }
 
-/// One span as a begin/end pair: the `B` event carries the span's args; the
-/// `E` event only closes it (name/pid/tid repeated for strict parsers).
-fn begin_end_events(rank: usize, e: &Event) -> (Value, Value) {
-    let span = span_event(rank, e);
-    // span_event always returns an object, so the else arm is unreachable.
-    let Value::Object(mut begin) = span else {
-        unreachable!("span_event returns an object")
-    };
-    begin.remove("dur");
-    begin.insert("ph".into(), Value::String("B".into()));
-    let mut end = Map::new();
-    for key in ["name", "cat", "pid", "tid"] {
-        if let Some(v) = begin.get(key) {
-            end.insert(key.into(), v.clone());
-        }
-    }
-    end.insert("ph".into(), Value::String("E".into()));
-    end.insert("ts".into(), serde_json::to_value(&(e.end * 1e6)));
-    (Value::Object(begin), Value::Object(end))
-}
-
 /// One device's measured host kernel time over a run (see
 /// [`TelemetryLog::host_kernel_summary`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -288,58 +231,6 @@ pub struct HostKernelSummary {
     /// Parallel-runtime worker count the kernels reported (`None` when no
     /// span carried one).
     pub threads: Option<u32>,
-}
-
-/// Per-device, per-epoch [`TimeBreakdown`]s reconstructed from telemetry
-/// events; the in-memory reduction figure binaries consume instead of
-/// keeping ad-hoc accumulators.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TelemetryAggregate {
-    /// Breakdowns indexed `[rank][epoch]`.
-    pub per_device: Vec<Vec<TimeBreakdown>>,
-}
-
-impl TelemetryAggregate {
-    /// Number of epochs covered.
-    pub fn num_epochs(&self) -> usize {
-        self.per_device.first().map_or(0, Vec::len)
-    }
-
-    /// The slowest device's epoch time and breakdown for `epoch` under
-    /// `method`'s overlap schedule — the same straggler selection
-    /// [`crate::runner`] uses to combine device records, so these sums match
-    /// [`crate::RunResult::total_breakdown`] within float tolerance.
-    pub fn epoch_critical_path(
-        &self,
-        method: Method,
-        disable_overlap: bool,
-        epoch: usize,
-    ) -> (f64, TimeBreakdown) {
-        let mut slowest = 0.0f64;
-        let mut slowest_tb = TimeBreakdown::new();
-        for dev in &self.per_device {
-            let tb = dev[epoch];
-            let t = epoch_time_with_overlap(method, disable_overlap, &tb);
-            if t >= slowest {
-                slowest = t;
-                slowest_tb = tb;
-            }
-        }
-        (slowest, slowest_tb)
-    }
-
-    /// Sums [`TelemetryAggregate::epoch_critical_path`] over all epochs:
-    /// total simulated wall-clock and the straggler breakdown total.
-    pub fn cluster_totals(&self, method: Method, disable_overlap: bool) -> (f64, TimeBreakdown) {
-        let mut total = 0.0;
-        let mut tb = TimeBreakdown::new();
-        for e in 0..self.num_epochs() {
-            let (t, etb) = self.epoch_critical_path(method, disable_overlap, e);
-            total += t;
-            tb += etb;
-        }
-        (total, tb)
-    }
 }
 
 #[cfg(test)]
@@ -371,24 +262,31 @@ mod tests {
 
     #[test]
     fn aggregate_buckets_by_rank_and_epoch() {
-        let agg = sample_log().aggregate();
-        assert_eq!(agg.per_device.len(), 2);
-        assert_eq!(agg.num_epochs(), 2);
-        assert_eq!(agg.per_device[0][0].comm, 1.0);
-        assert_eq!(agg.per_device[0][0].central_comp, 0.5);
-        assert_eq!(agg.per_device[0][1].marginal_comp, 0.25);
-        assert_eq!(agg.per_device[1][0].comm, 2.0);
+        let tbs = sample_log().epoch_breakdowns();
+        assert_eq!(tbs.len(), 2);
+        assert!(tbs.iter().all(|dev| dev.len() == 2));
+        assert_eq!(tbs[0][0].comm, 1.0);
+        assert_eq!(tbs[0][0].central_comp, 0.5);
+        assert_eq!(tbs[0][1].marginal_comp, 0.25);
+        assert_eq!(tbs[1][0].comm, 2.0);
     }
 
     #[test]
-    fn critical_path_picks_straggler() {
-        let agg = sample_log().aggregate();
-        // Epoch 0: device 1 has 2.0s of comm vs device 0's 1.5s serial.
-        let (t, tb) = agg.epoch_critical_path(Method::Vanilla, false, 0);
-        assert_eq!(t, 2.0);
-        assert_eq!(tb.comm, 2.0);
-        let (total, _) = agg.cluster_totals(Method::Vanilla, false);
-        assert_eq!(total, 2.25);
+    fn breakdown_reconstructs_charges() {
+        let mut r = comm::Recorder::enabled();
+        r.record(EventKind::HaloSend, 1.0);
+        r.record(EventKind::AllReduce, 0.5);
+        r.record(EventKind::QuantEncode, 0.25);
+        r.record(EventKind::CentralCompute, 2.0);
+        r.record(EventKind::MarginalCompute, 0.75);
+        r.record(EventKind::AssignerSolve, 0.1);
+        let log = TelemetryLog::from_device_events(vec![r.take_events()]);
+        let tb = log.epoch_breakdowns()[0][0];
+        assert_eq!(tb.comm, 1.5);
+        assert_eq!(tb.quant, 0.25);
+        assert_eq!(tb.central_comp, 2.0);
+        assert_eq!(tb.marginal_comp, 0.75);
+        assert_eq!(tb.solve, 0.1);
     }
 
     #[test]
@@ -469,47 +367,6 @@ mod tests {
     fn chrome_trace_bytes_match_golden_file() {
         let text = serde_json::to_string(&golden_log().chrome_trace()).expect("encodes");
         assert_matches_golden("telemetry_trace.golden.json", &text);
-    }
-
-    #[test]
-    fn begin_end_trace_parses_back_with_balanced_pairs() {
-        let log = sample_log();
-        let text = serde_json::to_string(&log.chrome_trace_begin_end()).expect("encodes");
-        let back: Value = serde_json::from_str(&text).expect("parses");
-        let events = back["traceEvents"].as_array().expect("array");
-        // Per device: 1 process_name + 5 thread_name metadata; then one B
-        // and one E per span.
-        assert_eq!(events.len(), 2 * 6 + 2 * log.num_events());
-        let mut open: std::collections::HashMap<(u64, u64), Vec<f64>> =
-            std::collections::HashMap::new();
-        let mut pairs = 0;
-        for ev in events {
-            let ph = ev["ph"].as_str().expect("every event has ph");
-            if ph == "M" {
-                continue;
-            }
-            let pid = ev["pid"].as_u64().expect("span has numeric pid");
-            let tid = ev["tid"].as_u64().expect("span has numeric tid");
-            let ts = ev["ts"].as_f64().expect("span has numeric ts");
-            assert!(ts.is_finite() && ts >= 0.0, "ts well-formed");
-            assert!(pid < 2, "pid is a device rank");
-            assert!(
-                (tid as usize) < TimeCategory::ALL.len(),
-                "tid is a category track"
-            );
-            let stack = open.entry((pid, tid)).or_default();
-            match ph {
-                "B" => stack.push(ts),
-                "E" => {
-                    let begin = stack.pop().expect("E closes an open B on its track");
-                    assert!(ts >= begin, "span duration is non-negative");
-                    pairs += 1;
-                }
-                other => panic!("unexpected ph {other}"),
-            }
-        }
-        assert!(open.values().all(Vec::is_empty), "every B is closed");
-        assert_eq!(pairs, log.num_events());
     }
 
     #[test]

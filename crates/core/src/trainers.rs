@@ -5,7 +5,7 @@
 //! exchange, split central/marginal aggregation, dense transform — and
 //! differ only in *how halo data is obtained* (fresh fp32, quantized, stale
 //! cache) and how their epoch time composes (see
-//! [`crate::metrics::epoch_time`]).
+//! [`crate::metrics::schedule_for`]).
 
 use crate::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use crate::config::{Method, TrainingConfig};
@@ -53,6 +53,12 @@ pub struct DeviceTrainer<'a> {
     central_frac: f64,
     /// Epoch currently being trained, tagged onto profiled phase charges.
     cur_epoch: usize,
+    /// Simulated seconds charged so far this epoch; written only by
+    /// [`DeviceTrainer::charge`] and [`DeviceTrainer::charge_comm`].
+    tb: TimeBreakdown,
+    /// Halo bytes sent so far this epoch; written only by
+    /// [`DeviceTrainer::charge_comm`].
+    bytes: usize,
 }
 
 /// SANCUS broadcasts again when local embeddings drift more than this
@@ -160,17 +166,61 @@ impl<'a> DeviceTrainer<'a> {
             ef_bwd,
             central_frac,
             cur_epoch: 0,
+            tb: TimeBreakdown::new(),
+            bytes: 0,
         }
     }
 
-    /// Charges `secs` to `tb`'s `cat` bucket and mirrors the charge to the
-    /// scheduler clock ([`DeviceHandle::advance_phase`], a no-op unless
-    /// profiling is on), so the flight recorder logs exactly the charges
-    /// the [`TimeBreakdown`] accumulates — in the same order, with the same
+    /// Charges `secs` of simulated time to the bucket `kind` belongs to,
+    /// three ways at once: the epoch's [`TimeBreakdown`], the scheduler
+    /// clock ([`DeviceHandle::advance_phase`], a no-op unless profiling is
+    /// on) and a telemetry span carrying `detail` (a no-op unless telemetry
+    /// is on) — so the flight recorder and the event log see exactly the
+    /// charges the breakdown accumulates, in the same order, with the same
     /// values.
-    fn charge(&mut self, tb: &mut TimeBreakdown, cat: TimeCategory, secs: f64) {
-        tb.charge(cat, secs);
+    fn charge(&mut self, kind: EventKind, secs: f64, detail: EventDetail) {
+        let cat = kind.category();
+        self.tb.charge(cat, secs);
         self.dev.advance_phase(cat, self.cur_epoch, secs);
+        self.dev.telemetry_mut().record_detail(kind, secs, detail);
+    }
+
+    /// Charges one halo exchange: `secs` to the comm bucket and the
+    /// scheduler clock in one piece, `sent` to the epoch's byte count, and
+    /// — split into per-peer send/recv spans proportional to payload bytes,
+    /// so span durations sum back to `secs` within float tolerance — to the
+    /// telemetry log. A byte-free but nonzero charge (pure latency) becomes
+    /// a single peer-less span.
+    fn charge_comm(&mut self, secs: f64, sent: &[usize], recv: &[usize], width_bits: Option<u8>) {
+        self.tb.charge(TimeCategory::Comm, secs);
+        self.dev
+            .advance_phase(TimeCategory::Comm, self.cur_epoch, secs);
+        self.bytes += sent.iter().sum::<usize>();
+        if !self.dev.telemetry().is_enabled() {
+            return;
+        }
+        let total: usize = sent.iter().chain(recv).sum();
+        if total == 0 {
+            self.dev.telemetry_mut().record(EventKind::HaloSend, secs);
+            return;
+        }
+        let per_byte = secs / total as f64;
+        for (kind, volumes) in [(EventKind::HaloSend, sent), (EventKind::HaloRecv, recv)] {
+            for (q, &b) in volumes.iter().enumerate() {
+                if b > 0 {
+                    self.dev.telemetry_mut().record_detail(
+                        kind,
+                        b as f64 * per_byte,
+                        EventDetail {
+                            peer: Some(q as u32),
+                            bytes: b as u64,
+                            width_bits,
+                            ..EventDetail::default()
+                        },
+                    );
+                }
+            }
+        }
     }
 
     fn num_layers(&self) -> usize {
@@ -199,8 +249,8 @@ impl<'a> DeviceTrainer<'a> {
     /// optional reassignment, evaluation.
     pub fn run_epoch(&mut self, epoch: usize) -> DeviceEpochRecord {
         self.cur_epoch = epoch;
-        let mut tb = TimeBreakdown::new();
-        let mut bytes = 0usize;
+        self.tb = TimeBreakdown::new();
+        self.bytes = 0;
         let trace_now = self.is_assign_epoch(epoch);
         self.model.zero_grads();
         self.dev.telemetry_mut().start_epoch(epoch as u32);
@@ -208,9 +258,9 @@ impl<'a> DeviceTrainer<'a> {
         // ---- Forward ----
         let num_layers = self.num_layers();
         let part = self.part;
-        let mut h = self.forward_layer(0, &part.features, epoch, trace_now, &mut tb, &mut bytes);
+        let mut h = self.forward_layer(0, &part.features, epoch, trace_now);
         for l in 1..num_layers {
-            h = self.forward_layer(l, &h, epoch, trace_now, &mut tb, &mut bytes);
+            h = self.forward_layer(l, &h, epoch, trace_now);
         }
         let logits = h;
         self.dev.telemetry_mut().set_layer(None);
@@ -223,7 +273,7 @@ impl<'a> DeviceTrainer<'a> {
         for l in (0..num_layers).rev() {
             self.dev.telemetry_mut().set_layer(Some(l as u32));
             let grad_lin = self.model.layers_mut()[l].backward_params(&grad_h);
-            self.charge_split_ops(&mut tb, self.dense_ops(self.part.num_local(), l, 2.0));
+            self.charge_split_ops(self.dense_ops(self.part.num_local(), l, 2.0));
             if l == 0 {
                 // Features are not trainable: no input gradients to compute,
                 // propagate or exchange.
@@ -232,7 +282,7 @@ impl<'a> DeviceTrainer<'a> {
             let (grad_agg, grad_self) = self.model.layers()[l].backward_inputs(&grad_lin);
             let grad_ext = self.part.agg.backward(&grad_agg);
             let agg_ops = self.part.agg.num_entries() as f64 * self.dims[l] as f64 * 2.0;
-            self.charge_split_ops(&mut tb, agg_ops);
+            self.charge_split_ops(agg_ops);
             if trace_now {
                 self.trace.record_bwd(self.part, l, &grad_ext);
             }
@@ -240,7 +290,7 @@ impl<'a> DeviceTrainer<'a> {
             if let Some(gs) = grad_self {
                 grad_local.add_assign(&gs);
             }
-            self.backward_exchange(l, &grad_ext, &mut grad_local, epoch, &mut tb, &mut bytes);
+            self.backward_exchange(l, &grad_ext, &mut grad_local, epoch);
             grad_h = grad_local;
         }
 
@@ -249,8 +299,7 @@ impl<'a> DeviceTrainer<'a> {
         let mut grads = self.model.grads_flat();
         self.dev.allreduce_sum_f32(&mut grads);
         let allreduce_secs = self.allreduce_seconds(grads.len() * 4);
-        self.charge(&mut tb, TimeCategory::Comm, allreduce_secs);
-        self.dev.telemetry_mut().record_detail(
+        self.charge(
             EventKind::AllReduce,
             allreduce_secs,
             EventDetail {
@@ -271,10 +320,11 @@ impl<'a> DeviceTrainer<'a> {
         let adam_secs = self
             .cost
             .ops_time_for(self.part.rank, params.len() as f64 * 10.0);
-        self.charge(&mut tb, TimeCategory::MarginalComp, adam_secs);
-        self.dev
-            .telemetry_mut()
-            .record(EventKind::MarginalCompute, adam_secs);
+        self.charge(
+            EventKind::MarginalCompute,
+            adam_secs,
+            EventDetail::default(),
+        );
         self.model.set_params_flat(&params);
 
         // ---- Periodic bit-width reassignment ----
@@ -294,10 +344,7 @@ impl<'a> DeviceTrainer<'a> {
                 &mut self.rng,
             );
             self.assignment = assignment;
-            self.charge(&mut tb, TimeCategory::Solve, solve.secs);
-            self.dev
-                .telemetry_mut()
-                .record(EventKind::AssignerSolve, solve.secs);
+            self.charge(EventKind::AssignerSolve, solve.secs, EventDetail::default());
             // SolveStats are identical on every rank (the master broadcasts
             // them); record on the master only so merging per-rank
             // registries does not multiply the counts.
@@ -320,36 +367,28 @@ impl<'a> DeviceTrainer<'a> {
         let metric = self.evaluate();
 
         DeviceEpochRecord {
-            breakdown: tb,
+            breakdown: self.tb,
             loss_sum,
             metric,
-            bytes_sent: bytes,
+            bytes_sent: self.bytes,
             grad_norm,
         }
     }
 
     /// Training forward pass of layer `l` on its input `x`: halo exchange,
     /// split aggregation, dense transform.
-    fn forward_layer(
-        &mut self,
-        l: usize,
-        x: &Matrix,
-        epoch: usize,
-        trace_now: bool,
-        tb: &mut TimeBreakdown,
-        bytes: &mut usize,
-    ) -> Matrix {
+    fn forward_layer(&mut self, l: usize, x: &Matrix, epoch: usize, trace_now: bool) -> Matrix {
         self.dev.telemetry_mut().set_layer(Some(l as u32));
         if trace_now {
             self.trace.record_fwd(self.part, l, x);
         }
-        let halo = self.forward_halo(l, x, epoch, tb, bytes);
+        let halo = self.forward_halo(l, x, epoch);
         let xe = Matrix::vstack(&[x, &halo]);
-        let z = self.aggregate_split(&xe, tb);
+        let z = self.aggregate_split(&xe);
         let x_self = self.model.kind().uses_self_path().then_some(x);
         let out = self.model.layers_mut()[l].forward_dense(&z, x_self, true, &mut self.rng);
         let ops = self.dense_ops(self.part.num_local(), l, 1.0);
-        self.charge_split_ops(tb, ops);
+        self.charge_split_ops(ops);
         out
     }
 
@@ -360,9 +399,9 @@ impl<'a> DeviceTrainer<'a> {
     }
 
     /// One ring-scheduled halo exchange of layer `l` from `src` into `dst`,
-    /// charged to `tb`: fp32, or — when `quantized` — over the wire the
-    /// config selects (the same choice for both directions).
-    #[allow(clippy::too_many_arguments)]
+    /// with its comm and quantization charges: fp32, or — when `quantized`
+    /// — over the wire the config selects (the same choice for both
+    /// directions).
     fn ring_exchange(
         &mut self,
         l: usize,
@@ -370,8 +409,6 @@ impl<'a> DeviceTrainer<'a> {
         quantized: bool,
         src: &Matrix,
         dst: &mut Matrix,
-        tb: &mut TimeBreakdown,
-        bytes: &mut usize,
     ) {
         let a = &self.assignment;
         // The residual buffers exist only under `cfg.error_feedback`.
@@ -399,25 +436,30 @@ impl<'a> DeviceTrainer<'a> {
         };
         let (dev, rng) = (&mut self.dev, &mut self.rng);
         let stats = halo_exchange(dev, self.part, dir, Some(src), dst, wire, rng);
-        self.charge_ring(tb, bytes, &stats, bits);
+        let comm_secs = stats.ring_seconds(self.cost, self.part.rank);
+        let quant_secs = self.cost.ops_time_for(self.part.rank, stats.quant_ops);
+        self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, bits);
+        self.charge(
+            EventKind::QuantEncode,
+            quant_secs,
+            EventDetail {
+                host_seconds: stats.quant_cpu_seconds,
+                threads: Some(tensor::par::current_threads() as u32),
+                ..EventDetail::default()
+            },
+        );
+        self.record_ring_metrics(&stats, bits);
     }
 
     /// Produces the halo matrix for layer `l`'s aggregation, charging
     /// communication/quantization time according to the method.
-    fn forward_halo(
-        &mut self,
-        l: usize,
-        h: &Matrix,
-        epoch: usize,
-        tb: &mut TimeBreakdown,
-        bytes: &mut usize,
-    ) -> Matrix {
+    fn forward_halo(&mut self, l: usize, h: &Matrix, epoch: usize) -> Matrix {
         if self.method == Method::Sancus {
-            return self.sancus_halo(l, h, epoch, tb, bytes);
+            return self.sancus_halo(l, h, epoch);
         }
         let mut halo = Matrix::zeros(self.part.num_halo(), h.cols());
         let quantized = self.quantized(epoch);
-        self.ring_exchange(l, Direction::Forward, quantized, h, &mut halo, tb, bytes);
+        self.ring_exchange(l, Direction::Forward, quantized, h, &mut halo);
         if self.method == Method::PipeGcn {
             // Use last epoch's halo; the fresh one refreshes the cache
             // concurrently (pipelined).
@@ -438,14 +480,7 @@ impl<'a> DeviceTrainer<'a> {
     /// epochs). Functionally only the halo rows matter, so only those move;
     /// the byte/time accounting uses the full-partition broadcast volume
     /// over the serialized sequential schedule the paper critiques.
-    fn sancus_halo(
-        &mut self,
-        l: usize,
-        h: &Matrix,
-        epoch: usize,
-        tb: &mut TimeBreakdown,
-        bytes: &mut usize,
-    ) -> Matrix {
+    fn sancus_halo(&mut self, l: usize, h: &Matrix, epoch: usize) -> Matrix {
         let part = self.part;
         // Sender-side refresh decision.
         let drifted = match &self.sancus_snapshot[l] {
@@ -482,11 +517,7 @@ impl<'a> DeviceTrainer<'a> {
             self.sancus_last[l] = epoch;
         }
         let comm_secs = stats.sequential_seconds(self.cost, part.rank);
-        self.charge(tb, TimeCategory::Comm, comm_secs);
-        *bytes += stats.total_sent();
-        if self.dev.telemetry().is_enabled() {
-            self.emit_comm_events(&stats.sent_bytes, &stats.recv_bytes, comm_secs, Some(32));
-        }
+        self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, Some(32));
         self.halo_cache[l].clone()
     }
 
@@ -497,8 +528,6 @@ impl<'a> DeviceTrainer<'a> {
         grad_ext: &Matrix,
         grad_local: &mut Matrix,
         epoch: usize,
-        tb: &mut TimeBreakdown,
-        bytes: &mut usize,
     ) {
         let dir = Direction::Backward;
         match self.method {
@@ -510,7 +539,7 @@ impl<'a> DeviceTrainer<'a> {
                 // warm-up epoch applies the fresh ones synchronously and
                 // leaves the stale buffer zeroed so nothing double-counts.
                 let mut grads = Matrix::zeros(grad_local.rows(), grad_local.cols());
-                self.ring_exchange(l, dir, false, grad_ext, &mut grads, tb, bytes);
+                self.ring_exchange(l, dir, false, grad_ext, &mut grads);
                 if epoch > 0 {
                     std::mem::swap(&mut self.stale_grads[l], &mut grads);
                 }
@@ -518,35 +547,8 @@ impl<'a> DeviceTrainer<'a> {
             }
             Method::Vanilla | Method::AdaQp | Method::AdaQpUniform => {
                 let quantized = self.quantized(epoch);
-                self.ring_exchange(l, dir, quantized, grad_ext, grad_local, tb, bytes);
+                self.ring_exchange(l, dir, quantized, grad_ext, grad_local);
             }
-        }
-    }
-
-    fn charge_ring(
-        &mut self,
-        tb: &mut TimeBreakdown,
-        bytes: &mut usize,
-        stats: &ExchangeStats,
-        width_bits: Option<u8>,
-    ) {
-        let comm_secs = stats.ring_seconds(self.cost, self.part.rank);
-        let quant_secs = self.cost.ops_time_for(self.part.rank, stats.quant_ops);
-        self.charge(tb, TimeCategory::Comm, comm_secs);
-        self.charge(tb, TimeCategory::Quant, quant_secs);
-        *bytes += stats.total_sent();
-        self.record_ring_metrics(stats, width_bits);
-        if self.dev.telemetry().is_enabled() {
-            self.dev.telemetry_mut().record_detail(
-                EventKind::QuantEncode,
-                quant_secs,
-                EventDetail {
-                    host_seconds: stats.quant_cpu_seconds,
-                    threads: Some(tensor::par::current_threads() as u32),
-                    ..EventDetail::default()
-                },
-            );
-            self.emit_comm_events(&stats.sent_bytes, &stats.recv_bytes, comm_secs, width_bits);
         }
     }
 
@@ -598,49 +600,10 @@ impl<'a> DeviceTrainer<'a> {
         }
     }
 
-    /// Splits one communication charge into per-peer send/recv events,
-    /// proportional to payload bytes, so event durations sum back to the
-    /// charged seconds (within float tolerance). Byte-free but nonzero
-    /// charges (pure latency) become a single peer-less span.
-    fn emit_comm_events(
-        &mut self,
-        sent: &[usize],
-        recv: &[usize],
-        comm_secs: f64,
-        width_bits: Option<u8>,
-    ) {
-        let total: usize = sent.iter().chain(recv.iter()).sum();
-        if total == 0 {
-            if comm_secs > 0.0 {
-                self.dev
-                    .telemetry_mut()
-                    .record(EventKind::HaloSend, comm_secs);
-            }
-            return;
-        }
-        let per_byte = comm_secs / total as f64;
-        for (kind, volumes) in [(EventKind::HaloSend, sent), (EventKind::HaloRecv, recv)] {
-            for (q, &b) in volumes.iter().enumerate() {
-                if b > 0 {
-                    self.dev.telemetry_mut().record_detail(
-                        kind,
-                        b as f64 * per_byte,
-                        EventDetail {
-                            peer: Some(q as u32),
-                            bytes: b as u64,
-                            width_bits,
-                            ..EventDetail::default()
-                        },
-                    );
-                }
-            }
-        }
-    }
-
     /// Aggregates central rows and marginal rows separately, charging each
     /// to its own bucket (analytically: 2 ops per aggregation entry per
     /// feature column), and reassembles the local target matrix.
-    fn aggregate_split(&mut self, xe: &Matrix, tb: &mut TimeBreakdown) -> Matrix {
+    fn aggregate_split(&mut self, xe: &Matrix) -> Matrix {
         let dim = xe.cols() as f64;
         // The simulated charge stays analytic (ops through the cost model);
         // the measured host wall-clock of the parallel aggregation kernel
@@ -651,8 +614,7 @@ impl<'a> DeviceTrainer<'a> {
             comm::timing::measure(|| self.part.agg.aggregate_rows(xe, &self.part.central));
         let ops_c = self.part.agg.entries_for(&self.part.central) as f64 * dim * 2.0;
         let central_secs = self.cost.ops_time_for(self.part.rank, ops_c);
-        self.charge(tb, TimeCategory::CentralComp, central_secs);
-        self.dev.telemetry_mut().record_detail(
+        self.charge(
             EventKind::CentralCompute,
             central_secs,
             EventDetail {
@@ -665,8 +627,7 @@ impl<'a> DeviceTrainer<'a> {
             comm::timing::measure(|| self.part.agg.aggregate_rows(xe, &self.part.marginal));
         let ops_m = self.part.agg.entries_for(&self.part.marginal) as f64 * dim * 2.0;
         let marginal_secs = self.cost.ops_time_for(self.part.rank, ops_m);
-        self.charge(tb, TimeCategory::MarginalComp, marginal_secs);
-        self.dev.telemetry_mut().record_detail(
+        self.charge(
             EventKind::MarginalCompute,
             marginal_secs,
             EventDetail {
@@ -687,20 +648,18 @@ impl<'a> DeviceTrainer<'a> {
 
     /// Splits an analytic dense-kernel cost between the central and marginal
     /// buckets proportionally to node counts (the kernels are row-wise).
-    fn charge_split_ops(&mut self, tb: &mut TimeBreakdown, ops: f64) {
+    fn charge_split_ops(&mut self, ops: f64) {
         let sim = self.cost.ops_time_for(self.part.rank, ops);
-        self.charge(tb, TimeCategory::CentralComp, sim * self.central_frac);
         self.charge(
-            tb,
-            TimeCategory::MarginalComp,
-            sim * (1.0 - self.central_frac),
+            EventKind::CentralCompute,
+            sim * self.central_frac,
+            EventDetail::default(),
         );
-        self.dev
-            .telemetry_mut()
-            .record(EventKind::CentralCompute, sim * self.central_frac);
-        self.dev
-            .telemetry_mut()
-            .record(EventKind::MarginalCompute, sim * (1.0 - self.central_frac));
+        self.charge(
+            EventKind::MarginalCompute,
+            sim * (1.0 - self.central_frac),
+            EventDetail::default(),
+        );
     }
 
     /// Operation count of one dense layer application on `rows` nodes:

@@ -2,8 +2,11 @@
 //! against a committed baseline and exit non-zero on any tolerance breach.
 //!
 //! Usage:
-//!   adaqp-regress <baseline.json> <current.json>
-//!                 [--tolerances <thresholds.json>] [--default-rel <f64>]
+//!
+//! ```text
+//! adaqp-regress <baseline.json> <current.json>
+//!               [--tolerances <thresholds.json>] [--default-rel <f64>]
+//! ```
 //!
 //! The thresholds file deserializes into [`obs::regress::Thresholds`]
 //! (`{"default_rel": 1e-9, "per_metric": {"ns": 3.0}}`); `--default-rel`

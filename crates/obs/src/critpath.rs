@@ -18,81 +18,17 @@
 //! * a top-k **straggler report** ranking devices by time-on-critical-path.
 //!
 //! The analyzer replays the trainer's charges exactly: per `(rank, epoch)`
-//! it re-folds the recorded phase advances in log order and composes the
-//! epoch length with the same floating-point operation order as
-//! `comm::TimeBreakdown` (`serial_total` / `overlapped_total` / the PipeGCN
-//! composition), so every reported number is bit-identical to the run's own
-//! `total_sim_seconds`. Everything here is deterministic: same config, same
-//! log, same report bytes — at any worker-thread count.
+//! it re-folds the recorded phase advances in log order into a
+//! [`TimeBreakdown`] and composes the epoch through the functions the run
+//! itself used ([`crate::time`]), so every reported number is bit-identical
+//! to the run's own `total_sim_seconds`. Everything here is deterministic:
+//! same config, same log, same report bytes — at any worker-thread count.
 
+pub use crate::time::Schedule;
+use crate::time::{straggler, TimeBreakdown, TimeCategory};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
-
-/// Simulated-time phase of one charge, mirroring `comm::TimeCategory`
-/// bucket-for-bucket (the recorder converts by stable index so `obs` stays
-/// free of a `comm` dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Phase {
-    /// Message transfer time (halo exchange, allreduce).
-    Comm,
-    /// Central-graph computation (overlappable with `Comm`).
-    CentralComp,
-    /// Marginal-graph computation.
-    MarginalComp,
-    /// Quantization + de-quantization kernels.
-    Quant,
-    /// Bit-width assigner solve.
-    Solve,
-}
-
-impl Phase {
-    /// Every phase, in `comm::TimeCategory::ALL` order.
-    pub const ALL: [Phase; 5] = [
-        Phase::Comm,
-        Phase::CentralComp,
-        Phase::MarginalComp,
-        Phase::Quant,
-        Phase::Solve,
-    ];
-
-    /// Stable index matching `comm::TimeCategory::index`.
-    pub fn index(self) -> usize {
-        match self {
-            Phase::Comm => 0,
-            Phase::CentralComp => 1,
-            Phase::MarginalComp => 2,
-            Phase::Quant => 3,
-            Phase::Solve => 4,
-        }
-    }
-
-    /// The phase with `comm::TimeCategory` index `i`, if any.
-    pub fn from_index(i: usize) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.index() == i)
-    }
-
-    /// Human-readable label (matches `comm::TimeCategory::label`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Comm => "comm",
-            Phase::CentralComp => "central_comp",
-            Phase::MarginalComp => "marginal_comp",
-            Phase::Quant => "quant",
-            Phase::Solve => "solve",
-        }
-    }
-
-    /// The critical-path class this phase's time is reported under.
-    pub fn class(self) -> SegmentClass {
-        match self {
-            Phase::Comm => SegmentClass::Wire,
-            Phase::CentralComp | Phase::MarginalComp => SegmentClass::Compute,
-            Phase::Quant => SegmentClass::SerializationQuant,
-            Phase::Solve => SegmentClass::AssignerSolve,
-        }
-    }
-}
 
 /// What happened at one recorded scheduling transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,7 +101,7 @@ pub struct FlightEvent {
     pub collective: Option<String>,
     /// Charged phase of a [`FlightOp::PhaseAdvance`].
     #[serde(default)]
-    pub phase: Option<Phase>,
+    pub phase: Option<TimeCategory>,
     /// Training epoch of a [`FlightOp::PhaseAdvance`].
     #[serde(default)]
     pub epoch: Option<usize>,
@@ -224,31 +160,6 @@ impl FlightLog {
     /// Number of recorded events.
     pub fn num_events(&self) -> usize {
         self.events.len()
-    }
-}
-
-/// How per-phase seconds compose into one epoch's length — the schedule of
-/// the method under test (`core` maps `Method` onto this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Schedule {
-    /// Every stage serializes: `quant + comm + central + marginal + solve`.
-    Serial,
-    /// Central compute hides under comm:
-    /// `quant + max(comm, central) + marginal + solve`.
-    Overlapped,
-    /// Comm pipelines across iterations:
-    /// `max(comm, central + marginal) + quant + solve`.
-    Pipelined,
-}
-
-impl Schedule {
-    /// Lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Schedule::Serial => "serial",
-            Schedule::Overlapped => "overlapped",
-            Schedule::Pipelined => "pipelined",
-        }
     }
 }
 
@@ -370,118 +281,33 @@ pub struct CritPathReport {
     pub stragglers: Vec<Straggler>,
 }
 
-/// Per-(rank, epoch) phase sums re-folded from the log.
-#[derive(Debug, Clone, Copy, Default)]
-struct PhaseSums {
-    comm: f64,
-    central: f64,
-    marginal: f64,
-    quant: f64,
-    solve: f64,
-}
-
-impl PhaseSums {
-    fn charge(&mut self, phase: Phase, seconds: f64) {
-        match phase {
-            Phase::Comm => self.comm += seconds,
-            Phase::CentralComp => self.central += seconds,
-            Phase::MarginalComp => self.marginal += seconds,
-            Phase::Quant => self.quant += seconds,
-            Phase::Solve => self.solve += seconds,
-        }
-    }
-
-    /// Epoch length under `schedule`, with the exact floating-point
-    /// operation order of `comm::TimeBreakdown`'s compositions.
-    fn compose(&self, schedule: Schedule) -> f64 {
-        match schedule {
-            Schedule::Serial => self.quant + self.comm + self.central + self.marginal + self.solve,
-            Schedule::Overlapped => {
-                self.quant + self.comm.max(self.central) + self.marginal + self.solve
-            }
-            Schedule::Pipelined => {
-                self.comm.max(self.central + self.marginal) + self.quant + self.solve
-            }
-        }
-    }
-
-    /// The path segments of this epoch in composition order, as
-    /// `(class, phase-label, seconds)`. Folding the seconds in order
-    /// reproduces [`PhaseSums::compose`] bit-for-bit.
-    fn segments(&self, schedule: Schedule) -> Vec<(SegmentClass, &'static str, f64)> {
-        match schedule {
-            Schedule::Serial => vec![
-                (SegmentClass::SerializationQuant, "quant", self.quant),
-                (SegmentClass::Wire, "comm", self.comm),
-                (SegmentClass::Compute, "central_comp", self.central),
-                (SegmentClass::Compute, "marginal_comp", self.marginal),
-                (SegmentClass::AssignerSolve, "solve", self.solve),
-            ],
-            Schedule::Overlapped => {
-                let (class, label) = if self.comm >= self.central {
-                    (SegmentClass::Wire, "comm")
-                } else {
-                    (SegmentClass::Compute, "central_comp")
-                };
-                vec![
-                    (SegmentClass::SerializationQuant, "quant", self.quant),
-                    (class, label, self.comm.max(self.central)),
-                    (SegmentClass::Compute, "marginal_comp", self.marginal),
-                    (SegmentClass::AssignerSolve, "solve", self.solve),
-                ]
-            }
-            Schedule::Pipelined => {
-                let comp = self.central + self.marginal;
-                let (class, label) = if self.comm >= comp {
-                    (SegmentClass::Wire, "comm")
-                } else {
-                    (SegmentClass::Compute, "total_comp")
-                };
-                vec![
-                    (class, label, self.comm.max(comp)),
-                    (SegmentClass::SerializationQuant, "quant", self.quant),
-                    (SegmentClass::AssignerSolve, "solve", self.solve),
-                ]
-            }
-        }
-    }
-}
-
 /// Walks the flight log's event DAG and extracts the classified epoch
 /// critical path, the per-device idle profiles and the top-`top_k`
 /// straggler ranking.
 ///
 /// Deterministic: the report is a pure function of the log and the
 /// schedule, so identical runs yield byte-identical reports at any worker
-/// thread count.
-// The epoch loop walks several per-rank arrays in parallel; explicit
-// indices read better than zipped iterator chains here.
-#[allow(clippy::needless_range_loop)]
+/// thread count. Any deserialised log is accepted: events of ranks the log
+/// does not declare are skipped, and a negative or NaN charge — which no
+/// recorder writes — counts as zero.
 pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathReport {
     let n = log.num_devices;
-    // Re-fold the phase advances per (rank, epoch) in log order — the same
+    let declared = || log.events.iter().filter(|ev| ev.rank < n);
+    let epochs = declared()
+        .filter(|ev| ev.op == FlightOp::PhaseAdvance)
+        .filter_map(|ev| Some(ev.epoch? + 1))
+        .max()
+        .unwrap_or(0);
+    // Re-fold the phase advances per (epoch, rank) in log order — the same
     // order the trainer charged them, so every f64 addition matches.
-    let mut epochs = 0usize;
-    for ev in &log.events {
-        if ev.op == FlightOp::PhaseAdvance {
-            if let Some(e) = ev.epoch {
-                epochs = epochs.max(e + 1);
-            }
-        }
-    }
-    let mut sums = vec![vec![PhaseSums::default(); epochs]; n];
+    let mut sums = vec![vec![TimeBreakdown::new(); n]; epochs];
     let mut recv_waits = vec![0u64; n];
     let mut collective_waits = vec![0u64; n];
-    for ev in &log.events {
-        if ev.rank >= n {
-            continue;
-        }
+    for ev in declared() {
         match ev.op {
             FlightOp::PhaseAdvance => {
                 if let (Some(phase), Some(e)) = (ev.phase, ev.epoch) {
-                    if e < epochs {
-                        sums[ev.rank][e].charge(phase, ev.seconds);
-                    }
+                    sums[e][ev.rank].charge(phase, ev.seconds.max(0.0));
                 }
             }
             FlightOp::Block => recv_waits[ev.rank] += 1,
@@ -499,26 +325,16 @@ pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathRep
     let mut busy = vec![0.0f64; n];
     let mut idle = vec![0.0f64; n];
     let mut critical = vec![0.0f64; n];
-    for e in 0..epochs {
-        // Bottleneck selection mirrors the runner's last-max fold.
-        let mut slowest = 0.0f64;
-        let mut bottleneck = 0usize;
-        let mut lens = vec![0.0f64; n];
-        for (r, len) in lens.iter_mut().enumerate() {
-            let t = sums[r][e].compose(schedule);
-            *len = t;
-            if t >= slowest {
-                slowest = t;
-                bottleneck = r;
-            }
-        }
-        for r in 0..n {
-            busy[r] += lens[r];
-            idle[r] += slowest - lens[r];
+    for (e, devices) in sums.iter().enumerate() {
+        let (bottleneck, slowest) = straggler(schedule, devices);
+        for (r, tb) in devices.iter().enumerate() {
+            let len = tb.total(schedule);
+            busy[r] += len;
+            idle[r] += slowest - len;
         }
         critical[bottleneck] += slowest;
         let mut cursor = total;
-        for (class, label, seconds) in sums[bottleneck][e].segments(schedule) {
+        for (class, label, seconds) in devices[bottleneck].path(schedule) {
             if seconds == 0.0 {
                 continue;
             }
@@ -698,7 +514,7 @@ pub fn chrome_trace_flow(log: &FlightLog) -> String {
             ("tid", num_u(0)),
             ("args", obj(vec![("name", s("scheduler"))])),
         ]));
-        for p in Phase::ALL {
+        for p in TimeCategory::ALL {
             events.push(obj(vec![
                 ("name", s("thread_name")),
                 ("ph", s("M")),
@@ -824,7 +640,7 @@ mod tests {
         seq: u64,
         rank: usize,
         t: f64,
-        phase: Phase,
+        phase: TimeCategory,
         epoch: usize,
         seconds: f64,
     ) -> FlightEvent {
@@ -844,14 +660,14 @@ mod tests {
         FlightLog {
             num_devices: 2,
             events: vec![
-                advance(0, 0, 0.0, Phase::Quant, 0, 1.0),
-                advance(1, 0, 1.0, Phase::Comm, 0, 4.0),
-                advance(2, 0, 5.0, Phase::CentralComp, 0, 2.0),
-                advance(3, 0, 7.0, Phase::MarginalComp, 0, 1.0),
-                advance(4, 1, 0.0, Phase::Quant, 0, 1.0),
-                advance(5, 1, 1.0, Phase::Comm, 0, 2.0),
-                advance(6, 1, 3.0, Phase::CentralComp, 0, 1.0),
-                advance(7, 1, 4.0, Phase::MarginalComp, 0, 1.0),
+                advance(0, 0, 0.0, TimeCategory::Quant, 0, 1.0),
+                advance(1, 0, 1.0, TimeCategory::Comm, 0, 4.0),
+                advance(2, 0, 5.0, TimeCategory::CentralComp, 0, 2.0),
+                advance(3, 0, 7.0, TimeCategory::MarginalComp, 0, 1.0),
+                advance(4, 1, 0.0, TimeCategory::Quant, 0, 1.0),
+                advance(5, 1, 1.0, TimeCategory::Comm, 0, 2.0),
+                advance(6, 1, 3.0, TimeCategory::CentralComp, 0, 1.0),
+                advance(7, 1, 4.0, TimeCategory::MarginalComp, 0, 1.0),
             ],
         }
     }
@@ -933,6 +749,28 @@ mod tests {
         assert!(report.segments.is_empty());
         assert!(report.devices.is_empty());
         assert_eq!(report.collective_wait_share, 0.0);
+
+        // A log nobody recorded: an undeclared rank, a sparse epoch, a
+        // negative charge. Still no panic, no NaN.
+        let hostile = FlightLog {
+            num_devices: 1,
+            events: vec![
+                advance(0, 0, 0.0, TimeCategory::Comm, 3, -2.0),
+                advance(1, 7, 0.0, TimeCategory::Quant, 9, 1.0),
+            ],
+        };
+        for log in [
+            FlightLog {
+                num_devices: 0,
+                ..hostile.clone()
+            },
+            hostile,
+        ] {
+            let report = analyze(&log, Schedule::Overlapped, 3);
+            assert_eq!(report.total_seconds, 0.0);
+            assert!(report.segments.is_empty());
+            assert_eq!(report.collective_wait_share, 0.0);
+        }
     }
 
     #[test]
@@ -994,17 +832,5 @@ mod tests {
             panic!("traceEvents missing");
         };
         assert!(!arr.is_empty());
-    }
-
-    #[test]
-    fn phase_indices_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_index(p.index()), Some(p));
-        }
-        assert_eq!(Phase::from_index(99), None);
-        for p in Phase::ALL {
-            // Classification covers every phase.
-            let _ = p.class();
-        }
     }
 }

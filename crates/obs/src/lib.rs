@@ -27,6 +27,7 @@
 pub mod critpath;
 mod registry;
 pub mod regress;
+pub mod time;
 pub mod timer;
 
 pub use registry::{

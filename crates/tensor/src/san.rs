@@ -6,7 +6,7 @@
 //! This module makes that contract *checked* instead of conventional:
 //!
 //! * **Shadow ownership map.** Under `ADAQP_SAN` every instrumented kernel
-//!   launch reports the output row ranges its chunks claim. [`check_claims`]
+//!   launch reports the output row ranges its chunks claim. `check_claims`
 //!   verifies the claims are in-bounds, mutually disjoint and cover every
 //!   row, recording any violation as a typed [`SanError`] (never a panic —
 //!   library code reports, it does not abort).

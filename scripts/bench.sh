@@ -20,14 +20,6 @@ if [[ -n "${ADAQP_SAN:-}" && "${ADAQP_SAN}" != "0" ]]; then
     exit 2
 fi
 
-# Likewise for the causal flight recorder: profiled runs interleave recorder
-# bookkeeping with the schedule under test. Refuse to record.
-if [[ -n "${ADAQP_PROFILE:-}" && "${ADAQP_PROFILE}" != "0" ]]; then
-    echo "bench.sh: refusing to benchmark with ADAQP_PROFILE set;" \
-        "profiled runs measure the flight recorder, not the kernels" >&2
-    exit 2
-fi
-
 QUICK=1
 SMOKE=0
 case "${1:-}" in

@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (intra-doc links resolve, no private links in public docs)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> benchmark harness compiles against the workspace (--locked: dependency lists match benchmark/Cargo.lock)"
 CARGO_TARGET_DIR=benchmark/target cargo check --offline --locked --manifest-path benchmark/Cargo.toml
 

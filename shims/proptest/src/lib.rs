@@ -16,7 +16,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a half-open range.
+    /// Sizes accepted by [`vec()`]: a fixed length or a half-open range.
     pub trait IntoSizeRange {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -45,7 +45,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         size: L,

@@ -124,3 +124,48 @@ fn adaqp_path_tiles_the_epoch_time_and_waits_less_than_vanilla() {
         vanilla.collective_wait_share
     );
 }
+
+/// FNV-1a over `text`'s bytes.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn golden_report_and_flight_log_digests() {
+    // Recorded at the commit before `Phase` / `PhaseSums` became
+    // `TimeCategory` / `TimeBreakdown` (ISSUE 17). None of the three
+    // methods charges a host-measured solve, so both artifacts are
+    // byte-stable: the flight log pins the phase names on the wire and the
+    // order and count of `Command::Advance` yields (zero-second ones
+    // included), the report pins `analyze` — composition, straggler choice
+    // and path legs — under the serial and pipelined schedules.
+    for (method, want_report, want_flight) in [
+        (
+            Method::Vanilla,
+            0xd369_e0c9_790e_e74e_u64,
+            0x7cd6_e487_fb55_5e78_u64,
+        ),
+        // Same charges and exchanges as Vanilla, composed differently.
+        (
+            Method::PipeGcn,
+            0x0b8b_7653_166c_e432,
+            0x7cd6_e487_fb55_5e78,
+        ),
+        (Method::Sancus, 0xe4f4_c0d4_5ca8_a87d, 0x02b8_9bb1_0069_4a86),
+    ] {
+        let (_, profile) =
+            adaqp::run_experiment_profiled(&pinned(method, true)).expect("valid config");
+        let p = profile.expect("profiling on");
+        let got = (
+            fnv(&serde_json::to_string(&p.report).expect("report encodes")),
+            fnv(&serde_json::to_string(&p.flight).expect("log encodes")),
+        );
+        assert_eq!(
+            got,
+            (want_report, want_flight),
+            "{method:?}: report / flight-log digests {got:#018x?}"
+        );
+    }
+}

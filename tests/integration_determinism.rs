@@ -101,120 +101,111 @@ fn method_only_changes_method_dependent_state() {
     assert_ne!(v.per_epoch[4].loss, a.per_epoch[4].loss);
 }
 
-/// FNV-1a over every epoch's loss bits, analytic charges and bytes sent.
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of every epoch's loss bits, analytic charges and bytes sent.
 /// `breakdown.solve` (hence `sim_seconds`) is left out: it is the assigner's
 /// host-measured solve time, the one non-analytic charge.
 fn run_digest(result: &adaqp::RunResult) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for e in &result.per_epoch {
+    fnv(result.per_epoch.iter().flat_map(|e| {
         let tb = &e.breakdown;
-        for word in [
+        [
             e.loss.to_bits(),
             tb.comm.to_bits(),
             tb.quant.to_bits(),
             tb.central_comp.to_bits(),
             tb.marginal_comp.to_bits(),
             e.bytes_sent as u64,
-        ] {
-            for b in word.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+        ]
+    }))
+}
+
+/// Digest of every epoch's composed length under the run's schedule, with
+/// the host-measured solve zeroed: pins the composition's operand order and
+/// the straggler whose breakdown each epoch reports.
+fn epoch_time_digest(cfg: &ExperimentConfig, result: &adaqp::RunResult) -> u64 {
+    fnv(result.per_epoch.iter().map(|e| {
+        let analytic = comm::TimeBreakdown {
+            solve: 0.0,
+            ..e.breakdown
+        };
+        adaqp::metrics::epoch_time_with_overlap(cfg.method, cfg.training.disable_overlap, &analytic)
+            .to_bits()
+    }))
 }
 
 type Tweak = fn(&mut TrainingConfig);
 
 #[test]
 fn golden_run_digests_survive_refactors() {
-    // Recorded at the commit before the ten exchange functions became one
-    // routine (ISSUE 15). A host-time change to tensor, gnn or the exchange
-    // path must reproduce every loss bit, every analytic charge (the order
-    // of `f64` adds into `quant_ops` and the streamed send pipeline are
-    // visible in `quant` / `comm`) and every byte count, on every wire the
-    // trainers can pick. The scale-2 rows put 300 rows on each device, past
-    // the row count where `matmul_tn` reduces per chunk, so the chunk merge
-    // order is pinned end to end as well.
+    // The run digests were recorded at the commit before the ten exchange
+    // functions became one routine (ISSUE 15); the epoch-time digests and
+    // the serial-AdaQP row at the commit before the epoch-time model moved
+    // into `obs::time` (ISSUE 17). A host-time change to tensor, gnn or the
+    // exchange path must reproduce every loss bit, every analytic charge
+    // (the order of `f64` adds into `quant_ops` and the streamed send
+    // pipeline are visible in `quant` / `comm`) and every byte count, on
+    // every wire the trainers can pick; a change to the time model must
+    // reproduce every composed epoch length under all three schedules. The
+    // scale-2 rows put 300 rows on each device, past the row count where
+    // `matmul_tn` reduces per chunk, so the chunk merge order is pinned end
+    // to end as well.
     let plain: Tweak = |_| {};
     let error_feedback: Tweak = |t| t.error_feedback = true;
     let grouped: Tweak = |t| t.grouped_wire = true;
     let streamed: Tweak = |t| t.stream_quant = true;
-    for (method, tweak, use_sage, scale, devices, want) in [
-        (
-            Method::Vanilla,
-            plain,
-            false,
-            1.0,
-            2,
-            0x8bd9_189b_b3e9_57e2_u64,
-        ),
-        (Method::Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6),
-        (Method::AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab),
-        (Method::AdaQp, plain, true, 1.0, 2, 0x9219_c7b3_a4f7_e4da),
-        (Method::Vanilla, plain, false, 2.0, 2, 0x116e_2f44_0b26_8339),
-        (Method::AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd),
-        (
-            Method::AdaQp,
-            error_feedback,
-            false,
-            1.0,
-            4,
-            0xa370_a56b_5dc2_8b77,
-        ),
-        (
-            Method::AdaQp,
-            error_feedback,
-            true,
-            1.0,
-            4,
-            0x81a3_b1b6_df50_d591,
-        ),
-        (Method::AdaQp, grouped, false, 1.0, 4, 0x54af_ca96_4680_14ef),
-        (Method::AdaQp, grouped, true, 1.0, 4, 0xdc21_edbf_0166_c0da),
-        (
-            Method::AdaQp,
-            streamed,
-            false,
-            1.0,
-            4,
-            0x3127_39f4_3bbc_5807,
-        ),
-        (Method::AdaQp, streamed, true, 1.0, 4, 0xf79f_8070_bc99_8ac2),
-        (
-            Method::AdaQpUniform,
-            plain,
-            false,
-            1.0,
-            4,
-            0xe186_fc2e_eee9_ad00,
-        ),
-        (
-            Method::AdaQpUniform,
-            plain,
-            true,
-            1.0,
-            4,
-            0x546c_deb1_78db_f1a8,
-        ),
-        (Method::PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980),
-        (Method::PipeGcn, plain, true, 1.0, 4, 0x30eb_5bd6_e148_bd92),
-        (Method::Sancus, plain, false, 1.0, 4, 0x519e_e9c7_8573_f017),
-        (Method::Sancus, plain, true, 1.0, 4, 0xcbea_d818_94f4_67ca),
-    ] {
+    let serial: Tweak = |t| t.disable_overlap = true;
+    use Method::{AdaQp, AdaQpUniform, PipeGcn, Sancus, Vanilla};
+    #[rustfmt::skip]
+    let rows: [(Method, Tweak, bool, f64, usize, u64, u64); 19] = [
+        (Vanilla, plain, false, 1.0, 2, 0x8bd9_189b_b3e9_57e2, 0xcc92_3cb8_4c4b_1bb5),
+        (Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6, 0xe7b9_5490_b50b_ce91),
+        (AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab, 0x6cdc_2bda_9f55_851d),
+        (AdaQp, plain, true, 1.0, 2, 0x9219_c7b3_a4f7_e4da, 0x4444_683e_2396_03e7),
+        (Vanilla, plain, false, 2.0, 2, 0x116e_2f44_0b26_8339, 0x2451_c4a1_e32d_429d),
+        (AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd, 0xe591_c5bf_f888_511c),
+        (AdaQp, error_feedback, false, 1.0, 4, 0xa370_a56b_5dc2_8b77, 0x24e6_b890_3f33_196c),
+        (AdaQp, error_feedback, true, 1.0, 4, 0x81a3_b1b6_df50_d591, 0x9ecf_3d11_8bde_18fd),
+        (AdaQp, grouped, false, 1.0, 4, 0x54af_ca96_4680_14ef, 0x74ab_939f_0e65_130f),
+        (AdaQp, grouped, true, 1.0, 4, 0xdc21_edbf_0166_c0da, 0x6991_0ae1_f3ae_1d5b),
+        (AdaQp, streamed, false, 1.0, 4, 0x3127_39f4_3bbc_5807, 0xb298_3336_34ed_e54f),
+        (AdaQp, streamed, true, 1.0, 4, 0xf79f_8070_bc99_8ac2, 0xa2ea_c740_2817_0ac2),
+        (AdaQpUniform, plain, false, 1.0, 4, 0xe186_fc2e_eee9_ad00, 0xfc86_8c49_bc51_37b6),
+        (AdaQpUniform, plain, true, 1.0, 4, 0x546c_deb1_78db_f1a8, 0x6ee2_9281_703b_cb88),
+        (PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980, 0x6779_901e_b16a_ff2d),
+        (PipeGcn, plain, true, 1.0, 4, 0x30eb_5bd6_e148_bd92, 0x9250_8a2f_7dd7_c171),
+        (Sancus, plain, false, 1.0, 4, 0x519e_e9c7_8573_f017, 0x7a37_f2b6_cdbc_eb28),
+        (Sancus, plain, true, 1.0, 4, 0xcbea_d818_94f4_67ca, 0x0a19_bc7a_4a7a_7c90),
+        (AdaQp, serial, false, 1.0, 4, 0x219d_f943_6f8b_a3f2, 0x32b2_b048_fad1_a844),
+    ];
+    for (method, tweak, use_sage, scale, devices, want_run, want_time) in rows {
         let mut c = cfg(4242);
         c.method = method;
         c.devices_per_machine = devices;
         c.training.use_sage = use_sage;
         tweak(&mut c.training);
         c.dataset = DatasetSpec::tiny().scaled(scale);
-        let got = run_digest(&adaqp::run_experiment(&c).expect("valid config"));
+        let result = adaqp::run_experiment(&c).expect("valid config");
+        let got = (run_digest(&result), epoch_time_digest(&c, &result));
         let t = &c.training;
         assert_eq!(
-            got, want,
-            "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} grouped {} streamed {}: \
-             {got:#018x} != {want:#018x}",
-            t.error_feedback, t.grouped_wire, t.stream_quant
+            got,
+            (want_run, want_time),
+            "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} grouped {} streamed {} \
+             serial {}: run / epoch-time digests {got:#018x?}",
+            t.error_feedback,
+            t.grouped_wire,
+            t.stream_quant,
+            t.disable_overlap
         );
     }
 }

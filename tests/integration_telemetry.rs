@@ -3,9 +3,11 @@
 //! wall-clock) and reconstruction of the reported `RunResult` totals from
 //! the per-event records.
 
+use adaqp::metrics::schedule_for;
 use adaqp::telemetry::EventKind;
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
 use graph::DatasetSpec;
+use obs::time::straggler;
 
 fn cfg(method: Method, epochs: usize) -> ExperimentConfig {
     ExperimentConfig {
@@ -70,21 +72,26 @@ fn event_sums_reconstruct_run_result_totals() {
         let c = cfg(method, 3);
         let r = adaqp::run_experiment(&c).expect("valid config");
         let log = r.telemetry.as_ref().expect("telemetry on");
-        let agg = log.aggregate();
-        assert_eq!(agg.num_epochs(), 3, "{method}");
+        let tbs = log.epoch_breakdowns();
+        assert!(tbs.iter().all(|dev| dev.len() == 3), "{method}");
 
-        // Per-epoch critical paths match the per-epoch simulated seconds.
+        // The slowest device of each epoch, found and composed the way the
+        // runner does, matches the per-epoch simulated seconds...
+        let schedule = schedule_for(c.method, c.training.disable_overlap);
+        let mut total = 0.0;
+        let mut tb = comm::TimeBreakdown::new();
         for (e, em) in r.per_epoch.iter().enumerate() {
-            let (t, _) = agg.epoch_critical_path(c.method, c.training.disable_overlap, e);
+            let (rank, t) = straggler(schedule, tbs.iter().map(|dev| &dev[e]));
             assert!(
                 (t - em.sim_seconds).abs() <= 1e-9 * em.sim_seconds.max(1.0),
                 "{method} epoch {e}: telemetry {t} vs runner {}",
                 em.sim_seconds
             );
+            total += t;
+            tb += tbs[rank][e];
         }
 
-        // Cluster totals match the combined result.
-        let (total, tb) = agg.cluster_totals(c.method, c.training.disable_overlap);
+        // ... and their sums match the combined result.
         assert!(
             (total - r.total_sim_seconds).abs() <= 1e-9 * r.total_sim_seconds.max(1.0),
             "{method}: total {total} vs {}",
