@@ -1,6 +1,7 @@
-// Fixture: collectives guarded by rank-dependent control flow. Three
+// Fixture: collectives guarded by rank-dependent control flow. Four
 // shapes: an early return that skips a following Barrier, a collective
-// nested directly under a rank branch, and one inside a rank-bounded loop.
+// nested directly under a rank branch, one inside a rank-bounded loop, and
+// a sparse ring that ranks with nothing to send never enter.
 struct SkipBarrier;
 impl DeviceProgram for SkipBarrier {
     type Output = ();
@@ -42,5 +43,22 @@ impl DeviceProgram for LoopBarrier {
             return Step::Yield(Command::Barrier);
         }
         Step::Done(())
+    }
+}
+struct GatedSparseRing;
+impl DeviceProgram for GatedSparseRing {
+    type Output = ();
+    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
+        match input {
+            Resume::Start => {
+                if ctx.rank() != 0 {
+                    let sends = vec![(0, Bytes::from_static(b"halo"))];
+                    Step::Yield(Command::RingAll2All { sends })
+                } else {
+                    Step::Done(())
+                }
+            }
+            _ => Step::Done(()),
+        }
     }
 }

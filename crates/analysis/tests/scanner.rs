@@ -173,7 +173,7 @@ impl DeviceProgram for CharBraces {
         let open = '{';
         let close = b'}';
         drop((open, close, ctx, input));
-        Step::Yield(Command::RingAll2All { payload: Bytes::new() })
+        Step::Yield(Command::RingAll2All { sends: Vec::new() })
     }
 }
 fn after() {}
@@ -302,14 +302,17 @@ fn collective_divergence_fixture_pair() {
             .iter()
             .filter(|r| **r == "collective-divergence")
             .count(),
-        3,
-        "gated Barrier + gated Gather + tainted-loop Barrier: {bad:?}"
+        4,
+        "gated Barrier + gated Gather + tainted-loop Barrier + gated sparse ring: {bad:?}"
     );
     let lines: Vec<u32> = bad.iter().map(|f| f.line).collect();
-    assert_eq!(lines, [13, 26, 42], "one finding per collective yield");
+    assert_eq!(lines, [14, 27, 43, 56], "one finding per collective yield");
     assert!(bad[0].message.contains("SkipBarrier"));
     assert!(bad[1].message.contains("GatedGather"));
     assert!(bad[2].message.contains("LoopBarrier"));
+    // A rank with nothing to send still has to enter the ring: an empty
+    // `sends` list is the way to send nothing, not skipping the yield.
+    assert!(bad[3].message.contains("GatedSparseRing"));
     // Symmetric master/worker Gather and a uniform loop bound stay silent.
     assert!(scan_fixture("collective_divergence_ok.rs").is_empty());
 }

@@ -561,23 +561,47 @@ impl DeviceHandle {
         }
     }
 
-    /// Ring all2all (Fig. 8): sends `payloads[dst]` to every other device in
-    /// `N-1` rounds and returns the payloads received, indexed by source
-    /// (`result[rank]` is `None`).
+    /// Ring all2all (Fig. 8): sends each listed `(dst, payload)` over `N-1`
+    /// rounds and returns the `(src, payload)` pairs that listed this
+    /// device, in ascending `src`. A peer that is not listed is sent
+    /// nothing and costs nothing: no payload, no counter, and on the
+    /// simulated clock the zero transfer an empty payload would be.
+    ///
+    /// `sends` must be strictly ascending in `dst`, inside `0..n`, and never
+    /// name this device; anything else fails the run with
+    /// [`ClusterError::CollectiveMismatch`].
+    pub fn ring_exchange(&mut self, sends: Vec<(u32, Bytes)>) -> Vec<(u32, Bytes)> {
+        for (dst, payload) in &sends {
+            self.count_send(*dst as usize, payload.len());
+        }
+        match self.port.roundtrip(Command::RingAll2All { sends }) {
+            Resume::RingDone(received) => received,
+            other => protocol_violation("RingDone", &other),
+        }
+    }
+
+    /// The dense form of [`DeviceHandle::ring_exchange`]: sends
+    /// `payloads[dst]` to every other device, empty ones included, and
+    /// returns the payloads received indexed by source (`result[rank]` is
+    /// `None`, every other slot `Some`).
     ///
     /// # Panics
     ///
     /// Panics unless `payloads.len() == num_devices()`.
     pub fn ring_all2all(&mut self, payloads: Vec<Bytes>) -> Vec<Option<Bytes>> {
         assert_eq!(payloads.len(), self.n, "one payload per destination");
-        for round in 1..self.n {
-            let dst = (self.rank + round) % self.n;
-            self.count_send(dst, payloads[dst].len());
+        let me = self.rank;
+        let sends = (0u32..)
+            .zip(payloads)
+            .filter(|(dst, _)| *dst as usize != me)
+            .collect();
+        let mut received: Vec<Option<Bytes>> = (0..self.n)
+            .map(|src| (src != me).then(Bytes::new))
+            .collect();
+        for (src, payload) in self.ring_exchange(sends) {
+            received[src as usize] = Some(payload);
         }
-        match self.port.roundtrip(Command::RingAll2All { payloads }) {
-            Resume::RingDone(received) => received,
-            other => protocol_violation("RingDone", &other),
-        }
+        received
     }
 
     /// Broadcast from `root`: the root passes `Some(payload)`, everyone else

@@ -401,39 +401,72 @@ fn run_collective(
             }
         }
         Shape::Ring => {
-            let mut matrix: Vec<Vec<Bytes>> = Vec::with_capacity(n);
+            // Each payload is moved to its destination's inbox; ranks are
+            // visited in ascending order, so every inbox is ascending by
+            // source. Under a cost model the payload lengths are kept
+            // (`sent[rank]`, sparse) for the clocks below.
+            let mut inboxes: Vec<Vec<(u32, Bytes)>> = (0..n).map(|_| Vec::new()).collect();
+            let mut sent: Vec<Vec<(u32, usize)>> = Vec::new();
             for (rank, cmd) in cmds.into_iter().enumerate() {
-                let Command::RingAll2All { payloads } = cmd else {
+                let Command::RingAll2All { sends } = cmd else {
                     // Kind agreement was validated above.
                     unreachable!("ring collective with a non-ring command");
                 };
-                if payloads.len() != n {
-                    return Err(ClusterError::CollectiveMismatch {
-                        rank,
-                        detail: format!(
-                            "ring_all2all needs one payload per rank: got {} for n = {n}",
-                            payloads.len()
-                        ),
-                    });
+                let mut next = 0usize;
+                for (dst, _) in &sends {
+                    let dst = *dst as usize;
+                    if dst < next || dst == rank || dst >= n {
+                        return Err(ClusterError::CollectiveMismatch {
+                            rank,
+                            detail: format!(
+                                "ring_all2all destinations must be strictly ascending, \
+                                 inside 0..{n} and never the sender: rank {rank} listed {dst}"
+                            ),
+                        });
+                    }
+                    next = dst + 1;
                 }
-                matrix.push(payloads);
+                if cost.is_some() {
+                    sent.push(sends.iter().map(|(dst, p)| (*dst, p.len())).collect());
+                }
+                for (dst, payload) in sends {
+                    // Device counts are far below 2^32.
+                    inboxes[dst as usize].push((rank as u32, payload));
+                }
             }
-            for rank in 0..n {
-                let mut result: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
-                // Per-device unsynchronized ring time: each of the N-1
-                // rounds costs max(own send, own recv) on full-duplex links
-                // (the Table 2 model; see `ExchangeStats::ring_seconds`).
+            // Per-device unsynchronized ring time: each of the N-1 rounds
+            // costs max(own send, own recv) on full-duplex links (the
+            // Table 2 model; see `ExchangeStats::ring_seconds`). The byte
+            // tables are rebuilt per rank from the sparse lists; an unlisted
+            // peer is 0 bytes, whose transfer time is the same `0.0` an
+            // empty payload's was. Uncosted runs skip the model: every
+            // round would add `0.0`.
+            let (mut send_bytes, mut recv_bytes) = (vec![0usize; n], vec![0usize; n]);
+            for (rank, inbox) in inboxes.into_iter().enumerate() {
                 let mut elapsed = 0.0f64;
-                for round in 1..n {
-                    let dst = (rank + round) % n;
-                    let src = (rank + n - round) % n;
-                    result[src] = Some(matrix[src][rank].clone());
-                    let send = transfer(rank, dst, matrix[rank][dst].len());
-                    let recv = transfer(src, rank, matrix[src][rank].len());
-                    elapsed += send.max(recv);
+                if let Some(cost) = cost {
+                    for &(dst, bytes) in &sent[rank] {
+                        send_bytes[dst as usize] = bytes;
+                    }
+                    for (src, payload) in &inbox {
+                        recv_bytes[*src as usize] = payload.len();
+                    }
+                    for round in 1..n {
+                        let dst = (rank + round) % n;
+                        let src = (rank + n - round) % n;
+                        let send = cost.transfer_time(rank, dst, send_bytes[dst]);
+                        let recv = cost.transfer_time(src, rank, recv_bytes[src]);
+                        elapsed += send.max(recv);
+                    }
+                    for &(dst, _) in &sent[rank] {
+                        send_bytes[dst as usize] = 0;
+                    }
+                    for (src, _) in &inbox {
+                        recv_bytes[*src as usize] = 0;
+                    }
                 }
                 ctxs[rank].advance_to(t0 + elapsed);
-                statuses[rank] = Status::Ready(Resume::RingDone(result));
+                statuses[rank] = Status::Ready(Resume::RingDone(inbox));
             }
         }
         Shape::Broadcast(root) => {

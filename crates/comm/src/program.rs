@@ -51,11 +51,13 @@ pub enum Command {
     },
     /// Wait until every rank has reached a barrier.
     Barrier,
-    /// Ring all2all (Fig. 8): `payloads[dst]` goes to every other rank over
-    /// `N-1` rounds; resumes with the payloads received, indexed by source.
+    /// Ring all2all (Fig. 8): each listed payload goes to its destination
+    /// over `N-1` rounds; resumes with the payloads received. A peer that is
+    /// not listed is sent nothing — on the simulated clock that is the zero
+    /// transfer an empty payload would be.
     RingAll2All {
-        /// One payload per destination rank (`payloads[rank]` is ignored).
-        payloads: Vec<Bytes>,
+        /// `(dst, payload)` in strictly ascending `dst`, never this rank.
+        sends: Vec<(u32, Bytes)>,
     },
     /// Broadcast from `root`: the root passes `Some`, everyone else `None`.
     Broadcast {
@@ -135,8 +137,9 @@ pub enum Resume {
     Received(Bytes),
     /// Every rank reached the [`Command::Barrier`].
     BarrierDone,
-    /// Ring all2all results, indexed by source (`[rank]` is `None`).
-    RingDone(Vec<Option<Bytes>>),
+    /// Ring all2all results: `(src, payload)` for every rank that listed
+    /// this one, in ascending `src`.
+    RingDone(Vec<(u32, Bytes)>),
     /// The broadcast payload (identical on every rank).
     BroadcastDone(Bytes),
     /// Gather results: `Some(payloads by rank)` on the root, `None` off it.

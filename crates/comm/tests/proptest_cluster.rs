@@ -3,8 +3,17 @@
 //! interleaving.
 
 use bytes::Bytes;
-use comm::Cluster;
+use comm::{Cluster, ClusterError, CostModel};
 use proptest::prelude::*;
+
+/// SplitMix64 step: the tests' own stream for payload lengths and link costs.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -96,5 +105,107 @@ proptest! {
                 prop_assert_eq!(red1, n as u32);
             }
         }
+    }
+
+    #[test]
+    fn sparse_ring_is_the_dense_ring_minus_the_empties(
+        n in 2usize..10,
+        density in 0u64..5,
+        seed in 0u64..1_000_000,
+    ) {
+        // A random sparse payload set: pair (s, d) carries `lens[s][d]`
+        // bytes, zero (= not listed) with probability `1 - density / 4`.
+        let mut state = seed;
+        let lens: Vec<Vec<usize>> = (0..n)
+            .map(|s| {
+                (0..n)
+                    .map(|d| {
+                        let r = mix(&mut state);
+                        if s == d || r % 4 >= density { 0 } else { 1 + (r >> 8) as usize % 300 }
+                    })
+                    .collect()
+            })
+            .collect();
+        // Every directed link gets its own theta and gamma.
+        let mut cost = CostModel::homogeneous(n, 1e9, 1e-6);
+        for s in 0..n {
+            for d in (0..n).filter(|&d| d != s) {
+                let theta = 1e-9 * (1 + mix(&mut state) % 50) as f64;
+                let gamma = 1e-6 * (mix(&mut state) % 20) as f64;
+                cost.set_link(s, d, theta, gamma);
+            }
+        }
+        let lens = &lens;
+        let payload = |s: usize, d: usize| Bytes::from(vec![(s * 16 + d) as u8; lens[s][d]]);
+        let dense = Cluster::try_run_fn_with(n, Some(&cost), move |mut dev| {
+            let me = dev.rank();
+            dev.ring_all2all((0..n).map(|d| payload(me, d)).collect())
+        })
+        .expect("dense ring runs");
+        let sparse = Cluster::try_run_fn_with(n, Some(&cost), move |mut dev| {
+            let me = dev.rank();
+            let sends = (0..n)
+                .filter(|&d| lens[me][d] > 0)
+                .map(|d| (d as u32, payload(me, d)))
+                .collect();
+            dev.ring_exchange(sends)
+        })
+        .expect("sparse ring runs");
+        for me in 0..n {
+            let want: Vec<(u32, Bytes)> = dense.outputs[me]
+                .iter()
+                .enumerate()
+                .filter_map(|(src, p)| match p {
+                    Some(p) if !p.is_empty() => Some((src as u32, p.clone())),
+                    Some(_) => None,
+                    None => {
+                        assert_eq!(src, me, "the dense form fills every other slot");
+                        None
+                    }
+                })
+                .collect();
+            prop_assert_eq!(&sparse.outputs[me], &want, "rank {} deliveries", me);
+            prop_assert_eq!(
+                sparse.clocks[me].to_bits(),
+                dense.clocks[me].to_bits(),
+                "rank {} clock", me
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_ring_destinations_are_a_collective_mismatch(
+        n in 2usize..10,
+        culprit in 0usize..10,
+        kind in 0usize..4,
+    ) {
+        let culprit = culprit % n;
+        let other = (culprit + 1) % n;
+        let bad: Vec<u32> = match kind {
+            0 if n > 2 => {
+                // Unordered: two valid peers, descending.
+                let mut peers: Vec<u32> =
+                    (0..n as u32).filter(|&d| d as usize != culprit).collect();
+                peers.reverse();
+                peers
+            }
+            0 | 1 => vec![other as u32, other as u32], // duplicate
+            2 => vec![culprit as u32],                  // self
+            _ => vec![n as u32],                        // out of range
+        };
+        let bad = &bad;
+        let err = Cluster::try_run_fn(n, move |mut dev| {
+            let sends = if dev.rank() == culprit {
+                bad.iter().map(|&d| (d, Bytes::from_static(b"x"))).collect()
+            } else {
+                Vec::new()
+            };
+            dev.ring_exchange(sends)
+        })
+        .expect_err("malformed destinations must be rejected");
+        prop_assert!(
+            matches!(err, ClusterError::CollectiveMismatch { rank, .. } if rank == culprit),
+            "got {}", err
+        );
     }
 }

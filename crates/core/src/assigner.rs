@@ -183,14 +183,12 @@ fn record<'m>(ranges: &mut [Vec<f32>], sets: &[Vec<u32>], row_of: impl Fn(u32) -
     }
 }
 
+/// `max - min` of a traced row, through the codec's 8-lane reduction
+/// (bit-identical to the sequential fold, NaN-skipping included). Empty,
+/// constant and all-NaN rows have range `0.0`.
 fn row_range(row: &[f32]) -> f32 {
-    let mut mn = f32::INFINITY;
-    let mut mx = f32::NEG_INFINITY;
-    for &v in row {
-        mn = mn.min(v);
-        mx = mx.max(v);
-    }
-    if row.is_empty() || mx <= mn {
+    let (mn, mx) = quant::min_max(row);
+    if mx <= mn {
         0.0
     } else {
         mx - mn
@@ -819,6 +817,64 @@ mod tests {
         assert_eq!(row_range(&[]), 0.0);
         assert_eq!(row_range(&[5.0, 5.0]), 0.0);
         assert_eq!(row_range(&[-1.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn row_range_is_the_sequential_fold_bit_for_bit() {
+        // The scalar fold `row_range` was before it went through the
+        // codec's lane-split reduction.
+        fn fold(row: &[f32]) -> f32 {
+            let mut mn = f32::INFINITY;
+            let mut mx = f32::NEG_INFINITY;
+            for &v in row {
+                mn = mn.min(v);
+                mx = mx.max(v);
+            }
+            if row.is_empty() || mx <= mn {
+                0.0
+            } else {
+                mx - mn
+            }
+        }
+        let mut rng = Rng::seed_from(35);
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MAX,
+        ];
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65] {
+            let plain: Vec<f32> = (0..len).map(|_| rng.uniform(-3.0, 3.0)).collect();
+            let mut rows = vec![plain.clone(), vec![1.25; len], vec![f32::NAN; len]];
+            rows.push(vec![0.0; len]);
+            rows.push(
+                (0..len)
+                    .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+            );
+            // Every special value at every position of an ordinary row, and
+            // a row alternating between two of them.
+            for (k, &special) in specials.iter().enumerate() {
+                for at in 0..len {
+                    let mut row = plain.clone();
+                    row[at] = special;
+                    rows.push(row);
+                }
+                let other = specials[(k + 1) % specials.len()];
+                rows.push(
+                    (0..len)
+                        .map(|i| if i % 3 == 0 { special } else { other })
+                        .collect(),
+                );
+            }
+            for row in &rows {
+                let (got, want) = (row_range(row), fold(row));
+                assert_eq!(got.to_bits(), want.to_bits(), "len {len}: {row:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@ pub enum Error {
     Io(std::io::Error),
     /// A simulated device thread failed mid-run.
     Cluster(comm::ClusterError),
+    /// A device received a halo block that does not decode.
+    Exchange {
+        /// The receiving device.
+        rank: usize,
+        /// The sending peer and what was wrong with its block.
+        error: crate::exchange::ExchangeError,
+    },
     /// The determinism sanitizer (`adaqp-san`, see `tensor::san`) observed a
     /// parallel-kernel contract violation during a sanitized run.
     Sanitizer(String),
@@ -32,6 +39,7 @@ impl fmt::Display for Error {
             Error::SolverInfeasible(msg) => write!(f, "solver infeasible: {msg}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Cluster(e) => write!(f, "cluster failure: {e}"),
+            Error::Exchange { rank, error } => write!(f, "device {rank}: {error}"),
             Error::Sanitizer(msg) => write!(f, "determinism sanitizer: {msg}"),
         }
     }
@@ -42,6 +50,7 @@ impl std::error::Error for Error {
         match self {
             Error::Io(e) => Some(e),
             Error::Cluster(e) => Some(e),
+            Error::Exchange { error, .. } => Some(error),
             _ => None,
         }
     }
@@ -75,6 +84,21 @@ mod tests {
         assert!(e.to_string().contains("epochs"));
         let io = Error::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert!(io.to_string().contains("gone"));
+    }
+
+    #[test]
+    fn exchange_error_names_both_devices_and_the_cause() {
+        use std::error::Error as _;
+        let cause = quant::DecodeError::BadBitWidth(7);
+        let error = crate::exchange::ExchangeError { peer: 3, cause };
+        let e = Error::Exchange { rank: 1, error };
+        let text = e.to_string();
+        assert!(
+            text.contains("device 1") && text.contains("device 3"),
+            "{text}"
+        );
+        assert!(text.contains("bit-width 7"), "{text}");
+        assert!(e.source().is_some());
     }
 
     #[test]

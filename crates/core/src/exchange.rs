@@ -1,22 +1,66 @@
 //! Halo exchange: moving boundary messages between devices, at full
 //! precision (Vanilla) or quantized (AdaQP), with byte and time accounting.
 //!
-//! There is one routine, [`halo_exchange`]: a payload per peer, round the
-//! ring, land what came back. [`Direction`] picks the rows read and the rows
-//! written; [`Wire`] is the only place a codec and its accounting differ.
-//! Peers are visited in ascending rank to send, then in ascending rank to
-//! receive: the [`Rng`] stream and the `f64` adds into
-//! [`ExchangeStats::quant_ops`] follow that order, and both reach results.
+//! There is one routine, [`halo_exchange`] (and [`halo_exchange_with`], the
+//! same routine making its destination late): a payload per peer that has
+//! rows to get, round the ring, land what came back. [`Direction`] picks
+//! the rows read and the rows written; [`Wire`] is the only place a codec
+//! and its accounting differ. Peers are visited in ascending rank to send,
+//! then in ascending rank to receive: the [`Rng`] stream and the `f64` adds
+//! into [`ExchangeStats::quant_ops`] follow that order, and both reach
+//! results.
+//!
+//! The routine costs what the bytes cost, not what the messages cost
+//! (DESIGN.md §18): rows are encoded straight from the source matrix into
+//! spans of a few shared buffers, only non-empty payloads enter the ring,
+//! and received rows are decoded straight into their destination rows.
 
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
 use comm::timing::measure;
 use comm::{CostModel, DeviceHandle};
+use quant::grouped::grouped_wire_len;
 use quant::{
-    decode_block, decode_block_grouped, encode_block_grouped, encode_block_streamed,
-    encode_block_with_stats, BitWidth, EncodedBlock, StreamProfile,
+    decode_block_grouped, decode_rows, encode_block_grouped, encode_rows_into, predicted_wire_len,
+    BitWidth, DecodeError, EncodedBlock, StreamProfile,
 };
+use std::borrow::BorrowMut;
 use tensor::{Matrix, Rng};
+
+/// Consecutive payloads of one exchange share buffers of at most this many
+/// bytes; a larger payload gets a buffer to itself. Small enough that the
+/// allocator serves a buffer from its arenas (one buffer per exchange
+/// crossed the `mmap` threshold on the 8-device workload and cost 2-5 % of
+/// its epoch) and that a receiver still holding one payload pins at most
+/// this much of its sender's memory.
+const POOL_BYTES: usize = 64 * 1024;
+
+/// A peer's payload did not decode: corrupt or truncated bytes, or a block
+/// of another shape than this device's partition expects from that peer.
+/// Nothing of that payload was landed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExchangeError {
+    /// Rank whose payload was rejected.
+    pub peer: usize,
+    /// What was wrong with it.
+    pub cause: DecodeError,
+}
+
+impl std::fmt::Display for ExchangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "malformed halo block from device {}: {}",
+            self.peer, self.cause
+        )
+    }
+}
+
+impl std::error::Error for ExchangeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.cause)
+    }
+}
 
 /// Operations per element of the quantization encoder (hash coin + scale +
 /// truncate + pack), calibrated against the measured kernel throughput.
@@ -133,39 +177,13 @@ fn floats_le(src: &[u8]) -> impl Iterator<Item = f32> + '_ {
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
-/// The fp32 payload for one peer: the rows of `x` at `offset + idx[k]`,
-/// serialized straight into the wire buffer.
-fn rows_to_bytes(x: &Matrix, offset: usize, idx: &[u32]) -> Bytes {
-    let row_bytes = x.cols() * 4;
-    let mut raw = vec![0u8; idx.len() * row_bytes];
-    // `max(1)`: zero-width rows make an empty payload, not a zero chunk size.
-    for (dst, &i) in raw.chunks_exact_mut(row_bytes.max(1)).zip(idx) {
-        write_row_le(dst, x.row(offset + i as usize));
-    }
-    Bytes::from(raw)
-}
-
-/// The message matrix for one peer: the rows of `x` at `offset + idx[k]`.
-fn gather(x: &Matrix, offset: usize, idx: &[u32]) -> Matrix {
-    let mut out = Matrix::zeros(idx.len(), x.cols());
-    for (k, &i) in idx.iter().enumerate() {
-        out.row_mut(k).copy_from_slice(x.row(offset + i as usize));
-    }
-    out
-}
-
-/// Lands received rows: row `k` of `rows` is assigned to row `idx[k]` of
-/// `dst` going forward (halo slots), added to it going backward (gradients).
-fn land<R>(dir: Direction, dst: &mut Matrix, idx: &[u32], rows: impl Iterator<Item = R>)
-where
-    R: Iterator<Item = f32>,
-{
-    for (row, &i) in rows.zip(idx) {
-        let into = dst.row_mut(i as usize).iter_mut();
-        match dir {
-            Direction::Forward => into.zip(row).for_each(|(v, f)| *v = f),
-            Direction::Backward => into.zip(row).for_each(|(v, f)| *v += f),
-        }
+/// Lands one received row in its destination row: assigned going forward
+/// (halo slots), added going backward (gradients).
+fn land_row(dir: Direction, into: &mut [f32], row: impl Iterator<Item = f32>) {
+    let into = into.iter_mut();
+    match dir {
+        Direction::Forward => into.zip(row).for_each(|(v, f)| *v = f),
+        Direction::Backward => into.zip(row).for_each(|(v, f)| *v += f),
     }
 }
 
@@ -276,88 +294,134 @@ pub enum Wire<'a> {
 }
 
 impl Wire<'_> {
-    /// The payload for peer `q`: rows `offset + idx[k]` of `src`, encoded.
-    fn encode(
+    /// Wire bytes of the `rows`-row payload for peer `q`, known before a row
+    /// is encoded.
+    fn payload_len(&self, q: usize, rows: usize, dim: usize) -> usize {
+        match self {
+            Wire::Fp32 => rows * dim * 4,
+            Wire::Rows { widths, .. } | Wire::Streamed { widths, .. } => {
+                predicted_wire_len(dim, &widths[q])
+            }
+            Wire::Grouped { send_widths, .. } => grouped_wire_len(dim, &send_widths[q]),
+        }
+    }
+
+    /// Writes the payload for peer `q` — rows `offset + idx[k]` of `src`,
+    /// encoded — into `span`, which is [`Wire::payload_len`] long.
+    fn encode_into(
         &mut self,
+        span: &mut [u8],
         src: &Matrix,
         (offset, idx): (usize, &[u32]),
         (rank, q): (usize, usize),
         rng: &mut Rng,
         stats: &mut ExchangeStats,
-    ) -> Bytes {
-        let encode_ops = (idx.len() * src.cols()) as f64 * ENCODE_OPS_PER_ELEMENT;
+    ) {
+        let (rows, dim) = (idx.len(), src.cols());
+        let encode_ops = (rows * dim) as f64 * ENCODE_OPS_PER_ELEMENT;
+        let row_of = |k: usize| src.row(offset + idx[k] as usize);
+        // The message matrix, for the wires that need one to work on.
+        let gathered = || {
+            let rows: Vec<usize> = idx.iter().map(|&i| offset + i as usize).collect();
+            src.gather_rows(&rows)
+        };
         match self {
-            Wire::Fp32 => rows_to_bytes(src, offset, idx),
-            Wire::Rows { widths, residuals } => {
-                let mut msgs = gather(src, offset, idx);
-                if let Some(res) = residuals {
-                    msgs.add_assign(&res[q]);
+            Wire::Fp32 => {
+                // `max(1)`: zero-width rows make an empty payload, not a zero chunk size.
+                for (k, out) in span.chunks_exact_mut((dim * 4).max(1)).enumerate() {
+                    write_row_le(out, row_of(k));
                 }
-                let ((block, enc_stats), secs) =
-                    measure(|| encode_block_with_stats(&msgs, &widths[q], rng));
-                stats.quant_cpu_seconds += secs;
+            }
+            Wire::Rows {
+                widths,
+                residuals: None,
+            } => {
+                let enc = encode_rows_into(span, row_of, rows, dim, &widths[q], rng);
                 stats.quant_ops += encode_ops;
-                stats.encode_stats.merge(&enc_stats);
-                if let Some(res) = residuals {
-                    let (decoded, secs) =
-                        // lint:allow(no-panic): decoding the block this function encoded five lines up
-                        measure(|| decode_block(&block).expect("own block decodes"));
-                    stats.quant_cpu_seconds += secs;
-                    stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
-                    msgs.sub_assign(&decoded);
-                    res[q] = msgs;
-                }
-                block.bytes
+                stats.encode_stats.merge(&enc);
+            }
+            Wire::Rows {
+                widths,
+                residuals: Some(res),
+            } => {
+                let mut msgs = gathered();
+                msgs.add_assign(&res[q]);
+                let enc = encode_rows_into(span, |k| msgs.row(k), rows, dim, &widths[q], rng);
+                stats.quant_ops += encode_ops;
+                stats.encode_stats.merge(&enc);
+                // The new residual: message minus what the receiver decodes.
+                decode_rows(span, rows, dim, |k, row| {
+                    for (m, d) in msgs.row_mut(k).iter_mut().zip(row) {
+                        *m -= d;
+                    }
+                })
+                // lint:allow(no-panic): decoding the block this function encoded six lines up
+                .expect("own block decodes");
+                stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
+                res[q] = msgs;
             }
             Wire::Streamed { widths, cost } => {
-                let msgs = gather(src, offset, idx);
-                let ((block, enc_stats, profile), secs) =
-                    measure(|| encode_block_streamed(&msgs, &widths[q], rng));
-                stats.quant_cpu_seconds += secs;
-                stats.encode_stats.merge(&enc_stats);
+                let enc = encode_rows_into(span, row_of, rows, dim, &widths[q], rng);
+                stats.encode_stats.merge(&enc);
+                let profile = StreamProfile::for_block(dim, &widths[q]);
                 stats.streamed_send[q] = streamed_send_seconds(cost, rank, q, &profile);
-                block.bytes
             }
             Wire::Grouped { send_widths, .. } => {
-                let msgs = gather(src, offset, idx);
-                let (block, secs) = measure(|| encode_block_grouped(&msgs, &send_widths[q], rng));
-                stats.quant_cpu_seconds += secs;
+                let block = encode_block_grouped(&gathered(), &send_widths[q], rng);
+                span.copy_from_slice(&block.bytes);
                 stats.quant_ops += encode_ops;
-                block.bytes
             }
         }
     }
 
-    /// Decodes peer `q`'s non-empty `payload` of `idx.len()` rows into `dst`.
-    fn decode(
+    /// Decodes peer `q`'s non-empty `payload` of `idx.len()` rows into rows
+    /// `idx[k]` of `dst`. The whole payload is checked before the first row
+    /// is landed: on `Err`, `dst` is as it was.
+    fn land(
         &self,
         payload: Bytes,
         dir: Direction,
         dst: &mut Matrix,
         (q, idx): (usize, &[u32]),
         stats: &mut ExchangeStats,
-    ) {
-        let dim = dst.cols();
-        if let Wire::Fp32 = self {
-            assert_eq!(payload.len(), idx.len() * dim * 4, "fp32 payload size");
-            return land(dir, dst, idx, payload.chunks_exact(dim * 4).map(floats_le));
+    ) -> Result<(), DecodeError> {
+        let (rows, dim) = (idx.len(), dst.cols());
+        match self {
+            Wire::Fp32 => {
+                let (expected, found) = (rows * dim * 4, payload.len());
+                if found != expected {
+                    return Err(DecodeError::Length { expected, found });
+                }
+                for (row, &i) in payload.chunks_exact(dim * 4).zip(idx) {
+                    land_row(dir, dst.row_mut(i as usize), floats_le(row));
+                }
+                return Ok(());
+            }
+            Wire::Grouped { recv_widths, .. } => {
+                let block = EncodedBlock {
+                    bytes: payload,
+                    rows,
+                    dim,
+                };
+                let decoded = decode_block_grouped(&block, &recv_widths[q])?;
+                if decoded.shape() != (rows, dim) {
+                    return Err(DecodeError::Shape {
+                        expected: (rows, dim),
+                        found: decoded.shape(),
+                    });
+                }
+                for (k, &i) in idx.iter().enumerate() {
+                    land_row(dir, dst.row_mut(i as usize), decoded.row(k).iter().copied());
+                }
+            }
+            Wire::Rows { .. } | Wire::Streamed { .. } => {
+                decode_rows(&payload, rows, dim, |k, row| {
+                    land_row(dir, dst.row_mut(idx[k] as usize), row.iter().copied());
+                })?;
+            }
         }
-        let (bytes, rows) = (payload, idx.len());
-        let block = EncodedBlock { bytes, rows, dim };
-        let (decoded, secs) = measure(|| match self {
-            Wire::Grouped { recv_widths, .. } => decode_block_grouped(&block, &recv_widths[q]),
-            _ => decode_block(&block),
-        });
-        // lint:allow(no-panic): peers run this same codec; a malformed block is a codec bug, not runtime state
-        let decoded = decoded.expect("peer sent a well-formed block");
-        stats.quant_cpu_seconds += secs;
         stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
-        land(
-            dir,
-            dst,
-            idx,
-            (0..rows).map(|r| decoded.row(r).iter().copied()),
-        );
+        Ok(())
     }
 }
 
@@ -370,69 +434,163 @@ impl Wire<'_> {
 /// zeros give a plain halo, a stale cache keeps its stale rows, and a
 /// gradient matrix accumulates.
 ///
+/// # Errors
+///
+/// [`ExchangeError`] if a peer's payload does not decode; rows of the peers
+/// before it (in ascending rank) have been landed, none of its own.
+///
 /// # Panics
 ///
-/// Panics if a shape or width table disagrees with the partition, or if a
-/// peer's payload does not decode.
+/// Panics if a shape or width table disagrees with the partition.
 pub fn halo_exchange(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
     dir: Direction,
     src: Option<&Matrix>,
     dst: &mut Matrix,
+    wire: Wire<'_>,
+    rng: &mut Rng,
+) -> Result<ExchangeStats, ExchangeError> {
+    let dim = dst.cols();
+    halo_exchange_with(dev, part, dir, src, dim, || dst, wire, rng).map(|(_, stats)| stats)
+}
+
+/// [`halo_exchange`] with the `dim`-column destination made by `make_dst`
+/// *after* the ring wait, and handed back: a matrix zeroed before the wait
+/// has left the cache by the time rows land in it (measured: +23 % on the
+/// fp32 forward exchange), so a fresh halo matrix is created here, between
+/// the two halves. A caller-owned destination is `|| dst`.
+///
+/// # Errors
+///
+/// As [`halo_exchange`].
+///
+/// # Panics
+///
+/// As [`halo_exchange`].
+#[allow(clippy::too_many_arguments)]
+pub fn halo_exchange_with<D: BorrowMut<Matrix>>(
+    dev: &mut DeviceHandle,
+    part: &DevicePartition,
+    dir: Direction,
+    src: Option<&Matrix>,
+    dim: usize,
+    make_dst: impl FnOnce() -> D,
     mut wire: Wire<'_>,
     rng: &mut Rng,
-) -> ExchangeStats {
+) -> Result<(D, ExchangeStats), ExchangeError> {
     let n = part.num_parts;
     let (local, owned, halo) = (part.num_local(), &part.send_sets, &part.recv_slots);
     let (offset, src_rows, send_idx, dst_rows, recv_idx) = match dir {
         Direction::Forward => (0, local, owned, part.num_halo(), halo),
         Direction::Backward => (local, part.num_ext(), halo, local, owned),
     };
-    assert_eq!(dst.rows(), dst_rows, "{dir:?} dst rows");
-    if let Some(src) = src {
-        assert_eq!(src.shape(), (src_rows, dst.cols()), "{dir:?} src shape");
-    }
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
-    for (q, idx) in send_idx.iter().enumerate() {
-        let payload = match src {
-            Some(src) if q != part.rank && !idx.is_empty() => {
-                wire.encode(src, (offset, idx), (part.rank, q), rng, &mut stats)
+    let quantized = !matches!(wire, Wire::Fp32);
+
+    // Post: size every payload, then encode consecutive payloads into shared
+    // buffers and ship views of them. Peers with no rows are not listed.
+    let mut sends: Vec<(u32, Bytes)> = Vec::new();
+    if let Some(src) = src {
+        assert_eq!(src.shape(), (src_rows, dim), "{dir:?} src shape");
+        let lens: Vec<usize> = (0..n)
+            .map(|q| match send_idx[q].len() {
+                rows if q != part.rank && rows > 0 => wire.payload_len(q, rows, dim),
+                _ => 0,
+            })
+            .collect();
+        let ((), secs) = measure(|| {
+            let mut q = 0;
+            while q < n {
+                let first = q;
+                let mut total = 0;
+                while q < n && (total == 0 || total + lens[q] <= POOL_BYTES) {
+                    total += lens[q];
+                    q += 1;
+                }
+                let mut buf = vec![0u8; total];
+                let mut rest = buf.as_mut_slice();
+                for p in (first..q).filter(|&p| lens[p] > 0) {
+                    let (span, tail) = std::mem::take(&mut rest).split_at_mut(lens[p]);
+                    rest = tail;
+                    let rows = (offset, send_idx[p].as_slice());
+                    wire.encode_into(span, src, rows, (part.rank, p), rng, &mut stats);
+                }
+                let buf = Bytes::from(buf);
+                let mut at = 0;
+                for p in (first..q).filter(|&p| lens[p] > 0) {
+                    // Device counts are far below 2^32.
+                    sends.push((p as u32, buf.slice(at..at + lens[p])));
+                    at += lens[p];
+                }
             }
-            _ => Bytes::new(),
-        };
-        stats.sent_bytes[q] = payload.len();
-        payloads.push(payload);
-    }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
-        stats.recv_bytes[q] = payload.len();
-        if !payload.is_empty() {
-            wire.decode(payload, dir, dst, (q, &recv_idx[q]), &mut stats);
+        });
+        stats.sent_bytes = lens;
+        if quantized {
+            stats.quant_cpu_seconds += secs;
         }
     }
-    stats
+    let received = dev.ring_exchange(sends);
+
+    // Land: the destination exists from here on.
+    let mut made = make_dst();
+    let dst: &mut Matrix = made.borrow_mut();
+    assert_eq!(dst.shape(), (dst_rows, dim), "{dir:?} dst shape");
+    let (landed, secs) = measure(|| {
+        for (q, payload) in received {
+            let q = q as usize;
+            stats.recv_bytes[q] = payload.len();
+            if !payload.is_empty() {
+                wire.land(payload, dir, dst, (q, &recv_idx[q]), &mut stats)
+                    .map_err(|cause| ExchangeError { peer: q, cause })?;
+            }
+        }
+        Ok(())
+    });
+    landed?;
+    if quantized {
+        stats.quant_cpu_seconds += secs;
+    }
+    Ok((made, stats))
+}
+
+/// A forward [`halo_exchange_with`] of `x` into a fresh halo matrix, for the
+/// two entry points whose signatures the benchmark harness pins.
+fn fresh_forward_halo(
+    dev: &mut DeviceHandle,
+    part: &DevicePartition,
+    x: &Matrix,
+    wire: Wire<'_>,
+    rng: &mut Rng,
+) -> (Matrix, ExchangeStats) {
+    let (dir, dim) = (Direction::Forward, x.cols());
+    let zeros = || Matrix::zeros(part.num_halo(), dim);
+    // lint:allow(no-panic): infallible signatures pinned by benchmark/; every peer of a probe cluster runs this same routine, so a malformed block is a bug in it
+    halo_exchange_with(dev, part, dir, Some(x), dim, zeros, wire, rng).expect("peer block decodes")
 }
 
 /// Full-precision forward [`halo_exchange`] of `x` (`num_local` rows) into a
 /// fresh halo matrix (`num_halo x dim`).
+///
+/// # Panics
+///
+/// Panics if a peer's payload does not decode.
 pub fn exchange_forward_fp32(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
     x: &Matrix,
 ) -> (Matrix, ExchangeStats) {
     // Fp32 draws nothing from the generator.
-    let (wire, rng) = (Wire::Fp32, &mut Rng::seed_from(0));
-    let mut halo = Matrix::zeros(part.num_halo(), x.cols());
-    let stats = halo_exchange(dev, part, Direction::Forward, Some(x), &mut halo, wire, rng);
-    (halo, stats)
+    fresh_forward_halo(dev, part, x, Wire::Fp32, &mut Rng::seed_from(0))
 }
 
 /// Quantized forward [`halo_exchange`] into a fresh halo matrix. `widths[q]`
 /// gives the bit-width of each message to peer `q`, aligned with
 /// `part.send_sets[q]`.
+///
+/// # Panics
+///
+/// Panics if a peer's payload does not decode.
 pub fn exchange_forward_quant(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
@@ -441,15 +599,13 @@ pub fn exchange_forward_quant(
     rng: &mut Rng,
 ) -> (Matrix, ExchangeStats) {
     let residuals = None;
-    let wire = Wire::Rows { widths, residuals };
-    let mut halo = Matrix::zeros(part.num_halo(), x.cols());
-    let stats = halo_exchange(dev, part, Direction::Forward, Some(x), &mut halo, wire, rng);
-    (halo, stats)
+    fresh_forward_halo(dev, part, x, Wire::Rows { widths, residuals }, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quant::{decode_block, encode_block_streamed};
     use Direction::{Backward, Forward};
 
     #[test]
@@ -486,15 +642,21 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0))
     }
 
-    /// Source and (pre-filled) destination operands of one exchange.
-    fn operands(part: &DevicePartition, dir: Direction, rng: &mut Rng) -> (Matrix, Matrix) {
+    /// Source and (pre-filled) destination operands of one `dim`-column
+    /// exchange.
+    fn operands(
+        part: &DevicePartition,
+        dir: Direction,
+        dim: usize,
+        rng: &mut Rng,
+    ) -> (Matrix, Matrix) {
         let (src_rows, dst_rows) = match dir {
             Forward => (part.num_local(), part.num_halo()),
             Backward => (part.num_ext(), part.num_local()),
         };
         (
-            random_matrix(src_rows, 5, rng),
-            random_matrix(dst_rows, 5, rng),
+            random_matrix(src_rows, dim, rng),
+            random_matrix(dst_rows, dim, rng),
         )
     }
 
@@ -537,15 +699,16 @@ mod tests {
         sent
     }
 
-    #[test]
-    fn fused_fp32_exchange_matches_the_gather_serialize_composition() {
-        let parts = &three_parts();
-        let outputs = comm::Cluster::run_fn(3, move |mut dev| {
+    /// Both directions of the fp32 exchange on `parts`, `dim` columns wide,
+    /// through the routine and through [`composed_fp32_exchange`]: bit-equal
+    /// `dst` and equal payload lengths.
+    fn fp32_matches_composition(parts: &[DevicePartition], dim: usize) {
+        let outputs = comm::Cluster::run_fn(parts.len(), move |mut dev| {
             let part = &parts[dev.rank()];
             let mut rng = Rng::seed_from(25 + dev.rank() as u64);
             let mut total = 0;
             for dir in [Forward, Backward] {
-                let (src, seed) = operands(part, dir, &mut rng);
+                let (src, seed) = operands(part, dir, dim, &mut rng);
                 let mut want = seed.clone();
                 let sent = composed_fp32_exchange(&mut dev, part, dir, &src, &mut want);
                 let mut dst = seed;
@@ -557,7 +720,8 @@ mod tests {
                     &mut dst,
                     Wire::Fp32,
                     &mut rng,
-                );
+                )
+                .expect("peer blocks decode");
                 let lens: Vec<usize> = sent.iter().map(Bytes::len).collect();
                 assert_eq!(stats.sent_bytes, lens, "{dir:?} payload lengths");
                 assert_eq!(stats.quant_ops, 0.0);
@@ -565,13 +729,18 @@ mod tests {
                 total += stats.total_sent();
             }
             // The kept forward entry point is the routine over fresh zeros.
-            let x = random_matrix(part.num_local(), 5, &mut rng);
-            let mut want = Matrix::zeros(part.num_halo(), 5);
+            let x = random_matrix(part.num_local(), dim, &mut rng);
+            let mut want = Matrix::zeros(part.num_halo(), dim);
             composed_fp32_exchange(&mut dev, part, Forward, &x, &mut want);
             assert_eq!(exchange_forward_fp32(&mut dev, part, &x).0, want);
             total
         });
         assert!(outputs.iter().all(|&b| b > 0), "every device has a peer");
+    }
+
+    #[test]
+    fn fused_fp32_exchange_matches_the_gather_serialize_composition() {
+        fp32_matches_composition(&three_parts(), 5);
     }
 
     #[test]
@@ -586,7 +755,8 @@ mod tests {
             // Rank 1 skips its broadcast turn.
             let src = (me != 1).then_some(&x);
             let rng = &mut Rng::seed_from(0);
-            let stats = halo_exchange(&mut dev, part, Forward, src, &mut cache, Wire::Fp32, rng);
+            let stats = halo_exchange(&mut dev, part, Forward, src, &mut cache, Wire::Fp32, rng)
+                .expect("peer blocks decode");
             if me == 1 {
                 assert_eq!(stats.total_sent(), 0);
             }
@@ -710,34 +880,40 @@ mod tests {
         }
     }
 
-    /// Runs two rounds of `kind` x `dir` on three devices through the
-    /// routine and through [`reference_exchange`] with a cloned generator,
-    /// and demands bit-equal `dst`, payload lengths, `quant_ops`, streamed
-    /// charges, residuals and generator state.
-    fn routine_matches_reference(kind: Kind, dir: Direction) {
-        let parts = &three_parts();
-        let cost = &CostModel::homogeneous(3, 1e8, 5e-6);
+    /// Runs two rounds of `kind` x `dir`, `dim` columns wide, on `parts`
+    /// through the routine and through [`reference_exchange`] with a cloned
+    /// generator, and demands bit-equal `dst`, payload lengths, `quant_ops`,
+    /// streamed charges, residuals and generator state.
+    fn routine_matches_reference_on(
+        parts: &[DevicePartition],
+        dim: usize,
+        kind: Kind,
+        dir: Direction,
+    ) {
+        let n = parts.len();
+        let cost = &CostModel::homogeneous(n, 1e8, 5e-6);
         // Mixed widths both ends of a pair derive alike: row `k` of the
         // block from `s` to `r`.
         let width = |s: usize, r: usize, k: usize| BitWidth::ALL[(s + 2 * r + k) % 3];
-        comm::Cluster::run_fn(3, move |mut dev| {
+        comm::Cluster::run_fn(n, move |mut dev| {
             let me = dev.rank();
             let part = &parts[me];
             let lens = |q: usize| peer_rows(part, dir, q);
-            let send_widths: Vec<Vec<BitWidth>> = (0..3)
+            let send_widths: Vec<Vec<BitWidth>> = (0..n)
                 .map(|q| (0..lens(q).0.len()).map(|k| width(me, q, k)).collect())
                 .collect();
-            let recv_widths: Vec<Vec<BitWidth>> = (0..3)
+            let recv_widths: Vec<Vec<BitWidth>> = (0..n)
                 .map(|q| (0..lens(q).1.len()).map(|k| width(q, me, k)).collect())
                 .collect();
-            let mut residuals: Vec<Matrix> =
-                (0..3).map(|q| Matrix::zeros(lens(q).0.len(), 5)).collect();
+            let mut residuals: Vec<Matrix> = (0..n)
+                .map(|q| Matrix::zeros(lens(q).0.len(), dim))
+                .collect();
             let mut want_residuals = residuals.clone();
             let mut rng = Rng::seed_from(77 + me as u64);
             let mut want_rng = rng.clone();
             let mut data_rng = Rng::seed_from(99 + me as u64);
             for round in 0..2 {
-                let (src, seed) = operands(part, dir, &mut data_rng);
+                let (src, seed) = operands(part, dir, dim, &mut data_rng);
                 let mut want = seed.clone();
                 let want_outcome = reference_exchange(
                     &mut dev,
@@ -767,7 +943,8 @@ mod tests {
                 };
                 let mut dst = seed;
                 let stats =
-                    halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng);
+                    halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng)
+                        .expect("peer blocks decode");
                 let outcome = Outcome {
                     sent: stats.sent_bytes.clone(),
                     quant_ops_bits: stats.quant_ops.to_bits(),
@@ -782,6 +959,10 @@ mod tests {
             }
             assert_eq!(rng.next_u64(), want_rng.next_u64(), "generator streams");
         });
+    }
+
+    fn routine_matches_reference(kind: Kind, dir: Direction) {
+        routine_matches_reference_on(&three_parts(), 5, kind, dir);
     }
 
     #[test]
@@ -822,6 +1003,193 @@ mod tests {
     #[test]
     fn grouped_wire_backward_matches_reference() {
         routine_matches_reference(Kind::Grouped, Backward);
+    }
+
+    /// A hand-made partition of `n` devices in which every device sends
+    /// `rows(me, q)` of its `local` rows to peer `q` (rows `q + k` modulo
+    /// `local`, so sets overlap) and owns one halo slot per row received.
+    /// Only the fields an exchange reads are meaningful.
+    fn synthetic_parts(
+        n: usize,
+        local: usize,
+        rows: impl Fn(usize, usize) -> usize,
+    ) -> Vec<DevicePartition> {
+        let template = three_parts().swap_remove(0);
+        (0..n)
+            .map(|me| {
+                let send_sets: Vec<Vec<u32>> = (0..n)
+                    .map(|q| match q == me {
+                        true => Vec::new(),
+                        false => (0..rows(me, q)).map(|k| ((q + k) % local) as u32).collect(),
+                    })
+                    .collect();
+                let mut next = 0u32;
+                let recv_slots: Vec<Vec<u32>> = (0..n)
+                    .map(|q| {
+                        let from = next;
+                        next += if q == me { 0 } else { rows(q, me) as u32 };
+                        (from..next).collect()
+                    })
+                    .collect();
+                DevicePartition {
+                    rank: me,
+                    num_parts: n,
+                    local_nodes: (0..local as u32).collect(),
+                    halo_nodes: (0..next).collect(),
+                    send_sets,
+                    recv_slots,
+                    ..template.clone()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn payloads_straddling_the_pool_cap_match_the_composed_reference() {
+        // 40 columns: peers alternate between 3- and 4-row payloads (480 /
+        // 640 B of fp32, pooled with their neighbours) and, between devices
+        // 0 and 2, one of 500 rows: 80 000 B of fp32, over the cap and in a
+        // buffer of its own; quantized it fits and shares one.
+        let rows = |s: usize, q: usize| {
+            if (s, q) == (0, 2) {
+                500
+            } else {
+                3 + (s + q) % 2
+            }
+        };
+        let parts = synthetic_parts(5, 600, rows);
+        assert!(parts[0].send_sets[2].len() * 40 * 4 > POOL_BYTES);
+        assert!(parts[1].messages_per_layer() * 40 * 4 < POOL_BYTES);
+        fp32_matches_composition(&parts, 40);
+        for dir in [Forward, Backward] {
+            routine_matches_reference_on(&parts, 40, Kind::Rows, dir);
+        }
+    }
+
+    #[test]
+    fn one_row_per_peer_shares_one_buffer_across_all_peers() {
+        // What a device hands the ring when every peer gets one 8-column
+        // row: consecutive views of a single allocation.
+        let n = 9;
+        let parts = &synthetic_parts(n, 12, |_, _| 1);
+        comm::Cluster::run_fn(n, move |mut dev| {
+            let me = dev.rank();
+            let x = Matrix::from_fn(parts[me].num_local(), 8, |i, j| {
+                (me * 100 + i * 8 + j) as f32
+            });
+            let (halo, stats) = exchange_forward_fp32(&mut dev, &parts[me], &x);
+            assert_eq!(stats.total_sent(), (n - 1) * 32);
+            // Received payloads are views too: the rows of peer `q` arrive
+            // in one piece, and all eight peers' rows landed.
+            for q in (0..n).filter(|&q| q != me) {
+                let slot = parts[me].recv_slots[q][0] as usize;
+                let row = parts[q].send_sets[me][0] as usize;
+                assert_eq!(halo.at(slot, 3), (q * 100 + row * 8 + 3) as f32);
+            }
+        });
+        // The sender side, observed at the ring: device 0's eight payloads
+        // are back to back in memory.
+        let seen = comm::Cluster::run_fn(n, move |mut dev| {
+            let me = dev.rank();
+            if me == 0 {
+                let x = Matrix::zeros(parts[0].num_local(), 8);
+                exchange_forward_fp32(&mut dev, &parts[0], &x);
+                Vec::new()
+            } else {
+                let from_zero = dev.ring_exchange(Vec::new());
+                assert_eq!(from_zero.len(), 1, "only device 0 sends");
+                let payload = &from_zero[0].1;
+                vec![(payload.as_ptr() as usize, payload.len())]
+            }
+        });
+        let spans: Vec<(usize, usize)> = seen.into_iter().flatten().collect();
+        assert_eq!(spans.len(), n - 1);
+        for pair in spans.windows(2) {
+            assert_eq!(pair[0].0 + pair[0].1, pair[1].0, "payloads are contiguous");
+        }
+    }
+
+    #[test]
+    fn a_malformed_peer_block_is_a_typed_error_and_lands_nothing() {
+        // Device 1 bypasses the routine and ships device 0 a block with a
+        // flipped width byte, a truncated block, and an fp32 payload one
+        // float short; device 0 reports the peer and leaves `dst` alone.
+        let parts = &three_parts();
+        let dim = 5;
+        for (corruption, quantized) in [(0usize, true), (1, true), (2, false)] {
+            let outcomes = comm::Cluster::run_fn(3, move |mut dev| {
+                let me = dev.rank();
+                let part = &parts[me];
+                let mut rng = Rng::seed_from(500 + me as u64);
+                let x = random_matrix(part.num_local(), dim, &mut rng);
+                let widths: Vec<Vec<BitWidth>> = part
+                    .send_sets
+                    .iter()
+                    .map(|s| vec![BitWidth::B4; s.len()])
+                    .collect();
+                let wire = |quantized: bool| match quantized {
+                    true => Wire::Rows {
+                        widths: &widths,
+                        residuals: None,
+                    },
+                    false => Wire::Fp32,
+                };
+                if me != 1 {
+                    let mut halo = Matrix::from_fn(part.num_halo(), dim, |_, _| -7.0);
+                    let got = halo_exchange(
+                        &mut dev,
+                        part,
+                        Forward,
+                        Some(&x),
+                        &mut halo,
+                        wire(quantized),
+                        &mut rng,
+                    );
+                    let untouched = part.recv_slots[1]
+                        .iter()
+                        .all(|&slot| halo.row(slot as usize) == [-7.0; 5]);
+                    return Some((got.map(|_| ()), untouched));
+                }
+                // Device 1: the payloads the routine would send, corrupted
+                // on their way to device 0.
+                let sends = (0u32..3)
+                    .filter(|&q| q != 1)
+                    .map(|q| {
+                        let msgs = part.gather_send_rows(&x, q as usize);
+                        let mut raw = match quantized {
+                            true => quant::encode_block(&msgs, &widths[q as usize], &mut rng)
+                                .bytes
+                                .to_vec(),
+                            false => matrix_to_bytes(&msgs).to_vec(),
+                        };
+                        if q == 0 {
+                            match corruption {
+                                0 => raw[quant::codec::HEADER_BYTES] = 7,
+                                1 => raw.truncate(raw.len() - 1),
+                                _ => raw.truncate(raw.len() - 4),
+                            }
+                        }
+                        (q, Bytes::from(raw))
+                    })
+                    .collect();
+                dev.ring_exchange(sends);
+                None
+            });
+            let (got, untouched) = outcomes[0].clone().expect("device 0 reports");
+            let error = got.expect_err("device 0 rejects the block");
+            assert_eq!(error.peer, 1, "corruption {corruption}");
+            match corruption {
+                0 => assert_eq!(error.cause, DecodeError::BadBitWidth(7)),
+                1 => assert_eq!(error.cause, DecodeError::Truncated),
+                _ => assert!(matches!(error.cause, DecodeError::Length { .. })),
+            }
+            assert!(
+                untouched,
+                "corruption {corruption}: rows of the bad block landed"
+            );
+            // Device 2's block from device 1 was fine.
+            assert_eq!(outcomes[2], Some((Ok(()), false)));
+        }
     }
 
     #[test]

@@ -5,14 +5,15 @@
 use crate::config::ExperimentConfig;
 use crate::decompose::build_partitions;
 use crate::error::Error;
+use crate::exchange::ExchangeError;
 use crate::metrics::{schedule_for, DeviceEpochRecord, EpochMetrics, MetricParts, RunResult};
 use crate::telemetry::TelemetryLog;
-use crate::trainers::DeviceTrainer;
-use comm::telemetry::Event;
+use crate::trainers::{DeviceOutput, DeviceTrainer};
 use comm::Cluster;
 use graph::Task;
 use obs::critpath::{CritPathReport, FlightLog};
 use obs::time::straggler;
+use std::sync::Mutex;
 use tensor::Rng;
 
 /// Runs one experiment end-to-end on the discrete-event cluster core and
@@ -93,7 +94,10 @@ pub fn run_experiment_profiled(
     });
     let parts_ref = &parts;
     let cost_ref = &cost;
-    type DeviceOutput = (Vec<DeviceEpochRecord>, Vec<Event>, Option<obs::Registry>);
+    // A device that receives a malformed halo block stops, and its peers
+    // then stall at their next collective: the cluster reports that stall,
+    // so the cause is kept here (the lowest failing rank's) and wins.
+    let failure: Mutex<Option<(usize, ExchangeError)>> = Mutex::new(None);
     let device = |dev: comm::DeviceHandle| {
         let rank = dev.rank();
         let trainer = DeviceTrainer::new(
@@ -104,7 +108,16 @@ pub fn run_experiment_profiled(
             cost_ref,
             cfg.seed,
         );
-        trainer.run()
+        trainer
+            .run()
+            .map_err(|error| {
+                if let Ok(mut first) = failure.lock() {
+                    if first.as_ref().is_none_or(|(r, _)| rank < *r) {
+                        *first = Some((rank, error));
+                    }
+                }
+            })
+            .ok()
     };
     // The recorder carries its own cost-model copy purely to annotate
     // message departures with the theta*bytes + gamma split; the scheduler
@@ -113,8 +126,11 @@ pub fn run_experiment_profiled(
         .training
         .profile
         .then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
-    let outputs: Vec<DeviceOutput> =
-        Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device)?.outputs;
+    let run = Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device);
+    if let Some((rank, error)) = failure.into_inner().ok().flatten() {
+        return Err(Error::Exchange { rank, error });
+    }
+    let outputs: Vec<DeviceOutput> = run?.outputs.into_iter().flatten().collect();
     let profile = recorder.map(|rec| {
         let flight = rec.finish();
         let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);

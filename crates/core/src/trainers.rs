@@ -10,12 +10,15 @@
 use crate::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use crate::config::{Method, TrainingConfig};
 use crate::decompose::{DevicePartition, LocalLabels};
-use crate::exchange::{exchange_forward_fp32, halo_exchange, Direction, ExchangeStats, Wire};
+use crate::exchange::{
+    halo_exchange, halo_exchange_with, Direction, ExchangeError, ExchangeStats, Wire,
+};
 use crate::metrics::{DeviceEpochRecord, MetricParts};
 use comm::telemetry::{Event, EventDetail, EventKind};
 use comm::{CostModel, DeviceHandle, TimeBreakdown, TimeCategory};
 use gnn::{Adam, Gnn};
 use quant::BitWidth;
+use std::borrow::BorrowMut;
 use tensor::{
     sigmoid_bce_backward_weighted, sigmoid_bce_loss_weighted, softmax_cross_entropy_backward,
     softmax_cross_entropy_loss, Matrix, Rng,
@@ -59,7 +62,17 @@ pub struct DeviceTrainer<'a> {
     /// Halo bytes sent so far this epoch; written only by
     /// [`DeviceTrainer::charge_comm`].
     bytes: usize,
+    /// Evaluation's aggregated first-layer input `Â·[X; halo(X)]`, kept
+    /// from the first [`DeviceTrainer::evaluate`]: features never change and
+    /// evaluation exchanges them at full precision, so every later epoch
+    /// would recompute these exact bits.
+    eval_z0: Option<Matrix>,
 }
+
+/// What one device returns from a run: per-epoch records, the telemetry
+/// events recorded along the way (empty unless `cfg.telemetry`), and the
+/// device's metric registry (`None` unless `cfg.metrics`).
+pub type DeviceOutput = (Vec<DeviceEpochRecord>, Vec<Event>, Option<obs::Registry>);
 
 /// SANCUS broadcasts again when local embeddings drift more than this
 /// relative Frobenius distance from the last broadcast snapshot.
@@ -168,6 +181,7 @@ impl<'a> DeviceTrainer<'a> {
             cur_epoch: 0,
             tb: TimeBreakdown::new(),
             bytes: 0,
+            eval_z0: None,
         }
     }
 
@@ -227,15 +241,19 @@ impl<'a> DeviceTrainer<'a> {
         self.dims.len() - 1
     }
 
-    /// Runs all configured epochs and returns per-epoch records, the
-    /// telemetry events recorded along the way (empty unless
-    /// `cfg.telemetry`), and the device's metric registry (`None` unless
-    /// `cfg.metrics`).
-    pub fn run(mut self) -> (Vec<DeviceEpochRecord>, Vec<Event>, Option<obs::Registry>) {
-        let records = (0..self.cfg.epochs).map(|e| self.run_epoch(e)).collect();
+    /// Runs all configured epochs.
+    ///
+    /// # Errors
+    ///
+    /// [`ExchangeError`] as soon as a peer's halo block does not decode;
+    /// the device stops there, so its peers stall at their next collective.
+    pub fn run(mut self) -> Result<DeviceOutput, ExchangeError> {
+        let records = (0..self.cfg.epochs)
+            .map(|e| self.run_epoch(e))
+            .collect::<Result<_, _>>()?;
         let events = self.dev.telemetry_mut().take_events();
         let metrics = self.dev.take_metrics();
-        (records, events, metrics)
+        Ok((records, events, metrics))
     }
 
     /// Whether this epoch's messages are traced and followed by a
@@ -247,7 +265,11 @@ impl<'a> DeviceTrainer<'a> {
 
     /// One training epoch: forward, loss, backward, allreduce, step,
     /// optional reassignment, evaluation.
-    pub fn run_epoch(&mut self, epoch: usize) -> DeviceEpochRecord {
+    ///
+    /// # Errors
+    ///
+    /// [`ExchangeError`] if a peer's halo block does not decode.
+    pub fn run_epoch(&mut self, epoch: usize) -> Result<DeviceEpochRecord, ExchangeError> {
         self.cur_epoch = epoch;
         self.tb = TimeBreakdown::new();
         self.bytes = 0;
@@ -258,9 +280,9 @@ impl<'a> DeviceTrainer<'a> {
         // ---- Forward ----
         let num_layers = self.num_layers();
         let part = self.part;
-        let mut h = self.forward_layer(0, &part.features, epoch, trace_now);
+        let mut h = self.forward_layer(0, &part.features, epoch, trace_now)?;
         for l in 1..num_layers {
-            h = self.forward_layer(l, &h, epoch, trace_now);
+            h = self.forward_layer(l, &h, epoch, trace_now)?;
         }
         let logits = h;
         self.dev.telemetry_mut().set_layer(None);
@@ -290,7 +312,7 @@ impl<'a> DeviceTrainer<'a> {
             if let Some(gs) = grad_self {
                 grad_local.add_assign(&gs);
             }
-            self.backward_exchange(l, &grad_ext, &mut grad_local, epoch);
+            self.backward_exchange(l, &grad_ext, &mut grad_local, epoch)?;
             grad_h = grad_local;
         }
 
@@ -364,32 +386,38 @@ impl<'a> DeviceTrainer<'a> {
         }
 
         // ---- Evaluation (not charged to simulated time) ----
-        let metric = self.evaluate();
+        let metric = self.evaluate()?;
 
-        DeviceEpochRecord {
+        Ok(DeviceEpochRecord {
             breakdown: self.tb,
             loss_sum,
             metric,
             bytes_sent: self.bytes,
             grad_norm,
-        }
+        })
     }
 
     /// Training forward pass of layer `l` on its input `x`: halo exchange,
     /// split aggregation, dense transform.
-    fn forward_layer(&mut self, l: usize, x: &Matrix, epoch: usize, trace_now: bool) -> Matrix {
+    fn forward_layer(
+        &mut self,
+        l: usize,
+        x: &Matrix,
+        epoch: usize,
+        trace_now: bool,
+    ) -> Result<Matrix, ExchangeError> {
         self.dev.telemetry_mut().set_layer(Some(l as u32));
         if trace_now {
             self.trace.record_fwd(self.part, l, x);
         }
-        let halo = self.forward_halo(l, x, epoch);
+        let halo = self.forward_halo(l, x, epoch)?;
         let xe = Matrix::vstack(&[x, &halo]);
         let z = self.aggregate_split(&xe);
         let x_self = self.model.kind().uses_self_path().then_some(x);
         let out = self.model.layers_mut()[l].forward_dense(&z, x_self, true, &mut self.rng);
         let ops = self.dense_ops(self.part.num_local(), l, 1.0);
         self.charge_split_ops(ops);
-        out
+        Ok(out)
     }
 
     /// Whether this epoch's exchanges are quantized: AdaQP and its uniform
@@ -398,18 +426,19 @@ impl<'a> DeviceTrainer<'a> {
         matches!(self.method, Method::AdaQp | Method::AdaQpUniform) && epoch > 0
     }
 
-    /// One ring-scheduled halo exchange of layer `l` from `src` into `dst`,
-    /// with its comm and quantization charges: fp32, or — when `quantized`
-    /// — over the wire the config selects (the same choice for both
-    /// directions).
-    fn ring_exchange(
+    /// One ring-scheduled halo exchange of layer `l` from `src` into the
+    /// destination `make_dst` yields once the ring wait is over
+    /// ([`halo_exchange_with`]), with its comm and quantization charges:
+    /// fp32, or — when `quantized` — over the wire the config selects (the
+    /// same choice for both directions).
+    fn charged_exchange<D: BorrowMut<Matrix>>(
         &mut self,
         l: usize,
         dir: Direction,
         quantized: bool,
         src: &Matrix,
-        dst: &mut Matrix,
-    ) {
+        make_dst: impl FnOnce() -> D,
+    ) -> Result<D, ExchangeError> {
         let a = &self.assignment;
         // The residual buffers exist only under `cfg.error_feedback`.
         let (widths, recv_widths, residuals) = match dir {
@@ -434,8 +463,9 @@ impl<'a> DeviceTrainer<'a> {
         } else {
             Wire::Rows { widths, residuals }
         };
-        let (dev, rng) = (&mut self.dev, &mut self.rng);
-        let stats = halo_exchange(dev, self.part, dir, Some(src), dst, wire, rng);
+        let (dev, rng, dim) = (&mut self.dev, &mut self.rng, src.cols());
+        let (dst, stats) =
+            halo_exchange_with(dev, self.part, dir, Some(src), dim, make_dst, wire, rng)?;
         let comm_secs = stats.ring_seconds(self.cost, self.part.rank);
         let quant_secs = self.cost.ops_time_for(self.part.rank, stats.quant_ops);
         self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, bits);
@@ -449,17 +479,23 @@ impl<'a> DeviceTrainer<'a> {
             },
         );
         self.record_ring_metrics(&stats, bits);
+        Ok(dst)
     }
 
     /// Produces the halo matrix for layer `l`'s aggregation, charging
     /// communication/quantization time according to the method.
-    fn forward_halo(&mut self, l: usize, h: &Matrix, epoch: usize) -> Matrix {
+    fn forward_halo(
+        &mut self,
+        l: usize,
+        h: &Matrix,
+        epoch: usize,
+    ) -> Result<Matrix, ExchangeError> {
         if self.method == Method::Sancus {
             return self.sancus_halo(l, h, epoch);
         }
-        let mut halo = Matrix::zeros(self.part.num_halo(), h.cols());
         let quantized = self.quantized(epoch);
-        self.ring_exchange(l, Direction::Forward, quantized, h, &mut halo);
+        let zeros = || Matrix::zeros(self.part.num_halo(), h.cols());
+        let mut halo = self.charged_exchange(l, Direction::Forward, quantized, h, zeros)?;
         if self.method == Method::PipeGcn {
             // Use last epoch's halo; the fresh one refreshes the cache
             // concurrently (pipelined).
@@ -469,7 +505,7 @@ impl<'a> DeviceTrainer<'a> {
                 std::mem::swap(&mut self.halo_cache[l], &mut halo);
             }
         }
-        halo
+        Ok(halo)
     }
 
     /// SANCUS's staleness-aware skip-broadcast (Peng et al. 2022): each
@@ -480,7 +516,7 @@ impl<'a> DeviceTrainer<'a> {
     /// epochs). Functionally only the halo rows matter, so only those move;
     /// the byte/time accounting uses the full-partition broadcast volume
     /// over the serialized sequential schedule the paper critiques.
-    fn sancus_halo(&mut self, l: usize, h: &Matrix, epoch: usize) -> Matrix {
+    fn sancus_halo(&mut self, l: usize, h: &Matrix, epoch: usize) -> Result<Matrix, ExchangeError> {
         let part = self.part;
         // Sender-side refresh decision.
         let drifted = match &self.sancus_snapshot[l] {
@@ -498,7 +534,7 @@ impl<'a> DeviceTrainer<'a> {
         // cache: rows of a peer that skipped its broadcast stay as they were.
         let (src, cache) = (broadcast.then_some(h), &mut self.halo_cache[l]);
         let (dev, rng) = (&mut self.dev, &mut self.rng);
-        let mut stats = halo_exchange(dev, part, Direction::Forward, src, cache, Wire::Fp32, rng);
+        let mut stats = halo_exchange(dev, part, Direction::Forward, src, cache, Wire::Fp32, rng)?;
         // Full-partition broadcast volume, not just the halo.
         let row_bytes = h.cols() * 4;
         for q in 0..part.num_parts {
@@ -518,7 +554,7 @@ impl<'a> DeviceTrainer<'a> {
         }
         let comm_secs = stats.sequential_seconds(self.cost, part.rank);
         self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, Some(32));
-        self.halo_cache[l].clone()
+        Ok(self.halo_cache[l].clone())
     }
 
     /// Backward halo-gradient exchange per method.
@@ -528,7 +564,7 @@ impl<'a> DeviceTrainer<'a> {
         grad_ext: &Matrix,
         grad_local: &mut Matrix,
         epoch: usize,
-    ) {
+    ) -> Result<(), ExchangeError> {
         let dir = Direction::Backward;
         match self.method {
             // Communication-avoiding: remote gradient contributions are
@@ -539,7 +575,7 @@ impl<'a> DeviceTrainer<'a> {
                 // warm-up epoch applies the fresh ones synchronously and
                 // leaves the stale buffer zeroed so nothing double-counts.
                 let mut grads = Matrix::zeros(grad_local.rows(), grad_local.cols());
-                self.ring_exchange(l, dir, false, grad_ext, &mut grads);
+                self.charged_exchange(l, dir, false, grad_ext, || &mut grads)?;
                 if epoch > 0 {
                     std::mem::swap(&mut self.stale_grads[l], &mut grads);
                 }
@@ -547,9 +583,10 @@ impl<'a> DeviceTrainer<'a> {
             }
             Method::Vanilla | Method::AdaQp | Method::AdaQpUniform => {
                 let quantized = self.quantized(epoch);
-                self.ring_exchange(l, dir, quantized, grad_ext, grad_local);
+                self.charged_exchange(l, dir, quantized, grad_ext, || grad_local)?;
             }
         }
+        Ok(())
     }
 
     /// Records the deterministic observability counters for one halo
@@ -718,22 +755,35 @@ impl<'a> DeviceTrainer<'a> {
     /// Evaluation forward pass (full precision, eval mode); returns local
     /// metric accumulators. Not charged to simulated time: the paper's
     /// throughput numbers measure training epochs only.
-    fn evaluate(&mut self) -> MetricParts {
+    fn evaluate(&mut self) -> Result<MetricParts, ExchangeError> {
         let part = self.part;
-        let mut h = self.eval_layer(0, &part.features);
+        let z0 = match self.eval_z0.take() {
+            Some(z0) => z0,
+            None => self.eval_aggregate(&part.features)?,
+        };
+        let mut h = self.eval_dense(0, &z0, &part.features);
+        self.eval_z0 = Some(z0);
         for l in 1..self.num_layers() {
-            h = self.eval_layer(l, &h);
+            let z = self.eval_aggregate(&h)?;
+            h = self.eval_dense(l, &z, &h);
         }
-        self.local_metrics(&h)
+        Ok(self.local_metrics(&h))
     }
 
-    /// Evaluation forward pass of layer `l` on its input `x`.
-    fn eval_layer(&mut self, l: usize, x: &Matrix) -> Matrix {
-        let (halo, _) = exchange_forward_fp32(&mut self.dev, self.part, x);
-        let xe = Matrix::vstack(&[x, &halo]);
-        let z = self.part.agg.aggregate(&xe);
+    /// Evaluation's aggregated layer input `Â·[x; halo(x)]`, the halo
+    /// exchanged at full precision.
+    fn eval_aggregate(&mut self, x: &Matrix) -> Result<Matrix, ExchangeError> {
+        let (dev, rng, dim) = (&mut self.dev, &mut self.rng, x.cols());
+        let zeros = || Matrix::zeros(self.part.num_halo(), dim);
+        let (dir, wire) = (Direction::Forward, Wire::Fp32);
+        let (halo, _) = halo_exchange_with(dev, self.part, dir, Some(x), dim, zeros, wire, rng)?;
+        Ok(self.part.agg.aggregate(&Matrix::vstack(&[x, &halo])))
+    }
+
+    /// Evaluation's dense transform of layer `l` on aggregated input `z`.
+    fn eval_dense(&mut self, l: usize, z: &Matrix, x: &Matrix) -> Matrix {
         let x_self = self.model.kind().uses_self_path().then_some(x);
-        self.model.layers_mut()[l].forward_dense(&z, x_self, false, &mut self.rng)
+        self.model.layers_mut()[l].forward_dense(z, x_self, false, &mut self.rng)
     }
 
     fn local_metrics(&self, logits: &Matrix) -> MetricParts {
@@ -876,7 +926,8 @@ mod tests {
 
     #[test]
     fn epoch_record_has_consistent_accounting() {
-        let rec = with_single_device_trainer(quick_cfg(), Method::Vanilla, |t| t.run_epoch(0));
+        let rec = with_single_device_trainer(quick_cfg(), Method::Vanilla, |t| t.run_epoch(0))
+            .expect("one device has no peer blocks to reject");
         // Single device: no halo, no bytes.
         assert_eq!(rec.bytes_sent, 0);
         assert!(rec.loss_sum.is_finite());

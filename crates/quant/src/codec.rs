@@ -123,6 +123,21 @@ pub enum DecodeError {
     Truncated,
     /// A row header declared an unsupported bit-width.
     BadBitWidth(u8),
+    /// The block header declares another `(rows, dim)` than the receiver
+    /// expects.
+    Shape {
+        /// The `(rows, dim)` the receiver expects.
+        expected: (usize, usize),
+        /// The `(rows, dim)` the header declares.
+        found: (usize, usize),
+    },
+    /// The payload is not exactly as long as its content.
+    Length {
+        /// Bytes the content needs.
+        expected: usize,
+        /// Bytes in the payload.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -130,6 +145,14 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "encoded block is truncated"),
             DecodeError::BadBitWidth(b) => write!(f, "unsupported bit-width {b}"),
+            DecodeError::Shape { expected, found } => write!(
+                f,
+                "block header declares {} x {}, expected {} x {}",
+                found.0, found.1, expected.0, expected.1
+            ),
+            DecodeError::Length { expected, found } => {
+                write!(f, "payload is {found} bytes, its content needs {expected}")
+            }
         }
     }
 }
@@ -152,7 +175,46 @@ impl std::error::Error for DecodeError {}
 pub fn encode_block(messages: &Matrix, widths: &[BitWidth], rng: &mut Rng) -> EncodedBlock {
     // `STATS = false`: the caller is discarding the statistics, so the
     // monomorphized core skips the per-row f64 accumulation entirely.
-    encode_block_core::<false>(messages, widths, rng).0
+    encode_matrix::<false>(messages, widths, rng).0
+}
+
+/// Allocates the block's buffer and encodes `messages` into it.
+fn encode_matrix<const STATS: bool>(
+    messages: &Matrix,
+    widths: &[BitWidth],
+    rng: &mut Rng,
+) -> (EncodedBlock, EncodeStats) {
+    let (rows, dim) = messages.shape();
+    let mut buf = vec![0u8; predicted_wire_len(dim, widths)];
+    let row_of = |i| messages.row(i);
+    let stats = encode_block_core::<STATS, _>(&mut buf, row_of, rows, dim, widths, rng);
+    let bytes = Bytes::from(buf);
+    (EncodedBlock { bytes, rows, dim }, stats)
+}
+
+/// [`encode_block_with_stats`] without the message matrix or the block's
+/// own buffer: row `i` of the block is `row_of(i)` (`dim` floats) and the
+/// wire bytes are written into `buf`, which the caller sized with
+/// [`predicted_wire_len`]`(dim, widths)` — typically a span of a buffer
+/// several blocks share. Bytes, statistics and the generator's next draw are
+/// those of `encode_block_with_stats` over the matrix of the same rows.
+///
+/// # Panics
+///
+/// Panics if `widths.len() != rows`, if `buf` is not exactly the predicted
+/// length, or if `row_of` yields a row that is not `dim` long.
+pub fn encode_rows_into<'a, R>(
+    buf: &mut [u8],
+    row_of: R,
+    rows: usize,
+    dim: usize,
+    widths: &[BitWidth],
+    rng: &mut Rng,
+) -> EncodeStats
+where
+    R: Fn(usize) -> &'a [f32] + Sync,
+{
+    encode_block_core::<true, R>(buf, row_of, rows, dim, widths, rng)
 }
 
 /// [`encode_block`], additionally returning per-width quantization
@@ -170,8 +232,7 @@ pub fn encode_block_with_stats(
     widths: &[BitWidth],
     rng: &mut Rng,
 ) -> (EncodedBlock, EncodeStats) {
-    let (block, stats, _, _) = encode_block_core::<true>(messages, widths, rng);
-    (block, stats)
+    encode_matrix::<true>(messages, widths, rng)
 }
 
 /// One encoded chunk of a streamed block: the unit the pipelined
@@ -201,6 +262,27 @@ pub struct StreamProfile {
 }
 
 impl StreamProfile {
+    /// The chunk schedule of a `widths.len() x dim` block: a function of
+    /// the shape and the width table alone, so it needs no encode.
+    pub fn for_block(dim: usize, widths: &[BitWidth]) -> Self {
+        let ranges = tensor::par::chunk_ranges(widths.len(), par_min_rows(dim));
+        let chunks = ranges
+            .iter()
+            .enumerate()
+            .map(|(k, &(s, e))| StreamChunk {
+                rows: e - s,
+                elements: (e - s) * dim,
+                wire_bytes: (e - s) * ROW_OVERHEAD_BYTES
+                    + widths[s..e]
+                        .iter()
+                        .map(|w| w.packed_len(dim))
+                        .sum::<usize>()
+                    + if k == 0 { HEADER_BYTES } else { 0 },
+            })
+            .collect();
+        Self { chunks }
+    }
+
     /// Total wire bytes across all chunks (== the block's `wire_len`).
     pub fn total_bytes(&self) -> usize {
         self.chunks.iter().map(|c| c.wire_bytes).sum()
@@ -226,54 +308,115 @@ pub fn encode_block_streamed(
     widths: &[BitWidth],
     rng: &mut Rng,
 ) -> (EncodedBlock, EncodeStats, StreamProfile) {
-    let (block, stats, ranges, code_offsets) = encode_block_core::<true>(messages, widths, rng);
-    let dim = block.dim;
-    let chunks = ranges
-        .iter()
-        .enumerate()
-        .map(|(k, &(s, e))| StreamChunk {
-            rows: e - s,
-            elements: (e - s) * dim,
-            wire_bytes: (e - s) * ROW_OVERHEAD_BYTES
-                + (code_offsets[e] - code_offsets[s])
-                + if k == 0 { HEADER_BYTES } else { 0 },
-        })
-        .collect();
-    (block, stats, StreamProfile { chunks })
+    let (block, stats) = encode_matrix::<true>(messages, widths, rng);
+    let profile = StreamProfile::for_block(block.dim, widths);
+    (block, stats, profile)
 }
 
-/// Shared body of the block encoders: returns the encoded block, the
-/// per-width statistics, the fixed parallel chunk ranges, and the per-row
-/// packed-code prefix sums. `STATS = false` skips the statistics
-/// accumulation (the returned [`EncodeStats`] stays default) for callers
-/// that drop it — the wire bytes are identical either way.
-fn encode_block_core<const STATS: bool>(
-    messages: &Matrix,
+/// Shared body of the block encoders: writes the block whose row `i` is
+/// `row_of(i)` into `buf` and returns the per-width statistics.
+/// `STATS = false` skips the statistics accumulation (the returned
+/// [`EncodeStats`] stays default) for callers that drop it — the wire bytes
+/// are identical either way. `buf` need not be zeroed.
+fn encode_block_core<'a, const STATS: bool, R>(
+    buf: &mut [u8],
+    row_of: R,
+    rows: usize,
+    dim: usize,
     widths: &[BitWidth],
     rng: &mut Rng,
-) -> (EncodedBlock, EncodeStats, Vec<(usize, usize)>, Vec<usize>) {
-    assert_eq!(widths.len(), messages.rows(), "one width per message row");
-    let rows = messages.rows();
-    let dim = messages.cols();
-    // Prefix sum of packed code lengths: row i's codes start at offset[i]
-    // within the code region.
-    let mut code_offsets = Vec::with_capacity(rows + 1);
-    let mut acc = 0usize;
-    code_offsets.push(0);
-    for &w in widths {
-        acc += w.packed_len(dim);
-        code_offsets.push(acc);
-    }
-    let header_total = rows * ROW_OVERHEAD_BYTES;
-    let mut buf = vec![0u8; HEADER_BYTES + header_total + acc];
+) -> EncodeStats
+where
+    R: Fn(usize) -> &'a [f32] + Sync,
+{
+    assert_eq!(widths.len(), rows, "one width per message row");
+    assert_eq!(
+        buf.len(),
+        predicted_wire_len(dim, widths),
+        "block buffer is the predicted wire length"
+    );
     buf[0..4].copy_from_slice(&(rows as u32).to_le_bytes());
     buf[4..8].copy_from_slice(&(dim as u32).to_le_bytes());
-    let (hdr_region, code_region) = buf[HEADER_BYTES..].split_at_mut(header_total);
+    let (hdr_region, code_region) = buf[HEADER_BYTES..].split_at_mut(rows * ROW_OVERHEAD_BYTES);
     // One base draw per block keys every row's coin stream.
     let base = rng.next_u64();
+    // Expected squared error of stochastic rounding is `dim * S^2 / 6` per
+    // row; the `dim / 6` factor is row-independent, so hoist it out of the
+    // loop (f64 division is the slowest scalar op in the row prologue).
+    let sq_coef = dim as f64 / 6.0;
+    // Encodes rows `s..e` into their header and code spans; `stat` is the
+    // chunk's own statistics slot.
+    type Spans<'s> = (&'s mut [u8], &'s mut [u8], &'s mut EncodeStats);
+    let encode_rows = |s: usize, e: usize, (hdr, codes, stat): Spans<'_>| {
+        let mut code_at = 0usize;
+        for (i, h) in (s..e).zip(hdr.chunks_exact_mut(ROW_OVERHEAD_BYTES)) {
+            let w = widths[i];
+            let row = row_of(i);
+            assert_eq!(row.len(), dim, "message row width");
+            let out = &mut codes[code_at..code_at + w.packed_len(dim)];
+            code_at += out.len();
+            let (mn, mx) = kernels::min_max(row);
+            let scale = if mx > mn {
+                // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
+                (mx - mn) / w.max_code() as f32
+            } else {
+                0.0
+            };
+            if STATS {
+                let ws = &mut stat.per_width[w.index()];
+                ws.rows += 1;
+                ws.elements += dim as u64;
+                ws.sum_range += if mx > mn { f64::from(mx - mn) } else { 0.0 };
+                ws.sum_sq_err += sq_coef * f64::from(scale) * f64::from(scale);
+            }
+            // lint:allow(lossy-cast): supported widths are 2/4/8 bits; always fits a u8
+            h[0] = w.bits() as u8;
+            h[1..5].copy_from_slice(&mn.to_le_bytes());
+            h[5..9].copy_from_slice(&scale.to_le_bytes());
+            if scale == 0.0 {
+                // A flat row's codes are all zero.
+                out.fill(0);
+                continue;
+            }
+            // Fused stochastic round + pack straight into the wire buffer:
+            // `floor(x + u)` with `u ~ U[0,1)` *is* stochastic rounding,
+            // the coins come from a murmur-style counter hash keyed per
+            // row, and the kernel assembles one wire byte per iteration
+            // (kernels::encode_span) — no per-element fill branch, no
+            // intermediate code buffer.
+            let inv_scale = 1.0 / scale;
+            // Truncating the mixed 64-bit key to its low 32 bits is the draw itself.
+            let seed = splitmix64(base ^ (i as u64)) as u32;
+            // A normal scale bounds (x - mn)/scale by max_code·(1+3ε),
+            // unlocking the cheaper bounded clamp (see encode_span's
+            // EXACT contract); subnormal/inf/NaN scales take the
+            // full-domain kernel. Identical bytes either way.
+            if scale.is_normal() {
+                match w {
+                    BitWidth::B2 => kernels::encode_span::<2, false>(row, mn, inv_scale, seed, out),
+                    BitWidth::B4 => kernels::encode_span::<4, false>(row, mn, inv_scale, seed, out),
+                    BitWidth::B8 => kernels::encode_span::<8, false>(row, mn, inv_scale, seed, out),
+                }
+            } else {
+                match w {
+                    BitWidth::B2 => kernels::encode_span::<2, true>(row, mn, inv_scale, seed, out),
+                    BitWidth::B4 => kernels::encode_span::<4, true>(row, mn, inv_scale, seed, out),
+                    BitWidth::B8 => kernels::encode_span::<8, true>(row, mn, inv_scale, seed, out),
+                }
+            }
+        }
+    };
+    let min_rows = par_min_rows(dim);
+    if rows <= tensor::par::chunk_len(rows, min_rows) {
+        // One chunk (every halo-sized block): nothing to split, schedule or
+        // fold, so nothing is allocated either.
+        let mut stats = EncodeStats::default();
+        encode_rows(0, rows, (hdr_region, code_region, &mut stats));
+        return stats;
+    }
     // Cut the header and code regions at the same fixed row-chunk boundaries;
     // each task owns one disjoint piece of both.
-    let ranges = tensor::par::chunk_ranges(rows, par_min_rows(dim));
+    let ranges = tensor::par::chunk_ranges(rows, min_rows);
     // One disjoint statistics slot per chunk, folded in chunk order below.
     let mut chunk_stats = vec![EncodeStats::default(); ranges.len()];
     let mut tasks = Vec::with_capacity(ranges.len());
@@ -281,106 +424,75 @@ fn encode_block_core<const STATS: bool>(
     let mut code_rest = code_region;
     let mut stat_rest = chunk_stats.as_mut_slice();
     for &(s, e) in &ranges {
+        let code_len: usize = widths[s..e].iter().map(|w| w.packed_len(dim)).sum();
         let (hdr, hdr_tail) = hdr_rest.split_at_mut((e - s) * ROW_OVERHEAD_BYTES);
-        let (codes, code_tail) = code_rest.split_at_mut(code_offsets[e] - code_offsets[s]);
+        let (codes, code_tail) = code_rest.split_at_mut(code_len);
         let (stat, stat_tail) = stat_rest.split_at_mut(1);
         tasks.push(((s, e), (hdr, codes, &mut stat[0])));
         hdr_rest = hdr_tail;
         code_rest = code_tail;
         stat_rest = stat_tail;
     }
-    // Expected squared error of stochastic rounding is `dim * S^2 / 6` per
-    // row; the `dim / 6` factor is row-independent, so hoist it out of the
-    // loop (f64 division is the slowest scalar op in the row prologue).
-    let sq_coef = dim as f64 / 6.0;
-    tensor::par::run_range_tasks(
-        "quant::encode_block",
-        rows,
-        tasks,
-        |s, e, (hdr, codes, stat)| {
-            for i in s..e {
-                let w = widths[i];
-                let row = messages.row(i);
-                let (mn, mx) = kernels::min_max(row);
-                let scale = if mx > mn {
-                    // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
-                    (mx - mn) / w.max_code() as f32
-                } else {
-                    0.0
-                };
-                if STATS {
-                    let ws = &mut stat.per_width[w.index()];
-                    ws.rows += 1;
-                    ws.elements += dim as u64;
-                    ws.sum_range += if mx > mn { f64::from(mx - mn) } else { 0.0 };
-                    ws.sum_sq_err += sq_coef * f64::from(scale) * f64::from(scale);
-                }
-                let h = &mut hdr[(i - s) * ROW_OVERHEAD_BYTES..(i - s + 1) * ROW_OVERHEAD_BYTES];
-                // lint:allow(lossy-cast): supported widths are 2/4/8 bits; always fits a u8
-                h[0] = w.bits() as u8;
-                h[1..5].copy_from_slice(&mn.to_le_bytes());
-                h[5..9].copy_from_slice(&scale.to_le_bytes());
-                if scale == 0.0 {
-                    // Codes stay zero (the buffer is pre-zeroed).
-                    continue;
-                }
-                // Fused stochastic round + pack straight into the wire buffer:
-                // `floor(x + u)` with `u ~ U[0,1)` *is* stochastic rounding,
-                // the coins come from a murmur-style counter hash keyed per
-                // row, and the kernel assembles one wire byte per iteration
-                // (kernels::encode_span) — no per-element fill branch, no
-                // intermediate code buffer.
-                let out = &mut codes
-                    [code_offsets[i] - code_offsets[s]..code_offsets[i + 1] - code_offsets[s]];
-                let inv_scale = 1.0 / scale;
-                // Truncating the mixed 64-bit key to its low 32 bits is the draw itself.
-                let seed = splitmix64(base ^ (i as u64)) as u32;
-                // A normal scale bounds (x - mn)/scale by max_code·(1+3ε),
-                // unlocking the cheaper bounded clamp (see encode_span's
-                // EXACT contract); subnormal/inf/NaN scales take the
-                // full-domain kernel. Identical bytes either way.
-                if scale.is_normal() {
-                    match w {
-                        BitWidth::B2 => {
-                            kernels::encode_span::<2, false>(row, mn, inv_scale, seed, out);
-                        }
-                        BitWidth::B4 => {
-                            kernels::encode_span::<4, false>(row, mn, inv_scale, seed, out);
-                        }
-                        BitWidth::B8 => {
-                            kernels::encode_span::<8, false>(row, mn, inv_scale, seed, out);
-                        }
-                    }
-                } else {
-                    match w {
-                        BitWidth::B2 => {
-                            kernels::encode_span::<2, true>(row, mn, inv_scale, seed, out);
-                        }
-                        BitWidth::B4 => {
-                            kernels::encode_span::<4, true>(row, mn, inv_scale, seed, out);
-                        }
-                        BitWidth::B8 => {
-                            kernels::encode_span::<8, true>(row, mn, inv_scale, seed, out);
-                        }
-                    }
-                }
-            }
-        },
-    );
+    tensor::par::run_range_tasks("quant::encode_block", rows, tasks, encode_rows);
     let mut stats = EncodeStats::default();
     for s in &chunk_stats {
         stats.merge(s);
     }
+    stats
+}
+
+/// One row's wire header: its width (`Err` holds a byte that is not one),
+/// zero point and scale.
+#[inline]
+fn row_header(raw: &[u8], row: usize) -> (Result<BitWidth, u8>, f32, f32) {
+    let at = HEADER_BYTES + row * ROW_OVERHEAD_BYTES;
+    let h = &raw[at..at + ROW_OVERHEAD_BYTES];
     (
-        EncodedBlock {
-            bytes: Bytes::from(buf),
-            rows,
-            dim,
-        },
-        stats,
-        ranges,
-        code_offsets,
+        BitWidth::from_bits(u32::from(h[0])).ok_or(h[0]),
+        f32::from_le_bytes([h[1], h[2], h[3], h[4]]),
+        f32::from_le_bytes([h[5], h[6], h[7], h[8]]),
     )
+}
+
+/// Checks everything about `raw` a decoder relies on — the block header,
+/// every row header's width, and that the buffer holds every row's codes —
+/// and returns the declared `(rows, dim)` and the content's length. After
+/// this, [`row_header`] and the code spans cannot run off the buffer.
+fn validate_block(raw: &[u8]) -> Result<(usize, usize, usize), DecodeError> {
+    if raw.len() < HEADER_BYTES {
+        return Err(DecodeError::Truncated);
+    }
+    let rows = u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]) as usize;
+    let dim = u32::from_le_bytes([raw[4], raw[5], raw[6], raw[7]]) as usize;
+    let code_base = HEADER_BYTES + rows * ROW_OVERHEAD_BYTES;
+    if raw.len() < code_base {
+        return Err(DecodeError::Truncated);
+    }
+    let mut codes = 0usize;
+    for row in 0..rows {
+        let width = row_header(raw, row).0.map_err(DecodeError::BadBitWidth)?;
+        codes += width.packed_len(dim);
+    }
+    if raw.len() < code_base + codes {
+        return Err(DecodeError::Truncated);
+    }
+    Ok((rows, dim, code_base + codes))
+}
+
+/// De-quantizes row `row` of a validated block, whose codes start at
+/// `code_at`, into `out` (`dim` floats); returns where the next row's codes
+/// start. Decode is table-driven — a 256-entry LUT expands each packed byte
+/// into its codes, and the reconstruction values come from a per-row table
+/// built once per row (kernels::dequant_row), byte-identical to the scalar
+/// bit-extract.
+#[inline]
+fn decode_row(raw: &[u8], row: usize, code_at: usize, out: &mut [f32]) -> usize {
+    let (width, zero, scale) = row_header(raw, row);
+    // `validate_block` accepted every width byte.
+    let width = width.unwrap_or(BitWidth::B8);
+    let end = code_at + width.packed_len(out.len());
+    kernels::dequant_row(width, &raw[code_at..end], 0, scale, zero, out);
+    end
 }
 
 /// Decodes a block back into a dense de-quantized matrix.
@@ -394,61 +506,79 @@ fn encode_block_core<const STATS: bool>(
 /// invalid.
 pub fn decode_block(block: &EncodedBlock) -> Result<Matrix, DecodeError> {
     let raw: &[u8] = &block.bytes;
-    if raw.len() < HEADER_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    let rows = u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]) as usize;
-    let dim = u32::from_le_bytes([raw[4], raw[5], raw[6], raw[7]]) as usize;
-    if raw.len() < HEADER_BYTES + rows * ROW_OVERHEAD_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    // Parse headers serially (cheap, sequential layout), accumulating the
-    // prefix-sum code offsets that make the rows independently addressable.
-    let mut headers = Vec::with_capacity(rows);
-    let mut code_offsets = Vec::with_capacity(rows + 1);
-    let mut acc = 0usize;
-    code_offsets.push(0);
-    let mut pos = HEADER_BYTES;
-    for _ in 0..rows {
-        let bits = raw[pos];
-        let zero = f32::from_le_bytes([raw[pos + 1], raw[pos + 2], raw[pos + 3], raw[pos + 4]]);
-        let scale = f32::from_le_bytes([raw[pos + 5], raw[pos + 6], raw[pos + 7], raw[pos + 8]]);
-        pos += ROW_OVERHEAD_BYTES;
-        let width = BitWidth::from_bits(bits as u32).ok_or(DecodeError::BadBitWidth(bits))?;
-        headers.push((width, zero, scale));
-        acc += width.packed_len(dim);
-        code_offsets.push(acc);
-    }
-    let code_base = pos;
-    if raw.len() < code_base + acc {
-        return Err(DecodeError::Truncated);
+    let (rows, dim, _) = validate_block(raw)?;
+    // The prefix sum of code lengths makes the rows independently
+    // addressable.
+    let mut code_at = Vec::with_capacity(rows);
+    let mut at = HEADER_BYTES + rows * ROW_OVERHEAD_BYTES;
+    for row in 0..rows {
+        code_at.push(at);
+        at += row_header(raw, row).0.map_or(0, |w| w.packed_len(dim));
     }
     // Unpack + de-quantize row chunks in parallel: every row reads its own
-    // packed span and writes its own output row. Decode is table-driven —
-    // a 256-entry LUT expands each packed byte into its codes, and the
-    // reconstruction values come from a per-row table built once per row
-    // (kernels::dequant_span*), byte-identical to the scalar bit-extract.
+    // packed span and writes its own output row.
     let mut out = Matrix::zeros(rows, dim);
     let min_rows = par_min_rows(dim);
     tensor::par::par_chunks_deterministic(out.as_mut_slice(), rows, min_rows, |s, e, chunk| {
         for i in s..e {
-            let (width, zero, scale) = headers[i];
-            let packed = &raw[code_base + code_offsets[i]..code_base + code_offsets[i + 1]];
-            let row = &mut chunk[(i - s) * dim..(i - s + 1) * dim];
-            match width {
-                BitWidth::B2 => {
-                    let vals = kernels::vals_table::<4>(scale, zero);
-                    kernels::dequant_span2(packed, 0, &vals, row);
-                }
-                BitWidth::B4 => {
-                    let vals = kernels::vals_table::<16>(scale, zero);
-                    kernels::dequant_span4(packed, 0, &vals, row);
-                }
-                BitWidth::B8 => kernels::dequant_span8(packed, 0, scale, zero, row),
-            }
+            decode_row(
+                raw,
+                i,
+                code_at[i],
+                &mut chunk[(i - s) * dim..(i - s + 1) * dim],
+            );
         }
     });
     Ok(out)
+}
+
+/// Decodes the `rows x dim` block in `raw` row by row, without a decoded
+/// matrix: `sink(k, row)` is handed row `k`'s `dim` de-quantized floats, in
+/// row order — the values [`decode_block`] would put in row `k`.
+///
+/// The shape, every row header and the total length are checked **before
+/// the first row reaches `sink`**: on `Err` the sink has not been called, so
+/// a bad block cannot be half landed.
+///
+/// # Errors
+///
+/// [`DecodeError::Shape`] if the header declares another shape than
+/// `rows x dim`, [`DecodeError::Length`] if `raw` is longer than its
+/// content, and [`decode_block`]'s errors otherwise.
+pub fn decode_rows(
+    raw: &[u8],
+    rows: usize,
+    dim: usize,
+    mut sink: impl FnMut(usize, &[f32]),
+) -> Result<(), DecodeError> {
+    let (found_rows, found_dim, expected) = validate_block(raw)?;
+    if (found_rows, found_dim) != (rows, dim) {
+        return Err(DecodeError::Shape {
+            expected: (rows, dim),
+            found: (found_rows, found_dim),
+        });
+    }
+    if raw.len() != expected {
+        let found = raw.len();
+        return Err(DecodeError::Length { expected, found });
+    }
+    // One row of scratch, on the stack at the widths halo messages have: a
+    // two-row block then allocates nothing (an allocation a message was
+    // 4 % of the 256-device workload's epoch).
+    let mut stack = [0.0f32; 64];
+    let mut heap = Vec::new();
+    let scratch: &mut [f32] = if dim <= stack.len() {
+        &mut stack[..dim]
+    } else {
+        heap.resize(dim, 0.0f32);
+        &mut heap
+    };
+    let mut code_at = HEADER_BYTES + rows * ROW_OVERHEAD_BYTES;
+    for k in 0..rows {
+        code_at = decode_row(raw, k, code_at, scratch);
+        sink(k, scratch);
+    }
+    Ok(())
 }
 
 /// Wire size a block *would* have, without encoding it. Used by the cost

@@ -244,17 +244,7 @@ pub fn decode_block_grouped(
         for (k, &i) in members.iter().enumerate() {
             let (zero, scale) = params[k];
             let row = out.row_mut(i);
-            match w {
-                BitWidth::B2 => {
-                    let vals = kernels::vals_table::<4>(scale, zero);
-                    kernels::dequant_span2(packed, code_idx, &vals, row);
-                }
-                BitWidth::B4 => {
-                    let vals = kernels::vals_table::<16>(scale, zero);
-                    kernels::dequant_span4(packed, code_idx, &vals, row);
-                }
-                BitWidth::B8 => kernels::dequant_span8(packed, code_idx, scale, zero, row),
-            }
+            kernels::dequant_row(w, packed, code_idx, scale, zero, row);
             code_idx += dim;
         }
         seen += count;

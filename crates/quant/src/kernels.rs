@@ -69,7 +69,7 @@ const LANES: usize = 8;
 /// accumulator dependency chain (min/max latency-bound, not
 /// throughput-bound) is half as long as a plain lane fold.
 #[inline]
-pub(crate) fn min_max(xs: &[f32]) -> (f32, f32) {
+pub fn min_max(xs: &[f32]) -> (f32, f32) {
     if xs.is_empty() {
         return (0.0, 0.0);
     }
@@ -395,6 +395,25 @@ pub(crate) fn dequant_span8(packed: &[u8], start: usize, scale: f32, zero: f32, 
     for (o, &b) in out.iter_mut().zip(src) {
         // lint:allow(lossy-cast): u8 code widens exactly to f32
         *o = b as f32 * scale + zero;
+    }
+}
+
+/// De-quantizes `out.len()` `width`-bit codes starting at code index `start`
+/// of `packed`: `code as f32 * scale + zero`, through a per-row value table
+/// at 2 and 4 bits. The one place a decoder dispatches on the width.
+#[inline]
+pub(crate) fn dequant_row(
+    width: crate::BitWidth,
+    packed: &[u8],
+    start: usize,
+    scale: f32,
+    zero: f32,
+    out: &mut [f32],
+) {
+    match width {
+        crate::BitWidth::B2 => dequant_span2(packed, start, &vals_table::<4>(scale, zero), out),
+        crate::BitWidth::B4 => dequant_span4(packed, start, &vals_table::<16>(scale, zero), out),
+        crate::BitWidth::B8 => dequant_span8(packed, start, scale, zero, out),
     }
 }
 

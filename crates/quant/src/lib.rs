@@ -51,10 +51,12 @@ pub mod variance;
 pub const PAR_MIN_ELEMS: usize = 32 * 1024;
 
 pub use codec::{
-    decode_block, encode_block, encode_block_streamed, encode_block_with_stats, EncodeStats,
-    EncodedBlock, StreamChunk, StreamProfile, WidthStats,
+    decode_block, decode_rows, encode_block, encode_block_streamed, encode_block_with_stats,
+    encode_rows_into, predicted_wire_len, DecodeError, EncodeStats, EncodedBlock, StreamChunk,
+    StreamProfile, WidthStats,
 };
 pub use grouped::{decode_block_grouped, encode_block_grouped};
+pub use kernels::min_max;
 pub use quantize::{
     dequantize, dequantize_into, quantize, quantize_into, quantize_packed_into, QuantParams,
     QuantizedMessage,

@@ -2,7 +2,10 @@
 //! Property-based tests for quantization invariants.
 
 use proptest::prelude::*;
-use quant::{bitpack, decode_block, dequantize, encode_block, quantize, BitWidth};
+use quant::{
+    bitpack, decode_block, decode_rows, dequantize, encode_block, encode_block_with_stats,
+    encode_rows_into, predicted_wire_len, quantize, BitWidth, DecodeError, EncodedBlock,
+};
 use tensor::{Matrix, Rng};
 
 fn arb_width() -> impl Strategy<Value = BitWidth> {
@@ -392,4 +395,145 @@ fn fused_encode_matches_reference_multi_chunk() {
         .map(|_| BitWidth::ALL[data_rng.below(3)])
         .collect();
     assert_matches_reference(&msgs, &widths, 0xFEED_5EED);
+}
+
+/// The in-place pair against the block entry points at 1/2/8 threads: the
+/// rows `idx` of `src` encoded straight into a dirty span equal
+/// `encode_block_with_stats` over the gathered matrix in bytes, statistics
+/// and the generator's next draw, and `decode_rows` hands the sink the rows
+/// `decode_block` returns, bit for bit.
+fn assert_in_place_matches_block(src: &Matrix, idx: &[usize], widths: &[BitWidth], seed: u64) {
+    let dim = src.cols();
+    let gathered = src.gather_rows(idx);
+    for t in [1usize, 2, 8] {
+        tensor::par::set_threads(t);
+        let mut want_rng = Rng::seed_from(seed);
+        let (block, want_stats) = encode_block_with_stats(&gathered, widths, &mut want_rng);
+        let mut rng = Rng::seed_from(seed);
+        // Not zeroed: a span of a shared buffer is whatever was there.
+        let mut buf = vec![0xA5u8; predicted_wire_len(dim, widths)];
+        let row_of = |i: usize| src.row(idx[i]);
+        let stats = encode_rows_into(&mut buf, row_of, idx.len(), dim, widths, &mut rng);
+        assert_eq!(&buf[..], block.bytes.as_ref(), "wire bytes at {t} threads");
+        assert_eq!(stats, want_stats, "statistics at {t} threads");
+        assert_eq!(
+            rng.next_u64(),
+            want_rng.next_u64(),
+            "generator at {t} threads"
+        );
+
+        let want = decode_block(&block).expect("well-formed block");
+        let mut seen = 0;
+        decode_rows(&buf, idx.len(), dim, |k, row| {
+            assert_eq!(k, seen, "rows arrive in order");
+            seen += 1;
+            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(row), bits(want.row(k)), "row {k} at {t} threads");
+        })
+        .expect("well-formed block");
+        assert_eq!(seen, idx.len());
+    }
+    tensor::par::set_threads(0);
+}
+
+proptest! {
+    #[test]
+    fn in_place_codec_matches_the_block_entry_points(
+        src_rows in 1usize..40,
+        picks in 0usize..60,
+        dim in 1usize..40,
+        seed in 0u64..10_000,
+    ) {
+        let mut data_rng = Rng::seed_from(seed ^ 0x1D5_7A11);
+        // Flat, NaN-holding and infinite rows ride along with ordinary ones.
+        let src = Matrix::from_fn(src_rows, dim, |i, j| match i % 9 {
+            4 => 2.5,
+            6 if j == 0 => f32::NAN,
+            8 if j == 0 => f32::INFINITY,
+            _ => data_rng.uniform(-50.0, 50.0),
+        });
+        let idx: Vec<usize> = (0..picks).map(|_| data_rng.below(src_rows)).collect();
+        let widths: Vec<BitWidth> = (0..picks).map(|_| BitWidth::ALL[data_rng.below(3)]).collect();
+        assert_in_place_matches_block(&src, &idx, &widths, seed);
+    }
+}
+
+#[test]
+fn in_place_codec_matches_the_block_entry_points_multi_chunk() {
+    // 1300 picks x 33 columns: several parallel chunks, and a width that is
+    // not a multiple of the 32-element kernel block.
+    let mut data_rng = Rng::seed_from(78);
+    let src = Matrix::from_fn(200, 33, |i, _| {
+        if i % 11 == 5 {
+            -1.25
+        } else {
+            data_rng.uniform(-300.0, 300.0)
+        }
+    });
+    let idx: Vec<usize> = (0..1300).map(|_| data_rng.below(200)).collect();
+    let widths: Vec<BitWidth> = (0..1300)
+        .map(|_| BitWidth::ALL[data_rng.below(3)])
+        .collect();
+    assert_in_place_matches_block(&src, &idx, &widths, 0xFEED_5EEE);
+}
+
+#[test]
+fn decode_rows_rejects_every_truncation_and_survives_every_bit_flip() {
+    // A valid mixed-width block, then every prefix of it and every
+    // single-bit corruption: each either fails before the sink has seen a
+    // row, or delivers exactly `rows` rows of `dim` floats. Never a panic,
+    // never a half-landed block.
+    let (rows, dim) = (7usize, 13usize);
+    let mut data_rng = Rng::seed_from(79);
+    let msgs = Matrix::from_fn(rows, dim, |_, _| data_rng.uniform(-4.0, 4.0));
+    let widths: Vec<BitWidth> = (0..rows).map(|i| BitWidth::ALL[i % 3]).collect();
+    let valid = encode_block(&msgs, &widths, &mut Rng::seed_from(80))
+        .bytes
+        .to_vec();
+
+    let check = |raw: &[u8], what: &str| -> Result<(), DecodeError> {
+        let mut landed = 0usize;
+        let outcome = decode_rows(raw, rows, dim, |k, row| {
+            assert_eq!((k, row.len()), (landed, dim), "{what}: row shape");
+            landed += 1;
+        });
+        match outcome {
+            Ok(()) => assert_eq!(landed, rows, "{what}: decoded but short"),
+            Err(_) => assert_eq!(landed, 0, "{what}: failed after landing rows"),
+        }
+        // The matrix entry point must not panic on the same bytes either.
+        let bytes = bytes::Bytes::from(raw.to_vec());
+        let _ = decode_block(&EncodedBlock { bytes, rows, dim });
+        outcome
+    };
+
+    check(&valid, "valid block").expect("the valid block decodes");
+    for cut in 0..valid.len() {
+        let outcome = check(&valid[..cut], &format!("cut at {cut}"));
+        assert!(outcome.is_err(), "a {cut}-byte prefix decoded");
+    }
+    let mut longer = valid.clone();
+    longer.push(0);
+    assert_eq!(
+        check(&longer, "one trailing byte"),
+        Err(DecodeError::Length {
+            expected: valid.len(),
+            found: valid.len() + 1
+        })
+    );
+    let mut flipped = valid.clone();
+    for byte in 0..valid.len() {
+        for bit in 0..8 {
+            flipped[byte] ^= 1 << bit;
+            let outcome = check(&flipped, &format!("bit {bit} of byte {byte}"));
+            if byte < 8 {
+                // Any change to the declared shape is caught as such.
+                assert!(
+                    outcome.is_err(),
+                    "header flip at byte {byte} bit {bit} decoded"
+                );
+            }
+            flipped[byte] ^= 1 << bit;
+        }
+    }
 }

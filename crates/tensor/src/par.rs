@@ -141,6 +141,14 @@ pub fn current_threads() -> usize {
     }
 }
 
+/// Rows per range of [`chunk_ranges`]: `max(min_chunk, ceil(rows /
+/// MAX_CHUNKS))`, at least one. A problem of at most this many rows is one
+/// range, which a kernel may run on the caller's thread without building a
+/// task list.
+pub fn chunk_len(rows: usize, min_chunk: usize) -> usize {
+    min_chunk.max(1).max(rows.div_ceil(MAX_CHUNKS))
+}
+
 /// Splits `rows` items into half-open `(start, end)` ranges whose boundaries
 /// depend only on `rows` and `min_chunk` — never on the thread count.
 ///
@@ -150,7 +158,7 @@ pub fn chunk_ranges(rows: usize, min_chunk: usize) -> Vec<(usize, usize)> {
     if rows == 0 {
         return Vec::new();
     }
-    let chunk = min_chunk.max(1).max(rows.div_ceil(MAX_CHUNKS));
+    let chunk = chunk_len(rows, min_chunk);
     (0..rows)
         .step_by(chunk)
         .map(|start| (start, (start + chunk).min(rows)))

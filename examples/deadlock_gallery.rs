@@ -184,7 +184,11 @@ impl DeviceProgram for GhostSync {
         let n = ctx.num_devices();
         match input {
             Resume::Start => Step::Yield(Command::RingAll2All {
-                payloads: vec![Bytes::from_static(b"ghost"); n],
+                sends: (0u32..)
+                    .take(n)
+                    .filter(|&dst| dst as usize != ctx.rank())
+                    .map(|dst| (dst, Bytes::from_static(b"ghost")))
+                    .collect(),
             }),
             Resume::RingDone(_) => Step::Yield(Command::Scatter {
                 root: 0,

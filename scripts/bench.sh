@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Kernel benchmark harness: runs the criterion benches that cover the
 # deterministic parallel runtime (matmul, aggregation, quant_kernels,
-# agg_parallel) and the assigner's control plane (assigner_round) in quick
-# mode and records every reported mean into
+# agg_parallel), the assigner's control plane (assigner_round) and the halo
+# exchange at message granularity (halo_exchange) in quick mode and records
+# every reported mean into
 # results/BENCH_kernels.json as {bench -> {ns, threads}}.
 #
 # threads is parsed from the `_t<N>` suffix the agg_parallel benches encode
@@ -36,7 +37,7 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round)
+BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round halo_exchange)
 if [[ "$SMOKE" == 1 ]]; then
     BENCHES=(agg_parallel)
 fi

@@ -16,16 +16,17 @@ pub struct Bytes {
     // `Arc<Vec<u8>>` rather than `Arc<[u8]>`: converting a `Vec` into an
     // `Arc<[u8]>` copies the contents into a fresh allocation, and
     // `Bytes::from(Vec<u8>)` sits on the codec's per-block hot path.
-    // Wrapping the vector keeps the conversion zero-copy.
-    data: Arc<Vec<u8>>,
+    // Wrapping the vector keeps the conversion zero-copy. `None` is the
+    // empty buffer: `Bytes::new()` allocates nothing.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Creates an empty buffer.
+    /// Creates an empty buffer (no allocation).
     pub fn new() -> Self {
-        Self::from(Vec::new())
+        Self::default()
     }
 
     /// Wraps a static byte slice (copied; the zero-copy distinction does not
@@ -62,7 +63,7 @@ impl Bytes {
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
         Self {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -78,7 +79,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Self {
-            data: Arc::new(v),
+            data: (end > 0).then(|| Arc::new(v)),
             start: 0,
             end,
         }
@@ -93,7 +94,10 @@ impl From<&[u8]> for Bytes {
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -235,5 +239,19 @@ mod tests {
         assert_eq!(s.to_vec(), 0xAABBCCDDu32.to_le_bytes().to_vec());
         let nested = s.slice(1..3);
         assert_eq!(nested.as_ref(), &0xAABBCCDDu32.to_le_bytes()[1..3]);
+    }
+
+    #[test]
+    fn empty_buffers_are_equal_and_slice() {
+        let empty = Bytes::new();
+        assert_eq!(empty, Bytes::from(Vec::new()));
+        assert_eq!(empty, Bytes::default());
+        assert_eq!(empty, Bytes::from(vec![7u8; 3]).slice(1..1));
+        assert!(empty.is_empty());
+        assert_eq!(empty.slice(..), empty);
+        assert_eq!(empty.slice(0..0).to_vec(), Vec::<u8>::new());
+        assert_eq!(format!("{empty:?}"), "b\"\"");
+        // Nothing is allocated: there is no backing buffer to share.
+        assert!(empty.data.is_none() && Bytes::from(Vec::new()).data.is_none());
     }
 }

@@ -134,26 +134,44 @@ fn fnv(text: &str) -> u64 {
 
 #[test]
 fn golden_report_and_flight_log_digests() {
-    // Recorded at the commit before `Phase` / `PhaseSums` became
-    // `TimeCategory` / `TimeBreakdown` (ISSUE 17). None of the three
-    // methods charges a host-measured solve, so both artifacts are
-    // byte-stable: the flight log pins the phase names on the wire and the
-    // order and count of `Command::Advance` yields (zero-second ones
-    // included), the report pins `analyze` — composition, straggler choice
-    // and path legs — under the serial and pipelined schedules.
-    for (method, want_report, want_flight) in [
+    // None of the three methods charges a host-measured solve, so both
+    // artifacts are byte-stable: the flight log pins the phase names on the
+    // wire and the order and count of `Command::Advance` yields
+    // (zero-second ones included), the report pins `analyze` — composition,
+    // straggler choice and path legs — under the serial and pipelined
+    // schedules.
+    //
+    // Re-recorded once, when evaluation began to keep its first layer's
+    // aggregated input (ISSUE 20). Against the digests of the commit
+    // before (recorded when `Phase` / `PhaseSums` became `TimeCategory` /
+    // `TimeBreakdown`, ISSUE 17) the only difference, checked event by event
+    // on the two logs: the layer-0 evaluation ring of epochs >= 1 is gone —
+    // per device one `CollectiveForm`, one `CollectiveRelease` and the
+    // `Resume` after it, five times — and with it five of each device's
+    // `collective_waits` in the report. Kind strings, every
+    // `PhaseAdvance` and every other event of every rank are as before;
+    // the ring count below holds the log to that.
+    for (method, rings_per_epoch, want_report, want_flight) in [
         (
             Method::Vanilla,
-            0xd369_e0c9_790e_e74e_u64,
-            0x7cd6_e487_fb55_5e78_u64,
+            5,
+            0x449e_7282_9943_08ea_u64,
+            0x8193_cc94_fbfd_16f8_u64,
         ),
         // Same charges and exchanges as Vanilla, composed differently.
         (
             Method::PipeGcn,
-            0x0b8b_7653_166c_e432,
-            0x7cd6_e487_fb55_5e78,
+            5,
+            0xd24c_efa7_7183_d512,
+            0x8193_cc94_fbfd_16f8,
         ),
-        (Method::Sancus, 0xe4f4_c0d4_5ca8_a87d, 0x02b8_9bb1_0069_4a86),
+        // No backward exchange.
+        (
+            Method::Sancus,
+            4,
+            0x7707_065c_1d37_a575,
+            0x3c93_fa26_0c16_e8df,
+        ),
     ] {
         let (_, profile) =
             adaqp::run_experiment_profiled(&pinned(method, true)).expect("valid config");
@@ -167,5 +185,16 @@ fn golden_report_and_flight_log_digests() {
             (want_report, want_flight),
             "{method:?}: report / flight-log digests {got:#018x?}"
         );
+        // Two forward layers, one backward exchange (none under SANCUS) and
+        // two evaluation layers an epoch, less the layer-0 evaluation ring
+        // of every epoch after the first.
+        let ring_forms = p
+            .flight
+            .events
+            .iter()
+            .filter(|e| e.op == obs::critpath::FlightOp::CollectiveForm)
+            .filter(|e| e.collective.as_deref() == Some("ring_all2all"))
+            .count();
+        assert_eq!(ring_forms, 4 * (rings_per_epoch * 6 - 5), "{method:?}");
     }
 }

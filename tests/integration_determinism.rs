@@ -129,6 +129,15 @@ fn run_digest(result: &adaqp::RunResult) -> u64 {
     }))
 }
 
+/// Digest of every epoch's validation and test score bits: what evaluation
+/// computed, which [`run_digest`] does not see.
+fn score_digest(result: &adaqp::RunResult) -> u64 {
+    fnv(result
+        .per_epoch
+        .iter()
+        .flat_map(|e| [e.val_score.to_bits(), e.test_score.to_bits()]))
+}
+
 /// Digest of every epoch's composed length under the run's schedule, with
 /// the host-measured solve zeroed: pins the composition's operand order and
 /// the straggler whose breakdown each epoch reports.
@@ -145,17 +154,24 @@ fn epoch_time_digest(cfg: &ExperimentConfig, result: &adaqp::RunResult) -> u64 {
 
 type Tweak = fn(&mut TrainingConfig);
 
+/// One golden row: method, config tweak, GraphSAGE, dataset scale, devices,
+/// then the run, epoch-time and score digests.
+type GoldenRow = (Method, Tweak, bool, f64, usize, u64, u64, u64);
+
 #[test]
 fn golden_run_digests_survive_refactors() {
     // The run digests were recorded at the commit before the ten exchange
     // functions became one routine (ISSUE 15); the epoch-time digests and
     // the serial-AdaQP row at the commit before the epoch-time model moved
-    // into `obs::time` (ISSUE 17). A host-time change to tensor, gnn or the
+    // into `obs::time` (ISSUE 17); the score digests at the commit before
+    // evaluation began to keep its first layer's aggregated input
+    // (ISSUE 20). A host-time change to tensor, gnn or the
     // exchange path must reproduce every loss bit, every analytic charge
     // (the order of `f64` adds into `quant_ops` and the streamed send
     // pipeline are visible in `quant` / `comm`) and every byte count, on
     // every wire the trainers can pick; a change to the time model must
-    // reproduce every composed epoch length under all three schedules. The
+    // reproduce every composed epoch length under all three schedules; a
+    // change to evaluation must reproduce every score. The
     // scale-2 rows put 300 rows on each device, past the row count where
     // `matmul_tn` reduces per chunk, so the chunk merge order is pinned end
     // to end as well.
@@ -166,28 +182,28 @@ fn golden_run_digests_survive_refactors() {
     let serial: Tweak = |t| t.disable_overlap = true;
     use Method::{AdaQp, AdaQpUniform, PipeGcn, Sancus, Vanilla};
     #[rustfmt::skip]
-    let rows: [(Method, Tweak, bool, f64, usize, u64, u64); 19] = [
-        (Vanilla, plain, false, 1.0, 2, 0x8bd9_189b_b3e9_57e2, 0xcc92_3cb8_4c4b_1bb5),
-        (Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6, 0xe7b9_5490_b50b_ce91),
-        (AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab, 0x6cdc_2bda_9f55_851d),
-        (AdaQp, plain, true, 1.0, 2, 0x9219_c7b3_a4f7_e4da, 0x4444_683e_2396_03e7),
-        (Vanilla, plain, false, 2.0, 2, 0x116e_2f44_0b26_8339, 0x2451_c4a1_e32d_429d),
-        (AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd, 0xe591_c5bf_f888_511c),
-        (AdaQp, error_feedback, false, 1.0, 4, 0xa370_a56b_5dc2_8b77, 0x24e6_b890_3f33_196c),
-        (AdaQp, error_feedback, true, 1.0, 4, 0x81a3_b1b6_df50_d591, 0x9ecf_3d11_8bde_18fd),
-        (AdaQp, grouped, false, 1.0, 4, 0x54af_ca96_4680_14ef, 0x74ab_939f_0e65_130f),
-        (AdaQp, grouped, true, 1.0, 4, 0xdc21_edbf_0166_c0da, 0x6991_0ae1_f3ae_1d5b),
-        (AdaQp, streamed, false, 1.0, 4, 0x3127_39f4_3bbc_5807, 0xb298_3336_34ed_e54f),
-        (AdaQp, streamed, true, 1.0, 4, 0xf79f_8070_bc99_8ac2, 0xa2ea_c740_2817_0ac2),
-        (AdaQpUniform, plain, false, 1.0, 4, 0xe186_fc2e_eee9_ad00, 0xfc86_8c49_bc51_37b6),
-        (AdaQpUniform, plain, true, 1.0, 4, 0x546c_deb1_78db_f1a8, 0x6ee2_9281_703b_cb88),
-        (PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980, 0x6779_901e_b16a_ff2d),
-        (PipeGcn, plain, true, 1.0, 4, 0x30eb_5bd6_e148_bd92, 0x9250_8a2f_7dd7_c171),
-        (Sancus, plain, false, 1.0, 4, 0x519e_e9c7_8573_f017, 0x7a37_f2b6_cdbc_eb28),
-        (Sancus, plain, true, 1.0, 4, 0xcbea_d818_94f4_67ca, 0x0a19_bc7a_4a7a_7c90),
-        (AdaQp, serial, false, 1.0, 4, 0x219d_f943_6f8b_a3f2, 0x32b2_b048_fad1_a844),
+    let rows: [GoldenRow; 19] = [
+        (Vanilla, plain, false, 1.0, 2, 0x8bd9_189b_b3e9_57e2, 0xcc92_3cb8_4c4b_1bb5, 0xab02_8652_1dd0_6175),
+        (Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6, 0xe7b9_5490_b50b_ce91, 0xde21_0930_ae42_c75a),
+        (AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab, 0x6cdc_2bda_9f55_851d, 0xd492_7357_c227_11d4),
+        (AdaQp, plain, true, 1.0, 2, 0x9219_c7b3_a4f7_e4da, 0x4444_683e_2396_03e7, 0xd22b_54dd_d6be_93f3),
+        (Vanilla, plain, false, 2.0, 2, 0x116e_2f44_0b26_8339, 0x2451_c4a1_e32d_429d, 0x1ab8_f30b_e6fe_42e6),
+        (AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd, 0xe591_c5bf_f888_511c, 0x7b8a_3cea_2b9b_2e9c),
+        (AdaQp, error_feedback, false, 1.0, 4, 0xa370_a56b_5dc2_8b77, 0x24e6_b890_3f33_196c, 0x1b37_a69c_6ef1_9f87),
+        (AdaQp, error_feedback, true, 1.0, 4, 0x81a3_b1b6_df50_d591, 0x9ecf_3d11_8bde_18fd, 0xc0d8_729f_8a47_3f38),
+        (AdaQp, grouped, false, 1.0, 4, 0x54af_ca96_4680_14ef, 0x74ab_939f_0e65_130f, 0x57f0_79e9_c8b8_e028),
+        (AdaQp, grouped, true, 1.0, 4, 0xdc21_edbf_0166_c0da, 0x6991_0ae1_f3ae_1d5b, 0xc0d8_729f_8a47_3f38),
+        (AdaQp, streamed, false, 1.0, 4, 0x3127_39f4_3bbc_5807, 0xb298_3336_34ed_e54f, 0x1b37_a69c_6ef1_9f87),
+        (AdaQp, streamed, true, 1.0, 4, 0xf79f_8070_bc99_8ac2, 0xa2ea_c740_2817_0ac2, 0xc0d8_729f_8a47_3f38),
+        (AdaQpUniform, plain, false, 1.0, 4, 0xe186_fc2e_eee9_ad00, 0xfc86_8c49_bc51_37b6, 0x57f0_79e9_c8b8_e028),
+        (AdaQpUniform, plain, true, 1.0, 4, 0x546c_deb1_78db_f1a8, 0x6ee2_9281_703b_cb88, 0x27be_dc4d_a9c8_b1d6),
+        (PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980, 0x6779_901e_b16a_ff2d, 0xefac_b252_9234_7f3d),
+        (PipeGcn, plain, true, 1.0, 4, 0x30eb_5bd6_e148_bd92, 0x9250_8a2f_7dd7_c171, 0xf923_51f1_b1c9_4ed5),
+        (Sancus, plain, false, 1.0, 4, 0x519e_e9c7_8573_f017, 0x7a37_f2b6_cdbc_eb28, 0x77f0_1619_3f0d_d8bb),
+        (Sancus, plain, true, 1.0, 4, 0xcbea_d818_94f4_67ca, 0x0a19_bc7a_4a7a_7c90, 0x80d3_c2fc_fe70_40cb),
+        (AdaQp, serial, false, 1.0, 4, 0x219d_f943_6f8b_a3f2, 0x32b2_b048_fad1_a844, 0x1b37_a69c_6ef1_9f87),
     ];
-    for (method, tweak, use_sage, scale, devices, want_run, want_time) in rows {
+    for (method, tweak, use_sage, scale, devices, want_run, want_time, want_scores) in rows {
         let mut c = cfg(4242);
         c.method = method;
         c.devices_per_machine = devices;
@@ -195,13 +211,17 @@ fn golden_run_digests_survive_refactors() {
         tweak(&mut c.training);
         c.dataset = DatasetSpec::tiny().scaled(scale);
         let result = adaqp::run_experiment(&c).expect("valid config");
-        let got = (run_digest(&result), epoch_time_digest(&c, &result));
+        let got = (
+            run_digest(&result),
+            epoch_time_digest(&c, &result),
+            score_digest(&result),
+        );
         let t = &c.training;
         assert_eq!(
             got,
-            (want_run, want_time),
+            (want_run, want_time, want_scores),
             "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} grouped {} streamed {} \
-             serial {}: run / epoch-time digests {got:#018x?}",
+             serial {}: run / epoch-time / score digests {got:#018x?}",
             t.error_feedback,
             t.grouped_wire,
             t.stream_quant,
