@@ -3,10 +3,17 @@
 //! device, racks of 8 machines, 4x oversubscribed spine) at 32 and 256
 //! devices. Trace encode and worker decode cover the whole fleet's devices,
 //! one after another, as the single-process simulator pays for them.
+//! Workers decode in place, into tables `WidthAssignment::fixed` sized from
+//! their partitions once, outside the timed loop — as the trainer does.
 //!
-//! `control_plane` (every encode and decode, both directions) and
-//! `master_solve` (build + solve + materialise) are the two sides of the
-//! ratio gate in `results/baseline/tolerances.json`.
+//! `results/baseline/tolerances.json` gates two ratios of these entries:
+//! `control_plane` (every encode and decode, both directions) over
+//! `master_solve` (build + solve + materialise), and `worker_decode` over
+//! `reply_encode` (decoding walks the bytes encoding wrote; a heap block per
+//! listed peer would show here first).
+//!
+//! Device counts named on the command line replace the default 32 and 256
+//! (`scripts/bench.sh --smoke` runs 32 alone).
 
 use adaqp::assigner::{encode_trace, PairTable, Trace, WidthAssignment};
 use adaqp::{build_partitions, ExperimentConfig, Method, TopologySpec, TrainingConfig};
@@ -20,6 +27,8 @@ struct Fleet {
     /// Per device: the `alpha_sq` table its forward betas use, and a trace
     /// whose ranges are seeded stand-ins for traced ones.
     devices: Vec<(Vec<Vec<f64>>, Trace)>,
+    /// Per device: the width tables it starts training with.
+    tables: Vec<WidthAssignment>,
 }
 
 fn fleet(devices: usize) -> Fleet {
@@ -58,40 +67,57 @@ fn fleet(devices: usize) -> Fleet {
             (part.send_alpha_sq.clone(), trace)
         })
         .collect();
+    let tables = parts
+        .iter()
+        .map(|part| WidthAssignment::fixed(part, dims.len() - 1, quant::BitWidth::B8))
+        .collect();
     Fleet {
         cost: cfg.cost_model(),
         training: cfg.training,
         devices,
+        tables,
     }
 }
 
 fn bench_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("assigner_round");
-    for n in [32usize, 256] {
-        let f = fleet(n);
-        let training = &f.training;
+    let mut sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
+    if sizes.is_empty() {
+        sizes = vec![32, 256];
+    }
+    for n in sizes {
+        let Fleet {
+            training,
+            cost,
+            devices,
+            mut tables,
+        } = fleet(n);
         let encode = || -> Vec<Vec<u8>> {
-            f.devices
+            devices
                 .iter()
                 .map(|(alpha_sq, trace)| encode_trace(alpha_sq, trace))
                 .collect()
         };
         let decode = |traces: &[Vec<u8>]| PairTable::decode(traces).expect("valid traces");
-        let worker_decode = |replies: &[Vec<u8>]| -> Vec<WidthAssignment> {
-            replies
-                .iter()
-                .map(|r| WidthAssignment::decode(r, n).expect("valid reply"))
-                .collect()
+        let mut worker_decode = |replies: &[Vec<u8>]| {
+            for (tables, reply) in tables.iter_mut().zip(replies) {
+                tables.decode_into(reply, n).expect("valid reply");
+            }
         };
         let traces = encode();
         let table = decode(&traces);
         let build = || -> Vec<_> {
             (0..table.num_sections())
-                .map(|s| table.build(s, &f.cost, training))
+                .map(|s| table.build(s, &cost, &training))
                 .collect()
         };
         let built = build();
-        let solve = || -> Vec<_> { built.iter().map(|b| solver::solve(&b.problem)).collect() };
+        let solve = || -> Vec<_> {
+            built
+                .iter()
+                .map(|b| solver::solve_flat(&b.problem))
+                .collect()
+        };
         let solutions = solve();
         let materialise = || -> Vec<Vec<u8>> {
             built
@@ -119,15 +145,15 @@ fn bench_round(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("control_plane", n), |b| {
             b.iter(|| {
                 let table = decode(&encode());
-                worker_decode(&table.encode_replies(&widths))
+                worker_decode(&table.encode_replies(&widths));
             });
         });
         group.bench_function(BenchmarkId::new("master_solve", n), |b| {
             b.iter(|| -> Vec<Vec<u8>> {
                 (0..table.num_sections())
                     .map(|s| {
-                        let built = table.build(s, &f.cost, training);
-                        built.message_widths(&solver::solve(&built.problem))
+                        let built = table.build(s, &cost, &training);
+                        built.message_widths(&solver::solve_flat(&built.problem))
                     })
                     .collect()
             });

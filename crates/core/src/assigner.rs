@@ -18,7 +18,7 @@ use bytes::Bytes;
 use comm::{CostModel, DeviceHandle};
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
-use solver::{solve, BiObjectiveProblem, GroupSpec, PairSpec, Solution};
+use solver::{solve_flat, FlatProblem, FlatSolution, GroupSpec};
 use tensor::{Matrix, Rng};
 
 /// How widths are chosen at each reassignment.
@@ -225,32 +225,80 @@ impl SolveStats {
         out
     }
 
-    /// Parses the broadcast payload written by [`SolveStats::to_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is shorter than 32 bytes.
-    fn from_bytes(raw: &[u8]) -> Self {
-        let f = |i: usize| {
-            // lint:allow(no-panic): callers pass the 32-byte payload produced by to_bytes
-            f64::from_le_bytes(raw[i * 8..(i + 1) * 8].try_into().expect("8-byte field"))
+    /// Parses the broadcast payload written by [`SolveStats::to_bytes`]:
+    /// exactly 32 bytes.
+    fn from_bytes(raw: &[u8]) -> Result<Self, WireError> {
+        let (&[secs, iterations, objective_sum, problems], &[]) = raw.as_chunks::<8>() else {
+            return Err(if raw.len() < 32 {
+                WireError::Truncated
+            } else {
+                WireError::TrailingBytes
+            });
         };
-        SolveStats {
-            secs: f(0),
+        Ok(SolveStats {
+            secs: f64::from_le_bytes(secs),
             // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
-            iterations: f(1) as u64,
-            objective_sum: f(2),
+            iterations: f64::from_le_bytes(iterations) as u64,
+            objective_sum: f64::from_le_bytes(objective_sum),
             // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
-            problems: f(3) as u64,
-        }
+            problems: f64::from_le_bytes(problems) as u64,
+        })
     }
 }
 
-/// Runs one reassignment round (all ranks must call this collectively).
+/// The step of a reassignment round whose message failed to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AssignStage {
+    /// The master reading the gathered traces.
+    Trace,
+    /// A device reading its scattered reply.
+    Reply,
+    /// A device reading the broadcast solve stats.
+    Stats,
+}
+
+/// A reassignment round that stopped at a malformed control-plane message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AssignError {
+    /// Which message.
+    pub stage: AssignStage,
+    /// What was wrong with it.
+    pub cause: WireError,
+}
+
+impl std::fmt::Display for AssignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = match self.stage {
+            AssignStage::Trace => "gathered trace",
+            AssignStage::Reply => "width reply",
+            AssignStage::Stats => "solve-stats broadcast",
+        };
+        write!(f, "assigner {what} does not decode: {}", self.cause)
+    }
+}
+
+impl std::error::Error for AssignError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.cause)
+    }
+}
+
+/// Runs one reassignment round (all ranks must call this collectively),
+/// overwriting `assignment` in place.
 ///
-/// Returns the new assignment and the round's [`SolveStats`] (identical on
-/// every rank; the paper blocks workers while the master solves, so trainers
-/// charge the solve time on every device).
+/// Returns the round's [`SolveStats`] (identical on every rank; the paper
+/// blocks workers while the master solves, so trainers charge the solve time
+/// on every device).
+///
+/// # Errors
+///
+/// [`AssignError`] if a control-plane message does not decode: on the master
+/// a gathered trace (it then leaves the round before the scatter), on any
+/// device its reply or the stats broadcast. `assignment` is then exactly as
+/// it was.
+// One argument over clippy's limit: the collective needs the device, its
+// three read-only inputs, the mode with its RNG, and the tables to fill.
+#[allow(clippy::too_many_arguments)]
 pub fn reassign(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
@@ -259,7 +307,8 @@ pub fn reassign(
     cfg: &TrainingConfig,
     mode: AssignMode,
     rng: &mut Rng,
-) -> (WidthAssignment, SolveStats) {
+    assignment: &mut WidthAssignment,
+) -> Result<SolveStats, AssignError> {
     match mode {
         AssignMode::UniformRandom => {
             // No coordination needed: each device samples per-group widths
@@ -267,7 +316,7 @@ pub fn reassign(
             // adaptive path so the comparison isolates the *choice* of
             // widths, as in Sec. 5.3.)
             let num_layers = trace.fwd.len();
-            let mut assignment = WidthAssignment::fixed(part, num_layers, BitWidth::B8);
+            *assignment = WidthAssignment::fixed(part, num_layers, BitWidth::B8);
             for l in 0..num_layers {
                 sample_uniform(&mut assignment.fwd[l], cfg.group_size, rng);
                 sample_uniform(&mut assignment.bwd[l], cfg.group_size, rng);
@@ -276,9 +325,9 @@ pub fn reassign(
             // samples widths locally without coordination, so peers cannot
             // know them — the row-major wire format (which carries widths)
             // must be used with this mode.
-            (assignment, SolveStats::default())
+            Ok(SolveStats::default())
         }
-        AssignMode::Adaptive => reassign_adaptive(dev, part, cost, trace, cfg),
+        AssignMode::Adaptive => reassign_adaptive(dev, part, cost, trace, cfg, assignment),
     }
 }
 
@@ -303,15 +352,16 @@ fn reassign_adaptive(
     cost: &CostModel,
     trace: &Trace,
     cfg: &TrainingConfig,
-) -> (WidthAssignment, SolveStats) {
+    assignment: &mut WidthAssignment,
+) -> Result<SolveStats, AssignError> {
+    let at = |stage| move |cause| AssignError { stage, cause };
     // Step 1-2 (Fig. 6): build and gather per-device betas.
     let gathered = dev.gather(0, Bytes::from(encode_trace(&part.send_alpha_sq, trace)));
 
     // Step 3: master solves one problem per (layer, direction) in parallel.
     let (own, stats_bytes) = if let Some(traces) = gathered {
         let (round, secs) = comm::timing::measure(|| master_round(&traces, cost, cfg));
-        // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
-        let (replies, mut stats) = round.expect("trace deserializes");
+        let (replies, mut stats) = round.map_err(at(AssignStage::Trace))?;
         stats.secs = secs;
         let payloads = replies.into_iter().map(Bytes::from).collect();
         // Piggy-back the solve stats: broadcast after scatter.
@@ -323,10 +373,11 @@ fn reassign_adaptive(
         let stats_b = dev.broadcast(0, None);
         (own, stats_b)
     };
-    let solve_stats = SolveStats::from_bytes(&stats_bytes);
-    let assignment = WidthAssignment::decode(&own, part.num_parts);
-    // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
-    (assignment.expect("assignment deserializes"), solve_stats)
+    let solve_stats = SolveStats::from_bytes(&stats_bytes).map_err(at(AssignStage::Stats))?;
+    assignment
+        .decode_into(&own, part.num_parts)
+        .map_err(at(AssignStage::Reply))?;
+    Ok(solve_stats)
 }
 
 /// Everything the master does between gather and scatter: decode the traces,
@@ -343,18 +394,22 @@ fn master_round(
     // a thread pool on the master for the same reason). The pool never runs
     // more workers than it has tasks or, by default, cores: the problems
     // share no data, so extra threads on a busy core only time-slice.
-    let mut solved: Vec<Option<(Vec<u8>, Solution)>> = vec![None; table.num_sections()];
+    let mut solved: Vec<Option<(Vec<u8>, usize, f64)>> = vec![None; table.num_sections()];
     let tasks: Vec<_> = solved.iter_mut().enumerate().collect();
     tensor::par::run_tasks(tasks, |(section, slot)| {
         let built = table.build(section, cost, cfg);
-        let solution = solve(&built.problem);
-        *slot = Some((built.message_widths(&solution), solution));
+        let solution = solve_flat(&built.problem);
+        *slot = Some((
+            built.message_widths(&solution),
+            solution.iterations,
+            solution.objective,
+        ));
     });
     let mut stats = SolveStats::default();
     let mut widths = Vec::with_capacity(solved.len());
-    for (section_widths, solution) in solved.into_iter().flatten() {
-        stats.iterations += solution.iterations as u64;
-        stats.objective_sum += solution.objective;
+    for (section_widths, iterations, objective) in solved.into_iter().flatten() {
+        stats.iterations += iterations as u64;
+        stats.objective_sum += objective;
         stats.problems += 1;
         widths.push(section_widths);
     }
@@ -376,6 +431,11 @@ pub enum WireError {
     Width(u8),
     /// Two devices disagree on the per-layer message dimensions.
     DimsDisagree,
+    /// A reply covers a different number of layers than the device trains.
+    Layers(u32),
+    /// A reply's message count for a peer is not the partition's: the listed
+    /// count differs, or a peer with messages is left out.
+    Count(u32),
 }
 
 impl std::fmt::Display for WireError {
@@ -387,6 +447,8 @@ impl std::fmt::Display for WireError {
             Self::EmptyPeer(q) => write!(f, "peer {q} is listed with no messages"),
             Self::Width(b) => write!(f, "{b} is not a bit-width"),
             Self::DimsDisagree => write!(f, "devices disagree on the layer dimensions"),
+            Self::Layers(l) => write!(f, "reply covers {l} layers, not this device's"),
+            Self::Count(q) => write!(f, "message count for peer {q} is not the partition's"),
         }
     }
 }
@@ -589,36 +651,34 @@ impl PairTable {
         let pairs = self.pairs_of(section);
         let messages = self.beta_start[pairs.end] - self.beta_start[pairs.start];
         let mut order: Vec<u32> = Vec::with_capacity(messages);
-        let mut specs = Vec::with_capacity(pairs.len());
+        // At most one short group per pair on top of the full ones.
+        let groups = messages / group_size + pairs.len();
+        let mut problem = FlatProblem::with_capacity(pairs.len(), groups, cfg.lambda);
         for p in pairs {
             let betas = self.betas_of(p);
             let at = order.len();
             order.extend(0..betas.len() as u32);
             let sorted = &mut order[at..];
             sorted.sort_by(|&a, &b| betas[b as usize].total_cmp(&betas[a as usize]));
-            let groups = sorted
-                .chunks(group_size)
-                .map(|group| GroupSpec {
-                    beta: group.iter().map(|&k| betas[k as usize]).sum(),
-                    bytes_per_bit: group.len() as f64 * dim as f64 / 8.0,
-                })
-                .collect();
             let (src, dst) = self.ends[p];
             let (theta, gamma) = cost.link_params(src as usize, dst as usize);
             // Fold fixed wire overhead into gamma.
             let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
-            specs.push(PairSpec {
+            problem.push_pair(
                 theta,
-                gamma: gamma + theta * overhead as f64,
-                groups,
-            });
+                gamma + theta * overhead as f64,
+                sorted.chunks(group_size).map(|group| GroupSpec {
+                    beta: group.iter().map(|&k| betas[k as usize]).sum(),
+                    bytes_per_bit: group.len() as f64 * dim as f64 / 8.0,
+                }),
+            );
         }
         SectionProblem {
             table: self,
             section,
             group_size,
             order,
-            problem: BiObjectiveProblem::new(specs, cfg.lambda),
+            problem,
         }
     }
 
@@ -698,25 +758,26 @@ pub struct SectionProblem<'a> {
     /// Per pair, laid out like the section's betas: sorted position ->
     /// message index.
     order: Vec<u32>,
-    /// One [`PairSpec`] per pair of the section, in table order.
-    pub problem: BiObjectiveProblem,
+    /// One pair of the problem per pair of the section, in table order.
+    pub problem: FlatProblem,
 }
 
 impl SectionProblem<'_> {
     /// Expands `solution` (of [`SectionProblem::problem`]) into one bit
     /// count per message, laid out like the section's betas.
-    pub fn message_widths(&self, solution: &Solution) -> Vec<u8> {
+    pub fn message_widths(&self, solution: &FlatSolution) -> Vec<u8> {
         let pairs = self.table.pairs_of(self.section);
         let base = self.table.beta_start[pairs.start];
         let mut out = vec![0u8; self.order.len()];
         assert_eq!(
             solution.widths.len(),
-            pairs.len(),
-            "one width list per pair"
+            self.problem.num_groups(),
+            "one width per group"
         );
-        for (p, widths) in pairs.zip(&solution.widths) {
+        for (i, p) in pairs.enumerate() {
             let at = self.table.beta_start[p] - base;
             let order = &self.order[at..at + self.table.betas_of(p).len()];
+            let widths = &solution.widths[self.problem.groups_of(i)];
             assert_eq!(widths.len(), order.len().div_ceil(self.group_size));
             for (pos, &k) in order.iter().enumerate() {
                 out[at + k as usize] = widths[pos / self.group_size].bits() as u8;
@@ -727,42 +788,76 @@ impl SectionProblem<'_> {
 }
 
 impl WidthAssignment {
-    /// Decodes the master's reply ([`PairTable::encode_replies`]) on a
-    /// device of an `n`-device cluster; peers the reply does not list keep
-    /// empty tables.
-    pub fn decode(raw: &[u8], n: usize) -> Result<Self, WireError> {
+    /// Overwrites every table with the master's reply
+    /// ([`PairTable::encode_replies`]) on a device of an `n`-device cluster.
+    ///
+    /// The reply is checked in full first — framing, then against the
+    /// tables' own shape, which [`WidthAssignment::fixed`] took from the
+    /// partition: the same layers, every listed peer with exactly as many
+    /// widths as it has messages, no peer with messages left out — and
+    /// only then written, so on `Err` the tables are exactly as they were.
+    pub fn decode_into(&mut self, raw: &[u8], n: usize) -> Result<(), WireError> {
+        let width = |b: u8| BitWidth::from_bits(u32::from(b)).ok_or(WireError::Width(b));
+        self.visit_reply(raw, n, |_, bytes| {
+            bytes.iter().try_for_each(|&b| width(b).map(drop))
+        })?;
+        self.visit_reply(raw, n, |table, bytes| {
+            for (slot, &b) in table.iter_mut().zip(bytes) {
+                *slot = width(b)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Walks a reply, handing `entry` each listed peer's table next to that
+    /// peer's width bytes (equally long), in wire order.
+    fn visit_reply(
+        &mut self,
+        raw: &[u8],
+        n: usize,
+        mut entry: impl FnMut(&mut [BitWidth], &[u8]) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
         let mut r = Reader(raw);
-        let layers = r.u32()? as usize;
-        // Every layer holds at least its four peer counts: refuse a count
-        // the message cannot back before allocating tables for it.
-        if layers > r.0.len() / 16 {
+        let layers = r.u32()?;
+        // Every layer holds at least its four peer counts.
+        if layers as usize > r.0.len() / 16 {
             return Err(WireError::Truncated);
         }
-        let mut tables: [Vec<Vec<Vec<BitWidth>>>; 4] =
-            std::array::from_fn(|_| Vec::with_capacity(layers));
-        for _ in 0..layers {
+        let mut tables = [
+            &mut self.fwd,
+            &mut self.fwd_recv,
+            &mut self.bwd,
+            &mut self.bwd_recv,
+        ];
+        if tables.iter().any(|t| t.len() != layers as usize) {
+            return Err(WireError::Layers(layers));
+        }
+        // Refuses a reply that leaves out a peer in `from..to` with messages.
+        let skipped = |per_peer: &[Vec<BitWidth>], from: usize, to: usize| {
+            let unlisted = per_peer.get(from..to).unwrap_or_default();
+            unlisted
+                .iter()
+                .position(|t| !t.is_empty())
+                .map_or(Ok(()), |q| Err(WireError::Count((from + q) as u32)))
+        };
+        for l in 0..layers as usize {
             for table in &mut tables {
-                let mut per_peer = vec![Vec::new(); n];
-                let mut prev = None;
+                let per_peer = &mut table[l];
+                let (mut prev, mut next) = (None, 0);
                 for _ in 0..r.u32()? {
                     let (peer, count) = r.peer(n, &mut prev)?;
-                    per_peer[peer as usize] = r
-                        .items(count, 1)?
-                        .iter()
-                        .map(|&b| BitWidth::from_bits(u32::from(b)).ok_or(WireError::Width(b)))
-                        .collect::<Result<_, _>>()?;
+                    let bytes = r.items(count, 1)?;
+                    skipped(per_peer, next, peer as usize)?;
+                    next = peer as usize + 1;
+                    match per_peer.get_mut(peer as usize) {
+                        Some(t) if t.len() == bytes.len() => entry(t, bytes)?,
+                        _ => return Err(WireError::Count(peer)),
+                    }
                 }
-                table.push(per_peer);
+                skipped(per_peer, next, per_peer.len())?;
             }
         }
-        r.finish()?;
-        let [fwd, fwd_recv, bwd, bwd_recv] = tables;
-        Ok(Self {
-            fwd,
-            bwd,
-            fwd_recv,
-            bwd_recv,
-        })
+        r.finish()
     }
 }
 
@@ -1035,6 +1130,66 @@ mod tests {
             .collect()
     }
 
+    /// The tables [`WidthAssignment::fixed`] would size for device `rank`
+    /// if its partition had produced `traces`: what it sends is its own
+    /// trace, what it receives is the peers' traces towards it.
+    fn shaped_like(traces: &[Trace], rank: usize) -> WidthAssignment {
+        let table = |of: fn(&Trace) -> &Vec<LayerDirTrace>, received: bool| {
+            (0..of(&traces[rank]).len())
+                .map(|l| {
+                    (0..traces.len())
+                        .map(|q| {
+                            let (src, dst) = if received { (q, rank) } else { (rank, q) };
+                            vec![BitWidth::B4; of(&traces[src])[l].ranges[dst].len()]
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        WidthAssignment {
+            fwd: table(|t| &t.fwd, false),
+            bwd: table(|t| &t.bwd, false),
+            fwd_recv: table(|t| &t.fwd, true),
+            bwd_recv: table(|t| &t.bwd, true),
+        }
+    }
+
+    /// A section's problem as `PairTable::build` made it while the solver
+    /// took one `PairSpec` per pair and one `Vec<GroupSpec>` inside each.
+    fn nested_build(
+        table: &PairTable,
+        section: usize,
+        cost: &CostModel,
+        cfg: &TrainingConfig,
+    ) -> solver::BiObjectiveProblem {
+        let group_size = cfg.group_size.max(1);
+        let dim = table.dims[section / 2] as usize;
+        let specs = table
+            .pairs_of(section)
+            .map(|p| {
+                let betas = table.betas_of(p);
+                let mut sorted: Vec<u32> = (0..betas.len() as u32).collect();
+                sorted.sort_by(|&a, &b| betas[b as usize].total_cmp(&betas[a as usize]));
+                let groups = sorted
+                    .chunks(group_size)
+                    .map(|group| GroupSpec {
+                        beta: group.iter().map(|&k| betas[k as usize]).sum(),
+                        bytes_per_bit: group.len() as f64 * dim as f64 / 8.0,
+                    })
+                    .collect();
+                let (src, dst) = table.ends[p];
+                let (theta, gamma) = cost.link_params(src as usize, dst as usize);
+                let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
+                solver::PairSpec {
+                    theta,
+                    gamma: gamma + theta * overhead as f64,
+                    groups,
+                }
+            })
+            .collect();
+        solver::BiObjectiveProblem::new(specs, cfg.lambda)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1077,10 +1232,13 @@ mod tests {
             let (alphas, traces) = arb_traces(n, layers, &mut rng);
             let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
             let widths = arb_widths(&table, &mut rng);
-            let decoded: Vec<WidthAssignment> = table
-                .encode_replies(&widths)
-                .iter()
-                .map(|reply| WidthAssignment::decode(reply, n).expect("valid reply"))
+            let replies = table.encode_replies(&widths);
+            let decoded: Vec<WidthAssignment> = (0..n)
+                .map(|rank| {
+                    let mut a = shaped_like(&traces, rank);
+                    a.decode_into(&replies[rank], n).expect("valid reply");
+                    a
+                })
                 .collect();
             let mut listed = 0;
             for (section, section_widths) in widths.iter().enumerate() {
@@ -1113,6 +1271,27 @@ mod tests {
                 .filter(|w| !w.is_empty())
                 .count();
             prop_assert_eq!(non_empty, listed);
+        }
+
+        #[test]
+        fn build_writes_the_flattened_nested_problem(
+            n in 1usize..=6,
+            layers in 1usize..=2,
+            group_size in 1usize..=5,
+            lambda in prop_oneof![Just(0.0), Just(1.0), -0.5f64..1.5],
+            seed in 0u64..u64::MAX,
+        ) {
+            let (alphas, traces) = arb_traces(n, layers, &mut Rng::seed_from(seed));
+            let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
+            let cost = CostModel::homogeneous(n, 1e6, 1e-5);
+            let cfg = TrainingConfig { group_size, lambda, ..TrainingConfig::default() };
+            for section in 0..table.num_sections() {
+                let flat = table.build(section, &cost, &cfg).problem;
+                let want = nested_build(&table, section, &cost, &cfg).flatten();
+                // `==` for the shape, `Debug` for the bits (it tells zeros apart).
+                prop_assert_eq!(&flat, &want);
+                prop_assert_eq!(format!("{flat:?}"), format!("{want:?}"));
+            }
         }
     }
 
@@ -1149,7 +1328,7 @@ mod tests {
                         assert_eq!(t.num_sections(), 4);
                         for s in 0..t.num_sections() {
                             let built = t.build(s, &cost, &cfg);
-                            assert_eq!(built.problem.pairs.len(), t.pairs_of(s).len());
+                            assert_eq!(built.problem.num_pairs(), t.pairs_of(s).len());
                         }
                         assert_eq!(t.encode_replies(&arb_widths(&t, &mut rng)).len(), 3);
                     }
@@ -1165,27 +1344,169 @@ mod tests {
         );
 
         let replies = table.encode_replies(&arb_widths(&table, &mut rng));
-        for reply in &replies {
-            assert!(WidthAssignment::decode(reply, 3).is_ok());
-            // A device that believes in a smaller cluster sees foreign peers.
+        for (rank, reply) in replies.iter().enumerate() {
+            let before = shaped_like(&traces, rank);
+            let mut a = before.clone();
+            assert_eq!(a.decode_into(reply, 3), Ok(()));
+            assert_ne!(a, before, "fixture reply carries widths");
+            // The tables pin every count and no single flipped bit turns one
+            // width into another, so nothing gets through — and a refused
+            // reply has written nothing.
             for bad in corruptions(reply) {
-                if let Ok(a) = WidthAssignment::decode(&bad, 3) {
-                    for t in [&a.fwd, &a.bwd, &a.fwd_recv, &a.bwd_recv] {
-                        assert_eq!(t.len(), a.fwd.len());
-                        assert!(t.iter().all(|per_peer| per_peer.len() == 3));
-                    }
-                }
+                let mut a = before.clone();
+                assert!(a.decode_into(&bad, 3).is_err());
+                assert_eq!(a, before);
+            }
+            let mut a = before.clone();
+            assert_eq!(a.decode_into(&[2, 0, 0, 0], 3), Err(WireError::Truncated));
+            assert_eq!(
+                a.decode_into(&u32::MAX.to_le_bytes(), 3),
+                Err(WireError::Truncated),
+                "a layer count the message cannot back is refused first"
+            );
+            assert_eq!(a, before);
+        }
+    }
+
+    /// A reply for `part`'s rank on a 2-device, 1-layer cluster whose four
+    /// blocks list peer `1 - rank` with the given counts (0 = not listed).
+    fn reply_with_counts(rank: usize, counts: [usize; 4]) -> Vec<u8> {
+        let mut reply = Vec::new();
+        put_u32(&mut reply, 1);
+        for count in counts {
+            put_u32(&mut reply, usize::from(count > 0));
+            if count > 0 {
+                put_u32(&mut reply, 1 - rank);
+                put_u32(&mut reply, count);
+                reply.resize(reply.len() + count, 8);
             }
         }
-        assert_eq!(
-            WidthAssignment::decode(&[1, 0, 0, 0], 3),
-            Err(WireError::Truncated)
-        );
-        assert_eq!(
-            WidthAssignment::decode(&u32::MAX.to_le_bytes(), 3),
-            Err(WireError::Truncated),
-            "a layer count the message cannot back is refused before allocating"
-        );
+        reply
+    }
+
+    #[test]
+    fn a_reply_that_disagrees_with_the_partition_is_refused_untouched() {
+        let parts = setup(2);
+        for (rank, part) in parts.iter().enumerate() {
+            let peer = 1 - rank;
+            let (sent, received) = (part.send_sets[peer].len(), part.recv_slots[peer].len());
+            assert!(sent > 1 && received > 1, "fixture exchanges messages");
+            // fwd, fwd_recv, bwd, bwd_recv, as the partition sizes them.
+            let right = [sent, received, received, sent];
+            let before = WidthAssignment::fixed(part, 1, BitWidth::B2);
+            let mut a = before.clone();
+            assert_eq!(a.decode_into(&reply_with_counts(rank, right), 2), Ok(()));
+            assert_eq!(a, WidthAssignment::fixed(part, 1, BitWidth::B8));
+            for block in 0..4 {
+                // One too many, one too few, and a peer with rows left out.
+                for wrong in [right[block] + 1, right[block] - 1, 0] {
+                    let mut counts = right;
+                    counts[block] = wrong;
+                    let mut a = before.clone();
+                    assert_eq!(
+                        a.decode_into(&reply_with_counts(rank, counts), 2),
+                        Err(WireError::Count(peer as u32)),
+                        "rank {rank}, block {block}, count {wrong}"
+                    );
+                    assert_eq!(a, before);
+                }
+            }
+            // A listed peer the partition has no rows for: the device itself.
+            let mut reply = reply_with_counts(rank, right);
+            let listed_self = {
+                let mut r = Vec::new();
+                put_u32(&mut r, 1);
+                // Block 0 lists both ranks, ascending.
+                put_u32(&mut r, 2);
+                for q in 0..2 {
+                    put_u32(&mut r, q);
+                    put_u32(&mut r, sent);
+                    r.resize(r.len() + sent, 8);
+                }
+                r.extend_from_slice(&reply.split_off(4 + 4 + 8 + sent));
+                r
+            };
+            let mut a = before.clone();
+            assert_eq!(
+                a.decode_into(&listed_self, 2),
+                Err(WireError::Count(rank as u32))
+            );
+            assert_eq!(a, before);
+            // Another layer count than the device trains.
+            let mut a = WidthAssignment::fixed(part, 2, BitWidth::B2);
+            assert_eq!(
+                a.decode_into(&reply_with_counts(rank, right), 2),
+                Err(WireError::Layers(1))
+            );
+        }
+    }
+
+    /// Rank 1's half of a round whose master (written out by hand, so that
+    /// it can send what `reassign` never would) runs `tamper` over the
+    /// replies and the stats payload before sending them: what `reassign`
+    /// returned there, and whether its tables were left as they were.
+    fn worker_outcome(
+        tamper: impl Fn(&mut Vec<Vec<u8>>, &mut Vec<u8>) + Sync,
+    ) -> (Result<SolveStats, AssignError>, bool) {
+        let parts = setup(2);
+        let cfg = TrainingConfig::default();
+        let cost = CostModel::homogeneous(2, 1e6, 1e-5);
+        let (parts, cfg, cost, tamper) = (&parts, &cfg, &cost, &tamper);
+        comm::Cluster::try_run_fn(2, move |mut dev| {
+            let part = &parts[dev.rank()];
+            let trace = Trace::new(part, &[16, 8]);
+            let own = Bytes::from(encode_trace(&part.send_alpha_sq, &trace));
+            if dev.rank() == 0 {
+                let traces = dev.gather(0, own).expect("the root gathers");
+                let (mut replies, stats) = master_round(&traces, cost, cfg).expect("valid traces");
+                let mut stats = stats.to_bytes().to_vec();
+                tamper(&mut replies, &mut stats);
+                dev.scatter(0, Some(replies.into_iter().map(Bytes::from).collect()));
+                dev.broadcast(0, Some(Bytes::from(stats)));
+                return None;
+            }
+            let before = WidthAssignment::fixed(part, 2, BitWidth::B4);
+            let mut assignment = before.clone();
+            let mode = AssignMode::Adaptive;
+            let mut rng = Rng::seed_from(1);
+            let got = reassign(
+                &mut dev,
+                part,
+                cost,
+                &trace,
+                cfg,
+                mode,
+                &mut rng,
+                &mut assignment,
+            );
+            Some((got, assignment == before))
+        })
+        .expect("no device panicked or stalled")
+        .swap_remove(1)
+        .expect("rank 1 reports")
+    }
+
+    #[test]
+    fn a_malformed_round_is_an_error_on_the_worker_not_a_panic() {
+        let (got, untouched) = worker_outcome(|_, _| {});
+        assert!(got.is_ok_and(|stats| stats.problems == 4) && !untouched);
+
+        let (got, untouched) = worker_outcome(|replies, _| {
+            replies[1].pop();
+        });
+        let stage = AssignStage::Reply;
+        let cause = WireError::Truncated;
+        assert_eq!(got, Err(AssignError { stage, cause }));
+        assert!(untouched);
+
+        let (got, untouched) = worker_outcome(|_, stats| stats.truncate(31));
+        let stage = AssignStage::Stats;
+        assert_eq!(got, Err(AssignError { stage, cause }));
+        assert!(untouched);
+
+        let (got, _) = worker_outcome(|_, stats| stats.push(0));
+        let cause = WireError::TrailingBytes;
+        assert_eq!(got, Err(AssignError { stage, cause }));
     }
 
     #[test]
@@ -1231,7 +1552,8 @@ mod tests {
             }
             trace.record_fwd(part, 0, &x);
             let mut rng = Rng::seed_from(100 + dev.rank() as u64);
-            let (assign, solve) = reassign(
+            let mut assign = WidthAssignment::fixed(part, dims.len(), BitWidth::B8);
+            let solve = reassign(
                 &mut dev,
                 part,
                 cost_ref,
@@ -1239,7 +1561,9 @@ mod tests {
                 cfg_ref,
                 AssignMode::Adaptive,
                 &mut rng,
-            );
+                &mut assign,
+            )
+            .expect("well-formed round");
             (assign, solve)
         });
         for (rank, (assign, solve)) in out.iter().enumerate() {

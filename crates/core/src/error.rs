@@ -26,6 +26,14 @@ pub enum Error {
         /// The sending peer and what was wrong with its block.
         error: crate::exchange::ExchangeError,
     },
+    /// A device's bit-width reassignment round met a control-plane message
+    /// that does not decode.
+    Assigner {
+        /// The device that could not read the message.
+        rank: usize,
+        /// Which message and what was wrong with it.
+        error: crate::assigner::AssignError,
+    },
     /// The determinism sanitizer (`adaqp-san`, see `tensor::san`) observed a
     /// parallel-kernel contract violation during a sanitized run.
     Sanitizer(String),
@@ -40,6 +48,7 @@ impl fmt::Display for Error {
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Cluster(e) => write!(f, "cluster failure: {e}"),
             Error::Exchange { rank, error } => write!(f, "device {rank}: {error}"),
+            Error::Assigner { rank, error } => write!(f, "device {rank}: {error}"),
             Error::Sanitizer(msg) => write!(f, "determinism sanitizer: {msg}"),
         }
     }
@@ -51,8 +60,41 @@ impl std::error::Error for Error {
             Error::Io(e) => Some(e),
             Error::Cluster(e) => Some(e),
             Error::Exchange { error, .. } => Some(error),
+            Error::Assigner { error, .. } => Some(error),
             _ => None,
         }
+    }
+}
+
+/// Why one device stopped mid-run; the runner adds the rank to make it an
+/// [`Error`].
+#[derive(Debug)]
+pub enum DeviceError {
+    /// A peer's halo block did not decode.
+    Exchange(crate::exchange::ExchangeError),
+    /// A reassignment round's message did not decode.
+    Assigner(crate::assigner::AssignError),
+}
+
+impl DeviceError {
+    /// This failure as the run's error, on device `rank`.
+    pub fn on(self, rank: usize) -> Error {
+        match self {
+            Self::Exchange(error) => Error::Exchange { rank, error },
+            Self::Assigner(error) => Error::Assigner { rank, error },
+        }
+    }
+}
+
+impl From<crate::exchange::ExchangeError> for DeviceError {
+    fn from(e: crate::exchange::ExchangeError) -> Self {
+        Self::Exchange(e)
+    }
+}
+
+impl From<crate::assigner::AssignError> for DeviceError {
+    fn from(e: crate::assigner::AssignError) -> Self {
+        Self::Assigner(e)
     }
 }
 
@@ -99,6 +141,29 @@ mod tests {
         );
         assert!(text.contains("bit-width 7"), "{text}");
         assert!(e.source().is_some());
+    }
+
+    #[test]
+    fn assigner_error_names_the_device_the_stage_and_the_cause() {
+        use crate::assigner::{AssignError, AssignStage, WireError};
+        use std::error::Error as _;
+        let error = AssignError {
+            stage: AssignStage::Reply,
+            cause: WireError::Count(5),
+        };
+        let e = DeviceError::from(error).on(2);
+        let text = e.to_string();
+        assert!(text.contains("device 2"), "{text}");
+        assert!(text.contains("width reply"), "{text}");
+        assert!(text.contains("peer 5"), "{text}");
+        let stage = e.source().expect("the stage error");
+        assert_eq!(stage.to_string(), error.to_string());
+        assert!(stage.source().is_some(), "the wire error under it");
+        for (stage, what) in [(AssignStage::Trace, "trace"), (AssignStage::Stats, "stats")] {
+            let cause = WireError::Truncated;
+            let text = AssignError { stage, cause }.to_string();
+            assert!(text.contains(what), "{text}");
+        }
     }
 
     #[test]

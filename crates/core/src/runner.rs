@@ -4,8 +4,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::decompose::build_partitions;
-use crate::error::Error;
-use crate::exchange::ExchangeError;
+use crate::error::{DeviceError, Error};
 use crate::metrics::{schedule_for, DeviceEpochRecord, EpochMetrics, MetricParts, RunResult};
 use crate::telemetry::TelemetryLog;
 use crate::trainers::{DeviceOutput, DeviceTrainer};
@@ -94,10 +93,11 @@ pub fn run_experiment_profiled(
     });
     let parts_ref = &parts;
     let cost_ref = &cost;
-    // A device that receives a malformed halo block stops, and its peers
-    // then stall at their next collective: the cluster reports that stall,
-    // so the cause is kept here (the lowest failing rank's) and wins.
-    let failure: Mutex<Option<(usize, ExchangeError)>> = Mutex::new(None);
+    // A device that receives a malformed halo block or assigner message
+    // stops, and its peers then stall at their next collective: the cluster
+    // reports that stall, so the cause is kept here (the lowest failing
+    // rank's) and wins.
+    let failure: Mutex<Option<(usize, DeviceError)>> = Mutex::new(None);
     let device = |dev: comm::DeviceHandle| {
         let rank = dev.rank();
         let trainer = DeviceTrainer::new(
@@ -128,7 +128,7 @@ pub fn run_experiment_profiled(
         .then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
     let run = Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device);
     if let Some((rank, error)) = failure.into_inner().ok().flatten() {
-        return Err(Error::Exchange { rank, error });
+        return Err(error.on(rank));
     }
     let outputs: Vec<DeviceOutput> = run?.outputs.into_iter().flatten().collect();
     let profile = recorder.map(|rec| {

@@ -10,6 +10,7 @@
 use crate::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use crate::config::{Method, TrainingConfig};
 use crate::decompose::{DevicePartition, LocalLabels};
+use crate::error::DeviceError;
 use crate::exchange::{
     halo_exchange, halo_exchange_with, Direction, ExchangeError, ExchangeStats, Wire,
 };
@@ -245,9 +246,10 @@ impl<'a> DeviceTrainer<'a> {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError`] as soon as a peer's halo block does not decode;
-    /// the device stops there, so its peers stall at their next collective.
-    pub fn run(mut self) -> Result<DeviceOutput, ExchangeError> {
+    /// [`DeviceError`] as soon as a peer's halo block or a reassignment
+    /// message does not decode; the device stops there, so its peers stall
+    /// at their next collective.
+    pub fn run(mut self) -> Result<DeviceOutput, DeviceError> {
         let records = (0..self.cfg.epochs)
             .map(|e| self.run_epoch(e))
             .collect::<Result<_, _>>()?;
@@ -268,8 +270,9 @@ impl<'a> DeviceTrainer<'a> {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError`] if a peer's halo block does not decode.
-    pub fn run_epoch(&mut self, epoch: usize) -> Result<DeviceEpochRecord, ExchangeError> {
+    /// [`DeviceError`] if a peer's halo block or a reassignment message
+    /// does not decode.
+    pub fn run_epoch(&mut self, epoch: usize) -> Result<DeviceEpochRecord, DeviceError> {
         self.cur_epoch = epoch;
         self.tb = TimeBreakdown::new();
         self.bytes = 0;
@@ -356,7 +359,7 @@ impl<'a> DeviceTrainer<'a> {
             } else {
                 AssignMode::UniformRandom
             };
-            let (assignment, solve) = reassign(
+            let solve = reassign(
                 &mut self.dev,
                 self.part,
                 self.cost,
@@ -364,8 +367,8 @@ impl<'a> DeviceTrainer<'a> {
                 self.cfg,
                 mode,
                 &mut self.rng,
-            );
-            self.assignment = assignment;
+                &mut self.assignment,
+            )?;
             self.charge(EventKind::AssignerSolve, solve.secs, EventDetail::default());
             // SolveStats are identical on every rank (the master broadcasts
             // them); record on the master only so merging per-rank

@@ -30,7 +30,8 @@
 mod problem;
 mod solve;
 
-pub use problem::{BiObjectiveProblem, GroupSpec, PairSpec, Solution};
+pub use problem::{BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, PairSpec, Solution};
 pub use solve::{
     brute_force, min_variance_within_budget, min_variance_within_budget_dp, solve, solve_exact,
+    solve_flat,
 };

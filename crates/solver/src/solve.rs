@@ -1,6 +1,6 @@
 //! The two-level solver: per-pair knapsack greedy inside a Z sweep.
 
-use crate::problem::{BiObjectiveProblem, PairSpec, Solution};
+use crate::problem::{BiObjectiveProblem, FlatProblem, FlatSolution, PairSpec, Solution};
 use quant::BitWidth;
 
 /// Number of candidate `Z` values sampled between the global min and max
@@ -211,31 +211,41 @@ pub fn min_variance_within_budget_dp(
     (widths, true)
 }
 
-/// Downgrade schedules of every pair of one problem: each pair's greedy move
-/// list, sorted by variance added per byte saved and turned into prefix sums,
-/// so a byte budget resolves with a search instead of a fresh sort. All pairs
-/// share three arenas (at fleet scale most pairs hold a single group, and
-/// three heap blocks per pair cost more than the arithmetic they carry).
+/// Everything [`solve_flat`] needs to know about a problem, from one pass
+/// over its groups: each pair's greedy downgrade schedule (moves sorted by
+/// variance added per byte saved, as prefix sums, so a byte budget resolves
+/// with a search instead of a fresh sort) in three arenas shared by all
+/// pairs, and the three uniform assignments' scores, from which the
+/// objective normalizers, the sweep's seeds and the Z range all follow.
 struct Schedules {
     heads: Vec<PairHead>,
     /// Cumulative bytes saved after a pair's first `k + 1` moves.
     saved: Vec<f64>,
     /// Cumulative variance added after a pair's first `k + 1` moves.
     dvar: Vec<f64>,
-    /// Move `k`'s `(group, to)`.
+    /// Move `k`'s `(group, to)`, the group counted within its pair.
     moves: Vec<(usize, BitWidth)>,
+    /// `(total variance, slowest pair time)` with every group at
+    /// `BitWidth::ALL[i]`.
+    uniform: [(f64, f64); 3],
 }
 
-/// One pair's slice of the [`Schedules`] arenas and its all-8-bit totals.
+/// One pair's slice of the [`Schedules`] arenas, its link, and its totals
+/// at the uniform widths.
 struct PairHead {
     start: usize,
     end: usize,
+    theta: f64,
+    gamma: f64,
     bytes8: f64,
     var8: f64,
+    /// All-2-bit and all-8-bit transfer times.
+    min_time: f64,
+    max_time: f64,
 }
 
 impl Schedules {
-    fn build(problem: &BiObjectiveProblem) -> Self {
+    fn build(problem: &FlatProblem) -> Self {
         struct Move {
             ratio: f64,
             group: usize,
@@ -245,23 +255,37 @@ impl Schedules {
         }
         let total = 2 * problem.num_groups();
         let mut out = Self {
-            heads: Vec::with_capacity(problem.pairs.len()),
+            heads: Vec::with_capacity(problem.num_pairs()),
             saved: Vec::with_capacity(total),
             dvar: Vec::with_capacity(total),
             moves: Vec::with_capacity(total),
+            // Sums start from `Iterator::sum`'s identity and maxima from
+            // zero, and run pair by pair over per-pair sums taken group by
+            // group: the order `BiObjectiveProblem`'s own accessors use, so
+            // every total rounds as theirs does.
+            uniform: [(-0.0, 0.0); 3],
         };
         let mut moves: Vec<Move> = Vec::new();
-        for pair in &problem.pairs {
+        for p in 0..problem.num_pairs() {
+            let (theta, gamma) = problem.link(p);
             moves.clear();
-            for (k, g) in pair.groups.iter().enumerate() {
-                for (from, to) in [(BitWidth::B8, BitWidth::B4), (BitWidth::B4, BitWidth::B2)] {
-                    let dv = g.variance_at(to) - g.variance_at(from);
-                    let db = g.bytes_at(from) - g.bytes_at(to);
+            // Per width of `BitWidth::ALL`: this pair's (variance, bytes).
+            let mut sums = [(-0.0f64, -0.0f64); 3];
+            for (k, g) in problem.groups_of(p).map(|g| problem.group(g)).enumerate() {
+                let at = BitWidth::ALL.map(|w| (g.variance_at(w), g.bytes_at(w)));
+                for (sum, (v, b)) in sums.iter_mut().zip(at) {
+                    sum.0 += v;
+                    sum.1 += b;
+                }
+                // 8 -> 4, then 4 -> 2.
+                for to in [1, 0] {
+                    let dv = at[to].0 - at[to + 1].0;
+                    let db = at[to + 1].1 - at[to].1;
                     if db > 0.0 {
                         moves.push(Move {
                             ratio: dv / db,
                             group: k,
-                            to,
+                            to: BitWidth::ALL[to],
                             dv,
                             db,
                         });
@@ -282,35 +306,38 @@ impl Schedules {
                 out.dvar.push(v);
                 out.moves.push((m.group, m.to));
             }
+            let time = sums.map(|(_, bytes)| theta * bytes + gamma);
+            for (total, ((var, _), t)) in out.uniform.iter_mut().zip(sums.into_iter().zip(time)) {
+                total.0 += var;
+                total.1 = total.1.max(t);
+            }
             out.heads.push(PairHead {
                 start,
                 end: out.saved.len(),
-                bytes8: pair.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum(),
-                var8: pair.variance_at(BitWidth::B8),
+                theta,
+                gamma,
+                bytes8: sums[2].1,
+                var8: sums[2].0,
+                min_time: time[0],
+                max_time: time[2],
             });
         }
         out
     }
 
     /// Number of prefix moves pair `p` needs to fit `budget_seconds` (all of
-    /// them when even all-2-bit does not fit).
+    /// them when even all-2-bit does not fit). Never rises with the budget.
     ///
     /// `cursor` is where the previous budget's search on this pair ended
     /// (start it at 0): budgets swept in sorted order move it monotonically,
     /// so a whole sweep walks each pair's moves once instead of
     /// binary-searching them per budget. Any order is still answered
     /// correctly.
-    fn moves_for_budget(
-        &self,
-        pair: &PairSpec,
-        p: usize,
-        budget_seconds: f64,
-        cursor: &mut usize,
-    ) -> usize {
+    fn moves_for_budget(&self, p: usize, budget_seconds: f64, cursor: &mut usize) -> usize {
         let head = &self.heads[p];
         let saved = &self.saved[head.start..head.end];
-        let budget_bytes = if pair.theta > 0.0 {
-            (budget_seconds - pair.gamma) / pair.theta
+        let budget_bytes = if head.theta > 0.0 {
+            (budget_seconds - head.gamma) / head.theta
         } else {
             f64::INFINITY
         };
@@ -331,7 +358,7 @@ impl Schedules {
     }
 
     /// `(variance, time)` of pair `p` after its first `k` moves.
-    fn stats_after(&self, pair: &PairSpec, p: usize, k: usize) -> (f64, f64) {
+    fn stats_after(&self, p: usize, k: usize) -> (f64, f64) {
         let head = &self.heads[p];
         let (saved, dvar) = if k == 0 {
             (0.0, 0.0)
@@ -343,57 +370,45 @@ impl Schedules {
         };
         (
             head.var8 + dvar,
-            pair.theta * (head.bytes8 - saved) + pair.gamma,
+            head.theta * (head.bytes8 - saved) + head.gamma,
         )
     }
 
-    /// Materializes pair `p`'s width assignment after its first `k` moves.
-    fn widths_after(&self, p: usize, num_groups: usize, k: usize) -> Vec<BitWidth> {
-        let start = self.heads[p].start;
-        let mut widths = vec![BitWidth::B8; num_groups];
-        for &(g, to) in &self.moves[start..start + k] {
-            widths[g] = to;
+    /// The Z candidates of the outer sweep, ascending and distinct: the
+    /// global floor and ceiling, every pair's own extremes on small
+    /// problems, and a uniform grid between. Never NaN: the floor and
+    /// ceiling are `f64::max` folds from zero.
+    fn z_candidates(&self) -> Vec<f64> {
+        let n_pairs = self.heads.len();
+        let z_floor = self.uniform[0].1;
+        let z_ceil = self.uniform[2].1.max(z_floor);
+        let mut candidates: Vec<f64> = Vec::with_capacity(Z_SAMPLES + 2 * n_pairs.min(32) + 2);
+        candidates.push(z_floor);
+        candidates.push(z_ceil);
+        // Per-pair breakpoints sharpen the sweep, but on large clusters they
+        // multiply into the dominant solver cost (pairs grow quadratically
+        // with devices); past 32 pairs the uniform grid is accurate enough.
+        if n_pairs <= 32 {
+            for head in &self.heads {
+                candidates.push(head.min_time.max(z_floor));
+                candidates.push(head.max_time.min(z_ceil).max(z_floor));
+            }
         }
-        widths
+        push_grid(&mut candidates, z_floor, z_ceil);
+        candidates.sort_by(f64::total_cmp);
+        candidates.dedup();
+        candidates
     }
 }
 
-/// The Z candidates of the outer sweep, ascending and distinct: the global
-/// floor and ceiling, every pair's own extremes on small problems, and a
-/// uniform grid between.
-fn z_candidates(problem: &BiObjectiveProblem) -> Vec<f64> {
-    let n_pairs = problem.pairs.len();
-    let z_floor = problem
-        .pairs
-        .iter()
-        .map(PairSpec::min_time)
-        .fold(0.0, f64::max);
-    let z_ceil = problem
-        .pairs
-        .iter()
-        .map(PairSpec::max_time)
-        .fold(0.0, f64::max)
-        .max(z_floor);
-    let mut candidates: Vec<f64> = Vec::with_capacity(Z_SAMPLES + 2 * n_pairs.min(32) + 2);
-    candidates.push(z_floor);
-    candidates.push(z_ceil);
-    // Per-pair breakpoints sharpen the sweep, but on large clusters they
-    // multiply into the dominant solver cost (pairs grow quadratically with
-    // devices); past 32 pairs the uniform grid is accurate enough.
-    if n_pairs <= 32 {
-        for p in &problem.pairs {
-            candidates.push(p.min_time().max(z_floor));
-            candidates.push(p.max_time().min(z_ceil).max(z_floor));
-        }
-    }
+/// Appends [`Z_SAMPLES`] evenly spaced budgets strictly between `z_floor`
+/// and `z_ceil` (none when the range is empty).
+fn push_grid(candidates: &mut Vec<f64>, z_floor: f64, z_ceil: f64) {
     if z_ceil > z_floor {
         for i in 0..Z_SAMPLES {
             candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
         }
     }
-    candidates.sort_by(f64::total_cmp);
-    candidates.dedup();
-    candidates
 }
 
 /// Solves the scalarized bi-objective problem (Eqn. 12).
@@ -403,10 +418,19 @@ fn z_candidates(problem: &BiObjectiveProblem) -> Vec<f64> {
 /// scalarized objective found. With `lambda == 1` the time term vanishes and
 /// everything gets 8-bit; with `lambda == 0` only the slowest pair matters
 /// and the result is the fastest feasible assignment.
+///
+/// [`solve_flat`] on the problem's CSR form.
 pub fn solve(problem: &BiObjectiveProblem) -> Solution {
-    let n_pairs = problem.pairs.len();
+    let flat = problem.flatten();
+    solve_flat(&flat).nest(&flat)
+}
+
+/// [`solve`] on a problem already in CSR form, the way the assigner's master
+/// builds it.
+pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
+    let n_pairs = problem.num_pairs();
     if n_pairs == 0 {
-        return Solution {
+        return FlatSolution {
             widths: Vec::new(),
             variance: 0.0,
             max_time: 0.0,
@@ -414,57 +438,62 @@ pub fn solve(problem: &BiObjectiveProblem) -> Solution {
             iterations: 0,
         };
     }
-    let uniform = |w: BitWidth| -> Vec<Vec<BitWidth>> {
-        problem
-            .pairs
-            .iter()
-            .map(|p| vec![w; p.groups.len()])
-            .collect()
+    let schedules = Schedules::build(problem);
+    let v_ref = schedules.uniform[0].0;
+    let t_ref = schedules.uniform[2].1;
+    // A uniform assignment, scored from the one pass: only the candidate
+    // that survives the sweep is ever materialized.
+    let uniform = |w: BitWidth, iterations: usize| -> FlatSolution {
+        let (variance, max_time) = schedules.uniform[w.index()];
+        FlatSolution {
+            widths: vec![w; problem.num_groups()],
+            variance,
+            max_time,
+            objective: problem.objective_from_parts(variance, max_time, v_ref, t_ref),
+            iterations,
+        }
     };
-    if problem.lambda >= 1.0 {
+    if problem.lambda() >= 1.0 {
         // Pure variance objective: maximize precision everywhere.
-        let mut sol = finish(problem, uniform(BitWidth::B8));
-        sol.iterations = 1;
-        return sol;
+        return uniform(BitWidth::B8, 1);
     }
-    let candidates = z_candidates(problem);
-    let v_ref = problem.variance_ref();
-    let t_ref = problem.time_ref();
+    let candidates = schedules.z_candidates();
+    // Candidate-assignment evaluation count, reported on the solution.
+    let iterations = BitWidth::ALL.len() + candidates.len();
 
     // Seed with the three uniform assignments so the sweep can never lose
-    // to a trivial candidate. Scored from the specs alone: only the one
-    // that survives the sweep is ever materialized.
-    let seeds = BitWidth::ALL.map(|w| {
-        let variance: f64 = problem.pairs.iter().map(|p| p.variance_at(w)).sum();
-        let max_time = problem
-            .pairs
-            .iter()
-            .map(|p| p.time_at(w))
-            .fold(0.0, f64::max);
-        let objective = problem.objective_from_parts(variance, max_time, v_ref, t_ref);
-        (objective, variance, max_time, w)
-    });
-    let mut seed = seeds[0];
-    for s in &seeds[1..] {
-        if s.0 < seed.0 {
-            seed = *s;
+    // to a trivial candidate.
+    let scores = schedules
+        .uniform
+        .map(|(v, t)| problem.objective_from_parts(v, t, v_ref, t_ref));
+    let mut seed = 0;
+    for i in 1..scores.len() {
+        if scores[i] < scores[seed] {
+            seed = i;
         }
     }
 
-    // Pair-major sweep: each pair walks the ascending candidates once with
-    // a cursor into its own schedule. Every candidate still accumulates its
-    // pairs in pair order, so the sums round exactly as a candidate-major
-    // loop's would.
-    let schedules = Schedules::build(problem);
+    // Pair-major sweep: each pair walks the ascending candidates with a
+    // cursor into its own schedule. Its move count never rises with the
+    // budget, so once it needs no move it needs none under any later
+    // candidate: that whole run takes the pair's all-8-bit `(variance,
+    // time)` from one evaluation and the walk stops (at fleet scale that is
+    // most pairs, at their first candidate). Every candidate still
+    // accumulates the same values in pair order, so the sums round exactly
+    // as a candidate-major loop's would.
     let mut variance = vec![0.0f64; candidates.len()];
     let mut max_time = vec![0.0f64; candidates.len()];
-    for (p, pair) in problem.pairs.iter().enumerate() {
-        let mut cursor = 0;
-        for (c, &z) in candidates.iter().enumerate() {
-            let k = schedules.moves_for_budget(pair, p, z, &mut cursor);
-            let (v, t) = schedules.stats_after(pair, p, k);
-            variance[c] += v;
-            max_time[c] = max_time[c].max(t);
+    for p in 0..n_pairs {
+        let (mut c, mut cursor) = (0, 0);
+        while c < candidates.len() {
+            let k = schedules.moves_for_budget(p, candidates[c], &mut cursor);
+            let end = if k == 0 { candidates.len() } else { c + 1 };
+            let (v, t) = schedules.stats_after(p, k);
+            for (var, time) in variance[c..end].iter_mut().zip(&mut max_time[c..end]) {
+                *var += v;
+                *time = time.max(t);
+            }
+            c = end;
         }
     }
     let mut best_candidate: Option<(f64, f64)> = None; // (objective, z)
@@ -474,32 +503,39 @@ pub fn solve(problem: &BiObjectiveProblem) -> Solution {
             best_candidate = Some((obj, z));
         }
     }
-    // Candidate-assignment evaluation count, reported on the solution.
-    let iterations = seeds.len() + candidates.len();
 
-    let mut sol = match best_candidate {
-        Some((obj, z)) if obj < seed.0 => {
-            let widths = problem
-                .pairs
-                .iter()
-                .enumerate()
-                .map(|(p, pair)| {
-                    let k = schedules.moves_for_budget(pair, p, z, &mut 0);
-                    schedules.widths_after(p, pair.groups.len(), k)
-                })
-                .collect();
-            finish_with_refs(problem, widths, v_ref, t_ref)
+    match best_candidate {
+        Some((obj, z)) if obj < scores[seed] => {
+            // Materialize the winner and score it from its widths, group by
+            // group within a pair and pair by pair.
+            let mut widths = vec![BitWidth::B8; problem.num_groups()];
+            let mut variance = -0.0;
+            let mut max_time = 0.0f64;
+            for (p, head) in schedules.heads.iter().enumerate() {
+                let groups = problem.groups_of(p);
+                let k = schedules.moves_for_budget(p, z, &mut 0);
+                for &(g, to) in &schedules.moves[head.start..head.start + k] {
+                    widths[groups.start + g] = to;
+                }
+                let (mut var, mut bytes) = (-0.0, -0.0);
+                for g in groups {
+                    let spec = problem.group(g);
+                    var += spec.variance_at(widths[g]);
+                    bytes += spec.bytes_at(widths[g]);
+                }
+                variance += var;
+                max_time = max_time.max(head.theta * bytes + head.gamma);
+            }
+            FlatSolution {
+                widths,
+                variance,
+                max_time,
+                objective: problem.objective_from_parts(variance, max_time, v_ref, t_ref),
+                iterations,
+            }
         }
-        _ => Solution {
-            widths: uniform(seed.3),
-            variance: seed.1,
-            max_time: seed.2,
-            objective: seed.0,
-            iterations: 0,
-        },
-    };
-    sol.iterations = iterations;
-    sol
+        _ => uniform(BitWidth::ALL[seed], iterations),
+    }
 }
 
 /// Like [`solve`] but with the exact DP inner solver
@@ -517,18 +553,9 @@ pub fn solve_exact(problem: &BiObjectiveProblem, resolution: usize) -> Solution 
         .iter()
         .map(PairSpec::min_time)
         .fold(0.0, f64::max);
-    let z_ceil = problem
-        .pairs
-        .iter()
-        .map(PairSpec::max_time)
-        .fold(0.0, f64::max)
-        .max(z_floor);
+    let z_ceil = problem.time_ref().max(z_floor);
     let mut candidates: Vec<f64> = vec![z_floor, z_ceil];
-    if z_ceil > z_floor {
-        for i in 0..Z_SAMPLES {
-            candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
-        }
-    }
+    push_grid(&mut candidates, z_floor, z_ceil);
     let mut best = solve(problem); // greedy baseline: exact never returns worse
     let mut iterations = best.iterations;
     for &z in &candidates {
@@ -548,21 +575,14 @@ pub fn solve_exact(problem: &BiObjectiveProblem, resolution: usize) -> Solution 
 }
 
 fn finish(problem: &BiObjectiveProblem, widths: Vec<Vec<BitWidth>>) -> Solution {
-    let v_ref = problem.variance_ref();
-    let t_ref = problem.time_ref();
-    finish_with_refs(problem, widths, v_ref, t_ref)
-}
-
-/// [`finish`] with the objective normalizers precomputed (hot path).
-fn finish_with_refs(
-    problem: &BiObjectiveProblem,
-    widths: Vec<Vec<BitWidth>>,
-    v_ref: f64,
-    t_ref: f64,
-) -> Solution {
     let variance = problem.total_variance(&widths);
     let max_time = problem.max_time(&widths);
-    let objective = problem.objective_from_parts(variance, max_time, v_ref, t_ref);
+    let objective = problem.objective_from_parts(
+        variance,
+        max_time,
+        problem.variance_ref(),
+        problem.time_ref(),
+    );
     Solution {
         widths,
         variance,
@@ -643,10 +663,44 @@ mod tests {
         }
     }
 
-    /// The sweep as it ran before it went pair-major — candidate-major, one
-    /// binary search per (candidate, pair), three `Vec`s per pair, every
-    /// seed materialized and scored through `finish_with_refs` — kept as the
-    /// oracle [`solve`] is pinned to, bit for bit.
+    /// The candidate list as the nested solver derived it, in passes of its
+    /// own over the pairs.
+    fn z_candidates(problem: &BiObjectiveProblem) -> Vec<f64> {
+        let n_pairs = problem.pairs.len();
+        let z_floor = problem
+            .pairs
+            .iter()
+            .map(PairSpec::min_time)
+            .fold(0.0, f64::max);
+        let z_ceil = problem
+            .pairs
+            .iter()
+            .map(PairSpec::max_time)
+            .fold(0.0, f64::max)
+            .max(z_floor);
+        let mut candidates = vec![z_floor, z_ceil];
+        if n_pairs <= 32 {
+            for p in &problem.pairs {
+                candidates.push(p.min_time().max(z_floor));
+                candidates.push(p.max_time().min(z_ceil).max(z_floor));
+            }
+        }
+        if z_ceil > z_floor {
+            for i in 0..Z_SAMPLES {
+                candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
+            }
+        }
+        candidates.sort_by(f64::total_cmp);
+        candidates.dedup();
+        candidates
+    }
+
+    /// The sweep as it ran on the nested problem before it went pair-major
+    /// and learned to stop at a pair's first move-free candidate —
+    /// candidate-major, one binary search per
+    /// (candidate, pair), three `Vec`s per pair, every seed materialized and
+    /// scored from its widths — kept as the oracle [`solve`] is pinned to,
+    /// bit for bit.
     fn reference_solve(problem: &BiObjectiveProblem) -> Solution {
         struct Schedule {
             bytes8: f64,
@@ -720,7 +774,7 @@ mod tests {
                 .iter()
                 .map(|p| vec![w; p.groups.len()])
                 .collect();
-            let sol = finish_with_refs(problem, widths, v_ref, t_ref);
+            let sol = finish(problem, widths);
             iterations += 1;
             if best.as_ref().is_none_or(|b| sol.objective < b.objective) {
                 best = Some(sol);
@@ -761,32 +815,46 @@ mod tests {
                         widths
                     })
                     .collect();
-                best = finish_with_refs(problem, widths, v_ref, t_ref);
+                best = finish(problem, widths);
             }
         }
         best.iterations = iterations;
         best
     }
 
+    /// Problems shaped to break a sweep that skips: pair counts on both
+    /// sides of the 32-pair breakpoint rule, up to twelve groups with
+    /// repeated betas and sizes (ratio ties in the schedule sort), free
+    /// links, pairs so heavy that every other pair fits at 8 bits under
+    /// every candidate, and the three `lambda`s with a closed form.
     fn arb_problem() -> impl Strategy<Value = BiObjectiveProblem> {
-        let group = (0.0f64..100.0, 1.0f64..500.0).prop_map(|(beta, bytes_per_bit)| GroupSpec {
-            beta,
-            bytes_per_bit,
-        });
-        // Zero to six groups per pair, and enough pairs to cross the
-        // 32-pair line where the per-pair breakpoints leave the sweep.
+        let group = (
+            prop_oneof![Just(1.0), Just(4.0), 0.0f64..100.0],
+            prop_oneof![Just(64.0), 1.0f64..500.0, 1e4f64..1e5],
+        )
+            .prop_map(|(beta, bytes_per_bit)| GroupSpec {
+                beta,
+                bytes_per_bit,
+            });
         let pair = (
             prop_oneof![Just(0.0), 1e-7f64..1e-4],
             0.0f64..1e-3,
-            proptest::collection::vec(group, 0..=6),
+            proptest::collection::vec(group, 0..=12),
         )
             .prop_map(|(theta, gamma, groups)| PairSpec {
                 theta,
                 gamma,
                 groups,
             });
-        (proptest::collection::vec(pair, 1..=40), 0.0f64..1.0)
-            .prop_map(|(pairs, lambda)| BiObjectiveProblem::new(pairs, lambda))
+        (
+            proptest::collection::vec(pair, 300..=300),
+            prop_oneof![1usize..=32, 33usize..=300],
+            prop_oneof![Just(0.0), Just(0.5), Just(1.0), 0.0f64..1.0],
+        )
+            .prop_map(|(mut pairs, keep, lambda)| {
+                pairs.truncate(keep);
+                BiObjectiveProblem::new(pairs, lambda)
+            })
     }
 
     proptest! {

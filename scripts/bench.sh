@@ -9,7 +9,8 @@
 # threads is parsed from the `_t<N>` suffix the agg_parallel benches encode
 # in their ids (null for thread-agnostic benches). Pass --full for the
 # longer default sampling windows, or --smoke (used by scripts/check.sh) to
-# run only agg_parallel on a tiny problem and leave the recorded JSON alone.
+# run only agg_parallel on a tiny problem and assigner_round at 32 devices,
+# and leave the recorded JSON alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,12 @@ for b in "${BENCHES[@]}"; do
     ADAQP_BENCH_QUICK=$QUICK cargo bench --offline -q -p bench --bench "$b" \
         | tee -a "$RAW"
 done
+if [[ "$SMOKE" == 1 ]]; then
+    # The assigner's flat path end to end (build, solve_flat, in-place
+    # decode), executed rather than merely compiled.
+    echo "==> cargo bench -p bench --bench assigner_round -- 32" >&2
+    cargo bench --offline -q -p bench --bench assigner_round -- 32 | tee -a "$RAW"
+fi
 
 mkdir -p "$OUT_DIR"
 # Host metadata for the recorded JSON. The `_` prefix keeps these keys out

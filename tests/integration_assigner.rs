@@ -38,7 +38,18 @@ fn run_assign(
             &x.gather_rows(&(0..part.num_local()).collect::<Vec<_>>()),
         );
         let mut rng = Rng::seed_from(900 + dev.rank() as u64);
-        let (assign, _secs) = reassign(&mut dev, part, cost, &trace, cfg, mode, &mut rng);
+        let mut assign = WidthAssignment::fixed(part, dims.len(), BitWidth::B8);
+        reassign(
+            &mut dev,
+            part,
+            cost,
+            &trace,
+            cfg,
+            mode,
+            &mut rng,
+            &mut assign,
+        )
+        .expect("well-formed round");
         assign
     })
 }
@@ -243,7 +254,18 @@ fn golden_assignment_digests_on_four_devices() {
         }
         let mut rng = Rng::seed_from(900 + rank as u64);
         let mode = AssignMode::Adaptive;
-        let (assign, _) = reassign(&mut dev, part, cost_ref, &trace, cfg_ref, mode, &mut rng);
+        let mut assign = WidthAssignment::fixed(part, 2, BitWidth::B8);
+        reassign(
+            &mut dev,
+            part,
+            cost_ref,
+            &trace,
+            cfg_ref,
+            mode,
+            &mut rng,
+            &mut assign,
+        )
+        .expect("well-formed round");
         (assignment_digest(&assign), assign.histogram())
     });
     // The fixture is only worth pinning while the solver mixes widths on it.
@@ -283,7 +305,18 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
         let trace = Trace::new(part, &[16, 24]);
         let mut rng = Rng::seed_from(900);
         let mode = AssignMode::Adaptive;
-        reassign(&mut dev, part, cost_ref, &trace, cfg_ref, mode, &mut rng);
+        let mut assign = WidthAssignment::fixed(part, layers, BitWidth::B8);
+        reassign(
+            &mut dev,
+            part,
+            cost_ref,
+            &trace,
+            cfg_ref,
+            mode,
+            &mut rng,
+            &mut assign,
+        )
+        .expect("well-formed round");
         dev.take_metrics().expect("metrics enabled")
     })
     .swap_remove(0);
