@@ -54,9 +54,8 @@ pub const RULE_NAMES: [&str; 11] = [
 /// (which legitimately timestamp host-side artifacts), and the obs
 /// profiling timer (whose measurements are diagnostic-flagged and never
 /// enter simulated results).
-const SIM_CLOCK_ALLOWLIST: [&str; 4] = [
+const SIM_CLOCK_ALLOWLIST: [&str; 3] = [
     "crates/comm/src/timing.rs",
-    "crates/comm/src/telemetry.rs",
     "crates/core/src/telemetry.rs",
     "crates/obs/src/timer.rs",
 ];

@@ -56,17 +56,19 @@ fn bench_overlap_composition(c: &mut Criterion) {
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
-    // The structured-telemetry acceptance bar: a disabled recorder must cost
-    // <2% wall-clock against the same run with telemetry off entirely.
-    // Criterion reports both sides; compare the means in the output.
+    // A run has one recorder, the scheduler's flight recorder, armed when a
+    // view of its log is asked for: the same run with it off and on (both
+    // views attached). Criterion reports both sides; compare the means in
+    // the output.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
-    for (label, enabled) in [("disabled", false), ("enabled", true)] {
-        group.bench_with_input(BenchmarkId::new("telemetry", label), &enabled, |b, &on| {
+    for (label, enabled) in [("off", false), ("on", true)] {
+        group.bench_with_input(BenchmarkId::new("recorder", label), &enabled, |b, &on| {
             b.iter(|| {
                 let mut cfg = short_cfg(Method::AdaQp);
                 cfg.training.telemetry = on;
-                adaqp::run_experiment(&cfg).expect("valid config")
+                cfg.training.profile = on;
+                adaqp::run_experiment_profiled(&cfg).expect("valid config")
             });
         });
     }

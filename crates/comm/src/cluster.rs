@@ -19,9 +19,10 @@
 
 use crate::event::{self, ClusterReport};
 use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
-use crate::telemetry::Recorder;
 use crate::CostModel;
 use bytes::Bytes;
+use obs::time::Span;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
 
@@ -231,8 +232,10 @@ impl Cluster {
 
     /// [`Cluster::try_run_fn_with`] with an optional causal flight recorder
     /// attached to the scheduler (see [`crate::flight::FlightRecorder`]).
-    /// The recorder observes every scheduling transition; with `None` the
-    /// run is identical to [`Cluster::try_run_fn_with`].
+    /// The recorder observes every scheduling transition, and its presence
+    /// is what makes the devices hand their [`DeviceHandle::charge`]s to the
+    /// scheduler; with `None` charges are dropped where they are made and
+    /// the run is identical to [`Cluster::try_run_fn_with`].
     ///
     /// # Errors
     ///
@@ -240,7 +243,7 @@ impl Cluster {
     pub fn try_run_fn_recorded<T, F>(
         n: usize,
         cost: Option<&CostModel>,
-        recorder: Option<&mut crate::flight::FlightRecorder>,
+        recorder: Option<&mut crate::flight::FlightRecorder<'_>>,
         f: F,
     ) -> Result<ClusterReport<T>, ClusterError>
     where
@@ -251,6 +254,7 @@ impl Cluster {
             return Err(ClusterError::NoDevices);
         }
         let f = &f;
+        let recording = recorder.is_some();
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let report = {
             let slots = &slots;
@@ -264,10 +268,18 @@ impl Cluster {
                         cmd_rx,
                         resume_tx,
                         started: false,
+                        queued: VecDeque::new(),
                     });
                     joins.push(scope.spawn(move || {
                         let done_tx = cmd_tx.clone();
-                        let handle = DeviceHandle::with_event_port(rank, n, cmd_tx, resume_rx);
+                        let port = EventPort {
+                            cmd_tx,
+                            resume_rx,
+                            recording,
+                            pending: Vec::new(),
+                            round_trips: 0,
+                        };
+                        let handle = DeviceHandle::with_event_port(rank, n, port);
                         match catch_unwind(AssertUnwindSafe(|| f(handle))) {
                             Ok(v) => {
                                 if let Ok(mut slot) = slots[rank].lock() {
@@ -318,6 +330,9 @@ impl Cluster {
 /// Scheduler-side view of one closure device: commands flow out of the
 /// device thread, resume values flow back in.
 enum FnEvent {
+    /// The [`Command::Advance`]s of a recording device's charges since its
+    /// last event, ahead of the `Yield` or `Done` they precede.
+    Charges(Vec<Command>),
     Yield(Command),
     Done,
     Panicked(String),
@@ -328,16 +343,26 @@ enum FnEvent {
 /// thread reaches its next yield point. The blocking wait lives on the
 /// *scheduler* side of the rendezvous — the device thread itself only ever
 /// waits for the scheduler, never for host time.
+///
+/// Charges that arrived ahead of a yield are replayed first, one step each,
+/// so the scheduler sees the transitions of a program that yielded every
+/// charge where it was made; their answers have no consumer, and only the
+/// answer to the yield itself goes back to the thread.
 struct FnProgram {
     cmd_rx: mpsc::Receiver<FnEvent>,
     resume_tx: mpsc::Sender<Resume>,
     started: bool,
+    /// Steps received from the device thread and not yet handed over.
+    queued: VecDeque<Step<()>>,
 }
 
 impl DeviceProgram for FnProgram {
     type Output = ();
 
     fn resume(&mut self, _ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
+        if let Some(step) = self.queued.pop_front() {
+            return step;
+        }
         if self.started {
             // A closed channel means the device thread already failed; the
             // Panicked event is waiting in cmd_rx below.
@@ -347,14 +372,27 @@ impl DeviceProgram for FnProgram {
             // no consumer.
             self.started = true;
         }
-        // lint:allow(no-host-block): lockstep rendezvous with the paired device thread — scheduler-side wait, not a device-side one
-        match self.cmd_rx.recv() {
-            Ok(FnEvent::Yield(cmd)) => Step::Yield(cmd),
-            Ok(FnEvent::Done) => Step::Done(()),
-            Ok(FnEvent::Panicked(msg)) => std::panic::resume_unwind(Box::new(msg)),
-            Err(_) => std::panic::resume_unwind(Box::new(
-                "device thread exited without completing".to_string(),
-            )),
+        loop {
+            // lint:allow(no-host-block): lockstep rendezvous with the paired device thread — scheduler-side wait, not a device-side one
+            let step = match self.cmd_rx.recv() {
+                Ok(FnEvent::Charges(charges)) => {
+                    self.queued.extend(charges.into_iter().map(Step::Yield));
+                    continue;
+                }
+                Ok(FnEvent::Yield(cmd)) => Step::Yield(cmd),
+                Ok(FnEvent::Done) => Step::Done(()),
+                Ok(FnEvent::Panicked(msg)) => std::panic::resume_unwind(Box::new(msg)),
+                Err(_) => std::panic::resume_unwind(Box::new(
+                    "device thread exited without completing".to_string(),
+                )),
+            };
+            return match self.queued.pop_front() {
+                Some(first) => {
+                    self.queued.push_back(step);
+                    first
+                }
+                None => step,
+            };
         }
     }
 }
@@ -364,18 +402,44 @@ impl DeviceProgram for FnProgram {
 struct EventPort {
     cmd_tx: mpsc::Sender<FnEvent>,
     resume_rx: mpsc::Receiver<Resume>,
+    /// Whether the run has a flight recorder, i.e. whether charges are kept.
+    recording: bool,
+    /// The [`Command::Advance`]s of the charges made since the last yield.
+    pending: Vec<Command>,
+    /// Answers received from the scheduler so far.
+    round_trips: u64,
 }
 
 impl EventPort {
+    /// Sends the pending charges, if any, ahead of whatever comes next.
+    fn flush(&mut self) -> Result<(), mpsc::SendError<FnEvent>> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let charges = std::mem::take(&mut self.pending);
+        self.cmd_tx.send(FnEvent::Charges(charges))
+    }
+
     /// Yields `cmd` to the scheduler and blocks until it answers.
     fn roundtrip(&mut self, cmd: Command) -> Resume {
-        if self.cmd_tx.send(FnEvent::Yield(cmd)).is_err() {
+        if self.flush().is_err() || self.cmd_tx.send(FnEvent::Yield(cmd)).is_err() {
             scheduler_terminated();
         }
         match self.resume_rx.recv() {
-            Ok(resume) => resume,
+            Ok(resume) => {
+                self.round_trips += 1;
+                resume
+            }
             Err(_) => scheduler_terminated(),
         }
+    }
+}
+
+impl Drop for EventPort {
+    /// Charges made after the last yield still precede the thread's `Done`.
+    fn drop(&mut self) {
+        // The scheduler may already be gone (another device failed).
+        let _ = self.flush();
     }
 }
 
@@ -398,28 +462,27 @@ pub struct DeviceHandle {
     rank: usize,
     n: usize,
     port: EventPort,
-    telemetry: Recorder,
     // Boxed to keep the handle small when metrics are off (the common case).
     metrics: Option<Box<obs::Registry>>,
-    /// Whether simulated-time charges are routed through the scheduler
-    /// ([`Command::Advance`]) so an attached flight recorder sees them.
-    profile: bool,
+    /// `(bytes, messages)` sent to each destination rank. Like `halo_sent`,
+    /// a dense integer tally of a per-payload series: empty unless metrics
+    /// are enabled, and written into the registry once, in
+    /// [`DeviceHandle::take_metrics`].
+    sent: Vec<(u64, u64)>,
+    /// Halo bytes sent to each destination rank, one row per distinct width
+    /// seen (`None` is a mixed assignment); a handful of rows at most.
+    halo_sent: Vec<(Option<u8>, Vec<u64>)>,
 }
 
 impl DeviceHandle {
-    fn with_event_port(
-        rank: usize,
-        n: usize,
-        cmd_tx: mpsc::Sender<FnEvent>,
-        resume_rx: mpsc::Receiver<Resume>,
-    ) -> Self {
+    fn with_event_port(rank: usize, n: usize, port: EventPort) -> Self {
         Self {
             rank,
             n,
-            port: EventPort { cmd_tx, resume_rx },
-            telemetry: Recorder::disabled(),
+            port,
             metrics: None,
-            profile: false,
+            sent: Vec::new(),
+            halo_sent: Vec::new(),
         }
     }
 
@@ -428,57 +491,35 @@ impl DeviceHandle {
         self.rank
     }
 
-    /// The device's telemetry recorder (disabled unless enabled via
-    /// [`DeviceHandle::enable_telemetry`]).
-    pub fn telemetry(&self) -> &Recorder {
-        &self.telemetry
-    }
-
-    /// Mutable access to the telemetry recorder, for emitting events.
-    pub fn telemetry_mut(&mut self) -> &mut Recorder {
-        &mut self.telemetry
-    }
-
-    /// Switches the device's recorder to collecting mode.
-    pub fn enable_telemetry(&mut self) {
-        self.telemetry = Recorder::enabled();
-    }
-
-    /// Routes subsequent [`DeviceHandle::advance_phase`] charges through
-    /// the scheduler so an attached flight recorder logs them. Without this
-    /// (the default) `advance_phase` is a no-op — profiling stays zero-cost
-    /// when off.
-    pub fn enable_profile(&mut self) {
-        self.profile = true;
-    }
-
-    /// Charges `seconds` of simulated `phase` time (training `epoch`) to
-    /// this rank's scheduler clock, visible to an attached flight recorder.
-    /// No-op unless [`DeviceHandle::enable_profile`] was called.
-    pub fn advance_phase(&mut self, phase: crate::TimeCategory, epoch: usize, seconds: f64) {
-        if !self.profile {
-            return;
+    /// Charges `seconds` of simulated time (training `epoch`) to this rank.
+    /// When the run has a flight recorder ([`Cluster::try_run_fn_recorded`])
+    /// the charge reaches the scheduler as a [`Command::Advance`] carrying
+    /// `span()`, ahead of this device's next yield and with no round trip of
+    /// its own; otherwise this is one branch and `span` is never called.
+    pub fn charge(&mut self, epoch: usize, seconds: f64, span: impl FnOnce() -> Span) {
+        if self.port.recording {
+            let span = Box::new(span());
+            self.port.pending.push(Command::Advance {
+                epoch,
+                seconds,
+                span,
+            });
         }
-        match self.port.roundtrip(Command::Advance {
-            phase,
-            epoch,
-            seconds,
-        }) {
-            Resume::Advanced => {}
-            other => protocol_violation("Advanced", &other),
-        }
+    }
+
+    /// How many times this device has handed control to the scheduler and
+    /// got it back: one per send, recv or collective, none per charge.
+    pub fn round_trips(&self) -> u64 {
+        self.port.round_trips
     }
 
     /// Switches the device to metric collection: every payload leaving this
-    /// rank is counted into `adaqp_comm_sent_bytes_total{src,dst}` counters.
-    /// Payload lengths are deterministic, so the counters are too.
+    /// rank is counted into the `adaqp_comm_sent_bytes_total{src,dst}` and
+    /// `adaqp_comm_messages_total{src,dst}` counters. Payload lengths are
+    /// deterministic, so the counters are too.
     pub fn enable_metrics(&mut self) {
         self.metrics = Some(Box::new(obs::Registry::new()));
-    }
-
-    /// The device's metric registry, if metrics are enabled.
-    pub fn metrics(&self) -> Option<&obs::Registry> {
-        self.metrics.as_deref()
+        self.sent = vec![(0, 0); self.n];
     }
 
     /// Mutable access to the metric registry, for recording trainer-side
@@ -488,9 +529,48 @@ impl DeviceHandle {
     }
 
     /// Detaches the metric registry (e.g. to return it from a device
-    /// closure); subsequent sends are no longer counted.
+    /// closure) with the per-payload tallies written into it — one series
+    /// per destination that was sent a message, one per destination and
+    /// width that was sent halo bytes; subsequent sends are no longer
+    /// counted.
     pub fn take_metrics(&mut self) -> Option<obs::Registry> {
-        self.metrics.take().map(|b| *b)
+        let mut reg = *self.metrics.take()?;
+        let src = self.rank.to_string();
+        let dsts: Vec<String> = (0..self.n).map(|dst| dst.to_string()).collect();
+        // Byte and message totals stay far below 2^53, so the f64 counters are exact.
+        for (dst, (bytes, messages)) in dsts.iter().zip(std::mem::take(&mut self.sent)) {
+            if messages > 0 {
+                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
+                reg.counter_add("adaqp_comm_sent_bytes_total", &labels, bytes as f64);
+                reg.counter_add("adaqp_comm_messages_total", &labels, messages as f64);
+            }
+        }
+        for (width, row) in std::mem::take(&mut self.halo_sent) {
+            let width = width.map_or("mixed".to_string(), |bits| bits.to_string());
+            for (dst, bytes) in dsts.iter().zip(row).filter(|(_, bytes)| *bytes > 0) {
+                let labels = [("src", src.as_str()), ("dst", dst), ("width", &width)];
+                reg.counter_add("adaqp_halo_sent_bytes_total", &labels, bytes as f64);
+            }
+        }
+        Some(reg)
+    }
+
+    /// Counts one halo exchange's `sent` bytes (indexed by destination
+    /// rank) at `width_bits` (`None` for a mixed per-group assignment)
+    /// towards `adaqp_halo_sent_bytes_total{src,dst,width}`; a no-op unless
+    /// metrics are enabled.
+    pub fn count_halo_sent(&mut self, width_bits: Option<u8>, sent: &[usize]) {
+        if self.metrics.is_none() {
+            return;
+        }
+        let known = self.halo_sent.iter().position(|(w, _)| *w == width_bits);
+        let slot = known.unwrap_or_else(|| {
+            self.halo_sent.push((width_bits, vec![0; self.n]));
+            self.halo_sent.len() - 1
+        });
+        for (total, &bytes) in self.halo_sent[slot].1.iter_mut().zip(sent) {
+            *total += bytes as u64;
+        }
     }
 
     /// Total device count.
@@ -504,19 +584,13 @@ impl DeviceHandle {
         self.rank == 0
     }
 
-    /// Counts one outgoing payload on the sender side.
+    /// Counts one outgoing payload on the sender side: into the tally,
+    /// which has no slots unless metrics are enabled. A destination outside
+    /// `0..n` is left to the scheduler, which fails the run.
     fn count_send(&mut self, dst: usize, bytes: usize) {
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.counter_add(
-                "adaqp_comm_sent_bytes_total",
-                &[("src", &self.rank.to_string()), ("dst", &dst.to_string())],
-                bytes as f64,
-            );
-            reg.counter_add(
-                "adaqp_comm_messages_total",
-                &[("src", &self.rank.to_string()), ("dst", &dst.to_string())],
-                1.0,
-            );
+        if let Some((total, messages)) = self.sent.get_mut(dst) {
+            *total += bytes as u64;
+            *messages += 1;
         }
     }
 
@@ -882,14 +956,23 @@ mod tests {
     #[test]
     fn metrics_disabled_by_default_and_detachable() {
         let out = Cluster::run_fn(1, |mut dev| {
-            assert!(dev.metrics().is_none());
+            assert!(dev.metrics_mut().is_none());
             dev.enable_metrics();
-            assert!(dev.metrics().is_some());
+            assert!(dev.metrics_mut().is_some());
             let taken = dev.take_metrics();
-            assert!(dev.metrics().is_none());
+            assert!(dev.metrics_mut().is_none());
             taken.expect("registry was attached").len()
         });
         assert_eq!(out[0], 0);
+    }
+
+    #[test]
+    fn a_charge_without_a_recorder_is_never_built() {
+        let out = Cluster::run_fn(1, |mut dev| {
+            dev.charge(0, 1.0, || unreachable!("no recorder, so no span"));
+            dev.round_trips()
+        });
+        assert_eq!(out, vec![0]);
     }
 
     #[test]

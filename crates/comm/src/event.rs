@@ -110,7 +110,7 @@ pub fn run_programs<P: DeviceProgram>(
 /// scheduling transition (dispatch, block, message departure/arrival,
 /// collective formation/release, phase advance) is logged with its causal
 /// predecessor. With `recorder = None` the only overhead is one branch per
-/// transition (the zero-cost-off contract, DESIGN.md §12).
+/// transition (the zero-cost-off contract, DESIGN.md §5b).
 ///
 /// # Errors
 ///
@@ -118,7 +118,7 @@ pub fn run_programs<P: DeviceProgram>(
 pub fn run_programs_recorded<P: DeviceProgram>(
     programs: Vec<P>,
     cost: Option<&CostModel>,
-    mut recorder: Option<&mut crate::flight::FlightRecorder>,
+    mut recorder: Option<&mut crate::flight::FlightRecorder<'_>>,
 ) -> Result<ClusterReport<P::Output>, ClusterError> {
     let n = programs.len();
     if n == 0 {
@@ -250,14 +250,14 @@ pub fn run_programs_recorded<P: DeviceProgram>(
                     }
                 }
                 Ok(Step::Yield(Command::Advance {
-                    phase,
                     epoch,
                     seconds,
+                    span,
                 })) => {
                     let t0 = ctxs[rank].now();
                     ctxs[rank].advance(seconds);
                     if let Some(rec) = recorder.as_deref_mut() {
-                        rec.phase_advance(rank, t0, phase, epoch, seconds);
+                        rec.phase_advance(rank, t0, epoch, seconds, span);
                     }
                     input = Resume::Advanced;
                 }

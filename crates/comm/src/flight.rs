@@ -19,11 +19,13 @@
 //! core keeps bit-reproducible, so recorded logs are byte-identical at any
 //! `ADAQP_THREADS`. When no recorder is attached the scheduler pays one
 //! branch per transition and nothing else (the zero-cost-off contract,
-//! DESIGN.md §12). The post-run analyzer lives in [`obs::critpath`].
+//! DESIGN.md §5b). Every view of a run — the critical path
+//! ([`obs::critpath::analyze`]), the telemetry spans
+//! (`adaqp::TelemetryLog::from_flight`) — is a fold over this one log.
 
-use crate::timing::TimeCategory;
 use crate::CostModel;
 use obs::critpath::{EdgeKind, FlightEvent, FlightLog, FlightOp};
+use obs::time::Span;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Collects the causal flight log of one event-core run.
@@ -33,11 +35,11 @@ use std::collections::{BTreeMap, VecDeque};
 /// [`crate::Cluster::try_run_fn_recorded`]), then call
 /// [`FlightRecorder::finish`] to obtain the [`FlightLog`].
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub struct FlightRecorder<'a> {
     n: usize,
     /// Cost model used to annotate departures with their wire/latency
     /// split; `None` records zero splits (pure-ordering runs).
-    cost: Option<CostModel>,
+    cost: Option<&'a CostModel>,
     events: Vec<FlightEvent>,
     /// Each rank's most recent event, the source of program-order edges.
     last_seq: Vec<Option<u64>>,
@@ -50,11 +52,11 @@ pub struct FlightRecorder {
     front_kind: Option<&'static str>,
 }
 
-impl FlightRecorder {
-    /// A recorder for `n` devices. `cost` (a clone of the run's cost
-    /// model) annotates departures with their `theta * bytes` / `gamma`
-    /// split; pass `None` for pure-ordering runs.
-    pub fn new(n: usize, cost: Option<CostModel>) -> Self {
+impl<'a> FlightRecorder<'a> {
+    /// A recorder for `n` devices. `cost` (the run's cost model) annotates
+    /// departures with their `theta * bytes` / `gamma` split; pass `None`
+    /// for pure-ordering runs.
+    pub fn new(n: usize, cost: Option<&'a CostModel>) -> Self {
         FlightRecorder {
             n,
             cost,
@@ -64,11 +66,6 @@ impl FlightRecorder {
             front: Vec::new(),
             front_kind: None,
         }
-    }
-
-    /// Number of events recorded so far.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
     }
 
     /// Consumes the recorder and returns the finished log.
@@ -125,7 +122,7 @@ impl FlightRecorder {
         ev.peer = Some(dst);
         ev.tag = Some(tag);
         ev.bytes = Some(bytes);
-        if let Some(cost) = &self.cost {
+        if let Some(cost) = self.cost {
             let (theta, gamma) = cost.link_params(rank, dst);
             ev.wire_seconds = theta * bytes as f64;
             ev.latency_seconds = gamma;
@@ -192,20 +189,21 @@ impl FlightRecorder {
         }
     }
 
-    /// The trainer charged `seconds` of `phase` time (epoch `epoch`) on
-    /// `rank`, whose clock stood at `t` before the charge.
+    /// The trainer charged `seconds` of `span` (epoch `epoch`) on `rank`,
+    /// whose clock stood at `t` before the charge.
     pub fn phase_advance(
         &mut self,
         rank: usize,
         t: f64,
-        phase: TimeCategory,
         epoch: usize,
         seconds: f64,
+        span: Box<Span>,
     ) {
         let mut ev = FlightEvent::new(self.next_seq(), rank, t, FlightOp::PhaseAdvance);
-        ev.phase = Some(phase);
+        ev.phase = Some(span.kind.category());
         ev.epoch = Some(epoch);
         ev.seconds = seconds;
+        ev.span = Some(span);
         self.push_program(ev);
     }
 }
@@ -213,19 +211,22 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::time::{EventKind, TimeCategory};
 
     #[test]
     fn program_edges_chain_per_rank() {
         let mut rec = FlightRecorder::new(2, None);
         rec.resume(0, 0.0);
         rec.resume(1, 0.0);
-        rec.phase_advance(0, 0.0, TimeCategory::Quant, 0, 1.0);
+        let span = Box::new(Span::new(EventKind::QuantEncode));
+        rec.phase_advance(0, 0.0, 0, 1.0, span.clone());
         let log = rec.finish();
         assert_eq!(log.events[0].cause, None);
         assert_eq!(log.events[1].cause, None);
         assert_eq!(log.events[2].cause, Some(EdgeKind::Program));
         assert_eq!(log.events[2].pred, Some(0));
         assert_eq!(log.events[2].phase, Some(TimeCategory::Quant));
+        assert_eq!(log.events[2].span, Some(span));
     }
 
     #[test]
@@ -245,7 +246,7 @@ mod tests {
     fn departures_carry_the_link_split() {
         // theta = 1e-6 s/B, gamma = 1e-3 s.
         let cost = CostModel::homogeneous(2, 1e6, 1e-3);
-        let mut rec = FlightRecorder::new(2, Some(cost));
+        let mut rec = FlightRecorder::new(2, Some(&cost));
         rec.depart(0, 0.0, 1, 1, 100);
         let log = rec.finish();
         assert!((log.events[0].wire_seconds - 1e-4).abs() < 1e-15);

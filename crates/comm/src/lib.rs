@@ -40,7 +40,6 @@ pub mod costmodel;
 pub mod event;
 pub mod flight;
 pub mod program;
-pub mod telemetry;
 pub mod timing;
 pub mod topology;
 pub mod waitgraph;
@@ -50,7 +49,6 @@ pub use costmodel::{ClusterTopology, CostModel};
 pub use event::ClusterReport;
 pub use flight::FlightRecorder;
 pub use program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
-pub use telemetry::{Event, EventDetail, EventKind, Recorder};
 pub use timing::{TimeBreakdown, TimeCategory};
 pub use topology::Topology;
 pub use waitgraph::{BlockedRank, CollectiveFront, UnclaimedMessage, WaitCause, WaitGraph};
@@ -74,7 +72,6 @@ pub mod prelude {
     pub use crate::costmodel::{ClusterTopology, CostModel};
     pub use crate::event::ClusterReport;
     pub use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
-    pub use crate::telemetry::Recorder;
     pub use crate::timing::{TimeBreakdown, TimeCategory};
     pub use crate::topology::Topology;
     pub use crate::waitgraph::{WaitCause, WaitGraph};

@@ -80,18 +80,21 @@ pub enum Command {
         /// One payload per rank (`Some` on the root only).
         payloads: Option<Vec<Bytes>>,
     },
-    /// Charge `seconds` of simulated `phase` time (during training `epoch`)
-    /// to this rank's clock *through the scheduler*, so the flight recorder
-    /// can log the advance with its causal context. Semantically identical
-    /// to [`DeviceCtx::advance`]; resumes immediately with
-    /// [`Resume::Advanced`]. Only profiled runs route charges this way.
+    /// Charge `seconds` of simulated time (during training `epoch`) to this
+    /// rank's clock *through the scheduler*, so the flight recorder logs the
+    /// whole charge — the one record every view of a run is derived from —
+    /// with its causal context. Semantically identical to
+    /// [`DeviceCtx::advance`]; resumes immediately with [`Resume::Advanced`].
+    /// Only recorded runs route charges this way.
     Advance {
-        /// The charged phase (`comm::TimeCategory` bucket).
-        phase: crate::TimeCategory,
         /// Training epoch the charge belongs to.
         epoch: usize,
         /// Charged simulated seconds (finite, non-negative).
         seconds: f64,
+        /// What was charged: the kind (hence the `comm::TimeCategory`
+        /// bucket), layer, width and per-peer volumes. Boxed so that the
+        /// commands every run yields stay as small as they were.
+        span: Box<obs::time::Span>,
     },
 }
 

@@ -3,8 +3,13 @@
 //! interleaving.
 
 use bytes::Bytes;
-use comm::{Cluster, ClusterError, CostModel};
+use comm::{
+    Cluster, ClusterError, Command, CostModel, DeviceCtx, DeviceProgram, FlightRecorder, Resume,
+    Step,
+};
+use obs::time::{EventDetail, EventKind, Span};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// SplitMix64 step: the tests' own stream for payload lengths and link costs.
 fn mix(state: &mut u64) -> u64 {
@@ -15,8 +20,128 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The commands `rank` of `n` yields for `script`, a list of opcodes every
+/// rank runs: a charge (whose seconds, kind and span follow from the rank
+/// and the position), a send to the right neighbour with the matching
+/// receive from the left, a barrier, or a ring to every other rank.
+fn scripted_commands(script: &[u8], rank: usize, n: usize) -> Vec<Command> {
+    const KINDS: [EventKind; 4] = [
+        EventKind::HaloSend,
+        EventKind::QuantEncode,
+        EventKind::CentralCompute,
+        EventKind::AssignerSolve,
+    ];
+    let others = || (0..n as u32).filter(|&q| q as usize != rank);
+    let mut out = Vec::new();
+    for (i, &op) in script.iter().enumerate() {
+        match op {
+            0..=3 => {
+                let mut span = Span::new(KINDS[(op as usize + rank) % KINDS.len()]);
+                span.layer = (i % 3 > 0).then_some(i as u32 % 3);
+                span.detail = EventDetail {
+                    bytes: i as u64,
+                    width_bits: Some(8),
+                    host_seconds: 1e-6 * i as f64,
+                    threads: Some(2),
+                };
+                if span.kind == EventKind::HaloSend {
+                    span.sent = others().map(|q| (q, 10 + u64::from(q))).collect();
+                    span.recv = others().map(|q| (q, 20 + u64::from(q))).collect();
+                }
+                // Zero-second charges are part of the log too.
+                let seconds = 1e-4 * ((i + rank) % 5) as f64;
+                out.push(Command::Advance {
+                    epoch: i / 4,
+                    seconds,
+                    span: Box::new(span),
+                });
+            }
+            4 => {
+                let (dst, src, tag) = ((rank + 1) % n, (rank + n - 1) % n, i as u64);
+                let payload = Bytes::from(vec![rank as u8; 1 + i % 40]);
+                out.push(Command::Send { dst, tag, payload });
+                out.push(Command::Recv { src, tag });
+            }
+            5 => out.push(Command::Barrier),
+            _ => {
+                let sends = others().map(|q| (q, Bytes::from(vec![q as u8; 1 + (i + rank) % 60])));
+                out.push(Command::RingAll2All {
+                    sends: sends.collect(),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// A native device that yields a fixed command list, one command a step.
+struct Scripted(VecDeque<Command>);
+
+impl DeviceProgram for Scripted {
+    type Output = ();
+
+    fn resume(&mut self, _ctx: &mut DeviceCtx, _input: Resume) -> Step<()> {
+        self.0.pop_front().map_or(Step::Done(()), Step::Yield)
+    }
+}
+
+/// The closure form of the same list: every command through the
+/// `DeviceHandle` call that stands for it. Returns the handle's round trips.
+fn run_scripted(mut dev: comm::DeviceHandle, cmds: Vec<Command>) -> u64 {
+    for cmd in cmds {
+        match cmd {
+            Command::Advance {
+                epoch,
+                seconds,
+                span,
+            } => dev.charge(epoch, seconds, || *span),
+            Command::Send { dst, tag, payload } => dev.send(dst, tag, payload),
+            Command::Recv { src, tag } => drop(dev.recv(src, tag)),
+            Command::Barrier => dev.barrier(),
+            Command::RingAll2All { sends } => drop(dev.ring_exchange(sends)),
+            other => unreachable!("the script has no {}", other.kind_name()),
+        }
+    }
+    dev.round_trips()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn closure_charges_log_like_native_advances_and_cost_no_round_trip(
+        n in 2usize..6,
+        script in proptest::collection::vec(0u8..7, 0..40),
+    ) {
+        let cost = CostModel::homogeneous(n, 1e8, 1e-5);
+        let script = &script;
+        let mut native = FlightRecorder::new(n, Some(&cost));
+        let programs = (0..n).map(|r| Scripted(scripted_commands(script, r, n).into()));
+        comm::event::run_programs_recorded(programs.collect(), Some(&cost), Some(&mut native))
+            .expect("native run succeeds");
+
+        let device = |dev: comm::DeviceHandle| {
+            let cmds = scripted_commands(script, dev.rank(), n);
+            run_scripted(dev, cmds)
+        };
+        let mut closure = FlightRecorder::new(n, Some(&cost));
+        let recorded = Cluster::try_run_fn_recorded(n, Some(&cost), Some(&mut closure), device)
+            .expect("recorded closure run succeeds");
+        prop_assert_eq!(closure.finish(), native.finish());
+
+        // A charge is no round trip: the device thread is answered once per
+        // send, recv or collective, recorder or not.
+        let unrecorded = Cluster::try_run_fn_with(n, Some(&cost), device)
+            .expect("unrecorded closure run succeeds");
+        prop_assert_eq!(&recorded.outputs, &unrecorded.outputs);
+        for (rank, &trips) in recorded.outputs.iter().enumerate() {
+            let yields = scripted_commands(script, rank, n)
+                .iter()
+                .filter(|c| !matches!(c, Command::Advance { .. }))
+                .count();
+            prop_assert_eq!(trips, yields as u64, "rank {}", rank);
+        }
+    }
 
     #[test]
     fn random_p2p_schedules_deliver_everything(

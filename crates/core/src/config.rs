@@ -115,10 +115,13 @@ pub struct TrainingConfig {
     /// clusters (the paper's 6M-4D testbed mixes V100 and A100 machines);
     /// length must equal the device count when set.
     pub device_scales: Option<Vec<f64>>,
-    /// Record structured telemetry events (halo transfers, quantization,
-    /// compute phases, solves) on every device's simulated clock. Off by
-    /// default; when off the recorder is a no-op and simulated numerics and
-    /// runtime are unchanged.
+    /// Attach the span view of the run's flight log
+    /// ([`crate::TelemetryLog`]: halo transfers, quantization, compute
+    /// phases, solves, on every device's simulated clock) as
+    /// [`crate::metrics::RunResult::telemetry`]. A run records its one log
+    /// when this or `profile` is set; the two only choose which views of it
+    /// are attached. Off by default; with both off nothing is recorded and
+    /// simulated numerics and runtime are unchanged.
     #[serde(default)]
     pub telemetry: bool,
     /// Record typed metrics (per-pair communication volume, per-width
@@ -146,11 +149,13 @@ pub struct TrainingConfig {
     /// the `ADAQP_SAN` env var enables the mode independently of this flag.
     #[serde(default)]
     pub sanitize: bool,
-    /// Record the causal flight log of every scheduling transition and run
-    /// the critical-path analyzer over it (`comm::flight` +
-    /// `obs::critpath`). Off by default; when off the scheduler pays one
-    /// untaken branch per transition and results are byte-identical to an
-    /// unprofiled run.
+    /// Attach the causal view of the run's flight log: the log itself
+    /// (every scheduling transition, `comm::flight`) and the critical-path
+    /// report analysed from it (`obs::critpath`), returned by
+    /// [`crate::run_experiment_profiled`] as a [`crate::RunProfile`]. See
+    /// `telemetry` for when the log is recorded. Off by default; with both
+    /// off the scheduler pays one untaken branch per transition and a
+    /// device one per charge, and results are byte-identical either way.
     #[serde(default)]
     pub profile: bool,
     /// Optional three-tier network section (racks + oversubscribable spine).
@@ -642,7 +647,7 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Enables or disables structured telemetry recording.
+    /// Attaches (or not) the span view of the run's flight log.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.cfg.training.telemetry = on;
         self
@@ -660,8 +665,7 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Enables or disables the causal flight recorder + critical-path
-    /// profiler (event backend only).
+    /// Attaches (or not) the flight log and its critical-path report.
     pub fn profile(mut self, on: bool) -> Self {
         self.cfg.training.profile = on;
         self

@@ -46,13 +46,16 @@ pub struct RunProfile {
     pub flight: FlightLog,
 }
 
-/// [`run_experiment`] with the causal flight recorder armed: also returns
-/// the [`RunProfile`] when `TrainingConfig::profile` is set, `None`
-/// otherwise.
+/// [`run_experiment`], also returning the [`RunProfile`] when
+/// `TrainingConfig::profile` is set, `None` otherwise.
 ///
-/// Profiling is observation-only: the returned [`RunResult`] is
-/// byte-identical to an unprofiled run of the same config, and the profile
-/// itself is byte-deterministic at any `ADAQP_THREADS`.
+/// A run has one recorder — the scheduler's causal flight recorder, armed
+/// when `TrainingConfig::telemetry` or `TrainingConfig::profile` asks for a
+/// view of its log; the two fields only choose which views are attached
+/// ([`RunResult::telemetry`], the [`RunProfile`]). Recording is
+/// observation-only: the returned [`RunResult`] is byte-identical to an
+/// unrecorded run of the same config apart from the attached views, and the
+/// profile itself is byte-deterministic at any `ADAQP_THREADS`.
 ///
 /// # Errors
 ///
@@ -119,37 +122,29 @@ pub fn run_experiment_profiled(
             })
             .ok()
     };
-    // The recorder carries its own cost-model copy purely to annotate
-    // message departures with the theta*bytes + gamma split; the scheduler
-    // itself keeps running uncosted, exactly as in an unprofiled run.
-    let mut recorder = cfg
-        .training
-        .profile
-        .then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
+    // One recorder, armed when either view of its log is wanted. It reads
+    // the cost model purely to annotate message departures with the
+    // theta*bytes + gamma split; the scheduler itself keeps running
+    // uncosted, exactly as in an unrecorded run.
+    let record = cfg.training.telemetry || cfg.training.profile;
+    let mut recorder = record.then(|| comm::FlightRecorder::new(n, Some(&cost)));
     let run = Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device);
     if let Some((rank, error)) = failure.into_inner().ok().flatten() {
         return Err(error.on(rank));
     }
     let outputs: Vec<DeviceOutput> = run?.outputs.into_iter().flatten().collect();
-    let profile = recorder.map(|rec| {
-        let flight = rec.finish();
+    let flight = recorder.map(comm::FlightRecorder::finish);
+    let (records, registries): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
+
+    let mut result = combine(cfg, multi, global_train, &records);
+    if cfg.training.telemetry {
+        result.telemetry = flight.as_ref().map(TelemetryLog::from_flight);
+    }
+    let profile = flight.filter(|_| cfg.training.profile).map(|flight| {
         let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);
         let report = obs::critpath::analyze(&flight, schedule, n.min(8));
         RunProfile { report, flight }
     });
-    let mut records = Vec::with_capacity(n);
-    let mut events = Vec::with_capacity(n);
-    let mut registries = Vec::with_capacity(n);
-    for (recs, evs, reg) in outputs {
-        records.push(recs);
-        events.push(evs);
-        registries.push(reg);
-    }
-
-    let mut result = combine(cfg, multi, global_train, &records);
-    if cfg.training.telemetry {
-        result.telemetry = Some(TelemetryLog::from_device_events(events));
-    }
     if cfg.training.metrics {
         // Merge the per-device registries in rank order (deterministic:
         // counters add, gauges overwrite in that fixed order).

@@ -1,19 +1,22 @@
-//! Run-level telemetry: collection, aggregation and export.
+//! Run-level telemetry: the span view of a run, and its exporters.
 //!
-//! The comm crate records per-device [`Event`] streams on the simulated
-//! clock (see [`comm::telemetry`]); this module assembles them into a
-//! [`TelemetryLog`] stored on [`crate::RunResult`], folds them back into
-//! per-(rank, epoch) [`TimeBreakdown`]s ([`TelemetryLog::epoch_breakdowns`],
-//! the cross-check against the run's own charges), and exports two formats:
+//! A run keeps one record, the scheduler's flight log
+//! ([`obs::critpath::FlightLog`]), whose `PhaseAdvance` events hold every
+//! charge a device made. [`TelemetryLog::from_flight`] unfolds those charges
+//! into per-device [`Event`] spans on the simulated clock; the log is stored
+//! on [`crate::RunResult`], folds back into per-(rank, epoch)
+//! [`TimeBreakdown`]s ([`TelemetryLog::epoch_breakdowns`]) and exports two
+//! formats:
 //!
 //! * **JSONL** — one flattened event object per line, for ad-hoc analysis.
 //! * **Chrome `trace_event` JSON** — loadable in Perfetto / `chrome://tracing`;
 //!   devices become processes and [`TimeCategory`] tracks become threads, so
 //!   the comm/compute overlap is visible on the timeline.
 
-pub use comm::telemetry::{Event, EventDetail, EventKind};
+pub use obs::time::{Event, EventDetail, EventKind, Span};
 
 use comm::{TimeBreakdown, TimeCategory};
+use obs::critpath::FlightLog;
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 use std::io::Write;
@@ -36,15 +39,81 @@ pub struct TelemetryLog {
 }
 
 impl TelemetryLog {
-    /// Builds a log from per-device event streams in rank order.
-    pub fn from_device_events(events: Vec<Vec<Event>>) -> Self {
-        TelemetryLog {
-            devices: events
-                .into_iter()
-                .enumerate()
-                .map(|(rank, events)| DeviceLog { rank, events })
-                .collect(),
+    /// Unfolds the charges of a flight log into per-device spans, in the
+    /// order they were charged.
+    ///
+    /// Each device keeps one clock per [`TimeCategory`] track; a charge is a
+    /// span on its kind's track, from the track's clock to the clock plus
+    /// the charged seconds. Tracks advance independently within an epoch and
+    /// re-align to the furthest one when the epoch changes, so epochs do not
+    /// interleave in an exported trace. A charge that lists per-peer volumes
+    /// (a halo exchange) becomes one `HaloSend` span per peer sent to, then
+    /// one `HaloRecv` span per peer received from, each as long as its share
+    /// of the bytes. A span of zero seconds and zero bytes is dropped, and
+    /// so are events of ranks the log does not declare.
+    pub fn from_flight(log: &FlightLog) -> Self {
+        const TRACKS: usize = TimeCategory::ALL.len();
+        let n = log.num_devices;
+        let mut devices: Vec<DeviceLog> = (0..n)
+            .map(|rank| DeviceLog {
+                rank,
+                events: Vec::new(),
+            })
+            .collect();
+        // Per device, the track clocks and the epoch they were last aligned at.
+        let mut tracks = vec![([0.0f64; TRACKS], None); n];
+        for ev in log.events.iter().filter(|ev| ev.rank < n) {
+            let (Some(span), Some(epoch)) = (&ev.span, ev.epoch) else {
+                continue;
+            };
+            let (clocks, aligned) = &mut tracks[ev.rank];
+            if *aligned != Some(epoch) {
+                *clocks = [clocks.iter().cloned().fold(0.0f64, f64::max); TRACKS];
+                *aligned = Some(epoch);
+            }
+            let mut record = |kind: EventKind, seconds: f64, peer, detail: EventDetail| {
+                if seconds <= 0.0 && detail.bytes == 0 {
+                    return;
+                }
+                let clock = &mut clocks[kind.category().index()];
+                let start = *clock;
+                *clock = start + seconds.max(0.0);
+                devices[ev.rank].events.push(Event {
+                    kind,
+                    start,
+                    end: *clock,
+                    epoch: epoch as u32,
+                    layer: span.layer,
+                    peer,
+                    bytes: detail.bytes,
+                    width_bits: detail.width_bits,
+                    host_seconds: detail.host_seconds,
+                    threads: detail.threads,
+                });
+            };
+            let total: u64 = span.sent.iter().chain(&span.recv).map(|&(_, b)| b).sum();
+            if total == 0 {
+                record(span.kind, ev.seconds, None, span.detail);
+                continue;
+            }
+            let per_byte = ev.seconds / total as f64;
+            let directions = [
+                (EventKind::HaloSend, &span.sent),
+                (EventKind::HaloRecv, &span.recv),
+            ];
+            for (kind, volumes) in directions {
+                for &(peer, bytes) in volumes {
+                    let width_bits = span.detail.width_bits;
+                    let detail = EventDetail {
+                        bytes,
+                        width_bits,
+                        ..EventDetail::default()
+                    };
+                    record(kind, bytes as f64 * per_byte, Some(peer), detail);
+                }
+            }
         }
+        TelemetryLog { devices }
     }
 
     /// Total event count across devices.
@@ -250,14 +319,29 @@ mod tests {
             host_seconds: 0.0,
             threads: None,
         };
-        TelemetryLog::from_device_events(vec![
+        let events = vec![
             vec![
                 mk(EventKind::HaloSend, 0.0, 1.0, 0),
                 mk(EventKind::CentralCompute, 0.0, 0.5, 0),
                 mk(EventKind::MarginalCompute, 1.0, 1.25, 1),
             ],
             vec![mk(EventKind::HaloRecv, 0.0, 2.0, 0)],
-        ])
+        ];
+        let devices = events.into_iter().enumerate();
+        TelemetryLog {
+            devices: devices
+                .map(|(rank, events)| DeviceLog { rank, events })
+                .collect(),
+        }
+    }
+
+    /// A one-device flight log holding `charges` as `(epoch, seconds, span)`.
+    fn charged(charges: Vec<(usize, f64, Span)>) -> TelemetryLog {
+        let mut rec = comm::FlightRecorder::new(1, None);
+        for (epoch, seconds, span) in charges {
+            rec.phase_advance(0, 0.0, epoch, seconds, Box::new(span));
+        }
+        TelemetryLog::from_flight(&rec.finish())
     }
 
     #[test]
@@ -273,20 +357,115 @@ mod tests {
 
     #[test]
     fn breakdown_reconstructs_charges() {
-        let mut r = comm::Recorder::enabled();
-        r.record(EventKind::HaloSend, 1.0);
-        r.record(EventKind::AllReduce, 0.5);
-        r.record(EventKind::QuantEncode, 0.25);
-        r.record(EventKind::CentralCompute, 2.0);
-        r.record(EventKind::MarginalCompute, 0.75);
-        r.record(EventKind::AssignerSolve, 0.1);
-        let log = TelemetryLog::from_device_events(vec![r.take_events()]);
+        let log = charged(vec![
+            (0, 1.0, Span::new(EventKind::HaloSend)),
+            (0, 0.5, Span::new(EventKind::AllReduce)),
+            (0, 0.25, Span::new(EventKind::QuantEncode)),
+            (0, 2.0, Span::new(EventKind::CentralCompute)),
+            (0, 0.75, Span::new(EventKind::MarginalCompute)),
+            (0, 0.1, Span::new(EventKind::AssignerSolve)),
+        ]);
         let tb = log.epoch_breakdowns()[0][0];
         assert_eq!(tb.comm, 1.5);
         assert_eq!(tb.quant, 0.25);
         assert_eq!(tb.central_comp, 2.0);
         assert_eq!(tb.marginal_comp, 0.75);
         assert_eq!(tb.solve, 0.1);
+    }
+
+    #[test]
+    fn tracks_advance_independently() {
+        let log = charged(vec![
+            (0, 2.0, Span::new(EventKind::HaloSend)),
+            (0, 1.0, Span::new(EventKind::CentralCompute)),
+            (0, 0.5, Span::new(EventKind::AllReduce)),
+        ]);
+        let ev = &log.devices[0].events;
+        // Comm track: the exchange then the all-reduce, back to back.
+        assert_eq!((ev[0].start, ev[0].end), (0.0, 2.0));
+        assert_eq!((ev[2].start, ev[2].end), (2.0, 2.5));
+        // The compute track starts at zero, concurrent with comm.
+        assert_eq!((ev[1].start, ev[1].end), (0.0, 1.0));
+    }
+
+    #[test]
+    fn epoch_realigns_clocks_and_tags() {
+        let mut layered = Span::new(EventKind::CentralCompute);
+        layered.layer = Some(1);
+        let log = charged(vec![
+            (0, 2.0, Span::new(EventKind::HaloSend)),
+            (1, 1.0, layered),
+        ]);
+        let ev = &log.devices[0].events;
+        assert_eq!((ev[0].epoch, ev[0].layer), (0, None));
+        // Epoch 1 starts where the furthest epoch-0 track ended.
+        assert_eq!((ev[1].epoch, ev[1].layer, ev[1].start), (1, Some(1), 2.0));
+    }
+
+    #[test]
+    fn zero_spans_are_dropped_but_byte_only_spans_kept() {
+        let mut byte_only = Span::new(EventKind::AllReduce);
+        byte_only.detail.bytes = 64;
+        let log = charged(vec![
+            (0, 0.0, Span::new(EventKind::QuantEncode)),
+            (0, 0.0, byte_only),
+        ]);
+        let ev = &log.devices[0].events;
+        assert_eq!(ev.len(), 1);
+        assert_eq!((ev[0].bytes, ev[0].duration()), (64, 0.0));
+    }
+
+    #[test]
+    fn a_halo_charge_splits_into_per_peer_spans_by_bytes() {
+        let mut halo = Span::new(EventKind::HaloSend);
+        halo.detail.width_bits = Some(8);
+        halo.sent = vec![(1, 300)];
+        halo.recv = vec![(1, 100), (2, 400)];
+        let log = charged(vec![(0, 8.0, halo)]);
+        let ev = &log.devices[0].events;
+        let got: Vec<_> = ev
+            .iter()
+            .map(|e| (e.kind, e.peer, e.bytes, e.duration()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (EventKind::HaloSend, Some(1), 300, 3.0),
+                (EventKind::HaloRecv, Some(1), 100, 1.0),
+                (EventKind::HaloRecv, Some(2), 400, 4.0),
+            ]
+        );
+        assert!(ev.iter().all(|e| e.width_bits == Some(8)));
+        assert_eq!(ev[2].end, 8.0);
+    }
+
+    #[test]
+    fn event_serde_round_trip() {
+        let e = Event {
+            kind: EventKind::HaloRecv,
+            start: 1.5,
+            end: 2.0,
+            epoch: 4,
+            layer: Some(0),
+            peer: Some(2),
+            bytes: 1024,
+            width_bits: None,
+            host_seconds: 0.002,
+            threads: Some(4),
+        };
+        let text = serde_json::to_string(&e).unwrap();
+        let back: Event = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, e);
+    }
+
+    #[test]
+    fn host_seconds_defaults_for_old_logs() {
+        // Events serialized before the parallel runtime existed have no
+        // host_seconds/threads fields; deserialization must still work.
+        let text = r#"{"kind":"CentralCompute","start":0.0,"end":1.0,"epoch":0}"#;
+        let e: Event = serde_json::from_str(text).unwrap();
+        assert_eq!(e.host_seconds, 0.0);
+        assert_eq!(e.threads, None);
     }
 
     #[test]

@@ -15,9 +15,9 @@ use crate::exchange::{
     halo_exchange, halo_exchange_with, Direction, ExchangeError, ExchangeStats, Wire,
 };
 use crate::metrics::{DeviceEpochRecord, MetricParts};
-use comm::telemetry::{Event, EventDetail, EventKind};
-use comm::{CostModel, DeviceHandle, TimeBreakdown, TimeCategory};
+use comm::{CostModel, DeviceHandle, TimeBreakdown};
 use gnn::{Adam, Gnn};
+use obs::time::{EventDetail, EventKind, Span};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
 use tensor::{
@@ -55,10 +55,13 @@ pub struct DeviceTrainer<'a> {
     /// Error-feedback residuals for backward messages, `[layer][peer]`.
     ef_bwd: Vec<Vec<Matrix>>,
     central_frac: f64,
-    /// Epoch currently being trained, tagged onto profiled phase charges.
+    /// Epoch currently being trained, tagged onto every charge.
     cur_epoch: usize,
+    /// Layer currently being computed, tagged onto every charge (`None`
+    /// between the layer loops).
+    cur_layer: Option<u32>,
     /// Simulated seconds charged so far this epoch; written only by
-    /// [`DeviceTrainer::charge`] and [`DeviceTrainer::charge_comm`].
+    /// [`DeviceTrainer::charge_volumes`].
     tb: TimeBreakdown,
     /// Halo bytes sent so far this epoch; written only by
     /// [`DeviceTrainer::charge_comm`].
@@ -70,14 +73,20 @@ pub struct DeviceTrainer<'a> {
     eval_z0: Option<Matrix>,
 }
 
-/// What one device returns from a run: per-epoch records, the telemetry
-/// events recorded along the way (empty unless `cfg.telemetry`), and the
-/// device's metric registry (`None` unless `cfg.metrics`).
-pub type DeviceOutput = (Vec<DeviceEpochRecord>, Vec<Event>, Option<obs::Registry>);
+/// What one device returns from a run: per-epoch records and the device's
+/// metric registry (`None` unless `cfg.metrics`).
+pub type DeviceOutput = (Vec<DeviceEpochRecord>, Option<obs::Registry>);
 
 /// SANCUS broadcasts again when local embeddings drift more than this
 /// relative Frobenius distance from the last broadcast snapshot.
 const SANCUS_DRIFT_THRESHOLD: f32 = 0.25;
+
+/// The non-zero entries of a per-peer byte table, as `(peer, bytes)`.
+fn sparse(volumes: &[usize]) -> Vec<(u32, u64)> {
+    let listed = volumes.iter().enumerate().filter(|(_, &b)| b > 0);
+    // Device counts are far below 2^32.
+    listed.map(|(q, &b)| (q as u32, b as u64)).collect()
+}
 
 /// The single bit-width shared by every message group in a per-peer
 /// assignment, or `None` when groups mix widths (adaptive assignments).
@@ -103,14 +112,8 @@ impl<'a> DeviceTrainer<'a> {
         cost: &'a CostModel,
         seed: u64,
     ) -> Self {
-        if cfg.telemetry {
-            dev.enable_telemetry();
-        }
         if cfg.metrics {
             dev.enable_metrics();
-        }
-        if cfg.profile {
-            dev.enable_profile();
         }
         let dims = cfg.dims(part.features.cols(), part.global.num_classes);
         let mut init_rng = Rng::seed_from(seed);
@@ -180,62 +183,55 @@ impl<'a> DeviceTrainer<'a> {
             ef_bwd,
             central_frac,
             cur_epoch: 0,
+            cur_layer: None,
             tb: TimeBreakdown::new(),
             bytes: 0,
             eval_z0: None,
         }
     }
 
-    /// Charges `secs` of simulated time to the bucket `kind` belongs to,
-    /// three ways at once: the epoch's [`TimeBreakdown`], the scheduler
-    /// clock ([`DeviceHandle::advance_phase`], a no-op unless profiling is
-    /// on) and a telemetry span carrying `detail` (a no-op unless telemetry
-    /// is on) — so the flight recorder and the event log see exactly the
-    /// charges the breakdown accumulates, in the same order, with the same
-    /// values.
-    fn charge(&mut self, kind: EventKind, secs: f64, detail: EventDetail) {
-        let cat = kind.category();
-        self.tb.charge(cat, secs);
-        self.dev.advance_phase(cat, self.cur_epoch, secs);
-        self.dev.telemetry_mut().record_detail(kind, secs, detail);
+    /// The one place simulated time is charged: `secs` to the epoch's
+    /// [`TimeBreakdown`] bucket `kind` belongs to and — in a recorded run,
+    /// which is [`DeviceHandle::charge`]'s to know — the same charge to the
+    /// run's flight log with the span describing it, so every view derived
+    /// from the log sees exactly the charges the breakdown accumulates, in
+    /// the same order, with the same values. `sent` / `recv` are the
+    /// per-peer byte tables of a halo exchange, empty for any other charge.
+    fn charge_volumes(
+        &mut self,
+        kind: EventKind,
+        secs: f64,
+        detail: EventDetail,
+        sent: &[usize],
+        recv: &[usize],
+    ) {
+        self.tb.charge(kind.category(), secs);
+        let layer = self.cur_layer;
+        self.dev.charge(self.cur_epoch, secs, || Span {
+            kind,
+            layer,
+            detail,
+            sent: sparse(sent),
+            recv: sparse(recv),
+        });
     }
 
-    /// Charges one halo exchange: `secs` to the comm bucket and the
-    /// scheduler clock in one piece, `sent` to the epoch's byte count, and
-    /// — split into per-peer send/recv spans proportional to payload bytes,
-    /// so span durations sum back to `secs` within float tolerance — to the
-    /// telemetry log. A byte-free but nonzero charge (pure latency) becomes
-    /// a single peer-less span.
+    /// Charges `secs` of `kind` carrying `detail`.
+    fn charge(&mut self, kind: EventKind, secs: f64, detail: EventDetail) {
+        self.charge_volumes(kind, secs, detail, &[], &[]);
+    }
+
+    /// Charges one halo exchange: `secs` to the comm bucket in one piece,
+    /// `sent` to the epoch's byte count, and the per-peer volumes on the
+    /// span, from which the telemetry view splits the charge into per-peer
+    /// send/recv spans.
     fn charge_comm(&mut self, secs: f64, sent: &[usize], recv: &[usize], width_bits: Option<u8>) {
-        self.tb.charge(TimeCategory::Comm, secs);
-        self.dev
-            .advance_phase(TimeCategory::Comm, self.cur_epoch, secs);
         self.bytes += sent.iter().sum::<usize>();
-        if !self.dev.telemetry().is_enabled() {
-            return;
-        }
-        let total: usize = sent.iter().chain(recv).sum();
-        if total == 0 {
-            self.dev.telemetry_mut().record(EventKind::HaloSend, secs);
-            return;
-        }
-        let per_byte = secs / total as f64;
-        for (kind, volumes) in [(EventKind::HaloSend, sent), (EventKind::HaloRecv, recv)] {
-            for (q, &b) in volumes.iter().enumerate() {
-                if b > 0 {
-                    self.dev.telemetry_mut().record_detail(
-                        kind,
-                        b as f64 * per_byte,
-                        EventDetail {
-                            peer: Some(q as u32),
-                            bytes: b as u64,
-                            width_bits,
-                            ..EventDetail::default()
-                        },
-                    );
-                }
-            }
-        }
+        let detail = EventDetail {
+            width_bits,
+            ..EventDetail::default()
+        };
+        self.charge_volumes(EventKind::HaloSend, secs, detail, sent, recv);
     }
 
     fn num_layers(&self) -> usize {
@@ -253,9 +249,7 @@ impl<'a> DeviceTrainer<'a> {
         let records = (0..self.cfg.epochs)
             .map(|e| self.run_epoch(e))
             .collect::<Result<_, _>>()?;
-        let events = self.dev.telemetry_mut().take_events();
-        let metrics = self.dev.take_metrics();
-        Ok((records, events, metrics))
+        Ok((records, self.dev.take_metrics()))
     }
 
     /// Whether this epoch's messages are traced and followed by a
@@ -274,11 +268,11 @@ impl<'a> DeviceTrainer<'a> {
     /// does not decode.
     pub fn run_epoch(&mut self, epoch: usize) -> Result<DeviceEpochRecord, DeviceError> {
         self.cur_epoch = epoch;
+        self.cur_layer = None;
         self.tb = TimeBreakdown::new();
         self.bytes = 0;
         let trace_now = self.is_assign_epoch(epoch);
         self.model.zero_grads();
-        self.dev.telemetry_mut().start_epoch(epoch as u32);
 
         // ---- Forward ----
         let num_layers = self.num_layers();
@@ -288,7 +282,7 @@ impl<'a> DeviceTrainer<'a> {
             h = self.forward_layer(l, &h, epoch, trace_now)?;
         }
         let logits = h;
-        self.dev.telemetry_mut().set_layer(None);
+        self.cur_layer = None;
 
         // ---- Loss ----
         let (loss_sum, grad_logits) = self.loss_and_grad(&logits);
@@ -296,7 +290,7 @@ impl<'a> DeviceTrainer<'a> {
         // ---- Backward ----
         let mut grad_h = grad_logits;
         for l in (0..num_layers).rev() {
-            self.dev.telemetry_mut().set_layer(Some(l as u32));
+            self.cur_layer = Some(l as u32);
             let grad_lin = self.model.layers_mut()[l].backward_params(&grad_h);
             self.charge_split_ops(self.dense_ops(self.part.num_local(), l, 2.0));
             if l == 0 {
@@ -320,7 +314,7 @@ impl<'a> DeviceTrainer<'a> {
         }
 
         // ---- Gradient allreduce + optimizer step ----
-        self.dev.telemetry_mut().set_layer(None);
+        self.cur_layer = None;
         let mut grads = self.model.grads_flat();
         self.dev.allreduce_sum_f32(&mut grads);
         let allreduce_secs = self.allreduce_seconds(grads.len() * 4);
@@ -328,7 +322,6 @@ impl<'a> DeviceTrainer<'a> {
             EventKind::AllReduce,
             allreduce_secs,
             EventDetail {
-                peer: None,
                 bytes: (grads.len() * 4) as u64,
                 width_bits: Some(32),
                 ..EventDetail::default()
@@ -409,7 +402,7 @@ impl<'a> DeviceTrainer<'a> {
         epoch: usize,
         trace_now: bool,
     ) -> Result<Matrix, ExchangeError> {
-        self.dev.telemetry_mut().set_layer(Some(l as u32));
+        self.cur_layer = Some(l as u32);
         if trace_now {
             self.trace.record_fwd(self.part, l, x);
         }
@@ -599,31 +592,11 @@ impl<'a> DeviceTrainer<'a> {
     /// pure function of the exchanged data, so the merged registry is
     /// byte-identical at any worker-thread count.
     fn record_ring_metrics(&mut self, stats: &ExchangeStats, width_bits: Option<u8>) {
-        let rank = self.part.rank;
+        self.dev.count_halo_sent(width_bits, &stats.sent_bytes);
         let encode = stats.encode_stats;
-        let sent: Vec<(usize, usize)> = stats
-            .sent_bytes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b > 0)
-            .map(|(q, &b)| (q, b))
-            .collect();
         let Some(reg) = self.dev.metrics_mut() else {
             return;
         };
-        let width = match width_bits {
-            Some(b) => b.to_string(),
-            None => "mixed".to_string(),
-        };
-        let src = rank.to_string();
-        for (q, b) in sent {
-            reg.counter_add(
-                "adaqp_halo_sent_bytes_total",
-                &[("src", &src), ("dst", &q.to_string()), ("width", &width)],
-                // Payload sizes stay far below 2^53, so the f64 counter is exact.
-                b as f64,
-            );
-        }
         for w in BitWidth::ALL {
             let ws = encode.for_width(w);
             if ws.rows == 0 {

@@ -25,7 +25,7 @@
 //! same config, same log, same report bytes — at any worker-thread count.
 
 pub use crate::time::Schedule;
-use crate::time::{straggler, TimeBreakdown, TimeCategory};
+use crate::time::{straggler, Span, TimeBreakdown, TimeCategory};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
@@ -108,6 +108,11 @@ pub struct FlightEvent {
     /// Charged simulated seconds of a [`FlightOp::PhaseAdvance`].
     #[serde(default)]
     pub seconds: f64,
+    /// The rest of a [`FlightOp::PhaseAdvance`]'s charge — kind, layer,
+    /// width, per-peer volumes — from which the telemetry spans are
+    /// unfolded. The analyzer never reads it.
+    #[serde(default)]
+    pub span: Option<Box<Span>>,
     /// Kind of the causal edge to `pred`, absent only for each rank's
     /// first event.
     #[serde(default)]
@@ -134,6 +139,7 @@ impl FlightEvent {
             phase: None,
             epoch: None,
             seconds: 0.0,
+            span: None,
             cause: None,
             pred: None,
         }

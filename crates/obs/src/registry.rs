@@ -69,7 +69,7 @@ impl MetricKind {
 /// One named metric with its labels and accumulated state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Metric {
-    /// Metric name (Prometheus-style, e.g. `adaqp_comm_pair_bytes_total`).
+    /// Metric name (Prometheus-style, e.g. `adaqp_comm_sent_bytes_total`).
     pub name: String,
     /// Label pairs in insertion order (callers pass them pre-sorted where
     /// identity stability matters; the registry key is built from them).

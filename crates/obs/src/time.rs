@@ -15,9 +15,12 @@
 //!
 //! The trainer's charges, the runner's combination, the critical-path
 //! analyzer and every figure binary go through them, so their numbers agree
-//! by construction. The types live in `obs` because every crate that
-//! charges or reads simulated time already depends on it; `comm::timing`
-//! re-exports them under their historical paths.
+//! by construction. Next to the buckets sits what one charge carries
+//! besides its seconds — [`EventKind`], [`EventDetail`], [`Span`] — and the
+//! [`Event`] a telemetry view unfolds it into. The types live in `obs`
+//! because every crate that charges or reads simulated time already depends
+//! on it; `comm::timing` re-exports the buckets under their historical
+//! paths.
 
 use crate::critpath::SegmentClass;
 use serde::{Deserialize, Serialize};
@@ -64,6 +67,158 @@ impl TimeCategory {
             TimeCategory::Quant => "quant",
             TimeCategory::Solve => "solve",
         }
+    }
+}
+
+/// What a charge, and the [`Event`] spans derived from it, measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum EventKind {
+    /// Halo feature/gradient bytes pushed to one peer in a ring round.
+    HaloSend,
+    /// Halo feature/gradient bytes pulled from one peer in a ring round.
+    HaloRecv,
+    /// Stochastic quantization encode/decode kernel time.
+    QuantEncode,
+    /// Central-graph (halo-free) compute: aggregation + dense layers.
+    CentralCompute,
+    /// Marginal-graph compute on the critical path after communication.
+    MarginalCompute,
+    /// Bit-width assigner solve (trace gather, solver, assignment scatter).
+    AssignerSolve,
+    /// Gradient all-reduce across devices.
+    AllReduce,
+}
+
+impl EventKind {
+    /// The [`TimeBreakdown`] bucket this kind of event is charged to.
+    pub fn category(self) -> TimeCategory {
+        match self {
+            EventKind::HaloSend | EventKind::HaloRecv | EventKind::AllReduce => TimeCategory::Comm,
+            EventKind::QuantEncode => TimeCategory::Quant,
+            EventKind::CentralCompute => TimeCategory::CentralComp,
+            EventKind::MarginalCompute => TimeCategory::MarginalComp,
+            EventKind::AssignerSolve => TimeCategory::Solve,
+        }
+    }
+
+    /// Stable display name (used in trace exports).
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::HaloSend => "halo_send",
+            EventKind::HaloRecv => "halo_recv",
+            EventKind::QuantEncode => "quant_encode",
+            EventKind::CentralCompute => "central_compute",
+            EventKind::MarginalCompute => "marginal_compute",
+            EventKind::AssignerSolve => "assigner_solve",
+            EventKind::AllReduce => "all_reduce",
+        }
+    }
+}
+
+/// Extra context a charge carries next to its kind and seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct EventDetail {
+    /// Payload bytes moved.
+    #[serde(default)]
+    pub bytes: u64,
+    /// Uniform message bit-width, when one applies (32 = fp32; `None` for
+    /// mixed adaptive assignments).
+    #[serde(default)]
+    pub width_bits: Option<u8>,
+    /// Measured host wall-clock seconds of the kernel behind the charge (0
+    /// when it is purely analytic). Diagnostic only, never fed back into
+    /// the simulated clock — and, like `threads`, kept out of a serialized
+    /// flight log, whose bytes are a function of the program schedule and
+    /// not of the machine that ran it.
+    #[serde(skip)]
+    pub host_seconds: f64,
+    /// Parallel-runtime thread count while the kernel ran.
+    #[serde(skip)]
+    pub threads: Option<u32>,
+}
+
+/// The span half of one simulated-time charge: what `comm::Command::Advance`
+/// carries, and a [`crate::critpath::FlightOp::PhaseAdvance`] flight event
+/// stores, beyond the epoch and the seconds. The charged bucket is
+/// `kind.category()`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Span {
+    /// What was charged. A halo exchange is charged in one piece as
+    /// [`EventKind::HaloSend`], with its per-peer volumes in `sent` / `recv`.
+    pub kind: EventKind,
+    /// GNN layer index, when the charge is layer-scoped.
+    #[serde(default)]
+    pub layer: Option<u32>,
+    /// Bytes, width and host-side diagnostics.
+    #[serde(default)]
+    pub detail: EventDetail,
+    /// `(peer, bytes)` this device sent in the charged exchange: ascending
+    /// peers, non-zero volumes only.
+    #[serde(default)]
+    pub sent: Vec<(u32, u64)>,
+    /// `(peer, bytes)` this device received, in the same form.
+    #[serde(default)]
+    pub recv: Vec<(u32, u64)>,
+}
+
+impl Span {
+    /// A bare span of `kind`: no layer, no detail, no per-peer volumes.
+    pub fn new(kind: EventKind) -> Self {
+        Span {
+            kind,
+            layer: None,
+            detail: EventDetail::default(),
+            sent: Vec::new(),
+            recv: Vec::new(),
+        }
+    }
+}
+
+/// One span on a device's simulated clock, derived from the flight log's
+/// charges (`adaqp::TelemetryLog::from_flight`).
+///
+/// `start`/`end` are simulated seconds since the start of the run on the
+/// per-category track clock of the charging device (tracks advance
+/// independently, mirroring the overlap model where communication and
+/// central compute proceed concurrently).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Event {
+    /// What was measured.
+    pub kind: EventKind,
+    /// Simulated start time in seconds.
+    pub start: f64,
+    /// Simulated end time in seconds (`start + duration`).
+    pub end: f64,
+    /// Training epoch the span belongs to.
+    pub epoch: u32,
+    /// GNN layer index, when the span is layer-scoped.
+    #[serde(default)]
+    pub layer: Option<u32>,
+    /// Peer device rank for point-to-point communication spans.
+    #[serde(default)]
+    pub peer: Option<u32>,
+    /// Payload bytes moved (communication spans) or 0.
+    #[serde(default)]
+    pub bytes: u64,
+    /// Message bit-width, when uniform for the span (32 = fp32; `None` for
+    /// mixed adaptive assignments).
+    #[serde(default)]
+    pub width_bits: Option<u8>,
+    /// Measured host wall-clock seconds the kernel behind this span actually
+    /// took (0 when the span is purely analytic). Diagnostic only — never fed
+    /// back into the simulated clock.
+    #[serde(default)]
+    pub host_seconds: f64,
+    /// Worker-thread count of the parallel runtime while the span's kernel
+    /// ran, when the span wraps a host-side kernel.
+    #[serde(default)]
+    pub threads: Option<u32>,
+}
+
+impl Event {
+    /// Span duration in simulated seconds.
+    pub fn duration(&self) -> f64 {
+        self.end - self.start
     }
 }
 
@@ -300,6 +455,23 @@ mod tests {
             assert_eq!(tb.path(Schedule::Overlapped)[1].0, class(tb.central_comp));
             assert_eq!(tb.path(Schedule::Pipelined)[0].0, class(tb.total_comp()));
         }
+    }
+
+    #[test]
+    fn a_serialized_span_leaves_the_host_side_out() {
+        let mut span = Span::new(EventKind::HaloSend);
+        span.sent = vec![(1, 48)];
+        span.detail = EventDetail {
+            bytes: 64,
+            width_bits: Some(4),
+            host_seconds: 0.25,
+            threads: Some(8),
+        };
+        let text = serde_json::to_string(&span).unwrap();
+        assert!(!text.contains("host_seconds") && !text.contains("threads"));
+        let back: Span = serde_json::from_str(&text).unwrap();
+        (span.detail.host_seconds, span.detail.threads) = (0.0, None);
+        assert_eq!(back, span);
     }
 
     #[test]

@@ -50,16 +50,23 @@ cargo run --offline -q --release -p adaqp --bin adaqp -- \
 echo "==> deadlock gallery (static flags must match runtime diagnosis)"
 cargo run --offline -q --release --example deadlock_gallery >/dev/null
 
-echo "==> critical-path smoke (pinned Vanilla tiny run vs committed baseline)"
-CP_TMP="$(mktemp)"
+echo "==> critical-path smoke (pinned Vanilla tiny run vs committed baseline; one run, every view of its one log)"
+CP_TMP="$(mktemp -d)"
 cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method vanilla --machines 1 --devices 2 \
     --epochs 6 --hidden 16 --seed 4242 \
-    --critical-path "$CP_TMP" >/dev/null
+    --critical-path "$CP_TMP/critpath.json" --trace "$CP_TMP/trace.json" \
+    --events "$CP_TMP/events.jsonl" --metrics "$CP_TMP/metrics" >/dev/null
+for view in critpath.json trace.json events.jsonl metrics.json metrics.prom; do
+    [[ -s "$CP_TMP/$view" ]] || {
+        echo "check: the run wrote no $view" >&2
+        exit 1
+    }
+done
 cargo run --offline -q --release -p obs --bin adaqp-regress -- \
-    results/baseline/critpath.snapshot.json "$CP_TMP" \
+    results/baseline/critpath.snapshot.json "$CP_TMP/critpath.json" \
     --tolerances results/baseline/tolerances.json
-rm -f "$CP_TMP"
+rm -rf "$CP_TMP"
 
 echo "==> kernel bench smoke (scripts/bench.sh --smoke)"
 scripts/bench.sh --smoke

@@ -7,7 +7,7 @@
 //!
 //! - structs with named fields (plus unit and tuple structs),
 //! - enums whose variants are unit, newtype or tuple,
-//! - the `#[serde(default)]` field attribute.
+//! - the `#[serde(default)]` and `#[serde(skip)]` field attributes.
 //!
 //! Anything else (generics, struct variants, other serde attributes) panics
 //! at expansion time with a clear message rather than mis-serializing.
@@ -34,7 +34,17 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 struct Field {
     name: String,
+    attrs: FieldAttrs,
+}
+
+/// The serde field attributes the shim honors.
+#[derive(Default)]
+struct FieldAttrs {
+    /// `#[serde(default)]`: a missing key deserializes to `Default::default()`.
     default: bool,
+    /// `#[serde(skip)]`: never serialized, always deserialized to
+    /// `Default::default()`.
+    skip: bool,
 }
 
 enum VariantKind {
@@ -72,9 +82,9 @@ fn serde_attr_args(tokens: &[TokenTree]) -> Option<Vec<TokenTree>> {
     }
 }
 
-/// Consumes leading attributes at `i`, recording whether any is
-/// `#[serde(default)]`. Panics on serde attributes the shim cannot honor.
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize, has_default: &mut bool) {
+/// Consumes leading attributes at `i`, recording the serde ones in `attrs`.
+/// Panics on serde attributes the shim cannot honor.
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize, attrs: &mut FieldAttrs) {
     loop {
         match (tokens.get(*i), tokens.get(*i + 1)) {
             (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g)))
@@ -85,7 +95,10 @@ fn skip_attrs(tokens: &[TokenTree], i: &mut usize, has_default: &mut bool) {
                     for a in &args {
                         match a {
                             TokenTree::Ident(id) if id.to_string() == "default" => {
-                                *has_default = true;
+                                attrs.default = true;
+                            }
+                            TokenTree::Ident(id) if id.to_string() == "skip" => {
+                                attrs.skip = true;
                             }
                             TokenTree::Punct(p) if p.as_char() == ',' => {}
                             other => {
@@ -125,8 +138,7 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize, what: &str) -> String {
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    let mut ignored = false;
-    skip_attrs(&tokens, &mut i, &mut ignored);
+    skip_attrs(&tokens, &mut i, &mut FieldAttrs::default());
     skip_vis(&tokens, &mut i);
     let kw = expect_ident(&tokens, &mut i, "`struct` or `enum`");
     let name = expect_ident(&tokens, &mut i, "type name");
@@ -160,8 +172,8 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let mut default = false;
-        skip_attrs(&tokens, &mut i, &mut default);
+        let mut attrs = FieldAttrs::default();
+        skip_attrs(&tokens, &mut i, &mut attrs);
         skip_vis(&tokens, &mut i);
         let name = expect_ident(&tokens, &mut i, "field name");
         match tokens.get(i) {
@@ -169,7 +181,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             other => panic!("serde shim derive: expected `:` after field, found {other:?}"),
         }
         skip_type(&tokens, &mut i);
-        fields.push(Field { name, default });
+        fields.push(Field { name, attrs });
     }
     fields
 }
@@ -220,8 +232,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let mut ignored = false;
-        skip_attrs(&tokens, &mut i, &mut ignored);
+        skip_attrs(&tokens, &mut i, &mut FieldAttrs::default());
         let name = expect_ident(&tokens, &mut i, "variant name");
         let kind = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
@@ -258,7 +269,7 @@ fn gen_serialize(item: &Item) -> String {
     let body = match &item.body {
         Body::NamedStruct(fields) => {
             let mut s = String::from("let mut m = ::serde::Map::new();\n");
-            for f in fields {
+            for f in fields.iter().filter(|f| !f.attrs.skip) {
                 s.push_str(&format!(
                     "m.insert(::std::string::String::from(\"{0}\"), \
                      ::serde::Serialize::to_value(&self.{0}));\n",
@@ -329,7 +340,14 @@ fn gen_deserialize(item: &Item) -> String {
                  ::std::result::Result::Ok({name} {{\n"
             );
             for f in fields {
-                let missing = if f.default {
+                if f.attrs.skip {
+                    s.push_str(&format!(
+                        "{}: ::std::default::Default::default(),\n",
+                        f.name
+                    ));
+                    continue;
+                }
+                let missing = if f.attrs.default {
                     "::std::default::Default::default()".to_string()
                 } else {
                     format!(

@@ -151,12 +151,20 @@ fn golden_report_and_flight_log_digests() {
     // `collective_waits` in the report. Kind strings, every
     // `PhaseAdvance` and every other event of every rank are as before;
     // the ring count below holds the log to that.
-    for (method, rings_per_epoch, want_report, want_flight) in [
+    //
+    // When a `PhaseAdvance` began to carry its whole charge (`span`, ISSUE
+    // 22) the log gained that one field and nothing else: `want_flight` is
+    // still the constant recorded before, now checked against the log with
+    // `span` removed from every event, and `want_spans` is the digest of
+    // the log as it is. (The spans' host-measured fields are not
+    // serialized, or no digest of them could be pinned.)
+    for (method, rings_per_epoch, want_report, want_flight, want_spans) in [
         (
             Method::Vanilla,
             5,
             0x449e_7282_9943_08ea_u64,
             0x8193_cc94_fbfd_16f8_u64,
+            0xc5b8_28db_96eb_2fce_u64,
         ),
         // Same charges and exchanges as Vanilla, composed differently.
         (
@@ -164,6 +172,7 @@ fn golden_report_and_flight_log_digests() {
             5,
             0xd24c_efa7_7183_d512,
             0x8193_cc94_fbfd_16f8,
+            0xc5b8_28db_96eb_2fce,
         ),
         // No backward exchange.
         (
@@ -171,19 +180,26 @@ fn golden_report_and_flight_log_digests() {
             4,
             0x7707_065c_1d37_a575,
             0x3c93_fa26_0c16_e8df,
+            0x45d6_3de9_468e_d537,
         ),
     ] {
         let (_, profile) =
             adaqp::run_experiment_profiled(&pinned(method, true)).expect("valid config");
         let p = profile.expect("profiling on");
+        let mut bare = p.flight.clone();
+        for event in &mut bare.events {
+            event.span = None;
+        }
+        let bare = serde_json::to_string(&bare).expect("log encodes");
         let got = (
             fnv(&serde_json::to_string(&p.report).expect("report encodes")),
+            fnv(&bare.replace("\"span\":null,", "")),
             fnv(&serde_json::to_string(&p.flight).expect("log encodes")),
         );
         assert_eq!(
             got,
-            (want_report, want_flight),
-            "{method:?}: report / flight-log digests {got:#018x?}"
+            (want_report, want_flight, want_spans),
+            "{method:?}: report / bare flight-log / flight-log digests {got:#018x?}"
         );
         // Two forward layers, one backward exchange (none under SANCUS) and
         // two evaluation layers an epoch, less the layer-0 evaluation ring
@@ -196,5 +212,57 @@ fn golden_report_and_flight_log_digests() {
             .filter(|e| e.collective.as_deref() == Some("ring_all2all"))
             .count();
         assert_eq!(ring_forms, 4 * (rings_per_epoch * 6 - 5), "{method:?}");
+    }
+}
+
+#[test]
+fn golden_telemetry_digests() {
+    // Recorded at the commit before the telemetry log became a fold over
+    // the flight log (ISSUE 22), when each device still kept its own span
+    // recorder: the derived log, and the Chrome trace rendered from it, are
+    // what that recorder wrote, byte for byte — track clocks, epoch
+    // re-alignment, dropped empty spans and the per-peer split of a halo
+    // charge included. The host-measured fields are cleared first; nothing
+    // else about these three methods' spans varies from run to run.
+    for (method, want_events, want_log, want_trace) in [
+        (
+            Method::Vanilla,
+            816,
+            0x0a26_6186_46fd_4f13_u64,
+            0x6c15_5fc7_6434_9e95_u64,
+        ),
+        // Same charges as Vanilla; the schedule is not in the log.
+        (
+            Method::PipeGcn,
+            816,
+            0x0a26_6186_46fd_4f13,
+            0x6c15_5fc7_6434_9e95,
+        ),
+        (
+            Method::Sancus,
+            474,
+            0x6ef4_1969_44a3_8f83,
+            0xd682_3505_fc6d_298f,
+        ),
+    ] {
+        let mut cfg = pinned(method, false);
+        cfg.training.telemetry = true;
+        let mut r = adaqp::run_experiment(&cfg).expect("valid config");
+        let log = r.telemetry.as_mut().expect("telemetry on");
+        for e in log.devices.iter_mut().flat_map(|d| &mut d.events) {
+            e.host_seconds = 0.0;
+            e.threads = None;
+        }
+        let trace = serde_json::to_string(&log.chrome_trace()).expect("trace encodes");
+        let got = (
+            log.num_events(),
+            fnv(&serde_json::to_string(&r.telemetry).expect("log encodes")),
+            fnv(&trace),
+        );
+        assert_eq!(
+            got,
+            (want_events, want_log, want_trace),
+            "{method:?}: event count / telemetry-log / Chrome-trace digests {got:#018x?}"
+        );
     }
 }
