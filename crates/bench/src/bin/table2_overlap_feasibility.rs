@@ -22,13 +22,12 @@ fn main() {
     let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
     let cfg = bench::training_defaults();
-    let cost = comm::CostModel::two_tier(
-        comm::ClusterTopology::new(2, 4),
-        cfg.inter_bw,
-        cfg.intra_bw,
-        cfg.latency,
-    )
-    .with_compute_speedup(cfg.compute_speedup);
+    let cost = comm::Topology::new(2, 4)
+        .intra_bw(cfg.intra_bw)
+        .inter_bw(cfg.inter_bw)
+        .latency(cfg.latency)
+        .cost_model()
+        .with_compute_speedup(cfg.compute_speedup);
     let dims = cfg.dims(ds.feature_dim(), ds.num_classes);
     let num_layers = dims.len() - 1;
 

@@ -462,16 +462,10 @@ pub struct DeviceHandle {
     rank: usize,
     n: usize,
     port: EventPort,
-    // Boxed to keep the handle small when metrics are off (the common case).
-    metrics: Option<Box<obs::Registry>>,
-    /// `(bytes, messages)` sent to each destination rank. Like `halo_sent`,
-    /// a dense integer tally of a per-payload series: empty unless metrics
-    /// are enabled, and written into the registry once, in
-    /// [`DeviceHandle::take_metrics`].
+    /// `(bytes, messages)` handed to the scheduler for each destination
+    /// rank: the one thing about a run only the handle sees. No slots, so
+    /// nothing is counted, until [`DeviceHandle::count_sends`].
     sent: Vec<(u64, u64)>,
-    /// Halo bytes sent to each destination rank, one row per distinct width
-    /// seen (`None` is a mixed assignment); a handful of rows at most.
-    halo_sent: Vec<(Option<u8>, Vec<u64>)>,
 }
 
 impl DeviceHandle {
@@ -480,9 +474,7 @@ impl DeviceHandle {
             rank,
             n,
             port,
-            metrics: None,
             sent: Vec::new(),
-            halo_sent: Vec::new(),
         }
     }
 
@@ -513,64 +505,17 @@ impl DeviceHandle {
         self.port.round_trips
     }
 
-    /// Switches the device to metric collection: every payload leaving this
-    /// rank is counted into the `adaqp_comm_sent_bytes_total{src,dst}` and
-    /// `adaqp_comm_messages_total{src,dst}` counters. Payload lengths are
-    /// deterministic, so the counters are too.
-    pub fn enable_metrics(&mut self) {
-        self.metrics = Some(Box::new(obs::Registry::new()));
+    /// Starts tallying every payload leaving this rank, per destination.
+    /// Payload lengths are deterministic, so the tally is too.
+    pub fn count_sends(&mut self) {
         self.sent = vec![(0, 0); self.n];
     }
 
-    /// Mutable access to the metric registry, for recording trainer-side
-    /// metrics alongside the built-in comm counters.
-    pub fn metrics_mut(&mut self) -> Option<&mut obs::Registry> {
-        self.metrics.as_deref_mut()
-    }
-
-    /// Detaches the metric registry (e.g. to return it from a device
-    /// closure) with the per-payload tallies written into it — one series
-    /// per destination that was sent a message, one per destination and
-    /// width that was sent halo bytes; subsequent sends are no longer
-    /// counted.
-    pub fn take_metrics(&mut self) -> Option<obs::Registry> {
-        let mut reg = *self.metrics.take()?;
-        let src = self.rank.to_string();
-        let dsts: Vec<String> = (0..self.n).map(|dst| dst.to_string()).collect();
-        // Byte and message totals stay far below 2^53, so the f64 counters are exact.
-        for (dst, (bytes, messages)) in dsts.iter().zip(std::mem::take(&mut self.sent)) {
-            if messages > 0 {
-                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
-                reg.counter_add("adaqp_comm_sent_bytes_total", &labels, bytes as f64);
-                reg.counter_add("adaqp_comm_messages_total", &labels, messages as f64);
-            }
-        }
-        for (width, row) in std::mem::take(&mut self.halo_sent) {
-            let width = width.map_or("mixed".to_string(), |bits| bits.to_string());
-            for (dst, bytes) in dsts.iter().zip(row).filter(|(_, bytes)| *bytes > 0) {
-                let labels = [("src", src.as_str()), ("dst", dst), ("width", &width)];
-                reg.counter_add("adaqp_halo_sent_bytes_total", &labels, bytes as f64);
-            }
-        }
-        Some(reg)
-    }
-
-    /// Counts one halo exchange's `sent` bytes (indexed by destination
-    /// rank) at `width_bits` (`None` for a mixed per-group assignment)
-    /// towards `adaqp_halo_sent_bytes_total{src,dst,width}`; a no-op unless
-    /// metrics are enabled.
-    pub fn count_halo_sent(&mut self, width_bits: Option<u8>, sent: &[usize]) {
-        if self.metrics.is_none() {
-            return;
-        }
-        let known = self.halo_sent.iter().position(|(w, _)| *w == width_bits);
-        let slot = known.unwrap_or_else(|| {
-            self.halo_sent.push((width_bits, vec![0; self.n]));
-            self.halo_sent.len() - 1
-        });
-        for (total, &bytes) in self.halo_sent[slot].1.iter_mut().zip(sent) {
-            *total += bytes as u64;
-        }
+    /// Hands back the `(bytes, messages)` tally indexed by destination rank
+    /// (empty unless [`DeviceHandle::count_sends`] was called); later sends
+    /// are no longer counted.
+    pub fn take_sent(&mut self) -> Vec<(u64, u64)> {
+        std::mem::take(&mut self.sent)
     }
 
     /// Total device count.
@@ -585,8 +530,8 @@ impl DeviceHandle {
     }
 
     /// Counts one outgoing payload on the sender side: into the tally,
-    /// which has no slots unless metrics are enabled. A destination outside
-    /// `0..n` is left to the scheduler, which fails the run.
+    /// which has no slots unless sends are being counted. A destination
+    /// outside `0..n` is left to the scheduler, which fails the run.
     fn count_send(&mut self, dst: usize, bytes: usize) {
         if let Some((total, messages)) = self.sent.get_mut(dst) {
             *total += bytes as u64;
@@ -929,7 +874,7 @@ mod tests {
     #[test]
     fn metrics_count_sent_bytes_per_pair() {
         let out = Cluster::run_fn(2, |mut dev| {
-            dev.enable_metrics();
+            dev.count_sends();
             if dev.rank() == 0 {
                 dev.send(1, 5, Bytes::from_static(b"hello"));
                 dev.recv(1, 6);
@@ -937,33 +882,33 @@ mod tests {
                 dev.recv(0, 5);
                 dev.send(0, 6, Bytes::from_static(b"hi"));
             }
-            dev.take_metrics().expect("metrics enabled")
+            dev.take_sent()
         });
-        let sent = out[0]
-            .get("adaqp_comm_sent_bytes_total", &[("src", "0"), ("dst", "1")])
-            .expect("rank 0 counted its send");
-        assert_eq!(sent.value, 5.0);
-        let msgs = out[1]
-            .get("adaqp_comm_messages_total", &[("src", "1"), ("dst", "0")])
-            .expect("rank 1 counted its send");
-        assert_eq!(msgs.value, 1.0);
-        // Counters only track the sender side.
-        assert!(out[0]
-            .get("adaqp_comm_sent_bytes_total", &[("src", "1"), ("dst", "0")])
-            .is_none());
+        // `out[src][dst]` is `(bytes, messages)`.
+        assert_eq!(out[0][1].0, 5, "rank 0 counted its send");
+        assert_eq!(out[1][0].1, 1, "rank 1 counted its send");
+        // The tally only tracks the sender side.
+        assert_eq!(out[0][0], (0, 0));
+        assert_eq!(out[1][1], (0, 0));
     }
 
     #[test]
     fn metrics_disabled_by_default_and_detachable() {
-        let out = Cluster::run_fn(1, |mut dev| {
-            assert!(dev.metrics_mut().is_none());
-            dev.enable_metrics();
-            assert!(dev.metrics_mut().is_some());
-            let taken = dev.take_metrics();
-            assert!(dev.metrics_mut().is_none());
-            taken.expect("registry was attached").len()
+        let out = Cluster::run_fn(2, |mut dev| {
+            let peer = 1 - dev.rank();
+            dev.send(peer, 1, Bytes::from_static(b"uncounted"));
+            let off = dev.take_sent();
+            dev.count_sends();
+            dev.send(peer, 2, Bytes::from_static(b"counted"));
+            let taken = dev.take_sent();
+            dev.send(peer, 3, Bytes::from_static(b"detached"));
+            (off, taken[peer], dev.take_sent())
         });
-        assert_eq!(out[0], 0);
+        for (off, counted, detached) in out {
+            assert!(off.is_empty(), "nothing is counted until asked");
+            assert_eq!(counted, (7, 1));
+            assert!(detached.is_empty(), "taking the tally stops the count");
+        }
     }
 
     #[test]

@@ -2,60 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Physical layout of the simulated cluster: which device ranks live on
-/// which machine (paper notation `xM-yD` = `x` machines, `y` devices each).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClusterTopology {
-    /// Number of machines.
-    pub machines: usize,
-    /// Devices (GPUs) per machine.
-    pub devices_per_machine: usize,
-}
-
-impl ClusterTopology {
-    /// Creates an `xM-yD` topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either count is zero.
-    pub fn new(machines: usize, devices_per_machine: usize) -> Self {
-        assert!(machines > 0 && devices_per_machine > 0, "empty topology");
-        Self {
-            machines,
-            devices_per_machine,
-        }
-    }
-
-    /// Total device count.
-    pub fn num_devices(&self) -> usize {
-        self.machines * self.devices_per_machine
-    }
-
-    /// Machine hosting `rank`.
-    pub fn machine_of(&self, rank: usize) -> usize {
-        rank / self.devices_per_machine
-    }
-
-    /// Whether two ranks share a machine.
-    pub fn same_machine(&self, a: usize, b: usize) -> bool {
-        self.machine_of(a) == self.machine_of(b)
-    }
-
-    /// Paper-style name, e.g. `2M-4D`.
-    pub fn label(&self) -> String {
-        format!("{}M-{}D", self.machines, self.devices_per_machine)
-    }
-}
-
 /// Per-device-pair affine transfer cost `t(bytes) = theta * bytes + gamma`
 /// (seconds), the cost model of Eqn. 10.
 ///
 /// # Example
 ///
 /// ```
-/// use comm::{ClusterTopology, CostModel};
-///
-/// let cm = CostModel::ethernet_cluster(ClusterTopology::new(2, 2));
+/// let cm = comm::Topology::new(2, 2).cost_model();
 /// // Intra-machine transfers are faster than inter-machine ones.
 /// assert!(cm.transfer_time(0, 1, 1 << 20) < cm.transfer_time(0, 2, 1 << 20));
 /// // Self-transfers are free.
@@ -123,58 +76,6 @@ impl CostModel {
         cm
     }
 
-    /// Builds the default two-tier model for an `xM-yD` topology: fast
-    /// intra-machine links, slower inter-machine Ethernet.
-    pub fn ethernet_cluster(topology: ClusterTopology) -> Self {
-        Self::two_tier(
-            topology,
-            DEFAULT_INTER_BW,
-            DEFAULT_INTRA_BW,
-            DEFAULT_LATENCY,
-        )
-    }
-
-    /// Builds a two-tier model with explicit bandwidths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bandwidth is not positive.
-    pub fn two_tier(
-        topology: ClusterTopology,
-        inter_bw: f64,
-        intra_bw: f64,
-        latency_sec: f64,
-    ) -> Self {
-        assert!(
-            inter_bw > 0.0 && intra_bw > 0.0,
-            "bandwidth must be positive"
-        );
-        let n = topology.num_devices();
-        let mut theta = vec![0.0; n * n];
-        let mut gamma = vec![0.0; n * n];
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let bw = if topology.same_machine(s, d) {
-                    intra_bw
-                } else {
-                    inter_bw
-                };
-                theta[s * n + d] = 1.0 / bw;
-                gamma[s * n + d] = latency_sec;
-            }
-        }
-        Self {
-            n,
-            theta,
-            gamma,
-            compute_speedup: DEFAULT_COMPUTE_SPEEDUP,
-            per_device_scale: None,
-        }
-    }
-
     /// Sets the compute-speedup divisor (builder style).
     pub fn with_compute_speedup(mut self, speedup: f64) -> Self {
         assert!(speedup > 0.0, "speedup must be positive");
@@ -210,6 +111,38 @@ impl CostModel {
             return 0.0;
         }
         self.theta[src * self.n + dst] * bytes as f64 + self.gamma[src * self.n + dst]
+    }
+
+    /// Seconds `rank` spends in one unsynchronized ring all2all (Fig. 8,
+    /// the Table 2 model): in each of the `n - 1` rounds it waits for the
+    /// longer of its own send and its own receive on full-duplex links.
+    /// `sent` / `recv` are bytes per peer rank. `send_floor[dst]`, where
+    /// present, is a lower bound on the send to `dst` — the pipelined
+    /// quantize+send seconds of a streamed destination, which already fold
+    /// the encode in and are never less than the bare transfer; pass `&[]`
+    /// for plain transfers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is out of range or a byte table is shorter than the
+    /// device count.
+    pub fn ring_seconds(
+        &self,
+        rank: usize,
+        sent: &[usize],
+        recv: &[usize],
+        send_floor: &[f64],
+    ) -> f64 {
+        let n = self.n;
+        let mut t = 0.0;
+        for round in 1..n {
+            let dst = (rank + round) % n;
+            let src = (rank + n - round) % n;
+            let floor = send_floor.get(dst).copied().unwrap_or(0.0);
+            let send = self.transfer_time(rank, dst, sent[dst]).max(floor);
+            t += send.max(self.transfer_time(src, rank, recv[src]));
+        }
+        t
     }
 
     /// The `(theta, gamma)` parameters of a directed link, as used by the
@@ -269,14 +202,16 @@ mod tests {
 
     #[test]
     fn topology_machine_mapping() {
-        let t = ClusterTopology::new(2, 4);
+        let t = crate::Topology::new(2, 4);
         assert_eq!(t.num_devices(), 8);
-        assert_eq!(t.machine_of(0), 0);
-        assert_eq!(t.machine_of(3), 0);
-        assert_eq!(t.machine_of(4), 1);
-        assert!(t.same_machine(1, 2));
-        assert!(!t.same_machine(3, 4));
         assert_eq!(t.label(), "2M-4D");
+        // Ranks 0..4 share machine 0, ranks 4..8 machine 1.
+        let cm = t.cost_model();
+        let (intra, inter) = (1.0 / DEFAULT_INTRA_BW, 1.0 / DEFAULT_INTER_BW);
+        assert_eq!(cm.link_params(0, 3).0, intra);
+        assert_eq!(cm.link_params(1, 2).0, intra);
+        assert_eq!(cm.link_params(3, 4).0, inter);
+        assert_eq!(cm.link_params(4, 7).0, intra);
     }
 
     #[test]
@@ -295,7 +230,7 @@ mod tests {
 
     #[test]
     fn two_tier_orders_links() {
-        let cm = CostModel::ethernet_cluster(ClusterTopology::new(2, 2));
+        let cm = crate::Topology::new(2, 2).cost_model();
         let intra = cm.transfer_time(0, 1, 1 << 20);
         let inter = cm.transfer_time(0, 2, 1 << 20);
         assert!(intra < inter);
@@ -303,7 +238,7 @@ mod tests {
 
     #[test]
     fn cost_is_monotone_in_bytes() {
-        let cm = CostModel::ethernet_cluster(ClusterTopology::new(2, 2));
+        let cm = crate::Topology::new(2, 2).cost_model();
         let mut prev = 0.0;
         for bytes in [1usize, 10, 100, 10_000, 1_000_000] {
             let t = cm.transfer_time(0, 3, bytes);

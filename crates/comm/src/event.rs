@@ -434,12 +434,10 @@ fn run_collective(
                     inboxes[dst as usize].push((rank as u32, payload));
                 }
             }
-            // Per-device unsynchronized ring time: each of the N-1 rounds
-            // costs max(own send, own recv) on full-duplex links (the
-            // Table 2 model; see `ExchangeStats::ring_seconds`). The byte
-            // tables are rebuilt per rank from the sparse lists; an unlisted
-            // peer is 0 bytes, whose transfer time is the same `0.0` an
-            // empty payload's was. Uncosted runs skip the model: every
+            // Per-device unsynchronized ring time (`CostModel::ring_seconds`).
+            // The byte tables are rebuilt per rank from the sparse lists; an
+            // unlisted peer is 0 bytes, whose transfer time is the same `0.0`
+            // an empty payload's was. Uncosted runs skip the model: every
             // round would add `0.0`.
             let (mut send_bytes, mut recv_bytes) = (vec![0usize; n], vec![0usize; n]);
             for (rank, inbox) in inboxes.into_iter().enumerate() {
@@ -451,13 +449,7 @@ fn run_collective(
                     for (src, payload) in &inbox {
                         recv_bytes[*src as usize] = payload.len();
                     }
-                    for round in 1..n {
-                        let dst = (rank + round) % n;
-                        let src = (rank + n - round) % n;
-                        let send = cost.transfer_time(rank, dst, send_bytes[dst]);
-                        let recv = cost.transfer_time(src, rank, recv_bytes[src]);
-                        elapsed += send.max(recv);
-                    }
+                    elapsed = cost.ring_seconds(rank, &send_bytes, &recv_bytes, &[]);
                     for &(dst, _) in &sent[rank] {
                         send_bytes[dst as usize] = 0;
                     }

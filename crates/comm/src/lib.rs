@@ -45,7 +45,7 @@ pub mod topology;
 pub mod waitgraph;
 
 pub use cluster::{Cluster, ClusterError, DeviceHandle};
-pub use costmodel::{ClusterTopology, CostModel};
+pub use costmodel::CostModel;
 pub use event::ClusterReport;
 pub use flight::FlightRecorder;
 pub use program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
@@ -69,7 +69,7 @@ pub use waitgraph::{BlockedRank, CollectiveFront, UnclaimedMessage, WaitCause, W
 /// ```
 pub mod prelude {
     pub use crate::cluster::{Cluster, ClusterError, DeviceHandle};
-    pub use crate::costmodel::{ClusterTopology, CostModel};
+    pub use crate::costmodel::CostModel;
     pub use crate::event::ClusterReport;
     pub use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
     pub use crate::timing::{TimeBreakdown, TimeCategory};

@@ -1,23 +1,17 @@
 //! Hierarchical cluster topology: machines grouped into racks, racks joined
 //! by an (oversubscribable) spine.
 //!
-//! [`ClusterTopology`] only knows machines and devices-per-machine — enough
+//! Machines and devices-per-machine (paper notation `xM-yD`) are enough
 //! for the paper's 4–8 machine testbeds, where every machine hangs off one
-//! switch. Sweeping to hundreds of machines needs the next tier: racks of
-//! machines with full intra-rack bandwidth, and a spine between racks that
-//! real datacenters oversubscribe (an oversubscription ratio of `k` means
-//! the spine offers `1/k` of the rack-local bandwidth). [`Topology`] is the
-//! builder for that three-tier model; [`Topology::cost_model`] lowers it to
-//! the flat per-pair [`CostModel`] the scheduler and the bit-width assigner
-//! consume.
-//!
-//! With the default single-rack layout the lowered model is float-identical
-//! to [`CostModel::two_tier`], so adopting this builder does not move any
-//! pinned result.
+//! switch: the default single-rack layout is that two-tier model. Sweeping
+//! to hundreds of machines needs the next tier: racks of machines with full
+//! intra-rack bandwidth, and a spine between racks that real datacenters
+//! oversubscribe (an oversubscription ratio of `k` means the spine offers
+//! `1/k` of the rack-local bandwidth). [`Topology`] is the builder for that
+//! three-tier model; [`Topology::cost_model`] lowers it to the flat
+//! per-pair [`CostModel`] the scheduler and the bit-width assigner consume.
 
-use crate::costmodel::{
-    ClusterTopology, CostModel, DEFAULT_INTER_BW, DEFAULT_INTRA_BW, DEFAULT_LATENCY,
-};
+use crate::costmodel::{CostModel, DEFAULT_INTER_BW, DEFAULT_INTRA_BW, DEFAULT_LATENCY};
 
 /// Builder for a three-tier cluster: devices within a machine (intra),
 /// machines within a rack (inter), racks across the spine.
@@ -154,14 +148,9 @@ impl Topology {
         rank / self.devices_per_machine / self.machines_per_rack
     }
 
-    /// The flat machine layout this topology refines.
-    pub fn cluster(&self) -> ClusterTopology {
-        ClusterTopology::new(self.machines, self.devices_per_machine)
-    }
-
     /// Paper-style name, e.g. `16M-4D` or `4R-16M-4D` once racks matter.
     pub fn label(&self) -> String {
-        let base = self.cluster().label();
+        let base = format!("{}M-{}D", self.machines, self.devices_per_machine);
         if self.num_racks() > 1 {
             format!("{}R-{base}", self.num_racks())
         } else {
@@ -171,18 +160,17 @@ impl Topology {
 
     /// Lowers the topology to the per-pair affine [`CostModel`]: same
     /// machine -> `intra_bw`, same rack -> `inter_bw`, cross-rack ->
-    /// `spine_bw`, all with the configured latency. Single-rack topologies
-    /// lower float-identically to [`CostModel::two_tier`].
+    /// `spine_bw`, all with the configured latency.
     pub fn cost_model(&self) -> CostModel {
-        let cluster = self.cluster();
-        let n = cluster.num_devices();
+        let n = self.num_devices();
+        let machine_of = |rank: usize| rank / self.devices_per_machine;
         let mut cm = CostModel::homogeneous(n, self.intra_bw, self.latency);
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
                     continue;
                 }
-                let bw = if cluster.same_machine(src, dst) {
+                let bw = if machine_of(src) == machine_of(dst) {
                     self.intra_bw
                 } else if self.rack_of(src) == self.rack_of(dst) {
                     self.inter_bw
@@ -199,27 +187,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_rack_lowering_matches_two_tier_exactly() {
-        // Byte-identity of the pinned runs depends on this: the builder
-        // path must produce the very same floats as the legacy constructor.
-        let topo = Topology::new(2, 4)
-            .intra_bw(0.6e9)
-            .inter_bw(130.0e6)
-            .latency(20.0e-6);
-        let legacy = CostModel::two_tier(ClusterTopology::new(2, 4), 130.0e6, 0.6e9, 20.0e-6);
-        assert_eq!(topo.cost_model(), legacy);
-    }
-
-    #[test]
-    fn defaults_match_ethernet_cluster() {
-        let topo = Topology::new(3, 2);
-        assert_eq!(
-            topo.cost_model(),
-            CostModel::ethernet_cluster(ClusterTopology::new(3, 2))
-        );
-    }
 
     #[test]
     fn rack_mapping_and_label() {

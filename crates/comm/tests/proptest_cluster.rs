@@ -295,6 +295,14 @@ proptest! {
                 dense.clocks[me].to_bits(),
                 "rank {} clock", me
             );
+            // Every rank entered at 0, so its clock is the ring-time model
+            // applied to the byte tables the scheduler rebuilt.
+            let recv: Vec<usize> = lens.iter().map(|row| row[me]).collect();
+            prop_assert_eq!(
+                sparse.clocks[me].to_bits(),
+                cost.ring_seconds(me, &lens[me], &recv, &[]).to_bits(),
+                "rank {} clock against CostModel::ring_seconds", me
+            );
         }
     }
 

@@ -124,13 +124,14 @@ pub struct TrainingConfig {
     /// simulated numerics and runtime are unchanged.
     #[serde(default)]
     pub telemetry: bool,
-    /// Record typed metrics (per-pair communication volume, per-width
-    /// quantization error, solver iterations, per-epoch training metrics)
-    /// into an [`obs::Registry`] on every device, merged into
-    /// [`crate::metrics::RunResult::metrics`]. Off by default; when off no
-    /// registry is allocated and nothing is recorded. The default snapshot
-    /// contains only deterministic series, byte-identical at any worker
-    /// thread count.
+    /// Count typed metrics (per-pair communication volume, per-width
+    /// quantization error, solver iterations, per-epoch training metrics):
+    /// every device keeps plain tallies, folded after the run into its one
+    /// [`obs::Registry`] and attached as
+    /// [`crate::metrics::RunResult::metrics`]. Off by default; when off
+    /// nothing is counted and no registry exists. The snapshot contains
+    /// only deterministic series, byte-identical at any worker thread
+    /// count.
     #[serde(default)]
     pub metrics: bool,
     /// Worker threads for the deterministic parallel kernel runtime
@@ -500,8 +501,8 @@ impl ExperimentConfig {
 
     /// The cost model implied by this configuration, lowered through
     /// [`ExperimentConfig::network_topology`]. Without a `topology` section
-    /// this is float-identical to the historical
-    /// [`comm::CostModel::two_tier`] construction.
+    /// this is the two-tier model of the flat link parameters: `1 / intra_bw`
+    /// within a machine, `1 / inter_bw` across machines.
     ///
     /// # Panics
     ///
@@ -942,20 +943,29 @@ mod tests {
     #[test]
     fn cost_model_without_topology_matches_legacy_two_tier_exactly() {
         // Byte-identity of the pinned runs depends on this: routing through
-        // comm::Topology must not move a single float.
+        // comm::Topology must not move a single float of the two-tier
+        // tables the legacy constructor wrote.
         let cfg = ExperimentConfig::builder()
             .machines(2)
             .devices_per_machine(4)
             .build()
             .unwrap();
-        let legacy = comm::CostModel::two_tier(
-            comm::ClusterTopology::new(2, 4),
-            cfg.training.inter_bw,
-            cfg.training.intra_bw,
-            cfg.training.latency,
-        )
-        .with_compute_speedup(cfg.training.compute_speedup);
-        assert_eq!(cfg.cost_model(), legacy);
+        let t = &cfg.training;
+        let cm = cfg.cost_model();
+        assert_eq!(cm.num_devices(), 8);
+        assert_eq!(cm.compute_speedup, t.compute_speedup);
+        for src in 0..8 {
+            for dst in 0..8 {
+                let want = if src == dst {
+                    (0.0, 0.0)
+                } else if src / 4 == dst / 4 {
+                    (1.0 / t.intra_bw, t.latency)
+                } else {
+                    (1.0 / t.inter_bw, t.latency)
+                };
+                assert_eq!(cm.link_params(src, dst), want, "{src} -> {dst}");
+            }
+        }
     }
 
     #[test]

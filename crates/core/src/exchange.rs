@@ -112,24 +112,15 @@ impl ExchangeStats {
     }
 
     /// Simulated communication seconds for this device under the
-    /// unsynchronized ring schedule: in round `r` the device waits for the
-    /// longer of its own send and its own receive.
+    /// unsynchronized ring schedule ([`CostModel::ring_seconds`]), a
+    /// streamed destination's send never shorter than its pipeline.
     pub fn ring_seconds(&self, cost: &CostModel, rank: usize) -> f64 {
-        let n = cost.num_devices();
-        let mut t = 0.0;
-        for round in 1..n {
-            let dst = (rank + round) % n;
-            let src = (rank + n - round) % n;
-            // A streamed destination's send time already folds the encode
-            // pipeline in (and is never less than the bare transfer), so the
-            // max picks it up without double-charging the non-streamed case.
-            let send = cost
-                .transfer_time(rank, dst, self.sent_bytes[dst])
-                .max(self.streamed_send.get(dst).copied().unwrap_or(0.0));
-            let recv = cost.transfer_time(src, rank, self.recv_bytes[src]);
-            t += send.max(recv);
-        }
-        t
+        cost.ring_seconds(
+            rank,
+            &self.sent_bytes,
+            &self.recv_bytes,
+            &self.streamed_send,
+        )
     }
 
     /// Simulated communication seconds under SANCUS's sequential-broadcast

@@ -1,9 +1,14 @@
-//! Run results: per-epoch records, throughput and time breakdowns.
+//! Run results: per-epoch records, throughput and time breakdowns, and the
+//! one fold that names every series of a run's metric snapshot.
 
+use crate::assigner::SolveStats;
 use crate::config::Method;
 use comm::TimeBreakdown;
+use obs::critpath::CritPathReport;
 pub use obs::time::Schedule;
+use quant::BitWidth;
 use serde::{Deserialize, Serialize};
+use tensor::par::PoolStats;
 
 /// Local metric accumulators one device reports for one epoch. For
 /// single-label tasks `val`/`test` hold `[correct, total, 0]`; for
@@ -108,10 +113,9 @@ pub struct RunResult {
     /// configured with `training.telemetry = true`.
     #[serde(default)]
     pub telemetry: Option<crate::telemetry::TelemetryLog>,
-    /// Merged metric snapshot (device registries merged in rank order, plus
-    /// cluster-level per-epoch gauges); present only when the run was
-    /// configured with `training.metrics = true`. Contains only the
-    /// deterministic series — byte-identical at any worker-thread count.
+    /// The run's metric snapshot ([`fold_run_metrics`]); present only when
+    /// the run was configured with `training.metrics = true`. Contains only
+    /// the deterministic series — byte-identical at any worker-thread count.
     #[serde(default)]
     pub metrics: Option<obs::MetricsSnapshot>,
 }
@@ -121,6 +125,162 @@ impl RunResult {
     pub fn comm_fraction(&self) -> f64 {
         self.total_breakdown.comm_fraction()
     }
+}
+
+/// What one device counted over a run, as plain data: the raw material of
+/// [`fold_run_metrics`]. Kept only when `cfg.metrics`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DeviceTallies {
+    /// `(bytes, messages)` handed to the scheduler per destination rank
+    /// ([`comm::DeviceHandle::take_sent`]).
+    pub sent: Vec<(u64, u64)>,
+    /// Halo bytes sent per destination rank, one row per distinct exchange
+    /// width seen (`None` is a mixed per-group assignment, `Some(32)` fp32);
+    /// a handful of rows at most.
+    pub halo: Vec<(Option<u8>, Vec<u64>)>,
+    /// Per-width quantization statistics of the whole run, every exchange
+    /// merged in exchange order.
+    pub encode: quant::EncodeStats,
+    /// Rank 0's reassignment rounds: iterations and problems summed, the
+    /// objective that of the last round. `None` on every other rank (the
+    /// master broadcasts the stats, so they would only multiply) and when
+    /// no round ran.
+    pub solver: Option<SolveStats>,
+}
+
+impl DeviceTallies {
+    /// Adds one halo exchange: `sent` bytes per destination rank at
+    /// `width_bits`, and its encoder statistics.
+    pub(crate) fn count_exchange(
+        &mut self,
+        width_bits: Option<u8>,
+        sent: &[usize],
+        encode: &quant::EncodeStats,
+    ) {
+        let known = self.halo.iter().position(|(w, _)| *w == width_bits);
+        let slot = known.unwrap_or_else(|| {
+            self.halo.push((width_bits, vec![0; sent.len()]));
+            self.halo.len() - 1
+        });
+        for (total, &bytes) in self.halo[slot].1.iter_mut().zip(sent) {
+            *total += bytes as u64;
+        }
+        self.encode.merge(encode);
+    }
+
+    /// Adds one reassignment round's solver statistics.
+    pub(crate) fn count_solve(&mut self, round: &SolveStats) {
+        let total = self.solver.get_or_insert_with(SolveStats::default);
+        total.iterations += round.iterations;
+        total.problems += round.problems;
+        total.objective_sum = round.objective_sum;
+    }
+}
+
+/// Builds a run's metric snapshot: the one place a series is named and the
+/// run's one [`obs::Registry`], moved into the snapshot when done.
+///
+/// `tallies` are the devices' in rank order. Float order is part of the
+/// contract: a device has already added its per-exchange `sum_range` /
+/// `sum_sq_err` in exchange order, and device totals are added here in rank
+/// order, so the sums — and the snapshot's bytes — do not depend on how the
+/// run was scheduled. `report`'s series carry a leading underscore, which
+/// keeps host-timing-dependent values out of `adaqp-regress` comparisons;
+/// `pool` and `train_seconds` are diagnostic-flagged (which worker served a
+/// chunk is a race by design) and never reach the snapshot.
+pub fn fold_run_metrics(
+    result: &RunResult,
+    records: &[Vec<DeviceEpochRecord>],
+    tallies: &[DeviceTallies],
+    report: Option<&CritPathReport>,
+    pool: &PoolStats,
+    train_seconds: f64,
+) -> obs::MetricsSnapshot {
+    let mut reg = obs::Registry::new();
+    // Every count below stays far below 2^53, so its f64 value is exact.
+    let ranks: Vec<String> = (0..tallies.len()).map(|r| r.to_string()).collect();
+    for (src, dev) in ranks.iter().zip(tallies) {
+        for (dst, &(bytes, messages)) in ranks.iter().zip(&dev.sent) {
+            if messages > 0 {
+                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
+                reg.counter_add("adaqp_comm_sent_bytes_total", &labels, bytes as f64);
+                reg.counter_add("adaqp_comm_messages_total", &labels, messages as f64);
+            }
+        }
+        for (width, row) in &dev.halo {
+            let width = width.map_or("mixed".to_string(), |bits| bits.to_string());
+            for (dst, &bytes) in ranks.iter().zip(row).filter(|(_, bytes)| **bytes > 0) {
+                let labels = [("src", src.as_str()), ("dst", dst), ("width", &width)];
+                reg.counter_add("adaqp_halo_sent_bytes_total", &labels, bytes as f64);
+            }
+        }
+        for w in BitWidth::ALL {
+            let ws = dev.encode.for_width(w);
+            if ws.rows > 0 {
+                let bits = w.bits().to_string();
+                let labels = [("width", bits.as_str())];
+                reg.counter_add("adaqp_quant_rows_total", &labels, ws.rows as f64);
+                reg.counter_add("adaqp_quant_elements_total", &labels, ws.elements as f64);
+                reg.counter_add("adaqp_quant_range_sum", &labels, ws.sum_range);
+                reg.counter_add("adaqp_quant_sq_error_sum", &labels, ws.sum_sq_err);
+            }
+        }
+        if let Some(solve) = &dev.solver {
+            reg.counter_add(
+                "adaqp_solver_iterations_total",
+                &[],
+                solve.iterations as f64,
+            );
+            reg.counter_add("adaqp_solver_problems_total", &[], solve.problems as f64);
+            reg.gauge_set("adaqp_solver_objective_sum", &[], solve.objective_sum);
+        }
+    }
+
+    for em in &result.per_epoch {
+        let epoch = em.epoch.to_string();
+        let labels = [("epoch", epoch.as_str())];
+        reg.gauge_set("adaqp_epoch_loss", &labels, em.loss);
+        reg.gauge_set("adaqp_epoch_val_score", &labels, em.val_score);
+        reg.gauge_set("adaqp_epoch_test_score", &labels, em.test_score);
+        // The allreduced gradient norm is identical on every rank; report
+        // rank 0's copy.
+        if let Some(recs) = records.first() {
+            reg.gauge_set("adaqp_epoch_grad_norm", &labels, recs[em.epoch].grad_norm);
+        }
+    }
+    reg.gauge_set("adaqp_best_val_score", &[], result.best_val);
+    reg.gauge_set("adaqp_test_at_best", &[], result.test_at_best);
+
+    if let Some(report) = report {
+        reg.gauge_set("_critpath_total_seconds", &[], report.total_seconds);
+        reg.gauge_set(
+            "_critpath_collective_wait_share",
+            &[],
+            report.collective_wait_share,
+        );
+        for (class, seconds) in &report.class_totals {
+            reg.gauge_set("_critpath_class_seconds", &[("class", class)], *seconds);
+        }
+        for dev in &report.devices {
+            let labels = [("rank", ranks[dev.rank].as_str())];
+            reg.gauge_set("_critpath_idle_fraction", &labels, dev.idle_fraction);
+            reg.gauge_set("_critpath_busy_seconds", &labels, dev.busy_seconds);
+        }
+    }
+
+    reg.gauge_set_diag("adaqp_pool_pooled_runs", &[], pool.pooled_runs as f64);
+    reg.gauge_set_diag("adaqp_pool_inline_runs", &[], pool.inline_runs as f64);
+    reg.gauge_set_diag("adaqp_pool_tasks_executed", &[], pool.tasks_executed as f64);
+    reg.gauge_set_diag("adaqp_pool_idle_workers", &[], pool.idle_workers as f64);
+    for (w, &tasks) in pool.worker_tasks.iter().enumerate() {
+        if tasks > 0 {
+            let worker = w.to_string();
+            let labels = [("worker", worker.as_str())];
+            reg.gauge_set_diag("adaqp_pool_worker_tasks", &labels, tasks as f64);
+        }
+    }
+    reg.observe_diag("adaqp_phase_seconds", &[("phase", "train")], train_seconds);
+    reg.into_snapshot()
 }
 
 /// The one method → schedule rule: how a device's phase sums compose into

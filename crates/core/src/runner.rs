@@ -5,7 +5,10 @@
 use crate::config::ExperimentConfig;
 use crate::decompose::build_partitions;
 use crate::error::{DeviceError, Error};
-use crate::metrics::{schedule_for, DeviceEpochRecord, EpochMetrics, MetricParts, RunResult};
+use crate::metrics::{
+    fold_run_metrics, schedule_for, DeviceEpochRecord, DeviceTallies, EpochMetrics, MetricParts,
+    RunResult,
+};
 use crate::telemetry::TelemetryLog;
 use crate::trainers::{DeviceOutput, DeviceTrainer};
 use comm::Cluster;
@@ -91,9 +94,6 @@ pub fn run_experiment_profiled(
     let multi = dataset.task == Task::MultiLabel;
     let global_train = parts[0].global.num_train;
 
-    let train_timer = cfg.training.metrics.then(|| {
-        obs::timer::ScopedTimer::start_with_labels("adaqp_phase_seconds", &[("phase", "train")])
-    });
     let parts_ref = &parts;
     let cost_ref = &cost;
     // A device that receives a malformed halo block or assigner message
@@ -128,13 +128,14 @@ pub fn run_experiment_profiled(
     // uncosted, exactly as in an unrecorded run.
     let record = cfg.training.telemetry || cfg.training.profile;
     let mut recorder = record.then(|| comm::FlightRecorder::new(n, Some(&cost)));
-    let run = Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device);
+    let (run, train_seconds) =
+        comm::timing::measure(|| Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device));
     if let Some((rank, error)) = failure.into_inner().ok().flatten() {
         return Err(error.on(rank));
     }
     let outputs: Vec<DeviceOutput> = run?.outputs.into_iter().flatten().collect();
     let flight = recorder.map(comm::FlightRecorder::finish);
-    let (records, registries): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
+    let (records, tallies): (Vec<_>, Vec<Option<DeviceTallies>>) = outputs.into_iter().unzip();
 
     let mut result = combine(cfg, multi, global_train, &records);
     if cfg.training.telemetry {
@@ -146,20 +147,18 @@ pub fn run_experiment_profiled(
         RunProfile { report, flight }
     });
     if cfg.training.metrics {
-        // Merge the per-device registries in rank order (deterministic:
-        // counters add, gauges overwrite in that fixed order).
-        let mut reg = obs::Registry::new();
-        for dev_reg in registries.into_iter().flatten() {
-            reg.merge(&dev_reg);
-        }
-        record_run_metrics(&mut reg, &result, &records);
-        if let Some(p) = &profile {
-            record_profile_metrics(&mut reg, &p.report);
-        }
-        if let Some(t) = train_timer {
-            t.stop(&mut reg);
-        }
-        result.metrics = Some(reg.snapshot());
+        // Every device kept tallies, so flattening keeps them in rank order.
+        let tallies: Vec<DeviceTallies> = tallies.into_iter().flatten().collect();
+        let report = profile.as_ref().map(|p| &p.report);
+        let pool = tensor::par::pool_stats();
+        result.metrics = Some(fold_run_metrics(
+            &result,
+            &records,
+            &tallies,
+            report,
+            &pool,
+            train_seconds,
+        ));
     }
     if san_active {
         let rep = tensor::san::report();
@@ -175,74 +174,6 @@ pub fn run_experiment_profiled(
         }
     }
     Ok((result, profile))
-}
-
-/// Registers the critical-path summary as regress-exempt gauges: the
-/// leading underscore keeps them out of `adaqp-regress` comparisons (host
-/// timing shifts must never fail a numeric gate) while still landing in
-/// the snapshot for dashboards.
-fn record_profile_metrics(reg: &mut obs::Registry, report: &CritPathReport) {
-    reg.gauge_set("_critpath_total_seconds", &[], report.total_seconds);
-    reg.gauge_set(
-        "_critpath_collective_wait_share",
-        &[],
-        report.collective_wait_share,
-    );
-    for (class, seconds) in &report.class_totals {
-        reg.gauge_set("_critpath_class_seconds", &[("class", class)], *seconds);
-    }
-    for dev in &report.devices {
-        let rank = dev.rank.to_string();
-        let labels = [("rank", rank.as_str())];
-        reg.gauge_set("_critpath_idle_fraction", &labels, dev.idle_fraction);
-        reg.gauge_set("_critpath_busy_seconds", &labels, dev.busy_seconds);
-    }
-}
-
-/// Records the cluster-level series into the merged registry: per-epoch
-/// training gauges from the combined result and the kernel runtime's
-/// scheduling counters (diagnostic-only — which worker served a chunk is a
-/// race by design, so those never enter the default snapshot).
-fn record_run_metrics(
-    reg: &mut obs::Registry,
-    result: &RunResult,
-    records: &[Vec<DeviceEpochRecord>],
-) {
-    for em in &result.per_epoch {
-        let epoch = em.epoch.to_string();
-        let labels = [("epoch", epoch.as_str())];
-        reg.gauge_set("adaqp_epoch_loss", &labels, em.loss);
-        reg.gauge_set("adaqp_epoch_val_score", &labels, em.val_score);
-        reg.gauge_set("adaqp_epoch_test_score", &labels, em.test_score);
-        // The allreduced gradient norm is identical on every rank; report
-        // rank 0's copy.
-        if let Some(recs) = records.first() {
-            reg.gauge_set("adaqp_epoch_grad_norm", &labels, recs[em.epoch].grad_norm);
-        }
-    }
-    reg.gauge_set("adaqp_best_val_score", &[], result.best_val);
-    reg.gauge_set("adaqp_test_at_best", &[], result.test_at_best);
-
-    let pool = tensor::par::pool_stats();
-    // Scheduling counters stay far below 2^53, so the f64 gauge is exact.
-    reg.gauge_set_diag("adaqp_pool_pooled_runs", &[], pool.pooled_runs as f64);
-    // Scheduling counters stay far below 2^53, so the f64 gauge is exact.
-    reg.gauge_set_diag("adaqp_pool_inline_runs", &[], pool.inline_runs as f64);
-    // Scheduling counters stay far below 2^53, so the f64 gauge is exact.
-    reg.gauge_set_diag("adaqp_pool_tasks_executed", &[], pool.tasks_executed as f64);
-    // Scheduling counters stay far below 2^53, so the f64 gauge is exact.
-    reg.gauge_set_diag("adaqp_pool_idle_workers", &[], pool.idle_workers as f64);
-    for (w, &tasks) in pool.worker_tasks.iter().enumerate() {
-        if tasks > 0 {
-            let worker = w.to_string();
-            reg.gauge_set_diag(
-                "adaqp_pool_worker_tasks",
-                &[("worker", worker.as_str())],
-                // Scheduling counters stay far below 2^53, so the f64 gauge is exact.
-                tasks as f64,
-            );
-        }
-    }
 }
 
 /// Combines per-device epoch records into cluster-level metrics.

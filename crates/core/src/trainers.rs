@@ -11,10 +11,8 @@ use crate::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use crate::config::{Method, TrainingConfig};
 use crate::decompose::{DevicePartition, LocalLabels};
 use crate::error::DeviceError;
-use crate::exchange::{
-    halo_exchange, halo_exchange_with, Direction, ExchangeError, ExchangeStats, Wire,
-};
-use crate::metrics::{DeviceEpochRecord, MetricParts};
+use crate::exchange::{halo_exchange, halo_exchange_with, Direction, ExchangeError, Wire};
+use crate::metrics::{DeviceEpochRecord, DeviceTallies, MetricParts};
 use comm::{CostModel, DeviceHandle, TimeBreakdown};
 use gnn::{Adam, Gnn};
 use obs::time::{EventDetail, EventKind, Span};
@@ -71,11 +69,17 @@ pub struct DeviceTrainer<'a> {
     /// evaluation exchanges them at full precision, so every later epoch
     /// would recompute these exact bits.
     eval_z0: Option<Matrix>,
+    /// What this device counts towards the run's metric snapshot (`None`
+    /// unless `cfg.metrics`).
+    tallies: Option<DeviceTallies>,
+    /// Aggregation entries of the central and of the marginal rows: the op
+    /// counts behind the two aggregate charges, per feature column.
+    agg_entries: (usize, usize),
 }
 
-/// What one device returns from a run: per-epoch records and the device's
-/// metric registry (`None` unless `cfg.metrics`).
-pub type DeviceOutput = (Vec<DeviceEpochRecord>, Option<obs::Registry>);
+/// What one device returns from a run: per-epoch records and its tallies
+/// (`None` unless `cfg.metrics`).
+pub type DeviceOutput = (Vec<DeviceEpochRecord>, Option<DeviceTallies>);
 
 /// SANCUS broadcasts again when local embeddings drift more than this
 /// relative Frobenius distance from the last broadcast snapshot.
@@ -113,7 +117,7 @@ impl<'a> DeviceTrainer<'a> {
         seed: u64,
     ) -> Self {
         if cfg.metrics {
-            dev.enable_metrics();
+            dev.count_sends();
         }
         let dims = cfg.dims(part.features.cols(), part.global.num_classes);
         let mut init_rng = Rng::seed_from(seed);
@@ -187,6 +191,11 @@ impl<'a> DeviceTrainer<'a> {
             tb: TimeBreakdown::new(),
             bytes: 0,
             eval_z0: None,
+            tallies: cfg.metrics.then(DeviceTallies::default),
+            agg_entries: (
+                part.agg.entries_for(&part.central),
+                part.agg.entries_for(&part.marginal),
+            ),
         }
     }
 
@@ -249,7 +258,10 @@ impl<'a> DeviceTrainer<'a> {
         let records = (0..self.cfg.epochs)
             .map(|e| self.run_epoch(e))
             .collect::<Result<_, _>>()?;
-        Ok((records, self.dev.take_metrics()))
+        if let Some(tallies) = &mut self.tallies {
+            tallies.sent = self.dev.take_sent();
+        }
+        Ok((records, self.tallies))
     }
 
     /// Whether this epoch's messages are traced and followed by a
@@ -364,20 +376,10 @@ impl<'a> DeviceTrainer<'a> {
             )?;
             self.charge(EventKind::AssignerSolve, solve.secs, EventDetail::default());
             // SolveStats are identical on every rank (the master broadcasts
-            // them); record on the master only so merging per-rank
-            // registries does not multiply the counts.
-            if self.part.rank == 0 {
-                if let Some(reg) = self.dev.metrics_mut() {
-                    // Iteration counts stay far below 2^53, so the f64 counter is exact.
-                    reg.counter_add(
-                        "adaqp_solver_iterations_total",
-                        &[],
-                        solve.iterations as f64,
-                    );
-                    // Problem counts stay far below 2^53, so the f64 counter is exact.
-                    reg.counter_add("adaqp_solver_problems_total", &[], solve.problems as f64);
-                    reg.gauge_set("adaqp_solver_objective_sum", &[], solve.objective_sum);
-                }
+            // them); the master alone counts them, so the fold over ranks
+            // does not multiply the counts.
+            if let Some(tallies) = self.tallies.as_mut().filter(|_| self.part.rank == 0) {
+                tallies.count_solve(&solve);
             }
         }
 
@@ -474,7 +476,11 @@ impl<'a> DeviceTrainer<'a> {
                 ..EventDetail::default()
             },
         );
-        self.record_ring_metrics(&stats, bits);
+        if let Some(tallies) = &mut self.tallies {
+            // Pure functions of the exchanged data, so the snapshot is
+            // byte-identical at any worker-thread count.
+            tallies.count_exchange(bits, &stats.sent_bytes, &stats.encode_stats);
+        }
         Ok(dst)
     }
 
@@ -585,77 +591,36 @@ impl<'a> DeviceTrainer<'a> {
         Ok(())
     }
 
-    /// Records the deterministic observability counters for one halo
-    /// exchange: per-pair message volume tagged with the chosen bit-width
-    /// ("mixed" when groups disagree, "32" for fp32 paths) and per-width
-    /// quantization range/error statistics. Everything recorded here is a
-    /// pure function of the exchanged data, so the merged registry is
-    /// byte-identical at any worker-thread count.
-    fn record_ring_metrics(&mut self, stats: &ExchangeStats, width_bits: Option<u8>) {
-        self.dev.count_halo_sent(width_bits, &stats.sent_bytes);
-        let encode = stats.encode_stats;
-        let Some(reg) = self.dev.metrics_mut() else {
-            return;
-        };
-        for w in BitWidth::ALL {
-            let ws = encode.for_width(w);
-            if ws.rows == 0 {
-                continue;
-            }
-            let bits = (w.bits()).to_string();
-            let labels = [("width", bits.as_str())];
-            // Row counts stay far below 2^53, so the f64 counter is exact.
-            reg.counter_add("adaqp_quant_rows_total", &labels, ws.rows as f64);
-            // Element counts stay far below 2^53, so the f64 counter is exact.
-            reg.counter_add("adaqp_quant_elements_total", &labels, ws.elements as f64);
-            reg.counter_add("adaqp_quant_range_sum", &labels, ws.sum_range);
-            reg.counter_add("adaqp_quant_sq_error_sum", &labels, ws.sum_sq_err);
-        }
-    }
-
-    /// Aggregates central rows and marginal rows separately, charging each
-    /// to its own bucket (analytically: 2 ops per aggregation entry per
-    /// feature column), and reassembles the local target matrix.
+    /// Aggregates `xe` into the local target rows, charging central and
+    /// marginal rows each to its own bucket (analytically: 2 ops per
+    /// aggregation entry per feature column). The measured host wall-clock
+    /// of the one parallel aggregation kernel rides along on the marginal
+    /// span as a diagnostic, so fig10/table5 breakdowns can report real
+    /// kernel time per thread count.
     fn aggregate_split(&mut self, xe: &Matrix) -> Matrix {
         let dim = xe.cols() as f64;
-        // The simulated charge stays analytic (ops through the cost model);
-        // the measured host wall-clock of the parallel aggregation kernel
-        // rides along on the span as a diagnostic so fig10/table5 breakdowns
-        // can report real kernel time per thread count.
-        let threads = Some(tensor::par::current_threads() as u32);
-        let (zc, host_c) =
-            comm::timing::measure(|| self.part.agg.aggregate_rows(xe, &self.part.central));
-        let ops_c = self.part.agg.entries_for(&self.part.central) as f64 * dim * 2.0;
-        let central_secs = self.cost.ops_time_for(self.part.rank, ops_c);
+        let (z, host_seconds) = comm::timing::measure(|| self.part.agg.aggregate(xe));
+        let (central, marginal) = self.agg_entries;
+        let central_secs = self
+            .cost
+            .ops_time_for(self.part.rank, central as f64 * dim * 2.0);
         self.charge(
             EventKind::CentralCompute,
             central_secs,
-            EventDetail {
-                host_seconds: host_c,
-                threads,
-                ..EventDetail::default()
-            },
+            EventDetail::default(),
         );
-        let (zm, host_m) =
-            comm::timing::measure(|| self.part.agg.aggregate_rows(xe, &self.part.marginal));
-        let ops_m = self.part.agg.entries_for(&self.part.marginal) as f64 * dim * 2.0;
-        let marginal_secs = self.cost.ops_time_for(self.part.rank, ops_m);
+        let marginal_secs = self
+            .cost
+            .ops_time_for(self.part.rank, marginal as f64 * dim * 2.0);
         self.charge(
             EventKind::MarginalCompute,
             marginal_secs,
             EventDetail {
-                host_seconds: host_m,
-                threads,
+                host_seconds,
+                threads: Some(tensor::par::current_threads() as u32),
                 ..EventDetail::default()
             },
         );
-        let mut z = Matrix::zeros(self.part.num_local(), xe.cols());
-        for (k, &li) in self.part.central.iter().enumerate() {
-            z.row_mut(li as usize).copy_from_slice(zc.row(k));
-        }
-        for (k, &li) in self.part.marginal.iter().enumerate() {
-            z.row_mut(li as usize).copy_from_slice(zm.row(k));
-        }
         z
     }
 

@@ -5,18 +5,18 @@
 //! Metrics whose values depend on scheduling or host wall-clock (per-worker
 //! chunk counts, [`timer::ScopedTimer`] host-time histograms, measured solve
 //! seconds) are recorded with a `diagnostic` flag and excluded from the
-//! default snapshot/exports; they remain available programmatically and via
-//! the `_all` snapshot variant.
+//! default snapshot/exports; they stay readable on the [`Registry`] itself
+//! ([`Registry::get`], [`Registry::iter`]).
 //!
 //! Three metric kinds are supported:
 //!
-//! * [`Counter`](MetricKind::Counter) — monotone sum; merges by addition.
-//! * [`Gauge`](MetricKind::Gauge) — last-written value; merges by overwrite
-//!   in merge order (device registries merge in rank order, so the result is
-//!   deterministic).
+//! * [`Counter`](MetricKind::Counter) — monotone sum.
+//! * [`Gauge`](MetricKind::Gauge) — last-written value.
 //! * [`Histogram`](MetricKind::Histogram) — fixed log2 bucket boundaries
-//!   ([`bucket_bounds`]), so two histograms always share bucket edges and
-//!   bucket counts merge elementwise.
+//!   ([`bucket_bounds`]), so two histograms always share bucket edges.
+//!
+//! A run has one registry, written by one fold over what its devices
+//! counted (`adaqp::metrics::fold_run_metrics`); there is nothing to merge.
 //!
 //! Exporters: Prometheus text format ([`MetricsSnapshot::to_prometheus`])
 //! and JSON (the snapshot serializes with `serde_json`). Both use Rust's

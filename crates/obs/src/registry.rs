@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets, including the final `+Inf` overflow bucket.
-/// Fixed for every histogram so bucket counts always merge elementwise.
+/// Fixed for every histogram, so any two share their bucket edges.
 pub const HISTOGRAM_BUCKETS: usize = 44;
 
 /// Exponent of the first bucket's upper bound: bucket 0 covers
@@ -44,14 +44,14 @@ pub fn bucket_index(v: f64) -> usize {
     HISTOGRAM_BUCKETS - 1
 }
 
-/// What a metric measures and how it merges.
+/// What a metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MetricKind {
-    /// Monotone sum; merges by addition.
+    /// Monotone sum.
     Counter,
-    /// Last-written value; merges by overwrite in merge order.
+    /// Last-written value.
     Gauge,
-    /// Fixed-boundary log2 histogram; merges bucketwise.
+    /// Fixed-boundary log2 histogram.
     Histogram,
 }
 
@@ -74,7 +74,7 @@ pub struct Metric {
     /// Label pairs in insertion order (callers pass them pre-sorted where
     /// identity stability matters; the registry key is built from them).
     pub labels: Vec<(String, String)>,
-    /// Kind; determines merge semantics and the export shape.
+    /// Kind; determines the export shape.
     pub kind: MetricKind,
     /// Counter total, gauge value, or histogram sum of observations.
     pub value: f64,
@@ -126,7 +126,7 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 /// A deterministic metric registry: a map from sample identity to metric,
-/// ordered by identity so iteration, merging and export order never depend
+/// ordered by identity so iteration and export order never depend
 /// on insertion order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
@@ -222,49 +222,12 @@ impl Registry {
         self.metrics.values()
     }
 
-    /// Merges `other` into `self`: counters add, gauges take `other`'s
-    /// value, histograms merge bucketwise. Call in rank order when folding
-    /// per-device registries so gauge overwrites are deterministic.
-    pub fn merge(&mut self, other: &Registry) {
-        for (key, m) in &other.metrics {
-            match self.metrics.get_mut(key) {
-                None => {
-                    self.metrics.insert(key.clone(), m.clone());
-                }
-                Some(mine) => match m.kind {
-                    MetricKind::Counter => mine.value += m.value,
-                    MetricKind::Gauge => mine.value = m.value,
-                    MetricKind::Histogram => {
-                        mine.value += m.value;
-                        mine.count += m.count;
-                        for (a, b) in mine.buckets.iter_mut().zip(&m.buckets) {
-                            *a += b;
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// Deterministic snapshot: every non-diagnostic metric, identity order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.snapshot_filtered(false)
-    }
-
-    /// Full snapshot including diagnostic (scheduling/host-time-dependent)
-    /// metrics; not byte-stable across thread counts or machines.
-    pub fn snapshot_all(&self) -> MetricsSnapshot {
-        self.snapshot_filtered(true)
-    }
-
-    fn snapshot_filtered(&self, include_diagnostic: bool) -> MetricsSnapshot {
+    /// The deterministic snapshot — every non-diagnostic metric, in identity
+    /// order — built by moving the registry's map, not copying it.
+    pub fn into_snapshot(mut self) -> MetricsSnapshot {
+        self.metrics.retain(|_, m| !m.diagnostic);
         MetricsSnapshot {
-            metrics: self
-                .metrics
-                .iter()
-                .filter(|(_, m)| include_diagnostic || !m.diagnostic)
-                .map(|(k, m)| (k.clone(), m.clone()))
-                .collect(),
+            metrics: self.metrics,
         }
     }
 }
@@ -396,38 +359,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_semantics_per_kind() {
-        let mut a = Registry::new();
-        a.counter_add("c", &[], 1.0);
-        a.gauge_set("g", &[], 1.0);
-        a.observe("h", &[], 0.5);
-        let mut b = Registry::new();
-        b.counter_add("c", &[], 2.0);
-        b.gauge_set("g", &[], 9.0);
-        b.observe("h", &[], 0.5);
-        b.counter_add("only_b", &[], 4.0);
-        a.merge(&b);
-        assert_eq!(a.get("c", &[]).unwrap().value, 3.0);
-        assert_eq!(a.get("g", &[]).unwrap().value, 9.0);
-        let h = a.get("h", &[]).unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.buckets[bucket_index(0.5)], 2);
-        assert_eq!(a.get("only_b", &[]).unwrap().value, 4.0);
-    }
-
-    #[test]
     fn snapshot_excludes_diagnostic_by_default() {
         let mut r = Registry::new();
         r.counter_add("det", &[], 1.0);
         r.gauge_set_diag("host", &[], 0.123);
         r.observe_diag("host_hist", &[], 0.5);
-        let snap = r.snapshot();
+        assert!(r.get("host", &[]).is_some());
+        assert!(r.get("host_hist", &[]).is_some());
+        let snap = r.into_snapshot();
         assert!(snap.get("det", &[]).is_some());
         assert!(snap.get("host", &[]).is_none());
         assert!(snap.get("host_hist", &[]).is_none());
-        let all = r.snapshot_all();
-        assert!(all.get("host", &[]).is_some());
-        assert!(all.get("host_hist", &[]).is_some());
     }
 
     #[test]
@@ -440,8 +382,8 @@ mod tests {
         b.counter_add("a_metric", &[("peer", "1")], 1.0);
         b.counter_add("z_metric", &[], 1.0);
         b.counter_add("a_metric", &[("peer", "3")], 1.0);
-        assert_eq!(a.snapshot(), b.snapshot());
-        let snap = a.snapshot();
+        let snap = a.into_snapshot();
+        assert_eq!(snap, b.into_snapshot());
         let keys: Vec<&String> = snap.metrics.keys().collect();
         assert_eq!(
             keys,
@@ -455,7 +397,7 @@ mod tests {
         r.counter_add("bytes_total", &[("src", "0"), ("dst", "1")], 42.0);
         r.gauge_set("loss", &[("epoch", "0")], 0.25);
         r.observe("lat_seconds", &[], 0.5);
-        let text = r.snapshot().to_prometheus();
+        let text = r.into_snapshot().to_prometheus();
         assert!(text.contains("# TYPE bytes_total counter\n"));
         assert!(text.contains("bytes_total{src=\"0\",dst=\"1\"} 42\n"));
         assert!(text.contains("# TYPE loss gauge\n"));
@@ -479,7 +421,7 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("c", &[("k", "v")], 3.5);
         r.observe("h", &[], 1.0);
-        let snap = r.snapshot();
+        let snap = r.into_snapshot();
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, snap);

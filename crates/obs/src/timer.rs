@@ -84,7 +84,7 @@ mod tests {
         assert!((m.value - secs).abs() < 1e-12);
         // And therefore absent from the deterministic snapshot.
         assert!(reg
-            .snapshot()
+            .into_snapshot()
             .get("phase_seconds", &[("phase", "setup")])
             .is_none());
     }

@@ -17,7 +17,7 @@ fn main() {
     let k = 4;
     let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
-    let cost = comm::CostModel::ethernet_cluster(comm::ClusterTopology::new(2, 2));
+    let cost = comm::Topology::new(2, 2).cost_model();
 
     // One pair spec per directed device pair, messages grouped by 32.
     let dim = 64usize;

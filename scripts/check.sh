@@ -42,10 +42,17 @@ cargo test --offline -q
 echo "==> sanitized codec and dense-kernel tests (ADAQP_SAN=1: reference-pinning proptests under adversarial schedules)"
 ADAQP_SAN=1 cargo test --offline -q -p quant -p tensor
 
-echo "==> scalability smoke (64 devices on the event core, racks + oversub)"
+echo "==> scalability smoke (64 devices on the event core, racks + oversub; the one-registry fold and both metric writers at that device count)"
+SCALE_TMP="$(mktemp -d)"
 cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method adaqp --machines 16 --devices 4 \
-    --epochs 2 --hidden 8 --seed 11 --rack-size 2 --oversub 4 >/dev/null
+    --epochs 2 --hidden 8 --seed 11 --rack-size 2 --oversub 4 \
+    --metrics "$SCALE_TMP/metrics" >/dev/null
+[[ -s "$SCALE_TMP/metrics.json" && -s "$SCALE_TMP/metrics.prom" ]] || {
+    echo "check: the 64-device run wrote no metric snapshot" >&2
+    exit 1
+}
+rm -rf "$SCALE_TMP"
 
 echo "==> deadlock gallery (static flags must match runtime diagnosis)"
 cargo run --offline -q --release --example deadlock_gallery >/dev/null
@@ -73,5 +80,8 @@ scripts/bench.sh --smoke
 
 echo "==> regression gate (scripts/regress.sh --smoke)"
 scripts/regress.sh --smoke
+
+echo "==> size (scripts/loc.sh; informational)"
+scripts/loc.sh
 
 echo "All checks passed."

@@ -250,11 +250,8 @@ impl<V: Deserialize> Deserialize for HashMap<String, V> {
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+        let entries = self.iter().map(|(k, v)| (k.clone(), v.to_value()));
+        Value::Object(Map::from_distinct(entries.collect()))
     }
 }
 

@@ -92,6 +92,13 @@ impl Map {
         Self::default()
     }
 
+    /// A map of `entries` whose keys the caller knows to be distinct (the
+    /// keys of a `BTreeMap`, say), skipping [`Map::insert`]'s scan of every
+    /// earlier key — which makes building an `n`-key map quadratic.
+    pub fn from_distinct(entries: Vec<(String, Value)>) -> Self {
+        Self { entries }
+    }
+
     /// Inserts a key, replacing any existing entry with the same key.
     pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
         for (k, v) in &mut self.entries {

@@ -152,4 +152,21 @@ mod tests {
         let v: Value = from_str(r#""éA 😀""#).unwrap();
         assert_eq!(v.as_str(), Some("éA 😀"));
     }
+    #[test]
+    fn a_large_btreemap_serialises_without_rescanning_and_parsed_duplicates_stay_last_wins() {
+        // Length and FNV-1a digest of the text recorded when every key still
+        // went through `Map::insert`'s scan of the earlier ones (3.4 s in a
+        // release build; a 137 308-series metric snapshot took 28 s).
+        let map: std::collections::BTreeMap<String, f64> = (0..50_000u32)
+            .map(|i| (format!("series{{src=\"{i}\"}}"), f64::from(i) * 0.5))
+            .collect();
+        let text = to_string(&map).unwrap();
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((text.len(), digest), (1_566_671, 0x9a19_c1c5_021c_5265));
+        // The parser's input is untrusted, so it keeps the scan.
+        let v: Value = from_str(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap();
+        assert_eq!(to_string(&v).unwrap(), r#"{"a":3,"b":2}"#);
+    }
 }

@@ -300,7 +300,7 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     let (parts_ref, cfg_ref, cost_ref) = (&parts, &cfg, &cost);
     let layers = 2;
     let master = Cluster::run_fn(64, move |mut dev| {
-        dev.enable_metrics();
+        dev.count_sends();
         let part = &parts_ref[dev.rank()];
         let trace = Trace::new(part, &[16, 24]);
         let mut rng = Rng::seed_from(900);
@@ -317,7 +317,7 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
             &mut assign,
         )
         .expect("well-formed round");
-        dev.take_metrics().expect("metrics enabled")
+        dev.take_sent()
     })
     .swap_remove(0);
     let block = |sets: &[Vec<u32>]| -> usize {
@@ -330,15 +330,10 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     let mut peers = Vec::new();
     for (rank, part) in parts.iter().enumerate().skip(1) {
         let reply = 4 + layers * 2 * (block(&part.send_sets) + block(&part.recv_slots));
-        let sent = master
-            .get(
-                "adaqp_comm_sent_bytes_total",
-                &[("src", "0"), ("dst", &rank.to_string())],
-            )
-            .expect("master sent to every rank")
-            .value;
+        let (sent, messages) = master[rank];
+        assert!(messages > 0, "master sent to every rank");
         // The scattered reply plus the 32-byte solve-stats broadcast.
-        assert_eq!(sent, (reply + 32) as f64, "rank {rank}");
+        assert_eq!(sent, (reply + 32) as u64, "rank {rank}");
         peers.push(part.send_sets.iter().filter(|s| !s.is_empty()).count());
     }
     // Ranks differ in how many of the 63 possible peers they list, so no
