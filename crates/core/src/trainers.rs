@@ -18,10 +18,7 @@ use gnn::{Adam, Gnn};
 use obs::time::{EventDetail, EventKind, Span};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
-use tensor::{
-    sigmoid_bce_backward_weighted, sigmoid_bce_loss_weighted, softmax_cross_entropy_backward,
-    softmax_cross_entropy_loss, Matrix, Rng,
-};
+use tensor::{sigmoid_bce_weighted, softmax_cross_entropy, Matrix, Rng};
 
 /// The per-device training driver.
 pub struct DeviceTrainer<'a> {
@@ -408,11 +405,14 @@ impl<'a> DeviceTrainer<'a> {
         if trace_now {
             self.trace.record_fwd(self.part, l, x);
         }
-        let halo = self.forward_halo(l, x, epoch)?;
-        let xe = Matrix::vstack(&[x, &halo]);
-        let z = self.aggregate_split(&xe);
+        let fresh = self.forward_halo(l, x, epoch)?;
+        // SANCUS aggregates straight from its stale cache.
+        let halo = fresh.as_ref().unwrap_or(&self.halo_cache[l]);
+        let agg = &self.part.agg;
+        let (z, host_seconds) = comm::timing::measure(|| agg.aggregate_with_halo(x, halo));
+        self.charge_aggregate(x.cols(), host_seconds);
         let x_self = self.model.kind().uses_self_path().then_some(x);
-        let out = self.model.layers_mut()[l].forward_dense(&z, x_self, true, &mut self.rng);
+        let out = self.model.layers_mut()[l].forward_dense(z, x_self, &mut self.rng);
         let ops = self.dense_ops(self.part.num_local(), l, 1.0);
         self.charge_split_ops(ops);
         Ok(out)
@@ -484,16 +484,18 @@ impl<'a> DeviceTrainer<'a> {
         Ok(dst)
     }
 
-    /// Produces the halo matrix for layer `l`'s aggregation, charging
+    /// Produces the halo matrix for layer `l`'s aggregation — `None` when
+    /// it is `halo_cache[l]` itself (SANCUS) — charging
     /// communication/quantization time according to the method.
     fn forward_halo(
         &mut self,
         l: usize,
         h: &Matrix,
         epoch: usize,
-    ) -> Result<Matrix, ExchangeError> {
+    ) -> Result<Option<Matrix>, ExchangeError> {
         if self.method == Method::Sancus {
-            return self.sancus_halo(l, h, epoch);
+            self.sancus_refresh(l, h, epoch)?;
+            return Ok(None);
         }
         let quantized = self.quantized(epoch);
         let zeros = || Matrix::zeros(self.part.num_halo(), h.cols());
@@ -507,7 +509,7 @@ impl<'a> DeviceTrainer<'a> {
                 std::mem::swap(&mut self.halo_cache[l], &mut halo);
             }
         }
-        Ok(halo)
+        Ok(Some(halo))
     }
 
     /// SANCUS's staleness-aware skip-broadcast (Peng et al. 2022): each
@@ -518,15 +520,15 @@ impl<'a> DeviceTrainer<'a> {
     /// epochs). Functionally only the halo rows matter, so only those move;
     /// the byte/time accounting uses the full-partition broadcast volume
     /// over the serialized sequential schedule the paper critiques.
-    fn sancus_halo(&mut self, l: usize, h: &Matrix, epoch: usize) -> Result<Matrix, ExchangeError> {
+    fn sancus_refresh(&mut self, l: usize, h: &Matrix, epoch: usize) -> Result<(), ExchangeError> {
         let part = self.part;
         // Sender-side refresh decision.
         let drifted = match &self.sancus_snapshot[l] {
             None => true,
             Some(snap) => {
-                let mut diff = h.clone();
-                diff.sub_assign(snap);
-                diff.frobenius_norm() > SANCUS_DRIFT_THRESHOLD * (snap.frobenius_norm() + 1e-12)
+                let moved = h.as_slice().iter().zip(snap.as_slice());
+                let drift = moved.map(|(a, b)| (a - b) * (a - b)).sum::<f32>().sqrt();
+                drift > SANCUS_DRIFT_THRESHOLD * (snap.frobenius_norm() + 1e-12)
             }
         };
         let stale_for = epoch.saturating_sub(self.sancus_last[l]);
@@ -556,7 +558,7 @@ impl<'a> DeviceTrainer<'a> {
         }
         let comm_secs = stats.sequential_seconds(self.cost, part.rank);
         self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, Some(32));
-        Ok(self.halo_cache[l].clone())
+        Ok(())
     }
 
     /// Backward halo-gradient exchange per method.
@@ -591,15 +593,14 @@ impl<'a> DeviceTrainer<'a> {
         Ok(())
     }
 
-    /// Aggregates `xe` into the local target rows, charging central and
-    /// marginal rows each to its own bucket (analytically: 2 ops per
-    /// aggregation entry per feature column). The measured host wall-clock
-    /// of the one parallel aggregation kernel rides along on the marginal
-    /// span as a diagnostic, so fig10/table5 breakdowns can report real
-    /// kernel time per thread count.
-    fn aggregate_split(&mut self, xe: &Matrix) -> Matrix {
-        let dim = xe.cols() as f64;
-        let (z, host_seconds) = comm::timing::measure(|| self.part.agg.aggregate(xe));
+    /// Charges one aggregation of `cols`-wide rows into the local targets,
+    /// central and marginal rows each to its own bucket (analytically: 2 ops
+    /// per aggregation entry per feature column). The measured host
+    /// wall-clock of the one parallel aggregation kernel rides along on the
+    /// marginal span as a diagnostic, so fig10/table5 breakdowns can report
+    /// real kernel time per thread count.
+    fn charge_aggregate(&mut self, cols: usize, host_seconds: f64) {
+        let dim = cols as f64;
         let (central, marginal) = self.agg_entries;
         let central_secs = self
             .cost
@@ -621,7 +622,6 @@ impl<'a> DeviceTrainer<'a> {
                 ..EventDetail::default()
             },
         );
-        z
     }
 
     /// Splits an analytic dense-kernel cost between the central and marginal
@@ -676,21 +676,14 @@ impl<'a> DeviceTrainer<'a> {
         let local_cnt = mask.iter().filter(|&&b| b).count();
         let global_cnt = self.part.global.num_train.max(1);
         let scale = local_cnt as f32 / global_cnt as f32;
-        match &self.part.labels {
-            LocalLabels::Single(labels) => {
-                let loss = softmax_cross_entropy_loss(logits, labels, mask);
-                let mut grad = softmax_cross_entropy_backward(logits, labels, mask);
-                grad.scale(scale);
-                (loss as f64 * local_cnt as f64, grad)
-            }
+        let (loss, mut grad) = match &self.part.labels {
+            LocalLabels::Single(labels) => softmax_cross_entropy(logits, labels, mask),
             LocalLabels::Multi(targets) => {
-                let w = self.part.global.pos_weight;
-                let loss = sigmoid_bce_loss_weighted(logits, targets, mask, w);
-                let mut grad = sigmoid_bce_backward_weighted(logits, targets, mask, w);
-                grad.scale(scale);
-                (loss as f64 * local_cnt as f64, grad)
+                sigmoid_bce_weighted(logits, targets, mask, self.part.global.pos_weight)
             }
-        }
+        };
+        grad.scale(scale);
+        (loss as f64 * local_cnt as f64, grad)
     }
 
     /// Evaluation forward pass (full precision, eval mode); returns local
@@ -718,13 +711,13 @@ impl<'a> DeviceTrainer<'a> {
         let zeros = || Matrix::zeros(self.part.num_halo(), dim);
         let (dir, wire) = (Direction::Forward, Wire::Fp32);
         let (halo, _) = halo_exchange_with(dev, self.part, dir, Some(x), dim, zeros, wire, rng)?;
-        Ok(self.part.agg.aggregate(&Matrix::vstack(&[x, &halo])))
+        Ok(self.part.agg.aggregate_with_halo(x, &halo))
     }
 
     /// Evaluation's dense transform of layer `l` on aggregated input `z`.
-    fn eval_dense(&mut self, l: usize, z: &Matrix, x: &Matrix) -> Matrix {
+    fn eval_dense(&self, l: usize, z: &Matrix, x: &Matrix) -> Matrix {
         let x_self = self.model.kind().uses_self_path().then_some(x);
-        self.model.layers_mut()[l].forward_dense(z, x_self, false, &mut self.rng)
+        self.model.layers()[l].infer_dense(z, x_self)
     }
 
     fn local_metrics(&self, logits: &Matrix) -> MetricParts {

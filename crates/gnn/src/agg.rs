@@ -8,6 +8,25 @@ use tensor::Matrix;
 /// stay reasonably coarse and the queue balances out degree skew.
 const AGG_MIN_CHUNK: usize = 128;
 
+/// Adds one target row's weighted `entries` into `orow`, in stored order
+/// (the summation order every digest hangs off); `x_row` maps an extended
+/// index to its feature row.
+///
+/// Not inlined, for a measured reason: `orow` arriving as a parameter is what
+/// tells the compiler that no source row overlaps it. Inlined, the inner loop
+/// is vectorised behind a run-time overlap check per entry, and with source
+/// rows in two allocations that check's outcome follows the cut — a
+/// mispredicted branch every other entry, which cost more than the stacking
+/// copy the two-source form replaces.
+#[inline(never)]
+fn accumulate<'x>(orow: &mut [f32], entries: &[(u32, f32)], x_row: impl Fn(usize) -> &'x [f32]) {
+    for &(u, c) in entries {
+        for (o, &xv) in orow.iter_mut().zip(x_row(u as usize)) {
+            *o += c * xv;
+        }
+    }
+}
+
 /// A weighted aggregation operator `Z = A X`, where `A` is
 /// `num_target x num_ext` sparse with explicit per-edge coefficients.
 ///
@@ -223,6 +242,33 @@ impl AggGraph {
             .sum()
     }
 
+    /// The one forward loop: output row `k` is target row `target(k)`'s
+    /// weighted entries, added in stored order (the summation order every
+    /// digest hangs off), with `x_row` mapping an extended index to its
+    /// feature row.
+    fn fold_rows<'x>(
+        &self,
+        (rows, cols): (usize, usize),
+        target: impl Fn(usize) -> usize + Sync,
+        x_row: impl Fn(usize) -> &'x [f32] + Sync,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(rows, cols);
+        tensor::par::par_chunks_deterministic(
+            out.as_mut_slice(),
+            rows,
+            AGG_MIN_CHUNK,
+            |s, e, chunk| {
+                for (local, k) in (s..e).enumerate() {
+                    let v = target(k);
+                    let orow = &mut chunk[local * cols..(local + 1) * cols];
+                    let entries = &self.entries[self.offsets[v]..self.offsets[v + 1]];
+                    accumulate(orow, entries, &x_row);
+                }
+            },
+        );
+        out
+    }
+
     /// Forward aggregation `Z = A X`.
     ///
     /// # Panics
@@ -234,25 +280,35 @@ impl AggGraph {
             self.num_ext,
             "input rows must cover extended space"
         );
-        let cols = x.cols();
-        let mut out = Matrix::zeros(self.num_target, cols);
-        tensor::par::par_chunks_deterministic(
-            out.as_mut_slice(),
-            self.num_target,
-            AGG_MIN_CHUNK,
-            |s, e, chunk| {
-                for (local, v) in (s..e).enumerate() {
-                    let orow = &mut chunk[local * cols..(local + 1) * cols];
-                    for &(u, c) in &self.entries[self.offsets[v]..self.offsets[v + 1]] {
-                        let xrow = x.row(u as usize);
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += c * xv;
-                        }
-                    }
-                }
-            },
+        self.fold_rows((self.num_target, x.cols()), |v| v, |u| x.row(u))
+    }
+
+    /// Forward aggregation `Z = A [local; halo]` without stacking the two:
+    /// extended index `u` reads `local.row(u)` when `u < local.rows()`, else
+    /// `halo.row(u - local.rows())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two blocks' widths differ or their rows do not add up
+    /// to `num_ext()`.
+    pub fn aggregate_with_halo(&self, local: &Matrix, halo: &Matrix) -> Matrix {
+        let (num_local, cols) = local.shape();
+        assert_eq!(halo.cols(), cols, "local and halo widths differ");
+        assert_eq!(
+            num_local + halo.rows(),
+            self.num_ext,
+            "input rows must cover extended space"
         );
-        out
+        // Which block a neighbor sits in is a coin flip on a cut-heavy
+        // partition, so it is selected rather than branched on.
+        let (local_rows, halo_rows) = (local.as_slice(), halo.as_slice());
+        let x_row = |u: usize| {
+            let in_halo = u >= num_local;
+            let block = std::hint::select_unpredictable(in_halo, halo_rows, local_rows);
+            let row = std::hint::select_unpredictable(in_halo, u.wrapping_sub(num_local), u);
+            &block[row * cols..(row + 1) * cols]
+        };
+        self.fold_rows((self.num_target, cols), |v| v, x_row)
     }
 
     /// Forward aggregation restricted to the target rows in `targets`;
@@ -269,27 +325,12 @@ impl AggGraph {
             self.num_ext,
             "input rows must cover extended space"
         );
-        let cols = x.cols();
-        let mut out = Matrix::zeros(targets.len(), cols);
-        tensor::par::par_chunks_deterministic(
-            out.as_mut_slice(),
-            targets.len(),
-            AGG_MIN_CHUNK,
-            |s, e, chunk| {
-                for (local, &t) in targets[s..e].iter().enumerate() {
-                    let v = t as usize;
-                    assert!(v < self.num_target, "target {v} out of range");
-                    let orow = &mut chunk[local * cols..(local + 1) * cols];
-                    for &(u, c) in &self.entries[self.offsets[v]..self.offsets[v + 1]] {
-                        let xrow = x.row(u as usize);
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += c * xv;
-                        }
-                    }
-                }
-            },
-        );
-        out
+        let target = |k: usize| {
+            let v = targets[k] as usize;
+            assert!(v < self.num_target, "target {v} out of range");
+            v
+        };
+        self.fold_rows((targets.len(), x.cols()), target, |u| x.row(u))
     }
 
     /// Backward pass `grad_X = A^T grad_Z` over the full extended space.
@@ -313,12 +354,8 @@ impl AggGraph {
             |s, e, chunk| {
                 for (local, u) in (s..e).enumerate() {
                     let orow = &mut chunk[local * cols..(local + 1) * cols];
-                    for &(v, c) in &self.t_entries[self.t_offsets[u]..self.t_offsets[u + 1]] {
-                        let grow = grad.row(v as usize);
-                        for (o, &gv) in orow.iter_mut().zip(grow) {
-                            *o += c * gv;
-                        }
-                    }
+                    let incoming = &self.t_entries[self.t_offsets[u]..self.t_offsets[u + 1]];
+                    accumulate(orow, incoming, |v| grad.row(v));
                 }
             },
         );

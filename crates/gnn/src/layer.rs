@@ -1,10 +1,7 @@
 //! One GNN layer: dense transform + LayerNorm + ReLU + dropout, with manual
 //! forward/backward and explicit caches.
 
-use tensor::{
-    dropout_backward, dropout_forward, layer_norm_backward, layer_norm_forward, relu_backward,
-    relu_forward, xavier_uniform, DropoutMask, LayerNormCache, Matrix, Rng,
-};
+use tensor::{tail_backward, tail_forward, tail_infer, xavier_uniform, Matrix, Rng, TailCache};
 
 /// Convolution family: decides how aggregation output enters the dense
 /// transform.
@@ -59,9 +56,7 @@ pub struct GnnLayer {
 
     cache_agg: Option<Matrix>,
     cache_self: Option<Matrix>,
-    cache_ln: Option<LayerNormCache>,
-    cache_relu_in: Option<Matrix>,
-    cache_dropout: Option<DropoutMask>,
+    cache_tail: Option<TailCache>,
 }
 
 impl GnnLayer {
@@ -104,9 +99,7 @@ impl GnnLayer {
             gln_beta: vec![0.0; out_dim],
             cache_agg: None,
             cache_self: None,
-            cache_ln: None,
-            cache_relu_in: None,
-            cache_dropout: None,
+            cache_tail: None,
         }
     }
 
@@ -130,21 +123,8 @@ impl GnnLayer {
         self.is_output
     }
 
-    /// Dense part of the forward pass.
-    ///
-    /// `agg` is the aggregated neighborhood (`num_nodes x in_dim`); for SAGE
-    /// `x_self` must be the nodes' own features; GCN ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, or if SAGE is missing `x_self`.
-    pub fn forward_dense(
-        &mut self,
-        agg: &Matrix,
-        x_self: Option<&Matrix>,
-        training: bool,
-        rng: &mut Rng,
-    ) -> Matrix {
+    /// The linear transform `agg * W_neigh (+ x_self * W_self) + bias`.
+    fn linear(&self, agg: &Matrix, x_self: Option<&Matrix>) -> Matrix {
         assert_eq!(agg.cols(), self.in_dim, "agg feature dim mismatch");
         let mut lin = agg.matmul(&self.w_neigh);
         if let Some(ws) = &self.w_self {
@@ -152,27 +132,45 @@ impl GnnLayer {
             let xs = x_self.expect("this layer kind requires x_self");
             assert_eq!(xs.shape(), agg.shape(), "x_self shape mismatch");
             lin.add_assign(&xs.matmul(ws));
-            self.cache_self = Some(xs.clone());
         }
         lin.add_row_vector(&self.bias);
-        self.cache_agg = Some(agg.clone());
+        lin
+    }
+
+    /// Dense part of the training forward pass; keeps what
+    /// [`Self::backward_params`] needs, `agg` itself included.
+    ///
+    /// `agg` is the aggregated neighborhood (`num_nodes x in_dim`); for SAGE
+    /// `x_self` must be the nodes' own features; GCN ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch, or if SAGE is missing `x_self`.
+    pub fn forward_dense(&mut self, agg: Matrix, x_self: Option<&Matrix>, rng: &mut Rng) -> Matrix {
+        let lin = self.linear(&agg, x_self);
+        self.cache_self = self.w_self.as_ref().and(x_self).cloned();
+        self.cache_agg = Some(agg);
         if self.is_output {
-            self.cache_ln = None;
-            self.cache_relu_in = None;
-            self.cache_dropout = None;
             return lin;
         }
-        let (ln_out, ln_cache) = layer_norm_forward(&lin, &self.ln_gamma, &self.ln_beta);
-        self.cache_ln = Some(ln_cache);
-        self.cache_relu_in = Some(ln_out.clone());
-        let act = relu_forward(&ln_out);
-        if training && self.dropout > 0.0 {
-            let (dropped, mask) = dropout_forward(&act, self.dropout, rng);
-            self.cache_dropout = Some(mask);
-            dropped
+        let (out, cache) = tail_forward(lin, &self.ln_gamma, &self.ln_beta, self.dropout, rng);
+        self.cache_tail = Some(cache);
+        out
+    }
+
+    /// Dense part of the inference forward pass: [`Self::forward_dense`]
+    /// without dropout, caching nothing, so it may run between a training
+    /// forward and its backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch, or if SAGE is missing `x_self`.
+    pub fn infer_dense(&self, agg: &Matrix, x_self: Option<&Matrix>) -> Matrix {
+        let lin = self.linear(agg, x_self);
+        if self.is_output {
+            lin
         } else {
-            self.cache_dropout = None;
-            act
+            tail_infer(lin, &self.ln_gamma, &self.ln_beta)
         }
     }
 
@@ -207,16 +205,9 @@ impl GnnLayer {
         let grad = if self.is_output {
             grad_out.clone()
         } else {
-            let undropped = self
-                .cache_dropout
-                .take()
-                .map(|mask| dropout_backward(grad_out, &mask));
             // lint:allow(no-panic): hidden-layer forward always fills this cache; absence is a model bug
-            let relu_in = self.cache_relu_in.take().expect("missing relu cache");
-            let grad = relu_backward(undropped.as_ref().unwrap_or(grad_out), &relu_in);
-            // lint:allow(no-panic): hidden-layer forward always fills this cache; absence is a model bug
-            let ln_cache = self.cache_ln.take().expect("missing layernorm cache");
-            let (grad, ggamma, gbeta) = layer_norm_backward(&grad, &ln_cache, &self.ln_gamma);
+            let cache = self.cache_tail.take().expect("missing tail cache");
+            let (grad, ggamma, gbeta) = tail_backward(grad_out, &cache, &self.ln_gamma);
             for (a, b) in self.gln_gamma.iter_mut().zip(ggamma) {
                 *a += b;
             }
@@ -320,7 +311,7 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         let mut layer = GnnLayer::new(ConvKind::Gcn, 8, 4, false, 0.0, &mut rng);
         let agg = Matrix::from_fn(5, 8, |_, _| rng.uniform(-1.0, 1.0));
-        let y = layer.forward_dense(&agg, None, false, &mut rng);
+        let y = layer.forward_dense(agg, None, &mut rng);
         assert_eq!(y.shape(), (5, 4));
         let (ga, gs) = layer.backward_dense(&Matrix::full(5, 4, 1.0));
         assert_eq!(ga.shape(), (5, 8));
@@ -334,8 +325,8 @@ mod tests {
         let agg = Matrix::zeros(4, 6);
         let xs = Matrix::from_fn(4, 6, |_, _| rng.uniform(-1.0, 1.0));
         // With zero aggregation, output depends only on the self path.
-        let y = layer.forward_dense(&agg, Some(&xs), false, &mut rng);
-        let y0 = layer.forward_dense(&agg, Some(&Matrix::zeros(4, 6)), false, &mut rng);
+        let y = layer.infer_dense(&agg, Some(&xs));
+        let y0 = layer.forward_dense(agg, Some(&Matrix::zeros(4, 6)), &mut rng);
         assert!(y.as_slice().iter().any(|&v| v.abs() > 1e-4));
         // Zero input + zero agg = bias only (zero-initialized).
         assert!(y0.as_slice().iter().all(|&v| v.abs() < 1e-6));
@@ -349,7 +340,7 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let mut layer = GnnLayer::new(ConvKind::Sage, 4, 2, false, 0.0, &mut rng);
         let agg = Matrix::zeros(2, 4);
-        let _ = layer.forward_dense(&agg, None, false, &mut rng);
+        let _ = layer.forward_dense(agg, None, &mut rng);
     }
 
     #[test]
@@ -357,9 +348,9 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let mut layer = GnnLayer::new(ConvKind::Gcn, 4, 2, true, 0.5, &mut rng);
         let agg = Matrix::from_fn(3, 4, |_, _| -1.0);
-        let y = layer.forward_dense(&agg, None, true, &mut rng);
+        let y = layer.forward_dense(agg.clone(), None, &mut rng);
         // Logits may be negative (no ReLU) and dropout must not apply.
-        let y2 = layer.forward_dense(&agg, None, true, &mut rng);
+        let y2 = layer.forward_dense(agg, None, &mut rng);
         assert_eq!(y, y2, "output layer must be deterministic");
     }
 
@@ -390,14 +381,14 @@ mod tests {
         let mut rng = Rng::seed_from(6);
         let mut layer = GnnLayer::new(ConvKind::Gcn, 3, 4, false, 0.0, &mut rng);
         let agg = Matrix::from_fn(5, 3, |_, _| rng.uniform(-1.0, 1.0));
-        let loss = |layer: &mut GnnLayer, agg: &Matrix, rng: &mut Rng| -> f32 {
-            let y = layer.forward_dense(agg, None, false, rng);
+        let loss = |layer: &GnnLayer, agg: &Matrix| -> f32 {
+            let y = layer.infer_dense(agg, None);
             // Smooth-ish scalar objective.
             y.as_slice().iter().map(|v| v * v).sum::<f32>() * 0.5
         };
         // Analytic grads.
         layer.zero_grads();
-        let y = layer.forward_dense(&agg, None, false, &mut rng);
+        let y = layer.forward_dense(agg.clone(), None, &mut rng);
         let (grad_agg, _) = layer.backward_dense(&y);
         let mut analytic = Vec::new();
         layer.write_grads(&mut analytic);
@@ -409,10 +400,10 @@ mod tests {
             let mut pp = params.clone();
             pp[idx] += eps;
             layer.read_params(&pp, 0);
-            let lp = loss(&mut layer, &agg, &mut rng);
+            let lp = loss(&layer, &agg);
             pp[idx] -= 2.0 * eps;
             layer.read_params(&pp, 0);
-            let lm = loss(&mut layer, &agg, &mut rng);
+            let lm = loss(&layer, &agg);
             layer.read_params(&params, 0);
             let num = (lp - lm) / (2.0 * eps);
             assert!(
@@ -425,9 +416,9 @@ mod tests {
         let (i, j) = (2, 1);
         let mut ap = agg.clone();
         ap.set(i, j, ap.at(i, j) + eps);
-        let lp = loss(&mut layer, &ap, &mut rng);
+        let lp = loss(&layer, &ap);
         ap.set(i, j, ap.at(i, j) - 2.0 * eps);
-        let lm = loss(&mut layer, &ap, &mut rng);
+        let lm = loss(&layer, &ap);
         let num = (lp - lm) / (2.0 * eps);
         assert!(
             (num - grad_agg.at(i, j)).abs() < 3e-2 * (1.0 + num.abs()),
@@ -449,8 +440,8 @@ mod tests {
                 let mut params_only = full.clone();
                 // Same dropout mask on both copies.
                 let mut fwd_rng = rng.clone();
-                let _ = full.forward_dense(&agg, x_self, true, &mut fwd_rng);
-                let _ = params_only.forward_dense(&agg, x_self, true, &mut rng);
+                let _ = full.forward_dense(agg.clone(), x_self, &mut fwd_rng);
+                let _ = params_only.forward_dense(agg, x_self, &mut rng);
 
                 let (grad_agg, grad_self) = full.backward_dense(&grad_out);
                 let grad_lin = params_only.backward_params(&grad_out);
@@ -459,7 +450,6 @@ mod tests {
                 full.write_grads(&mut want);
                 params_only.write_grads(&mut got);
                 assert!(want.iter().any(|&g| g != 0.0));
-                let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{kind:?}, output {is_output}");
                 // The deferred half reproduces what the full call returned.
                 let (late_agg, late_self) = params_only.backward_inputs(&grad_lin);
@@ -470,12 +460,76 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|g| g.to_bits()).collect()
+    }
+
+    #[test]
+    fn inference_between_forward_and_backward_leaves_gradients_bit_equal() {
+        for kind in [ConvKind::Gcn, ConvKind::Sage] {
+            for is_output in [false, true] {
+                let mut rng = Rng::seed_from(9);
+                let mut plain = GnnLayer::new(kind, 6, 5, is_output, 0.3, &mut rng);
+                let agg = Matrix::from_fn(9, 6, |_, _| rng.uniform(-1.0, 1.0));
+                let xs = Matrix::from_fn(9, 6, |_, _| rng.uniform(-1.0, 1.0));
+                let x_self = kind.uses_self_path().then_some(&xs);
+                let grad_out = Matrix::from_fn(9, 5, |_, _| rng.uniform(-1.0, 1.0));
+                let mut evaluated = plain.clone();
+                let _ = plain.forward_dense(agg.clone(), x_self, &mut rng.clone());
+                let _ = evaluated.forward_dense(agg, x_self, &mut rng);
+                // An evaluation on other activations, mid-step.
+                let other = Matrix::from_fn(4, 6, |_, _| rng.uniform(-3.0, 3.0));
+                let _ = evaluated.infer_dense(&other, kind.uses_self_path().then_some(&other));
+
+                let want_lin = plain.backward_params(&grad_out);
+                let got_lin = evaluated.backward_params(&grad_out);
+                assert_eq!(bits(got_lin.as_slice()), bits(want_lin.as_slice()));
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                plain.write_grads(&mut want);
+                evaluated.write_grads(&mut got);
+                assert_eq!(bits(&got), bits(&want), "{kind:?}, output {is_output}");
+            }
+        }
+    }
+
+    #[test]
+    fn infer_dense_is_the_composed_eval_forward_bit_for_bit() {
+        for kind in [ConvKind::Gcn, ConvKind::Sage] {
+            for is_output in [false, true] {
+                let mut rng = Rng::seed_from(10);
+                let mut layer = GnnLayer::new(kind, 7, 5, is_output, 0.5, &mut rng);
+                // Non-trivial affine parameters, as after a few optimizer steps.
+                let mut params = Vec::new();
+                layer.write_params(&mut params);
+                params.iter_mut().for_each(|v| *v += rng.uniform(-0.5, 0.5));
+                layer.read_params(&params, 0);
+                let agg = Matrix::from_fn(11, 7, |_, _| rng.uniform(-2.0, 2.0));
+                let xs = Matrix::from_fn(11, 7, |_, _| rng.uniform(-2.0, 2.0));
+                let x_self = kind.uses_self_path().then_some(&xs);
+
+                // matmul, bias, LayerNorm, ReLU, one step at a time.
+                let mut want = agg.matmul(&layer.w_neigh);
+                if let Some(ws) = &layer.w_self {
+                    want.add_assign(&xs.matmul(ws));
+                }
+                want.add_row_vector(&layer.bias);
+                if !is_output {
+                    let (ln, _) =
+                        tensor::layer_norm_forward(&want, &layer.ln_gamma, &layer.ln_beta);
+                    want = ln.map(|v| v.max(0.0));
+                }
+                let got = layer.infer_dense(&agg, x_self);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{kind:?}");
+            }
+        }
+    }
+
     #[test]
     fn zero_grads_clears_accumulation() {
         let mut rng = Rng::seed_from(7);
         let mut layer = GnnLayer::new(ConvKind::Gcn, 3, 2, true, 0.0, &mut rng);
         let agg = Matrix::full(2, 3, 1.0);
-        let _ = layer.forward_dense(&agg, None, false, &mut rng);
+        let _ = layer.forward_dense(agg, None, &mut rng);
         let _ = layer.backward_dense(&Matrix::full(2, 2, 1.0));
         let mut grads = Vec::new();
         layer.write_grads(&mut grads);

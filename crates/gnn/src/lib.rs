@@ -25,9 +25,9 @@
 //! let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).with_self_loops();
 //! let agg = AggGraph::full_graph_gcn(&g);
 //! let mut rng = Rng::seed_from(0);
-//! let mut model = Gnn::new(ConvKind::Gcn, &[8, 16, 3], &mut rng);
+//! let model = Gnn::new(ConvKind::Gcn, &[8, 16, 3], &mut rng);
 //! let x = Matrix::from_fn(4, 8, |_, _| rng.uniform(-1.0, 1.0));
-//! let logits = model.forward(&agg, &x, false, &mut rng);
+//! let logits = model.infer(&agg, &x);
 //! assert_eq!(logits.shape(), (4, 3));
 //! ```
 

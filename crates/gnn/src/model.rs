@@ -2,23 +2,32 @@
 
 use crate::agg::AggGraph;
 use crate::layer::{ConvKind, GnnLayer};
+use std::borrow::Cow;
 use tensor::{Matrix, Rng};
 
 /// Default dropout used by the paper on most datasets (Table 8).
 pub const DEFAULT_DROPOUT: f32 = 0.5;
 
+fn assert_square(agg: &AggGraph) {
+    assert_eq!(
+        agg.num_ext(),
+        agg.num_target(),
+        "full-graph forward needs a square aggregation operator"
+    );
+}
+
 /// A stack of [`GnnLayer`]s sharing one convolution family.
 ///
-/// `forward`/`backward` run the whole model against a single [`AggGraph`]
-/// (the single-device / full-graph case used by tests and the quickstart
-/// example). The distributed trainers in the `adaqp` crate instead drive
-/// [`Gnn::layers_mut`] layer by layer, inserting halo communication between
-/// layers.
+/// `forward`/`backward`/`infer` run the whole model against a single
+/// [`AggGraph`] (the single-device / full-graph case used by tests and the
+/// quickstart example). The distributed trainers in the `adaqp` crate
+/// instead drive [`Gnn::layers_mut`] layer by layer, through the same
+/// [`GnnLayer::forward_dense`] / [`GnnLayer::infer_dense`], inserting halo
+/// communication between layers.
 #[derive(Debug, Clone)]
 pub struct Gnn {
     kind: ConvKind,
     layers: Vec<GnnLayer>,
-    cache_inputs: Vec<Matrix>,
 }
 
 impl Gnn {
@@ -43,11 +52,7 @@ impl Gnn {
         let layers = (0..n_layers)
             .map(|l| GnnLayer::new(kind, dims[l], dims[l + 1], l == n_layers - 1, dropout, rng))
             .collect();
-        Self {
-            kind,
-            layers,
-            cache_inputs: Vec::new(),
-        }
+        Self { kind, layers }
     }
 
     /// Convolution family.
@@ -71,31 +76,40 @@ impl Gnn {
         &mut self.layers
     }
 
-    /// Full-graph forward pass: every layer aggregates with the same `agg`
+    /// Full-graph training forward pass (dropout on, caches kept for
+    /// [`Gnn::backward`]): every layer aggregates with the same `agg`
     /// operator (whose extended space must equal its target space).
     ///
     /// # Panics
     ///
     /// Panics if `agg` is not square (`num_ext != num_target`) or shapes
     /// mismatch.
-    pub fn forward(&mut self, agg: &AggGraph, x: &Matrix, training: bool, rng: &mut Rng) -> Matrix {
-        assert_eq!(
-            agg.num_ext(),
-            agg.num_target(),
-            "full-graph forward needs a square aggregation operator"
-        );
-        self.cache_inputs.clear();
-        let mut h = x.clone();
+    pub fn forward(&mut self, agg: &AggGraph, x: &Matrix, rng: &mut Rng) -> Matrix {
+        assert_square(agg);
+        let self_path = self.kind.uses_self_path();
+        let mut h = Cow::Borrowed(x);
         for layer in &mut self.layers {
-            self.cache_inputs.push(h.clone());
-            let z = agg.aggregate(&h);
-            h = if self.kind.uses_self_path() {
-                layer.forward_dense(&z, Some(&h), training, rng)
-            } else {
-                layer.forward_dense(&z, None, training, rng)
-            };
+            let out = layer.forward_dense(agg.aggregate(&h), self_path.then_some(&*h), rng);
+            h = Cow::Owned(out);
         }
-        h
+        h.into_owned()
+    }
+
+    /// Full-graph inference pass: [`Gnn::forward`] without dropout, caching
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agg` is not square (`num_ext != num_target`) or shapes
+    /// mismatch.
+    pub fn infer(&self, agg: &AggGraph, x: &Matrix) -> Matrix {
+        assert_square(agg);
+        let self_path = self.kind.uses_self_path();
+        let mut h = Cow::Borrowed(x);
+        for layer in &self.layers {
+            h = Cow::Owned(layer.infer_dense(&agg.aggregate(&h), self_path.then_some(&*h)));
+        }
+        h.into_owned()
     }
 
     /// Full-graph backward pass from logits gradient; accumulates parameter
@@ -106,11 +120,6 @@ impl Gnn {
     ///
     /// Panics if called before [`Gnn::forward`].
     pub fn backward(&mut self, agg: &AggGraph, grad_logits: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cache_inputs.len(),
-            self.layers.len(),
-            "backward before forward"
-        );
         let mut grad = grad_logits.clone();
         for layer in self.layers.iter_mut().rev() {
             let (grad_agg, grad_self) = layer.backward_dense(&grad);
@@ -118,7 +127,6 @@ impl Gnn {
             if let Some(gs) = grad_self {
                 grad.add_assign(&gs);
             }
-            self.cache_inputs.pop();
         }
         grad
     }
@@ -172,7 +180,7 @@ impl Gnn {
 mod tests {
     use super::*;
     use graph::CsrGraph;
-    use tensor::{accuracy, softmax_cross_entropy_backward, softmax_cross_entropy_loss};
+    use tensor::{accuracy, softmax_cross_entropy};
 
     fn ring_graph(n: usize) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
@@ -184,9 +192,9 @@ mod tests {
         let g = ring_graph(10);
         let agg = AggGraph::full_graph_gcn(&g);
         let mut rng = Rng::seed_from(1);
-        let mut model = Gnn::new(ConvKind::Gcn, &[6, 12, 3], &mut rng);
+        let model = Gnn::new(ConvKind::Gcn, &[6, 12, 3], &mut rng);
         let x = Matrix::from_fn(10, 6, |_, _| rng.uniform(-1.0, 1.0));
-        let y = model.forward(&agg, &x, false, &mut rng);
+        let y = model.infer(&agg, &x);
         assert_eq!(y.shape(), (10, 3));
         assert_eq!(model.num_layers(), 2);
     }
@@ -215,8 +223,8 @@ mod tests {
         let labels = vec![0usize, 1, 2, 3, 0, 1, 2, 3];
         let mask = vec![true; 8];
         model.zero_grads();
-        let logits = model.forward(&agg, &x, true, &mut rng);
-        let grad = softmax_cross_entropy_backward(&logits, &labels, &mask);
+        let logits = model.forward(&agg, &x, &mut rng);
+        let (_, grad) = softmax_cross_entropy(&logits, &labels, &mask);
         let _ = model.backward(&agg, &grad);
         let grads = model.grads_flat();
         // Count nonzero grads per layer by splitting at layer boundaries.
@@ -241,8 +249,8 @@ mod tests {
         let labels = vec![0usize, 1, 0, 1, 0, 1];
         let mask = vec![true; 6];
         model.zero_grads();
-        let logits = model.forward(&agg, &x, false, &mut rng);
-        let grad_logits = softmax_cross_entropy_backward(&logits, &labels, &mask);
+        let logits = model.forward(&agg, &x, &mut rng);
+        let (_, grad_logits) = softmax_cross_entropy(&logits, &labels, &mask);
         let _ = model.backward(&agg, &grad_logits);
         let analytic = model.grads_flat();
         let params = model.params_flat();
@@ -251,16 +259,10 @@ mod tests {
             let mut p = params.clone();
             p[idx] += eps;
             model.set_params_flat(&p);
-            let lp = {
-                let y = model.forward(&agg, &x, false, &mut rng);
-                softmax_cross_entropy_loss(&y, &labels, &mask)
-            };
+            let lp = softmax_cross_entropy(&model.infer(&agg, &x), &labels, &mask).0;
             p[idx] -= 2.0 * eps;
             model.set_params_flat(&p);
-            let lm = {
-                let y = model.forward(&agg, &x, false, &mut rng);
-                softmax_cross_entropy_loss(&y, &labels, &mask)
-            };
+            let lm = softmax_cross_entropy(&model.infer(&agg, &x), &labels, &mask).0;
             model.set_params_flat(&params);
             let num = (lp - lm) / (2.0 * eps);
             assert!(
@@ -285,14 +287,14 @@ mod tests {
         let mask = vec![true; 120];
         for _ in 0..30 {
             model.zero_grads();
-            let logits = model.forward(&agg, &x, true, &mut rng);
-            let grad = softmax_cross_entropy_backward(&logits, &blocks, &mask);
+            let logits = model.forward(&agg, &x, &mut rng);
+            let (_, grad) = softmax_cross_entropy(&logits, &blocks, &mask);
             let _ = model.backward(&agg, &grad);
             let mut params = model.params_flat();
             adam.step(&mut params, &model.grads_flat());
             model.set_params_flat(&params);
         }
-        let logits = model.forward(&agg, &x, false, &mut rng);
+        let logits = model.infer(&agg, &x);
         let acc = accuracy(&logits, &blocks, &mask);
         assert!(acc > 0.95, "model failed to learn: accuracy {acc}");
     }
@@ -309,14 +311,14 @@ mod tests {
         let mask = vec![true; 120];
         for _ in 0..40 {
             model.zero_grads();
-            let logits = model.forward(&agg, &x, true, &mut rng);
-            let grad = softmax_cross_entropy_backward(&logits, &blocks, &mask);
+            let logits = model.forward(&agg, &x, &mut rng);
+            let (_, grad) = softmax_cross_entropy(&logits, &blocks, &mask);
             let _ = model.backward(&agg, &grad);
             let mut params = model.params_flat();
             adam.step(&mut params, &model.grads_flat());
             model.set_params_flat(&params);
         }
-        let logits = model.forward(&agg, &x, false, &mut rng);
+        let logits = model.infer(&agg, &x);
         let acc = accuracy(&logits, &blocks, &mask);
         assert!(acc > 0.9, "SAGE failed to learn: accuracy {acc}");
     }
@@ -325,7 +327,7 @@ mod tests {
 #[cfg(test)]
 mod gin_tests {
     use super::*;
-    use tensor::{accuracy, softmax_cross_entropy_backward};
+    use tensor::{accuracy, softmax_cross_entropy};
 
     #[test]
     fn gin_sum_aggregation_sums_neighbors() {
@@ -349,14 +351,14 @@ mod gin_tests {
         let mask = vec![true; 120];
         for _ in 0..40 {
             model.zero_grads();
-            let logits = model.forward(&agg, &x, true, &mut rng);
-            let grad = softmax_cross_entropy_backward(&logits, &blocks, &mask);
+            let logits = model.forward(&agg, &x, &mut rng);
+            let (_, grad) = softmax_cross_entropy(&logits, &blocks, &mask);
             let _ = model.backward(&agg, &grad);
             let mut params = model.params_flat();
             adam.step(&mut params, &model.grads_flat());
             model.set_params_flat(&params);
         }
-        let logits = model.forward(&agg, &x, false, &mut rng);
+        let logits = model.infer(&agg, &x);
         let acc = accuracy(&logits, &blocks, &mask);
         assert!(acc > 0.9, "GIN failed to learn: accuracy {acc}");
     }

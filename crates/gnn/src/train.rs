@@ -6,10 +6,7 @@
 //! reference.
 
 use crate::{Adam, AggGraph, Gnn};
-use tensor::{
-    accuracy, micro_f1, sigmoid_bce_backward_weighted, sigmoid_bce_loss_weighted,
-    softmax_cross_entropy_backward, softmax_cross_entropy_loss, Matrix, Rng,
-};
+use tensor::{accuracy, micro_f1, sigmoid_bce_weighted, softmax_cross_entropy, Matrix, Rng};
 
 /// Labels for [`fit`].
 #[derive(Debug, Clone)]
@@ -101,16 +98,10 @@ pub fn fit(
     let mut since_best = 0usize;
     for epoch in 0..options.epochs {
         model.zero_grads();
-        let logits = model.forward(agg, features, true, &mut rng);
+        let logits = model.forward(agg, features, &mut rng);
         let (loss, grad) = match labels {
-            FitLabels::Single(classes) => (
-                softmax_cross_entropy_loss(&logits, classes, train_mask),
-                softmax_cross_entropy_backward(&logits, classes, train_mask),
-            ),
-            FitLabels::Multi(targets, w) => (
-                sigmoid_bce_loss_weighted(&logits, targets, train_mask, *w),
-                sigmoid_bce_backward_weighted(&logits, targets, train_mask, *w),
-            ),
+            FitLabels::Single(classes) => softmax_cross_entropy(&logits, classes, train_mask),
+            FitLabels::Multi(targets, w) => sigmoid_bce_weighted(&logits, targets, train_mask, *w),
         };
         let _ = model.backward(agg, &grad);
         let mut params = model.params_flat();
@@ -124,7 +115,7 @@ pub fn fit(
         model.set_params_flat(&params);
 
         // Evaluation pass (no dropout).
-        let eval_logits = model.forward(agg, features, false, &mut rng);
+        let eval_logits = model.infer(agg, features);
         let val_score = match labels {
             FitLabels::Single(classes) => accuracy(&eval_logits, classes, val_mask),
             FitLabels::Multi(targets, _) => micro_f1(&eval_logits, targets, val_mask),

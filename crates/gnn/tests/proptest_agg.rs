@@ -111,6 +111,30 @@ proptest! {
     }
 
     #[test]
+    fn two_source_aggregate_matches_the_stacked_one_at_any_thread_count(
+        seed in 0u64..500,
+        num_target in 1usize..300,
+        num_ext in 1usize..220,
+        // Where the extended space splits, as a 0..=8 eighth of it: 0 is an
+        // empty local block, 8 an empty halo.
+        eighths in 0usize..9,
+        dim in 1usize..5,
+    ) {
+        let c = build_case(seed, num_target, num_ext, dim);
+        let num_local = num_ext * eighths / 8;
+        let rows: Vec<usize> = (0..num_ext).collect();
+        let local = c.x.gather_rows(&rows[..num_local]);
+        let halo = c.x.gather_rows(&rows[num_local..]);
+        let stacked = c.agg.aggregate(&Matrix::vstack(&[&local, &halo]));
+        for t in [1usize, 2, 8] {
+            tensor::par::set_threads(t);
+            let z = c.agg.aggregate_with_halo(&local, &halo);
+            prop_assert_eq!(z.as_slice(), stacked.as_slice(), "threads {}", t);
+        }
+        tensor::par::set_threads(0);
+    }
+
+    #[test]
     fn aggregate_rows_subset_agrees_with_full_aggregate(
         seed in 0u64..500,
         num_target in 1usize..160,
@@ -125,4 +149,25 @@ proptest! {
             prop_assert_eq!(rows.row(k), full.row(v as usize));
         }
     }
+}
+
+/// The two-source kernel under the sanitizer: disjoint claims, and the same
+/// bytes under reversed, rotated and shuffled chunk orders. A plain test —
+/// the sanitizer's switch is process-global, and this is the only test in
+/// the binary that arms it.
+#[test]
+fn two_source_aggregate_is_clean_under_the_sanitizer() {
+    // Several 128-row chunks, so the adversarial orders have something to permute.
+    let c = build_case(7, 700, 900, 5);
+    let rows: Vec<usize> = (0..900).collect();
+    let (local, halo) = (c.x.gather_rows(&rows[..640]), c.x.gather_rows(&rows[640..]));
+    let plain = c.agg.aggregate_with_halo(&local, &halo);
+    tensor::san::set_sanitize(true);
+    tensor::san::reset();
+    let sanitized = c.agg.aggregate_with_halo(&local, &halo);
+    let report = tensor::san::report();
+    tensor::san::set_sanitize(false);
+    assert!(report.is_clean(), "violations: {:?}", report.errors);
+    assert!(report.kernels_checked >= 1 && report.schedules_checked >= 3);
+    assert_eq!(sanitized, plain);
 }

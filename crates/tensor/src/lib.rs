@@ -5,7 +5,7 @@
 //! [`Matrix`] type defined here. It deliberately stays small and dependency
 //! free (no BLAS): matrices are plain `Vec<f32>` buffers, matmul is
 //! cache-blocked and optionally parallelized over row chunks with scoped
-//! threads, and the NN kernels (`relu`, `layer_norm`, `log_softmax`, …) are
+//! threads, and the NN kernels (`layer_norm`, `tail_forward`, `log_softmax`, …) are
 //! written as straightforward loops so that their cost can be measured and
 //! charged to the simulated device clock.
 //!
@@ -38,10 +38,9 @@ pub use init::{kaiming_uniform, xavier_uniform};
 pub use matrix::Matrix;
 pub use metrics::{accuracy, micro_f1, multilabel_targets_from_classes};
 pub use ops::{
-    dropout_backward, dropout_forward, layer_norm_backward, layer_norm_forward, log_softmax,
-    relu_backward, relu_forward, sigmoid, sigmoid_bce_backward, sigmoid_bce_backward_weighted,
-    sigmoid_bce_loss, sigmoid_bce_loss_weighted, softmax_cross_entropy_backward,
-    softmax_cross_entropy_loss, DropoutMask, LayerNormCache,
+    dropout_draw, dropout_in_place, layer_norm_backward, layer_norm_forward, log_softmax, sigmoid,
+    sigmoid_bce_weighted, softmax_cross_entropy, tail_backward, tail_forward, tail_infer,
+    LayerNormCache, TailCache,
 };
 pub use rng::Rng;
 

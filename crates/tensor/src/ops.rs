@@ -1,4 +1,6 @@
-//! Neural-network kernels: activations, dropout, layer norm and losses.
+//! Neural-network kernels: layer norm, the hidden layer's fused tail
+//! (`LayerNorm -> ReLU -> dropout`, one kernel forward and one backward) and
+//! losses.
 //!
 //! All backward functions take exactly the caches their forward counterparts
 //! return, mirroring the manual-autograd style used by the `gnn` crate.
@@ -8,118 +10,15 @@ use crate::{par, Matrix, Rng};
 /// Numerical-stability epsilon for layer norm.
 const LN_EPS: f32 = 1e-5;
 
-/// Minimum elements per chunk for flat elementwise kernels; below this the
-/// whole buffer is one chunk and runs inline.
-const ELEM_MIN_CHUNK: usize = 16 * 1024;
-
 /// Minimum rows per chunk for row-wise kernels (layer norm, softmax).
 const ROW_MIN_CHUNK: usize = 64;
 
-/// ReLU forward: `max(x, 0)` elementwise.
-pub fn relu_forward(x: &Matrix) -> Matrix {
-    let mut out = x.clone();
-    let n = out.len();
-    par::par_chunks_deterministic(out.as_mut_slice(), n, ELEM_MIN_CHUNK, |_, _, chunk| {
-        for v in chunk.iter_mut() {
-            *v = v.max(0.0);
-        }
-    });
-    out
-}
-
-/// ReLU backward: zeroes gradient where the forward input was non-positive.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn relu_backward(grad_out: &Matrix, input: &Matrix) -> Matrix {
-    assert_eq!(
-        grad_out.shape(),
-        input.shape(),
-        "relu_backward shape mismatch"
-    );
-    let mut g = grad_out.clone();
-    let n = g.len();
-    let xs = input.as_slice();
-    par::par_chunks_deterministic(g.as_mut_slice(), n, ELEM_MIN_CHUNK, |s, e, chunk| {
-        for (gv, &xv) in chunk.iter_mut().zip(&xs[s..e]) {
-            if xv <= 0.0 {
-                *gv = 0.0;
-            }
-        }
-    });
-    g
-}
-
-/// Boolean keep-mask produced by [`dropout_forward`], needed by
-/// [`dropout_backward`].
-#[derive(Debug, Clone)]
-pub struct DropoutMask {
-    keep: Vec<bool>,
-    scale: f32,
-}
-
-impl DropoutMask {
-    /// Fraction of elements kept.
-    pub fn keep_rate(&self) -> f32 {
-        if self.keep.is_empty() {
-            1.0
-        } else {
-            self.keep.iter().filter(|&&k| k).count() as f32 / self.keep.len() as f32
-        }
-    }
-}
-
-/// Inverted dropout: zeroes each element with probability `p` and scales the
-/// survivors by `1 / (1 - p)` so the expected activation is unchanged.
-///
-/// Returns the dropped matrix and the mask for the backward pass. With
-/// `p == 0` this is the identity (and the mask keeps everything).
-///
-/// Deliberately serial: the keep-mask consumes the RNG stream one element at
-/// a time, so splitting it across workers would change which elements drop.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1)`.
-pub fn dropout_forward(x: &Matrix, p: f32, rng: &mut Rng) -> (Matrix, DropoutMask) {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "dropout p must be in [0,1), got {p}"
-    );
-    let scale = 1.0 / (1.0 - p);
-    let mut out = x.clone();
-    let mut keep = vec![true; x.len()];
-    if p > 0.0 {
-        for (v, k) in out.as_mut_slice().iter_mut().zip(keep.iter_mut()) {
-            if rng.unit() < p {
-                *v = 0.0;
-                *k = false;
-            } else {
-                *v *= scale;
-            }
-        }
-    }
-    (out, DropoutMask { keep, scale })
-}
-
-/// Dropout backward: applies the same mask and scale to the gradient.
-///
-/// # Panics
-///
-/// Panics if the mask length differs from the gradient size.
-pub fn dropout_backward(grad_out: &Matrix, mask: &DropoutMask) -> Matrix {
-    assert_eq!(
-        grad_out.len(),
-        mask.keep.len(),
-        "dropout mask size mismatch"
-    );
-    let mut g = grad_out.clone();
-    for (gv, &k) in g.as_mut_slice().iter_mut().zip(&mask.keep) {
-        *gv = if k { *gv * mask.scale } else { 0.0 };
-    }
-    g
-}
+/// [`TailCache`] mask bit: the element survived dropout. Bit 0, as
+/// [`dropout_draw`]'s contract spells out.
+const KEEP: u8 = 0b01;
+/// [`TailCache`] mask bit: ReLU lets the element's gradient through (its
+/// layer-norm output was not `<= 0`).
+const PASS: u8 = 0b10;
 
 /// Per-row statistics cached by [`layer_norm_forward`] for the backward pass.
 #[derive(Debug, Clone)]
@@ -130,6 +29,45 @@ pub struct LayerNormCache {
     pub inv_std: Vec<f32>,
 }
 
+/// What [`tail_forward`] keeps for [`tail_backward`].
+#[derive(Debug, Clone)]
+pub struct TailCache {
+    /// The layer-norm stage's statistics.
+    pub ln: LayerNormCache,
+    /// One byte per element, [`KEEP`] and [`PASS`]: the gradient flows where
+    /// both are set, so neither ReLU's input nor a `bool` per element is
+    /// kept.
+    mask: Vec<u8>,
+    /// Dropout's survivor scale `1 / (1 - p)`.
+    scale: f32,
+}
+
+/// Mean and `1 / std` of one row: the statistics every layer-norm kernel
+/// shares, bit for bit.
+#[inline]
+fn row_stats(row: &[f32]) -> (f32, f32) {
+    let d = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / d;
+    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
+    (mean, 1.0 / (var + LN_EPS).sqrt())
+}
+
+/// Splits a row-major buffer of `width`-wide rows at `ranges`' fixed row
+/// boundaries, one disjoint sub-slice per range.
+fn split_rows<'a, T>(
+    mut rest: &'a mut [T],
+    ranges: &[(usize, usize)],
+    width: usize,
+) -> Vec<&'a mut [T]> {
+    let mut parts = Vec::with_capacity(ranges.len());
+    for &(s, e) in ranges {
+        let (head, tail) = rest.split_at_mut((e - s) * width);
+        parts.push(head);
+        rest = tail;
+    }
+    parts
+}
+
 /// Layer normalization over the last dimension (per row), with affine
 /// parameters `gamma` and `beta` of length `x.cols()`.
 ///
@@ -137,10 +75,9 @@ pub struct LayerNormCache {
 ///
 /// Panics if `gamma`/`beta` lengths differ from `x.cols()`.
 pub fn layer_norm_forward(x: &Matrix, gamma: &[f32], beta: &[f32]) -> (Matrix, LayerNormCache) {
-    let d = x.cols();
+    let (n, d) = x.shape();
     assert_eq!(gamma.len(), d, "gamma length mismatch");
     assert_eq!(beta.len(), d, "beta length mismatch");
-    let n = x.rows();
     let mut out = Matrix::zeros(n, d);
     let mut x_hat = Matrix::zeros(n, d);
     let mut inv_std = vec![0.0f32; n];
@@ -148,29 +85,20 @@ pub fn layer_norm_forward(x: &Matrix, gamma: &[f32], beta: &[f32]) -> (Matrix, L
     // task owns one disjoint chunk of all three, so the parallel run is
     // bitwise identical to the serial one.
     let ranges = par::chunk_ranges(n, ROW_MIN_CHUNK);
-    let mut tasks = Vec::with_capacity(ranges.len());
-    let mut o_rest = out.as_mut_slice();
-    let mut xh_rest = x_hat.as_mut_slice();
-    let mut is_rest = inv_std.as_mut_slice();
-    for &(s, e) in &ranges {
-        let (o, o_tail) = o_rest.split_at_mut((e - s) * d);
-        let (xh, xh_tail) = xh_rest.split_at_mut((e - s) * d);
-        let (ist, is_tail) = is_rest.split_at_mut(e - s);
-        tasks.push(((s, e), (o, xh, ist)));
-        o_rest = o_tail;
-        xh_rest = xh_tail;
-        is_rest = is_tail;
-    }
+    let outs = split_rows(out.as_mut_slice(), &ranges, d);
+    let x_hats = split_rows(x_hat.as_mut_slice(), &ranges, d);
+    let inv_stds = split_rows(&mut inv_std, &ranges, 1);
+    let tasks = (ranges.iter().copied())
+        .zip(outs.into_iter().zip(x_hats).zip(inv_stds))
+        .collect();
     par::run_range_tasks(
         "tensor::layer_norm_forward",
         n,
         tasks,
-        |s, e, (o, xh, ist)| {
+        |s, e, ((o, xh), ist)| {
             for (local, i) in (s..e).enumerate() {
                 let row = x.row(i);
-                let mean = row.iter().sum::<f32>() / d as f32;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-                let istd = 1.0 / (var + LN_EPS).sqrt();
+                let (mean, istd) = row_stats(row);
                 ist[local] = istd;
                 let xh_row = &mut xh[local * d..(local + 1) * d];
                 let o_row = &mut o[local * d..(local + 1) * d];
@@ -197,51 +125,209 @@ pub fn layer_norm_backward(
     cache: &LayerNormCache,
     gamma: &[f32],
 ) -> (Matrix, Vec<f32>, Vec<f32>) {
-    let (n, d) = grad_out.shape();
+    ln_backward_in_place(grad_out.clone(), cache, gamma)
+}
+
+/// The layer-norm backward on a gradient it owns: `grad` arrives holding
+/// `dL/d(ln output)` and leaves holding `dL/d(ln input)`.
+fn ln_backward_in_place(
+    mut grad: Matrix,
+    cache: &LayerNormCache,
+    gamma: &[f32],
+) -> (Matrix, Vec<f32>, Vec<f32>) {
+    let (n, d) = grad.shape();
     assert_eq!(
         cache.x_hat.shape(),
         (n, d),
         "layer_norm cache shape mismatch"
     );
     assert_eq!(gamma.len(), d, "gamma length mismatch");
-    let mut grad_in = Matrix::zeros(n, d);
     let mut grad_gamma = vec![0.0; d];
     let mut grad_beta = vec![0.0; d];
     if d == 0 {
-        return (grad_in, grad_gamma, grad_beta);
+        return (grad, grad_gamma, grad_beta);
     }
-    // Parameter gradients reduce over rows; keep that a serial pass (same
-    // ascending-row order as before) so the sums stay bitwise stable.
-    for i in 0..n {
-        let dy = grad_out.row(i);
-        let xh = cache.x_hat.row(i);
+    // Parameter gradients reduce over rows; keep that a serial pass in
+    // ascending-row order so the sums stay bitwise stable.
+    let x_hat_rows = cache.x_hat.as_slice().chunks_exact(d);
+    for (dy, xh) in grad.as_slice().chunks_exact(d).zip(x_hat_rows) {
         for j in 0..d {
             grad_gamma[j] += dy[j] * xh[j];
             grad_beta[j] += dy[j];
         }
     }
-    // The input gradient is per-row independent: parallel over fixed chunks.
-    par::par_chunks_deterministic(grad_in.as_mut_slice(), n, ROW_MIN_CHUNK, |s, _e, chunk| {
-        for (local, gi) in chunk.chunks_mut(d).enumerate() {
+    // The input gradient is per-row independent: parallel over fixed chunks,
+    // each row rewritten from its own contents.
+    par::par_chunks_deterministic(grad.as_mut_slice(), n, ROW_MIN_CHUNK, |s, _e, chunk| {
+        let inv_d = 1.0 / d as f32;
+        for (local, gi) in chunk.chunks_exact_mut(d).enumerate() {
             let i = s + local;
-            let dy = grad_out.row(i);
             let xh = cache.x_hat.row(i);
             let istd = cache.inv_std[i];
             let mut sum_dxhat = 0.0;
             let mut sum_dxhat_xhat = 0.0;
             for j in 0..d {
-                let dxhat = dy[j] * gamma[j];
+                let dxhat = gi[j] * gamma[j];
                 sum_dxhat += dxhat;
                 sum_dxhat_xhat += dxhat * xh[j];
             }
-            let inv_d = 1.0 / d as f32;
             for j in 0..d {
-                let dxhat = dy[j] * gamma[j];
+                let dxhat = gi[j] * gamma[j];
                 gi[j] = istd * (dxhat - inv_d * sum_dxhat - xh[j] * inv_d * sum_dxhat_xhat);
             }
         }
     });
-    (grad_in, grad_gamma, grad_beta)
+    (grad, grad_gamma, grad_beta)
+}
+
+/// Dropout's draw: clears the keep flag (bit 0) of each `mask` byte whose
+/// element drops, one `rng.unit() < p` per element in order, and leaves the
+/// other bits alone. The loop touches nothing but the generator and the
+/// mask — carrying the generator's state through a loop that also streams
+/// activations is what made the one-loop form four times slower (DESIGN.md,
+/// "The layer's data path").
+pub fn dropout_draw(mask: &mut [u8], p: f32, rng: &mut Rng) {
+    for m in mask {
+        *m &= !(KEEP * u8::from(rng.unit() < p));
+    }
+}
+
+/// Inverted dropout in place, as two loops: [`dropout_draw`] decides, then a
+/// generator-free pass zeroes each dropped element of `x` and scales the
+/// survivors by the returned `1 / (1 - p)`, so the expected activation is
+/// unchanged. `mask` must arrive with every byte's keep flag (bit 0) set.
+/// With `p == 0` nothing is drawn and nothing changes.
+///
+/// Serial: the draw consumes the generator's stream one element at a time,
+/// so splitting it across workers would change which elements drop.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1)` or the lengths differ.
+pub fn dropout_in_place(x: &mut [f32], mask: &mut [u8], p: f32, rng: &mut Rng) -> f32 {
+    assert!(
+        (0.0..1.0).contains(&p),
+        "dropout p must be in [0,1), got {p}"
+    );
+    assert_eq!(x.len(), mask.len(), "dropout mask size mismatch");
+    let scale = 1.0 / (1.0 - p);
+    if p > 0.0 {
+        dropout_draw(mask, p, rng);
+        for (v, &m) in x.iter_mut().zip(mask.iter()) {
+            *v = if m & KEEP == 0 { 0.0 } else { *v * scale };
+        }
+    }
+    scale
+}
+
+/// The hidden layer's forward tail, `LayerNorm -> ReLU -> dropout`, on a
+/// `lin` it owns: each row is read once and rewritten in place while its
+/// `x_hat`, `inv_std` and ReLU sign are recorded, then
+/// [`dropout_in_place`] draws and applies the keep mask.
+///
+/// # Panics
+///
+/// Panics if `gamma`/`beta` lengths differ from `lin.cols()` or `p` is not
+/// in `[0, 1)`.
+pub fn tail_forward(
+    mut lin: Matrix,
+    gamma: &[f32],
+    beta: &[f32],
+    p: f32,
+    rng: &mut Rng,
+) -> (Matrix, TailCache) {
+    let (n, d) = lin.shape();
+    assert_eq!(gamma.len(), d, "gamma length mismatch");
+    assert_eq!(beta.len(), d, "beta length mismatch");
+    let mut x_hat = Matrix::zeros(n, d);
+    let mut inv_std = vec![0.0f32; n];
+    let mut mask = vec![0u8; n * d];
+    // As in `layer_norm_forward`: every task owns one disjoint row chunk of
+    // all four buffers.
+    let ranges = par::chunk_ranges(n, ROW_MIN_CHUNK);
+    let acts = split_rows(lin.as_mut_slice(), &ranges, d);
+    let x_hats = split_rows(x_hat.as_mut_slice(), &ranges, d);
+    let inv_stds = split_rows(&mut inv_std, &ranges, 1);
+    let masks = split_rows(&mut mask, &ranges, d);
+    let tasks = (ranges.iter().copied())
+        .zip(acts.into_iter().zip(x_hats).zip(inv_stds).zip(masks))
+        .collect();
+    par::run_range_tasks(
+        "tensor::tail_forward",
+        n,
+        tasks,
+        |s, e, (((act, xh), ist), ms)| {
+            for local in 0..e - s {
+                let row = &mut act[local * d..(local + 1) * d];
+                let (mean, istd) = row_stats(row);
+                ist[local] = istd;
+                let xh_row = &mut xh[local * d..(local + 1) * d];
+                let m_row = &mut ms[local * d..(local + 1) * d];
+                for j in 0..d {
+                    let h = (row[j] - mean) * istd;
+                    xh_row[j] = h;
+                    let o = gamma[j] * h + beta[j];
+                    // ReLU's backward blocks `o <= 0`: a NaN passes its gradient on.
+                    m_row[j] = KEEP | (PASS * u8::from(o > 0.0 || o.is_nan()));
+                    row[j] = o.max(0.0);
+                }
+            }
+        },
+    );
+    let scale = dropout_in_place(lin.as_mut_slice(), &mut mask, p, rng);
+    let ln = LayerNormCache { x_hat, inv_std };
+    (lin, TailCache { ln, mask, scale })
+}
+
+/// The hidden layer's tail at inference, `LayerNorm -> ReLU` in place:
+/// nothing is cached and nothing is drawn.
+///
+/// # Panics
+///
+/// Panics if `gamma`/`beta` lengths differ from `lin.cols()`.
+pub fn tail_infer(mut lin: Matrix, gamma: &[f32], beta: &[f32]) -> Matrix {
+    let (n, d) = lin.shape();
+    assert_eq!(gamma.len(), d, "gamma length mismatch");
+    assert_eq!(beta.len(), d, "beta length mismatch");
+    if d == 0 {
+        return lin;
+    }
+    par::par_chunks_deterministic(lin.as_mut_slice(), n, ROW_MIN_CHUNK, |_, _, chunk| {
+        for row in chunk.chunks_exact_mut(d) {
+            let (mean, istd) = row_stats(row);
+            for j in 0..d {
+                row[j] = (gamma[j] * ((row[j] - mean) * istd) + beta[j]).max(0.0);
+            }
+        }
+    });
+    lin
+}
+
+/// Backward of [`tail_forward`]: gates `grad_out` by the cached mask (zero
+/// where dropout or ReLU stopped the element, scaled where it survived)
+/// into the one matrix the layer-norm backward then rewrites in place.
+///
+/// Returns `(grad_lin, grad_gamma, grad_beta)`.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with the cache.
+pub fn tail_backward(
+    grad_out: &Matrix,
+    cache: &TailCache,
+    gamma: &[f32],
+) -> (Matrix, Vec<f32>, Vec<f32>) {
+    let (n, d) = grad_out.shape();
+    assert_eq!(cache.mask.len(), n * d, "tail mask size mismatch");
+    let mut grad = Matrix::zeros(n, d);
+    let gated = grad.as_mut_slice().iter_mut();
+    for ((dy, &g), &m) in gated.zip(grad_out.as_slice()).zip(&cache.mask) {
+        // All-ones where the gradient flows, else zero: a select the
+        // vectorizer takes without a branch per element.
+        let flows = 0u32.wrapping_sub(u32::from(m == KEEP | PASS));
+        *dy = f32::from_bits((g * cache.scale).to_bits() & flows);
+    }
+    ln_backward_in_place(grad, &cache.ln, gamma)
 }
 
 /// Row-wise log-softmax, computed stably via the max trick.
@@ -263,59 +349,39 @@ pub fn log_softmax(x: &Matrix) -> Matrix {
     out
 }
 
-/// Mean softmax cross-entropy loss over the rows selected by `mask`.
+/// Mean softmax cross-entropy loss over the rows selected by `mask`, and its
+/// gradient with respect to the logits, from one [`log_softmax`].
 ///
 /// `labels[i]` is the class index of row `i`; rows where `mask` is false are
-/// ignored (the standard transductive-node-classification setup: loss only on
-/// training nodes). Returns 0 when the mask selects no rows.
+/// ignored and receive zero gradient (the standard
+/// transductive-node-classification setup: loss only on training nodes). The
+/// loss is 0 when the mask selects no rows.
 ///
 /// # Panics
 ///
 /// Panics if `labels`/`mask` lengths differ from `logits.rows()`.
-pub fn softmax_cross_entropy_loss(logits: &Matrix, labels: &[usize], mask: &[bool]) -> f32 {
+pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize], mask: &[bool]) -> (f32, Matrix) {
     assert_eq!(labels.len(), logits.rows(), "labels length mismatch");
     assert_eq!(mask.len(), logits.rows(), "mask length mismatch");
-    let log_p = log_softmax(logits);
+    let selected = mask.iter().filter(|&&m| m).count();
+    let count = selected.max(1) as f32;
+    // Row by row the log-probabilities turn into the gradient.
+    let mut grad = log_softmax(logits);
     let mut loss = 0.0;
-    let mut count = 0usize;
     for i in 0..logits.rows() {
-        if mask[i] {
-            loss -= log_p.at(i, labels[i]);
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        loss / count as f32
-    }
-}
-
-/// Gradient of [`softmax_cross_entropy_loss`] with respect to the logits.
-///
-/// Masked-out rows receive zero gradient.
-///
-/// # Panics
-///
-/// Panics if `labels`/`mask` lengths differ from `logits.rows()`.
-pub fn softmax_cross_entropy_backward(logits: &Matrix, labels: &[usize], mask: &[bool]) -> Matrix {
-    assert_eq!(labels.len(), logits.rows(), "labels length mismatch");
-    assert_eq!(mask.len(), logits.rows(), "mask length mismatch");
-    let count = mask.iter().filter(|&&m| m).count().max(1) as f32;
-    let log_p = log_softmax(logits);
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    for i in 0..logits.rows() {
+        let g = grad.row_mut(i);
         if !mask[i] {
+            g.fill(0.0);
             continue;
         }
-        let lp = log_p.row(i);
-        let g = grad.row_mut(i);
-        for j in 0..lp.len() {
-            g[j] = lp[j].exp() / count;
+        loss -= g[labels[i]];
+        for v in g.iter_mut() {
+            *v = v.exp() / count;
         }
         g[labels[i]] -= 1.0 / count;
     }
-    grad
+    let loss = if selected == 0 { 0.0 } else { loss / count };
+    (loss, grad)
 }
 
 /// Elementwise logistic sigmoid.
@@ -324,94 +390,49 @@ pub fn sigmoid(x: &Matrix) -> Matrix {
 }
 
 /// Mean binary cross-entropy-with-logits loss over the rows selected by
-/// `mask`, for multi-label classification (Yelp / AmazonProducts tasks).
+/// `mask`, and its gradient with respect to the logits, for multi-label
+/// classification (Yelp / AmazonProducts tasks).
 ///
-/// `targets` holds 0/1 values with the same shape as `logits`. Uses the
-/// numerically stable formulation
-/// `max(z,0) - z*y + ln(1 + exp(-|z|))`. Returns 0 when the mask is empty.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn sigmoid_bce_loss(logits: &Matrix, targets: &Matrix, mask: &[bool]) -> f32 {
-    sigmoid_bce_loss_weighted(logits, targets, mask, 1.0)
-}
-
-/// [`sigmoid_bce_loss`] with a positive-class weight: each positive label's
-/// term is multiplied by `pos_weight`, counteracting the heavy negative
-/// imbalance of many-class multi-label tasks (a node carries 1-3 of ~100
-/// labels, so the unweighted loss is dominated by "predict nothing").
+/// `targets` holds 0/1 values with the same shape as `logits`. Each positive
+/// label's term is multiplied by `pos_weight`, counteracting the heavy
+/// negative imbalance of many-class multi-label tasks (a node carries 1-3 of
+/// ~100 labels, so the unweighted loss is dominated by "predict nothing").
+/// Uses the numerically stable formulation
+/// `max(z,0) - z*y + ln(1 + exp(-|z|))`. The loss is 0 when the mask is
+/// empty.
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree or `pos_weight <= 0`.
-pub fn sigmoid_bce_loss_weighted(
+pub fn sigmoid_bce_weighted(
     logits: &Matrix,
     targets: &Matrix,
     mask: &[bool],
     pos_weight: f32,
-) -> f32 {
+) -> (f32, Matrix) {
     assert_eq!(logits.shape(), targets.shape(), "bce shape mismatch");
     assert_eq!(mask.len(), logits.rows(), "mask length mismatch");
     assert!(pos_weight > 0.0, "pos_weight must be positive");
-    let mut loss = 0.0;
-    let mut count = 0usize;
-    for i in 0..logits.rows() {
-        if !mask[i] {
-            continue;
-        }
-        count += 1;
-        for (&z, &y) in logits.row(i).iter().zip(targets.row(i)) {
-            // softplus(z) = ln(1 + e^z), stable form.
-            let softplus_neg = (1.0 + (-z.abs()).exp()).ln() + (-z).max(0.0); // softplus(-z)
-            let softplus_pos = (1.0 + (-z.abs()).exp()).ln() + z.max(0.0); // softplus(z)
-            loss += pos_weight * y * softplus_neg + (1.0 - y) * softplus_pos;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        loss / (count as f32 * logits.cols() as f32)
-    }
-}
-
-/// Gradient of [`sigmoid_bce_loss`] with respect to the logits.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn sigmoid_bce_backward(logits: &Matrix, targets: &Matrix, mask: &[bool]) -> Matrix {
-    sigmoid_bce_backward_weighted(logits, targets, mask, 1.0)
-}
-
-/// Gradient of [`sigmoid_bce_loss_weighted`] with respect to the logits.
-///
-/// # Panics
-///
-/// Panics if shapes disagree or `pos_weight <= 0`.
-pub fn sigmoid_bce_backward_weighted(
-    logits: &Matrix,
-    targets: &Matrix,
-    mask: &[bool],
-    pos_weight: f32,
-) -> Matrix {
-    assert_eq!(logits.shape(), targets.shape(), "bce shape mismatch");
-    assert_eq!(mask.len(), logits.rows(), "mask length mismatch");
-    assert!(pos_weight > 0.0, "pos_weight must be positive");
-    let count = mask.iter().filter(|&&m| m).count().max(1) as f32;
-    let denom = count * logits.cols() as f32;
+    let selected = mask.iter().filter(|&&m| m).count();
+    let denom = selected.max(1) as f32 * logits.cols() as f32;
     let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let mut loss = 0.0;
     for i in 0..logits.rows() {
         if !mask[i] {
             continue;
         }
         let g = grad.row_mut(i);
         for (j, (&z, &y)) in logits.row(i).iter().zip(targets.row(i)).enumerate() {
+            // softplus(z) = ln(1 + e^z), stable form.
+            let softplus_neg = (1.0 + (-z.abs()).exp()).ln() + (-z).max(0.0); // softplus(-z)
+            let softplus_pos = (1.0 + (-z.abs()).exp()).ln() + z.max(0.0); // softplus(z)
+            loss += pos_weight * y * softplus_neg + (1.0 - y) * softplus_pos;
             let p = 1.0 / (1.0 + (-z).exp());
             g[j] = (pos_weight * y * (p - 1.0) + (1.0 - y) * p) / denom;
         }
     }
-    grad
+    let loss = if selected == 0 { 0.0 } else { loss / denom };
+    (loss, grad)
 }
 
 #[cfg(test)]
@@ -430,57 +451,73 @@ mod tests {
         plus.set(i, j, plus.at(i, j) + eps);
         let mut minus = logits.clone();
         minus.set(i, j, minus.at(i, j) - eps);
-        (softmax_cross_entropy_loss(&plus, labels, mask)
-            - softmax_cross_entropy_loss(&minus, labels, mask))
+        (softmax_cross_entropy(&plus, labels, mask).0
+            - softmax_cross_entropy(&minus, labels, mask).0)
             / (2.0 * eps)
+    }
+
+    /// The tail of a fixed 16 x 8 input with `gamma = 1`, `beta = 0` (so the
+    /// layer-norm output is `x_hat` itself) at dropout `p`, checked both
+    /// ways: the output is `x_hat * scale` where the gradient flows and zero
+    /// elsewhere, and the backward is the layer-norm backward of the
+    /// upstream gradient gated and scaled the same way. Returns the mask.
+    fn checked_tail(p: f32) -> Vec<u8> {
+        let mut rng = Rng::seed_from(6);
+        let lin = Matrix::from_fn(16, 8, |i, j| ((i * 8 + j) as f32 * 0.37).sin());
+        let gamma = vec![1.0; 8];
+        let (y, cache) = tail_forward(lin, &gamma, &[0.0; 8], p, &mut rng);
+        let scale = 1.0 / (1.0 - p);
+        let flows: Vec<bool> = cache.mask.iter().map(|&m| m == KEEP | PASS).collect();
+        for ((&yv, &xh), (&m, &f)) in
+            (y.as_slice().iter().zip(cache.ln.x_hat.as_slice())).zip(cache.mask.iter().zip(&flows))
+        {
+            assert_eq!(m & PASS != 0, xh > 0.0);
+            assert_eq!(yv, if f { xh * scale } else { 0.0 });
+        }
+        let gated = Matrix::from_fn(16, 8, |i, j| if flows[i * 8 + j] { scale } else { 0.0 });
+        let got = tail_backward(&Matrix::full(16, 8, 1.0), &cache, &gamma);
+        assert_eq!(got, layer_norm_backward(&gated, &cache.ln, &gamma));
+        cache.mask
     }
 
     #[test]
     fn relu_clamps_and_gates() {
-        let x = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -3.0]]);
-        let y = relu_forward(&x);
-        assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
-        let g = relu_backward(&Matrix::full(2, 2, 1.0), &x);
-        assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 0.0]);
+        let mask = checked_tail(0.0);
+        assert!(mask.contains(&KEEP), "nothing clamped");
+        assert!(mask.iter().all(|&m| m & KEEP != 0), "p = 0 drops nothing");
+    }
+
+    #[test]
+    fn dropout_backward_matches_mask() {
+        let mask = checked_tail(0.5);
+        assert!(mask.contains(&PASS), "nothing dropped");
     }
 
     #[test]
     fn dropout_zero_p_is_identity() {
         let mut rng = Rng::seed_from(5);
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let (y, mask) = dropout_forward(&x, 0.0, &mut rng);
-        assert_eq!(y, x);
-        assert_eq!(mask.keep_rate(), 1.0);
+        let mut x = [1.0, 2.0, 3.0];
+        let mut mask = vec![KEEP; 3];
+        let scale = dropout_in_place(&mut x, &mut mask, 0.0, &mut rng);
+        assert_eq!((x, scale), ([1.0, 2.0, 3.0], 1.0));
+        assert_eq!(mask, vec![KEEP; 3]);
+        // Nothing was drawn.
+        assert_eq!(rng.next_u64(), Rng::seed_from(5).next_u64());
     }
 
     #[test]
     fn dropout_scales_survivors() {
         let mut rng = Rng::seed_from(5);
-        let x = Matrix::full(100, 10, 1.0);
-        let (y, mask) = dropout_forward(&x, 0.5, &mut rng);
-        for &v in y.as_slice() {
-            assert!(v == 0.0 || (v - 2.0).abs() < 1e-6);
+        let mut x = vec![1.0f32; 1000];
+        let mut mask = vec![KEEP; 1000];
+        let scale = dropout_in_place(&mut x, &mut mask, 0.5, &mut rng);
+        assert_eq!(scale, 2.0);
+        for (&v, &m) in x.iter().zip(&mask) {
+            assert_eq!(v, if m == KEEP { 2.0 } else { 0.0 });
         }
-        // Empirical keep rate near 0.5.
-        assert!((mask.keep_rate() - 0.5).abs() < 0.05);
-        // Expected value preserved.
-        assert!((y.mean() - 1.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn dropout_backward_matches_mask() {
-        let mut rng = Rng::seed_from(6);
-        let x = Matrix::full(4, 4, 1.0);
-        let (y, mask) = dropout_forward(&x, 0.5, &mut rng);
-        let g = dropout_backward(&Matrix::full(4, 4, 1.0), &mask);
-        // Gradient zero exactly where output is zero, scaled elsewhere.
-        for (gv, yv) in g.as_slice().iter().zip(y.as_slice()) {
-            if *yv == 0.0 {
-                assert_eq!(*gv, 0.0);
-            } else {
-                assert!((gv - 2.0).abs() < 1e-6);
-            }
-        }
+        // Empirical keep rate near 0.5, so the expected value is preserved.
+        let mean = x.iter().sum::<f32>() / 1000.0;
+        assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
     }
 
     #[test]
@@ -570,7 +607,7 @@ mod tests {
     #[test]
     fn cross_entropy_perfect_prediction_is_small() {
         let logits = Matrix::from_rows(&[&[20.0, 0.0], &[0.0, 20.0]]);
-        let loss = softmax_cross_entropy_loss(&logits, &[0, 1], &[true, true]);
+        let (loss, _) = softmax_cross_entropy(&logits, &[0, 1], &[true, true]);
         assert!(loss < 1e-6);
     }
 
@@ -578,16 +615,17 @@ mod tests {
     fn cross_entropy_masked_rows_ignored() {
         let logits = Matrix::from_rows(&[&[20.0, 0.0], &[20.0, 0.0]]);
         // Second row is wrong but masked out.
-        let loss = softmax_cross_entropy_loss(&logits, &[0, 1], &[true, false]);
+        let (loss, grad) = softmax_cross_entropy(&logits, &[0, 1], &[true, false]);
         assert!(loss < 1e-6);
-        let grad = softmax_cross_entropy_backward(&logits, &[0, 1], &[true, false]);
         assert!(grad.row(1).iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn cross_entropy_empty_mask_is_zero() {
         let logits = Matrix::from_rows(&[&[1.0, 2.0]]);
-        assert_eq!(softmax_cross_entropy_loss(&logits, &[0], &[false]), 0.0);
+        let (loss, grad) = softmax_cross_entropy(&logits, &[0], &[false]);
+        assert_eq!(loss, 0.0);
+        assert_eq!(grad, Matrix::zeros(1, 2));
     }
 
     #[test]
@@ -595,7 +633,7 @@ mod tests {
         let logits = Matrix::from_rows(&[&[0.3, -0.7, 1.1], &[0.0, 0.5, -0.5]]);
         let labels = [2, 0];
         let mask = [true, true];
-        let grad = softmax_cross_entropy_backward(&logits, &labels, &mask);
+        let (_, grad) = softmax_cross_entropy(&logits, &labels, &mask);
         for i in 0..2 {
             for j in 0..3 {
                 let num = finite_diff_loss(&logits, &labels, &mask, i, j, 1e-3);
@@ -611,7 +649,7 @@ mod tests {
     #[test]
     fn cross_entropy_grad_rows_sum_to_zero() {
         let logits = Matrix::from_rows(&[&[0.3, -0.7, 1.1]]);
-        let grad = softmax_cross_entropy_backward(&logits, &[1], &[true]);
+        let (_, grad) = softmax_cross_entropy(&logits, &[1], &[true]);
         let s: f32 = grad.row(0).iter().sum();
         assert!(s.abs() < 1e-6);
     }
@@ -620,7 +658,7 @@ mod tests {
     fn bce_perfect_prediction_is_small() {
         let logits = Matrix::from_rows(&[&[20.0, -20.0]]);
         let targets = Matrix::from_rows(&[&[1.0, 0.0]]);
-        assert!(sigmoid_bce_loss(&logits, &targets, &[true]) < 1e-6);
+        assert!(sigmoid_bce_weighted(&logits, &targets, &[true], 1.0).0 < 1e-6);
     }
 
     #[test]
@@ -628,7 +666,7 @@ mod tests {
         let logits = Matrix::from_rows(&[&[0.2, -0.9], &[1.5, 0.1]]);
         let targets = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let mask = [true, true];
-        let grad = sigmoid_bce_backward(&logits, &targets, &mask);
+        let (_, grad) = sigmoid_bce_weighted(&logits, &targets, &mask, 1.0);
         let eps = 1e-3;
         for i in 0..2 {
             for j in 0..2 {
@@ -636,8 +674,8 @@ mod tests {
                 lp.set(i, j, lp.at(i, j) + eps);
                 let mut lm = logits.clone();
                 lm.set(i, j, lm.at(i, j) - eps);
-                let num = (sigmoid_bce_loss(&lp, &targets, &mask)
-                    - sigmoid_bce_loss(&lm, &targets, &mask))
+                let num = (sigmoid_bce_weighted(&lp, &targets, &mask, 1.0).0
+                    - sigmoid_bce_weighted(&lm, &targets, &mask, 1.0).0)
                     / (2.0 * eps);
                 assert!(
                     (num - grad.at(i, j)).abs() < 1e-3,

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Kernel benchmark harness: runs the criterion benches that cover the
 # deterministic parallel runtime (matmul, aggregation, quant_kernels,
-# agg_parallel), the assigner's control plane (assigner_round) and the halo
-# exchange at message granularity (halo_exchange) in quick mode and records
-# every reported mean into
+# agg_parallel), the assigner's control plane (assigner_round), the halo
+# exchange at message granularity (halo_exchange) and the hidden layer's
+# elementwise tail (dense_tail) in quick mode and records every reported
+# mean into
 # results/BENCH_kernels.json as {bench -> {ns, threads}}.
 #
 # threads is parsed from the `_t<N>` suffix the agg_parallel benches encode
 # in their ids (null for thread-agnostic benches). Pass --full for the
 # longer default sampling windows, or --smoke (used by scripts/check.sh) to
-# run only agg_parallel on a tiny problem and assigner_round at 32 devices,
-# and leave the recorded JSON alone.
+# run only agg_parallel on a tiny problem, assigner_round at 32 devices and
+# dense_tail at its small shape, and leave the recorded JSON alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +39,7 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round halo_exchange)
+BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round halo_exchange dense_tail)
 if [[ "$SMOKE" == 1 ]]; then
     BENCHES=(agg_parallel)
 fi
@@ -52,6 +53,9 @@ if [[ "$SMOKE" == 1 ]]; then
     # decode), executed rather than merely compiled.
     echo "==> cargo bench -p bench --bench assigner_round -- 32" >&2
     cargo bench --offline -q -p bench --bench assigner_round -- 32 | tee -a "$RAW"
+    # The fused tail kernels at the halo32 per-device shape.
+    echo "==> cargo bench -p bench --bench dense_tail -- 188" >&2
+    cargo bench --offline -q -p bench --bench dense_tail -- 188 | tee -a "$RAW"
 fi
 
 mkdir -p "$OUT_DIR"
