@@ -396,7 +396,9 @@ fn master_round(
     // share no data, so extra threads on a busy core only time-slice.
     let mut solved: Vec<Option<(Vec<u8>, usize, f64)>> = vec![None; table.num_sections()];
     let tasks: Vec<_> = solved.iter_mut().enumerate().collect();
-    tensor::par::run_tasks(tasks, |(section, slot)| {
+    // Work: one unit per traced message, which every problem sorts, groups
+    // and sweeps — a low count, so a small round stays on this thread.
+    tensor::par::run_tasks(tasks, table.betas.len(), |(section, slot)| {
         let built = table.build(section, cost, cfg);
         let solution = solve_flat(&built.problem);
         *slot = Some((

@@ -253,10 +253,13 @@ impl AggGraph {
         x_row: impl Fn(usize) -> &'x [f32] + Sync,
     ) -> Matrix {
         let mut out = Matrix::zeros(rows, cols);
+        // Multiply-adds: `rows` targets of average degree.
+        let work = self.entries.len() * cols / self.num_target.max(1) * rows;
         tensor::par::par_chunks_deterministic(
             out.as_mut_slice(),
             rows,
             AGG_MIN_CHUNK,
+            work,
             |s, e, chunk| {
                 for (local, k) in (s..e).enumerate() {
                     let v = target(k);
@@ -351,6 +354,7 @@ impl AggGraph {
             out.as_mut_slice(),
             self.num_ext,
             AGG_MIN_CHUNK,
+            self.t_entries.len() * cols,
             |s, e, chunk| {
                 for (local, u) in (s..e).enumerate() {
                     let orow = &mut chunk[local * cols..(local + 1) * cols];

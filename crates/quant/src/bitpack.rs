@@ -90,6 +90,7 @@ pub fn unpack_into(bytes: &[u8], width: BitWidth, dst: &mut [u8]) {
         dst,
         n,
         crate::PAR_MIN_ELEMS,
+        n,
         |s, e, chunk| match width {
             BitWidth::B2 => kernels::unpack_span2(bytes, s, chunk),
             BitWidth::B4 => kernels::unpack_span4(bytes, s, chunk),

@@ -433,7 +433,7 @@ where
         code_rest = code_tail;
         stat_rest = stat_tail;
     }
-    tensor::par::run_range_tasks("quant::encode_block", rows, tasks, encode_rows);
+    tensor::par::run_range_tasks("quant::encode_block", rows, rows * dim, tasks, encode_rows);
     let mut stats = EncodeStats::default();
     for s in &chunk_stats {
         stats.merge(s);
@@ -519,16 +519,22 @@ pub fn decode_block(block: &EncodedBlock) -> Result<Matrix, DecodeError> {
     // packed span and writes its own output row.
     let mut out = Matrix::zeros(rows, dim);
     let min_rows = par_min_rows(dim);
-    tensor::par::par_chunks_deterministic(out.as_mut_slice(), rows, min_rows, |s, e, chunk| {
-        for i in s..e {
-            decode_row(
-                raw,
-                i,
-                code_at[i],
-                &mut chunk[(i - s) * dim..(i - s + 1) * dim],
-            );
-        }
-    });
+    tensor::par::par_chunks_deterministic(
+        out.as_mut_slice(),
+        rows,
+        min_rows,
+        rows * dim,
+        |s, e, chunk| {
+            for i in s..e {
+                decode_row(
+                    raw,
+                    i,
+                    code_at[i],
+                    &mut chunk[(i - s) * dim..(i - s + 1) * dim],
+                );
+            }
+        },
+    );
     Ok(out)
 }
 

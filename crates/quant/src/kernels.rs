@@ -5,9 +5,11 @@
 //! same wire bytes — restructured so the compiler can keep the hot loops
 //! branch-free and lane-parallel:
 //!
-//! * [`min_max`] — 8-accumulator min/max reduction. `f32::min`/`max`
-//!   ignore NaN and are associative and commutative on the extended reals,
-//!   so lane-splitting the reduction is exact, not approximate.
+//! * [`min_max`] — 8-accumulator min/max reduction by compare-and-select.
+//!   NaNs are skipped and min/max are associative and commutative on the
+//!   extended reals, so lane-splitting the reduction is exact, not
+//!   approximate; every tie keeps the earlier operand, so even the sign of
+//!   a zero result is fixed.
 //! * [`encode_span`] — fused stochastic-round + bit-pack over a
 //!   byte-aligned span, monomorphized per bit-width. One wire byte is
 //!   assembled per outer iteration (4×2-bit / 2×4-bit / 1×8-bit codes), so
@@ -17,12 +19,13 @@
 //!   computed directly as `seed + (j+1)·φ32` (wrapping), which equals the
 //!   historical one-add-per-element recurrence and breaks the loop-carried
 //!   dependency so the lanes pipeline.
-//! * [`dequant_span2`]/[`dequant_span4`] and [`unpack_span2`]/
-//!   [`unpack_span4`] — table-driven decode: a 256-entry LUT expands each
-//!   packed byte into its 2-bit quads / 4-bit pairs in one lookup, and the
-//!   de-quantizing variants read the reconstruction values from a per-row
-//!   table built once per row with the exact historical expression
+//! * [`dequant_span`] — shift-and-mask decode: a 32-bit word of packed
+//!   codes is broadcast and every lane extracts its own code with a
+//!   per-lane shift, then evaluates the exact historical expression
 //!   `code as f32 * scale + zero_point`.
+//! * [`unpack_span2`]/[`unpack_span4`] — table-driven unpack: a 256-entry
+//!   LUT expands each packed byte into its 2-bit quads / 4-bit pairs in one
+//!   lookup.
 //!
 //! Determinism invariants (DESIGN.md codec section): coins are a pure
 //! function of `(block seed, element index)`, reductions are exact under
@@ -57,17 +60,48 @@ pub(crate) fn counter_at(seed: u32, j: usize) -> u32 {
 /// Number of min/max accumulator lanes; wide enough for one AVX2 register.
 const LANES: usize = 8;
 
+/// `acc` lowered to `x` if `x` is smaller. A NaN `x` compares false and is
+/// skipped, so an accumulator that starts as a number never becomes NaN —
+/// which is what lets this be one packed compare-and-select (`minps`)
+/// instead of `f32::min`'s NaN-checking three. A `-0.0`/`+0.0` tie keeps
+/// `acc`, as `f32::min(acc, x)` does on x86-64.
+#[inline(always)]
+fn lower(acc: f32, x: f32) -> f32 {
+    if x < acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// [`lower`]'s mirror image: `acc` raised to `x` if `x` is larger.
+#[inline(always)]
+fn raise(acc: f32, x: f32) -> f32 {
+    if x > acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// Folds one chunk into the lane accumulators, element `k` into lane `k`.
+#[inline(always)]
+fn fold_lanes(mins: &mut [f32; LANES], maxs: &mut [f32; LANES], c: &[f32; LANES]) {
+    for k in 0..LANES {
+        mins[k] = lower(mins[k], c[k]);
+        maxs[k] = raise(maxs[k], c[k]);
+    }
+}
+
 /// Min and max of a slice via an 8-lane accumulator reduction.
 ///
-/// Exact (bit-identical to the sequential fold) for every input: `f32::min`
-/// and `f32::max` return the non-NaN operand, so NaNs are skipped in any
-/// association, and on non-NaN values min/max are associative and
-/// commutative. An empty slice reports `(0.0, 0.0)`.
-///
-/// The main loop consumes 16 elements per iteration but tree-combines each
-/// pair of 8-lane loads *before* touching the accumulators, so the serial
-/// accumulator dependency chain (min/max latency-bound, not
-/// throughput-bound) is half as long as a plain lane fold.
+/// NaNs are skipped (an all-NaN slice reports `(+Inf, -Inf)`) and on
+/// numbers min/max are associative and commutative, so the value is the
+/// sequential fold's. Element `i` folds into lane `i % 8` in position
+/// order, then the lanes combine as a tree; every combine keeps its
+/// earlier operand on a tie, so which zero wins a `-0.0`/`+0.0` tie is
+/// fixed by that association and by nothing the compiler chooses. An empty
+/// slice reports `(0.0, 0.0)`.
 #[inline]
 pub fn min_max(xs: &[f32]) -> (f32, f32) {
     if xs.is_empty() {
@@ -75,34 +109,27 @@ pub fn min_max(xs: &[f32]) -> (f32, f32) {
     }
     let mut mins = [f32::INFINITY; LANES];
     let mut maxs = [f32::NEG_INFINITY; LANES];
-    let mut chunks = xs.chunks_exact(2 * LANES);
-    for c in chunks.by_ref() {
-        for k in 0..LANES {
-            mins[k] = mins[k].min(c[k].min(c[LANES + k]));
-            maxs[k] = maxs[k].max(c[k].max(c[LANES + k]));
-        }
+    let (chunks, rest) = xs.as_chunks::<LANES>();
+    for c in chunks {
+        fold_lanes(&mut mins, &mut maxs, c);
     }
-    let mut rem = chunks.remainder().chunks_exact(LANES);
-    for c in rem.by_ref() {
-        for k in 0..LANES {
-            mins[k] = mins[k].min(c[k]);
-            maxs[k] = maxs[k].max(c[k]);
-        }
-    }
-    for (k, &x) in rem.remainder().iter().enumerate() {
-        mins[k] = mins[k].min(x);
-        maxs[k] = maxs[k].max(x);
+    // The ragged end goes through the same whole-chunk fold, padded with
+    // NaN (which every lane skips): folding it lane by lane at a run-time
+    // index keeps the accumulators out of one vector register, and the
+    // whole loop above drops to two-wide vectors.
+    if !rest.is_empty() {
+        let mut last = [f32::NAN; LANES];
+        last[..rest.len()].copy_from_slice(rest);
+        fold_lanes(&mut mins, &mut maxs, &last);
     }
     // Tree-shaped fold: three rounds of pairwise combines instead of a
-    // seven-step serial min/max chain — the fold runs once per row, but at
-    // small dims (64-wide messages) its latency is a visible slice of the
-    // whole call. min/max are associative and commutative over the
-    // NaN-ignoring accumulators, so the reduction order is free to choose.
+    // seven-step serial chain — the fold runs once per row, and at small
+    // dims its latency is a visible slice of the whole call.
     let mut stride = LANES / 2;
     while stride > 0 {
         for k in 0..stride {
-            mins[k] = mins[k].min(mins[k + stride]);
-            maxs[k] = maxs[k].max(maxs[k + stride]);
+            mins[k] = lower(mins[k], mins[k + stride]);
+            maxs[k] = raise(maxs[k], maxs[k + stride]);
         }
         stride /= 2;
     }
@@ -166,9 +193,10 @@ pub(crate) fn floor_code_bounded<const BITS: u32>(x: f32) -> u32 {
 
 /// Lane-block width of the fused encode kernel: 32 elements per block keeps
 /// whole output bytes per block at every supported width (32/4 = 8 bytes at
-/// 2-bit, 16 at 4-bit, 32 at 8-bit) and gives the autovectorizer eight full
-/// SSE lanesets (or four AVX2) per iteration — measured faster than both 16
-/// (less unroll) and 64 (register spills) on the quantize hot loop.
+/// 2-bit, 16 at 4-bit, 32 at 8-bit) and gives the autovectorizer four AVX2
+/// lanesets per iteration. Re-measured at x86-64-v3 (DESIGN.md §11): 16 is
+/// level at dim 32 and up to 4 % slower on longer rows, 64 sends a 32-wide
+/// row down the scalar tail (3x slower).
 const ENC_BLOCK: usize = 32;
 
 /// Fused stochastic-round + pack of `row` into `out`, one wire byte per
@@ -313,83 +341,76 @@ const fn build_lut4() -> [[u8; 2]; 256] {
     t
 }
 
-/// The reconstruction-value table for a `(scale, zero_point)` pair:
-/// `vals[c] = c as f32 * scale + zero` — the exact historical de-quantize
-/// expression, evaluated once per row instead of once per element.
+/// Expands the codes packed LSB-first in `bytes` (at most four) into
+/// `vals`: `code as f32 * scale + zero`, each code extracted with its own
+/// shift and mask.
 #[inline(always)]
-pub(crate) fn vals_table<const N: usize>(scale: f32, zero: f32) -> [f32; N] {
-    let mut vals = [0.0f32; N];
-    for (c, v) in vals.iter_mut().enumerate() {
-        // lint:allow(lossy-cast): code c < N <= 256 widens exactly to f32
-        *v = c as f32 * scale + zero;
+fn expand<const BITS: usize>(bytes: &[u8], scale: f32, zero: f32, vals: &mut [f32]) {
+    let mut word = [0u8; 4];
+    word[..bytes.len()].copy_from_slice(bytes);
+    let word = u32::from_le_bytes(word);
+    let mask = (1u32 << BITS) - 1;
+    for (k, v) in vals.iter_mut().enumerate() {
+        // lint:allow(lossy-cast): a code below 2^BITS widens exactly to f32
+        *v = (word >> (k * BITS) & mask) as f32 * scale + zero;
     }
-    vals
 }
 
-/// De-quantizes `out.len()` 2-bit codes starting at code index `start` of
-/// `packed` through the 4-entry value table. Handles unaligned starts with
-/// scalar head/tail loops; the aligned middle expands four codes per LUT
-/// lookup.
-pub(crate) fn dequant_span2(packed: &[u8], start: usize, vals: &[f32; 4], out: &mut [f32]) {
-    let mut j = start;
-    let mut o = 0usize;
-    while !j.is_multiple_of(4) && o < out.len() {
-        out[o] = vals[((packed[j >> 2] >> ((j & 3) * 2)) & 3) as usize];
-        j += 1;
-        o += 1;
+/// De-quantizes `out.len()` `BITS`-bit codes (2 or 4) starting at code
+/// index `start` of `packed`: `code as f32 * scale + zero`, the historical
+/// expression, per element. The byte-aligned middle goes a 32-bit word at
+/// a time, then eight codes at a time: one variable shift per lane
+/// (`vpsrlvd`) and an eight-wide convert, multiply and add, where a table
+/// lookup per code would not vectorize. Unaligned heads and tails go code
+/// by code.
+pub(crate) fn dequant_span<const BITS: usize>(
+    packed: &[u8],
+    start: usize,
+    scale: f32,
+    zero: f32,
+    out: &mut [f32],
+) {
+    const GROUP: usize = 8;
+    let per_byte = 8 / BITS;
+    let per_word = 32 / BITS;
+    let value = |j: usize| {
+        let code = u32::from(packed[j / per_byte] >> (j % per_byte * BITS)) & ((1 << BITS) - 1);
+        // lint:allow(lossy-cast): a code below 2^BITS widens exactly to f32
+        code as f32 * scale + zero
+    };
+    let len = out.len();
+    let head = (start.next_multiple_of(GROUP) - start).min(len);
+    let (first, rest) = out.split_at_mut(head);
+    let words = rest.len() / per_word;
+    let groups = (rest.len() - words * per_word) / GROUP;
+    let (by_word, rest) = rest.split_at_mut(words * per_word);
+    let (by_group, last) = rest.split_at_mut(groups * GROUP);
+    for (o, v) in first.iter_mut().enumerate() {
+        *v = value(start + o);
     }
-    let full = (out.len() - o) / 4;
-    let byte0 = j >> 2;
-    for (b, quad) in packed[byte0..byte0 + full]
-        .iter()
-        .zip(out[o..].chunks_exact_mut(4))
+    let byte0 = (start + head) / per_byte;
+    let (word_bytes, group_bytes) = packed[byte0..].split_at(4 * words);
+    for (w, vals) in word_bytes
+        .chunks_exact(4)
+        .zip(by_word.chunks_exact_mut(per_word))
     {
-        let codes = &LUT2[*b as usize];
-        quad[0] = vals[codes[0] as usize];
-        quad[1] = vals[codes[1] as usize];
-        quad[2] = vals[codes[2] as usize];
-        quad[3] = vals[codes[3] as usize];
+        expand::<BITS>(w, scale, zero, vals);
     }
-    j += full * 4;
-    o += full * 4;
-    while o < out.len() {
-        out[o] = vals[((packed[j >> 2] >> ((j & 3) * 2)) & 3) as usize];
-        j += 1;
-        o += 1;
-    }
-}
-
-/// De-quantizes `out.len()` 4-bit codes starting at code index `start` of
-/// `packed` through the 16-entry value table (two codes per LUT lookup).
-pub(crate) fn dequant_span4(packed: &[u8], start: usize, vals: &[f32; 16], out: &mut [f32]) {
-    let mut j = start;
-    let mut o = 0usize;
-    while !j.is_multiple_of(2) && o < out.len() {
-        out[o] = vals[((packed[j >> 1] >> ((j & 1) * 4)) & 0xF) as usize];
-        j += 1;
-        o += 1;
-    }
-    let full = (out.len() - o) / 2;
-    let byte0 = j >> 1;
-    for (b, pair) in packed[byte0..byte0 + full]
-        .iter()
-        .zip(out[o..].chunks_exact_mut(2))
+    for (w, vals) in group_bytes
+        .chunks_exact(BITS)
+        .zip(by_group.chunks_exact_mut(GROUP))
     {
-        let codes = &LUT4[*b as usize];
-        pair[0] = vals[codes[0] as usize];
-        pair[1] = vals[codes[1] as usize];
+        expand::<BITS>(w, scale, zero, vals);
     }
-    j += full * 2;
-    o += full * 2;
-    while o < out.len() {
-        out[o] = vals[((packed[j >> 1] >> ((j & 1) * 4)) & 0xF) as usize];
-        j += 1;
-        o += 1;
+    let j0 = start + len - last.len();
+    for (o, v) in last.iter_mut().enumerate() {
+        *v = value(j0 + o);
     }
 }
 
-/// De-quantizes 8-bit codes (one code per byte) — a straight FMA loop the
-/// compiler vectorizes on its own.
+/// De-quantizes 8-bit codes (one code per byte) — a straight multiply-add
+/// loop (two roundings: Rust never fuses them) the compiler vectorizes on
+/// its own.
 pub(crate) fn dequant_span8(packed: &[u8], start: usize, scale: f32, zero: f32, out: &mut [f32]) {
     let src = &packed[start..start + out.len()];
     for (o, &b) in out.iter_mut().zip(src) {
@@ -399,8 +420,8 @@ pub(crate) fn dequant_span8(packed: &[u8], start: usize, scale: f32, zero: f32, 
 }
 
 /// De-quantizes `out.len()` `width`-bit codes starting at code index `start`
-/// of `packed`: `code as f32 * scale + zero`, through a per-row value table
-/// at 2 and 4 bits. The one place a decoder dispatches on the width.
+/// of `packed`: `code as f32 * scale + zero`. The one place a decoder
+/// dispatches on the width.
 #[inline]
 pub(crate) fn dequant_row(
     width: crate::BitWidth,
@@ -411,8 +432,8 @@ pub(crate) fn dequant_row(
     out: &mut [f32],
 ) {
     match width {
-        crate::BitWidth::B2 => dequant_span2(packed, start, &vals_table::<4>(scale, zero), out),
-        crate::BitWidth::B4 => dequant_span4(packed, start, &vals_table::<16>(scale, zero), out),
+        crate::BitWidth::B2 => dequant_span::<2>(packed, start, scale, zero, out),
+        crate::BitWidth::B4 => dequant_span::<4>(packed, start, scale, zero, out),
         crate::BitWidth::B8 => dequant_span8(packed, start, scale, zero, out),
     }
 }
@@ -568,19 +589,63 @@ mod tests {
 
     #[test]
     fn min_max_matches_sequential_fold() {
-        let xs: Vec<f32> = (0..1003).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
-        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1003] {
-            let s = &xs[..n];
-            let got = min_max(s);
-            let want = if n == 0 {
-                (0.0, 0.0)
-            } else {
-                s.iter()
-                    .fold((f32::INFINITY, f32::NEG_INFINITY), |(mn, mx), &x| {
-                        (mn.min(x), mx.max(x))
-                    })
-            };
-            assert_eq!(got, want, "n = {n}");
+        // Zero ties keep the earlier operand of each combine, spelled out
+        // so the reference does not lean on `f32::min`'s unspecified sign.
+        let keep_min = |a: f32, b: f32| if a.is_nan() || b < a { b } else { a };
+        let keep_max = |a: f32, b: f32| if a.is_nan() || b > a { b } else { a };
+        // `min_max`'s own association: element i folds into lane i % LANES
+        // in position order, then the lanes combine as a tree.
+        let lane_fold = |s: &[f32]| {
+            let mut mins = [f32::INFINITY; LANES];
+            let mut maxs = [f32::NEG_INFINITY; LANES];
+            for (i, &x) in s.iter().enumerate() {
+                mins[i % LANES] = keep_min(mins[i % LANES], x);
+                maxs[i % LANES] = keep_max(maxs[i % LANES], x);
+            }
+            let mut stride = LANES / 2;
+            while stride > 0 {
+                for k in 0..stride {
+                    mins[k] = keep_min(mins[k], mins[k + stride]);
+                    maxs[k] = keep_max(maxs[k], maxs[k + stride]);
+                }
+                stride /= 2;
+            }
+            (mins[0], maxs[0])
+        };
+        let ints: Vec<f32> = (0..1003).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
+        // Every seventh element from position 3 is NaN, +Inf, -Inf, +0.0 or
+        // -0.0 in turn, so short prefixes see NaN alone.
+        const SALT: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let salt = |xs: &[f32]| -> Vec<f32> {
+            let pick = |(i, &x): (usize, &f32)| if i % 7 == 3 { SALT[(i / 7) % 5] } else { x };
+            xs.iter().enumerate().map(pick).collect()
+        };
+        let salted = salt(&ints);
+        // Non-negative with both zeros: the minimum is a -0.0/+0.0 tie.
+        let zero_floor = salt(&ints.iter().map(|x| x.abs()).collect::<Vec<_>>());
+        let zeros: Vec<f32> = (0..1003).map(|i| [0.0, -0.0, f32::NAN][i % 3]).collect();
+        let nans = vec![f32::NAN; 1003];
+        for xs in [&ints, &salted, &zero_floor, &zeros, &nans] {
+            for n in [0usize, 1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1003] {
+                let s = &xs[..n];
+                let got = min_max(s);
+                let (want, lanes) = if n == 0 {
+                    ((0.0, 0.0), (0.0, 0.0))
+                } else {
+                    let seq = s
+                        .iter()
+                        .fold((f32::INFINITY, f32::NEG_INFINITY), |(a, b), &x| {
+                            (keep_min(a, x), keep_max(b, x))
+                        });
+                    (seq, lane_fold(s))
+                };
+                // NaN is skipped (an all-NaN slice reports +Inf, -Inf) and
+                // the value is the sequential fold's; only which zero wins a
+                // tie depends on the lanes, and that is pinned bit for bit.
+                assert_eq!(got, want, "{:?} n = {n}", &xs[..4]);
+                let bits = |(a, b): (f32, f32)| (a.to_bits(), b.to_bits());
+                assert_eq!(bits(got), bits(lanes), "{:?} n = {n}", &xs[..4]);
+            }
         }
     }
 
@@ -598,29 +663,35 @@ mod tests {
 
     #[test]
     fn spans_handle_unaligned_starts() {
-        // Pack a known code pattern, then unpack every (start, len) window.
-        let codes: Vec<u8> = (0..64).map(|i| (i % 4) as u8).collect();
+        // Pack a scrambled code pattern, then unpack and de-quantize every
+        // (start, len) window: starts on and off a 32-bit word, spans of
+        // zero, part of one and several words.
+        let codes: Vec<u8> = (0..64).map(|i| ((i * 7 + i / 5) % 4) as u8).collect();
         let packed = crate::bitpack::pack(&codes, crate::BitWidth::B2);
-        for start in 0..12 {
-            for len in 0..40 {
+        for start in 0..20 {
+            for len in 0..44 {
                 let mut out = vec![0xAAu8; len];
                 unpack_span2(&packed, start, &mut out);
                 assert_eq!(out, &codes[start..start + len], "start {start} len {len}");
-                let vals = vals_table::<4>(0.5, -1.0);
                 let mut deq = vec![0.0f32; len];
-                dequant_span2(&packed, start, &vals, &mut deq);
+                dequant_span::<2>(&packed, start, 0.5, -1.0, &mut deq);
                 for (d, &c) in deq.iter().zip(&codes[start..start + len]) {
-                    assert_eq!(*d, c as f32 * 0.5 - 1.0);
+                    assert_eq!(*d, c as f32 * 0.5 - 1.0, "start {start} len {len}");
                 }
             }
         }
-        let codes4: Vec<u8> = (0..40).map(|i| (i % 16) as u8).collect();
+        let codes4: Vec<u8> = (0..40).map(|i| ((i * 11 + i / 3) % 16) as u8).collect();
         let packed4 = crate::bitpack::pack(&codes4, crate::BitWidth::B4);
-        for start in 0..6 {
-            for len in 0..24 {
+        for start in 0..10 {
+            for len in 0..30 {
                 let mut out = vec![0u8; len];
                 unpack_span4(&packed4, start, &mut out);
                 assert_eq!(out, &codes4[start..start + len], "start {start} len {len}");
+                let mut deq = vec![0.0f32; len];
+                dequant_span::<4>(&packed4, start, 0.25, 3.0, &mut deq);
+                for (d, &c) in deq.iter().zip(&codes4[start..start + len]) {
+                    assert_eq!(*d, c as f32 * 0.25 + 3.0, "start {start} len {len}");
+                }
             }
         }
     }

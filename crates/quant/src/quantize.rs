@@ -173,7 +173,7 @@ pub fn dequantize_into(q: &QuantizedMessage, dst: &mut [f32]) {
     let scale = q.params.scale;
     let zero = q.params.zero_point;
     let n = dst.len();
-    tensor::par::par_chunks_deterministic(dst, n, crate::PAR_MIN_ELEMS, |s, e, chunk| {
+    tensor::par::par_chunks_deterministic(dst, n, crate::PAR_MIN_ELEMS, n, |s, e, chunk| {
         for (d, &c) in chunk.iter_mut().zip(&q.codes[s..e]) {
             // lint:allow(lossy-cast): u8 code widens exactly to f32
             *d = c as f32 * scale + zero;

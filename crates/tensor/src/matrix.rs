@@ -279,6 +279,7 @@ impl Matrix {
                 &mut out.data,
                 self.rows,
                 PAR_ROW_THRESHOLD / 4,
+                self.rows * self.cols * rhs.cols,
                 |s, e, chunk| {
                     gemm_acc(
                         &self.data[s * self.cols..e * self.cols],
@@ -323,15 +324,22 @@ impl Matrix {
             let mut partials = vec![vec![0.0f32; self.cols * rhs.cols]; ranges.len()];
             let tasks: Vec<((usize, usize), &mut Vec<f32>)> =
                 ranges.iter().copied().zip(partials.iter_mut()).collect();
-            crate::par::run_range_tasks("tensor::matmul_tn", self.rows, tasks, |s, e, buf| {
-                gemm_tn_acc(
-                    &self.data[s * self.cols..e * self.cols],
-                    self.cols,
-                    &rhs.data[s * rhs.cols..e * rhs.cols],
-                    rhs.cols,
-                    buf,
-                );
-            });
+            let work = self.rows * self.cols * rhs.cols;
+            crate::par::run_range_tasks(
+                "tensor::matmul_tn",
+                self.rows,
+                work,
+                tasks,
+                |s, e, buf| {
+                    gemm_tn_acc(
+                        &self.data[s * self.cols..e * self.cols],
+                        self.cols,
+                        &rhs.data[s * rhs.cols..e * rhs.cols],
+                        rhs.cols,
+                        buf,
+                    );
+                },
+            );
             for buf in &partials {
                 for (o, v) in out.data.iter_mut().zip(buf) {
                     *o += v;

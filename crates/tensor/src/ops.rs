@@ -42,14 +42,49 @@ pub struct TailCache {
     scale: f32,
 }
 
-/// Mean and `1 / std` of one row: the statistics every layer-norm kernel
-/// shares, bit for bit.
+/// Mean and `1 / std` of each of `R` rows of `d` values: the statistics
+/// every layer-norm kernel shares, bit for bit.
+///
+/// Each row's two sums run serially in ascending column order from `-0.0`,
+/// as `Iterator::sum` does, so a row's statistics do not depend on the rows
+/// beside it. A lone row's sums are one chain of dependent adds; walking
+/// four rows in step lets four chains overlap.
+#[inline(always)]
+fn row_stats<const R: usize>(rows: [&[f32]; R], d: usize) -> [(f32, f32); R] {
+    let rows = rows.map(|r| &r[..d]);
+    let mut sum = [-0.0f32; R];
+    for j in 0..d {
+        for (s, row) in sum.iter_mut().zip(&rows) {
+            *s += row[j];
+        }
+    }
+    let mean = sum.map(|s| s / d as f32);
+    let mut sq = [-0.0f32; R];
+    for j in 0..d {
+        for ((s, row), &m) in sq.iter_mut().zip(&rows).zip(&mean) {
+            *s += (row[j] - m) * (row[j] - m);
+        }
+    }
+    std::array::from_fn(|r| (mean[r], 1.0 / (sq[r] / d as f32 + LN_EPS).sqrt()))
+}
+
+/// Rows per [`row_stats`] call on the row-wise kernels' main path; four
+/// measured faster than one and than eight (DESIGN.md §19).
+const STAT_ROWS: usize = 4;
+
+/// [`row_stats`] of the `count <= STAT_ROWS` rows of width `d` that start at
+/// row `first` of `buf`; entries past `count` are unused.
 #[inline]
-fn row_stats(row: &[f32]) -> (f32, f32) {
-    let d = row.len() as f32;
-    let mean = row.iter().sum::<f32>() / d;
-    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
-    (mean, 1.0 / (var + LN_EPS).sqrt())
+fn stats_at(buf: &[f32], d: usize, first: usize, count: usize) -> [(f32, f32); STAT_ROWS] {
+    let row = |i: usize| &buf[(first + i) * d..(first + i + 1) * d];
+    if count == STAT_ROWS {
+        return row_stats(std::array::from_fn(row), d);
+    }
+    let mut stats = [(0.0, 0.0); STAT_ROWS];
+    for (i, s) in stats.iter_mut().enumerate().take(count) {
+        [*s] = row_stats([row(i)], d);
+    }
+    stats
 }
 
 /// Splits a row-major buffer of `width`-wide rows at `ranges`' fixed row
@@ -94,18 +129,22 @@ pub fn layer_norm_forward(x: &Matrix, gamma: &[f32], beta: &[f32]) -> (Matrix, L
     par::run_range_tasks(
         "tensor::layer_norm_forward",
         n,
+        n * d,
         tasks,
         |s, e, ((o, xh), ist)| {
-            for (local, i) in (s..e).enumerate() {
-                let row = x.row(i);
-                let (mean, istd) = row_stats(row);
-                ist[local] = istd;
-                let xh_row = &mut xh[local * d..(local + 1) * d];
-                let o_row = &mut o[local * d..(local + 1) * d];
-                for j in 0..d {
-                    let h = (row[j] - mean) * istd;
-                    xh_row[j] = h;
-                    o_row[j] = gamma[j] * h + beta[j];
+            for g in (0..e - s).step_by(STAT_ROWS) {
+                let count = STAT_ROWS.min(e - s - g);
+                let stats = stats_at(x.as_slice(), d, s + g, count);
+                for (local, &(mean, istd)) in (g..).zip(&stats[..count]) {
+                    let row = x.row(s + local);
+                    ist[local] = istd;
+                    let xh_row = &mut xh[local * d..(local + 1) * d];
+                    let o_row = &mut o[local * d..(local + 1) * d];
+                    for j in 0..d {
+                        let h = (row[j] - mean) * istd;
+                        xh_row[j] = h;
+                        o_row[j] = gamma[j] * h + beta[j];
+                    }
                 }
             }
         },
@@ -158,25 +197,31 @@ fn ln_backward_in_place(
     }
     // The input gradient is per-row independent: parallel over fixed chunks,
     // each row rewritten from its own contents.
-    par::par_chunks_deterministic(grad.as_mut_slice(), n, ROW_MIN_CHUNK, |s, _e, chunk| {
-        let inv_d = 1.0 / d as f32;
-        for (local, gi) in chunk.chunks_exact_mut(d).enumerate() {
-            let i = s + local;
-            let xh = cache.x_hat.row(i);
-            let istd = cache.inv_std[i];
-            let mut sum_dxhat = 0.0;
-            let mut sum_dxhat_xhat = 0.0;
-            for j in 0..d {
-                let dxhat = gi[j] * gamma[j];
-                sum_dxhat += dxhat;
-                sum_dxhat_xhat += dxhat * xh[j];
+    par::par_chunks_deterministic(
+        grad.as_mut_slice(),
+        n,
+        ROW_MIN_CHUNK,
+        n * d,
+        |s, _e, chunk| {
+            let inv_d = 1.0 / d as f32;
+            for (local, gi) in chunk.chunks_exact_mut(d).enumerate() {
+                let i = s + local;
+                let xh = cache.x_hat.row(i);
+                let istd = cache.inv_std[i];
+                let mut sum_dxhat = 0.0;
+                let mut sum_dxhat_xhat = 0.0;
+                for j in 0..d {
+                    let dxhat = gi[j] * gamma[j];
+                    sum_dxhat += dxhat;
+                    sum_dxhat_xhat += dxhat * xh[j];
+                }
+                for j in 0..d {
+                    let dxhat = gi[j] * gamma[j];
+                    gi[j] = istd * (dxhat - inv_d * sum_dxhat - xh[j] * inv_d * sum_dxhat_xhat);
+                }
             }
-            for j in 0..d {
-                let dxhat = gi[j] * gamma[j];
-                gi[j] = istd * (dxhat - inv_d * sum_dxhat - xh[j] * inv_d * sum_dxhat_xhat);
-            }
-        }
-    });
+        },
+    );
     (grad, grad_gamma, grad_beta)
 }
 
@@ -255,21 +300,25 @@ pub fn tail_forward(
     par::run_range_tasks(
         "tensor::tail_forward",
         n,
+        n * d,
         tasks,
         |s, e, (((act, xh), ist), ms)| {
-            for local in 0..e - s {
-                let row = &mut act[local * d..(local + 1) * d];
-                let (mean, istd) = row_stats(row);
-                ist[local] = istd;
-                let xh_row = &mut xh[local * d..(local + 1) * d];
-                let m_row = &mut ms[local * d..(local + 1) * d];
-                for j in 0..d {
-                    let h = (row[j] - mean) * istd;
-                    xh_row[j] = h;
-                    let o = gamma[j] * h + beta[j];
-                    // ReLU's backward blocks `o <= 0`: a NaN passes its gradient on.
-                    m_row[j] = KEEP | (PASS * u8::from(o > 0.0 || o.is_nan()));
-                    row[j] = o.max(0.0);
+            for g in (0..e - s).step_by(STAT_ROWS) {
+                let count = STAT_ROWS.min(e - s - g);
+                let stats = stats_at(act, d, g, count);
+                for (local, &(mean, istd)) in (g..).zip(&stats[..count]) {
+                    let row = &mut act[local * d..(local + 1) * d];
+                    ist[local] = istd;
+                    let xh_row = &mut xh[local * d..(local + 1) * d];
+                    let m_row = &mut ms[local * d..(local + 1) * d];
+                    for j in 0..d {
+                        let h = (row[j] - mean) * istd;
+                        xh_row[j] = h;
+                        let o = gamma[j] * h + beta[j];
+                        // ReLU's backward blocks `o <= 0`: a NaN passes its gradient on.
+                        m_row[j] = KEEP | (PASS * u8::from(o > 0.0 || o.is_nan()));
+                        row[j] = o.max(0.0);
+                    }
                 }
             }
         },
@@ -292,14 +341,24 @@ pub fn tail_infer(mut lin: Matrix, gamma: &[f32], beta: &[f32]) -> Matrix {
     if d == 0 {
         return lin;
     }
-    par::par_chunks_deterministic(lin.as_mut_slice(), n, ROW_MIN_CHUNK, |_, _, chunk| {
-        for row in chunk.chunks_exact_mut(d) {
-            let (mean, istd) = row_stats(row);
-            for j in 0..d {
-                row[j] = (gamma[j] * ((row[j] - mean) * istd) + beta[j]).max(0.0);
+    par::par_chunks_deterministic(
+        lin.as_mut_slice(),
+        n,
+        ROW_MIN_CHUNK,
+        n * d,
+        |s, e, chunk| {
+            for g in (0..e - s).step_by(STAT_ROWS) {
+                let count = STAT_ROWS.min(e - s - g);
+                let stats = stats_at(chunk, d, g, count);
+                let rows = chunk[g * d..(g + count) * d].chunks_exact_mut(d);
+                for (row, &(mean, istd)) in rows.zip(&stats) {
+                    for j in 0..d {
+                        row[j] = (gamma[j] * ((row[j] - mean) * istd) + beta[j]).max(0.0);
+                    }
+                }
             }
-        }
-    });
+        },
+    );
     lin
 }
 
@@ -337,15 +396,21 @@ pub fn log_softmax(x: &Matrix) -> Matrix {
     if d == 0 {
         return out;
     }
-    par::par_chunks_deterministic(out.as_mut_slice(), n, ROW_MIN_CHUNK, |_, _, chunk| {
-        for row in chunk.chunks_mut(d) {
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
-            for v in row.iter_mut() {
-                *v -= lse;
+    par::par_chunks_deterministic(
+        out.as_mut_slice(),
+        n,
+        ROW_MIN_CHUNK,
+        n * d,
+        |_, _, chunk| {
+            for row in chunk.chunks_mut(d) {
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let lse = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+                for v in row.iter_mut() {
+                    *v -= lse;
+                }
             }
-        }
-    });
+        },
+    );
     out
 }
 

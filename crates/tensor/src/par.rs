@@ -63,7 +63,8 @@ static WORKER_TASKS: [AtomicU64; MAX_THREADS] = [
 pub struct PoolStats {
     /// `run_tasks` calls that spawned the worker pool.
     pub pooled_runs: u64,
-    /// `run_tasks` calls that ran inline (one thread or one task).
+    /// `run_tasks` calls that ran inline (one thread, one task, or too little
+    /// work to share).
     pub inline_runs: u64,
     /// Total tasks (chunks) executed, inline or pooled.
     pub tasks_executed: u64,
@@ -165,33 +166,43 @@ pub fn chunk_ranges(rows: usize, min_chunk: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// Work, in scalar operations, that one pooled worker's share must reach
+/// before starting it pays: spawning and joining a scoped worker costs
+/// some 20 µs (DESIGN.md §8, "Work threshold"), 2^16 element operations of
+/// the row kernels. A call with less than two shares of work runs inline.
+const WORKER_SHARE: usize = 1 << 16;
+
 /// Runs `f` over every task on the shared worker pool.
 ///
-/// Tasks are pulled from a queue by `current_threads()` scoped workers, so
-/// uneven task costs balance out; with one thread (or one task) the loop runs
-/// inline. Callers guarantee determinism themselves by making each task own a
-/// disjoint output slice — this function adds no ordering of its own.
+/// Tasks are pulled from a queue by up to `current_threads()` scoped
+/// workers, so uneven task costs balance out. `work` is about how many
+/// scalar operations the tasks perform together: the pool starts one worker
+/// per 2^16 operations at most, so a small call — or one thread, or one
+/// task — runs inline. Which worker runs a task never changes
+/// what it computes. Callers guarantee determinism themselves by making each
+/// task own a disjoint output slice — this function adds no ordering of its
+/// own.
 ///
 /// A panic inside `f` propagates to the caller when the scope joins.
-pub fn run_tasks<T, F>(tasks: Vec<T>, f: F)
+pub fn run_tasks<T, F>(tasks: Vec<T>, work: usize, f: F)
 where
     T: Send,
     F: Fn(T) + Sync,
 {
-    run_tasks_with(tasks, None, f);
+    run_tasks_with(tasks, work, None, f);
 }
 
 /// [`run_tasks`] with an optional worker-count override. The override is how
 /// the sanitizer's adversarial scheduler forces re-executions at worker
-/// counts {1, 2, max} regardless of the configured count; normal callers go
-/// through [`run_tasks`] and inherit [`current_threads`].
-fn run_tasks_with<T, F>(tasks: Vec<T>, forced_threads: Option<usize>, f: F)
+/// counts {1, 2, max} regardless of the configured count and of `work`;
+/// normal callers go through [`run_tasks`] and inherit [`current_threads`].
+fn run_tasks_with<T, F>(tasks: Vec<T>, work: usize, forced_threads: Option<usize>, f: F)
 where
     T: Send,
     F: Fn(T) + Sync,
 {
     let threads = forced_threads
-        .unwrap_or_else(current_threads)
+        .unwrap_or_else(|| current_threads().min(work / WORKER_SHARE))
         .max(1)
         .min(tasks.len());
     if threads <= 1 {
@@ -249,6 +260,7 @@ where
 pub fn run_range_tasks<T, F>(
     kernel: &'static str,
     rows: usize,
+    work: usize,
     tasks: Vec<((usize, usize), T)>,
     f: F,
 ) where
@@ -259,7 +271,9 @@ pub fn run_range_tasks<T, F>(
         let claims: Vec<(usize, usize)> = tasks.iter().map(|((s, e), _)| (*s, *e)).collect();
         crate::san::check_claims(kernel, rows, &claims);
     }
-    run_tasks(tasks, |((start, end), payload)| f(start, end, payload));
+    run_tasks(tasks, work, |((start, end), payload)| {
+        f(start, end, payload);
+    });
 }
 
 /// Deterministic parallel-for over the rows of a row-major buffer.
@@ -269,7 +283,7 @@ pub fn run_range_tasks<T, F>(
 /// range together with the mutable sub-slice holding exactly those rows.
 /// Because boundaries are derived from the problem size alone and every chunk
 /// writes only its own slice, the bytes produced are identical for any thread
-/// count.
+/// count. `work` sizes the pool as in [`run_tasks`].
 ///
 /// Under `ADAQP_SAN` ([`crate::san`]) every launch additionally (a) feeds its
 /// chunk claims through the shadow ownership map and (b) re-executes `f` on a
@@ -284,8 +298,13 @@ pub fn run_range_tasks<T, F>(
 /// # Panics
 ///
 /// Panics if `out.len()` is not a multiple of `rows`.
-pub fn par_chunks_deterministic<T, F>(out: &mut [T], rows: usize, min_chunk: usize, f: F)
-where
+pub fn par_chunks_deterministic<T, F>(
+    out: &mut [T],
+    rows: usize,
+    min_chunk: usize,
+    work: usize,
+    f: F,
+) where
     T: Send + Copy + PartialEq,
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
@@ -301,7 +320,7 @@ where
     let ranges = chunk_ranges(rows, min_chunk);
     let sanitize = crate::san::enabled();
     let pristine = if sanitize { out.to_vec() } else { Vec::new() };
-    run_chunks(out, width, &ranges, None, None, &f);
+    run_chunks(out, width, &ranges, work, None, None, &f);
     if sanitize {
         crate::san::check_claims("par_chunks_deterministic", rows, &ranges);
         for (schedule, threads) in crate::san::ADVERSARIAL_SCHEDULES {
@@ -311,6 +330,7 @@ where
                 &mut scratch,
                 width,
                 &ranges,
+                work,
                 Some(&order),
                 Some(threads),
                 &f,
@@ -334,6 +354,7 @@ fn run_chunks<T, F>(
     out: &mut [T],
     width: usize,
     ranges: &[(usize, usize)],
+    work: usize,
     order: Option<&[usize]>,
     forced_threads: Option<usize>,
     f: &F,
@@ -357,7 +378,7 @@ fn run_chunks<T, F>(
             .collect(),
         None => built.into_iter().flatten().collect(),
     };
-    run_tasks_with(tasks, forced_threads, |(start, end, chunk)| {
+    run_tasks_with(tasks, work, forced_threads, |(start, end, chunk)| {
         f(start, end, chunk);
     });
 }
@@ -410,7 +431,7 @@ mod tests {
         let rows = 513;
         let width = 3;
         let mut out = vec![0.0f32; rows * width];
-        par_chunks_deterministic(&mut out, rows, 8, |start, end, chunk| {
+        par_chunks_deterministic(&mut out, rows, 8, usize::MAX, |start, end, chunk| {
             assert_eq!(chunk.len(), (end - start) * width);
             for (local, row) in chunk.chunks_mut(width).enumerate() {
                 for v in row.iter_mut() {
@@ -428,7 +449,7 @@ mod tests {
         let rows = 777;
         let width = 5;
         let fill = |out: &mut Vec<f32>| {
-            par_chunks_deterministic(out, rows, 4, |start, _end, chunk| {
+            par_chunks_deterministic(out, rows, 4, usize::MAX, |start, _end, chunk| {
                 for (local, row) in chunk.chunks_mut(width).enumerate() {
                     let i = (start + local) as f32;
                     for (j, v) in row.iter_mut().enumerate() {
@@ -453,10 +474,26 @@ mod tests {
     fn run_tasks_executes_all() {
         use std::sync::atomic::AtomicU64;
         let hits = AtomicU64::new(0);
-        run_tasks((0..100u64).collect(), |i| {
+        run_tasks((0..100u64).collect(), usize::MAX, |i| {
             hits.fetch_add(i + 1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 5050);
+    }
+
+    #[test]
+    fn small_work_runs_on_the_callers_thread() {
+        // Whatever thread count a concurrent test has set, less than two
+        // worker shares of work never starts the pool.
+        let caller = std::thread::current().id();
+        let ran_on = std::sync::Mutex::new(Vec::new());
+        set_threads(MAX_THREADS);
+        run_tasks((0..16u32).collect(), 2 * WORKER_SHARE - 1, |_| {
+            let id = std::thread::current().id();
+            ran_on.lock().expect("no task panics").push(id);
+        });
+        set_threads(0);
+        let ran_on = ran_on.into_inner().expect("no task panics");
+        assert_eq!(ran_on, vec![caller; 16]);
     }
 
     #[test]
@@ -464,7 +501,7 @@ mod tests {
         // Counters are process-global and other tests run concurrently, so
         // assert on deltas of the monotone totals only.
         let before = pool_stats();
-        run_tasks((0..10u32).collect(), |_| {});
+        run_tasks((0..10u32).collect(), usize::MAX, |_| {});
         let after = pool_stats();
         assert!(after.tasks_executed >= before.tasks_executed + 10);
         assert!(after.pooled_runs + after.inline_runs > before.pooled_runs + before.inline_runs);
@@ -477,7 +514,7 @@ mod tests {
     #[test]
     fn empty_problem_is_a_noop() {
         let mut out: Vec<f32> = Vec::new();
-        par_chunks_deterministic(&mut out, 0, 4, |_, _, _| unreachable!());
-        run_tasks(Vec::<u32>::new(), |_| unreachable!());
+        par_chunks_deterministic(&mut out, 0, 4, usize::MAX, |_, _, _| unreachable!());
+        run_tasks(Vec::<u32>::new(), usize::MAX, |_| unreachable!());
     }
 }

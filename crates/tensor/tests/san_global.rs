@@ -43,6 +43,7 @@ fn buggy_aliasing_kernel(out: &mut [f32]) {
     par::run_range_tasks(
         "test::buggy_aliasing_kernel",
         rows,
+        rows,
         tasks,
         |_s, _e, chunk| {
             for v in chunk.iter_mut() {
@@ -80,7 +81,7 @@ fn clean_kernels_produce_clean_reports() {
     let _g = san_guard();
     let _off = SanOff;
     let mut out = vec![0.0f32; 257 * 3];
-    par::par_chunks_deterministic(&mut out, 257, 8, |s, _e, chunk| {
+    par::par_chunks_deterministic(&mut out, 257, 8, 257 * 3, |s, _e, chunk| {
         for (local, row) in chunk.chunks_mut(3).enumerate() {
             for v in row.iter_mut() {
                 *v = (s + local) as f32;
@@ -107,7 +108,7 @@ fn order_dependent_kernel_diverges_under_adversarial_schedules() {
     // adversarial scheduler exists to expose.
     let counter = AtomicUsize::new(0);
     let mut out = vec![0.0f32; 512];
-    par::par_chunks_deterministic(&mut out, 512, 8, |_s, _e, chunk| {
+    par::par_chunks_deterministic(&mut out, 512, 8, 512, |_s, _e, chunk| {
         let stamp = counter.fetch_add(1, Ordering::Relaxed) as f32;
         for v in chunk.iter_mut() {
             *v = stamp;
@@ -133,7 +134,7 @@ fn disabled_mode_records_nothing() {
     }
     let before = report().kernels_checked;
     let mut out = vec![0.0f32; 128];
-    par::par_chunks_deterministic(&mut out, 128, 8, |_, _, chunk| {
+    par::par_chunks_deterministic(&mut out, 128, 8, 128, |_, _, chunk| {
         for v in chunk.iter_mut() {
             *v = 1.0;
         }
