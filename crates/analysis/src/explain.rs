@@ -86,9 +86,9 @@ pub const RULE_DOCS: [RuleDoc; 11] = [
     },
     RuleDoc {
         name: "no-host-block",
-        rationale: "A DeviceProgram advances under a single-threaded event loop: every wait \
-                    must be a yielded Command. thread::sleep, channel .recv() or timeout \
-                    waits inside resume() park the host thread and stall the whole cluster.",
+        rationale: "Devices advance under a single-threaded event loop: every wait must be \
+                    a yielded Command or an awaited device operation. thread::sleep, channel \
+                    .recv() or timeout waits in resume() or an async body stall the cluster.",
         bad: include_str!("../tests/fixtures/no_host_block_bad.rs"),
         good: include_str!("../tests/fixtures/no_host_block_ok.rs"),
     },

@@ -77,10 +77,11 @@ const NARROWING_TARGETS: [&str; 5] = ["u8", "i8", "u16", "i16", "f32"];
 /// an owned output slice.
 const PAR_ENTRYPOINTS: [&str; 3] = ["par_chunks_deterministic", "run_range_tasks", "run_tasks"];
 
-/// Blocking host primitives flagged by `no-host-block` inside
-/// `DeviceProgram` impls when directly called (followed by `(`). A device
-/// state machine must express every wait as a yielded `Command`; parking the
-/// host thread inside `resume` deadlocks the single-threaded event loop.
+/// Blocking host primitives flagged by `no-host-block` inside device code
+/// (`DeviceProgram` impls and `async` bodies) when directly called (followed
+/// by `(`). A device must express every wait as a yielded `Command` or an
+/// awaited device operation; parking the host thread deadlocks the
+/// single-threaded event loop.
 const HOST_BLOCK_CALLS: [&str; 6] = [
     "sleep",
     "park",
@@ -745,64 +746,69 @@ fn par_disjoint(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: &
     }
 }
 
-/// The `no-host-block` rule: inside `impl … DeviceProgram … for …` blocks,
-/// flag direct calls to host-blocking primitives ([`HOST_BLOCK_CALLS`]) and
-/// `.recv(…)` method calls (channel receives park the OS thread). A
-/// `DeviceProgram` advances under a single-threaded event loop: every wait
-/// must be expressed as a yielded `Command` so the scheduler can interleave
-/// devices; any host-side block stalls the whole cluster. Token-level
-/// approximation: an impl header mentioning both `DeviceProgram` and `for`
-/// before its `{` is treated as a trait impl.
+/// The `no-host-block` rule: inside device code — `impl … DeviceProgram …
+/// for …` blocks, `async fn` bodies and `async` blocks — flag direct calls
+/// to host-blocking primitives ([`HOST_BLOCK_CALLS`]) and `.recv(…)` method
+/// calls (channel receives park the OS thread). Devices advance under a
+/// single-threaded event loop: every wait must be a yielded `Command` or an
+/// awaited device operation so the scheduler can interleave devices; any
+/// host-side block stalls the whole cluster. A `.recv(…)` whose result is
+/// `.await`ed is the device's own receive, a yield, and is not flagged.
+/// Token-level approximation: an impl header mentioning both
+/// `DeviceProgram` and `for` before its `{` is treated as a trait impl.
 fn no_host_block(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: &mut Vec<Finding>) {
-    let mut i = 0;
-    while i < code.len() {
-        if !code[i].is_ident("impl") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        let (mut saw_trait, mut saw_for) = (false, false);
-        while j < code.len() && !code[j].is_punct('{') && !code[j].is_punct(';') {
-            if code[j].is_ident("DeviceProgram") {
-                saw_trait = true;
-            } else if code[j].is_ident("for") {
-                saw_for = true;
-            }
-            j += 1;
-        }
-        if j >= code.len() || !code[j].is_punct('{') || !(saw_trait && saw_for) {
-            i = j + 1;
-            continue;
-        }
-        let close = scopes::matching(code, j);
-        for k in (j + 1)..close.min(code.len()) {
-            let t = code[k];
-            if t.kind != TokKind::Ident || in_ranges(t.line, exempt) {
-                continue;
-            }
-            let prev_dot = k > 0 && code[k - 1].is_punct('.');
-            let next_open = code.get(k + 1).is_some_and(|n| n.is_punct('('));
-            if !next_open {
-                continue;
-            }
-            let blocking =
-                HOST_BLOCK_CALLS.iter().any(|n| t.is_ident(n)) || (t.is_ident("recv") && prev_dot);
-            if blocking {
-                raw.push(Finding {
-                    id: String::new(),
-                    file: display_path.to_string(),
-                    line: t.line,
-                    rule: "no-host-block",
-                    message: format!(
-                        "`{}` blocks the host thread inside a DeviceProgram; yield a \
-                         Command and let the event loop schedule the wait",
-                        t.text
-                    ),
-                });
-            }
-        }
-        i = close + 1;
+    let mut device = vec![false; code.len()];
+    for open in (0..code.len()).filter_map(|i| device_body(code, i)) {
+        device[open + 1..scopes::matching(code, open)].fill(true);
     }
+    for (k, t) in code.iter().enumerate() {
+        let called = code.get(k + 1).is_some_and(|n| n.is_punct('('));
+        if !device[k] || !called || t.kind != TokKind::Ident || in_ranges(t.line, exempt) {
+            continue;
+        }
+        let method_recv = t.is_ident("recv") && k > 0 && code[k - 1].is_punct('.');
+        let awaited = || {
+            let close = scopes::matching(code, k + 1);
+            code.get(close + 1).is_some_and(|t| t.is_punct('.'))
+                && code.get(close + 2).is_some_and(|t| t.is_ident("await"))
+        };
+        if HOST_BLOCK_CALLS.iter().any(|n| t.is_ident(n)) || (method_recv && !awaited()) {
+            raw.push(Finding {
+                id: String::new(),
+                file: display_path.to_string(),
+                line: t.line,
+                rule: "no-host-block",
+                message: format!(
+                    "`{}` blocks the host thread inside device code; yield a Command \
+                     or await a device operation and let the event loop schedule the wait",
+                    t.text
+                ),
+            });
+        }
+    }
+}
+
+/// The `{` opening the device code that starts at token `i`: the body of
+/// an `impl … DeviceProgram … for …` block, of an `async fn`, or of an
+/// `async` / `async move` block.
+fn device_body(code: &[&Tok], i: usize) -> Option<usize> {
+    let header_end =
+        |from| (from..code.len()).find(|&j| code[j].is_punct('{') || code[j].is_punct(';'));
+    let open = if code[i].is_ident("impl") {
+        let j = header_end(i + 1)?;
+        let names = |name| code[i + 1..j].iter().any(|t| t.is_ident(name));
+        (names("DeviceProgram") && names("for")).then_some(j)?
+    } else if code[i].is_ident("async") {
+        let next = i + 1 + usize::from(code.get(i + 1).is_some_and(|t| t.is_ident("move")));
+        if code.get(next)?.is_ident("fn") {
+            header_end(next)?
+        } else {
+            next
+        }
+    } else {
+        return None;
+    };
+    code.get(open)?.is_punct('{').then_some(open)
 }
 
 /// Identifiers carrying host wall-clock seconds: the `host_seconds`

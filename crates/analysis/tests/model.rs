@@ -203,13 +203,15 @@ fn workspace_programs_certify_clean_or_suppressed() {
             p.impl_name
         );
     }
-    // At least the cluster's own FnProgram plus the gallery control group
-    // are proved outright at every n.
-    let proved = programs
+    // At least the cluster's own adapters (the async one runs every shipped
+    // trainer) plus the gallery control group are proved at every n.
+    let proved: Vec<&str> = programs
         .iter()
         .filter(|p| !p.has_violation() && !p.has_unverifiable())
-        .count();
-    assert!(proved >= 4, "shipped programs prove clean, got {proved}");
+        .map(|p| p.impl_name.as_str())
+        .collect();
+    let adapter = proved.contains(&"AsyncProgram");
+    assert!(proved.len() >= 4 && adapter, "got {proved:?}");
 
     // The certificate artifact round-trips: every program keyed, balanced
     // JSON, `_`-prefixed proof sizes present.

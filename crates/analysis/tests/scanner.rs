@@ -291,6 +291,13 @@ fn no_host_block_fixture_pair() {
     assert_eq!(bad[1].line, 7, "the recv is on line 7");
     // Inherent-impl recv and the suppressed rendezvous both stay silent.
     assert!(scan_fixture("no_host_block_ok.rs").is_empty());
+    // In `async` device code: the sleep and the channel recv in the `async
+    // fn`, the recv_timeout in the `async move` block; awaited receives and
+    // a plain fn stay silent.
+    let bad = scan_fixture("no_host_block_async_bad.rs");
+    assert!(bad.iter().all(|f| f.rule == "no-host-block"));
+    assert_eq!(bad.iter().map(|f| f.line).collect::<Vec<_>>(), [4, 5, 8]);
+    assert!(scan_fixture("no_host_block_async_ok.rs").is_empty());
 }
 
 #[test]

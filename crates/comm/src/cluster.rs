@@ -1,30 +1,35 @@
 //! The simulated cluster: the public entry points over the discrete-event
-//! core ([`crate::event`]) and the `DeviceHandle` every device talks
-//! through.
+//! core ([`crate::event`]) and the handles every device talks through.
 //!
-//! Two ways to express a device:
+//! Three ways to express a device, all stepped by the one scheduler:
 //!
 //! * **State machine** — implement [`crate::DeviceProgram`] and start it
-//!   with [`Cluster::run`] / [`Cluster::try_run_with`]. This is the native
-//!   form: no OS thread per device, so one process scales to thousands of
-//!   simulated devices.
-//! * **Closure** — pass an imperative `Fn(DeviceHandle) -> T` to
-//!   [`Cluster::run_fn`]. Each closure runs on a real thread held in strict
-//!   lockstep with the scheduler: every `DeviceHandle` operation is a
-//!   rendezvous that suspends the thread until the event loop satisfies
-//!   it, so results are identical to the state-machine form.
-//!   Every trainer `adaqp::run_experiment` ships is a closure, so today an
-//!   experiment on `n` devices does hold `n` OS threads, one running at a
-//!   time.
+//!   with [`Cluster::run`] / [`Cluster::try_run_with`].
+//! * **`async` body** — a future over an [`AsyncDevice`], started with
+//!   [`Cluster::try_run_async`]: each send, receive or collective is one
+//!   `.await`, and the compiler generates the state machine. No OS thread
+//!   per device either, so one process scales to thousands of devices.
+//!   Every trainer `adaqp::run_experiment` ships is such a body.
+//! * **Closure** — an imperative `Fn(DeviceHandle) -> T` for
+//!   [`Cluster::run_fn`], on a thread held in lockstep with the scheduler:
+//!   each `DeviceHandle` operation runs its [`AsyncDevice`] namesake and
+//!   blocks the thread while it waits. Results are identical to the other
+//!   forms; the form stays because the benchmark harness calls it by name.
 
 use crate::event::{self, ClusterReport};
+use crate::flight::FlightRecorder;
 use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
 use crate::CostModel;
 use bytes::Bytes;
 use obs::time::Span;
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::{pin, Pin};
+use std::rc::Rc;
 use std::sync::{mpsc, Mutex};
+use std::task::{Context, Poll, Waker};
 
 /// Failure modes of a simulated-cluster run.
 ///
@@ -112,22 +117,22 @@ const COLLECTIVE_TAG_BASE: u64 = 1 << 62;
 ///
 /// # Example
 ///
-/// The closure form; [`crate::DeviceProgram`] shows the state-machine form.
+/// The `async` form; [`crate::DeviceProgram`] shows the state-machine form.
 ///
 /// ```
 /// use comm::Cluster;
 /// use bytes::Bytes;
 ///
 /// // Each device sends its rank to the right neighbor.
-/// let results = Cluster::run_fn(3, |mut dev| {
+/// let report = Cluster::try_run_async(3, None, None, |mut dev| async move {
 ///     let n = dev.num_devices();
 ///     let right = (dev.rank() + 1) % n;
 ///     let left = (dev.rank() + n - 1) % n;
-///     dev.send(right, 7, Bytes::from(vec![dev.rank() as u8]));
-///     let got = dev.recv(left, 7);
+///     dev.send(right, 7, Bytes::from(vec![dev.rank() as u8])).await;
+///     let got = dev.recv(left, 7).await;
 ///     got[0] as usize
 /// });
-/// assert_eq!(results, vec![2, 0, 1]);
+/// assert_eq!(report.unwrap().outputs, vec![2, 0, 1]);
 /// ```
 #[derive(Debug)]
 pub struct Cluster;
@@ -178,8 +183,39 @@ impl Cluster {
         event::run_programs(programs, cost)
     }
 
+    /// Runs the `async` body `f` builds for each rank under the scheduler,
+    /// with no OS thread per device, charging link events to `cost`. A
+    /// `recorder` logs every scheduling transition and receives the bodies'
+    /// [`AsyncDevice::charge`]s; without one, charges are dropped where made.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::try_run_with`]; a panic inside a body surfaces as
+    /// [`ClusterError::DevicePanicked`] for its rank.
+    pub fn try_run_async<F, Fut>(
+        n: usize,
+        cost: Option<&CostModel>,
+        recorder: Option<&mut FlightRecorder<'_>>,
+        mut f: F,
+    ) -> Result<ClusterReport<Fut::Output>, ClusterError>
+    where
+        F: FnMut(AsyncDevice) -> Fut,
+        Fut: Future,
+    {
+        let recording = recorder.is_some();
+        let programs = (0..n).map(|rank| {
+            let dev = AsyncDevice::new(rank, n, recording);
+            AsyncProgram {
+                port: Rc::clone(&dev.port),
+                body: Some(Box::pin(f(dev))),
+                output: None,
+            }
+        });
+        event::run_programs_recorded(programs.collect(), cost, recorder)
+    }
+
     /// Runs an imperative closure per device on the event core and returns
-    /// the outputs in rank order. See the struct example.
+    /// the outputs in rank order.
     ///
     /// # Panics
     ///
@@ -227,34 +263,10 @@ impl Cluster {
         T: Send,
         F: Fn(DeviceHandle) -> T + Sync,
     {
-        Self::try_run_fn_recorded(n, cost, None, f)
-    }
-
-    /// [`Cluster::try_run_fn_with`] with an optional causal flight recorder
-    /// attached to the scheduler (see [`crate::flight::FlightRecorder`]).
-    /// The recorder observes every scheduling transition, and its presence
-    /// is what makes the devices hand their [`DeviceHandle::charge`]s to the
-    /// scheduler; with `None` charges are dropped where they are made and
-    /// the run is identical to [`Cluster::try_run_fn_with`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Cluster::try_run_with`].
-    pub fn try_run_fn_recorded<T, F>(
-        n: usize,
-        cost: Option<&CostModel>,
-        recorder: Option<&mut crate::flight::FlightRecorder<'_>>,
-        f: F,
-    ) -> Result<ClusterReport<T>, ClusterError>
-    where
-        T: Send,
-        F: Fn(DeviceHandle) -> T + Sync,
-    {
         if n == 0 {
             return Err(ClusterError::NoDevices);
         }
         let f = &f;
-        let recording = recorder.is_some();
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let report = {
             let slots = &slots;
@@ -268,19 +280,17 @@ impl Cluster {
                         cmd_rx,
                         resume_tx,
                         started: false,
-                        queued: VecDeque::new(),
                     });
                     joins.push(scope.spawn(move || {
                         let done_tx = cmd_tx.clone();
-                        let port = EventPort {
+                        let dev = AsyncDevice::new(rank, n, false);
+                        let port = Rc::clone(&dev.port);
+                        let link = Link {
+                            port,
                             cmd_tx,
                             resume_rx,
-                            recording,
-                            pending: Vec::new(),
-                            round_trips: 0,
                         };
-                        let handle = DeviceHandle::with_event_port(rank, n, port);
-                        match catch_unwind(AssertUnwindSafe(|| f(handle))) {
+                        match catch_unwind(AssertUnwindSafe(|| f(DeviceHandle { dev, link }))) {
                             Ok(v) => {
                                 if let Ok(mut slot) = slots[rank].lock() {
                                     *slot = Some(v);
@@ -293,7 +303,7 @@ impl Cluster {
                         }
                     }));
                 }
-                let report = event::run_programs_recorded(stubs, cost, recorder);
+                let report = event::run_programs(stubs, cost);
                 // On error the scheduler drops the stub programs, which
                 // closes their channels; device threads still parked at a
                 // rendezvous unwind internally and are swallowed here (the
@@ -327,12 +337,68 @@ impl Cluster {
     }
 }
 
+/// Where one device's operations meet their driver ([`AsyncProgram`] or a
+/// closure device's [`Link`]): an operation leaves the command it waits on
+/// here, the driver hands it to the scheduler and leaves the answer.
+#[derive(Debug, Default)]
+struct Port {
+    /// Commands for the scheduler in the order they were made: the
+    /// [`Command::Advance`]s of the charges since the last yield, then the
+    /// command the device waits on.
+    queue: VecDeque<Command>,
+    /// The scheduler's answer to that command, until the device takes it.
+    answer: Option<Resume>,
+    /// Whether the run has a flight recorder, i.e. whether charges are kept.
+    recording: bool,
+}
+
+/// The adapter that runs an `async` device body as a [`DeviceProgram`]:
+/// each `resume` hands the scheduler the next queued command, or leaves the
+/// answer and polls the body (with a no-op waker: only the scheduler ever
+/// makes a device runnable). Queued charges go out one step each, so the
+/// scheduler sees a program that yielded every charge where it was made.
+struct AsyncProgram<F: Future> {
+    port: Rc<RefCell<Port>>,
+    /// The body; `None` once it has returned, so it is never polled again.
+    body: Option<Pin<Box<F>>>,
+    /// What the body returned, until the charges it made last are handed over.
+    output: Option<F::Output>,
+}
+
+impl<F: Future> DeviceProgram for AsyncProgram<F> {
+    type Output = F::Output;
+
+    fn resume(&mut self, _ctx: &mut DeviceCtx, input: Resume) -> Step<F::Output> {
+        let mut next = self.port.borrow_mut().queue.pop_front();
+        if next.is_none() {
+            if let Some(body) = self.body.as_mut() {
+                // Everything queued is handed over: `input` answers the body
+                // (`Start`, before its first poll, answers nothing).
+                if !matches!(input, Resume::Start) {
+                    self.port.borrow_mut().answer = Some(input);
+                }
+                let cx = &mut Context::from_waker(Waker::noop());
+                if let Poll::Ready(out) = body.as_mut().poll(cx) {
+                    self.body = None;
+                    self.output = Some(out);
+                }
+                next = self.port.borrow_mut().queue.pop_front();
+            }
+        }
+        if let Some(cmd) = next {
+            return Step::Yield(cmd);
+        }
+        match self.output.take() {
+            Some(out) => Step::Done(out),
+            // Every `AsyncDevice` operation leaves a command before it waits.
+            None => unreachable!("a device body waits on something other than the cluster"),
+        }
+    }
+}
+
 /// Scheduler-side view of one closure device: commands flow out of the
 /// device thread, resume values flow back in.
 enum FnEvent {
-    /// The [`Command::Advance`]s of a recording device's charges since its
-    /// last event, ahead of the `Yield` or `Done` they precede.
-    Charges(Vec<Command>),
     Yield(Command),
     Done,
     Panicked(String),
@@ -343,26 +409,16 @@ enum FnEvent {
 /// thread reaches its next yield point. The blocking wait lives on the
 /// *scheduler* side of the rendezvous — the device thread itself only ever
 /// waits for the scheduler, never for host time.
-///
-/// Charges that arrived ahead of a yield are replayed first, one step each,
-/// so the scheduler sees the transitions of a program that yielded every
-/// charge where it was made; their answers have no consumer, and only the
-/// answer to the yield itself goes back to the thread.
 struct FnProgram {
     cmd_rx: mpsc::Receiver<FnEvent>,
     resume_tx: mpsc::Sender<Resume>,
     started: bool,
-    /// Steps received from the device thread and not yet handed over.
-    queued: VecDeque<Step<()>>,
 }
 
 impl DeviceProgram for FnProgram {
     type Output = ();
 
     fn resume(&mut self, _ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        if let Some(step) = self.queued.pop_front() {
-            return step;
-        }
         if self.started {
             // A closed channel means the device thread already failed; the
             // Panicked event is waiting in cmd_rx below.
@@ -372,74 +428,47 @@ impl DeviceProgram for FnProgram {
             // no consumer.
             self.started = true;
         }
-        loop {
-            // lint:allow(no-host-block): lockstep rendezvous with the paired device thread — scheduler-side wait, not a device-side one
-            let step = match self.cmd_rx.recv() {
-                Ok(FnEvent::Charges(charges)) => {
-                    self.queued.extend(charges.into_iter().map(Step::Yield));
-                    continue;
-                }
-                Ok(FnEvent::Yield(cmd)) => Step::Yield(cmd),
-                Ok(FnEvent::Done) => Step::Done(()),
-                Ok(FnEvent::Panicked(msg)) => std::panic::resume_unwind(Box::new(msg)),
-                Err(_) => std::panic::resume_unwind(Box::new(
-                    "device thread exited without completing".to_string(),
-                )),
-            };
-            return match self.queued.pop_front() {
-                Some(first) => {
-                    self.queued.push_back(step);
-                    first
-                }
-                None => step,
-            };
+        // lint:allow(no-host-block): lockstep rendezvous with the paired device thread — scheduler-side wait, not a device-side one
+        match self.cmd_rx.recv() {
+            Ok(FnEvent::Yield(cmd)) => Step::Yield(cmd),
+            Ok(FnEvent::Done) => Step::Done(()),
+            Ok(FnEvent::Panicked(msg)) => std::panic::resume_unwind(Box::new(msg)),
+            Err(_) => std::panic::resume_unwind(Box::new(
+                "device thread exited without completing".to_string(),
+            )),
         }
     }
 }
 
 /// The device thread's endpoint of the lockstep rendezvous.
 #[derive(Debug)]
-struct EventPort {
+struct Link {
+    port: Rc<RefCell<Port>>,
     cmd_tx: mpsc::Sender<FnEvent>,
     resume_rx: mpsc::Receiver<Resume>,
-    /// Whether the run has a flight recorder, i.e. whether charges are kept.
-    recording: bool,
-    /// The [`Command::Advance`]s of the charges made since the last yield.
-    pending: Vec<Command>,
-    /// Answers received from the scheduler so far.
-    round_trips: u64,
 }
 
-impl EventPort {
-    /// Sends the pending charges, if any, ahead of whatever comes next.
-    fn flush(&mut self) -> Result<(), mpsc::SendError<FnEvent>> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let charges = std::mem::take(&mut self.pending);
-        self.cmd_tx.send(FnEvent::Charges(charges))
-    }
-
-    /// Yields `cmd` to the scheduler and blocks until it answers.
-    fn roundtrip(&mut self, cmd: Command) -> Resume {
-        if self.flush().is_err() || self.cmd_tx.send(FnEvent::Yield(cmd)).is_err() {
-            scheduler_terminated();
-        }
-        match self.resume_rx.recv() {
-            Ok(resume) => {
-                self.round_trips += 1;
-                resume
+impl Link {
+    /// Runs one device operation to completion on this thread, blocking it
+    /// while the scheduler answers each command the operation waits on.
+    fn block_on<T>(&self, op: impl Future<Output = T>) -> T {
+        let mut op = pin!(op);
+        let cx = &mut Context::from_waker(Waker::noop());
+        loop {
+            if let Poll::Ready(out) = op.as_mut().poll(cx) {
+                return out;
             }
-            Err(_) => scheduler_terminated(),
+            let Some(cmd) = self.port.borrow_mut().queue.pop_front() else {
+                unreachable!("an `AsyncDevice` operation leaves a command before it waits")
+            };
+            if self.cmd_tx.send(FnEvent::Yield(cmd)).is_err() {
+                scheduler_terminated();
+            }
+            match self.resume_rx.recv() {
+                Ok(resume) => self.port.borrow_mut().answer = Some(resume),
+                Err(_) => scheduler_terminated(),
+            }
         }
-    }
-}
-
-impl Drop for EventPort {
-    /// Charges made after the last yield still precede the thread's `Done`.
-    fn drop(&mut self) {
-        // The scheduler may already be gone (another device failed).
-        let _ = self.flush();
     }
 }
 
@@ -453,28 +482,36 @@ fn protocol_violation(expected: &'static str, got: &Resume) -> ! {
     unreachable!("scheduler protocol violation: expected {expected}, got {got:?}")
 }
 
-/// Handle held by one device: point-to-point messaging plus collectives.
+/// Handle held by one `async` device body: point-to-point messaging plus
+/// collectives, each an `async fn` that yields one [`Command`] to the
+/// scheduler and resumes with its answer.
 ///
 /// All collectives must be entered by every rank (they are synchronizing),
 /// with matching arguments where noted.
 #[derive(Debug)]
-pub struct DeviceHandle {
+pub struct AsyncDevice {
     rank: usize,
     n: usize,
-    port: EventPort,
+    port: Rc<RefCell<Port>>,
     /// `(bytes, messages)` handed to the scheduler for each destination
     /// rank: the one thing about a run only the handle sees. No slots, so
-    /// nothing is counted, until [`DeviceHandle::count_sends`].
+    /// nothing is counted, until [`AsyncDevice::count_sends`].
     sent: Vec<(u64, u64)>,
 }
 
-impl DeviceHandle {
-    fn with_event_port(rank: usize, n: usize, port: EventPort) -> Self {
+impl AsyncDevice {
+    /// The handle of `rank` of `n`; its driver shares `port`.
+    fn new(rank: usize, n: usize, recording: bool) -> Self {
+        let port = Rc::new(RefCell::new(Port {
+            recording,
+            ..Port::default()
+        }));
+        let sent = Vec::new();
         Self {
             rank,
             n,
             port,
-            sent: Vec::new(),
+            sent,
         }
     }
 
@@ -483,26 +520,26 @@ impl DeviceHandle {
         self.rank
     }
 
+    /// Total device count.
+    pub fn num_devices(&self) -> usize {
+        self.n
+    }
+
     /// Charges `seconds` of simulated time (training `epoch`) to this rank.
-    /// When the run has a flight recorder ([`Cluster::try_run_fn_recorded`])
-    /// the charge reaches the scheduler as a [`Command::Advance`] carrying
-    /// `span()`, ahead of this device's next yield and with no round trip of
-    /// its own; otherwise this is one branch and `span` is never called.
+    /// When the run has a flight recorder ([`Cluster::try_run_async`]) the
+    /// charge reaches the scheduler as a [`Command::Advance`] carrying
+    /// `span()`, ahead of this device's next yield and with no poll of its
+    /// own; otherwise this is one branch and `span` is never called.
     pub fn charge(&mut self, epoch: usize, seconds: f64, span: impl FnOnce() -> Span) {
-        if self.port.recording {
+        let mut port = self.port.borrow_mut();
+        if port.recording {
             let span = Box::new(span());
-            self.port.pending.push(Command::Advance {
+            port.queue.push_back(Command::Advance {
                 epoch,
                 seconds,
                 span,
             });
         }
-    }
-
-    /// How many times this device has handed control to the scheduler and
-    /// got it back: one per send, recv or collective, none per charge.
-    pub fn round_trips(&self) -> u64 {
-        self.port.round_trips
     }
 
     /// Starts tallying every payload leaving this rank, per destination.
@@ -512,21 +549,10 @@ impl DeviceHandle {
     }
 
     /// Hands back the `(bytes, messages)` tally indexed by destination rank
-    /// (empty unless [`DeviceHandle::count_sends`] was called); later sends
+    /// (empty unless [`AsyncDevice::count_sends`] was called); later sends
     /// are no longer counted.
     pub fn take_sent(&mut self) -> Vec<(u64, u64)> {
         std::mem::take(&mut self.sent)
-    }
-
-    /// Total device count.
-    pub fn num_devices(&self) -> usize {
-        self.n
-    }
-
-    /// Whether this device is the master (rank 0), where the master
-    /// bit-width assigner lives.
-    pub fn is_master(&self) -> bool {
-        self.rank == 0
     }
 
     /// Counts one outgoing payload on the sender side: into the tally,
@@ -539,20 +565,30 @@ impl DeviceHandle {
         }
     }
 
+    /// Leaves `cmd` for the driver and waits for the scheduler's answer.
+    async fn roundtrip(&mut self, cmd: Command) -> Resume {
+        self.port.borrow_mut().queue.push_back(cmd);
+        poll_fn(|_| {
+            let answer = self.port.borrow_mut().answer.take();
+            answer.map_or(Poll::Pending, Poll::Ready)
+        })
+        .await
+    }
+
     /// Sends `payload` to `dst` with a user `tag` (sends never block).
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is out of range, if `tag` collides with the reserved
-    /// collective tag space, or if the run was aborted.
-    pub fn send(&mut self, dst: usize, tag: u64, payload: Bytes) {
+    /// Panics if `dst` is out of range or if `tag` collides with the
+    /// reserved collective tag space.
+    pub async fn send(&mut self, dst: usize, tag: u64, payload: Bytes) {
         assert!(dst < self.n, "dst {dst} out of range");
         assert!(
             tag < COLLECTIVE_TAG_BASE,
             "tag collides with reserved space"
         );
         self.count_send(dst, payload.len());
-        match self.port.roundtrip(Command::Send { dst, tag, payload }) {
+        match self.roundtrip(Command::Send { dst, tag, payload }).await {
             Resume::Sent => {}
             other => protocol_violation("Sent", &other),
         }
@@ -563,18 +599,18 @@ impl DeviceHandle {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range or the run was aborted.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Bytes {
+    /// Panics if `src` is out of range.
+    pub async fn recv(&mut self, src: usize, tag: u64) -> Bytes {
         assert!(src < self.n, "src {src} out of range");
-        match self.port.roundtrip(Command::Recv { src, tag }) {
+        match self.roundtrip(Command::Recv { src, tag }).await {
             Resume::Received(payload) => payload,
             other => protocol_violation("Received", &other),
         }
     }
 
     /// Synchronizes all devices.
-    pub fn barrier(&mut self) {
-        match self.port.roundtrip(Command::Barrier) {
+    pub async fn barrier(&mut self) {
+        match self.roundtrip(Command::Barrier).await {
             Resume::BarrierDone => {}
             other => protocol_violation("BarrierDone", &other),
         }
@@ -589,38 +625,14 @@ impl DeviceHandle {
     /// `sends` must be strictly ascending in `dst`, inside `0..n`, and never
     /// name this device; anything else fails the run with
     /// [`ClusterError::CollectiveMismatch`].
-    pub fn ring_exchange(&mut self, sends: Vec<(u32, Bytes)>) -> Vec<(u32, Bytes)> {
+    pub async fn ring_exchange(&mut self, sends: Vec<(u32, Bytes)>) -> Vec<(u32, Bytes)> {
         for (dst, payload) in &sends {
             self.count_send(*dst as usize, payload.len());
         }
-        match self.port.roundtrip(Command::RingAll2All { sends }) {
+        match self.roundtrip(Command::RingAll2All { sends }).await {
             Resume::RingDone(received) => received,
             other => protocol_violation("RingDone", &other),
         }
-    }
-
-    /// The dense form of [`DeviceHandle::ring_exchange`]: sends
-    /// `payloads[dst]` to every other device, empty ones included, and
-    /// returns the payloads received indexed by source (`result[rank]` is
-    /// `None`, every other slot `Some`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `payloads.len() == num_devices()`.
-    pub fn ring_all2all(&mut self, payloads: Vec<Bytes>) -> Vec<Option<Bytes>> {
-        assert_eq!(payloads.len(), self.n, "one payload per destination");
-        let me = self.rank;
-        let sends = (0u32..)
-            .zip(payloads)
-            .filter(|(dst, _)| *dst as usize != me)
-            .collect();
-        let mut received: Vec<Option<Bytes>> = (0..self.n)
-            .map(|src| (src != me).then(Bytes::new))
-            .collect();
-        for (src, payload) in self.ring_exchange(sends) {
-            received[src as usize] = Some(payload);
-        }
-        received
     }
 
     /// Broadcast from `root`: the root passes `Some(payload)`, everyone else
@@ -629,7 +641,7 @@ impl DeviceHandle {
     /// # Panics
     ///
     /// Panics if the root passes `None` or a non-root passes `Some`.
-    pub fn broadcast(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
+    pub async fn broadcast(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
         if self.rank == root {
             // lint:allow(no-panic): documented collective contract (see # Panics)
             let own = payload.as_ref().expect("root must provide the payload");
@@ -641,7 +653,7 @@ impl DeviceHandle {
         } else {
             assert!(payload.is_none(), "non-root rank passed a payload");
         }
-        match self.port.roundtrip(Command::Broadcast { root, payload }) {
+        match self.roundtrip(Command::Broadcast { root, payload }).await {
             Resume::BroadcastDone(out) => out,
             other => protocol_violation("BroadcastDone", &other),
         }
@@ -649,11 +661,11 @@ impl DeviceHandle {
 
     /// Gather to `root`: every rank contributes `payload`; the root returns
     /// `Some(all payloads by rank)`, others return `None`.
-    pub fn gather(&mut self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
+    pub async fn gather(&mut self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
         if self.rank != root {
             self.count_send(root, payload.len());
         }
-        match self.port.roundtrip(Command::Gather { root, payload }) {
+        match self.roundtrip(Command::Gather { root, payload }).await {
             Resume::GatherDone(result) => result,
             other => protocol_violation("GatherDone", &other),
         }
@@ -666,7 +678,7 @@ impl DeviceHandle {
     ///
     /// Panics if the root's vector has the wrong length or a non-root
     /// passes `Some`.
-    pub fn scatter(&mut self, root: usize, payloads: Option<Vec<Bytes>>) -> Bytes {
+    pub async fn scatter(&mut self, root: usize, payloads: Option<Vec<Bytes>>) -> Bytes {
         if self.rank == root {
             // lint:allow(no-panic): documented collective contract (see # Panics)
             let own = payloads.as_ref().expect("root must provide payloads");
@@ -679,7 +691,7 @@ impl DeviceHandle {
         } else {
             assert!(payloads.is_none(), "non-root rank passed payloads");
         }
-        match self.port.roundtrip(Command::Scatter { root, payloads }) {
+        match self.roundtrip(Command::Scatter { root, payloads }).await {
             Resume::ScatterDone(own) => own,
             other => protocol_violation("ScatterDone", &other),
         }
@@ -692,13 +704,13 @@ impl DeviceHandle {
     /// # Panics
     ///
     /// Panics if ranks pass different lengths.
-    pub fn allreduce_sum_f32(&mut self, data: &mut [f32]) {
+    pub async fn allreduce_sum_f32(&mut self, data: &mut [f32]) {
         let payload = Bytes::from(
             data.iter()
                 .flat_map(|v| v.to_le_bytes())
                 .collect::<Vec<u8>>(),
         );
-        let gathered = self.gather(0, payload);
+        let gathered = self.gather(0, payload).await;
         let reduced = if let Some(parts) = gathered {
             let mut acc = vec![0.0f32; data.len()];
             for part in parts {
@@ -708,9 +720,9 @@ impl DeviceHandle {
                 }
             }
             let raw: Vec<u8> = acc.iter().flat_map(|v| v.to_le_bytes()).collect();
-            self.broadcast(0, Some(Bytes::from(raw)))
+            self.broadcast(0, Some(Bytes::from(raw))).await
         } else {
-            self.broadcast(0, None)
+            self.broadcast(0, None).await
         };
         for (i, chunk) in reduced.chunks_exact(4).enumerate() {
             data[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -718,25 +730,85 @@ impl DeviceHandle {
     }
 }
 
+/// Handle held by one closure device: the [`AsyncDevice`] operations the
+/// benchmark harness and the `adaqp::exchange::exchange_forward_*` entry
+/// points use, each run to completion on the device's thread.
+#[derive(Debug)]
+pub struct DeviceHandle {
+    dev: AsyncDevice,
+    link: Link,
+}
+
+impl DeviceHandle {
+    /// This device's rank.
+    pub fn rank(&self) -> usize {
+        self.dev.rank
+    }
+
+    /// [`AsyncDevice::ring_exchange`], blocking this thread until the ring
+    /// completes.
+    pub fn ring_exchange(&mut self, sends: Vec<(u32, Bytes)>) -> Vec<(u32, Bytes)> {
+        self.link.block_on(self.dev.ring_exchange(sends))
+    }
+
+    /// The dense form of [`DeviceHandle::ring_exchange`]: sends
+    /// `payloads[dst]` to every other device, empty ones included, and
+    /// returns the payloads received indexed by source (`result[rank]` is
+    /// `None`, every other slot `Some`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one payload per device.
+    pub fn ring_all2all(&mut self, payloads: Vec<Bytes>) -> Vec<Option<Bytes>> {
+        let (me, n) = (self.dev.rank, self.dev.n);
+        assert_eq!(payloads.len(), n, "one payload per destination");
+        let sends = (0u32..)
+            .zip(payloads)
+            .filter(|(dst, _)| *dst as usize != me)
+            .collect();
+        let mut received: Vec<Option<Bytes>> =
+            (0..n).map(|src| (src != me).then(Bytes::new)).collect();
+        for (src, payload) in self.ring_exchange(sends) {
+            received[src as usize] = Some(payload);
+        }
+        received
+    }
+
+    /// [`AsyncDevice::allreduce_sum_f32`], blocking this thread until the
+    /// sum arrives.
+    pub fn allreduce_sum_f32(&mut self, data: &mut [f32]) {
+        self.link.block_on(self.dev.allreduce_sum_f32(data));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::critpath::FlightOp;
+    use obs::time::EventKind;
+
+    /// Runs the `async` body `f` builds per rank, uncosted and unrecorded.
+    fn run_async<Fut: Future>(n: usize, f: impl FnMut(AsyncDevice) -> Fut) -> Vec<Fut::Output> {
+        Cluster::try_run_async(n, None, None, f)
+            .expect("run succeeds")
+            .outputs
+    }
 
     #[test]
     fn single_device_runs() {
-        let out = Cluster::run_fn(1, |dev| dev.rank() * 10 + dev.num_devices());
+        let out = run_async(1, |dev| async move { dev.rank() * 10 + dev.num_devices() });
         assert_eq!(out, vec![1]);
     }
 
     #[test]
     fn point_to_point_roundtrip() {
-        let out = Cluster::run_fn(2, |mut dev| {
+        let out = run_async(2, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.send(1, 5, Bytes::from_static(b"hello"));
-                dev.recv(1, 6)
+                dev.send(1, 5, Bytes::from_static(b"hello")).await;
+                dev.recv(1, 6).await
             } else {
-                let got = dev.recv(0, 5);
-                dev.send(0, 6, Bytes::from_static(b"world"));
+                let got = dev.recv(0, 5).await;
+                dev.send(0, 6, Bytes::from_static(b"world")).await;
                 got
             }
         });
@@ -746,15 +818,15 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let out = Cluster::run_fn(2, |mut dev| {
+        let out = run_async(2, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.send(1, 2, Bytes::from_static(b"second"));
-                dev.send(1, 1, Bytes::from_static(b"first"));
+                dev.send(1, 2, Bytes::from_static(b"second")).await;
+                dev.send(1, 1, Bytes::from_static(b"first")).await;
                 Bytes::new()
             } else {
                 // Receive in reverse send order.
-                let a = dev.recv(0, 1);
-                let b = dev.recv(0, 2);
+                let a = dev.recv(0, 1).await;
+                let b = dev.recv(0, 2).await;
                 Bytes::from([a.as_ref(), b.as_ref()].concat())
             }
         });
@@ -763,14 +835,14 @@ mod tests {
 
     #[test]
     fn same_tag_messages_keep_fifo_order() {
-        let out = Cluster::run_fn(2, |mut dev| {
+        let out = run_async(2, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.send(1, 1, Bytes::from_static(b"a"));
-                dev.send(1, 1, Bytes::from_static(b"b"));
+                dev.send(1, 1, Bytes::from_static(b"a")).await;
+                dev.send(1, 1, Bytes::from_static(b"b")).await;
                 Bytes::new()
             } else {
-                let a = dev.recv(0, 1);
-                let b = dev.recv(0, 1);
+                let a = dev.recv(0, 1).await;
+                let b = dev.recv(0, 1).await;
                 Bytes::from([a.as_ref(), b.as_ref()].concat())
             }
         });
@@ -818,13 +890,9 @@ mod tests {
 
     #[test]
     fn broadcast_from_nonzero_root() {
-        let out = Cluster::run_fn(3, |mut dev| {
-            let payload = if dev.rank() == 2 {
-                Some(Bytes::from_static(b"root2"))
-            } else {
-                None
-            };
-            dev.broadcast(2, payload)
+        let out = run_async(3, |mut dev| async move {
+            let payload = (dev.rank() == 2).then(|| Bytes::from_static(b"root2"));
+            dev.broadcast(2, payload).await
         });
         for b in out {
             assert_eq!(&b[..], b"root2");
@@ -833,8 +901,9 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = Cluster::run_fn(4, |mut dev| {
-            dev.gather(0, Bytes::from(vec![dev.rank() as u8 * 3]))
+        let out = run_async(4, |mut dev| async move {
+            let own = Bytes::from(vec![dev.rank() as u8 * 3]);
+            dev.gather(0, own).await
         });
         let at_root = out[0].as_ref().expect("root has all");
         assert_eq!(at_root.len(), 4);
@@ -846,13 +915,10 @@ mod tests {
 
     #[test]
     fn scatter_distributes() {
-        let out = Cluster::run_fn(3, |mut dev| {
-            let payloads = if dev.is_master() {
-                Some((0..3).map(|r| Bytes::from(vec![r as u8 + 10])).collect())
-            } else {
-                None
-            };
-            dev.scatter(0, payloads)
+        let out = run_async(3, |mut dev| async move {
+            let payloads = (dev.rank() == 0)
+                .then(|| (0..3).map(|r| Bytes::from(vec![r as u8 + 10])).collect());
+            dev.scatter(0, payloads).await
         });
         for (r, b) in out.iter().enumerate() {
             assert_eq!(b[0] as usize, r + 10);
@@ -861,26 +927,33 @@ mod tests {
 
     #[test]
     fn allreduce_sums_across_ranks() {
-        let out = Cluster::run_fn(3, |mut dev| {
+        let body = |mut dev: AsyncDevice| async move {
+            let mut data = vec![dev.rank() as f32, 1.0];
+            dev.allreduce_sum_f32(&mut data).await;
+            data
+        };
+        // The closure handle runs the same operation on its thread.
+        let closure = Cluster::run_fn(3, |mut dev| {
             let mut data = vec![dev.rank() as f32, 1.0];
             dev.allreduce_sum_f32(&mut data);
             data
         });
-        for data in out {
+        assert_eq!(run_async(3, body), closure);
+        for data in closure {
             assert_eq!(data, vec![3.0, 3.0]); // 0+1+2, 1+1+1
         }
     }
 
     #[test]
     fn metrics_count_sent_bytes_per_pair() {
-        let out = Cluster::run_fn(2, |mut dev| {
+        let out = run_async(2, |mut dev| async move {
             dev.count_sends();
             if dev.rank() == 0 {
-                dev.send(1, 5, Bytes::from_static(b"hello"));
-                dev.recv(1, 6);
+                dev.send(1, 5, Bytes::from_static(b"hello")).await;
+                dev.recv(1, 6).await;
             } else {
-                dev.recv(0, 5);
-                dev.send(0, 6, Bytes::from_static(b"hi"));
+                dev.recv(0, 5).await;
+                dev.send(0, 6, Bytes::from_static(b"hi")).await;
             }
             dev.take_sent()
         });
@@ -894,14 +967,14 @@ mod tests {
 
     #[test]
     fn metrics_disabled_by_default_and_detachable() {
-        let out = Cluster::run_fn(2, |mut dev| {
+        let out = run_async(2, |mut dev| async move {
             let peer = 1 - dev.rank();
-            dev.send(peer, 1, Bytes::from_static(b"uncounted"));
+            dev.send(peer, 1, Bytes::from_static(b"uncounted")).await;
             let off = dev.take_sent();
             dev.count_sends();
-            dev.send(peer, 2, Bytes::from_static(b"counted"));
+            dev.send(peer, 2, Bytes::from_static(b"counted")).await;
             let taken = dev.take_sent();
-            dev.send(peer, 3, Bytes::from_static(b"detached"));
+            dev.send(peer, 3, Bytes::from_static(b"detached")).await;
             (off, taken[peer], dev.take_sent())
         });
         for (off, counted, detached) in out {
@@ -913,20 +986,24 @@ mod tests {
 
     #[test]
     fn a_charge_without_a_recorder_is_never_built() {
-        let out = Cluster::run_fn(1, |mut dev| {
+        let report = Cluster::try_run_async(1, None, None, |mut dev| async move {
             dev.charge(0, 1.0, || unreachable!("no recorder, so no span"));
-            dev.round_trips()
-        });
-        assert_eq!(out, vec![0]);
+        })
+        .expect("run succeeds");
+        assert_eq!(
+            report.clocks,
+            vec![0.0],
+            "the charge never reached the clock"
+        );
     }
 
     #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static COUNT: AtomicUsize = AtomicUsize::new(0);
-        let out = Cluster::run_fn(4, |mut dev| {
+        let out = run_async(4, |mut dev| async move {
             COUNT.fetch_add(1, Ordering::SeqCst);
-            dev.barrier();
+            dev.barrier().await;
             // After the barrier all 4 increments must be visible.
             COUNT.load(Ordering::SeqCst)
         });
@@ -939,13 +1016,13 @@ mod tests {
 
     #[test]
     fn report_counts_messages_and_collectives() {
-        let report = Cluster::try_run_fn_with(2, None, |mut dev| {
+        let report = Cluster::try_run_async(2, None, None, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.send(1, 1, Bytes::from_static(b"x"));
+                dev.send(1, 1, Bytes::from_static(b"x")).await;
             } else {
-                dev.recv(0, 1);
+                dev.recv(0, 1).await;
             }
-            dev.barrier();
+            dev.barrier().await;
         })
         .expect("run succeeds");
         assert_eq!(report.messages, 1);
@@ -956,11 +1033,11 @@ mod tests {
     fn clocks_follow_the_cost_model() {
         // theta = 1/bw = 1e-6 s/B, gamma = 1e-3 s; 100 bytes -> 1.1e-3 s.
         let cost = CostModel::homogeneous(2, 1e6, 1e-3);
-        let report = Cluster::try_run_fn_with(2, Some(&cost), |mut dev| {
+        let report = Cluster::try_run_async(2, Some(&cost), None, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.send(1, 1, Bytes::from(vec![0u8; 100]));
+                dev.send(1, 1, Bytes::from(vec![0u8; 100])).await;
             } else {
-                dev.recv(0, 1);
+                dev.recv(0, 1).await;
             }
         })
         .expect("run succeeds");
@@ -971,9 +1048,9 @@ mod tests {
 
     #[test]
     fn unmatched_recv_reports_a_deadlock() {
-        let err = Cluster::try_run_fn(2, |mut dev| {
+        let err = Cluster::try_run_async(2, None, None, |mut dev| async move {
             if dev.rank() == 0 {
-                let _ = dev.recv(1, 9); // rank 1 never sends
+                let _ = dev.recv(1, 9).await; // rank 1 never sends
             }
         })
         .expect_err("deadlock must be detected");
@@ -991,11 +1068,11 @@ mod tests {
 
     #[test]
     fn mismatched_collectives_are_rejected() {
-        let err = Cluster::try_run_fn(2, |mut dev| {
+        let err = Cluster::try_run_async(2, None, None, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.barrier();
+                dev.barrier().await;
             } else {
-                let _ = dev.broadcast(0, None);
+                let _ = dev.broadcast(0, None).await;
             }
         })
         .expect_err("kind mismatch must be detected");
@@ -1026,6 +1103,102 @@ mod tests {
             Cluster::try_run_fn(0, |dev| dev.rank()).expect_err("no devices"),
             ClusterError::NoDevices
         );
+        let run = Cluster::try_run_async(0, None, None, |dev| async move { dev.rank() });
+        assert_eq!(run.expect_err("no devices"), ClusterError::NoDevices);
+    }
+
+    // ---- failure paths of the async adapter ----
+
+    #[test]
+    fn a_panicking_body_is_reported_with_its_rank() {
+        let err = Cluster::try_run_async(3, None, None, |mut dev| async move {
+            dev.barrier().await;
+            if dev.rank() == 2 {
+                panic!("boom on 2");
+            }
+            dev.barrier().await;
+        })
+        .expect_err("panic must surface");
+        let ClusterError::DevicePanicked { rank, message } = err else {
+            panic!("expected DevicePanicked, got {err}");
+        };
+        assert_eq!(rank, 2);
+        assert!(message.contains("boom on 2"), "message: {message}");
+    }
+
+    #[test]
+    fn a_body_that_returns_while_peers_wait_at_a_collective_is_listed_finished() {
+        let err = Cluster::try_run_async(3, None, None, |mut dev| async move {
+            if dev.rank() != 1 {
+                dev.barrier().await;
+            }
+        })
+        .expect_err("the barrier can never fire");
+        let ClusterError::Deadlock { graph } = &err else {
+            panic!("expected a deadlock, got {err}");
+        };
+        assert_eq!(graph.finished, vec![1]);
+        let blocked: Vec<usize> = graph.blocked.iter().map(|b| b.rank).collect();
+        assert_eq!(blocked, [0, 2]);
+        let front = graph.collective.as_ref().expect("front recorded");
+        assert_eq!((front.kind, &front.absent), ("barrier", &vec![1]));
+    }
+
+    /// A body that fails loudly if it is polled after it returned.
+    struct PollOnceDone<F> {
+        body: Pin<Box<F>>,
+        returned: bool,
+    }
+
+    impl<F: Future> Future for PollOnceDone<F> {
+        type Output = F::Output;
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            assert!(!self.returned, "polled after it returned");
+            let out = self.body.as_mut().poll(cx);
+            self.returned = out.is_ready();
+            out
+        }
+    }
+
+    #[test]
+    fn a_finished_body_is_never_polled_again() {
+        // The charges after the last yield are handed over after the body
+        // returned: one scheduler step each, none of them a poll.
+        let body = |mut dev: AsyncDevice| PollOnceDone {
+            body: Box::pin(async move {
+                dev.barrier().await;
+                for epoch in 0..2 {
+                    dev.charge(epoch, 1.0, || Span::new(EventKind::CentralCompute));
+                }
+                dev.rank()
+            }),
+            returned: false,
+        };
+        let mut rec = FlightRecorder::new(2, None);
+        let report = Cluster::try_run_async(2, None, Some(&mut rec), body).expect("run succeeds");
+        assert_eq!(report.outputs, vec![0, 1]);
+        assert_eq!(report.clocks, vec![2.0, 2.0]);
+        let log = rec.finish();
+        for rank in 0..2 {
+            let ops: Vec<FlightOp> = log
+                .events
+                .iter()
+                .filter(|e| e.rank == rank)
+                .map(|e| e.op)
+                .collect();
+            let tail = &ops[ops.len() - 3..];
+            assert_eq!(
+                tail,
+                [
+                    FlightOp::PhaseAdvance,
+                    FlightOp::PhaseAdvance,
+                    FlightOp::Done
+                ]
+            );
+        }
+        let unrecorded = Cluster::try_run_async(2, None, None, body).expect("run succeeds");
+        assert_eq!(unrecorded.outputs, vec![0, 1]);
     }
 
     /// Native state-machine form: each device sends its rank right and
@@ -1071,5 +1244,13 @@ mod tests {
             let left = (rank + n - 1) % n;
             assert_eq!(*got, left % 251);
         }
+        // The same shift as `async` bodies, equally thread-free.
+        let shifted = run_async(n, |mut dev| async move {
+            let right = (dev.rank() + 1) % n;
+            dev.send(right, 3, Bytes::from(vec![(dev.rank() % 251) as u8]))
+                .await;
+            dev.recv((dev.rank() + n - 1) % n, 3).await[0] as usize
+        });
+        assert_eq!(shifted, out);
     }
 }

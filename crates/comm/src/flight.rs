@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 ///
 /// Create one with [`FlightRecorder::new`], pass it to
 /// [`crate::event::run_programs_recorded`] (or
-/// [`crate::Cluster::try_run_fn_recorded`]), then call
+/// [`crate::Cluster::try_run_async`]), then call
 /// [`FlightRecorder::finish`] to obtain the [`FlightLog`].
 #[derive(Debug)]
 pub struct FlightRecorder<'a> {

@@ -3,14 +3,15 @@
 //! The paper runs on multi-GPU, multi-machine clusters. This crate replaces
 //! that hardware with a faithful *functional* simulation:
 //!
-//! * **Devices are state machines.** Each device implements
-//!   [`DeviceProgram`] and is advanced by one deterministic discrete-event
-//!   scheduler, with no OS thread per device. An imperative closure runs
+//! * **Devices are state machines.** Each device is a [`DeviceProgram`]
+//!   advanced by one deterministic discrete-event scheduler, with no OS
+//!   thread per device: either implemented by hand, or written as an
+//!   `async` body over an [`AsyncDevice`] ([`Cluster::try_run_async`]),
+//!   which the compiler turns into one. The shipped trainers
+//!   (`adaqp::run_experiment`) are such bodies. An imperative closure runs
 //!   through the lockstep adapter of [`Cluster::run_fn`] instead, which
 //!   parks one OS thread per device and lets exactly one of them run at a
-//!   time. The shipped trainers (`adaqp::run_experiment`) are still such
-//!   closures, so a 256-device experiment is 256 threads; only native
-//!   programs (the examples, the model checker's subjects) are thread-free.
+//!   time; it is kept for the benchmark harness.
 //! * **Links are events.** Payloads (quantized byte streams) actually move
 //!   between devices, so numerics are end-to-end real; each transfer is an
 //!   event charged `theta * bytes + gamma` on the simulated clock.
@@ -44,7 +45,7 @@ pub mod timing;
 pub mod topology;
 pub mod waitgraph;
 
-pub use cluster::{Cluster, ClusterError, DeviceHandle};
+pub use cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
 pub use costmodel::CostModel;
 pub use event::ClusterReport;
 pub use flight::FlightRecorder;
@@ -54,21 +55,21 @@ pub use topology::Topology;
 pub use waitgraph::{BlockedRank, CollectiveFront, UnclaimedMessage, WaitCause, WaitGraph};
 
 /// The one-stop import for cluster simulations: the event-core entry
-/// points, the device API (both forms), and the cost/topology surface.
+/// points, the device API (every form), and the cost/topology surface.
 ///
 /// ```
 /// use comm::prelude::*;
 ///
 /// let cm = Topology::new(2, 2).cost_model();
-/// let report = Cluster::try_run_fn_with(4, Some(&cm), |mut dev| {
-///     dev.barrier();
+/// let report = Cluster::try_run_async(4, Some(&cm), None, |mut dev| async move {
+///     dev.barrier().await;
 ///     dev.rank()
 /// })
 /// .unwrap();
 /// assert_eq!(report.outputs, vec![0, 1, 2, 3]);
 /// ```
 pub mod prelude {
-    pub use crate::cluster::{Cluster, ClusterError, DeviceHandle};
+    pub use crate::cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
     pub use crate::costmodel::CostModel;
     pub use crate::event::ClusterReport;
     pub use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};

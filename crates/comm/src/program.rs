@@ -7,7 +7,8 @@
 //! barrier, or a collective — is an explicit *yield point*: the program
 //! returns [`Step::Yield`] with a [`Command`] and is suspended until the
 //! scheduler has satisfied the command, at which point it is resumed with
-//! the matching [`Resume`] value.
+//! the matching [`Resume`] value. An `async` body over an `AsyncDevice` is
+//! one too: the compiler writes it ([`crate::Cluster::try_run_async`]).
 //!
 //! The contract, in full (DESIGN.md §10 gives the determinism argument):
 //!

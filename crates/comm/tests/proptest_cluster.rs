@@ -4,8 +4,8 @@
 
 use bytes::Bytes;
 use comm::{
-    Cluster, ClusterError, Command, CostModel, DeviceCtx, DeviceProgram, FlightRecorder, Resume,
-    Step,
+    AsyncDevice, Cluster, ClusterError, Command, CostModel, DeviceCtx, DeviceProgram,
+    FlightRecorder, Resume, Step,
 };
 use obs::time::{EventDetail, EventKind, Span};
 use proptest::prelude::*;
@@ -85,9 +85,10 @@ impl DeviceProgram for Scripted {
     }
 }
 
-/// The closure form of the same list: every command through the
-/// `DeviceHandle` call that stands for it. Returns the handle's round trips.
-fn run_scripted(mut dev: comm::DeviceHandle, cmds: Vec<Command>) -> u64 {
+/// The `async` form of the same list: every command through the
+/// `AsyncDevice` call that stands for it. Returns what the device received.
+async fn run_scripted(mut dev: AsyncDevice, cmds: Vec<Command>) -> Vec<(u32, Bytes)> {
+    let mut received = Vec::new();
     for cmd in cmds {
         match cmd {
             Command::Advance {
@@ -95,21 +96,21 @@ fn run_scripted(mut dev: comm::DeviceHandle, cmds: Vec<Command>) -> u64 {
                 seconds,
                 span,
             } => dev.charge(epoch, seconds, || *span),
-            Command::Send { dst, tag, payload } => dev.send(dst, tag, payload),
-            Command::Recv { src, tag } => drop(dev.recv(src, tag)),
-            Command::Barrier => dev.barrier(),
-            Command::RingAll2All { sends } => drop(dev.ring_exchange(sends)),
+            Command::Send { dst, tag, payload } => dev.send(dst, tag, payload).await,
+            Command::Recv { src, tag } => received.push((src as u32, dev.recv(src, tag).await)),
+            Command::Barrier => dev.barrier().await,
+            Command::RingAll2All { sends } => received.extend(dev.ring_exchange(sends).await),
             other => unreachable!("the script has no {}", other.kind_name()),
         }
     }
-    dev.round_trips()
+    received
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn closure_charges_log_like_native_advances_and_cost_no_round_trip(
+    fn async_charges_log_like_native_advances(
         n in 2usize..6,
         script in proptest::collection::vec(0u8..7, 0..40),
     ) {
@@ -117,30 +118,27 @@ proptest! {
         let script = &script;
         let mut native = FlightRecorder::new(n, Some(&cost));
         let programs = (0..n).map(|r| Scripted(scripted_commands(script, r, n).into()));
-        comm::event::run_programs_recorded(programs.collect(), Some(&cost), Some(&mut native))
-            .expect("native run succeeds");
+        let native_run =
+            comm::event::run_programs_recorded(programs.collect(), Some(&cost), Some(&mut native))
+                .expect("native run succeeds");
 
-        let device = |dev: comm::DeviceHandle| {
+        let device = |dev: AsyncDevice| {
             let cmds = scripted_commands(script, dev.rank(), n);
             run_scripted(dev, cmds)
         };
-        let mut closure = FlightRecorder::new(n, Some(&cost));
-        let recorded = Cluster::try_run_fn_recorded(n, Some(&cost), Some(&mut closure), device)
-            .expect("recorded closure run succeeds");
-        prop_assert_eq!(closure.finish(), native.finish());
+        let mut body = FlightRecorder::new(n, Some(&cost));
+        let recorded = Cluster::try_run_async(n, Some(&cost), Some(&mut body), device)
+            .expect("recorded async run succeeds");
+        prop_assert_eq!(body.finish(), native.finish());
+        prop_assert_eq!(&recorded.clocks, &native_run.clocks);
 
-        // A charge is no round trip: the device thread is answered once per
-        // send, recv or collective, recorder or not.
-        let unrecorded = Cluster::try_run_fn_with(n, Some(&cost), device)
-            .expect("unrecorded closure run succeeds");
+        // Without a recorder the charges never leave the device; what it
+        // sends and receives is the same.
+        let unrecorded = Cluster::try_run_async(n, Some(&cost), None, device)
+            .expect("unrecorded async run succeeds");
         prop_assert_eq!(&recorded.outputs, &unrecorded.outputs);
-        for (rank, &trips) in recorded.outputs.iter().enumerate() {
-            let yields = scripted_commands(script, rank, n)
-                .iter()
-                .filter(|c| !matches!(c, Command::Advance { .. }))
-                .count();
-            prop_assert_eq!(trips, yields as u64, "rank {}", rank);
-        }
+        prop_assert_eq!(recorded.messages, unrecorded.messages);
+        prop_assert_eq!(recorded.collectives, unrecorded.collectives);
     }
 
     #[test]
@@ -156,24 +154,26 @@ proptest! {
             .filter(|&(s, d, _, _)| s != d)
             .collect();
         let sends_ref = &sends;
-        let results = Cluster::run_fn(n, move |mut dev| {
+        let results = Cluster::try_run_async(n, None, None, move |mut dev| async move {
             let me = dev.rank();
             // Send phase: everything this rank must send, in plan order.
             for (i, &(s, d, t, b)) in sends_ref.iter().enumerate() {
                 if s == me {
-                    dev.send(d, t, Bytes::from(vec![b, i as u8]));
+                    dev.send(d, t, Bytes::from(vec![b, i as u8])).await;
                 }
             }
             // Receive phase: collect in plan order (per (src, tag) FIFO).
             let mut got = Vec::new();
             for &(s, d, t, _) in sends_ref {
                 if d == me {
-                    let payload = dev.recv(s, t);
+                    let payload = dev.recv(s, t).await;
                     got.push((s, t, payload[0]));
                 }
             }
             got
-        });
+        })
+        .expect("every send has its receive")
+        .outputs;
         // Every rank received exactly the payload bytes addressed to it, and
         // per-(src, tag) streams preserve send order.
         for (me, got) in results.iter().enumerate() {
@@ -199,26 +199,29 @@ proptest! {
         rounds in 1usize..5,
         seed in 0u64..1000,
     ) {
-        let device = move |mut dev: comm::DeviceHandle| {
+        let device = move |mut dev: AsyncDevice| async move {
             let mut acc = Vec::new();
             for round in 0..rounds {
                 // Interleave different collectives in a fixed order.
-                let payloads: Vec<Bytes> = (0..n)
-                    .map(|dst| Bytes::from(vec![dev.rank() as u8, dst as u8, round as u8]))
+                let me = dev.rank();
+                let sends = (0..n as u32)
+                    .filter(|&dst| dst as usize != me)
+                    .map(|dst| (dst, Bytes::from(vec![me as u8, dst as u8, round as u8])))
                     .collect();
-                let got = dev.ring_all2all(payloads);
-                let sum: u32 = got.iter().flatten().map(|b| b[0] as u32).sum();
-                let bcast = dev.broadcast(
-                    round % n,
-                    (dev.rank() == round % n).then(|| Bytes::from(vec![seed as u8, round as u8])),
-                );
-                let mut reduced = vec![dev.rank() as f32, 1.0];
-                dev.allreduce_sum_f32(&mut reduced);
+                let got = dev.ring_exchange(sends).await;
+                let sum: u32 = got.iter().map(|(_, b)| b[0] as u32).sum();
+                let root = round % n;
+                let own = (me == root).then(|| Bytes::from(vec![seed as u8, round as u8]));
+                let bcast = dev.broadcast(root, own).await;
+                let mut reduced = vec![me as f32, 1.0];
+                dev.allreduce_sum_f32(&mut reduced).await;
                 acc.push((sum, bcast[0], reduced[0] as u32, reduced[1] as u32));
             }
             acc
         };
-        let results = Cluster::run_fn(n, device);
+        let results = Cluster::try_run_async(n, None, None, device)
+            .expect("every rank enters every collective")
+            .outputs;
         // Every device computed identical collective results.
         let expected_sum: u32 = (0..n as u32).sum::<u32>();
         for (rank, acc) in results.iter().enumerate() {
@@ -267,13 +270,13 @@ proptest! {
             dev.ring_all2all((0..n).map(|d| payload(me, d)).collect())
         })
         .expect("dense ring runs");
-        let sparse = Cluster::try_run_fn_with(n, Some(&cost), move |mut dev| {
+        let sparse = Cluster::try_run_async(n, Some(&cost), None, move |mut dev| async move {
             let me = dev.rank();
             let sends = (0..n)
                 .filter(|&d| lens[me][d] > 0)
                 .map(|d| (d as u32, payload(me, d)))
                 .collect();
-            dev.ring_exchange(sends)
+            dev.ring_exchange(sends).await
         })
         .expect("sparse ring runs");
         for me in 0..n {
@@ -327,13 +330,13 @@ proptest! {
             _ => vec![n as u32],                        // out of range
         };
         let bad = &bad;
-        let err = Cluster::try_run_fn(n, move |mut dev| {
+        let err = Cluster::try_run_async(n, None, None, move |mut dev| async move {
             let sends = if dev.rank() == culprit {
                 bad.iter().map(|&d| (d, Bytes::from_static(b"x"))).collect()
             } else {
                 Vec::new()
             };
-            dev.ring_exchange(sends)
+            dev.ring_exchange(sends).await
         })
         .expect_err("malformed destinations must be rejected");
         prop_assert!(

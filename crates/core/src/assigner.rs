@@ -15,7 +15,7 @@
 use crate::config::TrainingConfig;
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
-use comm::{CostModel, DeviceHandle};
+use comm::{AsyncDevice, CostModel};
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
 use solver::{solve_flat, FlatProblem, FlatSolution, GroupSpec};
@@ -299,8 +299,8 @@ impl std::error::Error for AssignError {
 // One argument over clippy's limit: the collective needs the device, its
 // three read-only inputs, the mode with its RNG, and the tables to fill.
 #[allow(clippy::too_many_arguments)]
-pub fn reassign(
-    dev: &mut DeviceHandle,
+pub async fn reassign(
+    dev: &mut AsyncDevice,
     part: &DevicePartition,
     cost: &CostModel,
     trace: &Trace,
@@ -327,7 +327,7 @@ pub fn reassign(
             // must be used with this mode.
             Ok(SolveStats::default())
         }
-        AssignMode::Adaptive => reassign_adaptive(dev, part, cost, trace, cfg, assignment),
+        AssignMode::Adaptive => reassign_adaptive(dev, part, cost, trace, cfg, assignment).await,
     }
 }
 
@@ -346,8 +346,8 @@ fn sample_uniform(per_peer: &mut [Vec<BitWidth>], group_size: usize, rng: &mut R
     }
 }
 
-fn reassign_adaptive(
-    dev: &mut DeviceHandle,
+async fn reassign_adaptive(
+    dev: &mut AsyncDevice,
     part: &DevicePartition,
     cost: &CostModel,
     trace: &Trace,
@@ -356,7 +356,8 @@ fn reassign_adaptive(
 ) -> Result<SolveStats, AssignError> {
     let at = |stage| move |cause| AssignError { stage, cause };
     // Step 1-2 (Fig. 6): build and gather per-device betas.
-    let gathered = dev.gather(0, Bytes::from(encode_trace(&part.send_alpha_sq, trace)));
+    let own_trace = Bytes::from(encode_trace(&part.send_alpha_sq, trace));
+    let gathered = dev.gather(0, own_trace).await;
 
     // Step 3: master solves one problem per (layer, direction) in parallel.
     let (own, stats_bytes) = if let Some(traces) = gathered {
@@ -365,13 +366,12 @@ fn reassign_adaptive(
         stats.secs = secs;
         let payloads = replies.into_iter().map(Bytes::from).collect();
         // Piggy-back the solve stats: broadcast after scatter.
-        let own = dev.scatter(0, Some(payloads));
-        let stats_b = dev.broadcast(0, Some(Bytes::from(stats.to_bytes().to_vec())));
-        (own, stats_b)
+        let own = dev.scatter(0, Some(payloads)).await;
+        let stats_b = Bytes::from(stats.to_bytes().to_vec());
+        (own, dev.broadcast(0, Some(stats_b)).await)
     } else {
-        let own = dev.scatter(0, None);
-        let stats_b = dev.broadcast(0, None);
-        (own, stats_b)
+        let own = dev.scatter(0, None).await;
+        (own, dev.broadcast(0, None).await)
     };
     let solve_stats = SolveStats::from_bytes(&stats_bytes).map_err(at(AssignStage::Stats))?;
     assignment
@@ -1454,17 +1454,18 @@ mod tests {
         let cfg = TrainingConfig::default();
         let cost = CostModel::homogeneous(2, 1e6, 1e-5);
         let (parts, cfg, cost, tamper) = (&parts, &cfg, &cost, &tamper);
-        comm::Cluster::try_run_fn(2, move |mut dev| {
+        let run = comm::Cluster::try_run_async(2, None, None, |mut dev| async move {
             let part = &parts[dev.rank()];
             let trace = Trace::new(part, &[16, 8]);
             let own = Bytes::from(encode_trace(&part.send_alpha_sq, &trace));
             if dev.rank() == 0 {
-                let traces = dev.gather(0, own).expect("the root gathers");
+                let traces = dev.gather(0, own).await.expect("the root gathers");
                 let (mut replies, stats) = master_round(&traces, cost, cfg).expect("valid traces");
                 let mut stats = stats.to_bytes().to_vec();
                 tamper(&mut replies, &mut stats);
-                dev.scatter(0, Some(replies.into_iter().map(Bytes::from).collect()));
-                dev.broadcast(0, Some(Bytes::from(stats)));
+                dev.scatter(0, Some(replies.into_iter().map(Bytes::from).collect()))
+                    .await;
+                dev.broadcast(0, Some(Bytes::from(stats))).await;
                 return None;
             }
             let before = WidthAssignment::fixed(part, 2, BitWidth::B4);
@@ -1480,12 +1481,12 @@ mod tests {
                 mode,
                 &mut rng,
                 &mut assignment,
-            );
+            )
+            .await;
             Some((got, assignment == before))
-        })
-        .expect("no device panicked or stalled")
-        .swap_remove(1)
-        .expect("rank 1 reports")
+        });
+        let mut outputs = run.expect("no device panicked or stalled").outputs;
+        outputs.swap_remove(1).expect("rank 1 reports")
     }
 
     #[test]
@@ -1539,7 +1540,7 @@ mod tests {
         let parts_ref = &parts;
         let cfg_ref = &cfg;
         let cost_ref = &cost;
-        let out = comm::Cluster::run_fn(2, move |mut dev| {
+        let run = comm::Cluster::try_run_async(2, None, None, |mut dev| async move {
             let part = &parts_ref[dev.rank()];
             let dims = [16usize, 8];
             let mut trace = Trace::new(part, &dims);
@@ -1565,9 +1566,11 @@ mod tests {
                 &mut rng,
                 &mut assign,
             )
+            .await
             .expect("well-formed round");
             (assign, solve)
         });
+        let out = run.expect("no device panicked or stalled").outputs;
         for (rank, (assign, solve)) in out.iter().enumerate() {
             assert!(solve.secs >= 0.0);
             assert!(solve.iterations > 0, "solver evaluated candidates");

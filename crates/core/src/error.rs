@@ -17,7 +17,7 @@ pub enum Error {
     SolverInfeasible(String),
     /// An export or checkpoint file operation failed.
     Io(std::io::Error),
-    /// A simulated device thread failed mid-run.
+    /// A simulated device failed mid-run (panicked or stalled).
     Cluster(comm::ClusterError),
     /// A device received a halo block that does not decode.
     Exchange {

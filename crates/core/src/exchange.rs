@@ -3,12 +3,13 @@
 //!
 //! There is one routine, [`halo_exchange`] (and [`halo_exchange_with`], the
 //! same routine making its destination late): a payload per peer that has
-//! rows to get, round the ring, land what came back. [`Direction`] picks
-//! the rows read and the rows written; [`Wire`] is the only place a codec
-//! and its accounting differ. Peers are visited in ascending rank to send,
-//! then in ascending rank to receive: the [`Rng`] stream and the `f64` adds
-//! into [`ExchangeStats::quant_ops`] follow that order, and both reach
-//! results.
+//! rows to get, round the ring, land what came back: two halves around one
+//! `ring_exchange(..).await` (a blocking ring for the harness's closure
+//! devices). [`Direction`] picks the rows read and the rows written;
+//! [`Wire`] is the only place a codec and its accounting differ. Peers are
+//! visited in ascending rank to send, then in ascending rank to receive: the
+//! [`Rng`] stream and the `f64` adds into [`ExchangeStats::quant_ops`]
+//! follow that order, and both reach results.
 //!
 //! The routine costs what the bytes cost, not what the messages cost
 //! (DESIGN.md §18): rows are encoded straight from the source matrix into
@@ -18,7 +19,7 @@
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
 use comm::timing::measure;
-use comm::{CostModel, DeviceHandle};
+use comm::{AsyncDevice, CostModel, DeviceHandle};
 use quant::grouped::grouped_wire_len;
 use quant::{
     decode_block_grouped, decode_rows, encode_block_grouped, encode_rows_into, predicted_wire_len,
@@ -433,8 +434,8 @@ impl Wire<'_> {
 /// # Panics
 ///
 /// Panics if a shape or width table disagrees with the partition.
-pub fn halo_exchange(
-    dev: &mut DeviceHandle,
+pub async fn halo_exchange(
+    dev: &mut AsyncDevice,
     part: &DevicePartition,
     dir: Direction,
     src: Option<&Matrix>,
@@ -443,7 +444,8 @@ pub fn halo_exchange(
     rng: &mut Rng,
 ) -> Result<ExchangeStats, ExchangeError> {
     let dim = dst.cols();
-    halo_exchange_with(dev, part, dir, src, dim, || dst, wire, rng).map(|(_, stats)| stats)
+    let exchange = halo_exchange_with(dev, part, dir, src, dim, || dst, wire, rng);
+    exchange.await.map(|(_, stats)| stats)
 }
 
 /// [`halo_exchange`] with the `dim`-column destination made by `make_dst`
@@ -460,8 +462,8 @@ pub fn halo_exchange(
 ///
 /// As [`halo_exchange`].
 #[allow(clippy::too_many_arguments)]
-pub fn halo_exchange_with<D: BorrowMut<Matrix>>(
-    dev: &mut DeviceHandle,
+pub async fn halo_exchange_with<D: BorrowMut<Matrix>>(
+    dev: &mut AsyncDevice,
     part: &DevicePartition,
     dir: Direction,
     src: Option<&Matrix>,
@@ -470,17 +472,28 @@ pub fn halo_exchange_with<D: BorrowMut<Matrix>>(
     mut wire: Wire<'_>,
     rng: &mut Rng,
 ) -> Result<(D, ExchangeStats), ExchangeError> {
+    let (sends, stats) = post(part, dir, src, dim, &mut wire, rng);
+    let received = dev.ring_exchange(sends).await;
+    land(part, (dir, dim), received, make_dst, &wire, stats)
+}
+
+/// The half of an exchange before the ring: sizes every payload, then
+/// encodes consecutive payloads into shared buffers and returns views of
+/// them, with the stats so far. Peers with no rows are not listed.
+fn post(
+    part: &DevicePartition,
+    dir: Direction,
+    src: Option<&Matrix>,
+    dim: usize,
+    wire: &mut Wire<'_>,
+    rng: &mut Rng,
+) -> (Vec<(u32, Bytes)>, ExchangeStats) {
     let n = part.num_parts;
-    let (local, owned, halo) = (part.num_local(), &part.send_sets, &part.recv_slots);
-    let (offset, src_rows, send_idx, dst_rows, recv_idx) = match dir {
-        Direction::Forward => (0, local, owned, part.num_halo(), halo),
-        Direction::Backward => (local, part.num_ext(), halo, local, owned),
+    let (offset, src_rows, send_idx) = match dir {
+        Direction::Forward => (0, part.num_local(), &part.send_sets),
+        Direction::Backward => (part.num_local(), part.num_ext(), &part.recv_slots),
     };
     let mut stats = ExchangeStats::new(n);
-    let quantized = !matches!(wire, Wire::Fp32);
-
-    // Post: size every payload, then encode consecutive payloads into shared
-    // buffers and ship views of them. Peers with no rows are not listed.
     let mut sends: Vec<(u32, Bytes)> = Vec::new();
     if let Some(src) = src {
         assert_eq!(src.shape(), (src_rows, dim), "{dir:?} src shape");
@@ -517,13 +530,27 @@ pub fn halo_exchange_with<D: BorrowMut<Matrix>>(
             }
         });
         stats.sent_bytes = lens;
-        if quantized {
+        if !matches!(wire, Wire::Fp32) {
             stats.quant_cpu_seconds += secs;
         }
     }
-    let received = dev.ring_exchange(sends);
+    (sends, stats)
+}
 
-    // Land: the destination exists from here on.
+/// The half of an exchange after the ring: makes the destination and lands
+/// every received payload in it.
+fn land<D: BorrowMut<Matrix>>(
+    part: &DevicePartition,
+    (dir, dim): (Direction, usize),
+    received: Vec<(u32, Bytes)>,
+    make_dst: impl FnOnce() -> D,
+    wire: &Wire<'_>,
+    mut stats: ExchangeStats,
+) -> Result<(D, ExchangeStats), ExchangeError> {
+    let (dst_rows, recv_idx) = match dir {
+        Direction::Forward => (part.num_halo(), &part.recv_slots),
+        Direction::Backward => (part.num_local(), &part.send_sets),
+    };
     let mut made = make_dst();
     let dst: &mut Matrix = made.borrow_mut();
     assert_eq!(dst.shape(), (dst_rows, dim), "{dir:?} dst shape");
@@ -539,29 +566,32 @@ pub fn halo_exchange_with<D: BorrowMut<Matrix>>(
         Ok(())
     });
     landed?;
-    if quantized {
+    if !matches!(wire, Wire::Fp32) {
         stats.quant_cpu_seconds += secs;
     }
     Ok((made, stats))
 }
 
-/// A forward [`halo_exchange_with`] of `x` into a fresh halo matrix, for the
-/// two entry points whose signatures the benchmark harness pins.
+/// A forward exchange of `x` into a fresh halo matrix through the closure
+/// handle, for the two entry points whose signatures the benchmark harness
+/// pins: the same [`post`] and [`land`] around a blocking ring.
 fn fresh_forward_halo(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
     x: &Matrix,
-    wire: Wire<'_>,
+    mut wire: Wire<'_>,
     rng: &mut Rng,
 ) -> (Matrix, ExchangeStats) {
     let (dir, dim) = (Direction::Forward, x.cols());
+    let (sends, stats) = post(part, dir, Some(x), dim, &mut wire, rng);
+    let received = dev.ring_exchange(sends);
     let zeros = || Matrix::zeros(part.num_halo(), dim);
     // lint:allow(no-panic): infallible signatures pinned by benchmark/; every peer of a probe cluster runs this same routine, so a malformed block is a bug in it
-    halo_exchange_with(dev, part, dir, Some(x), dim, zeros, wire, rng).expect("peer block decodes")
+    land(part, (dir, dim), received, zeros, &wire, stats).expect("peer block decodes")
 }
 
 /// Full-precision forward [`halo_exchange`] of `x` (`num_local` rows) into a
-/// fresh halo matrix (`num_halo x dim`).
+/// fresh halo matrix (`num_halo x dim`), on a closure device.
 ///
 /// # Panics
 ///
@@ -575,9 +605,9 @@ pub fn exchange_forward_fp32(
     fresh_forward_halo(dev, part, x, Wire::Fp32, &mut Rng::seed_from(0))
 }
 
-/// Quantized forward [`halo_exchange`] into a fresh halo matrix. `widths[q]`
-/// gives the bit-width of each message to peer `q`, aligned with
-/// `part.send_sets[q]`.
+/// Quantized forward [`halo_exchange`] into a fresh halo matrix, on a
+/// closure device. `widths[q]` gives the bit-width of each message to peer
+/// `q`, aligned with `part.send_sets[q]`.
 ///
 /// # Panics
 ///
@@ -597,7 +627,21 @@ pub fn exchange_forward_quant(
 mod tests {
     use super::*;
     use quant::{decode_block, encode_block_streamed};
+    use std::future::Future;
     use Direction::{Backward, Forward};
+
+    /// Runs the `async` body `f` builds per rank on an uncosted cluster.
+    fn run_async<Fut: Future>(n: usize, f: impl FnMut(AsyncDevice) -> Fut) -> Vec<Fut::Output> {
+        let run = comm::Cluster::try_run_async(n, None, None, f);
+        run.expect("no device panicked or stalled").outputs
+    }
+
+    /// The payloads of a dense per-peer table that carry bytes, as the
+    /// ring's `(dst, payload)` list.
+    fn listed(payloads: &[Bytes]) -> Vec<(u32, Bytes)> {
+        let non_empty = payloads.iter().enumerate().filter(|(_, p)| !p.is_empty());
+        non_empty.map(|(q, p)| (q as u32, p.clone())).collect()
+    }
 
     #[test]
     fn matrix_bytes_roundtrip() {
@@ -658,8 +702,8 @@ mod tests {
     /// The fp32 exchange as it was before rows moved straight between
     /// matrix and wire buffer: gather into a message matrix, serialize,
     /// ring, deserialize, copy / scatter-add. Returns the payloads sent.
-    fn composed_fp32_exchange(
-        dev: &mut DeviceHandle,
+    async fn composed_fp32_exchange(
+        dev: &mut AsyncDevice,
         part: &DevicePartition,
         dir: Direction,
         src: &Matrix,
@@ -672,11 +716,8 @@ mod tests {
                 idx => matrix_to_bytes(&src.gather_rows(&idx)),
             })
             .collect();
-        for (q, payload) in dev.ring_all2all(sent.clone()).into_iter().enumerate() {
-            let Some(payload) = payload.filter(|p| !p.is_empty()) else {
-                continue;
-            };
-            let idx = peer_rows(part, dir, q).1;
+        for (q, payload) in dev.ring_exchange(listed(&sent)).await {
+            let idx = peer_rows(part, dir, q as usize).1;
             let m = bytes_to_matrix(&payload, idx.len(), src.cols());
             match dir {
                 Forward => {
@@ -694,39 +735,43 @@ mod tests {
     /// through the routine and through [`composed_fp32_exchange`]: bit-equal
     /// `dst` and equal payload lengths.
     fn fp32_matches_composition(parts: &[DevicePartition], dim: usize) {
-        let outputs = comm::Cluster::run_fn(parts.len(), move |mut dev| {
+        let forward_x = |rank: usize| {
+            let rng = &mut Rng::seed_from(26 + rank as u64);
+            random_matrix(parts[rank].num_local(), dim, rng)
+        };
+        let outputs = run_async(parts.len(), |mut dev| async move {
             let part = &parts[dev.rank()];
             let mut rng = Rng::seed_from(25 + dev.rank() as u64);
             let mut total = 0;
             for dir in [Forward, Backward] {
                 let (src, seed) = operands(part, dir, dim, &mut rng);
                 let mut want = seed.clone();
-                let sent = composed_fp32_exchange(&mut dev, part, dir, &src, &mut want);
+                let sent = composed_fp32_exchange(&mut dev, part, dir, &src, &mut want).await;
                 let mut dst = seed;
-                let stats = halo_exchange(
-                    &mut dev,
-                    part,
-                    dir,
-                    Some(&src),
-                    &mut dst,
-                    Wire::Fp32,
-                    &mut rng,
-                )
-                .expect("peer blocks decode");
+                let wire = Wire::Fp32;
+                let exchange =
+                    halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng);
+                let stats = exchange.await.expect("peer blocks decode");
                 let lens: Vec<usize> = sent.iter().map(Bytes::len).collect();
                 assert_eq!(stats.sent_bytes, lens, "{dir:?} payload lengths");
                 assert_eq!(stats.quant_ops, 0.0);
                 assert_eq!(bits(&dst), bits(&want), "{dir:?} dst");
                 total += stats.total_sent();
             }
-            // The kept forward entry point is the routine over fresh zeros.
-            let x = random_matrix(part.num_local(), dim, &mut rng);
+            let x = forward_x(dev.rank());
             let mut want = Matrix::zeros(part.num_halo(), dim);
-            composed_fp32_exchange(&mut dev, part, Forward, &x, &mut want);
-            assert_eq!(exchange_forward_fp32(&mut dev, part, &x).0, want);
-            total
+            composed_fp32_exchange(&mut dev, part, Forward, &x, &mut want).await;
+            (total, want)
         });
-        assert!(outputs.iter().all(|&b| b > 0), "every device has a peer");
+        // The kept closure-device entry point is the routine over fresh zeros.
+        let kept = comm::Cluster::run_fn(parts.len(), |mut dev| {
+            let rank = dev.rank();
+            exchange_forward_fp32(&mut dev, &parts[rank], &forward_x(rank)).0
+        });
+        for ((total, want), got) in outputs.into_iter().zip(kept) {
+            assert!(total > 0, "every device has a peer");
+            assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]
@@ -737,7 +782,7 @@ mod tests {
     #[test]
     fn skipped_sancus_turn_sends_nothing_and_keeps_stale_rows() {
         let parts = &three_parts();
-        comm::Cluster::run_fn(3, move |mut dev| {
+        run_async(3, |mut dev| async move {
             let me = dev.rank();
             let part = &parts[me];
             // Row `i` of rank `r` holds `100 r + i` in every column.
@@ -746,8 +791,8 @@ mod tests {
             // Rank 1 skips its broadcast turn.
             let src = (me != 1).then_some(&x);
             let rng = &mut Rng::seed_from(0);
-            let stats = halo_exchange(&mut dev, part, Forward, src, &mut cache, Wire::Fp32, rng)
-                .expect("peer blocks decode");
+            let exchange = halo_exchange(&mut dev, part, Forward, src, &mut cache, Wire::Fp32, rng);
+            let stats = exchange.await.expect("peer blocks decode");
             if me == 1 {
                 assert_eq!(stats.total_sent(), 0);
             }
@@ -787,8 +832,8 @@ mod tests {
     /// is built on: `gather_send_rows` / `gather_rows` -> `quant::encode_*`
     /// -> ring -> `quant::decode_*` -> row copy / `scatter_add_rows`.
     #[allow(clippy::too_many_arguments)]
-    fn reference_exchange(
-        dev: &mut DeviceHandle,
+    async fn reference_exchange(
+        dev: &mut AsyncDevice,
         part: &DevicePartition,
         dir: Direction,
         kind: Kind,
@@ -842,10 +887,8 @@ mod tests {
             payloads.push(block.bytes);
         }
         let sent = payloads.iter().map(Bytes::len).collect();
-        for (q, payload) in dev.ring_all2all(payloads).into_iter().enumerate() {
-            let Some(bytes) = payload.filter(|p| !p.is_empty()) else {
-                continue;
-            };
+        for (q, bytes) in dev.ring_exchange(listed(&payloads)).await {
+            let q = q as usize;
             let idx = peer_rows(part, dir, q).1;
             let (rows, dim) = (idx.len(), dst.cols());
             let block = EncodedBlock { bytes, rows, dim };
@@ -886,7 +929,7 @@ mod tests {
         // Mixed widths both ends of a pair derive alike: row `k` of the
         // block from `s` to `r`.
         let width = |s: usize, r: usize, k: usize| BitWidth::ALL[(s + 2 * r + k) % 3];
-        comm::Cluster::run_fn(n, move |mut dev| {
+        run_async(n, |mut dev| async move {
             let me = dev.rank();
             let part = &parts[me];
             let lens = |q: usize| peer_rows(part, dir, q);
@@ -917,7 +960,8 @@ mod tests {
                     &mut want_residuals,
                     &mut want_rng,
                     cost,
-                );
+                )
+                .await;
                 let wire = match kind {
                     Kind::Rows | Kind::ErrorFeedback => Wire::Rows {
                         widths: &send_widths,
@@ -933,9 +977,9 @@ mod tests {
                     },
                 };
                 let mut dst = seed;
-                let stats =
-                    halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng)
-                        .expect("peer blocks decode");
+                let exchange =
+                    halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng);
+                let stats = exchange.await.expect("peer blocks decode");
                 let outcome = Outcome {
                     sent: stats.sent_bytes.clone(),
                     quant_ops_bits: stats.quant_ops.to_bits(),
@@ -1108,7 +1152,7 @@ mod tests {
         let parts = &three_parts();
         let dim = 5;
         for (corruption, quantized) in [(0usize, true), (1, true), (2, false)] {
-            let outcomes = comm::Cluster::run_fn(3, move |mut dev| {
+            let outcomes = run_async(3, |mut dev| async move {
                 let me = dev.rank();
                 let part = &parts[me];
                 let mut rng = Rng::seed_from(500 + me as u64);
@@ -1135,7 +1179,8 @@ mod tests {
                         &mut halo,
                         wire(quantized),
                         &mut rng,
-                    );
+                    )
+                    .await;
                     let untouched = part.recv_slots[1]
                         .iter()
                         .all(|&slot| halo.row(slot as usize) == [-7.0; 5]);
@@ -1163,7 +1208,7 @@ mod tests {
                         (q, Bytes::from(raw))
                     })
                     .collect();
-                dev.ring_exchange(sends);
+                dev.ring_exchange(sends).await;
                 None
             });
             let (got, untouched) = outcomes[0].clone().expect("device 0 reports");

@@ -132,7 +132,7 @@ impl RunResult {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceTallies {
     /// `(bytes, messages)` handed to the scheduler per destination rank
-    /// ([`comm::DeviceHandle::take_sent`]).
+    /// ([`comm::AsyncDevice::take_sent`]).
     pub sent: Vec<(u64, u64)>,
     /// Halo bytes sent per destination rank, one row per distinct exchange
     /// width seen (`None` is a mixed per-group assignment, `Some(32)` fp32);

@@ -15,7 +15,7 @@ use comm::Cluster;
 use graph::Task;
 use obs::critpath::{CritPathReport, FlightLog};
 use obs::time::straggler;
-use std::sync::Mutex;
+use std::cell::RefCell;
 use tensor::Rng;
 
 /// Runs one experiment end-to-end on the discrete-event cluster core and
@@ -100,8 +100,9 @@ pub fn run_experiment_profiled(
     // stops, and its peers then stall at their next collective: the cluster
     // reports that stall, so the cause is kept here (the lowest failing
     // rank's) and wins.
-    let failure: Mutex<Option<(usize, DeviceError)>> = Mutex::new(None);
-    let device = |dev: comm::DeviceHandle| {
+    let failure: RefCell<Option<(usize, DeviceError)>> = RefCell::new(None);
+    let failure_ref = &failure;
+    let device = |dev: comm::AsyncDevice| async move {
         let rank = dev.rank();
         let trainer = DeviceTrainer::new(
             dev,
@@ -111,16 +112,14 @@ pub fn run_experiment_profiled(
             cost_ref,
             cfg.seed,
         );
-        trainer
-            .run()
-            .map_err(|error| {
-                if let Ok(mut first) = failure.lock() {
-                    if first.as_ref().is_none_or(|(r, _)| rank < *r) {
-                        *first = Some((rank, error));
-                    }
-                }
-            })
-            .ok()
+        let run = trainer.run().await;
+        run.map_err(|error| {
+            let mut first = failure_ref.borrow_mut();
+            if first.as_ref().is_none_or(|(r, _)| rank < *r) {
+                *first = Some((rank, error));
+            }
+        })
+        .ok()
     };
     // One recorder, armed when either view of its log is wanted. It reads
     // the cost model purely to annotate message departures with the
@@ -129,8 +128,8 @@ pub fn run_experiment_profiled(
     let record = cfg.training.telemetry || cfg.training.profile;
     let mut recorder = record.then(|| comm::FlightRecorder::new(n, Some(&cost)));
     let (run, train_seconds) =
-        comm::timing::measure(|| Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device));
-    if let Some((rank, error)) = failure.into_inner().ok().flatten() {
+        comm::timing::measure(|| Cluster::try_run_async(n, None, recorder.as_mut(), device));
+    if let Some((rank, error)) = failure.into_inner() {
         return Err(error.on(rank));
     }
     let outputs: Vec<DeviceOutput> = run?.outputs.into_iter().flatten().collect();

@@ -13,16 +13,16 @@ use crate::decompose::{DevicePartition, LocalLabels};
 use crate::error::DeviceError;
 use crate::exchange::{halo_exchange, halo_exchange_with, Direction, ExchangeError, Wire};
 use crate::metrics::{DeviceEpochRecord, DeviceTallies, MetricParts};
-use comm::{CostModel, DeviceHandle, TimeBreakdown};
+use comm::{AsyncDevice, CostModel, TimeBreakdown};
 use gnn::{Adam, Gnn};
 use obs::time::{EventDetail, EventKind, Span};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
 use tensor::{sigmoid_bce_weighted, softmax_cross_entropy, Matrix, Rng};
 
-/// The per-device training driver.
+/// The per-device training driver, an `async` program ([`comm::AsyncDevice`]).
 pub struct DeviceTrainer<'a> {
-    dev: DeviceHandle,
+    dev: AsyncDevice,
     part: &'a DevicePartition,
     cfg: &'a TrainingConfig,
     method: Method,
@@ -106,7 +106,7 @@ impl<'a> DeviceTrainer<'a> {
     /// every rank so replicas start (and stay, via gradient allreduce) in
     /// sync.
     pub fn new(
-        mut dev: DeviceHandle,
+        mut dev: AsyncDevice,
         part: &'a DevicePartition,
         cfg: &'a TrainingConfig,
         method: Method,
@@ -198,7 +198,7 @@ impl<'a> DeviceTrainer<'a> {
 
     /// The one place simulated time is charged: `secs` to the epoch's
     /// [`TimeBreakdown`] bucket `kind` belongs to and — in a recorded run,
-    /// which is [`DeviceHandle::charge`]'s to know — the same charge to the
+    /// which is [`AsyncDevice::charge`]'s to know — the same charge to the
     /// run's flight log with the span describing it, so every view derived
     /// from the log sees exactly the charges the breakdown accumulates, in
     /// the same order, with the same values. `sent` / `recv` are the
@@ -251,10 +251,11 @@ impl<'a> DeviceTrainer<'a> {
     /// [`DeviceError`] as soon as a peer's halo block or a reassignment
     /// message does not decode; the device stops there, so its peers stall
     /// at their next collective.
-    pub fn run(mut self) -> Result<DeviceOutput, DeviceError> {
-        let records = (0..self.cfg.epochs)
-            .map(|e| self.run_epoch(e))
-            .collect::<Result<_, _>>()?;
+    pub async fn run(mut self) -> Result<DeviceOutput, DeviceError> {
+        let mut records = Vec::with_capacity(self.cfg.epochs);
+        for e in 0..self.cfg.epochs {
+            records.push(self.run_epoch(e).await?);
+        }
         if let Some(tallies) = &mut self.tallies {
             tallies.sent = self.dev.take_sent();
         }
@@ -275,7 +276,7 @@ impl<'a> DeviceTrainer<'a> {
     ///
     /// [`DeviceError`] if a peer's halo block or a reassignment message
     /// does not decode.
-    pub fn run_epoch(&mut self, epoch: usize) -> Result<DeviceEpochRecord, DeviceError> {
+    pub async fn run_epoch(&mut self, epoch: usize) -> Result<DeviceEpochRecord, DeviceError> {
         self.cur_epoch = epoch;
         self.cur_layer = None;
         self.tb = TimeBreakdown::new();
@@ -286,9 +287,11 @@ impl<'a> DeviceTrainer<'a> {
         // ---- Forward ----
         let num_layers = self.num_layers();
         let part = self.part;
-        let mut h = self.forward_layer(0, &part.features, epoch, trace_now)?;
+        let mut h = self
+            .forward_layer(0, &part.features, epoch, trace_now)
+            .await?;
         for l in 1..num_layers {
-            h = self.forward_layer(l, &h, epoch, trace_now)?;
+            h = self.forward_layer(l, &h, epoch, trace_now).await?;
         }
         let logits = h;
         self.cur_layer = None;
@@ -318,14 +321,15 @@ impl<'a> DeviceTrainer<'a> {
             if let Some(gs) = grad_self {
                 grad_local.add_assign(&gs);
             }
-            self.backward_exchange(l, &grad_ext, &mut grad_local, epoch)?;
+            self.backward_exchange(l, &grad_ext, &mut grad_local, epoch)
+                .await?;
             grad_h = grad_local;
         }
 
         // ---- Gradient allreduce + optimizer step ----
         self.cur_layer = None;
         let mut grads = self.model.grads_flat();
-        self.dev.allreduce_sum_f32(&mut grads);
+        self.dev.allreduce_sum_f32(&mut grads).await;
         let allreduce_secs = self.allreduce_seconds(grads.len() * 4);
         self.charge(
             EventKind::AllReduce,
@@ -370,7 +374,8 @@ impl<'a> DeviceTrainer<'a> {
                 mode,
                 &mut self.rng,
                 &mut self.assignment,
-            )?;
+            )
+            .await?;
             self.charge(EventKind::AssignerSolve, solve.secs, EventDetail::default());
             // SolveStats are identical on every rank (the master broadcasts
             // them); the master alone counts them, so the fold over ranks
@@ -381,7 +386,7 @@ impl<'a> DeviceTrainer<'a> {
         }
 
         // ---- Evaluation (not charged to simulated time) ----
-        let metric = self.evaluate()?;
+        let metric = self.evaluate().await?;
 
         Ok(DeviceEpochRecord {
             breakdown: self.tb,
@@ -394,7 +399,7 @@ impl<'a> DeviceTrainer<'a> {
 
     /// Training forward pass of layer `l` on its input `x`: halo exchange,
     /// split aggregation, dense transform.
-    fn forward_layer(
+    async fn forward_layer(
         &mut self,
         l: usize,
         x: &Matrix,
@@ -405,7 +410,7 @@ impl<'a> DeviceTrainer<'a> {
         if trace_now {
             self.trace.record_fwd(self.part, l, x);
         }
-        let fresh = self.forward_halo(l, x, epoch)?;
+        let fresh = self.forward_halo(l, x, epoch).await?;
         // SANCUS aggregates straight from its stale cache.
         let halo = fresh.as_ref().unwrap_or(&self.halo_cache[l]);
         let agg = &self.part.agg;
@@ -429,7 +434,7 @@ impl<'a> DeviceTrainer<'a> {
     /// ([`halo_exchange_with`]), with its comm and quantization charges:
     /// fp32, or — when `quantized` — over the wire the config selects (the
     /// same choice for both directions).
-    fn charged_exchange<D: BorrowMut<Matrix>>(
+    async fn charged_exchange<D: BorrowMut<Matrix>>(
         &mut self,
         l: usize,
         dir: Direction,
@@ -462,8 +467,8 @@ impl<'a> DeviceTrainer<'a> {
             Wire::Rows { widths, residuals }
         };
         let (dev, rng, dim) = (&mut self.dev, &mut self.rng, src.cols());
-        let (dst, stats) =
-            halo_exchange_with(dev, self.part, dir, Some(src), dim, make_dst, wire, rng)?;
+        let exchange = halo_exchange_with(dev, self.part, dir, Some(src), dim, make_dst, wire, rng);
+        let (dst, stats) = exchange.await?;
         let comm_secs = stats.ring_seconds(self.cost, self.part.rank);
         let quant_secs = self.cost.ops_time_for(self.part.rank, stats.quant_ops);
         self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, bits);
@@ -487,19 +492,20 @@ impl<'a> DeviceTrainer<'a> {
     /// Produces the halo matrix for layer `l`'s aggregation — `None` when
     /// it is `halo_cache[l]` itself (SANCUS) — charging
     /// communication/quantization time according to the method.
-    fn forward_halo(
+    async fn forward_halo(
         &mut self,
         l: usize,
         h: &Matrix,
         epoch: usize,
     ) -> Result<Option<Matrix>, ExchangeError> {
         if self.method == Method::Sancus {
-            self.sancus_refresh(l, h, epoch)?;
+            self.sancus_refresh(l, h, epoch).await?;
             return Ok(None);
         }
         let quantized = self.quantized(epoch);
         let zeros = || Matrix::zeros(self.part.num_halo(), h.cols());
-        let mut halo = self.charged_exchange(l, Direction::Forward, quantized, h, zeros)?;
+        let exchange = self.charged_exchange(l, Direction::Forward, quantized, h, zeros);
+        let mut halo = exchange.await?;
         if self.method == Method::PipeGcn {
             // Use last epoch's halo; the fresh one refreshes the cache
             // concurrently (pipelined).
@@ -520,7 +526,12 @@ impl<'a> DeviceTrainer<'a> {
     /// epochs). Functionally only the halo rows matter, so only those move;
     /// the byte/time accounting uses the full-partition broadcast volume
     /// over the serialized sequential schedule the paper critiques.
-    fn sancus_refresh(&mut self, l: usize, h: &Matrix, epoch: usize) -> Result<(), ExchangeError> {
+    async fn sancus_refresh(
+        &mut self,
+        l: usize,
+        h: &Matrix,
+        epoch: usize,
+    ) -> Result<(), ExchangeError> {
         let part = self.part;
         // Sender-side refresh decision.
         let drifted = match &self.sancus_snapshot[l] {
@@ -538,7 +549,8 @@ impl<'a> DeviceTrainer<'a> {
         // cache: rows of a peer that skipped its broadcast stay as they were.
         let (src, cache) = (broadcast.then_some(h), &mut self.halo_cache[l]);
         let (dev, rng) = (&mut self.dev, &mut self.rng);
-        let mut stats = halo_exchange(dev, part, Direction::Forward, src, cache, Wire::Fp32, rng)?;
+        let exchange = halo_exchange(dev, part, Direction::Forward, src, cache, Wire::Fp32, rng);
+        let mut stats = exchange.await?;
         // Full-partition broadcast volume, not just the halo.
         let row_bytes = h.cols() * 4;
         for q in 0..part.num_parts {
@@ -562,7 +574,7 @@ impl<'a> DeviceTrainer<'a> {
     }
 
     /// Backward halo-gradient exchange per method.
-    fn backward_exchange(
+    async fn backward_exchange(
         &mut self,
         l: usize,
         grad_ext: &Matrix,
@@ -579,7 +591,8 @@ impl<'a> DeviceTrainer<'a> {
                 // warm-up epoch applies the fresh ones synchronously and
                 // leaves the stale buffer zeroed so nothing double-counts.
                 let mut grads = Matrix::zeros(grad_local.rows(), grad_local.cols());
-                self.charged_exchange(l, dir, false, grad_ext, || &mut grads)?;
+                self.charged_exchange(l, dir, false, grad_ext, || &mut grads)
+                    .await?;
                 if epoch > 0 {
                     std::mem::swap(&mut self.stale_grads[l], &mut grads);
                 }
@@ -587,7 +600,8 @@ impl<'a> DeviceTrainer<'a> {
             }
             Method::Vanilla | Method::AdaQp | Method::AdaQpUniform => {
                 let quantized = self.quantized(epoch);
-                self.charged_exchange(l, dir, quantized, grad_ext, || grad_local)?;
+                self.charged_exchange(l, dir, quantized, grad_ext, || grad_local)
+                    .await?;
             }
         }
         Ok(())
@@ -689,16 +703,16 @@ impl<'a> DeviceTrainer<'a> {
     /// Evaluation forward pass (full precision, eval mode); returns local
     /// metric accumulators. Not charged to simulated time: the paper's
     /// throughput numbers measure training epochs only.
-    fn evaluate(&mut self) -> Result<MetricParts, ExchangeError> {
+    async fn evaluate(&mut self) -> Result<MetricParts, ExchangeError> {
         let part = self.part;
         let z0 = match self.eval_z0.take() {
             Some(z0) => z0,
-            None => self.eval_aggregate(&part.features)?,
+            None => self.eval_aggregate(&part.features).await?,
         };
         let mut h = self.eval_dense(0, &z0, &part.features);
         self.eval_z0 = Some(z0);
         for l in 1..self.num_layers() {
-            let z = self.eval_aggregate(&h)?;
+            let z = self.eval_aggregate(&h).await?;
             h = self.eval_dense(l, &z, &h);
         }
         Ok(self.local_metrics(&h))
@@ -706,11 +720,12 @@ impl<'a> DeviceTrainer<'a> {
 
     /// Evaluation's aggregated layer input `Â·[x; halo(x)]`, the halo
     /// exchanged at full precision.
-    fn eval_aggregate(&mut self, x: &Matrix) -> Result<Matrix, ExchangeError> {
+    async fn eval_aggregate(&mut self, x: &Matrix) -> Result<Matrix, ExchangeError> {
         let (dev, rng, dim) = (&mut self.dev, &mut self.rng, x.cols());
         let zeros = || Matrix::zeros(self.part.num_halo(), dim);
         let (dir, wire) = (Direction::Forward, Wire::Fp32);
-        let (halo, _) = halo_exchange_with(dev, self.part, dir, Some(x), dim, zeros, wire, rng)?;
+        let exchange = halo_exchange_with(dev, self.part, dir, Some(x), dim, zeros, wire, rng);
+        let (halo, _) = exchange.await?;
         Ok(self.part.agg.aggregate_with_halo(x, &halo))
     }
 
@@ -792,24 +807,26 @@ mod tests {
     use graph::DatasetSpec;
 
     /// Runs `f` on a single-device cluster with a real trainer.
-    fn with_single_device_trainer<T: Send>(
+    fn with_single_device_trainer<T>(
         cfg: TrainingConfig,
         method: Method,
-        f: impl Fn(&mut DeviceTrainer) -> T + Sync,
+        f: impl AsyncFnOnce(&mut DeviceTrainer) -> T,
     ) -> T {
         let ds = DatasetSpec::tiny().generate(17);
         let mut rng = Rng::seed_from(18);
         let part = graph::partition::metis_like(&ds.graph, 1, &mut rng);
         let parts = build_partitions(&ds, &part, cfg.conv_kind());
-        let parts_ref = &parts;
-        let cfg_ref = &cfg;
-        let f_ref = &f;
-        let mut out = comm::Cluster::run_fn(1, move |dev| {
-            let cost = comm::CostModel::homogeneous(1, 1e9, 1e-5);
-            let mut t = DeviceTrainer::new(dev, &parts_ref[0], cfg_ref, method, &cost, 17);
-            f_ref(&mut t)
+        let cost = comm::CostModel::homogeneous(1, 1e9, 1e-5);
+        let mut f = Some(f);
+        let run = comm::Cluster::try_run_async(1, None, None, |dev| {
+            let mut t = DeviceTrainer::new(dev, &parts[0], &cfg, method, &cost, 17);
+            let f = f.take().expect("one device");
+            async move { f(&mut t).await }
         });
-        out.pop().expect("one device ran")
+        run.expect("one device ran")
+            .outputs
+            .pop()
+            .expect("one output")
     }
 
     fn quick_cfg() -> TrainingConfig {
@@ -824,7 +841,7 @@ mod tests {
 
     #[test]
     fn loss_and_grad_respects_global_scaling() {
-        let record = with_single_device_trainer(quick_cfg(), Method::Vanilla, |t| {
+        let record = with_single_device_trainer(quick_cfg(), Method::Vanilla, async |t| {
             let logits = Matrix::from_fn(t.part.num_local(), t.part.global.num_classes, |i, j| {
                 ((i + j) as f32 * 0.7).sin()
             });
@@ -845,14 +862,14 @@ mod tests {
             reassign_period: 5,
             ..quick_cfg()
         };
-        let flags = with_single_device_trainer(cfg, Method::AdaQp, |t| {
+        let flags = with_single_device_trainer(cfg, Method::AdaQp, async |t| {
             (0..12).map(|e| t.is_assign_epoch(e)).collect::<Vec<_>>()
         });
         assert!(flags[0], "epoch 0 always assigns");
         assert!(flags[4] && flags[9], "period boundaries assign");
         assert!(!flags[1] && !flags[2] && !flags[6]);
         // Vanilla never assigns.
-        let none = with_single_device_trainer(quick_cfg(), Method::Vanilla, |t| {
+        let none = with_single_device_trainer(quick_cfg(), Method::Vanilla, async |t| {
             (0..6).any(|e| t.is_assign_epoch(e))
         });
         assert!(!none);
@@ -860,8 +877,10 @@ mod tests {
 
     #[test]
     fn epoch_record_has_consistent_accounting() {
-        let rec = with_single_device_trainer(quick_cfg(), Method::Vanilla, |t| t.run_epoch(0))
-            .expect("one device has no peer blocks to reject");
+        let rec = with_single_device_trainer(quick_cfg(), Method::Vanilla, async |t| {
+            t.run_epoch(0).await
+        })
+        .expect("one device has no peer blocks to reject");
         // Single device: no halo, no bytes.
         assert_eq!(rec.bytes_sent, 0);
         assert!(rec.loss_sum.is_finite());

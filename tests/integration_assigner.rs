@@ -4,11 +4,18 @@
 
 use adaqp::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use adaqp::{build_partitions, TrainingConfig};
-use comm::{Cluster, CostModel};
+use comm::{AsyncDevice, Cluster, CostModel};
 use gnn::ConvKind;
 use graph::DatasetSpec;
 use quant::BitWidth;
+use std::future::Future;
 use tensor::{Matrix, Rng};
+
+/// Runs the `async` body `f` builds per rank on an uncosted cluster.
+fn run_async<Fut: Future>(n: usize, f: impl FnMut(AsyncDevice) -> Fut) -> Vec<Fut::Output> {
+    let run = Cluster::try_run_async(n, None, None, f);
+    run.expect("no device panicked or stalled").outputs
+}
 
 fn setup(k: usize, seed: u64) -> Vec<adaqp::DevicePartition> {
     let ds = DatasetSpec::tiny().scaled(1.5).generate(seed);
@@ -24,7 +31,7 @@ fn run_assign(
     mode: AssignMode,
 ) -> Vec<WidthAssignment> {
     let k = parts.len();
-    Cluster::run_fn(k, move |mut dev| {
+    run_async(k, |mut dev| async move {
         let part = &parts[dev.rank()];
         let dims = [16usize, 24];
         let mut trace = Trace::new(part, &dims);
@@ -49,6 +56,7 @@ fn run_assign(
             &mut rng,
             &mut assign,
         )
+        .await
         .expect("well-formed round");
         assign
     })
@@ -238,7 +246,7 @@ fn golden_assignment_digests_on_four_devices() {
     };
     let cost = CostModel::homogeneous(4, 1e6, 1e-5);
     let (parts_ref, cfg_ref, cost_ref) = (&parts, &cfg, &cost);
-    let out = Cluster::run_fn(4, move |mut dev| {
+    let out = run_async(4, |mut dev| async move {
         let part = &parts_ref[dev.rank()];
         let rank = dev.rank();
         let mut trace = Trace::new(part, &[16, 24]);
@@ -265,6 +273,7 @@ fn golden_assignment_digests_on_four_devices() {
             &mut rng,
             &mut assign,
         )
+        .await
         .expect("well-formed round");
         (assignment_digest(&assign), assign.histogram())
     });
@@ -299,7 +308,7 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     let cost = CostModel::homogeneous(64, 1e6, 1e-5);
     let (parts_ref, cfg_ref, cost_ref) = (&parts, &cfg, &cost);
     let layers = 2;
-    let master = Cluster::run_fn(64, move |mut dev| {
+    let master = run_async(64, |mut dev| async move {
         dev.count_sends();
         let part = &parts_ref[dev.rank()];
         let trace = Trace::new(part, &[16, 24]);
@@ -316,6 +325,7 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
             &mut rng,
             &mut assign,
         )
+        .await
         .expect("well-formed round");
         dev.take_sent()
     })
