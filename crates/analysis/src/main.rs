@@ -11,9 +11,9 @@ USAGE:
     cargo run -p analysis --release -- [--json] [PATH.rs | PATH.toml]...
     cargo run -p analysis --release -- --explain <rule>
 
-Rules: sim-clock, no-panic, det-iter, lossy-cast, no-stray-print,
-dep-hygiene, par-disjoint, unit-confusion, no-host-block,
-collective-divergence, unmatched-comm.
+Rules: dep-hygiene, par-disjoint, unit-confusion, no-host-block,
+collective-divergence, unmatched-comm (clippy carries the rest; see
+clippy.toml and DESIGN.md section 7).
 Suppress with `// lint:allow(<rule>): <reason>` on the offending line;
 stale and reason-less directives are themselves violations.
 --explain <rule> prints the rule's rationale with a minimal bad/good pair.

@@ -1,14 +1,11 @@
-//! The rule engine: eleven rules over the token stream (plus one over
+//! The rule engine: five rules over the token stream (plus one over
 //! `Cargo.toml` text), file classification, `#[cfg(test)]` exemption and
-//! `lint:allow` suppression handling.
+//! `lint:allow` suppression handling. What rustc and clippy can check by
+//! type — panics, prints, truncating casts, `HashMap`/`HashSet` and host
+//! clocks — is left to them (DESIGN.md §7).
 //!
 //! | rule        | what it guards                                              |
 //! |-------------|-------------------------------------------------------------|
-//! | `sim-clock` | all time is charged to the simulated clock (`obs::time`); host time is read only by `comm::timing::measure` and the exporters |
-//! | `no-panic`  | library code reports errors, it does not abort              |
-//! | `det-iter`  | result-producing crates iterate in deterministic order      |
-//! | `lossy-cast`| narrowing `as` casts in quant kernels are deliberate        |
-//! | `no-stray-print` | library crates stay silent; output goes through typed APIs |
 //! | `dep-hygiene`| crate deps route through `[workspace.dependencies]`        |
 //! | `par-disjoint` | parallel-kernel closures index output by chunk-derived ids |
 //! | `unit-confusion` | host wall-clock and sim-clock seconds never meet        |
@@ -35,12 +32,7 @@ use crate::scopes;
 use std::collections::BTreeSet;
 
 /// Names of all rules, in reporting order.
-pub const RULE_NAMES: [&str; 11] = [
-    "sim-clock",
-    "no-panic",
-    "det-iter",
-    "lossy-cast",
-    "no-stray-print",
+pub const RULE_NAMES: [&str; 6] = [
     "dep-hygiene",
     "par-disjoint",
     "unit-confusion",
@@ -48,28 +40,6 @@ pub const RULE_NAMES: [&str; 11] = [
     "collective-divergence",
     "unmatched-comm",
 ];
-
-/// Files exempt from `sim-clock`: the host stopwatch beside the simulated
-/// clock's re-exports (`comm::timing::measure`), the telemetry export paths
-/// (which legitimately timestamp host-side artifacts), and the obs
-/// profiling timer (whose measurements are diagnostic-flagged and never
-/// enter simulated results).
-const SIM_CLOCK_ALLOWLIST: [&str; 3] = [
-    "crates/comm/src/timing.rs",
-    "crates/core/src/telemetry.rs",
-    "crates/obs/src/timer.rs",
-];
-
-/// Macros flagged by `no-stray-print` in library crates: stdout/stderr are
-/// the CLI's interface, so libraries must return data instead of printing it.
-const PRINT_MACROS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
-
-/// Crates whose outputs feed reported numbers: `HashMap`/`HashSet` there
-/// risk iteration-order nondeterminism leaking into results.
-const DET_ITER_CRATES: [&str; 6] = ["graph", "quant", "solver", "gnn", "comm", "core"];
-
-/// Narrowing targets flagged by `lossy-cast` inside quant kernels.
-const NARROWING_TARGETS: [&str; 5] = ["u8", "i8", "u16", "i16", "f32"];
 
 /// Entry points of the deterministic parallel runtime whose closures the
 /// `par-disjoint` rule analyzes. Their shared closure convention: the first
@@ -160,25 +130,15 @@ impl std::fmt::Display for Finding {
 }
 
 /// How a `.rs` file is treated by the per-file rules.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library source of the named crate directory (`crates/<dir>/src`,
-    /// excluding `src/bin`). All library rules apply.
-    Library {
-        /// The directory name under `crates/` (not the package name).
-        crate_dir: String,
-    },
-    /// Binary targets (`src/bin`, `src/main.rs`): `sim-clock` plus the
-    /// protocol rules — panicking on bad CLI input is fine.
-    Bin,
-    /// Tests and benches: `sim-clock` plus the protocol rules (a
+    /// Library source (`crates/<dir>/src`, excluding `src/bin` and
+    /// `src/main.rs`), or an explicitly passed scratch/fixture file: every
+    /// rule applies.
+    Library,
+    /// Bins, tests, benches and examples: the protocol rules only (a
     /// `DeviceProgram` deadlocks the same way wherever it lives).
-    Test,
-    /// Examples: `sim-clock` plus the protocol rules.
-    Example,
-    /// Explicitly-passed scratch/fixture file: every token rule applies, so
-    /// planted violations always surface.
-    Explicit,
+    Other,
 }
 
 impl FileClass {
@@ -187,24 +147,22 @@ impl FileClass {
         if rel.starts_with("shims/") || rel.contains("/fixtures/") {
             return None; // outside the invariant boundary / lint test data
         }
-        if rel.contains("/tests/") || rel.contains("/benches/") || rel.starts_with("tests/") {
-            return Some(FileClass::Test);
+        if rel.contains("/tests/")
+            || rel.contains("/benches/")
+            || rel.contains("/examples/")
+            || rel.starts_with("tests/")
+            || rel.starts_with("examples/")
+        {
+            return Some(FileClass::Other);
         }
-        if rel.contains("/examples/") || rel.starts_with("examples/") {
-            return Some(FileClass::Example);
+        let in_crate = rel.strip_prefix("crates/")?.split_once('/')?.1;
+        if in_crate.starts_with("src/bin/") || in_crate == "src/main.rs" {
+            Some(FileClass::Other)
+        } else if in_crate.starts_with("src/") {
+            Some(FileClass::Library)
+        } else {
+            None
         }
-        if let Some(rest) = rel.strip_prefix("crates/") {
-            let (crate_dir, in_crate) = rest.split_once('/')?;
-            if in_crate.starts_with("src/bin/") || in_crate == "src/main.rs" {
-                return Some(FileClass::Bin);
-            }
-            if in_crate.starts_with("src/") {
-                return Some(FileClass::Library {
-                    crate_dir: crate_dir.to_string(),
-                });
-            }
-        }
-        None
     }
 }
 
@@ -251,7 +209,7 @@ fn collect_allows_in_text(text: &str, line: u32, out: &mut Vec<Allow>) {
 }
 
 /// Line ranges (inclusive) covered by `#[cfg(test)]`-gated items, which
-/// `no-panic`/`det-iter`/`lossy-cast` exempt.
+/// every token rule exempts.
 pub(crate) fn test_exempt_ranges(code: &[&Tok]) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
     let mut i = 0;
@@ -314,150 +272,20 @@ fn in_ranges(line: u32, ranges: &[(u32, u32)]) -> bool {
 
 /// Scans one Rust source file, returning unsuppressed findings (plus
 /// findings for malformed suppressions).
-pub fn scan_rust(display_path: &str, rel: &str, class: &FileClass, src: &str) -> Vec<Finding> {
+pub fn scan_rust(display_path: &str, class: FileClass, src: &str) -> Vec<Finding> {
     let toks = lex(src);
     let allows = collect_allows(&toks);
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
     let exempt = test_exempt_ranges(&code);
 
     let mut raw = Vec::new();
-    let lib_crate = match class {
-        FileClass::Library { crate_dir } => Some(crate_dir.as_str()),
-        FileClass::Explicit => Some("explicit"),
-        _ => None,
-    };
-
-    // sim-clock: everywhere except the explicit allowlist.
-    if !SIM_CLOCK_ALLOWLIST.contains(&rel) {
-        for t in &code {
-            if t.is_ident("Instant") || t.is_ident("SystemTime") {
-                raw.push(Finding {
-                    id: String::new(),
-                    file: display_path.to_string(),
-                    line: t.line,
-                    rule: "sim-clock",
-                    message: format!(
-                        "`{}` bypasses the simulated clock; route time through \
-                         comm::timing (allowlist: comm/src/timing.rs, telemetry exporters)",
-                        t.text
-                    ),
-                });
-            }
-        }
-    }
-
-    if let Some(crate_dir) = lib_crate {
-        // no-panic: `.unwrap(` / `.expect(` method calls and aborting macros.
-        for (idx, t) in code.iter().enumerate() {
-            if in_ranges(t.line, &exempt) {
-                continue;
-            }
-            let prev_dot = idx > 0 && code[idx - 1].is_punct('.');
-            let next_open = code.get(idx + 1).is_some_and(|n| n.is_punct('('));
-            let next_bang = code.get(idx + 1).is_some_and(|n| n.is_punct('!'));
-            if (t.is_ident("unwrap") || t.is_ident("expect")) && prev_dot && next_open {
-                raw.push(Finding {
-                    id: String::new(),
-                    file: display_path.to_string(),
-                    line: t.line,
-                    rule: "no-panic",
-                    message: format!(
-                        "`.{}()` in library code; return a typed error instead",
-                        t.text
-                    ),
-                });
-            } else if (t.is_ident("panic") || t.is_ident("todo") || t.is_ident("unimplemented"))
-                && next_bang
-                && !prev_dot
-            {
-                raw.push(Finding {
-                    id: String::new(),
-                    file: display_path.to_string(),
-                    line: t.line,
-                    rule: "no-panic",
-                    message: format!(
-                        "`{}!` in library code; return a typed error instead",
-                        t.text
-                    ),
-                });
-            }
-        }
-
-        // no-stray-print: stdout/stderr writes in library code (bins,
-        // tests and examples are exempt by classification).
-        for (idx, t) in code.iter().enumerate() {
-            if in_ranges(t.line, &exempt) {
-                continue;
-            }
-            let prev_dot = idx > 0 && code[idx - 1].is_punct('.');
-            let next_bang = code.get(idx + 1).is_some_and(|n| n.is_punct('!'));
-            if PRINT_MACROS.iter().any(|m| t.is_ident(m)) && next_bang && !prev_dot {
-                raw.push(Finding {
-                    id: String::new(),
-                    file: display_path.to_string(),
-                    line: t.line,
-                    rule: "no-stray-print",
-                    message: format!(
-                        "`{}!` in library code; return the text to the caller or \
-                         use the telemetry/metrics exporters",
-                        t.text
-                    ),
-                });
-            }
-        }
-
-        // det-iter: unordered containers in result-producing crates.
-        if DET_ITER_CRATES.contains(&crate_dir) || *class == FileClass::Explicit {
-            for t in &code {
-                if in_ranges(t.line, &exempt) {
-                    continue;
-                }
-                if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                    raw.push(Finding {
-                        id: String::new(),
-                        file: display_path.to_string(),
-                        line: t.line,
-                        rule: "det-iter",
-                        message: format!(
-                            "`{}` iteration order can leak into results; use \
-                             BTreeMap/BTreeSet or sorted iteration",
-                            t.text
-                        ),
-                    });
-                }
-            }
-        }
-
+    if class == FileClass::Library {
         // par-disjoint / unit-confusion / no-host-block: rules that key off
         // specific call sites / identifiers, so running them in every
         // library crate costs nothing where those never appear.
         par_disjoint(display_path, &code, &exempt, &mut raw);
         unit_confusion(display_path, &code, &exempt, &mut raw);
         no_host_block(display_path, &code, &exempt, &mut raw);
-
-        // lossy-cast: narrowing `as` casts in quant kernels.
-        if crate_dir == "quant" || *class == FileClass::Explicit {
-            for (idx, t) in code.iter().enumerate() {
-                if in_ranges(t.line, &exempt) || !t.is_ident("as") {
-                    continue;
-                }
-                if let Some(target) = code.get(idx + 1) {
-                    if NARROWING_TARGETS.contains(&target.text.as_str()) {
-                        raw.push(Finding {
-                            id: String::new(),
-                            file: display_path.to_string(),
-                            line: t.line,
-                            rule: "lossy-cast",
-                            message: format!(
-                                "narrowing `as {}` in a quant kernel; annotate if \
-                                 the truncation is deliberate",
-                                target.text
-                            ),
-                        });
-                    }
-                }
-            }
-        }
     }
 
     // collective-divergence / unmatched-comm: the protocol pass runs on

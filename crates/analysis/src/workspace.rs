@@ -87,7 +87,7 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<Finding>, ScanError> {
                 findings.extend(scan_manifest(&rel, &read(&path)?));
             }
         } else if let Some(class) = FileClass::classify(&rel) {
-            findings.extend(scan_rust(&rel, &rel, &class, &read(&path)?));
+            findings.extend(scan_rust(&rel, class, &read(&path)?));
         }
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -125,7 +125,7 @@ pub fn scan_path(path: &Path) -> Result<Vec<Finding>, ScanError> {
     if display.ends_with(".toml") {
         Ok(scan_manifest(&display, &src))
     } else {
-        Ok(scan_rust(&display, &display, &FileClass::Explicit, &src))
+        Ok(scan_rust(&display, FileClass::Library, &src))
     }
 }
 

@@ -192,55 +192,6 @@ fn after() {}
 // ------------------------------------------------------------ rule fixtures
 
 #[test]
-fn sim_clock_fixture_pair() {
-    let bad = scan_fixture("sim_clock_bad.rs");
-    assert!(rules_of(&bad).contains(&"sim-clock"), "findings: {bad:?}");
-    assert_eq!(bad[0].line, 3, "Instant::now() is on line 3");
-    assert!(scan_fixture("sim_clock_ok.rs").is_empty());
-}
-
-#[test]
-fn no_panic_fixture_pair() {
-    let bad = scan_fixture("no_panic_bad.rs");
-    let rules = rules_of(&bad);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "no-panic").count(),
-        3,
-        "unwrap + expect + panic!: {bad:?}"
-    );
-    // Suppressed expect and #[cfg(test)] unwrap must both stay silent.
-    assert!(scan_fixture("no_panic_ok.rs").is_empty());
-}
-
-#[test]
-fn det_iter_fixture_pair() {
-    let bad = scan_fixture("det_iter_bad.rs");
-    assert!(rules_of(&bad).contains(&"det-iter"), "findings: {bad:?}");
-    assert!(scan_fixture("det_iter_ok.rs").is_empty());
-}
-
-#[test]
-fn lossy_cast_fixture_pair() {
-    let bad = scan_fixture("lossy_cast_bad.rs");
-    assert!(rules_of(&bad).contains(&"lossy-cast"), "findings: {bad:?}");
-    assert!(scan_fixture("lossy_cast_ok.rs").is_empty());
-}
-
-#[test]
-fn no_stray_print_fixture_pair() {
-    let bad = scan_fixture("no_stray_print_bad.rs");
-    let rules = rules_of(&bad);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "no-stray-print").count(),
-        2,
-        "println! + eprintln!: {bad:?}"
-    );
-    // Suppressed eprintln, writeln-into-buffer and #[cfg(test)] prints all
-    // stay silent.
-    assert!(scan_fixture("no_stray_print_ok.rs").is_empty());
-}
-
-#[test]
 fn dep_hygiene_fixture_pair() {
     let bad = scan_fixture("dep_hygiene_bad.toml");
     let rules = rules_of(&bad);
@@ -260,6 +211,8 @@ fn par_disjoint_fixture_pair() {
         "findings: {bad:?}"
     );
     assert_eq!(bad[0].line, 6, "the captured-cursor index is on line 6");
+    // Chunk-derived indices and the same captured cursor under
+    // #[cfg(test)] both stay silent.
     assert!(scan_fixture("par_disjoint_ok.rs").is_empty());
 }
 
@@ -385,14 +338,12 @@ fn finding_ids_are_content_derived_and_line_stable() {
     let src = std::fs::read_to_string(fixture("peer_subtract_bad.rs")).unwrap();
     let direct = analysis::rules::scan_rust(
         "crates/analysis/tests/fixtures/peer_subtract_bad.rs",
-        "crates/analysis/tests/fixtures/peer_subtract_bad.rs",
-        &analysis::rules::FileClass::Explicit,
+        analysis::rules::FileClass::Library,
         &src,
     );
     let shifted = analysis::rules::scan_rust(
         "crates/analysis/tests/fixtures/peer_subtract_bad.rs",
-        "crates/analysis/tests/fixtures/peer_subtract_bad.rs",
-        &analysis::rules::FileClass::Explicit,
+        analysis::rules::FileClass::Library,
         &format!("// an extra leading comment line\n{src}"),
     );
     assert_eq!(direct[0].id, shifted[0].id, "line shifts keep ids stable");
@@ -412,24 +363,24 @@ fn to_json_escapes_and_orders_findings() {
             id: "deadbeef-0".into(),
             file: "a.rs".into(),
             line: 3,
-            rule: "no-panic",
+            rule: "par-disjoint",
             message: "say \"no\" to panics\tplease".into(),
         },
         Finding {
             id: "deadbeef-1".into(),
             file: "b\\c.rs".into(),
             line: 7,
-            rule: "sim-clock",
+            rule: "unit-confusion",
             message: "wall clock".into(),
         },
     ];
     let json = analysis::to_json(&findings);
     assert!(json.starts_with('['), "array output: {json}");
-    assert!(json.contains(r#""file": "a.rs", "line": 3, "rule": "no-panic""#));
+    assert!(json.contains(r#""file": "a.rs", "line": 3, "rule": "par-disjoint""#));
     assert!(json.contains(r#"say \"no\" to panics\tplease"#));
     assert!(json.contains(r#""b\\c.rs""#));
     // Input order is preserved (scan output is already sorted).
-    assert!(json.find("a.rs").unwrap() < json.find("sim-clock").unwrap());
+    assert!(json.find("a.rs").unwrap() < json.find("unit-confusion").unwrap());
     assert_eq!(analysis::to_json(&[]), "[\n]\n");
 }
 
@@ -462,10 +413,10 @@ fn protocol_findings_round_trip_through_json() {
 
 #[test]
 fn findings_render_as_file_line_rule() {
-    let bad = scan_fixture("lossy_cast_bad.rs");
+    let bad = scan_fixture("par_disjoint_bad.rs");
     let line = bad[0].to_string();
     assert!(
-        line.contains("lossy_cast_bad.rs:3: [lossy-cast]"),
+        line.contains("par_disjoint_bad.rs:6: [par-disjoint]"),
         "rendered: {line}"
     );
 }
@@ -501,12 +452,11 @@ fn gallery_is_flagged_statically() {
         }
     }
     assert_eq!(expected.len(), 4, "four exhibits in the gallery");
-    // Example class, not Explicit: proves the protocol rules run on the
-    // file class the real workspace walk assigns to examples/.
+    // The class the real workspace walk assigns to examples/, not Library:
+    // proves the protocol rules run outside library code.
     let findings = analysis::rules::scan_rust(
         "examples/deadlock_gallery.rs",
-        "examples/deadlock_gallery.rs",
-        &analysis::rules::FileClass::Example,
+        analysis::rules::FileClass::Other,
         &stripped,
     );
     let got: Vec<(u32, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();

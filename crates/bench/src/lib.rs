@@ -6,7 +6,18 @@
 //! laptop-class CPU), seed lists, and JSON result dumps under `results/` at
 //! the repository root (consumed when updating `EXPERIMENTS.md`).
 
-#![forbid(unsafe_code)]
+// Library code returns errors and stays silent (DESIGN.md §7);
+// `#[cfg(test)]` code, bins and tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 use adaqp::metrics::Schedule;
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
@@ -84,8 +95,8 @@ pub fn experiment(
 /// Runs an experiment built by this harness, unwrapping the `Result`: every
 /// config here is constructed programmatically from known-good parts, so an
 /// `Err` is a harness bug worth aborting on.
+#[expect(clippy::expect_used, reason = "an Err is a harness bug")]
 pub fn run(cfg: &ExperimentConfig) -> adaqp::RunResult {
-    // lint:allow(no-panic): harness configs are built from known-good parts; an Err is a harness bug
     adaqp::run_experiment(cfg).expect("harness experiment config is valid")
 }
 
@@ -94,13 +105,14 @@ pub fn run(cfg: &ExperimentConfig) -> adaqp::RunResult {
 /// this for their "where does the time go?" sections: the profile's
 /// classified segments come from the same event DAG the run executed, not
 /// from a separate model.
+#[expect(
+    clippy::expect_used,
+    reason = "an Err is a harness bug; profiling is set two lines up"
+)]
 pub fn run_profiled(cfg: &ExperimentConfig) -> (adaqp::RunResult, adaqp::RunProfile) {
     let mut cfg = cfg.clone();
     cfg.training.profile = true;
-    let (r, p) =
-        // lint:allow(no-panic): harness configs are built from known-good parts; an Err is a harness bug
-        adaqp::run_experiment_profiled(&cfg).expect("harness experiment config is valid");
-    // lint:allow(no-panic): the profile flag was set three lines up; absence is a runner bug
+    let (r, p) = adaqp::run_experiment_profiled(&cfg).expect("harness experiment config is valid");
     (r, p.expect("profiling was enabled"))
 }
 
@@ -133,21 +145,21 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 }
 
 /// Writes a JSON result blob under `results/<name>.json` (repo root).
+#[expect(clippy::print_stderr, reason = "progress note for the operator")]
 pub fn save_json(name: &str, value: &serde_json::Value) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     if std::fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}.json"));
         if let Ok(s) = serde_json::to_string_pretty(value) {
             let _ = std::fs::write(&path, s);
-            // lint:allow(no-stray-print): bench harness progress note for the operator
             eprintln!("[saved {}]", path.display());
         }
     }
 }
 
 /// Prints a horizontal rule sized to `width`.
+#[expect(clippy::print_stdout, reason = "console helper for the bench bins")]
 pub fn rule(width: usize) {
-    // lint:allow(no-stray-print): bench harness console formatting helper
     println!("{}", "-".repeat(width));
 }
 

@@ -145,6 +145,7 @@ impl Cluster {
     ///
     /// Panics if `n == 0` or if any program fails (panics, deadlocks, or
     /// mismatches a collective).
+    #[expect(clippy::panic, reason = "documented panicking wrapper")]
     pub fn run<P, F>(n: usize, factory: F) -> Vec<P::Output>
     where
         P: DeviceProgram,
@@ -152,7 +153,6 @@ impl Cluster {
     {
         match Self::try_run_with(n, None, factory) {
             Ok(report) => report.outputs,
-            // lint:allow(no-panic): documented panicking convenience wrapper over try_run_with
             Err(e) => panic!("{e}"),
         }
     }
@@ -220,6 +220,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `n == 0` or if any device fails.
+    #[expect(clippy::panic, reason = "documented panicking wrapper")]
     pub fn run_fn<T, F>(n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -227,7 +228,6 @@ impl Cluster {
     {
         match Self::try_run_fn(n, f) {
             Ok(out) => out,
-            // lint:allow(no-panic): documented panicking convenience wrapper over try_run_fn
             Err(e) => panic!("{e}"),
         }
     }
@@ -472,8 +472,10 @@ impl Link {
     }
 }
 
+/// The scheduler aborted because another device failed: unwind this device
+/// thread too (the panic is swallowed at join).
+#[expect(clippy::panic, reason = "unwinds the device thread")]
 fn scheduler_terminated() -> ! {
-    // lint:allow(no-panic): the scheduler aborted because another device failed; unwind this device thread too (swallowed at join)
     panic!("cluster scheduler terminated")
 }
 
@@ -641,9 +643,9 @@ impl AsyncDevice {
     /// # Panics
     ///
     /// Panics if the root passes `None` or a non-root passes `Some`.
+    #[expect(clippy::expect_used, reason = "documented collective contract")]
     pub async fn broadcast(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
         if self.rank == root {
-            // lint:allow(no-panic): documented collective contract (see # Panics)
             let own = payload.as_ref().expect("root must provide the payload");
             for dst in 0..self.n {
                 if dst != root {
@@ -678,9 +680,9 @@ impl AsyncDevice {
     ///
     /// Panics if the root's vector has the wrong length or a non-root
     /// passes `Some`.
+    #[expect(clippy::expect_used, reason = "documented collective contract")]
     pub async fn scatter(&mut self, root: usize, payloads: Option<Vec<Bytes>>) -> Bytes {
         if self.rank == root {
-            // lint:allow(no-panic): documented collective contract (see # Panics)
             let own = payloads.as_ref().expect("root must provide payloads");
             assert_eq!(own.len(), self.n, "one payload per rank");
             for (dst, p) in own.iter().enumerate() {

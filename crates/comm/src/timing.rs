@@ -9,6 +9,10 @@ pub use obs::time::{TimeBreakdown, TimeCategory};
 /// Measures the host wall-clock time of `f` in seconds and returns it with
 /// the closure's output: the diagnostic kernel time telemetry spans carry
 /// next to their analytic simulated charge.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one host stopwatch; its seconds are diagnostics"
+)]
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();

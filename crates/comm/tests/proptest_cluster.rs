@@ -177,15 +177,15 @@ proptest! {
         // Every rank received exactly the payload bytes addressed to it, and
         // per-(src, tag) streams preserve send order.
         for (me, got) in results.iter().enumerate() {
-            let mut expect_streams: std::collections::HashMap<(usize, u64), Vec<u8>> =
-                std::collections::HashMap::new();
+            let mut expect_streams: std::collections::BTreeMap<(usize, u64), Vec<u8>> =
+                std::collections::BTreeMap::new();
             for &(s, d, t, b) in sends_ref {
                 if d == me {
                     expect_streams.entry((s, t)).or_default().push(b);
                 }
             }
-            let mut got_streams: std::collections::HashMap<(usize, u64), Vec<u8>> =
-                std::collections::HashMap::new();
+            let mut got_streams: std::collections::BTreeMap<(usize, u64), Vec<u8>> =
+                std::collections::BTreeMap::new();
             for &(s, t, b) in got {
                 got_streams.entry((s, t)).or_default().push(b);
             }

@@ -12,7 +12,7 @@
 
 use adaqp::{ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use graph::DatasetSpec;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -72,7 +72,7 @@ METHODS: vanilla | adaqp | adaqp-uniform | pipegcn | sancus
 DATASETS: reddit-sim | yelp-sim | ogbn-products-sim | amazon-products-sim | tiny";
 
 /// Parsed `--key value` / `--switch` flags.
-type Flags = HashMap<String, String>;
+type Flags = BTreeMap<String, String>;
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     const SWITCHES: &[&str] = &[

@@ -123,10 +123,10 @@ impl DevicePartition {
     /// # Panics
     ///
     /// Panics on a multi-label partition.
+    #[expect(clippy::panic, reason = "documented accessor contract")]
     pub fn single_labels(&self) -> &[usize] {
         match &self.labels {
             LocalLabels::Single(v) => v,
-            // lint:allow(no-panic): documented accessor contract — a task-kind mismatch is caller error
             LocalLabels::Multi(_) => panic!("partition holds multi-label targets"),
         }
     }
@@ -136,10 +136,10 @@ impl DevicePartition {
     /// # Panics
     ///
     /// Panics on a single-label partition.
+    #[expect(clippy::panic, reason = "documented accessor contract")]
     pub fn multi_targets(&self) -> &Matrix {
         match &self.labels {
             LocalLabels::Multi(m) => m,
-            // lint:allow(no-panic): documented accessor contract — a task-kind mismatch is caller error
             LocalLabels::Single(_) => panic!("partition holds single-label classes"),
         }
     }
@@ -228,8 +228,8 @@ pub fn build_partitions(
         }
         halo.sort_unstable();
         halo.dedup();
+        #[expect(clippy::expect_used, reason = "the same neighbor scan built halo")]
         let halo_pos =
-            // lint:allow(no-panic): halo was built from the same neighbor scan that produces lookups
             |g: u32| -> u32 { halo.binary_search(&g).expect("halo node present") as u32 };
 
         // Send sets: local indices of nodes adjacent to each remote part.

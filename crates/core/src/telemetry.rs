@@ -147,6 +147,7 @@ impl TelemetryLog {
 
     /// Serializes to JSONL: one flattened `{rank, kind, start, ...}` object
     /// per line.
+    #[expect(clippy::expect_used, reason = "an in-memory Value always encodes")]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for dev in &self.devices {
@@ -158,7 +159,6 @@ impl TelemetryLog {
                         obj.insert(k.clone(), v.clone());
                     }
                 }
-                // lint:allow(no-panic): serializing an in-memory Value tree cannot fail
                 out.push_str(&serde_json::to_string(&Value::Object(obj)).expect("jsonl encodes"));
                 out.push('\n');
             }
@@ -228,8 +228,8 @@ impl TelemetryLog {
     }
 
     /// Writes [`TelemetryLog::chrome_trace`] to `path`.
+    #[expect(clippy::expect_used, reason = "an in-memory Value always encodes")]
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        // lint:allow(no-panic): serializing an in-memory Value tree cannot fail
         let text = serde_json::to_string(&self.chrome_trace()).expect("trace encodes");
         let mut f = std::fs::File::create(path)?;
         f.write_all(text.as_bytes())

@@ -128,7 +128,7 @@ impl GnnLayer {
         assert_eq!(agg.cols(), self.in_dim, "agg feature dim mismatch");
         let mut lin = agg.matmul(&self.w_neigh);
         if let Some(ws) = &self.w_self {
-            // lint:allow(no-panic): documented contract — layer kinds with a self path must be fed x_self
+            #[expect(clippy::expect_used, reason = "documented: a self path needs x_self")]
             let xs = x_self.expect("this layer kind requires x_self");
             assert_eq!(xs.shape(), agg.shape(), "x_self shape mismatch");
             lin.add_assign(&xs.matmul(ws));
@@ -196,16 +196,18 @@ impl GnnLayer {
     /// # Panics
     ///
     /// Panics if called before `forward_dense` or on shape mismatch.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented: backward needs a prior forward, which fills both caches"
+    )]
     pub fn backward_params(&mut self, grad_out: &Matrix) -> Matrix {
         let agg = self
             .cache_agg
             .take()
-            // lint:allow(no-panic): documented contract (see # Panics) — backward requires a prior forward
             .expect("backward_dense before forward_dense");
         let grad = if self.is_output {
             grad_out.clone()
         } else {
-            // lint:allow(no-panic): hidden-layer forward always fills this cache; absence is a model bug
             let cache = self.cache_tail.take().expect("missing tail cache");
             let (grad, ggamma, gbeta) = tail_backward(grad_out, &cache, &self.ln_gamma);
             for (a, b) in self.gln_gamma.iter_mut().zip(ggamma) {

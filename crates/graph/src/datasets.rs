@@ -96,10 +96,10 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if the dataset is multi-label.
+    #[expect(clippy::panic, reason = "documented accessor contract")]
     pub fn single_labels(&self) -> &[usize] {
         match &self.labels {
             Labels::Single(v) => v,
-            // lint:allow(no-panic): documented accessor contract — a task-kind mismatch is caller error, not runtime state
             Labels::Multi(_) => panic!("dataset {} is multi-label", self.name),
         }
     }
@@ -109,10 +109,10 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if the dataset is single-label.
+    #[expect(clippy::panic, reason = "documented accessor contract")]
     pub fn multi_targets(&self) -> &Matrix {
         match &self.labels {
             Labels::Multi(m) => m,
-            // lint:allow(no-panic): documented accessor contract — a task-kind mismatch is caller error, not runtime state
             Labels::Single(_) => panic!("dataset {} is single-label", self.name),
         }
     }

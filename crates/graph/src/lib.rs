@@ -26,7 +26,18 @@
 //! assert_eq!(part.assignment.len(), 6);
 //! ```
 
-#![forbid(unsafe_code)]
+// Library code returns errors and stays silent (DESIGN.md §7);
+// `#[cfg(test)]` code, bins and tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod csr;

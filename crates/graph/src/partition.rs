@@ -186,10 +186,10 @@ impl WeightedGraph {
 ///
 /// Panics if `k == 0` or `k > graph.num_nodes()` (for non-empty graphs).
 /// Use [`try_metis_like`] to get a typed error instead.
+#[expect(clippy::panic, reason = "documented panicking wrapper")]
 pub fn metis_like(graph: &CsrGraph, k: usize, rng: &mut Rng) -> Partition {
     match try_metis_like(graph, k, rng) {
         Ok(p) => p,
-        // lint:allow(no-panic): documented panicking convenience wrapper over try_metis_like
         Err(e) => panic!("{e}"),
     }
 }

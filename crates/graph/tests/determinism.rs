@@ -1,4 +1,5 @@
-//! Bit-determinism of the partitioning pipeline (the `det-iter` invariant).
+//! Bit-determinism of the partitioning pipeline (the invariant `clippy.toml`
+//! guards by disallowing `HashMap`/`HashSet`).
 //!
 //! Table 1 and Fig. 2 are derived from partition assignments and boundary
 //! sets, so two runs with the same seed must agree *byte for byte* — not

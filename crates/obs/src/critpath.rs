@@ -501,6 +501,7 @@ fn num_f(v: f64) -> Value {
 /// causal dependencies render as arrows between device tracks. Instant
 /// events mark departures, arrivals and releases so the flow endpoints stay
 /// visible.
+#[expect(clippy::expect_used, reason = "an in-memory Value always encodes")]
 pub fn chrome_trace_flow(log: &FlightLog) -> String {
     let us = |t: f64| num_f(t * 1e6);
     let mut events: Vec<Value> = Vec::new();
@@ -634,7 +635,6 @@ pub fn chrome_trace_flow(log: &FlightLog) -> String {
         ("traceEvents", Value::Array(events)),
         ("displayTimeUnit", s("ms")),
     ]);
-    // lint:allow(no-panic): serializing an in-memory Value tree cannot fail
     serde_json::to_string_pretty(&doc).expect("trace encodes")
 }
 

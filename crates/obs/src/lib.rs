@@ -3,8 +3,7 @@
 //! The registry follows the same contract as `tensor::par`: everything it
 //! exports by default is **byte-identical at any worker-thread count**.
 //! Metrics whose values depend on scheduling or host wall-clock (per-worker
-//! chunk counts, [`timer::ScopedTimer`] host-time histograms, measured solve
-//! seconds) are recorded with a `diagnostic` flag and excluded from the
+//! chunk counts, host-time histograms, measured solve seconds) are recorded with a `diagnostic` flag and excluded from the
 //! default snapshot/exports; they stay readable on the [`Registry`] itself
 //! ([`Registry::get`], [`Registry::iter`]).
 //!
@@ -22,13 +21,23 @@
 //! and JSON (the snapshot serializes with `serde_json`). Both use Rust's
 //! shortest-roundtrip float formatting, so output is byte-stable.
 
-#![forbid(unsafe_code)]
+// Library code returns errors and stays silent (DESIGN.md §7);
+// `#[cfg(test)]` code, bins and tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod critpath;
 mod registry;
 pub mod regress;
 pub mod time;
-pub mod timer;
 
 pub use registry::{
     bucket_bounds, bucket_index, Metric, MetricKind, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,

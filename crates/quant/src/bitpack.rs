@@ -56,7 +56,7 @@ pub fn unpack(bytes: &[u8], width: BitWidth, n: usize) -> Vec<u8> {
         bytes.len(),
         width.packed_len(n)
     );
-    // lint:allow(lossy-cast): max_code <= 255 for the <=8-bit widths this codec supports
+    #[expect(clippy::cast_possible_truncation, reason = "max_code <= 255")]
     let mask = width.max_code() as u8;
     let mut out = Vec::with_capacity(n);
     for i in 0..n {

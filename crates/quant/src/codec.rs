@@ -318,6 +318,10 @@ pub fn encode_block_streamed(
 /// `STATS = false` skips the statistics accumulation (the returned
 /// [`EncodeStats`] stays default) for callers that drop it — the wire bytes
 /// are identical either way. `buf` need not be zeroed.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "rows are graph nodes (u32 ids), dim a layer width, bits <= 8; seeds keep the low half"
+)]
 fn encode_block_core<'a, const STATS: bool, R>(
     buf: &mut [u8],
     row_of: R,
@@ -357,7 +361,6 @@ where
             code_at += out.len();
             let (mn, mx) = kernels::min_max(row);
             let scale = if mx > mn {
-                // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
                 (mx - mn) / w.max_code() as f32
             } else {
                 0.0
@@ -369,7 +372,6 @@ where
                 ws.sum_range += if mx > mn { f64::from(mx - mn) } else { 0.0 };
                 ws.sum_sq_err += sq_coef * f64::from(scale) * f64::from(scale);
             }
-            // lint:allow(lossy-cast): supported widths are 2/4/8 bits; always fits a u8
             h[0] = w.bits() as u8;
             h[1..5].copy_from_slice(&mn.to_le_bytes());
             h[5..9].copy_from_slice(&scale.to_le_bytes());

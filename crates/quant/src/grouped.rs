@@ -30,6 +30,10 @@ use tensor::{Matrix, Rng};
 /// element recurrence. Rows enter the fused [`kernels::encode_span`] for
 /// their byte-aligned middle; the carried partial byte at each row boundary
 /// is handled by short scalar head/tail loops.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "codes are clamped to max_code <= 255; counters wrap mod 2^32"
+)]
 fn encode_group_codes<const BITS: u32>(
     messages: &Matrix,
     members: &[usize],
@@ -56,7 +60,6 @@ fn encode_group_codes<const BITS: u32>(
         while fill != 0 && j < row.len() {
             let c32 = kernels::counter_at(c32_start, g + j);
             let x = (row[j] - zero) * inv_scale + kernels::coin(c32);
-            // lint:allow(lossy-cast): clamped to max_code <= 255 before the narrowing
             let code = (x as u32).min(max_code) as u8;
             acc |= code << fill;
             fill += BITS;
@@ -90,7 +93,6 @@ fn encode_group_codes<const BITS: u32>(
         while j < row.len() {
             let c32 = kernels::counter_at(c32_start, g + j);
             let x = (row[j] - zero) * inv_scale + kernels::coin(c32);
-            // lint:allow(lossy-cast): clamped to max_code <= 255 before the narrowing
             let code = (x as u32).min(max_code) as u8;
             acc |= code << fill;
             fill += BITS;
@@ -124,6 +126,10 @@ pub fn grouped_wire_len(dim: usize, widths: &[BitWidth]) -> usize {
 /// # Panics
 ///
 /// Panics if `widths.len() != messages.rows()`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "rows are graph nodes (u32 ids), dim a layer width; counters wrap mod 2^32"
+)]
 pub fn encode_block_grouped(messages: &Matrix, widths: &[BitWidth], rng: &mut Rng) -> EncodedBlock {
     assert_eq!(widths.len(), messages.rows(), "one width per message row");
     let rows = messages.rows();
@@ -141,7 +147,6 @@ pub fn encode_block_grouped(messages: &Matrix, widths: &[BitWidth], rng: &mut Rn
         for &i in &members {
             let (mn, mx) = kernels::min_max(messages.row(i));
             let scale = if mx > mn {
-                // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
                 (mx - mn) / w.max_code() as f32
             } else {
                 0.0

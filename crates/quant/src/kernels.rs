@@ -45,7 +45,6 @@ pub(crate) fn coin(c32: u32) -> f32 {
     let mut z = c32 ^ (c32 >> 16);
     z = z.wrapping_mul(0x85EB_CA6B);
     z ^= z >> 13;
-    // lint:allow(lossy-cast): 24-bit uniform sample is exactly representable in f32
     (z >> 8) as f32 * (1.0 / 16_777_216.0)
 }
 
@@ -53,6 +52,7 @@ pub(crate) fn coin(c32: u32) -> f32 {
 /// historical loop advanced the counter by `φ32` *before* each draw, so
 /// element `j` sees `seed + (j+1)·φ32` (all arithmetic mod 2^32).
 #[inline(always)]
+#[expect(clippy::cast_possible_truncation, reason = "counters wrap mod 2^32")]
 pub(crate) fn counter_at(seed: u32, j: usize) -> u32 {
     seed.wrapping_add((j as u32).wrapping_add(1).wrapping_mul(PHI32))
 }
@@ -214,6 +214,10 @@ const ENC_BLOCK: usize = 32;
 /// dispatch on `scale.is_normal()`; both paths produce identical bytes on
 /// their shared domain.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "codes are clamped to max_code <= 255; lane and shift indices are below 32"
+)]
 pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
     row: &[f32],
     mn: f32,
@@ -263,19 +267,16 @@ pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
                 let w1 = u64::from(codes[j]) | u64::from(codes[j + 1]) << 32;
                 let w2 = u64::from(codes[j + 2]) | u64::from(codes[j + 3]) << 32;
                 let t = w1 | (w2 << 4);
-                // lint:allow(lossy-cast): low byte is c0 | c1<<2 | c2<<4 | c3<<6
                 *byte = (t | (t >> 30)) as u8;
             }
         } else if BITS == 4 {
             for (b, byte) in obytes.iter_mut().enumerate() {
                 let j = b * 2;
                 let w = u64::from(codes[j]) | u64::from(codes[j + 1]) << 32;
-                // lint:allow(lossy-cast): low byte is c0 | c1<<4
                 *byte = (w | (w >> 28)) as u8;
             }
         } else {
             for (b, byte) in obytes.iter_mut().enumerate() {
-                // lint:allow(lossy-cast): an 8-bit code fills exactly one byte
                 *byte = codes[b] as u8;
             }
         }
@@ -288,7 +289,6 @@ pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
         for k in 0..per_byte {
             let j = b * per_byte + k;
             let x = (row[j] - mn) * inv_scale + coin(counter_at(seed, j));
-            // lint:allow(lossy-cast): clamped to max_code <= 255 before the narrowing
             let code = (x as u32).min(max_code) as u8;
             acc |= code << (k as u32 * BITS);
         }
@@ -299,7 +299,6 @@ pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
         let mut acc = 0u8;
         for (k, j) in (tail..row.len()).enumerate() {
             let x = (row[j] - mn) * inv_scale + coin(counter_at(seed, j));
-            // lint:allow(lossy-cast): clamped to max_code <= 255 before the narrowing
             let code = (x as u32).min(max_code) as u8;
             acc |= code << (k as u32 * BITS);
         }
@@ -315,13 +314,13 @@ pub(crate) static LUT2: [[u8; 4]; 256] = build_lut2();
 /// LSB-first in byte `b`.
 pub(crate) static LUT4: [[u8; 2]; 256] = build_lut4();
 
+#[expect(clippy::cast_possible_truncation, reason = "masked to two bits")]
 const fn build_lut2() -> [[u8; 4]; 256] {
     let mut t = [[0u8; 4]; 256];
     let mut b = 0usize;
     while b < 256 {
         let mut k = 0usize;
         while k < 4 {
-            // lint:allow(lossy-cast): masked to two bits before the narrowing
             t[b][k] = ((b >> (2 * k)) & 3) as u8;
             k += 1;
         }
@@ -330,11 +329,11 @@ const fn build_lut2() -> [[u8; 4]; 256] {
     t
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "masked to four bits")]
 const fn build_lut4() -> [[u8; 2]; 256] {
     let mut t = [[0u8; 2]; 256];
     let mut b = 0usize;
     while b < 256 {
-        // lint:allow(lossy-cast): masked to four bits before the narrowing
         t[b] = [(b & 0xF) as u8, ((b >> 4) & 0xF) as u8];
         b += 1;
     }
@@ -351,7 +350,6 @@ fn expand<const BITS: usize>(bytes: &[u8], scale: f32, zero: f32, vals: &mut [f3
     let word = u32::from_le_bytes(word);
     let mask = (1u32 << BITS) - 1;
     for (k, v) in vals.iter_mut().enumerate() {
-        // lint:allow(lossy-cast): a code below 2^BITS widens exactly to f32
         *v = (word >> (k * BITS) & mask) as f32 * scale + zero;
     }
 }
@@ -375,7 +373,6 @@ pub(crate) fn dequant_span<const BITS: usize>(
     let per_word = 32 / BITS;
     let value = |j: usize| {
         let code = u32::from(packed[j / per_byte] >> (j % per_byte * BITS)) & ((1 << BITS) - 1);
-        // lint:allow(lossy-cast): a code below 2^BITS widens exactly to f32
         code as f32 * scale + zero
     };
     let len = out.len();
@@ -414,7 +411,6 @@ pub(crate) fn dequant_span<const BITS: usize>(
 pub(crate) fn dequant_span8(packed: &[u8], start: usize, scale: f32, zero: f32, out: &mut [f32]) {
     let src = &packed[start..start + out.len()];
     for (o, &b) in out.iter_mut().zip(src) {
-        // lint:allow(lossy-cast): u8 code widens exactly to f32
         *o = b as f32 * scale + zero;
     }
 }

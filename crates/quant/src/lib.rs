@@ -30,7 +30,19 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
+// Library code returns errors, stays silent and narrows only on purpose
+// (DESIGN.md §7); `#[cfg(test)]` code, bins and tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::cast_possible_truncation
+    )
+)]
 #![warn(missing_docs)]
 // Indexed loops here typically walk several parallel arrays at once;
 // explicit indices read better than zipped iterator chains in those spots.

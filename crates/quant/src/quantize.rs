@@ -59,6 +59,10 @@ pub fn quantize(message: &[f32], width: BitWidth, rng: &mut Rng) -> QuantizedMes
 /// with probability `frac(x)` — so one add and one truncation replace the
 /// separate floor / coin / compare sequence). `codes` is cleared and resized
 /// to `message.len()`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "clamped to max_code <= 255"
+)]
 pub fn quantize_into(
     message: &[f32],
     width: BitWidth,
@@ -66,7 +70,6 @@ pub fn quantize_into(
     codes: &mut Vec<u8>,
 ) -> QuantParams {
     let (min, max) = kernels::min_max(message);
-    // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
     let levels = width.max_code() as f32;
     let scale = if max > min { (max - min) / levels } else { 0.0 };
     codes.clear();
@@ -82,13 +85,11 @@ pub fn quantize_into(
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            // lint:allow(lossy-cast): 24-bit uniform sample is exactly representable in f32
             let coin = (state >> 40) as f32 * (1.0 / 16_777_216.0);
             // x >= 0 by construction (v >= min), so `as u32` truncation is
             // floor; min() clamps the row maximum, where x reaches
             // max_code + coin.
             let x = (v - min) * inv_scale + coin;
-            // lint:allow(lossy-cast): clamped to max_code <= 255 before the narrowing
             *c = (x as u32).min(max_code) as u8;
         }
     }
@@ -104,6 +105,10 @@ pub fn quantize_into(
 /// materializing one byte per element and re-reading it through
 /// [`crate::bitpack::pack_into`]. `out` is cleared and resized to exactly
 /// `width.packed_len(message.len())` bytes.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "codes are clamped to max_code <= 255; shifts are below 8"
+)]
 pub fn quantize_packed_into(
     message: &[f32],
     width: BitWidth,
@@ -111,7 +116,6 @@ pub fn quantize_packed_into(
     out: &mut Vec<u8>,
 ) -> QuantParams {
     let (min, max) = kernels::min_max(message);
-    // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
     let levels = width.max_code() as f32;
     let scale = if max > min { (max - min) / levels } else { 0.0 };
     out.clear();
@@ -132,10 +136,8 @@ pub fn quantize_packed_into(
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                // lint:allow(lossy-cast): 24-bit uniform sample is exactly representable in f32
                 let coin = (state >> 40) as f32 * (1.0 / 16_777_216.0);
                 let x = (v - min) * inv_scale + coin;
-                // lint:allow(lossy-cast): clamped to max_code <= 255 before the narrowing
                 let code = (x as u32).min(max_code) as u8;
                 acc |= code << (k as u32 * bits);
             }
@@ -153,7 +155,6 @@ pub fn quantize_packed_into(
 pub fn dequantize(q: &QuantizedMessage) -> Vec<f32> {
     q.codes
         .iter()
-        // lint:allow(lossy-cast): u8 code widens exactly to f32
         .map(|&c| c as f32 * q.params.scale + q.params.zero_point)
         .collect()
 }
@@ -175,7 +176,6 @@ pub fn dequantize_into(q: &QuantizedMessage, dst: &mut [f32]) {
     let n = dst.len();
     tensor::par::par_chunks_deterministic(dst, n, crate::PAR_MIN_ELEMS, n, |s, e, chunk| {
         for (d, &c) in chunk.iter_mut().zip(&q.codes[s..e]) {
-            // lint:allow(lossy-cast): u8 code widens exactly to f32
             *d = c as f32 * scale + zero;
         }
     });

@@ -19,7 +19,6 @@ pub fn scale_for(range: f32, width: BitWidth) -> f32 {
     if range <= 0.0 {
         0.0
     } else {
-        // lint:allow(lossy-cast): max_code <= 255, exactly representable in f32
         range / width.max_code() as f32
     }
 }

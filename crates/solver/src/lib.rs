@@ -24,7 +24,18 @@
 //! A brute-force solver is provided for small instances and used by the
 //! tests to certify the heuristic's optimality gap.
 
-#![forbid(unsafe_code)]
+// Library code returns errors and stays silent (DESIGN.md §7);
+// `#[cfg(test)]` code, bins and tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 #![warn(missing_docs)]
 
 mod problem;

@@ -628,7 +628,7 @@ pub fn brute_force(problem: &BiObjectiveProblem) -> Solution {
         let mut pos = 0;
         loop {
             if pos == total_groups {
-                // lint:allow(no-panic): the exhaustive counter evaluates every assignment before overflowing
+                #[expect(clippy::expect_used, reason = "every assignment was evaluated")]
                 let mut sol = best.expect("at least one assignment");
                 sol.iterations = iterations;
                 return sol;

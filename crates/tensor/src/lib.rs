@@ -20,7 +20,18 @@
 //! assert_eq!(c, a);
 //! ```
 
-#![forbid(unsafe_code)]
+// Library code returns errors and stays silent (DESIGN.md §7);
+// `#[cfg(test)]` code, bins and tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 #![warn(missing_docs)]
 // Indexed loops here typically walk several parallel arrays at once;
 // explicit indices read better than zipped iterator chains in those spots.

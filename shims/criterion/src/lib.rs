@@ -7,6 +7,11 @@
 //! nanoseconds per iteration on stdout. No statistical analysis, plots or
 //! HTML reports.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark harness measures host time"
+)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -2,7 +2,7 @@
 
 use crate::value::{Map, Number, Value};
 use crate::{Deserialize, Error, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------- primitives
 
@@ -223,30 +223,6 @@ impl_tuple!(1, (A, 0));
 impl_tuple!(2, (A, 0), (B, 1));
 impl_tuple!(3, (A, 0), (B, 1), (C, 2));
 impl_tuple!(4, (A, 0), (B, 1), (C, 2), (D, 3));
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort for deterministic output; HashMap iteration order is random.
-        let mut keys: Vec<_> = self.keys().collect();
-        keys.sort();
-        Value::Object(
-            keys.into_iter()
-                .map(|k| (k.clone(), self[k].to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| Error::custom(format!("expected object, got {}", v.type_name())))?;
-        obj.iter()
-            .map(|(k, x)| Ok((k.clone(), V::from_value(x)?)))
-            .collect()
-    }
-}
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
