@@ -18,7 +18,7 @@ pub struct RuleDoc {
 }
 
 /// Documentation for every rule, in [`crate::RULE_NAMES`] order.
-pub const RULE_DOCS: [RuleDoc; 6] = [
+pub const RULE_DOCS: [RuleDoc; 5] = [
     RuleDoc {
         name: "dep-hygiene",
         rationale: "Every crate dependency must route through [workspace.dependencies] \
@@ -47,33 +47,25 @@ pub const RULE_DOCS: [RuleDoc; 6] = [
     RuleDoc {
         name: "no-host-block",
         rationale: "Devices advance under a single-threaded event loop: every wait must be \
-                    a yielded Command or an awaited device operation. thread::sleep, channel \
-                    .recv() or timeout waits in resume() or an async body stall the cluster.",
+                    an awaited device operation. thread::sleep, channel .recv() or timeout \
+                    waits in an async body (or a DeviceProgram's resume) stall the cluster.",
         bad: include_str!("../tests/fixtures/no_host_block_bad.rs"),
         good: include_str!("../tests/fixtures/no_host_block_ok.rs"),
     },
     RuleDoc {
         name: "collective-divergence",
-        rationale: "A Barrier/collective yield guarded by a branch or loop whose condition \
-                    is rank-tainted (rank, is_master, or data derived from them) means some \
-                    ranks may never join the rendezvous — the cluster deadlocks with part \
-                    of the fleet parked at the collective. Exhaustive branches whose arms \
-                    all yield the same collective trace (master/worker payload splits) are \
-                    exempt; a rank-dependent early return poisons everything after it.",
+        rationale: "Every .await in an async device body is a cluster wait, so the sequence \
+                    of awaited callees is the body's collective protocol. A branch whose \
+                    condition is rank-tainted (rank, .rank(), part.rank, is_master, the \
+                    Option a gather returns, or a let derived from them) must await the same \
+                    callee sequence on every arm; a rank-tainted loop must not await; the \
+                    root of a gather/scatter/broadcast must not be rank-tainted. Otherwise \
+                    ranks enter different collectives (a CollectiveMismatch) or some never \
+                    enter one (a Deadlock). A `?` exit is an error path, not a skipped \
+                    collective: the runner reports the lowest failing rank's error ahead of \
+                    the stall its peers then hit. An explicit `return` counts.",
         bad: include_str!("../tests/fixtures/collective_divergence_bad.rs"),
         good: include_str!("../tests/fixtures/collective_divergence_ok.rs"),
-    },
-    RuleDoc {
-        name: "unmatched-comm",
-        rationale: "In a lockstep phase (one program on all ranks), a Recv whose peer \
-                    normalizes to rank-offset arithmetic needs a Send with the mirrored \
-                    offset and the same tag — `recv from rank-1` pairs with `send to \
-                    rank+1`. Reversed rings, tag typos, and programs whose every \
-                    first-resume path yields Recv (nobody can send first) all deadlock at \
-                    runtime with unclaimed mailbox keys. Peers that are not rank \
-                    arithmetic are unverifiable and never flagged.",
-        bad: include_str!("../tests/fixtures/unmatched_comm_bad.rs"),
-        good: include_str!("../tests/fixtures/unmatched_comm_ok.rs"),
     },
 ];
 
@@ -108,7 +100,6 @@ mod tests {
 
     #[test]
     fn lookup_finds_known_rules_only() {
-        assert!(explain_rule("unmatched-comm").is_some());
         assert!(explain_rule("collective-divergence").is_some());
         assert!(explain_rule("no-such-rule").is_none());
         let out = render(explain_rule("par-disjoint").expect("known rule"));

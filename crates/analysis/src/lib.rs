@@ -7,8 +7,8 @@
 //! unmarked truncating casts in library code — rustc and clippy check. This
 //! crate checks the rest: parallel closures that write disjoint chunks,
 //! host and simulated seconds that never meet, device code that never
-//! blocks the host, collectives every rank reaches, and receives with a
-//! matching send. It is offline and dependency-free: with no network or
+//! blocks the host, and `async` device bodies whose rank-dependent
+//! branches reach the same collectives. It is offline and dependency-free: with no network or
 //! registry there is no `syn`, so a hand-rolled
 //! comment/string/raw-string-aware token scanner ([`lexer`]) feeds a small
 //! rule engine ([`rules`]).
@@ -47,17 +47,12 @@
 
 pub mod explain;
 pub mod lexer;
-pub mod model;
 pub mod protocol;
 pub mod rules;
 pub mod scopes;
 pub mod workspace;
 
 pub use explain::{explain_rule, RuleDoc};
-pub use model::{
-    certificates_json, check_source, explain_model, render_program, FileReport, ModelOptions,
-    ProgramReport, Verdict, MODEL_RULES,
-};
 pub use protocol::{extract_skeletons, Skeleton};
 pub use rules::{to_json, Finding, RULE_NAMES};
-pub use workspace::{find_root, scan_path, scan_workspace, workspace_sources, ScanError};
+pub use workspace::{find_root, scan_path, scan_workspace, ScanError};

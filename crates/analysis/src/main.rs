@@ -12,8 +12,8 @@ USAGE:
     cargo run -p analysis --release -- --explain <rule>
 
 Rules: dep-hygiene, par-disjoint, unit-confusion, no-host-block,
-collective-divergence, unmatched-comm (clippy carries the rest; see
-clippy.toml and DESIGN.md section 7).
+collective-divergence (clippy carries the rest; see clippy.toml and
+DESIGN.md section 7).
 Suppress with `// lint:allow(<rule>): <reason>` on the offending line;
 stale and reason-less directives are themselves violations.
 --explain <rule> prints the rule's rationale with a minimal bad/good pair.

@@ -1,4 +1,4 @@
-//! The rule engine: five rules over the token stream (plus one over
+//! The rule engine: four rules over the token stream (plus one over
 //! `Cargo.toml` text), file classification, `#[cfg(test)]` exemption and
 //! `lint:allow` suppression handling. What rustc and clippy can check by
 //! type — panics, prints, truncating casts, `HashMap`/`HashSet` and host
@@ -9,16 +9,15 @@
 //! | `dep-hygiene`| crate deps route through `[workspace.dependencies]`        |
 //! | `par-disjoint` | parallel-kernel closures index output by chunk-derived ids |
 //! | `unit-confusion` | host wall-clock and sim-clock seconds never meet        |
-//! | `no-host-block` | `DeviceProgram` impls yield instead of blocking the host |
-//! | `collective-divergence` | collectives are not guarded by rank-local branches |
-//! | `unmatched-comm` | every offset `Recv` has a mirrored `Send` (peer and tag) |
+//! | `no-host-block` | device code awaits the cluster instead of blocking the host |
+//! | `collective-divergence` | no rank-dependent branch changes a device body's collectives |
 //!
 //! `par-disjoint` and `unit-confusion` are *scope-aware*: they consume the brace-tree pass in
 //! [`crate::scopes`] instead of the flat token stream, so derivation and
-//! unit taint are tracked per function or per closure body. The two
-//! protocol rules go further: [`crate::protocol`] extracts a communication
-//! *skeleton* (a control-flow tree over yield points) from each
-//! `DeviceProgram` impl and checks it for deadlock-shaped defects.
+//! unit taint are tracked per function or per closure body.
+//! `collective-divergence` goes further: [`crate::protocol`] extracts the
+//! awaited-collective *skeleton* of each `async` device body and checks its
+//! rank-dependent branches.
 //!
 //! A violation is suppressed only by `// lint:allow(<rule>): <reason>` on
 //! the offending line (or, for multi-line expressions, a standalone comment
@@ -32,13 +31,12 @@ use crate::scopes;
 use std::collections::BTreeSet;
 
 /// Names of all rules, in reporting order.
-pub const RULE_NAMES: [&str; 6] = [
+pub const RULE_NAMES: [&str; 5] = [
     "dep-hygiene",
     "par-disjoint",
     "unit-confusion",
     "no-host-block",
     "collective-divergence",
-    "unmatched-comm",
 ];
 
 /// Entry points of the deterministic parallel runtime whose closures the
@@ -49,9 +47,9 @@ const PAR_ENTRYPOINTS: [&str; 3] = ["par_chunks_deterministic", "run_range_tasks
 
 /// Blocking host primitives flagged by `no-host-block` inside device code
 /// (`DeviceProgram` impls and `async` bodies) when directly called (followed
-/// by `(`). A device must express every wait as a yielded `Command` or an
-/// awaited device operation; parking the host thread deadlocks the
-/// single-threaded event loop.
+/// by `(`). A device must express every wait as an awaited device
+/// operation; parking the host thread deadlocks the single-threaded event
+/// loop.
 const HOST_BLOCK_CALLS: [&str; 6] = [
     "sleep",
     "park",
@@ -136,8 +134,8 @@ pub enum FileClass {
     /// `src/main.rs`), or an explicitly passed scratch/fixture file: every
     /// rule applies.
     Library,
-    /// Bins, tests, benches and examples: the protocol rules only (a
-    /// `DeviceProgram` deadlocks the same way wherever it lives).
+    /// Bins, tests, benches and examples: no token rule, only `lint:allow`
+    /// hygiene (the rules guard the code that ships).
     Other,
 }
 
@@ -280,20 +278,14 @@ pub fn scan_rust(display_path: &str, class: FileClass, src: &str) -> Vec<Finding
 
     let mut raw = Vec::new();
     if class == FileClass::Library {
-        // par-disjoint / unit-confusion / no-host-block: rules that key off
-        // specific call sites / identifiers, so running them in every
-        // library crate costs nothing where those never appear.
+        // Rules that key off specific call sites, identifiers or device
+        // bodies, so running them in every library crate costs nothing
+        // where those never appear.
         par_disjoint(display_path, &code, &exempt, &mut raw);
         unit_confusion(display_path, &code, &exempt, &mut raw);
         no_host_block(display_path, &code, &exempt, &mut raw);
+        protocol::check(display_path, &code, &exempt, &mut raw);
     }
-
-    // collective-divergence / unmatched-comm: the protocol pass runs on
-    // every file class — a `DeviceProgram` in an example, test or bin
-    // deadlocks the cluster just as hard as a library one. `#[cfg(test)]`
-    // impls are exempted inside the pass, consistent with the other
-    // structural rules.
-    protocol::check(display_path, &code, &exempt, &mut raw);
 
     let mut findings = apply_allows(raw, &allows, display_path);
     assign_ids(&mut findings, src);
@@ -578,12 +570,11 @@ fn par_disjoint(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: &
 /// for …` blocks, `async fn` bodies and `async` blocks — flag direct calls
 /// to host-blocking primitives ([`HOST_BLOCK_CALLS`]) and `.recv(…)` method
 /// calls (channel receives park the OS thread). Devices advance under a
-/// single-threaded event loop: every wait must be a yielded `Command` or an
-/// awaited device operation so the scheduler can interleave devices; any
-/// host-side block stalls the whole cluster. A `.recv(…)` whose result is
-/// `.await`ed is the device's own receive, a yield, and is not flagged.
-/// Token-level approximation: an impl header mentioning both
-/// `DeviceProgram` and `for` before its `{` is treated as a trait impl.
+/// single-threaded event loop: every wait must be an awaited device
+/// operation so the scheduler can interleave devices; any host-side block
+/// stalls the whole cluster. Token-level approximation: an impl header
+/// mentioning both `DeviceProgram` and `for` before its `{` is treated as a
+/// trait impl.
 fn no_host_block(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: &mut Vec<Finding>) {
     let mut device = vec![false; code.len()];
     for open in (0..code.len()).filter_map(|i| device_body(code, i)) {
@@ -595,20 +586,15 @@ fn no_host_block(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: 
             continue;
         }
         let method_recv = t.is_ident("recv") && k > 0 && code[k - 1].is_punct('.');
-        let awaited = || {
-            let close = scopes::matching(code, k + 1);
-            code.get(close + 1).is_some_and(|t| t.is_punct('.'))
-                && code.get(close + 2).is_some_and(|t| t.is_ident("await"))
-        };
-        if HOST_BLOCK_CALLS.iter().any(|n| t.is_ident(n)) || (method_recv && !awaited()) {
+        if HOST_BLOCK_CALLS.iter().any(|n| t.is_ident(n)) || method_recv {
             raw.push(Finding {
                 id: String::new(),
                 file: display_path.to_string(),
                 line: t.line,
                 rule: "no-host-block",
                 message: format!(
-                    "`{}` blocks the host thread inside device code; yield a Command \
-                     or await a device operation and let the event loop schedule the wait",
+                    "`{}` blocks the host thread inside device code; await a device \
+                     operation and let the event loop schedule the wait",
                     t.text
                 ),
             });
@@ -619,7 +605,7 @@ fn no_host_block(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: 
 /// The `{` opening the device code that starts at token `i`: the body of
 /// an `impl … DeviceProgram … for …` block, of an `async fn`, or of an
 /// `async` / `async move` block.
-fn device_body(code: &[&Tok], i: usize) -> Option<usize> {
+pub(crate) fn device_body(code: &[&Tok], i: usize) -> Option<usize> {
     let header_end =
         |from| (from..code.len()).find(|&j| code[j].is_punct('{') || code[j].is_punct(';'));
     let open = if code[i].is_ident("impl") {

@@ -94,29 +94,6 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<Finding>, ScanError> {
     Ok(findings)
 }
 
-/// Enumerates the workspace's Rust sources as `(relative path, absolute
-/// path)` pairs — the same walk and classification `scan_workspace` uses
-/// (fixtures, shims, `target/` excluded), so adaqp-model checks exactly the
-/// file set adaqp-lint lints.
-pub fn workspace_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, ScanError> {
-    let mut files = Vec::new();
-    for top in ["crates", "tests", "examples"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
-    }
-    let mut out = Vec::new();
-    for path in files {
-        let rel = relative(&path, root);
-        if rel.ends_with(".rs") && FileClass::classify(&rel).is_some() {
-            out.push((rel, path));
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 /// Scans one explicitly-named file (scratch/fixture mode): `.toml` files get
 /// the manifest rule, `.rs` files get every token rule.
 pub fn scan_path(path: &Path) -> Result<Vec<Finding>, ScanError> {

@@ -1,64 +1,24 @@
-// Fixture: collectives guarded by rank-dependent control flow. Four
-// shapes: an early return that skips a following Barrier, a collective
-// nested directly under a rank branch, one inside a rank-bounded loop, and
-// a sparse ring that ranks with nothing to send never enter.
-struct SkipBarrier;
-impl DeviceProgram for SkipBarrier {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        match input {
-            Resume::Start => {
-                if ctx.rank() == 0 {
-                    return Step::Done(());
-                }
-                Step::Yield(Command::Barrier)
-            }
-            _ => Step::Done(()),
-        }
+// Fixture: three planted protocol bugs, each a typed runtime error
+// (crates/comm/tests/planted.rs runs the same shapes).
+async fn skip_allreduce(dev: &mut AsyncDevice, grads: &mut [f32]) {
+    // Rank 0 skips the gradient allreduce: a Deadlock, rank 0 absent.
+    if dev.rank() != 0 {
+        dev.allreduce_sum_f32(grads).await;
     }
 }
-struct GatedGather;
-impl DeviceProgram for GatedGather {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        match input {
-            Resume::Start => {
-                if ctx.is_master() {
-                    Step::Yield(Command::Gather { root: 0, payload: Bytes::new() })
-                } else {
-                    Step::Done(())
-                }
-            }
-            _ => Step::Done(()),
-        }
-    }
+async fn odd_root(dev: &mut AsyncDevice, stats: Bytes) -> Bytes {
+    // Odd ranks broadcast from root 1: a root mismatch naming rank 1.
+    let root = dev.rank() % 2;
+    let own = (dev.rank() == root).then_some(stats);
+    dev.broadcast(root, own).await
 }
-struct LoopBarrier;
-impl DeviceProgram for LoopBarrier {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        drop(input);
-        while self.round < ctx.rank() {
-            self.round += 1;
-            return Step::Yield(Command::Barrier);
-        }
-        Step::Done(())
-    }
-}
-struct GatedSparseRing;
-impl DeviceProgram for GatedSparseRing {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        match input {
-            Resume::Start => {
-                if ctx.rank() != 0 {
-                    let sends = vec![(0, Bytes::from_static(b"halo"))];
-                    Step::Yield(Command::RingAll2All { sends })
-                } else {
-                    Step::Done(())
-                }
-            }
-            _ => Step::Done(()),
-        }
+async fn reordered(dev: &mut AsyncDevice, part: &DevicePartition) {
+    // One rank reassigns before it evaluates: a kind mismatch naming it.
+    if part.rank == 2 {
+        reassign(dev).await;
+        evaluate(dev).await;
+    } else {
+        evaluate(dev).await;
+        reassign(dev).await;
     }
 }

@@ -1,6 +1,6 @@
 // Fixture: blocking host primitives inside `async` device code.
 async fn train(dev: &mut AsyncDevice, chan: &Receiver<Bytes>) {
-    dev.barrier().await;
+    dev.ring_exchange(Vec::new()).await;
     std::thread::sleep(core::time::Duration::from_millis(1));
     drop(chan.recv());
 }

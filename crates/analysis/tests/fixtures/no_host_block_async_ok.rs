@@ -1,8 +1,8 @@
-// Fixture: an awaited receive (even split over lines) yields; a plain fn is not device code.
+// Fixture: awaited collectives (even split over lines) yield; a plain fn is not device code.
 async fn train(dev: &mut AsyncDevice) -> Bytes {
-    let first = dev.recv(1, 7).await;
+    let first = dev.broadcast(0, None).await;
     let second = dev
-        .recv(1, 8)
+        .scatter(0, None)
         .await;
     Bytes::from([first.as_ref(), second.as_ref()].concat())
 }

@@ -1,9 +1,8 @@
-//! Property tests for skeleton extraction: the communication skeleton —
-//! including yield points inlined from same-file free helpers — is purely
-//! structural. Inserting comments or blank lines, re-indenting, and moving
-//! `lint:allow` directives around must never change the extracted
-//! skeletons (modulo source line numbers), or the model checker's verdicts
-//! would flap under cosmetic edits.
+//! Property tests for skeleton extraction: the awaited-collective skeleton
+//! of an `async` device body is purely structural. Inserting comments or
+//! blank lines, re-indenting, and moving `lint:allow` directives around
+//! must never change the extracted skeletons (modulo source line numbers),
+//! or `collective-divergence` findings would flap under cosmetic edits.
 
 use analysis::lexer::{lex, Tok, TokKind};
 use analysis::protocol::extract_skeletons;
@@ -82,15 +81,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn gallery_skeletons_survive_cosmetic_perturbation(
-        plan in proptest::collection::vec((0usize..500, 0usize..4), 1..10),
+    fn shipped_skeletons_survive_cosmetic_perturbation(
+        plan in proptest::collection::vec((0usize..1000, 0usize..4), 1..10),
     ) {
-        let src = pinned_source("examples/deadlock_gallery.rs");
+        let src = pinned_source("crates/core/src/trainers.rs");
         let base = skeleton_fingerprint(&src);
-        // The gallery extracts the four exhibits, the three controls, and
-        // inlines the recv_from helper — a nontrivial baseline.
-        prop_assert!(base.contains("HaloExchange"));
-        prop_assert!(base.contains("Recv"));
+        // The trainer's epoch: halo exchanges, the gradient allreduce and
+        // the assigner round — a nontrivial baseline.
+        prop_assert!(base.contains("allreduce_sum_f32"));
+        prop_assert!(base.contains("reassign"));
         let shaken = skeleton_fingerprint(&perturb(&src, &plan));
         prop_assert_eq!(base, shaken, "plan {:?} changed the skeletons", plan);
     }
@@ -99,9 +98,9 @@ proptest! {
     fn planted_test_skeletons_survive_cosmetic_perturbation(
         plan in proptest::collection::vec((0usize..700, 0usize..4), 1..10),
     ) {
-        let src = pinned_source("crates/comm/tests/deadlock.rs");
+        let src = pinned_source("crates/analysis/tests/fixtures/collective_divergence_bad.rs");
         let base = skeleton_fingerprint(&src);
-        prop_assert!(base.contains("ReversedRing"));
+        prop_assert!(base.contains("allreduce_sum_f32"));
         let shaken = skeleton_fingerprint(&perturb(&src, &plan));
         prop_assert_eq!(base, shaken, "plan {:?} changed the skeletons", plan);
     }

@@ -2,6 +2,7 @@
 //! `tests/fixtures/` (which the workspace walker deliberately skips).
 
 use analysis::lexer::{lex, TokKind};
+use analysis::protocol::Node;
 use analysis::{find_root, scan_path, scan_workspace, Finding};
 use std::path::PathBuf;
 
@@ -104,8 +105,8 @@ fn token_lines_are_tracked_across_multiline_literals() {
 
 // --------------------------------------------------- skeleton extraction
 // Edge cases where sloppy tokenization would corrupt brace matching or
-// invent phantom yields: raw strings, nested block comments, and char/byte
-// literals that contain braces or Command-construction text.
+// invent phantom awaits: raw strings, nested block comments, and char/byte
+// literals that contain braces or await text.
 
 fn skeletons_of(src: &str) -> Vec<analysis::Skeleton> {
     let toks = lex(src);
@@ -114,79 +115,120 @@ fn skeletons_of(src: &str) -> Vec<analysis::Skeleton> {
     analysis::extract_skeletons(&code)
 }
 
+/// The awaited callees of a skeleton's top level.
+fn callees(sk: &analysis::Skeleton) -> Vec<&str> {
+    sk.nodes
+        .iter()
+        .filter_map(|n| match n {
+            Node::Await { callee, .. } => Some(callee.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn raw_strings_with_braces_do_not_corrupt_the_skeleton() {
     let src = r####"
-impl DeviceProgram for RawStr {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        let banner = r#"{ Command::Send { dst: 0, tag: 1 } } }"#;
-        drop((banner, ctx, input));
-        Step::Yield(Command::Barrier)
-    }
+async fn raw_str(dev: &mut AsyncDevice) {
+    let banner = r#"{ dev.gather(0, x).await } }"#;
+    drop(banner);
+    dev.ring_exchange(Vec::new()).await;
 }
 "####;
     let skels = skeletons_of(src);
     assert_eq!(skels.len(), 1);
-    assert_eq!(skels[0].impl_name, "RawStr");
-    // Only the real Barrier yield survives; the Send text inside the raw
-    // string (with its unbalanced braces) is inert.
+    // Only the real await survives; the gather text inside the raw string
+    // (with its unbalanced braces) is inert.
     assert_eq!(
         skels[0].nodes,
-        [analysis::protocol::Node::Yield(
-            analysis::protocol::CommOp::Collective {
-                kind: "Barrier".into(),
-                line: 7,
-            }
-        )]
+        [Node::Await {
+            callee: "ring_exchange".into(),
+            line: 5,
+            tainted_root: false,
+        }]
     );
 }
 
 #[test]
 fn nested_block_comments_with_braces_are_invisible_to_the_skeleton() {
     let src = "
-impl DeviceProgram for Commented {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        /* outer { /* inner Command::Recv { src: 9, tag: 9 } } */ still } */
-        drop((ctx, input));
-        Step::Yield(Command::Barrier)
-    }
+async fn commented(dev: &mut AsyncDevice) {
+    /* outer { /* inner dev.scatter(9, None).await } */ still } */
+    dev.broadcast(0, None).await;
 }
 ";
     let skels = skeletons_of(src);
     assert_eq!(skels.len(), 1);
-    assert_eq!(skels[0].nodes.len(), 1, "only the real yield: {skels:?}");
-    assert!(matches!(
-        skels[0].nodes[0],
-        analysis::protocol::Node::Yield(analysis::protocol::CommOp::Collective { ref kind, .. })
-            if kind == "Barrier"
-    ));
+    assert_eq!(
+        callees(&skels[0]),
+        ["broadcast"],
+        "only the real await: {skels:?}"
+    );
 }
 
 #[test]
 fn char_and_byte_literals_with_braces_do_not_shift_scopes() {
     let src = "
-impl DeviceProgram for CharBraces {
-    type Output = ();
-    fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
-        let open = '{';
-        let close = b'}';
-        drop((open, close, ctx, input));
-        Step::Yield(Command::RingAll2All { sends: Vec::new() })
-    }
+async fn char_braces(dev: &mut AsyncDevice) {
+    let open = '{';
+    let close = b'}';
+    drop((open, close));
+    dev.ring_exchange(Vec::new()).await;
 }
-fn after() {}
+async fn after(dev: &mut AsyncDevice) {
+    dev.gather(0, Bytes::new()).await;
+}
 ";
     let skels = skeletons_of(src);
-    assert_eq!(skels.len(), 1, "impl body ends where it should: {skels:?}");
-    assert_eq!(skels[0].impl_name, "CharBraces");
-    assert_eq!(skels[0].nodes.len(), 1);
-    assert!(matches!(
-        skels[0].nodes[0],
-        analysis::protocol::Node::Yield(analysis::protocol::CommOp::Collective { ref kind, .. })
-            if kind == "RingAll2All"
-    ));
+    assert_eq!(
+        skels.len(),
+        2,
+        "the first body ends where it should: {skels:?}"
+    );
+    assert_eq!(callees(&skels[0]), ["ring_exchange"]);
+    assert_eq!(callees(&skels[1]), ["gather"]);
+}
+
+#[test]
+fn branches_flatten_else_if_chains_and_give_a_bare_if_an_empty_arm() {
+    let src = "
+async fn shapes(dev: &mut AsyncDevice, rank: usize) {
+    let gathered = dev.gather(0, Bytes::new()).await?;
+    if rank == 0 {
+        dev.broadcast(0, None).await;
+    } else if rank == 1 {
+        return;
+    } else {
+        dev.scatter(0, None).await;
+    }
+    match gathered {
+        Some(all) => dev.ring_exchange(all).await,
+        None => Vec::new(),
+    };
+    if ready { dev.ring_exchange(Vec::new()).await; }
+}
+";
+    let skels = skeletons_of(src);
+    let [_, Node::Branch {
+        tainted: true,
+        arms,
+        ..
+    }, Node::Branch {
+        tainted: true,
+        arms: m,
+        ..
+    }, Node::Branch {
+        tainted: false,
+        arms: bare,
+        ..
+    }] = skels[0].nodes.as_slice()
+    else {
+        panic!("gather, chain, match, bare if: {skels:?}");
+    };
+    assert_eq!(arms.len(), 3);
+    assert_eq!(arms[1], [Node::Return]);
+    assert_eq!(m.len(), 2, "the `Option` a gather returns taints the match");
+    assert_eq!((bare.len(), bare[1].len()), (2, 0));
 }
 
 // ------------------------------------------------------------ rule fixtures
@@ -245,7 +287,7 @@ fn no_host_block_fixture_pair() {
     // Inherent-impl recv and the suppressed rendezvous both stay silent.
     assert!(scan_fixture("no_host_block_ok.rs").is_empty());
     // In `async` device code: the sleep and the channel recv in the `async
-    // fn`, the recv_timeout in the `async move` block; awaited receives and
+    // fn`, the recv_timeout in the `async move` block; awaited collectives and
     // a plain fn stay silent.
     let bad = scan_fixture("no_host_block_async_bad.rs");
     assert!(bad.iter().all(|f| f.rule == "no-host-block"));
@@ -256,45 +298,25 @@ fn no_host_block_fixture_pair() {
 #[test]
 fn collective_divergence_fixture_pair() {
     let bad = scan_fixture("collective_divergence_bad.rs");
-    let rules = rules_of(&bad);
-    assert_eq!(
-        rules
-            .iter()
-            .filter(|r| **r == "collective-divergence")
-            .count(),
-        4,
-        "gated Barrier + gated Gather + tainted-loop Barrier + gated sparse ring: {bad:?}"
+    assert!(
+        bad.iter().all(|f| f.rule == "collective-divergence"),
+        "{bad:?}"
     );
     let lines: Vec<u32> = bad.iter().map(|f| f.line).collect();
-    assert_eq!(lines, [14, 27, 43, 56], "one finding per collective yield");
-    assert!(bad[0].message.contains("SkipBarrier"));
-    assert!(bad[1].message.contains("GatedGather"));
-    assert!(bad[2].message.contains("LoopBarrier"));
-    // A rank with nothing to send still has to enter the ring: an empty
-    // `sends` list is the way to send nothing, not skipping the yield.
-    assert!(bad[3].message.contains("GatedSparseRing"));
-    // Symmetric master/worker Gather and a uniform loop bound stay silent.
+    assert_eq!(lines, [5, 13, 17], "one finding per plant: {bad:?}");
+    // The skipped allreduce: one arm awaits it, the fall-through does not.
+    assert!(bad[0].message.contains("[allreduce_sum_f32] vs []"));
+    // The rank-dependent broadcast root.
+    assert!(bad[1]
+        .message
+        .contains("`broadcast` root is rank-dependent"));
+    // Reassign-before-evaluate on one rank: same callees, other order.
+    assert!(bad[2]
+        .message
+        .contains("[reassign, evaluate] vs [evaluate, reassign]"));
+    // The assigner round as shipped, `?` included, and a rank-dependent
+    // branch with no awaits stay silent.
     assert!(scan_fixture("collective_divergence_ok.rs").is_empty());
-}
-
-#[test]
-fn unmatched_comm_fixture_pair() {
-    let bad = scan_fixture("unmatched_comm_bad.rs");
-    let rules = rules_of(&bad);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "unmatched-comm").count(),
-        3,
-        "reversed ring + tag typo + recv-before-send cycle: {bad:?}"
-    );
-    assert_eq!(bad[0].line, 12, "ReversedRing recv is on line 12");
-    assert!(bad[0].message.contains("reversed ring"));
-    assert_eq!(bad[1].line, 26, "TagTypo recv is on line 26");
-    assert!(bad[1].message.contains("tag typo"));
-    assert_eq!(bad[2].line, 39, "RecvFirst first recv is on line 39");
-    assert!(bad[2].message.contains("recv-before-send cycle"));
-    // Correct ring, data-assigned peers, and the allow-annotated reversal
-    // all stay silent.
-    assert!(scan_fixture("unmatched_comm_ok.rs").is_empty());
 }
 
 #[test]
@@ -307,42 +329,19 @@ fn stale_allow_fixture_pair() {
 }
 
 #[test]
-fn peer_subtract_fixture_pair() {
-    // Grouped subtrahend offsets — `(rank + n - (2 - 1)) % n` — must fold
-    // to Offset(-1), not silently degrade to an unanalyzable peer.
-    let bad = scan_fixture("peer_subtract_bad.rs");
-    assert_eq!(rules_of(&bad), ["unmatched-comm"], "findings: {bad:?}");
-    assert!(
-        bad[0].message.contains("reversed ring"),
-        "message names the shape: {}",
-        bad[0].message
-    );
-    assert!(scan_fixture("peer_subtract_ok.rs").is_empty());
-}
-
-#[test]
-fn interproc_fixture_pair() {
-    // The recv lives in a same-file free helper; only interprocedural
-    // extraction (inlining with argument substitution) can flag it.
-    let bad = scan_fixture("interproc_bad.rs");
-    assert_eq!(rules_of(&bad), ["unmatched-comm"], "findings: {bad:?}");
-    assert!(scan_fixture("interproc_ok.rs").is_empty());
-}
-
-#[test]
 fn finding_ids_are_content_derived_and_line_stable() {
-    let bad = scan_fixture("peer_subtract_bad.rs");
+    let bad = scan_fixture("collective_divergence_bad.rs");
     assert!(!bad[0].id.is_empty(), "ids assigned after scan");
     // Rescanning the same content yields the same id; shifting the code
     // down a line must not change it (ids hash content, not position).
-    let src = std::fs::read_to_string(fixture("peer_subtract_bad.rs")).unwrap();
+    let src = std::fs::read_to_string(fixture("collective_divergence_bad.rs")).unwrap();
     let direct = analysis::rules::scan_rust(
-        "crates/analysis/tests/fixtures/peer_subtract_bad.rs",
+        "crates/analysis/tests/fixtures/collective_divergence_bad.rs",
         analysis::rules::FileClass::Library,
         &src,
     );
     let shifted = analysis::rules::scan_rust(
-        "crates/analysis/tests/fixtures/peer_subtract_bad.rs",
+        "crates/analysis/tests/fixtures/collective_divergence_bad.rs",
         analysis::rules::FileClass::Library,
         &format!("// an extra leading comment line\n{src}"),
     );
@@ -387,7 +386,7 @@ fn to_json_escapes_and_orders_findings() {
 #[test]
 fn protocol_findings_round_trip_through_json() {
     let mut findings = scan_fixture("collective_divergence_bad.rs");
-    findings.extend(scan_fixture("unmatched_comm_bad.rs"));
+    findings.extend(scan_fixture("no_host_block_bad.rs"));
     let json = analysis::to_json(&findings);
     // Minimal round-trip: pull each {"file": …, "line": …, "rule": …}
     // record back out and compare against the scan results field by field.
@@ -408,7 +407,7 @@ fn protocol_findings_round_trip_through_json() {
         assert_eq!(field("rule"), f.rule, "{rec}");
     }
     assert!(json.contains(r#""rule": "collective-divergence""#));
-    assert!(json.contains(r#""rule": "unmatched-comm""#));
+    assert!(json.contains(r#""rule": "no-host-block""#));
 }
 
 #[test]
@@ -419,48 +418,6 @@ fn findings_render_as_file_line_rule() {
         line.contains("par_disjoint_bad.rs:6: [par-disjoint]"),
         "rendered: {line}"
     );
-}
-
-// ------------------------------------------------------------ deadlock gallery
-
-/// Every exhibit in `examples/deadlock_gallery.rs` must be rediscovered by
-/// the scanner once its `lint:allow` escape is stripped — same rule, and a
-/// span on the line directly below where the (removed) allow sat. This pins
-/// the static half of the static/dynamic pairing; the example binary itself
-/// pins the runtime half.
-#[test]
-fn gallery_is_flagged_statically() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/deadlock_gallery.rs");
-    let src = std::fs::read_to_string(&path).expect("gallery example exists");
-    let mut expected: Vec<(u32, &str)> = Vec::new();
-    let mut stripped = String::new();
-    for (i, line) in src.lines().enumerate() {
-        if let Some(rest) = line.trim_start().strip_prefix("// lint:allow(") {
-            let rule = rest.split(')').next().expect("allow names a rule");
-            expected.push((
-                i as u32 + 2, // the flagged yield sits on the next line
-                match rule {
-                    "unmatched-comm" => "unmatched-comm",
-                    "collective-divergence" => "collective-divergence",
-                    other => panic!("unexpected gallery rule {other}"),
-                },
-            ));
-            stripped.push_str("// (allow stripped for the static test)\n");
-        } else {
-            stripped.push_str(line);
-            stripped.push('\n');
-        }
-    }
-    assert_eq!(expected.len(), 4, "four exhibits in the gallery");
-    // The class the real workspace walk assigns to examples/, not Library:
-    // proves the protocol rules run outside library code.
-    let findings = analysis::rules::scan_rust(
-        "examples/deadlock_gallery.rs",
-        analysis::rules::FileClass::Other,
-        &stripped,
-    );
-    let got: Vec<(u32, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
-    assert_eq!(got, expected, "findings: {findings:#?}");
 }
 
 // ------------------------------------------------------------ whole workspace

@@ -1,24 +1,22 @@
 //! The simulated cluster: the public entry points over the discrete-event
-//! core ([`crate::event`]) and the handles every device talks through.
+//! core (`comm::event`) and the handles every device talks through.
 //!
-//! Three ways to express a device, all stepped by the one scheduler:
+//! Two ways to express a device, both stepped by the one scheduler:
 //!
-//! * **State machine** — implement [`crate::DeviceProgram`] and start it
-//!   with [`Cluster::run`] / [`Cluster::try_run_with`].
 //! * **`async` body** — a future over an [`AsyncDevice`], started with
-//!   [`Cluster::try_run_async`]: each send, receive or collective is one
-//!   `.await`, and the compiler generates the state machine. No OS thread
-//!   per device either, so one process scales to thousands of devices.
-//!   Every trainer `adaqp::run_experiment` ships is such a body.
+//!   [`Cluster::try_run_async`]: each collective is one `.await`, and the
+//!   compiler generates the state machine. No OS thread per device, so one
+//!   process scales to thousands of devices. Every trainer
+//!   `adaqp::run_experiment` ships is such a body.
 //! * **Closure** — an imperative `Fn(DeviceHandle) -> T` for
 //!   [`Cluster::run_fn`], on a thread held in lockstep with the scheduler:
 //!   each `DeviceHandle` operation runs its [`AsyncDevice`] namesake and
-//!   blocks the thread while it waits. Results are identical to the other
-//!   forms; the form stays because the benchmark harness calls it by name.
+//!   blocks the thread while it waits. Results are identical to the `async`
+//!   form; the form stays because the benchmark harness calls it by name.
 
 use crate::event::{self, ClusterReport};
 use crate::flight::FlightRecorder;
-use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
+use crate::program::{Command, DeviceProgram, Resume, Step};
 use crate::CostModel;
 use bytes::Bytes;
 use obs::time::Span;
@@ -47,22 +45,10 @@ pub enum ClusterError {
         /// Stringified panic payload (empty if the payload was not a string).
         message: String,
     },
-    /// A `Send`/`Recv` named a peer rank outside `0..n`. Nothing panicked —
-    /// the program yielded a structurally invalid command.
-    InvalidPeer {
-        /// Rank that yielded the bad command.
-        rank: usize,
-        /// The out-of-range peer it named.
-        peer: usize,
-        /// Cluster size.
-        n: usize,
-        /// Which operation named it: `"send"` or `"recv"`.
-        op: &'static str,
-    },
     /// The cluster deadlocked: no device is runnable, and not every device
     /// is parked at a collective. Carries the full wait-for graph — every
-    /// suspended rank and its cause, the collective frontier, and any
-    /// unclaimed mailbox keys (see [`crate::waitgraph`]).
+    /// suspended rank, the finished ranks and the collective frontier (see
+    /// [`crate::waitgraph`]).
     Deadlock {
         /// The wait-for graph at the moment of the stall (boxed so the
         /// error stays small on the `Ok` path).
@@ -84,9 +70,6 @@ impl std::fmt::Display for ClusterError {
             Self::NoDevices => write!(f, "cluster needs at least one device"),
             Self::DevicePanicked { rank, message } => {
                 write!(f, "device {rank} panicked: {message}")
-            }
-            Self::InvalidPeer { rank, peer, n, op } => {
-                write!(f, "device {rank}: {op} peer {peer} out of range (n = {n})")
             }
             Self::Deadlock { graph } => {
                 write!(f, "cluster deadlocked: {}", graph.summary())
@@ -110,14 +93,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Tag space reserved for internal collectives; user tags must stay below.
-const COLLECTIVE_TAG_BASE: u64 = 1 << 62;
-
 /// The simulated cluster.
 ///
 /// # Example
-///
-/// The `async` form; [`crate::DeviceProgram`] shows the state-machine form.
 ///
 /// ```
 /// use comm::Cluster;
@@ -125,12 +103,10 @@ const COLLECTIVE_TAG_BASE: u64 = 1 << 62;
 ///
 /// // Each device sends its rank to the right neighbor.
 /// let report = Cluster::try_run_async(3, None, None, |mut dev| async move {
-///     let n = dev.num_devices();
-///     let right = (dev.rank() + 1) % n;
-///     let left = (dev.rank() + n - 1) % n;
-///     dev.send(right, 7, Bytes::from(vec![dev.rank() as u8])).await;
-///     let got = dev.recv(left, 7).await;
-///     got[0] as usize
+///     let right = (dev.rank() + 1) % dev.num_devices();
+///     let sends = vec![(right as u32, Bytes::from(vec![dev.rank() as u8]))];
+///     let got = dev.ring_exchange(sends).await;
+///     got[0].1[0] as usize
 /// });
 /// assert_eq!(report.unwrap().outputs, vec![2, 0, 1]);
 /// ```
@@ -138,51 +114,6 @@ const COLLECTIVE_TAG_BASE: u64 = 1 << 62;
 pub struct Cluster;
 
 impl Cluster {
-    /// Runs one [`DeviceProgram`] per rank (built by `factory`) under the
-    /// discrete-event scheduler and returns the outputs in rank order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or if any program fails (panics, deadlocks, or
-    /// mismatches a collective).
-    #[expect(clippy::panic, reason = "documented panicking wrapper")]
-    pub fn run<P, F>(n: usize, factory: F) -> Vec<P::Output>
-    where
-        P: DeviceProgram,
-        F: FnMut(usize) -> P,
-    {
-        match Self::try_run_with(n, None, factory) {
-            Ok(report) => report.outputs,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs one [`DeviceProgram`] per rank with link events charged by
-    /// `cost`, returning the full [`ClusterReport`] (outputs plus simulated
-    /// clocks and event counts).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoDevices`] if `n == 0`;
-    /// [`ClusterError::DevicePanicked`] if a program panics;
-    /// [`ClusterError::InvalidPeer`] if a `Send`/`Recv` names a rank
-    /// outside `0..n`;
-    /// [`ClusterError::Deadlock`] on a stall, carrying the wait-for graph;
-    /// [`ClusterError::CollectiveMismatch`] when ranks disagree on a
-    /// collective.
-    pub fn try_run_with<P, F>(
-        n: usize,
-        cost: Option<&CostModel>,
-        mut factory: F,
-    ) -> Result<ClusterReport<P::Output>, ClusterError>
-    where
-        P: DeviceProgram,
-        F: FnMut(usize) -> P,
-    {
-        let programs: Vec<P> = (0..n).map(&mut factory).collect();
-        event::run_programs(programs, cost)
-    }
-
     /// Runs the `async` body `f` builds for each rank under the scheduler,
     /// with no OS thread per device, charging link events to `cost`. A
     /// `recorder` logs every scheduling transition and receives the bodies'
@@ -190,12 +121,15 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// As [`Cluster::try_run_with`]; a panic inside a body surfaces as
-    /// [`ClusterError::DevicePanicked`] for its rank.
+    /// [`ClusterError::NoDevices`] if `n == 0`;
+    /// [`ClusterError::DevicePanicked`] if a body panics, for its rank;
+    /// [`ClusterError::Deadlock`] on a stall, carrying the wait-for graph;
+    /// [`ClusterError::CollectiveMismatch`] when ranks disagree on a
+    /// collective.
     pub fn try_run_async<F, Fut>(
         n: usize,
         cost: Option<&CostModel>,
-        recorder: Option<&mut FlightRecorder<'_>>,
+        recorder: Option<&mut FlightRecorder>,
         mut f: F,
     ) -> Result<ClusterReport<Fut::Output>, ClusterError>
     where
@@ -211,7 +145,7 @@ impl Cluster {
                 output: None,
             }
         });
-        event::run_programs_recorded(programs.collect(), cost, recorder)
+        event::run_programs(programs.collect(), cost, recorder)
     }
 
     /// Runs an imperative closure per device on the event core and returns
@@ -236,7 +170,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// As [`Cluster::try_run_with`]; a panic inside `f` surfaces as
+    /// As [`Cluster::try_run_async`]; a panic inside `f` surfaces as
     /// [`ClusterError::DevicePanicked`] for the first rank the scheduler
     /// steps into the failure.
     pub fn try_run_fn<T, F>(n: usize, f: F) -> Result<Vec<T>, ClusterError>
@@ -247,13 +181,13 @@ impl Cluster {
         Self::try_run_fn_with(n, None, f).map(|report| report.outputs)
     }
 
-    /// Closure form of [`Cluster::try_run_with`]: runs `f` per device in
+    /// Closure form of [`Cluster::try_run_async`]: runs `f` per device in
     /// scheduler lockstep, charging link events to `cost`, and returns the
     /// full [`ClusterReport`].
     ///
     /// # Errors
     ///
-    /// As [`Cluster::try_run_with`].
+    /// As [`Cluster::try_run_async`].
     pub fn try_run_fn_with<T, F>(
         n: usize,
         cost: Option<&CostModel>,
@@ -303,7 +237,7 @@ impl Cluster {
                         }
                     }));
                 }
-                let report = event::run_programs(stubs, cost);
+                let report = event::run_programs(stubs, cost, None);
                 // On error the scheduler drops the stub programs, which
                 // closes their channels; device threads still parked at a
                 // rendezvous unwind internally and are swallowed here (the
@@ -331,7 +265,6 @@ impl Cluster {
         Ok(ClusterReport {
             outputs,
             clocks: report.clocks,
-            messages: report.messages,
             collectives: report.collectives,
         })
     }
@@ -368,7 +301,7 @@ struct AsyncProgram<F: Future> {
 impl<F: Future> DeviceProgram for AsyncProgram<F> {
     type Output = F::Output;
 
-    fn resume(&mut self, _ctx: &mut DeviceCtx, input: Resume) -> Step<F::Output> {
+    fn resume(&mut self, input: Resume) -> Step<F::Output> {
         let mut next = self.port.borrow_mut().queue.pop_front();
         if next.is_none() {
             if let Some(body) = self.body.as_mut() {
@@ -418,7 +351,7 @@ struct FnProgram {
 impl DeviceProgram for FnProgram {
     type Output = ();
 
-    fn resume(&mut self, _ctx: &mut DeviceCtx, input: Resume) -> Step<()> {
+    fn resume(&mut self, input: Resume) -> Step<()> {
         if self.started {
             // A closed channel means the device thread already failed; the
             // Panicked event is waiting in cmd_rx below.
@@ -484,9 +417,9 @@ fn protocol_violation(expected: &'static str, got: &Resume) -> ! {
     unreachable!("scheduler protocol violation: expected {expected}, got {got:?}")
 }
 
-/// Handle held by one `async` device body: point-to-point messaging plus
-/// collectives, each an `async fn` that yields one [`Command`] to the
-/// scheduler and resumes with its answer.
+/// Handle held by one `async` device body: the collectives, each an
+/// `async fn` that yields one command to the scheduler and resumes with its
+/// answer.
 ///
 /// All collectives must be entered by every rank (they are synchronizing),
 /// with matching arguments where noted.
@@ -529,7 +462,7 @@ impl AsyncDevice {
 
     /// Charges `seconds` of simulated time (training `epoch`) to this rank.
     /// When the run has a flight recorder ([`Cluster::try_run_async`]) the
-    /// charge reaches the scheduler as a [`Command::Advance`] carrying
+    /// charge reaches the scheduler as a `Command::Advance` carrying
     /// `span()`, ahead of this device's next yield and with no poll of its
     /// own; otherwise this is one branch and `span` is never called.
     pub fn charge(&mut self, epoch: usize, seconds: f64, span: impl FnOnce() -> Span) {
@@ -575,47 +508,6 @@ impl AsyncDevice {
             answer.map_or(Poll::Pending, Poll::Ready)
         })
         .await
-    }
-
-    /// Sends `payload` to `dst` with a user `tag` (sends never block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or if `tag` collides with the
-    /// reserved collective tag space.
-    pub async fn send(&mut self, dst: usize, tag: u64, payload: Bytes) {
-        assert!(dst < self.n, "dst {dst} out of range");
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag collides with reserved space"
-        );
-        self.count_send(dst, payload.len());
-        match self.roundtrip(Command::Send { dst, tag, payload }).await {
-            Resume::Sent => {}
-            other => protocol_violation("Sent", &other),
-        }
-    }
-
-    /// Receives the next payload from `src` with `tag` (per-`(src, tag)`
-    /// FIFO order), suspending this device until it arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    pub async fn recv(&mut self, src: usize, tag: u64) -> Bytes {
-        assert!(src < self.n, "src {src} out of range");
-        match self.roundtrip(Command::Recv { src, tag }).await {
-            Resume::Received(payload) => payload,
-            other => protocol_violation("Received", &other),
-        }
-    }
-
-    /// Synchronizes all devices.
-    pub async fn barrier(&mut self) {
-        match self.roundtrip(Command::Barrier).await {
-            Resume::BarrierDone => {}
-            other => protocol_violation("BarrierDone", &other),
-        }
     }
 
     /// Ring all2all (Fig. 8): sends each listed `(dst, payload)` over `N-1`
@@ -787,7 +679,8 @@ impl DeviceHandle {
 mod tests {
     use super::*;
     use obs::critpath::FlightOp;
-    use obs::time::EventKind;
+    use obs::time::{EventDetail, EventKind};
+    use proptest::prelude::*;
 
     /// Runs the `async` body `f` builds per rank, uncosted and unrecorded.
     fn run_async<Fut: Future>(n: usize, f: impl FnMut(AsyncDevice) -> Fut) -> Vec<Fut::Output> {
@@ -800,55 +693,6 @@ mod tests {
     fn single_device_runs() {
         let out = run_async(1, |dev| async move { dev.rank() * 10 + dev.num_devices() });
         assert_eq!(out, vec![1]);
-    }
-
-    #[test]
-    fn point_to_point_roundtrip() {
-        let out = run_async(2, |mut dev| async move {
-            if dev.rank() == 0 {
-                dev.send(1, 5, Bytes::from_static(b"hello")).await;
-                dev.recv(1, 6).await
-            } else {
-                let got = dev.recv(0, 5).await;
-                dev.send(0, 6, Bytes::from_static(b"world")).await;
-                got
-            }
-        });
-        assert_eq!(&out[0][..], b"world");
-        assert_eq!(&out[1][..], b"hello");
-    }
-
-    #[test]
-    fn out_of_order_tags_are_buffered() {
-        let out = run_async(2, |mut dev| async move {
-            if dev.rank() == 0 {
-                dev.send(1, 2, Bytes::from_static(b"second")).await;
-                dev.send(1, 1, Bytes::from_static(b"first")).await;
-                Bytes::new()
-            } else {
-                // Receive in reverse send order.
-                let a = dev.recv(0, 1).await;
-                let b = dev.recv(0, 2).await;
-                Bytes::from([a.as_ref(), b.as_ref()].concat())
-            }
-        });
-        assert_eq!(&out[1][..], b"firstsecond");
-    }
-
-    #[test]
-    fn same_tag_messages_keep_fifo_order() {
-        let out = run_async(2, |mut dev| async move {
-            if dev.rank() == 0 {
-                dev.send(1, 1, Bytes::from_static(b"a")).await;
-                dev.send(1, 1, Bytes::from_static(b"b")).await;
-                Bytes::new()
-            } else {
-                let a = dev.recv(0, 1).await;
-                let b = dev.recv(0, 1).await;
-                Bytes::from([a.as_ref(), b.as_ref()].concat())
-            }
-        });
-        assert_eq!(&out[1][..], b"ab");
     }
 
     #[test]
@@ -950,18 +794,15 @@ mod tests {
     fn metrics_count_sent_bytes_per_pair() {
         let out = run_async(2, |mut dev| async move {
             dev.count_sends();
-            if dev.rank() == 0 {
-                dev.send(1, 5, Bytes::from_static(b"hello")).await;
-                dev.recv(1, 6).await;
-            } else {
-                dev.recv(0, 5).await;
-                dev.send(0, 6, Bytes::from_static(b"hi")).await;
-            }
+            let peer = 1 - dev.rank();
+            let payload = if dev.rank() == 0 { "hello" } else { "hi" };
+            dev.ring_exchange(vec![(peer as u32, Bytes::from_static(payload.as_bytes()))])
+                .await;
             dev.take_sent()
         });
         // `out[src][dst]` is `(bytes, messages)`.
-        assert_eq!(out[0][1].0, 5, "rank 0 counted its send");
-        assert_eq!(out[1][0].1, 1, "rank 1 counted its send");
+        assert_eq!(out[0][1], (5, 1), "rank 0 counted its send");
+        assert_eq!(out[1][0], (2, 1), "rank 1 counted its send");
         // The tally only tracks the sender side.
         assert_eq!(out[0][0], (0, 0));
         assert_eq!(out[1][1], (0, 0));
@@ -971,12 +812,14 @@ mod tests {
     fn metrics_disabled_by_default_and_detachable() {
         let out = run_async(2, |mut dev| async move {
             let peer = 1 - dev.rank();
-            dev.send(peer, 1, Bytes::from_static(b"uncounted")).await;
+            let send =
+                |text: &'static str| vec![(peer as u32, Bytes::from_static(text.as_bytes()))];
+            dev.ring_exchange(send("uncounted")).await;
             let off = dev.take_sent();
             dev.count_sends();
-            dev.send(peer, 2, Bytes::from_static(b"counted")).await;
+            dev.ring_exchange(send("counted")).await;
             let taken = dev.take_sent();
-            dev.send(peer, 3, Bytes::from_static(b"detached")).await;
+            dev.ring_exchange(send("detached")).await;
             (off, taken[peer], dev.take_sent())
         });
         for (off, counted, detached) in out {
@@ -1000,13 +843,13 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
+    fn collectives_synchronize() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static COUNT: AtomicUsize = AtomicUsize::new(0);
         let out = run_async(4, |mut dev| async move {
             COUNT.fetch_add(1, Ordering::SeqCst);
-            dev.barrier().await;
-            // After the barrier all 4 increments must be visible.
+            dev.ring_exchange(Vec::new()).await;
+            // After the collective all 4 increments must be visible.
             COUNT.load(Ordering::SeqCst)
         });
         for seen in out {
@@ -1017,18 +860,14 @@ mod tests {
     // ---- event-core specifics: clocks, reports, failure modes ----
 
     #[test]
-    fn report_counts_messages_and_collectives() {
+    fn report_counts_collectives() {
         let report = Cluster::try_run_async(2, None, None, |mut dev| async move {
-            if dev.rank() == 0 {
-                dev.send(1, 1, Bytes::from_static(b"x")).await;
-            } else {
-                dev.recv(0, 1).await;
-            }
-            dev.barrier().await;
+            dev.ring_exchange(Vec::new()).await;
+            // Gather + broadcast.
+            dev.allreduce_sum_f32(&mut [1.0]).await;
         })
         .expect("run succeeds");
-        assert_eq!(report.messages, 1);
-        assert_eq!(report.collectives, 1);
+        assert_eq!(report.collectives, 3);
     }
 
     #[test]
@@ -1036,11 +875,8 @@ mod tests {
         // theta = 1/bw = 1e-6 s/B, gamma = 1e-3 s; 100 bytes -> 1.1e-3 s.
         let cost = CostModel::homogeneous(2, 1e6, 1e-3);
         let report = Cluster::try_run_async(2, Some(&cost), None, |mut dev| async move {
-            if dev.rank() == 0 {
-                dev.send(1, 1, Bytes::from(vec![0u8; 100])).await;
-            } else {
-                dev.recv(0, 1).await;
-            }
+            let payload = (dev.rank() == 0).then(|| Bytes::from(vec![0u8; 100]));
+            dev.broadcast(0, payload).await;
         })
         .expect("run succeeds");
         assert_eq!(report.clocks[0], 0.0);
@@ -1049,37 +885,17 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_recv_reports_a_deadlock() {
-        let err = Cluster::try_run_async(2, None, None, |mut dev| async move {
-            if dev.rank() == 0 {
-                let _ = dev.recv(1, 9).await; // rank 1 never sends
-            }
-        })
-        .expect_err("deadlock must be detected");
-        let ClusterError::Deadlock { graph } = &err else {
-            panic!("expected a deadlock, got {err}");
-        };
-        assert_eq!(graph.blocked.len(), 1);
-        assert_eq!(graph.blocked[0].rank, 0);
-        assert_eq!(
-            graph.blocked[0].cause,
-            crate::waitgraph::WaitCause::Recv { src: 1, tag: 9 }
-        );
-        assert_eq!(graph.finished, vec![1]);
-    }
-
-    #[test]
     fn mismatched_collectives_are_rejected() {
         let err = Cluster::try_run_async(2, None, None, |mut dev| async move {
             if dev.rank() == 0 {
-                dev.barrier().await;
+                let _ = dev.gather(0, Bytes::new()).await;
             } else {
                 let _ = dev.broadcast(0, None).await;
             }
         })
         .expect_err("kind mismatch must be detected");
         assert!(
-            matches!(err, ClusterError::CollectiveMismatch { .. }),
+            matches!(err, ClusterError::CollectiveMismatch { rank: 1, .. }),
             "got {err}"
         );
     }
@@ -1114,11 +930,11 @@ mod tests {
     #[test]
     fn a_panicking_body_is_reported_with_its_rank() {
         let err = Cluster::try_run_async(3, None, None, |mut dev| async move {
-            dev.barrier().await;
+            dev.ring_exchange(Vec::new()).await;
             if dev.rank() == 2 {
                 panic!("boom on 2");
             }
-            dev.barrier().await;
+            dev.ring_exchange(Vec::new()).await;
         })
         .expect_err("panic must surface");
         let ClusterError::DevicePanicked { rank, message } = err else {
@@ -1132,10 +948,10 @@ mod tests {
     fn a_body_that_returns_while_peers_wait_at_a_collective_is_listed_finished() {
         let err = Cluster::try_run_async(3, None, None, |mut dev| async move {
             if dev.rank() != 1 {
-                dev.barrier().await;
+                dev.ring_exchange(Vec::new()).await;
             }
         })
-        .expect_err("the barrier can never fire");
+        .expect_err("the ring can never fire");
         let ClusterError::Deadlock { graph } = &err else {
             panic!("expected a deadlock, got {err}");
         };
@@ -1143,7 +959,7 @@ mod tests {
         let blocked: Vec<usize> = graph.blocked.iter().map(|b| b.rank).collect();
         assert_eq!(blocked, [0, 2]);
         let front = graph.collective.as_ref().expect("front recorded");
-        assert_eq!((front.kind, &front.absent), ("barrier", &vec![1]));
+        assert_eq!((front.kind, &front.absent), ("ring_all2all", &vec![1]));
     }
 
     /// A body that fails loudly if it is polled after it returned.
@@ -1169,7 +985,7 @@ mod tests {
         // returned: one scheduler step each, none of them a poll.
         let body = |mut dev: AsyncDevice| PollOnceDone {
             body: Box::pin(async move {
-                dev.barrier().await;
+                dev.ring_exchange(Vec::new()).await;
                 for epoch in 0..2 {
                     dev.charge(epoch, 1.0, || Span::new(EventKind::CentralCompute));
                 }
@@ -1177,7 +993,7 @@ mod tests {
             }),
             returned: false,
         };
-        let mut rec = FlightRecorder::new(2, None);
+        let mut rec = FlightRecorder::new(2);
         let report = Cluster::try_run_async(2, None, Some(&mut rec), body).expect("run succeeds");
         assert_eq!(report.outputs, vec![0, 1]);
         assert_eq!(report.clocks, vec![2.0, 2.0]);
@@ -1203,56 +1019,214 @@ mod tests {
         assert_eq!(unrecorded.outputs, vec![0, 1]);
     }
 
-    /// Native state-machine form: each device sends its rank right and
-    /// receives from the left, without any OS thread per device.
-    enum Shift {
-        Sending,
-        Receiving,
-    }
-
-    impl DeviceProgram for Shift {
-        type Output = usize;
-        fn resume(&mut self, ctx: &mut DeviceCtx, input: Resume) -> Step<usize> {
-            match self {
-                Shift::Sending => {
-                    let right = (ctx.rank() + 1) % ctx.num_devices();
-                    *self = Shift::Receiving;
-                    Step::Yield(Command::Send {
-                        dst: right,
-                        tag: 3,
-                        payload: Bytes::from(vec![(ctx.rank() % 251) as u8]),
-                    })
-                }
-                Shift::Receiving => match input {
-                    Resume::Sent => {
-                        let n = ctx.num_devices();
-                        let left = (ctx.rank() + n - 1) % n;
-                        Step::Yield(Command::Recv { src: left, tag: 3 })
-                    }
-                    Resume::Received(payload) => Step::Done(payload[0] as usize),
-                    // The scheduler honors the yield contract.
-                    _ => unreachable!("unexpected resume"),
-                },
-            }
-        }
-    }
-
     #[test]
     fn scales_to_1024_devices_in_one_process() {
+        // Each device sends its rank to the right neighbor: no OS thread per
+        // device, so 1024 of them fit in one process.
         let n = 1024;
-        let out = Cluster::run(n, |_rank| Shift::Sending);
+        let out = run_async(n, |mut dev| async move {
+            let right = (dev.rank() + 1) % n;
+            let sends = vec![(right as u32, Bytes::from(vec![(dev.rank() % 251) as u8]))];
+            let got = dev.ring_exchange(sends).await;
+            got[0].1[0] as usize
+        });
         assert_eq!(out.len(), n);
         for (rank, got) in out.iter().enumerate() {
             let left = (rank + n - 1) % n;
             assert_eq!(*got, left % 251);
         }
-        // The same shift as `async` bodies, equally thread-free.
-        let shifted = run_async(n, |mut dev| async move {
-            let right = (dev.rank() + 1) % n;
-            dev.send(right, 3, Bytes::from(vec![(dev.rank() % 251) as u8]))
-                .await;
-            dev.recv((dev.rank() + n - 1) % n, 3).await[0] as usize
-        });
-        assert_eq!(shifted, out);
+    }
+
+    // ---- the adapter against a hand-written state machine ----
+
+    /// The charge at script position `i` on `rank`: its epoch, seconds, and
+    /// a span whose kind and detail follow from the rank and the position.
+    fn scripted_charge(i: usize, op: u8, rank: usize, n: usize) -> (usize, f64, Span) {
+        const KINDS: [EventKind; 4] = [
+            EventKind::HaloSend,
+            EventKind::QuantEncode,
+            EventKind::CentralCompute,
+            EventKind::AssignerSolve,
+        ];
+        let others = || (0..n as u32).filter(|&q| q as usize != rank);
+        let mut span = Span::new(KINDS[(op as usize + rank) % KINDS.len()]);
+        span.layer = (!i.is_multiple_of(3)).then_some(i as u32 % 3);
+        span.detail = EventDetail {
+            bytes: i as u64,
+            width_bits: Some(8),
+            host_seconds: 1e-6 * i as f64,
+            threads: Some(2),
+        };
+        if span.kind == EventKind::HaloSend {
+            span.sent = others().map(|q| (q, 10 + u64::from(q))).collect();
+            span.recv = others().map(|q| (q, 20 + u64::from(q))).collect();
+        }
+        // Zero-second charges are part of the log too.
+        (i / 4, 1e-4 * ((i + rank) % 5) as f64, span)
+    }
+
+    /// The payload `rank` contributes at script position `i`.
+    fn scripted_payload(i: usize, rank: usize) -> Bytes {
+        Bytes::from(vec![rank as u8; 1 + (i + rank) % 60])
+    }
+
+    /// The buffer `rank` sums at script position `i`.
+    fn scripted_floats(i: usize, rank: usize) -> Vec<f32> {
+        (0..1 + i % 3)
+            .map(|k| (rank + k) as f32 + 0.5 * i as f32)
+            .collect()
+    }
+
+    fn f32_bytes(data: &[f32]) -> Bytes {
+        Bytes::from(
+            data.iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect::<Vec<u8>>(),
+        )
+    }
+
+    /// The commands `rank` of `n` yields for `script`, a list of opcodes every
+    /// rank runs: a charge (0-3), a ring to every other rank (4), a gather
+    /// (5), scatter (6) or broadcast (7) rooted at `i % n`, or a
+    /// sum-allreduce (8: the gather to rank 0 and the broadcast back).
+    fn scripted_commands(script: &[u8], rank: usize, n: usize) -> Vec<Command> {
+        let mut out = Vec::new();
+        for (i, &op) in script.iter().enumerate() {
+            let root = i % n;
+            let cmd = match op {
+                0..=3 => {
+                    let (epoch, seconds, span) = scripted_charge(i, op, rank, n);
+                    let span = Box::new(span);
+                    Command::Advance {
+                        epoch,
+                        seconds,
+                        span,
+                    }
+                }
+                4 => {
+                    let others = (0..n).filter(|&q| q != rank);
+                    let sends = others.map(|q| (q as u32, scripted_payload(i, q)));
+                    Command::RingAll2All {
+                        sends: sends.collect(),
+                    }
+                }
+                5 => Command::Gather {
+                    root,
+                    payload: scripted_payload(i, rank),
+                },
+                6 => Command::Scatter {
+                    root,
+                    payloads: (rank == root)
+                        .then(|| (0..n).map(|q| scripted_payload(i, q)).collect()),
+                },
+                7 => Command::Broadcast {
+                    root,
+                    payload: (rank == root).then(|| scripted_payload(i, rank)),
+                },
+                _ => {
+                    let mut sum = vec![0.0f32; scripted_floats(i, rank).len()];
+                    for q in 0..n {
+                        for (acc, v) in sum.iter_mut().zip(scripted_floats(i, q)) {
+                            *acc += v;
+                        }
+                    }
+                    out.push(Command::Gather {
+                        root: 0,
+                        payload: f32_bytes(&scripted_floats(i, rank)),
+                    });
+                    Command::Broadcast {
+                        root: 0,
+                        payload: (rank == 0).then(|| f32_bytes(&sum)),
+                    }
+                }
+            };
+            out.push(cmd);
+        }
+        out
+    }
+
+    /// A native device that yields a fixed command list, one command a step.
+    struct Scripted(VecDeque<Command>);
+
+    impl DeviceProgram for Scripted {
+        type Output = ();
+
+        fn resume(&mut self, _input: Resume) -> Step<()> {
+            self.0.pop_front().map_or(Step::Done(()), Step::Yield)
+        }
+    }
+
+    /// The `async` form of the same script: every opcode through the
+    /// `AsyncDevice` call that stands for it. Returns what the device got.
+    async fn run_script(mut dev: AsyncDevice, script: &[u8]) -> Vec<Bytes> {
+        let (rank, n) = (dev.rank(), dev.num_devices());
+        let mut got = Vec::new();
+        for (i, &op) in script.iter().enumerate() {
+            let root = i % n;
+            match op {
+                0..=3 => {
+                    let (epoch, seconds, span) = scripted_charge(i, op, rank, n);
+                    dev.charge(epoch, seconds, || span);
+                }
+                4 => {
+                    let others = (0..n).filter(|&q| q != rank);
+                    let sends = others.map(|q| (q as u32, scripted_payload(i, q)));
+                    let received = dev.ring_exchange(sends.collect()).await;
+                    got.extend(received.into_iter().map(|(_, p)| p));
+                }
+                5 => {
+                    let all = dev.gather(root, scripted_payload(i, rank)).await;
+                    got.extend(all.into_iter().flatten());
+                }
+                6 => {
+                    let payloads =
+                        (rank == root).then(|| (0..n).map(|q| scripted_payload(i, q)).collect());
+                    got.push(dev.scatter(root, payloads).await);
+                }
+                7 => {
+                    let payload = (rank == root).then(|| scripted_payload(i, rank));
+                    got.push(dev.broadcast(root, payload).await);
+                }
+                _ => {
+                    let mut data = scripted_floats(i, rank);
+                    dev.allreduce_sum_f32(&mut data).await;
+                    got.push(f32_bytes(&data));
+                }
+            }
+        }
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn async_charges_log_like_native_advances(
+            n in 2usize..6,
+            script in proptest::collection::vec(0u8..9, 0..40),
+        ) {
+            let cost = CostModel::homogeneous(n, 1e8, 1e-5);
+            let script = &script;
+            let mut native = FlightRecorder::new(n);
+            let programs = (0..n).map(|r| Scripted(scripted_commands(script, r, n).into()));
+            let native_run =
+                event::run_programs(programs.collect(), Some(&cost), Some(&mut native))
+                    .expect("native run succeeds");
+
+            let device = |dev: AsyncDevice| run_script(dev, script);
+            let mut body = FlightRecorder::new(n);
+            let recorded = Cluster::try_run_async(n, Some(&cost), Some(&mut body), device)
+                .expect("recorded async run succeeds");
+            prop_assert_eq!(body.finish(), native.finish());
+            prop_assert_eq!(&recorded.clocks, &native_run.clocks);
+            prop_assert_eq!(recorded.collectives, native_run.collectives);
+
+            // Without a recorder the charges never leave the device; what it
+            // sends and receives is the same.
+            let unrecorded = Cluster::try_run_async(n, Some(&cost), None, device)
+                .expect("unrecorded async run succeeds");
+            prop_assert_eq!(&recorded.outputs, &unrecorded.outputs);
+            prop_assert_eq!(recorded.collectives, unrecorded.collectives);
+        }
     }
 }

@@ -1,50 +1,42 @@
 //! The deterministic discrete-event scheduler behind [`crate::Cluster`].
 //!
 //! One host thread advances every device program: devices are state
-//! machines ([`crate::DeviceProgram`]) suspended at explicit yield points,
-//! and links are events charged by the per-pair `theta * bytes + gamma`
-//! cost model. The loop invariants (DESIGN.md §10):
+//! machines ([`crate::program::DeviceProgram`]) suspended at explicit
+//! yield points, and every yield point is a collective. The loop
+//! invariants (DESIGN.md §10):
 //!
 //! * **Run-to-block.** The scheduler resumes one device and keeps stepping
-//!   it until it blocks (a recv with an empty mailbox, a collective) or
-//!   finishes. Point-to-point sends never block the sender.
+//!   it until it parks at a collective or finishes. Charges
+//!   ([`Command::Advance`]) never block.
 //! * **Deterministic pick order.** Among runnable devices the scheduler
 //!   always picks the one with the smallest `(simulated clock, rank)` key.
-//!   Outputs do not depend on this choice — with per-`(src, tag)` FIFO
-//!   channels and blocking receives as the only message-ordering
-//!   constraint, device outputs are schedule-independent (Kahn process
-//!   network semantics) — but a fixed order makes every run, including its
-//!   event interleaving, bit-reproducible.
-//! * **Messages carry arrival times.** A payload sent at sender time `t`
-//!   arrives at `t + theta * bytes + gamma`; the receiver's clock advances
-//!   to at least the arrival time when it consumes the message. Without a
-//!   cost model every transfer is instantaneous and the clocks measure
-//!   nothing (the pure Kahn execution used by unit tests).
+//!   Outputs do not depend on this choice — a device's next yield depends
+//!   only on its own state and the answers to its earlier collectives,
+//!   and every collective answers every rank at once — but a fixed order
+//!   makes every run, including its event interleaving, bit-reproducible.
 //! * **Collectives are rendezvous events.** A collective fires only when
 //!   all `n` devices have yielded it; kinds and roots must match. Entry
 //!   time is the max of the participants' clocks, and per-rank exit times
 //!   follow the per-kind models in `run_collective` (the ring charges each
-//!   device its unsynchronized per-round `max(send, recv)` time).
+//!   device its unsynchronized per-round `max(send, recv)` time). Without a
+//!   cost model every transfer is instantaneous and the clocks measure
+//!   only the charges.
+//! * **A stall is a deadlock.** When nobody is runnable and not every
+//!   device is parked, some rank finished while the others wait for it at
+//!   a collective: the run ends with the full [`WaitGraph`].
 
 use crate::cluster::{panic_message, ClusterError};
 use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
-use crate::waitgraph::{BlockedRank, UnclaimedMessage, WaitCause, WaitGraph};
+use crate::waitgraph::{BlockedRank, WaitCause, WaitGraph};
 use crate::CostModel;
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What a device is doing between scheduler steps.
 enum Status {
     /// Runnable: the next `resume` call gets this value.
     Ready(Resume),
-    /// Suspended on an empty mailbox key.
-    RecvWait {
-        /// Awaited source rank.
-        src: usize,
-        /// Awaited tag.
-        tag: u64,
-    },
     /// Suspended at a collective, holding its entry command.
     CollectiveWait(Command),
     /// Currently being stepped (transient).
@@ -54,17 +46,14 @@ enum Status {
 }
 
 /// The result of an event-core run: per-rank outputs plus the simulated
-/// clocks and event counts the thread backend could never report.
+/// clocks and the collective count.
 #[derive(Debug, Clone)]
 pub struct ClusterReport<T> {
     /// Per-rank program outputs, in rank order.
     pub outputs: Vec<T>,
     /// Per-rank final simulated clocks, seconds.
     pub clocks: Vec<f64>,
-    /// Point-to-point messages delivered (collective-internal traffic is
-    /// accounted by the collective event, not here).
-    pub messages: u64,
-    /// Collective rendezvous events executed (barriers included).
+    /// Collective rendezvous events executed.
     pub collectives: u64,
 }
 
@@ -81,58 +70,41 @@ fn clock_key(t: f64) -> u64 {
     t.to_bits()
 }
 
-/// In-flight payload with its modeled arrival time at the receiver.
-type Mailbox = BTreeMap<(usize, u64), VecDeque<(f64, Bytes)>>;
-
-/// Runs `programs` (one per rank) to completion under the event loop.
+/// Runs `programs` (one per rank) to completion under the event loop, with
+/// an optional causal flight recorder attached: every scheduling
+/// transition (dispatch, collective formation/release, phase advance,
+/// completion) is logged with its causal predecessor. With
+/// `recorder = None` the only overhead is one branch per transition (the
+/// zero-cost-off contract, DESIGN.md §5b).
 ///
-/// `cost` charges link events; `None` makes every transfer instantaneous
-/// (outputs are identical either way — only the reported clocks change).
+/// `cost` charges collective transfers; `None` makes every transfer
+/// instantaneous (outputs are identical either way — only the reported
+/// clocks change).
 ///
 /// # Errors
 ///
 /// [`ClusterError::NoDevices`] for an empty program list,
 /// [`ClusterError::DevicePanicked`] when a program panics mid-step,
-/// [`ClusterError::InvalidPeer`] when a `Send`/`Recv` names a peer outside
-/// `0..n`, [`ClusterError::Deadlock`] on a stall (a recv that can never be
-/// satisfied, or a collective some rank never enters) carrying the full
-/// [`WaitGraph`] of suspended ranks, and
+/// [`ClusterError::Deadlock`] on a stall (a collective some rank never
+/// enters) carrying the full [`WaitGraph`] of suspended ranks, and
 /// [`ClusterError::CollectiveMismatch`] when ranks disagree on the
 /// collective they are entering.
-pub fn run_programs<P: DeviceProgram>(
+pub(crate) fn run_programs<P: DeviceProgram>(
     programs: Vec<P>,
     cost: Option<&CostModel>,
-) -> Result<ClusterReport<P::Output>, ClusterError> {
-    run_programs_recorded(programs, cost, None)
-}
-
-/// [`run_programs`] with an optional causal flight recorder attached: every
-/// scheduling transition (dispatch, block, message departure/arrival,
-/// collective formation/release, phase advance) is logged with its causal
-/// predecessor. With `recorder = None` the only overhead is one branch per
-/// transition (the zero-cost-off contract, DESIGN.md §5b).
-///
-/// # Errors
-///
-/// As [`run_programs`].
-pub fn run_programs_recorded<P: DeviceProgram>(
-    programs: Vec<P>,
-    cost: Option<&CostModel>,
-    mut recorder: Option<&mut crate::flight::FlightRecorder<'_>>,
+    mut recorder: Option<&mut crate::flight::FlightRecorder>,
 ) -> Result<ClusterReport<P::Output>, ClusterError> {
     let n = programs.len();
     if n == 0 {
         return Err(ClusterError::NoDevices);
     }
     let mut programs = programs;
-    let mut ctxs: Vec<DeviceCtx> = (0..n).map(|r| DeviceCtx::new(r, n)).collect();
+    let mut ctxs: Vec<DeviceCtx> = vec![DeviceCtx::default(); n];
     let mut statuses: Vec<Status> = (0..n).map(|_| Status::Ready(Resume::Start)).collect();
-    let mut mailboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::new()).collect();
     let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
     let mut ready: BTreeSet<(u64, usize)> = (0..n).map(|r| (clock_key(0.0), r)).collect();
     let mut done = 0usize;
     let mut waiting_collective = 0usize;
-    let mut messages = 0u64;
     let mut collectives = 0u64;
 
     while done < n {
@@ -153,7 +125,7 @@ pub fn run_programs_recorded<P: DeviceProgram>(
                 continue;
             }
             return Err(ClusterError::Deadlock {
-                graph: Box::new(build_wait_graph(&statuses, &ctxs, &mailboxes)),
+                graph: Box::new(build_wait_graph(&statuses, &ctxs)),
             });
         };
         ready.remove(&(key, rank));
@@ -168,11 +140,8 @@ pub fn run_programs_recorded<P: DeviceProgram>(
             unreachable!("scheduled a non-ready device")
         };
         loop {
-            let step = {
-                let prog = &mut programs[rank];
-                let ctx = &mut ctxs[rank];
-                catch_unwind(AssertUnwindSafe(|| prog.resume(ctx, input)))
-            };
+            let prog = &mut programs[rank];
+            let step = catch_unwind(AssertUnwindSafe(|| prog.resume(input)));
             match step {
                 Err(payload) => {
                     return Err(ClusterError::DevicePanicked {
@@ -188,66 +157,6 @@ pub fn run_programs_recorded<P: DeviceProgram>(
                         rec.done(rank, ctxs[rank].now());
                     }
                     break;
-                }
-                Ok(Step::Yield(Command::Send { dst, tag, payload })) => {
-                    if dst >= n {
-                        return Err(ClusterError::InvalidPeer {
-                            rank,
-                            peer: dst,
-                            n,
-                            op: "send",
-                        });
-                    }
-                    messages += 1;
-                    let bytes = payload.len();
-                    let arrival =
-                        ctxs[rank].now() + cost.map_or(0.0, |c| c.transfer_time(rank, dst, bytes));
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.depart(rank, ctxs[rank].now(), dst, tag, bytes);
-                    }
-                    mailboxes[dst]
-                        .entry((rank, tag))
-                        .or_default()
-                        .push_back((arrival, payload));
-                    // Wake the receiver if it is parked on exactly this key.
-                    if let Status::RecvWait { src, tag: want } = &statuses[dst] {
-                        let (src, want) = (*src, *want);
-                        if src == rank && want == tag {
-                            let (at, msg) = pop_message(&mut mailboxes[dst], (src, want));
-                            ctxs[dst].advance_to(at);
-                            if let Some(rec) = recorder.as_deref_mut() {
-                                rec.arrive(dst, ctxs[dst].now(), src, want, msg.len());
-                            }
-                            statuses[dst] = Status::Ready(Resume::Received(msg));
-                            ready.insert((clock_key(ctxs[dst].now()), dst));
-                        }
-                    }
-                    input = Resume::Sent;
-                }
-                Ok(Step::Yield(Command::Recv { src, tag })) => {
-                    if src >= n {
-                        return Err(ClusterError::InvalidPeer {
-                            rank,
-                            peer: src,
-                            n,
-                            op: "recv",
-                        });
-                    }
-                    let key = (src, tag);
-                    if mailboxes[rank].get(&key).is_some_and(|q| !q.is_empty()) {
-                        let (at, msg) = pop_message(&mut mailboxes[rank], key);
-                        ctxs[rank].advance_to(at);
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.arrive(rank, ctxs[rank].now(), src, tag, msg.len());
-                        }
-                        input = Resume::Received(msg);
-                    } else {
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.block_recv(rank, ctxs[rank].now(), src, tag);
-                        }
-                        statuses[rank] = Status::RecvWait { src, tag };
-                        break;
-                    }
                 }
                 Ok(Step::Yield(Command::Advance {
                     epoch,
@@ -277,41 +186,17 @@ pub fn run_programs_recorded<P: DeviceProgram>(
         // Every device reached Done, so every output slot is filled.
         outputs: outputs.into_iter().flatten().collect(),
         clocks: ctxs.iter().map(DeviceCtx::now).collect(),
-        messages,
         collectives,
     })
 }
 
-fn pop_message(mailbox: &mut Mailbox, key: (usize, u64)) -> (f64, Bytes) {
-    let queue = mailbox.entry(key).or_default();
-    let front = queue.pop_front();
-    if queue.is_empty() {
-        mailbox.remove(&key);
-    }
-    match front {
-        Some(msg) => msg,
-        // Callers check non-emptiness before popping.
-        None => unreachable!("popped an empty mailbox key"),
-    }
-}
-
-/// Builds the full wait-for graph of a stalled cluster: every suspended
-/// rank with its cause (not just the first — a reversed ring suspends all
-/// of them), the collective frontier, and any undelivered mailbox keys (the
-/// runtime signature of a reversed peer expression or a tag typo).
-fn build_wait_graph(statuses: &[Status], ctxs: &[DeviceCtx], mailboxes: &[Mailbox]) -> WaitGraph {
+/// Builds the wait-for graph of a stalled cluster: every rank parked at a
+/// collective, every finished rank, and the collective front they form.
+fn build_wait_graph(statuses: &[Status], ctxs: &[DeviceCtx]) -> WaitGraph {
     let mut blocked = Vec::new();
     let mut finished = Vec::new();
     for (rank, s) in statuses.iter().enumerate() {
         match s {
-            Status::RecvWait { src, tag } => blocked.push(BlockedRank {
-                rank,
-                cause: WaitCause::Recv {
-                    src: *src,
-                    tag: *tag,
-                },
-                clock: ctxs[rank].now(),
-            }),
             Status::CollectiveWait(cmd) => blocked.push(BlockedRank {
                 rank,
                 cause: WaitCause::Collective {
@@ -323,20 +208,7 @@ fn build_wait_graph(statuses: &[Status], ctxs: &[DeviceCtx], mailboxes: &[Mailbo
             Status::Ready(_) | Status::Running => {}
         }
     }
-    let mut unclaimed = Vec::new();
-    for (dst, mailbox) in mailboxes.iter().enumerate() {
-        for (&(src, tag), queue) in mailbox {
-            if !queue.is_empty() {
-                unclaimed.push(UnclaimedMessage {
-                    dst,
-                    src,
-                    tag,
-                    queued: queue.len(),
-                });
-            }
-        }
-    }
-    WaitGraph::from_frontier(statuses.len(), blocked, finished, unclaimed)
+    WaitGraph::from_frontier(statuses.len(), blocked, finished)
 }
 
 /// Fires the collective every rank is parked at: validates that the entry
@@ -375,31 +247,21 @@ fn run_collective(
     /// The agreed collective shape, extracted from rank 0's entry command
     /// so the command list itself can be consumed per-branch.
     enum Shape {
-        Barrier,
         Ring,
         Broadcast(usize),
         Gather(usize),
         Scatter(usize),
     }
     let shape = match &cmds[0] {
-        Command::Barrier => Shape::Barrier,
         Command::RingAll2All { .. } => Shape::Ring,
         Command::Broadcast { root, .. } => Shape::Broadcast(*root),
         Command::Gather { root, .. } => Shape::Gather(*root),
         Command::Scatter { root, .. } => Shape::Scatter(*root),
-        // Send/Recv/Advance never park a device in CollectiveWait.
-        Command::Send { .. } | Command::Recv { .. } | Command::Advance { .. } => {
-            unreachable!("point-to-point command parked as a collective")
-        }
+        // An Advance never parks a device in CollectiveWait.
+        Command::Advance { .. } => unreachable!("a charge parked as a collective"),
     };
 
     match shape {
-        Shape::Barrier => {
-            for (rank, ctx) in ctxs.iter_mut().enumerate() {
-                ctx.advance_to(t0);
-                statuses[rank] = Status::Ready(Resume::BarrierDone);
-            }
-        }
         Shape::Ring => {
             // Each payload is moved to its destination's inbox; ranks are
             // visited in ascending order, so every inbox is ascending by

@@ -3,11 +3,10 @@
 //! The paper runs on multi-GPU, multi-machine clusters. This crate replaces
 //! that hardware with a faithful *functional* simulation:
 //!
-//! * **Devices are state machines.** Each device is a [`DeviceProgram`]
-//!   advanced by one deterministic discrete-event scheduler, with no OS
-//!   thread per device: either implemented by hand, or written as an
-//!   `async` body over an [`AsyncDevice`] ([`Cluster::try_run_async`]),
-//!   which the compiler turns into one. The shipped trainers
+//! * **Devices are state machines.** Each device is an `async` body over
+//!   an [`AsyncDevice`] ([`Cluster::try_run_async`]); the compiler turns it
+//!   into a state machine that one deterministic discrete-event scheduler
+//!   advances, with no OS thread per device. The shipped trainers
 //!   (`adaqp::run_experiment`) are such bodies. An imperative closure runs
 //!   through the lockstep adapter of [`Cluster::run_fn`] instead, which
 //!   parks one OS thread per device and lets exactly one of them run at a
@@ -26,9 +25,9 @@
 //!   quantization / solver), which is exactly the decomposition Fig. 10
 //!   reports.
 //!
-//! Collectives provided: tagged point-to-point send/recv, barrier, ring
-//! all2all (Fig. 8), sequential broadcast (the SANCUS schedule), gather /
-//! scatter to the master rank, and sum-allreduce for model gradients.
+//! The cluster is collectives-only, as the paper's per-device protocol is:
+//! ring all2all (Fig. 8), broadcast, gather / scatter to the master rank
+//! (the assigner round, Fig. 6), and sum-allreduce for model gradients.
 
 // Library code returns errors and stays silent (DESIGN.md §7);
 // `#[cfg(test)]` code, bins and tests are exempt.
@@ -49,9 +48,9 @@
 
 pub mod cluster;
 pub mod costmodel;
-pub mod event;
+mod event;
 pub mod flight;
-pub mod program;
+mod program;
 pub mod timing;
 pub mod topology;
 pub mod waitgraph;
@@ -60,30 +59,29 @@ pub use cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
 pub use costmodel::CostModel;
 pub use event::ClusterReport;
 pub use flight::FlightRecorder;
-pub use program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
 pub use timing::{TimeBreakdown, TimeCategory};
 pub use topology::Topology;
-pub use waitgraph::{BlockedRank, CollectiveFront, UnclaimedMessage, WaitCause, WaitGraph};
+pub use waitgraph::{BlockedRank, CollectiveFront, WaitCause, WaitGraph};
 
 /// The one-stop import for cluster simulations: the event-core entry
-/// points, the device API (every form), and the cost/topology surface.
+/// points, the device API (both forms), and the cost/topology surface.
 ///
 /// ```
 /// use comm::prelude::*;
 ///
 /// let cm = Topology::new(2, 2).cost_model();
 /// let report = Cluster::try_run_async(4, Some(&cm), None, |mut dev| async move {
-///     dev.barrier().await;
-///     dev.rank()
+///     let mut ranks = [dev.rank() as f32];
+///     dev.allreduce_sum_f32(&mut ranks).await;
+///     ranks[0]
 /// })
 /// .unwrap();
-/// assert_eq!(report.outputs, vec![0, 1, 2, 3]);
+/// assert_eq!(report.outputs, vec![6.0; 4]);
 /// ```
 pub mod prelude {
     pub use crate::cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
     pub use crate::costmodel::CostModel;
     pub use crate::event::ClusterReport;
-    pub use crate::program::{Command, DeviceCtx, DeviceProgram, Resume, Step};
     pub use crate::timing::{TimeBreakdown, TimeCategory};
     pub use crate::topology::Topology;
     pub use crate::waitgraph::{WaitCause, WaitGraph};

@@ -2,42 +2,29 @@
 //! when the cluster stalls.
 //!
 //! A stall means no device is runnable and not every device is parked at a
-//! collective. The old diagnostic named only the lowest suspended rank,
-//! which misattributes multi-rank stalls (a reversed ring suspends *every*
-//! rank; blaming rank 0 sends the reader to the wrong line of the wrong
-//! program). [`WaitGraph`] instead captures the whole frontier at the
-//! moment of the stall:
+//! collective: some rank returned (or failed) while the others wait for it
+//! at a rendezvous. [`WaitGraph`] captures the whole frontier at the moment
+//! of the stall, not just the lowest suspended rank:
 //!
-//! * every suspended rank and what it waits on ([`BlockedRank`]);
-//! * every mailbox key holding undelivered payloads ([`UnclaimedMessage`]
-//!   — a message that arrived under a `(src, tag)` key nobody ever
-//!   receives on is the signature of a reversed peer expression or a tag
-//!   typo);
-//! * which ranks already reached a collective and which never will
+//! * every suspended rank and the collective it waits at ([`BlockedRank`]);
+//! * which ranks already reached the collective and which never will
 //!   ([`CollectiveFront`]);
 //! * which ranks finished outright (a rank that returns without joining a
-//!   barrier is how `collective-divergence` bugs present at runtime).
+//!   collective is how `collective-divergence` bugs present at runtime).
 //!
 //! The graph renders as DOT ([`WaitGraph::to_dot`]) for visual inspection
 //! and as JSON ([`WaitGraph::to_json`]) for tooling; its [`WaitGraph::summary`]
 //! is what [`crate::ClusterError::Deadlock`] displays. The static side of
-//! this contract is adaqp-lint's `collective-divergence` / `unmatched-comm`
-//! rules (`crates/analysis`), which flag the same defect shapes before the
-//! program ever runs; `examples/deadlock_gallery.rs` pins the pairing.
+//! this contract is adaqp-lint's `collective-divergence` rule
+//! (`crates/analysis`), which flags the same defect shapes in the shipped
+//! `async` device bodies before they ever run.
 
 /// What one suspended rank is waiting for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaitCause {
-    /// Parked on an empty `(src, tag)` mailbox key.
-    Recv {
-        /// Awaited source rank.
-        src: usize,
-        /// Awaited tag.
-        tag: u64,
-    },
     /// Parked at a collective some rank never joins.
     Collective {
-        /// The collective's kind name (`barrier`, `ring_all2all`, …).
+        /// The collective's kind name (`gather`, `ring_all2all`, …).
         kind: &'static str,
     },
 }
@@ -45,7 +32,6 @@ pub enum WaitCause {
 impl std::fmt::Display for WaitCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WaitCause::Recv { src, tag } => write!(f, "recv(src = {src}, tag = {tag})"),
             WaitCause::Collective { kind } => write!(f, "collective `{kind}`"),
         }
     }
@@ -62,19 +48,6 @@ pub struct BlockedRank {
     pub clock: f64,
 }
 
-/// A mailbox key with queued payloads no receive ever claimed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnclaimedMessage {
-    /// Rank whose mailbox holds the payloads.
-    pub dst: usize,
-    /// Sender rank of the key.
-    pub src: usize,
-    /// Tag of the key.
-    pub tag: u64,
-    /// Number of queued payloads under the key.
-    pub queued: usize,
-}
-
 /// The collective frontier at the stall: who reached it, who never will.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectiveFront {
@@ -82,8 +55,8 @@ pub struct CollectiveFront {
     pub kind: &'static str,
     /// Ranks parked at a collective, ascending.
     pub reached: Vec<usize>,
-    /// Ranks not parked at any collective (blocked elsewhere, or already
-    /// finished), ascending — the ranks the collective is waiting for.
+    /// Ranks not parked at the collective (already finished), ascending —
+    /// the ranks the collective is waiting for.
     pub absent: Vec<usize>,
 }
 
@@ -96,31 +69,20 @@ pub struct WaitGraph {
     pub finished: Vec<usize>,
     /// The collective frontier, when any rank is collective-parked.
     pub collective: Option<CollectiveFront>,
-    /// Undelivered mailbox contents, ascending by `(dst, src, tag)`.
-    pub unclaimed: Vec<UnclaimedMessage>,
 }
 
 impl WaitGraph {
     /// Assembles a graph from a stall frontier: the blocked ranks (ascending
-    /// by rank), the finished ranks, and the undelivered mailbox keys. The
-    /// collective front is derived here exactly the way the event scheduler
-    /// derives it at runtime — `kind` comes from the lowest collective-parked
-    /// rank, `absent` is every rank of `0..n` not parked at a collective —
-    /// so a statically predicted stall (adaqp-model) and a runtime
-    /// `ClusterError::Deadlock` render identically for the same frontier.
-    pub fn from_frontier(
-        n: usize,
-        blocked: Vec<BlockedRank>,
-        finished: Vec<usize>,
-        unclaimed: Vec<UnclaimedMessage>,
-    ) -> WaitGraph {
+    /// by rank) and the finished ranks. The collective front is derived
+    /// here — `kind` comes from the lowest collective-parked rank, `absent`
+    /// is every rank of `0..n` not parked at a collective.
+    pub fn from_frontier(n: usize, blocked: Vec<BlockedRank>, finished: Vec<usize>) -> WaitGraph {
         let mut reached = Vec::new();
         let mut kind: Option<&'static str> = None;
         for b in &blocked {
-            if let WaitCause::Collective { kind: k } = &b.cause {
-                reached.push(b.rank);
-                kind.get_or_insert(*k);
-            }
+            let WaitCause::Collective { kind: k } = &b.cause;
+            reached.push(b.rank);
+            kind.get_or_insert(*k);
         }
         let collective = kind.map(|kind| CollectiveFront {
             kind,
@@ -131,27 +93,19 @@ impl WaitGraph {
             blocked,
             finished,
             collective,
-            unclaimed,
         }
     }
 
-    /// The ranks `rank` waits on: the awaited sender for a recv, every
-    /// absent rank for a collective. Empty for ranks that are not blocked.
+    /// The ranks `rank` waits on: every rank absent from the collective it
+    /// is parked at. Empty for ranks that are not blocked.
     pub fn waits_on(&self, rank: usize) -> Vec<usize> {
-        for b in &self.blocked {
-            if b.rank != rank {
-                continue;
-            }
-            return match &b.cause {
-                WaitCause::Recv { src, .. } => vec![*src],
-                WaitCause::Collective { .. } => self
-                    .collective
-                    .as_ref()
-                    .map(|c| c.absent.clone())
-                    .unwrap_or_default(),
-            };
+        match (
+            &self.collective,
+            self.blocked.iter().any(|b| b.rank == rank),
+        ) {
+            (Some(front), true) => front.absent.clone(),
+            _ => Vec::new(),
         }
-        Vec::new()
     }
 
     /// One-line-per-fact prose rendering, used by the `Deadlock` error
@@ -177,27 +131,13 @@ impl WaitGraph {
                 c.kind, c.reached, c.absent
             ));
         }
-        if !self.unclaimed.is_empty() {
-            let keys: Vec<String> = self
-                .unclaimed
-                .iter()
-                .map(|u| {
-                    format!(
-                        "{} queued at rank {} under (src = {}, tag = {})",
-                        u.queued, u.dst, u.src, u.tag
-                    )
-                })
-                .collect();
-            out.push_str(&format!("; unclaimed messages: {}", keys.join(", ")));
-        }
         out
     }
 
     /// Graphviz DOT rendering: one node per rank, one edge per wait-for
-    /// dependency (recv edges labeled with their tag, collective edges with
-    /// the collective kind). All interpolated label text is escaped with
-    /// [`dot_escape`], so the output stays well-formed DOT whatever the
-    /// cause text contains.
+    /// dependency, labeled with the collective kind. All interpolated label
+    /// text is escaped with [`dot_escape`], so the output stays well-formed
+    /// DOT whatever the cause text contains.
     pub fn to_dot(&self) -> String {
         let mut out = String::from("digraph wait_for {\n");
         for b in &self.blocked {
@@ -214,34 +154,15 @@ impl WaitGraph {
             ));
         }
         for b in &self.blocked {
-            match &b.cause {
-                WaitCause::Recv { src, tag } => {
-                    out.push_str(&format!(
-                        "  r{} -> r{} [label=\"tag {}\"];\n",
-                        b.rank, src, tag
-                    ));
-                }
-                WaitCause::Collective { kind } => {
-                    for absent in self.collective.iter().flat_map(|c| c.absent.iter()) {
-                        out.push_str(&format!(
-                            "  r{} -> r{} [label=\"{}\", style=dotted];\n",
-                            b.rank,
-                            absent,
-                            dot_escape(kind)
-                        ));
-                    }
-                }
+            let WaitCause::Collective { kind } = &b.cause;
+            for absent in self.collective.iter().flat_map(|c| c.absent.iter()) {
+                out.push_str(&format!(
+                    "  r{} -> r{} [label=\"{}\", style=dotted];\n",
+                    b.rank,
+                    absent,
+                    dot_escape(kind)
+                ));
             }
-        }
-        for u in &self.unclaimed {
-            out.push_str(&format!(
-                "  m_{}_{}_{} [label=\"{} unclaimed\\n(src = {}, tag = {})\", shape=box];\n",
-                u.dst, u.src, u.tag, u.queued, u.src, u.tag
-            ));
-            out.push_str(&format!(
-                "  m_{}_{}_{} -> r{};\n",
-                u.dst, u.src, u.tag, u.dst
-            ));
         }
         out.push_str("}\n");
         out
@@ -258,14 +179,8 @@ impl WaitGraph {
             .blocked
             .iter()
             .map(|b| {
-                let cause = match &b.cause {
-                    WaitCause::Recv { src, tag } => {
-                        format!("{{\"kind\": \"recv\", \"src\": {src}, \"tag\": {tag}}}")
-                    }
-                    WaitCause::Collective { kind } => {
-                        format!("{{\"kind\": \"collective\", \"collective\": \"{kind}\"}}")
-                    }
-                };
+                let WaitCause::Collective { kind } = &b.cause;
+                let cause = format!("{{\"kind\": \"collective\", \"collective\": \"{kind}\"}}");
                 format!(
                     "{{\"rank\": {}, \"cause\": {}, \"clock\": {}}}",
                     b.rank,
@@ -285,22 +200,11 @@ impl WaitGraph {
             ),
             None => "null".to_string(),
         };
-        let unclaimed: Vec<String> = self
-            .unclaimed
-            .iter()
-            .map(|u| {
-                format!(
-                    "{{\"dst\": {}, \"src\": {}, \"tag\": {}, \"queued\": {}}}",
-                    u.dst, u.src, u.tag, u.queued
-                )
-            })
-            .collect();
         format!(
-            "{{\"blocked\": [{}], \"finished\": {}, \"collective\": {}, \"unclaimed\": [{}]}}",
+            "{{\"blocked\": [{}], \"finished\": {}, \"collective\": {}}}",
             blocked.join(", "),
             ranks(&self.finished),
-            collective,
-            unclaimed.join(", ")
+            collective
         )
     }
 }
@@ -329,50 +233,39 @@ mod tests {
             blocked: vec![
                 BlockedRank {
                     rank: 1,
-                    cause: WaitCause::Recv { src: 2, tag: 7 },
+                    cause: WaitCause::Collective { kind: "gather" },
                     clock: 0.5,
                 },
                 BlockedRank {
                     rank: 2,
-                    cause: WaitCause::Collective { kind: "barrier" },
+                    cause: WaitCause::Collective { kind: "gather" },
                     clock: 1.0,
                 },
             ],
             finished: vec![0],
             collective: Some(CollectiveFront {
-                kind: "barrier",
-                reached: vec![2],
-                absent: vec![0, 1],
+                kind: "gather",
+                reached: vec![1, 2],
+                absent: vec![0],
             }),
-            unclaimed: vec![UnclaimedMessage {
-                dst: 1,
-                src: 0,
-                tag: 7,
-                queued: 2,
-            }],
         }
     }
 
     #[test]
     fn from_frontier_derives_the_collective_front() {
         let want = sample();
-        let got = WaitGraph::from_frontier(
-            3,
-            want.blocked.clone(),
-            want.finished.clone(),
-            want.unclaimed.clone(),
-        );
+        let got = WaitGraph::from_frontier(3, want.blocked.clone(), want.finished.clone());
         assert_eq!(got, want);
         // No collective-parked rank => no front at all.
-        let none = WaitGraph::from_frontier(2, Vec::new(), vec![0, 1], Vec::new());
+        let none = WaitGraph::from_frontier(2, Vec::new(), vec![0, 1]);
         assert!(none.collective.is_none());
     }
 
     #[test]
     fn waits_on_follows_cause_edges() {
         let g = sample();
-        assert_eq!(g.waits_on(1), vec![2]);
-        assert_eq!(g.waits_on(2), vec![0, 1]);
+        assert_eq!(g.waits_on(1), vec![0]);
+        assert_eq!(g.waits_on(2), vec![0]);
         assert!(g.waits_on(0).is_empty());
     }
 
@@ -380,34 +273,31 @@ mod tests {
     fn summary_names_every_blocked_rank() {
         let s = sample().summary();
         assert!(s.contains("2 rank(s) blocked"), "summary: {s}");
-        assert!(s.contains("rank 1 waits on recv(src = 2, tag = 7)"));
-        assert!(s.contains("rank 2 waits on collective `barrier`"));
+        assert!(s.contains("rank 1 waits on collective `gather`"));
+        assert!(s.contains("rank 2 waits on collective `gather`"));
         assert!(s.contains("finished ranks [0]"));
-        assert!(s.contains("2 queued at rank 1 under (src = 0, tag = 7)"));
+        assert!(s.contains("`gather` reached by ranks [1, 2], never by ranks [0]"));
     }
 
     #[test]
     fn dot_render_has_nodes_and_edges() {
         let dot = sample().to_dot();
         assert!(dot.starts_with("digraph wait_for {"));
-        assert!(dot.contains("r1 -> r2 [label=\"tag 7\"]"));
+        assert!(dot.contains("r1 -> r0 [label=\"gather\", style=dotted]"));
         assert!(dot.contains("style=dashed"), "finished rank style: {dot}");
         assert!(dot.contains("r2 -> r0"), "collective edge: {dot}");
-        assert!(dot.contains("2 unclaimed"), "unclaimed box: {dot}");
+        assert_eq!(dot_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
     fn json_render_is_well_formed_and_complete() {
         let json = sample().to_json();
         assert!(json.contains("\"blocked\": [{\"rank\": 1"));
-        assert!(json.contains("\"cause\": {\"kind\": \"recv\", \"src\": 2, \"tag\": 7}"));
+        assert!(json.contains("\"cause\": {\"kind\": \"collective\", \"collective\": \"gather\"}"));
         assert!(json.contains("\"clock\": 0.5"));
         assert!(json.contains(
-            "\"collective\": {\"kind\": \"barrier\", \"reached\": [2], \"absent\": [0, 1]}"
+            "\"collective\": {\"kind\": \"gather\", \"reached\": [1, 2], \"absent\": [0]}"
         ));
-        assert!(
-            json.contains("\"unclaimed\": [{\"dst\": 1, \"src\": 0, \"tag\": 7, \"queued\": 2}]")
-        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -1,15 +1,10 @@
-//! Property tests for the cluster runtime: random message schedules must
-//! deliver every payload exactly once, in order, regardless of
-//! interleaving.
+//! Property tests for the cluster runtime: repeated collectives agree on
+//! every rank, the sparse ring is the dense ring minus its empty payloads,
+//! and malformed ring destinations are a typed error.
 
 use bytes::Bytes;
-use comm::{
-    AsyncDevice, Cluster, ClusterError, Command, CostModel, DeviceCtx, DeviceProgram,
-    FlightRecorder, Resume, Step,
-};
-use obs::time::{EventDetail, EventKind, Span};
+use comm::{AsyncDevice, Cluster, ClusterError, CostModel};
 use proptest::prelude::*;
-use std::collections::VecDeque;
 
 /// SplitMix64 step: the tests' own stream for payload lengths and link costs.
 fn mix(state: &mut u64) -> u64 {
@@ -20,178 +15,8 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The commands `rank` of `n` yields for `script`, a list of opcodes every
-/// rank runs: a charge (whose seconds, kind and span follow from the rank
-/// and the position), a send to the right neighbour with the matching
-/// receive from the left, a barrier, or a ring to every other rank.
-fn scripted_commands(script: &[u8], rank: usize, n: usize) -> Vec<Command> {
-    const KINDS: [EventKind; 4] = [
-        EventKind::HaloSend,
-        EventKind::QuantEncode,
-        EventKind::CentralCompute,
-        EventKind::AssignerSolve,
-    ];
-    let others = || (0..n as u32).filter(|&q| q as usize != rank);
-    let mut out = Vec::new();
-    for (i, &op) in script.iter().enumerate() {
-        match op {
-            0..=3 => {
-                let mut span = Span::new(KINDS[(op as usize + rank) % KINDS.len()]);
-                span.layer = (i % 3 > 0).then_some(i as u32 % 3);
-                span.detail = EventDetail {
-                    bytes: i as u64,
-                    width_bits: Some(8),
-                    host_seconds: 1e-6 * i as f64,
-                    threads: Some(2),
-                };
-                if span.kind == EventKind::HaloSend {
-                    span.sent = others().map(|q| (q, 10 + u64::from(q))).collect();
-                    span.recv = others().map(|q| (q, 20 + u64::from(q))).collect();
-                }
-                // Zero-second charges are part of the log too.
-                let seconds = 1e-4 * ((i + rank) % 5) as f64;
-                out.push(Command::Advance {
-                    epoch: i / 4,
-                    seconds,
-                    span: Box::new(span),
-                });
-            }
-            4 => {
-                let (dst, src, tag) = ((rank + 1) % n, (rank + n - 1) % n, i as u64);
-                let payload = Bytes::from(vec![rank as u8; 1 + i % 40]);
-                out.push(Command::Send { dst, tag, payload });
-                out.push(Command::Recv { src, tag });
-            }
-            5 => out.push(Command::Barrier),
-            _ => {
-                let sends = others().map(|q| (q, Bytes::from(vec![q as u8; 1 + (i + rank) % 60])));
-                out.push(Command::RingAll2All {
-                    sends: sends.collect(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// A native device that yields a fixed command list, one command a step.
-struct Scripted(VecDeque<Command>);
-
-impl DeviceProgram for Scripted {
-    type Output = ();
-
-    fn resume(&mut self, _ctx: &mut DeviceCtx, _input: Resume) -> Step<()> {
-        self.0.pop_front().map_or(Step::Done(()), Step::Yield)
-    }
-}
-
-/// The `async` form of the same list: every command through the
-/// `AsyncDevice` call that stands for it. Returns what the device received.
-async fn run_scripted(mut dev: AsyncDevice, cmds: Vec<Command>) -> Vec<(u32, Bytes)> {
-    let mut received = Vec::new();
-    for cmd in cmds {
-        match cmd {
-            Command::Advance {
-                epoch,
-                seconds,
-                span,
-            } => dev.charge(epoch, seconds, || *span),
-            Command::Send { dst, tag, payload } => dev.send(dst, tag, payload).await,
-            Command::Recv { src, tag } => received.push((src as u32, dev.recv(src, tag).await)),
-            Command::Barrier => dev.barrier().await,
-            Command::RingAll2All { sends } => received.extend(dev.ring_exchange(sends).await),
-            other => unreachable!("the script has no {}", other.kind_name()),
-        }
-    }
-    received
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn async_charges_log_like_native_advances(
-        n in 2usize..6,
-        script in proptest::collection::vec(0u8..7, 0..40),
-    ) {
-        let cost = CostModel::homogeneous(n, 1e8, 1e-5);
-        let script = &script;
-        let mut native = FlightRecorder::new(n, Some(&cost));
-        let programs = (0..n).map(|r| Scripted(scripted_commands(script, r, n).into()));
-        let native_run =
-            comm::event::run_programs_recorded(programs.collect(), Some(&cost), Some(&mut native))
-                .expect("native run succeeds");
-
-        let device = |dev: AsyncDevice| {
-            let cmds = scripted_commands(script, dev.rank(), n);
-            run_scripted(dev, cmds)
-        };
-        let mut body = FlightRecorder::new(n, Some(&cost));
-        let recorded = Cluster::try_run_async(n, Some(&cost), Some(&mut body), device)
-            .expect("recorded async run succeeds");
-        prop_assert_eq!(body.finish(), native.finish());
-        prop_assert_eq!(&recorded.clocks, &native_run.clocks);
-
-        // Without a recorder the charges never leave the device; what it
-        // sends and receives is the same.
-        let unrecorded = Cluster::try_run_async(n, Some(&cost), None, device)
-            .expect("unrecorded async run succeeds");
-        prop_assert_eq!(&recorded.outputs, &unrecorded.outputs);
-        prop_assert_eq!(recorded.messages, unrecorded.messages);
-        prop_assert_eq!(recorded.collectives, unrecorded.collectives);
-    }
-
-    #[test]
-    fn random_p2p_schedules_deliver_everything(
-        n in 2usize..5,
-        // Each entry: (src, dst, tag, payload byte) with src/dst folded into range.
-        plan in proptest::collection::vec((0usize..8, 0usize..8, 0u64..4, 0u8..=255), 1..24),
-    ) {
-        // Normalize the plan to the device count and make it visible to all.
-        let sends: Vec<(usize, usize, u64, u8)> = plan
-            .iter()
-            .map(|&(s, d, t, b)| (s % n, d % n, t, b))
-            .filter(|&(s, d, _, _)| s != d)
-            .collect();
-        let sends_ref = &sends;
-        let results = Cluster::try_run_async(n, None, None, move |mut dev| async move {
-            let me = dev.rank();
-            // Send phase: everything this rank must send, in plan order.
-            for (i, &(s, d, t, b)) in sends_ref.iter().enumerate() {
-                if s == me {
-                    dev.send(d, t, Bytes::from(vec![b, i as u8])).await;
-                }
-            }
-            // Receive phase: collect in plan order (per (src, tag) FIFO).
-            let mut got = Vec::new();
-            for &(s, d, t, _) in sends_ref {
-                if d == me {
-                    let payload = dev.recv(s, t).await;
-                    got.push((s, t, payload[0]));
-                }
-            }
-            got
-        })
-        .expect("every send has its receive")
-        .outputs;
-        // Every rank received exactly the payload bytes addressed to it, and
-        // per-(src, tag) streams preserve send order.
-        for (me, got) in results.iter().enumerate() {
-            let mut expect_streams: std::collections::BTreeMap<(usize, u64), Vec<u8>> =
-                std::collections::BTreeMap::new();
-            for &(s, d, t, b) in sends_ref {
-                if d == me {
-                    expect_streams.entry((s, t)).or_default().push(b);
-                }
-            }
-            let mut got_streams: std::collections::BTreeMap<(usize, u64), Vec<u8>> =
-                std::collections::BTreeMap::new();
-            for &(s, t, b) in got {
-                got_streams.entry((s, t)).or_default().push(b);
-            }
-            prop_assert_eq!(expect_streams, got_streams, "rank {} streams differ", me);
-        }
-    }
 
     #[test]
     fn repeated_collectives_stay_consistent(

@@ -1489,6 +1489,87 @@ mod tests {
         outputs.swap_remove(1).expect("rank 1 reports")
     }
 
+    /// A round whose worker (written out by hand, so that it can send what
+    /// `reassign` never would) gathers a truncated trace and then waits at
+    /// the scatter: rank 0's `reassign` result, the cluster's error, and
+    /// the error the runner's failure capture reports for the same round.
+    fn master_outcome() -> (
+        Option<Result<SolveStats, AssignError>>,
+        comm::ClusterError,
+        crate::runner::Failure<AssignError>,
+    ) {
+        let parts = setup(2);
+        let cfg = TrainingConfig::default();
+        let cost = CostModel::homogeneous(2, 1e6, 1e-5);
+        let (parts, cfg, cost) = (&parts, &cfg, &cost);
+        let device = |mut dev: AsyncDevice| async move {
+            let part = &parts[dev.rank()];
+            let trace = Trace::new(part, &[16, 8]);
+            if dev.rank() == 1 {
+                let mut own = encode_trace(&part.send_alpha_sq, &trace);
+                own.pop();
+                dev.gather(0, Bytes::from(own)).await;
+                dev.scatter(0, None).await;
+                return Ok(None);
+            }
+            let mut assignment = WidthAssignment::fixed(part, 2, BitWidth::B4);
+            let (mode, mut rng) = (AssignMode::Adaptive, Rng::seed_from(1));
+            reassign(
+                &mut dev,
+                part,
+                cost,
+                &trace,
+                cfg,
+                mode,
+                &mut rng,
+                &mut assignment,
+            )
+            .await
+            .map(Some)
+        };
+        let master = std::cell::RefCell::new(None);
+        let master_ref = &master;
+        let run = comm::Cluster::try_run_async(2, None, None, |dev| {
+            let rank = dev.rank();
+            let body = device(dev);
+            async move {
+                let got = body.await;
+                if rank == 0 {
+                    *master_ref.borrow_mut() = Some(got.map(|stats| stats.unwrap_or_default()));
+                }
+            }
+        });
+        let stall = run.expect_err("rank 1 waits at a scatter the master never joins");
+        let failure =
+            crate::runner::run_devices(2, None, device).expect_err("the master's error surfaces");
+        (master.into_inner(), stall, failure)
+    }
+
+    #[test]
+    fn a_malformed_trace_stops_the_master_and_its_error_wins_over_the_stall() {
+        let (master, stall, failure) = master_outcome();
+        // The master's `?` at the trace decode: an error, not a panic.
+        let Some(Err(AssignError { stage, .. })) = master else {
+            panic!("rank 0's reassign must fail, got {master:?}");
+        };
+        assert_eq!(stage, AssignStage::Trace);
+        // Its peer is left parked at the scatter the master never joins.
+        let comm::ClusterError::Deadlock { graph } = &stall else {
+            panic!("expected a stall, got {stall}");
+        };
+        assert_eq!(graph.finished, [0]);
+        let blocked: Vec<_> = graph.blocked.iter().map(|b| (b.rank, &b.cause)).collect();
+        assert_eq!(
+            blocked,
+            [(1, &comm::WaitCause::Collective { kind: "scatter" })]
+        );
+        // The runner reports the master's error, not the stall it caused.
+        let crate::runner::Failure::Device(0, AssignError { stage, .. }) = failure else {
+            panic!("expected rank 0's error, got {failure:?}");
+        };
+        assert_eq!(stage, AssignStage::Trace);
+    }
+
     #[test]
     fn a_malformed_round_is_an_error_on_the_worker_not_a_panic() {
         let (got, untouched) = worker_outcome(|_, _| {});

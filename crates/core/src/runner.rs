@@ -4,7 +4,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::decompose::build_partitions;
-use crate::error::{DeviceError, Error};
+use crate::error::Error;
 use crate::metrics::{
     fold_run_metrics, schedule_for, DeviceEpochRecord, DeviceTallies, EpochMetrics, MetricParts,
     RunResult,
@@ -17,6 +17,51 @@ use obs::critpath::{CritPathReport, FlightLog};
 use obs::time::straggler;
 use std::cell::RefCell;
 use tensor::Rng;
+
+/// Why [`run_devices`] has no outputs.
+#[derive(Debug)]
+pub(crate) enum Failure<E> {
+    /// The lowest rank whose body returned an error, and that error.
+    Device(usize, E),
+    /// The cluster failed with no body error to explain it.
+    Cluster(comm::ClusterError),
+}
+
+/// Runs the `async` body `device` builds for each rank on the event core
+/// and returns the bodies' outputs in rank order. A body that fails stops
+/// there, and its peers then stall at their next collective: the cluster
+/// reports that stall, so the error of the lowest failing rank is kept and
+/// wins over it.
+pub(crate) fn run_devices<T, E, Fut>(
+    n: usize,
+    recorder: Option<&mut comm::FlightRecorder>,
+    mut device: impl FnMut(comm::AsyncDevice) -> Fut,
+) -> Result<Vec<T>, Failure<E>>
+where
+    Fut: std::future::Future<Output = Result<T, E>>,
+{
+    let failure: RefCell<Option<(usize, E)>> = RefCell::new(None);
+    let failure_ref = &failure;
+    let run = Cluster::try_run_async(n, None, recorder, |dev| {
+        let rank = dev.rank();
+        let body = device(dev);
+        async move {
+            body.await
+                .map_err(|error| {
+                    let mut first = failure_ref.borrow_mut();
+                    if first.as_ref().is_none_or(|(r, _)| rank < *r) {
+                        *first = Some((rank, error));
+                    }
+                })
+                .ok()
+        }
+    });
+    if let Some((rank, error)) = failure.into_inner() {
+        return Err(Failure::Device(rank, error));
+    }
+    let outputs = run.map_err(Failure::Cluster)?.outputs;
+    Ok(outputs.into_iter().flatten().collect())
+}
 
 /// Runs one experiment end-to-end on the discrete-event cluster core and
 /// returns its result.
@@ -96,12 +141,6 @@ pub fn run_experiment_profiled(
 
     let parts_ref = &parts;
     let cost_ref = &cost;
-    // A device that receives a malformed halo block or assigner message
-    // stops, and its peers then stall at their next collective: the cluster
-    // reports that stall, so the cause is kept here (the lowest failing
-    // rank's) and wins.
-    let failure: RefCell<Option<(usize, DeviceError)>> = RefCell::new(None);
-    let failure_ref = &failure;
     let device = |dev: comm::AsyncDevice| async move {
         let rank = dev.rank();
         let trainer = DeviceTrainer::new(
@@ -112,27 +151,17 @@ pub fn run_experiment_profiled(
             cost_ref,
             cfg.seed,
         );
-        let run = trainer.run().await;
-        run.map_err(|error| {
-            let mut first = failure_ref.borrow_mut();
-            if first.as_ref().is_none_or(|(r, _)| rank < *r) {
-                *first = Some((rank, error));
-            }
-        })
-        .ok()
+        trainer.run().await
     };
-    // One recorder, armed when either view of its log is wanted. It reads
-    // the cost model purely to annotate message departures with the
-    // theta*bytes + gamma split; the scheduler itself keeps running
-    // uncosted, exactly as in an unrecorded run.
+    // One recorder, armed when either view of its log is wanted; the
+    // scheduler keeps running uncosted, exactly as in an unrecorded run.
     let record = cfg.training.telemetry || cfg.training.profile;
-    let mut recorder = record.then(|| comm::FlightRecorder::new(n, Some(&cost)));
-    let (run, train_seconds) =
-        comm::timing::measure(|| Cluster::try_run_async(n, None, recorder.as_mut(), device));
-    if let Some((rank, error)) = failure.into_inner() {
-        return Err(error.on(rank));
-    }
-    let outputs: Vec<DeviceOutput> = run?.outputs.into_iter().flatten().collect();
+    let mut recorder = record.then(|| comm::FlightRecorder::new(n));
+    let (run, train_seconds) = comm::timing::measure(|| run_devices(n, recorder.as_mut(), device));
+    let outputs: Vec<DeviceOutput> = run.map_err(|failure| match failure {
+        Failure::Device(rank, error) => error.on(rank),
+        Failure::Cluster(error) => Error::from(error),
+    })?;
     let flight = recorder.map(comm::FlightRecorder::finish);
     let (records, tallies): (Vec<_>, Vec<Option<DeviceTallies>>) = outputs.into_iter().unzip();
 

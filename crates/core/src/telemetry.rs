@@ -337,7 +337,7 @@ mod tests {
 
     /// A one-device flight log holding `charges` as `(epoch, seconds, span)`.
     fn charged(charges: Vec<(usize, f64, Span)>) -> TelemetryLog {
-        let mut rec = comm::FlightRecorder::new(1, None);
+        let mut rec = comm::FlightRecorder::new(1);
         for (epoch, seconds, span) in charges {
             rec.phase_advance(0, 0.0, epoch, seconds, Box::new(span));
         }

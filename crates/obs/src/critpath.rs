@@ -1,10 +1,10 @@
 //! Critical-path analysis over the event scheduler's causal flight log.
 //!
 //! The flight recorder (`comm::flight`) logs every scheduling transition of
-//! the discrete-event cluster — device resume/block, message departure and
-//! arrival, collective front formation and release, and the simulated-time
-//! phase advances the trainer charges — each tagged with its causal
-//! predecessor (a program-order, message, or collective-rendezvous edge).
+//! the discrete-event cluster — device resume and completion, collective
+//! front formation and release, and the simulated-time phase advances the
+//! trainer charges — each tagged with its causal predecessor (a
+//! program-order or collective-rendezvous edge).
 //! This module holds the backend-neutral data model for that log plus the
 //! post-run analyzer that walks the event DAG to answer "where does the
 //! epoch time go?":
@@ -13,8 +13,8 @@
 //!   segments classified into compute / wire / serialization-quant /
 //!   collective-wait / assigner-solve;
 //! * per-device **busy-vs-blocked idle fractions**, idle time attributed to
-//!   the collective rendezvous that closes every epoch, with per-cause wait
-//!   counts from the recorded block events;
+//!   the collective rendezvous that closes every epoch, with wait counts
+//!   from the recorded collective parks;
 //! * a top-k **straggler report** ranking devices by time-on-critical-path.
 //!
 //! The analyzer replays the trainer's charges exactly: per `(rank, epoch)`
@@ -35,17 +35,8 @@ use std::collections::BTreeMap;
 pub enum FlightOp {
     /// The device was (re)dispatched by the scheduler.
     Resume,
-    /// The device parked on an empty `(src, tag)` mailbox key
-    /// (`peer`/`tag` name the key — the recorder's image of
-    /// `comm::waitgraph::WaitCause::Recv`).
-    Block,
     /// The device's program returned.
     Done,
-    /// A message left this rank (`peer` = destination; `wire_seconds` /
-    /// `latency_seconds` carry the link's `theta * bytes` / `gamma` split).
-    MessageDepart,
-    /// A message was delivered to this rank (`peer` = source).
-    MessageArrive,
     /// The trainer charged `seconds` of simulated `phase` time during
     /// `epoch`, advancing this rank's clock.
     PhaseAdvance,
@@ -62,8 +53,6 @@ pub enum FlightOp {
 pub enum EdgeKind {
     /// Same-rank program order: the previous event of the same device.
     Program,
-    /// A message dependency: the matching departure of a received payload.
-    Message,
     /// A collective rendezvous: the park event that completed the front.
     Rendezvous,
 }
@@ -80,22 +69,6 @@ pub struct FlightEvent {
     pub t: f64,
     /// What happened.
     pub op: FlightOp,
-    /// Peer rank: destination for departures, source for arrivals and
-    /// receive blocks.
-    #[serde(default)]
-    pub peer: Option<usize>,
-    /// Message tag for departures, arrivals and receive blocks.
-    #[serde(default)]
-    pub tag: Option<u64>,
-    /// Payload size for departures and arrivals.
-    #[serde(default)]
-    pub bytes: Option<usize>,
-    /// Bandwidth term (`theta * bytes`) of a departure's link cost, seconds.
-    #[serde(default)]
-    pub wire_seconds: f64,
-    /// Latency term (`gamma`) of a departure's link cost, seconds.
-    #[serde(default)]
-    pub latency_seconds: f64,
     /// Collective kind name for front formation/release events.
     #[serde(default)]
     pub collective: Option<String>,
@@ -130,11 +103,6 @@ impl FlightEvent {
             rank,
             t,
             op,
-            peer: None,
-            tag: None,
-            bytes: None,
-            wire_seconds: 0.0,
-            latency_seconds: 0.0,
             collective: None,
             phase: None,
             epoch: None,
@@ -242,8 +210,6 @@ pub struct DeviceProfile {
     /// Seconds of the critical path carried by this rank (epochs where it
     /// was the bottleneck).
     pub critical_seconds: f64,
-    /// Recorded point-to-point receive blocks (from the flight log).
-    pub recv_waits: u64,
     /// Recorded collective-rendezvous blocks (from the flight log).
     pub collective_waits: u64,
 }
@@ -307,7 +273,6 @@ pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathRep
     // Re-fold the phase advances per (epoch, rank) in log order — the same
     // order the trainer charged them, so every f64 addition matches.
     let mut sums = vec![vec![TimeBreakdown::new(); n]; epochs];
-    let mut recv_waits = vec![0u64; n];
     let mut collective_waits = vec![0u64; n];
     for ev in declared() {
         match ev.op {
@@ -316,7 +281,6 @@ pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathRep
                     sums[e][ev.rank].charge(phase, ev.seconds.max(0.0));
                 }
             }
-            FlightOp::Block => recv_waits[ev.rank] += 1,
             FlightOp::CollectiveForm => collective_waits[ev.rank] += 1,
             _ => {}
         }
@@ -375,7 +339,6 @@ pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathRep
             idle_seconds: idle[r],
             idle_fraction: if span > 0.0 { idle[r] / span } else { 0.0 },
             critical_seconds: critical[r],
-            recv_waits: recv_waits[r],
             collective_waits: collective_waits[r],
         });
     }
@@ -449,12 +412,11 @@ impl CritPathReport {
         ));
         for d in &self.devices {
             out.push_str(&format!(
-                "  rank {}: busy {:.6}s, idle {:.6}s ({:.1}% idle; waits: {} recv, {} collective)\n",
+                "  rank {}: busy {:.6}s, idle {:.6}s ({:.1}% idle; {} collective waits)\n",
                 d.rank,
                 d.busy_seconds,
                 d.idle_seconds,
                 100.0 * d.idle_fraction,
-                d.recv_waits,
                 d.collective_waits
             ));
         }
@@ -497,10 +459,9 @@ fn num_f(v: f64) -> Value {
 
 /// Renders the flight log as a Chrome trace (`chrome://tracing`, Perfetto)
 /// with paired `B`/`E` slices for every phase advance *plus* flow (`s`/`f`)
-/// arrows along the log's message and collective-rendezvous edges, so
-/// causal dependencies render as arrows between device tracks. Instant
-/// events mark departures, arrivals and releases so the flow endpoints stay
-/// visible.
+/// arrows along the log's collective-rendezvous edges, so causal
+/// dependencies render as arrows between device tracks. Instant events mark
+/// the releases so the flow endpoints stay visible.
 #[expect(clippy::expect_used, reason = "an in-memory Value always encodes")]
 pub fn chrome_trace_flow(log: &FlightLog) -> String {
     let us = |t: f64| num_f(t * 1e6);
@@ -567,27 +528,13 @@ pub fn chrome_trace_flow(log: &FlightLog) -> String {
                     ]));
                 }
             }
-            FlightOp::MessageDepart | FlightOp::MessageArrive | FlightOp::CollectiveRelease => {
-                let name = match ev.op {
-                    FlightOp::MessageDepart => "depart",
-                    FlightOp::MessageArrive => "arrive",
-                    _ => "release",
-                };
+            FlightOp::CollectiveRelease => {
                 let mut args = vec![];
-                if let Some(peer) = ev.peer {
-                    args.push(("peer", num_u(peer as u64)));
-                }
-                if let Some(tag) = ev.tag {
-                    args.push(("tag", num_u(tag)));
-                }
-                if let Some(bytes) = ev.bytes {
-                    args.push(("bytes", num_u(bytes as u64)));
-                }
                 if let Some(kind) = &ev.collective {
                     args.push(("kind", s(kind)));
                 }
                 events.push(obj(vec![
-                    ("name", s(name)),
+                    ("name", s("release")),
                     ("cat", s("event")),
                     ("ph", s("i")),
                     ("s", s("t")),
@@ -606,7 +553,6 @@ pub fn chrome_trace_flow(log: &FlightLog) -> String {
         };
         let cat = match cause {
             EdgeKind::Program => continue,
-            EdgeKind::Message => "message-edge",
             EdgeKind::Rendezvous => "rendezvous-edge",
         };
         if let Some((src_rank, src_t)) = at.get(&pred) {
@@ -735,17 +681,12 @@ mod tests {
     #[test]
     fn wait_counts_come_from_block_events() {
         let mut log = two_rank_log();
-        let mut block = FlightEvent::new(8, 1, 5.0, FlightOp::Block);
-        block.peer = Some(0);
-        block.tag = Some(3);
-        log.events.push(block);
-        let mut form = FlightEvent::new(9, 1, 5.0, FlightOp::CollectiveForm);
+        let mut form = FlightEvent::new(8, 1, 5.0, FlightOp::CollectiveForm);
         form.collective = Some("gather".into());
         log.events.push(form);
         let report = analyze(&log, Schedule::Serial, 2);
-        assert_eq!(report.devices[1].recv_waits, 1);
         assert_eq!(report.devices[1].collective_waits, 1);
-        assert_eq!(report.devices[0].recv_waits, 0);
+        assert_eq!(report.devices[0].collective_waits, 0);
     }
 
     #[test]
@@ -800,13 +741,9 @@ mod tests {
     #[test]
     fn flight_log_round_trips_through_serde() {
         let mut log = two_rank_log();
-        let mut depart = FlightEvent::new(8, 0, 8.0, FlightOp::MessageDepart);
-        depart.peer = Some(1);
-        depart.tag = Some(9);
-        depart.bytes = Some(128);
-        depart.wire_seconds = 0.5;
-        depart.latency_seconds = 0.1;
-        log.events.push(depart.caused_by(EdgeKind::Program, 3));
+        let mut form = FlightEvent::new(8, 0, 8.0, FlightOp::CollectiveForm);
+        form.collective = Some("gather".into());
+        log.events.push(form.caused_by(EdgeKind::Program, 3));
         let json = serde_json::to_string(&log).expect("encodes");
         let back: FlightLog = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, log);
@@ -816,23 +753,21 @@ mod tests {
     #[test]
     fn flow_trace_emits_slices_and_flow_arrows() {
         let mut log = two_rank_log();
-        let mut depart = FlightEvent::new(8, 0, 8.0, FlightOp::MessageDepart);
-        depart.peer = Some(1);
-        depart.tag = Some(9);
-        depart.bytes = Some(128);
-        log.events.push(depart.caused_by(EdgeKind::Program, 3));
-        let mut arrive = FlightEvent::new(9, 1, 8.0, FlightOp::MessageArrive);
-        arrive.peer = Some(0);
-        arrive.tag = Some(9);
-        arrive.bytes = Some(128);
-        log.events.push(arrive.caused_by(EdgeKind::Message, 8));
+        let mut form = FlightEvent::new(8, 0, 8.0, FlightOp::CollectiveForm);
+        form.collective = Some("gather".into());
+        log.events.push(form.caused_by(EdgeKind::Program, 3));
+        for (seq, rank) in [(9, 0), (10, 1)] {
+            let mut release = FlightEvent::new(seq, rank, 8.0, FlightOp::CollectiveRelease);
+            release.collective = Some("gather".into());
+            log.events.push(release.caused_by(EdgeKind::Rendezvous, 8));
+        }
         let trace = chrome_trace_flow(&log);
         assert!(trace.contains("traceEvents"));
         assert!(trace.contains("\"B\""));
         assert!(trace.contains("\"E\""));
         assert!(trace.contains("\"s\""));
         assert!(trace.contains("\"f\""));
-        assert!(trace.contains("message-edge"));
+        assert!(trace.contains("rendezvous-edge"));
         let parsed: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
         let Some(arr) = parsed.get("traceEvents").and_then(|v| v.as_array()) else {
             panic!("traceEvents missing");

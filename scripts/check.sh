@@ -22,14 +22,7 @@ cargo run --offline --release -p analysis -- --workspace --json \
     | tee results/LINT_findings.json
 
 echo "==> adaqp-lint --explain smoke"
-cargo run --offline -q --release -p analysis -- --explain unmatched-comm >/dev/null
 cargo run --offline -q --release -p analysis -- --explain collective-divergence >/dev/null
-
-echo "==> adaqp-model (exhaustive small-scope model check of every DeviceProgram, n = 2..4)"
-cargo run --offline -q --release -p analysis --bin adaqp-model -- --workspace --json \
-    >results/MODEL_certificates.json
-cargo run --offline -q --release -p analysis --bin adaqp-model -- --workspace >/dev/null
-cargo run --offline -q --release -p analysis --bin adaqp-model -- --explain deadlock >/dev/null
 
 echo "==> sanitizer smoke (ADAQP_SAN=1 pinned tiny run)"
 ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
@@ -71,9 +64,6 @@ cargo run --offline -q --release -p adaqp --bin adaqp -- \
     exit 1
 }
 rm -rf "$SCALE_TMP"
-
-echo "==> deadlock gallery (static flags must match runtime diagnosis)"
-cargo run --offline -q --release --example deadlock_gallery >/dev/null
 
 echo "==> critical-path smoke (pinned Vanilla tiny run vs committed baseline; one run, every view of its one log)"
 CP_TMP="$(mktemp -d)"

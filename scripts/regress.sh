@@ -24,7 +24,7 @@ esac
 
 BASE=results/baseline
 TOL="$BASE/tolerances.json"
-for f in "$BASE/metrics.snapshot.json" "$BASE/MODEL_certificates.json" "$TOL"; do
+for f in "$BASE/metrics.snapshot.json" "$TOL"; do
     [[ -f "$f" ]] || {
         echo "regress: missing $f (commit a baseline first)" >&2
         exit 2
@@ -46,14 +46,6 @@ cargo run -q --release --offline -p adaqp --bin adaqp -- run \
 echo "==> adaqp-regress: fresh snapshot vs $BASE/metrics.snapshot.json" >&2
 cargo run -q --release --offline -p obs --bin adaqp-regress -- \
     "$BASE/metrics.snapshot.json" "$TMP/metrics.json" --tolerances "$TOL"
-
-echo "==> regenerating model certificates (adaqp-model --workspace)" >&2
-cargo run -q --release --offline -p analysis --bin adaqp-model -- --workspace --json \
-    >results/MODEL_certificates.json
-
-echo "==> adaqp-regress: results/MODEL_certificates.json vs baseline" >&2
-cargo run -q --release --offline -p obs --bin adaqp-regress -- \
-    "$BASE/MODEL_certificates.json" results/MODEL_certificates.json --tolerances "$TOL"
 
 if [[ "$MODE" == full ]]; then
     echo "==> regenerating kernel bench record (scripts/bench.sh)" >&2
