@@ -195,15 +195,10 @@ pub fn build_partitions(
     };
 
     // Owned nodes per part, ascending by global id.
-    let owned: Vec<Vec<u32>> = (0..k)
-        .map(|p| {
-            partition
-                .nodes_of(p)
-                .into_iter()
-                .map(|v| v as u32)
-                .collect()
-        })
-        .collect();
+    let mut owned: Vec<Vec<u32>> = vec![Vec::new(); k];
+    for (v, &p) in assignment.iter().enumerate() {
+        owned[p].push(v as u32);
+    }
     // Global -> local index within owner.
     let mut local_index = vec![0u32; dataset.num_nodes()];
     for nodes in &owned {
@@ -233,33 +228,27 @@ pub fn build_partitions(
             |g: u32| -> u32 { halo.binary_search(&g).expect("halo node present") as u32 };
 
         // Send sets: local indices of nodes adjacent to each remote part.
+        // `last[q]` is the last local node listed for `q`, so each node is
+        // listed once per peer however many neighbors it has there.
         let mut send_sets: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut last = vec![u32::MAX; k];
         for (li, &g) in local_nodes.iter().enumerate() {
-            let mut touched = vec![false; k];
+            let li = li as u32;
             for &u in graph.neighbors(g as usize) {
                 let q = assignment[u as usize];
-                if q != rank && !touched[q] {
-                    touched[q] = true;
-                    send_sets[q].push(li as u32);
+                if q != rank && last[q] != li {
+                    last[q] = li;
+                    send_sets[q].push(li);
                 }
             }
         }
 
         // Receive slots: for each source q, the halo slots of q's send set
-        // to us, in q's (ascending-global-id) send order.
+        // to us, in q's (ascending-global-id) send order. We receive exactly
+        // the q-owned nodes of our halo, and the halo is ascending too.
         let mut recv_slots: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for q in 0..k {
-            if q == rank {
-                continue;
-            }
-            // Which of q's nodes do we receive? Exactly the q-owned nodes in
-            // our halo. q sends them ascending by global id; our halo is
-            // ascending too, so iterate our halo filtered by owner == q.
-            for &g in &halo {
-                if assignment[g as usize] == q {
-                    recv_slots[q].push(halo_pos(g));
-                }
-            }
+        for (pos, &g) in halo.iter().enumerate() {
+            recv_slots[assignment[g as usize]].push(pos as u32);
         }
 
         // Aggregation structure over the extended space + central/marginal

@@ -5,19 +5,29 @@
 //! scheme (Karypis & Kumar 1997):
 //!
 //! 1. **Coarsening** — repeated heavy-edge matching merges matched node pairs
-//!    until the graph is small;
+//!    until the graph has about 30 nodes per part; O(n + m) per level, plus
+//!    sorting each coarse node's neighbor list;
 //! 2. **Initial partitioning** — greedy region growing on the coarsest graph,
-//!    balanced by (merged) node weight;
+//!    balanced by (merged) node weight. The coarsest graph is not small (22
+//!    700 nodes at k = 1024), so nothing here scans all parts per node: a
+//!    heap finds the lightest part, and node-to-part connectivity is kept as
+//!    nodes are assigned;
 //! 3. **Uncoarsening + refinement** — the assignment is projected back level
 //!    by level, running boundary Kernighan–Lin-style gain moves at each
-//!    level subject to a balance constraint.
+//!    level subject to a balance constraint; O(n + m) per pass, since a node
+//!    reads only the parts its neighbors are in.
+//!
+//! Each phase picks exactly what a dense scan over all `k` parts would
+//! (DESIGN.md, "Set-up in time linear in edges"); a test-only copy of the
+//! dense phases (`partition/oracle.rs`) is the oracle that checks it.
 //!
 //! Random and block partitioners are provided as baselines for tests and
 //! ablations.
 
 use crate::CsrGraph;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use tensor::Rng;
 
 /// Why a partition could not be built.
@@ -149,6 +159,7 @@ impl Partition {
 struct WeightedGraph {
     node_w: Vec<u64>,
     /// Sorted, deduplicated `(neighbor, edge_weight)` lists; no self loops.
+    /// Symmetric, as [`CsrGraph`] is, and every edge weight is at least 1.
     adj: Vec<Vec<(u32, u64)>>,
 }
 
@@ -248,14 +259,8 @@ pub fn try_metis_like(
 
     // Phase 3: project back and refine.
     for li in (0..maps.len()).rev() {
-        let fine = &levels[li];
-        let map = &maps[li];
-        let mut fine_assignment = vec![0usize; fine.num_nodes()];
-        for v in 0..fine.num_nodes() {
-            fine_assignment[v] = assignment[map[v] as usize];
-        }
-        assignment = fine_assignment;
-        refine(fine, k, &mut assignment, rng);
+        assignment = maps[li].iter().map(|&c| assignment[c as usize]).collect();
+        refine(&levels[li], k, &mut assignment, rng);
     }
 
     Partition::try_new(k, assignment)
@@ -263,6 +268,11 @@ pub fn try_metis_like(
 
 /// One round of heavy-edge matching; returns the coarse graph and the
 /// fine-to-coarse map.
+///
+/// Costs O(n + m) plus a sort of each coarse node's neighbor list: each
+/// coarse node's list is accumulated from its representative's and its
+/// mate's lists into a dense per-coarse-node accumulator, and only the
+/// entries touched are read back and reset.
 fn coarsen_once(g: &WeightedGraph, rng: &mut Rng) -> (WeightedGraph, Vec<u32>) {
     let n = g.num_nodes();
     let mut order: Vec<usize> = (0..n).collect();
@@ -287,122 +297,153 @@ fn coarsen_once(g: &WeightedGraph, rng: &mut Rng) -> (WeightedGraph, Vec<u32>) {
             None => mate[v] = v as u32, // matched with itself
         }
     }
-    // Assign coarse ids.
+    // Assign coarse ids; `reps[c]` is the lower-numbered node of pair `c`.
     let mut coarse_of = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut reps: Vec<usize> = Vec::new();
     for v in 0..n {
         if coarse_of[v] != u32::MAX {
             continue;
         }
+        let c = reps.len() as u32;
+        coarse_of[v] = c;
+        coarse_of[mate[v] as usize] = c;
+        reps.push(v);
+    }
+    // Build coarse graph. Edge weights are at least 1, so a zero in `acc`
+    // marks a coarse neighbor not yet touched by the current coarse node.
+    let mut node_w = Vec::with_capacity(reps.len());
+    let mut adj = Vec::with_capacity(reps.len());
+    let mut acc = vec![0u64; reps.len()];
+    let mut touched: Vec<u32> = Vec::new();
+    for (c, &v) in reps.iter().enumerate() {
         let m = mate[v] as usize;
-        coarse_of[v] = next;
-        coarse_of[m] = next;
-        next += 1;
-    }
-    let cn = next as usize;
-    // Build coarse graph.
-    let mut node_w = vec![0u64; cn];
-    for v in 0..n {
-        node_w[coarse_of[v] as usize] += g.node_w[v];
-    }
-    // BTreeMap keeps the accumulated neighbor lists in sorted (and therefore
-    // deterministic) order — no post-hoc sort, no iteration-order hazard.
-    let mut adj_maps: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); cn];
-    for v in 0..n {
-        let cv = coarse_of[v];
-        for &(u, w) in &g.adj[v] {
-            let cu = coarse_of[u as usize];
-            if cu != cv {
-                *adj_maps[cv as usize].entry(cu).or_insert(0) += w;
+        let members: &[usize] = if m == v { &[v] } else { &[v, m] };
+        node_w.push(members.iter().map(|&x| g.node_w[x]).sum::<u64>());
+        for &x in members {
+            for &(u, w) in &g.adj[x] {
+                let cu = coarse_of[u as usize];
+                if cu as usize != c {
+                    if acc[cu as usize] == 0 {
+                        touched.push(cu);
+                    }
+                    acc[cu as usize] += w;
+                }
             }
         }
+        touched.sort_unstable();
+        // Each undirected edge visited from both endpoints: halve.
+        adj.push(
+            touched
+                .iter()
+                .map(|&cu| (cu, std::mem::take(&mut acc[cu as usize]).div_ceil(2).max(1)))
+                .collect::<Vec<_>>(),
+        );
+        touched.clear();
     }
-    let adj: Vec<Vec<(u32, u64)>> = adj_maps
-        .into_iter()
-        .map(|m| {
-            // Each undirected edge visited from both endpoints: halve.
-            m.into_iter()
-                .map(|(u, w)| (u, w.div_ceil(2).max(1)))
-                .collect()
-        })
-        .collect();
     (WeightedGraph { node_w, adj }, coarse_of)
 }
 
 /// Greedy region growing for the initial partition of the coarsest graph.
+///
+/// The lightest part (lowest-numbered on ties) takes the unassigned node of
+/// its frontier most connected to it (earliest in the frontier on ties), or
+/// the next spare node once its frontier runs dry. A `(weight, part)` heap
+/// finds that part in O(log k), and each unassigned node keeps its
+/// connectivity to the parts around it up to date as its neighbors are
+/// assigned (O(m · parts per node) in all), so a pick costs one pass over
+/// the part's frontier with a lookup in a short list per entry.
 fn grow_initial(g: &WeightedGraph, k: usize, rng: &mut Rng) -> Vec<usize> {
     let n = g.num_nodes();
     let total_w: u64 = g.node_w.iter().sum();
     let target_w = total_w as f64 / k as f64;
-    let mut assignment = vec![usize::MAX; n];
-    let mut part_w = vec![0u64; k];
+    let mut grow = Growth {
+        assignment: vec![usize::MAX; n],
+        part_w: vec![0u64; k],
+        conn: vec![Vec::new(); n],
+    };
 
     // Seeds: random distinct nodes.
     let mut seeds: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut seeds);
     let mut frontiers: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (p, &s) in seeds.iter().take(k).enumerate() {
-        assignment[s] = p;
-        part_w[p] += g.node_w[s];
+        grow.join(g, s, p);
         frontiers[p].extend(g.adj[s].iter().map(|&(u, _)| u as usize));
     }
-    let mut remaining: usize = assignment.iter().filter(|&&a| a == usize::MAX).count();
-    let mut spare: Vec<usize> = seeds[k..].to_vec();
-    while remaining > 0 {
-        // Grow the lightest part (k >= 1, so the min always exists).
-        let p = (0..k).min_by_key(|&p| part_w[p]).unwrap_or(0);
-        // Pick the unassigned frontier node most connected to part `p`
-        // (gain-based growing; the coarsest graph is small enough to scan).
-        let mut picked = None;
-        {
-            frontiers[p].retain(|&v| assignment[v] == usize::MAX);
-            let mut best_idx = usize::MAX;
-            let mut best_conn = 0u64;
-            for (idx, &v) in frontiers[p].iter().enumerate() {
-                let conn: u64 = g.adj[v]
-                    .iter()
-                    .filter(|&&(u, _)| assignment[u as usize] == p)
-                    .map(|&(_, w)| w)
-                    .sum();
-                if best_idx == usize::MAX || conn > best_conn {
-                    best_idx = idx;
-                    best_conn = conn;
-                }
-            }
-            if best_idx != usize::MAX {
-                picked = Some(frontiers[p].swap_remove(best_idx));
-            }
-        }
-        // Frontier exhausted: steal any unassigned node.
-        if picked.is_none() {
-            while let Some(v) = spare.pop() {
-                if assignment[v] == usize::MAX {
-                    picked = Some(v);
-                    break;
-                }
-            }
-        }
-        let Some(v) = picked else {
-            // All spare consumed; sweep linearly.
-            if let Some(v) = (0..n).find(|&v| assignment[v] == usize::MAX) {
-                assignment[v] = p;
-                part_w[p] += g.node_w[v];
-                remaining -= 1;
-                continue;
-            }
+    // `(weight, part)` order pops the lowest-numbered of the lightest parts.
+    let mut lightest: BinaryHeap<Reverse<(u64, usize)>> =
+        grow.part_w.iter().copied().zip(0..).map(Reverse).collect();
+    // Every non-seed node, and so every node still unassigned: nodes leave
+    // it only when popped, and a popped node is skipped only if assigned.
+    let mut spare = seeds.split_off(k);
+    for _ in k..n {
+        let Some(Reverse((_, p))) = lightest.pop() else {
             break;
         };
-        assignment[v] = p;
-        part_w[p] += g.node_w[v];
-        remaining -= 1;
-        if (part_w[p] as f64) < target_w * BALANCE_SLACK {
+        frontiers[p].retain(|&v| grow.assignment[v] == usize::MAX);
+        let mut best: Option<(usize, u64)> = None;
+        for (idx, &v) in frontiers[p].iter().enumerate() {
+            let c = grow.conn[v]
+                .iter()
+                .find(|&&(q, _)| q == p)
+                .map_or(0, |&(_, w)| w);
+            if best.is_none_or(|(_, bc)| c > bc) {
+                best = Some((idx, c));
+            }
+        }
+        let picked = match best {
+            Some((idx, _)) => Some(frontiers[p].swap_remove(idx)),
+            // Frontier exhausted: steal any unassigned node.
+            None => std::iter::from_fn(|| spare.pop()).find(|&v| grow.assignment[v] == usize::MAX),
+        };
+        let Some(v) = picked else {
+            break;
+        };
+        grow.join(g, v, p);
+        lightest.push(Reverse((grow.part_w[p], p)));
+        if (grow.part_w[p] as f64) < target_w * BALANCE_SLACK {
             frontiers[p].extend(g.adj[v].iter().map(|&(u, _)| u as usize));
         }
     }
-    assignment
+    grow.assignment
+}
+
+/// Region-growing state.
+struct Growth {
+    assignment: Vec<usize>,
+    part_w: Vec<u64>,
+    /// For each unassigned node, `(part, weight of its edges into part)`
+    /// for every part that holds a neighbor of it.
+    conn: Vec<Vec<(usize, u64)>>,
+}
+
+impl Growth {
+    /// Assigns `v` to part `p` and credits `v`'s edges to its unassigned
+    /// neighbors. The adjacency is symmetric, so this is the connectivity
+    /// each neighbor would read off its own list.
+    fn join(&mut self, g: &WeightedGraph, v: usize, p: usize) {
+        self.assignment[v] = p;
+        self.part_w[p] += g.node_w[v];
+        self.conn[v] = Vec::new();
+        for &(u, w) in &g.adj[v] {
+            let u = u as usize;
+            if self.assignment[u] != usize::MAX {
+                continue;
+            }
+            match self.conn[u].iter_mut().find(|(q, _)| *q == p) {
+                Some((_, cw)) => *cw += w,
+                None => self.conn[u].push((p, w)),
+            }
+        }
+    }
 }
 
 /// Boundary refinement: greedy gain moves subject to balance.
+///
+/// A pass costs O(n + m): a node its part cannot spare is skipped in O(1),
+/// an interior node after reading its list up to the first outside
+/// neighbor, and a boundary node accumulates its connectivity into one
+/// reused array and reads back and resets only the parts it touched.
 fn refine(g: &WeightedGraph, k: usize, assignment: &mut [usize], rng: &mut Rng) {
     let n = g.num_nodes();
     let total_w: u64 = g.node_w.iter().sum();
@@ -413,41 +454,54 @@ fn refine(g: &WeightedGraph, k: usize, assignment: &mut [usize], rng: &mut Rng) 
         part_w[assignment[v]] += g.node_w[v];
     }
     let mut order: Vec<usize> = (0..n).collect();
+    // Connectivity to each part; zero outside `touched` between nodes.
+    // Edge weights are at least 1, so zero also means "not touched yet".
+    let mut conn = vec![0u64; k];
+    let mut touched: Vec<usize> = Vec::new();
     for _ in 0..REFINE_PASSES {
         rng.shuffle(&mut order);
         let mut moved = 0usize;
         for &v in &order {
             let from = assignment[v];
-            // Connectivity to each part.
-            let mut conn = vec![0u64; k];
-            let mut is_boundary = false;
-            for &(u, w) in &g.adj[v] {
-                let pu = assignment[u as usize];
-                conn[pu] += w;
-                if pu != from {
-                    is_boundary = true;
-                }
-            }
-            if !is_boundary || part_w[from] < min_w + g.node_w[v] {
+            let w_v = g.node_w[v];
+            if part_w[from] < min_w + w_v
+                || g.adj[v]
+                    .iter()
+                    .all(|&(u, _)| assignment[u as usize] == from)
+            {
                 continue;
             }
-            // Best destination by gain.
+            for &(u, w) in &g.adj[v] {
+                let pu = assignment[u as usize];
+                if conn[pu] == 0 {
+                    touched.push(pu);
+                }
+                conn[pu] += w;
+            }
+            // Best destination: the lowest-numbered part of maximal
+            // positive gain, whatever the order of `touched`. A positive
+            // gain needs a neighbor in the destination, so no untouched
+            // part can win.
             let mut best_to = from;
             let mut best_gain = 0i64;
-            for to in 0..k {
-                if to == from || part_w[to] + g.node_w[v] > max_w {
+            for &to in &touched {
+                if to == from || part_w[to] + w_v > max_w {
                     continue;
                 }
                 let gain = conn[to] as i64 - conn[from] as i64;
-                if gain > best_gain {
+                if gain > best_gain || (gain == best_gain && gain > 0 && to < best_to) {
                     best_gain = gain;
                     best_to = to;
                 }
             }
+            for &p in &touched {
+                conn[p] = 0;
+            }
+            touched.clear();
             if best_to != from {
                 assignment[v] = best_to;
-                part_w[from] -= g.node_w[v];
-                part_w[best_to] += g.node_w[v];
+                part_w[from] -= w_v;
+                part_w[best_to] += w_v;
                 moved += 1;
             }
         }
@@ -473,10 +527,58 @@ pub fn block_partition(graph: &CsrGraph, k: usize) -> Partition {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{sbm, skewed_communities};
     use crate::stats::edge_cut;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The linear-time phases pick exactly what the dense ones picked:
+        /// the same matchings, seeds, growth order and refinement moves.
+        #[test]
+        fn sparse_phases_match_the_dense_oracle(
+            shape in 0usize..3,
+            n in 40usize..2500,
+            k in 2usize..65,
+            seed in 0u64..1_000_000,
+        ) {
+            let n = n.max(k);
+            let mut rng = Rng::seed_from(seed);
+            let g = match shape {
+                // Community graph: coarsens for every k below n / 30.
+                0 => {
+                    let classes = 2 + rng.below(12).min(n - 2);
+                    let blocks = skewed_communities(n, classes, &mut rng);
+                    sbm(&blocks, 2.0 + rng.below(12) as f64, rng.below(4) as f64, &mut rng)
+                }
+                // Star: heavy-edge matching degenerates after one round.
+                1 => {
+                    let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
+                    CsrGraph::from_edges(n, &edges)
+                }
+                // Disconnected: communities with no edge between them, and
+                // isolated nodes, so growth runs out of frontier.
+                _ => {
+                    let blocks = skewed_communities(n, 2 + rng.below(6).min(n - 2), &mut rng);
+                    let g = sbm(&blocks, 1.0 + rng.below(6) as f64, 0.0, &mut rng);
+                    let edges: Vec<(u32, u32)> = g
+                        .edges()
+                        .filter(|&(u, v)| u % 7 != 0 && v % 7 != 0)
+                        .collect();
+                    CsrGraph::from_edges(n, &edges)
+                }
+            };
+            let got = try_metis_like(&g, k, &mut Rng::seed_from(seed ^ 1)).expect("k <= n");
+            let want = oracle::metis_like(&g, k, &mut Rng::seed_from(seed ^ 1));
+            prop_assert_eq!(got.assignment, want);
+        }
+    }
 
     fn community_graph(n: usize, classes: usize, seed: u64) -> (CsrGraph, Vec<usize>) {
         let mut rng = Rng::seed_from(seed);

@@ -70,3 +70,35 @@ fn different_seeds_actually_vary() {
         "seeds 1 and 2 produced identical runs; rng is likely ignored"
     );
 }
+
+/// FNV-1a-64 over `assignment[v] as u64`, little-endian bytes.
+fn assignment_digest(assignment: &[usize]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &p in assignment {
+        for b in (p as u64).to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The multilevel partitioner's assignments, pinned bit for bit: every
+/// downstream result is computed on them, so a rewrite of a phase that
+/// picks a different matching, seed or move shows here first.
+#[test]
+fn golden_assignment_digests_survive_refactors() {
+    let seed = 4242u64;
+    let cases = [
+        (DatasetSpec::reddit_sim(), 8usize, 0x1c24_c3ee_1ac8_15c1u64),
+        (DatasetSpec::reddit_sim(), 32, 0xe2cf_3789_9f4d_cd23),
+        (DatasetSpec::tiny().scaled(64.0), 256, 0x2865_ba42_980d_e0cd),
+    ];
+    for (spec, k, want) in cases {
+        let ds = spec.generate(seed);
+        let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
+        let part = try_metis_like(&ds.graph, k, &mut rng).expect("partitions");
+        let got = assignment_digest(&part.assignment);
+        assert_eq!(got, want, "k = {k}: digest {got:016x}, pinned {want:016x}");
+    }
+}

@@ -2,16 +2,18 @@
 # Kernel benchmark harness: runs the criterion benches that cover the
 # deterministic parallel runtime (matmul, aggregation, quant_kernels,
 # agg_parallel), the assigner's control plane (assigner_round), the halo
-# exchange at message granularity (halo_exchange) and the hidden layer's
-# elementwise tail (dense_tail) in quick mode and records every reported
-# mean into
+# exchange at message granularity (halo_exchange), the hidden layer's
+# elementwise tail (dense_tail) and set-up (partition: the multilevel
+# partitioner and build_partitions) in quick mode and records every
+# reported mean into
 # results/BENCH_kernels.json as {bench -> {ns, threads}}.
 #
 # threads is parsed from the `_t<N>` suffix the agg_parallel benches encode
 # in their ids (null for thread-agnostic benches). Pass --full for the
 # longer default sampling windows, or --smoke (used by scripts/check.sh) to
-# run only agg_parallel on a tiny problem, assigner_round at 32 devices and
-# dense_tail at its small shape, and leave the recorded JSON alone.
+# run only agg_parallel on a tiny problem, assigner_round at 32 devices,
+# dense_tail at its small shape and the 256-part partition case with its
+# assignment digest check, and leave the recorded JSON alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +41,7 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round halo_exchange dense_tail)
+BENCHES=(matmul aggregation quant_kernels agg_parallel assigner_round halo_exchange dense_tail partition)
 if [[ "$SMOKE" == 1 ]]; then
     BENCHES=(agg_parallel)
 fi
@@ -56,6 +58,10 @@ if [[ "$SMOKE" == 1 ]]; then
     # The fused tail kernels at the halo32 per-device shape.
     echo "==> cargo bench -p bench --bench dense_tail -- 188" >&2
     cargo bench --offline -q -p bench --bench dense_tail -- 188 | tee -a "$RAW"
+    # The 256-way fleet partition, checked against its pinned assignment
+    # digest before it is timed, and build_partitions over it.
+    echo "==> cargo bench -p bench --bench partition -- 256" >&2
+    cargo bench --offline -q -p bench --bench partition -- 256 | tee -a "$RAW"
 fi
 
 mkdir -p "$OUT_DIR"
