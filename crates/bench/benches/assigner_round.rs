@@ -4,7 +4,9 @@
 //! devices. Trace encode and worker decode cover the whole fleet's devices,
 //! one after another, as the single-process simulator pays for them.
 //! Workers decode in place, into tables `WidthAssignment::fixed` sized from
-//! their partitions once, outside the timed loop — as the trainer does.
+//! their partitions once, outside the timed loop — as the trainer does. A
+//! reply carries only the widths its device sends, so each pair's widths
+//! are encoded and decoded once.
 //!
 //! `results/baseline/tolerances.json` gates two ratios of these entries:
 //! `control_plane` (every encode and decode, both directions) over

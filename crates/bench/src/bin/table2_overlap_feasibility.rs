@@ -66,7 +66,6 @@ fn main() {
                 quant_cpu_seconds: 0.0,
                 quant_ops: 0.0,
                 encode_stats: quant::EncodeStats::default(),
-                streamed_send: vec![0.0; k],
             };
             comm_secs += stats.ring_seconds(&cost, p.rank) * passes as f64;
         }

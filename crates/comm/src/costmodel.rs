@@ -116,30 +116,19 @@ impl CostModel {
     /// Seconds `rank` spends in one unsynchronized ring all2all (Fig. 8,
     /// the Table 2 model): in each of the `n - 1` rounds it waits for the
     /// longer of its own send and its own receive on full-duplex links.
-    /// `sent` / `recv` are bytes per peer rank. `send_floor[dst]`, where
-    /// present, is a lower bound on the send to `dst` — the pipelined
-    /// quantize+send seconds of a streamed destination, which already fold
-    /// the encode in and are never less than the bare transfer; pass `&[]`
-    /// for plain transfers.
+    /// `sent` / `recv` are bytes per peer rank.
     ///
     /// # Panics
     ///
     /// Panics if `rank` is out of range or a byte table is shorter than the
     /// device count.
-    pub fn ring_seconds(
-        &self,
-        rank: usize,
-        sent: &[usize],
-        recv: &[usize],
-        send_floor: &[f64],
-    ) -> f64 {
+    pub fn ring_seconds(&self, rank: usize, sent: &[usize], recv: &[usize]) -> f64 {
         let n = self.n;
         let mut t = 0.0;
         for round in 1..n {
             let dst = (rank + round) % n;
             let src = (rank + n - round) % n;
-            let floor = send_floor.get(dst).copied().unwrap_or(0.0);
-            let send = self.transfer_time(rank, dst, sent[dst]).max(floor);
+            let send = self.transfer_time(rank, dst, sent[dst]);
             t += send.max(self.transfer_time(src, rank, recv[src]));
         }
         t

@@ -311,7 +311,7 @@ fn run_collective(
                     for (src, payload) in &inbox {
                         recv_bytes[*src as usize] = payload.len();
                     }
-                    elapsed = cost.ring_seconds(rank, &send_bytes, &recv_bytes, &[]);
+                    elapsed = cost.ring_seconds(rank, &send_bytes, &recv_bytes);
                     for &(dst, _) in &sent[rank] {
                         send_bytes[dst as usize] = 0;
                     }

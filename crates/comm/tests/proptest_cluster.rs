@@ -128,7 +128,7 @@ proptest! {
             let recv: Vec<usize> = lens.iter().map(|row| row[me]).collect();
             prop_assert_eq!(
                 sparse.clocks[me].to_bits(),
-                cost.ring_seconds(me, &lens[me], &recv, &[]).to_bits(),
+                cost.ring_seconds(me, &lens[me], &recv).to_bits(),
                 "rank {} clock against CostModel::ring_seconds", me
             );
         }

@@ -33,49 +33,27 @@ pub enum AssignMode {
 
 /// Per-device bit-width assignment for every layer and direction.
 ///
-/// `fwd`/`bwd` cover the messages this device *sends*; `fwd_recv`/`bwd_recv`
-/// cover the ones it *receives* (the paper's "bit-retrieval index set" —
-/// needed to decode the group-major wire format, where row widths are not
-/// on the wire).
+/// Both tables cover the messages this device *sends*. The receiver needs
+/// no copy: every row of the wire carries its own width (`quant::codec`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WidthAssignment {
     /// `fwd[layer][dst]`, aligned with `part.send_sets[dst]`.
     pub fwd: Vec<Vec<Vec<BitWidth>>>,
     /// `bwd[layer][peer]`, aligned with `part.recv_slots[peer]`.
     pub bwd: Vec<Vec<Vec<BitWidth>>>,
-    /// Widths of incoming forward messages: `fwd_recv[layer][src]`, aligned
-    /// with `part.recv_slots[src]` (the sender's `fwd[layer][me]`).
-    pub fwd_recv: Vec<Vec<Vec<BitWidth>>>,
-    /// Widths of incoming backward messages: `bwd_recv[layer][src]`, aligned
-    /// with `part.send_sets[src]` (the sender's `bwd[layer][me]`).
-    pub bwd_recv: Vec<Vec<Vec<BitWidth>>>,
 }
 
 impl WidthAssignment {
     /// All messages at one fixed width (the "naive message quantization" of
     /// Sec. 3.2 and the starting state before the first solve).
     pub fn fixed(part: &DevicePartition, num_layers: usize, width: BitWidth) -> Self {
-        let per_send: Vec<Vec<Vec<BitWidth>>> = (0..num_layers)
-            .map(|_| {
-                part.send_sets
-                    .iter()
-                    .map(|s| vec![width; s.len()])
-                    .collect()
-            })
-            .collect();
-        let per_recv: Vec<Vec<Vec<BitWidth>>> = (0..num_layers)
-            .map(|_| {
-                part.recv_slots
-                    .iter()
-                    .map(|s| vec![width; s.len()])
-                    .collect()
-            })
-            .collect();
+        let table = |sets: &[Vec<u32>]| -> Vec<Vec<Vec<BitWidth>>> {
+            let per_peer = || sets.iter().map(|s| vec![width; s.len()]).collect();
+            (0..num_layers).map(|_| per_peer()).collect()
+        };
         Self {
-            fwd: per_send.clone(),
-            bwd: per_recv.clone(),
-            fwd_recv: per_recv,
-            bwd_recv: per_send,
+            fwd: table(&part.send_sets),
+            bwd: table(&part.recv_slots),
         }
     }
 
@@ -321,10 +299,6 @@ pub async fn reassign(
                 sample_uniform(&mut assignment.fwd[l], cfg.group_size, rng);
                 sample_uniform(&mut assignment.bwd[l], cfg.group_size, rng);
             }
-            // Receive-side tables stay at the B8 placeholder: uniform mode
-            // samples widths locally without coordination, so peers cannot
-            // know them — the row-major wire format (which carries widths)
-            // must be used with this mode.
             Ok(SolveStats::default())
         }
         AssignMode::Adaptive => reassign_adaptive(dev, part, cost, trace, cfg, assignment).await,
@@ -689,46 +663,30 @@ impl PairTable {
     ///
     /// ```text
     /// layers u32
-    /// per layer: forward sent, forward received, backward sent, backward received:
+    /// per layer: forward sent, backward sent:
     ///     peers u32 | per peer with messages, ascending: peer u32, count u32, width u8 x count
     /// ```
     ///
-    /// What `src` sends to `dst` is what `dst` receives from `src` (the
-    /// bit-retrieval index set), so each pair's widths are copied twice:
-    /// into the sender's "sent" block and the receiver's "received" block.
+    /// Each pair's widths go to its sender only: the receiver reads them
+    /// off the wire, where every row carries its own width.
     pub fn encode_replies(&self, widths: &[Vec<u8>]) -> Vec<Vec<u8>> {
         assert_eq!(
             widths.len(),
             self.num_sections(),
             "one width table per section"
         );
-        let n = self.n;
-        let mut lens = vec![4 + 8 * self.num_sections(); n];
-        for (p, &(src, dst)) in self.ends.iter().enumerate() {
-            let entry = 8 + self.betas_of(p).len();
-            lens[src as usize] += entry;
-            lens[dst as usize] += entry;
+        let mut lens = vec![4 + 4 * self.num_sections(); self.n];
+        for (p, &(src, _)) in self.ends.iter().enumerate() {
+            lens[src as usize] += 8 + self.betas_of(p).len();
         }
         let mut replies: Vec<Vec<u8>> = lens.into_iter().map(Vec::with_capacity).collect();
         for reply in &mut replies {
             put_u32(reply, self.dims.len());
         }
-        let mut by_dst: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (section, widths) in widths.iter().enumerate() {
             let pairs = self.pairs_of(section);
             let base = self.beta_start[pairs.start];
-            let put_pair = |reply: &mut Vec<u8>, p: usize, peer: u32| {
-                put_u32(reply, peer as usize);
-                put_u32(reply, self.betas_of(p).len());
-                reply.extend_from_slice(
-                    &widths[self.beta_start[p] - base..self.beta_start[p + 1] - base],
-                );
-            };
-            by_dst.iter_mut().for_each(Vec::clear);
-            for p in pairs.clone() {
-                by_dst[self.ends[p].1 as usize].push(p);
-            }
-            // Pairs ascend by sender, so each device's sent block is one run.
+            // Pairs ascend by sender, so each device's block is one run.
             let mut sent = pairs.start;
             for (rank, reply) in replies.iter_mut().enumerate() {
                 let run = self.ends[sent..pairs.end]
@@ -737,13 +695,13 @@ impl PairTable {
                     .count();
                 put_u32(reply, run);
                 for p in sent..sent + run {
-                    put_pair(reply, p, self.ends[p].1);
+                    put_u32(reply, self.ends[p].1 as usize);
+                    put_u32(reply, self.betas_of(p).len());
+                    reply.extend_from_slice(
+                        &widths[self.beta_start[p] - base..self.beta_start[p + 1] - base],
+                    );
                 }
                 sent += run;
-                put_u32(reply, by_dst[rank].len());
-                for &p in &by_dst[rank] {
-                    put_pair(reply, p, self.ends[p].0);
-                }
             }
         }
         replies
@@ -821,16 +779,11 @@ impl WidthAssignment {
     ) -> Result<(), WireError> {
         let mut r = Reader(raw);
         let layers = r.u32()?;
-        // Every layer holds at least its four peer counts.
-        if layers as usize > r.0.len() / 16 {
+        // Every layer holds at least its two peer counts.
+        if layers as usize > r.0.len() / 8 {
             return Err(WireError::Truncated);
         }
-        let mut tables = [
-            &mut self.fwd,
-            &mut self.fwd_recv,
-            &mut self.bwd,
-            &mut self.bwd_recv,
-        ];
+        let mut tables = [&mut self.fwd, &mut self.bwd];
         if tables.iter().any(|t| t.len() != layers as usize) {
             return Err(WireError::Layers(layers));
         }
@@ -1134,25 +1087,21 @@ mod tests {
 
     /// The tables [`WidthAssignment::fixed`] would size for device `rank`
     /// if its partition had produced `traces`: what it sends is its own
-    /// trace, what it receives is the peers' traces towards it.
+    /// trace.
     fn shaped_like(traces: &[Trace], rank: usize) -> WidthAssignment {
-        let table = |of: fn(&Trace) -> &Vec<LayerDirTrace>, received: bool| {
-            (0..of(&traces[rank]).len())
-                .map(|l| {
-                    (0..traces.len())
-                        .map(|q| {
-                            let (src, dst) = if received { (q, rank) } else { (rank, q) };
-                            vec![BitWidth::B4; of(&traces[src])[l].ranges[dst].len()]
-                        })
+        let table = |of: &[LayerDirTrace]| {
+            of.iter()
+                .map(|t| {
+                    t.ranges
+                        .iter()
+                        .map(|r| vec![BitWidth::B4; r.len()])
                         .collect()
                 })
                 .collect()
         };
         WidthAssignment {
-            fwd: table(|t| &t.fwd, false),
-            bwd: table(|t| &t.bwd, false),
-            fwd_recv: table(|t| &t.fwd, true),
-            bwd_recv: table(|t| &t.bwd, true),
+            fwd: table(&traces[rank].fwd),
+            bwd: table(&traces[rank].bwd),
         }
     }
 
@@ -1252,20 +1201,19 @@ mod tests {
                         .iter()
                         .map(|&b| BitWidth::from_bits(u32::from(b)).expect("2, 4 or 8"))
                         .collect();
-                    let (sent, received) = if section % 2 == 0 {
-                        (&decoded[src].fwd, &decoded[dst].fwd_recv)
+                    let sent = if section % 2 == 0 {
+                        &decoded[src].fwd
                     } else {
-                        (&decoded[src].bwd, &decoded[dst].bwd_recv)
+                        &decoded[src].bwd
                     };
                     prop_assert_eq!(&sent[layer][dst], &want);
-                    prop_assert_eq!(&received[layer][src], &want);
-                    listed += 2;
+                    listed += 1;
                 }
             }
             // Nothing beyond the pairs: every other peer keeps an empty table.
             let non_empty: usize = decoded
                 .iter()
-                .flat_map(|a| [&a.fwd, &a.bwd, &a.fwd_recv, &a.bwd_recv])
+                .flat_map(|a| [&a.fwd, &a.bwd])
                 .inspect(|t| assert_eq!(t.len(), layers))
                 .flatten()
                 .inspect(|per_peer| assert_eq!(per_peer.len(), n))
@@ -1370,9 +1318,9 @@ mod tests {
         }
     }
 
-    /// A reply for `part`'s rank on a 2-device, 1-layer cluster whose four
+    /// A reply for `part`'s rank on a 2-device, 1-layer cluster whose two
     /// blocks list peer `1 - rank` with the given counts (0 = not listed).
-    fn reply_with_counts(rank: usize, counts: [usize; 4]) -> Vec<u8> {
+    fn reply_with_counts(rank: usize, counts: [usize; 2]) -> Vec<u8> {
         let mut reply = Vec::new();
         put_u32(&mut reply, 1);
         for count in counts {
@@ -1393,13 +1341,13 @@ mod tests {
             let peer = 1 - rank;
             let (sent, received) = (part.send_sets[peer].len(), part.recv_slots[peer].len());
             assert!(sent > 1 && received > 1, "fixture exchanges messages");
-            // fwd, fwd_recv, bwd, bwd_recv, as the partition sizes them.
-            let right = [sent, received, received, sent];
+            // fwd, bwd, as the partition sizes them.
+            let right = [sent, received];
             let before = WidthAssignment::fixed(part, 1, BitWidth::B2);
             let mut a = before.clone();
             assert_eq!(a.decode_into(&reply_with_counts(rank, right), 2), Ok(()));
             assert_eq!(a, WidthAssignment::fixed(part, 1, BitWidth::B8));
-            for block in 0..4 {
+            for block in 0..2 {
                 // One too many, one too few, and a peer with rows left out.
                 for wrong in [right[block] + 1, right[block] - 1, 0] {
                     let mut counts = right;

@@ -57,7 +57,6 @@ USAGE:
   adaqp run --dataset <name> [--method <m>] [--machines N] [--devices N]
             [--epochs N] [--hidden N] [--sage] [--seed N] [--lambda X]
             [--group-size N] [--period N] [--no-overlap] [--error-feedback]
-            [--grouped-wire] [--stream-quant]
             [--rack-size N] [--oversub X] [--scale X] [--json] [--telemetry]
             [--trace <file.json>] [--events <file.jsonl>] [--metrics <path>]
             [--san] [--critical-path <file.json>] [--flow-trace <file.json>]
@@ -74,18 +73,44 @@ DATASETS: reddit-sim | yelp-sim | ogbn-products-sim | amazon-products-sim | tiny
 /// Parsed `--key value` / `--switch` flags.
 type Flags = BTreeMap<String, String>;
 
+/// The `--key value` flags [`USAGE`] lists.
+const VALUE_FLAGS: &[&str] = &[
+    "dataset",
+    "method",
+    "machines",
+    "devices",
+    "epochs",
+    "hidden",
+    "seed",
+    "lambda",
+    "group-size",
+    "period",
+    "rack-size",
+    "oversub",
+    "scale",
+    "trace",
+    "events",
+    "metrics",
+    "critical-path",
+    "flow-trace",
+    "parts",
+];
+
+/// The `--switch` flags [`USAGE`] lists.
+const SWITCHES: &[&str] = &[
+    "sage",
+    "no-overlap",
+    "error-feedback",
+    "json",
+    "markdown",
+    "telemetry",
+    "san",
+];
+
+/// Parses `args` into flags, refusing a flag [`USAGE`] does not list: a
+/// misspelt one would otherwise be ignored, and swallow the next argument
+/// as its value.
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    const SWITCHES: &[&str] = &[
-        "sage",
-        "no-overlap",
-        "error-feedback",
-        "json",
-        "markdown",
-        "grouped-wire",
-        "stream-quant",
-        "telemetry",
-        "san",
-    ];
     let mut flags = Flags::new();
     let mut i = 0;
     while i < args.len() {
@@ -96,6 +121,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         if SWITCHES.contains(&key) {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
+        } else if !VALUE_FLAGS.contains(&key) {
+            return Err(format!("unknown flag `--{key}`"));
         } else {
             let value = args
                 .get(i + 1)
@@ -158,8 +185,6 @@ fn experiment_from(flags: &Flags) -> Result<ExperimentConfig, String> {
     training.use_sage = flags.contains_key("sage");
     training.disable_overlap = flags.contains_key("no-overlap");
     training.error_feedback = flags.contains_key("error-feedback");
-    training.grouped_wire = flags.contains_key("grouped-wire");
-    training.stream_quant = flags.contains_key("stream-quant");
     // Recording is implied by asking for an export.
     training.telemetry = flags.contains_key("telemetry")
         || flags.contains_key("trace")
@@ -286,9 +311,9 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
 }
 
 /// The regress-exempt `_meta` block attached to `--metrics` JSON exports:
-/// run-environment facts (backend, thread count, sanitizer, streaming
-/// codec, git revision) that describe *how* the numbers were produced
-/// without ever being compared as numbers.
+/// run-environment facts (backend, thread count, sanitizer, git revision)
+/// that describe *how* the numbers were produced without ever being
+/// compared as numbers.
 fn run_meta(cfg: &ExperimentConfig) -> serde_json::Value {
     let mut m = serde_json::Map::new();
     m.insert("backend".to_string(), serde_json::to_value("event"));
@@ -299,10 +324,6 @@ fn run_meta(cfg: &ExperimentConfig) -> serde_json::Value {
     m.insert(
         "adaqp_san".to_string(),
         serde_json::Value::Bool(cfg.training.sanitize || tensor::san::enabled()),
-    );
-    m.insert(
-        "stream_quant".to_string(),
-        serde_json::Value::Bool(cfg.training.stream_quant),
     );
     m.insert(
         "git_rev".to_string(),
@@ -472,6 +493,36 @@ mod tests {
     }
 
     #[test]
+    fn parse_flags_rejects_unknown_flags_by_name() {
+        for flag in ["--epoch", "--grouped-wire", "--stream-quant"] {
+            let args: Vec<String> = ["--dataset", "tiny", flag, "5"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = parse_flags(&args).expect_err(flag);
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_in_usage_parses() {
+        let listed: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        // Nothing parses that USAGE does not list, and the reverse.
+        assert_eq!(listed.len(), VALUE_FLAGS.len() + SWITCHES.len());
+        for key in listed {
+            let mut args = vec![format!("--{key}")];
+            if VALUE_FLAGS.contains(&key) {
+                args.push("1".to_string());
+            }
+            let flags = parse_flags(&args).unwrap_or_else(|e| panic!("--{key}: {e}"));
+            assert!(flags.contains_key(key), "--{key}");
+        }
+    }
+
+    #[test]
     fn experiment_from_defaults() {
         let f = flags_of(&["--dataset", "tiny"]);
         let cfg = experiment_from(&f).expect("valid config");
@@ -536,16 +587,12 @@ mod tests {
 
     #[test]
     fn run_meta_names_the_environment_without_numbers_to_regress() {
-        let f = flags_of(&["--dataset", "tiny", "--stream-quant", "--method", "adaqp"]);
+        let f = flags_of(&["--dataset", "tiny", "--method", "adaqp"]);
         let cfg = experiment_from(&f).expect("valid config");
         let serde_json::Value::Object(meta) = run_meta(&cfg) else {
             panic!("meta must be an object");
         };
         assert_eq!(meta.get("backend"), Some(&serde_json::to_value("event")));
-        assert_eq!(
-            meta.get("stream_quant"),
-            Some(&serde_json::Value::Bool(true))
-        );
         assert!(meta.get("threads").is_some());
         assert!(meta.get("adaqp_san").is_some());
         // Present even when unknown (null outside a git checkout).

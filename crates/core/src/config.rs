@@ -79,29 +79,11 @@ pub struct TrainingConfig {
     /// computation with marginal-graph communication (Sec. 3.4 disabled);
     /// epoch time composes serially like Vanilla's.
     pub disable_overlap: bool,
-    /// Use the group-major wire format (the paper's exact serialization:
-    /// messages grouped by bit-width, one contiguous code stream per group,
-    /// no per-row width bytes; receivers decode with the bit-retrieval
-    /// tables the assigner scatters). Only effective with `Method::AdaQp`;
-    /// incompatible with `error_feedback` (which needs per-row residual
-    /// bookkeeping on the row-major path).
-    pub grouped_wire: bool,
     /// Extension (not in the paper): error-feedback quantization — each
     /// device keeps the quantization residual of every message it sends and
     /// adds it back before the next quantization, turning the unbiased
     /// stochastic error into a compensated one (Wu et al. 2018 style).
     pub error_feedback: bool,
-    /// Pipeline quantization with transmission: each peer's block is
-    /// encoded chunk by chunk and charged to the wire as chunks finish
-    /// (`exchange::streamed_send_seconds`), overlapping encode compute with
-    /// the transfer. Wire bytes and training results are bit-identical to
-    /// the non-streamed path; only the time accounting changes. Only
-    /// effective with the quantized row-major exchanges; incompatible with
-    /// `grouped_wire` (the group-major encoder has no chunk schedule) and
-    /// `error_feedback` (residuals need the whole block decoded before the
-    /// send completes).
-    #[serde(default)]
-    pub stream_quant: bool,
     /// Effective inter-machine bandwidth, bytes/second.
     pub inter_bw: f64,
     /// Effective intra-machine bandwidth, bytes/second.
@@ -182,9 +164,7 @@ impl Default for TrainingConfig {
             reassign_period: 20,
             sancus_staleness: 8,
             disable_overlap: false,
-            grouped_wire: false,
             error_feedback: false,
-            stream_quant: false,
             inter_bw: comm::costmodel::DEFAULT_INTER_BW,
             intra_bw: comm::costmodel::DEFAULT_INTRA_BW,
             latency: comm::costmodel::DEFAULT_LATENCY,
@@ -421,8 +401,9 @@ impl ExperimentConfig {
 
     /// Checks the configuration for misuse that would otherwise panic deep
     /// inside partitioning or the cluster: zero devices, zero epochs, empty
-    /// hidden layers, an empty quantization group, or a `device_scales`
-    /// vector whose length disagrees with the device count.
+    /// hidden layers, a dropout outside `[0, 1)`, an empty quantization
+    /// group, a non-finite `lambda`, or a `device_scales` vector whose
+    /// length disagrees with the device count.
     pub fn validate(&self) -> Result<(), Error> {
         if self.machines == 0 || self.devices_per_machine == 0 {
             return Err(Error::InvalidConfig(format!(
@@ -444,19 +425,18 @@ impl ExperimentConfig {
                 "quantization group_size must be > 0".into(),
             ));
         }
-        if self.training.stream_quant && self.training.grouped_wire {
-            return Err(Error::InvalidConfig(
-                "stream_quant is incompatible with grouped_wire: the group-major \
-                 encoder has no chunk schedule to stream"
-                    .into(),
-            ));
+        // `contains` is false for NaN, so NaN is refused too.
+        if !(0.0..1.0).contains(&self.training.dropout) {
+            return Err(Error::InvalidConfig(format!(
+                "dropout must be in [0, 1) (got {})",
+                self.training.dropout
+            )));
         }
-        if self.training.stream_quant && self.training.error_feedback {
-            return Err(Error::InvalidConfig(
-                "stream_quant is incompatible with error_feedback: residuals need \
-                 the whole block decoded before the send completes"
-                    .into(),
-            ));
+        if !self.training.lambda.is_finite() {
+            return Err(Error::InvalidConfig(format!(
+                "lambda must be finite (got {})",
+                self.training.lambda
+            )));
         }
         if let Some(topology) = &self.training.topology {
             topology.validate()?;
@@ -819,6 +799,27 @@ mod tests {
         let mut zero_group = ok.clone();
         zero_group.training.group_size = 0;
         assert!(zero_group.validate().is_err());
+
+        for dropout in [-0.1, 1.0, 1.5, f32::NAN] {
+            let mut bad_dropout = ok.clone();
+            bad_dropout.training.dropout = dropout;
+            assert!(matches!(
+                bad_dropout.validate(),
+                Err(Error::InvalidConfig(msg)) if msg.contains("dropout")
+            ));
+        }
+        let mut no_dropout = ok.clone();
+        no_dropout.training.dropout = 0.0;
+        assert!(no_dropout.validate().is_ok());
+
+        for lambda in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_lambda = ok.clone();
+            bad_lambda.training.lambda = lambda;
+            assert!(matches!(
+                bad_lambda.validate(),
+                Err(Error::InvalidConfig(msg)) if msg.contains("lambda")
+            ));
+        }
 
         let mut bad_scales = ok.clone();
         bad_scales.training.device_scales = Some(vec![1.0; ok.num_devices() + 1]);

@@ -20,11 +20,7 @@ use crate::decompose::DevicePartition;
 use bytes::Bytes;
 use comm::timing::measure;
 use comm::{AsyncDevice, CostModel, DeviceHandle};
-use quant::grouped::grouped_wire_len;
-use quant::{
-    decode_block_grouped, decode_rows, encode_block_grouped, encode_rows_into, predicted_wire_len,
-    BitWidth, DecodeError, EncodedBlock, StreamProfile,
-};
+use quant::{decode_rows, encode_rows_into, predicted_wire_len, BitWidth, DecodeError};
 use std::borrow::BorrowMut;
 use tensor::{Matrix, Rng};
 
@@ -84,17 +80,8 @@ pub struct ExchangeStats {
     /// self-decodes at decoder cost).
     pub quant_ops: f64,
     /// Per-width quantization statistics (rows, ranges, expected squared
-    /// error) from the row-major quantized wires; zero for fp32 and
-    /// group-major wires.
+    /// error) from the quantized wire; zero for fp32.
     pub encode_stats: quant::EncodeStats,
-    /// Pipelined quantize+send seconds per destination, filled by
-    /// [`Wire::Streamed`]: chunk `k`'s transfer starts once its rows are
-    /// encoded and the previous chunk has left the NIC, so this time
-    /// *includes* both the encode compute and the transfer. Zero entries
-    /// mean the destination was not streamed and
-    /// [`ExchangeStats::ring_seconds`] falls back to the plain transfer
-    /// model (with encode charged separately via `quant_ops`).
-    pub streamed_send: Vec<f64>,
 }
 
 impl ExchangeStats {
@@ -102,7 +89,6 @@ impl ExchangeStats {
         Self {
             sent_bytes: vec![0; n],
             recv_bytes: vec![0; n],
-            streamed_send: vec![0.0; n],
             ..Self::default()
         }
     }
@@ -113,15 +99,9 @@ impl ExchangeStats {
     }
 
     /// Simulated communication seconds for this device under the
-    /// unsynchronized ring schedule ([`CostModel::ring_seconds`]), a
-    /// streamed destination's send never shorter than its pipeline.
+    /// unsynchronized ring schedule ([`CostModel::ring_seconds`]).
     pub fn ring_seconds(&self, cost: &CostModel, rank: usize) -> f64 {
-        cost.ring_seconds(
-            rank,
-            &self.sent_bytes,
-            &self.recv_bytes,
-            &self.streamed_send,
-        )
+        cost.ring_seconds(rank, &self.sent_bytes, &self.recv_bytes)
     }
 
     /// Simulated communication seconds under SANCUS's sequential-broadcast
@@ -200,37 +180,6 @@ pub fn bytes_to_matrix(bytes: &Bytes, rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("sized by construction")
 }
 
-/// Pipelined quantize+send seconds for one destination under the streamed
-/// exchange: the encoder produces the block chunk by chunk (the codec's
-/// fixed parallel ranges), and chunk `k` enters the wire as soon as both
-/// its rows are encoded (the CPU prefix) and chunk `k-1` has left the NIC.
-/// Chunks after the first ride the same message, so they do not re-pay the
-/// link setup latency `gamma`.
-///
-/// Two bounds follow directly from the recurrence and pin the model's
-/// sanity: the result is at least the bare transfer time of the whole
-/// block, and at most the serial `encode + transfer` total the
-/// non-streamed path charges.
-pub fn streamed_send_seconds(
-    cost: &CostModel,
-    src: usize,
-    dst: usize,
-    profile: &StreamProfile,
-) -> f64 {
-    let (_, gamma) = cost.link_params(src, dst);
-    let mut cpu = 0.0_f64;
-    let mut nic = 0.0_f64;
-    for (k, chunk) in profile.chunks.iter().enumerate() {
-        cpu += cost.ops_time_for(src, chunk.elements as f64 * ENCODE_OPS_PER_ELEMENT);
-        let mut wire = cost.transfer_time(src, dst, chunk.wire_bytes);
-        if k > 0 {
-            wire = (wire - gamma).max(0.0);
-        }
-        nic = nic.max(cpu) + wire;
-    }
-    nic
-}
-
 /// Which way boundary data flows in one exchange.
 ///
 /// | | rows read from `src` for peer `q` | `src` rows | received rows land in `dst` at | `dst` rows | by |
@@ -264,25 +213,6 @@ pub enum Wire<'a> {
         /// Error-feedback residuals per peer, updated in place.
         residuals: Option<&'a mut Vec<Matrix>>,
     },
-    /// [`Wire::Rows`] bytes, statistics and RNG stream with the
-    /// quantize+send pipeline: each block is encoded chunk by chunk and the
-    /// chunks enter the wire as they finish, so encode time is folded into
-    /// `streamed_send` ([`streamed_send_seconds`]) instead of `quant_ops`.
-    Streamed {
-        /// Widths of the rows sent to each peer.
-        widths: &'a [Vec<BitWidth>],
-        /// Prices the encode/transfer pipeline.
-        cost: &'a CostModel,
-    },
-    /// The paper's group-major serialization: one contiguous code stream
-    /// per bit-width, no per-row width bytes — so the receiver needs the
-    /// tables the assigner scatters. Charges `quant_ops`; no `encode_stats`.
-    Grouped {
-        /// Widths of the rows sent to each peer.
-        send_widths: &'a [Vec<BitWidth>],
-        /// Widths of the rows received from each peer (the sender's table).
-        recv_widths: &'a [Vec<BitWidth>],
-    },
 }
 
 impl Wire<'_> {
@@ -291,10 +221,7 @@ impl Wire<'_> {
     fn payload_len(&self, q: usize, rows: usize, dim: usize) -> usize {
         match self {
             Wire::Fp32 => rows * dim * 4,
-            Wire::Rows { widths, .. } | Wire::Streamed { widths, .. } => {
-                predicted_wire_len(dim, &widths[q])
-            }
-            Wire::Grouped { send_widths, .. } => grouped_wire_len(dim, &send_widths[q]),
+            Wire::Rows { widths, .. } => predicted_wire_len(dim, &widths[q]),
         }
     }
 
@@ -305,18 +232,13 @@ impl Wire<'_> {
         span: &mut [u8],
         src: &Matrix,
         (offset, idx): (usize, &[u32]),
-        (rank, q): (usize, usize),
+        q: usize,
         rng: &mut Rng,
         stats: &mut ExchangeStats,
     ) {
         let (rows, dim) = (idx.len(), src.cols());
         let encode_ops = (rows * dim) as f64 * ENCODE_OPS_PER_ELEMENT;
         let row_of = |k: usize| src.row(offset + idx[k] as usize);
-        // The message matrix, for the wires that need one to work on.
-        let gathered = || {
-            let rows: Vec<usize> = idx.iter().map(|&i| offset + i as usize).collect();
-            src.gather_rows(&rows)
-        };
         match self {
             Wire::Fp32 => {
                 // `max(1)`: zero-width rows make an empty payload, not a zero chunk size.
@@ -336,7 +258,8 @@ impl Wire<'_> {
                 widths,
                 residuals: Some(res),
             } => {
-                let mut msgs = gathered();
+                let rows_at: Vec<usize> = idx.iter().map(|&i| offset + i as usize).collect();
+                let mut msgs = src.gather_rows(&rows_at);
                 msgs.add_assign(&res[q]);
                 let enc = encode_rows_into(span, |k| msgs.row(k), rows, dim, &widths[q], rng);
                 stats.quant_ops += encode_ops;
@@ -352,21 +275,10 @@ impl Wire<'_> {
                 stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
                 res[q] = msgs;
             }
-            Wire::Streamed { widths, cost } => {
-                let enc = encode_rows_into(span, row_of, rows, dim, &widths[q], rng);
-                stats.encode_stats.merge(&enc);
-                let profile = StreamProfile::for_block(dim, &widths[q]);
-                stats.streamed_send[q] = streamed_send_seconds(cost, rank, q, &profile);
-            }
-            Wire::Grouped { send_widths, .. } => {
-                let block = encode_block_grouped(&gathered(), &send_widths[q], rng);
-                span.copy_from_slice(&block.bytes);
-                stats.quant_ops += encode_ops;
-            }
         }
     }
 
-    /// Decodes peer `q`'s non-empty `payload` of `idx.len()` rows into rows
+    /// Decodes a peer's non-empty `payload` of `idx.len()` rows into rows
     /// `idx[k]` of `dst`. The whole payload is checked before the first row
     /// is landed: on `Err`, `dst` is as it was.
     fn land(
@@ -374,7 +286,7 @@ impl Wire<'_> {
         payload: Bytes,
         dir: Direction,
         dst: &mut Matrix,
-        (q, idx): (usize, &[u32]),
+        idx: &[u32],
         stats: &mut ExchangeStats,
     ) -> Result<(), DecodeError> {
         let (rows, dim) = (idx.len(), dst.cols());
@@ -387,32 +299,14 @@ impl Wire<'_> {
                 for (row, &i) in payload.chunks_exact(dim * 4).zip(idx) {
                     land_row(dir, dst.row_mut(i as usize), floats_le(row));
                 }
-                return Ok(());
             }
-            Wire::Grouped { recv_widths, .. } => {
-                let block = EncodedBlock {
-                    bytes: payload,
-                    rows,
-                    dim,
-                };
-                let decoded = decode_block_grouped(&block, &recv_widths[q])?;
-                if decoded.shape() != (rows, dim) {
-                    return Err(DecodeError::Shape {
-                        expected: (rows, dim),
-                        found: decoded.shape(),
-                    });
-                }
-                for (k, &i) in idx.iter().enumerate() {
-                    land_row(dir, dst.row_mut(i as usize), decoded.row(k).iter().copied());
-                }
-            }
-            Wire::Rows { .. } | Wire::Streamed { .. } => {
+            Wire::Rows { .. } => {
                 decode_rows(&payload, rows, dim, |k, row| {
                     land_row(dir, dst.row_mut(idx[k] as usize), row.iter().copied());
                 })?;
+                stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
             }
         }
-        stats.quant_ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
         Ok(())
     }
 }
@@ -518,7 +412,7 @@ fn post(
                     let (span, tail) = std::mem::take(&mut rest).split_at_mut(lens[p]);
                     rest = tail;
                     let rows = (offset, send_idx[p].as_slice());
-                    wire.encode_into(span, src, rows, (part.rank, p), rng, &mut stats);
+                    wire.encode_into(span, src, rows, p, rng, &mut stats);
                 }
                 let buf = Bytes::from(buf);
                 let mut at = 0;
@@ -559,7 +453,7 @@ fn land<D: BorrowMut<Matrix>>(
             let q = q as usize;
             stats.recv_bytes[q] = payload.len();
             if !payload.is_empty() {
-                wire.land(payload, dir, dst, (q, &recv_idx[q]), &mut stats)
+                wire.land(payload, dir, dst, &recv_idx[q], &mut stats)
                     .map_err(|cause| ExchangeError { peer: q, cause })?;
             }
         }
@@ -628,7 +522,7 @@ pub fn exchange_forward_quant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quant::{decode_block, encode_block_streamed};
+    use quant::{decode_block, EncodedBlock};
     use std::future::Future;
     use Direction::{Backward, Forward};
 
@@ -818,8 +712,6 @@ mod tests {
     enum Kind {
         Rows,
         ErrorFeedback,
-        Streamed,
-        Grouped,
     }
 
     /// What one exchange leaves behind besides `dst`.
@@ -827,7 +719,6 @@ mod tests {
     struct Outcome {
         sent: Vec<usize>,
         quant_ops_bits: u64,
-        streamed_send: Vec<f64>,
     }
 
     /// The exchange composed, in the test, from the primitives the routine
@@ -841,14 +732,12 @@ mod tests {
         kind: Kind,
         src: &Matrix,
         dst: &mut Matrix,
-        (send_widths, recv_widths): (&[Vec<BitWidth>], &[Vec<BitWidth>]),
+        send_widths: &[Vec<BitWidth>],
         residuals: &mut [Matrix],
         rng: &mut Rng,
-        cost: &CostModel,
     ) -> Outcome {
         let n = part.num_parts;
         let mut ops = 0.0_f64;
-        let mut streamed_send = vec![0.0; n];
         let mut payloads = Vec::with_capacity(n);
         for q in 0..n {
             let idx = peer_rows(part, dir, q).0;
@@ -876,15 +765,6 @@ mod tests {
                     residuals[q] = msgs;
                     block
                 }
-                Kind::Streamed => {
-                    let (block, _, profile) = encode_block_streamed(&msgs, widths, rng);
-                    streamed_send[q] = streamed_send_seconds(cost, part.rank, q, &profile);
-                    block
-                }
-                Kind::Grouped => {
-                    ops += encode_ops;
-                    encode_block_grouped(&msgs, widths, rng)
-                }
             };
             payloads.push(block.bytes);
         }
@@ -894,11 +774,7 @@ mod tests {
             let idx = peer_rows(part, dir, q).1;
             let (rows, dim) = (idx.len(), dst.cols());
             let block = EncodedBlock { bytes, rows, dim };
-            let decoded = match kind {
-                Kind::Grouped => decode_block_grouped(&block, &recv_widths[q]),
-                _ => decode_block(&block),
-            }
-            .expect("peer block decodes");
+            let decoded = decode_block(&block).expect("peer block decodes");
             ops += (rows * dim) as f64 * DECODE_OPS_PER_ELEMENT;
             match dir {
                 Forward => {
@@ -912,14 +788,13 @@ mod tests {
         Outcome {
             sent,
             quant_ops_bits: ops.to_bits(),
-            streamed_send,
         }
     }
 
     /// Runs two rounds of `kind` x `dir`, `dim` columns wide, on `parts`
     /// through the routine and through [`reference_exchange`] with a cloned
     /// generator, and demands bit-equal `dst`, payload lengths, `quant_ops`,
-    /// streamed charges, residuals and generator state.
+    /// residuals and generator state.
     fn routine_matches_reference_on(
         parts: &[DevicePartition],
         dim: usize,
@@ -927,9 +802,7 @@ mod tests {
         dir: Direction,
     ) {
         let n = parts.len();
-        let cost = &CostModel::homogeneous(n, 1e8, 5e-6);
-        // Mixed widths both ends of a pair derive alike: row `k` of the
-        // block from `s` to `r`.
+        // Mixed widths: row `k` of the block from `s` to `r`.
         let width = |s: usize, r: usize, k: usize| BitWidth::ALL[(s + 2 * r + k) % 3];
         run_async(n, |mut dev| async move {
             let me = dev.rank();
@@ -937,9 +810,6 @@ mod tests {
             let lens = |q: usize| peer_rows(part, dir, q);
             let send_widths: Vec<Vec<BitWidth>> = (0..n)
                 .map(|q| (0..lens(q).0.len()).map(|k| width(me, q, k)).collect())
-                .collect();
-            let recv_widths: Vec<Vec<BitWidth>> = (0..n)
-                .map(|q| (0..lens(q).1.len()).map(|k| width(q, me, k)).collect())
                 .collect();
             let mut residuals: Vec<Matrix> = (0..n)
                 .map(|q| Matrix::zeros(lens(q).0.len(), dim))
@@ -958,25 +828,14 @@ mod tests {
                     kind,
                     &src,
                     &mut want,
-                    (&send_widths, &recv_widths),
+                    &send_widths,
                     &mut want_residuals,
                     &mut want_rng,
-                    cost,
                 )
                 .await;
-                let wire = match kind {
-                    Kind::Rows | Kind::ErrorFeedback => Wire::Rows {
-                        widths: &send_widths,
-                        residuals: (kind == Kind::ErrorFeedback).then_some(&mut residuals),
-                    },
-                    Kind::Streamed => Wire::Streamed {
-                        widths: &send_widths,
-                        cost,
-                    },
-                    Kind::Grouped => Wire::Grouped {
-                        send_widths: &send_widths,
-                        recv_widths: &recv_widths,
-                    },
+                let wire = Wire::Rows {
+                    widths: &send_widths,
+                    residuals: (kind == Kind::ErrorFeedback).then_some(&mut residuals),
                 };
                 let mut dst = seed;
                 let exchange =
@@ -985,14 +844,12 @@ mod tests {
                 let outcome = Outcome {
                     sent: stats.sent_bytes.clone(),
                     quant_ops_bits: stats.quant_ops.to_bits(),
-                    streamed_send: stats.streamed_send.clone(),
                 };
                 assert_eq!(outcome, want_outcome, "{kind:?} {dir:?} round {round}");
                 assert_eq!(bits(&dst), bits(&want), "{kind:?} {dir:?} round {round}");
                 assert_eq!(residuals, want_residuals);
                 assert!(stats.total_sent() > 0, "every device has a peer");
-                let has_stats = stats.encode_stats.total_rows() > 0;
-                assert_eq!(has_stats, kind != Kind::Grouped);
+                assert!(stats.encode_stats.total_rows() > 0);
             }
             assert_eq!(rng.next_u64(), want_rng.next_u64(), "generator streams");
         });
@@ -1020,26 +877,6 @@ mod tests {
     #[test]
     fn error_feedback_wire_backward_matches_reference() {
         routine_matches_reference(Kind::ErrorFeedback, Backward);
-    }
-
-    #[test]
-    fn streamed_wire_forward_matches_reference() {
-        routine_matches_reference(Kind::Streamed, Forward);
-    }
-
-    #[test]
-    fn streamed_wire_backward_matches_reference() {
-        routine_matches_reference(Kind::Streamed, Backward);
-    }
-
-    #[test]
-    fn grouped_wire_forward_matches_reference() {
-        routine_matches_reference(Kind::Grouped, Forward);
-    }
-
-    #[test]
-    fn grouped_wire_backward_matches_reference() {
-        routine_matches_reference(Kind::Grouped, Backward);
     }
 
     /// A hand-made partition of `n` devices in which every device sends
@@ -1239,73 +1076,11 @@ mod tests {
             quant_cpu_seconds: 0.0,
             quant_ops: 0.0,
             encode_stats: quant::EncodeStats::default(),
-            streamed_send: vec![0.0; 3],
         };
         // rank 0: round 1 -> send to 1 (1ms) / recv from 2 (4ms) => 4ms;
         //         round 2 -> send to 2 (2ms) / recv from 1 (0.5ms) => 2ms.
         let t = stats.ring_seconds(&cost, 0);
         assert!((t - 6e-3).abs() < 1e-9, "t = {t}");
-    }
-
-    #[test]
-    fn streamed_send_bounds_hold() {
-        // Pipelined time is sandwiched between the bare transfer and the
-        // serial encode + transfer total, for every chunking.
-        let cost = CostModel::homogeneous(2, 1e6, 5e-6);
-        let profile = StreamProfile {
-            chunks: vec![
-                quant::StreamChunk {
-                    rows: 512,
-                    elements: 512 * 64,
-                    wire_bytes: 9000,
-                },
-                quant::StreamChunk {
-                    rows: 512,
-                    elements: 512 * 64,
-                    wire_bytes: 8992,
-                },
-            ],
-        };
-        let streamed = streamed_send_seconds(&cost, 0, 1, &profile);
-        let total_bytes = profile.total_bytes();
-        let bare = cost.transfer_time(0, 1, total_bytes);
-        let encode = cost.ops_time_for(0, profile.total_elements() as f64 * ENCODE_OPS_PER_ELEMENT);
-        assert!(streamed >= bare, "streamed {streamed} < transfer {bare}");
-        assert!(
-            streamed <= bare + encode + 1e-12,
-            "streamed {streamed} > serial {}",
-            bare + encode
-        );
-    }
-
-    #[test]
-    fn streamed_send_single_chunk_is_serial() {
-        // One chunk cannot overlap anything: encode then transfer.
-        let cost = CostModel::homogeneous(2, 1e6, 5e-6);
-        let profile = StreamProfile {
-            chunks: vec![quant::StreamChunk {
-                rows: 16,
-                elements: 16 * 8,
-                wire_bytes: 200,
-            }],
-        };
-        let streamed = streamed_send_seconds(&cost, 0, 1, &profile);
-        let serial =
-            cost.ops_time_for(0, 128.0 * ENCODE_OPS_PER_ELEMENT) + cost.transfer_time(0, 1, 200);
-        assert!((streamed - serial).abs() < 1e-15, "{streamed} vs {serial}");
-    }
-
-    #[test]
-    fn ring_seconds_uses_streamed_send_when_larger() {
-        let cost = CostModel::homogeneous(2, 1e6, 0.0);
-        let mut stats = ExchangeStats::new(2);
-        stats.sent_bytes[1] = 1000; // 1 ms bare transfer
-        stats.recv_bytes[1] = 500;
-        let bare = stats.ring_seconds(&cost, 0);
-        assert!((bare - 1e-3).abs() < 1e-12);
-        stats.streamed_send[1] = 4e-3; // pipeline stalled on encode
-        let streamed = stats.ring_seconds(&cost, 0);
-        assert!((streamed - 4e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -1317,7 +1092,6 @@ mod tests {
             quant_cpu_seconds: 0.0,
             quant_ops: 0.0,
             encode_stats: quant::EncodeStats::default(),
-            streamed_send: vec![0.0; 3],
         };
         // rank 0's view: own turn = 3ms + 1ms = 4ms; turn 1 broadcast 2000B
         // to 2 peers = 4ms; turn 2 likewise = 4ms.

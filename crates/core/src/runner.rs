@@ -328,45 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_quant_same_results_lower_time() {
-        // The pipelined quantize+send changes only the time accounting:
-        // losses, scores, and bytes are bit-identical to the plain
-        // quantized run, while comm + quant time can only shrink (each
-        // destination's pipeline is bounded by its serial encode +
-        // transfer total).
-        let base = quick_cfg(Method::AdaQp, 6);
-        let mut streamed = base.clone();
-        streamed.training.stream_quant = true;
-        let a = run_experiment(&base).expect("valid config");
-        let b = run_experiment(&streamed).expect("valid config");
-        assert_eq!(a.per_epoch.len(), b.per_epoch.len());
-        for (ea, eb) in a.per_epoch.iter().zip(&b.per_epoch) {
-            assert_eq!(ea.loss.to_bits(), eb.loss.to_bits(), "loss diverged");
-            assert_eq!(ea.val_score.to_bits(), eb.val_score.to_bits());
-        }
-        assert_eq!(a.total_bytes, b.total_bytes, "wire bytes diverged");
-        let serial = a.total_breakdown.comm + a.total_breakdown.quant;
-        let pipelined = b.total_breakdown.comm + b.total_breakdown.quant;
-        assert!(
-            pipelined < serial,
-            "streaming did not reduce comm+quant: {pipelined} vs {serial}"
-        );
-    }
-
-    #[test]
-    fn stream_quant_rejects_grouped_and_error_feedback() {
-        let mut cfg = quick_cfg(Method::AdaQp, 2);
-        cfg.training.stream_quant = true;
-        cfg.training.grouped_wire = true;
-        assert!(run_experiment(&cfg).is_err());
-        cfg.training.grouped_wire = false;
-        cfg.training.error_feedback = true;
-        assert!(run_experiment(&cfg).is_err());
-        cfg.training.error_feedback = false;
-        assert!(run_experiment(&cfg).is_ok());
-    }
-
-    #[test]
     fn adaqp_moves_fewer_bytes_than_vanilla() {
         let v = run_experiment(&quick_cfg(Method::Vanilla, 6)).expect("valid config");
         let a = run_experiment(&quick_cfg(Method::AdaQp, 6)).expect("valid config");

@@ -432,8 +432,8 @@ impl<'a> DeviceTrainer<'a> {
     /// One ring-scheduled halo exchange of layer `l` from `src` into the
     /// destination `make_dst` yields once the ring wait is over
     /// ([`halo_exchange_with`]), with its comm and quantization charges:
-    /// fp32, or — when `quantized` — over the wire the config selects (the
-    /// same choice for both directions).
+    /// fp32, or — when `quantized` — row-major quantized blocks at the
+    /// assigned widths.
     async fn charged_exchange<D: BorrowMut<Matrix>>(
         &mut self,
         l: usize,
@@ -444,27 +444,19 @@ impl<'a> DeviceTrainer<'a> {
     ) -> Result<D, ExchangeError> {
         let a = &self.assignment;
         // The residual buffers exist only under `cfg.error_feedback`.
-        let (widths, recv_widths, residuals) = match dir {
-            Direction::Forward => (&a.fwd[l], &a.fwd_recv[l], self.ef_fwd.get_mut(l)),
-            Direction::Backward => (&a.bwd[l], &a.bwd_recv[l], self.ef_bwd.get_mut(l)),
+        let (widths, residuals) = match dir {
+            Direction::Forward => (&a.fwd[l], self.ef_fwd.get_mut(l)),
+            Direction::Backward => (&a.bwd[l], self.ef_bwd.get_mut(l)),
         };
         let bits = if quantized {
             uniform_bits(widths)
         } else {
             Some(32)
         };
-        let wire = if !quantized {
-            Wire::Fp32
-        } else if self.cfg.grouped_wire && self.method == Method::AdaQp {
-            Wire::Grouped {
-                send_widths: widths,
-                recv_widths,
-            }
-        } else if self.cfg.stream_quant {
-            let cost = self.cost;
-            Wire::Streamed { widths, cost }
-        } else {
+        let wire = if quantized {
             Wire::Rows { widths, residuals }
+        } else {
+            Wire::Fp32
         };
         let (dev, rng, dim) = (&mut self.dev, &mut self.rng, src.cols());
         let exchange = halo_exchange_with(dev, self.part, dir, Some(src), dim, make_dst, wire, rng);

@@ -2,9 +2,10 @@
 //!
 //! A *block* is the set of messages one device sends to one peer in one
 //! communication round: a `rows x dim` matrix where every row is one node's
-//! message, quantized with its own assigned bit-width (Sec. 5 "group messages
-//! according to their assigned bit-width … concatenate all groups into a byte
-//! array for transmission").
+//! message, quantized with its own assigned bit-width and concatenated into
+//! one byte array for transmission (Sec. 5). Every row header carries the
+//! row's width, so the block is self-describing: the receiver decodes it
+//! without the paper's bit-retrieval index set.
 //!
 //! Wire layout (little endian):
 //!
@@ -235,84 +236,6 @@ pub fn encode_block_with_stats(
     encode_matrix::<true>(messages, widths, rng)
 }
 
-/// One encoded chunk of a streamed block: the unit the pipelined
-/// quantize+send model hands to the simulated wire as soon as its rows
-/// finish encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamChunk {
-    /// Message rows covered by this chunk.
-    pub rows: usize,
-    /// Elements (rows x dim) quantized by this chunk.
-    pub elements: usize,
-    /// Wire bytes the chunk contributes (headers + packed codes; the first
-    /// chunk also carries the fixed block header).
-    pub wire_bytes: usize,
-}
-
-/// The chunk schedule of one streamed block encode.
-///
-/// Chunk boundaries are the codec's fixed parallel ranges — a pure function
-/// of `(rows, dim)` — and the concatenated chunk payloads are exactly
-/// [`EncodedBlock::bytes`], so streaming changes *when* bytes are charged
-/// to the simulated wire, never *which* bytes are sent.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StreamProfile {
-    /// Per-chunk sizes, in encode (row) order.
-    pub chunks: Vec<StreamChunk>,
-}
-
-impl StreamProfile {
-    /// The chunk schedule of a `widths.len() x dim` block: a function of
-    /// the shape and the width table alone, so it needs no encode.
-    pub fn for_block(dim: usize, widths: &[BitWidth]) -> Self {
-        let ranges = tensor::par::chunk_ranges(widths.len(), par_min_rows(dim));
-        let chunks = ranges
-            .iter()
-            .enumerate()
-            .map(|(k, &(s, e))| StreamChunk {
-                rows: e - s,
-                elements: (e - s) * dim,
-                wire_bytes: (e - s) * ROW_OVERHEAD_BYTES
-                    + widths[s..e]
-                        .iter()
-                        .map(|w| w.packed_len(dim))
-                        .sum::<usize>()
-                    + if k == 0 { HEADER_BYTES } else { 0 },
-            })
-            .collect();
-        Self { chunks }
-    }
-
-    /// Total wire bytes across all chunks (== the block's `wire_len`).
-    pub fn total_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.wire_bytes).sum()
-    }
-
-    /// Total elements quantized across all chunks.
-    pub fn total_elements(&self) -> usize {
-        self.chunks.iter().map(|c| c.elements).sum()
-    }
-}
-
-/// [`encode_block_with_stats`], additionally returning the
-/// [`StreamProfile`] describing how the block's bytes are produced chunk by
-/// chunk — the input to the pipelined quantize+send time model in
-/// `core::exchange`. Wire bytes and statistics are byte-identical to the
-/// non-streamed entry points.
-///
-/// # Panics
-///
-/// Panics if `widths.len() != messages.rows()`.
-pub fn encode_block_streamed(
-    messages: &Matrix,
-    widths: &[BitWidth],
-    rng: &mut Rng,
-) -> (EncodedBlock, EncodeStats, StreamProfile) {
-    let (block, stats) = encode_matrix::<true>(messages, widths, rng);
-    let profile = StreamProfile::for_block(block.dim, widths);
-    (block, stats, profile)
-}
-
 /// Shared body of the block encoders: writes the block whose row `i` is
 /// `row_of(i)` into `buf` and returns the per-width statistics.
 /// `STATS = false` skips the statistics accumulation (the returned
@@ -493,7 +416,7 @@ fn decode_row(raw: &[u8], row: usize, code_at: usize, out: &mut [f32]) -> usize 
     // `validate_block` accepted every width byte.
     let width = width.unwrap_or(BitWidth::B8);
     let end = code_at + width.packed_len(out.len());
-    kernels::dequant_row(width, &raw[code_at..end], 0, scale, zero, out);
+    kernels::dequant_row(width, &raw[code_at..end], scale, zero, out);
     end
 }
 

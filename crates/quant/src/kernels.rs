@@ -354,16 +354,15 @@ fn expand<const BITS: usize>(bytes: &[u8], scale: f32, zero: f32, vals: &mut [f3
     }
 }
 
-/// De-quantizes `out.len()` `BITS`-bit codes (2 or 4) starting at code
-/// index `start` of `packed`: `code as f32 * scale + zero`, the historical
-/// expression, per element. The byte-aligned middle goes a 32-bit word at
-/// a time, then eight codes at a time: one variable shift per lane
-/// (`vpsrlvd`) and an eight-wide convert, multiply and add, where a table
-/// lookup per code would not vectorize. Unaligned heads and tails go code
-/// by code.
+/// De-quantizes the first `out.len()` `BITS`-bit codes (2 or 4) of
+/// `packed`: `code as f32 * scale + zero`, the historical expression, per
+/// element. Whole 32-bit words go first, then eight codes at a time: one
+/// variable shift per lane (`vpsrlvd`) and an eight-wide convert, multiply
+/// and add, where a table lookup per code would not vectorize. A tail
+/// shorter than eight codes (a row whose length is not a multiple of 8)
+/// goes code by code.
 pub(crate) fn dequant_span<const BITS: usize>(
     packed: &[u8],
-    start: usize,
     scale: f32,
     zero: f32,
     out: &mut [f32],
@@ -376,17 +375,11 @@ pub(crate) fn dequant_span<const BITS: usize>(
         code as f32 * scale + zero
     };
     let len = out.len();
-    let head = (start.next_multiple_of(GROUP) - start).min(len);
-    let (first, rest) = out.split_at_mut(head);
-    let words = rest.len() / per_word;
-    let groups = (rest.len() - words * per_word) / GROUP;
-    let (by_word, rest) = rest.split_at_mut(words * per_word);
+    let words = len / per_word;
+    let groups = (len - words * per_word) / GROUP;
+    let (by_word, rest) = out.split_at_mut(words * per_word);
     let (by_group, last) = rest.split_at_mut(groups * GROUP);
-    for (o, v) in first.iter_mut().enumerate() {
-        *v = value(start + o);
-    }
-    let byte0 = (start + head) / per_byte;
-    let (word_bytes, group_bytes) = packed[byte0..].split_at(4 * words);
+    let (word_bytes, group_bytes) = packed.split_at(4 * words);
     for (w, vals) in word_bytes
         .chunks_exact(4)
         .zip(by_word.chunks_exact_mut(per_word))
@@ -399,7 +392,7 @@ pub(crate) fn dequant_span<const BITS: usize>(
     {
         expand::<BITS>(w, scale, zero, vals);
     }
-    let j0 = start + len - last.len();
+    let j0 = len - last.len();
     for (o, v) in last.iter_mut().enumerate() {
         *v = value(j0 + o);
     }
@@ -408,29 +401,28 @@ pub(crate) fn dequant_span<const BITS: usize>(
 /// De-quantizes 8-bit codes (one code per byte) — a straight multiply-add
 /// loop (two roundings: Rust never fuses them) the compiler vectorizes on
 /// its own.
-pub(crate) fn dequant_span8(packed: &[u8], start: usize, scale: f32, zero: f32, out: &mut [f32]) {
-    let src = &packed[start..start + out.len()];
+pub(crate) fn dequant_span8(packed: &[u8], scale: f32, zero: f32, out: &mut [f32]) {
+    let src = &packed[..out.len()];
     for (o, &b) in out.iter_mut().zip(src) {
         *o = b as f32 * scale + zero;
     }
 }
 
-/// De-quantizes `out.len()` `width`-bit codes starting at code index `start`
-/// of `packed`: `code as f32 * scale + zero`. The one place a decoder
-/// dispatches on the width.
+/// De-quantizes the first `out.len()` `width`-bit codes of `packed`:
+/// `code as f32 * scale + zero`. The one place a decoder dispatches on the
+/// width.
 #[inline]
 pub(crate) fn dequant_row(
     width: crate::BitWidth,
     packed: &[u8],
-    start: usize,
     scale: f32,
     zero: f32,
     out: &mut [f32],
 ) {
     match width {
-        crate::BitWidth::B2 => dequant_span::<2>(packed, start, scale, zero, out),
-        crate::BitWidth::B4 => dequant_span::<4>(packed, start, scale, zero, out),
-        crate::BitWidth::B8 => dequant_span8(packed, start, scale, zero, out),
+        crate::BitWidth::B2 => dequant_span::<2>(packed, scale, zero, out),
+        crate::BitWidth::B4 => dequant_span::<4>(packed, scale, zero, out),
+        crate::BitWidth::B8 => dequant_span8(packed, scale, zero, out),
     }
 }
 
@@ -659,9 +651,10 @@ mod tests {
 
     #[test]
     fn spans_handle_unaligned_starts() {
-        // Pack a scrambled code pattern, then unpack and de-quantize every
-        // (start, len) window: starts on and off a 32-bit word, spans of
-        // zero, part of one and several words.
+        // Pack a scrambled code pattern, then unpack every (start, len)
+        // window and de-quantize every prefix: starts on and off a 32-bit
+        // word, spans of zero, part of one and several words, tails of
+        // every length below eight codes.
         let codes: Vec<u8> = (0..64).map(|i| ((i * 7 + i / 5) % 4) as u8).collect();
         let packed = crate::bitpack::pack(&codes, crate::BitWidth::B2);
         for start in 0..20 {
@@ -669,11 +662,13 @@ mod tests {
                 let mut out = vec![0xAAu8; len];
                 unpack_span2(&packed, start, &mut out);
                 assert_eq!(out, &codes[start..start + len], "start {start} len {len}");
-                let mut deq = vec![0.0f32; len];
-                dequant_span::<2>(&packed, start, 0.5, -1.0, &mut deq);
-                for (d, &c) in deq.iter().zip(&codes[start..start + len]) {
-                    assert_eq!(*d, c as f32 * 0.5 - 1.0, "start {start} len {len}");
-                }
+            }
+        }
+        for len in 0..64 {
+            let mut deq = vec![0.0f32; len];
+            dequant_span::<2>(&packed, 0.5, -1.0, &mut deq);
+            for (d, &c) in deq.iter().zip(&codes[..len]) {
+                assert_eq!(*d, c as f32 * 0.5 - 1.0, "len {len}");
             }
         }
         let codes4: Vec<u8> = (0..40).map(|i| ((i * 11 + i / 3) % 16) as u8).collect();
@@ -683,11 +678,13 @@ mod tests {
                 let mut out = vec![0u8; len];
                 unpack_span4(&packed4, start, &mut out);
                 assert_eq!(out, &codes4[start..start + len], "start {start} len {len}");
-                let mut deq = vec![0.0f32; len];
-                dequant_span::<4>(&packed4, start, 0.25, 3.0, &mut deq);
-                for (d, &c) in deq.iter().zip(&codes4[start..start + len]) {
-                    assert_eq!(*d, c as f32 * 0.25 + 3.0, "start {start} len {len}");
-                }
+            }
+        }
+        for len in 0..40 {
+            let mut deq = vec![0.0f32; len];
+            dequant_span::<4>(&packed4, 0.25, 3.0, &mut deq);
+            for (d, &c) in deq.iter().zip(&codes4[..len]) {
+                assert_eq!(*d, c as f32 * 0.25 + 3.0, "len {len}");
             }
         }
     }

@@ -8,9 +8,10 @@
 //!   `S = (max - min) / (2^b - 1)`;
 //! * [`bitpack`] — merging 2-/4-bit codes into uniform byte streams (the
 //!   paper follows EXACT (Liu et al. 2021) here);
-//! * [`codec`] — the grouped wire format: messages grouped by assigned
-//!   bit-width, quantized per group, concatenated into one byte array for
-//!   transmission, plus per-message `(zero_point, scale)` parameters;
+//! * [`codec`] — the row-major wire format: every message quantized at its
+//!   own assigned bit-width, its width and `(zero_point, scale)` in a
+//!   per-row header, all rows concatenated into one byte array for
+//!   transmission;
 //! * [`variance`] — the Theorem-1 variance value `D * S^2 / 6` and the
 //!   `beta_k` sensitivity coefficients of Sec. 4.2 used by the bit-width
 //!   assigner.
@@ -50,7 +51,6 @@
 
 pub mod bitpack;
 pub mod codec;
-pub mod grouped;
 mod kernels;
 mod quantize;
 pub mod variance;
@@ -63,11 +63,9 @@ pub mod variance;
 pub const PAR_MIN_ELEMS: usize = 32 * 1024;
 
 pub use codec::{
-    decode_block, decode_rows, encode_block, encode_block_streamed, encode_block_with_stats,
-    encode_rows_into, predicted_wire_len, DecodeError, EncodeStats, EncodedBlock, StreamChunk,
-    StreamProfile, WidthStats,
+    decode_block, decode_rows, encode_block, encode_block_with_stats, encode_rows_into,
+    predicted_wire_len, DecodeError, EncodeStats, EncodedBlock, WidthStats,
 };
-pub use grouped::{decode_block_grouped, encode_block_grouped};
 pub use kernels::min_max;
 pub use quantize::{
     dequantize, dequantize_into, quantize, quantize_into, quantize_packed_into, QuantParams,

@@ -29,6 +29,17 @@ ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method adaqp --machines 1 --devices 2 \
     --epochs 3 --hidden 16 --period 2 --seed 7 >/dev/null
 
+echo "==> CLI smoke (a misspelt flag exits non-zero and is named on stderr)"
+if cli_err="$(cargo run --offline -q --release -p adaqp --bin adaqp -- \
+    run --dataset tiny --epoch 3 2>&1 >/dev/null)"; then
+    echo "check: adaqp run accepted the unknown flag --epoch" >&2
+    exit 1
+fi
+grep -qF -- '`--epoch`' <<<"$cli_err" || {
+    echo "check: the error does not name --epoch: $cli_err" >&2
+    exit 1
+}
+
 echo "==> cargo test -q"
 cargo test --offline -q
 

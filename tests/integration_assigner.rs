@@ -176,39 +176,6 @@ fn fixed_assignment_histogram_counts_every_message() {
     }
 }
 
-#[test]
-fn receive_tables_mirror_send_tables_exactly() {
-    // Every device's fwd_recv[l][src] must equal src's fwd[l][me] (and the
-    // same for bwd) — this is the "bit-retrieval index set" contract the
-    // group-major wire format depends on.
-    let parts = setup(3, 67);
-    let cfg = TrainingConfig {
-        group_size: 8,
-        lambda: 0.5,
-        ..TrainingConfig::default()
-    };
-    let cost = CostModel::homogeneous(3, 1e6, 1e-5);
-    let assignments = run_assign(&parts, &cfg, &cost, AssignMode::Adaptive);
-    let layers = assignments[0].fwd.len();
-    for me in 0..3 {
-        for src in 0..3 {
-            if src == me {
-                continue;
-            }
-            for l in 0..layers {
-                assert_eq!(
-                    assignments[me].fwd_recv[l][src], assignments[src].fwd[l][me],
-                    "fwd mirror broken for {src} -> {me} layer {l}"
-                );
-                assert_eq!(
-                    assignments[me].bwd_recv[l][src], assignments[src].bwd[l][me],
-                    "bwd mirror broken for {src} -> {me} layer {l}"
-                );
-            }
-        }
-    }
-}
-
 /// FNV-1a over every table of an assignment: layer count, then per layer the
 /// peer count, then per peer the message count and each width's bit count.
 fn assignment_digest(a: &WidthAssignment) -> u64 {
@@ -218,7 +185,7 @@ fn assignment_digest(a: &WidthAssignment) -> u64 {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for table in [&a.fwd, &a.bwd, &a.fwd_recv, &a.bwd_recv] {
+    for table in [&a.fwd, &a.bwd] {
         eat(table.len() as u64);
         for layer in table {
             eat(layer.len() as u64);
@@ -235,9 +202,12 @@ fn assignment_digest(a: &WidthAssignment) -> u64 {
 
 #[test]
 fn golden_assignment_digests_on_four_devices() {
-    // Recorded with the JSON control plane and the candidate-major solver
-    // sweep, before either was replaced: the binary wire format and the
-    // pair-major sweep must hand every rank the very same tables.
+    // Digests of `[fwd, bwd]` computed at the commit before the replies
+    // lost their receive-side blocks. Those tables were pinned, inside a
+    // four-table digest, since the JSON control plane and the
+    // candidate-major solver sweep: the binary wire format, the pair-major
+    // sweep and the send-only reply must hand every rank the very same
+    // tables.
     let parts = setup(4, 71);
     let cfg = TrainingConfig {
         group_size: 4,
@@ -287,18 +257,19 @@ fn golden_assignment_digests_on_four_devices() {
 }
 
 const GOLDEN_DIGESTS: [u64; 4] = [
-    0x652a_db20_6efa_ffa5,
-    0xe1d5_2f2e_6263_842f,
-    0x7a92_fced_78d7_a8a3,
-    0x5231_8b33_7ab6_e029,
+    0x9b0c_9415_0713_6725,
+    0x7f99_1ec9_23f5_52af,
+    0x2c7a_f042_ebe4_7be5,
+    0xed6a_1c36_c8f4_f8e5,
 ];
 
 #[test]
 fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     // 64 devices, ~75 nodes each: every device talks to some of the others.
     // The reply lists only those, so its length is a function of the rank's
-    // own send/recv sets (DESIGN.md, assigner control plane):
-    //   4 + layers * 2 * (block(send_sets) + block(recv_slots)),
+    // own send/recv sets (DESIGN.md, assigner control plane). Only the
+    // widths the rank sends are listed, forward then backward:
+    //   4 + layers * (block(send_sets) + block(recv_slots)),
     //   block(sets) = 4 + sum over non-empty sets of (8 + len).
     let ds = DatasetSpec::tiny().scaled(16.0).generate(83);
     let mut rng = Rng::seed_from(84);
@@ -339,7 +310,7 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     };
     let mut peers = Vec::new();
     for (rank, part) in parts.iter().enumerate().skip(1) {
-        let reply = 4 + layers * 2 * (block(&part.send_sets) + block(&part.recv_slots));
+        let reply = 4 + layers * (block(&part.send_sets) + block(&part.recv_slots));
         let (sent, messages) = master[rank];
         assert!(messages > 0, "master sent to every rank");
         // The scattered reply plus the 32-byte solve-stats broadcast.

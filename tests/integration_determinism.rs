@@ -167,9 +167,8 @@ fn golden_run_digests_survive_refactors() {
     // evaluation began to keep its first layer's aggregated input
     // (ISSUE 20). A host-time change to tensor, gnn or the
     // exchange path must reproduce every loss bit, every analytic charge
-    // (the order of `f64` adds into `quant_ops` and the streamed send
-    // pipeline are visible in `quant` / `comm`) and every byte count, on
-    // every wire the trainers can pick; a change to the time model must
+    // (the order of `f64` adds into `quant_ops` is visible in `quant`) and
+    // every byte count, on every wire the trainers can pick; a change to the time model must
     // reproduce every composed epoch length under all three schedules; a
     // change to evaluation must reproduce every score. The
     // scale-2 rows put 300 rows on each device, past the row count where
@@ -177,12 +176,10 @@ fn golden_run_digests_survive_refactors() {
     // to end as well.
     let plain: Tweak = |_| {};
     let error_feedback: Tweak = |t| t.error_feedback = true;
-    let grouped: Tweak = |t| t.grouped_wire = true;
-    let streamed: Tweak = |t| t.stream_quant = true;
     let serial: Tweak = |t| t.disable_overlap = true;
     use Method::{AdaQp, AdaQpUniform, PipeGcn, Sancus, Vanilla};
     #[rustfmt::skip]
-    let rows: [GoldenRow; 19] = [
+    let rows: [GoldenRow; 15] = [
         (Vanilla, plain, false, 1.0, 2, 0x8bd9_189b_b3e9_57e2, 0xcc92_3cb8_4c4b_1bb5, 0xab02_8652_1dd0_6175),
         (Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6, 0xe7b9_5490_b50b_ce91, 0xde21_0930_ae42_c75a),
         (AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab, 0x6cdc_2bda_9f55_851d, 0xd492_7357_c227_11d4),
@@ -191,10 +188,6 @@ fn golden_run_digests_survive_refactors() {
         (AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd, 0xe591_c5bf_f888_511c, 0x7b8a_3cea_2b9b_2e9c),
         (AdaQp, error_feedback, false, 1.0, 4, 0xa370_a56b_5dc2_8b77, 0x24e6_b890_3f33_196c, 0x1b37_a69c_6ef1_9f87),
         (AdaQp, error_feedback, true, 1.0, 4, 0x81a3_b1b6_df50_d591, 0x9ecf_3d11_8bde_18fd, 0xc0d8_729f_8a47_3f38),
-        (AdaQp, grouped, false, 1.0, 4, 0x54af_ca96_4680_14ef, 0x74ab_939f_0e65_130f, 0x57f0_79e9_c8b8_e028),
-        (AdaQp, grouped, true, 1.0, 4, 0xdc21_edbf_0166_c0da, 0x6991_0ae1_f3ae_1d5b, 0xc0d8_729f_8a47_3f38),
-        (AdaQp, streamed, false, 1.0, 4, 0x3127_39f4_3bbc_5807, 0xb298_3336_34ed_e54f, 0x1b37_a69c_6ef1_9f87),
-        (AdaQp, streamed, true, 1.0, 4, 0xf79f_8070_bc99_8ac2, 0xa2ea_c740_2817_0ac2, 0xc0d8_729f_8a47_3f38),
         (AdaQpUniform, plain, false, 1.0, 4, 0xe186_fc2e_eee9_ad00, 0xfc86_8c49_bc51_37b6, 0x57f0_79e9_c8b8_e028),
         (AdaQpUniform, plain, true, 1.0, 4, 0x546c_deb1_78db_f1a8, 0x6ee2_9281_703b_cb88, 0x27be_dc4d_a9c8_b1d6),
         (PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980, 0x6779_901e_b16a_ff2d, 0xefac_b252_9234_7f3d),
@@ -220,11 +213,9 @@ fn golden_run_digests_survive_refactors() {
         assert_eq!(
             got,
             (want_run, want_time, want_scores),
-            "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} grouped {} streamed {} \
-             serial {}: run / epoch-time / score digests {got:#018x?}",
+            "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} serial {}: \
+             run / epoch-time / score digests {got:#018x?}",
             t.error_feedback,
-            t.grouped_wire,
-            t.stream_quant,
             t.disable_overlap
         );
     }

@@ -127,30 +127,6 @@ fn error_feedback_reduces_time_averaged_quantization_error() {
 }
 
 #[test]
-fn grouped_wire_matches_row_major_quality_with_fewer_bytes() {
-    let row_major = adaqp::run_experiment(&cfg(Method::AdaQp)).expect("valid config");
-    let mut c = cfg(Method::AdaQp);
-    c.training.grouped_wire = true;
-    let grouped = adaqp::run_experiment(&c).expect("valid config");
-    assert!(grouped.per_epoch.iter().all(|e| e.loss.is_finite()));
-    // Same quantization semantics, so quality must match closely.
-    assert!(
-        (grouped.best_val - row_major.best_val).abs() < 0.06,
-        "grouped val {} vs row-major {}",
-        grouped.best_val,
-        row_major.best_val
-    );
-    // The group-major format drops the per-row width byte and padding:
-    // strictly fewer bytes on the wire.
-    assert!(
-        grouped.total_bytes < row_major.total_bytes,
-        "grouped {} bytes vs row-major {}",
-        grouped.total_bytes,
-        row_major.total_bytes
-    );
-}
-
-#[test]
 fn tune_grid_search_improves_or_matches_default() {
     let base = cfg(Method::AdaQp);
     let default_run = adaqp::run_experiment(&base).expect("valid config");
