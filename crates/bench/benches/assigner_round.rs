@@ -11,8 +11,10 @@
 //! `results/baseline/tolerances.json` gates two ratios of these entries:
 //! `control_plane` (every encode and decode, both directions) over
 //! `master_solve` (build + solve + materialise), and `worker_decode` over
-//! `reply_encode` (decoding walks the bytes encoding wrote; a heap block per
-//! listed peer would show here first).
+//! `reply_encode` (decoding walks the bytes encoding wrote twice, once to
+//! check the whole reply and once to write it, so it costs about two
+//! encodes; a third pass or a heap block per listed peer would show here
+//! first).
 //!
 //! Device counts named on the command line replace the default 32 and 256
 //! (`scripts/bench.sh --smoke` runs 32 alone).

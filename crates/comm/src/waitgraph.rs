@@ -96,18 +96,6 @@ impl WaitGraph {
         }
     }
 
-    /// The ranks `rank` waits on: every rank absent from the collective it
-    /// is parked at. Empty for ranks that are not blocked.
-    pub fn waits_on(&self, rank: usize) -> Vec<usize> {
-        match (
-            &self.collective,
-            self.blocked.iter().any(|b| b.rank == rank),
-        ) {
-            (Some(front), true) => front.absent.clone(),
-            _ => Vec::new(),
-        }
-    }
-
     /// One-line-per-fact prose rendering, used by the `Deadlock` error
     /// display. Names every blocked rank — never just the first.
     pub fn summary(&self) -> String {
@@ -259,14 +247,6 @@ mod tests {
         // No collective-parked rank => no front at all.
         let none = WaitGraph::from_frontier(2, Vec::new(), vec![0, 1]);
         assert!(none.collective.is_none());
-    }
-
-    #[test]
-    fn waits_on_follows_cause_edges() {
-        let g = sample();
-        assert_eq!(g.waits_on(1), vec![0]);
-        assert_eq!(g.waits_on(2), vec![0]);
-        assert!(g.waits_on(0).is_empty());
     }
 
     #[test]

@@ -157,8 +157,8 @@ fn dataset_from(flags: &Flags) -> Result<DatasetSpec, String> {
         other => return Err(format!("unknown dataset `{other}`")),
     };
     let scale: f64 = parse_num(flags, "scale", 1.0)?;
-    if scale <= 0.0 {
-        return Err("--scale must be positive".into());
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(format!("--scale must be finite and positive (got {scale})"));
     }
     Ok(spec.scaled(scale))
 }
@@ -639,7 +639,12 @@ mod tests {
 
     #[test]
     fn negative_scale_rejected() {
-        let f = flags_of(&["--dataset", "tiny", "--scale", "-2"]);
-        assert!(dataset_from(&f).is_err());
+        // Non-finite scales too: NaN would shrink the graph to one node per
+        // class, inf would ask for `usize::MAX` nodes.
+        for raw in ["-2", "0", "NaN", "inf", "-inf"] {
+            let f = flags_of(&["--dataset", "tiny", "--scale", raw]);
+            let err = dataset_from(&f).expect_err(raw);
+            assert!(err.contains("--scale"), "{raw}: {err}");
+        }
     }
 }

@@ -267,7 +267,7 @@ impl TopologySpec {
     pub fn validate(&self) -> Result<(), Error> {
         if self.machines_per_rack == Some(0) {
             return Err(Error::InvalidConfig(
-                "topology: machines_per_rack must be >= 1".into(),
+                "network: machines_per_rack must be >= 1".into(),
             ));
         }
         for (name, bw) in [
@@ -277,14 +277,14 @@ impl TopologySpec {
         ] {
             if !bw.is_finite() || bw <= 0.0 {
                 return Err(Error::InvalidConfig(format!(
-                    "topology: {name} must be finite and positive (got {bw})"
+                    "network: {name} must be finite and positive (got {bw})"
                 )));
             }
         }
         let latency = self.latency();
         if !latency.is_finite() || latency < 0.0 {
             return Err(Error::InvalidConfig(format!(
-                "topology: latency must be finite and non-negative (got {latency})"
+                "network: latency must be finite and non-negative (got {latency})"
             )));
         }
         Ok(())
@@ -393,17 +393,13 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Starts a fluent [`ExperimentConfigBuilder`] with the same defaults as
-    /// plain struct-literal construction.
-    pub fn builder() -> ExperimentConfigBuilder {
-        ExperimentConfigBuilder::new()
-    }
-
     /// Checks the configuration for misuse that would otherwise panic deep
     /// inside partitioning or the cluster: zero devices, zero epochs, empty
     /// hidden layers, a dropout outside `[0, 1)`, an empty quantization
-    /// group, a non-finite `lambda`, or a `device_scales` vector whose
-    /// length disagrees with the device count.
+    /// group, a non-finite `lambda`, a network the cost model cannot price
+    /// (the `topology` section, or the flat link parameters without one), a
+    /// `compute_speedup` that is not finite and positive, or a
+    /// `device_scales` vector whose length disagrees with the device count.
     pub fn validate(&self) -> Result<(), Error> {
         if self.machines == 0 || self.devices_per_machine == 0 {
             return Err(Error::InvalidConfig(format!(
@@ -438,8 +434,15 @@ impl ExperimentConfig {
                 self.training.lambda
             )));
         }
-        if let Some(topology) = &self.training.topology {
-            topology.validate()?;
+        match &self.training.topology {
+            Some(spec) => spec.validate()?,
+            None => TopologySpec::from_training(&self.training).validate()?,
+        }
+        let speedup = self.training.compute_speedup;
+        if !speedup.is_finite() || speedup <= 0.0 {
+            return Err(Error::InvalidConfig(format!(
+                "compute_speedup must be finite and positive (got {speedup})"
+            )));
         }
         if let Some(scales) = &self.training.device_scales {
             if scales.len() != self.num_devices() {
@@ -486,8 +489,7 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `device_scales` is set with the wrong length or the
-    /// `topology` section fails [`TopologySpec::validate`].
+    /// Panics on a configuration [`ExperimentConfig::validate`] rejects.
     pub fn cost_model(&self) -> comm::CostModel {
         let cm = self
             .network_topology()
@@ -500,210 +502,22 @@ impl ExperimentConfig {
     }
 }
 
-/// Fluent constructor for [`ExperimentConfig`].
-///
-/// Struct-literal construction keeps working; the builder adds per-field
-/// defaults, the Table 8 presets as an entry point, and upfront validation:
-///
-/// ```
-/// use adaqp::{ExperimentConfig, Method};
-/// use graph::DatasetSpec;
-///
-/// let cfg = ExperimentConfig::builder()
-///     .dataset(DatasetSpec::tiny())
-///     .machines(2)
-///     .devices_per_machine(2)
-///     .method(Method::AdaQp)
-///     .epochs(3)
-///     .seed(7)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.num_devices(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExperimentConfigBuilder {
-    cfg: ExperimentConfig,
-}
-
-impl Default for ExperimentConfigBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ExperimentConfigBuilder {
-    /// A builder seeded with the tiny dataset, a 1M-2D cluster, Vanilla
-    /// training and default hyper-parameters.
-    pub fn new() -> Self {
-        ExperimentConfigBuilder {
-            cfg: ExperimentConfig {
-                dataset: DatasetSpec::tiny(),
-                machines: 1,
-                devices_per_machine: 2,
-                method: Method::Vanilla,
-                training: TrainingConfig::default(),
-                seed: 0,
-            },
-        }
-    }
-
-    /// A builder seeded from a dataset's Table 8 preset
-    /// ([`TrainingConfig::paper_preset`] keyed on the spec's name).
-    pub fn paper_preset(dataset: DatasetSpec) -> Self {
-        let mut b = Self::new();
-        b.cfg.training = TrainingConfig::paper_preset(&dataset.name);
-        b.cfg.dataset = dataset;
-        b
-    }
-
-    /// Sets the dataset recipe.
-    pub fn dataset(mut self, dataset: DatasetSpec) -> Self {
-        self.cfg.dataset = dataset;
-        self
-    }
-
-    /// Sets the machine count (`x` of `xM-yD`).
-    pub fn machines(mut self, machines: usize) -> Self {
-        self.cfg.machines = machines;
-        self
-    }
-
-    /// Sets devices per machine (`y` of `xM-yD`).
-    pub fn devices_per_machine(mut self, devices: usize) -> Self {
-        self.cfg.devices_per_machine = devices;
-        self
-    }
-
-    /// Sets the method under test.
-    pub fn method(mut self, method: Method) -> Self {
-        self.cfg.method = method;
-        self
-    }
-
-    /// Replaces the whole hyper-parameter block.
-    pub fn training(mut self, training: TrainingConfig) -> Self {
-        self.cfg.training = training;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the epoch count.
-    pub fn epochs(mut self, epochs: usize) -> Self {
-        self.cfg.training.epochs = epochs;
-        self
-    }
-
-    /// Sets the hidden dimension.
-    pub fn hidden(mut self, hidden: usize) -> Self {
-        self.cfg.training.hidden = hidden;
-        self
-    }
-
-    /// Sets the quantization message-group size.
-    pub fn group_size(mut self, group_size: usize) -> Self {
-        self.cfg.training.group_size = group_size;
-        self
-    }
-
-    /// Sets the variance/time scalarization weight (Eqn. 12).
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.cfg.training.lambda = lambda;
-        self
-    }
-
-    /// Sets the bit-width re-assignment period in epochs.
-    pub fn reassign_period(mut self, period: usize) -> Self {
-        self.cfg.training.reassign_period = period;
-        self
-    }
-
-    /// Sets the parallel-runtime worker thread count (`0` = auto-detect).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.training.threads = n;
-        self
-    }
-
-    /// Attaches (or not) the span view of the run's flight log.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.cfg.training.telemetry = on;
-        self
-    }
-
-    /// Enables or disables typed metric recording.
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.cfg.training.metrics = on;
-        self
-    }
-
-    /// Enables or disables the determinism sanitizer (`adaqp-san`).
-    pub fn sanitize(mut self, on: bool) -> Self {
-        self.cfg.training.sanitize = on;
-        self
-    }
-
-    /// Attaches (or not) the flight log and its critical-path report.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.cfg.training.profile = on;
-        self
-    }
-
-    /// Installs a full three-tier `topology` section ([`build`] validates
-    /// it).
-    ///
-    /// [`build`]: ExperimentConfigBuilder::build
-    pub fn topology(mut self, spec: TopologySpec) -> Self {
-        self.cfg.training.topology = Some(spec);
-        self
-    }
-
-    /// Convenience: groups machines into racks of `machines` each, seeding
-    /// the `topology` section from the current flat link parameters if none
-    /// exists yet.
-    pub fn rack_size(mut self, machines: usize) -> Self {
-        self.topology_mut().machines_per_rack = Some(machines);
-        self
-    }
-
-    /// Convenience: oversubscribes the spine by `ratio` (cross-rack pairs
-    /// get `inter_bw / ratio`), seeding the `topology` section from the
-    /// current flat link parameters if none exists yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio < 1.0`.
-    pub fn oversubscription(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "oversubscription ratio must be >= 1");
-        let spec = self.topology_mut();
-        spec.spine_bw = Some(spec.inter_bw() / ratio);
-        self
-    }
-
-    fn topology_mut(&mut self) -> &mut TopologySpec {
-        if self.cfg.training.topology.is_none() {
-            let seed = TopologySpec::from_training(&self.cfg.training);
-            self.cfg.training.topology = Some(seed);
-        }
-        match &mut self.cfg.training.topology {
-            Some(spec) => spec,
-            None => unreachable!("topology section was just seeded"),
-        }
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ExperimentConfig, Error> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A valid 1M-2D Vanilla run on the tiny dataset with default
+    /// hyper-parameters.
+    fn tiny_cfg() -> ExperimentConfig {
+        ExperimentConfig {
+            dataset: DatasetSpec::tiny(),
+            machines: 1,
+            devices_per_machine: 2,
+            method: Method::Vanilla,
+            training: TrainingConfig::default(),
+            seed: 0,
+        }
+    }
 
     #[test]
     fn default_config_matches_paper_shape() {
@@ -774,9 +588,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_misuse() {
-        let ok = ExperimentConfig::builder()
-            .build()
-            .expect("default is valid");
+        let ok = tiny_cfg();
         assert!(ok.validate().is_ok());
 
         let zero_dev = ExperimentConfig {
@@ -821,51 +633,45 @@ mod tests {
             ));
         }
 
+        // Without a topology section the flat link parameters are the
+        // network, and the cost model would panic on these.
+        for bw in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad_inter = ok.clone();
+            bad_inter.training.inter_bw = bw;
+            assert!(matches!(
+                bad_inter.validate(),
+                Err(Error::InvalidConfig(msg)) if msg.contains("inter_bw")
+            ));
+            let mut bad_intra = ok.clone();
+            bad_intra.training.intra_bw = bw;
+            assert!(matches!(
+                bad_intra.validate(),
+                Err(Error::InvalidConfig(msg)) if msg.contains("intra_bw")
+            ));
+        }
+        for latency in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut bad_latency = ok.clone();
+            bad_latency.training.latency = latency;
+            assert!(matches!(
+                bad_latency.validate(),
+                Err(Error::InvalidConfig(msg)) if msg.contains("latency")
+            ));
+        }
+        for speedup in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad_speedup = ok.clone();
+            bad_speedup.training.compute_speedup = speedup;
+            assert!(matches!(
+                bad_speedup.validate(),
+                Err(Error::InvalidConfig(msg)) if msg.contains("compute_speedup")
+            ));
+        }
+
         let mut bad_scales = ok.clone();
         bad_scales.training.device_scales = Some(vec![1.0; ok.num_devices() + 1]);
         assert!(matches!(
             bad_scales.validate(),
             Err(Error::InvalidConfig(msg)) if msg.contains("device_scales")
         ));
-    }
-
-    #[test]
-    fn builder_matches_struct_literal() {
-        let built = ExperimentConfig::builder()
-            .dataset(DatasetSpec::tiny())
-            .machines(2)
-            .devices_per_machine(4)
-            .method(Method::AdaQp)
-            .seed(3)
-            .build()
-            .unwrap();
-        let literal = ExperimentConfig {
-            dataset: DatasetSpec::tiny(),
-            machines: 2,
-            devices_per_machine: 4,
-            method: Method::AdaQp,
-            training: TrainingConfig::default(),
-            seed: 3,
-        };
-        assert_eq!(built, literal);
-    }
-
-    #[test]
-    fn builder_paper_preset_seeds_training() {
-        let mut spec = DatasetSpec::tiny();
-        spec.name = "yelp-sim".into();
-        let cfg = ExperimentConfigBuilder::paper_preset(spec)
-            .method(Method::AdaQp)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.training.dropout, 0.1);
-        assert_eq!(cfg.dataset.name, "yelp-sim");
-    }
-
-    #[test]
-    fn builder_surfaces_invalid_config() {
-        let err = ExperimentConfig::builder().epochs(0).build();
-        assert!(matches!(err, Err(Error::InvalidConfig(_))));
     }
 
     #[test]
@@ -889,11 +695,9 @@ mod tests {
         }
         let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
         assert!(!back.metrics);
-        let built = ExperimentConfig::builder()
-            .metrics(true)
-            .build()
-            .expect("ok");
-        assert!(built.training.metrics);
+        let mut on = tiny_cfg();
+        on.training.metrics = true;
+        assert!(on.validate().is_ok());
     }
 
     #[test]
@@ -906,11 +710,9 @@ mod tests {
         }
         let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
         assert!(!back.profile);
-        let built = ExperimentConfig::builder()
-            .profile(true)
-            .build()
-            .expect("ok");
-        assert!(built.training.profile);
+        let mut on = tiny_cfg();
+        on.training.profile = true;
+        assert!(on.validate().is_ok());
     }
 
     #[test]
@@ -922,8 +724,9 @@ mod tests {
         }
         let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
         assert_eq!(back.threads, 0);
-        let built = ExperimentConfig::builder().threads(4).build().expect("ok");
-        assert_eq!(built.training.threads, 4);
+        let mut pinned = tiny_cfg();
+        pinned.training.threads = 4;
+        assert!(pinned.validate().is_ok());
     }
 
     #[test]
@@ -946,11 +749,12 @@ mod tests {
         // Byte-identity of the pinned runs depends on this: routing through
         // comm::Topology must not move a single float of the two-tier
         // tables the legacy constructor wrote.
-        let cfg = ExperimentConfig::builder()
-            .machines(2)
-            .devices_per_machine(4)
-            .build()
-            .unwrap();
+        let cfg = ExperimentConfig {
+            machines: 2,
+            devices_per_machine: 4,
+            ..tiny_cfg()
+        };
+        assert!(cfg.validate().is_ok());
         let t = &cfg.training;
         let cm = cfg.cost_model();
         assert_eq!(cm.num_devices(), 8);
@@ -971,13 +775,17 @@ mod tests {
 
     #[test]
     fn topology_section_orders_the_tiers() {
-        let cfg = ExperimentConfig::builder()
-            .machines(4)
-            .devices_per_machine(2)
-            .rack_size(2)
-            .oversubscription(4.0)
-            .build()
-            .unwrap();
+        let mut cfg = ExperimentConfig {
+            machines: 4,
+            devices_per_machine: 2,
+            ..tiny_cfg()
+        };
+        let spec = TopologySpec {
+            machines_per_rack: Some(2),
+            ..TopologySpec::from_training(&cfg.training)
+        };
+        cfg.training.topology = Some(spec.oversubscription(4.0));
+        assert!(cfg.validate().is_ok());
         let topo = cfg.network_topology();
         assert_eq!(topo.num_racks(), 2);
         assert_eq!(topo.label(), "2R-4M-2D");
@@ -993,22 +801,28 @@ mod tests {
             inter_bw: 1e8,
             ..TrainingConfig::default()
         };
-        let cfg = ExperimentConfig::builder()
-            .machines(4)
-            .devices_per_machine(1)
-            .training(training)
-            .rack_size(2)
-            .oversubscription(2.0)
-            .build()
-            .unwrap();
-        let spec = cfg.training.topology.as_ref().expect("section installed");
+        // The CLI's `--rack-size`/`--oversub` path: seed from the flat
+        // parameters, then oversubscribe.
+        let spec = TopologySpec {
+            machines_per_rack: Some(2),
+            ..TopologySpec::from_training(&training)
+        };
+        let spec = spec.oversubscription(2.0);
         assert_eq!(spec.inter_bw, Some(1e8));
         assert_eq!(spec.spine_bw, Some(5e7));
+        let mut cfg = ExperimentConfig {
+            machines: 4,
+            devices_per_machine: 1,
+            training,
+            ..tiny_cfg()
+        };
+        cfg.training.topology = Some(spec);
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_bad_topology() {
-        let ok = ExperimentConfig::builder().build().unwrap();
+        let ok = tiny_cfg();
 
         let mut zero_rack = ok.clone();
         zero_rack.training.topology = Some(TopologySpec {
@@ -1054,10 +868,8 @@ mod tests {
         }
         let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
         assert!(!back.sanitize);
-        let built = ExperimentConfig::builder()
-            .sanitize(true)
-            .build()
-            .expect("ok");
-        assert!(built.training.sanitize);
+        let mut on = tiny_cfg();
+        on.training.sanitize = true;
+        assert!(on.validate().is_ok());
     }
 }

@@ -167,13 +167,12 @@ pub fn build_partitions(
     let k = partition.k;
     let graph: CsrGraph = match kind {
         ConvKind::Gcn => dataset.graph.with_self_loops(),
-        ConvKind::Sage | ConvKind::Gin => dataset.graph.clone(),
+        ConvKind::Sage => dataset.graph.clone(),
     };
     let coeff = |u: usize, v: usize| -> f32 {
         match kind {
             ConvKind::Gcn => graph.gcn_coeff(u, v),
             ConvKind::Sage => graph.mean_coeff(v),
-            ConvKind::Gin => 1.0,
         }
     };
     let assignment = &partition.assignment;

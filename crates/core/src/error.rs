@@ -1,7 +1,7 @@
 //! Typed errors for the public experiment API.
 //!
-//! [`crate::runner::run_experiment`] and the configuration builder return
-//! [`Error`] instead of panicking, so config misuse is reportable by CLI
+//! [`crate::runner::run_experiment`] and [`crate::ExperimentConfig::validate`]
+//! return [`Error`] instead of panicking, so config misuse is reportable by CLI
 //! tools and benches without unwinding through the cluster threads.
 
 use std::fmt;
@@ -13,9 +13,7 @@ pub enum Error {
     InvalidConfig(String),
     /// The graph could not be partitioned onto the requested devices.
     Partition(String),
-    /// The bit-width assigner's solver found no feasible assignment.
-    SolverInfeasible(String),
-    /// An export or checkpoint file operation failed.
+    /// An export file operation failed.
     Io(std::io::Error),
     /// A simulated device failed mid-run (panicked or stalled).
     Cluster(comm::ClusterError),
@@ -44,7 +42,6 @@ impl fmt::Display for Error {
         match self {
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::Partition(msg) => write!(f, "partitioning failed: {msg}"),
-            Error::SolverInfeasible(msg) => write!(f, "solver infeasible: {msg}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Cluster(e) => write!(f, "cluster failure: {e}"),
             Error::Exchange { rank, error } => write!(f, "device {rank}: {error}"),

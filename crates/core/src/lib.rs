@@ -45,7 +45,18 @@
 //! Configuration misuse is reported as a typed [`Error`] instead of a panic:
 //!
 //! ```
-//! let err = adaqp::ExperimentConfig::builder().epochs(0).build();
+//! use adaqp::{ExperimentConfig, Method, TrainingConfig};
+//! use graph::DatasetSpec;
+//!
+//! let cfg = ExperimentConfig {
+//!     dataset: DatasetSpec::tiny(),
+//!     machines: 1,
+//!     devices_per_machine: 2,
+//!     method: Method::Vanilla,
+//!     training: TrainingConfig { epochs: 0, ..TrainingConfig::default() },
+//!     seed: 0,
+//! };
+//! let err = adaqp::run_experiment(&cfg);
 //! assert!(matches!(err, Err(adaqp::Error::InvalidConfig(_))));
 //! ```
 
@@ -67,7 +78,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod assigner;
-pub mod checkpoint;
 pub mod config;
 pub mod decompose;
 pub mod error;
@@ -79,7 +89,7 @@ pub mod telemetry;
 pub mod trainers;
 pub mod tune;
 
-pub use config::{ExperimentConfig, ExperimentConfigBuilder, Method, TopologySpec, TrainingConfig};
+pub use config::{ExperimentConfig, Method, TopologySpec, TrainingConfig};
 pub use decompose::{build_partitions, DevicePartition, GlobalInfo, LocalLabels};
 pub use error::Error;
 pub use metrics::{EpochMetrics, RunResult};

@@ -374,6 +374,28 @@ mod tests {
             Err(Error::InvalidConfig(_))
         ));
 
+        // Flat link parameters the cost model would panic on.
+        let base = quick_cfg(Method::AdaQp, 1);
+        let mut zero_bw = base.clone();
+        zero_bw.training.inter_bw = 0.0;
+        let mut negative_latency = base.clone();
+        negative_latency.training.latency = -1.0;
+        let mut zero_speedup = base;
+        zero_speedup.training.compute_speedup = 0.0;
+        for (field, cfg) in [
+            ("inter_bw", zero_bw),
+            ("latency", negative_latency),
+            ("compute_speedup", zero_speedup),
+        ] {
+            assert!(
+                matches!(
+                    run_experiment(&cfg),
+                    Err(Error::InvalidConfig(msg)) if msg.contains(field)
+                ),
+                "{field}"
+            );
+        }
+
         let mut too_many_devices = quick_cfg(Method::Vanilla, 1);
         too_many_devices.dataset.num_nodes = 3;
         too_many_devices.machines = 4;

@@ -80,13 +80,6 @@ pub struct TuneReport {
     pub best: usize,
 }
 
-impl TuneReport {
-    /// The winning trial.
-    pub fn best_trial(&self) -> &TuneTrial {
-        &self.trials[self.best]
-    }
-}
-
 /// Scores `a` against `b`: higher validation accuracy wins; ties (within
 /// `acc_tolerance`) go to the higher throughput.
 fn better(a: &TuneTrial, b: &TuneTrial, acc_tolerance: f64) -> bool {
@@ -196,7 +189,7 @@ mod tests {
         let report = grid_search(&base, &grid, 0.002).expect("valid grid");
         assert_eq!(report.trials.len(), 2);
         assert!(report.best < 2);
-        let b = report.best_trial();
+        let b = &report.trials[report.best];
         assert!(b.val_score >= 0.0 && b.throughput > 0.0);
     }
 

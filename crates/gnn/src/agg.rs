@@ -203,12 +203,6 @@ impl AggGraph {
         Self::from_csr_with(graph, |_, v| graph.mean_coeff(v))
     }
 
-    /// GIN sum aggregation for a whole graph: unit coefficients over plain
-    /// neighbors (the learnable self path lives in the layer).
-    pub fn full_graph_sum(graph: &CsrGraph) -> Self {
-        Self::from_csr_with(graph, |_, _| 1.0)
-    }
-
     /// Number of target rows produced by [`AggGraph::aggregate`].
     pub fn num_target(&self) -> usize {
         self.num_target

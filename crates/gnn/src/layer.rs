@@ -13,11 +13,6 @@ pub enum ConvKind {
     /// GraphSAGE-mean (Hamilton et al.): `h = act(LN(W_self * x + W_neigh *
     /// mean(neighbors)))`.
     Sage,
-    /// GIN (Xu et al.): sum aggregation with a learnable self path,
-    /// `h = act(LN(W_self * x + W_neigh * sum(neighbors)))` — the
-    /// `(1 + eps)` self-scaling of the original formulation is subsumed by
-    /// the learnable `W_self`.
-    Gin,
 }
 
 impl ConvKind {
@@ -25,7 +20,7 @@ impl ConvKind {
     /// learnable path (GCN routes self-information through its self loops
     /// instead).
     pub fn uses_self_path(self) -> bool {
-        matches!(self, ConvKind::Sage | ConvKind::Gin)
+        matches!(self, ConvKind::Sage)
     }
 }
 

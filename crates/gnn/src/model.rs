@@ -323,55 +323,3 @@ mod tests {
         assert!(acc > 0.9, "SAGE failed to learn: accuracy {acc}");
     }
 }
-
-#[cfg(test)]
-mod gin_tests {
-    use super::*;
-    use tensor::{accuracy, softmax_cross_entropy};
-
-    #[test]
-    fn gin_sum_aggregation_sums_neighbors() {
-        let g = graph::CsrGraph::from_edges(3, &[(0, 1), (0, 2)]);
-        let agg = AggGraph::full_graph_sum(&g);
-        let x = Matrix::from_rows(&[&[1.0], &[2.0], &[4.0]]);
-        let z = agg.aggregate(&x);
-        assert_eq!(z.at(0, 0), 6.0); // 2 + 4 (no self)
-        assert_eq!(z.at(1, 0), 1.0);
-    }
-
-    #[test]
-    fn gin_training_learns_communities() {
-        let mut rng = Rng::seed_from(8);
-        let blocks: Vec<usize> = (0..120).map(|v| v / 60).collect();
-        let g = graph::generators::sbm(&blocks, 8.0, 0.5, &mut rng);
-        let x = graph::generators::class_features(&blocks, 8, 1.5, 0.3, &mut rng);
-        let agg = AggGraph::full_graph_sum(&g);
-        let mut model = Gnn::with_dropout(ConvKind::Gin, &[8, 16, 2], 0.0, &mut rng);
-        let mut adam = crate::Adam::new(model.param_count(), 0.01);
-        let mask = vec![true; 120];
-        for _ in 0..40 {
-            model.zero_grads();
-            let logits = model.forward(&agg, &x, &mut rng);
-            let (_, grad) = softmax_cross_entropy(&logits, &blocks, &mask);
-            let _ = model.backward(&agg, &grad);
-            let mut params = model.params_flat();
-            adam.step(&mut params, &model.grads_flat());
-            model.set_params_flat(&params);
-        }
-        let logits = model.infer(&agg, &x);
-        let acc = accuracy(&logits, &blocks, &mask);
-        assert!(acc > 0.9, "GIN failed to learn: accuracy {acc}");
-    }
-
-    #[test]
-    fn gin_uses_learnable_self_path() {
-        assert!(ConvKind::Gin.uses_self_path());
-        assert!(ConvKind::Sage.uses_self_path());
-        assert!(!ConvKind::Gcn.uses_self_path());
-        let mut rng = Rng::seed_from(9);
-        let model = Gnn::new(ConvKind::Gin, &[4, 6, 2], &mut rng);
-        let gcn = Gnn::new(ConvKind::Gcn, &[4, 6, 2], &mut rng);
-        // GIN carries W_self per layer, so it has more parameters.
-        assert!(model.param_count() > gcn.param_count());
-    }
-}

@@ -142,31 +142,6 @@ impl CsrGraph {
         })
     }
 
-    /// Induced subgraph on `nodes`; returns the subgraph and the mapping from
-    /// new index to original node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` contains duplicates or out-of-range ids.
-    pub fn induced_subgraph(&self, nodes: &[usize]) -> (CsrGraph, Vec<usize>) {
-        let mut remap = vec![usize::MAX; self.num_nodes()];
-        for (new, &old) in nodes.iter().enumerate() {
-            assert!(old < self.num_nodes(), "node {old} out of range");
-            assert!(remap[old] == usize::MAX, "duplicate node {old}");
-            remap[old] = new;
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-        for (new, &old) in nodes.iter().enumerate() {
-            for &nbr in self.neighbors(old) {
-                let m = remap[nbr as usize];
-                if m != usize::MAX {
-                    adj[new].push(m as u32);
-                }
-            }
-        }
-        (CsrGraph::from_adjacency(adj), nodes.to_vec())
-    }
-
     /// Average degree.
     pub fn avg_degree(&self) -> f64 {
         if self.num_nodes() == 0 {
@@ -227,19 +202,6 @@ mod tests {
     fn edges_iterator_counts_undirected_edges() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         assert_eq!(g.edges().count(), 5);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let (sub, map) = g.induced_subgraph(&[1, 2, 3]);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(map, vec![1, 2, 3]);
-        // Edges 1-2 and 2-3 survive; 0-1 and 3-4 are cut.
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
-        assert!(!sub.has_edge(0, 2));
-        assert_eq!(sub.num_directed_edges(), 4);
     }
 
     #[test]

@@ -118,65 +118,6 @@ pub fn sbm_with_gateways(
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Community graph whose intra-community edges are biased toward same-class
-/// neighbors.
-///
-/// `block_of` gives the community (drives cross-community structure exactly
-/// as in [`sbm_with_gateways`]); `class_of` gives the label. With probability
-/// `class_homophily` an intra-community edge connects same-class nodes,
-/// otherwise any two nodes of the community. This models real datasets where
-/// labels correlate with — but are not identical to — graph communities:
-/// the resulting node-classification task is learnable by a GNN yet not
-/// saturated, so message-fidelity effects (quantization variance, staleness)
-/// are visible in accuracy.
-///
-/// # Panics
-///
-/// Panics on empty input, an empty block, or `class_homophily` outside
-/// `[0, 1]`.
-pub fn community_class_graph(
-    block_of: &[usize],
-    class_of: &[usize],
-    avg_in_degree: f64,
-    avg_out_degree: f64,
-    gateway_frac: f64,
-    class_homophily: f64,
-    rng: &mut Rng,
-) -> CsrGraph {
-    let n = block_of.len();
-    assert_eq!(class_of.len(), n, "one class per node");
-    assert!((0.0..=1.0).contains(&class_homophily), "homophily in [0,1]");
-    // Base structure: gateway-localized SBM.
-    let base = sbm_with_gateways(block_of, avg_in_degree, avg_out_degree, gateway_frac, rng);
-    // Index members by (block, class) cell and by block. BTreeMap: the cell
-    // index is only keyed lookups today, but generator output must stay
-    // bit-deterministic under a fixed seed, so no unordered containers here.
-    use std::collections::BTreeMap;
-    let mut by_cell: BTreeMap<(usize, usize), Vec<u32>> = BTreeMap::new();
-    for v in 0..n {
-        by_cell
-            .entry((block_of[v], class_of[v]))
-            .or_default()
-            .push(v as u32);
-    }
-    // Rewrite intra-community edges: with probability `class_homophily`
-    // redirect one endpoint to a same-class member of the community.
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(base.num_directed_edges() / 2);
-    for (u, v) in base.edges() {
-        let (ub, vb) = (block_of[u as usize], block_of[v as usize]);
-        if ub == vb && rng.chance(class_homophily) {
-            let cell = &by_cell[&(ub, class_of[u as usize])];
-            let w = cell[rng.below(cell.len())];
-            if w != u {
-                edges.push((u, w));
-                continue;
-            }
-        }
-        edges.push((u, v));
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
 /// Position of every node inside its community, counting members in
 /// node-id order. Deterministic companion to [`locality_community_graph`]:
 /// callers use it to derive position-based class chunks.
@@ -306,50 +247,6 @@ fn sample_count(mean: f64, rng: &mut Rng) -> usize {
     let base = mean.floor() as usize;
     let frac = mean - mean.floor();
     base + usize::from(rng.chance(frac))
-}
-
-/// Generates an R-MAT graph (Chakrabarti et al.) with `2^scale` nodes and
-/// `edge_factor * 2^scale` undirected edges; produces the skewed degree
-/// distributions typical of web/social graphs.
-pub fn rmat(scale: u32, edge_factor: usize, rng: &mut Rng) -> CsrGraph {
-    let n = 1usize << scale;
-    let num_edges = edge_factor * n;
-    let (a, b, c) = (0.57, 0.19, 0.19);
-    let mut edges = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        let (mut u, mut v) = (0usize, 0usize);
-        for bit in (0..scale).rev() {
-            let r = rng.unit() as f64;
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u |= du << bit;
-            v |= dv << bit;
-        }
-        if u != v {
-            edges.push((u as u32, v as u32));
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Generates an Erdős–Rényi G(n, m)-style graph with `m` sampled edges.
-pub fn erdos_renyi(n: usize, m: usize, rng: &mut Rng) -> CsrGraph {
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let u = rng.below(n) as u32;
-        let v = rng.below(n) as u32;
-        if u != v {
-            edges.push((u, v));
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
 }
 
 /// Assigns nodes to `num_classes` communities with mildly skewed sizes,
@@ -495,27 +392,6 @@ mod tests {
             same > 2 * diff,
             "expected homophily: same={same} diff={diff}"
         );
-    }
-
-    #[test]
-    fn rmat_is_skewed() {
-        let mut rng = Rng::seed_from(3);
-        let g = rmat(10, 8, &mut rng);
-        assert_eq!(g.num_nodes(), 1024);
-        let max_deg = (0..g.num_nodes()).map(|v| g.degree(v)).max().unwrap();
-        let avg = g.avg_degree();
-        assert!(
-            max_deg as f64 > 4.0 * avg,
-            "rmat should be skewed: max {max_deg} avg {avg}"
-        );
-    }
-
-    #[test]
-    fn erdos_renyi_size() {
-        let mut rng = Rng::seed_from(4);
-        let g = erdos_renyi(500, 2000, &mut rng);
-        assert_eq!(g.num_nodes(), 500);
-        assert!(g.num_directed_edges() > 3000); // some dup/self-loop loss allowed
     }
 
     #[test]

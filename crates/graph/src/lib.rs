@@ -4,7 +4,7 @@
 //!
 //! * [`CsrGraph`] — compressed-sparse-row adjacency with the degree
 //!   normalization coefficients mainstream GNNs use (Eqn. 3 of the paper);
-//! * [`generators`] — stochastic-block-model and R-MAT graph generators plus
+//! * [`generators`] — a stochastic-block-model graph generator plus
 //!   class-correlated feature synthesis, used to build scaled-down stand-ins
 //!   for the paper's four datasets (Reddit, Yelp, ogbn-products,
 //!   AmazonProducts — Table 3);
@@ -43,7 +43,6 @@
 pub mod csr;
 pub mod datasets;
 pub mod generators;
-pub mod io;
 pub mod partition;
 pub mod stats;
 

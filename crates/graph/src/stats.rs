@@ -70,11 +70,6 @@ impl BoundaryInfo {
         self.send_sets[p][q].len()
     }
 
-    /// Total messages sent by part `p` per layer (sum over destinations).
-    pub fn total_sent_by(&self, p: usize) -> usize {
-        self.send_sets[p].iter().map(Vec::len).sum()
-    }
-
     /// Marginal nodes of part `p`: local nodes with at least one remote
     /// neighbor (union over destinations of the send sets).
     pub fn marginal_nodes(&self, p: usize) -> Vec<u32> {
@@ -146,91 +141,6 @@ pub fn remote_neighbor_stats(graph: &CsrGraph, partition: &Partition) -> RemoteN
     }
 }
 
-/// Bytes transferred from `p` to `q` per layer at full precision
-/// (`count * feature_dim * 4` bytes for f32 messages).
-pub fn pair_volume_bytes(boundary: &BoundaryInfo, p: usize, q: usize, feature_dim: usize) -> usize {
-    boundary.count(p, q) * feature_dim * 4
-}
-
-/// Newman modularity of a partition: `sum_p (e_pp / m - (d_p / 2m)^2)`,
-/// where `e_pp` is the number of intra-part edges, `d_p` the total degree of
-/// part `p` and `m` the edge count. Higher is better; random assignments
-/// score near 0.
-///
-/// # Panics
-///
-/// Panics if `partition.assignment.len() != graph.num_nodes()`.
-pub fn modularity(graph: &CsrGraph, partition: &Partition) -> f64 {
-    assert_eq!(
-        partition.assignment.len(),
-        graph.num_nodes(),
-        "partition size mismatch"
-    );
-    let m = graph.edges().count() as f64;
-    if m == 0.0 {
-        return 0.0;
-    }
-    let k = partition.k;
-    let mut intra = vec![0.0f64; k];
-    let mut degree = vec![0.0f64; k];
-    for (u, v) in graph.edges() {
-        let (pu, pv) = (
-            partition.assignment[u as usize],
-            partition.assignment[v as usize],
-        );
-        degree[pu] += 1.0;
-        degree[pv] += 1.0;
-        if pu == pv {
-            intra[pu] += 1.0;
-        }
-    }
-    (0..k)
-        .map(|p| intra[p] / m - (degree[p] / (2.0 * m)).powi(2))
-        .sum()
-}
-
-/// Conductance of each part: cut edges leaving the part divided by the
-/// smaller of the part's edge volume and the rest of the graph's. Lower is
-/// better; empty or full parts report 0.
-///
-/// # Panics
-///
-/// Panics if `partition.assignment.len() != graph.num_nodes()`.
-pub fn conductance(graph: &CsrGraph, partition: &Partition) -> Vec<f64> {
-    assert_eq!(
-        partition.assignment.len(),
-        graph.num_nodes(),
-        "partition size mismatch"
-    );
-    let k = partition.k;
-    let mut cut = vec![0.0f64; k];
-    let mut volume = vec![0.0f64; k];
-    let mut total_volume = 0.0;
-    for (u, v) in graph.edges() {
-        let (pu, pv) = (
-            partition.assignment[u as usize],
-            partition.assignment[v as usize],
-        );
-        volume[pu] += 1.0;
-        volume[pv] += 1.0;
-        total_volume += 2.0;
-        if pu != pv {
-            cut[pu] += 1.0;
-            cut[pv] += 1.0;
-        }
-    }
-    (0..k)
-        .map(|p| {
-            let denom = volume[p].min(total_volume - volume[p]);
-            if denom == 0.0 {
-                0.0
-            } else {
-                cut[p] / denom
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,7 +173,6 @@ mod tests {
         assert_eq!(b.send_sets[0][1], vec![2]);
         assert_eq!(b.send_sets[1][0], vec![3]);
         assert_eq!(b.count(0, 1), 1);
-        assert_eq!(b.total_sent_by(0), 1);
     }
 
     #[test]
@@ -298,55 +207,6 @@ mod tests {
         let r2 = remote_neighbor_stats(&g, &p2).remote_neighbor_ratio;
         let r8 = remote_neighbor_stats(&g, &p8).remote_neighbor_ratio;
         assert!(r8 > r2, "ratio should grow with k: {r2} vs {r8}");
-    }
-
-    #[test]
-    fn pair_volume_bytes_formula() {
-        let (g, p) = path_graph();
-        let b = BoundaryInfo::build(&g, &p);
-        assert_eq!(pair_volume_bytes(&b, 0, 1, 10), 40);
-        assert_eq!(pair_volume_bytes(&b, 0, 0, 10), 0);
-    }
-
-    #[test]
-    fn modularity_prefers_community_aligned_partitions() {
-        let mut rng = tensor::Rng::seed_from(30);
-        let blocks: Vec<usize> = (0..400).map(|v| v / 200).collect();
-        let g = crate::generators::sbm(&blocks, 10.0, 0.5, &mut rng);
-        let aligned = Partition::new(2, blocks.clone());
-        let random = crate::partition::random_partition(&g, 2, &mut rng);
-        let qa = modularity(&g, &aligned);
-        let qr = modularity(&g, &random);
-        assert!(qa > 0.3, "aligned modularity {qa}");
-        assert!(qa > qr + 0.2, "aligned {qa} vs random {qr}");
-    }
-
-    #[test]
-    fn modularity_of_single_part_is_zero() {
-        let (g, _) = path_graph();
-        let p = Partition::new(1, vec![0; 6]);
-        assert!(modularity(&g, &p).abs() < 1e-12);
-        // Empty graph.
-        let e = CsrGraph::from_edges(3, &[]);
-        assert_eq!(modularity(&e, &Partition::new(2, vec![0, 1, 0])), 0.0);
-    }
-
-    #[test]
-    fn conductance_on_path_split() {
-        let (g, p) = path_graph();
-        let c = conductance(&g, &p);
-        // Each half: 1 cut edge over min(volume 5, 5) = 0.2.
-        assert_eq!(c.len(), 2);
-        assert!((c[0] - 0.2).abs() < 1e-12);
-        assert!((c[1] - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conductance_zero_for_disconnected_split() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let p = Partition::new(2, vec![0, 0, 1, 1]);
-        let c = conductance(&g, &p);
-        assert_eq!(c, vec![0.0, 0.0]);
     }
 
     #[test]

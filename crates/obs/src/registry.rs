@@ -180,11 +180,6 @@ impl Registry {
         self.entry(name, labels, MetricKind::Counter, false).value += v;
     }
 
-    /// Diagnostic-flagged variant of [`Registry::counter_add`].
-    pub fn counter_add_diag(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.entry(name, labels, MetricKind::Counter, true).value += v;
-    }
-
     /// Sets a gauge to `v`.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.entry(name, labels, MetricKind::Gauge, false).value = v;

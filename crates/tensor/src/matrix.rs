@@ -158,11 +158,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     ///
     /// # Panics
@@ -201,11 +196,6 @@ impl Matrix {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks(self.cols.max(1))
     }
 
     /// Returns a new matrix holding the selected rows, in order.
@@ -405,41 +395,10 @@ impl Matrix {
         }
     }
 
-    /// `self += alpha * rhs` (axpy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Multiplies every element by `s` in place.
     pub fn scale(&mut self, s: f32) {
         for a in &mut self.data {
             *a *= s;
-        }
-    }
-
-    /// Elementwise (Hadamard) in-place product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn hadamard_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
         }
     }
 
@@ -869,18 +828,8 @@ mod tests {
         assert_eq!(a.at(0, 0), 1.5);
         a.sub_assign(&b);
         assert_eq!(a.at(0, 0), 1.0);
-        a.axpy(2.0, &b);
-        assert_eq!(a.at(1, 1), 5.0);
         a.scale(0.0);
         assert_eq!(a.frobenius_norm(), 0.0);
-    }
-
-    #[test]
-    fn hadamard() {
-        let mut a = Matrix::from_rows(&[&[2.0, 3.0]]);
-        let b = Matrix::from_rows(&[&[4.0, 5.0]]);
-        a.hadamard_assign(&b);
-        assert_eq!(a.as_slice(), &[8.0, 15.0]);
     }
 
     #[test]

@@ -36,13 +36,6 @@ impl Rng {
         }
     }
 
-    /// Derives an independent child generator; used to give each simulated
-    /// device its own stream.
-    pub fn fork(&mut self, salt: u64) -> Self {
-        let s = self.inner.gen::<u64>() ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        Self::seed_from(s)
-    }
-
     /// Uniform sample in `[lo, hi)`.
     ///
     /// # Panics
@@ -113,16 +106,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.unit(), b.unit());
         }
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut root = Rng::seed_from(7);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        let s1: Vec<f32> = (0..16).map(|_| c1.unit()).collect();
-        let s2: Vec<f32> = (0..16).map(|_| c2.unit()).collect();
-        assert_ne!(s1, s2);
     }
 
     #[test]

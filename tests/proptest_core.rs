@@ -1,7 +1,9 @@
 #![allow(clippy::needless_range_loop)]
 //! Property-based tests over the distributed decomposition and exchange:
 //! on random community graphs, the partitioned machinery must exactly
-//! reproduce single-graph semantics.
+//! reproduce single-graph semantics. The last property holds
+//! `ExperimentConfig::validate` to what `run_experiment` does with hostile
+//! config values.
 
 use adaqp::build_partitions;
 use gnn::{AggGraph, ConvKind};
@@ -152,5 +154,103 @@ proptest! {
         let mut rng = Rng::seed_from(1);
         let p = graph::partition::metis_like(&g, k, &mut rng);
         prop_assert_eq!(p.assignment.len(), k);
+    }
+}
+
+/// A valid value followed by the values a typo, a bad sweep or a hostile
+/// config file would put in an `f64` field.
+fn f64_table(valid: f64) -> [f64; 6] {
+    [valid, 0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+}
+
+/// Entry `i` of `table`, or its first (valid) entry when `i` runs past the
+/// end. Drawing `i` from `0..6 * table.len()` keeps each field at its valid
+/// value five times in six, so a fair share of cases pass `validate` and
+/// train.
+fn pick<T: Clone>(table: &[T], i: usize) -> T {
+    table.get(i).unwrap_or(&table[0]).clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `validate` is the whole contract of `run_experiment`: a config it
+    /// accepts trains or fails with a typed error (never a panic, on the
+    /// caller's thread or a device's), and one it rejects is rejected by the
+    /// run with the same `InvalidConfig`.
+    #[test]
+    fn validate_decides_whether_a_run_can_panic(
+        method in 0usize..5,
+        (inter, intra, latency, speedup) in (0usize..36, 0usize..36, 0usize..36, 0usize..36),
+        (dropout, lambda, group) in (0usize..36, 0usize..36, 0usize..12),
+        (scales, racks, spine) in (0usize..48, 0usize..18, 0usize..42),
+    ) {
+        use adaqp::{Error, ExperimentConfig, Method, TopologySpec, TrainingConfig};
+        use comm::costmodel::{
+            DEFAULT_COMPUTE_SPEEDUP, DEFAULT_INTER_BW, DEFAULT_INTRA_BW, DEFAULT_LATENCY,
+        };
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let mut training = TrainingConfig {
+            epochs: 1,
+            hidden: 8,
+            num_layers: 2,
+            reassign_period: 1,
+            inter_bw: pick(&f64_table(DEFAULT_INTER_BW), inter),
+            intra_bw: pick(&f64_table(DEFAULT_INTRA_BW), intra),
+            latency: pick(&f64_table(DEFAULT_LATENCY), latency),
+            compute_speedup: pick(&f64_table(DEFAULT_COMPUTE_SPEEDUP), speedup),
+            dropout: pick(&[0.5, 0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY], dropout),
+            lambda: pick(&f64_table(0.5), lambda),
+            group_size: pick(&[8, 0], group),
+            device_scales: pick(
+                &[
+                    None,
+                    Some(vec![1.0, 0.5]),
+                    Some(vec![1.0, 0.0]),
+                    Some(vec![-1.0, 1.0]),
+                    Some(vec![nan, 1.0]),
+                    Some(vec![1.0, inf]),
+                    Some(vec![-inf, 1.0]),
+                    Some(vec![1.0]),
+                ],
+                scales,
+            ),
+            ..TrainingConfig::default()
+        };
+        let machines_per_rack = pick(&[None, Some(1), Some(0)], racks);
+        let spine_bw = pick(
+            &[None, Some(DEFAULT_INTER_BW / 4.0), Some(0.0), Some(-1.0), Some(nan), Some(inf), Some(-inf)],
+            spine,
+        );
+        if machines_per_rack.is_some() || spine_bw.is_some() {
+            training.topology = Some(TopologySpec {
+                machines_per_rack,
+                spine_bw,
+                ..TopologySpec::from_training(&training)
+            });
+        }
+        let cfg = ExperimentConfig {
+            dataset: graph::DatasetSpec::tiny(),
+            machines: 2,
+            devices_per_machine: 1,
+            method: Method::ALL[method],
+            training,
+            seed: 11,
+        };
+        let run = adaqp::run_experiment(&cfg);
+        match cfg.validate() {
+            Ok(()) => prop_assert!(
+                !matches!(
+                    run,
+                    Err(Error::Cluster(comm::ClusterError::DevicePanicked { .. }))
+                ),
+                "accepted config panicked a device: {cfg:?}"
+            ),
+            Err(rejected) => prop_assert!(
+                matches!(run, Err(Error::InvalidConfig(_))),
+                "validate rejected ({rejected}) but the run returned {:?}",
+                run.map(|_| ())
+            ),
+        }
     }
 }
