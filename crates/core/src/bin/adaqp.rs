@@ -410,7 +410,8 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
     let seed: u64 = parse_num(flags, "seed", 42)?;
     let ds = spec.generate(seed);
     let mut rng = tensor::Rng::seed_from(seed ^ 0x5EED_CAFE);
-    let partition = graph::partition::metis_like(&ds.graph, parts, &mut rng);
+    let partition = graph::partition::try_metis_like(&ds.graph, parts, &mut rng)
+        .map_err(|e| format!("--parts {parts}: {e}"))?;
     let stats = graph::stats::remote_neighbor_stats(&ds.graph, &partition);
     println!("dataset:           {} ({} nodes)", ds.name, ds.num_nodes());
     println!("parts:             {parts}");
@@ -490,6 +491,15 @@ mod tests {
     fn parse_flags_rejects_missing_value() {
         let args = vec!["--epochs".to_string()];
         assert!(parse_flags(&args).is_err());
+    }
+
+    #[test]
+    fn partition_reports_a_bad_part_count() {
+        for parts in ["0", "100000"] {
+            let flags = flags_of(&["--dataset", "tiny", "--parts", parts]);
+            let err = cmd_partition(&flags).expect_err(parts);
+            assert!(err.starts_with(&format!("--parts {parts}: ")), "{err}");
+        }
     }
 
     #[test]

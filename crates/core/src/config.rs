@@ -394,13 +394,16 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Checks the configuration for misuse that would otherwise panic deep
-    /// inside partitioning or the cluster: zero devices, zero epochs, empty
-    /// hidden layers, a dropout outside `[0, 1)`, an empty quantization
-    /// group, a non-finite `lambda`, a network the cost model cannot price
+    /// inside dataset generation, partitioning or the cluster: a dataset
+    /// spec its generator cannot build ([`graph::DatasetSpec::validate`]),
+    /// zero devices, zero epochs, empty hidden layers, a dropout outside
+    /// `[0, 1)`, an empty quantization group, a non-finite `lambda`, a
+    /// network the cost model cannot price
     /// (the `topology` section, or the flat link parameters without one), a
     /// `compute_speedup` that is not finite and positive, or a
     /// `device_scales` vector whose length disagrees with the device count.
     pub fn validate(&self) -> Result<(), Error> {
+        self.dataset.validate().map_err(Error::InvalidConfig)?;
         if self.machines == 0 || self.devices_per_machine == 0 {
             return Err(Error::InvalidConfig(format!(
                 "need at least one device (got {} machines x {} devices)",
@@ -672,6 +675,32 @@ mod tests {
             bad_scales.validate(),
             Err(Error::InvalidConfig(msg)) if msg.contains("device_scales")
         ));
+
+        // Dataset specs the generator would panic on, each named.
+        type Edit = fn(&mut DatasetSpec);
+        let bad_datasets: [(&str, Edit); 12] = [
+            ("num_classes", |d| d.num_classes = 0),
+            ("num_nodes", |d| d.num_nodes = 0),
+            ("num_nodes", |d| d.num_nodes = 1),
+            ("feature_dim", |d| d.feature_dim = 0),
+            ("avg_in_degree", |d| d.avg_in_degree = f64::NAN),
+            ("avg_in_degree", |d| d.avg_in_degree = f64::NEG_INFINITY),
+            ("avg_out_degree", |d| d.avg_out_degree = f64::NAN),
+            ("gateway_frac", |d| d.gateway_frac = 2.0),
+            ("class_homophily", |d| d.class_homophily = f64::NAN),
+            ("train_frac", |d| d.train_frac = f64::NAN),
+            ("train_frac", |d| d.train_frac = 1.5),
+            ("train_frac + val_frac", |d| d.val_frac = 0.5),
+        ];
+        for (field, edit) in bad_datasets {
+            let mut bad = ok.clone();
+            edit(&mut bad.dataset);
+            assert!(
+                matches!(bad.validate(), Err(Error::InvalidConfig(ref msg)) if msg.contains(field)),
+                "{field}: {:?}",
+                bad.validate()
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@ use obs::critpath::CritPathReport;
 pub use obs::time::Schedule;
 use quant::BitWidth;
 use serde::{Deserialize, Serialize};
-use tensor::par::PoolStats;
 
 /// Local metric accumulators one device reports for one epoch. For
 /// single-label tasks `val`/`test` hold `[correct, total, 0]`; for
@@ -185,16 +184,12 @@ impl DeviceTallies {
 /// `sum_sq_err` in exchange order, and device totals are added here in rank
 /// order, so the sums — and the snapshot's bytes — do not depend on how the
 /// run was scheduled. `report`'s series carry a leading underscore, which
-/// keeps host-timing-dependent values out of `adaqp-regress` comparisons;
-/// `pool` and `train_seconds` are diagnostic-flagged (which worker served a
-/// chunk is a race by design) and never reach the snapshot.
+/// keeps host-timing-dependent values out of `adaqp-regress` comparisons.
 pub fn fold_run_metrics(
     result: &RunResult,
     records: &[Vec<DeviceEpochRecord>],
     tallies: &[DeviceTallies],
     report: Option<&CritPathReport>,
-    pool: &PoolStats,
-    train_seconds: f64,
 ) -> obs::MetricsSnapshot {
     let mut reg = obs::Registry::new();
     // Every count below stays far below 2^53, so its f64 value is exact.
@@ -268,18 +263,6 @@ pub fn fold_run_metrics(
         }
     }
 
-    reg.gauge_set_diag("adaqp_pool_pooled_runs", &[], pool.pooled_runs as f64);
-    reg.gauge_set_diag("adaqp_pool_inline_runs", &[], pool.inline_runs as f64);
-    reg.gauge_set_diag("adaqp_pool_tasks_executed", &[], pool.tasks_executed as f64);
-    reg.gauge_set_diag("adaqp_pool_idle_workers", &[], pool.idle_workers as f64);
-    for (w, &tasks) in pool.worker_tasks.iter().enumerate() {
-        if tasks > 0 {
-            let worker = w.to_string();
-            let labels = [("worker", worker.as_str())];
-            reg.gauge_set_diag("adaqp_pool_worker_tasks", &labels, tasks as f64);
-        }
-    }
-    reg.observe_diag("adaqp_phase_seconds", &[("phase", "train")], train_seconds);
     reg.into_snapshot()
 }
 

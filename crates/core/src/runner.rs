@@ -157,7 +157,7 @@ pub fn run_experiment_profiled(
     // scheduler keeps running uncosted, exactly as in an unrecorded run.
     let record = cfg.training.telemetry || cfg.training.profile;
     let mut recorder = record.then(|| comm::FlightRecorder::new(n));
-    let (run, train_seconds) = comm::timing::measure(|| run_devices(n, recorder.as_mut(), device));
+    let run = run_devices(n, recorder.as_mut(), device);
     let outputs: Vec<DeviceOutput> = run.map_err(|failure| match failure {
         Failure::Device(rank, error) => error.on(rank),
         Failure::Cluster(error) => Error::from(error),
@@ -178,15 +178,7 @@ pub fn run_experiment_profiled(
         // Every device kept tallies, so flattening keeps them in rank order.
         let tallies: Vec<DeviceTallies> = tallies.into_iter().flatten().collect();
         let report = profile.as_ref().map(|p| &p.report);
-        let pool = tensor::par::pool_stats();
-        result.metrics = Some(fold_run_metrics(
-            &result,
-            &records,
-            &tallies,
-            report,
-            &pool,
-            train_seconds,
-        ));
+        result.metrics = Some(fold_run_metrics(&result, &records, &tallies, report));
     }
     if san_active {
         let rep = tensor::san::report();
@@ -499,7 +491,7 @@ mod tests {
                 .expect("grad norm");
             assert!(gn.value > 0.0);
         }
-        // Diagnostic pool series never enter the default snapshot.
+        // Scheduling counters are never recorded.
         assert!(!snap.metrics.keys().any(|k| k.starts_with("adaqp_pool_")));
         // Off by default.
         let r2 = run_experiment(&quick_cfg(Method::AdaQp, 3)).expect("valid config");

@@ -288,7 +288,46 @@ impl DatasetSpec {
         self
     }
 
+    /// Checks every field [`DatasetSpec::generate`] and training rely on:
+    /// the generators' own preconditions, plus a non-empty feature vector.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first field out of its range.
+    pub fn validate(&self) -> Result<(), String> {
+        let communities = self.num_classes.div_ceil(self.classes_per_community.max(1));
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let degree = |x: f64| x.is_finite() && x >= 0.0;
+        let fail = |what: &str| Err(format!("dataset {}: {what}", self.name));
+        if self.num_classes == 0 {
+            fail("num_classes must be >= 1")
+        } else if self.num_nodes < communities {
+            fail(&format!(
+                "num_nodes ({}) must be at least the community count ({communities})",
+                self.num_nodes
+            ))
+        } else if self.feature_dim == 0 {
+            fail("feature_dim must be >= 1")
+        } else if !degree(self.avg_in_degree) || !degree(self.avg_out_degree) {
+            fail("avg_in_degree and avg_out_degree must be finite and >= 0")
+        } else if !(self.gateway_frac > 0.0 && self.gateway_frac <= 1.0) {
+            fail("gateway_frac must be in (0, 1]")
+        } else if !unit(self.class_homophily) {
+            fail("class_homophily must be in [0, 1]")
+        } else if !unit(self.train_frac) || !unit(self.val_frac) {
+            fail("train_frac and val_frac must be in [0, 1]")
+        } else if self.train_frac + self.val_frac > 1.0 {
+            fail("train_frac + val_frac must be <= 1")
+        } else {
+            Ok(())
+        }
+    }
+
     /// Generates the dataset deterministically from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec [`DatasetSpec::validate`] rejects.
     pub fn generate(&self, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from(seed);
         let cpc = self.classes_per_community.max(1);

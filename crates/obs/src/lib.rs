@@ -1,11 +1,10 @@
 //! Observability: a deterministic typed metric registry plus exporters.
 //!
 //! The registry follows the same contract as `tensor::par`: everything it
-//! exports by default is **byte-identical at any worker-thread count**.
-//! Metrics whose values depend on scheduling or host wall-clock (per-worker
-//! chunk counts, host-time histograms, measured solve seconds) are recorded with a `diagnostic` flag and excluded from the
-//! default snapshot/exports; they stay readable on the [`Registry`] itself
-//! ([`Registry::get`], [`Registry::iter`]).
+//! exports is **byte-identical at any worker-thread count**. Values that
+//! depend on scheduling or on the host's wall clock are not recorded in it;
+//! the few host-timed series a run reports carry a leading underscore so
+//! `adaqp-regress` leaves them out of its comparisons.
 //!
 //! Three metric kinds are supported:
 //!

@@ -85,8 +85,8 @@ pub struct Metric {
     /// counters and gauges.
     #[serde(default)]
     pub buckets: Vec<u64>,
-    /// True when the value depends on scheduling or host wall-clock and must
-    /// stay out of the deterministic default exports.
+    /// Always `false`: the registry records only deterministic values. The
+    /// field stays so committed snapshots keep their serialized form.
     #[serde(default)]
     pub diagnostic: bool,
 }
@@ -149,13 +149,7 @@ impl Registry {
         self.metrics.len()
     }
 
-    fn entry(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        kind: MetricKind,
-        diagnostic: bool,
-    ) -> &mut Metric {
+    fn entry(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> &mut Metric {
         let labels = owned_labels(labels);
         let key = identity_of(name, &labels);
         let m = self.metrics.entry(key).or_insert_with(|| Metric {
@@ -169,7 +163,7 @@ impl Registry {
             } else {
                 Vec::new()
             },
-            diagnostic,
+            diagnostic: false,
         });
         debug_assert_eq!(m.kind, kind, "metric {name} re-registered as {kind:?}");
         m
@@ -177,31 +171,17 @@ impl Registry {
 
     /// Adds `v` to a counter (created at 0 on first touch).
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.entry(name, labels, MetricKind::Counter, false).value += v;
+        self.entry(name, labels, MetricKind::Counter).value += v;
     }
 
     /// Sets a gauge to `v`.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.entry(name, labels, MetricKind::Gauge, false).value = v;
-    }
-
-    /// Diagnostic-flagged variant of [`Registry::gauge_set`].
-    pub fn gauge_set_diag(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.entry(name, labels, MetricKind::Gauge, true).value = v;
+        self.entry(name, labels, MetricKind::Gauge).value = v;
     }
 
     /// Records one observation into a histogram.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let m = self.entry(name, labels, MetricKind::Histogram, false);
-        m.value += v;
-        m.count += 1;
-        m.buckets[bucket_index(v)] += 1;
-    }
-
-    /// Diagnostic-flagged variant of [`Registry::observe`] (host-time
-    /// histograms and other wall-clock-dependent observations).
-    pub fn observe_diag(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let m = self.entry(name, labels, MetricKind::Histogram, true);
+        let m = self.entry(name, labels, MetricKind::Histogram);
         m.value += v;
         m.count += 1;
         m.buckets[bucket_index(v)] += 1;
@@ -217,10 +197,9 @@ impl Registry {
         self.metrics.values()
     }
 
-    /// The deterministic snapshot — every non-diagnostic metric, in identity
-    /// order — built by moving the registry's map, not copying it.
-    pub fn into_snapshot(mut self) -> MetricsSnapshot {
-        self.metrics.retain(|_, m| !m.diagnostic);
+    /// The snapshot — every metric, in identity order — built by moving the
+    /// registry's map, not copying it.
+    pub fn into_snapshot(self) -> MetricsSnapshot {
         MetricsSnapshot {
             metrics: self.metrics,
         }
@@ -351,20 +330,6 @@ mod tests {
         assert!((m.value - 3.000_000_000_001).abs() < 1e-9);
         assert_eq!(m.buckets.iter().sum::<u64>(), 4);
         assert_eq!(m.buckets[bucket_index(0.5)], 2);
-    }
-
-    #[test]
-    fn snapshot_excludes_diagnostic_by_default() {
-        let mut r = Registry::new();
-        r.counter_add("det", &[], 1.0);
-        r.gauge_set_diag("host", &[], 0.123);
-        r.observe_diag("host_hist", &[], 0.5);
-        assert!(r.get("host", &[]).is_some());
-        assert!(r.get("host_hist", &[]).is_some());
-        let snap = r.into_snapshot();
-        assert!(snap.get("det", &[]).is_some());
-        assert!(snap.get("host", &[]).is_none());
-        assert!(snap.get("host_hist", &[]).is_none());
     }
 
     #[test]

@@ -406,10 +406,9 @@ fn validate_block(raw: &[u8]) -> Result<(usize, usize, usize), DecodeError> {
 
 /// De-quantizes row `row` of a validated block, whose codes start at
 /// `code_at`, into `out` (`dim` floats); returns where the next row's codes
-/// start. Decode is table-driven — a 256-entry LUT expands each packed byte
-/// into its codes, and the reconstruction values come from a per-row table
-/// built once per row (kernels::dequant_row), byte-identical to the scalar
-/// bit-extract.
+/// start. Every code is shifted and masked out of its packed word and
+/// reconstructed as `code * scale + zero` (kernels::dequant_row),
+/// byte-identical to the scalar bit-extract.
 #[inline]
 fn decode_row(raw: &[u8], row: usize, code_at: usize, out: &mut [f32]) -> usize {
     let (width, zero, scale) = row_header(raw, row);
@@ -546,6 +545,11 @@ mod tests {
                 assert!((a - b).abs() < 0.05, "{a} vs {b}");
             }
         }
+        // Values on the 8-bit grid of their row survive unchanged.
+        let grid = Matrix::from_fn(1, 256, |_, j| j as f32 * 0.5);
+        let block = encode_block(&grid, &[BitWidth::B8], &mut rng);
+        let decoded = decode_block(&block).expect("valid block");
+        assert_eq!(decoded.as_slice(), grid.as_slice());
     }
 
     #[test]
@@ -599,6 +603,56 @@ mod tests {
         let block = encode_block(&msgs, &[], &mut rng);
         let decoded = decode_block(&block).expect("valid block");
         assert_eq!(decoded.shape(), (0, 8));
+        // A constant row has scale 0 and round-trips exactly at every width.
+        let flat = Matrix::from_fn(3, 16, |_, _| 2.5);
+        let block = encode_block(&flat, &BitWidth::ALL, &mut rng);
+        assert_eq!(decode_block(&block).expect("valid block"), flat);
+    }
+
+    #[test]
+    fn empirical_variance_below_theorem1_bound() {
+        // Encode one row many times and check the sample variance of each
+        // decoded element stays below S^2 / 4 (elementwise Bernoulli
+        // variance is at most S^2/4; the S^2/6 constant is the *average*
+        // under the uniform-fraction assumption). The *sum* over the row
+        // must stay near the `dim * S^2 / 6` the encoder reports as
+        // `sum_sq_err` for a generic (non-adversarial) row.
+        let mut rng = Rng::seed_from(42);
+        let dim = 64;
+        let msg = Matrix::from_fn(1, dim, |_, _| rng.uniform(-2.0, 2.0));
+        let width = [BitWidth::B2];
+        let trials = 3000;
+        let mut sums = vec![0.0f64; dim];
+        let mut sq_sums = vec![0.0f64; dim];
+        let mut reported = EncodeStats::default();
+        for _ in 0..trials {
+            let (block, stats) = encode_block_with_stats(&msg, &width, &mut rng);
+            reported = stats;
+            let d = decode_block(&block).expect("valid block");
+            for ((s, ss), &v) in sums.iter_mut().zip(sq_sums.iter_mut()).zip(d.row(0)) {
+                *s += v as f64;
+                *ss += (v as f64) * (v as f64);
+            }
+        }
+        let (mn, mx) = kernels::min_max(msg.row(0));
+        let scale = ((mx - mn) / width[0].max_code() as f32) as f64;
+        let mut total_var = 0.0f64;
+        for i in 0..dim {
+            let mean = sums[i] / trials as f64;
+            let var = sq_sums[i] / trials as f64 - mean * mean;
+            // Elementwise bound: p(1-p) * S^2 <= S^2/4.
+            assert!(
+                var <= scale * scale / 4.0 + 1e-6,
+                "element {i} variance {var} exceeds S^2/4"
+            );
+            total_var += var;
+        }
+        let bound = reported.for_width(BitWidth::B2).sum_sq_err;
+        assert!(
+            total_var < 2.0 * bound,
+            "total {total_var} far above the reported {bound}"
+        );
+        assert!(total_var > 0.2 * bound, "suspiciously low variance");
     }
 
     #[test]

@@ -23,9 +23,6 @@
 //!   codes is broadcast and every lane extracts its own code with a
 //!   per-lane shift, then evaluates the exact historical expression
 //!   `code as f32 * scale + zero_point`.
-//! * [`unpack_span2`]/[`unpack_span4`] — table-driven unpack: a 256-entry
-//!   LUT expands each packed byte into its 2-bit quads / 4-bit pairs in one
-//!   lookup.
 //!
 //! Determinism invariants (DESIGN.md codec section): coins are a pure
 //! function of `(block seed, element index)`, reductions are exact under
@@ -306,40 +303,6 @@ pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
     }
 }
 
-/// 256-entry expansion table: `LUT2[b]` is the four 2-bit codes packed
-/// LSB-first in byte `b`.
-pub(crate) static LUT2: [[u8; 4]; 256] = build_lut2();
-
-/// 256-entry expansion table: `LUT4[b]` is the two 4-bit codes packed
-/// LSB-first in byte `b`.
-pub(crate) static LUT4: [[u8; 2]; 256] = build_lut4();
-
-#[expect(clippy::cast_possible_truncation, reason = "masked to two bits")]
-const fn build_lut2() -> [[u8; 4]; 256] {
-    let mut t = [[0u8; 4]; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        let mut k = 0usize;
-        while k < 4 {
-            t[b][k] = ((b >> (2 * k)) & 3) as u8;
-            k += 1;
-        }
-        b += 1;
-    }
-    t
-}
-
-#[expect(clippy::cast_possible_truncation, reason = "masked to four bits")]
-const fn build_lut4() -> [[u8; 2]; 256] {
-    let mut t = [[0u8; 2]; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        t[b] = [(b & 0xF) as u8, ((b >> 4) & 0xF) as u8];
-        b += 1;
-    }
-    t
-}
-
 /// Expands the codes packed LSB-first in `bytes` (at most four) into
 /// `vals`: `code as f32 * scale + zero`, each code extracted with its own
 /// shift and mask.
@@ -423,59 +386,6 @@ pub(crate) fn dequant_row(
         crate::BitWidth::B2 => dequant_span::<2>(packed, scale, zero, out),
         crate::BitWidth::B4 => dequant_span::<4>(packed, scale, zero, out),
         crate::BitWidth::B8 => dequant_span8(packed, scale, zero, out),
-    }
-}
-
-/// Expands `out.len()` raw 2-bit codes starting at code index `start`
-/// (table-driven middle, scalar head/tail for unaligned spans).
-pub(crate) fn unpack_span2(packed: &[u8], start: usize, out: &mut [u8]) {
-    let mut j = start;
-    let mut o = 0usize;
-    while !j.is_multiple_of(4) && o < out.len() {
-        out[o] = (packed[j >> 2] >> ((j & 3) * 2)) & 3;
-        j += 1;
-        o += 1;
-    }
-    let full = (out.len() - o) / 4;
-    let byte0 = j >> 2;
-    for (b, quad) in packed[byte0..byte0 + full]
-        .iter()
-        .zip(out[o..].chunks_exact_mut(4))
-    {
-        quad.copy_from_slice(&LUT2[*b as usize]);
-    }
-    j += full * 4;
-    o += full * 4;
-    while o < out.len() {
-        out[o] = (packed[j >> 2] >> ((j & 3) * 2)) & 3;
-        j += 1;
-        o += 1;
-    }
-}
-
-/// Expands `out.len()` raw 4-bit codes starting at code index `start`.
-pub(crate) fn unpack_span4(packed: &[u8], start: usize, out: &mut [u8]) {
-    let mut j = start;
-    let mut o = 0usize;
-    while !j.is_multiple_of(2) && o < out.len() {
-        out[o] = (packed[j >> 1] >> ((j & 1) * 4)) & 0xF;
-        j += 1;
-        o += 1;
-    }
-    let full = (out.len() - o) / 2;
-    let byte0 = j >> 1;
-    for (b, pair) in packed[byte0..byte0 + full]
-        .iter()
-        .zip(out[o..].chunks_exact_mut(2))
-    {
-        pair.copy_from_slice(&LUT4[*b as usize]);
-    }
-    j += full * 2;
-    o += full * 2;
-    while o < out.len() {
-        out[o] = (packed[j >> 1] >> ((j & 1) * 4)) & 0xF;
-        j += 1;
-        o += 1;
     }
 }
 
@@ -637,33 +547,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn luts_expand_every_byte() {
-        for b in 0..256usize {
-            for k in 0..4 {
-                assert_eq!(LUT2[b][k], ((b >> (2 * k)) & 3) as u8);
-            }
-            for k in 0..2 {
-                assert_eq!(LUT4[b][k], ((b >> (4 * k)) & 0xF) as u8);
-            }
+    /// Packs `codes` LSB-first, `BITS` bits each, as the wire does.
+    fn pack<const BITS: usize>(codes: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; (codes.len() * BITS).div_ceil(8)];
+        for (j, &c) in codes.iter().enumerate() {
+            out[j * BITS / 8] |= c << (j * BITS % 8);
         }
+        out
     }
 
     #[test]
     fn spans_handle_unaligned_starts() {
-        // Pack a scrambled code pattern, then unpack every (start, len)
-        // window and de-quantize every prefix: starts on and off a 32-bit
-        // word, spans of zero, part of one and several words, tails of
-        // every length below eight codes.
+        // De-quantize every prefix of a scrambled code pattern: spans of
+        // zero, part of one and several 32-bit words, tails of every length
+        // below eight codes.
         let codes: Vec<u8> = (0..64).map(|i| ((i * 7 + i / 5) % 4) as u8).collect();
-        let packed = crate::bitpack::pack(&codes, crate::BitWidth::B2);
-        for start in 0..20 {
-            for len in 0..44 {
-                let mut out = vec![0xAAu8; len];
-                unpack_span2(&packed, start, &mut out);
-                assert_eq!(out, &codes[start..start + len], "start {start} len {len}");
-            }
-        }
+        let packed = pack::<2>(&codes);
         for len in 0..64 {
             let mut deq = vec![0.0f32; len];
             dequant_span::<2>(&packed, 0.5, -1.0, &mut deq);
@@ -672,14 +571,7 @@ mod tests {
             }
         }
         let codes4: Vec<u8> = (0..40).map(|i| ((i * 11 + i / 3) % 16) as u8).collect();
-        let packed4 = crate::bitpack::pack(&codes4, crate::BitWidth::B4);
-        for start in 0..10 {
-            for len in 0..30 {
-                let mut out = vec![0u8; len];
-                unpack_span4(&packed4, start, &mut out);
-                assert_eq!(out, &codes4[start..start + len], "start {start} len {len}");
-            }
-        }
+        let packed4 = pack::<4>(&codes4);
         for len in 0..40 {
             let mut deq = vec![0.0f32; len];
             dequant_span::<4>(&packed4, 0.25, 3.0, &mut deq);

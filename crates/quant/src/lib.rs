@@ -2,32 +2,33 @@
 //!
 //! Implements Sec. 2.3 / Sec. 3.2 of the AdaQP paper:
 //!
-//! * [`quantize`]/[`dequantize`] — the stochastic integer quantization of
-//!   Eqn. (4) and the deterministic de-quantization of Eqn. (5), with the
-//!   zero-point/scale parameterization `q = round_st((h - Z) / S)`,
-//!   `S = (max - min) / (2^b - 1)`;
-//! * [`bitpack`] — merging 2-/4-bit codes into uniform byte streams (the
-//!   paper follows EXACT (Liu et al. 2021) here);
-//! * [`codec`] — the row-major wire format: every message quantized at its
-//!   own assigned bit-width, its width and `(zero_point, scale)` in a
-//!   per-row header, all rows concatenated into one byte array for
-//!   transmission;
-//! * [`variance`] — the Theorem-1 variance value `D * S^2 / 6` and the
-//!   `beta_k` sensitivity coefficients of Sec. 4.2 used by the bit-width
-//!   assigner.
+//! * [`codec`] — the crate's one quantizer and its wire format: every
+//!   message row is stochastically rounded (Eqn. 4) at its own assigned
+//!   bit-width with `q = floor((h - Z) / S + u)`, `u ~ U[0, 1)`,
+//!   `S = (max - min) / (2^b - 1)`, its 2-/4-/8-bit codes packed into whole
+//!   bytes (the paper follows EXACT (Liu et al. 2021) here), its width and
+//!   `(zero_point, scale)` in a per-row header, and all rows concatenated
+//!   into one byte array for transmission; decoding is the deterministic
+//!   de-quantization `h = q * S + Z` of Eqn. (5);
+//! * [`variance`] — the `beta_k` sensitivity coefficients of Sec. 4.2 used
+//!   by the bit-width assigner; the codec reports the matching Theorem-1
+//!   variance `D * S^2 / 6` per row as [`WidthStats::sum_sq_err`].
 //!
 //! # Example
 //!
 //! ```
-//! use quant::{quantize, dequantize, BitWidth};
-//! use tensor::Rng;
+//! use quant::{decode_block, encode_block, BitWidth};
+//! use tensor::{Matrix, Rng};
 //!
 //! let mut rng = Rng::seed_from(0);
-//! let msg = vec![0.0, 0.25, 0.5, 0.75, 1.0];
-//! let q = quantize(&msg, BitWidth::B8, &mut rng);
-//! let back = dequantize(&q);
-//! for (a, b) in msg.iter().zip(&back) {
-//!     assert!((a - b).abs() < 0.01);
+//! let msgs = Matrix::from_fn(2, 5, |i, j| (i + j) as f32 * 0.25);
+//! let block = encode_block(&msgs, &[BitWidth::B8, BitWidth::B2], &mut rng);
+//! let back = decode_block(&block).expect("a block the codec wrote");
+//! // Each value lands within one quantization step of the original.
+//! for (i, step) in [(0, 1.0 / 255.0), (1, 1.0 / 3.0)] {
+//!     for (a, b) in msgs.row(i).iter().zip(back.row(i)) {
+//!         assert!((a - b).abs() <= step + 1e-6);
+//!     }
 //! }
 //! ```
 
@@ -49,16 +50,13 @@
 // explicit indices read better than zipped iterator chains in those spots.
 #![allow(clippy::needless_range_loop)]
 
-pub mod bitpack;
 pub mod codec;
 mod kernels;
-mod quantize;
 pub mod variance;
 
 /// Minimum number of *elements* (codes) a parallel chunk must cover before
-/// the quant kernels pay pool dispatch. Shared by [`quantize_into`] /
-/// [`dequantize_into`], [`bitpack`], and the block codecs (which convert it
-/// to a row count via `PAR_MIN_ELEMS.div_ceil(dim)`), so a short message is
+/// the codec pays pool dispatch. The block encoder and decoder convert it
+/// to a row count via `PAR_MIN_ELEMS.div_ceil(dim)`, so a short block is
 /// always one chunk and runs inline on the caller's thread.
 pub const PAR_MIN_ELEMS: usize = 32 * 1024;
 
@@ -67,10 +65,6 @@ pub use codec::{
     predicted_wire_len, DecodeError, EncodeStats, EncodedBlock, WidthStats,
 };
 pub use kernels::min_max;
-pub use quantize::{
-    dequantize, dequantize_into, quantize, quantize_into, quantize_packed_into, QuantParams,
-    QuantizedMessage,
-};
 
 use serde::{Deserialize, Serialize};
 

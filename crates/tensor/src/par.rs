@@ -1,7 +1,7 @@
 //! Deterministic shared parallel runtime.
 //!
-//! Every hot kernel in the workspace (matmul, SpMM aggregation, quantize /
-//! bit-pack, row-wise NN ops) funnels through this module instead of spawning
+//! Every hot kernel in the workspace (matmul, SpMM aggregation, the codec,
+//! row-wise NN ops) funnels through this module instead of spawning
 //! ad-hoc scoped threads. The contract that makes this safe to use inside a
 //! *deterministic simulation* is:
 //!
@@ -22,7 +22,7 @@
 //! `TrainingConfig::threads`), the `ADAQP_THREADS` environment variable, and
 //! `std::thread::available_parallelism()`, all capped at [`MAX_THREADS`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Hard cap on worker threads; matches the historical cap used by matmul.
@@ -37,75 +37,6 @@ const MAX_CHUNKS: usize = 64;
 /// Thread count explicitly configured via [`set_threads`]; 0 means "unset,
 /// fall back to the environment default".
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide chunk-queue utilization counters. These describe *how* the
-/// fixed work decomposition was scheduled (which varies with thread count
-/// and load), never *what* was computed, so consumers must treat them as
-/// diagnostic-only — they are excluded from deterministic metric exports.
-static POOLED_RUNS: AtomicU64 = AtomicU64::new(0);
-static INLINE_RUNS: AtomicU64 = AtomicU64::new(0);
-static TASKS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-static IDLE_WORKERS: AtomicU64 = AtomicU64::new(0);
-static WORKER_TASKS: [AtomicU64; MAX_THREADS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-/// Snapshot of the runtime's scheduling counters (diagnostic-only; see
-/// [`pool_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// `run_tasks` calls that spawned the worker pool.
-    pub pooled_runs: u64,
-    /// `run_tasks` calls that ran inline (one thread, one task, or too little
-    /// work to share).
-    pub inline_runs: u64,
-    /// Total tasks (chunks) executed, inline or pooled.
-    pub tasks_executed: u64,
-    /// Chunks served by each worker slot of pooled runs. Which worker served
-    /// a chunk is a race by design — load balancing — so this is the one
-    /// place the thread count is observable.
-    pub worker_tasks: [u64; MAX_THREADS],
-    /// Workers that joined a pooled run but received zero chunks (the queue
-    /// drained before they got one).
-    pub idle_workers: u64,
-}
-
-/// Reads the process-wide scheduling counters. Values accumulate across all
-/// kernels and threads since process start (or the last [`reset_pool_stats`])
-/// and depend on scheduling order, so report them only as diagnostic
-/// metrics, never in deterministic output.
-pub fn pool_stats() -> PoolStats {
-    let mut worker_tasks = [0u64; MAX_THREADS];
-    for (slot, counter) in worker_tasks.iter_mut().zip(WORKER_TASKS.iter()) {
-        *slot = counter.load(Ordering::Relaxed);
-    }
-    PoolStats {
-        pooled_runs: POOLED_RUNS.load(Ordering::Relaxed),
-        inline_runs: INLINE_RUNS.load(Ordering::Relaxed),
-        tasks_executed: TASKS_EXECUTED.load(Ordering::Relaxed),
-        worker_tasks,
-        idle_workers: IDLE_WORKERS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the scheduling counters (test isolation; racy against concurrent
-/// kernels, which is fine for diagnostics).
-pub fn reset_pool_stats() {
-    POOLED_RUNS.store(0, Ordering::Relaxed);
-    INLINE_RUNS.store(0, Ordering::Relaxed);
-    TASKS_EXECUTED.store(0, Ordering::Relaxed);
-    IDLE_WORKERS.store(0, Ordering::Relaxed);
-    for counter in &WORKER_TASKS {
-        counter.store(0, Ordering::Relaxed);
-    }
-}
 
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
@@ -206,15 +137,11 @@ where
         .max(1)
         .min(tasks.len());
     if threads <= 1 {
-        INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
-        TASKS_EXECUTED.fetch_add(tasks.len() as u64, Ordering::Relaxed);
         for task in tasks {
             f(task);
         }
         return;
     }
-    POOLED_RUNS.fetch_add(1, Ordering::Relaxed);
-    TASKS_EXECUTED.fetch_add(tasks.len() as u64, Ordering::Relaxed);
     let (tx, rx) = crossbeam::channel::unbounded();
     for task in tasks {
         // Send on an unbounded channel only fails when all receivers are
@@ -223,18 +150,12 @@ where
     }
     drop(tx);
     std::thread::scope(|scope| {
-        for slot in 0..threads {
+        for _ in 0..threads {
             let rx = rx.clone();
             let f = &f;
             scope.spawn(move || {
-                let mut served = 0u64;
                 while let Ok(task) = rx.recv() {
                     f(task);
-                    served += 1;
-                }
-                WORKER_TASKS[slot].fetch_add(served, Ordering::Relaxed);
-                if served == 0 {
-                    IDLE_WORKERS.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
@@ -494,21 +415,6 @@ mod tests {
         set_threads(0);
         let ran_on = ran_on.into_inner().expect("no task panics");
         assert_eq!(ran_on, vec![caller; 16]);
-    }
-
-    #[test]
-    fn pool_stats_count_tasks() {
-        // Counters are process-global and other tests run concurrently, so
-        // assert on deltas of the monotone totals only.
-        let before = pool_stats();
-        run_tasks((0..10u32).collect(), usize::MAX, |_| {});
-        let after = pool_stats();
-        assert!(after.tasks_executed >= before.tasks_executed + 10);
-        assert!(after.pooled_runs + after.inline_runs > before.pooled_runs + before.inline_runs);
-        let served: u64 = after.worker_tasks.iter().sum();
-        let served_before: u64 = before.worker_tasks.iter().sum();
-        // Pooled runs account for every chunk they executed.
-        assert!(served >= served_before);
     }
 
     #[test]

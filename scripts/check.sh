@@ -29,7 +29,7 @@ ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method adaqp --machines 1 --devices 2 \
     --epochs 3 --hidden 16 --period 2 --seed 7 >/dev/null
 
-echo "==> CLI smoke (a misspelt flag exits non-zero and is named on stderr)"
+echo "==> CLI smoke (a misspelt flag or a zero part count exits non-zero, named on stderr, without a panic)"
 if cli_err="$(cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --epoch 3 2>&1 >/dev/null)"; then
     echo "check: adaqp run accepted the unknown flag --epoch" >&2
@@ -39,6 +39,15 @@ grep -qF -- '`--epoch`' <<<"$cli_err" || {
     echo "check: the error does not name --epoch: $cli_err" >&2
     exit 1
 }
+if cli_err="$(cargo run --offline -q --release -p adaqp --bin adaqp -- \
+    partition --dataset tiny --parts 0 2>&1 >/dev/null)"; then
+    echo "check: adaqp partition accepted --parts 0" >&2
+    exit 1
+fi
+if ! grep -qF -- '--parts' <<<"$cli_err" || grep -qF 'panicked' <<<"$cli_err"; then
+    echo "check: --parts 0 did not end in an error naming --parts: $cli_err" >&2
+    exit 1
+fi
 
 echo "==> cargo test -q"
 cargo test --offline -q

@@ -3,7 +3,7 @@
 //! values (comm volume, quantization error, solver work, training curves), so
 //! the same experiment run with 1, 2 and 8 worker threads must produce a
 //! byte-identical snapshot in both export formats; host-time and scheduling
-//! metrics are diagnostic-flagged and excluded.
+//! metrics are never recorded.
 
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
 use graph::DatasetSpec;

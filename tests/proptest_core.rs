@@ -172,7 +172,7 @@ fn pick<T: Clone>(table: &[T], i: usize) -> T {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `validate` is the whole contract of `run_experiment`: a config it
     /// accepts trains or fails with a typed error (never a panic, on the
@@ -184,6 +184,9 @@ proptest! {
         (inter, intra, latency, speedup) in (0usize..36, 0usize..36, 0usize..36, 0usize..36),
         (dropout, lambda, group) in (0usize..36, 0usize..36, 0usize..12),
         (scales, racks, spine) in (0usize..48, 0usize..18, 0usize..42),
+        (nodes, classes, features, in_deg) in (0usize..18, 0usize..12, 0usize..12, 0usize..36),
+        (out_deg, gateway, homophily) in (0usize..36, 0usize..36, 0usize..36),
+        (train_frac, val_frac) in (0usize..36, 0usize..36),
     ) {
         use adaqp::{Error, ExperimentConfig, Method, TopologySpec, TrainingConfig};
         use comm::costmodel::{
@@ -229,8 +232,21 @@ proptest! {
                 ..TopologySpec::from_training(&training)
             });
         }
+        let tiny = graph::DatasetSpec::tiny();
+        let dataset = graph::DatasetSpec {
+            num_nodes: pick(&[tiny.num_nodes, 0, 1], nodes),
+            num_classes: pick(&[tiny.num_classes, 0], classes),
+            feature_dim: pick(&[tiny.feature_dim, 0], features),
+            avg_in_degree: pick(&f64_table(tiny.avg_in_degree), in_deg),
+            avg_out_degree: pick(&f64_table(tiny.avg_out_degree), out_deg),
+            gateway_frac: pick(&f64_table(tiny.gateway_frac), gateway),
+            class_homophily: pick(&f64_table(tiny.class_homophily), homophily),
+            train_frac: pick(&f64_table(tiny.train_frac), train_frac),
+            val_frac: pick(&f64_table(tiny.val_frac), val_frac),
+            ..tiny
+        };
         let cfg = ExperimentConfig {
-            dataset: graph::DatasetSpec::tiny(),
+            dataset,
             machines: 2,
             devices_per_machine: 1,
             method: Method::ALL[method],
