@@ -18,7 +18,7 @@ pub struct RuleDoc {
 }
 
 /// Documentation for every rule, in [`crate::RULE_NAMES`] order.
-pub const RULE_DOCS: [RuleDoc; 5] = [
+pub const RULE_DOCS: [RuleDoc; 2] = [
     RuleDoc {
         name: "dep-hygiene",
         rationale: "Every crate dependency must route through [workspace.dependencies] \
@@ -26,31 +26,6 @@ pub const RULE_DOCS: [RuleDoc; 5] = [
                     stays total — a version or path written in a member manifest escapes it.",
         bad: include_str!("../tests/fixtures/dep_hygiene_bad.toml"),
         good: include_str!("../tests/fixtures/dep_hygiene_ok.toml"),
-    },
-    RuleDoc {
-        name: "par-disjoint",
-        rationale: "Closures handed to the deterministic parallel runtime may only index \
-                    their output slices with identifiers derived from the chunk-range \
-                    parameters; a captured or global index is how chunks come to alias, \
-                    which the byte-determinism contract forbids.",
-        bad: include_str!("../tests/fixtures/par_disjoint_bad.rs"),
-        good: include_str!("../tests/fixtures/par_disjoint_ok.rs"),
-    },
-    RuleDoc {
-        name: "unit-confusion",
-        rationale: "Host wall-clock seconds (host_seconds, Instant deltas) and simulated \
-                    seconds (sim_seconds) must never meet in arithmetic or assignment: \
-                    summing them produces a number that is neither, and it looks plausible.",
-        bad: include_str!("../tests/fixtures/unit_confusion_bad.rs"),
-        good: include_str!("../tests/fixtures/unit_confusion_ok.rs"),
-    },
-    RuleDoc {
-        name: "no-host-block",
-        rationale: "Devices advance under a single-threaded event loop: every wait must be \
-                    an awaited device operation. thread::sleep, channel .recv() or timeout \
-                    waits in an async body (or a DeviceProgram's resume) stall the cluster.",
-        bad: include_str!("../tests/fixtures/no_host_block_bad.rs"),
-        good: include_str!("../tests/fixtures/no_host_block_ok.rs"),
     },
     RuleDoc {
         name: "collective-divergence",
@@ -102,8 +77,8 @@ mod tests {
     fn lookup_finds_known_rules_only() {
         assert!(explain_rule("collective-divergence").is_some());
         assert!(explain_rule("no-such-rule").is_none());
-        let out = render(explain_rule("par-disjoint").expect("known rule"));
-        assert!(out.contains("rule: par-disjoint"));
+        let out = render(explain_rule("dep-hygiene").expect("known rule"));
+        assert!(out.contains("rule: dep-hygiene"));
         assert!(out.contains("flagged"));
     }
 }

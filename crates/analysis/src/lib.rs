@@ -1,17 +1,19 @@
 //! # adaqp-lint — workspace static analysis for simulation invariants
 //!
 //! The reproduction's headline numbers rest on a simulated clock and on
-//! bit-deterministic, deadlock-free device programs. What a type can say —
-//! no `Instant`/`SystemTime` and no `HashMap`/`HashSet` (clippy's
-//! `disallowed_types`, configured in `clippy.toml`), no panics, prints or
-//! unmarked truncating casts in library code — rustc and clippy check. This
-//! crate checks the rest: parallel closures that write disjoint chunks,
-//! host and simulated seconds that never meet, device code that never
-//! blocks the host, and `async` device bodies whose rank-dependent
-//! branches reach the same collectives. It is offline and dependency-free: with no network or
-//! registry there is no `syn`, so a hand-rolled
-//! comment/string/raw-string-aware token scanner ([`lexer`]) feeds a small
-//! rule engine ([`rules`]).
+//! bit-deterministic, deadlock-free device programs. What the compiler can
+//! hold, it holds: no `Instant`/`SystemTime` and no `HashMap`/`HashSet`
+//! (clippy's `disallowed_types`), no host-blocking calls (clippy's
+//! `disallowed_methods`, both configured in `clippy.toml`), host seconds
+//! typed apart from simulated ones (`obs::time::HostSeconds`), disjoint
+//! parallel writes (safe Rust's borrow rules), and no panics, prints or
+//! unmarked truncating casts in library code. This crate checks the two
+//! things no type can say: that every crate routes its dependencies
+//! through the workspace (`dep-hygiene`), and that `async` device bodies
+//! reach the same collectives on every rank (`collective-divergence`). It
+//! is offline and dependency-free: with no network or registry there is no
+//! `syn`, so a hand-rolled comment/string/raw-string-aware token scanner
+//! ([`lexer`]) feeds a small rule engine ([`rules`]).
 //!
 //! Run it over the workspace:
 //!
@@ -19,7 +21,7 @@
 //! cargo run -p analysis --release -- --workspace
 //! ```
 //!
-//! or over scratch files / fixtures (all token rules active):
+//! or over scratch files / fixtures (every rule active):
 //!
 //! ```text
 //! cargo run -p analysis --release -- path/to/file.rs
@@ -49,7 +51,6 @@ pub mod explain;
 pub mod lexer;
 pub mod protocol;
 pub mod rules;
-pub mod scopes;
 pub mod workspace;
 
 pub use explain::{explain_rule, RuleDoc};

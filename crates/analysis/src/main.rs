@@ -11,16 +11,12 @@ USAGE:
     cargo run -p analysis --release -- [--json] [PATH.rs | PATH.toml]...
     cargo run -p analysis --release -- --explain <rule>
 
-Rules: dep-hygiene, par-disjoint, unit-confusion, no-host-block,
-collective-divergence (clippy carries the rest; see clippy.toml and
-DESIGN.md section 7).
+Rules: dep-hygiene, collective-divergence (rustc and clippy carry the
+rest; see clippy.toml and DESIGN.md section 7).
 Suppress with `// lint:allow(<rule>): <reason>` on the offending line;
 stale and reason-less directives are themselves violations.
 --explain <rule> prints the rule's rationale with a minimal bad/good pair.
 --json prints findings as a JSON array on stdout (summary on stderr).
---baseline <file> ratchets against a committed --json artifact: findings
-whose stable id appears in the baseline are grandfathered (reported but
-not failing); only *new* findings exit 1.
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.";
 
 fn main() {
@@ -49,23 +45,11 @@ fn run() -> i32 {
         return 0;
     }
     let json = args.iter().any(|a| a == "--json");
-    let baseline_ids = match load_baseline(&args) {
-        Ok(ids) => ids,
-        Err(code) => return code,
-    };
     let mut findings: Vec<Finding> = Vec::new();
     let mut scanned_workspace = false;
     let mut scanned_anything = false;
-    let mut skip_next = false;
     for arg in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
         let result = if arg == "--json" {
-            continue;
-        } else if arg == "--baseline" {
-            skip_next = true;
             continue;
         } else if arg == "--workspace" {
             scanned_workspace = true;
@@ -91,73 +75,21 @@ fn run() -> i32 {
     }
     if json {
         print!("{}", to_json(&findings));
-    }
-    let (grandfathered, new): (Vec<&Finding>, Vec<&Finding>) = findings
-        .iter()
-        .partition(|f| baseline_ids.as_ref().is_some_and(|ids| ids.contains(&f.id)));
-    if !json {
-        for f in &grandfathered {
-            println!("{f}  (baseline)");
-        }
-        for f in &new {
+    } else {
+        for f in &findings {
             println!("{f}");
         }
     }
-    if new.is_empty() {
+    if findings.is_empty() {
         let scope = if scanned_workspace {
             "workspace"
         } else {
             "inputs"
         };
-        if grandfathered.is_empty() {
-            eprintln!("adaqp-lint: {scope} clean (0 violations)");
-        } else {
-            eprintln!(
-                "adaqp-lint: {scope} clean ({} grandfathered via baseline, 0 new)",
-                grandfathered.len()
-            );
-        }
+        eprintln!("adaqp-lint: {scope} clean (0 violations)");
         0
     } else {
-        eprintln!(
-            "adaqp-lint: {} new violation(s){}",
-            new.len(),
-            if grandfathered.is_empty() {
-                String::new()
-            } else {
-                format!(" ({} grandfathered)", grandfathered.len())
-            }
-        );
+        eprintln!("adaqp-lint: {} violation(s)", findings.len());
         1
     }
-}
-
-/// Reads `--baseline <file>` if present and extracts the `"id"` values from
-/// the committed `--json` artifact. Returns `None` when no baseline was
-/// requested; `Err` carries the exit code for usage/IO failures.
-fn load_baseline(args: &[String]) -> Result<Option<std::collections::BTreeSet<String>>, i32> {
-    let Some(pos) = args.iter().position(|a| a == "--baseline") else {
-        return Ok(None);
-    };
-    let Some(path) = args.get(pos + 1) else {
-        eprintln!("--baseline needs a file path\n{USAGE}");
-        return Err(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("adaqp-lint: {path}: {e}");
-            return Err(2);
-        }
-    };
-    let mut ids = std::collections::BTreeSet::new();
-    let mut rest = text.as_str();
-    while let Some(at) = rest.find("\"id\": \"") {
-        rest = &rest[at + 7..];
-        if let Some(end) = rest.find('"') {
-            ids.insert(rest[..end].to_string());
-            rest = &rest[end..];
-        }
-    }
-    Ok(Some(ids))
 }

@@ -1,8 +1,8 @@
 //! The `collective-divergence` rule over the `async` device bodies that
 //! ship.
 //!
-//! Every `.await` in a device body (an `async fn` or `async` block, found by
-//! the same walker `no-host-block` uses) is a cluster wait: the adapter that
+//! Every `.await` in a device body (an `async fn` or `async` block) is a
+//! cluster wait: the adapter that
 //! polls a body (`comm::cluster::AsyncProgram`) treats a body that waits on
 //! anything but the cluster as unreachable. So the sequence of awaited
 //! callees *is* the body's collective protocol, and one program on every
@@ -30,12 +30,54 @@
 //! and the helper's own body is checked where it is defined.
 
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{device_body, Finding};
-use crate::scopes::matching;
+use crate::rules::Finding;
 use std::collections::BTreeSet;
 
 /// Collectives whose first argument is the root every rank must agree on.
 const ROOTED: [&str; 3] = ["gather", "scatter", "broadcast"];
+
+/// Index of the token matching the opening delimiter at `open` (`(`, `[` or
+/// `{`), counting only that delimiter pair. Returns `code.len()` when the
+/// delimiter never closes (malformed input degrades gracefully: the body
+/// runs to end of file instead of derailing the scan).
+fn matching(code: &[&Tok], open: usize) -> usize {
+    let (o, c) = match code.get(open) {
+        Some(t) if t.is_punct('(') => ('(', ')'),
+        Some(t) if t.is_punct('[') => ('[', ']'),
+        Some(t) if t.is_punct('{') => ('{', '}'),
+        _ => return code.len(),
+    };
+    let mut depth = 1usize;
+    let mut i = open + 1;
+    while i < code.len() {
+        if code[i].is_punct(o) {
+            depth += 1;
+        } else if code[i].is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+        i += 1;
+    }
+    code.len()
+}
+
+/// The `{` opening the device body that starts at token `i`: the body of an
+/// `async fn` (past its signature; a bodyless declaration has none) or of
+/// an `async` / `async move` block.
+fn device_body(code: &[&Tok], i: usize) -> Option<usize> {
+    if !code[i].is_ident("async") {
+        return None;
+    }
+    let next = i + 1 + usize::from(code.get(i + 1).is_some_and(|t| t.is_ident("move")));
+    let open = if code.get(next)?.is_ident("fn") {
+        (next..code.len()).find(|&j| code[j].is_punct('{') || code[j].is_punct(';'))?
+    } else {
+        next
+    };
+    code.get(open)?.is_punct('{').then_some(open)
+}
 
 /// One node of a device body's skeleton.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -319,7 +361,6 @@ fn signature(nodes: &[Node]) -> String {
 pub fn check(display_path: &str, code: &[&Tok], exempt: &[(u32, u32)], raw: &mut Vec<Finding>) {
     let mut push = |line: u32, message: String| {
         raw.push(Finding {
-            id: String::new(),
             file: display_path.to_string(),
             line,
             rule: "collective-divergence",
@@ -388,5 +429,71 @@ fn walk(nodes: &[Node], push: &mut impl FnMut(u32, String)) {
                 walk(body, push);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    fn skeletons_of(src: &str) -> Vec<Skeleton> {
+        let toks = lex(src);
+        let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+        extract_skeletons(&code)
+    }
+
+    fn awaits(nodes: &[Node]) -> Vec<&str> {
+        nodes
+            .iter()
+            .filter_map(|n| match n {
+                Node::Await { callee, .. } => Some(callee.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn finds_top_level_and_nested_fns() {
+        let src = "async fn outer(dev: &mut AsyncDevice) {\n    \
+                   let inner = async move { dev.barrier().await };\n    \
+                   inner.await;\n}\n\
+                   async fn next(dev: &mut AsyncDevice) { dev.broadcast(0, None).await; }\n";
+        let skels = skeletons_of(src);
+        // The nested `async` block is part of the outer body, not its own.
+        assert_eq!(skels.len(), 2, "{skels:?}");
+        assert_eq!(awaits(&skels[0].nodes), ["barrier", "inner"]);
+        assert_eq!(
+            (skels[1].line, awaits(&skels[1].nodes)),
+            (5, vec!["broadcast"])
+        );
+    }
+
+    #[test]
+    fn generics_with_fn_bounds_do_not_derail() {
+        let src = "async fn apply<F: Fn(usize) -> usize>(dev: &mut AsyncDevice, f: F) -> usize\n\
+                   where F: Copy { dev.barrier().await; f(1) }\n";
+        let skels = skeletons_of(src);
+        assert_eq!(skels.len(), 1);
+        assert_eq!(awaits(&skels[0].nodes), ["barrier"]);
+    }
+
+    #[test]
+    fn fn_pointer_types_and_declarations_are_skipped() {
+        let src = "trait T { async fn required(&self); }\ntype Op = fn(u32) -> u32;\n\
+                   async fn real(dev: &mut AsyncDevice) { dev.barrier().await; }\n";
+        let skels = skeletons_of(src);
+        assert_eq!(skels.len(), 1, "{skels:?}");
+        assert_eq!(skels[0].line, 3);
+    }
+
+    #[test]
+    fn matching_handles_nesting_and_malformed_input() {
+        let toks = lex("( a ( b ) c )");
+        let code: Vec<&Tok> = toks.iter().collect();
+        assert_eq!(matching(&code, 0), code.len() - 1);
+        let toks = lex("( never closed");
+        let code: Vec<&Tok> = toks.iter().collect();
+        assert_eq!(matching(&code, 0), code.len());
     }
 }

@@ -95,7 +95,7 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<Finding>, ScanError> {
 }
 
 /// Scans one explicitly-named file (scratch/fixture mode): `.toml` files get
-/// the manifest rule, `.rs` files get every token rule.
+/// the manifest rule, `.rs` files get `collective-divergence`.
 pub fn scan_path(path: &Path) -> Result<Vec<Finding>, ScanError> {
     let display = path.display().to_string();
     let src = read(path)?;

@@ -1,7 +1,6 @@
-// Clean: the allow is live — it suppresses the captured index below it.
-pub fn mark(out: &mut [f32], offset: usize) {
-    par_chunks_deterministic(out, 1, 1, |_start, _end, chunk| {
-        // lint:allow(par-disjoint): the caller passes one chunk's offset
-        chunk[offset] = 1.0;
-    });
+// Clean: the allow is live — it suppresses the rank-dependent root below it.
+async fn announce(dev: &mut AsyncDevice, stats: Bytes) -> Bytes {
+    let own = (dev.rank() == 0).then_some(stats);
+    // lint:allow(collective-divergence): fewer than 64 ranks, so every rank names root 0
+    dev.broadcast(dev.rank() / 64, own).await
 }

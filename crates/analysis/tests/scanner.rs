@@ -246,56 +246,6 @@ fn dep_hygiene_fixture_pair() {
 }
 
 #[test]
-fn par_disjoint_fixture_pair() {
-    let bad = scan_fixture("par_disjoint_bad.rs");
-    assert!(
-        rules_of(&bad).contains(&"par-disjoint"),
-        "findings: {bad:?}"
-    );
-    assert_eq!(bad[0].line, 6, "the captured-cursor index is on line 6");
-    // Chunk-derived indices and the same captured cursor under
-    // #[cfg(test)] both stay silent.
-    assert!(scan_fixture("par_disjoint_ok.rs").is_empty());
-}
-
-#[test]
-fn unit_confusion_fixture_pair() {
-    let bad = scan_fixture("unit_confusion_bad.rs");
-    let rules = rules_of(&bad);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "unit-confusion").count(),
-        2,
-        "direct mix + taint through a binding: {bad:?}"
-    );
-    // The message names the enclosing function.
-    assert!(bad.iter().any(|f| f.message.contains("direct")));
-    assert!(bad.iter().any(|f| f.message.contains("via_binding")));
-    assert!(scan_fixture("unit_confusion_ok.rs").is_empty());
-}
-
-#[test]
-fn no_host_block_fixture_pair() {
-    let bad = scan_fixture("no_host_block_bad.rs");
-    let rules = rules_of(&bad);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "no-host-block").count(),
-        2,
-        "thread::sleep + .recv(): {bad:?}"
-    );
-    assert_eq!(bad[0].line, 6, "the sleep is on line 6");
-    assert_eq!(bad[1].line, 7, "the recv is on line 7");
-    // Inherent-impl recv and the suppressed rendezvous both stay silent.
-    assert!(scan_fixture("no_host_block_ok.rs").is_empty());
-    // In `async` device code: the sleep and the channel recv in the `async
-    // fn`, the recv_timeout in the `async move` block; awaited collectives and
-    // a plain fn stay silent.
-    let bad = scan_fixture("no_host_block_async_bad.rs");
-    assert!(bad.iter().all(|f| f.rule == "no-host-block"));
-    assert_eq!(bad.iter().map(|f| f.line).collect::<Vec<_>>(), [4, 5, 8]);
-    assert!(scan_fixture("no_host_block_async_ok.rs").is_empty());
-}
-
-#[test]
 fn collective_divergence_fixture_pair() {
     let bad = scan_fixture("collective_divergence_bad.rs");
     assert!(
@@ -329,64 +279,34 @@ fn stale_allow_fixture_pair() {
 }
 
 #[test]
-fn finding_ids_are_content_derived_and_line_stable() {
-    let bad = scan_fixture("collective_divergence_bad.rs");
-    assert!(!bad[0].id.is_empty(), "ids assigned after scan");
-    // Rescanning the same content yields the same id; shifting the code
-    // down a line must not change it (ids hash content, not position).
-    let src = std::fs::read_to_string(fixture("collective_divergence_bad.rs")).unwrap();
-    let direct = analysis::rules::scan_rust(
-        "crates/analysis/tests/fixtures/collective_divergence_bad.rs",
-        analysis::rules::FileClass::Library,
-        &src,
-    );
-    let shifted = analysis::rules::scan_rust(
-        "crates/analysis/tests/fixtures/collective_divergence_bad.rs",
-        analysis::rules::FileClass::Library,
-        &format!("// an extra leading comment line\n{src}"),
-    );
-    assert_eq!(direct[0].id, shifted[0].id, "line shifts keep ids stable");
-    assert_eq!(direct[0].line + 1, shifted[0].line);
-    // The JSON artifact leads with the id, so baselines can be harvested.
-    let json = analysis::to_json(&direct);
-    assert!(
-        json.contains(&format!("{{\"id\": \"{}\"", direct[0].id)),
-        "{json}"
-    );
-}
-
-#[test]
 fn to_json_escapes_and_orders_findings() {
     let findings = vec![
         Finding {
-            id: "deadbeef-0".into(),
             file: "a.rs".into(),
             line: 3,
-            rule: "par-disjoint",
+            rule: "dep-hygiene",
             message: "say \"no\" to panics\tplease".into(),
         },
         Finding {
-            id: "deadbeef-1".into(),
             file: "b\\c.rs".into(),
             line: 7,
-            rule: "unit-confusion",
-            message: "wall clock".into(),
+            rule: "collective-divergence",
+            message: "rank-dependent root".into(),
         },
     ];
     let json = analysis::to_json(&findings);
     assert!(json.starts_with('['), "array output: {json}");
-    assert!(json.contains(r#""file": "a.rs", "line": 3, "rule": "par-disjoint""#));
+    assert!(json.contains(r#"{"file": "a.rs", "line": 3, "rule": "dep-hygiene""#));
     assert!(json.contains(r#"say \"no\" to panics\tplease"#));
     assert!(json.contains(r#""b\\c.rs""#));
     // Input order is preserved (scan output is already sorted).
-    assert!(json.find("a.rs").unwrap() < json.find("unit-confusion").unwrap());
+    assert!(json.find("a.rs").unwrap() < json.find("collective-divergence").unwrap());
     assert_eq!(analysis::to_json(&[]), "[\n]\n");
 }
 
 #[test]
 fn protocol_findings_round_trip_through_json() {
-    let mut findings = scan_fixture("collective_divergence_bad.rs");
-    findings.extend(scan_fixture("no_host_block_bad.rs"));
+    let findings = scan_fixture("collective_divergence_bad.rs");
     let json = analysis::to_json(&findings);
     // Minimal round-trip: pull each {"file": …, "line": …, "rule": …}
     // record back out and compare against the scan results field by field.
@@ -407,15 +327,14 @@ fn protocol_findings_round_trip_through_json() {
         assert_eq!(field("rule"), f.rule, "{rec}");
     }
     assert!(json.contains(r#""rule": "collective-divergence""#));
-    assert!(json.contains(r#""rule": "no-host-block""#));
 }
 
 #[test]
 fn findings_render_as_file_line_rule() {
-    let bad = scan_fixture("par_disjoint_bad.rs");
+    let bad = scan_fixture("collective_divergence_bad.rs");
     let line = bad[0].to_string();
     assert!(
-        line.contains("par_disjoint_bad.rs:6: [par-disjoint]"),
+        line.contains("collective_divergence_bad.rs:5: [collective-divergence]"),
         "rendered: {line}"
     );
 }

@@ -63,9 +63,7 @@ fn main() {
             let stats = adaqp::exchange::ExchangeStats {
                 sent_bytes: sent,
                 recv_bytes: recv,
-                quant_cpu_seconds: 0.0,
-                quant_ops: 0.0,
-                encode_stats: quant::EncodeStats::default(),
+                ..adaqp::exchange::ExchangeStats::default()
             };
             comm_secs += stats.ring_seconds(&cost, p.rank) * passes as f64;
         }

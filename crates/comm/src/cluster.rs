@@ -351,6 +351,10 @@ struct FnProgram {
 impl DeviceProgram for FnProgram {
     type Output = ();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lockstep rendezvous with the paired device thread: the scheduler waits, not a device"
+    )]
     fn resume(&mut self, input: Resume) -> Step<()> {
         if self.started {
             // A closed channel means the device thread already failed; the
@@ -361,7 +365,6 @@ impl DeviceProgram for FnProgram {
             // no consumer.
             self.started = true;
         }
-        // lint:allow(no-host-block): lockstep rendezvous with the paired device thread — scheduler-side wait, not a device-side one
         match self.cmd_rx.recv() {
             Ok(FnEvent::Yield(cmd)) => Step::Yield(cmd),
             Ok(FnEvent::Done) => Step::Done(()),
@@ -384,6 +387,10 @@ struct Link {
 impl Link {
     /// Runs one device operation to completion on this thread, blocking it
     /// while the scheduler answers each command the operation waits on.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a closure device's own thread waits for the scheduler's answer; the event loop is not blocked"
+    )]
     fn block_on<T>(&self, op: impl Future<Output = T>) -> T {
         let mut op = pin!(op);
         let cx = &mut Context::from_waker(Waker::noop());
@@ -1054,7 +1061,7 @@ mod tests {
         span.detail = EventDetail {
             bytes: i as u64,
             width_bits: Some(8),
-            host_seconds: 1e-6 * i as f64,
+            host_seconds: obs::time::HostSeconds::from_secs(1e-6 * i as f64),
             threads: Some(2),
         };
         if span.kind == EventKind::HaloSend {

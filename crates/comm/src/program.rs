@@ -17,8 +17,8 @@
 //!   variant matching `cmd`.
 //! * A program must not block the host between yields: no
 //!   `std::thread::sleep`, no blocking channel reads, no `Instant` waits
-//!   (the `no-host-block` lint rule enforces this). All waiting is
-//!   expressed by yielding.
+//!   (clippy's `disallowed_methods` and `disallowed_types` refuse them; see
+//!   `clippy.toml`). All waiting is expressed by yielding.
 //! * Between yields a program may charge local work to the simulated clock
 //!   via [`Command::Advance`]; the scheduler never maps host time onto the
 //!   clock.

@@ -4,19 +4,22 @@
 //! composes them into an epoch, live in [`obs::time`]; this module keeps
 //! their historical `comm::timing` paths and the host-side stopwatch.
 
-pub use obs::time::{TimeBreakdown, TimeCategory};
+pub use obs::time::{HostSeconds, TimeBreakdown, TimeCategory};
 
-/// Measures the host wall-clock time of `f` in seconds and returns it with
-/// the closure's output: the diagnostic kernel time telemetry spans carry
-/// next to their analytic simulated charge.
+/// Measures the host wall-clock time of `f` and returns it with the
+/// closure's output: the diagnostic kernel time telemetry spans carry next
+/// to their analytic simulated charge. The one host stopwatch (clippy's
+/// `disallowed_types` keeps `Instant` out of everything else), and its
+/// seconds come back as [`HostSeconds`], which the simulated clock does not
+/// accept.
 #[expect(
     clippy::disallowed_types,
     reason = "the one host stopwatch; its seconds are diagnostics"
 )]
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub fn measure<T>(f: impl FnOnce() -> T) -> (T, HostSeconds) {
     let start = std::time::Instant::now();
     let out = f();
-    (out, start.elapsed().as_secs_f64())
+    (out, HostSeconds::from_secs(start.elapsed().as_secs_f64()))
 }
 
 #[cfg(test)]
@@ -79,6 +82,6 @@ mod tests {
     fn measure_reports_positive_time() {
         let (sum, secs) = measure(|| (0..100_000u64).sum::<u64>());
         assert_eq!(sum, 4_999_950_000);
-        assert!(secs >= 0.0);
+        assert!(secs >= HostSeconds::default());
     }
 }

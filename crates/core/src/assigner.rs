@@ -15,6 +15,7 @@
 use crate::config::TrainingConfig;
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
+use comm::timing::HostSeconds;
 use comm::{AsyncDevice, CostModel};
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
@@ -177,10 +178,10 @@ fn row_range(row: &[f32]) -> f32 {
 /// (the master broadcasts it alongside the measured solve time).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveStats {
-    /// Measured master solve time in seconds (host wall-clock; the paper
-    /// blocks workers while the master solves, so trainers charge it on
-    /// every device).
-    pub secs: f64,
+    /// Measured master solve time (host wall-clock; the paper blocks
+    /// workers while the master solves, so trainers charge it on every
+    /// device).
+    pub secs: HostSeconds,
     /// Candidate assignments evaluated across all per-(layer, direction)
     /// solver runs.
     pub iterations: u64,
@@ -194,7 +195,7 @@ impl SolveStats {
     /// Packs the stats into the 32-byte broadcast payload.
     fn to_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
-        out[0..8].copy_from_slice(&self.secs.to_le_bytes());
+        out[0..8].copy_from_slice(&self.secs.secs().to_le_bytes());
         // Iteration counts stay far below 2^53, so the f64 encoding is exact.
         out[8..16].copy_from_slice(&(self.iterations as f64).to_le_bytes());
         out[16..24].copy_from_slice(&self.objective_sum.to_le_bytes());
@@ -214,7 +215,7 @@ impl SolveStats {
             });
         };
         Ok(SolveStats {
-            secs: f64::from_le_bytes(secs),
+            secs: HostSeconds::from_secs(f64::from_le_bytes(secs)),
             // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
             iterations: f64::from_le_bytes(iterations) as u64,
             objective_sum: f64::from_le_bytes(objective_sum),
@@ -1601,7 +1602,7 @@ mod tests {
         });
         let out = run.expect("no device panicked or stalled").outputs;
         for (rank, (assign, solve)) in out.iter().enumerate() {
-            assert!(solve.secs >= 0.0);
+            assert!(solve.secs >= HostSeconds::default());
             assert!(solve.iterations > 0, "solver evaluated candidates");
             // 2 layers x 2 directions.
             assert_eq!(solve.problems, 4);

@@ -197,8 +197,8 @@ fn experiment_from(flags: &Flags) -> Result<ExperimentConfig, String> {
     // single-rack network; any other value installs a topology section.
     let rack_size = parse_num(flags, "rack-size", 0usize)?;
     let oversub = parse_num(flags, "oversub", 1.0f64)?;
-    if oversub < 1.0 {
-        return Err("--oversub must be >= 1".into());
+    if !oversub.is_finite() || oversub < 1.0 {
+        return Err(format!("--oversub must be finite and >= 1 (got {oversub})"));
     }
     if rack_size > 0 || oversub > 1.0 {
         let mut spec = TopologySpec::from_training(&training);
@@ -635,8 +635,13 @@ mod tests {
         let off = experiment_from(&flags_of(&["--dataset", "tiny"])).expect("valid config");
         assert!(off.training.topology.is_none());
 
-        let bad = flags_of(&["--dataset", "tiny", "--oversub", "0.5"]);
-        assert!(experiment_from(&bad).is_err());
+        // NaN compares false against 1, so it must be refused by name, not
+        // run as a flat network.
+        for raw in ["0.5", "NaN", "nan", "inf", "-inf"] {
+            let bad = flags_of(&["--dataset", "tiny", "--oversub", raw]);
+            let err = experiment_from(&bad).expect_err(raw);
+            assert!(err.contains("--oversub"), "{raw}: {err}");
+        }
     }
 
     #[test]

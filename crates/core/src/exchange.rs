@@ -18,7 +18,7 @@
 
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
-use comm::timing::measure;
+use comm::timing::{measure, HostSeconds};
 use comm::{AsyncDevice, CostModel, DeviceHandle};
 use quant::{decode_rows, encode_rows_into, predicted_wire_len, BitWidth, DecodeError};
 use std::borrow::BorrowMut;
@@ -75,7 +75,7 @@ pub struct ExchangeStats {
     pub recv_bytes: Vec<usize>,
     /// Measured CPU seconds in quantize/de-quantize kernels (diagnostic; the
     /// clock charges `quant_ops`, so the simulation is immune to host load).
-    pub quant_cpu_seconds: f64,
+    pub quant_cpu_seconds: HostSeconds,
     /// Elements quantized (encoder side, including error-feedback
     /// self-decodes at decoder cost).
     pub quant_ops: f64,
@@ -1073,7 +1073,7 @@ mod tests {
         let stats = ExchangeStats {
             sent_bytes: vec![0, 1000, 2000],
             recv_bytes: vec![0, 500, 4000],
-            quant_cpu_seconds: 0.0,
+            quant_cpu_seconds: HostSeconds::default(),
             quant_ops: 0.0,
             encode_stats: quant::EncodeStats::default(),
         };
@@ -1089,7 +1089,7 @@ mod tests {
         let stats = ExchangeStats {
             sent_bytes: vec![0, 3000, 1000],
             recv_bytes: vec![0, 2000, 2000],
-            quant_cpu_seconds: 0.0,
+            quant_cpu_seconds: HostSeconds::default(),
             quant_ops: 0.0,
             encode_stats: quant::EncodeStats::default(),
         };

@@ -17,6 +17,7 @@ pub use obs::time::{Event, EventDetail, EventKind, Span};
 
 use comm::{TimeBreakdown, TimeCategory};
 use obs::critpath::FlightLog;
+use obs::time::HostSeconds;
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 use std::io::Write;
@@ -217,7 +218,7 @@ impl TelemetryLog {
                     ..HostKernelSummary::default()
                 };
                 for e in &d.events {
-                    s.host_seconds += e.host_seconds;
+                    s.host_seconds += e.host_seconds.secs();
                     if let Some(t) = e.threads {
                         s.threads = Some(s.threads.map_or(t, |prev| prev.max(t)));
                     }
@@ -265,7 +266,7 @@ fn span_event(rank: usize, e: &Event) -> Value {
     if let Some(bits) = e.width_bits {
         args.insert("width_bits".into(), serde_json::to_value(&bits));
     }
-    if e.host_seconds > 0.0 {
+    if e.host_seconds > HostSeconds::default() {
         args.insert("host_seconds".into(), serde_json::to_value(&e.host_seconds));
     }
     if let Some(threads) = e.threads {
@@ -316,7 +317,7 @@ mod tests {
             peer: None,
             bytes: 128,
             width_bits: Some(32),
-            host_seconds: 0.0,
+            host_seconds: HostSeconds::default(),
             threads: None,
         };
         let events = vec![
@@ -450,7 +451,7 @@ mod tests {
             peer: Some(2),
             bytes: 1024,
             width_bits: None,
-            host_seconds: 0.002,
+            host_seconds: HostSeconds::from_secs(0.002),
             threads: Some(4),
         };
         let text = serde_json::to_string(&e).unwrap();
@@ -464,7 +465,7 @@ mod tests {
         // host_seconds/threads fields; deserialization must still work.
         let text = r#"{"kind":"CentralCompute","start":0.0,"end":1.0,"epoch":0}"#;
         let e: Event = serde_json::from_str(text).unwrap();
-        assert_eq!(e.host_seconds, 0.0);
+        assert_eq!(e.host_seconds, HostSeconds::default());
         assert_eq!(e.threads, None);
     }
 
@@ -509,7 +510,7 @@ mod tests {
     /// boundaries that are not representable exactly in binary.
     fn golden_log() -> TelemetryLog {
         let mut log = sample_log();
-        log.devices[0].events[0].host_seconds = 0.000_123_456_789_012_345;
+        log.devices[0].events[0].host_seconds = HostSeconds::from_secs(0.000_123_456_789_012_345);
         log.devices[0].events[0].threads = Some(4);
         log.devices[1].events[0].start = 0.1;
         log.devices[1].events[0].end = 0.1 + 0.2; // 0.30000000000000004
@@ -551,9 +552,9 @@ mod tests {
     #[test]
     fn host_kernel_summary_sums_and_takes_max_threads() {
         let mut log = sample_log();
-        log.devices[0].events[0].host_seconds = 0.002;
+        log.devices[0].events[0].host_seconds = HostSeconds::from_secs(0.002);
         log.devices[0].events[0].threads = Some(2);
-        log.devices[0].events[1].host_seconds = 0.001;
+        log.devices[0].events[1].host_seconds = HostSeconds::from_secs(0.001);
         log.devices[0].events[1].threads = Some(8);
         let s = log.host_kernel_summary();
         assert_eq!(s.len(), 2);

@@ -15,7 +15,7 @@ use crate::exchange::{halo_exchange, halo_exchange_with, Direction, ExchangeErro
 use crate::metrics::{DeviceEpochRecord, DeviceTallies, MetricParts};
 use comm::{AsyncDevice, CostModel, TimeBreakdown};
 use gnn::{Adam, Gnn};
-use obs::time::{EventDetail, EventKind, Span};
+use obs::time::{EventDetail, EventKind, HostSeconds, Span};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
 use tensor::{sigmoid_bce_weighted, softmax_cross_entropy, Matrix, Rng};
@@ -376,7 +376,13 @@ impl<'a> DeviceTrainer<'a> {
                 &mut self.assignment,
             )
             .await?;
-            self.charge(EventKind::AssignerSolve, solve.secs, EventDetail::default());
+            // The one charge of host seconds to the simulated clock: the
+            // paper blocks workers while the master solves (DESIGN.md §7).
+            self.charge(
+                EventKind::AssignerSolve,
+                solve.secs.secs(),
+                EventDetail::default(),
+            );
             // SolveStats are identical on every rank (the master broadcasts
             // them); the master alone counts them, so the fold over ranks
             // does not multiply the counts.
@@ -605,7 +611,7 @@ impl<'a> DeviceTrainer<'a> {
     /// wall-clock of the one parallel aggregation kernel rides along on the
     /// marginal span as a diagnostic, so fig10/table5 breakdowns can report
     /// real kernel time per thread count.
-    fn charge_aggregate(&mut self, cols: usize, host_seconds: f64) {
+    fn charge_aggregate(&mut self, cols: usize, host_seconds: HostSeconds) {
         let dim = cols as f64;
         let (central, marginal) = self.agg_entries;
         let central_secs = self

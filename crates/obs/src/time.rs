@@ -16,8 +16,9 @@
 //! The trainer's charges, the runner's combination, the critical-path
 //! analyzer and every figure binary go through them, so their numbers agree
 //! by construction. Next to the buckets sits what one charge carries
-//! besides its seconds — [`EventKind`], [`EventDetail`], [`Span`] — and the
-//! [`Event`] a telemetry view unfolds it into. The types live in `obs`
+//! besides its seconds — [`EventKind`], [`EventDetail`], [`Span`] — the
+//! [`Event`] a telemetry view unfolds it into, and [`HostSeconds`], the type
+//! a host measurement carries so it cannot be charged. The types live in `obs`
 //! because every crate that charges or reads simulated time already depends
 //! on it; `comm::timing` re-exports the buckets under their historical
 //! paths.
@@ -115,6 +116,67 @@ impl EventKind {
     }
 }
 
+/// Host wall-clock seconds: what the one host stopwatch
+/// (`comm::timing::measure`) read while a kernel ran on the machine at
+/// hand. Diagnostic only, and kept apart from the simulated clock by type:
+/// simulated seconds are plain `f64`, and no `From`/`Into` joins the two.
+/// Host seconds add only to host seconds; reading one as a plain number is
+/// the named crossing [`HostSeconds::secs`], so every place host time
+/// leaves the type can be found by name (DESIGN.md §7 lists them).
+///
+/// Serialized as a plain number, so event logs read the same bytes.
+///
+/// ```
+/// use obs::time::HostSeconds;
+/// let kernel = HostSeconds::from_secs(0.25) + HostSeconds::from_secs(0.5);
+/// assert_eq!(kernel.secs(), 0.75);
+/// ```
+///
+/// A measured value does not add to simulated seconds:
+///
+/// ```compile_fail,E0277
+/// use obs::time::HostSeconds;
+/// let sim_seconds: f64 = 1.0;
+/// let _mixed = sim_seconds + HostSeconds::from_secs(0.25);
+/// ```
+///
+/// nor is it charged to the simulated clock:
+///
+/// ```compile_fail,E0308
+/// use obs::time::{HostSeconds, TimeBreakdown, TimeCategory};
+/// let mut tb = TimeBreakdown::new();
+/// tb.charge(TimeCategory::Solve, HostSeconds::from_secs(0.25));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd, Serialize, Deserialize)]
+pub struct HostSeconds(f64);
+
+impl HostSeconds {
+    /// Wraps `secs` read off a host clock — or decoded from bytes a host
+    /// clock wrote.
+    pub fn from_secs(secs: f64) -> Self {
+        HostSeconds(secs)
+    }
+
+    /// The seconds as a plain number: the one way out of the type.
+    pub fn secs(self) -> f64 {
+        self.0
+    }
+}
+
+impl Add for HostSeconds {
+    type Output = HostSeconds;
+
+    fn add(self, rhs: HostSeconds) -> HostSeconds {
+        HostSeconds(self.0 + rhs.0)
+    }
+}
+
+impl AddAssign for HostSeconds {
+    fn add_assign(&mut self, rhs: HostSeconds) {
+        self.0 += rhs.0;
+    }
+}
+
 /// Extra context a charge carries next to its kind and seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EventDetail {
@@ -131,7 +193,7 @@ pub struct EventDetail {
     /// flight log, whose bytes are a function of the program schedule and
     /// not of the machine that ran it.
     #[serde(skip)]
-    pub host_seconds: f64,
+    pub host_seconds: HostSeconds,
     /// Parallel-runtime thread count while the kernel ran.
     #[serde(skip)]
     pub threads: Option<u32>,
@@ -208,7 +270,7 @@ pub struct Event {
     /// took (0 when the span is purely analytic). Diagnostic only — never fed
     /// back into the simulated clock.
     #[serde(default)]
-    pub host_seconds: f64,
+    pub host_seconds: HostSeconds,
     /// Worker-thread count of the parallel runtime while the span's kernel
     /// ran, when the span wraps a host-side kernel.
     #[serde(default)]
@@ -464,13 +526,13 @@ mod tests {
         span.detail = EventDetail {
             bytes: 64,
             width_bits: Some(4),
-            host_seconds: 0.25,
+            host_seconds: HostSeconds::from_secs(0.25),
             threads: Some(8),
         };
         let text = serde_json::to_string(&span).unwrap();
         assert!(!text.contains("host_seconds") && !text.contains("threads"));
         let back: Span = serde_json::from_str(&text).unwrap();
-        (span.detail.host_seconds, span.detail.threads) = (0.0, None);
+        (span.detail.host_seconds, span.detail.threads) = (HostSeconds::default(), None);
         assert_eq!(back, span);
     }
 

@@ -153,6 +153,10 @@ where
         for _ in 0..threads {
             let rx = rx.clone();
             let f = &f;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a pool worker waits for its next task; it runs no device code"
+            )]
             scope.spawn(move || {
                 while let Ok(task) = rx.recv() {
                     f(task);
@@ -215,6 +219,31 @@ pub fn run_range_tasks<T, F>(
 /// `(row range, chunk contents)` — a closure that reads mutable external
 /// state would diverge under the adversarial scheduler even if its writes
 /// are disjoint.
+///
+/// Disjoint writes are the compiler's to check: each chunk is its own
+/// `&mut` sub-slice, and `f` is `Fn + Sync`, so the chunk it is handed is
+/// the only `&mut` it can write through.
+///
+/// ```
+/// use tensor::par::par_chunks_deterministic;
+/// let mut out = vec![0u32; 8];
+/// par_chunks_deterministic(&mut out, 8, 1, 8, |start, _end, chunk| {
+///     chunk[0] = start as u32;
+/// });
+/// assert_eq!(out, [0, 1, 2, 3, 4, 5, 6, 7]);
+/// ```
+///
+/// A closure that writes through a captured `&mut` — the way two chunks
+/// would come to alias — does not compile:
+///
+/// ```compile_fail,E0596
+/// use tensor::par::par_chunks_deterministic;
+/// let mut out = vec![0u32; 8];
+/// let mut shared = vec![0u32; 8];
+/// par_chunks_deterministic(&mut out, 8, 1, 8, |start, _end, _chunk| {
+///     shared[start] = 1;
+/// });
+/// ```
 ///
 /// # Panics
 ///

@@ -15,10 +15,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> benchmark harness compiles against the workspace (--locked: dependency lists match benchmark/Cargo.lock)"
 CARGO_TARGET_DIR=benchmark/target cargo check --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> adaqp-lint (simulation invariants; ratcheted against results/LINT_baseline.json)"
+echo "==> adaqp-lint (the invariants no type can express; any finding fails)"
 mkdir -p results
 cargo run --offline --release -p analysis -- --workspace --json \
-    --baseline results/LINT_baseline.json \
     | tee results/LINT_findings.json
 
 echo "==> adaqp-lint --explain smoke"
@@ -29,7 +28,7 @@ ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method adaqp --machines 1 --devices 2 \
     --epochs 3 --hidden 16 --period 2 --seed 7 >/dev/null
 
-echo "==> CLI smoke (a misspelt flag or a zero part count exits non-zero, named on stderr, without a panic)"
+echo "==> CLI smoke (a misspelt flag, a zero part count or a NaN oversubscription exits non-zero, named on stderr, without a panic)"
 if cli_err="$(cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --epoch 3 2>&1 >/dev/null)"; then
     echo "check: adaqp run accepted the unknown flag --epoch" >&2
@@ -46,6 +45,15 @@ if cli_err="$(cargo run --offline -q --release -p adaqp --bin adaqp -- \
 fi
 if ! grep -qF -- '--parts' <<<"$cli_err" || grep -qF 'panicked' <<<"$cli_err"; then
     echo "check: --parts 0 did not end in an error naming --parts: $cli_err" >&2
+    exit 1
+fi
+if cli_err="$(cargo run --offline -q --release -p adaqp --bin adaqp -- \
+    run --dataset tiny --oversub nan 2>&1 >/dev/null)"; then
+    echo "check: adaqp run accepted --oversub nan" >&2
+    exit 1
+fi
+if ! grep -qF -- '--oversub' <<<"$cli_err" || grep -qF 'panicked' <<<"$cli_err"; then
+    echo "check: --oversub nan did not end in an error naming --oversub: $cli_err" >&2
     exit 1
 fi
 

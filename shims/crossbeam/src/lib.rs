@@ -178,6 +178,10 @@ pub mod channel {
     }
 
     #[cfg(test)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the tests exercise the blocking receive itself"
+    )]
     mod tests {
         use super::*;
 

@@ -257,7 +257,7 @@ fn golden_telemetry_digests() {
         let mut r = adaqp::run_experiment(&cfg).expect("valid config");
         let log = r.telemetry.as_mut().expect("telemetry on");
         for e in log.devices.iter_mut().flat_map(|d| &mut d.events) {
-            e.host_seconds = 0.0;
+            e.host_seconds = Default::default();
             e.threads = None;
         }
         let trace = serde_json::to_string(&log.chrome_trace()).expect("trace encodes");
