@@ -1,5 +1,6 @@
 //! Aggregation-engine benchmarks: full-row aggregation vs the split
-//! central/marginal path the overlap schedule uses.
+//! central/marginal path the overlap schedule uses, and the trainer's
+//! two-source forward and the backward at the workloads' widths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gnn::ConvKind;
@@ -37,9 +38,30 @@ fn bench_backward(c: &mut Criterion) {
     });
 }
 
+/// `aggregate_with_halo` and `backward` at 8, 32, 96 and 128 columns: the
+/// fleet's hidden width, `halo32_*`'s hidden width, reddit-sim's layer 0 and
+/// `dense8_vanilla`'s hidden width, one per tile of the column-tiled kernel.
+fn bench_widths(c: &mut Criterion) {
+    let (part, _) = setup();
+    let mut rng = Rng::seed_from(15);
+    let mut group = c.benchmark_group("aggregate_width");
+    for cols in [8, 32, 96, 128] {
+        let local = Matrix::from_fn(part.num_local(), cols, |_, _| rng.uniform(-1.0, 1.0));
+        let halo = Matrix::from_fn(part.num_halo(), cols, |_, _| rng.uniform(-1.0, 1.0));
+        let grad = Matrix::from_fn(part.num_local(), cols, |_, _| rng.uniform(-1.0, 1.0));
+        group.bench_function(format!("two_source/{cols}"), |b| {
+            b.iter(|| part.agg.aggregate_with_halo(&local, &halo));
+        });
+        group.bench_function(format!("backward/{cols}"), |b| {
+            b.iter(|| part.agg.backward(&grad));
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_aggregate, bench_backward
+    targets = bench_aggregate, bench_backward, bench_widths
 }
 criterion_main!(benches);

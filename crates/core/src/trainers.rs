@@ -18,6 +18,7 @@ use gnn::{Adam, Gnn};
 use obs::time::{EventDetail, EventKind, HostSeconds, Span};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
+use std::sync::Arc;
 use tensor::{sigmoid_bce_weighted, softmax_cross_entropy, Matrix, Rng};
 
 /// The per-device training driver, an `async` program ([`comm::AsyncDevice`]).
@@ -35,9 +36,10 @@ pub struct DeviceTrainer<'a> {
     dims: Vec<usize>,
     assignment: WidthAssignment,
     trace: Trace,
-    /// Per-layer stale halo caches (PipeGCN / SANCUS).
+    /// Per-layer stale halo caches (PipeGCN / SANCUS; empty otherwise).
     halo_cache: Vec<Matrix>,
-    /// Per-layer one-epoch-stale remote gradient contributions (PipeGCN).
+    /// Per-layer one-epoch-stale remote gradient contributions (PipeGCN;
+    /// empty otherwise).
     stale_grads: Vec<Matrix>,
     /// SANCUS: snapshot of local embeddings at each layer's last broadcast,
     /// for the staleness check.
@@ -61,11 +63,12 @@ pub struct DeviceTrainer<'a> {
     /// Halo bytes sent so far this epoch; written only by
     /// [`DeviceTrainer::charge_comm`].
     bytes: usize,
-    /// Evaluation's aggregated first-layer input `Â·[X; halo(X)]`, kept
-    /// from the first [`DeviceTrainer::evaluate`]: features never change and
-    /// evaluation exchanges them at full precision, so every later epoch
-    /// would recompute these exact bits.
-    eval_z0: Option<Matrix>,
+    /// The aggregated first-layer input `Â·[X; halo(X)]` at full precision,
+    /// kept from the first [`DeviceTrainer::evaluate`]: features never
+    /// change, so every later fp32 aggregate of them — evaluation's, and
+    /// training's whenever layer 0's wire is fp32 — is these exact bits,
+    /// and shares them instead of recomputing them.
+    z0: Option<Arc<Matrix>>,
     /// What this device counts towards the run's metric snapshot (`None`
     /// unless `cfg.metrics`).
     tallies: Option<DeviceTallies>,
@@ -126,14 +129,21 @@ impl<'a> DeviceTrainer<'a> {
         let layer_in_dims: Vec<usize> = dims[..num_layers].to_vec();
         let trace = Trace::new(part, &layer_in_dims);
         let assignment = WidthAssignment::fixed(part, num_layers, BitWidth::B8);
-        let halo_cache = layer_in_dims
-            .iter()
-            .map(|&d| Matrix::zeros(part.num_halo(), d))
-            .collect();
-        let stale_grads = layer_in_dims
-            .iter()
-            .map(|&d| Matrix::zeros(part.num_local(), d))
-            .collect();
+        // The staleness buffers exist only for the methods that read them.
+        let per_layer = |rows: usize, wanted: bool| -> Vec<Matrix> {
+            if !wanted {
+                return Vec::new();
+            }
+            layer_in_dims
+                .iter()
+                .map(|&d| Matrix::zeros(rows, d))
+                .collect()
+        };
+        let halo_cache = per_layer(
+            part.num_halo(),
+            matches!(method, Method::PipeGcn | Method::Sancus),
+        );
+        let stale_grads = per_layer(part.num_local(), method == Method::PipeGcn);
 
         let central_frac = if part.num_local() == 0 {
             0.0
@@ -187,7 +197,7 @@ impl<'a> DeviceTrainer<'a> {
             cur_layer: None,
             tb: TimeBreakdown::new(),
             bytes: 0,
-            eval_z0: None,
+            z0: None,
             tallies: cfg.metrics.then(DeviceTallies::default),
             agg_entries: (
                 part.agg.entries_for(&part.central),
@@ -418,9 +428,22 @@ impl<'a> DeviceTrainer<'a> {
         }
         let fresh = self.forward_halo(l, x, epoch).await?;
         // SANCUS aggregates straight from its stale cache.
-        let halo = fresh.as_ref().unwrap_or(&self.halo_cache[l]);
+        let halo = match &fresh {
+            Some(halo) => halo,
+            None => &self.halo_cache[l],
+        };
+        // On an fp32 wire layer 0's halo holds the features' own fp32 rows,
+        // so its aggregate is the memo's bits; the exchange above still runs
+        // and is charged, only the aggregate is skipped.
+        let memo = self
+            .z0
+            .as_ref()
+            .filter(|_| l == 0 && !self.quantized(epoch));
         let agg = &self.part.agg;
-        let (z, host_seconds) = comm::timing::measure(|| agg.aggregate_with_halo(x, halo));
+        let (z, host_seconds) = comm::timing::measure(|| match memo {
+            Some(z0) => Arc::clone(z0),
+            None => Arc::new(agg.aggregate_with_halo(x, halo)),
+        });
         self.charge_aggregate(x.cols(), host_seconds);
         let x_self = self.model.kind().uses_self_path().then_some(x);
         let out = self.model.layers_mut()[l].forward_dense(z, x_self, &mut self.rng);
@@ -610,7 +633,9 @@ impl<'a> DeviceTrainer<'a> {
     /// per aggregation entry per feature column). The measured host
     /// wall-clock of the one parallel aggregation kernel rides along on the
     /// marginal span as a diagnostic, so fig10/table5 breakdowns can report
-    /// real kernel time per thread count.
+    /// real kernel time per thread count. When layer 0 reuses the memoised
+    /// aggregate ([`DeviceTrainer::forward_layer`]) the charge is the same
+    /// and those host seconds measure the shared handle's copy, not a kernel.
     fn charge_aggregate(&mut self, cols: usize, host_seconds: HostSeconds) {
         let dim = cols as f64;
         let (central, marginal) = self.agg_entries;
@@ -703,12 +728,12 @@ impl<'a> DeviceTrainer<'a> {
     /// throughput numbers measure training epochs only.
     async fn evaluate(&mut self) -> Result<MetricParts, ExchangeError> {
         let part = self.part;
-        let z0 = match self.eval_z0.take() {
-            Some(z0) => z0,
-            None => self.eval_aggregate(&part.features).await?,
+        let z0 = match &self.z0 {
+            Some(z0) => Arc::clone(z0),
+            None => Arc::new(self.eval_aggregate(&part.features).await?),
         };
         let mut h = self.eval_dense(0, &z0, &part.features);
-        self.eval_z0 = Some(z0);
+        self.z0 = Some(z0);
         for l in 1..self.num_layers() {
             let z = self.eval_aggregate(&h).await?;
             h = self.eval_dense(l, &z, &h);
@@ -804,27 +829,36 @@ mod tests {
     use crate::decompose::build_partitions;
     use graph::DatasetSpec;
 
+    /// Runs `f` on every device of an `n`-device cluster over the tiny
+    /// dataset, each with a real trainer; the outputs in rank order.
+    fn with_trainers<T>(
+        n: usize,
+        cfg: TrainingConfig,
+        method: Method,
+        f: impl AsyncFn(&mut DeviceTrainer) -> T,
+    ) -> Vec<T> {
+        let ds = DatasetSpec::tiny().generate(17);
+        let mut rng = Rng::seed_from(18);
+        let part = graph::partition::metis_like(&ds.graph, n, &mut rng);
+        let parts = build_partitions(&ds, &part, cfg.conv_kind());
+        let cost = comm::CostModel::homogeneous(n, 1e9, 1e-5);
+        let f = &f;
+        let run = comm::Cluster::try_run_async(n, None, None, |dev| {
+            let part = &parts[dev.rank()];
+            let mut t = DeviceTrainer::new(dev, part, &cfg, method, &cost, 17);
+            async move { f(&mut t).await }
+        });
+        run.expect("every device ran").outputs
+    }
+
     /// Runs `f` on a single-device cluster with a real trainer.
     fn with_single_device_trainer<T>(
         cfg: TrainingConfig,
         method: Method,
-        f: impl AsyncFnOnce(&mut DeviceTrainer) -> T,
+        f: impl AsyncFn(&mut DeviceTrainer) -> T,
     ) -> T {
-        let ds = DatasetSpec::tiny().generate(17);
-        let mut rng = Rng::seed_from(18);
-        let part = graph::partition::metis_like(&ds.graph, 1, &mut rng);
-        let parts = build_partitions(&ds, &part, cfg.conv_kind());
-        let cost = comm::CostModel::homogeneous(1, 1e9, 1e-5);
-        let mut f = Some(f);
-        let run = comm::Cluster::try_run_async(1, None, None, |dev| {
-            let mut t = DeviceTrainer::new(dev, &parts[0], &cfg, method, &cost, 17);
-            let f = f.take().expect("one device");
-            async move { f(&mut t).await }
-        });
-        run.expect("one device ran")
-            .outputs
-            .pop()
-            .expect("one output")
+        let mut outputs = with_trainers(1, cfg, method, f);
+        outputs.pop().expect("one output")
     }
 
     fn quick_cfg() -> TrainingConfig {
@@ -884,5 +918,68 @@ mod tests {
         assert!(rec.loss_sum.is_finite());
         assert!(rec.breakdown.total_comp() > 0.0, "compute must be charged");
         assert!(rec.breakdown.comm >= 0.0);
+    }
+
+    /// Bit equality of two matrices.
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        a.shape() == b.shape() && bits(a) == bits(b)
+    }
+
+    /// What layer 0's training forward at epoch 1 aggregated, per device:
+    /// whether it shared the memo, and whether the memo, and the halo cache
+    /// a stale method reads, give the bits of a fresh aggregate of the
+    /// features over an fp32 exchange.
+    fn layer0_at_epoch1(method: Method) -> Vec<(bool, bool, bool)> {
+        with_trainers(3, quick_cfg(), method, async |t| {
+            t.run_epoch(0).await.expect("epoch 0 decodes");
+            let part = t.part;
+            let z0 = Arc::clone(t.z0.as_ref().expect("epoch 0 evaluated"));
+            t.forward_layer(0, &part.features, 1, false)
+                .await
+                .expect("epoch 1 decodes");
+            // The memo, this handle, and layer 0's forward cache.
+            let shared = Arc::strong_count(&z0) == 3;
+            let fresh = t.eval_aggregate(&part.features).await.expect("decodes");
+            let cached = t.halo_cache.first().map(|halo| {
+                let z = part.agg.aggregate_with_halo(&part.features, halo);
+                same_bits(&z, &fresh)
+            });
+            assert!(part.num_halo() > 0, "the test needs a halo");
+            (shared, same_bits(&z0, &fresh), cached.unwrap_or(true))
+        })
+    }
+
+    #[test]
+    fn layer0_trains_on_the_memo_whenever_its_wire_is_fp32() {
+        for method in [Method::Vanilla, Method::PipeGcn, Method::Sancus] {
+            for (rank, seen) in layer0_at_epoch1(method).into_iter().enumerate() {
+                assert_eq!(seen, (true, true, true), "{method:?}, rank {rank}");
+            }
+        }
+        // A quantised epoch aggregates its own dequantised halo.
+        for (rank, (shared, ..)) in layer0_at_epoch1(Method::AdaQp).into_iter().enumerate() {
+            assert!(!shared, "AdaQP, rank {rank}");
+        }
+    }
+
+    #[test]
+    fn staleness_buffers_exist_only_for_the_methods_that_read_them() {
+        for method in [
+            Method::Vanilla,
+            Method::AdaQp,
+            Method::AdaQpUniform,
+            Method::PipeGcn,
+            Method::Sancus,
+        ] {
+            let lens = with_single_device_trainer(quick_cfg(), method, async |t| {
+                (t.halo_cache.len(), t.stale_grads.len())
+            });
+            let layers = quick_cfg().num_layers;
+            let halo = matches!(method, Method::PipeGcn | Method::Sancus);
+            let stale = method == Method::PipeGcn;
+            let want = (usize::from(halo) * layers, usize::from(stale) * layers);
+            assert_eq!(lens, want, "{method:?}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! One GNN layer: dense transform + LayerNorm + ReLU + dropout, with manual
 //! forward/backward and explicit caches.
 
+use std::sync::Arc;
 use tensor::{tail_backward, tail_forward, tail_infer, xavier_uniform, Matrix, Rng, TailCache};
 
 /// Convolution family: decides how aggregation output enters the dense
@@ -49,7 +50,9 @@ pub struct GnnLayer {
     gln_gamma: Vec<f32>,
     gln_beta: Vec<f32>,
 
-    cache_agg: Option<Matrix>,
+    /// Shared, so a caller that keeps the aggregate (the trainer's constant
+    /// layer-0 aggregate) hands it over without a copy.
+    cache_agg: Option<Arc<Matrix>>,
     cache_self: Option<Matrix>,
     cache_tail: Option<TailCache>,
 }
@@ -133,7 +136,8 @@ impl GnnLayer {
     }
 
     /// Dense part of the training forward pass; keeps what
-    /// [`Self::backward_params`] needs, `agg` itself included.
+    /// [`Self::backward_params`] needs, `agg` itself included (a `Matrix` is
+    /// moved in, an `Arc` shared).
     ///
     /// `agg` is the aggregated neighborhood (`num_nodes x in_dim`); for SAGE
     /// `x_self` must be the nodes' own features; GCN ignores it.
@@ -141,7 +145,13 @@ impl GnnLayer {
     /// # Panics
     ///
     /// Panics on shape mismatch, or if SAGE is missing `x_self`.
-    pub fn forward_dense(&mut self, agg: Matrix, x_self: Option<&Matrix>, rng: &mut Rng) -> Matrix {
+    pub fn forward_dense(
+        &mut self,
+        agg: impl Into<Arc<Matrix>>,
+        x_self: Option<&Matrix>,
+        rng: &mut Rng,
+    ) -> Matrix {
+        let agg = agg.into();
         let lin = self.linear(&agg, x_self);
         self.cache_self = self.w_self.as_ref().and(x_self).cloned();
         self.cache_agg = Some(agg);

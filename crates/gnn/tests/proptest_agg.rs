@@ -1,10 +1,22 @@
 //! Property-based tests pinning the parallel aggregation kernels to serial
 //! reference implementations and to the cross-thread-count determinism
-//! contract of `tensor::par`.
+//! contract of `tensor::par`. Widths run past 128 columns, so every tile of
+//! the column-tiled kernel (64, 32, 16, 8 and the scalar tail) is reached.
 
 use gnn::{AggGraph, AggGraphBuilder};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tensor::Matrix;
+
+/// Held by the test that arms the sanitizer and by the one whose kernels
+/// produce NaN. The switch is process-global, and the sanitizer compares
+/// re-executed outputs with `!=`, so a NaN computed while it is armed reads
+/// as a schedule divergence.
+static SANITIZER: Mutex<()> = Mutex::new(());
+
+fn sanitizer_lock() -> MutexGuard<'static, ()> {
+    SANITIZER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A randomly-shaped aggregation structure, the raw rows it was built from,
 /// and matching feature/gradient matrices.
@@ -19,6 +31,35 @@ struct Case {
 /// with pseudo-random sparsity from `seed`, keeping the pushed entries so
 /// the tests can fold them serially as a reference.
 fn build_case(seed: u64, num_target: usize, num_ext: usize, dim: usize) -> Case {
+    build_salted_case(seed, num_target, num_ext, dim, 0.0)
+}
+
+/// Values a product or a sum must carry through unchanged: NaN, both
+/// infinities, a negative zero, subnormals of both signs, and magnitudes
+/// whose products overflow.
+const SPECIALS: [f32; 7] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    f32::MIN_POSITIVE / 8.0,
+    -1.0e-41,
+    3.0e38,
+];
+
+/// A value uniform in `lo..hi`, or with probability `salt` one of
+/// [`SPECIALS`]; `salt == 0` draws exactly what `rng.uniform` alone would.
+fn draw(rng: &mut tensor::Rng, salt: f32, lo: f32, hi: f32) -> f32 {
+    if salt > 0.0 && rng.unit() < salt {
+        SPECIALS[rng.below(SPECIALS.len())]
+    } else {
+        rng.uniform(lo, hi)
+    }
+}
+
+/// [`build_case`] with each coefficient, feature and gradient value
+/// replaced by one of [`SPECIALS`] with probability `salt`.
+fn build_salted_case(seed: u64, num_target: usize, num_ext: usize, dim: usize, salt: f32) -> Case {
     let mut rng = tensor::Rng::seed_from(seed);
     let mut b = AggGraphBuilder::new(num_ext);
     let mut rows = Vec::with_capacity(num_target);
@@ -27,7 +68,7 @@ fn build_case(seed: u64, num_target: usize, num_ext: usize, dim: usize) -> Case 
         let mut row = Vec::with_capacity(deg);
         for _ in 0..deg {
             let u = rng.below(num_ext) as u32;
-            let c = rng.uniform(-1.0, 1.0);
+            let c = draw(&mut rng, salt, -1.0, 1.0);
             b.push_entry(u, c);
             row.push((u, c));
         }
@@ -35,8 +76,8 @@ fn build_case(seed: u64, num_target: usize, num_ext: usize, dim: usize) -> Case 
         rows.push(row);
     }
     let agg = b.build();
-    let x = Matrix::from_fn(num_ext, dim, |_, _| rng.uniform(-2.0, 2.0));
-    let grad = Matrix::from_fn(num_target, dim, |_, _| rng.uniform(-2.0, 2.0));
+    let x = Matrix::from_fn(num_ext, dim, |_, _| draw(&mut rng, salt, -2.0, 2.0));
+    let grad = Matrix::from_fn(num_target, dim, |_, _| draw(&mut rng, salt, -2.0, 2.0));
     Case { agg, rows, x, grad }
 }
 
@@ -81,7 +122,7 @@ proptest! {
         seed in 0u64..500,
         num_target in 1usize..200,
         num_ext in 1usize..220,
-        dim in 1usize..5,
+        dim in 1usize..140,
     ) {
         let c = build_case(seed, num_target, num_ext, dim);
         let reference = forward_reference(&c);
@@ -98,7 +139,7 @@ proptest! {
         seed in 0u64..500,
         num_target in 1usize..200,
         num_ext in 1usize..220,
-        dim in 1usize..5,
+        dim in 1usize..140,
     ) {
         let c = build_case(seed, num_target, num_ext, dim);
         let reference = backward_reference(&c);
@@ -118,7 +159,7 @@ proptest! {
         // Where the extended space splits, as a 0..=8 eighth of it: 0 is an
         // empty local block, 8 an empty halo.
         eighths in 0usize..9,
-        dim in 1usize..5,
+        dim in 1usize..140,
     ) {
         let c = build_case(seed, num_target, num_ext, dim);
         let num_local = num_ext * eighths / 8;
@@ -139,7 +180,7 @@ proptest! {
         seed in 0u64..500,
         num_target in 1usize..160,
         num_ext in 1usize..180,
-        dim in 1usize..5,
+        dim in 1usize..140,
     ) {
         let c = build_case(seed, num_target, num_ext, dim);
         let full = c.agg.aggregate(&c.x);
@@ -151,12 +192,72 @@ proptest! {
     }
 }
 
+/// Bit equality, except that any NaN equals any NaN: which payload an
+/// operation on two NaNs forwards is the compiler's operand order, not the
+/// kernel's arithmetic.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    got.len() == want.len() && got.iter().zip(want).all(same)
+}
+
+/// Widths on both sides of every tile boundary of the column-tiled kernel,
+/// and every width the scalar tail can see on its own.
+const SWEEP_WIDTHS: [usize; 24] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129,
+];
+
+/// Every entry point at every tile width against the serial stored-order
+/// fold, with NaN, infinities, signed zeros, subnormals and overflowing
+/// products in the features, the gradients and the coefficients.
+#[test]
+fn every_tile_width_matches_the_serial_reference_bit_for_bit() {
+    let _unarmed = sanitizer_lock();
+    for (i, &dim) in SWEEP_WIDTHS.iter().enumerate() {
+        let c = build_salted_case(900 + i as u64, 300, 260, dim, 0.03);
+        let fwd = forward_reference(&c);
+        let bwd = backward_reference(&c);
+        // The salt reaches the outputs without drowning them.
+        let finite = fwd.iter().filter(|v| v.is_finite()).count();
+        assert!(fwd.iter().any(|v| v.is_nan()) && finite * 4 > fwd.len() * 3);
+        let num_ext = c.agg.num_ext();
+        let slots: Vec<usize> = (0..num_ext).collect();
+        let targets: Vec<u32> = (0..c.rows.len() as u32).rev().collect();
+        let picked: Vec<f32> = targets
+            .iter()
+            .flat_map(|&v| &fwd[v as usize * dim..(v as usize + 1) * dim])
+            .copied()
+            .collect();
+        for t in [1usize, 2, 8] {
+            tensor::par::set_threads(t);
+            let at = format!("width {dim}, {t} threads");
+            let z = c.agg.aggregate(&c.x);
+            assert!(same_bits(z.as_slice(), &fwd), "aggregate, {at}");
+            for num_local in [num_ext, num_ext / 2, 0] {
+                let local = c.x.gather_rows(&slots[..num_local]);
+                let halo = c.x.gather_rows(&slots[num_local..]);
+                let z = c.agg.aggregate_with_halo(&local, &halo);
+                let cut = num_ext - num_local;
+                assert!(
+                    same_bits(z.as_slice(), &fwd),
+                    "aggregate_with_halo, {cut} halo rows, {at}"
+                );
+            }
+            let z = c.agg.aggregate_rows(&c.x, &targets);
+            assert!(same_bits(z.as_slice(), &picked), "aggregate_rows, {at}");
+            let gx = c.agg.backward(&c.grad);
+            assert!(same_bits(gx.as_slice(), &bwd), "backward, {at}");
+        }
+    }
+    tensor::par::set_threads(0);
+}
+
 /// The two-source kernel under the sanitizer: disjoint claims, and the same
 /// bytes under reversed, rotated and shuffled chunk orders. A plain test —
 /// the sanitizer's switch is process-global, and this is the only test in
 /// the binary that arms it.
 #[test]
 fn two_source_aggregate_is_clean_under_the_sanitizer() {
+    let _armed = sanitizer_lock();
     // Several 128-row chunks, so the adversarial orders have something to permute.
     let c = build_case(7, 700, 900, 5);
     let rows: Vec<usize> = (0..900).collect();
