@@ -22,10 +22,8 @@ fn main() {
     let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
     let cfg = bench::training_defaults();
-    let cost = comm::Topology::new(2, 4)
-        .intra_bw(cfg.intra_bw)
-        .inter_bw(cfg.inter_bw)
-        .latency(cfg.latency)
+    let cost = adaqp::TopologySpec::from_training(&cfg)
+        .to_topology(2, 4)
         .cost_model()
         .with_compute_speedup(cfg.compute_speedup);
     let dims = cfg.dims(ds.feature_dim(), ds.num_classes);

@@ -1,9 +1,11 @@
 //! Affine link cost model (`t = theta * bytes + gamma`).
 
-use serde::{Deserialize, Serialize};
+use crate::Topology;
 
 /// Per-device-pair affine transfer cost `t(bytes) = theta * bytes + gamma`
-/// (seconds), the cost model of Eqn. 10.
+/// (seconds), the cost model of Eqn. 10, priced from the tiers of the
+/// [`Topology`] it was built from: a pair's tier is looked up on each call,
+/// never stored per pair.
 ///
 /// # Example
 ///
@@ -14,13 +16,9 @@ use serde::{Deserialize, Serialize};
 /// // Self-transfers are free.
 /// assert_eq!(cm.transfer_time(1, 1, 123), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    n: usize,
-    /// Seconds per byte, row-major `n x n`.
-    theta: Vec<f64>,
-    /// Fixed per-transfer seconds, row-major `n x n`.
-    gamma: Vec<f64>,
+    topology: Topology,
     /// Multiplier on [`BASE_CPU_OPS_PER_SEC`] to emulate accelerator speed
     /// (a V100 is roughly an order of magnitude faster than the single CPU
     /// thread a simulated device gets here).
@@ -57,23 +55,26 @@ pub const DEFAULT_COMPUTE_SPEEDUP: f64 = 10.0;
 pub const BASE_CPU_OPS_PER_SEC: f64 = 2.5e9;
 
 impl CostModel {
-    /// Builds a cost model with uniform bandwidth/latency on every link.
+    /// The cost model of `topology`, at the default compute speedup.
+    pub(crate) fn new(topology: Topology) -> Self {
+        Self {
+            topology,
+            compute_speedup: DEFAULT_COMPUTE_SPEEDUP,
+            per_device_scale: None,
+        }
+    }
+
+    /// Builds a cost model with uniform bandwidth/latency on every link:
+    /// `n` one-device machines in one rack, all at `inter_bw`.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `bandwidth <= 0`.
+    /// Panics if `n == 0`, `bandwidth <= 0` or `latency < 0`.
     pub fn homogeneous(n: usize, bandwidth_bytes_per_sec: f64, latency_sec: f64) -> Self {
-        assert!(n > 0, "need at least one device");
-        assert!(bandwidth_bytes_per_sec > 0.0, "bandwidth must be positive");
-        let mut cm = Self {
-            n,
-            theta: vec![1.0 / bandwidth_bytes_per_sec; n * n],
-            gamma: vec![latency_sec; n * n],
-            compute_speedup: DEFAULT_COMPUTE_SPEEDUP,
-            per_device_scale: None,
-        };
-        cm.zero_diagonal();
-        cm
+        Topology::new(n, 1)
+            .inter_bw(bandwidth_bytes_per_sec)
+            .latency(latency_sec)
+            .cost_model()
     }
 
     /// Sets the compute-speedup divisor (builder style).
@@ -83,20 +84,9 @@ impl CostModel {
         self
     }
 
-    /// Overrides one directed link's parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ranks are out of range.
-    pub fn set_link(&mut self, src: usize, dst: usize, theta: f64, gamma: f64) {
-        assert!(src < self.n && dst < self.n, "rank out of range");
-        self.theta[src * self.n + dst] = theta;
-        self.gamma[src * self.n + dst] = gamma;
-    }
-
     /// Number of devices.
     pub fn num_devices(&self) -> usize {
-        self.n
+        self.topology.num_devices()
     }
 
     /// Modeled seconds to move `bytes` from `src` to `dst`. Zero-byte
@@ -106,11 +96,13 @@ impl CostModel {
     ///
     /// Panics if ranks are out of range.
     pub fn transfer_time(&self, src: usize, dst: usize, bytes: usize) -> f64 {
-        assert!(src < self.n && dst < self.n, "rank out of range");
+        let n = self.num_devices();
+        assert!(src < n && dst < n, "rank out of range");
         if src == dst || bytes == 0 {
             return 0.0;
         }
-        self.theta[src * self.n + dst] * bytes as f64 + self.gamma[src * self.n + dst]
+        let (theta, gamma) = self.topology.link_params(src, dst);
+        theta * bytes as f64 + gamma
     }
 
     /// Seconds `rank` spends in one unsynchronized ring all2all (Fig. 8,
@@ -123,7 +115,7 @@ impl CostModel {
     /// Panics if `rank` is out of range or a byte table is shorter than the
     /// device count.
     pub fn ring_seconds(&self, rank: usize, sent: &[usize], recv: &[usize]) -> f64 {
-        let n = self.n;
+        let n = self.num_devices();
         let mut t = 0.0;
         for round in 1..n {
             let dst = (rank + round) % n;
@@ -135,13 +127,15 @@ impl CostModel {
     }
 
     /// The `(theta, gamma)` parameters of a directed link, as used by the
-    /// bit-width assigner's time objective.
+    /// bit-width assigner's time objective; `(0.0, 0.0)` on the diagonal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if ranks are out of range.
     pub fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
-        assert!(src < self.n && dst < self.n, "rank out of range");
-        (
-            self.theta[src * self.n + dst],
-            self.gamma[src * self.n + dst],
-        )
+        let n = self.num_devices();
+        assert!(src < n && dst < n, "rank out of range");
+        self.topology.link_params(src, dst)
     }
 
     /// Sets per-device speedup multipliers (builder style): device `r`'s
@@ -153,7 +147,7 @@ impl CostModel {
     /// Panics if the length differs from the device count or any scale is
     /// not positive.
     pub fn with_device_scales(mut self, scales: Vec<f64>) -> Self {
-        assert_eq!(scales.len(), self.n, "one scale per device");
+        assert_eq!(scales.len(), self.num_devices(), "one scale per device");
         assert!(scales.iter().all(|&s| s > 0.0), "scales must be positive");
         self.per_device_scale = Some(scales);
         self
@@ -172,16 +166,9 @@ impl CostModel {
     ///
     /// Panics if `rank` is out of range.
     pub fn ops_time_for(&self, rank: usize, ops: f64) -> f64 {
-        assert!(rank < self.n, "rank out of range");
+        assert!(rank < self.num_devices(), "rank out of range");
         let scale = self.per_device_scale.as_ref().map_or(1.0, |s| s[rank]);
         ops / (BASE_CPU_OPS_PER_SEC * self.compute_speedup * scale)
-    }
-
-    fn zero_diagonal(&mut self) {
-        for i in 0..self.n {
-            self.theta[i * self.n + i] = 0.0;
-            self.gamma[i * self.n + i] = 0.0;
-        }
     }
 }
 
@@ -236,13 +223,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn set_link_overrides() {
-        let mut cm = CostModel::homogeneous(2, 1e9, 0.0);
-        cm.set_link(0, 1, 1.0, 5.0);
-        assert_eq!(cm.transfer_time(0, 1, 2), 7.0);
-        // Reverse direction untouched.
-        assert!(cm.transfer_time(1, 0, 2) < 1e-6);
+    /// The per-pair lowering the cost model once stored: an `n x n` table
+    /// started homogeneous at `intra` with a zero diagonal, then every
+    /// off-diagonal pair overwritten with its tier's `1 / bw` and `latency`.
+    fn dense_lowering(
+        machines: usize,
+        devices: usize,
+        rack: usize,
+        [intra, inter, spine]: [f64; 3],
+        latency: f64,
+    ) -> Vec<(f64, f64)> {
+        let n = machines * devices;
+        let mut table = vec![(1.0 / intra, latency); n * n];
+        for i in 0..n {
+            table[i * n + i] = (0.0, 0.0);
+        }
+        let machine_of = |rank: usize| rank / devices;
+        let rack_of = |rank: usize| rank / devices / rack;
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let bw = if machine_of(src) == machine_of(dst) {
+                    intra
+                } else if rack_of(src) == rack_of(dst) {
+                    inter
+                } else {
+                    spine
+                };
+                table[src * n + dst] = (1.0 / bw, latency);
+            }
+        }
+        table
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tier_lookup_is_the_dense_lowering_bit_for_bit(
+            machines in 1usize..10,
+            devices in 1usize..6,
+            rack in 1usize..10,
+            intra in 1e3f64..1e12,
+            inter in 1e3f64..1e12,
+            spine in 1e3f64..1e12,
+            latency in 0.0f64..1e-3,
+            oversub in 1.0f64..16.0,
+            spine_by in 0u8..3,
+        ) {
+            let topo = crate::Topology::new(machines, devices)
+                .machines_per_rack(rack)
+                .intra_bw(intra)
+                .inter_bw(inter)
+                .latency(latency);
+            // The spine follows `inter_bw`, an oversubscription ratio, or its
+            // own bandwidth.
+            let (topo, spine) = match spine_by {
+                0 => (topo, inter),
+                1 => (topo.oversubscription(oversub), inter / oversub),
+                _ => (topo.spine_bw(spine), spine),
+            };
+            let cm = topo.cost_model();
+            let want = dense_lowering(machines, devices, rack, [intra, inter, spine], latency);
+            let n = machines * devices;
+            for src in 0..n {
+                for dst in 0..n {
+                    let (theta, gamma) = cm.link_params(src, dst);
+                    let (want_theta, want_gamma) = want[src * n + dst];
+                    proptest::prop_assert_eq!(
+                        (theta.to_bits(), gamma.to_bits()),
+                        (want_theta.to_bits(), want_gamma.to_bits()),
+                        "{} -> {}", src, dst
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   between devices, so numerics are end-to-end real; each transfer is an
 //!   event charged `theta * bytes + gamma` on the simulated clock.
 //! * **Time is modeled, not measured, for transfers.** A [`CostModel`]
-//!   carries the per-pair affine parameters — the same cost model the
-//!   paper's bit-width assigner uses (Eqn. 10, citing Sarvotham et al.) —
-//!   and the [`Topology`] builder lowers hierarchical machine/rack/spine
-//!   bandwidth tiers onto it. Compute time is charged analytically from
-//!   kernel operation counts.
+//!   prices each device pair with affine parameters — the same cost model
+//!   the paper's bit-width assigner uses (Eqn. 10, citing Sarvotham et
+//!   al.) — looked up from the machine/rack/spine bandwidth tiers of the
+//!   [`Topology`] it was built from. Compute time is charged analytically
+//!   from kernel operation counts.
 //! * **[`TimeBreakdown`]** accumulates per-category simulated seconds
 //!   (communication / central computation / marginal computation /
 //!   quantization / solver), which is exactly the decomposition Fig. 10

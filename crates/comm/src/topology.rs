@@ -8,8 +8,9 @@
 //! intra-rack bandwidth, and a spine between racks that real datacenters
 //! oversubscribe (an oversubscription ratio of `k` means the spine offers
 //! `1/k` of the rack-local bandwidth). [`Topology`] is the builder for that
-//! three-tier model; [`Topology::cost_model`] lowers it to the flat
-//! per-pair [`CostModel`] the scheduler and the bit-width assigner consume.
+//! three-tier model; [`Topology::cost_model`] wraps it in the [`CostModel`]
+//! the scheduler and the bit-width assigner consume, which prices each pair
+//! from its tier on every call.
 
 use crate::costmodel::{CostModel, DEFAULT_INTER_BW, DEFAULT_INTRA_BW, DEFAULT_LATENCY};
 
@@ -158,29 +159,29 @@ impl Topology {
         }
     }
 
-    /// Lowers the topology to the per-pair affine [`CostModel`]: same
-    /// machine -> `intra_bw`, same rack -> `inter_bw`, cross-rack ->
-    /// `spine_bw`, all with the configured latency.
+    /// The per-pair affine [`CostModel`] of this topology: same machine ->
+    /// `intra_bw`, same rack -> `inter_bw`, cross-rack -> `spine_bw`, all
+    /// with the configured latency.
     pub fn cost_model(&self) -> CostModel {
-        let n = self.num_devices();
-        let machine_of = |rank: usize| rank / self.devices_per_machine;
-        let mut cm = CostModel::homogeneous(n, self.intra_bw, self.latency);
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let bw = if machine_of(src) == machine_of(dst) {
-                    self.intra_bw
-                } else if self.rack_of(src) == self.rack_of(dst) {
-                    self.inter_bw
-                } else {
-                    self.spine_bw
-                };
-                cm.set_link(src, dst, 1.0 / bw, self.latency);
-            }
+        CostModel::new(self.clone())
+    }
+
+    /// The `(theta, gamma)` of the directed link `src -> dst`: `1 / bw` of
+    /// the pair's tier (same machine, then same rack, then spine) and the
+    /// latency, or `(0.0, 0.0)` on the diagonal. Ranks are not range-checked.
+    pub(crate) fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
+        if src == dst {
+            return (0.0, 0.0);
         }
-        cm
+        let machine_of = |rank: usize| rank / self.devices_per_machine;
+        let bw = if machine_of(src) == machine_of(dst) {
+            self.intra_bw
+        } else if self.rack_of(src) == self.rack_of(dst) {
+            self.inter_bw
+        } else {
+            self.spine_bw
+        };
+        (1.0 / bw, self.latency)
     }
 }
 

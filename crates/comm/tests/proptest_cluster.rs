@@ -3,7 +3,7 @@
 //! and malformed ring destinations are a typed error.
 
 use bytes::Bytes;
-use comm::{AsyncDevice, Cluster, ClusterError, CostModel};
+use comm::{AsyncDevice, Cluster, ClusterError, Topology};
 use proptest::prelude::*;
 
 /// SplitMix64 step: the tests' own stream for payload lengths and link costs.
@@ -62,10 +62,13 @@ proptest! {
 
     #[test]
     fn sparse_ring_is_the_dense_ring_minus_the_empties(
-        n in 2usize..10,
+        machines in 1usize..5,
+        devices in 1usize..4,
         density in 0u64..5,
         seed in 0u64..1_000_000,
     ) {
+        let n = machines * devices;
+        prop_assume!(n >= 2);
         // A random sparse payload set: pair (s, d) carries `lens[s][d]`
         // bytes, zero (= not listed) with probability `1 - density / 4`.
         let mut state = seed;
@@ -79,15 +82,16 @@ proptest! {
                     .collect()
             })
             .collect();
-        // Every directed link gets its own theta and gamma.
-        let mut cost = CostModel::homogeneous(n, 1e9, 1e-6);
-        for s in 0..n {
-            for d in (0..n).filter(|&d| d != s) {
-                let theta = 1e-9 * (1 + mix(&mut state) % 50) as f64;
-                let gamma = 1e-6 * (mix(&mut state) % 20) as f64;
-                cost.set_link(s, d, theta, gamma);
-            }
-        }
+        // A random three-tier network: racks of 1..=machines machines, its
+        // own bandwidth per tier, a latency and an oversubscribed spine.
+        let bw = |state: &mut u64| 1e6 * (1 + mix(state) % 1000) as f64;
+        let cost = Topology::new(machines, devices)
+            .machines_per_rack(1 + mix(&mut state) as usize % machines)
+            .intra_bw(bw(&mut state))
+            .inter_bw(bw(&mut state))
+            .oversubscription((1 + mix(&mut state) % 8) as f64)
+            .latency(1e-6 * (mix(&mut state) % 20) as f64)
+            .cost_model();
         let lens = &lens;
         let payload = |s: usize, d: usize| Bytes::from(vec![(s * 16 + d) as u8; lens[s][d]]);
         let dense = Cluster::try_run_fn_with(n, Some(&cost), move |mut dev| {

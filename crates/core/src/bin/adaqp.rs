@@ -193,7 +193,7 @@ fn experiment_from(flags: &Flags) -> Result<ExperimentConfig, String> {
     training.sanitize = flags.contains_key("san");
     // Profiling, like telemetry, is implied by asking for an export.
     training.profile = flags.contains_key("critical-path") || flags.contains_key("flow-trace");
-    // `--rack-size 0` (or leaving both flags off) keeps the flat
+    // `--rack-size 0` (or leaving both flags off) keeps the paper-preset
     // single-rack network; any other value installs a topology section.
     let rack_size = parse_num(flags, "rack-size", 0usize)?;
     let oversub = parse_num(flags, "oversub", 1.0f64)?;

@@ -49,7 +49,7 @@ impl std::fmt::Display for Method {
 
 /// Model / optimization hyper-parameters (Table 8), plus the knobs of the
 /// Adaptive Bit-width Assigner (group size, lambda, re-assignment period) and
-/// the cost-model calibration.
+/// the cost-model calibration (compute speed and the `topology` section).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingConfig {
     /// Convolution family (`Gcn` or `Sage`). Stored as a flag rather than
@@ -84,12 +84,6 @@ pub struct TrainingConfig {
     /// adds it back before the next quantization, turning the unbiased
     /// stochastic error into a compensated one (Wu et al. 2018 style).
     pub error_feedback: bool,
-    /// Effective inter-machine bandwidth, bytes/second.
-    pub inter_bw: f64,
-    /// Effective intra-machine bandwidth, bytes/second.
-    pub intra_bw: f64,
-    /// Per-transfer latency, seconds.
-    pub latency: f64,
     /// Simulated device speed as a multiple of one CPU thread's op rate
     /// (`comm::costmodel::BASE_CPU_OPS_PER_SEC`).
     pub compute_speedup: f64,
@@ -141,11 +135,10 @@ pub struct TrainingConfig {
     /// device one per charge, and results are byte-identical either way.
     #[serde(default)]
     pub profile: bool,
-    /// Optional three-tier network section (racks + oversubscribable spine).
-    /// `None` (the default) keeps the flat two-tier model built from
-    /// `inter_bw` / `intra_bw` / `latency` above, float-identical to the
-    /// historical per-pair plumbing. When set, the spec's link parameters
-    /// replace those three fields entirely.
+    /// The network: link bandwidths and latency per tier, and racks behind
+    /// an oversubscribable spine. `None` (the default) is the paper-preset
+    /// network, [`TopologySpec::default`]: one rack, so machines share one
+    /// switch.
     #[serde(default)]
     pub topology: Option<TopologySpec>,
 }
@@ -165,9 +158,6 @@ impl Default for TrainingConfig {
             sancus_staleness: 8,
             disable_overlap: false,
             error_feedback: false,
-            inter_bw: comm::costmodel::DEFAULT_INTER_BW,
-            intra_bw: comm::costmodel::DEFAULT_INTRA_BW,
-            latency: comm::costmodel::DEFAULT_LATENCY,
             compute_speedup: comm::costmodel::DEFAULT_COMPUTE_SPEEDUP,
             device_scales: None,
             telemetry: false,
@@ -180,12 +170,12 @@ impl Default for TrainingConfig {
     }
 }
 
-/// Declarative three-tier network description: devices within a machine
-/// (`intra_bw`), machines within a rack (`inter_bw`), racks across a spine
-/// (`spine_bw`). Lowered through [`comm::Topology`] by
-/// [`ExperimentConfig::network_topology`]; machine and device counts come
-/// from the owning [`ExperimentConfig`], so the spec stays valid across
-/// cluster sizes.
+/// Declarative three-tier network description, the run's only network
+/// section: devices within a machine (`intra_bw`), machines within a rack
+/// (`inter_bw`), racks across a spine (`spine_bw`). Lowered through
+/// [`comm::Topology`] by [`ExperimentConfig::network_topology`]; machine and
+/// device counts come from the owning [`ExperimentConfig`], so the spec stays
+/// valid across cluster sizes.
 ///
 /// Every field is optional and falls back to the paper-preset network, so a
 /// config file can say `"topology": {}` and get the Table 8 testbed, or
@@ -194,7 +184,7 @@ impl Default for TrainingConfig {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TopologySpec {
     /// Machines per rack; `None` keeps the whole cluster in one rack (no
-    /// spine tier, exactly the historical flat model).
+    /// spine tier: the paper's two-tier testbed).
     #[serde(default)]
     pub machines_per_rack: Option<usize>,
     /// Intra-machine (NVLink/PCIe-class) bandwidth, bytes/second; `None`
@@ -216,17 +206,10 @@ pub struct TopologySpec {
 }
 
 impl TopologySpec {
-    /// A spec pinning the legacy flat link parameters of `training`
-    /// (single rack, spine at `inter_bw`) — the exact model configurations
-    /// without a `topology` section have always used.
+    /// The network of `training`: its `topology` section, or the
+    /// paper-preset default when it has none.
     pub fn from_training(training: &TrainingConfig) -> Self {
-        Self {
-            machines_per_rack: None,
-            intra_bw: Some(training.intra_bw),
-            inter_bw: Some(training.inter_bw),
-            spine_bw: None,
-            latency: Some(training.latency),
-        }
+        training.topology.clone().unwrap_or_default()
     }
 
     /// Effective intra-machine bandwidth, bytes/second.
@@ -398,9 +381,7 @@ impl ExperimentConfig {
     /// spec its generator cannot build ([`graph::DatasetSpec::validate`]),
     /// zero devices, zero epochs, empty hidden layers, a dropout outside
     /// `[0, 1)`, an empty quantization group, a non-finite `lambda`, a
-    /// network the cost model cannot price
-    /// (the `topology` section, or the flat link parameters without one), a
-    /// `compute_speedup` that is not finite and positive, or a
+    /// `topology` section the cost model cannot price, a `compute_speedup` that is not finite and positive, or a
     /// `device_scales` vector whose length disagrees with the device count.
     pub fn validate(&self) -> Result<(), Error> {
         self.dataset.validate().map_err(Error::InvalidConfig)?;
@@ -437,10 +418,7 @@ impl ExperimentConfig {
                 self.training.lambda
             )));
         }
-        match &self.training.topology {
-            Some(spec) => spec.validate()?,
-            None => TopologySpec::from_training(&self.training).validate()?,
-        }
+        TopologySpec::from_training(&self.training).validate()?;
         let speedup = self.training.compute_speedup;
         if !speedup.is_finite() || speedup <= 0.0 {
             return Err(Error::InvalidConfig(format!(
@@ -474,21 +452,17 @@ impl ExperimentConfig {
         format!("{}M-{}D", self.machines, self.devices_per_machine)
     }
 
-    /// The three-tier network topology implied by this configuration: the
-    /// `topology` section when present, otherwise the legacy flat link
-    /// parameters lifted into a single-rack [`comm::Topology`].
+    /// The three-tier network topology of this configuration's `topology`
+    /// section ([`TopologySpec::from_training`]) on its cluster shape.
     pub fn network_topology(&self) -> comm::Topology {
-        let spec = match &self.training.topology {
-            Some(spec) => spec.clone(),
-            None => TopologySpec::from_training(&self.training),
-        };
-        spec.to_topology(self.machines, self.devices_per_machine)
+        TopologySpec::from_training(&self.training)
+            .to_topology(self.machines, self.devices_per_machine)
     }
 
     /// The cost model implied by this configuration, lowered through
     /// [`ExperimentConfig::network_topology`]. Without a `topology` section
-    /// this is the two-tier model of the flat link parameters: `1 / intra_bw`
-    /// within a machine, `1 / inter_bw` across machines.
+    /// this is the paper's two-tier model: `1 / DEFAULT_INTRA_BW` within a
+    /// machine, `1 / DEFAULT_INTER_BW` across machines.
     ///
     /// # Panics
     ///
@@ -636,25 +610,35 @@ mod tests {
             ));
         }
 
-        // Without a topology section the flat link parameters are the
-        // network, and the cost model would panic on these.
+        // The cost model would panic on these network sections.
+        let with_network = |spec: TopologySpec| {
+            let mut cfg = ok.clone();
+            cfg.training.topology = Some(spec);
+            cfg
+        };
         for bw in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let mut bad_inter = ok.clone();
-            bad_inter.training.inter_bw = bw;
+            let bad_inter = with_network(TopologySpec {
+                inter_bw: Some(bw),
+                ..TopologySpec::default()
+            });
             assert!(matches!(
                 bad_inter.validate(),
                 Err(Error::InvalidConfig(msg)) if msg.contains("inter_bw")
             ));
-            let mut bad_intra = ok.clone();
-            bad_intra.training.intra_bw = bw;
+            let bad_intra = with_network(TopologySpec {
+                intra_bw: Some(bw),
+                ..TopologySpec::default()
+            });
             assert!(matches!(
                 bad_intra.validate(),
                 Err(Error::InvalidConfig(msg)) if msg.contains("intra_bw")
             ));
         }
         for latency in [-1.0, f64::NAN, f64::INFINITY] {
-            let mut bad_latency = ok.clone();
-            bad_latency.training.latency = latency;
+            let bad_latency = with_network(TopologySpec {
+                latency: Some(latency),
+                ..TopologySpec::default()
+            });
             assert!(matches!(
                 bad_latency.validate(),
                 Err(Error::InvalidConfig(msg)) if msg.contains("latency")
@@ -775,27 +759,28 @@ mod tests {
 
     #[test]
     fn cost_model_without_topology_matches_legacy_two_tier_exactly() {
-        // Byte-identity of the pinned runs depends on this: routing through
-        // comm::Topology must not move a single float of the two-tier
-        // tables the legacy constructor wrote.
+        // Byte-identity of the pinned runs depends on this: the tier lookup
+        // must not move a single float of the two-tier tables the legacy
+        // constructor wrote from the paper-preset link parameters.
+        use comm::costmodel::{DEFAULT_INTER_BW, DEFAULT_INTRA_BW, DEFAULT_LATENCY};
         let cfg = ExperimentConfig {
             machines: 2,
             devices_per_machine: 4,
             ..tiny_cfg()
         };
         assert!(cfg.validate().is_ok());
-        let t = &cfg.training;
+        assert!(cfg.training.topology.is_none());
         let cm = cfg.cost_model();
         assert_eq!(cm.num_devices(), 8);
-        assert_eq!(cm.compute_speedup, t.compute_speedup);
+        assert_eq!(cm.compute_speedup, cfg.training.compute_speedup);
         for src in 0..8 {
             for dst in 0..8 {
                 let want = if src == dst {
                     (0.0, 0.0)
                 } else if src / 4 == dst / 4 {
-                    (1.0 / t.intra_bw, t.latency)
+                    (1.0 / DEFAULT_INTRA_BW, DEFAULT_LATENCY)
                 } else {
-                    (1.0 / t.inter_bw, t.latency)
+                    (1.0 / DEFAULT_INTER_BW, DEFAULT_LATENCY)
                 };
                 assert_eq!(cm.link_params(src, dst), want, "{src} -> {dst}");
             }
@@ -827,11 +812,14 @@ mod tests {
     #[test]
     fn oversubscription_seeds_from_custom_inter_bw() {
         let training = TrainingConfig {
-            inter_bw: 1e8,
+            topology: Some(TopologySpec {
+                inter_bw: Some(1e8),
+                ..TopologySpec::default()
+            }),
             ..TrainingConfig::default()
         };
-        // The CLI's `--rack-size`/`--oversub` path: seed from the flat
-        // parameters, then oversubscribe.
+        // The CLI's `--rack-size`/`--oversub` path: seed from the run's
+        // section, then oversubscribe.
         let spec = TopologySpec {
             machines_per_rack: Some(2),
             ..TopologySpec::from_training(&training)

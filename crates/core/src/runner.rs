@@ -366,12 +366,18 @@ mod tests {
             Err(Error::InvalidConfig(_))
         ));
 
-        // Flat link parameters the cost model would panic on.
+        // Network sections the cost model would panic on.
         let base = quick_cfg(Method::AdaQp, 1);
         let mut zero_bw = base.clone();
-        zero_bw.training.inter_bw = 0.0;
+        zero_bw.training.topology = Some(crate::TopologySpec {
+            inter_bw: Some(0.0),
+            ..Default::default()
+        });
         let mut negative_latency = base.clone();
-        negative_latency.training.latency = -1.0;
+        negative_latency.training.topology = Some(crate::TopologySpec {
+            latency: Some(-1.0),
+            ..Default::default()
+        });
         let mut zero_speedup = base;
         zero_speedup.training.compute_speedup = 0.0;
         for (field, cfg) in [

@@ -27,8 +27,7 @@ pub struct DeviceTrainer<'a> {
     part: &'a DevicePartition,
     cfg: &'a TrainingConfig,
     method: Method,
-    /// The cluster's cost model: two dense `n x n` tables, shared by every
-    /// device of the run.
+    /// The cluster's cost model, shared by every device of the run.
     cost: &'a CostModel,
     model: Gnn,
     adam: Adam,

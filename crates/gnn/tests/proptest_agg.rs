@@ -5,18 +5,7 @@
 
 use gnn::{AggGraph, AggGraphBuilder};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use tensor::Matrix;
-
-/// Held by the test that arms the sanitizer and by the one whose kernels
-/// produce NaN. The switch is process-global, and the sanitizer compares
-/// re-executed outputs with `!=`, so a NaN computed while it is armed reads
-/// as a schedule divergence.
-static SANITIZER: Mutex<()> = Mutex::new(());
-
-fn sanitizer_lock() -> MutexGuard<'static, ()> {
-    SANITIZER.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A randomly-shaped aggregation structure, the raw rows it was built from,
 /// and matching feature/gradient matrices.
@@ -211,7 +200,6 @@ const SWEEP_WIDTHS: [usize; 24] = [
 /// products in the features, the gradients and the coefficients.
 #[test]
 fn every_tile_width_matches_the_serial_reference_bit_for_bit() {
-    let _unarmed = sanitizer_lock();
     for (i, &dim) in SWEEP_WIDTHS.iter().enumerate() {
         let c = build_salted_case(900 + i as u64, 300, 260, dim, 0.03);
         let fwd = forward_reference(&c);
@@ -257,7 +245,6 @@ fn every_tile_width_matches_the_serial_reference_bit_for_bit() {
 /// the binary that arms it.
 #[test]
 fn two_source_aggregate_is_clean_under_the_sanitizer() {
-    let _armed = sanitizer_lock();
     // Several 128-row chunks, so the adversarial orders have something to permute.
     let c = build_case(7, 700, 900, 5);
     let rows: Vec<usize> = (0..900).collect();

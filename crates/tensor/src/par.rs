@@ -285,7 +285,10 @@ pub fn par_chunks_deterministic<T, F>(
                 Some(threads),
                 &f,
             );
-            let divergence = scratch.iter().zip(out.iter()).position(|(a, b)| a != b);
+            let divergence = scratch
+                .iter()
+                .zip(out.iter())
+                .position(|(a, b)| !same_output(a, b));
             crate::san::record_schedule(
                 "par_chunks_deterministic",
                 rows,
@@ -295,6 +298,14 @@ pub fn par_chunks_deterministic<T, F>(
             );
         }
     }
+}
+
+/// Whether the sanitizer reads two outputs as the same: equal, or both NaN.
+/// A kernel that computes NaN computes it under every schedule, and NaN is
+/// the only value unequal to itself.
+#[expect(clippy::eq_op, reason = "a value unequal to itself is a NaN")]
+fn same_output<T: PartialEq>(a: &T, b: &T) -> bool {
+    a == b || (a != a && b != b)
 }
 
 /// Splits `out` at the given row ranges and runs the chunk tasks, optionally

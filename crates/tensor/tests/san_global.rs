@@ -100,6 +100,21 @@ fn clean_kernels_produce_clean_reports() {
 }
 
 #[test]
+fn nan_outputs_are_not_a_schedule_divergence() {
+    let _g = san_guard();
+    let _off = SanOff;
+    // The same NaN under every schedule, though no NaN equals itself.
+    let mut out = vec![0.0f32; 257 * 3];
+    par::par_chunks_deterministic(&mut out, 257, 8, 257 * 3, |_s, _e, chunk| {
+        chunk.fill(f32::NAN);
+    });
+    let rep = report();
+    assert!(rep.is_clean(), "unexpected violations: {:?}", rep.errors);
+    assert_eq!(rep.schedules_checked, 3);
+    assert!(out.iter().all(|v| v.is_nan()));
+}
+
+#[test]
 fn order_dependent_kernel_diverges_under_adversarial_schedules() {
     let _g = san_guard();
     let _off = SanOff;

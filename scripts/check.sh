@@ -119,6 +119,7 @@ echo "==> regression gate (scripts/regress.sh --smoke)"
 scripts/regress.sh --smoke
 
 echo "==> size (scripts/loc.sh; informational)"
-scripts/loc.sh
+scripts/loc.sh crates
+scripts/loc.sh shims
 
 echo "All checks passed."

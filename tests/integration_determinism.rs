@@ -2,7 +2,7 @@
 //! identical numerics (the simulated clock is analytic, so even timing is
 //! deterministic), and results serialize losslessly.
 
-use adaqp::{ExperimentConfig, Method, TrainingConfig};
+use adaqp::{ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use graph::DatasetSpec;
 
 fn cfg(seed: u64) -> ExperimentConfig {
@@ -154,9 +154,9 @@ fn epoch_time_digest(cfg: &ExperimentConfig, result: &adaqp::RunResult) -> u64 {
 
 type Tweak = fn(&mut TrainingConfig);
 
-/// One golden row: method, config tweak, GraphSAGE, dataset scale, devices,
-/// then the run, epoch-time and score digests.
-type GoldenRow = (Method, Tweak, bool, f64, usize, u64, u64, u64);
+/// One golden row: method, config tweak, GraphSAGE, dataset scale, machines,
+/// devices per machine, then the run, epoch-time and score digests.
+type GoldenRow = (Method, Tweak, bool, f64, usize, usize, u64, u64, u64);
 
 #[test]
 fn golden_run_digests_survive_refactors() {
@@ -173,32 +173,50 @@ fn golden_run_digests_survive_refactors() {
     // change to evaluation must reproduce every score. The
     // scale-2 rows put 300 rows on each device, past the row count where
     // `matmul_tn` reduces per chunk, so the chunk merge order is pinned end
-    // to end as well.
+    // to end as well. The last four rows, recorded at the commit before the
+    // cost model began to look each pair's tier up, span machines: `2M-2D`
+    // prices intra- and inter-machine links, and the racked `4M-2D` adds a
+    // 4:1 spine, so every tier reaches the scheduler and the assigner's time
+    // objective.
     let plain: Tweak = |_| {};
     let error_feedback: Tweak = |t| t.error_feedback = true;
     let serial: Tweak = |t| t.disable_overlap = true;
+    let racked: Tweak = |t| {
+        let spec = TopologySpec {
+            machines_per_rack: Some(2),
+            ..TopologySpec::default()
+        };
+        t.topology = Some(spec.oversubscription(4.0));
+    };
     use Method::{AdaQp, AdaQpUniform, PipeGcn, Sancus, Vanilla};
     #[rustfmt::skip]
-    let rows: [GoldenRow; 15] = [
-        (Vanilla, plain, false, 1.0, 2, 0x8bd9_189b_b3e9_57e2, 0xcc92_3cb8_4c4b_1bb5, 0xab02_8652_1dd0_6175),
-        (Vanilla, plain, true, 1.0, 2, 0xdde1_6176_3e4f_4bd6, 0xe7b9_5490_b50b_ce91, 0xde21_0930_ae42_c75a),
-        (AdaQp, plain, false, 1.0, 2, 0x8c2f_17ed_6c7d_68ab, 0x6cdc_2bda_9f55_851d, 0xd492_7357_c227_11d4),
-        (AdaQp, plain, true, 1.0, 2, 0x9219_c7b3_a4f7_e4da, 0x4444_683e_2396_03e7, 0xd22b_54dd_d6be_93f3),
-        (Vanilla, plain, false, 2.0, 2, 0x116e_2f44_0b26_8339, 0x2451_c4a1_e32d_429d, 0x1ab8_f30b_e6fe_42e6),
-        (AdaQp, plain, true, 2.0, 2, 0xce02_6307_d5e7_14dd, 0xe591_c5bf_f888_511c, 0x7b8a_3cea_2b9b_2e9c),
-        (AdaQp, error_feedback, false, 1.0, 4, 0xa370_a56b_5dc2_8b77, 0x24e6_b890_3f33_196c, 0x1b37_a69c_6ef1_9f87),
-        (AdaQp, error_feedback, true, 1.0, 4, 0x81a3_b1b6_df50_d591, 0x9ecf_3d11_8bde_18fd, 0xc0d8_729f_8a47_3f38),
-        (AdaQpUniform, plain, false, 1.0, 4, 0xe186_fc2e_eee9_ad00, 0xfc86_8c49_bc51_37b6, 0x57f0_79e9_c8b8_e028),
-        (AdaQpUniform, plain, true, 1.0, 4, 0x546c_deb1_78db_f1a8, 0x6ee2_9281_703b_cb88, 0x27be_dc4d_a9c8_b1d6),
-        (PipeGcn, plain, false, 1.0, 4, 0x8e04_c864_7b71_d980, 0x6779_901e_b16a_ff2d, 0xefac_b252_9234_7f3d),
-        (PipeGcn, plain, true, 1.0, 4, 0x30eb_5bd6_e148_bd92, 0x9250_8a2f_7dd7_c171, 0xf923_51f1_b1c9_4ed5),
-        (Sancus, plain, false, 1.0, 4, 0x519e_e9c7_8573_f017, 0x7a37_f2b6_cdbc_eb28, 0x77f0_1619_3f0d_d8bb),
-        (Sancus, plain, true, 1.0, 4, 0xcbea_d818_94f4_67ca, 0x0a19_bc7a_4a7a_7c90, 0x80d3_c2fc_fe70_40cb),
-        (AdaQp, serial, false, 1.0, 4, 0x219d_f943_6f8b_a3f2, 0x32b2_b048_fad1_a844, 0x1b37_a69c_6ef1_9f87),
+    let rows: [GoldenRow; 19] = [
+        (Vanilla, plain, false, 1.0, 1, 2, 0x8bd9_189b_b3e9_57e2, 0xcc92_3cb8_4c4b_1bb5, 0xab02_8652_1dd0_6175),
+        (Vanilla, plain, true, 1.0, 1, 2, 0xdde1_6176_3e4f_4bd6, 0xe7b9_5490_b50b_ce91, 0xde21_0930_ae42_c75a),
+        (AdaQp, plain, false, 1.0, 1, 2, 0x8c2f_17ed_6c7d_68ab, 0x6cdc_2bda_9f55_851d, 0xd492_7357_c227_11d4),
+        (AdaQp, plain, true, 1.0, 1, 2, 0x9219_c7b3_a4f7_e4da, 0x4444_683e_2396_03e7, 0xd22b_54dd_d6be_93f3),
+        (Vanilla, plain, false, 2.0, 1, 2, 0x116e_2f44_0b26_8339, 0x2451_c4a1_e32d_429d, 0x1ab8_f30b_e6fe_42e6),
+        (AdaQp, plain, true, 2.0, 1, 2, 0xce02_6307_d5e7_14dd, 0xe591_c5bf_f888_511c, 0x7b8a_3cea_2b9b_2e9c),
+        (AdaQp, error_feedback, false, 1.0, 1, 4, 0xa370_a56b_5dc2_8b77, 0x24e6_b890_3f33_196c, 0x1b37_a69c_6ef1_9f87),
+        (AdaQp, error_feedback, true, 1.0, 1, 4, 0x81a3_b1b6_df50_d591, 0x9ecf_3d11_8bde_18fd, 0xc0d8_729f_8a47_3f38),
+        (AdaQpUniform, plain, false, 1.0, 1, 4, 0xe186_fc2e_eee9_ad00, 0xfc86_8c49_bc51_37b6, 0x57f0_79e9_c8b8_e028),
+        (AdaQpUniform, plain, true, 1.0, 1, 4, 0x546c_deb1_78db_f1a8, 0x6ee2_9281_703b_cb88, 0x27be_dc4d_a9c8_b1d6),
+        (PipeGcn, plain, false, 1.0, 1, 4, 0x8e04_c864_7b71_d980, 0x6779_901e_b16a_ff2d, 0xefac_b252_9234_7f3d),
+        (PipeGcn, plain, true, 1.0, 1, 4, 0x30eb_5bd6_e148_bd92, 0x9250_8a2f_7dd7_c171, 0xf923_51f1_b1c9_4ed5),
+        (Sancus, plain, false, 1.0, 1, 4, 0x519e_e9c7_8573_f017, 0x7a37_f2b6_cdbc_eb28, 0x77f0_1619_3f0d_d8bb),
+        (Sancus, plain, true, 1.0, 1, 4, 0xcbea_d818_94f4_67ca, 0x0a19_bc7a_4a7a_7c90, 0x80d3_c2fc_fe70_40cb),
+        (AdaQp, serial, false, 1.0, 1, 4, 0x219d_f943_6f8b_a3f2, 0x32b2_b048_fad1_a844, 0x1b37_a69c_6ef1_9f87),
+        (Vanilla, plain, false, 1.0, 2, 2, 0xe7a9_8f8d_e8db_7b49, 0x30ab_7f15_2dcb_d441, 0x57f0_79e9_c8b8_e028),
+        (AdaQp, plain, false, 1.0, 2, 2, 0x2cac_09b4_b6ee_59ad, 0x1226_7725_a215_6d28, 0x1b37_a69c_6ef1_9f87),
+        (Vanilla, racked, false, 1.0, 4, 2, 0x7e8c_92c9_0e8c_6740, 0xe36a_7dc4_d0ee_0d2d, 0xe9a3_4568_c007_eb56),
+        (AdaQp, racked, false, 1.0, 4, 2, 0xeab4_857e_c36f_0648, 0xcad4_987c_9a43_7a55, 0x583d_0e09_e430_83d6),
     ];
-    for (method, tweak, use_sage, scale, devices, want_run, want_time, want_scores) in rows {
+    for (method, tweak, use_sage, scale, machines, devices, want_run, want_time, want_scores) in
+        rows
+    {
         let mut c = cfg(4242);
         c.method = method;
+        c.machines = machines;
         c.devices_per_machine = devices;
         c.training.use_sage = use_sage;
         tweak(&mut c.training);
@@ -213,7 +231,7 @@ fn golden_run_digests_survive_refactors() {
         assert_eq!(
             got,
             (want_run, want_time, want_scores),
-            "{method:?} x{devices}, sage {use_sage}, scale {scale}, ef {} serial {}: \
+            "{method:?} {machines}M-{devices}D, sage {use_sage}, scale {scale}, ef {} serial {}: \
              run / epoch-time / score digests {got:#018x?}",
             t.error_feedback,
             t.disable_overlap

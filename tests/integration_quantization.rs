@@ -1,7 +1,7 @@
 //! Integration: AdaQP's quantized exchange reduces traffic drastically while
 //! preserving model quality on a learnable dataset.
 
-use adaqp::{ExperimentConfig, Method, TrainingConfig};
+use adaqp::{ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use graph::DatasetSpec;
 
 fn cfg(method: Method) -> ExperimentConfig {
@@ -77,8 +77,11 @@ fn quant_overhead_small_relative_to_comm_savings() {
     // distort the comparison).
     let slow = |method| {
         let mut c = cfg(method);
-        c.training.inter_bw = 2e6;
-        c.training.intra_bw = 2e6;
+        c.training.topology = Some(TopologySpec {
+            inter_bw: Some(2e6),
+            intra_bw: Some(2e6),
+            ..TopologySpec::default()
+        });
         c
     };
     let vanilla = adaqp::run_experiment(&slow(Method::Vanilla)).expect("valid config");

@@ -193,14 +193,11 @@ proptest! {
             DEFAULT_COMPUTE_SPEEDUP, DEFAULT_INTER_BW, DEFAULT_INTRA_BW, DEFAULT_LATENCY,
         };
         let (inf, nan) = (f64::INFINITY, f64::NAN);
-        let mut training = TrainingConfig {
+        let training = TrainingConfig {
             epochs: 1,
             hidden: 8,
             num_layers: 2,
             reassign_period: 1,
-            inter_bw: pick(&f64_table(DEFAULT_INTER_BW), inter),
-            intra_bw: pick(&f64_table(DEFAULT_INTRA_BW), intra),
-            latency: pick(&f64_table(DEFAULT_LATENCY), latency),
             compute_speedup: pick(&f64_table(DEFAULT_COMPUTE_SPEEDUP), speedup),
             dropout: pick(&[0.5, 0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY], dropout),
             lambda: pick(&f64_table(0.5), lambda),
@@ -218,20 +215,18 @@ proptest! {
                 ],
                 scales,
             ),
+            topology: Some(TopologySpec {
+                machines_per_rack: pick(&[None, Some(1), Some(0)], racks),
+                intra_bw: Some(pick(&f64_table(DEFAULT_INTRA_BW), intra)),
+                inter_bw: Some(pick(&f64_table(DEFAULT_INTER_BW), inter)),
+                spine_bw: pick(
+                    &[None, Some(DEFAULT_INTER_BW / 4.0), Some(0.0), Some(-1.0), Some(nan), Some(inf), Some(-inf)],
+                    spine,
+                ),
+                latency: Some(pick(&f64_table(DEFAULT_LATENCY), latency)),
+            }),
             ..TrainingConfig::default()
         };
-        let machines_per_rack = pick(&[None, Some(1), Some(0)], racks);
-        let spine_bw = pick(
-            &[None, Some(DEFAULT_INTER_BW / 4.0), Some(0.0), Some(-1.0), Some(nan), Some(inf), Some(-inf)],
-            spine,
-        );
-        if machines_per_rack.is_some() || spine_bw.is_some() {
-            training.topology = Some(TopologySpec {
-                machines_per_rack,
-                spine_bw,
-                ..TopologySpec::from_training(&training)
-            });
-        }
         let tiny = graph::DatasetSpec::tiny();
         let dataset = graph::DatasetSpec {
             num_nodes: pick(&[tiny.num_nodes, 0, 1], nodes),
