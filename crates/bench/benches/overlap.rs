@@ -56,10 +56,10 @@ fn bench_overlap_composition(c: &mut Criterion) {
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
-    // A run has one recorder, the scheduler's flight recorder, armed when a
-    // view of its log is asked for: the same run with it off and on (both
-    // views attached). Criterion reports both sides; compare the means in
-    // the output.
+    // A run records one flight log, its devices' charges, when a view of it
+    // is asked for: the same run with recording off and on (both views
+    // attached). Criterion reports both sides; compare the means in the
+    // output.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
     for (label, enabled) in [("off", false), ("on", true)] {

@@ -135,8 +135,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Where does the time go? Critical-path profile of the AdaQP run on
-    // the first dataset, reconstructed from the causal flight recorder's
-    // event DAG (same run shape as the table above).
+    // the first dataset, re-folded from the charges in its flight log (same
+    // run shape as the table above).
     println!();
     let spec = bench::datasets().remove(0);
     let cfg = bench::experiment(spec, 2, 2, Method::AdaQp, false, seed);

@@ -70,9 +70,9 @@ fn main() {
     }
 
     // Where does the time go on a congested spine? Critical-path profile
-    // of the 8x-oversubscribed AdaQP point, from the causal flight
-    // recorder: the wire/collective-wait split shows how much of the
-    // slowdown is the spine versus the rendezvous behind it.
+    // of the 8x-oversubscribed AdaQP point, from its flight log: the
+    // wire/collective-wait split shows how much of the slowdown is the
+    // spine versus the rendezvous behind it.
     println!();
     let mut cfg = bench::experiment(dataset, machines, 4, Method::AdaQp, true, 4242);
     cfg.training.epochs = 8;

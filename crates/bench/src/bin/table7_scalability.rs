@@ -136,7 +136,7 @@ fn main() {
     bench::rule(86);
 
     // Where does the time go at fleet scale? Critical-path profile of the
-    // 64-device AdaQP weak-scaling point, from the causal flight recorder.
+    // 64-device AdaQP weak-scaling point, from its flight log.
     println!();
     let dataset = DatasetSpec::tiny().scaled(16.0);
     let mut cfg = bench::experiment(dataset, 16, 4, Method::AdaQp, true, 4242);

@@ -100,11 +100,11 @@ pub fn run(cfg: &ExperimentConfig) -> adaqp::RunResult {
     adaqp::run_experiment(cfg).expect("harness experiment config is valid")
 }
 
-/// Runs an experiment with the causal flight recorder armed and returns the
-/// result together with its critical-path profile. The figure binaries use
-/// this for their "where does the time go?" sections: the profile's
-/// classified segments come from the same event DAG the run executed, not
-/// from a separate model.
+/// Runs an experiment with its flight log recorded and returns the result
+/// together with its critical-path profile. The figure binaries use this
+/// for their "where does the time go?" sections: the profile's classified
+/// segments are re-folded from the charges the run made, not from a
+/// separate model.
 #[expect(
     clippy::expect_used,
     reason = "an Err is a harness bug; profiling is set two lines up"

@@ -1,6 +1,6 @@
 //! Cross-validation property: the critical-path profiler and the harness's
 //! analytic epoch time read the same run from two records — the profiler
-//! re-folds the flight log's phase advances, while
+//! re-folds the flight log's charges, while
 //! `bench::analytic_sim_seconds` re-composes the runner's per-epoch
 //! breakdowns — through the one composition in `obs::time`. On Vanilla
 //! runs (no host-measured solver time) the two must agree to the bit, and

@@ -5,9 +5,8 @@
 //! yield points, and every yield point is a collective. The loop
 //! invariants (DESIGN.md §10):
 //!
-//! * **Run-to-block.** The scheduler resumes one device and keeps stepping
-//!   it until it parks at a collective or finishes. Charges
-//!   ([`Command::Advance`]) never block.
+//! * **Run-to-block.** One `resume` call runs a device until it parks at
+//!   a collective or finishes.
 //! * **Deterministic pick order.** Among runnable devices the scheduler
 //!   always picks the one with the smallest `(simulated clock, rank)` key.
 //!   Outputs do not depend on this choice — a device's next yield depends
@@ -19,8 +18,7 @@
 //!   time is the max of the participants' clocks, and per-rank exit times
 //!   follow the per-kind models in `run_collective` (the ring charges each
 //!   device its unsynchronized per-round `max(send, recv)` time). Without a
-//!   cost model every transfer is instantaneous and the clocks measure
-//!   only the charges.
+//!   cost model every transfer is instantaneous and every clock stays 0.
 //! * **A stall is a deadlock.** When nobody is runnable and not every
 //!   device is parked, some rank finished while the others wait for it at
 //!   a collective: the run ends with the full [`WaitGraph`].
@@ -70,12 +68,7 @@ fn clock_key(t: f64) -> u64 {
     t.to_bits()
 }
 
-/// Runs `programs` (one per rank) to completion under the event loop, with
-/// an optional causal flight recorder attached: every scheduling
-/// transition (dispatch, collective formation/release, phase advance,
-/// completion) is logged with its causal predecessor. With
-/// `recorder = None` the only overhead is one branch per transition (the
-/// zero-cost-off contract, DESIGN.md §5b).
+/// Runs `programs` (one per rank) to completion under the event loop.
 ///
 /// `cost` charges collective transfers; `None` makes every transfer
 /// instantaneous (outputs are identical either way — only the reported
@@ -92,7 +85,6 @@ fn clock_key(t: f64) -> u64 {
 pub(crate) fn run_programs<P: DeviceProgram>(
     programs: Vec<P>,
     cost: Option<&CostModel>,
-    mut recorder: Option<&mut crate::flight::FlightRecorder>,
 ) -> Result<ClusterReport<P::Output>, ClusterError> {
     let n = programs.len();
     if n == 0 {
@@ -115,10 +107,6 @@ pub(crate) fn run_programs<P: DeviceProgram>(
                 collectives += 1;
                 run_collective(&mut statuses, &mut ctxs, cost)?;
                 waiting_collective = 0;
-                if let Some(rec) = recorder.as_deref_mut() {
-                    let clocks: Vec<f64> = ctxs.iter().map(DeviceCtx::now).collect();
-                    rec.collective_release(&clocks);
-                }
                 for (r, ctx) in ctxs.iter().enumerate() {
                     ready.insert((clock_key(ctx.now()), r));
                 }
@@ -129,55 +117,29 @@ pub(crate) fn run_programs<P: DeviceProgram>(
             });
         };
         ready.remove(&(key, rank));
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.resume(rank, ctxs[rank].now());
-        }
 
-        // Run-to-block: keep stepping this device until it suspends.
-        let Status::Ready(mut input) = std::mem::replace(&mut statuses[rank], Status::Running)
-        else {
+        // Run-to-block: one step runs the device to its next collective
+        // or to its end.
+        let Status::Ready(input) = std::mem::replace(&mut statuses[rank], Status::Running) else {
             // The ready set only holds Ready devices.
             unreachable!("scheduled a non-ready device")
         };
-        loop {
-            let prog = &mut programs[rank];
-            let step = catch_unwind(AssertUnwindSafe(|| prog.resume(input)));
-            match step {
-                Err(payload) => {
-                    return Err(ClusterError::DevicePanicked {
-                        rank,
-                        message: panic_message(payload),
-                    });
-                }
-                Ok(Step::Done(out)) => {
-                    outputs[rank] = Some(out);
-                    statuses[rank] = Status::Done;
-                    done += 1;
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.done(rank, ctxs[rank].now());
-                    }
-                    break;
-                }
-                Ok(Step::Yield(Command::Advance {
-                    epoch,
-                    seconds,
-                    span,
-                })) => {
-                    let t0 = ctxs[rank].now();
-                    ctxs[rank].advance(seconds);
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.phase_advance(rank, t0, epoch, seconds, span);
-                    }
-                    input = Resume::Advanced;
-                }
-                Ok(Step::Yield(cmd)) => {
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.collective_form(rank, ctxs[rank].now(), cmd.kind_name());
-                    }
-                    statuses[rank] = Status::CollectiveWait(cmd);
-                    waiting_collective += 1;
-                    break;
-                }
+        let prog = &mut programs[rank];
+        match catch_unwind(AssertUnwindSafe(|| prog.resume(input))) {
+            Err(payload) => {
+                return Err(ClusterError::DevicePanicked {
+                    rank,
+                    message: panic_message(payload),
+                });
+            }
+            Ok(Step::Done(out)) => {
+                outputs[rank] = Some(out);
+                statuses[rank] = Status::Done;
+                done += 1;
+            }
+            Ok(Step::Yield(cmd)) => {
+                statuses[rank] = Status::CollectiveWait(cmd);
+                waiting_collective += 1;
             }
         }
     }
@@ -257,8 +219,6 @@ fn run_collective(
         Command::Broadcast { root, .. } => Shape::Broadcast(*root),
         Command::Gather { root, .. } => Shape::Gather(*root),
         Command::Scatter { root, .. } => Shape::Scatter(*root),
-        // An Advance never parks a device in CollectiveWait.
-        Command::Advance { .. } => unreachable!("a charge parked as a collective"),
     };
 
     match shape {

@@ -49,7 +49,6 @@
 pub mod cluster;
 pub mod costmodel;
 mod event;
-pub mod flight;
 mod program;
 pub mod timing;
 pub mod topology;
@@ -58,7 +57,6 @@ pub mod waitgraph;
 pub use cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
 pub use costmodel::CostModel;
 pub use event::ClusterReport;
-pub use flight::FlightRecorder;
 pub use timing::{TimeBreakdown, TimeCategory};
 pub use topology::Topology;
 pub use waitgraph::{BlockedRank, CollectiveFront, WaitCause, WaitGraph};
@@ -70,7 +68,7 @@ pub use waitgraph::{BlockedRank, CollectiveFront, WaitCause, WaitGraph};
 /// use comm::prelude::*;
 ///
 /// let cm = Topology::new(2, 2).cost_model();
-/// let report = Cluster::try_run_async(4, Some(&cm), None, |mut dev| async move {
+/// let report = Cluster::try_run_async(4, Some(&cm), |mut dev| async move {
 ///     let mut ranks = [dev.rank() as f32];
 ///     dev.allreduce_sum_f32(&mut ranks).await;
 ///     ranks[0]

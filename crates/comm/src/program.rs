@@ -19,15 +19,14 @@
 //!   `std::thread::sleep`, no blocking channel reads, no `Instant` waits
 //!   (clippy's `disallowed_methods` and `disallowed_types` refuse them; see
 //!   `clippy.toml`). All waiting is expressed by yielding.
-//! * Between yields a program may charge local work to the simulated clock
-//!   via [`Command::Advance`]; the scheduler never maps host time onto the
-//!   clock.
+//! * The scheduler's clocks move only at collectives, by the cost model;
+//!   local work is charged by the program itself, never through here, and
+//!   host time is never mapped onto a clock.
 
 use bytes::Bytes;
 
-/// What a suspended device is asking the scheduler to do. Every command but
-/// [`Command::Advance`] is a collective: it must be entered by every rank,
-/// with matching roots.
+/// What a suspended device is asking the scheduler to do. Every command is
+/// a collective: it must be entered by every rank, with matching roots.
 #[derive(Debug, Clone)]
 pub(crate) enum Command {
     /// Ring all2all (Fig. 8): each listed payload goes to its destination
@@ -59,21 +58,6 @@ pub(crate) enum Command {
         /// One payload per rank (`Some` on the root only).
         payloads: Option<Vec<Bytes>>,
     },
-    /// Charge `seconds` of simulated time (during training `epoch`) to this
-    /// rank's clock *through the scheduler*, so the flight recorder logs the
-    /// whole charge — the one record every view of a run is derived from —
-    /// with its causal context. Resumes immediately with
-    /// [`Resume::Advanced`]. Only recorded runs route charges this way.
-    Advance {
-        /// Training epoch the charge belongs to.
-        epoch: usize,
-        /// Charged simulated seconds (finite, non-negative).
-        seconds: f64,
-        /// What was charged: the kind (hence the `comm::TimeCategory`
-        /// bucket), layer, width and per-peer volumes. Boxed so that the
-        /// commands every run yields stay as small as they were.
-        span: Box<obs::time::Span>,
-    },
 }
 
 impl Command {
@@ -84,7 +68,6 @@ impl Command {
             Command::Broadcast { .. } => "broadcast",
             Command::Gather { .. } => "gather",
             Command::Scatter { .. } => "scatter",
-            Command::Advance { .. } => "advance",
         }
     }
 }
@@ -103,8 +86,6 @@ pub(crate) enum Resume {
     GatherDone(Option<Vec<Bytes>>),
     /// This rank's slice of the scatter.
     ScatterDone(Bytes),
-    /// The [`Command::Advance`] charge was applied to the clock.
-    Advanced,
 }
 
 /// One step of a device program: either a yield with the command to satisfy
@@ -129,22 +110,17 @@ impl DeviceCtx {
         self.clock
     }
 
-    /// Charges `seconds` of local (compute) time to the simulated clock.
+    /// Moves the clock to a collective's exit time `t`, never backwards.
     ///
     /// # Panics
     ///
-    /// Panics if `seconds` is negative or not finite — the clock only moves
-    /// forward.
-    pub(crate) fn advance(&mut self, seconds: f64) {
+    /// Panics if `t` is negative or not finite: clocks order the scheduler's
+    /// picks through `f64::to_bits`, which is monotonic only there.
+    pub(crate) fn advance_to(&mut self, t: f64) {
         assert!(
-            seconds.is_finite() && seconds >= 0.0,
+            t.is_finite() && t >= 0.0,
             "clock advances must be finite and non-negative"
         );
-        self.clock += seconds;
-    }
-
-    /// Scheduler-side clock update (collective exits).
-    pub(crate) fn advance_to(&mut self, t: f64) {
         if t > self.clock {
             self.clock = t;
         }
@@ -171,7 +147,7 @@ mod tests {
     fn ctx_identity_and_clock() {
         let mut ctx = DeviceCtx::default();
         assert_eq!(ctx.now(), 0.0);
-        ctx.advance(1.5);
+        ctx.advance_to(1.5);
         ctx.advance_to(1.0); // never moves backwards
         assert_eq!(ctx.now(), 1.5);
         ctx.advance_to(2.0);
@@ -181,7 +157,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn ctx_rejects_negative_advance() {
-        DeviceCtx::default().advance(-1.0);
+        DeviceCtx::default().advance_to(-1.0);
     }
 
     #[test]

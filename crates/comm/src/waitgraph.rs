@@ -12,12 +12,10 @@
 //! * which ranks finished outright (a rank that returns without joining a
 //!   collective is how `collective-divergence` bugs present at runtime).
 //!
-//! The graph renders as DOT ([`WaitGraph::to_dot`]) for visual inspection
-//! and as JSON ([`WaitGraph::to_json`]) for tooling; its [`WaitGraph::summary`]
-//! is what [`crate::ClusterError::Deadlock`] displays. The static side of
-//! this contract is adaqp-lint's `collective-divergence` rule
-//! (`crates/analysis`), which flags the same defect shapes in the shipped
-//! `async` device bodies before they ever run.
+//! Its [`WaitGraph::summary`] is what [`crate::ClusterError::Deadlock`]
+//! displays. The static side of this contract is adaqp-lint's
+//! `collective-divergence` rule (`crates/analysis`), which flags the same
+//! defect shapes in the shipped `async` device bodies before they ever run.
 
 /// What one suspended rank is waiting for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,95 +119,6 @@ impl WaitGraph {
         }
         out
     }
-
-    /// Graphviz DOT rendering: one node per rank, one edge per wait-for
-    /// dependency, labeled with the collective kind. All interpolated label
-    /// text is escaped with [`dot_escape`], so the output stays well-formed
-    /// DOT whatever the cause text contains.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph wait_for {\n");
-        for b in &self.blocked {
-            out.push_str(&format!(
-                "  r{} [label=\"rank {}\\n{}\"];\n",
-                b.rank,
-                b.rank,
-                dot_escape(&b.cause.to_string())
-            ));
-        }
-        for rank in &self.finished {
-            out.push_str(&format!(
-                "  r{rank} [label=\"rank {rank}\\nfinished\", style=dashed];\n"
-            ));
-        }
-        for b in &self.blocked {
-            let WaitCause::Collective { kind } = &b.cause;
-            for absent in self.collective.iter().flat_map(|c| c.absent.iter()) {
-                out.push_str(&format!(
-                    "  r{} -> r{} [label=\"{}\", style=dotted];\n",
-                    b.rank,
-                    absent,
-                    dot_escape(kind)
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// JSON rendering (stable field order, no external dependencies), for
-    /// machine consumption of deadlock reports.
-    pub fn to_json(&self) -> String {
-        fn ranks(list: &[usize]) -> String {
-            let items: Vec<String> = list.iter().map(ToString::to_string).collect();
-            format!("[{}]", items.join(", "))
-        }
-        let blocked: Vec<String> = self
-            .blocked
-            .iter()
-            .map(|b| {
-                let WaitCause::Collective { kind } = &b.cause;
-                let cause = format!("{{\"kind\": \"collective\", \"collective\": \"{kind}\"}}");
-                format!(
-                    "{{\"rank\": {}, \"cause\": {}, \"clock\": {}}}",
-                    b.rank,
-                    cause,
-                    // The debug float form keeps a trailing `.0`, so the
-                    // field stays a float in every JSON parser.
-                    format_args!("{:?}", b.clock)
-                )
-            })
-            .collect();
-        let collective = match &self.collective {
-            Some(c) => format!(
-                "{{\"kind\": \"{}\", \"reached\": {}, \"absent\": {}}}",
-                c.kind,
-                ranks(&c.reached),
-                ranks(&c.absent)
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"blocked\": [{}], \"finished\": {}, \"collective\": {}}}",
-            blocked.join(", "),
-            ranks(&self.finished),
-            collective
-        )
-    }
-}
-
-/// Escapes text for use inside a double-quoted DOT string: backslashes and
-/// quotes are escaped, newlines become the DOT line-break escape `\n`.
-pub fn dot_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -257,27 +166,5 @@ mod tests {
         assert!(s.contains("rank 2 waits on collective `gather`"));
         assert!(s.contains("finished ranks [0]"));
         assert!(s.contains("`gather` reached by ranks [1, 2], never by ranks [0]"));
-    }
-
-    #[test]
-    fn dot_render_has_nodes_and_edges() {
-        let dot = sample().to_dot();
-        assert!(dot.starts_with("digraph wait_for {"));
-        assert!(dot.contains("r1 -> r0 [label=\"gather\", style=dotted]"));
-        assert!(dot.contains("style=dashed"), "finished rank style: {dot}");
-        assert!(dot.contains("r2 -> r0"), "collective edge: {dot}");
-        assert_eq!(dot_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn json_render_is_well_formed_and_complete() {
-        let json = sample().to_json();
-        assert!(json.contains("\"blocked\": [{\"rank\": 1"));
-        assert!(json.contains("\"cause\": {\"kind\": \"collective\", \"collective\": \"gather\"}"));
-        assert!(json.contains("\"clock\": 0.5"));
-        assert!(json.contains(
-            "\"collective\": {\"kind\": \"gather\", \"reached\": [1, 2], \"absent\": [0]}"
-        ));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

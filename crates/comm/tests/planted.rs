@@ -13,7 +13,7 @@ const N: usize = 4;
 /// gather forever, and the stall lists rank 0 as finished and absent.
 #[test]
 fn a_rank_that_skips_the_allreduce_is_finished_and_absent_from_the_front() {
-    let err = Cluster::try_run_async(N, None, None, |mut dev| async move {
+    let err = Cluster::try_run_async(N, None, |mut dev| async move {
         let mut grads = [dev.rank() as f32];
         if dev.rank() != 0 {
             dev.allreduce_sum_f32(&mut grads).await;
@@ -42,7 +42,7 @@ fn a_rank_that_skips_the_allreduce_is_finished_and_absent_from_the_front() {
 /// on the kind but not on the root, and the first disagreeing rank is named.
 #[test]
 fn odd_ranks_broadcasting_from_another_root_is_a_root_mismatch() {
-    let err = Cluster::try_run_async(N, None, None, |mut dev| async move {
+    let err = Cluster::try_run_async(N, None, |mut dev| async move {
         let root = dev.rank() % 2;
         let payload = (dev.rank() == root).then(|| Bytes::from_static(b"stats"));
         dev.broadcast(root, payload).await
@@ -63,7 +63,7 @@ fn odd_ranks_broadcasting_from_another_root_is_a_root_mismatch() {
 /// and the error names the reordered rank.
 #[test]
 fn a_rank_that_gathers_while_the_others_ring_is_named() {
-    let err = Cluster::try_run_async(N, None, None, |mut dev| async move {
+    let err = Cluster::try_run_async(N, None, |mut dev| async move {
         let trace = Bytes::from(vec![dev.rank() as u8]);
         if dev.rank() == 2 {
             let _ = dev.gather(0, trace).await;

@@ -44,7 +44,7 @@ proptest! {
             }
             acc
         };
-        let results = Cluster::try_run_async(n, None, None, device)
+        let results = Cluster::try_run_async(n, None, device)
             .expect("every rank enters every collective")
             .outputs;
         // Every device computed identical collective results.
@@ -99,7 +99,7 @@ proptest! {
             dev.ring_all2all((0..n).map(|d| payload(me, d)).collect())
         })
         .expect("dense ring runs");
-        let sparse = Cluster::try_run_async(n, Some(&cost), None, move |mut dev| async move {
+        let sparse = Cluster::try_run_async(n, Some(&cost), move |mut dev| async move {
             let me = dev.rank();
             let sends = (0..n)
                 .filter(|&d| lens[me][d] > 0)
@@ -159,7 +159,7 @@ proptest! {
             _ => vec![n as u32],                        // out of range
         };
         let bad = &bad;
-        let err = Cluster::try_run_async(n, None, None, move |mut dev| async move {
+        let err = Cluster::try_run_async(n, None, move |mut dev| async move {
             let sends = if dev.rank() == culprit {
                 bad.iter().map(|&d| (d, Bytes::from_static(b"x"))).collect()
             } else {

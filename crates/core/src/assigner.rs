@@ -1403,7 +1403,7 @@ mod tests {
         let cfg = TrainingConfig::default();
         let cost = CostModel::homogeneous(2, 1e6, 1e-5);
         let (parts, cfg, cost, tamper) = (&parts, &cfg, &cost, &tamper);
-        let run = comm::Cluster::try_run_async(2, None, None, |mut dev| async move {
+        let run = comm::Cluster::try_run_async(2, None, |mut dev| async move {
             let part = &parts[dev.rank()];
             let trace = Trace::new(part, &[16, 8]);
             let own = Bytes::from(encode_trace(&part.send_alpha_sq, &trace));
@@ -1478,7 +1478,7 @@ mod tests {
         };
         let master = std::cell::RefCell::new(None);
         let master_ref = &master;
-        let run = comm::Cluster::try_run_async(2, None, None, |dev| {
+        let run = comm::Cluster::try_run_async(2, None, |dev| {
             let rank = dev.rank();
             let body = device(dev);
             async move {
@@ -1490,7 +1490,7 @@ mod tests {
         });
         let stall = run.expect_err("rank 1 waits at a scatter the master never joins");
         let failure =
-            crate::runner::run_devices(2, None, device).expect_err("the master's error surfaces");
+            crate::runner::run_devices(2, device).expect_err("the master's error surfaces");
         (master.into_inner(), stall, failure)
     }
 
@@ -1570,7 +1570,7 @@ mod tests {
         let parts_ref = &parts;
         let cfg_ref = &cfg;
         let cost_ref = &cost;
-        let run = comm::Cluster::try_run_async(2, None, None, |mut dev| async move {
+        let run = comm::Cluster::try_run_async(2, None, |mut dev| async move {
             let part = &parts_ref[dev.rank()];
             let dims = [16usize, 8];
             let mut trace = Trace::new(part, &dims);

@@ -59,7 +59,7 @@ USAGE:
             [--group-size N] [--period N] [--no-overlap] [--error-feedback]
             [--rack-size N] [--oversub X] [--scale X] [--json] [--telemetry]
             [--trace <file.json>] [--events <file.jsonl>] [--metrics <path>]
-            [--san] [--critical-path <file.json>] [--flow-trace <file.json>]
+            [--san] [--critical-path <file.json>]
   adaqp compare --dataset <name> [--machines N] [--devices N] [--epochs N]
             [--rack-size N] [--oversub X] [--scale X] [--markdown]
   adaqp tune --dataset <name> [--machines N] [--devices N] [--epochs N] [--scale X]
@@ -92,7 +92,6 @@ const VALUE_FLAGS: &[&str] = &[
     "events",
     "metrics",
     "critical-path",
-    "flow-trace",
     "parts",
 ];
 
@@ -192,7 +191,7 @@ fn experiment_from(flags: &Flags) -> Result<ExperimentConfig, String> {
     training.metrics = flags.contains_key("metrics");
     training.sanitize = flags.contains_key("san");
     // Profiling, like telemetry, is implied by asking for an export.
-    training.profile = flags.contains_key("critical-path") || flags.contains_key("flow-trace");
+    training.profile = flags.contains_key("critical-path");
     // `--rack-size 0` (or leaving both flags off) keeps the paper-preset
     // single-rack network; any other value installs a topology section.
     let rack_size = parse_num(flags, "rack-size", 0usize)?;
@@ -255,15 +254,6 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
             eprintln!(
                 "wrote critical-path report ({} segments) to {path}",
                 p.report.segments.len()
-            );
-        }
-        if let Some(path) = flags.get("flow-trace") {
-            let trace = obs::critpath::chrome_trace_flow(&p.flight);
-            std::fs::write(path, trace).map_err(|e| e.to_string())?;
-            eprintln!(
-                "wrote causal flow trace ({} flight events) to {path} \
-                 (open in Perfetto or chrome://tracing)",
-                p.flight.num_events()
             );
         }
     }
@@ -504,7 +494,12 @@ mod tests {
 
     #[test]
     fn parse_flags_rejects_unknown_flags_by_name() {
-        for flag in ["--epoch", "--grouped-wire", "--stream-quant"] {
+        for flag in [
+            "--epoch",
+            "--grouped-wire",
+            "--stream-quant",
+            "--flow-trace",
+        ] {
             let args: Vec<String> = ["--dataset", "tiny", flag, "5"]
                 .iter()
                 .map(|s| s.to_string())
@@ -586,9 +581,6 @@ mod tests {
     #[test]
     fn profile_exports_imply_profiling() {
         let f = flags_of(&["--dataset", "tiny", "--critical-path", "out/cp.json"]);
-        let cfg = experiment_from(&f).expect("valid config");
-        assert!(cfg.training.profile);
-        let f = flags_of(&["--dataset", "tiny", "--flow-trace", "out/flow.json"]);
         let cfg = experiment_from(&f).expect("valid config");
         assert!(cfg.training.profile);
         let off = experiment_from(&flags_of(&["--dataset", "tiny"])).expect("valid config");

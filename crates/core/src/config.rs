@@ -126,13 +126,13 @@ pub struct TrainingConfig {
     /// the `ADAQP_SAN` env var enables the mode independently of this flag.
     #[serde(default)]
     pub sanitize: bool,
-    /// Attach the causal view of the run's flight log: the log itself
-    /// (every scheduling transition, `comm::flight`) and the critical-path
-    /// report analysed from it (`obs::critpath`), returned by
+    /// Attach the critical-path view of the run's flight log: the log
+    /// itself (every charge, and the collective count) and the report
+    /// analysed from it (`obs::critpath`), returned by
     /// [`crate::run_experiment_profiled`] as a [`crate::RunProfile`]. See
     /// `telemetry` for when the log is recorded. Off by default; with both
-    /// off the scheduler pays one untaken branch per transition and a
-    /// device one per charge, and results are byte-identical either way.
+    /// off a device pays one untaken branch per charge, and results are
+    /// byte-identical either way.
     #[serde(default)]
     pub profile: bool,
     /// The network: link bandwidths and latency per tier, and racks behind

@@ -528,7 +528,7 @@ mod tests {
 
     /// Runs the `async` body `f` builds per rank on an uncosted cluster.
     fn run_async<Fut: Future>(n: usize, f: impl FnMut(AsyncDevice) -> Fut) -> Vec<Fut::Output> {
-        let run = comm::Cluster::try_run_async(n, None, None, f);
+        let run = comm::Cluster::try_run_async(n, None, f);
         run.expect("no device panicked or stalled").outputs
     }
 

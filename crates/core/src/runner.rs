@@ -6,11 +6,10 @@ use crate::config::ExperimentConfig;
 use crate::decompose::build_partitions;
 use crate::error::Error;
 use crate::metrics::{
-    fold_run_metrics, schedule_for, DeviceEpochRecord, DeviceTallies, EpochMetrics, MetricParts,
-    RunResult,
+    fold_run_metrics, schedule_for, DeviceEpochRecord, EpochMetrics, MetricParts, RunResult,
 };
 use crate::telemetry::TelemetryLog;
-use crate::trainers::{DeviceOutput, DeviceTrainer};
+use crate::trainers::DeviceTrainer;
 use comm::Cluster;
 use graph::Task;
 use obs::critpath::{CritPathReport, FlightLog};
@@ -28,21 +27,20 @@ pub(crate) enum Failure<E> {
 }
 
 /// Runs the `async` body `device` builds for each rank on the event core
-/// and returns the bodies' outputs in rank order. A body that fails stops
-/// there, and its peers then stall at their next collective: the cluster
-/// reports that stall, so the error of the lowest failing rank is kept and
-/// wins over it.
+/// and returns the bodies' outputs in rank order, with the number of
+/// collectives the cluster ran. A body that fails stops there, and its
+/// peers then stall at their next collective: the cluster reports that
+/// stall, so the error of the lowest failing rank is kept and wins over it.
 pub(crate) fn run_devices<T, E, Fut>(
     n: usize,
-    recorder: Option<&mut comm::FlightRecorder>,
     mut device: impl FnMut(comm::AsyncDevice) -> Fut,
-) -> Result<Vec<T>, Failure<E>>
+) -> Result<(Vec<T>, u64), Failure<E>>
 where
     Fut: std::future::Future<Output = Result<T, E>>,
 {
     let failure: RefCell<Option<(usize, E)>> = RefCell::new(None);
     let failure_ref = &failure;
-    let run = Cluster::try_run_async(n, None, recorder, |dev| {
+    let run = Cluster::try_run_async(n, None, |dev| {
         let rank = dev.rank();
         let body = device(dev);
         async move {
@@ -59,8 +57,9 @@ where
     if let Some((rank, error)) = failure.into_inner() {
         return Err(Failure::Device(rank, error));
     }
-    let outputs = run.map_err(Failure::Cluster)?.outputs;
-    Ok(outputs.into_iter().flatten().collect())
+    let report = run.map_err(Failure::Cluster)?;
+    let outputs = report.outputs.into_iter().flatten().collect();
+    Ok((outputs, report.collectives))
 }
 
 /// Runs one experiment end-to-end on the discrete-event cluster core and
@@ -81,8 +80,8 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<RunResult, Error> {
     run_experiment_profiled(cfg).map(|(result, _)| result)
 }
 
-/// The causal profile of one run: the post-run critical-path analysis plus
-/// the raw flight log it was derived from.
+/// The profile of one run: the post-run critical-path analysis plus the
+/// flight log it was derived from.
 ///
 /// Kept outside [`RunResult`] on purpose: profiling must never change the
 /// result artifact, so the profile travels next to it, not inside it.
@@ -90,20 +89,22 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<RunResult, Error> {
 pub struct RunProfile {
     /// Critical path, per-device idle attribution, and straggler ranking.
     pub report: CritPathReport,
-    /// Every scheduling transition with its causal predecessor.
+    /// Every charge the devices made, and the collective count.
     pub flight: FlightLog,
 }
 
 /// [`run_experiment`], also returning the [`RunProfile`] when
 /// `TrainingConfig::profile` is set, `None` otherwise.
 ///
-/// A run has one recorder — the scheduler's causal flight recorder, armed
-/// when `TrainingConfig::telemetry` or `TrainingConfig::profile` asks for a
-/// view of its log; the two fields only choose which views are attached
+/// A run has one record, its flight log: every device keeps its own
+/// charges when `TrainingConfig::telemetry` or `TrainingConfig::profile`
+/// asks for a view of the log, and the runner lays them out rank by rank.
+/// The two fields only choose which views are attached
 /// ([`RunResult::telemetry`], the [`RunProfile`]). Recording is
-/// observation-only: the returned [`RunResult`] is byte-identical to an
-/// unrecorded run of the same config apart from the attached views, and the
-/// profile itself is byte-deterministic at any `ADAQP_THREADS`.
+/// observation-only: the cluster runs exactly as it does unrecorded, so the
+/// returned [`RunResult`] is byte-identical to an unrecorded run of the same
+/// config apart from the attached views, and the profile itself is
+/// byte-deterministic at any `ADAQP_THREADS`.
 ///
 /// # Errors
 ///
@@ -153,17 +154,24 @@ pub fn run_experiment_profiled(
         );
         trainer.run().await
     };
-    // One recorder, armed when either view of its log is wanted; the
-    // scheduler keeps running uncosted, exactly as in an unrecorded run.
-    let record = cfg.training.telemetry || cfg.training.profile;
-    let mut recorder = record.then(|| comm::FlightRecorder::new(n));
-    let run = run_devices(n, recorder.as_mut(), device);
-    let outputs: Vec<DeviceOutput> = run.map_err(|failure| match failure {
+    let (outputs, collectives) = run_devices(n, device).map_err(|failure| match failure {
         Failure::Device(rank, error) => error.on(rank),
         Failure::Cluster(error) => Error::from(error),
     })?;
-    let flight = recorder.map(comm::FlightRecorder::finish);
-    let (records, tallies): (Vec<_>, Vec<Option<DeviceTallies>>) = outputs.into_iter().unzip();
+    let (mut records, mut tallies, mut events) = (Vec::with_capacity(n), Vec::new(), Vec::new());
+    for out in outputs {
+        records.push(out.records);
+        tallies.extend(out.tallies);
+        events.extend(out.charges.into_iter().flatten());
+    }
+    // The devices' charges rank by rank: every view reads each rank's
+    // charges in that rank's order and nothing of how ranks interleave.
+    let record = cfg.training.telemetry || cfg.training.profile;
+    let flight = record.then_some(FlightLog {
+        num_devices: n,
+        collectives,
+        events,
+    });
 
     let mut result = combine(cfg, multi, global_train, &records);
     if cfg.training.telemetry {
@@ -175,8 +183,7 @@ pub fn run_experiment_profiled(
         RunProfile { report, flight }
     });
     if cfg.training.metrics {
-        // Every device kept tallies, so flattening keeps them in rank order.
-        let tallies: Vec<DeviceTallies> = tallies.into_iter().flatten().collect();
+        // Every device kept tallies, so `tallies` is in rank order.
         let report = profile.as_ref().map(|p| &p.report);
         result.metrics = Some(fold_run_metrics(&result, &records, &tallies, report));
     }

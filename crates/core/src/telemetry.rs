@@ -1,12 +1,11 @@
 //! Run-level telemetry: the span view of a run, and its exporters.
 //!
-//! A run keeps one record, the scheduler's flight log
-//! ([`obs::critpath::FlightLog`]), whose `PhaseAdvance` events hold every
-//! charge a device made. [`TelemetryLog::from_flight`] unfolds those charges
-//! into per-device [`Event`] spans on the simulated clock; the log is stored
-//! on [`crate::RunResult`], folds back into per-(rank, epoch)
-//! [`TimeBreakdown`]s ([`TelemetryLog::epoch_breakdowns`]) and exports two
-//! formats:
+//! A run keeps one record, its flight log ([`obs::critpath::FlightLog`]),
+//! which holds every charge a device made. [`TelemetryLog::from_flight`]
+//! unfolds those charges into per-device [`Event`] spans on the simulated
+//! clock; the log is stored on [`crate::RunResult`], folds back into
+//! per-(rank, epoch) [`TimeBreakdown`]s ([`TelemetryLog::epoch_breakdowns`])
+//! and exports two formats:
 //!
 //! * **JSONL** — one flattened event object per line, for ad-hoc analysis.
 //! * **Chrome `trace_event` JSON** — loadable in Perfetto / `chrome://tracing`;
@@ -41,7 +40,7 @@ pub struct TelemetryLog {
 
 impl TelemetryLog {
     /// Unfolds the charges of a flight log into per-device spans, in the
-    /// order they were charged.
+    /// order each device charged them.
     ///
     /// Each device keeps one clock per [`TimeCategory`] track; a charge is a
     /// span on its kind's track, from the track's clock to the clock plus
@@ -51,7 +50,7 @@ impl TelemetryLog {
     /// (a halo exchange) becomes one `HaloSend` span per peer sent to, then
     /// one `HaloRecv` span per peer received from, each as long as its share
     /// of the bytes. A span of zero seconds and zero bytes is dropped, and
-    /// so are events of ranks the log does not declare.
+    /// so are charges of ranks the log does not declare.
     pub fn from_flight(log: &FlightLog) -> Self {
         const TRACKS: usize = TimeCategory::ALL.len();
         let n = log.num_devices;
@@ -64,9 +63,7 @@ impl TelemetryLog {
         // Per device, the track clocks and the epoch they were last aligned at.
         let mut tracks = vec![([0.0f64; TRACKS], None); n];
         for ev in log.events.iter().filter(|ev| ev.rank < n) {
-            let (Some(span), Some(epoch)) = (&ev.span, ev.epoch) else {
-                continue;
-            };
+            let (span, epoch) = (&ev.span, ev.epoch);
             let (clocks, aligned) = &mut tracks[ev.rank];
             if *aligned != Some(epoch) {
                 *clocks = [clocks.iter().cloned().fold(0.0f64, f64::max); TRACKS];
@@ -338,11 +335,19 @@ mod tests {
 
     /// A one-device flight log holding `charges` as `(epoch, seconds, span)`.
     fn charged(charges: Vec<(usize, f64, Span)>) -> TelemetryLog {
-        let mut rec = comm::FlightRecorder::new(1);
-        for (epoch, seconds, span) in charges {
-            rec.phase_advance(0, 0.0, epoch, seconds, Box::new(span));
-        }
-        TelemetryLog::from_flight(&rec.finish())
+        let events = charges
+            .into_iter()
+            .map(|(epoch, seconds, span)| obs::critpath::FlightEvent {
+                rank: 0,
+                epoch,
+                seconds,
+                span,
+            });
+        TelemetryLog::from_flight(&FlightLog {
+            num_devices: 1,
+            collectives: 0,
+            events: events.collect(),
+        })
     }
 
     #[test]

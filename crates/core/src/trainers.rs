@@ -15,6 +15,7 @@ use crate::exchange::{halo_exchange, halo_exchange_with, Direction, ExchangeErro
 use crate::metrics::{DeviceEpochRecord, DeviceTallies, MetricParts};
 use comm::{AsyncDevice, CostModel, TimeBreakdown};
 use gnn::{Adam, Gnn};
+use obs::critpath::FlightEvent;
 use obs::time::{EventDetail, EventKind, HostSeconds, Span};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
@@ -71,14 +72,25 @@ pub struct DeviceTrainer<'a> {
     /// What this device counts towards the run's metric snapshot (`None`
     /// unless `cfg.metrics`).
     tallies: Option<DeviceTallies>,
+    /// Every charge this device made, in order: its part of the run's
+    /// flight log (`None` unless `cfg.telemetry || cfg.profile`); written
+    /// only by [`DeviceTrainer::charge_volumes`].
+    charges: Option<Vec<FlightEvent>>,
     /// Aggregation entries of the central and of the marginal rows: the op
     /// counts behind the two aggregate charges, per feature column.
     agg_entries: (usize, usize),
 }
 
-/// What one device returns from a run: per-epoch records and its tallies
-/// (`None` unless `cfg.metrics`).
-pub type DeviceOutput = (Vec<DeviceEpochRecord>, Option<DeviceTallies>);
+/// What one device returns from a run.
+#[derive(Debug)]
+pub struct DeviceOutput {
+    /// One record per epoch.
+    pub records: Vec<DeviceEpochRecord>,
+    /// Its metric tallies (`None` unless `cfg.metrics`).
+    pub tallies: Option<DeviceTallies>,
+    /// Its charges, in order (`None` unless `cfg.telemetry || cfg.profile`).
+    pub charges: Option<Vec<FlightEvent>>,
+}
 
 /// SANCUS broadcasts again when local embeddings drift more than this
 /// relative Frobenius distance from the last broadcast snapshot.
@@ -198,6 +210,7 @@ impl<'a> DeviceTrainer<'a> {
             bytes: 0,
             z0: None,
             tallies: cfg.metrics.then(DeviceTallies::default),
+            charges: (cfg.telemetry || cfg.profile).then(Vec::new),
             agg_entries: (
                 part.agg.entries_for(&part.central),
                 part.agg.entries_for(&part.marginal),
@@ -206,12 +219,13 @@ impl<'a> DeviceTrainer<'a> {
     }
 
     /// The one place simulated time is charged: `secs` to the epoch's
-    /// [`TimeBreakdown`] bucket `kind` belongs to and — in a recorded run,
-    /// which is [`AsyncDevice::charge`]'s to know — the same charge to the
-    /// run's flight log with the span describing it, so every view derived
-    /// from the log sees exactly the charges the breakdown accumulates, in
-    /// the same order, with the same values. `sent` / `recv` are the
-    /// per-peer byte tables of a halo exchange, empty for any other charge.
+    /// [`TimeBreakdown`] bucket `kind` belongs to and — in a recorded run —
+    /// the same charge to this device's part of the flight log, with the
+    /// span describing it, so every view derived from the log sees exactly
+    /// the charges the breakdown accumulates, in the same order, with the
+    /// same values. Unrecorded, the span is never built. `sent` / `recv` are
+    /// the per-peer byte tables of a halo exchange, empty for any other
+    /// charge.
     fn charge_volumes(
         &mut self,
         kind: EventKind,
@@ -221,14 +235,20 @@ impl<'a> DeviceTrainer<'a> {
         recv: &[usize],
     ) {
         self.tb.charge(kind.category(), secs);
-        let layer = self.cur_layer;
-        self.dev.charge(self.cur_epoch, secs, || Span {
-            kind,
-            layer,
-            detail,
-            sent: sparse(sent),
-            recv: sparse(recv),
-        });
+        if let Some(charges) = &mut self.charges {
+            charges.push(FlightEvent {
+                rank: self.dev.rank(),
+                epoch: self.cur_epoch,
+                seconds: secs,
+                span: Span {
+                    kind,
+                    layer: self.cur_layer,
+                    detail,
+                    sent: sparse(sent),
+                    recv: sparse(recv),
+                },
+            });
+        }
     }
 
     /// Charges `secs` of `kind` carrying `detail`.
@@ -268,7 +288,11 @@ impl<'a> DeviceTrainer<'a> {
         if let Some(tallies) = &mut self.tallies {
             tallies.sent = self.dev.take_sent();
         }
-        Ok((records, self.tallies))
+        Ok(DeviceOutput {
+            records,
+            tallies: self.tallies,
+            charges: self.charges,
+        })
     }
 
     /// Whether this epoch's messages are traced and followed by a
@@ -842,7 +866,7 @@ mod tests {
         let parts = build_partitions(&ds, &part, cfg.conv_kind());
         let cost = comm::CostModel::homogeneous(n, 1e9, 1e-5);
         let f = &f;
-        let run = comm::Cluster::try_run_async(n, None, None, |dev| {
+        let run = comm::Cluster::try_run_async(n, None, |dev| {
             let part = &parts[dev.rank()];
             let mut t = DeviceTrainer::new(dev, part, &cfg, method, &cost, 17);
             async move { f(&mut t).await }

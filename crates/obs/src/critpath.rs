@@ -1,137 +1,61 @@
-//! Critical-path analysis over the event scheduler's causal flight log.
+//! Critical-path analysis over a run's charges.
 //!
-//! The flight recorder (`comm::flight`) logs every scheduling transition of
-//! the discrete-event cluster — device resume and completion, collective
-//! front formation and release, and the simulated-time phase advances the
-//! trainer charges — each tagged with its causal predecessor (a
-//! program-order or collective-rendezvous edge).
-//! This module holds the backend-neutral data model for that log plus the
-//! post-run analyzer that walks the event DAG to answer "where does the
-//! epoch time go?":
+//! A recorded run keeps every simulated-time charge its devices made, as a
+//! [`FlightLog`]: per charge the rank, the training epoch, the seconds and
+//! the [`Span`] describing it, each rank's charges in the order it made
+//! them, plus the number of collectives the cluster ran. This module holds
+//! that log and the post-run analyzer that answers "where does the epoch
+//! time go?":
 //!
 //! * the epoch **critical path** as ordered `(rank, phase, sim-interval)`
 //!   segments classified into compute / wire / serialization-quant /
 //!   collective-wait / assigner-solve;
 //! * per-device **busy-vs-blocked idle fractions**, idle time attributed to
-//!   the collective rendezvous that closes every epoch, with wait counts
-//!   from the recorded collective parks;
+//!   the collective rendezvous that closes every epoch;
 //! * a top-k **straggler report** ranking devices by time-on-critical-path.
 //!
 //! The analyzer replays the trainer's charges exactly: per `(rank, epoch)`
-//! it re-folds the recorded phase advances in log order into a
-//! [`TimeBreakdown`] and composes the epoch through the functions the run
-//! itself used ([`crate::time`]), so every reported number is bit-identical
-//! to the run's own `total_sim_seconds`. Everything here is deterministic:
-//! same config, same log, same report bytes — at any worker-thread count.
+//! it re-folds the charges in the rank's order into a [`TimeBreakdown`] and
+//! composes the epoch through the functions the run itself used
+//! ([`crate::time`]), so every reported number is bit-identical to the
+//! run's own `total_sim_seconds`. How the ranks' charges interleave in the
+//! log changes nothing. Everything here is deterministic: same config, same
+//! log, same report bytes — at any worker-thread count.
 
 pub use crate::time::Schedule;
-use crate::time::{straggler, Span, TimeBreakdown, TimeCategory};
+use crate::time::{straggler, Span, TimeBreakdown};
 use serde::{Deserialize, Serialize};
-use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 
-/// What happened at one recorded scheduling transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlightOp {
-    /// The device was (re)dispatched by the scheduler.
-    Resume,
-    /// The device's program returned.
-    Done,
-    /// The trainer charged `seconds` of simulated `phase` time during
-    /// `epoch`, advancing this rank's clock.
-    PhaseAdvance,
-    /// This rank parked at a collective rendezvous, joining its front
-    /// (`collective` names the kind — the recorder's image of
-    /// `comm::waitgraph::WaitCause::Collective`).
-    CollectiveForm,
-    /// The collective front completed and released this rank.
-    CollectiveRelease,
-}
-
-/// The causal edge kinds connecting flight events into a DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EdgeKind {
-    /// Same-rank program order: the previous event of the same device.
-    Program,
-    /// A collective rendezvous: the park event that completed the front.
-    Rendezvous,
-}
-
-/// One recorded scheduling transition. Detail fields default to
-/// empty/zero and are populated per [`FlightOp`].
+/// One simulated-time charge a device made.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightEvent {
-    /// Global sequence number (scheduler order, 0-based).
-    pub seq: u64,
-    /// Device rank the event belongs to.
+    /// The charging device's rank.
     pub rank: usize,
-    /// The rank's simulated clock when the event fired, seconds.
-    pub t: f64,
-    /// What happened.
-    pub op: FlightOp,
-    /// Collective kind name for front formation/release events.
-    #[serde(default)]
-    pub collective: Option<String>,
-    /// Charged phase of a [`FlightOp::PhaseAdvance`].
-    #[serde(default)]
-    pub phase: Option<TimeCategory>,
-    /// Training epoch of a [`FlightOp::PhaseAdvance`].
-    #[serde(default)]
-    pub epoch: Option<usize>,
-    /// Charged simulated seconds of a [`FlightOp::PhaseAdvance`].
-    #[serde(default)]
+    /// Training epoch the charge belongs to.
+    pub epoch: usize,
+    /// Charged simulated seconds.
     pub seconds: f64,
-    /// The rest of a [`FlightOp::PhaseAdvance`]'s charge — kind, layer,
-    /// width, per-peer volumes — from which the telemetry spans are
-    /// unfolded. The analyzer never reads it.
-    #[serde(default)]
-    pub span: Option<Box<Span>>,
-    /// Kind of the causal edge to `pred`, absent only for each rank's
-    /// first event.
-    #[serde(default)]
-    pub cause: Option<EdgeKind>,
-    /// Sequence number of the causal predecessor event.
-    #[serde(default)]
-    pub pred: Option<u64>,
+    /// What was charged — kind (hence the `span.kind.category()` bucket),
+    /// layer, width, per-peer volumes — from which the telemetry spans are
+    /// unfolded.
+    pub span: Span,
 }
 
-impl FlightEvent {
-    /// A bare event with every detail field empty.
-    pub fn new(seq: u64, rank: usize, t: f64, op: FlightOp) -> Self {
-        FlightEvent {
-            seq,
-            rank,
-            t,
-            op,
-            collective: None,
-            phase: None,
-            epoch: None,
-            seconds: 0.0,
-            span: None,
-            cause: None,
-            pred: None,
-        }
-    }
-
-    /// Attaches the causal edge.
-    pub fn caused_by(mut self, kind: EdgeKind, pred: u64) -> Self {
-        self.cause = Some(kind);
-        self.pred = Some(pred);
-        self
-    }
-}
-
-/// The full causal flight log of one run.
+/// The record of one run: every charge, and how many collectives ran.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlightLog {
     /// Device count of the recorded cluster.
     pub num_devices: usize,
-    /// Every transition, in scheduler order.
+    /// Collectives the cluster ran. Every collective is entered by all
+    /// devices, so this is also each device's count of collective waits.
+    pub collectives: u64,
+    /// Every charge, rank by rank, each rank's in the order it charged them.
     pub events: Vec<FlightEvent>,
 }
 
 impl FlightLog {
-    /// Number of recorded events.
+    /// Number of recorded charges.
     pub fn num_events(&self) -> usize {
         self.events.len()
     }
@@ -210,7 +134,8 @@ pub struct DeviceProfile {
     /// Seconds of the critical path carried by this rank (epochs where it
     /// was the bottleneck).
     pub critical_seconds: f64,
-    /// Recorded collective-rendezvous blocks (from the flight log).
+    /// Collective rendezvous the device entered: the log's collective
+    /// count, since every collective is entered by all devices.
     pub collective_waits: u64,
 }
 
@@ -253,37 +178,25 @@ pub struct CritPathReport {
     pub stragglers: Vec<Straggler>,
 }
 
-/// Walks the flight log's event DAG and extracts the classified epoch
-/// critical path, the per-device idle profiles and the top-`top_k`
-/// straggler ranking.
+/// Re-folds the log's charges and extracts the classified epoch critical
+/// path, the per-device idle profiles and the top-`top_k` straggler
+/// ranking.
 ///
 /// Deterministic: the report is a pure function of the log and the
 /// schedule, so identical runs yield byte-identical reports at any worker
-/// thread count. Any deserialised log is accepted: events of ranks the log
+/// thread count. Any deserialised log is accepted: charges of ranks the log
 /// does not declare are skipped, and a negative or NaN charge — which no
-/// recorder writes — counts as zero.
+/// trainer makes — counts as zero.
 pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathReport {
     let n = log.num_devices;
     let declared = || log.events.iter().filter(|ev| ev.rank < n);
-    let epochs = declared()
-        .filter(|ev| ev.op == FlightOp::PhaseAdvance)
-        .filter_map(|ev| Some(ev.epoch? + 1))
-        .max()
-        .unwrap_or(0);
-    // Re-fold the phase advances per (epoch, rank) in log order — the same
-    // order the trainer charged them, so every f64 addition matches.
+    let epochs = declared().map(|ev| ev.epoch + 1).max().unwrap_or(0);
+    // Re-fold the charges per (epoch, rank) in each rank's order — the order
+    // the trainer charged them, so every f64 addition matches.
     let mut sums = vec![vec![TimeBreakdown::new(); n]; epochs];
-    let mut collective_waits = vec![0u64; n];
     for ev in declared() {
-        match ev.op {
-            FlightOp::PhaseAdvance => {
-                if let (Some(phase), Some(e)) = (ev.phase, ev.epoch) {
-                    sums[e][ev.rank].charge(phase, ev.seconds.max(0.0));
-                }
-            }
-            FlightOp::CollectiveForm => collective_waits[ev.rank] += 1,
-            _ => {}
-        }
+        let phase = ev.span.kind.category();
+        sums[ev.epoch][ev.rank].charge(phase, ev.seconds.max(0.0));
     }
 
     let mut segments = Vec::new();
@@ -339,7 +252,7 @@ pub fn analyze(log: &FlightLog, schedule: Schedule, top_k: usize) -> CritPathRep
             idle_seconds: idle[r],
             idle_fraction: if span > 0.0 { idle[r] / span } else { 0.0 },
             critical_seconds: critical[r],
-            collective_waits: collective_waits[r],
+            collective_waits: log.collectives,
         });
     }
 
@@ -437,173 +350,18 @@ impl CritPathReport {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    let mut m = Map::new();
-    for (k, v) in fields {
-        m.insert(k.to_string(), v);
-    }
-    Value::Object(m)
-}
-
-fn s(text: &str) -> Value {
-    Value::String(text.to_string())
-}
-
-fn num_u(v: u64) -> Value {
-    serde_json::to_value(&v)
-}
-
-fn num_f(v: f64) -> Value {
-    serde_json::to_value(&v)
-}
-
-/// Renders the flight log as a Chrome trace (`chrome://tracing`, Perfetto)
-/// with paired `B`/`E` slices for every phase advance *plus* flow (`s`/`f`)
-/// arrows along the log's collective-rendezvous edges, so causal
-/// dependencies render as arrows between device tracks. Instant events mark
-/// the releases so the flow endpoints stay visible.
-#[expect(clippy::expect_used, reason = "an in-memory Value always encodes")]
-pub fn chrome_trace_flow(log: &FlightLog) -> String {
-    let us = |t: f64| num_f(t * 1e6);
-    let mut events: Vec<Value> = Vec::new();
-    for rank in 0..log.num_devices {
-        let pid = num_u(rank as u64);
-        events.push(obj(vec![
-            ("name", s("process_name")),
-            ("ph", s("M")),
-            ("pid", pid.clone()),
-            ("tid", num_u(0)),
-            ("args", obj(vec![("name", s(&format!("rank {rank}")))])),
-        ]));
-        events.push(obj(vec![
-            ("name", s("thread_name")),
-            ("ph", s("M")),
-            ("pid", pid.clone()),
-            ("tid", num_u(0)),
-            ("args", obj(vec![("name", s("scheduler"))])),
-        ]));
-        for p in TimeCategory::ALL {
-            events.push(obj(vec![
-                ("name", s("thread_name")),
-                ("ph", s("M")),
-                ("pid", pid.clone()),
-                ("tid", num_u(p.index() as u64 + 1)),
-                ("args", obj(vec![("name", s(p.label()))])),
-            ]));
-        }
-    }
-    // Resolve each seq's (rank, t) for flow endpoints.
-    let mut at: BTreeMap<u64, (usize, f64)> = BTreeMap::new();
-    for ev in &log.events {
-        at.insert(ev.seq, (ev.rank, ev.t));
-    }
-    for ev in &log.events {
-        let pid = num_u(ev.rank as u64);
-        match ev.op {
-            FlightOp::PhaseAdvance => {
-                if let Some(phase) = ev.phase {
-                    let tid = num_u(phase.index() as u64 + 1);
-                    events.push(obj(vec![
-                        ("name", s(phase.label())),
-                        ("cat", s("phase")),
-                        ("ph", s("B")),
-                        ("pid", pid.clone()),
-                        ("tid", tid.clone()),
-                        ("ts", us(ev.t)),
-                        (
-                            "args",
-                            obj(vec![
-                                ("epoch", num_u(ev.epoch.unwrap_or(0) as u64)),
-                                ("seconds", num_f(ev.seconds)),
-                            ]),
-                        ),
-                    ]));
-                    events.push(obj(vec![
-                        ("name", s(phase.label())),
-                        ("cat", s("phase")),
-                        ("ph", s("E")),
-                        ("pid", pid.clone()),
-                        ("tid", tid),
-                        ("ts", us(ev.t + ev.seconds)),
-                    ]));
-                }
-            }
-            FlightOp::CollectiveRelease => {
-                let mut args = vec![];
-                if let Some(kind) = &ev.collective {
-                    args.push(("kind", s(kind)));
-                }
-                events.push(obj(vec![
-                    ("name", s("release")),
-                    ("cat", s("event")),
-                    ("ph", s("i")),
-                    ("s", s("t")),
-                    ("pid", pid.clone()),
-                    ("tid", num_u(0)),
-                    ("ts", us(ev.t)),
-                    ("args", obj(args)),
-                ]));
-            }
-            _ => {}
-        }
-        // Cross-rank causal edges become flow arrows; program-order edges
-        // are implicit in the per-track layout.
-        let (Some(cause), Some(pred)) = (ev.cause, ev.pred) else {
-            continue;
-        };
-        let cat = match cause {
-            EdgeKind::Program => continue,
-            EdgeKind::Rendezvous => "rendezvous-edge",
-        };
-        if let Some((src_rank, src_t)) = at.get(&pred) {
-            events.push(obj(vec![
-                ("name", s(cat)),
-                ("cat", s(cat)),
-                ("ph", s("s")),
-                ("id", num_u(pred)),
-                ("pid", num_u(*src_rank as u64)),
-                ("tid", num_u(0)),
-                ("ts", us(*src_t)),
-            ]));
-            events.push(obj(vec![
-                ("name", s(cat)),
-                ("cat", s(cat)),
-                ("ph", s("f")),
-                ("bp", s("e")),
-                ("id", num_u(pred)),
-                ("pid", pid),
-                ("tid", num_u(0)),
-                ("ts", us(ev.t)),
-            ]));
-        }
-    }
-    let doc = obj(vec![
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", s("ms")),
-    ]);
-    serde_json::to_string_pretty(&doc).expect("trace encodes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::EventKind;
 
-    fn advance(
-        seq: u64,
-        rank: usize,
-        t: f64,
-        phase: TimeCategory,
-        epoch: usize,
-        seconds: f64,
-    ) -> FlightEvent {
-        let mut ev = FlightEvent::new(seq, rank, t, FlightOp::PhaseAdvance);
-        ev.phase = Some(phase);
-        ev.epoch = Some(epoch);
-        ev.seconds = seconds;
-        if seq > 0 {
-            ev = ev.caused_by(EdgeKind::Program, seq - 1);
+    fn charge(rank: usize, kind: EventKind, epoch: usize, seconds: f64) -> FlightEvent {
+        FlightEvent {
+            rank,
+            epoch,
+            seconds,
+            span: Span::new(kind),
         }
-        ev
     }
 
     fn two_rank_log() -> FlightLog {
@@ -611,15 +369,16 @@ mod tests {
         // rank 1: quant 1, comm 2, central 1, marginal 1 (epoch 0)
         FlightLog {
             num_devices: 2,
+            collectives: 0,
             events: vec![
-                advance(0, 0, 0.0, TimeCategory::Quant, 0, 1.0),
-                advance(1, 0, 1.0, TimeCategory::Comm, 0, 4.0),
-                advance(2, 0, 5.0, TimeCategory::CentralComp, 0, 2.0),
-                advance(3, 0, 7.0, TimeCategory::MarginalComp, 0, 1.0),
-                advance(4, 1, 0.0, TimeCategory::Quant, 0, 1.0),
-                advance(5, 1, 1.0, TimeCategory::Comm, 0, 2.0),
-                advance(6, 1, 3.0, TimeCategory::CentralComp, 0, 1.0),
-                advance(7, 1, 4.0, TimeCategory::MarginalComp, 0, 1.0),
+                charge(0, EventKind::QuantEncode, 0, 1.0),
+                charge(0, EventKind::HaloSend, 0, 4.0),
+                charge(0, EventKind::CentralCompute, 0, 2.0),
+                charge(0, EventKind::MarginalCompute, 0, 1.0),
+                charge(1, EventKind::QuantEncode, 0, 1.0),
+                charge(1, EventKind::HaloSend, 0, 2.0),
+                charge(1, EventKind::CentralCompute, 0, 1.0),
+                charge(1, EventKind::MarginalCompute, 0, 1.0),
             ],
         }
     }
@@ -680,13 +439,12 @@ mod tests {
 
     #[test]
     fn wait_counts_come_from_block_events() {
+        // Every collective blocks every device once.
         let mut log = two_rank_log();
-        let mut form = FlightEvent::new(8, 1, 5.0, FlightOp::CollectiveForm);
-        form.collective = Some("gather".into());
-        log.events.push(form);
+        log.collectives = 3;
         let report = analyze(&log, Schedule::Serial, 2);
-        assert_eq!(report.devices[1].collective_waits, 1);
-        assert_eq!(report.devices[0].collective_waits, 0);
+        assert_eq!(report.devices[0].collective_waits, 3);
+        assert_eq!(report.devices[1].collective_waits, 3);
     }
 
     #[test]
@@ -701,9 +459,10 @@ mod tests {
         // negative charge. Still no panic, no NaN.
         let hostile = FlightLog {
             num_devices: 1,
+            collectives: 0,
             events: vec![
-                advance(0, 0, 0.0, TimeCategory::Comm, 3, -2.0),
-                advance(1, 7, 0.0, TimeCategory::Quant, 9, 1.0),
+                charge(0, EventKind::HaloSend, 3, -2.0),
+                charge(7, EventKind::QuantEncode, 9, 1.0),
             ],
         };
         for log in [
@@ -741,37 +500,12 @@ mod tests {
     #[test]
     fn flight_log_round_trips_through_serde() {
         let mut log = two_rank_log();
-        let mut form = FlightEvent::new(8, 0, 8.0, FlightOp::CollectiveForm);
-        form.collective = Some("gather".into());
-        log.events.push(form.caused_by(EdgeKind::Program, 3));
+        log.collectives = 2;
+        log.events[1].span.layer = Some(1);
+        log.events[1].span.sent = vec![(1, 300)];
         let json = serde_json::to_string(&log).expect("encodes");
         let back: FlightLog = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, log);
-        assert_eq!(log.num_events(), 9);
-    }
-
-    #[test]
-    fn flow_trace_emits_slices_and_flow_arrows() {
-        let mut log = two_rank_log();
-        let mut form = FlightEvent::new(8, 0, 8.0, FlightOp::CollectiveForm);
-        form.collective = Some("gather".into());
-        log.events.push(form.caused_by(EdgeKind::Program, 3));
-        for (seq, rank) in [(9, 0), (10, 1)] {
-            let mut release = FlightEvent::new(seq, rank, 8.0, FlightOp::CollectiveRelease);
-            release.collective = Some("gather".into());
-            log.events.push(release.caused_by(EdgeKind::Rendezvous, 8));
-        }
-        let trace = chrome_trace_flow(&log);
-        assert!(trace.contains("traceEvents"));
-        assert!(trace.contains("\"B\""));
-        assert!(trace.contains("\"E\""));
-        assert!(trace.contains("\"s\""));
-        assert!(trace.contains("\"f\""));
-        assert!(trace.contains("rendezvous-edge"));
-        let parsed: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
-        let Some(arr) = parsed.get("traceEvents").and_then(|v| v.as_array()) else {
-            panic!("traceEvents missing");
-        };
-        assert!(!arr.is_empty());
+        assert_eq!(log.num_events(), 8);
     }
 }

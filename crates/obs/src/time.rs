@@ -190,8 +190,8 @@ pub struct EventDetail {
     /// Measured host wall-clock seconds of the kernel behind the charge (0
     /// when it is purely analytic). Diagnostic only, never fed back into
     /// the simulated clock — and, like `threads`, kept out of a serialized
-    /// flight log, whose bytes are a function of the program schedule and
-    /// not of the machine that ran it.
+    /// flight log, whose bytes are a function of the configuration and not
+    /// of the machine that ran it.
     #[serde(skip)]
     pub host_seconds: HostSeconds,
     /// Parallel-runtime thread count while the kernel ran.
@@ -199,10 +199,9 @@ pub struct EventDetail {
     pub threads: Option<u32>,
 }
 
-/// The span half of one simulated-time charge: what `comm::Command::Advance`
-/// carries, and a [`crate::critpath::FlightOp::PhaseAdvance`] flight event
-/// stores, beyond the epoch and the seconds. The charged bucket is
-/// `kind.category()`.
+/// The span half of one simulated-time charge: what a
+/// [`crate::critpath::FlightEvent`] stores beyond the rank, the epoch and
+/// the seconds. The charged bucket is `kind.category()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Span {
     /// What was charged. A halo exchange is charged in one piece as

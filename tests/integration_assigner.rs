@@ -13,7 +13,7 @@ use tensor::{Matrix, Rng};
 
 /// Runs the `async` body `f` builds per rank on an uncosted cluster.
 fn run_async<Fut: Future>(n: usize, f: impl FnMut(AsyncDevice) -> Fut) -> Vec<Fut::Output> {
-    let run = Cluster::try_run_async(n, None, None, f);
+    let run = Cluster::try_run_async(n, None, f);
     run.expect("no device panicked or stalled").outputs
 }
 

@@ -1,5 +1,5 @@
-//! End-to-end contracts of the causal flight recorder + critical-path
-//! profiler: profiling is observation-only (results and gated metrics are
+//! End-to-end contracts of the flight log + critical-path profiler:
+//! profiling is observation-only (results and gated metrics are
 //! byte-identical with it on or off), the profile is byte-deterministic at
 //! any kernel thread count, and on the tiny AdaQP run the classified path
 //! reconstructs the epoch time while wasting strictly less device time at
@@ -135,72 +135,63 @@ fn fnv(text: &str) -> u64 {
 #[test]
 fn golden_report_and_flight_log_digests() {
     // None of the three methods charges a host-measured solve, so both
-    // artifacts are byte-stable: the flight log pins the phase names on the
-    // wire and the order and count of `Command::Advance` yields
-    // (zero-second ones included), the report pins `analyze` — composition,
-    // straggler choice and path legs — under the serial and pipelined
-    // schedules.
+    // artifacts are byte-stable: the flight log pins every charge — rank,
+    // epoch, seconds and span, zero-second charges included, each rank's in
+    // its order — and the collective count; the report pins `analyze` —
+    // composition, straggler choice and path legs — under the serial and
+    // pipelined schedules. `want_flight` is the digest of the log with every
+    // `span` removed, `want_spans` of the log as it is. (The spans'
+    // host-measured fields are not serialized, or no digest of them could
+    // be pinned.)
     //
-    // Re-recorded once, when evaluation began to keep its first layer's
-    // aggregated input (ISSUE 20). Against the digests of the commit
-    // before (recorded when `Phase` / `PhaseSums` became `TimeCategory` /
-    // `TimeBreakdown`, ISSUE 17) the only difference, checked event by event
-    // on the two logs: the layer-0 evaluation ring of epochs >= 1 is gone —
-    // per device one `CollectiveForm`, one `CollectiveRelease` and the
-    // `Resume` after it, five times — and with it five of each device's
-    // `collective_waits` in the report. Kind strings, every
-    // `PhaseAdvance` and every other event of every rank are as before;
-    // the ring count below holds the log to that.
-    //
-    // When a `PhaseAdvance` began to carry its whole charge (`span`, ISSUE
-    // 22) the log gained that one field and nothing else: `want_flight` is
-    // still the constant recorded before, now checked against the log with
-    // `span` removed from every event, and `want_spans` is the digest of
-    // the log as it is. (The spans' host-measured fields are not
-    // serialized, or no digest of them could be pinned.)
-    //
-    // Re-recorded when the cluster became collectives-only: every
-    // `FlightEvent` lost its five message fields (`peer`, `tag`, `bytes`,
-    // `wire_seconds`, `latency_seconds`, always `null`/`0.0` in these
-    // runs) and every device profile its `recv_waits` (always 0). With
-    // exactly those keys put back into the new JSON, all nine digests of
-    // the commit before were reproduced.
-    for (method, rings_per_epoch, want_report, want_flight, want_spans) in [
+    // `want_report` has not moved since the cluster became collectives-only.
+    // The two log digests were re-recorded when the log became the
+    // trainers' own charges, laid out rank by rank, instead of every
+    // scheduling transition in scheduler order. On the commit before, the
+    // old log projected onto the new shape — its `PhaseAdvance` events only,
+    // each cut to `rank`, `epoch`, `seconds`, `span`, stably sorted by rank,
+    // with `collectives` set to one rank's `CollectiveForm` count —
+    // reproduced all six new digests.
+    for (method, collectives, want_report, want_flight, want_spans) in [
         (
             Method::Vanilla,
-            5,
+            37,
             0x29e4_733b_85d9_715c_u64,
-            0xcafc_7043_de89_8512_u64,
-            0xfd20_fb82_e735_15bc_u64,
+            0x102b_c509_f0c9_7789_u64,
+            0x7ab7_fcbb_1237_e1a7_u64,
         ),
         // Same charges and exchanges as Vanilla, composed differently.
         (
             Method::PipeGcn,
-            5,
+            37,
             0xa29c_0f16_c0e3_3b2a,
-            0xcafc_7043_de89_8512,
-            0xfd20_fb82_e735_15bc,
+            0x102b_c509_f0c9_7789,
+            0x7ab7_fcbb_1237_e1a7,
         ),
         // No backward exchange.
         (
             Method::Sancus,
-            4,
+            31,
             0xf51c_38d7_4a8f_0a2f,
-            0xfb4c_b386_c695_f28d,
-            0xc4b3_7255_4775_c235,
+            0xf5c1_e77e_16bb_0adb,
+            0xcedb_5c0a_18b1_0e97,
         ),
     ] {
         let (_, profile) =
             adaqp::run_experiment_profiled(&pinned(method, true)).expect("valid config");
         let p = profile.expect("profiling on");
-        let mut bare = p.flight.clone();
-        for event in &mut bare.events {
-            event.span = None;
-        }
-        let bare = serde_json::to_string(&bare).expect("log encodes");
+        let events = p.flight.events.iter().map(|event| {
+            let mut event = serde_json::to_value(event);
+            event.as_object_mut().map(|fields| fields.remove("span"));
+            event
+        });
+        let mut bare = serde_json::to_value(&p.flight);
+        let events = serde_json::Value::Array(events.collect());
+        bare.as_object_mut()
+            .map(|log| log.insert("events".to_string(), events));
         let got = (
             fnv(&serde_json::to_string(&p.report).expect("report encodes")),
-            fnv(&bare.replace("\"span\":null,", "")),
+            fnv(&serde_json::to_string(&bare).expect("log encodes")),
             fnv(&serde_json::to_string(&p.flight).expect("log encodes")),
         );
         assert_eq!(
@@ -208,17 +199,14 @@ fn golden_report_and_flight_log_digests() {
             (want_report, want_flight, want_spans),
             "{method:?}: report / bare flight-log / flight-log digests {got:#018x?}"
         );
-        // Two forward layers, one backward exchange (none under SANCUS) and
-        // two evaluation layers an epoch, less the layer-0 evaluation ring
-        // of every epoch after the first.
-        let ring_forms = p
-            .flight
-            .events
-            .iter()
-            .filter(|e| e.op == obs::critpath::FlightOp::CollectiveForm)
-            .filter(|e| e.collective.as_deref() == Some("ring_all2all"))
-            .count();
-        assert_eq!(ring_forms, 4 * (rings_per_epoch * 6 - 5), "{method:?}");
+        // Per epoch: two forward rings, one backward ring (none under
+        // SANCUS) and two evaluation rings, less the layer-0 evaluation ring
+        // of every epoch after the first, plus the gradient allreduce's
+        // gather and broadcast. Over six epochs that is (5 * 6 - 5) + 2 * 6
+        // = 37 for Vanilla and PipeGCN and (4 * 6 - 5) + 2 * 6 = 31 for
+        // SANCUS. On the commit before, each rank logged exactly that many
+        // `CollectiveForm`s: 25 (19) rings, 6 gathers and 6 broadcasts.
+        assert_eq!(p.flight.collectives, collectives, "{method:?}");
     }
 }
 
@@ -271,5 +259,76 @@ fn golden_telemetry_digests() {
             (want_events, want_log, want_trace),
             "{method:?}: event count / telemetry-log / Chrome-trace digests {got:#018x?}"
         );
+    }
+}
+
+/// The recorded flight logs of the three methods the property below
+/// reorders, recorded once for every case.
+fn recorded_logs() -> &'static [obs::critpath::FlightLog] {
+    static LOGS: std::sync::OnceLock<Vec<obs::critpath::FlightLog>> = std::sync::OnceLock::new();
+    LOGS.get_or_init(|| {
+        [Method::Vanilla, Method::AdaQp, Method::Sancus]
+            .into_iter()
+            .map(|method| {
+                let (_, profile) =
+                    adaqp::run_experiment_profiled(&pinned(method, true)).expect("valid config");
+                profile.expect("profiling on").flight
+            })
+            .collect()
+    })
+}
+
+/// `log`'s events interleaved across ranks in an order drawn from `seed`,
+/// each rank's own events kept in their order.
+fn interleaved(log: &obs::critpath::FlightLog, seed: u64) -> obs::critpath::FlightLog {
+    let mut queues: Vec<std::collections::VecDeque<_>> =
+        (0..log.num_devices).map(|_| Default::default()).collect();
+    for ev in &log.events {
+        queues[ev.rank].push_back(ev.clone());
+    }
+    let mut state = seed;
+    let mut events = Vec::with_capacity(log.events.len());
+    loop {
+        let open: Vec<usize> = (0..queues.len())
+            .filter(|&r| !queues[r].is_empty())
+            .collect();
+        if open.is_empty() {
+            break;
+        }
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let rank = open[(z % open.len() as u64) as usize];
+        events.extend(queues[rank].pop_front());
+    }
+    let mut out = log.clone();
+    out.events = events;
+    out
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+    /// Every view of a run reads each rank's charges in that rank's order
+    /// and nothing of how ranks interleave, so a log kept rank-major is as
+    /// good as one kept in scheduler order: the critical-path report and
+    /// the telemetry log of a reordered log are byte-identical.
+    #[test]
+    fn views_ignore_how_ranks_interleave(seed in 0u64..u64::MAX) {
+        use obs::critpath::{analyze, Schedule};
+        for log in recorded_logs() {
+            let shuffled = interleaved(log, seed);
+            proptest::prop_assert_eq!(shuffled.events.len(), log.events.len());
+            for schedule in [Schedule::Serial, Schedule::Overlapped, Schedule::Pipelined] {
+                let report = |l| serde_json::to_string(&analyze(l, schedule, 3)).expect("encodes");
+                proptest::prop_assert_eq!(report(&shuffled), report(log));
+            }
+            let spans =
+                |l| serde_json::to_string(&adaqp::TelemetryLog::from_flight(l)).expect("encodes");
+            proptest::prop_assert_eq!(spans(&shuffled), spans(log));
+        }
     }
 }
