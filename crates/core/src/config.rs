@@ -100,7 +100,7 @@ pub struct TrainingConfig {
     /// simulated numerics and runtime are unchanged.
     #[serde(default)]
     pub telemetry: bool,
-    /// Count typed metrics (per-pair communication volume, per-width
+    /// Count typed metrics (per-device communication volume, per-width
     /// quantization error, solver iterations, per-epoch training metrics):
     /// every device keeps plain tallies, folded after the run into its one
     /// [`obs::Registry`] and attached as

@@ -130,13 +130,12 @@ impl RunResult {
 /// [`fold_run_metrics`]. Kept only when `cfg.metrics`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceTallies {
-    /// `(bytes, messages)` handed to the scheduler per destination rank
-    /// ([`comm::AsyncDevice::take_sent`]).
-    pub sent: Vec<(u64, u64)>,
-    /// Halo bytes sent per destination rank, one row per distinct exchange
-    /// width seen (`None` is a mixed per-group assignment, `Some(32)` fp32);
-    /// a handful of rows at most.
-    pub halo: Vec<(Option<u8>, Vec<u64>)>,
+    /// `(bytes, messages)` handed to the scheduler, summed over destination
+    /// ranks ([`comm::AsyncDevice::take_sent`]).
+    pub sent: (u64, u64),
+    /// Halo bytes sent, one total per distinct exchange width seen (`None`
+    /// is a mixed per-group assignment, `Some(32)` fp32); a handful at most.
+    pub halo: Vec<(Option<u8>, u64)>,
     /// Per-width quantization statistics of the whole run, every exchange
     /// merged in exchange order.
     pub encode: quant::EncodeStats,
@@ -148,23 +147,12 @@ pub struct DeviceTallies {
 }
 
 impl DeviceTallies {
-    /// Adds one halo exchange: `sent` bytes per destination rank at
-    /// `width_bits`, and its encoder statistics.
-    pub(crate) fn count_exchange(
-        &mut self,
-        width_bits: Option<u8>,
-        sent: &[usize],
-        encode: &quant::EncodeStats,
-    ) {
-        let known = self.halo.iter().position(|(w, _)| *w == width_bits);
-        let slot = known.unwrap_or_else(|| {
-            self.halo.push((width_bits, vec![0; sent.len()]));
-            self.halo.len() - 1
-        });
-        for (total, &bytes) in self.halo[slot].1.iter_mut().zip(sent) {
-            *total += bytes as u64;
+    /// Adds one halo exchange's `sent` bytes at `width_bits`.
+    pub(crate) fn count_halo(&mut self, width_bits: Option<u8>, sent: usize) {
+        match self.halo.iter_mut().find(|(w, _)| *w == width_bits) {
+            Some((_, total)) => *total += sent as u64,
+            None => self.halo.push((width_bits, sent as u64)),
         }
-        self.encode.merge(encode);
     }
 
     /// Adds one reassignment round's solver statistics.
@@ -195,19 +183,16 @@ pub fn fold_run_metrics(
     // Every count below stays far below 2^53, so its f64 value is exact.
     let ranks: Vec<String> = (0..tallies.len()).map(|r| r.to_string()).collect();
     for (src, dev) in ranks.iter().zip(tallies) {
-        for (dst, &(bytes, messages)) in ranks.iter().zip(&dev.sent) {
-            if messages > 0 {
-                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
-                reg.counter_add("adaqp_comm_sent_bytes_total", &labels, bytes as f64);
-                reg.counter_add("adaqp_comm_messages_total", &labels, messages as f64);
-            }
+        let (bytes, messages) = dev.sent;
+        if messages > 0 {
+            let labels = [("src", src.as_str())];
+            reg.counter_add("adaqp_comm_sent_bytes_total", &labels, bytes as f64);
+            reg.counter_add("adaqp_comm_messages_total", &labels, messages as f64);
         }
-        for (width, row) in &dev.halo {
+        for &(width, bytes) in dev.halo.iter().filter(|(_, bytes)| *bytes > 0) {
             let width = width.map_or("mixed".to_string(), |bits| bits.to_string());
-            for (dst, &bytes) in ranks.iter().zip(row).filter(|(_, bytes)| **bytes > 0) {
-                let labels = [("src", src.as_str()), ("dst", dst), ("width", &width)];
-                reg.counter_add("adaqp_halo_sent_bytes_total", &labels, bytes as f64);
-            }
+            let labels = [("src", src.as_str()), ("width", &width)];
+            reg.counter_add("adaqp_halo_sent_bytes_total", &labels, bytes as f64);
         }
         for w in BitWidth::ALL {
             let ws = dev.encode.for_width(w);

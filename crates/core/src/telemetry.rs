@@ -2,7 +2,7 @@
 //!
 //! A run keeps one record, its flight log ([`obs::critpath::FlightLog`]),
 //! which holds every charge a device made. [`TelemetryLog::from_flight`]
-//! unfolds those charges into per-device [`Event`] spans on the simulated
+//! places each charge as one [`Event`] span on its device's simulated
 //! clock; the log is stored on [`crate::RunResult`], folds back into
 //! per-(rank, epoch) [`TimeBreakdown`]s ([`TelemetryLog::epoch_breakdowns`])
 //! and exports two formats:
@@ -39,18 +39,16 @@ pub struct TelemetryLog {
 }
 
 impl TelemetryLog {
-    /// Unfolds the charges of a flight log into per-device spans, in the
-    /// order each device charged them.
+    /// Places the charges of a flight log on per-device tracks as spans, one
+    /// span per charge, in the order each device charged them.
     ///
     /// Each device keeps one clock per [`TimeCategory`] track; a charge is a
     /// span on its kind's track, from the track's clock to the clock plus
     /// the charged seconds. Tracks advance independently within an epoch and
     /// re-align to the furthest one when the epoch changes, so epochs do not
-    /// interleave in an exported trace. A charge that lists per-peer volumes
-    /// (a halo exchange) becomes one `HaloSend` span per peer sent to, then
-    /// one `HaloRecv` span per peer received from, each as long as its share
-    /// of the bytes. A span of zero seconds and zero bytes is dropped, and
-    /// so are charges of ranks the log does not declare.
+    /// interleave in an exported trace. A charge of zero seconds and zero
+    /// bytes is dropped, and so are charges of ranks the log does not
+    /// declare.
     pub fn from_flight(log: &FlightLog) -> Self {
         const TRACKS: usize = TimeCategory::ALL.len();
         let n = log.num_devices;
@@ -69,47 +67,24 @@ impl TelemetryLog {
                 *clocks = [clocks.iter().cloned().fold(0.0f64, f64::max); TRACKS];
                 *aligned = Some(epoch);
             }
-            let mut record = |kind: EventKind, seconds: f64, peer, detail: EventDetail| {
-                if seconds <= 0.0 && detail.bytes == 0 {
-                    return;
-                }
-                let clock = &mut clocks[kind.category().index()];
-                let start = *clock;
-                *clock = start + seconds.max(0.0);
-                devices[ev.rank].events.push(Event {
-                    kind,
-                    start,
-                    end: *clock,
-                    epoch: epoch as u32,
-                    layer: span.layer,
-                    peer,
-                    bytes: detail.bytes,
-                    width_bits: detail.width_bits,
-                    host_seconds: detail.host_seconds,
-                    threads: detail.threads,
-                });
-            };
-            let total: u64 = span.sent.iter().chain(&span.recv).map(|&(_, b)| b).sum();
-            if total == 0 {
-                record(span.kind, ev.seconds, None, span.detail);
+            let detail = span.detail;
+            if ev.seconds <= 0.0 && detail.bytes == 0 {
                 continue;
             }
-            let per_byte = ev.seconds / total as f64;
-            let directions = [
-                (EventKind::HaloSend, &span.sent),
-                (EventKind::HaloRecv, &span.recv),
-            ];
-            for (kind, volumes) in directions {
-                for &(peer, bytes) in volumes {
-                    let width_bits = span.detail.width_bits;
-                    let detail = EventDetail {
-                        bytes,
-                        width_bits,
-                        ..EventDetail::default()
-                    };
-                    record(kind, bytes as f64 * per_byte, Some(peer), detail);
-                }
-            }
+            let clock = &mut clocks[span.kind.category().index()];
+            let start = *clock;
+            *clock = start + ev.seconds.max(0.0);
+            devices[ev.rank].events.push(Event {
+                kind: span.kind,
+                start,
+                end: *clock,
+                epoch: epoch as u32,
+                layer: span.layer,
+                bytes: detail.bytes,
+                width_bits: detail.width_bits,
+                host_seconds: detail.host_seconds,
+                threads: detail.threads,
+            });
         }
         TelemetryLog { devices }
     }
@@ -121,8 +96,9 @@ impl TelemetryLog {
 
     /// Folds every span's duration back into the bucket its kind is charged
     /// to, indexed `[rank][epoch]`. Each breakdown matches what the device
-    /// charged that epoch within float tolerance (a comm charge is split
-    /// into per-peer spans); compose and combine them with [`obs::time`].
+    /// charged that epoch within float tolerance (a span's duration is the
+    /// difference of two track clocks); compose and combine them with
+    /// [`obs::time`].
     pub fn epoch_breakdowns(&self) -> Vec<Vec<TimeBreakdown>> {
         let epochs = self
             .devices
@@ -254,9 +230,6 @@ fn span_event(rank: usize, e: &Event) -> Value {
     if let Some(layer) = e.layer {
         args.insert("layer".into(), serde_json::to_value(&layer));
     }
-    if let Some(peer) = e.peer {
-        args.insert("peer".into(), serde_json::to_value(&peer));
-    }
     if e.bytes > 0 {
         args.insert("bytes".into(), serde_json::to_value(&e.bytes));
     }
@@ -311,7 +284,6 @@ mod tests {
             end,
             epoch,
             layer: Some(0),
-            peer: None,
             bytes: 128,
             width_bits: Some(32),
             host_seconds: HostSeconds::default(),
@@ -323,7 +295,7 @@ mod tests {
                 mk(EventKind::CentralCompute, 0.0, 0.5, 0),
                 mk(EventKind::MarginalCompute, 1.0, 1.25, 1),
             ],
-            vec![mk(EventKind::HaloRecv, 0.0, 2.0, 0)],
+            vec![mk(EventKind::HaloSend, 0.0, 2.0, 0)],
         ];
         let devices = events.into_iter().enumerate();
         TelemetryLog {
@@ -422,38 +394,37 @@ mod tests {
     }
 
     #[test]
-    fn a_halo_charge_splits_into_per_peer_spans_by_bytes() {
+    fn a_halo_charge_is_one_span_with_its_sent_bytes() {
         let mut halo = Span::new(EventKind::HaloSend);
+        halo.detail.bytes = 300;
         halo.detail.width_bits = Some(8);
-        halo.sent = vec![(1, 300)];
-        halo.recv = vec![(1, 100), (2, 400)];
-        let log = charged(vec![(0, 8.0, halo)]);
+        let log = charged(vec![
+            (0, 8.0, halo),
+            (0, 1.0, Span::new(EventKind::HaloSend)),
+        ]);
         let ev = &log.devices[0].events;
         let got: Vec<_> = ev
             .iter()
-            .map(|e| (e.kind, e.peer, e.bytes, e.duration()))
+            .map(|e| (e.kind, e.bytes, e.width_bits, e.start, e.end))
             .collect();
+        // A charge that sent nothing (received only) is still its seconds.
         assert_eq!(
             got,
             vec![
-                (EventKind::HaloSend, Some(1), 300, 3.0),
-                (EventKind::HaloRecv, Some(1), 100, 1.0),
-                (EventKind::HaloRecv, Some(2), 400, 4.0),
+                (EventKind::HaloSend, 300, Some(8), 0.0, 8.0),
+                (EventKind::HaloSend, 0, None, 8.0, 9.0),
             ]
         );
-        assert!(ev.iter().all(|e| e.width_bits == Some(8)));
-        assert_eq!(ev[2].end, 8.0);
     }
 
     #[test]
     fn event_serde_round_trip() {
         let e = Event {
-            kind: EventKind::HaloRecv,
+            kind: EventKind::HaloSend,
             start: 1.5,
             end: 2.0,
             epoch: 4,
             layer: Some(0),
-            peer: Some(2),
             bytes: 1024,
             width_bits: None,
             host_seconds: HostSeconds::from_secs(0.002),

@@ -58,7 +58,7 @@ pub struct DeviceTrainer<'a> {
     /// between the layer loops).
     cur_layer: Option<u32>,
     /// Simulated seconds charged so far this epoch; written only by
-    /// [`DeviceTrainer::charge_volumes`].
+    /// [`DeviceTrainer::charge`].
     tb: TimeBreakdown,
     /// Halo bytes sent so far this epoch; written only by
     /// [`DeviceTrainer::charge_comm`].
@@ -74,7 +74,7 @@ pub struct DeviceTrainer<'a> {
     tallies: Option<DeviceTallies>,
     /// Every charge this device made, in order: its part of the run's
     /// flight log (`None` unless `cfg.telemetry || cfg.profile`); written
-    /// only by [`DeviceTrainer::charge_volumes`].
+    /// only by [`DeviceTrainer::charge`].
     charges: Option<Vec<FlightEvent>>,
     /// Aggregation entries of the central and of the marginal rows: the op
     /// counts behind the two aggregate charges, per feature column.
@@ -95,13 +95,6 @@ pub struct DeviceOutput {
 /// SANCUS broadcasts again when local embeddings drift more than this
 /// relative Frobenius distance from the last broadcast snapshot.
 const SANCUS_DRIFT_THRESHOLD: f32 = 0.25;
-
-/// The non-zero entries of a per-peer byte table, as `(peer, bytes)`.
-fn sparse(volumes: &[usize]) -> Vec<(u32, u64)> {
-    let listed = volumes.iter().enumerate().filter(|(_, &b)| b > 0);
-    // Device counts are far below 2^32.
-    listed.map(|(q, &b)| (q as u32, b as u64)).collect()
-}
 
 /// The single bit-width shared by every message group in a per-peer
 /// assignment, or `None` when groups mix widths (adaptive assignments).
@@ -223,17 +216,8 @@ impl<'a> DeviceTrainer<'a> {
     /// the same charge to this device's part of the flight log, with the
     /// span describing it, so every view derived from the log sees exactly
     /// the charges the breakdown accumulates, in the same order, with the
-    /// same values. Unrecorded, the span is never built. `sent` / `recv` are
-    /// the per-peer byte tables of a halo exchange, empty for any other
-    /// charge.
-    fn charge_volumes(
-        &mut self,
-        kind: EventKind,
-        secs: f64,
-        detail: EventDetail,
-        sent: &[usize],
-        recv: &[usize],
-    ) {
+    /// same values. Unrecorded, the span is never built.
+    fn charge(&mut self, kind: EventKind, secs: f64, detail: EventDetail) {
         self.tb.charge(kind.category(), secs);
         if let Some(charges) = &mut self.charges {
             charges.push(FlightEvent {
@@ -244,29 +228,25 @@ impl<'a> DeviceTrainer<'a> {
                     kind,
                     layer: self.cur_layer,
                     detail,
-                    sent: sparse(sent),
-                    recv: sparse(recv),
                 },
             });
         }
     }
 
-    /// Charges `secs` of `kind` carrying `detail`.
-    fn charge(&mut self, kind: EventKind, secs: f64, detail: EventDetail) {
-        self.charge_volumes(kind, secs, detail, &[], &[]);
-    }
-
-    /// Charges one halo exchange: `secs` to the comm bucket in one piece,
-    /// `sent` to the epoch's byte count, and the per-peer volumes on the
-    /// span, from which the telemetry view splits the charge into per-peer
-    /// send/recv spans.
-    fn charge_comm(&mut self, secs: f64, sent: &[usize], recv: &[usize], width_bits: Option<u8>) {
-        self.bytes += sent.iter().sum::<usize>();
+    /// Charges one halo exchange, in one piece: `secs` to the comm bucket,
+    /// and the `sent` bytes to the epoch's byte count, the span and the
+    /// metric tallies at `width_bits`.
+    fn charge_comm(&mut self, secs: f64, sent: usize, width_bits: Option<u8>) {
+        self.bytes += sent;
+        if let Some(tallies) = &mut self.tallies {
+            tallies.count_halo(width_bits, sent);
+        }
         let detail = EventDetail {
+            bytes: sent as u64,
             width_bits,
             ..EventDetail::default()
         };
-        self.charge_volumes(EventKind::HaloSend, secs, detail, sent, recv);
+        self.charge(EventKind::HaloSend, secs, detail);
     }
 
     fn num_layers(&self) -> usize {
@@ -286,7 +266,11 @@ impl<'a> DeviceTrainer<'a> {
             records.push(self.run_epoch(e).await?);
         }
         if let Some(tallies) = &mut self.tallies {
-            tallies.sent = self.dev.take_sent();
+            tallies.sent = self
+                .dev
+                .take_sent()
+                .iter()
+                .fold((0, 0), |(b, m), &(db, dm)| (b + db, m + dm));
         }
         Ok(DeviceOutput {
             records,
@@ -515,7 +499,7 @@ impl<'a> DeviceTrainer<'a> {
         let (dst, stats) = exchange.await?;
         let comm_secs = stats.ring_seconds(self.cost, self.part.rank);
         let quant_secs = self.cost.ops_time_for(self.part.rank, stats.quant_ops);
-        self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, bits);
+        self.charge_comm(comm_secs, stats.total_sent(), bits);
         self.charge(
             EventKind::QuantEncode,
             quant_secs,
@@ -528,7 +512,7 @@ impl<'a> DeviceTrainer<'a> {
         if let Some(tallies) = &mut self.tallies {
             // Pure functions of the exchanged data, so the snapshot is
             // byte-identical at any worker-thread count.
-            tallies.count_exchange(bits, &stats.sent_bytes, &stats.encode_stats);
+            tallies.encode.merge(&stats.encode_stats);
         }
         Ok(dst)
     }
@@ -613,7 +597,7 @@ impl<'a> DeviceTrainer<'a> {
             self.sancus_last[l] = epoch;
         }
         let comm_secs = stats.sequential_seconds(self.cost, part.rank);
-        self.charge_comm(comm_secs, &stats.sent_bytes, &stats.recv_bytes, Some(32));
+        self.charge_comm(comm_secs, stats.total_sent(), Some(32));
         Ok(())
     }
 

@@ -37,8 +37,7 @@ pub struct FlightEvent {
     /// Charged simulated seconds.
     pub seconds: f64,
     /// What was charged — kind (hence the `span.kind.category()` bucket),
-    /// layer, width, per-peer volumes — from which the telemetry spans are
-    /// unfolded.
+    /// layer, bytes, width — which the telemetry view places on a track.
     pub span: Span,
 }
 
@@ -502,7 +501,7 @@ mod tests {
         let mut log = two_rank_log();
         log.collectives = 2;
         log.events[1].span.layer = Some(1);
-        log.events[1].span.sent = vec![(1, 300)];
+        log.events[1].span.detail.bytes = 300;
         let json = serde_json::to_string(&log).expect("encodes");
         let back: FlightLog = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, log);

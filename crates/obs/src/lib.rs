@@ -6,12 +6,10 @@
 //! the few host-timed series a run reports carry a leading underscore so
 //! `adaqp-regress` leaves them out of its comparisons.
 //!
-//! Three metric kinds are supported:
+//! Two metric kinds are supported:
 //!
 //! * [`Counter`](MetricKind::Counter) — monotone sum.
 //! * [`Gauge`](MetricKind::Gauge) — last-written value.
-//! * [`Histogram`](MetricKind::Histogram) — fixed log2 bucket boundaries
-//!   ([`bucket_bounds`]), so two histograms always share bucket edges.
 //!
 //! A run has one registry, written by one fold over what its devices
 //! counted (`adaqp::metrics::fold_run_metrics`); there is nothing to merge.
@@ -38,6 +36,4 @@ mod registry;
 pub mod regress;
 pub mod time;
 
-pub use registry::{
-    bucket_bounds, bucket_index, Metric, MetricKind, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
-};
+pub use registry::{Metric, MetricKind, MetricsSnapshot, Registry};

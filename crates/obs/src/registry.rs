@@ -3,47 +3,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Number of histogram buckets, including the final `+Inf` overflow bucket.
-/// Fixed for every histogram, so any two share their bucket edges.
-pub const HISTOGRAM_BUCKETS: usize = 44;
-
-/// Exponent of the first bucket's upper bound: bucket 0 covers
-/// `(-inf, 2^MIN_EXP]`, bucket `i` covers `(2^(MIN_EXP+i-1), 2^(MIN_EXP+i)]`,
-/// and the last bucket is the `+Inf` overflow. With `MIN_EXP = -30` the
-/// boundaries span ~1 ns to ~2.3 h when observations are seconds.
-const MIN_EXP: i32 = -30;
-
-/// Upper bound of histogram bucket `i`; the last bucket returns `+Inf`.
-///
-/// # Panics
-///
-/// Panics if `i >= HISTOGRAM_BUCKETS`.
-pub fn bucket_bounds(i: usize) -> f64 {
-    assert!(i < HISTOGRAM_BUCKETS, "bucket index {i} out of range");
-    if i == HISTOGRAM_BUCKETS - 1 {
-        f64::INFINITY
-    } else {
-        (2.0f64).powi(MIN_EXP + i as i32)
-    }
-}
-
-/// Bucket index an observation falls into (the smallest bucket whose upper
-/// bound is `>= v`). Non-finite and non-positive values land in bucket 0.
-pub fn bucket_index(v: f64) -> usize {
-    if v == f64::INFINITY {
-        return HISTOGRAM_BUCKETS - 1;
-    }
-    if !v.is_finite() || v <= 0.0 {
-        return 0;
-    }
-    for i in 0..HISTOGRAM_BUCKETS - 1 {
-        if v <= bucket_bounds(i) {
-            return i;
-        }
-    }
-    HISTOGRAM_BUCKETS - 1
-}
-
 /// What a metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MetricKind {
@@ -51,8 +10,6 @@ pub enum MetricKind {
     Counter,
     /// Last-written value.
     Gauge,
-    /// Fixed-boundary log2 histogram.
-    Histogram,
 }
 
 impl MetricKind {
@@ -61,7 +18,6 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
         }
     }
 }
@@ -76,19 +32,8 @@ pub struct Metric {
     pub labels: Vec<(String, String)>,
     /// Kind; determines the export shape.
     pub kind: MetricKind,
-    /// Counter total, gauge value, or histogram sum of observations.
+    /// Counter total or gauge value.
     pub value: f64,
-    /// Histogram observation count (0 for counters and gauges).
-    #[serde(default)]
-    pub count: u64,
-    /// Histogram per-bucket counts, length [`HISTOGRAM_BUCKETS`]; empty for
-    /// counters and gauges.
-    #[serde(default)]
-    pub buckets: Vec<u64>,
-    /// Always `false`: the registry records only deterministic values. The
-    /// field stays so committed snapshots keep their serialized form.
-    #[serde(default)]
-    pub diagnostic: bool,
 }
 
 impl Metric {
@@ -157,13 +102,6 @@ impl Registry {
             labels,
             kind,
             value: 0.0,
-            count: 0,
-            buckets: if kind == MetricKind::Histogram {
-                vec![0; HISTOGRAM_BUCKETS]
-            } else {
-                Vec::new()
-            },
-            diagnostic: false,
         });
         debug_assert_eq!(m.kind, kind, "metric {name} re-registered as {kind:?}");
         m
@@ -177,14 +115,6 @@ impl Registry {
     /// Sets a gauge to `v`.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.entry(name, labels, MetricKind::Gauge).value = v;
-    }
-
-    /// Records one observation into a histogram.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let m = self.entry(name, labels, MetricKind::Histogram);
-        m.value += v;
-        m.count += 1;
-        m.buckets[bucket_index(v)] += 1;
     }
 
     /// Looks a metric up by name and labels.
@@ -221,9 +151,9 @@ impl MetricsSnapshot {
         self.metrics.get(&identity_of(name, &owned_labels(labels)))
     }
 
-    /// Renders the snapshot in the Prometheus text exposition format.
-    /// Histograms expand into `_bucket{le=...}`, `_sum` and `_count`
-    /// samples. Floats print shortest-roundtrip, so output is byte-stable.
+    /// Renders the snapshot in the Prometheus text exposition format: one
+    /// `# TYPE` line per family, one sample line per series. Floats print
+    /// shortest-roundtrip, so output is byte-stable.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_name: Option<&str> = None;
@@ -236,39 +166,10 @@ impl MetricsSnapshot {
                 out.push('\n');
                 last_name = Some(m.name.as_str());
             }
-            match m.kind {
-                MetricKind::Counter | MetricKind::Gauge => {
-                    out.push_str(&m.identity());
-                    out.push(' ');
-                    out.push_str(&fmt_f64(m.value));
-                    out.push('\n');
-                }
-                MetricKind::Histogram => {
-                    let mut cumulative = 0u64;
-                    for (i, &b) in m.buckets.iter().enumerate() {
-                        cumulative += b;
-                        let mut labels = m.labels.clone();
-                        let le = if bucket_bounds(i).is_infinite() {
-                            "+Inf".to_string()
-                        } else {
-                            fmt_f64(bucket_bounds(i))
-                        };
-                        labels.push(("le".to_string(), le));
-                        out.push_str(&identity_of(&format!("{}_bucket", m.name), &labels));
-                        out.push(' ');
-                        out.push_str(&cumulative.to_string());
-                        out.push('\n');
-                    }
-                    out.push_str(&identity_of(&format!("{}_sum", m.name), &m.labels));
-                    out.push(' ');
-                    out.push_str(&fmt_f64(m.value));
-                    out.push('\n');
-                    out.push_str(&identity_of(&format!("{}_count", m.name), &m.labels));
-                    out.push(' ');
-                    out.push_str(&m.count.to_string());
-                    out.push('\n');
-                }
-            }
+            out.push_str(&m.identity());
+            out.push(' ');
+            out.push_str(&fmt_f64(m.value));
+            out.push('\n');
         }
         out
     }
@@ -291,23 +192,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_bounds_are_log2_and_cover_everything() {
-        assert_eq!(bucket_bounds(0), (2.0f64).powi(MIN_EXP));
-        for i in 1..HISTOGRAM_BUCKETS - 1 {
-            assert_eq!(bucket_bounds(i), 2.0 * bucket_bounds(i - 1));
-        }
-        assert!(bucket_bounds(HISTOGRAM_BUCKETS - 1).is_infinite());
-        assert_eq!(bucket_index(0.0), 0);
-        assert_eq!(bucket_index(-5.0), 0);
-        assert_eq!(bucket_index(f64::NAN), 0);
-        assert_eq!(bucket_index(f64::INFINITY), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_index(1e300), HISTOGRAM_BUCKETS - 1);
-        // Exact power-of-two boundary lands in its own bucket (le semantics).
-        let i = bucket_index(1.0);
-        assert_eq!(bucket_bounds(i), 1.0);
-    }
-
-    #[test]
     fn counters_add_and_gauges_overwrite() {
         let mut r = Registry::new();
         r.counter_add("hits", &[("peer", "1")], 2.0);
@@ -317,19 +201,6 @@ mod tests {
         assert_eq!(r.get("hits", &[("peer", "1")]).unwrap().value, 5.0);
         assert_eq!(r.get("level", &[]).unwrap().value, 4.0);
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_accumulate() {
-        let mut r = Registry::new();
-        for v in [0.5, 0.5, 2.0, 1e-12] {
-            r.observe("lat", &[], v);
-        }
-        let m = r.get("lat", &[]).unwrap();
-        assert_eq!(m.count, 4);
-        assert!((m.value - 3.000_000_000_001).abs() < 1e-9);
-        assert_eq!(m.buckets.iter().sum::<u64>(), 4);
-        assert_eq!(m.buckets[bucket_index(0.5)], 2);
     }
 
     #[test]
@@ -356,31 +227,19 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("bytes_total", &[("src", "0"), ("dst", "1")], 42.0);
         r.gauge_set("loss", &[("epoch", "0")], 0.25);
-        r.observe("lat_seconds", &[], 0.5);
         let text = r.into_snapshot().to_prometheus();
         assert!(text.contains("# TYPE bytes_total counter\n"));
         assert!(text.contains("bytes_total{src=\"0\",dst=\"1\"} 42\n"));
         assert!(text.contains("# TYPE loss gauge\n"));
         assert!(text.contains("loss{epoch=\"0\"} 0.25\n"));
-        assert!(text.contains("# TYPE lat_seconds histogram\n"));
-        assert!(text.contains("lat_seconds_bucket{le=\"0.5\"} 1\n"));
-        assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 1\n"));
-        assert!(text.contains("lat_seconds_sum 0.5\n"));
-        assert!(text.contains("lat_seconds_count 1\n"));
-        // Cumulative bucket counts never decrease.
-        let mut last = 0u64;
-        for line in text.lines().filter(|l| l.starts_with("lat_seconds_bucket")) {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last);
-            last = v;
-        }
+        assert_eq!(text.lines().count(), 4);
     }
 
     #[test]
     fn snapshot_json_roundtrip() {
         let mut r = Registry::new();
         r.counter_add("c", &[("k", "v")], 3.5);
-        r.observe("h", &[], 1.0);
+        r.gauge_set("g", &[], 1.0);
         let snap = r.into_snapshot();
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");

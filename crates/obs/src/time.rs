@@ -74,10 +74,8 @@ impl TimeCategory {
 /// What a charge, and the [`Event`] spans derived from it, measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EventKind {
-    /// Halo feature/gradient bytes pushed to one peer in a ring round.
+    /// One halo exchange of feature/gradient rows with every peer.
     HaloSend,
-    /// Halo feature/gradient bytes pulled from one peer in a ring round.
-    HaloRecv,
     /// Stochastic quantization encode/decode kernel time.
     QuantEncode,
     /// Central-graph (halo-free) compute: aggregation + dense layers.
@@ -94,7 +92,7 @@ impl EventKind {
     /// The [`TimeBreakdown`] bucket this kind of event is charged to.
     pub fn category(self) -> TimeCategory {
         match self {
-            EventKind::HaloSend | EventKind::HaloRecv | EventKind::AllReduce => TimeCategory::Comm,
+            EventKind::HaloSend | EventKind::AllReduce => TimeCategory::Comm,
             EventKind::QuantEncode => TimeCategory::Quant,
             EventKind::CentralCompute => TimeCategory::CentralComp,
             EventKind::MarginalCompute => TimeCategory::MarginalComp,
@@ -106,7 +104,6 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::HaloSend => "halo_send",
-            EventKind::HaloRecv => "halo_recv",
             EventKind::QuantEncode => "quant_encode",
             EventKind::CentralCompute => "central_compute",
             EventKind::MarginalCompute => "marginal_compute",
@@ -204,8 +201,9 @@ pub struct EventDetail {
 /// the seconds. The charged bucket is `kind.category()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Span {
-    /// What was charged. A halo exchange is charged in one piece as
-    /// [`EventKind::HaloSend`], with its per-peer volumes in `sent` / `recv`.
+    /// What was charged. A halo exchange is one charge of
+    /// [`EventKind::HaloSend`] whose `detail.bytes` is all it sent, as an
+    /// all-reduce's is.
     pub kind: EventKind,
     /// GNN layer index, when the charge is layer-scoped.
     #[serde(default)]
@@ -213,30 +211,21 @@ pub struct Span {
     /// Bytes, width and host-side diagnostics.
     #[serde(default)]
     pub detail: EventDetail,
-    /// `(peer, bytes)` this device sent in the charged exchange: ascending
-    /// peers, non-zero volumes only.
-    #[serde(default)]
-    pub sent: Vec<(u32, u64)>,
-    /// `(peer, bytes)` this device received, in the same form.
-    #[serde(default)]
-    pub recv: Vec<(u32, u64)>,
 }
 
 impl Span {
-    /// A bare span of `kind`: no layer, no detail, no per-peer volumes.
+    /// A bare span of `kind`: no layer, no detail.
     pub fn new(kind: EventKind) -> Self {
         Span {
             kind,
             layer: None,
             detail: EventDetail::default(),
-            sent: Vec::new(),
-            recv: Vec::new(),
         }
     }
 }
 
-/// One span on a device's simulated clock, derived from the flight log's
-/// charges (`adaqp::TelemetryLog::from_flight`).
+/// One span on a device's simulated clock: one charge of the flight log
+/// placed on its track (`adaqp::TelemetryLog::from_flight`).
 ///
 /// `start`/`end` are simulated seconds since the start of the run on the
 /// per-category track clock of the charging device (tracks advance
@@ -255,9 +244,6 @@ pub struct Event {
     /// GNN layer index, when the span is layer-scoped.
     #[serde(default)]
     pub layer: Option<u32>,
-    /// Peer device rank for point-to-point communication spans.
-    #[serde(default)]
-    pub peer: Option<u32>,
     /// Payload bytes moved (communication spans) or 0.
     #[serde(default)]
     pub bytes: u64,
@@ -521,7 +507,6 @@ mod tests {
     #[test]
     fn a_serialized_span_leaves_the_host_side_out() {
         let mut span = Span::new(EventKind::HaloSend);
-        span.sent = vec![(1, 48)];
         span.detail = EventDetail {
             bytes: 64,
             width_bits: Some(4),

@@ -82,14 +82,36 @@ pinned_bits
     pinned_bits
 )
 
-echo "==> scalability smoke (64 devices on the event core, racks + oversub; the one-registry fold and both metric writers at that device count)"
+echo "==> scalability smoke (64 devices on the event core, racks + oversub; the one-registry fold, both metric writers and the span view at that device count, the snapshot bounded in devices)"
 SCALE_TMP="$(mktemp -d)"
+SCALE_DEVICES=64
+SCALE_EPOCHS=2
 cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method adaqp --machines 16 --devices 4 \
-    --epochs 2 --hidden 8 --seed 11 --rack-size 2 --oversub 4 \
-    --metrics "$SCALE_TMP/metrics" >/dev/null
+    --epochs "$SCALE_EPOCHS" --hidden 8 --seed 11 --rack-size 2 --oversub 4 \
+    --metrics "$SCALE_TMP/metrics" --trace "$SCALE_TMP/trace.json" \
+    >/dev/null 2>"$SCALE_TMP/stderr"
 [[ -s "$SCALE_TMP/metrics.json" && -s "$SCALE_TMP/metrics.prom" ]] || {
     echo "check: the 64-device run wrote no metric snapshot" >&2
+    exit 1
+}
+[[ -s "$SCALE_TMP/trace.json" ]] || {
+    echo "check: the 64-device run wrote no Chrome trace" >&2
+    exit 1
+}
+# The snapshot is bounded in devices, not in pairs. Per device: one
+# `adaqp_comm_sent_bytes_total` and one `adaqp_comm_messages_total`, one
+# `adaqp_halo_sent_bytes_total` per width it sent at (2, 4, 8, 32, mixed:
+# at most 5), and the two `_critpath_{idle_fraction,busy_seconds}` of a
+# profiled run: 9. Per run: 4 `adaqp_quant_*` families x 3 widths, 3
+# `adaqp_solver_*`, 4 `adaqp_epoch_*` per epoch, `adaqp_best_val_score`,
+# `adaqp_test_at_best`, and `_critpath_{total_seconds,
+# collective_wait_share}` plus 5 `_critpath_class_seconds`: 12 + 3 + 4 x
+# epochs + 2 + 7.
+SERIES="$(sed -n 's/^wrote \([0-9]*\) metric series.*/\1/p' "$SCALE_TMP/stderr")"
+SERIES_BOUND=$((9 * SCALE_DEVICES + 12 + 3 + 4 * SCALE_EPOCHS + 2 + 7))
+[[ -n "$SERIES" && "$SERIES" -le "$SERIES_BOUND" ]] || {
+    echo "check: the 64-device snapshot has ${SERIES:-no} series, bound $SERIES_BOUND" >&2
     exit 1
 }
 rm -rf "$SCALE_TMP"

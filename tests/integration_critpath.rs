@@ -144,21 +144,19 @@ fn golden_report_and_flight_log_digests() {
     // host-measured fields are not serialized, or no digest of them could
     // be pinned.)
     //
-    // `want_report` has not moved since the cluster became collectives-only.
-    // The two log digests were re-recorded when the log became the
-    // trainers' own charges, laid out rank by rank, instead of every
-    // scheduling transition in scheduler order. On the commit before, the
-    // old log projected onto the new shape — its `PhaseAdvance` events only,
-    // each cut to `rank`, `epoch`, `seconds`, `span`, stably sorted by rank,
-    // with `collectives` set to one rank's `CollectiveForm` count —
-    // reproduced all six new digests.
+    // `want_report` has not moved since the cluster became collectives-only,
+    // nor `want_flight` since the log became the trainers' own charges,
+    // laid out rank by rank. `want_spans` was re-recorded when a span lost
+    // its per-peer `sent` / `recv` lists: on the commit before, the log
+    // with both lists dropped and each halo span's `detail.bytes` set to
+    // its `sent` total reproduced the new digests.
     for (method, collectives, want_report, want_flight, want_spans) in [
         (
             Method::Vanilla,
             37,
             0x29e4_733b_85d9_715c_u64,
             0x102b_c509_f0c9_7789_u64,
-            0x7ab7_fcbb_1237_e1a7_u64,
+            0x8eba_b735_b7ec_e825_u64,
         ),
         // Same charges and exchanges as Vanilla, composed differently.
         (
@@ -166,7 +164,7 @@ fn golden_report_and_flight_log_digests() {
             37,
             0xa29c_0f16_c0e3_3b2a,
             0x102b_c509_f0c9_7789,
-            0x7ab7_fcbb_1237_e1a7,
+            0x8eba_b735_b7ec_e825,
         ),
         // No backward exchange.
         (
@@ -174,7 +172,7 @@ fn golden_report_and_flight_log_digests() {
             31,
             0xf51c_38d7_4a8f_0a2f,
             0xf5c1_e77e_16bb_0adb,
-            0xcedb_5c0a_18b1_0e97,
+            0x638c_84b9_abdf_3ade,
         ),
     ] {
         let (_, profile) =
@@ -212,32 +210,34 @@ fn golden_report_and_flight_log_digests() {
 
 #[test]
 fn golden_telemetry_digests() {
-    // Recorded at the commit before the telemetry log became a fold over
-    // the flight log (ISSUE 22), when each device still kept its own span
-    // recorder: the derived log, and the Chrome trace rendered from it, are
-    // what that recorder wrote, byte for byte — track clocks, epoch
-    // re-alignment, dropped empty spans and the per-peer split of a halo
-    // charge included. The host-measured fields are cleared first; nothing
-    // else about these three methods' spans varies from run to run.
+    // The derived log, and the Chrome trace rendered from it: track clocks,
+    // epoch re-alignment and dropped empty spans included, one span per
+    // charge. Re-recorded when a halo charge stopped being split into
+    // per-peer send/recv spans: on the commit before, its flight log with
+    // the per-peer lists dropped and each halo span's `detail.bytes` set to
+    // its `sent` total, placed on the tracks by the new
+    // `TelemetryLog::from_flight`, reproduced all three rows. The
+    // host-measured fields are cleared first; nothing else about these
+    // three methods' spans varies from run to run.
     for (method, want_events, want_log, want_trace) in [
         (
             Method::Vanilla,
-            816,
-            0x0a26_6186_46fd_4f13_u64,
-            0x6c15_5fc7_6434_9e95_u64,
+            456,
+            0x6590_a190_e109_1249_u64,
+            0x1c37_4ae0_6678_4a1f_u64,
         ),
         // Same charges as Vanilla; the schedule is not in the log.
         (
             Method::PipeGcn,
-            816,
-            0x0a26_6186_46fd_4f13,
-            0x6c15_5fc7_6434_9e95,
+            456,
+            0x6590_a190_e109_1249,
+            0x1c37_4ae0_6678_4a1f,
         ),
         (
             Method::Sancus,
-            474,
-            0x6ef4_1969_44a3_8f83,
-            0xd682_3505_fc6d_298f,
+            404,
+            0x33dc_6ad2_d7dc_8836,
+            0x5af7_d906_8741_d466,
         ),
     ] {
         let mut cfg = pinned(method, false);

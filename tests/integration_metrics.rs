@@ -59,12 +59,12 @@ fn metrics_snapshot_byte_identical_at_1_2_8_threads() {
 fn snapshot_covers_every_instrumented_subsystem() {
     let snap = snapshot(2, Method::AdaQp);
 
-    // Per-pair communication volume, both directions of the 2-device ring.
-    for (src, dst) in [("0", "1"), ("1", "0")] {
+    // Per-source communication volume, both devices of the 2-device ring.
+    for src in ["0", "1"] {
         let m = snap
-            .get("adaqp_comm_sent_bytes_total", &[("src", src), ("dst", dst)])
-            .expect("per-pair comm volume recorded");
-        assert!(m.value > 0.0, "no bytes {src}->{dst}");
+            .get("adaqp_comm_sent_bytes_total", &[("src", src)])
+            .expect("per-source comm volume recorded");
+        assert!(m.value > 0.0, "no bytes from {src}");
     }
     // Halo traffic is additionally broken out by bit-width choice.
     assert!(
@@ -157,4 +157,97 @@ fn metrics_stay_off_by_default() {
     c.training.metrics = false;
     let r = adaqp::run_experiment(&c).expect("valid config");
     assert!(r.metrics.is_none());
+}
+
+/// The three traffic families of one snapshot: `(family, src, width)` per
+/// series, every label checked to be one of those.
+fn traffic_series(snap: &obs::MetricsSnapshot) -> Vec<(&str, &str, Option<&str>)> {
+    let families = [
+        "adaqp_comm_sent_bytes_total",
+        "adaqp_comm_messages_total",
+        "adaqp_halo_sent_bytes_total",
+    ];
+    let traffic = snap
+        .metrics
+        .values()
+        .filter(|m| families.contains(&m.name.as_str()));
+    traffic
+        .map(|m| {
+            let label = |key: &str| {
+                let found = m.labels.iter().find(|(k, _)| k == key);
+                found.map(|(_, v)| v.as_str())
+            };
+            let known = ["src", "width"];
+            assert!(
+                m.labels.iter().all(|(k, _)| known.contains(&k.as_str())),
+                "{m:?}"
+            );
+            (
+                m.name.as_str(),
+                label("src").expect("src label"),
+                label("width"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn traffic_series_are_per_device_not_per_pair() {
+    let mut c = cfg(1, Method::AdaQp);
+    (c.machines, c.devices_per_machine, c.training.epochs) = (4, 4, 2);
+    let snap = adaqp::run_experiment(&c)
+        .expect("valid config")
+        .metrics
+        .expect("metrics on");
+    assert!(snap
+        .metrics
+        .values()
+        .all(|m| m.labels.iter().all(|(k, _)| k != "dst")));
+    // Labels are only `src` and `width`, so each series is one
+    // `(family, src, width)`.
+    let series = traffic_series(&snap);
+    for family in ["adaqp_comm_sent_bytes_total", "adaqp_comm_messages_total"] {
+        let srcs: std::collections::BTreeSet<_> = series
+            .iter()
+            .filter(|s| s.0 == family)
+            .map(|s| s.1)
+            .collect();
+        assert_eq!(srcs.len(), 16, "{family}: one series per device");
+        assert!(series
+            .iter()
+            .filter(|s| s.0 == family)
+            .all(|s| s.2.is_none()));
+    }
+    let halo = series
+        .iter()
+        .filter(|s| s.0 == "adaqp_halo_sent_bytes_total");
+    assert!(
+        halo.clone().all(|s| s.2.is_some()),
+        "halo series carry their width"
+    );
+    // Widths 2, 4, 8, 32 and mixed.
+    assert!(
+        halo.count() <= 16 * 5,
+        "at most one series per (src, width)"
+    );
+}
+
+#[test]
+fn halo_family_sums_to_the_runs_bytes_for_every_method() {
+    for method in [
+        Method::Vanilla,
+        Method::AdaQp,
+        Method::AdaQpUniform,
+        Method::PipeGcn,
+        Method::Sancus,
+    ] {
+        let r = adaqp::run_experiment(&cfg(1, method)).expect("valid config");
+        let snap = r.metrics.as_ref().expect("metrics on");
+        let halo = snap
+            .metrics
+            .values()
+            .filter(|m| m.name == "adaqp_halo_sent_bytes_total");
+        let sum: f64 = halo.map(|m| m.value).sum();
+        assert_eq!(sum, r.total_bytes as f64, "{method}");
+    }
 }

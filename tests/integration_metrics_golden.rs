@@ -39,37 +39,38 @@ fn digests(method: Method) -> (usize, u64, u64) {
 
 #[test]
 fn golden_snapshot_digests() {
-    // Recorded at the commit before the snapshot became one fold over plain
-    // per-device tallies (ISSUE 23), when every device still owned a
-    // registry and the runner merged them in rank order: series count, JSON
-    // digest, Prometheus digest. The AdaQP row was re-recorded when the
-    // master's replies lost their receive-side blocks, which moves only
-    // rank 0's sent bytes; the older digests come back when each reply is
-    // padded to its former length.
+    // Series count, JSON digest, Prometheus digest. Re-recorded twice when
+    // the three traffic families lost their `dst` label. First, on the
+    // commit before, every old row summed over `dst`, with `Metric`'s three
+    // histogram-only fields dropped from the JSON, reproduced all four new
+    // rows; SANCUS then had 34 series. Second, SANCUS's broadcasts began to
+    // count as halo traffic: its row gained one
+    // `adaqp_halo_sent_bytes_total{src, width="32"}` per device, and with
+    // those four removed it reads the first row again.
     for (method, want_series, want_json, want_prom) in [
         (
             Method::AdaQp,
-            88,
-            0x0d5f_a589_c723_3f2b_u64,
-            0xb9a6_c5a7_9dbb_04fa_u64,
+            54,
+            0x2a70_ea1c_9f9b_a3c7_u64,
+            0x9963_abbb_a2ab_ce64_u64,
         ),
         (
             Method::AdaQpUniform,
-            95,
-            0xa66c_c3fe_41cc_e817,
-            0x57cd_0462_6e37_0ae6,
+            59,
+            0xe25d_c17a_f01c_eae7,
+            0xdf27_9b6d_997f_5548,
         ),
         (
             Method::PipeGcn,
-            62,
-            0x0313_3c5e_7184_4246,
-            0xbe54_e0eb_432d_4d93,
+            38,
+            0xcb36_d267_0932_c890,
+            0x2f7c_0d4e_05e2_7421,
         ),
         (
             Method::Sancus,
-            50,
-            0xc450_ec0d_368e_24c3,
-            0xf5b3_4121_623e_3487,
+            38,
+            0xccfe_849b_20e1_f60f,
+            0x143e_ad65_c9ad_b1be,
         ),
     ] {
         let got = digests(method);

@@ -43,7 +43,6 @@ fn same_seed_runs_produce_identical_event_logs_modulo_solve() {
             assert_eq!(ea.kind, eb.kind);
             assert_eq!(ea.epoch, eb.epoch);
             assert_eq!(ea.layer, eb.layer);
-            assert_eq!(ea.peer, eb.peer);
             assert_eq!(ea.bytes, eb.bytes);
             assert_eq!(ea.width_bits, eb.width_bits);
             // Durations are analytic (ops-priced) for everything except the
@@ -150,5 +149,37 @@ fn disabled_telemetry_leaves_numerics_identical() {
     for (ea, eb) in a.per_epoch.iter().zip(&b.per_epoch) {
         assert_eq!(ea.loss, eb.loss);
         assert_eq!(ea.val_score, eb.val_score);
+    }
+}
+
+#[test]
+fn one_span_per_charge_carrying_the_devices_sent_bytes() {
+    for method in [
+        Method::Vanilla,
+        Method::AdaQp,
+        Method::AdaQpUniform,
+        Method::PipeGcn,
+        Method::Sancus,
+    ] {
+        let mut c = cfg(method, 3);
+        (c.training.profile, c.training.metrics) = (true, true);
+        let (r, profile) = adaqp::run_experiment_profiled(&c).expect("valid config");
+        let flight = profile.expect("profiling on").flight;
+        let log = r.telemetry.as_ref().expect("telemetry on");
+        assert!(log.num_events() <= flight.num_events(), "{method}");
+        let snap = r.metrics.as_ref().expect("metrics on");
+        for dev in &log.devices {
+            let halo = dev.events.iter().filter(|e| e.kind == EventKind::HaloSend);
+            let spans: u64 = halo.map(|e| e.bytes).sum();
+            let src = dev.rank.to_string();
+            let counted: f64 = snap
+                .metrics
+                .values()
+                .filter(|m| m.name == "adaqp_halo_sent_bytes_total")
+                .filter(|m| m.labels.iter().any(|(k, v)| k == "src" && *v == src))
+                .map(|m| m.value)
+                .sum();
+            assert_eq!(spans as f64, counted, "{method} rank {src}");
+        }
     }
 }
