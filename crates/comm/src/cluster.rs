@@ -19,6 +19,7 @@ use crate::program::{Command, DeviceProgram, Resume, Step};
 use crate::CostModel;
 use bytes::Bytes;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::{pin, Pin};
@@ -410,9 +411,9 @@ pub struct AsyncDevice {
     n: usize,
     port: Rc<RefCell<Port>>,
     /// `(bytes, messages)` handed to the scheduler for each destination
-    /// rank: the one thing about a run only the handle sees. No slots, so
-    /// nothing is counted, until [`AsyncDevice::count_sends`].
-    sent: Vec<(u64, u64)>,
+    /// rank sent to: the one thing about a run only the handle sees. `None`,
+    /// so nothing is counted, until [`AsyncDevice::count_sends`].
+    sent: Option<BTreeMap<usize, (u64, u64)>>,
 }
 
 impl AsyncDevice {
@@ -422,7 +423,7 @@ impl AsyncDevice {
             rank,
             n,
             port: Rc::default(),
-            sent: Vec::new(),
+            sent: None,
         }
     }
 
@@ -439,21 +440,22 @@ impl AsyncDevice {
     /// Starts tallying every payload leaving this rank, per destination.
     /// Payload lengths are deterministic, so the tally is too.
     pub fn count_sends(&mut self) {
-        self.sent = vec![(0, 0); self.n];
+        self.sent = Some(BTreeMap::new());
     }
 
-    /// Hands back the `(bytes, messages)` tally indexed by destination rank
-    /// (empty unless [`AsyncDevice::count_sends`] was called); later sends
-    /// are no longer counted.
-    pub fn take_sent(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.sent)
+    /// Hands back the `(bytes, messages)` tally keyed by destination rank,
+    /// one entry per rank sent to (empty unless
+    /// [`AsyncDevice::count_sends`] was called); later sends are no longer
+    /// counted.
+    pub fn take_sent(&mut self) -> BTreeMap<usize, (u64, u64)> {
+        self.sent.take().unwrap_or_default()
     }
 
-    /// Counts one outgoing payload on the sender side: into the tally,
-    /// which has no slots unless sends are being counted. A destination
-    /// outside `0..n` is left to the scheduler, which fails the run.
+    /// Counts one outgoing payload on the sender side, if sends are being
+    /// counted.
     fn count_send(&mut self, dst: usize, bytes: usize) {
-        if let Some((total, messages)) = self.sent.get_mut(dst) {
+        if let Some(sent) = &mut self.sent {
+            let (total, messages) = sent.entry(dst).or_default();
             *total += bytes as u64;
             *messages += 1;
         }
@@ -758,12 +760,10 @@ mod tests {
                 .await;
             dev.take_sent()
         });
-        // `out[src][dst]` is `(bytes, messages)`.
-        assert_eq!(out[0][1], (5, 1), "rank 0 counted its send");
-        assert_eq!(out[1][0], (2, 1), "rank 1 counted its send");
-        // The tally only tracks the sender side.
-        assert_eq!(out[0][0], (0, 0));
-        assert_eq!(out[1][1], (0, 0));
+        // `out[src][&dst]` is `(bytes, messages)`: each rank counted its one
+        // send, and only the sender side, one entry per destination sent to.
+        let sent = |dst, bytes| BTreeMap::from([(dst, (bytes, 1))]);
+        assert_eq!(out, [sent(1, 5), sent(0, 2)]);
     }
 
     #[test]
@@ -778,7 +778,7 @@ mod tests {
             dev.ring_exchange(send("counted")).await;
             let taken = dev.take_sent();
             dev.ring_exchange(send("detached")).await;
-            (off, taken[peer], dev.take_sent())
+            (off, taken[&peer], dev.take_sent())
         });
         for (off, counted, detached) in out {
             assert!(off.is_empty(), "nothing is counted until asked");

@@ -9,13 +9,14 @@
 //! * every suspended rank and the collective it waits at ([`BlockedRank`]);
 //! * which ranks already reached the collective and which never will
 //!   ([`CollectiveFront`]);
-//! * which ranks finished outright (a rank that returns without joining a
-//!   collective is how `collective-divergence` bugs present at runtime).
+//! * which ranks finished outright (a rank that skipped a collective, or
+//!   ran it fewer times than its peers, returns without joining it).
 //!
 //! Its [`WaitGraph::summary`] is what [`crate::ClusterError::Deadlock`]
-//! displays. The static side of this contract is adaqp-lint's
-//! `collective-divergence` rule (`crates/analysis`), which flags the same
-//! defect shapes in the shipped `async` device bodies before they ever run.
+//! displays. Together with `CollectiveMismatch` this is the workspace's one
+//! check of the collective protocol: `crates/comm/tests/planted.rs` pins
+//! the ranks it names for each rank-dependent shape, and a config sweep
+//! (`tests/proptest_core.rs`) drives every shipped protocol path through it.
 
 /// What one suspended rank is waiting for.
 #[derive(Debug, Clone, PartialEq, Eq)]

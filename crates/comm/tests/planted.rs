@@ -1,8 +1,9 @@
-//! Planted protocol bugs and the typed error each ends in. These are the
-//! runtime half of adaqp-lint's `collective-divergence` rule: the rule's
-//! flagged fixture (`crates/analysis/tests/fixtures/collective_divergence_bad.rs`)
-//! holds the same three shapes, and here each one runs and the error names
-//! the planted ranks.
+//! Planted protocol bugs and the typed error each ends in. Every rank must
+//! enter the same collectives in the same order with the same root; these
+//! are the four ways a rank-dependent branch breaks that — a skip, a
+//! reorder, a re-rooted collective and a loop whose trip count depends on
+//! the rank — and in each the event core fails the run with a
+//! [`ClusterError`] that names the planted ranks.
 
 use bytes::Bytes;
 use comm::{Cluster, ClusterError, WaitCause};
@@ -81,5 +82,29 @@ fn a_rank_that_gathers_while_the_others_ring_is_named() {
     assert!(
         detail.contains("rank 0 entered `ring_all2all` but rank 2 entered `gather`"),
         "{detail}"
+    );
+}
+
+/// Rank r runs r + 1 allreduces: rank 0 finishes after the first, and the
+/// ranks that ran over park at the second one's gather with rank 0 absent.
+#[test]
+fn ranks_that_loop_over_a_rank_dependent_count_stall_at_the_extra_allreduce() {
+    let err = Cluster::try_run_async(N, None, |mut dev| async move {
+        let mut grads = [1.0f32];
+        for _ in 0..=dev.rank() {
+            dev.allreduce_sum_f32(&mut grads).await;
+        }
+    })
+    .expect_err("only ranks 1..N reach the second allreduce");
+    let ClusterError::Deadlock { graph } = &err else {
+        panic!("expected a deadlock, got {err}");
+    };
+    assert_eq!(graph.finished, [0]);
+    let blocked: Vec<usize> = graph.blocked.iter().map(|b| b.rank).collect();
+    assert_eq!(blocked, [1, 2, 3]);
+    let front = graph.collective.as_ref().expect("front recorded");
+    assert_eq!(
+        (front.kind, &front.reached, &front.absent),
+        ("gather", &vec![1, 2, 3], &vec![0])
     );
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! adaqp run   --dataset ogbn-products-sim --method adaqp --machines 2 --devices 2 [--epochs N] ...
-//! adaqp tune  --dataset yelp-sim --machines 2 --devices 2 [--epochs N]
 //! adaqp partition --dataset reddit-sim --parts 4
 //! adaqp datasets
 //! ```
@@ -32,7 +31,6 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "run" => cmd_run(&flags),
         "compare" => cmd_compare(&flags),
-        "tune" => cmd_tune(&flags),
         "partition" => cmd_partition(&flags),
         "datasets" => cmd_datasets(),
         "help" | "--help" | "-h" => {
@@ -62,7 +60,6 @@ USAGE:
             [--san] [--critical-path <file.json>]
   adaqp compare --dataset <name> [--machines N] [--devices N] [--epochs N]
             [--rack-size N] [--oversub X] [--scale X] [--markdown]
-  adaqp tune --dataset <name> [--machines N] [--devices N] [--epochs N] [--scale X]
   adaqp partition --dataset <name> [--parts N] [--scale X] [--seed N]
   adaqp datasets
   adaqp help
@@ -362,34 +359,6 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         for run in &runs {
             println!("{}", adaqp::report::summary(run));
         }
-    }
-    Ok(())
-}
-
-fn cmd_tune(flags: &Flags) -> Result<(), String> {
-    let mut base = experiment_from(flags)?;
-    base.method = Method::AdaQp;
-    let grid = adaqp::tune::TuneGrid::default();
-    eprintln!(
-        "grid-searching {} combinations on {}...",
-        grid.len(),
-        base.dataset.name
-    );
-    let report = adaqp::tune::grid_search(&base, &grid, 0.002).map_err(|e| e.to_string())?;
-    println!(
-        "{:>8} {:>8} {:>8} {:>12} {:>14}",
-        "group", "lambda", "period", "val acc", "throughput"
-    );
-    for (i, t) in report.trials.iter().enumerate() {
-        let marker = if i == report.best { "  <= best" } else { "" };
-        println!(
-            "{:>8} {:>8.2} {:>8} {:>11.2}% {:>10.2} ep/s{marker}",
-            t.group_size,
-            t.lambda,
-            t.period,
-            t.val_score * 100.0,
-            t.throughput
-        );
     }
     Ok(())
 }

@@ -87,7 +87,6 @@ pub mod report;
 pub mod runner;
 pub mod telemetry;
 pub mod trainers;
-pub mod tune;
 
 pub use config::{ExperimentConfig, Method, TopologySpec, TrainingConfig};
 pub use decompose::{build_partitions, DevicePartition, GlobalInfo, LocalLabels};

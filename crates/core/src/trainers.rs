@@ -269,7 +269,7 @@ impl<'a> DeviceTrainer<'a> {
             tallies.sent = self
                 .dev
                 .take_sent()
-                .iter()
+                .values()
                 .fold((0, 0), |(b, m), &(db, dm)| (b + db, m + dm));
         }
         Ok(DeviceOutput {

@@ -311,7 +311,7 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     let mut peers = Vec::new();
     for (rank, part) in parts.iter().enumerate().skip(1) {
         let reply = 4 + layers * (block(&part.send_sets) + block(&part.recv_slots));
-        let (sent, messages) = master[rank];
+        let (sent, messages) = master[&rank];
         assert!(messages > 0, "master sent to every rank");
         // The scattered reply plus the 32-byte solve-stats broadcast.
         assert_eq!(sent, (reply + 32) as u64, "rank {rank}");

@@ -1,5 +1,5 @@
 //! Integration tests for features beyond the paper's core: the overlap
-//! ablation switch, error-feedback quantization and hyper-parameter tuning.
+//! ablation switch and error-feedback quantization.
 
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
 use graph::DatasetSpec;
@@ -122,25 +122,5 @@ fn error_feedback_reduces_time_averaged_quantization_error() {
     assert!(
         ef_err < plain_err * 0.5,
         "EF time-averaged error {ef_err} not clearly below plain {plain_err}"
-    );
-}
-
-#[test]
-fn tune_grid_search_improves_or_matches_default() {
-    let base = cfg(Method::AdaQp);
-    let default_run = adaqp::run_experiment(&base).expect("valid config");
-    let grid = adaqp::tune::TuneGrid {
-        group_sizes: vec![8, 64],
-        lambdas: vec![0.25, 0.75],
-        periods: vec![4],
-    };
-    let report = adaqp::tune::grid_search(&base, &grid, 0.002).expect("valid grid");
-    assert_eq!(report.trials.len(), 4);
-    let best = &report.trials[report.best];
-    assert!(
-        best.val_score >= default_run.best_val - 0.05,
-        "tuned {} much worse than default {}",
-        best.val_score,
-        default_run.best_val
     );
 }

@@ -175,9 +175,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `validate` is the whole contract of `run_experiment`: a config it
-    /// accepts trains or fails with a typed error (never a panic, on the
-    /// caller's thread or a device's), and one it rejects is rejected by the
-    /// run with the same `InvalidConfig`.
+    /// accepts trains or fails with a typed error that is not a cluster
+    /// failure (no device panics, stalls or enters a collective its peers do
+    /// not), and one it rejects is rejected by the run with the same
+    /// `InvalidConfig`.
     #[test]
     fn validate_decides_whether_a_run_can_panic(
         method in 0usize..5,
@@ -251,17 +252,78 @@ proptest! {
         let run = adaqp::run_experiment(&cfg);
         match cfg.validate() {
             Ok(()) => prop_assert!(
-                !matches!(
-                    run,
-                    Err(Error::Cluster(comm::ClusterError::DevicePanicked { .. }))
-                ),
-                "accepted config panicked a device: {cfg:?}"
+                !matches!(run, Err(Error::Cluster(_))),
+                "accepted config ended in a cluster failure: {cfg:?}"
             ),
             Err(rejected) => prop_assert!(
                 matches!(run, Err(Error::InvalidConfig(_))),
                 "validate rejected ({rejected}) but the run returned {:?}",
                 run.map(|_| ())
             ),
+        }
+    }
+}
+
+/// Every protocol path a run takes, each run end to end on the event core:
+/// every method, reassigning every epoch and every other, with and without
+/// error feedback and overlap, on one to eight devices. The degenerate
+/// shapes are one node per device, a graph with no edges (every send set
+/// empty), and more devices than nodes (refused by a typed partition
+/// error). Every other run trains: a rank that skipped, reordered,
+/// re-rooted or repeated a collective on any path would end it in a
+/// `ClusterError`.
+#[test]
+fn every_protocol_path_runs_without_a_cluster_error() {
+    use adaqp::{Error, ExperimentConfig, Method, TrainingConfig};
+    let nodes = |num_nodes| graph::DatasetSpec {
+        num_nodes,
+        ..graph::DatasetSpec::tiny()
+    };
+    let edgeless = graph::DatasetSpec {
+        avg_in_degree: 0.0,
+        avg_out_degree: 0.0,
+        ..nodes(48)
+    };
+    // (machines, devices per machine, dataset)
+    let shapes = [
+        (1, 1, nodes(48)),
+        (1, 2, nodes(48)),
+        (3, 1, nodes(48)),
+        (2, 2, nodes(48)),
+        (2, 2, nodes(4)),
+        (2, 2, edgeless),
+        (4, 2, nodes(5)),
+    ];
+    for (machines, devices_per_machine, dataset) in shapes {
+        for method in Method::ALL {
+            for reassign_period in [1, 2] {
+                for (error_feedback, disable_overlap) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let cfg = ExperimentConfig {
+                        dataset: dataset.clone(),
+                        machines,
+                        devices_per_machine,
+                        method,
+                        training: TrainingConfig {
+                            epochs: 3,
+                            hidden: 8,
+                            reassign_period,
+                            sancus_staleness: reassign_period,
+                            error_feedback,
+                            disable_overlap,
+                            ..TrainingConfig::default()
+                        },
+                        seed: 5,
+                    };
+                    assert!(cfg.validate().is_ok(), "{cfg:?}");
+                    match adaqp::run_experiment(&cfg) {
+                        Ok(_) => assert!(cfg.num_devices() <= cfg.dataset.num_nodes),
+                        Err(Error::Partition(_)) if cfg.num_devices() > cfg.dataset.num_nodes => {}
+                        Err(err) => panic!("{err}: {cfg:?}"),
+                    }
+                }
+            }
         }
     }
 }
