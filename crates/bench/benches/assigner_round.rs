@@ -20,6 +20,7 @@
 //! (`scripts/bench.sh --smoke` runs 32 alone).
 
 use adaqp::assigner::{encode_trace, PairTable, Trace, WidthAssignment};
+use adaqp::exchange::Direction;
 use adaqp::{build_partitions, ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::DatasetSpec;
@@ -63,8 +64,8 @@ fn fleet(devices: usize) -> Fleet {
         .iter()
         .map(|part| {
             let mut trace = Trace::new(part, &dims[..dims.len() - 1]);
-            for t in trace.fwd.iter_mut().chain(&mut trace.bwd) {
-                for r in t.ranges.iter_mut().flatten() {
+            for dir in [Direction::Forward, Direction::Backward] {
+                for r in trace.table_mut(dir).values_mut() {
                     *r = rng.uniform(0.05, 2.0);
                 }
             }

@@ -47,15 +47,12 @@ fn main() {
         let mut comm_secs = 0.0;
         for l in 0..num_layers {
             let dim = dims[l];
-            let mut sent = vec![0usize; k];
-            let mut recv = vec![0usize; k];
-            for q in 0..k {
-                if q == p.rank {
-                    continue;
-                }
-                sent[q] = predicted_wire_len(dim, &vec![BitWidth::B2; p.send_sets[q].len()]);
-                recv[q] =
-                    predicted_wire_len(dim, &vec![BitWidth::B2; parts[q].send_sets[p.rank].len()]);
+            // `(peer, bytes)` for every other device, ascending.
+            let two_bit = |rows: usize| predicted_wire_len(dim, &vec![BitWidth::B2; rows]);
+            let (mut sent, mut recv) = (Vec::new(), Vec::new());
+            for q in (0..k).filter(|&q| q != p.rank) {
+                sent.push((q as u32, two_bit(p.send_sets[q].len())));
+                recv.push((q as u32, two_bit(parts[q].send_sets[p.rank].len())));
             }
             let passes = if l == 0 { 1 } else { 2 }; // layer 0 has no bwd exchange
             let stats = adaqp::exchange::ExchangeStats {

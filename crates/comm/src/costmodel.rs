@@ -1,11 +1,12 @@
 //! Affine link cost model (`t = theta * bytes + gamma`).
 
+use crate::topology::Tiers;
 use crate::Topology;
 
 /// Per-device-pair affine transfer cost `t(bytes) = theta * bytes + gamma`
 /// (seconds), the cost model of Eqn. 10, priced from the tiers of the
-/// [`Topology`] it was built from: a pair's tier is looked up on each call,
-/// never stored per pair.
+/// [`Topology`] it was built from: each tier's parameters are computed once,
+/// and a pair's tier is looked up on each call, never stored per pair.
 ///
 /// # Example
 ///
@@ -18,7 +19,7 @@ use crate::Topology;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    topology: Topology,
+    tiers: Tiers,
     /// Multiplier on [`BASE_CPU_OPS_PER_SEC`] to emulate accelerator speed
     /// (a V100 is roughly an order of magnitude faster than the single CPU
     /// thread a simulated device gets here).
@@ -56,9 +57,9 @@ pub const BASE_CPU_OPS_PER_SEC: f64 = 2.5e9;
 
 impl CostModel {
     /// The cost model of `topology`, at the default compute speedup.
-    pub(crate) fn new(topology: Topology) -> Self {
+    pub(crate) fn new(topology: &Topology) -> Self {
         Self {
-            topology,
+            tiers: topology.tiers(),
             compute_speedup: DEFAULT_COMPUTE_SPEEDUP,
             per_device_scale: None,
         }
@@ -86,7 +87,7 @@ impl CostModel {
 
     /// Number of devices.
     pub fn num_devices(&self) -> usize {
-        self.topology.num_devices()
+        self.tiers.num_devices()
     }
 
     /// Modeled seconds to move `bytes` from `src` to `dst`. Zero-byte
@@ -101,27 +102,62 @@ impl CostModel {
         if src == dst || bytes == 0 {
             return 0.0;
         }
-        let (theta, gamma) = self.topology.link_params(src, dst);
+        let (theta, gamma) = self.tiers.link_params(src, dst);
         theta * bytes as f64 + gamma
     }
 
     /// Seconds `rank` spends in one unsynchronized ring all2all (Fig. 8,
     /// the Table 2 model): in each of the `n - 1` rounds it waits for the
     /// longer of its own send and its own receive on full-duplex links.
-    /// `sent` / `recv` are bytes per peer rank.
+    /// In round `r` it sends to `rank + r` and receives from `rank - r`
+    /// (mod `n`). `sent` / `recv` list `(peer, bytes)` for the peers it
+    /// sends to / receives from, each strictly ascending by peer; an
+    /// unlisted peer moves nothing. Only the rounds in which a listed
+    /// peer moves are walked, in round order: a silent round would add
+    /// `0.0`, so the sum is the same bits as a walk over every round.
     ///
     /// # Panics
     ///
-    /// Panics if `rank` is out of range or a byte table is shorter than the
-    /// device count.
-    pub fn ring_seconds(&self, rank: usize, sent: &[usize], recv: &[usize]) -> f64 {
+    /// Panics if `rank` or a listed peer is out of range.
+    pub fn ring_seconds(&self, rank: usize, sent: &[(u32, usize)], recv: &[(u32, usize)]) -> f64 {
         let n = self.num_devices();
+        assert!(rank < n, "rank out of range");
+        let send_round = |&&(dst, _): &&(u32, usize)| (dst as usize + n - rank) % n;
+        let recv_round = |&&(src, _): &&(u32, usize)| (rank + n - src as usize) % n;
+        // Send rounds ascend with the destination from the first peer above
+        // `rank`, wrapping round; receive rounds ascend as the source
+        // descends from the first peer below it. Round 0 is `rank` itself.
+        let above = sent.partition_point(|&(q, _)| q as usize <= rank);
+        let mut sends = sent[above..]
+            .iter()
+            .chain(&sent[..above])
+            .filter(|e| send_round(e) != 0)
+            .peekable();
+        let below = recv.partition_point(|&(q, _)| (q as usize) < rank);
+        let mut recvs = recv[..below]
+            .iter()
+            .rev()
+            .chain(recv[below..].iter().rev())
+            .filter(|e| recv_round(e) != 0)
+            .peekable();
         let mut t = 0.0;
-        for round in 1..n {
-            let dst = (rank + round) % n;
-            let src = (rank + n - round) % n;
-            let send = self.transfer_time(rank, dst, sent[dst]);
-            t += send.max(self.transfer_time(src, rank, recv[src]));
+        loop {
+            let round = match (sends.peek().map(send_round), recvs.peek().map(recv_round)) {
+                (None, None) => break,
+                (Some(s), Some(r)) => s.min(r),
+                (Some(round), None) | (None, Some(round)) => round,
+            };
+            let send = sends
+                .next_if(|e| send_round(e) == round)
+                .map_or(0.0, |&(dst, bytes)| {
+                    self.transfer_time(rank, dst as usize, bytes)
+                });
+            let recv = recvs
+                .next_if(|e| recv_round(e) == round)
+                .map_or(0.0, |&(src, bytes)| {
+                    self.transfer_time(src as usize, rank, bytes)
+                });
+            t += send.max(recv);
         }
         t
     }
@@ -135,7 +171,7 @@ impl CostModel {
     pub fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
         let n = self.num_devices();
         assert!(src < n && dst < n, "rank out of range");
-        self.topology.link_params(src, dst)
+        self.tiers.link_params(src, dst)
     }
 
     /// Sets per-device speedup multipliers (builder style): device `r`'s
@@ -297,6 +333,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The ring time as a walk over every round of dense per-peer byte
+    /// tables, as `ring_seconds` computed it before it took sparse lists.
+    fn dense_ring_seconds(cm: &CostModel, rank: usize, sent: &[usize], recv: &[usize]) -> f64 {
+        let n = cm.num_devices();
+        let mut t = 0.0;
+        for round in 1..n {
+            let dst = (rank + round) % n;
+            let src = (rank + n - round) % n;
+            let send = cm.transfer_time(rank, dst, sent[dst]);
+            t += send.max(cm.transfer_time(src, rank, recv[src]));
+        }
+        t
+    }
+
+    /// A strictly ascending `(peer, bytes)` list over `0..n` drawn from
+    /// `picks`: empty, one peer, every peer, or a random subset, with zero
+    /// byte counts mixed in.
+    fn sparse_list(n: usize, shape: u8, picks: &[(u8, usize)]) -> Vec<(u32, usize)> {
+        let bytes = |q: usize| picks[q % picks.len()].1;
+        match shape {
+            0 => Vec::new(),
+            1 => {
+                let q = bytes(0) % n;
+                vec![(q as u32, bytes(q))]
+            }
+            2 => (0..n).map(|q| (q as u32, bytes(q))).collect(),
+            _ => (0..n)
+                .filter(|&q| picks[q % picks.len()].0 == 1)
+                .map(|q| (q as u32, bytes(q)))
+                .collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sparse_ring_seconds_is_the_dense_round_walk_bit_for_bit(
+            machines in 1usize..12,
+            devices in 1usize..5,
+            rack in 1usize..6,
+            oversub in 1.0f64..16.0,
+            latency in 0.0f64..1e-4,
+            rank in 0usize..64,
+            shapes in (0u8..4, 0u8..4),
+            picks in proptest::collection::vec(
+                (0u8..2, byte_counts()),
+                1..24,
+            ),
+        ) {
+            let cm = crate::Topology::new(machines, devices)
+                .machines_per_rack(rack)
+                .oversubscription(oversub)
+                .latency(latency)
+                .cost_model();
+            let n = cm.num_devices();
+            let rank = rank % n;
+            let sent = sparse_list(n, shapes.0, &picks);
+            let rotated: Vec<(u8, usize)> = picks.iter().rev().copied().collect();
+            let recv = sparse_list(n, shapes.1, &rotated);
+            let dense = |list: &[(u32, usize)]| {
+                let mut table = vec![0usize; n];
+                for &(q, b) in list {
+                    table[q as usize] = b;
+                }
+                table
+            };
+            let want = dense_ring_seconds(&cm, rank, &dense(&sent), &dense(&recv));
+            let got = cm.ring_seconds(rank, &sent, &recv);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} / {:?}", sent, recv);
+        }
+    }
+
+    /// Byte counts: zero, small, and payload-sized.
+    fn byte_counts() -> impl proptest::strategy::Strategy<Value = usize> {
+        proptest::prop_oneof![
+            proptest::strategy::Just(0usize),
+            1usize..64,
+            64usize..4_000_000
+        ]
     }
 
     #[test]

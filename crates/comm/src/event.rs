@@ -256,28 +256,17 @@ fn run_collective(
                     inboxes[dst as usize].push((rank as u32, payload));
                 }
             }
-            // Per-device unsynchronized ring time (`CostModel::ring_seconds`).
-            // The byte tables are rebuilt per rank from the sparse lists; an
-            // unlisted peer is 0 bytes, whose transfer time is the same `0.0`
-            // an empty payload's was. Uncosted runs skip the model: every
-            // round would add `0.0`.
-            let (mut send_bytes, mut recv_bytes) = (vec![0usize; n], vec![0usize; n]);
+            // Per-device unsynchronized ring time (`CostModel::ring_seconds`)
+            // over the sparse lists: what the rank sent, and what its inbox
+            // (ascending by source) received. Uncosted runs skip the model:
+            // every round would add `0.0`.
+            let mut received: Vec<(u32, usize)> = Vec::new();
             for (rank, inbox) in inboxes.into_iter().enumerate() {
                 let mut elapsed = 0.0f64;
                 if let Some(cost) = cost {
-                    for &(dst, bytes) in &sent[rank] {
-                        send_bytes[dst as usize] = bytes;
-                    }
-                    for (src, payload) in &inbox {
-                        recv_bytes[*src as usize] = payload.len();
-                    }
-                    elapsed = cost.ring_seconds(rank, &send_bytes, &recv_bytes);
-                    for &(dst, _) in &sent[rank] {
-                        send_bytes[dst as usize] = 0;
-                    }
-                    for (src, _) in &inbox {
-                        recv_bytes[*src as usize] = 0;
-                    }
+                    received.clear();
+                    received.extend(inbox.iter().map(|(src, p)| (*src, p.len())));
+                    elapsed = cost.ring_seconds(rank, &sent[rank], &received);
                 }
                 ctxs[rank].advance_to(t0 + elapsed);
                 statuses[rank] = Status::Ready(Resume::RingDone(inbox));

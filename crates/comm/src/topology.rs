@@ -163,25 +163,63 @@ impl Topology {
     /// `intra_bw`, same rack -> `inter_bw`, cross-rack -> `spine_bw`, all
     /// with the configured latency.
     pub fn cost_model(&self) -> CostModel {
-        CostModel::new(self.clone())
+        CostModel::new(self)
     }
 
-    /// The `(theta, gamma)` of the directed link `src -> dst`: `1 / bw` of
-    /// the pair's tier (same machine, then same rack, then spine) and the
-    /// latency, or `(0.0, 0.0)` on the diagonal. Ranks are not range-checked.
+    /// The three tiers of this topology, each priced once (see [`Tiers`]).
+    pub(crate) fn tiers(&self) -> Tiers {
+        let priced = |bw: f64| (1.0 / bw, self.latency);
+        Tiers {
+            devices: self.num_devices(),
+            devices_per_machine: self.devices_per_machine,
+            // `rank / dpm / mpr == rank / (dpm * mpr)`; a product past
+            // `usize::MAX` means one rack, which the saturated divisor
+            // gives too.
+            devices_per_rack: self
+                .devices_per_machine
+                .saturating_mul(self.machines_per_rack),
+            params: [
+                priced(self.intra_bw),
+                priced(self.inter_bw),
+                priced(self.spine_bw),
+            ],
+        }
+    }
+}
+
+/// A [`Topology`]'s links as the cost model reads them: each tier's
+/// `(theta, gamma)` — `1 / bw` and the latency — computed once, and the
+/// two group sizes that find a pair's tier.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tiers {
+    devices: usize,
+    devices_per_machine: usize,
+    devices_per_rack: usize,
+    /// Same machine, same rack, across the spine.
+    params: [(f64, f64); 3],
+}
+
+impl Tiers {
+    /// Total device count.
+    pub(crate) fn num_devices(&self) -> usize {
+        self.devices
+    }
+
+    /// The `(theta, gamma)` of the directed link `src -> dst`: its tier's
+    /// (same machine, then same rack, then spine), or `(0.0, 0.0)` on the
+    /// diagonal. Ranks are not range-checked.
     pub(crate) fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
         if src == dst {
             return (0.0, 0.0);
         }
-        let machine_of = |rank: usize| rank / self.devices_per_machine;
-        let bw = if machine_of(src) == machine_of(dst) {
-            self.intra_bw
-        } else if self.rack_of(src) == self.rack_of(dst) {
-            self.inter_bw
+        let tier = if src / self.devices_per_machine == dst / self.devices_per_machine {
+            0
+        } else if src / self.devices_per_rack == dst / self.devices_per_rack {
+            1
         } else {
-            self.spine_bw
+            2
         };
-        (1.0 / bw, self.latency)
+        self.params[tier]
     }
 }
 

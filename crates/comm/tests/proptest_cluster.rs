@@ -108,7 +108,7 @@ proptest! {
             dev.ring_exchange(sends).await
         })
         .expect("sparse ring runs");
-        for me in 0..n {
+        for (me, row) in lens.iter().enumerate() {
             let want: Vec<(u32, Bytes)> = dense.outputs[me]
                 .iter()
                 .enumerate()
@@ -128,11 +128,16 @@ proptest! {
                 "rank {} clock", me
             );
             // Every rank entered at 0, so its clock is the ring-time model
-            // applied to the byte tables the scheduler rebuilt.
-            let recv: Vec<usize> = lens.iter().map(|row| row[me]).collect();
+            // applied to the rank's sparse lists: what it sent, and what it
+            // was delivered.
+            let sent: Vec<(u32, usize)> = (0..n)
+                .filter(|&d| row[d] > 0)
+                .map(|d| (d as u32, row[d]))
+                .collect();
+            let recv: Vec<(u32, usize)> = want.iter().map(|(s, p)| (*s, p.len())).collect();
             prop_assert_eq!(
                 sparse.clocks[me].to_bits(),
-                cost.ring_seconds(me, &lens[me], &recv).to_bits(),
+                cost.ring_seconds(me, &sent, &recv).to_bits(),
                 "rank {} clock against CostModel::ring_seconds", me
             );
         }

@@ -14,6 +14,8 @@
 
 use crate::config::TrainingConfig;
 use crate::decompose::DevicePartition;
+use crate::exchange::Direction;
+use crate::peers::PeerTable;
 use bytes::Bytes;
 use comm::timing::HostSeconds;
 use comm::{AsyncDevice, CostModel};
@@ -32,29 +34,59 @@ pub enum AssignMode {
     UniformRandom,
 }
 
-/// Per-device bit-width assignment for every layer and direction.
+/// Per-device bit-width assignment for every layer and direction, held for
+/// the device's listed peers only ([`crate::peers`]).
 ///
 /// Both tables cover the messages this device *sends*. The receiver needs
 /// no copy: every row of the wire carries its own width (`quant::codec`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WidthAssignment {
-    /// `fwd[layer][dst]`, aligned with `part.send_sets[dst]`.
-    pub fwd: Vec<Vec<Vec<BitWidth>>>,
-    /// `bwd[layer][peer]`, aligned with `part.recv_slots[peer]`.
-    pub bwd: Vec<Vec<Vec<BitWidth>>>,
+    /// Forward widths, laid out by `part.send_peers`.
+    fwd: PeerTable<BitWidth>,
+    /// Backward widths, laid out by `part.recv_peers`.
+    bwd: PeerTable<BitWidth>,
 }
 
 impl WidthAssignment {
     /// All messages at one fixed width (the "naive message quantization" of
     /// Sec. 3.2 and the starting state before the first solve).
     pub fn fixed(part: &DevicePartition, num_layers: usize, width: BitWidth) -> Self {
-        let table = |sets: &[Vec<u32>]| -> Vec<Vec<Vec<BitWidth>>> {
-            let per_peer = || sets.iter().map(|s| vec![width; s.len()]).collect();
-            (0..num_layers).map(|_| per_peer()).collect()
-        };
         Self {
-            fwd: table(&part.send_sets),
-            bwd: table(&part.recv_slots),
+            fwd: PeerTable::filled(&part.send_peers, num_layers, width),
+            bwd: PeerTable::filled(&part.recv_peers, num_layers, width),
+        }
+    }
+
+    /// Number of layers.
+    pub fn num_layers(&self) -> usize {
+        self.fwd.num_layers()
+    }
+
+    /// Widths of the forward messages to peer `q` at `layer`, aligned with
+    /// `part.send_sets[q]`: empty for a peer that is not listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    pub fn fwd(&self, layer: usize, q: usize) -> &[BitWidth] {
+        self.fwd.get(layer, q)
+    }
+
+    /// Widths of the backward messages to peer `q` at `layer`, aligned with
+    /// `part.recv_slots[q]`: empty for a peer that is not listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    pub fn bwd(&self, layer: usize, q: usize) -> &[BitWidth] {
+        self.bwd.get(layer, q)
+    }
+
+    /// The table of the messages sent in direction `dir`.
+    pub fn table(&self, dir: Direction) -> &PeerTable<BitWidth> {
+        match dir {
+            Direction::Forward => &self.fwd,
+            Direction::Backward => &self.bwd,
         }
     }
 
@@ -62,38 +94,27 @@ impl WidthAssignment {
     /// `(num_2bit, num_4bit, num_8bit)`.
     pub fn histogram(&self) -> (usize, usize, usize) {
         let mut h = (0usize, 0usize, 0usize);
-        let count = |h: &mut (usize, usize, usize), w: BitWidth| match w {
-            BitWidth::B2 => h.0 += 1,
-            BitWidth::B4 => h.1 += 1,
-            BitWidth::B8 => h.2 += 1,
-        };
-        for layer in self.fwd.iter().chain(&self.bwd) {
-            for peer in layer {
-                for &w in peer {
-                    count(&mut h, w);
-                }
+        for &w in self.fwd.values().chain(self.bwd.values()) {
+            match w {
+                BitWidth::B2 => h.0 += 1,
+                BitWidth::B4 => h.1 += 1,
+                BitWidth::B8 => h.2 += 1,
             }
         }
         h
     }
 }
 
-/// Value-range traces for one direction of one layer.
-#[derive(Debug, Clone)]
-pub struct LayerDirTrace {
-    /// Message dimension for this layer/direction.
-    pub dim: usize,
-    /// `ranges[peer][k]`: last observed `max - min` of message `k`.
-    pub ranges: Vec<Vec<f32>>,
-}
-
-/// All traced data on one device.
+/// All traced data on one device: the last observed `max - min` of every
+/// message it sends, for its listed peers only.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    /// Forward traces per layer (message dim = the layer's input dim).
-    pub fwd: Vec<LayerDirTrace>,
-    /// Backward traces per layer (embedding-gradient messages).
-    pub bwd: Vec<LayerDirTrace>,
+    /// Message dimension per layer, shared by both directions.
+    dims: Vec<usize>,
+    /// Forward ranges, laid out by `part.send_peers`.
+    fwd: PeerTable<f32>,
+    /// Backward (embedding-gradient) ranges, laid out by `part.recv_peers`.
+    bwd: PeerTable<f32>,
 }
 
 impl Trace {
@@ -101,26 +122,39 @@ impl Trace {
     /// feature dimension (both directions of layer `l` move vectors of that
     /// size).
     pub fn new(part: &DevicePartition, layer_in_dims: &[usize]) -> Self {
-        let mk = |sets: &[Vec<u32>], dim: usize| LayerDirTrace {
-            dim,
-            ranges: sets.iter().map(|s| vec![1.0f32; s.len()]).collect(),
-        };
+        let layers = layer_in_dims.len();
         Self {
-            fwd: layer_in_dims
-                .iter()
-                .map(|&d| mk(&part.send_sets, d))
-                .collect(),
-            bwd: layer_in_dims
-                .iter()
-                .map(|&d| mk(&part.recv_slots, d))
-                .collect(),
+            dims: layer_in_dims.to_vec(),
+            fwd: PeerTable::filled(&part.send_peers, layers, 1.0),
+            bwd: PeerTable::filled(&part.recv_peers, layers, 1.0),
+        }
+    }
+
+    /// Number of layers.
+    pub fn num_layers(&self) -> usize {
+        self.dims.len()
+    }
+
+    /// The ranges of the messages sent in direction `dir`.
+    pub fn table(&self, dir: Direction) -> &PeerTable<f32> {
+        match dir {
+            Direction::Forward => &self.fwd,
+            Direction::Backward => &self.bwd,
+        }
+    }
+
+    /// The ranges of the messages sent in direction `dir`, mutably.
+    pub fn table_mut(&mut self, dir: Direction) -> &mut PeerTable<f32> {
+        match dir {
+            Direction::Forward => &mut self.fwd,
+            Direction::Backward => &mut self.bwd,
         }
     }
 
     /// Records forward message ranges for `layer` from the current local
     /// embedding matrix.
     pub fn record_fwd(&mut self, part: &DevicePartition, layer: usize, x: &Matrix) {
-        record(&mut self.fwd[layer].ranges, &part.send_sets, |li| {
+        record(&mut self.fwd, layer, &part.send_sets, |li| {
             x.row(li as usize)
         });
     }
@@ -128,23 +162,29 @@ impl Trace {
     /// Records backward (embedding-gradient) message ranges for `layer` from
     /// the extended gradient matrix.
     pub fn record_bwd(&mut self, part: &DevicePartition, layer: usize, grad_ext: &Matrix) {
-        record(&mut self.bwd[layer].ranges, &part.recv_slots, |slot| {
+        record(&mut self.bwd, layer, &part.recv_slots, |slot| {
             grad_ext.row(part.num_local() + slot as usize)
         });
     }
 }
 
-/// Overwrites `ranges[peer][k]` with the value range of message `k`'s row.
+/// Overwrites `layer` of `table` with the value range of each listed
+/// peer's message rows, `sets[q]` naming peer `q`'s rows.
 ///
 /// A row holding ±Inf (or spanning more than `f32::MAX`) has no finite
 /// range; it records as the largest finite range of this trace (0 if there
 /// is none), so the message is treated as the most sensitive one seen
 /// instead of poisoning every `beta` sum it would meet at the master.
-fn record<'m>(ranges: &mut [Vec<f32>], sets: &[Vec<u32>], row_of: impl Fn(u32) -> &'m [f32]) {
+fn record<'m>(
+    table: &mut PeerTable<f32>,
+    layer: usize,
+    sets: &[Vec<u32>],
+    row_of: impl Fn(u32) -> &'m [f32],
+) {
     let mut widest = 0.0f32;
     let mut all_finite = true;
-    for (per_peer, set) in ranges.iter_mut().zip(sets) {
-        for (range, &row) in per_peer.iter_mut().zip(set) {
+    for (q, ranges) in table.peers_mut(layer) {
+        for (range, &row) in ranges.iter_mut().zip(&sets[q]) {
             *range = row_range(row_of(row));
             if range.is_finite() {
                 widest = widest.max(*range);
@@ -154,7 +194,7 @@ fn record<'m>(ranges: &mut [Vec<f32>], sets: &[Vec<u32>], row_of: impl Fn(u32) -
         }
     }
     if !all_finite {
-        for range in ranges.iter_mut().flatten() {
+        for range in table.layer_mut(layer) {
             if !range.is_finite() {
                 *range = widest;
             }
@@ -294,11 +334,11 @@ pub async fn reassign(
             // for its outgoing messages. (Group structure mirrors the
             // adaptive path so the comparison isolates the *choice* of
             // widths, as in Sec. 5.3.)
-            let num_layers = trace.fwd.len();
+            let num_layers = trace.num_layers();
             *assignment = WidthAssignment::fixed(part, num_layers, BitWidth::B8);
             for l in 0..num_layers {
-                sample_uniform(&mut assignment.fwd[l], cfg.group_size, rng);
-                sample_uniform(&mut assignment.bwd[l], cfg.group_size, rng);
+                sample_uniform(&mut assignment.fwd, l, cfg.group_size, rng);
+                sample_uniform(&mut assignment.bwd, l, cfg.group_size, rng);
             }
             Ok(SolveStats::default())
         }
@@ -306,17 +346,12 @@ pub async fn reassign(
     }
 }
 
-fn sample_uniform(per_peer: &mut [Vec<BitWidth>], group_size: usize, rng: &mut Rng) {
-    let gs = group_size.max(1);
-    for widths in per_peer.iter_mut() {
-        let len = widths.len();
-        let mut k = 0;
-        while k < len {
-            let w = BitWidth::ALL[rng.below(3)];
-            for slot in &mut widths[k..(k + gs).min(len)] {
-                *slot = w;
-            }
-            k += gs;
+/// Draws one width per group of `group_size` consecutive messages of each
+/// listed peer at `layer`, peers ascending.
+fn sample_uniform(table: &mut PeerTable<BitWidth>, layer: usize, group_size: usize, rng: &mut Rng) {
+    for (_, widths) in table.peers_mut(layer) {
+        for group in widths.chunks_mut(group_size.max(1)) {
+            group.fill(BitWidth::ALL[rng.below(3)]);
         }
     }
 }
@@ -502,38 +537,30 @@ impl<'a> Reader<'a> {
 /// accumulated with unit coefficient (the aggregation weights were already
 /// applied by `A^T` on the sender), so backward messages use `alpha_sq = 1`.
 pub fn encode_trace(send_alpha_sq: &[Vec<f64>], trace: &Trace) -> Vec<u8> {
-    let section_len = |t: &LayerDirTrace| -> usize {
-        let listed = t.ranges.iter().filter(|r| !r.is_empty());
-        4 + listed.map(|r| 8 + 8 * r.len()).sum::<usize>()
-    };
-    let len = 4 + trace
-        .fwd
-        .iter()
-        .zip(&trace.bwd)
-        .map(|(f, b)| 4 + section_len(f) + section_len(b))
-        .sum::<usize>();
+    let section_len =
+        |t: &PeerTable<f32>| -> usize { 4 + 8 * t.layout().len() + 8 * t.layout().num_messages() };
+    let layers = trace.num_layers();
+    let len = 4 + layers * (4 + section_len(&trace.fwd) + section_len(&trace.bwd));
     let mut out = Vec::with_capacity(len);
-    put_u32(&mut out, trace.fwd.len());
-    for t in &trace.fwd {
-        put_u32(&mut out, t.dim);
+    put_u32(&mut out, layers);
+    for &dim in &trace.dims {
+        put_u32(&mut out, dim);
     }
-    let mut put_section = |t: &LayerDirTrace, alpha_sq: Option<&[Vec<f64>]>| {
-        put_u32(&mut out, t.ranges.iter().filter(|r| !r.is_empty()).count());
-        for (q, ranges) in t.ranges.iter().enumerate() {
-            if ranges.is_empty() {
-                continue;
-            }
+    let mut put_section = |t: &PeerTable<f32>, l: usize, alpha_sq: Option<&[Vec<f64>]>| {
+        let dim = trace.dims[l];
+        put_u32(&mut out, t.layout().len());
+        for (q, ranges) in t.peers(l) {
             put_u32(&mut out, q);
             put_u32(&mut out, ranges.len());
             for (k, &range) in ranges.iter().enumerate() {
                 let a = alpha_sq.map_or(1.0, |a| a[q][k]);
-                out.extend_from_slice(&quant::variance::beta(a, t.dim, range).to_le_bytes());
+                out.extend_from_slice(&quant::variance::beta(a, dim, range).to_le_bytes());
             }
         }
     };
-    for (fwd, bwd) in trace.fwd.iter().zip(&trace.bwd) {
-        put_section(fwd, Some(send_alpha_sq));
-        put_section(bwd, None);
+    for l in 0..layers {
+        put_section(&trace.fwd, l, Some(send_alpha_sq));
+        put_section(&trace.bwd, l, None);
     }
     out
 }
@@ -785,32 +812,29 @@ impl WidthAssignment {
             return Err(WireError::Truncated);
         }
         let mut tables = [&mut self.fwd, &mut self.bwd];
-        if tables.iter().any(|t| t.len() != layers as usize) {
+        if tables.iter().any(|t| t.num_layers() != layers as usize) {
             return Err(WireError::Layers(layers));
         }
-        // Refuses a reply that leaves out a peer in `from..to` with messages.
-        let skipped = |per_peer: &[Vec<BitWidth>], from: usize, to: usize| {
-            let unlisted = per_peer.get(from..to).unwrap_or_default();
-            unlisted
-                .iter()
-                .position(|t| !t.is_empty())
-                .map_or(Ok(()), |q| Err(WireError::Count((from + q) as u32)))
-        };
         for l in 0..layers as usize {
             for table in &mut tables {
-                let per_peer = &mut table[l];
-                let (mut prev, mut next) = (None, 0);
+                // The listed peers not yet matched, ascending: the reply
+                // must name each, in order, with its message count.
+                let mut listed = table.peers_mut(l).peekable();
+                let mut prev = None;
                 for _ in 0..r.u32()? {
                     let (peer, count) = r.peer(n, &mut prev)?;
                     let bytes = r.items(count, 1)?;
-                    skipped(per_peer, next, peer as usize)?;
-                    next = peer as usize + 1;
-                    match per_peer.get_mut(peer as usize) {
-                        Some(t) if t.len() == bytes.len() => entry(t, bytes)?,
+                    if let Some((skipped, _)) = listed.next_if(|(q, _)| *q < peer as usize) {
+                        return Err(WireError::Count(skipped as u32));
+                    }
+                    match listed.next_if(|(q, _)| *q == peer as usize) {
+                        Some((_, t)) if t.len() == bytes.len() => entry(t, bytes)?,
                         _ => return Err(WireError::Count(peer)),
                     }
                 }
-                skipped(per_peer, next, per_peer.len())?;
+                if let Some((skipped, _)) = listed.next() {
+                    return Err(WireError::Count(skipped as u32));
+                }
             }
         }
         r.finish()
@@ -820,6 +844,7 @@ impl WidthAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peers::PeerLayout;
     use gnn::ConvKind;
     use graph::DatasetSpec;
     use proptest::prelude::*;
@@ -835,12 +860,12 @@ mod tests {
     fn fixed_assignment_shapes() {
         let parts = setup(3);
         let a = WidthAssignment::fixed(&parts[1], 3, BitWidth::B4);
-        assert_eq!(a.fwd.len(), 3);
+        assert_eq!(a.num_layers(), 3);
         for (q, s) in parts[1].send_sets.iter().enumerate() {
-            assert_eq!(a.fwd[0][q].len(), s.len());
+            assert_eq!(a.fwd(0, q).len(), s.len());
         }
         for (q, s) in parts[1].recv_slots.iter().enumerate() {
-            assert_eq!(a.bwd[2][q].len(), s.len());
+            assert_eq!(a.bwd(2, q).len(), s.len());
         }
         let (h2, h4, h8) = a.histogram();
         assert_eq!(h2, 0);
@@ -857,7 +882,7 @@ mod tests {
         trace.record_fwd(part, 0, &x);
         // Every message row has range 3.0 (j spans 0..4).
         for q in 0..2 {
-            for &r in &trace.fwd[0].ranges[q] {
+            for &r in trace.fwd.get(0, q) {
                 assert!((r - 3.0).abs() < 1e-5);
             }
         }
@@ -943,9 +968,9 @@ mod tests {
         // instead call the sampler directly.
         let mut rng = Rng::seed_from(33);
         let mut a = WidthAssignment::fixed(part, 2, BitWidth::B8);
-        sample_uniform(&mut a.fwd[0], cfg.group_size, &mut rng);
+        sample_uniform(&mut a.fwd, 0, cfg.group_size, &mut rng);
         // Each group of 4 consecutive messages shares a width.
-        for per_peer in &a.fwd[0] {
+        for (_, per_peer) in a.fwd.peers(0) {
             for chunk in per_peer.chunks(4) {
                 assert!(chunk.iter().all(|&w| w == chunk[0]));
             }
@@ -961,11 +986,7 @@ mod tests {
                 .iter()
                 .map(|part| {
                     let mut trace = Trace::new(part, &[16]);
-                    trace.fwd[0]
-                        .ranges
-                        .iter_mut()
-                        .flatten()
-                        .for_each(|r| *r = range);
+                    trace.fwd.layer_mut(0).fill(range);
                     encode_trace(&part.send_alpha_sq, &trace)
                 })
                 .collect();
@@ -995,26 +1016,23 @@ mod tests {
         fill(&mut x, boundary[2], f32::NEG_INFINITY);
         let mut trace = Trace::new(part, &[4]);
         trace.record_fwd(part, 0, &x);
-        let widest = clean.fwd[0]
-            .ranges
-            .iter()
-            .flatten()
-            .fold(0.0f32, |m, &r| m.max(r));
+        let widest = clean.fwd.layer(0).iter().fold(0.0f32, |m, &r| m.max(r));
         for (q, set) in part.send_sets.iter().enumerate() {
             for (k, row) in set.iter().enumerate() {
-                let got = trace.fwd[0].ranges[q][k];
+                let got = trace.fwd.get(0, q)[k];
                 if *row == boundary[0] || *row == boundary[2] {
                     assert_eq!(got, widest, "row {row} holds an infinity");
                 } else if *row != boundary[1] {
-                    assert_eq!(got.to_bits(), clean.fwd[0].ranges[q][k].to_bits());
+                    assert_eq!(got.to_bits(), clean.fwd.get(0, q)[k].to_bits());
                 }
                 assert!(got.is_finite());
             }
         }
         // Nothing finite to borrow from: the range falls back to zero.
-        let mut lone = vec![vec![7.0f32]];
-        record(&mut lone, &[vec![0]], |_| &[f32::INFINITY, 0.0]);
-        assert_eq!(lone, [[0.0]]);
+        let sets = [vec![0]];
+        let mut lone = PeerTable::filled(&PeerLayout::of(&sets), 1, 7.0f32);
+        record(&mut lone, 0, &sets, |_| &[f32::INFINITY, 0.0]);
+        assert_eq!(lone.layer(0), [0.0]);
     }
 
     /// `n` devices' traces over arbitrary sparse shapes (peers with no
@@ -1037,26 +1055,19 @@ mod tests {
         (0..n)
             .map(|_| {
                 let (sends, recvs) = (per_peer(rng), per_peer(rng));
-                let mut ranges = |lens: &[usize]| -> Vec<Vec<f32>> {
-                    lens.iter()
-                        .map(|&len| (0..len).map(|_| rng.uniform(0.0, 3.0)).collect())
-                        .collect()
+                // Ranges drawn per layer, peer and message, forward then
+                // backward.
+                let mut ranges = |lens: &[usize]| {
+                    let sets: Vec<Vec<()>> = lens.iter().map(|&len| vec![(); len]).collect();
+                    let mut table = PeerTable::filled(&PeerLayout::of(&sets), layers, 0.0);
+                    table.values_mut().for_each(|r| *r = rng.uniform(0.0, 3.0));
+                    table
                 };
+                let (fwd, bwd) = (ranges(&sends), ranges(&recvs));
                 let trace = Trace {
-                    fwd: dims
-                        .iter()
-                        .map(|&dim| LayerDirTrace {
-                            dim,
-                            ranges: ranges(&sends),
-                        })
-                        .collect(),
-                    bwd: dims
-                        .iter()
-                        .map(|&dim| LayerDirTrace {
-                            dim,
-                            ranges: ranges(&recvs),
-                        })
-                        .collect(),
+                    dims: dims.clone(),
+                    fwd,
+                    bwd,
                 };
                 let alpha = sends
                     .iter()
@@ -1090,16 +1101,8 @@ mod tests {
     /// if its partition had produced `traces`: what it sends is its own
     /// trace.
     fn shaped_like(traces: &[Trace], rank: usize) -> WidthAssignment {
-        let table = |of: &[LayerDirTrace]| {
-            of.iter()
-                .map(|t| {
-                    t.ranges
-                        .iter()
-                        .map(|r| vec![BitWidth::B4; r.len()])
-                        .collect()
-                })
-                .collect()
-        };
+        let table =
+            |of: &PeerTable<f32>| PeerTable::filled(of.layout(), of.num_layers(), BitWidth::B4);
         WidthAssignment {
             fwd: table(&traces[rank].fwd),
             bwd: table(&traces[rank].bwd),
@@ -1154,19 +1157,16 @@ mod tests {
             for section in 0..2 * layers {
                 prop_assert_eq!(table.section_start[section], p);
                 for src in 0..n {
-                    let t = if section % 2 == 0 {
-                        &traces[src].fwd[section / 2]
-                    } else {
-                        &traces[src].bwd[section / 2]
-                    };
-                    for (dst, ranges) in t.ranges.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+                    let (layer, dim) = (section / 2, traces[src].dims[section / 2]);
+                    let t = if section % 2 == 0 { &traces[src].fwd } else { &traces[src].bwd };
+                    for (dst, ranges) in t.peers(layer) {
                         prop_assert_eq!(table.ends[p], (src as u32, dst as u32));
                         let want: Vec<u64> = ranges
                             .iter()
                             .enumerate()
                             .map(|(k, &r)| {
                                 let a = if section % 2 == 0 { alphas[src][dst][k] } else { 1.0 };
-                                quant::variance::beta(a, t.dim, r).to_bits()
+                                quant::variance::beta(a, dim, r).to_bits()
                             })
                             .collect();
                         let got: Vec<u64> = table.betas_of(p).iter().map(|b| b.to_bits()).collect();
@@ -1203,22 +1203,21 @@ mod tests {
                         .map(|&b| BitWidth::from_bits(u32::from(b)).expect("2, 4 or 8"))
                         .collect();
                     let sent = if section % 2 == 0 {
-                        &decoded[src].fwd
+                        decoded[src].fwd(layer, dst)
                     } else {
-                        &decoded[src].bwd
+                        decoded[src].bwd(layer, dst)
                     };
-                    prop_assert_eq!(&sent[layer][dst], &want);
+                    prop_assert_eq!(sent, &want[..]);
                     listed += 1;
                 }
             }
             // Nothing beyond the pairs: every other peer keeps an empty table.
             let non_empty: usize = decoded
                 .iter()
-                .flat_map(|a| [&a.fwd, &a.bwd])
-                .inspect(|t| assert_eq!(t.len(), layers))
-                .flatten()
-                .inspect(|per_peer| assert_eq!(per_peer.len(), n))
-                .flatten()
+                .inspect(|a| assert_eq!(a.num_layers(), layers))
+                .flat_map(|a| (0..layers).flat_map(move |l| {
+                    (0..n).flat_map(move |q| [a.fwd(l, q), a.bwd(l, q)])
+                }))
                 .filter(|w| !w.is_empty())
                 .count();
             prop_assert_eq!(non_empty, listed);
@@ -1609,11 +1608,11 @@ mod tests {
             assert!(solve.objective_sum.is_finite());
             // Shapes line up with the partition.
             for (q, s) in parts[rank].send_sets.iter().enumerate() {
-                assert_eq!(assign.fwd[0][q].len(), s.len(), "rank {rank} -> {q}");
-                assert_eq!(assign.fwd[1][q].len(), s.len());
+                assert_eq!(assign.fwd(0, q).len(), s.len(), "rank {rank} -> {q}");
+                assert_eq!(assign.fwd(1, q).len(), s.len());
             }
             for (q, s) in parts[rank].recv_slots.iter().enumerate() {
-                assert_eq!(assign.bwd[0][q].len(), s.len());
+                assert_eq!(assign.bwd(0, q).len(), s.len());
             }
             // Assignment uses at least one real width.
             let (h2, h4, h8) = assign.histogram();

@@ -1,6 +1,7 @@
 //! Partition decomposition: per-device local graphs, halo structure,
 //! send/receive sets and the central/marginal split (Sec. 3.1).
 
+use crate::peers::PeerLayout;
 use gnn::{AggGraph, AggGraphBuilder, ConvKind};
 use graph::{CsrGraph, Dataset, Labels, Partition};
 use tensor::Matrix;
@@ -57,6 +58,12 @@ pub struct DevicePartition {
     /// `recv_slots[q]`: halo indices the rows received from `q` land in,
     /// aligned with `q`'s `send_sets[rank]` order.
     pub recv_slots: Vec<Vec<u32>>,
+    /// The peers `send_sets` lists messages for ([`PeerLayout::of`]):
+    /// forward sends and backward receives go to and from these only.
+    pub send_peers: PeerLayout,
+    /// The peers `recv_slots` lists messages from: forward receives and
+    /// backward sends.
+    pub recv_peers: PeerLayout,
     /// `send_alpha_sq[q][k]`: the receiver-side sum of squared aggregation
     /// coefficients applied to message `send_sets[q][k]` — the
     /// `sum_{v in N_T(k)} alpha_{k,v}^2` factor of `beta_k` (Sec. 4.2).
@@ -103,7 +110,7 @@ impl DevicePartition {
 
     /// Total messages sent per layer (sum of send-set sizes).
     pub fn messages_per_layer(&self) -> usize {
-        self.send_sets.iter().map(Vec::len).sum()
+        self.send_peers.num_messages()
     }
 
     /// Builds the `rows x dim` message matrix for destination `q` from the
@@ -312,6 +319,8 @@ pub fn build_partitions(
             num_parts: k,
             local_nodes,
             halo_nodes: halo,
+            send_peers: PeerLayout::of(&send_sets),
+            recv_peers: PeerLayout::of(&recv_slots),
             send_sets,
             recv_slots,
             send_alpha_sq,

@@ -22,6 +22,7 @@ use comm::timing::{measure, HostSeconds};
 use comm::{AsyncDevice, CostModel, DeviceHandle};
 use quant::{decode_rows, encode_rows_into, predicted_wire_len, BitWidth, DecodeError};
 use std::borrow::BorrowMut;
+use std::ops::Range;
 use tensor::{Matrix, Rng};
 
 /// Consecutive payloads of one exchange share buffers of at most this many
@@ -69,10 +70,10 @@ pub const DECODE_OPS_PER_ELEMENT: f64 = 4.0;
 /// Byte and kernel accounting for one exchange.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExchangeStats {
-    /// Bytes sent to each destination rank.
-    pub sent_bytes: Vec<usize>,
-    /// Bytes received from each source rank.
-    pub recv_bytes: Vec<usize>,
+    /// `(peer, bytes)` of every payload sent, ascending by peer.
+    pub sent_bytes: Vec<(u32, usize)>,
+    /// `(peer, bytes)` of every payload received, ascending by peer.
+    pub recv_bytes: Vec<(u32, usize)>,
     /// Measured CPU seconds in quantize/de-quantize kernels (diagnostic; the
     /// clock charges `quant_ops`, so the simulation is immune to host load).
     pub quant_cpu_seconds: HostSeconds,
@@ -85,17 +86,9 @@ pub struct ExchangeStats {
 }
 
 impl ExchangeStats {
-    fn new(n: usize) -> Self {
-        Self {
-            sent_bytes: vec![0; n],
-            recv_bytes: vec![0; n],
-            ..Self::default()
-        }
-    }
-
     /// Total bytes sent.
     pub fn total_sent(&self) -> usize {
-        self.sent_bytes.iter().sum()
+        self.sent_bytes.iter().map(|&(_, bytes)| bytes).sum()
     }
 
     /// Simulated communication seconds for this device under the
@@ -103,37 +96,25 @@ impl ExchangeStats {
     pub fn ring_seconds(&self, cost: &CostModel, rank: usize) -> f64 {
         cost.ring_seconds(rank, &self.sent_bytes, &self.recv_bytes)
     }
+}
 
-    /// Simulated communication seconds under SANCUS's sequential-broadcast
-    /// schedule: devices take turns, and a broadcasting device pushes a
-    /// separate unicast copy to every peer through its single NIC, so each
-    /// turn costs the *sum* of its point-to-point transfers. Peers observe a
-    /// broadcaster's full turn (they wait for the round to finish), which
-    /// each rank reconstructs from the bytes it received (a broadcast sends
-    /// the same payload to every destination).
-    pub fn sequential_seconds(&self, cost: &CostModel, rank: usize) -> f64 {
-        let n = cost.num_devices();
-        let mut total = 0.0;
-        for turn in 0..n {
-            let mut t: f64 = 0.0;
-            if turn == rank {
-                for (dst, &b) in self.sent_bytes.iter().enumerate() {
-                    if dst != rank {
-                        t += cost.transfer_time(rank, dst, b);
-                    }
-                }
-            } else {
-                let b = self.recv_bytes[turn];
-                for dst in 0..n {
-                    if dst != turn {
-                        t += cost.transfer_time(turn, dst, b);
-                    }
-                }
-            }
-            total += t;
+/// Simulated communication seconds under SANCUS's sequential-broadcast
+/// schedule: devices take turns, and a broadcasting device pushes a
+/// separate unicast copy to every peer through its single NIC, so each
+/// turn costs the *sum* of its point-to-point transfers. Every device waits
+/// for every turn. `turns` lists `(broadcaster, bytes to every other
+/// device)` of the turns taken, ascending; a skipped turn costs nothing.
+pub fn sequential_seconds(cost: &CostModel, turns: &[(usize, usize)]) -> f64 {
+    let n = cost.num_devices();
+    let mut total = 0.0;
+    for &(turn, bytes) in turns {
+        let mut t: f64 = 0.0;
+        for dst in (0..n).filter(|&dst| dst != turn) {
+            t += cost.transfer_time(turn, dst, bytes);
         }
-        total
+        total += t;
     }
+    total
 }
 
 /// Writes `row` into `dst` (four bytes per element) as little-endian `f32`s.
@@ -194,8 +175,9 @@ pub enum Direction {
     Backward,
 }
 
-/// How messages are encoded on the wire. Width tables are per peer:
-/// `widths[q]` has one entry per row sent to `q`.
+/// How messages are encoded on the wire. Tables cover the listed peers of
+/// the exchange's direction only ([`DevicePartition::send_peers`] forward,
+/// [`DevicePartition::recv_peers`] backward), ascending.
 #[derive(Debug)]
 pub enum Wire<'a> {
     /// Little-endian `f32` rows, no codec: the bytes of [`matrix_to_bytes`]
@@ -203,36 +185,37 @@ pub enum Wire<'a> {
     Fp32,
     /// Row-major quantized blocks. Charges encode and decode to
     /// `quant_ops` and fills `encode_stats`. `residuals` (one matrix per
-    /// peer, aligned with the rows sent) turn on error feedback (Wu et al.
+    /// listed peer, aligned with the rows sent) turn on error feedback (Wu et al.
     /// 2018, beyond the paper): last round's quantization error joins each
     /// message before quantizing and the new error — message minus what the
     /// receiver decodes, a self-decode charged to `quant_ops` — is stored.
     Rows {
-        /// Widths of the rows sent to each peer.
-        widths: &'a [Vec<BitWidth>],
-        /// Error-feedback residuals per peer, updated in place.
-        residuals: Option<&'a mut Vec<Matrix>>,
+        /// Widths of the rows sent, one flat arena laid out by the
+        /// direction's listed peers.
+        widths: &'a [BitWidth],
+        /// Error-feedback residuals per listed peer, updated in place.
+        residuals: Option<&'a mut [Matrix]>,
     },
 }
 
 impl Wire<'_> {
-    /// Wire bytes of the `rows`-row payload for peer `q`, known before a row
-    /// is encoded.
-    fn payload_len(&self, q: usize, rows: usize, dim: usize) -> usize {
+    /// Wire bytes of the `rows`-row payload whose widths are `span` of the
+    /// arena, known before a row is encoded.
+    fn payload_len(&self, span: Range<usize>, rows: usize, dim: usize) -> usize {
         match self {
             Wire::Fp32 => rows * dim * 4,
-            Wire::Rows { widths, .. } => predicted_wire_len(dim, &widths[q]),
+            Wire::Rows { widths, .. } => predicted_wire_len(dim, &widths[span]),
         }
     }
 
-    /// Writes the payload for peer `q` — rows `offset + idx[k]` of `src`,
-    /// encoded — into `span`, which is [`Wire::payload_len`] long.
+    /// Writes the payload for listed peer `at` — rows `offset + idx[k]` of
+    /// `src`, encoded — into `out`, which is [`Wire::payload_len`] long.
     fn encode_into(
         &mut self,
-        span: &mut [u8],
+        out: &mut [u8],
         src: &Matrix,
         (offset, idx): (usize, &[u32]),
-        q: usize,
+        at: &Payload,
         rng: &mut Rng,
         stats: &mut ExchangeStats,
     ) {
@@ -242,15 +225,16 @@ impl Wire<'_> {
         match self {
             Wire::Fp32 => {
                 // `max(1)`: zero-width rows make an empty payload, not a zero chunk size.
-                for (k, out) in span.chunks_exact_mut((dim * 4).max(1)).enumerate() {
-                    write_row_le(out, row_of(k));
+                for (k, row) in out.chunks_exact_mut((dim * 4).max(1)).enumerate() {
+                    write_row_le(row, row_of(k));
                 }
             }
             Wire::Rows {
                 widths,
                 residuals: None,
             } => {
-                let enc = encode_rows_into(span, row_of, rows, dim, &widths[q], rng);
+                let widths = &widths[at.span.clone()];
+                let enc = encode_rows_into(out, row_of, rows, dim, widths, rng);
                 stats.quant_ops += encode_ops;
                 stats.encode_stats.merge(&enc);
             }
@@ -260,20 +244,21 @@ impl Wire<'_> {
             } => {
                 let rows_at: Vec<usize> = idx.iter().map(|&i| offset + i as usize).collect();
                 let mut msgs = src.gather_rows(&rows_at);
-                msgs.add_assign(&res[q]);
-                let enc = encode_rows_into(span, |k| msgs.row(k), rows, dim, &widths[q], rng);
+                msgs.add_assign(&res[at.listed]);
+                let widths = &widths[at.span.clone()];
+                let enc = encode_rows_into(out, |k| msgs.row(k), rows, dim, widths, rng);
                 stats.quant_ops += encode_ops;
                 stats.encode_stats.merge(&enc);
                 // The new residual: message minus what the receiver decodes.
                 #[expect(clippy::expect_used, reason = "decodes the block encoded above")]
-                decode_rows(span, rows, dim, |k, row| {
+                decode_rows(out, rows, dim, |k, row| {
                     for (m, d) in msgs.row_mut(k).iter_mut().zip(row) {
                         *m -= d;
                     }
                 })
                 .expect("own block decodes");
                 stats.quant_ops += msgs.len() as f64 * (DECODE_OPS_PER_ELEMENT + 2.0);
-                res[q] = msgs;
+                res[at.listed] = msgs;
             }
         }
     }
@@ -371,9 +356,21 @@ pub async fn halo_exchange_with<D: BorrowMut<Matrix>>(
     land(part, (dir, dim), received, make_dst, &wire, stats)
 }
 
-/// The half of an exchange before the ring: sizes every payload, then
-/// encodes consecutive payloads into shared buffers and returns views of
-/// them, with the stats so far. Peers with no rows are not listed.
+/// One payload of an exchange: for whom, where its widths and residual
+/// sit, and how long it is.
+struct Payload {
+    /// Position of the peer among the direction's listed peers.
+    listed: usize,
+    peer: usize,
+    /// The peer's span of the direction's arenas.
+    span: Range<usize>,
+    bytes: usize,
+}
+
+/// The half of an exchange before the ring: sizes the payload of every
+/// listed peer, then encodes consecutive payloads into shared buffers and
+/// returns views of them, with the stats so far. Empty payloads are left
+/// out.
 fn post(
     part: &DevicePartition,
     dir: Direction,
@@ -382,48 +379,66 @@ fn post(
     wire: &mut Wire<'_>,
     rng: &mut Rng,
 ) -> (Vec<(u32, Bytes)>, ExchangeStats) {
-    let n = part.num_parts;
-    let (offset, src_rows, send_idx) = match dir {
-        Direction::Forward => (0, part.num_local(), &part.send_sets),
-        Direction::Backward => (part.num_local(), part.num_ext(), &part.recv_slots),
+    let (offset, src_rows, send_idx, listed) = match dir {
+        Direction::Forward => (0, part.num_local(), &part.send_sets, &part.send_peers),
+        Direction::Backward => (
+            part.num_local(),
+            part.num_ext(),
+            &part.recv_slots,
+            &part.recv_peers,
+        ),
     };
-    let mut stats = ExchangeStats::new(n);
+    let mut stats = ExchangeStats::default();
     let mut sends: Vec<(u32, Bytes)> = Vec::new();
     if let Some(src) = src {
         assert_eq!(src.shape(), (src_rows, dim), "{dir:?} src shape");
-        let lens: Vec<usize> = (0..n)
-            .map(|q| match send_idx[q].len() {
-                rows if q != part.rank && rows > 0 => wire.payload_len(q, rows, dim),
-                _ => 0,
+        if let Wire::Rows { widths, .. } = wire {
+            assert_eq!(widths.len(), listed.num_messages(), "{dir:?} width table");
+        }
+        let payloads: Vec<Payload> = listed
+            .iter()
+            .enumerate()
+            .filter(|&(_, (peer, _))| peer != part.rank)
+            .map(|(i, (peer, span))| Payload {
+                listed: i,
+                peer,
+                bytes: wire.payload_len(span.clone(), send_idx[peer].len(), dim),
+                span,
             })
+            .filter(|p| p.bytes > 0)
             .collect();
         let ((), secs) = measure(|| {
-            let mut q = 0;
-            while q < n {
-                let first = q;
+            let mut rest = payloads.as_slice();
+            while !rest.is_empty() {
                 let mut total = 0;
-                while q < n && (total == 0 || total + lens[q] <= POOL_BYTES) {
-                    total += lens[q];
-                    q += 1;
-                }
+                let fits = rest
+                    .iter()
+                    .take_while(|p| {
+                        let fits = total == 0 || total + p.bytes <= POOL_BYTES;
+                        total += if fits { p.bytes } else { 0 };
+                        fits
+                    })
+                    .count();
+                let (group, tail) = rest.split_at(fits);
+                rest = tail;
                 let mut buf = vec![0u8; total];
-                let mut rest = buf.as_mut_slice();
-                for p in (first..q).filter(|&p| lens[p] > 0) {
-                    let (span, tail) = std::mem::take(&mut rest).split_at_mut(lens[p]);
-                    rest = tail;
-                    let rows = (offset, send_idx[p].as_slice());
-                    wire.encode_into(span, src, rows, p, rng, &mut stats);
+                let mut free = buf.as_mut_slice();
+                for p in group {
+                    let (out, tail) = std::mem::take(&mut free).split_at_mut(p.bytes);
+                    free = tail;
+                    let rows = (offset, send_idx[p.peer].as_slice());
+                    wire.encode_into(out, src, rows, p, rng, &mut stats);
                 }
                 let buf = Bytes::from(buf);
                 let mut at = 0;
-                for p in (first..q).filter(|&p| lens[p] > 0) {
+                for p in group {
                     // Device counts are far below 2^32.
-                    sends.push((p as u32, buf.slice(at..at + lens[p])));
-                    at += lens[p];
+                    sends.push((p.peer as u32, buf.slice(at..at + p.bytes)));
+                    at += p.bytes;
                 }
             }
         });
-        stats.sent_bytes = lens;
+        stats.sent_bytes = sends.iter().map(|(q, b)| (*q, b.len())).collect();
         if !matches!(wire, Wire::Fp32) {
             stats.quant_cpu_seconds += secs;
         }
@@ -450,8 +465,8 @@ fn land<D: BorrowMut<Matrix>>(
     assert_eq!(dst.shape(), (dst_rows, dim), "{dir:?} dst shape");
     let (landed, secs) = measure(|| {
         for (q, payload) in received {
+            stats.recv_bytes.push((q, payload.len()));
             let q = q as usize;
-            stats.recv_bytes[q] = payload.len();
             if !payload.is_empty() {
                 wire.land(payload, dir, dst, &recv_idx[q], &mut stats)
                     .map_err(|cause| ExchangeError { peer: q, cause })?;
@@ -503,11 +518,13 @@ pub fn exchange_forward_fp32(
 
 /// Quantized forward [`halo_exchange`] into a fresh halo matrix, on a
 /// closure device. `widths[q]` gives the bit-width of each message to peer
-/// `q`, aligned with `part.send_sets[q]`.
+/// `q`, aligned with `part.send_sets[q]`; only the listed peers' entries
+/// are read.
 ///
 /// # Panics
 ///
-/// Panics if a peer's payload does not decode.
+/// Panics if a listed peer's widths do not match its send set, or a peer's
+/// payload does not decode.
 pub fn exchange_forward_quant(
     dev: &mut DeviceHandle,
     part: &DevicePartition,
@@ -515,13 +532,19 @@ pub fn exchange_forward_quant(
     widths: &[Vec<BitWidth>],
     rng: &mut Rng,
 ) -> (Matrix, ExchangeStats) {
-    let residuals = None;
+    let mut arena = Vec::with_capacity(part.send_peers.num_messages());
+    for (q, span) in part.send_peers.iter() {
+        assert_eq!(widths[q].len(), span.len(), "widths for peer {q}");
+        arena.extend_from_slice(&widths[q]);
+    }
+    let (widths, residuals) = (arena.as_slice(), None);
     fresh_forward_halo(dev, part, x, Wire::Rows { widths, residuals }, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peers::PeerLayout;
     use quant::{decode_block, EncodedBlock};
     use std::future::Future;
     use Direction::{Backward, Forward};
@@ -537,6 +560,15 @@ mod tests {
     fn listed(payloads: &[Bytes]) -> Vec<(u32, Bytes)> {
         let non_empty = payloads.iter().enumerate().filter(|(_, p)| !p.is_empty());
         non_empty.map(|(q, p)| (q as u32, p.clone())).collect()
+    }
+
+    /// The `(dst, bytes)` list [`ExchangeStats::sent_bytes`] keeps for a
+    /// dense per-peer payload table.
+    fn listed_lens(payloads: &[Bytes]) -> Vec<(u32, usize)> {
+        listed(payloads)
+            .iter()
+            .map(|(q, p)| (*q, p.len()))
+            .collect()
     }
 
     #[test]
@@ -648,8 +680,11 @@ mod tests {
                 let exchange =
                     halo_exchange(&mut dev, part, dir, Some(&src), &mut dst, wire, &mut rng);
                 let stats = exchange.await.expect("peer blocks decode");
-                let lens: Vec<usize> = sent.iter().map(Bytes::len).collect();
-                assert_eq!(stats.sent_bytes, lens, "{dir:?} payload lengths");
+                assert_eq!(
+                    stats.sent_bytes,
+                    listed_lens(&sent),
+                    "{dir:?} payload lengths"
+                );
                 assert_eq!(stats.quant_ops, 0.0);
                 assert_eq!(bits(&dst), bits(&want), "{dir:?} dst");
                 total += stats.total_sent();
@@ -692,7 +727,7 @@ mod tests {
             if me == 1 {
                 assert_eq!(stats.total_sent(), 0);
             }
-            assert_eq!(stats.recv_bytes[1], 0);
+            assert!(stats.recv_bytes.iter().all(|&(q, _)| q != 1));
             for q in (0..3).filter(|&q| q != me) {
                 assert!(!part.recv_slots[q].is_empty(), "tiny cuts every pair");
                 for (k, &slot) in part.recv_slots[q].iter().enumerate() {
@@ -717,7 +752,7 @@ mod tests {
     /// What one exchange leaves behind besides `dst`.
     #[derive(Debug, PartialEq)]
     struct Outcome {
-        sent: Vec<usize>,
+        sent: Vec<(u32, usize)>,
         quant_ops_bits: u64,
     }
 
@@ -768,7 +803,7 @@ mod tests {
             };
             payloads.push(block.bytes);
         }
-        let sent = payloads.iter().map(Bytes::len).collect();
+        let sent = listed_lens(&payloads);
         for (q, bytes) in dev.ring_exchange(listed(&payloads)).await {
             let q = q as usize;
             let idx = peer_rows(part, dir, q).1;
@@ -811,10 +846,22 @@ mod tests {
             let send_widths: Vec<Vec<BitWidth>> = (0..n)
                 .map(|q| (0..lens(q).0.len()).map(|k| width(me, q, k)).collect())
                 .collect();
-            let mut residuals: Vec<Matrix> = (0..n)
+            let mut want_residuals: Vec<Matrix> = (0..n)
                 .map(|q| Matrix::zeros(lens(q).0.len(), dim))
                 .collect();
-            let mut want_residuals = residuals.clone();
+            // The routine's tables cover the listed peers only.
+            let layout = match dir {
+                Forward => &part.send_peers,
+                Backward => &part.recv_peers,
+            };
+            let arena: Vec<BitWidth> = layout
+                .iter()
+                .flat_map(|(q, _)| send_widths[q].iter().copied())
+                .collect();
+            let listed_of = |dense: &[Matrix]| -> Vec<Matrix> {
+                layout.iter().map(|(q, _)| dense[q].clone()).collect()
+            };
+            let mut residuals = listed_of(&want_residuals);
             let mut rng = Rng::seed_from(77 + me as u64);
             let mut want_rng = rng.clone();
             let mut data_rng = Rng::seed_from(99 + me as u64);
@@ -834,8 +881,8 @@ mod tests {
                 )
                 .await;
                 let wire = Wire::Rows {
-                    widths: &send_widths,
-                    residuals: (kind == Kind::ErrorFeedback).then_some(&mut residuals),
+                    widths: &arena,
+                    residuals: (kind == Kind::ErrorFeedback).then_some(&mut residuals[..]),
                 };
                 let mut dst = seed;
                 let exchange =
@@ -847,7 +894,7 @@ mod tests {
                 };
                 assert_eq!(outcome, want_outcome, "{kind:?} {dir:?} round {round}");
                 assert_eq!(bits(&dst), bits(&want), "{kind:?} {dir:?} round {round}");
-                assert_eq!(residuals, want_residuals);
+                assert_eq!(residuals, listed_of(&want_residuals));
                 assert!(stats.total_sent() > 0, "every device has a peer");
                 assert!(stats.encode_stats.total_rows() > 0);
             }
@@ -910,12 +957,89 @@ mod tests {
                     num_parts: n,
                     local_nodes: (0..local as u32).collect(),
                     halo_nodes: (0..next).collect(),
+                    send_peers: PeerLayout::of(&send_sets),
+                    recv_peers: PeerLayout::of(&recv_slots),
                     send_sets,
                     recv_slots,
                     ..template.clone()
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn per_peer_state_covers_the_listed_peers_only() {
+        // Device 5 of a 1024-device cluster sends 1, 2 and 3 rows to peers
+        // 2, 700 and 1023 and receives 2 rows from each.
+        let (n, me, peers, dim) = (1024, 5, [2u32, 700, 1023], 4);
+        let mut send_sets = vec![Vec::new(); n];
+        let mut recv_slots = vec![Vec::new(); n];
+        for (k, &q) in peers.iter().enumerate() {
+            send_sets[q as usize] = (0..=k as u32).collect();
+            recv_slots[q as usize] = (2 * k as u32..2 * k as u32 + 2).collect();
+        }
+        let part = DevicePartition {
+            rank: me,
+            num_parts: n,
+            local_nodes: (0..4).collect(),
+            halo_nodes: (0..6).collect(),
+            send_peers: PeerLayout::of(&send_sets),
+            recv_peers: PeerLayout::of(&recv_slots),
+            send_sets,
+            recv_slots,
+            ..three_parts().swap_remove(0)
+        };
+        let widths = crate::assigner::WidthAssignment::fixed(&part, 2, BitWidth::B4);
+        let trace = crate::assigner::Trace::new(&part, &[dim, dim]);
+        for dir in [Forward, Backward] {
+            let (widths, ranges) = (widths.table(dir), trace.table(dir));
+            assert_eq!(widths.layout().peers(), peers, "{dir:?} widths");
+            assert_eq!(ranges.layout().peers(), peers, "{dir:?} ranges");
+            for l in 0..2 {
+                assert_eq!(widths.layer(l).len(), 6, "{dir:?} widths, layer {l}");
+                assert_eq!(ranges.layer(l).len(), 6, "{dir:?} ranges, layer {l}");
+            }
+            let listed = (0..n).filter(|&q| !widths.get(1, q).is_empty());
+            assert!(listed.eq(peers.iter().map(|&q| q as usize)));
+        }
+        // Both halves of an exchange, each way, fp32 and quantized: a
+        // payload to and from each listed peer, and nothing else.
+        for dir in [Forward, Backward] {
+            let (src, dst) = operands(&part, dir, dim, &mut Rng::seed_from(5));
+            let table = widths.table(dir);
+            for mut wire in [
+                Wire::Fp32,
+                Wire::Rows {
+                    widths: table.layer(0),
+                    residuals: None,
+                },
+            ] {
+                let rng = &mut Rng::seed_from(6);
+                let (sends, stats) = post(&part, dir, Some(&src), dim, &mut wire, rng);
+                let to: Vec<u32> = stats.sent_bytes.iter().map(|&(q, _)| q).collect();
+                assert_eq!(to, peers, "{dir:?} sent");
+                assert_eq!(stats.sent_bytes.len(), sends.len());
+                // An fp32 payload of the right shape from each listed peer.
+                let lands_in = match dir {
+                    Forward => &part.recv_slots,
+                    Backward => &part.send_sets,
+                };
+                let payload = |q: u32| vec![0u8; lands_in[q as usize].len() * dim * 4];
+                let received = peers.iter().map(|&q| (q, Bytes::from(payload(q))));
+                let make = || dst.clone();
+                let (_, stats) = land(
+                    &part,
+                    (dir, dim),
+                    received.collect(),
+                    make,
+                    &Wire::Fp32,
+                    stats,
+                )
+                .expect("well-formed payloads");
+                let from: Vec<u32> = stats.recv_bytes.iter().map(|&(q, _)| q).collect();
+                assert_eq!(from, peers, "{dir:?} received");
+            }
+        }
     }
 
     #[test]
@@ -1001,9 +1125,10 @@ mod tests {
                     .iter()
                     .map(|s| vec![BitWidth::B4; s.len()])
                     .collect();
+                let arena = vec![BitWidth::B4; part.send_peers.num_messages()];
                 let wire = |quantized: bool| match quantized {
                     true => Wire::Rows {
-                        widths: &widths,
+                        widths: &arena,
                         residuals: None,
                     },
                     false => Wire::Fp32,
@@ -1071,11 +1196,9 @@ mod tests {
     fn ring_seconds_counts_rounds() {
         let cost = CostModel::homogeneous(3, 1e6, 0.0);
         let stats = ExchangeStats {
-            sent_bytes: vec![0, 1000, 2000],
-            recv_bytes: vec![0, 500, 4000],
-            quant_cpu_seconds: HostSeconds::default(),
-            quant_ops: 0.0,
-            encode_stats: quant::EncodeStats::default(),
+            sent_bytes: vec![(1, 1000), (2, 2000)],
+            recv_bytes: vec![(1, 500), (2, 4000)],
+            ..ExchangeStats::default()
         };
         // rank 0: round 1 -> send to 1 (1ms) / recv from 2 (4ms) => 4ms;
         //         round 2 -> send to 2 (2ms) / recv from 1 (0.5ms) => 2ms.
@@ -1086,16 +1209,12 @@ mod tests {
     #[test]
     fn sequential_seconds_serializes_unicast_copies() {
         let cost = CostModel::homogeneous(3, 1e6, 0.0);
-        let stats = ExchangeStats {
-            sent_bytes: vec![0, 3000, 1000],
-            recv_bytes: vec![0, 2000, 2000],
-            quant_cpu_seconds: HostSeconds::default(),
-            quant_ops: 0.0,
-            encode_stats: quant::EncodeStats::default(),
-        };
-        // rank 0's view: own turn = 3ms + 1ms = 4ms; turn 1 broadcast 2000B
-        // to 2 peers = 4ms; turn 2 likewise = 4ms.
-        let t = stats.sequential_seconds(&cost, 0);
+        // Every turn taken: 0 pushes 1000 B, 1 pushes 2000 B and 2 pushes
+        // 3000 B to each of its 2 peers: 2 + 4 + 6 ms.
+        let t = sequential_seconds(&cost, &[(0, 1000), (1, 2000), (2, 3000)]);
         assert!((t - 12e-3).abs() < 1e-9, "t = {t}");
+        // A skipped turn costs nothing.
+        let t = sequential_seconds(&cost, &[(0, 1000), (2, 3000)]);
+        assert!((t - 8e-3).abs() < 1e-9, "t = {t}");
     }
 }

@@ -83,6 +83,7 @@ pub mod decompose;
 pub mod error;
 pub mod exchange;
 pub mod metrics;
+pub mod peers;
 pub mod report;
 pub mod runner;
 pub mod telemetry;

@@ -11,8 +11,11 @@ use crate::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use crate::config::{Method, TrainingConfig};
 use crate::decompose::{DevicePartition, LocalLabels};
 use crate::error::DeviceError;
-use crate::exchange::{halo_exchange, halo_exchange_with, Direction, ExchangeError, Wire};
+use crate::exchange::{
+    halo_exchange, halo_exchange_with, sequential_seconds, Direction, ExchangeError, Wire,
+};
 use crate::metrics::{DeviceEpochRecord, DeviceTallies, MetricParts};
+use crate::peers::PeerLayout;
 use comm::{AsyncDevice, CostModel, TimeBreakdown};
 use gnn::{Adam, Gnn};
 use obs::critpath::FlightEvent;
@@ -46,10 +49,11 @@ pub struct DeviceTrainer<'a> {
     sancus_snapshot: Vec<Option<Matrix>>,
     /// SANCUS: epoch of each layer's last broadcast.
     sancus_last: Vec<usize>,
-    /// Error-feedback residuals for forward messages, `[layer][peer]`
-    /// (empty unless `cfg.error_feedback`).
+    /// Error-feedback residuals for forward messages, `[layer][i]` for the
+    /// `i`-th of `part.send_peers` (empty unless `cfg.error_feedback`).
     ef_fwd: Vec<Vec<Matrix>>,
-    /// Error-feedback residuals for backward messages, `[layer][peer]`.
+    /// Error-feedback residuals for backward messages, `[layer][i]` for the
+    /// `i`-th of `part.recv_peers`.
     ef_bwd: Vec<Vec<Matrix>>,
     central_frac: f64,
     /// Epoch currently being trained, tagged onto every charge.
@@ -79,6 +83,9 @@ pub struct DeviceTrainer<'a> {
     /// Aggregation entries of the central and of the marginal rows: the op
     /// counts behind the two aggregate charges, per feature column.
     agg_entries: (usize, usize),
+    /// Modeled seconds of one epoch's gradient allreduce: the gradient's
+    /// size is fixed for the run.
+    allreduce_secs: f64,
 }
 
 /// What one device returns from a run.
@@ -96,16 +103,28 @@ pub struct DeviceOutput {
 /// relative Frobenius distance from the last broadcast snapshot.
 const SANCUS_DRIFT_THRESHOLD: f32 = 0.25;
 
-/// The single bit-width shared by every message group in a per-peer
-/// assignment, or `None` when groups mix widths (adaptive assignments).
-fn uniform_bits(widths: &[Vec<BitWidth>]) -> Option<u8> {
-    let mut it = widths.iter().flatten();
+/// The single bit-width shared by every message of a width arena, or
+/// `None` when groups mix widths (adaptive assignments).
+fn uniform_bits(widths: &[BitWidth]) -> Option<u8> {
+    let mut it = widths.iter();
     let first = *it.next()?;
     if it.all(|w| *w == first) {
         Some(first.bits() as u8)
     } else {
         None
     }
+}
+
+/// Modeled seconds of the gather+broadcast gradient allreduce of `bytes`.
+fn allreduce_seconds(cost: &CostModel, bytes: usize) -> f64 {
+    let n = cost.num_devices();
+    let mut up: f64 = 0.0;
+    let mut down: f64 = 0.0;
+    for r in 1..n {
+        up = up.max(cost.transfer_time(r, 0, bytes));
+        down = down.max(cost.transfer_time(0, r, bytes));
+    }
+    up + down
 }
 
 impl<'a> DeviceTrainer<'a> {
@@ -154,30 +173,21 @@ impl<'a> DeviceTrainer<'a> {
         } else {
             part.central.len() as f64 / part.num_local() as f64
         };
-        // Error-feedback residual buffers (zero-sized when disabled).
+        // Error-feedback residual buffers, one per listed peer (none when
+        // disabled).
+        let residuals = |listed: &PeerLayout| -> Vec<Vec<Matrix>> {
+            let per_peer = |d| listed.iter().map(move |(_, s)| Matrix::zeros(s.len(), d));
+            layer_in_dims
+                .iter()
+                .map(|&d| per_peer(d).collect())
+                .collect()
+        };
         let (ef_fwd, ef_bwd) = if cfg.error_feedback {
-            let fwd = layer_in_dims
-                .iter()
-                .map(|&d| {
-                    part.send_sets
-                        .iter()
-                        .map(|s| Matrix::zeros(s.len(), d))
-                        .collect()
-                })
-                .collect();
-            let bwd = layer_in_dims
-                .iter()
-                .map(|&d| {
-                    part.recv_slots
-                        .iter()
-                        .map(|s| Matrix::zeros(s.len(), d))
-                        .collect()
-                })
-                .collect();
-            (fwd, bwd)
+            (residuals(&part.send_peers), residuals(&part.recv_peers))
         } else {
             (Vec::new(), Vec::new())
         };
+        let allreduce_secs = allreduce_seconds(cost, model.param_count() * 4);
         Self {
             dev,
             part,
@@ -208,6 +218,7 @@ impl<'a> DeviceTrainer<'a> {
                 part.agg.entries_for(&part.central),
                 part.agg.entries_for(&part.marginal),
             ),
+            allreduce_secs,
         }
     }
 
@@ -347,10 +358,10 @@ impl<'a> DeviceTrainer<'a> {
         self.cur_layer = None;
         let mut grads = self.model.grads_flat();
         self.dev.allreduce_sum_f32(&mut grads).await;
-        let allreduce_secs = self.allreduce_seconds(grads.len() * 4);
+        debug_assert_eq!(grads.len(), self.model.param_count());
         self.charge(
             EventKind::AllReduce,
-            allreduce_secs,
+            self.allreduce_secs,
             EventDetail {
                 bytes: (grads.len() * 4) as u64,
                 width_bits: Some(32),
@@ -478,12 +489,13 @@ impl<'a> DeviceTrainer<'a> {
         src: &Matrix,
         make_dst: impl FnOnce() -> D,
     ) -> Result<D, ExchangeError> {
-        let a = &self.assignment;
+        let widths = self.assignment.table(dir).layer(l);
         // The residual buffers exist only under `cfg.error_feedback`.
-        let (widths, residuals) = match dir {
-            Direction::Forward => (&a.fwd[l], self.ef_fwd.get_mut(l)),
-            Direction::Backward => (&a.bwd[l], self.ef_bwd.get_mut(l)),
-        };
+        let residuals = match dir {
+            Direction::Forward => self.ef_fwd.get_mut(l),
+            Direction::Backward => self.ef_bwd.get_mut(l),
+        }
+        .map(Vec::as_mut_slice);
         let bits = if quantized {
             uniform_bits(widths)
         } else {
@@ -578,26 +590,31 @@ impl<'a> DeviceTrainer<'a> {
         let (src, cache) = (broadcast.then_some(h), &mut self.halo_cache[l]);
         let (dev, rng) = (&mut self.dev, &mut self.rng);
         let exchange = halo_exchange(dev, part, Direction::Forward, src, cache, Wire::Fp32, rng);
-        let mut stats = exchange.await?;
-        // Full-partition broadcast volume, not just the halo.
+        let stats = exchange.await?;
+        // Full-partition broadcast volume, not just the halo: every turn
+        // taken — this device's own, and each peer's whose rows arrived —
+        // pushes the broadcaster's whole partition to every other device.
         let row_bytes = h.cols() * 4;
-        for q in 0..part.num_parts {
-            let sends = broadcast && q != part.rank;
-            stats.sent_bytes[q] = if sends {
-                part.num_local() * row_bytes
-            } else {
-                0
-            };
-            if stats.recv_bytes[q] > 0 {
-                stats.recv_bytes[q] = part.part_sizes[q] * row_bytes;
-            }
-        }
+        let mut turns: Vec<(usize, usize)> = stats
+            .recv_bytes
+            .iter()
+            .filter(|&&(_, bytes)| bytes > 0)
+            .map(|&(q, _)| (q as usize, part.part_sizes[q as usize] * row_bytes))
+            .collect();
+        let own = part.num_local() * row_bytes;
         if broadcast {
+            let at = turns.partition_point(|&(q, _)| q < part.rank);
+            turns.insert(at, (part.rank, own));
             self.sancus_snapshot[l] = Some(h.clone());
             self.sancus_last[l] = epoch;
         }
-        let comm_secs = stats.sequential_seconds(self.cost, part.rank);
-        self.charge_comm(comm_secs, stats.total_sent(), Some(32));
+        let comm_secs = sequential_seconds(self.cost, &turns);
+        let sent = if broadcast {
+            (part.num_parts - 1) * own
+        } else {
+            0
+        };
+        self.charge_comm(comm_secs, sent, Some(32));
         Ok(())
     }
 
@@ -699,18 +716,6 @@ impl<'a> DeviceTrainer<'a> {
         let matmul = rows as f64 * din * dout * 2.0 * paths * factor;
         let tail = rows as f64 * dout * 8.0;
         matmul + tail
-    }
-
-    /// Modeled seconds of the gather+broadcast gradient allreduce.
-    fn allreduce_seconds(&self, bytes: usize) -> f64 {
-        let n = self.cost.num_devices();
-        let mut up: f64 = 0.0;
-        let mut down: f64 = 0.0;
-        for r in 1..n {
-            up = up.max(self.cost.transfer_time(r, 0, bytes));
-            down = down.max(self.cost.transfer_time(0, r, bytes));
-        }
-        up + down
     }
 
     /// Local loss sum over training nodes plus the globally scaled logits

@@ -3,6 +3,7 @@
 //! returns.
 
 use adaqp::assigner::{reassign, AssignMode, Trace, WidthAssignment};
+use adaqp::exchange::Direction::{Backward, Forward};
 use adaqp::{build_partitions, TrainingConfig};
 use comm::{AsyncDevice, Cluster, CostModel};
 use gnn::ConvKind;
@@ -73,18 +74,18 @@ fn adaptive_assignment_has_correct_shape_everywhere() {
     let cost = CostModel::homogeneous(3, 1e6, 1e-5);
     let out = run_assign(&parts, &cfg, &cost, AssignMode::Adaptive);
     for (rank, assign) in out.iter().enumerate() {
-        assert_eq!(assign.fwd.len(), 2);
-        assert_eq!(assign.bwd.len(), 2);
+        assert_eq!(assign.table(Forward).num_layers(), 2);
+        assert_eq!(assign.table(Backward).num_layers(), 2);
         for l in 0..2 {
             for (q, s) in parts[rank].send_sets.iter().enumerate() {
                 assert_eq!(
-                    assign.fwd[l][q].len(),
+                    assign.fwd(l, q).len(),
                     s.len(),
                     "rank {rank} layer {l} -> {q}"
                 );
             }
             for (q, s) in parts[rank].recv_slots.iter().enumerate() {
-                assert_eq!(assign.bwd[l][q].len(), s.len());
+                assert_eq!(assign.bwd(l, q).len(), s.len());
             }
         }
     }
@@ -153,8 +154,8 @@ fn assignment_widths_are_group_contiguous_for_uniform() {
     let cost = CostModel::homogeneous(2, 1e6, 1e-5);
     let out = run_assign(&parts, &cfg, &cost, AssignMode::UniformRandom);
     for a in &out {
-        for layer in &a.fwd {
-            for per_peer in layer {
+        for l in 0..a.num_layers() {
+            for (_, per_peer) in a.table(Forward).peers(l) {
                 for chunk in per_peer.chunks(4) {
                     assert!(chunk.iter().all(|&w| w == chunk[0]), "group not uniform");
                 }
@@ -176,20 +177,23 @@ fn fixed_assignment_histogram_counts_every_message() {
     }
 }
 
-/// FNV-1a over every table of an assignment: layer count, then per layer the
-/// peer count, then per peer the message count and each width's bit count.
-fn assignment_digest(a: &WidthAssignment) -> u64 {
+/// FNV-1a over every table of an assignment on an `n`-device cluster: layer
+/// count, then per layer the peer count `n`, then per peer (listed or not)
+/// the message count and each width's bit count.
+fn assignment_digest(a: &WidthAssignment, n: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |v: u64| {
         for b in v.to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for table in [&a.fwd, &a.bwd] {
-        eat(table.len() as u64);
-        for layer in table {
-            eat(layer.len() as u64);
-            for peer in layer {
+    for dir in [Forward, Backward] {
+        let table = a.table(dir);
+        eat(table.num_layers() as u64);
+        for l in 0..table.num_layers() {
+            eat(n as u64);
+            for q in 0..n {
+                let peer = table.get(l, q);
                 eat(peer.len() as u64);
                 for w in peer {
                     eat(u64::from(w.bits()));
@@ -245,7 +249,10 @@ fn golden_assignment_digests_on_four_devices() {
         )
         .await
         .expect("well-formed round");
-        (assignment_digest(&assign), assign.histogram())
+        (
+            assignment_digest(&assign, part.num_parts),
+            assign.histogram(),
+        )
     });
     // The fixture is only worth pinning while the solver mixes widths on it.
     let (h2, h4, h8) = out
