@@ -3,16 +3,16 @@
 //! layer, AmazonProducts with 4 partitions — the per-pair imbalance that
 //! motivates the minimax term of the bit-width assignment (Eqn. 10).
 
+use super::Files;
+use crate::Runs;
 use gnn::ConvKind;
 use graph::stats::BoundaryInfo;
 use tensor::Rng;
 
-fn main() {
-    let spec = bench::datasets()
-        .into_iter()
-        .find(|d| d.name == "amazon-products-sim")
-        .expect("amazon stand-in present");
-    let seed = bench::seeds()[0];
+/// Prints Fig. 2's volume matrix and returns its cells.
+pub fn run(runs: &mut Runs) -> Files {
+    let spec = runs.setup.dataset("amazon-products-sim");
+    let seed = runs.setup.seeds()[0];
     let ds = spec.generate(seed);
     let k = 4;
     let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
@@ -22,10 +22,8 @@ fn main() {
     let parts = adaqp::build_partitions(&ds, &part, ConvKind::Gcn);
     let dim = ds.feature_dim();
 
-    println!(
-        "Fig. 2: layer-1 fp32 message volume per directed device pair (MB), {} k={k}",
-        spec.name
-    );
+    let name = &spec.name;
+    println!("Fig. 2: layer-1 fp32 message volume per directed device pair (MB), {name} k={k}");
     print!("{:>8}", "src\\dst");
     for q in 0..k {
         print!("{q:>10}");
@@ -51,11 +49,9 @@ fn main() {
     }
     let max = flat.iter().copied().fold(0.0, f64::max);
     let min = flat.iter().copied().fold(f64::INFINITY, f64::min);
-    bench::rule(60);
-    println!(
-        "imbalance: max/min pair volume = {:.2}x (paper's Fig. 2 shows a",
-        max / min.max(1e-12)
-    );
+    crate::rule(60);
+    let imbalance = max / min.max(1e-12);
+    println!("imbalance: max/min pair volume = {imbalance:.2}x (paper's Fig. 2 shows a");
     println!("similar several-fold spread, which creates straggler rounds)");
 
     // Cross-check against the raw boundary structure.
@@ -63,13 +59,9 @@ fn main() {
     let mut json = Vec::new();
     for p in 0..k {
         for q in 0..k {
-            json.push(serde_json::json!({
-                "src": p,
-                "dst": q,
-                "mb": volumes[p][q],
-                "messages": b.count(p, q),
-            }));
+            let (mb, messages) = (volumes[p][q], b.count(p, q));
+            json.push(serde_json::json!({"src": p, "dst": q, "mb": mb, "messages": messages}));
         }
     }
-    bench::save_json("fig2_pair_volume", &serde_json::Value::Array(json));
+    vec![("fig2_pair_volume", serde_json::Value::Array(json))]
 }

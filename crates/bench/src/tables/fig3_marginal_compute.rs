@@ -2,21 +2,21 @@
 //! computation left on the critical path is only the marginal nodes' — a
 //! 23-55% per-device reduction in the paper (ogbn-products, 8 partitions).
 
+use super::Files;
+use crate::Runs;
 use gnn::ConvKind;
 use tensor::Rng;
 
-fn main() {
-    let spec = bench::datasets()
-        .into_iter()
-        .find(|d| d.name == "ogbn-products-sim")
-        .expect("products stand-in present");
-    let seed = bench::seeds()[0];
+/// Prints Fig. 3 and returns its per-device rows.
+pub fn run(runs: &mut Runs) -> Files {
+    let spec = runs.setup.dataset("ogbn-products-sim");
+    let seed = runs.setup.seeds()[0];
     let ds = spec.generate(seed);
     let k = 8;
     let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
     let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
-    let cfg = bench::training_defaults();
+    let cfg = runs.setup.training_defaults();
     let dims = cfg.dims(ds.feature_dim(), ds.num_classes);
 
     println!("Fig. 3: per-device computation time, all nodes vs marginal nodes only");
@@ -24,7 +24,7 @@ fn main() {
         "{:<8} {:>12} {:>14} {:>11}",
         "device", "all (ms)", "marginal (ms)", "reduction"
     );
-    bench::rule(50);
+    crate::rule(50);
     let mut json = Vec::new();
     for p in &parts {
         // Analytic op counts (load-independent, same model as the trainer).
@@ -44,22 +44,15 @@ fn main() {
         let all_cpu = all_cpu / comm::costmodel::BASE_CPU_OPS_PER_SEC;
         let marg_cpu = marg_cpu / comm::costmodel::BASE_CPU_OPS_PER_SEC;
         let reduction = 100.0 * (1.0 - marg_cpu / all_cpu.max(1e-12));
-        println!(
-            "Device{:<2} {:>12.3} {:>14.3} {:>10.1}%",
-            p.rank,
-            all_cpu * 1e3,
-            marg_cpu * 1e3,
-            reduction
+        let (rank, all_ms, marginal_ms) = (p.rank, all_cpu * 1e3, marg_cpu * 1e3);
+        println!("Device{rank:<2} {all_ms:>12.3} {marginal_ms:>14.3} {reduction:>10.1}%");
+        let frac = p.marginal.len() as f64 / p.num_local().max(1) as f64;
+        json.push(
+            serde_json::json!({"device": rank, "all_ms": all_ms, "marginal_ms": marginal_ms,
+            "reduction_pct": reduction, "marginal_frac": frac}),
         );
-        json.push(serde_json::json!({
-            "device": p.rank,
-            "all_ms": all_cpu * 1e3,
-            "marginal_ms": marg_cpu * 1e3,
-            "reduction_pct": reduction,
-            "marginal_frac": p.marginal.len() as f64 / p.num_local().max(1) as f64,
-        }));
     }
-    bench::rule(50);
+    crate::rule(50);
     println!("paper Fig. 3: reductions of 23.2% - 55.4% across 8 devices");
-    bench::save_json("fig3_marginal_compute", &serde_json::Value::Array(json));
+    vec![("fig3_marginal_compute", serde_json::Value::Array(json))]
 }

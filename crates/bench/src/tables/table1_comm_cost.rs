@@ -12,11 +12,15 @@
 //! | AmazonProducts | 2M-2D   | 75.58%    | 39.75%                |
 //! | AmazonProducts | 2M-4D   | 78.22%    | 53.00%                |
 
+use super::Files;
+use crate::Runs;
 use adaqp::Method;
 use graph::stats::remote_neighbor_stats;
 use tensor::Rng;
 
-fn main() {
+/// Prints Table 1 and returns its rows.
+pub fn run(runs: &mut Runs) -> Files {
+    let setup = runs.setup;
     let paper: &[(&str, &str, f64, f64)] = &[
         ("reddit-sim", "2M-1D", 66.78, 41.54),
         ("reddit-sim", "2M-2D", 75.20, 62.60),
@@ -30,7 +34,7 @@ fn main() {
         "{:<22} {:<7} {:>11} {:>11} {:>13} {:>13}",
         "dataset", "setting", "comm(ours)", "comm(paper)", "remote(ours)", "remote(paper)"
     );
-    bench::rule(84);
+    crate::rule(84);
     let mut results = Vec::new();
     // Table 1 only runs a handful of epochs, so it can afford the full
     // stand-in scale; remote-neighbor ratios are strongly scale-dependent
@@ -38,17 +42,11 @@ fn main() {
     for spec in graph::DatasetSpec::paper_suite() {
         for (machines, dpm) in [(2usize, 1usize), (2, 2), (2, 4)] {
             // Paper reports a subset; we compute all and flag the paper rows.
-            let mut cfg = bench::experiment(
-                spec.clone(),
-                machines,
-                dpm,
-                Method::Vanilla,
-                false,
-                bench::seeds()[0],
-            );
+            let seed = setup.seeds()[0];
+            let mut cfg =
+                setup.experiment(spec.clone(), machines, dpm, Method::Vanilla, false, seed);
             cfg.training.epochs = 5;
-            let run = bench::run(&cfg);
-            let comm_pct = run.comm_fraction() * 100.0;
+            let comm_pct = runs.run(&cfg).result.comm_fraction() * 100.0;
 
             let ds = spec.generate(cfg.seed);
             let mut rng = Rng::seed_from(cfg.seed ^ 0x5EED_CAFE);
@@ -59,37 +57,21 @@ fn main() {
             let reference = paper
                 .iter()
                 .find(|(d, s, _, _)| *d == spec.name && *s == cfg.partition_label());
-            let (pc, pr) = reference.map_or((f64::NAN, f64::NAN), |r| (r.2, r.3));
+            let (name, setting) = (&spec.name, cfg.partition_label());
+            let (paper_comm, paper_remote) = (reference.map(|r| r.2), reference.map(|r| r.3));
+            let pct = |p: Option<f64>| p.map_or("-".into(), |p| format!("{p:.2}%"));
+            let (pc, pr) = (pct(paper_comm), pct(paper_remote));
             println!(
-                "{:<22} {:<7} {:>10.2}% {:>10} {:>12.2}% {:>13}",
-                spec.name,
-                cfg.partition_label(),
-                comm_pct,
-                if pc.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{pc:.2}%")
-                },
-                remote_pct,
-                if pr.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{pr:.2}%")
-                },
+                "{name:<22} {setting:<7} {comm_pct:>10.2}% {pc:>10} {remote_pct:>12.2}% {pr:>13}"
             );
-            results.push(serde_json::json!({
-                "dataset": spec.name,
-                "setting": cfg.partition_label(),
-                "comm_cost_pct": comm_pct,
-                "remote_neighbor_ratio_pct": remote_pct,
+            results.push(serde_json::json!({"dataset": name, "setting": setting,
+                "comm_cost_pct": comm_pct, "remote_neighbor_ratio_pct": remote_pct,
                 "marginal_node_fraction_pct": stats.marginal_node_fraction * 100.0,
-                "paper_comm_cost_pct": reference.map(|r| r.2),
-                "paper_remote_ratio_pct": reference.map(|r| r.3),
-            }));
+                "paper_comm_cost_pct": paper_comm, "paper_remote_ratio_pct": paper_remote}));
         }
     }
-    bench::rule(84);
+    crate::rule(84);
     println!("shape check: comm dominates epoch time everywhere, and both the");
     println!("comm share and the remote-neighbor ratio grow with the partition count.");
-    bench::save_json("table1_comm_cost", &serde_json::Value::Array(results));
+    vec![("table1_comm_cost", serde_json::Value::Array(results))]
 }

@@ -5,23 +5,23 @@
 //! pipeline. ogbn-products stand-in with 8 partitions (2M-4D), as in the
 //! paper.
 
+use super::Files;
+use crate::Runs;
 use gnn::ConvKind;
 use quant::codec::predicted_wire_len;
 use quant::BitWidth;
 use tensor::Rng;
 
-fn main() {
-    let spec = bench::datasets()
-        .into_iter()
-        .find(|d| d.name == "ogbn-products-sim")
-        .expect("products stand-in present");
-    let seed = bench::seeds()[0];
+/// Prints Table 2 and returns its per-device rows.
+pub fn run(runs: &mut Runs) -> Files {
+    let spec = runs.setup.dataset("ogbn-products-sim");
+    let seed = runs.setup.seeds()[0];
     let ds = spec.generate(seed);
     let k = 8;
     let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
     let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
-    let cfg = bench::training_defaults();
+    let cfg = runs.setup.training_defaults();
     let cost = adaqp::TopologySpec::from_training(&cfg)
         .to_topology(2, 4)
         .cost_model()
@@ -30,15 +30,13 @@ fn main() {
     let num_layers = dims.len() - 1;
 
     println!("Table 2: per-epoch central computation vs 2-bit marginal communication");
-    println!(
-        "({} split 8 ways; paper shows comm > comp on every device)",
-        spec.name
-    );
+    let name = &spec.name;
+    println!("({name} split 8 ways; paper shows comm > comp on every device)");
     println!(
         "{:<8} {:>12} {:>12} {:>8}",
         "device", "comm (s)", "comp (s)", "hides?"
     );
-    bench::rule(44);
+    crate::rule(44);
     let mut json = Vec::new();
     let mut all_hide = true;
     for p in &parts {
@@ -77,28 +75,14 @@ fn main() {
         let comp_secs = cost.ops_time_for(p.rank, comp_ops);
         let hides = comm_secs >= comp_secs;
         all_hide &= hides;
-        println!(
-            "Device{:<2} {:>12.4} {:>12.4} {:>8}",
-            p.rank,
-            comm_secs,
-            comp_secs,
-            if hides { "yes" } else { "NO" }
-        );
-        json.push(serde_json::json!({
-            "device": p.rank,
-            "comm_2bit_s": comm_secs,
-            "central_comp_s": comp_secs,
-            "central_nodes": p.central.len(),
-            "marginal_nodes": p.marginal.len(),
-        }));
+        let (rank, verdict) = (p.rank, if hides { "yes" } else { "NO" });
+        println!("Device{rank:<2} {comm_secs:>12.4} {comp_secs:>12.4} {verdict:>8}");
+        let (central, marginal) = (p.central.len(), p.marginal.len());
+        json.push(serde_json::json!({"device": rank, "comm_2bit_s": comm_secs,
+            "central_comp_s": comp_secs, "central_nodes": central, "marginal_nodes": marginal}));
     }
-    bench::rule(44);
-    println!(
-        "overlap feasible on every device: {} (paper Table 2: yes on all 8)",
-        if all_hide { "yes" } else { "NO" }
-    );
-    bench::save_json(
-        "table2_overlap_feasibility",
-        &serde_json::Value::Array(json),
-    );
+    crate::rule(44);
+    let verdict = if all_hide { "yes" } else { "NO" };
+    println!("overlap feasible on every device: {verdict} (paper Table 2: yes on all 8)");
+    vec![("table2_overlap_feasibility", serde_json::Value::Array(json))]
 }

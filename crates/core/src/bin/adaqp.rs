@@ -314,28 +314,9 @@ fn run_meta(cfg: &ExperimentConfig) -> serde_json::Value {
     );
     m.insert(
         "git_rev".to_string(),
-        git_rev().map_or(serde_json::Value::Null, serde_json::Value::String),
+        adaqp::report::git_rev().map_or(serde_json::Value::Null, serde_json::Value::String),
     );
     serde_json::Value::Object(m)
-}
-
-/// Best-effort short git revision of the working tree; `None` outside a
-/// checkout or without a `git` binary.
-fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?;
-    let rev = rev.trim();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev.to_string())
-    }
 }
 
 fn cmd_compare(flags: &Flags) -> Result<(), String> {

@@ -107,6 +107,26 @@ pub fn summary(run: &RunResult) -> String {
     )
 }
 
+/// Best-effort short git revision of the working tree, for the `_meta`
+/// block of a JSON export; `None` outside a checkout or without a `git`
+/// binary.
+pub fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()?;
+    if !out.status.success() {
+        return None;
+    }
+    let rev = String::from_utf8(out.stdout).ok()?;
+    let rev = rev.trim();
+    if rev.is_empty() {
+        None
+    } else {
+        Some(rev.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,7 +42,4 @@ mod problem;
 mod solve;
 
 pub use problem::{BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, PairSpec, Solution};
-pub use solve::{
-    brute_force, min_variance_within_budget, min_variance_within_budget_dp, solve, solve_exact,
-    solve_flat,
-};
+pub use solve::{brute_force, solve, solve_flat};

@@ -1,215 +1,11 @@
 //! The two-level solver: per-pair knapsack greedy inside a Z sweep.
 
-use crate::problem::{BiObjectiveProblem, FlatProblem, FlatSolution, PairSpec, Solution};
+use crate::problem::{BiObjectiveProblem, FlatProblem, FlatSolution, Solution};
 use quant::BitWidth;
 
 /// Number of candidate `Z` values sampled between the global min and max
 /// feasible times (plus every pair's own breakpoints).
 const Z_SAMPLES: usize = 48;
-
-/// Minimizes a pair's variance subject to `time <= budget_seconds`.
-///
-/// Greedy LP-relaxation: start everything at 8-bit and repeatedly apply the
-/// downgrade (8→4 or 4→2) with the smallest variance-increase per byte saved
-/// until the budget holds. Returns the widths and whether the budget was
-/// satisfiable at all (all-2-bit still over budget ⇒ `false`, widths all 2).
-pub fn min_variance_within_budget(pair: &PairSpec, budget_seconds: f64) -> (Vec<BitWidth>, bool) {
-    let n = pair.groups.len();
-    let mut widths = vec![BitWidth::B8; n];
-    if pair.time(&widths) <= budget_seconds {
-        return (widths, true);
-    }
-    // Candidate downgrades as (variance_delta / bytes_saved, group, to).
-    // Each group contributes two sequential moves: 8->4 then 4->2.
-    #[derive(Debug, Clone, Copy)]
-    struct Move {
-        ratio: f64,
-        group: usize,
-        to: BitWidth,
-    }
-    let mut moves: Vec<Move> = Vec::with_capacity(2 * n);
-    for (k, g) in pair.groups.iter().enumerate() {
-        let d84 = g.variance_at(BitWidth::B4) - g.variance_at(BitWidth::B8);
-        let b84 = g.bytes_at(BitWidth::B8) - g.bytes_at(BitWidth::B4);
-        let d42 = g.variance_at(BitWidth::B2) - g.variance_at(BitWidth::B4);
-        let b42 = g.bytes_at(BitWidth::B4) - g.bytes_at(BitWidth::B2);
-        if b84 > 0.0 {
-            moves.push(Move {
-                ratio: d84 / b84,
-                group: k,
-                to: BitWidth::B4,
-            });
-        }
-        if b42 > 0.0 {
-            moves.push(Move {
-                ratio: d42 / b42,
-                group: k,
-                to: BitWidth::B2,
-            });
-        }
-    }
-    // Sort ascending by ratio. Because variance is convex in the byte count
-    // (1/(2^b-1)^2 decays faster than bytes grow), a group's 8->4 move always
-    // has a smaller ratio than its 4->2 move, so sequencing is respected.
-    moves.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
-    let mut current_bytes: f64 = pair.groups.iter().map(|g| g.bytes_at(BitWidth::B8)).sum();
-    let budget_bytes = if pair.theta > 0.0 {
-        (budget_seconds - pair.gamma) / pair.theta
-    } else {
-        f64::INFINITY
-    };
-    for mv in moves {
-        if current_bytes <= budget_bytes {
-            break;
-        }
-        // Apply only if it is the legal next step for the group.
-        let cur = widths[mv.group];
-        let legal = matches!(
-            (cur, mv.to),
-            (BitWidth::B8, BitWidth::B4) | (BitWidth::B4, BitWidth::B2)
-        );
-        if !legal {
-            continue;
-        }
-        let g = &pair.groups[mv.group];
-        current_bytes -= g.bytes_at(cur) - g.bytes_at(mv.to);
-        widths[mv.group] = mv.to;
-    }
-    let feasible = current_bytes <= budget_bytes + 1e-9;
-    if !feasible {
-        // Budget unreachable even at all-2-bit; return the floor assignment.
-        return (vec![BitWidth::B2; n], false);
-    }
-    (widths, true)
-}
-
-/// Exact multiple-choice-knapsack solution of the per-pair sub-problem by
-/// dynamic programming over a discretized byte budget.
-///
-/// The byte axis is split into `resolution` buckets; each group picks one of
-/// the three widths; `dp[j]` holds the minimum variance achievable with at
-/// most `j` buckets of bytes. Group byte costs are rounded *up* to buckets,
-/// so the returned assignment never exceeds the true budget (the result is
-/// exact once `resolution` out-resolves the group byte sizes, and always
-/// feasible).
-///
-/// Returns the widths and whether the budget was satisfiable (all-2-bit
-/// still over budget ⇒ `false`, widths all 2-bit).
-///
-/// # Panics
-///
-/// Panics if `resolution == 0`.
-pub fn min_variance_within_budget_dp(
-    pair: &PairSpec,
-    budget_seconds: f64,
-    resolution: usize,
-) -> (Vec<BitWidth>, bool) {
-    assert!(resolution > 0, "resolution must be positive");
-    let n = pair.groups.len();
-    if n == 0 {
-        return (Vec::new(), pair.gamma <= budget_seconds + 1e-15);
-    }
-    let all8 = vec![BitWidth::B8; n];
-    if pair.time(&all8) <= budget_seconds {
-        return (all8, true);
-    }
-    let all2 = vec![BitWidth::B2; n];
-    if pair.time(&all2) > budget_seconds + 1e-12 {
-        return (all2, false);
-    }
-    let budget_bytes = if pair.theta > 0.0 {
-        (budget_seconds - pair.gamma) / pair.theta
-    } else {
-        f64::INFINITY
-    };
-    if !budget_bytes.is_finite() {
-        return (vec![BitWidth::B8; n], true);
-    }
-    let bucket = budget_bytes / resolution as f64;
-    let cost_of = |g: &crate::problem::GroupSpec, w: BitWidth| -> usize {
-        // Floor rounding keeps exact-fit solutions reachable; any
-        // discretization overshoot is repaired after reconstruction.
-        (g.bytes_at(w) / bucket).floor() as usize
-    };
-    const INF: f64 = f64::INFINITY;
-    // dp over "bytes used" with a per-group choice table for reconstruction.
-    let mut dp = vec![INF; resolution + 1];
-    let mut choices: Vec<Vec<u8>> = Vec::with_capacity(n);
-    dp[0] = 0.0;
-    for g in &pair.groups {
-        let mut next = vec![INF; resolution + 1];
-        let mut pick = vec![u8::MAX; resolution + 1];
-        for (wi, &w) in BitWidth::ALL.iter().enumerate() {
-            let c = cost_of(g, w);
-            let v = g.variance_at(w);
-            if c > resolution {
-                continue;
-            }
-            for j in c..=resolution {
-                if dp[j - c].is_finite() {
-                    let cand = dp[j - c] + v;
-                    if cand < next[j] {
-                        next[j] = cand;
-                        pick[j] = wi as u8;
-                    }
-                }
-            }
-        }
-        dp = next;
-        choices.push(pick);
-    }
-    // Best end state.
-    let mut best_j = usize::MAX;
-    let mut best_v = INF;
-    for (j, &v) in dp.iter().enumerate() {
-        if v < best_v {
-            best_v = v;
-            best_j = j;
-        }
-    }
-    if best_j == usize::MAX {
-        // No feasible packing at this resolution; fall back to the floor.
-        return (vec![BitWidth::B2; n], true);
-    }
-    // Reconstruct.
-    let mut widths = vec![BitWidth::B2; n];
-    let mut j = best_j;
-    for (gi, g) in pair.groups.iter().enumerate().rev() {
-        let wi = choices[gi][j];
-        debug_assert_ne!(wi, u8::MAX, "reconstruction hole");
-        let w = BitWidth::ALL[wi as usize];
-        widths[gi] = w;
-        j -= cost_of(g, w);
-    }
-    // Repair the (at most bucket-sized per group) discretization overshoot:
-    // downgrade the cheapest variance-per-byte groups until within budget.
-    while pair.time(&widths) > budget_seconds + 1e-12 {
-        let mut best_gi = usize::MAX;
-        let mut best_ratio = f64::INFINITY;
-        for (gi, g) in pair.groups.iter().enumerate() {
-            let down = match widths[gi] {
-                BitWidth::B8 => Some(BitWidth::B4),
-                BitWidth::B4 => Some(BitWidth::B2),
-                BitWidth::B2 => None,
-            };
-            let Some(to) = down else { continue };
-            let dv = g.variance_at(to) - g.variance_at(widths[gi]);
-            let db = g.bytes_at(widths[gi]) - g.bytes_at(to);
-            if db > 0.0 && dv / db < best_ratio {
-                best_ratio = dv / db;
-                best_gi = gi;
-            }
-        }
-        if best_gi == usize::MAX {
-            break; // already at the all-2-bit floor
-        }
-        widths[best_gi] = match widths[best_gi] {
-            BitWidth::B8 => BitWidth::B4,
-            _ => BitWidth::B2,
-        };
-    }
-    (widths, true)
-}
 
 /// Everything [`solve_flat`] needs to know about a problem, from one pass
 /// over its groups: each pair's greedy downgrade schedule (moves sorted by
@@ -394,20 +190,15 @@ impl Schedules {
                 candidates.push(head.max_time.min(z_ceil).max(z_floor));
             }
         }
-        push_grid(&mut candidates, z_floor, z_ceil);
+        // A uniform grid strictly between the floor and the ceiling.
+        if z_ceil > z_floor {
+            for i in 0..Z_SAMPLES {
+                candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
+            }
+        }
         candidates.sort_by(f64::total_cmp);
         candidates.dedup();
         candidates
-    }
-}
-
-/// Appends [`Z_SAMPLES`] evenly spaced budgets strictly between `z_floor`
-/// and `z_ceil` (none when the range is empty).
-fn push_grid(candidates: &mut Vec<f64>, z_floor: f64, z_ceil: f64) {
-    if z_ceil > z_floor {
-        for i in 0..Z_SAMPLES {
-            candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
-        }
     }
 }
 
@@ -538,42 +329,6 @@ pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
     }
 }
 
-/// Like [`solve`] but with the exact DP inner solver
-/// ([`min_variance_within_budget_dp`]) instead of the LP-relaxation greedy.
-/// Slower (each pair pays `O(groups * resolution)` per Z candidate) but
-/// never worse than the greedy at the evaluated candidates; use it when
-/// group sizes are very uneven.
-pub fn solve_exact(problem: &BiObjectiveProblem, resolution: usize) -> Solution {
-    let n_pairs = problem.pairs.len();
-    if n_pairs == 0 || problem.lambda >= 1.0 {
-        return solve(problem);
-    }
-    let z_floor = problem
-        .pairs
-        .iter()
-        .map(PairSpec::min_time)
-        .fold(0.0, f64::max);
-    let z_ceil = problem.time_ref().max(z_floor);
-    let mut candidates: Vec<f64> = vec![z_floor, z_ceil];
-    push_grid(&mut candidates, z_floor, z_ceil);
-    let mut best = solve(problem); // greedy baseline: exact never returns worse
-    let mut iterations = best.iterations;
-    for &z in &candidates {
-        let mut widths = Vec::with_capacity(n_pairs);
-        for p in &problem.pairs {
-            let (w, _feasible) = min_variance_within_budget_dp(p, z, resolution);
-            widths.push(w);
-        }
-        let sol = finish(problem, widths);
-        iterations += 1;
-        if sol.objective < best.objective {
-            best = sol;
-        }
-    }
-    best.iterations = iterations;
-    best
-}
-
 fn finish(problem: &BiObjectiveProblem, widths: Vec<Vec<BitWidth>>) -> Solution {
     let variance = problem.total_variance(&widths);
     let max_time = problem.max_time(&widths);
@@ -646,7 +401,7 @@ pub fn brute_force(problem: &BiObjectiveProblem) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::GroupSpec;
+    use crate::problem::{GroupSpec, PairSpec};
     use proptest::prelude::*;
 
     fn simple_pair(betas: &[f64], bytes_per_bit: f64, theta: f64, gamma: f64) -> PairSpec {
@@ -960,12 +715,10 @@ mod tests {
     #[test]
     fn iterations_count_candidate_evaluations() {
         let prob = BiObjectiveProblem::new(vec![simple_pair(&[1.0, 5.0], 100.0, 1e-6, 0.0)], 0.5);
-        // 3 uniform seeds plus at least the floor/ceil candidates.
+        // 3 uniform seeds, then the floor and ceiling (the pair's own
+        // extremes coincide with them) and the 48-point grid between.
         let sol = solve(&prob);
-        assert!(sol.iterations >= 5, "got {}", sol.iterations);
-        // The exact solver adds its own DP sweep on top of the greedy's.
-        let exact = solve_exact(&prob, 256);
-        assert!(exact.iterations > sol.iterations);
+        assert_eq!(sol.iterations, 3 + 2 + Z_SAMPLES);
         // Brute force evaluates the full 3^groups grid.
         let bf = brute_force(&prob);
         assert_eq!(bf.iterations, 9);
@@ -997,81 +750,27 @@ mod tests {
 
     #[test]
     fn budget_greedy_downgrades_low_beta_first() {
+        // All-8 time = 3 * 100 * 8 * 1e-6 = 2.4ms; the time term pulls the
+        // sweep below it, and the cheapest bytes to give up are the low-beta
+        // group's.
         let pair = simple_pair(&[100.0, 1.0, 50.0], 100.0, 1e-6, 0.0);
-        // All-8 time = 3 * 100 * 8 * 1e-6 = 2.4ms; force ~half.
-        let (widths, feasible) = min_variance_within_budget(&pair, 1.4e-3);
-        assert!(feasible);
+        let sol = solve(&BiObjectiveProblem::new(vec![pair.clone()], 0.5));
+        let widths = &sol.widths[0];
+        assert!(widths[1] < BitWidth::B8, "nothing downgraded: {widths:?}");
         // Low-beta group 1 must be downgraded at least as far as the others.
         assert!(widths[1] <= widths[0]);
         assert!(widths[1] <= widths[2]);
-        assert!(pair.time(&widths) <= 1.4e-3 + 1e-12);
+        assert_eq!(sol.max_time.to_bits(), pair.time(widths).to_bits());
     }
 
     #[test]
-    fn dp_matches_or_beats_greedy() {
-        let pair = simple_pair(&[100.0, 1.0, 50.0, 7.0, 0.3], 100.0, 1e-6, 0.0);
-        for budget in [1.2e-3, 1.8e-3, 2.5e-3, 3.5e-3] {
-            let (gw, gfeas) = min_variance_within_budget(&pair, budget);
-            let (dw, dfeas) = min_variance_within_budget_dp(&pair, budget, 2048);
-            assert_eq!(gfeas, dfeas, "feasibility at {budget}");
-            if gfeas {
-                assert!(pair.time(&dw) <= budget + 1e-12, "dp over budget");
-                // DP is exact up to discretization + repair; allow a small
-                // slack over the greedy (which solves the continuous budget).
-                assert!(
-                    pair.variance(&dw) <= pair.variance(&gw) * 1.05 + 1e-12,
-                    "dp variance {} worse than greedy {} at {budget}",
-                    pair.variance(&dw),
-                    pair.variance(&gw)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dp_handles_degenerate_budgets() {
-        let pair = simple_pair(&[1.0], 100.0, 1e-3, 0.0);
-        // Below all-2-bit.
-        let (w, feasible) = min_variance_within_budget_dp(&pair, 1e-9, 256);
-        assert!(!feasible);
-        assert_eq!(w, vec![BitWidth::B2]);
-        // Above all-8-bit.
-        let (w, feasible) = min_variance_within_budget_dp(&pair, 10.0, 256);
-        assert!(feasible);
-        assert_eq!(w, vec![BitWidth::B8]);
-        // Empty pair.
-        let empty = PairSpec {
-            theta: 1e-6,
-            gamma: 1e-4,
-            groups: vec![],
-        };
-        let (w, feasible) = min_variance_within_budget_dp(&empty, 1.0, 256);
-        assert!(w.is_empty() && feasible);
-    }
-
-    #[test]
-    fn solve_exact_never_worse_than_greedy() {
-        let prob = BiObjectiveProblem::new(
-            vec![
-                simple_pair(&[3.0, 0.5, 7.0, 11.0], 50.0, 2e-6, 1e-4),
-                simple_pair(&[1.0, 90.0], 400.0, 1e-6, 5e-5),
-            ],
-            0.5,
-        );
-        let greedy = solve(&prob);
-        let exact = solve_exact(&prob, 1024);
-        assert!(exact.objective <= greedy.objective + 1e-12);
-        // And still at least as good as brute force allows.
-        let bf = brute_force(&prob);
-        assert!(exact.objective <= bf.objective * 1.02 + 1e-12);
-    }
-
-    #[test]
-    fn infeasible_budget_returns_floor() {
-        let pair = simple_pair(&[1.0], 100.0, 1e-3, 0.0);
-        let (widths, feasible) = min_variance_within_budget(&pair, 1e-9);
-        assert!(!feasible);
-        assert_eq!(widths, vec![BitWidth::B2]);
+    fn lambda_zero_returns_the_two_bit_floor() {
+        // A pure-time objective drives every group to the floor, where the
+        // pair's time is its all-2-bit minimum.
+        let pair = simple_pair(&[1.0, 30.0], 100.0, 1e-3, 2e-4);
+        let sol = solve(&BiObjectiveProblem::new(vec![pair.clone()], 0.0));
+        assert_eq!(sol.widths, vec![vec![BitWidth::B2; 2]]);
+        assert_eq!(sol.max_time.to_bits(), pair.min_time().to_bits());
     }
 
     #[test]
