@@ -8,18 +8,24 @@
 //! reply carries only the widths its device sends, so each pair's widths
 //! are encoded and decoded once.
 //!
+//! The master checks the gathered traces' framing (`master_decode`), then
+//! takes each section from trace bytes to reply bytes in one pass
+//! (`master_solve`, `Gathered::round`): its stages, timed apart here, are
+//! `build` (betas read from the trace bytes into the solver's arrays),
+//! `solve` and `reply_encode` (the winning widths written into the
+//! replies).
+//!
 //! `results/baseline/tolerances.json` gates two ratios of these entries:
 //! `control_plane` (every encode and decode, both directions) over
-//! `master_solve` (build + solve + materialise), and `worker_decode` over
-//! `reply_encode` (decoding walks the bytes encoding wrote twice, once to
-//! check the whole reply and once to write it, so it costs about two
-//! encodes; a third pass or a heap block per listed peer would show here
-//! first).
+//! `master_solve`, and `worker_decode` over `reply_encode` (decoding walks
+//! the bytes encoding wrote twice, once to check the whole reply and once
+//! to write it, so it costs about two encodes; a third pass or a heap block
+//! per listed peer would show here first).
 //!
 //! Device counts named on the command line replace the default 32 and 256
 //! (`scripts/bench.sh --smoke` runs 32 alone).
 
-use adaqp::assigner::{encode_trace, PairTable, Trace, WidthAssignment};
+use adaqp::assigner::{encode_trace, Gathered, Trace, WidthAssignment};
 use adaqp::exchange::Direction;
 use adaqp::{build_partitions, ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -103,65 +109,54 @@ fn bench_round(c: &mut Criterion) {
                 .map(|(alpha_sq, trace)| encode_trace(alpha_sq, trace))
                 .collect()
         };
-        let decode = |traces: &[Vec<u8>]| PairTable::decode(traces).expect("valid traces");
+        let check = |traces: &[Vec<u8>]| {
+            Gathered::check(traces)
+                .expect("valid traces")
+                .num_sections()
+        };
         let mut worker_decode = |replies: &[Vec<u8>]| {
             for (tables, reply) in tables.iter_mut().zip(replies) {
                 tables.decode_into(reply, n).expect("valid reply");
             }
         };
         let traces = encode();
-        let table = decode(&traces);
+        let gathered = Gathered::check(&traces).expect("valid traces");
         let build = || -> Vec<_> {
-            (0..table.num_sections())
-                .map(|s| table.build(s, &cost, &training))
+            (0..gathered.num_sections())
+                .map(|s| gathered.section(s, &cost, &training))
                 .collect()
         };
-        let built = build();
+        let sections = build();
         let solve = || -> Vec<_> {
-            built
+            sections
                 .iter()
                 .map(|b| solver::solve_flat(&b.problem))
                 .collect()
         };
         let solutions = solve();
-        let materialise = || -> Vec<Vec<u8>> {
-            built
-                .iter()
-                .zip(&solutions)
-                .map(|(b, s)| b.message_widths(s))
-                .collect()
-        };
-        let widths = materialise();
-        let replies = table.encode_replies(&widths);
+        let replies = gathered.encode_replies(&sections, &solutions);
 
         group.bench_function(BenchmarkId::new("trace_encode", n), |b| b.iter(encode));
         group.bench_function(BenchmarkId::new("master_decode", n), |b| {
-            b.iter(|| decode(&traces));
+            b.iter(|| check(&traces));
         });
         group.bench_function(BenchmarkId::new("build", n), |b| b.iter(build));
         group.bench_function(BenchmarkId::new("solve", n), |b| b.iter(solve));
-        group.bench_function(BenchmarkId::new("materialise", n), |b| b.iter(materialise));
         group.bench_function(BenchmarkId::new("reply_encode", n), |b| {
-            b.iter(|| table.encode_replies(&widths));
+            b.iter(|| gathered.encode_replies(&sections, &solutions));
         });
         group.bench_function(BenchmarkId::new("worker_decode", n), |b| {
             b.iter(|| worker_decode(&replies));
         });
         group.bench_function(BenchmarkId::new("control_plane", n), |b| {
             b.iter(|| {
-                let table = decode(&encode());
-                worker_decode(&table.encode_replies(&widths));
+                let traces = encode();
+                let gathered = Gathered::check(&traces).expect("valid traces");
+                worker_decode(&gathered.encode_replies(&sections, &solutions));
             });
         });
         group.bench_function(BenchmarkId::new("master_solve", n), |b| {
-            b.iter(|| -> Vec<Vec<u8>> {
-                (0..table.num_sections())
-                    .map(|s| {
-                        let built = table.build(s, &cost, &training);
-                        built.message_widths(&solver::solve_flat(&built.problem))
-                    })
-                    .collect()
-            });
+            b.iter(|| gathered.round(&cost, &training));
         });
     }
     group.finish();

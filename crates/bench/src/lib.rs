@@ -8,7 +8,7 @@
 //! dataset sizes lets the full suite finish on a laptop-class CPU) and a
 //! [`Runs`] cache, so a training run two tables read is run once. The
 //! binary writes each table's JSON under `results/` at the repository root
-//! (consumed when updating `EXPERIMENTS.md`).
+//! (consumed when updating `EXPERIMENTS.md`), or under `--out <dir>`.
 
 // Library code returns errors and stays silent (DESIGN.md §7);
 // `#[cfg(test)]` code, bins and tests are exempt.

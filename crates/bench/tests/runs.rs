@@ -1,7 +1,8 @@
 //! The run cache: a config is run once however many tables ask for it, a
 //! cached run is the run `adaqp::run_experiment` returns, and the tables
 //! that share Table 4's configs read Table 4's runs. A malformed setup
-//! variable stops `reproduce` before any table runs.
+//! variable stops `reproduce` before any table runs, and `--out` keeps its
+//! files out of the checkout's `results/`.
 
 use adaqp::Method;
 use bench::tables::{self, Files};
@@ -77,4 +78,42 @@ fn a_malformed_setup_variable_exits_1_naming_it() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ADAQP_SCALE=\"0,02\""), "{stderr}");
     assert!(!stderr.contains("HostSeconds"), "a table ran: {stderr}");
+}
+
+/// Every file directly under the checkout's `results/`, with its bytes.
+fn committed_results() -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("the checkout has results/")
+        .map(|e| e.expect("a directory entry").path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("readable");
+            (p, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn out_writes_there_and_leaves_the_committed_results_alone() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("reproduce_out");
+    let _ = std::fs::remove_dir_all(&out);
+    let before = committed_results();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--only", "table3_datasets", "--out"])
+        .arg(&out)
+        .env("ADAQP_SCALE", "0.01")
+        .output()
+        .expect("reproduce starts");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let written = std::fs::read_to_string(out.join("table3_datasets.json")).expect("written");
+    let doc: serde_json::Value = serde_json::from_str(&written).expect("JSON");
+    assert_eq!(doc["_meta"]["scale"].as_f64(), Some(0.01));
+    assert_eq!(committed_results(), before);
 }

@@ -8,7 +8,7 @@
 //! bit-width assignments back to the workers.
 //!
 //! Both control-plane messages are sparse little-endian binary (layouts on
-//! [`encode_trace`] and [`PairTable::encode_replies`]): a device names only
+//! [`encode_trace`] and [`Gathered::round`]): a device names only
 //! the peers it exchanges messages with, so a message's size follows that
 //! device's own cut, not the size of the fleet.
 
@@ -371,7 +371,8 @@ async fn reassign_adaptive(
 
     // Step 3: master solves one problem per (layer, direction) in parallel.
     let (own, stats_bytes) = if let Some(traces) = gathered {
-        let (round, secs) = comm::timing::measure(|| master_round(&traces, cost, cfg));
+        let (round, secs) =
+            comm::timing::measure(|| Gathered::check(&traces).map(|g| g.round(cost, cfg)));
         let (replies, mut stats) = round.map_err(at(AssignStage::Trace))?;
         stats.secs = secs;
         let payloads = replies.into_iter().map(Bytes::from).collect();
@@ -388,44 +389,6 @@ async fn reassign_adaptive(
         .decode_into(&own, part.num_parts)
         .map_err(at(AssignStage::Reply))?;
     Ok(solve_stats)
-}
-
-/// Everything the master does between gather and scatter: decode the traces,
-/// solve every (layer, direction) problem, encode one reply per device.
-/// Returns aggregate solve stats with `secs` left zero for the caller to fill
-/// in from its own timer.
-fn master_round(
-    traces: &[Bytes],
-    cost: &CostModel,
-    cfg: &TrainingConfig,
-) -> Result<(Vec<Vec<u8>>, SolveStats), WireError> {
-    let table = PairTable::decode(traces)?;
-    // One slot per problem, filled on the shared kernel pool (the paper uses
-    // a thread pool on the master for the same reason). The pool never runs
-    // more workers than it has tasks or, by default, cores: the problems
-    // share no data, so extra threads on a busy core only time-slice.
-    let mut solved: Vec<Option<(Vec<u8>, usize, f64)>> = vec![None; table.num_sections()];
-    let tasks: Vec<_> = solved.iter_mut().enumerate().collect();
-    // Work: one unit per traced message, which every problem sorts, groups
-    // and sweeps — a low count, so a small round stays on this thread.
-    tensor::par::run_tasks(tasks, table.betas.len(), |(section, slot)| {
-        let built = table.build(section, cost, cfg);
-        let solution = solve_flat(&built.problem);
-        *slot = Some((
-            built.message_widths(&solution),
-            solution.iterations,
-            solution.objective,
-        ));
-    });
-    let mut stats = SolveStats::default();
-    let mut widths = Vec::with_capacity(solved.len());
-    for (section_widths, iterations, objective) in solved.into_iter().flatten() {
-        stats.iterations += iterations as u64;
-        stats.objective_sum += objective;
-        stats.problems += 1;
-        widths.push(section_widths);
-    }
-    Ok((table.encode_replies(&widths), stats))
 }
 
 /// Why a control-plane message failed to decode.
@@ -565,28 +528,64 @@ pub fn encode_trace(send_alpha_sq: &[Vec<f64>], trace: &Trace) -> Vec<u8> {
     out
 }
 
-/// Every device's traced betas, decoded into one flat table of directed
-/// device pairs, grouped by section (`2 * layer + is_backward`) and, within a
-/// section, ascending by sender then receiver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairTable {
+/// The gathered [`encode_trace`] messages, `traces[r]` being rank `r`'s,
+/// once the master has checked their framing: where each device's block of
+/// each section (`2 * layer + is_backward`) lies in its own message. The
+/// betas stay in the message bytes, and each section's solve reads them
+/// from there ([`Gathered::round`]).
+#[derive(Debug)]
+pub struct Gathered<'a> {
     /// Device count (one trace per device).
     n: usize,
     /// Message dims per layer (shared by both directions).
     dims: Vec<u32>,
-    /// Section `s` owns pairs `section_start[s]..section_start[s + 1]`.
-    section_start: Vec<usize>,
-    /// `(sender, receiver)` of every pair.
-    ends: Vec<(u32, u32)>,
-    /// Pair `p`'s betas are `betas[beta_start[p]..beta_start[p + 1]]`.
-    beta_start: Vec<usize>,
-    betas: Vec<f64>,
+    /// `blocks[section * n + src]`: device `src`'s block of `section`.
+    blocks: Vec<Block<'a>>,
 }
 
-impl PairTable {
-    /// Decodes the gathered [`encode_trace`] messages, `traces[r]` being
-    /// rank `r`'s.
-    pub fn decode<B: AsRef<[u8]>>(traces: &[B]) -> Result<Self, WireError> {
+/// One device's checked block of one section: its `(peer, count, betas)`
+/// entries, peers ascending.
+#[derive(Debug, Clone, Copy)]
+struct Block<'a> {
+    peers: u32,
+    entries: &'a [u8],
+}
+
+impl<'a> Block<'a> {
+    /// The entries' bytes less their `(peer, count)` headers, in betas.
+    fn messages(self) -> usize {
+        self.entries.len() / 8 - self.peers as usize
+    }
+
+    /// Each entry's peer and betas, in wire order.
+    fn entries(self) -> impl Iterator<Item = (u32, &'a [[u8; 8]])> {
+        let mut rest = self.entries;
+        std::iter::from_fn(move || {
+            let (peer, tail) = rest.split_first_chunk::<4>()?;
+            let (count, tail) = tail.split_first_chunk::<4>()?;
+            let (betas, tail) = tail.split_at_checked(8 * u32::from_le_bytes(*count) as usize)?;
+            rest = tail;
+            Some((u32::from_le_bytes(*peer), betas.as_chunks::<8>().0))
+        })
+    }
+}
+
+/// One section's problem as the solver takes it, with each pair's sort
+/// order, through which the solver's group widths reach the messages.
+#[derive(Debug)]
+pub struct Section {
+    group_size: usize,
+    /// Per pair, in the section's message order: sorted position -> message
+    /// index.
+    order: Vec<u32>,
+    /// One pair per listed (sender, receiver), senders ascending.
+    pub problem: FlatProblem,
+}
+
+impl<'a> Gathered<'a> {
+    /// Checks every message in full (headers, peer lists, counts, lengths,
+    /// nothing trailing) before anything is solved.
+    pub fn check<B: AsRef<[u8]>>(traces: &'a [B]) -> Result<Self, WireError> {
         let n = traces.len();
         let mut readers: Vec<Reader> = traces.iter().map(|t| Reader(t.as_ref())).collect();
         let mut dims: Option<Vec<u32>> = None;
@@ -597,97 +596,80 @@ impl PairTable {
                 return Err(WireError::DimsDisagree);
             }
         }
-        let mut table = Self {
-            n,
-            dims: dims.unwrap_or_default(),
-            section_start: Vec::new(),
-            ends: Vec::new(),
-            beta_start: vec![0],
-            betas: Vec::new(),
-        };
+        let dims = dims.unwrap_or_default();
+        let mut blocks = Vec::with_capacity(2 * dims.len() * n);
         // Each message lists its sections in order, so reading section `s`
-        // from every device in turn leaves the table section-major.
-        for _ in 0..2 * table.dims.len() {
-            table.section_start.push(table.ends.len());
-            for (src, r) in readers.iter_mut().enumerate() {
+        // from every device in turn leaves the blocks section-major.
+        for _ in 0..2 * dims.len() {
+            for r in &mut readers {
+                let (peers, entries) = (r.u32()?, r.0);
                 let mut prev = None;
-                for _ in 0..r.u32()? {
-                    let (dst, count) = r.peer(n, &mut prev)?;
-                    let (betas, _) = r.items(count, 8)?.as_chunks::<8>();
-                    table
-                        .betas
-                        .extend(betas.iter().map(|b| f64::from_le_bytes(*b)));
-                    table.ends.push((src as u32, dst));
-                    table.beta_start.push(table.betas.len());
+                for _ in 0..peers {
+                    let (_, count) = r.peer(n, &mut prev)?;
+                    r.items(count, 8)?;
                 }
+                let entries = &entries[..entries.len() - r.0.len()];
+                blocks.push(Block { peers, entries });
             }
         }
-        table.section_start.push(table.ends.len());
         readers.into_iter().try_for_each(Reader::finish)?;
-        Ok(table)
+        Ok(Self { n, dims, blocks })
     }
 
     /// Number of (layer, direction) problems: two per layer.
     pub fn num_sections(&self) -> usize {
-        self.section_start.len() - 1
+        2 * self.dims.len()
     }
 
-    fn pairs_of(&self, section: usize) -> std::ops::Range<usize> {
-        self.section_start[section]..self.section_start[section + 1]
+    fn blocks_of(&self, section: usize) -> &[Block<'a>] {
+        &self.blocks[section * self.n..(section + 1) * self.n]
     }
 
-    /// Pair `p`'s betas, in message order.
-    fn betas_of(&self, p: usize) -> &[f64] {
-        &self.betas[self.beta_start[p]..self.beta_start[p + 1]]
-    }
-
-    /// Builds one section's bi-objective problem: each pair's messages
-    /// sorted by beta descending and chunked into groups of
+    /// Builds one section's bi-objective problem from the trace bytes: each
+    /// pair's messages sorted by beta descending and chunked into groups of
     /// `cfg.group_size`.
-    pub fn build(
-        &self,
-        section: usize,
-        cost: &CostModel,
-        cfg: &TrainingConfig,
-    ) -> SectionProblem<'_> {
+    pub fn section(&self, section: usize, cost: &CostModel, cfg: &TrainingConfig) -> Section {
         let group_size = cfg.group_size.max(1);
-        let dim = self.dims[section / 2] as usize;
-        let pairs = self.pairs_of(section);
-        let messages = self.beta_start[pairs.end] - self.beta_start[pairs.start];
+        let dim = f64::from(self.dims[section / 2]);
+        let blocks = self.blocks_of(section);
+        let pairs: usize = blocks.iter().map(|b| b.peers as usize).sum();
+        let messages: usize = blocks.iter().map(|b| b.messages()).sum();
         let mut order: Vec<u32> = Vec::with_capacity(messages);
         // At most one short group per pair on top of the full ones.
-        let groups = messages / group_size + pairs.len();
-        let mut problem = FlatProblem::with_capacity(pairs.len(), groups, cfg.lambda);
-        for p in pairs {
-            let betas = self.betas_of(p);
-            let at = order.len();
-            order.extend(0..betas.len() as u32);
-            let sorted = &mut order[at..];
-            sorted.sort_by(|&a, &b| betas[b as usize].total_cmp(&betas[a as usize]));
-            let (src, dst) = self.ends[p];
-            let (theta, gamma) = cost.link_params(src as usize, dst as usize);
-            // Fold fixed wire overhead into gamma.
-            let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
-            problem.push_pair(
-                theta,
-                gamma + theta * overhead as f64,
-                sorted.chunks(group_size).map(|group| GroupSpec {
-                    beta: group.iter().map(|&k| betas[k as usize]).sum(),
-                    bytes_per_bit: group.len() as f64 * dim as f64 / 8.0,
-                }),
-            );
+        let groups = messages / group_size + pairs;
+        let mut problem = FlatProblem::with_capacity(pairs, groups, cfg.lambda);
+        for (src, block) in blocks.iter().enumerate() {
+            for (dst, betas) in block.entries() {
+                let beta = |k: u32| f64::from_le_bytes(betas[k as usize]);
+                let at = order.len();
+                order.extend(0..betas.len() as u32);
+                let sorted = &mut order[at..];
+                sorted.sort_by(|&a, &b| beta(b).total_cmp(&beta(a)));
+                let (theta, gamma) = cost.link_params(src, dst as usize);
+                // Fold fixed wire overhead into gamma.
+                let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
+                problem.push_pair(
+                    theta,
+                    gamma + theta * overhead as f64,
+                    sorted.chunks(group_size).map(|group| GroupSpec {
+                        beta: group.iter().map(|&k| beta(k)).sum(),
+                        bytes_per_bit: group.len() as f64 * dim / 8.0,
+                    }),
+                );
+            }
         }
-        SectionProblem {
-            table: self,
-            section,
+        Section {
             group_size,
             order,
             problem,
         }
     }
 
-    /// Serializes one reply per device from every section's per-message
-    /// widths ([`SectionProblem::message_widths`], in section order).
+    /// Solves every section and writes one reply per device, each section
+    /// in one pass from trace bytes to reply bytes, one task per section on
+    /// the shared kernel pool (the paper uses a thread pool on the master
+    /// for the same reason). Returns the replies and the round's stats with
+    /// `secs` left zero for the caller to fill in from its own timer.
     ///
     /// ```text
     /// layers u32
@@ -697,87 +679,98 @@ impl PairTable {
     ///
     /// Each pair's widths go to its sender only: the receiver reads them
     /// off the wire, where every row carries its own width.
-    pub fn encode_replies(&self, widths: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        assert_eq!(
-            widths.len(),
-            self.num_sections(),
-            "one width table per section"
-        );
-        let mut lens = vec![4 + 4 * self.num_sections(); self.n];
-        for (p, &(src, _)) in self.ends.iter().enumerate() {
-            lens[src as usize] += 8 + self.betas_of(p).len();
+    pub fn round(&self, cost: &CostModel, cfg: &TrainingConfig) -> (Vec<Vec<u8>>, SolveStats) {
+        let mut replies = Vec::new();
+        let mut solved = vec![None; self.num_sections()];
+        let tasks: Vec<_> = solved
+            .iter_mut()
+            .zip(self.reply_blocks(&mut replies))
+            .enumerate()
+            .collect();
+        // Work: one unit per traced message, which every problem sorts,
+        // groups and sweeps — a low count, so a small round stays on this
+        // thread. The pool runs no more workers than tasks or cores.
+        let messages = self.blocks.iter().map(|b| b.messages()).sum();
+        tensor::par::run_tasks(tasks, messages, |(section, (slot, out))| {
+            let built = self.section(section, cost, cfg);
+            let solution = solve_flat(&built.problem);
+            self.write(section, &built, &solution, out);
+            *slot = Some((solution.iterations, solution.objective));
+        });
+        let mut stats = SolveStats::default();
+        for (iterations, objective) in solved.into_iter().flatten() {
+            stats.iterations += iterations as u64;
+            stats.objective_sum += objective;
+            stats.problems += 1;
         }
-        let mut replies: Vec<Vec<u8>> = lens.into_iter().map(Vec::with_capacity).collect();
-        for reply in &mut replies {
-            put_u32(reply, self.dims.len());
-        }
-        for (section, widths) in widths.iter().enumerate() {
-            let pairs = self.pairs_of(section);
-            let base = self.beta_start[pairs.start];
-            // Pairs ascend by sender, so each device's block is one run.
-            let mut sent = pairs.start;
-            for (rank, reply) in replies.iter_mut().enumerate() {
-                let run = self.ends[sent..pairs.end]
-                    .iter()
-                    .take_while(|&&(src, _)| src as usize == rank)
-                    .count();
-                put_u32(reply, run);
-                for p in sent..sent + run {
-                    put_u32(reply, self.ends[p].1 as usize);
-                    put_u32(reply, self.betas_of(p).len());
-                    reply.extend_from_slice(
-                        &widths[self.beta_start[p] - base..self.beta_start[p + 1] - base],
-                    );
-                }
-                sent += run;
-            }
+        (replies, stats)
+    }
+
+    /// [`Gathered::round`]'s replies from sections built and solved already,
+    /// `sections[s]` and `solutions[s]` being section `s`'s.
+    pub fn encode_replies(&self, sections: &[Section], solutions: &[FlatSolution]) -> Vec<Vec<u8>> {
+        let mut replies = Vec::new();
+        for (s, out) in self.reply_blocks(&mut replies).into_iter().enumerate() {
+            self.write(s, &sections[s], &solutions[s], out);
         }
         replies
     }
-}
 
-/// One section's problem as handed to the solver, plus what it takes to turn
-/// the solver's per-group widths back into per-message ones.
-#[derive(Debug)]
-pub struct SectionProblem<'a> {
-    table: &'a PairTable,
-    section: usize,
-    group_size: usize,
-    /// Per pair, laid out like the section's betas: sorted position ->
-    /// message index.
-    order: Vec<u32>,
-    /// One pair of the problem per pair of the section, in table order.
-    pub problem: FlatProblem,
-}
+    /// Fills `replies` with one zeroed reply per device, its layer count
+    /// written, and cuts out the blocks [`Gathered::write`] fills,
+    /// `[section][src]`: each as long as the trace's block with one width
+    /// byte per message in place of a beta.
+    fn reply_blocks<'r>(&self, replies: &'r mut Vec<Vec<u8>>) -> Vec<Vec<&'r mut [u8]>> {
+        let len = |b: &Block| 4 + 8 * b.peers as usize + b.messages();
+        *replies = (0..self.n)
+            .map(|src| {
+                let own = self.blocks[src..].iter().step_by(self.n);
+                let bytes = 4 + own.map(len).sum::<usize>();
+                let mut reply = Vec::with_capacity(bytes);
+                put_u32(&mut reply, self.dims.len());
+                reply.resize(bytes, 0);
+                reply
+            })
+            .collect();
+        let mut rests: Vec<&mut [u8]> = replies.iter_mut().map(|r| &mut r[4..]).collect();
+        self.blocks
+            .chunks(self.n.max(1))
+            .map(|blocks| {
+                let cut = |(b, rest): (&Block, &mut &'r mut [u8])| {
+                    let (block, tail) = std::mem::take(rest).split_at_mut(len(b));
+                    *rest = tail;
+                    block
+                };
+                blocks.iter().zip(&mut rests).map(cut).collect()
+            })
+            .collect()
+    }
 
-impl SectionProblem<'_> {
-    /// Expands `solution` (of [`SectionProblem::problem`]) into one bit
-    /// count per message, laid out like the section's betas.
-    pub fn message_widths(&self, solution: &FlatSolution) -> Vec<u8> {
-        let pairs = self.table.pairs_of(self.section);
-        let base = self.table.beta_start[pairs.start];
-        let mut out = vec![0u8; self.order.len()];
-        assert_eq!(
-            solution.widths.len(),
-            self.problem.num_groups(),
-            "one width per group"
-        );
-        for (i, p) in pairs.enumerate() {
-            let at = self.table.beta_start[p] - base;
-            let order = &self.order[at..at + self.table.betas_of(p).len()];
-            let widths = &solution.widths[self.problem.groups_of(i)];
-            assert_eq!(widths.len(), order.len().div_ceil(self.group_size));
-            for (pos, &k) in order.iter().enumerate() {
-                out[at + k as usize] = widths[pos / self.group_size].bits() as u8;
+    /// Writes `section`'s entries with `solution`'s widths, each message's
+    /// through its pair's sort order, into its sender's block `out[src]`.
+    fn write(&self, section: usize, built: &Section, solution: &FlatSolution, out: Vec<&mut [u8]>) {
+        let (mut pair, mut at) = (0, 0);
+        for (block, reply) in self.blocks_of(section).iter().zip(out) {
+            let (peers, mut rest) = reply.split_at_mut(4);
+            peers.copy_from_slice(&block.peers.to_le_bytes());
+            for (dst, betas) in block.entries() {
+                let count = betas.len();
+                let (entry, tail) = rest.split_at_mut(8 + count);
+                entry[..4].copy_from_slice(&dst.to_le_bytes());
+                entry[4..8].copy_from_slice(&(count as u32).to_le_bytes());
+                let widths = &solution.widths[built.problem.groups_of(pair)];
+                for (pos, &k) in built.order[at..at + count].iter().enumerate() {
+                    entry[8 + k as usize] = widths[pos / built.group_size].bits() as u8;
+                }
+                (pair, at, rest) = (pair + 1, at + count, tail);
             }
         }
-        out
     }
 }
 
 impl WidthAssignment {
-    /// Overwrites every table with the master's reply
-    /// ([`PairTable::encode_replies`]) on a device of an `n`-device cluster.
+    /// Overwrites every table with the master's reply ([`Gathered::round`])
+    /// on a device of an `n`-device cluster.
     ///
     /// The reply is checked in full first — framing, then against the
     /// tables' own shape, which [`WidthAssignment::fixed`] took from the
@@ -848,6 +841,198 @@ mod tests {
     use gnn::ConvKind;
     use graph::DatasetSpec;
     use proptest::prelude::*;
+
+    /// Every device's traced betas decoded into one flat table of directed
+    /// device pairs, grouped by section and, within a section, ascending by
+    /// sender then receiver: the master's round as it ran before it went
+    /// from trace bytes to reply bytes in one pass (decode every beta, build
+    /// each section from the table, solve, expand the group widths into a
+    /// per-message table per section, encode the replies from those), kept
+    /// as the oracle [`Gathered`] is pinned to ([`staged_round`]).
+    #[derive(Debug, Clone, PartialEq)]
+    struct PairTable {
+        n: usize,
+        dims: Vec<u32>,
+        /// Section `s` owns pairs `section_start[s]..section_start[s + 1]`.
+        section_start: Vec<usize>,
+        /// `(sender, receiver)` of every pair.
+        ends: Vec<(u32, u32)>,
+        /// Pair `p`'s betas are `betas[beta_start[p]..beta_start[p + 1]]`.
+        beta_start: Vec<usize>,
+        betas: Vec<f64>,
+    }
+
+    impl PairTable {
+        fn decode<B: AsRef<[u8]>>(traces: &[B]) -> Result<Self, WireError> {
+            let n = traces.len();
+            let mut readers: Vec<Reader> = traces.iter().map(|t| Reader(t.as_ref())).collect();
+            let mut dims: Option<Vec<u32>> = None;
+            for r in &mut readers {
+                let layers = r.u32()?;
+                let own: Vec<u32> = (0..layers).map(|_| r.u32()).collect::<Result<_, _>>()?;
+                if *dims.get_or_insert_with(|| own.clone()) != own {
+                    return Err(WireError::DimsDisagree);
+                }
+            }
+            let mut table = Self {
+                n,
+                dims: dims.unwrap_or_default(),
+                section_start: Vec::new(),
+                ends: Vec::new(),
+                beta_start: vec![0],
+                betas: Vec::new(),
+            };
+            for _ in 0..2 * table.dims.len() {
+                table.section_start.push(table.ends.len());
+                for (src, r) in readers.iter_mut().enumerate() {
+                    let mut prev = None;
+                    for _ in 0..r.u32()? {
+                        let (dst, count) = r.peer(n, &mut prev)?;
+                        let (betas, _) = r.items(count, 8)?.as_chunks::<8>();
+                        table
+                            .betas
+                            .extend(betas.iter().map(|b| f64::from_le_bytes(*b)));
+                        table.ends.push((src as u32, dst));
+                        table.beta_start.push(table.betas.len());
+                    }
+                }
+            }
+            table.section_start.push(table.ends.len());
+            readers.into_iter().try_for_each(Reader::finish)?;
+            Ok(table)
+        }
+
+        fn num_sections(&self) -> usize {
+            self.section_start.len() - 1
+        }
+
+        fn pairs_of(&self, section: usize) -> std::ops::Range<usize> {
+            self.section_start[section]..self.section_start[section + 1]
+        }
+
+        fn betas_of(&self, p: usize) -> &[f64] {
+            &self.betas[self.beta_start[p]..self.beta_start[p + 1]]
+        }
+
+        /// One section's problem, and per pair the sorted position ->
+        /// message index map, laid out like the section's betas.
+        fn build(
+            &self,
+            section: usize,
+            cost: &CostModel,
+            cfg: &TrainingConfig,
+        ) -> (FlatProblem, Vec<u32>) {
+            let group_size = cfg.group_size.max(1);
+            let dim = self.dims[section / 2] as usize;
+            let pairs = self.pairs_of(section);
+            let messages = self.beta_start[pairs.end] - self.beta_start[pairs.start];
+            let mut order: Vec<u32> = Vec::with_capacity(messages);
+            let groups = messages / group_size + pairs.len();
+            let mut problem = FlatProblem::with_capacity(pairs.len(), groups, cfg.lambda);
+            for p in pairs {
+                let betas = self.betas_of(p);
+                let at = order.len();
+                order.extend(0..betas.len() as u32);
+                let sorted = &mut order[at..];
+                sorted.sort_by(|&a, &b| betas[b as usize].total_cmp(&betas[a as usize]));
+                let (src, dst) = self.ends[p];
+                let (theta, gamma) = cost.link_params(src as usize, dst as usize);
+                let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
+                problem.push_pair(
+                    theta,
+                    gamma + theta * overhead as f64,
+                    sorted.chunks(group_size).map(|group| GroupSpec {
+                        beta: group.iter().map(|&k| betas[k as usize]).sum(),
+                        bytes_per_bit: group.len() as f64 * dim as f64 / 8.0,
+                    }),
+                );
+            }
+            (problem, order)
+        }
+
+        /// Expands `solution` of section `section`'s problem into one bit
+        /// count per message, laid out like the section's betas.
+        fn message_widths(
+            &self,
+            section: usize,
+            group_size: usize,
+            (problem, order): &(FlatProblem, Vec<u32>),
+            solution: &FlatSolution,
+        ) -> Vec<u8> {
+            let pairs = self.pairs_of(section);
+            let base = self.beta_start[pairs.start];
+            let mut out = vec![0u8; order.len()];
+            for (i, p) in pairs.enumerate() {
+                let at = self.beta_start[p] - base;
+                let order = &order[at..at + self.betas_of(p).len()];
+                let widths = &solution.widths[problem.groups_of(i)];
+                for (pos, &k) in order.iter().enumerate() {
+                    out[at + k as usize] = widths[pos / group_size].bits() as u8;
+                }
+            }
+            out
+        }
+
+        /// One reply per device from every section's per-message widths.
+        fn encode_replies(&self, widths: &[Vec<u8>]) -> Vec<Vec<u8>> {
+            let mut replies = vec![Vec::new(); self.n];
+            for reply in &mut replies {
+                put_u32(reply, self.dims.len());
+            }
+            for (section, widths) in widths.iter().enumerate() {
+                let pairs = self.pairs_of(section);
+                let base = self.beta_start[pairs.start];
+                let mut sent = pairs.start;
+                for (rank, reply) in replies.iter_mut().enumerate() {
+                    let run = self.ends[sent..pairs.end]
+                        .iter()
+                        .take_while(|&&(src, _)| src as usize == rank)
+                        .count();
+                    put_u32(reply, run);
+                    for p in sent..sent + run {
+                        put_u32(reply, self.ends[p].1 as usize);
+                        put_u32(reply, self.betas_of(p).len());
+                        reply.extend_from_slice(
+                            &widths[self.beta_start[p] - base..self.beta_start[p + 1] - base],
+                        );
+                    }
+                    sent += run;
+                }
+            }
+            replies
+        }
+    }
+
+    /// The master's round through [`PairTable`]: decode, then per section
+    /// build, solve and expand, then encode.
+    fn staged_round(
+        traces: &[Vec<u8>],
+        cost: &CostModel,
+        cfg: &TrainingConfig,
+    ) -> Result<(Vec<Vec<u8>>, SolveStats), WireError> {
+        let table = PairTable::decode(traces)?;
+        let mut stats = SolveStats::default();
+        let mut widths = Vec::new();
+        for section in 0..table.num_sections() {
+            let built = table.build(section, cost, cfg);
+            let solution = solve_flat(&built.0);
+            widths.push(table.message_widths(section, cfg.group_size.max(1), &built, &solution));
+            stats.iterations += solution.iterations as u64;
+            stats.objective_sum += solution.objective;
+            stats.problems += 1;
+        }
+        Ok((table.encode_replies(&widths), stats))
+    }
+
+    /// `round`'s stats with the objective sum as bits (`==` on `f64` would
+    /// let `-0.0` pass for `0.0`).
+    fn stat_bits(stats: SolveStats) -> (u64, u64, u64) {
+        (
+            stats.iterations,
+            stats.objective_sum.to_bits(),
+            stats.problems,
+        )
+    }
 
     fn setup(k: usize) -> Vec<DevicePartition> {
         let ds = DatasetSpec::tiny().generate(21);
@@ -990,9 +1175,11 @@ mod tests {
                     encode_trace(&part.send_alpha_sq, &trace)
                 })
                 .collect();
-            let table = PairTable::decode(&traces).expect("valid traces");
+            let gathered = Gathered::check(&traces).expect("valid traces");
             // Section 0 is layer 0 forward; backward betas carry no alpha.
-            table.betas[..table.beta_start[table.section_start[1]]].to_vec()
+            let entries = gathered.blocks_of(0).iter().flat_map(|b| b.entries());
+            let betas = entries.flat_map(|(_, betas)| betas.iter().map(|b| f64::from_le_bytes(*b)));
+            betas.collect::<Vec<_>>()
         };
         let (b1, b2) = (betas_at(1.0), betas_at(2.0));
         assert!(!b1.is_empty());
@@ -1151,16 +1338,18 @@ mod tests {
         #[test]
         fn trace_messages_round_trip(n in 1usize..=5, layers in 1usize..=3, seed in 0u64..u64::MAX) {
             let (alphas, traces) = arb_traces(n, layers, &mut Rng::seed_from(seed));
-            let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
-            prop_assert_eq!(table.num_sections(), 2 * layers);
-            let mut p = 0;
+            let msgs = encode_all(&alphas, &traces);
+            let gathered = Gathered::check(&msgs).expect("valid traces");
+            prop_assert_eq!(gathered.num_sections(), 2 * layers);
             for section in 0..2 * layers {
-                prop_assert_eq!(table.section_start[section], p);
-                for src in 0..n {
+                for (src, block) in gathered.blocks_of(section).iter().enumerate() {
                     let (layer, dim) = (section / 2, traces[src].dims[section / 2]);
                     let t = if section % 2 == 0 { &traces[src].fwd } else { &traces[src].bwd };
+                    let mut entries = block.entries();
+                    let (mut peers, mut messages) = (0, 0);
                     for (dst, ranges) in t.peers(layer) {
-                        prop_assert_eq!(table.ends[p], (src as u32, dst as u32));
+                        let (peer, betas) = entries.next().expect("one entry per listed peer");
+                        prop_assert_eq!(peer as usize, dst);
                         let want: Vec<u64> = ranges
                             .iter()
                             .enumerate()
@@ -1169,13 +1358,14 @@ mod tests {
                                 quant::variance::beta(a, dim, r).to_bits()
                             })
                             .collect();
-                        let got: Vec<u64> = table.betas_of(p).iter().map(|b| b.to_bits()).collect();
+                        let got: Vec<u64> = betas.iter().map(|b| u64::from_le_bytes(*b)).collect();
                         prop_assert_eq!(got, want);
-                        p += 1;
+                        (peers, messages) = (peers + 1, messages + ranges.len());
                     }
+                    prop_assert!(entries.next().is_none());
+                    prop_assert_eq!((block.peers, block.messages()), (peers, messages));
                 }
             }
-            prop_assert_eq!(table.ends.len(), p);
         }
 
         #[test]
@@ -1232,16 +1422,37 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let (alphas, traces) = arb_traces(n, layers, &mut Rng::seed_from(seed));
-            let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
             let cost = CostModel::homogeneous(n, 1e6, 1e-5);
             let cfg = TrainingConfig { group_size, lambda, ..TrainingConfig::default() };
-            for section in 0..table.num_sections() {
-                let flat = table.build(section, &cost, &cfg).problem;
+            let msgs = encode_all(&alphas, &traces);
+            let gathered = Gathered::check(&msgs).expect("valid traces");
+            let table = PairTable::decode(&msgs).expect("valid traces");
+            for section in 0..gathered.num_sections() {
+                let flat = gathered.section(section, &cost, &cfg).problem;
                 let want = nested_build(&table, section, &cost, &cfg).flatten();
                 // `==` for the shape, `Debug` for the bits (it tells zeros apart).
                 prop_assert_eq!(&flat, &want);
                 prop_assert_eq!(format!("{flat:?}"), format!("{want:?}"));
             }
+        }
+
+        #[test]
+        fn one_pass_round_matches_the_staged_oracle(
+            n in 1usize..=9,
+            layers in 1usize..=3,
+            group_size in 1usize..=5,
+            lambda in prop_oneof![Just(0.0), Just(0.5), Just(1.0), 0.0f64..1.0],
+            bandwidth in prop_oneof![Just(1e6), 1e4f64..1e9],
+            seed in 0u64..u64::MAX,
+        ) {
+            let (alphas, traces) = arb_traces(n, layers, &mut Rng::seed_from(seed));
+            let msgs = encode_all(&alphas, &traces);
+            let cost = CostModel::homogeneous(n, bandwidth, 1e-5);
+            let cfg = TrainingConfig { group_size, lambda, ..TrainingConfig::default() };
+            let (replies, stats) = Gathered::check(&msgs).expect("valid traces").round(&cost, &cfg);
+            let (want, want_stats) = staged_round(&msgs, &cost, &cfg).expect("valid traces");
+            prop_assert_eq!(replies, want);
+            prop_assert_eq!(stat_bits(stats), stat_bits(want_stats));
         }
     }
 
@@ -1270,17 +1481,21 @@ mod tests {
             let good = msgs[rank].clone();
             for bad in corruptions(&good) {
                 msgs[rank] = bad;
-                match PairTable::decode(&msgs) {
-                    Err(_) => rejected += 1,
-                    Ok(t) => {
-                        // Well-formed: the whole master round runs on it.
+                // The framing check refuses what decoding every beta did,
+                // with the same error, and what it passes is well-formed:
+                // the whole master round runs on it, as the staged one did.
+                let staged = staged_round(&msgs, &cost, &cfg);
+                match Gathered::check(&msgs) {
+                    Err(e) => {
+                        rejected += 1;
+                        assert_eq!(staged.map(drop), Err(e));
+                    }
+                    Ok(g) => {
                         accepted += 1;
-                        assert_eq!(t.num_sections(), 4);
-                        for s in 0..t.num_sections() {
-                            let built = t.build(s, &cost, &cfg);
-                            assert_eq!(built.problem.num_pairs(), t.pairs_of(s).len());
-                        }
-                        assert_eq!(t.encode_replies(&arb_widths(&t, &mut rng)).len(), 3);
+                        let (replies, stats) = g.round(&cost, &cfg);
+                        let (want, want_stats) = staged.expect("the staged round decodes it");
+                        assert_eq!(replies, want);
+                        assert_eq!(stat_bits(stats), stat_bits(want_stats));
                     }
                 }
             }
@@ -1408,7 +1623,8 @@ mod tests {
             let own = Bytes::from(encode_trace(&part.send_alpha_sq, &trace));
             if dev.rank() == 0 {
                 let traces = dev.gather(0, own).await.expect("the root gathers");
-                let (mut replies, stats) = master_round(&traces, cost, cfg).expect("valid traces");
+                let gathered = Gathered::check(&traces).expect("valid traces");
+                let (mut replies, stats) = gathered.round(cost, cfg);
                 let mut stats = stats.to_bytes().to_vec();
                 tamper(&mut replies, &mut stats);
                 dev.scatter(0, Some(replies.into_iter().map(Bytes::from).collect()))

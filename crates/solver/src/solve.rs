@@ -7,12 +7,12 @@ use quant::BitWidth;
 /// feasible times (plus every pair's own breakpoints).
 const Z_SAMPLES: usize = 48;
 
-/// Everything [`solve_flat`] needs to know about a problem, from one pass
-/// over its groups: each pair's greedy downgrade schedule (moves sorted by
-/// variance added per byte saved, as prefix sums, so a byte budget resolves
-/// with a search instead of a fresh sort) in three arenas shared by all
-/// pairs, and the three uniform assignments' scores, from which the
-/// objective normalizers, the sweep's seeds and the Z range all follow.
+/// Everything [`solve_flat`] needs to know about a problem: the three
+/// uniform assignments' scores (the objective normalizers, the sweep's seeds
+/// and the Z range), and per pair its uniform totals and, if it has to move
+/// under some Z candidate, its greedy downgrade schedule (moves sorted by
+/// variance added per byte saved, as prefix sums in arenas shared by all
+/// pairs, so a byte budget resolves with a search instead of a fresh sort).
 struct Schedules {
     heads: Vec<PairHead>,
     /// Cumulative bytes saved after a pair's first `k + 1` moves.
@@ -26,11 +26,10 @@ struct Schedules {
     uniform: [(f64, f64); 3],
 }
 
-/// One pair's slice of the [`Schedules`] arenas, its link, and its totals
-/// at the uniform widths.
+/// One pair's slice of the [`Schedules`] arenas (empty if it never moves),
+/// its link, and its totals at the uniform widths.
 struct PairHead {
-    start: usize,
-    end: usize,
+    moves: std::ops::Range<usize>,
     theta: f64,
     gamma: f64,
     bytes8: f64,
@@ -40,67 +39,45 @@ struct PairHead {
     max_time: f64,
 }
 
+impl PairHead {
+    /// Bytes over what fits in `budget_seconds` at 8 bits; never rises with it.
+    fn need(&self, budget_seconds: f64) -> f64 {
+        let budget_bytes = if self.theta > 0.0 {
+            (budget_seconds - self.gamma) / self.theta
+        } else {
+            f64::INFINITY
+        };
+        self.bytes8 - budget_bytes
+    }
+}
+
 impl Schedules {
     fn build(problem: &FlatProblem) -> Self {
-        struct Move {
-            ratio: f64,
-            group: usize,
-            to: BitWidth,
-            dv: f64,
-            db: f64,
-        }
-        let total = 2 * problem.num_groups();
+        // Per group: (variance, bytes) at each width of `BitWidth::ALL`.
+        let at = |g: usize| {
+            let g = problem.group(g);
+            BitWidth::ALL.map(|w| (g.variance_at(w), g.bytes_at(w)))
+        };
         let mut out = Self {
             heads: Vec::with_capacity(problem.num_pairs()),
-            saved: Vec::with_capacity(total),
-            dvar: Vec::with_capacity(total),
-            moves: Vec::with_capacity(total),
+            saved: Vec::new(),
+            dvar: Vec::new(),
+            moves: Vec::new(),
             // Sums start from `Iterator::sum`'s identity and maxima from
             // zero, and run pair by pair over per-pair sums taken group by
             // group: the order `BiObjectiveProblem`'s own accessors use, so
             // every total rounds as theirs does.
             uniform: [(-0.0, 0.0); 3],
         };
-        let mut moves: Vec<Move> = Vec::new();
         for p in 0..problem.num_pairs() {
             let (theta, gamma) = problem.link(p);
-            moves.clear();
             // Per width of `BitWidth::ALL`: this pair's (variance, bytes).
             let mut sums = [(-0.0f64, -0.0f64); 3];
-            for (k, g) in problem.groups_of(p).map(|g| problem.group(g)).enumerate() {
-                let at = BitWidth::ALL.map(|w| (g.variance_at(w), g.bytes_at(w)));
-                for (sum, (v, b)) in sums.iter_mut().zip(at) {
+            for g in problem.groups_of(p) {
+                for (sum, (v, b)) in sums.iter_mut().zip(at(g)) {
                     sum.0 += v;
                     sum.1 += b;
                 }
-                // 8 -> 4, then 4 -> 2.
-                for to in [1, 0] {
-                    let dv = at[to].0 - at[to + 1].0;
-                    let db = at[to + 1].1 - at[to].1;
-                    if db > 0.0 {
-                        moves.push(Move {
-                            ratio: dv / db,
-                            group: k,
-                            to: BitWidth::ALL[to],
-                            dv,
-                            db,
-                        });
-                    }
-                }
-            }
-            // Convexity of 1/(2^b-1)^2 vs bytes guarantees a group's 8->4
-            // move sorts before its 4->2 move, so prefix application stays
-            // legal.
-            moves.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
-            let start = out.saved.len();
-            let mut s = 0.0;
-            let mut v = 0.0;
-            for m in &moves {
-                s += m.db;
-                v += m.dv;
-                out.saved.push(s);
-                out.dvar.push(v);
-                out.moves.push((m.group, m.to));
             }
             let time = sums.map(|(_, bytes)| theta * bytes + gamma);
             for (total, ((var, _), t)) in out.uniform.iter_mut().zip(sums.into_iter().zip(time)) {
@@ -108,8 +85,7 @@ impl Schedules {
                 total.1 = total.1.max(t);
             }
             out.heads.push(PairHead {
-                start,
-                end: out.saved.len(),
+                moves: 0..0,
                 theta,
                 gamma,
                 bytes8: sums[2].1,
@@ -117,6 +93,42 @@ impl Schedules {
                 min_time: time[0],
                 max_time: time[2],
             });
+        }
+        // Schedules only for the pairs that need a move at the smallest
+        // candidate: `need` never rises with Z, so every other pair takes no
+        // move under any candidate and its schedule would never be read.
+        let z_floor = out.uniform[0].1;
+        // Per move: (variance added per byte saved, group, to, dv, db).
+        let mut moves: Vec<(f64, usize, BitWidth, f64, f64)> = Vec::new();
+        for p in 0..problem.num_pairs() {
+            if out.heads[p].need(z_floor) <= 0.0 {
+                continue;
+            }
+            moves.clear();
+            for (k, g) in problem.groups_of(p).enumerate() {
+                let at = at(g);
+                // 8 -> 4, then 4 -> 2.
+                for to in [1, 0] {
+                    let dv = at[to].0 - at[to + 1].0;
+                    let db = at[to + 1].1 - at[to].1;
+                    if db > 0.0 {
+                        moves.push((dv / db, k, BitWidth::ALL[to], dv, db));
+                    }
+                }
+            }
+            // Convexity of 1/(2^b-1)^2 vs bytes guarantees a group's 8->4
+            // move sorts before its 4->2 move, so prefix application stays
+            // legal.
+            moves.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (start, mut s, mut v) = (out.saved.len(), 0.0, 0.0);
+            for &(_, group, to, dv, db) in &moves {
+                s += db;
+                v += dv;
+                out.saved.push(s);
+                out.dvar.push(v);
+                out.moves.push((group, to));
+            }
+            out.heads[p].moves = start..out.saved.len();
         }
         out
     }
@@ -131,16 +143,11 @@ impl Schedules {
     /// correctly.
     fn moves_for_budget(&self, p: usize, budget_seconds: f64, cursor: &mut usize) -> usize {
         let head = &self.heads[p];
-        let saved = &self.saved[head.start..head.end];
-        let budget_bytes = if head.theta > 0.0 {
-            (budget_seconds - head.gamma) / head.theta
-        } else {
-            f64::INFINITY
-        };
-        let need = head.bytes8 - budget_bytes;
+        let need = head.need(budget_seconds);
         if need <= 0.0 {
             return 0;
         }
+        let saved = &self.saved[head.moves.clone()];
         // First k with saved[k] >= need: `saved` ascends, so the moves that
         // fall short are a prefix and the cursor settles on its end.
         let short = |s: f64| s < need - 1e-12;
@@ -159,10 +166,8 @@ impl Schedules {
         let (saved, dvar) = if k == 0 {
             (0.0, 0.0)
         } else {
-            (
-                self.saved[head.start + k - 1],
-                self.dvar[head.start + k - 1],
-            )
+            let i = head.moves.start + k - 1;
+            (self.saved[i], self.dvar[i])
         };
         (
             head.var8 + dvar,
@@ -230,8 +235,7 @@ pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
         };
     }
     let schedules = Schedules::build(problem);
-    let v_ref = schedules.uniform[0].0;
-    let t_ref = schedules.uniform[2].1;
+    let (v_ref, t_ref) = (schedules.uniform[0].0, schedules.uniform[2].1);
     // A uniform assignment, scored from the one pass: only the candidate
     // that survives the sweep is ever materialized.
     let uniform = |w: BitWidth, iterations: usize| -> FlatSolution {
@@ -257,12 +261,7 @@ pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
     let scores = schedules
         .uniform
         .map(|(v, t)| problem.objective_from_parts(v, t, v_ref, t_ref));
-    let mut seed = 0;
-    for i in 1..scores.len() {
-        if scores[i] < scores[seed] {
-            seed = i;
-        }
-    }
+    let seed = (1..scores.len()).fold(0, |seed, i| if scores[i] < scores[seed] { i } else { seed });
 
     // Pair-major sweep: each pair walks the ascending candidates with a
     // cursor into its own schedule. Its move count never rises with the
@@ -300,12 +299,18 @@ pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
             // Materialize the winner and score it from its widths, group by
             // group within a pair and pair by pair.
             let mut widths = vec![BitWidth::B8; problem.num_groups()];
-            let mut variance = -0.0;
-            let mut max_time = 0.0f64;
+            let (mut variance, mut max_time) = (-0.0, 0.0f64);
+            // A pair that takes no move keeps 8 bits, whose sums its head
+            // already holds, taken in the same order.
             for (p, head) in schedules.heads.iter().enumerate() {
                 let groups = problem.groups_of(p);
                 let k = schedules.moves_for_budget(p, z, &mut 0);
-                for &(g, to) in &schedules.moves[head.start..head.start + k] {
+                if k == 0 {
+                    variance += head.var8;
+                    max_time = max_time.max(head.max_time);
+                    continue;
+                }
+                for &(g, to) in &schedules.moves[head.moves.start..][..k] {
                     widths[groups.start + g] = to;
                 }
                 let (mut var, mut bytes) = (-0.0, -0.0);
@@ -612,11 +617,86 @@ mod tests {
             })
     }
 
+    /// Problems shaped like a fleet's section: 33 to 300 pairs (past the
+    /// breakpoint rule, so the sweep runs on the uniform grid), most with
+    /// one small group on a fast tier, a few heavy pairs on a slow tier, and
+    /// pairs planted at arbitrary positions whose all-8-bit time lies within
+    /// one ulp of the Z floor, where whether a pair moves at all turns on
+    /// the last bit of the budget arithmetic.
+    fn arb_fleet_problem() -> impl Strategy<Value = BiObjectiveProblem> {
+        let light = || {
+            (
+                prop_oneof![Just(1e-11), Just(4e-11)],
+                1e-6f64..1e-5,
+                0.0f64..100.0,
+                prop_oneof![Just(1.0), Just(2.0), 1.0f64..8.0],
+            )
+        };
+        let heavy = (
+            1e-9f64..1e-8,
+            1e-6f64..1e-5,
+            proptest::collection::vec((0.0f64..100.0, 1e2f64..1e4), 1..=4),
+        );
+        (
+            proptest::collection::vec(light(), 33..=300),
+            proptest::collection::vec(heavy, 1..=4),
+            proptest::collection::vec((light(), 0usize..3, 0.0f64..1.0), 1..=8),
+            prop_oneof![Just(0.5), 0.0f64..1.0],
+        )
+            .prop_map(|(light, heavy, edge, lambda)| {
+                let one = |theta, gamma, beta, bytes_per_bit| PairSpec {
+                    theta,
+                    gamma,
+                    groups: vec![GroupSpec {
+                        beta,
+                        bytes_per_bit,
+                    }],
+                };
+                let mut pairs: Vec<PairSpec> = light
+                    .into_iter()
+                    .map(|(theta, gamma, beta, b)| one(theta, gamma, beta, b))
+                    .collect();
+                for (theta, gamma, groups) in heavy {
+                    let groups = groups
+                        .into_iter()
+                        .map(|(beta, bytes_per_bit)| GroupSpec {
+                            beta,
+                            bytes_per_bit,
+                        })
+                        .collect();
+                    pairs.push(PairSpec {
+                        theta,
+                        gamma,
+                        groups,
+                    });
+                }
+                let z_floor = pairs.iter().map(PairSpec::min_time).fold(0.0, f64::max);
+                for ((theta, _, beta, b), ulps, at) in edge {
+                    // All-8-bit time one ulp below, at, or one ulp above the
+                    // floor; its all-2-bit time stays below the floor.
+                    let target = [z_floor.next_down(), z_floor, z_floor.next_up()][ulps];
+                    let mut pair = one(theta, target - theta * b * 8.0, beta, b);
+                    for _ in 0..64 {
+                        match pair.max_time().total_cmp(&target) {
+                            std::cmp::Ordering::Less => pair.gamma = pair.gamma.next_up(),
+                            std::cmp::Ordering::Greater => pair.gamma = pair.gamma.next_down(),
+                            std::cmp::Ordering::Equal => break,
+                        }
+                    }
+                    let at = (at * pairs.len() as f64) as usize;
+                    pairs.insert(at, pair);
+                }
+                BiObjectiveProblem::new(pairs, lambda)
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn pair_major_sweep_matches_reference(problem in arb_problem()) {
+        fn pair_major_sweep_matches_reference(
+            problem in prop_oneof![arb_problem(), arb_fleet_problem()],
+        ) {
             let got = solve(&problem);
             let want = reference_solve(&problem);
             prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());

@@ -74,16 +74,18 @@ ADAQP_SAN=1 cargo test --offline -q -p quant -p tensor -p gnn
 
 # .cargo/config.toml builds for x86-64-v3 (AVX2). A pre-AVX2 build must give
 # the same bits (the aggregation's column tiles, for one, vectorise at 128
-# bits there), so the reference-pinning tests and the golden run digests
-# run optimised — where the vectorizer's choices differ between the two —
-# on the shipped build and on an x86-64-v2 build, against the same
-# committed goldens. The v2 build's own target directory keeps the two from
-# evicting each other.
-echo "==> cross-ISA identity (release builds at x86-64-v3 and x86-64-v2: codec, dense-kernel and aggregation tests, golden run digests)"
+# bits there), so the reference-pinning tests, the solver's bit-for-bit
+# oracle proptests and the golden run and width digests run optimised —
+# where the vectorizer's choices differ between the two — on the shipped
+# build and on an x86-64-v2 build, against the same committed goldens. The
+# v2 build's own target directory keeps the two from evicting each other.
+echo "==> cross-ISA identity (release builds at x86-64-v3 and x86-64-v2: codec, dense-kernel, aggregation and solver tests, golden run and assigner digests)"
 pinned_bits() {
-    cargo test --offline -q --release -p quant -p tensor -p gnn
+    cargo test --offline -q --release -p quant -p tensor -p gnn -p solver
     cargo test --offline -q --release -p adaqp --test integration_determinism \
         golden_run_digests_survive_refactors
+    cargo test --offline -q --release -p adaqp --test integration_assigner -- --exact \
+        golden_assignment_digests_on_four_devices golden_widths_on_a_racked_64_device_fleet
 }
 pinned_bits
 (

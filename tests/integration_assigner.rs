@@ -4,7 +4,7 @@
 
 use adaqp::assigner::{reassign, AssignMode, Trace, WidthAssignment};
 use adaqp::exchange::Direction::{Backward, Forward};
-use adaqp::{build_partitions, TrainingConfig};
+use adaqp::{build_partitions, ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use comm::{AsyncDevice, Cluster, CostModel};
 use gnn::ConvKind;
 use graph::DatasetSpec;
@@ -329,3 +329,86 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
     let (min, max) = (peers.iter().min(), peers.iter().max());
     assert!(min < max && max < Some(&63), "peers per rank: {peers:?}");
 }
+
+#[test]
+fn golden_widths_on_a_racked_64_device_fleet() {
+    // The scalability smoke's shape (16 machines x 4 devices, racks of two
+    // machines under a 4x oversubscribed spine, hidden 8) at the fleet
+    // recipe's ~75 nodes per device. Every section lists far more than 32
+    // pairs, so the sweep runs on the uniform Z grid, and most pairs keep
+    // 8 bits under every candidate. Digests recorded before the master's
+    // round went from trace bytes to reply bytes in one pass.
+    let ds = DatasetSpec::tiny().scaled(16.0).generate(4242);
+    let mut rng = Rng::seed_from(4243);
+    let p = graph::partition::metis_like(&ds.graph, 64, &mut rng);
+    let parts = build_partitions(&ds, &p, ConvKind::Gcn);
+    let mut training = TrainingConfig {
+        hidden: 8,
+        ..TrainingConfig::default()
+    };
+    let mut topology = TopologySpec::from_training(&training);
+    topology.machines_per_rack = Some(2);
+    training.topology = Some(topology.oversubscription(4.0));
+    let exp = ExperimentConfig {
+        dataset: DatasetSpec::tiny().scaled(16.0),
+        machines: 16,
+        devices_per_machine: 4,
+        method: Method::AdaQp,
+        training,
+        seed: 4242,
+    };
+    let cost = exp.cost_model();
+    let (parts_ref, cfg_ref, cost_ref) = (&parts, &exp.training, &cost);
+    let out = run_async(64, |mut dev| async move {
+        let part = &parts_ref[dev.rank()];
+        let rank = dev.rank();
+        let dims = [16usize, 8];
+        let mut trace = Trace::new(part, &dims);
+        for (l, dim) in dims.into_iter().enumerate() {
+            let x = Matrix::from_fn(part.num_local(), dim, |i, j| {
+                ((i * 13 + j * 7 + rank + l) % 17) as f32 * 0.25
+            });
+            trace.record_fwd(part, l, &x);
+            let g = Matrix::from_fn(part.num_local() + part.num_halo(), dim, |i, j| {
+                ((i * 5 + j * 11 + 3 * rank + l) % 23) as f32 * 0.125 - 1.0
+            });
+            trace.record_bwd(part, l, &g);
+        }
+        let mut rng = Rng::seed_from(900 + rank as u64);
+        let mode = AssignMode::Adaptive;
+        let mut assign = WidthAssignment::fixed(part, dims.len(), BitWidth::B8);
+        let stats = reassign(
+            &mut dev,
+            part,
+            cost_ref,
+            &trace,
+            cfg_ref,
+            mode,
+            &mut rng,
+            &mut assign,
+        )
+        .await
+        .expect("well-formed round");
+        (
+            assignment_digest(&assign, part.num_parts),
+            assign.histogram(),
+            (stats.iterations, stats.objective_sum.to_bits()),
+        )
+    });
+    let (h2, h4, h8) = out
+        .iter()
+        .fold((0, 0, 0), |h, (_, r, _)| (h.0 + r.0, h.1 + r.1, h.2 + r.2));
+    // Mostly static, yet some pairs move: both halves of the sweep count.
+    assert!(
+        h2 + h4 > 0 && h8 > 4 * (h2 + h4),
+        "histogram ({h2}, {h4}, {h8})"
+    );
+    let fleet = out.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, (d, _, _)| {
+        (h ^ d).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(fleet, GOLDEN_FLEET_DIGEST, "got {fleet:#018x}");
+    assert_eq!(out[0].2, GOLDEN_FLEET_STATS, "got {:#x?}", out[0].2);
+}
+
+const GOLDEN_FLEET_DIGEST: u64 = 0x0b5d_7ced_317f_b2dd;
+const GOLDEN_FLEET_STATS: (u64, u64) = (212, 0x3ffa_bae2_a984_319d);
