@@ -27,7 +27,9 @@
 
 use adaqp::assigner::{encode_trace, Gathered, Trace, WidthAssignment};
 use adaqp::exchange::Direction;
-use adaqp::{build_partitions, ExperimentConfig, Method, TopologySpec, TrainingConfig};
+use adaqp::{
+    build_partitions, partition_graph, ExperimentConfig, Method, TopologySpec, TrainingConfig,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::DatasetSpec;
 use tensor::Rng;
@@ -60,8 +62,8 @@ fn fleet(devices: usize) -> Fleet {
         seed: 4242,
     };
     let dataset = cfg.dataset.generate(cfg.seed);
-    let mut rng = Rng::seed_from(cfg.seed ^ 0x5EED_CAFE);
-    let partition = graph::partition::metis_like(&dataset.graph, devices, &mut rng);
+    let partition = partition_graph(&dataset.graph, devices, cfg.seed).expect("a node per device");
+    let mut rng = Rng::seed_from(cfg.seed);
     let parts = build_partitions(&dataset, &partition, cfg.training.conv_kind());
     let dims = cfg
         .training

@@ -16,7 +16,7 @@
 //! more.
 
 use adaqp::exchange::{exchange_forward_fp32, exchange_forward_quant};
-use adaqp::{build_partitions, DevicePartition};
+use adaqp::{build_partitions, partition_graph, DevicePartition};
 use comm::Cluster;
 use criterion::{criterion_group, criterion_main, Criterion};
 use graph::DatasetSpec;
@@ -39,8 +39,8 @@ struct Shape {
 fn shape(name: &'static str, dataset: DatasetSpec, devices: usize, dim: usize) -> Shape {
     let seed = 4242;
     let dataset = dataset.generate(seed);
-    let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
-    let partition = graph::partition::metis_like(&dataset.graph, devices, &mut rng);
+    let partition = partition_graph(&dataset.graph, devices, seed).expect("a node per device");
+    let mut rng = Rng::seed_from(seed);
     let parts = build_partitions(&dataset, &partition, gnn::ConvKind::Gcn);
     let x = parts
         .iter()

@@ -11,7 +11,7 @@
 //! Part counts named on the command line select cases (`scripts/bench.sh
 //! --smoke` runs 256 alone).
 
-use adaqp::build_partitions;
+use adaqp::{build_partitions, partition_graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnn::ConvKind;
 use graph::generators::{sbm_with_gateways, skewed_communities};
@@ -68,8 +68,7 @@ fn bench_metis_like(c: &mut Criterion) {
             continue;
         }
         let ds = DatasetSpec::tiny().scaled(k as f64 / 4.0).generate(SEED);
-        let run =
-            || graph::partition::metis_like(&ds.graph, k, &mut Rng::seed_from(SEED ^ 0x5EED_CAFE));
+        let run = || partition_graph(&ds.graph, k, SEED).expect("a node per part");
         let got = assignment_digest(&run().assignment);
         assert_eq!(
             got, digest,
@@ -87,7 +86,7 @@ fn bench_build_partitions(c: &mut Criterion) {
             continue;
         }
         let ds = DatasetSpec::tiny().scaled(k as f64 / 4.0).generate(SEED);
-        let p = graph::partition::metis_like(&ds.graph, k, &mut Rng::seed_from(SEED ^ 0x5EED_CAFE));
+        let p = partition_graph(&ds.graph, k, SEED).expect("a node per part");
         c.bench_function(&format!("build_partitions/{k}"), |b| {
             b.iter(|| build_partitions(&ds, &p, ConvKind::Sage));
         });

@@ -7,7 +7,6 @@ use super::Files;
 use crate::Runs;
 use gnn::ConvKind;
 use graph::stats::BoundaryInfo;
-use tensor::Rng;
 
 /// Prints Fig. 2's volume matrix and returns its cells.
 pub fn run(runs: &mut Runs) -> Files {
@@ -15,8 +14,7 @@ pub fn run(runs: &mut Runs) -> Files {
     let seed = runs.setup.seeds()[0];
     let ds = spec.generate(seed);
     let k = 4;
-    let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
-    let part = graph::partition::metis_like(&ds.graph, k, &mut rng);
+    let part = adaqp::partition_graph(&ds.graph, k, seed).expect("4 parts fit the graph");
     // Layer-1 messages carry raw features: the GCN aggregation graph
     // includes self loops, matching the training-time boundary sets.
     let parts = adaqp::build_partitions(&ds, &part, ConvKind::Gcn);

@@ -5,7 +5,6 @@
 use super::Files;
 use crate::Runs;
 use gnn::ConvKind;
-use tensor::Rng;
 
 /// Prints Fig. 3 and returns its per-device rows.
 pub fn run(runs: &mut Runs) -> Files {
@@ -13,8 +12,7 @@ pub fn run(runs: &mut Runs) -> Files {
     let seed = runs.setup.seeds()[0];
     let ds = spec.generate(seed);
     let k = 8;
-    let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
-    let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
+    let partition = adaqp::partition_graph(&ds.graph, k, seed).expect("8 parts fit the graph");
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
     let cfg = runs.setup.training_defaults();
     let dims = cfg.dims(ds.feature_dim(), ds.num_classes);

@@ -16,7 +16,6 @@ use super::Files;
 use crate::Runs;
 use adaqp::Method;
 use graph::stats::remote_neighbor_stats;
-use tensor::Rng;
 
 /// Prints Table 1 and returns its rows.
 pub fn run(runs: &mut Runs) -> Files {
@@ -49,8 +48,8 @@ pub fn run(runs: &mut Runs) -> Files {
             let comm_pct = runs.run(&cfg).result.comm_fraction() * 100.0;
 
             let ds = spec.generate(cfg.seed);
-            let mut rng = Rng::seed_from(cfg.seed ^ 0x5EED_CAFE);
-            let part = graph::partition::metis_like(&ds.graph, machines * dpm, &mut rng);
+            let part = adaqp::partition_graph(&ds.graph, machines * dpm, cfg.seed)
+                .expect("the run above partitioned this graph");
             let stats = remote_neighbor_stats(&ds.graph, &part);
             let remote_pct = stats.remote_neighbor_ratio * 100.0;
 

@@ -10,7 +10,6 @@ use crate::Runs;
 use gnn::ConvKind;
 use quant::codec::predicted_wire_len;
 use quant::BitWidth;
-use tensor::Rng;
 
 /// Prints Table 2 and returns its per-device rows.
 pub fn run(runs: &mut Runs) -> Files {
@@ -18,8 +17,7 @@ pub fn run(runs: &mut Runs) -> Files {
     let seed = runs.setup.seeds()[0];
     let ds = spec.generate(seed);
     let k = 8;
-    let mut rng = Rng::seed_from(seed ^ 0x5EED_CAFE);
-    let partition = graph::partition::metis_like(&ds.graph, k, &mut rng);
+    let partition = adaqp::partition_graph(&ds.graph, k, seed).expect("8 parts fit the graph");
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
     let cfg = runs.setup.training_defaults();
     let cost = adaqp::TopologySpec::from_training(&cfg)

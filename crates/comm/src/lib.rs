@@ -20,8 +20,8 @@
 //!   al.) — looked up from the machine/rack/spine bandwidth tiers of the
 //!   [`Topology`] it was built from. Compute time is charged analytically
 //!   from kernel operation counts.
-//! * **[`TimeBreakdown`]** accumulates per-category simulated seconds
-//!   (communication / central computation / marginal computation /
+//! * **[`obs::time::TimeBreakdown`]** accumulates per-category simulated
+//!   seconds (communication / central computation / marginal computation /
 //!   quantization / solver), which is exactly the decomposition Fig. 10
 //!   reports.
 //!
@@ -57,30 +57,5 @@ pub mod waitgraph;
 pub use cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
 pub use costmodel::CostModel;
 pub use event::ClusterReport;
-pub use timing::{TimeBreakdown, TimeCategory};
 pub use topology::Topology;
 pub use waitgraph::{BlockedRank, CollectiveFront, WaitCause, WaitGraph};
-
-/// The one-stop import for cluster simulations: the event-core entry
-/// points, the device API (both forms), and the cost/topology surface.
-///
-/// ```
-/// use comm::prelude::*;
-///
-/// let cm = Topology::new(2, 2).cost_model();
-/// let report = Cluster::try_run_async(4, Some(&cm), |mut dev| async move {
-///     let mut ranks = [dev.rank() as f32];
-///     dev.allreduce_sum_f32(&mut ranks).await;
-///     ranks[0]
-/// })
-/// .unwrap();
-/// assert_eq!(report.outputs, vec![6.0; 4]);
-/// ```
-pub mod prelude {
-    pub use crate::cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
-    pub use crate::costmodel::CostModel;
-    pub use crate::event::ClusterReport;
-    pub use crate::timing::{TimeBreakdown, TimeCategory};
-    pub use crate::topology::Topology;
-    pub use crate::waitgraph::{WaitCause, WaitGraph};
-}

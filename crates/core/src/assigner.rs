@@ -17,8 +17,8 @@ use crate::decompose::DevicePartition;
 use crate::exchange::Direction;
 use crate::peers::PeerTable;
 use bytes::Bytes;
-use comm::timing::HostSeconds;
 use comm::{AsyncDevice, CostModel};
+use obs::time::HostSeconds;
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
 use solver::{solve_flat, FlatProblem, FlatSolution, GroupSpec};

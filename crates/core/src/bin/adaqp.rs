@@ -349,8 +349,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
     let parts: usize = parse_num(flags, "parts", 4)?;
     let seed: u64 = parse_num(flags, "seed", 42)?;
     let ds = spec.generate(seed);
-    let mut rng = tensor::Rng::seed_from(seed ^ 0x5EED_CAFE);
-    let partition = graph::partition::try_metis_like(&ds.graph, parts, &mut rng)
+    let partition = adaqp::partition_graph(&ds.graph, parts, seed)
         .map_err(|e| format!("--parts {parts}: {e}"))?;
     let stats = graph::stats::remote_neighbor_stats(&ds.graph, &partition);
     println!("dataset:           {} ({} nodes)", ds.name, ds.num_nodes());

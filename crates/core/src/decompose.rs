@@ -3,8 +3,8 @@
 
 use crate::peers::PeerLayout;
 use gnn::{AggGraph, AggGraphBuilder, ConvKind};
-use graph::{CsrGraph, Dataset, Labels, Partition};
-use tensor::Matrix;
+use graph::{CsrGraph, Dataset, Labels, Partition, PartitionError};
+use tensor::{Matrix, Rng};
 
 /// Node labels restricted to one device's local nodes.
 #[derive(Debug, Clone)]
@@ -150,6 +150,21 @@ impl DevicePartition {
             LocalLabels::Single(_) => panic!("partition holds single-label classes"),
         }
     }
+}
+
+/// Partitions `graph` into `parts` as every run, table and bench does: the
+/// multilevel partitioner, seeded from `seed` with a fixed salt, so that a
+/// partition is a function of the graph, the part count and the seed alone.
+///
+/// # Errors
+///
+/// As [`graph::partition::try_metis_like`].
+pub fn partition_graph(
+    graph: &CsrGraph,
+    parts: usize,
+    seed: u64,
+) -> Result<Partition, PartitionError> {
+    graph::partition::try_metis_like(graph, parts, &mut Rng::seed_from(seed ^ 0x5EED_CAFE))
 }
 
 /// Builds all device partitions for a dataset under a node partition.

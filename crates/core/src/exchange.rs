@@ -18,8 +18,9 @@
 
 use crate::decompose::DevicePartition;
 use bytes::Bytes;
-use comm::timing::{measure, HostSeconds};
+use comm::timing::measure;
 use comm::{AsyncDevice, CostModel, DeviceHandle};
+use obs::time::HostSeconds;
 use quant::{decode_rows, encode_rows_into, predicted_wire_len, BitWidth, DecodeError};
 use std::borrow::BorrowMut;
 use std::ops::Range;

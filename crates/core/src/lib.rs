@@ -90,7 +90,7 @@ pub mod telemetry;
 pub mod trainers;
 
 pub use config::{ExperimentConfig, Method, TopologySpec, TrainingConfig};
-pub use decompose::{build_partitions, DevicePartition, GlobalInfo, LocalLabels};
+pub use decompose::{build_partitions, partition_graph, DevicePartition, GlobalInfo, LocalLabels};
 pub use error::Error;
 pub use metrics::{EpochMetrics, RunResult};
 pub use runner::{run_experiment, run_experiment_profiled, RunProfile};

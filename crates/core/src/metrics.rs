@@ -3,11 +3,13 @@
 
 use crate::assigner::SolveStats;
 use crate::config::Method;
-use comm::TimeBreakdown;
+use crate::decompose::LocalLabels;
 use obs::critpath::CritPathReport;
 pub use obs::time::Schedule;
+use obs::time::TimeBreakdown;
 use quant::BitWidth;
 use serde::{Deserialize, Serialize};
+use tensor::Matrix;
 
 /// Local metric accumulators one device reports for one epoch. For
 /// single-label tasks `val`/`test` hold `[correct, total, 0]`; for
@@ -27,6 +29,57 @@ impl MetricParts {
             self.val[i] += other.val[i];
             self.test[i] += other.test[i];
         }
+    }
+
+    /// One device's accumulators from its logits. Each row counts toward
+    /// `val` and/or `test` as its masks say: a single-label row adds its
+    /// argmax hit to `[correct, total, 0]`, a multi-label row, which
+    /// predicts a label where its logit is `> 0`, adds to `[tp, fp, fn]`.
+    pub(crate) fn from_logits(
+        logits: &Matrix,
+        labels: &LocalLabels,
+        val_mask: &[bool],
+        test_mask: &[bool],
+    ) -> Self {
+        let mut parts = Self::default();
+        for i in 0..logits.rows() {
+            let (on_val, on_test) = (val_mask[i], test_mask[i]);
+            if !on_val && !on_test {
+                continue;
+            }
+            let row = logits.row(i);
+            let acc = match labels {
+                LocalLabels::Single(labels) => {
+                    let mut best = 0usize;
+                    let mut best_v = f32::NEG_INFINITY;
+                    for (j, &v) in row.iter().enumerate() {
+                        if v > best_v {
+                            best_v = v;
+                            best = j;
+                        }
+                    }
+                    [f64::from(best == labels[i]), 1.0, 0.0]
+                }
+                LocalLabels::Multi(targets) => {
+                    let mut acc = [0.0; 3];
+                    for (&z, &y) in row.iter().zip(targets.row(i)) {
+                        match (z > 0.0, y > 0.5) {
+                            (true, true) => acc[0] += 1.0,
+                            (true, false) => acc[1] += 1.0,
+                            (false, true) => acc[2] += 1.0,
+                            (false, false) => {}
+                        }
+                    }
+                    acc
+                }
+            };
+            for (on, sum) in [(on_val, &mut parts.val), (on_test, &mut parts.test)] {
+                if on {
+                    sum.iter_mut().zip(acc).for_each(|(s, a)| *s += a);
+                }
+            }
+        }
+        parts
     }
 
     /// Final metric value from an accumulator: accuracy for single-label
@@ -278,7 +331,7 @@ pub fn epoch_time_with_overlap(method: Method, disable_overlap: bool, tb: &TimeB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comm::TimeCategory;
+    use obs::time::TimeCategory;
 
     #[test]
     fn metric_parts_merge_and_score() {
@@ -296,6 +349,56 @@ mod tests {
         assert_eq!(MetricParts::score(&a.test, true), 0.5);
         assert_eq!(MetricParts::score(&[0.0, 0.0, 0.0], false), 0.0);
         assert_eq!(MetricParts::score(&[0.0, 0.0, 0.0], true), 0.0);
+    }
+
+    /// The validation score of `logits` with every row on the validation
+    /// mask but those `mask` leaves out.
+    fn val_score(logits: &Matrix, labels: &LocalLabels, mask: &[bool]) -> f64 {
+        let parts = MetricParts::from_logits(logits, labels, mask, &vec![false; mask.len()]);
+        assert_eq!(parts.test, [0.0; 3]);
+        MetricParts::score(&parts.val, matches!(labels, LocalLabels::Multi(_)))
+    }
+
+    #[test]
+    fn accuracy_counts_argmax() {
+        let logits = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0]]);
+        let labels = LocalLabels::Single(vec![0, 1, 1]);
+        let acc = val_score(&logits, &labels, &[true, true, true]);
+        assert!((acc - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn accuracy_respects_mask() {
+        let logits = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0]]);
+        let labels = LocalLabels::Single(vec![0, 1]);
+        assert_eq!(val_score(&logits, &labels, &[true, false]), 1.0);
+        assert_eq!(val_score(&logits, &labels, &[false, false]), 0.0);
+        // Each row counts toward the split its own masks name.
+        let parts = MetricParts::from_logits(&logits, &labels, &[true, false], &[false, true]);
+        assert_eq!((parts.val, parts.test), ([1.0, 1.0, 0.0], [0.0, 1.0, 0.0]));
+    }
+
+    #[test]
+    fn micro_f1_perfect() {
+        let logits = Matrix::from_rows(&[&[5.0, -5.0], &[-5.0, 5.0]]);
+        let targets = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        let labels = LocalLabels::Multi(targets);
+        assert_eq!(val_score(&logits, &labels, &[true, true]), 1.0);
+    }
+
+    #[test]
+    fn micro_f1_half_precision() {
+        // One TP, one FP, one FN -> F1 = 2*1/(2*1+1+1) = 0.5
+        let logits = Matrix::from_rows(&[&[5.0, 5.0, -5.0]]);
+        let labels = LocalLabels::Multi(Matrix::from_rows(&[&[1.0, 0.0, 1.0]]));
+        assert!((val_score(&logits, &labels, &[true]) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn micro_f1_no_positives_is_zero() {
+        let logits = Matrix::from_rows(&[&[-1.0]]);
+        let labels = LocalLabels::Multi(Matrix::from_rows(&[&[0.0]]));
+        assert_eq!(val_score(&logits, &labels, &[true]), 0.0);
     }
 
     #[test]

@@ -144,7 +144,7 @@ mod tests {
                     val_score: val * (e + 1) as f64 / 5.0,
                     test_score: val,
                     sim_seconds: 1.0 / tp,
-                    breakdown: comm::TimeBreakdown::new(),
+                    breakdown: obs::time::TimeBreakdown::new(),
                     bytes_sent: 1000,
                 })
                 .collect(),
@@ -152,7 +152,7 @@ mod tests {
             test_at_best: val,
             total_sim_seconds: 5.0 / tp,
             throughput: tp,
-            total_breakdown: comm::TimeBreakdown::new(),
+            total_breakdown: obs::time::TimeBreakdown::new(),
             total_bytes: 5000,
             telemetry: None,
             metrics: None,

@@ -3,7 +3,7 @@
 //! into a [`RunResult`].
 
 use crate::config::ExperimentConfig;
-use crate::decompose::build_partitions;
+use crate::decompose::{build_partitions, partition_graph};
 use crate::error::Error;
 use crate::metrics::{
     fold_run_metrics, schedule_for, DeviceEpochRecord, EpochMetrics, MetricParts, RunResult,
@@ -15,7 +15,6 @@ use graph::Task;
 use obs::critpath::{CritPathReport, FlightLog};
 use obs::time::straggler;
 use std::cell::RefCell;
-use tensor::Rng;
 
 /// Why [`run_devices`] has no outputs.
 #[derive(Debug)]
@@ -126,7 +125,6 @@ pub fn run_experiment_profiled(
         tensor::san::reset();
     }
     let dataset = cfg.dataset.generate(cfg.seed);
-    let mut rng = Rng::seed_from(cfg.seed ^ 0x5EED_CAFE);
     let n = cfg.num_devices();
     if n > dataset.num_nodes() {
         return Err(Error::Partition(format!(
@@ -134,7 +132,7 @@ pub fn run_experiment_profiled(
             dataset.num_nodes()
         )));
     }
-    let partition = graph::partition::try_metis_like(&dataset.graph, n, &mut rng)?;
+    let partition = partition_graph(&dataset.graph, n, cfg.seed)?;
     let parts = build_partitions(&dataset, &partition, cfg.training.conv_kind());
     let cost = cfg.cost_model();
     let multi = dataset.task == Task::MultiLabel;
@@ -218,7 +216,7 @@ pub(crate) fn combine(
     let mut per_epoch = Vec::with_capacity(epochs);
     let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);
     let mut total_sim = 0.0;
-    let mut total_breakdown = comm::TimeBreakdown::new();
+    let mut total_breakdown = obs::time::TimeBreakdown::new();
     let mut total_bytes = 0usize;
     let mut best_val = f64::NEG_INFINITY;
     let mut test_at_best = 0.0;
@@ -523,7 +521,7 @@ mod tests {
         let tbs = log.epoch_breakdowns();
         let schedule = schedule_for(cfg.method, cfg.training.disable_overlap);
         let mut total = 0.0;
-        let mut tb = comm::TimeBreakdown::new();
+        let mut tb = obs::time::TimeBreakdown::new();
         for e in 0..3 {
             let (rank, t) = straggler(schedule, tbs.iter().map(|dev| &dev[e]));
             total += t;

@@ -14,9 +14,8 @@
 
 pub use obs::time::{Event, EventDetail, EventKind, Span};
 
-use comm::{TimeBreakdown, TimeCategory};
 use obs::critpath::FlightLog;
-use obs::time::HostSeconds;
+use obs::time::{HostSeconds, TimeBreakdown, TimeCategory};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 use std::io::Write;

@@ -16,10 +16,10 @@ use crate::exchange::{
 };
 use crate::metrics::{DeviceEpochRecord, DeviceTallies, MetricParts};
 use crate::peers::PeerLayout;
-use comm::{AsyncDevice, CostModel, TimeBreakdown};
+use comm::{AsyncDevice, CostModel};
 use gnn::{Adam, Gnn};
 use obs::critpath::FlightEvent;
-use obs::time::{EventDetail, EventKind, HostSeconds, Span};
+use obs::time::{EventDetail, EventKind, HostSeconds, Span, TimeBreakdown};
 use quant::BitWidth;
 use std::borrow::BorrowMut;
 use std::sync::Arc;
@@ -750,7 +750,8 @@ impl<'a> DeviceTrainer<'a> {
             let z = self.eval_aggregate(&h).await?;
             h = self.eval_dense(l, &z, &h);
         }
-        Ok(self.local_metrics(&h))
+        let (labels, val, test) = (&part.labels, &part.val_mask, &part.test_mask);
+        Ok(MetricParts::from_logits(&h, labels, val, test))
     }
 
     /// Evaluation's aggregated layer input `Â·[x; halo(x)]`, the halo
@@ -768,70 +769,6 @@ impl<'a> DeviceTrainer<'a> {
     fn eval_dense(&self, l: usize, z: &Matrix, x: &Matrix) -> Matrix {
         let x_self = self.model.kind().uses_self_path().then_some(x);
         self.model.layers()[l].infer_dense(z, x_self)
-    }
-
-    fn local_metrics(&self, logits: &Matrix) -> MetricParts {
-        let mut parts = MetricParts::default();
-        match &self.part.labels {
-            LocalLabels::Single(labels) => {
-                for i in 0..logits.rows() {
-                    let on_val = self.part.val_mask[i];
-                    let on_test = self.part.test_mask[i];
-                    if !on_val && !on_test {
-                        continue;
-                    }
-                    let row = logits.row(i);
-                    let mut best = 0usize;
-                    let mut best_v = f32::NEG_INFINITY;
-                    for (j, &v) in row.iter().enumerate() {
-                        if v > best_v {
-                            best_v = v;
-                            best = j;
-                        }
-                    }
-                    let hit = f64::from(best == labels[i]);
-                    if on_val {
-                        parts.val[0] += hit;
-                        parts.val[1] += 1.0;
-                    }
-                    if on_test {
-                        parts.test[0] += hit;
-                        parts.test[1] += 1.0;
-                    }
-                }
-            }
-            LocalLabels::Multi(targets) => {
-                for i in 0..logits.rows() {
-                    let on_val = self.part.val_mask[i];
-                    let on_test = self.part.test_mask[i];
-                    if !on_val && !on_test {
-                        continue;
-                    }
-                    let mut tp = 0.0;
-                    let mut fp = 0.0;
-                    let mut fn_ = 0.0;
-                    for (&z, &y) in logits.row(i).iter().zip(targets.row(i)) {
-                        match (z > 0.0, y > 0.5) {
-                            (true, true) => tp += 1.0,
-                            (true, false) => fp += 1.0,
-                            (false, true) => fn_ += 1.0,
-                            (false, false) => {}
-                        }
-                    }
-                    if on_val {
-                        parts.val[0] += tp;
-                        parts.val[1] += fp;
-                        parts.val[2] += fn_;
-                    }
-                    if on_test {
-                        parts.test[0] += tp;
-                        parts.test[1] += fp;
-                        parts.test[2] += fn_;
-                    }
-                }
-            }
-        }
-        parts
     }
 }
 

@@ -232,12 +232,6 @@ impl AggGraph {
         Self::from_csr_with(graph, |u, v| graph.gcn_coeff(u as usize, v))
     }
 
-    /// GraphSAGE-mean aggregation for a whole graph: `1/d_v` over neighbors
-    /// (no self loop; the layer adds the self path separately).
-    pub fn full_graph_mean(graph: &CsrGraph) -> Self {
-        Self::from_csr_with(graph, |_, v| graph.mean_coeff(v))
-    }
-
     /// Number of target rows produced by [`AggGraph::aggregate`].
     pub fn num_target(&self) -> usize {
         self.num_target
@@ -436,8 +430,9 @@ mod tests {
 
     #[test]
     fn mean_aggregation_averages_neighbors() {
+        // SAGE-mean's coefficients, as `adaqp::build_partitions` writes them.
         let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2)]);
-        let agg = AggGraph::full_graph_mean(&g);
+        let agg = AggGraph::from_csr_with(&g, |_, v| g.mean_coeff(v));
         let x = Matrix::from_rows(&[&[0.0], &[2.0], &[4.0]]);
         let z = agg.aggregate(&x);
         assert!((z.at(0, 0) - 3.0).abs() < 1e-6); // mean(2, 4)

@@ -179,18 +179,6 @@ impl GnnLayer {
         }
     }
 
-    /// Dense part of the backward pass: [`Self::backward_params`] followed by
-    /// [`Self::backward_inputs`]. Accumulates parameter gradients and
-    /// returns `(grad_agg, grad_self)` (the latter `None` for GCN).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward_dense` or on shape mismatch.
-    pub fn backward_dense(&mut self, grad_out: &Matrix) -> (Matrix, Option<Matrix>) {
-        let grad_lin = self.backward_params(grad_out);
-        self.backward_inputs(&grad_lin)
-    }
-
     /// Parameter half of the backward pass: consumes the forward caches,
     /// accumulates the weight, bias and LayerNorm gradients and returns the
     /// gradient with respect to the linear transform's output, which
@@ -209,7 +197,7 @@ impl GnnLayer {
         let agg = self
             .cache_agg
             .take()
-            .expect("backward_dense before forward_dense");
+            .expect("backward_params before forward_dense");
         let grad = if self.is_output {
             grad_out.clone()
         } else {
@@ -320,7 +308,8 @@ mod tests {
         let agg = Matrix::from_fn(5, 8, |_, _| rng.uniform(-1.0, 1.0));
         let y = layer.forward_dense(agg, None, &mut rng);
         assert_eq!(y.shape(), (5, 4));
-        let (ga, gs) = layer.backward_dense(&Matrix::full(5, 4, 1.0));
+        let grad_lin = layer.backward_params(&Matrix::full(5, 4, 1.0));
+        let (ga, gs) = layer.backward_inputs(&grad_lin);
         assert_eq!(ga.shape(), (5, 8));
         assert!(gs.is_none());
     }
@@ -337,7 +326,8 @@ mod tests {
         assert!(y.as_slice().iter().any(|&v| v.abs() > 1e-4));
         // Zero input + zero agg = bias only (zero-initialized).
         assert!(y0.as_slice().iter().all(|&v| v.abs() < 1e-6));
-        let (_, gs) = layer.backward_dense(&Matrix::full(4, 3, 1.0));
+        let grad_lin = layer.backward_params(&Matrix::full(4, 3, 1.0));
+        let (_, gs) = layer.backward_inputs(&grad_lin);
         assert!(gs.is_some());
     }
 
@@ -396,7 +386,8 @@ mod tests {
         // Analytic grads.
         layer.zero_grads();
         let y = layer.forward_dense(agg.clone(), None, &mut rng);
-        let (grad_agg, _) = layer.backward_dense(&y);
+        let grad_lin = layer.backward_params(&y);
+        let (grad_agg, _) = layer.backward_inputs(&grad_lin);
         let mut analytic = Vec::new();
         layer.write_grads(&mut analytic);
         // Numeric wrt first few weight entries.
@@ -450,7 +441,8 @@ mod tests {
                 let _ = full.forward_dense(agg.clone(), x_self, &mut fwd_rng);
                 let _ = params_only.forward_dense(agg, x_self, &mut rng);
 
-                let (grad_agg, grad_self) = full.backward_dense(&grad_out);
+                let full_lin = full.backward_params(&grad_out);
+                let (grad_agg, grad_self) = full.backward_inputs(&full_lin);
                 let grad_lin = params_only.backward_params(&grad_out);
 
                 let (mut want, mut got) = (Vec::new(), Vec::new());
@@ -458,7 +450,7 @@ mod tests {
                 params_only.write_grads(&mut got);
                 assert!(want.iter().any(|&g| g != 0.0));
                 assert_eq!(bits(&got), bits(&want), "{kind:?}, output {is_output}");
-                // The deferred half reproduces what the full call returned.
+                // The deferred half reproduces what the immediate one returned.
                 let (late_agg, late_self) = params_only.backward_inputs(&grad_lin);
                 assert_eq!(late_agg, grad_agg);
                 assert_eq!(late_self, grad_self);
@@ -537,7 +529,7 @@ mod tests {
         let mut layer = GnnLayer::new(ConvKind::Gcn, 3, 2, true, 0.0, &mut rng);
         let agg = Matrix::full(2, 3, 1.0);
         let _ = layer.forward_dense(agg, None, &mut rng);
-        let _ = layer.backward_dense(&Matrix::full(2, 2, 1.0));
+        let _ = layer.backward_params(&Matrix::full(2, 2, 1.0));
         let mut grads = Vec::new();
         layer.write_grads(&mut grads);
         assert!(grads.iter().any(|&g| g != 0.0));

@@ -10,25 +10,33 @@
 //!   remote neighbor sets);
 //! * [`GnnLayer`] / [`Gnn`] — 3-layer GCN and full-batch GraphSAGE-mean
 //!   models matching the paper's configuration (hidden 256, LayerNorm,
-//!   ReLU, dropout, Adam; Table 8), with explicit forward/backward so the
-//!   distributed trainer can interleave halo communication between layers;
+//!   ReLU, dropout, Adam; Table 8), with explicit per-layer forward and
+//!   backward halves so the distributed trainer (`adaqp`'s
+//!   `DeviceTrainer`) can put a halo exchange around every aggregation.
+//!   That trainer is the only training loop; a one-device run of it is the
+//!   single-device reference;
 //! * [`Adam`] — the optimizer, operating on flattened parameter vectors so
 //!   model gradients can be all-reduced with a single buffer.
 //!
-//! # Example: single-device full-graph training step
+//! # Example: one layer's training step, as the trainer takes it
 //!
 //! ```
-//! use gnn::{AggGraph, Gnn, Adam, ConvKind};
+//! use gnn::{AggGraph, ConvKind, Gnn};
 //! use graph::CsrGraph;
 //! use tensor::{Matrix, Rng};
 //!
 //! let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).with_self_loops();
 //! let agg = AggGraph::full_graph_gcn(&g);
 //! let mut rng = Rng::seed_from(0);
-//! let model = Gnn::new(ConvKind::Gcn, &[8, 16, 3], &mut rng);
+//! let mut model = Gnn::with_dropout(ConvKind::Gcn, &[8, 3], 0.5, &mut rng);
 //! let x = Matrix::from_fn(4, 8, |_, _| rng.uniform(-1.0, 1.0));
-//! let logits = model.infer(&agg, &x);
+//! let layer = &mut model.layers_mut()[0];
+//! let logits = layer.forward_dense(agg.aggregate(&x), None, &mut rng);
 //! assert_eq!(logits.shape(), (4, 3));
+//! // Features are not trained, so the first layer's backward stops at its
+//! // parameter gradients.
+//! let _ = layer.backward_params(&logits);
+//! assert!(model.grads_flat().iter().any(|&g| g != 0.0));
 //! ```
 
 // Library code returns errors and stays silent (DESIGN.md §7);
@@ -49,10 +57,8 @@ mod adam;
 mod agg;
 mod layer;
 mod model;
-pub mod train;
 
 pub use adam::Adam;
 pub use agg::{AggGraph, AggGraphBuilder};
 pub use layer::{ConvKind, GnnLayer};
 pub use model::Gnn;
-pub use train::{fit, FitHistory, FitLabels, FitOptions};

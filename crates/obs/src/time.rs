@@ -20,8 +20,7 @@
 //! [`Event`] a telemetry view unfolds it into, and [`HostSeconds`], the type
 //! a host measurement carries so it cannot be charged. The types live in `obs`
 //! because every crate that charges or reads simulated time already depends
-//! on it; `comm::timing` re-exports the buckets under their historical
-//! paths.
+//! on it, and every importer names them by this path.
 
 use crate::critpath::SegmentClass;
 use serde::{Deserialize, Serialize};
@@ -538,5 +537,56 @@ mod tests {
         let idle = [TimeBreakdown::new(); 4];
         assert_eq!(straggler(Schedule::Overlapped, &idle), (3, 0.0));
         assert_eq!(straggler(Schedule::Overlapped, &[]), (0, 0.0));
+    }
+
+    #[test]
+    fn charge_routes_to_buckets() {
+        let mut tb = TimeBreakdown::new();
+        tb.charge(TimeCategory::Comm, 1.0);
+        tb.charge(TimeCategory::CentralComp, 2.0);
+        tb.charge(TimeCategory::MarginalComp, 3.0);
+        tb.charge(TimeCategory::Quant, 4.0);
+        tb.charge(TimeCategory::Solve, 5.0);
+        assert_eq!(tb.comm, 1.0);
+        assert_eq!(tb.central_comp, 2.0);
+        assert_eq!(tb.marginal_comp, 3.0);
+        assert_eq!(tb.quant, 4.0);
+        assert_eq!(tb.solve, 5.0);
+    }
+
+    #[test]
+    fn overlap_hides_smaller_of_comm_and_central() {
+        let mut tb = TimeBreakdown::new();
+        tb.charge(TimeCategory::Comm, 10.0);
+        tb.charge(TimeCategory::CentralComp, 4.0);
+        tb.charge(TimeCategory::MarginalComp, 1.0);
+        assert_eq!(tb.total(Schedule::Overlapped), 11.0);
+        assert_eq!(tb.total(Schedule::Serial), 15.0);
+        // When compute dominates, it becomes the critical path.
+        let mut tb2 = TimeBreakdown::new();
+        tb2.charge(TimeCategory::Comm, 2.0);
+        tb2.charge(TimeCategory::CentralComp, 9.0);
+        assert_eq!(tb2.total(Schedule::Overlapped), 9.0);
+    }
+
+    #[test]
+    fn comm_fraction() {
+        let mut tb = TimeBreakdown::new();
+        tb.charge(TimeCategory::Comm, 3.0);
+        tb.charge(TimeCategory::CentralComp, 1.0);
+        assert_eq!(tb.comm_fraction(), 0.75);
+        assert_eq!(TimeBreakdown::new().comm_fraction(), 0.0);
+    }
+
+    #[test]
+    fn add_accumulates() {
+        let mut a = TimeBreakdown::new();
+        a.charge(TimeCategory::Comm, 1.0);
+        let mut b = TimeBreakdown::new();
+        b.charge(TimeCategory::Comm, 2.0);
+        b.charge(TimeCategory::Quant, 0.5);
+        a += b;
+        assert_eq!(a.comm, 3.0);
+        assert_eq!(a.quant, 0.5);
     }
 }

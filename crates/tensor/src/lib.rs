@@ -47,7 +47,7 @@ pub mod san;
 
 pub use init::{kaiming_uniform, xavier_uniform};
 pub use matrix::Matrix;
-pub use metrics::{accuracy, micro_f1, multilabel_targets_from_classes};
+pub use metrics::multilabel_targets_from_classes;
 pub use ops::{
     dropout_draw, dropout_in_place, layer_norm_backward, layer_norm_forward, log_softmax, sigmoid,
     sigmoid_bce_weighted, softmax_cross_entropy, tail_backward, tail_forward, tail_infer,

@@ -1,84 +1,8 @@
-//! Evaluation metrics: accuracy (single-label) and micro-F1 (multi-label).
-//!
-//! The paper reports accuracy on Reddit / ogbn-products and micro-F1 on
-//! Yelp / AmazonProducts, "referring to them both as accuracy" (Sec. 5).
+//! Multi-label targets: the 0/1 matrix the BCE loss trains on and micro-F1
+//! scores against. The scores themselves are accumulated per device by the
+//! trainer (`adaqp::metrics`).
 
 use crate::Matrix;
-
-/// Single-label classification accuracy over the rows selected by `mask`.
-///
-/// Predictions are the argmax of each logit row. Returns 0 on an empty mask.
-///
-/// # Panics
-///
-/// Panics if `labels`/`mask` lengths differ from `logits.rows()`.
-pub fn accuracy(logits: &Matrix, labels: &[usize], mask: &[bool]) -> f64 {
-    assert_eq!(labels.len(), logits.rows(), "labels length mismatch");
-    assert_eq!(mask.len(), logits.rows(), "mask length mismatch");
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for i in 0..logits.rows() {
-        if !mask[i] {
-            continue;
-        }
-        total += 1;
-        let row = logits.row(i);
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (j, &v) in row.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = j;
-            }
-        }
-        if best == labels[i] {
-            correct += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        correct as f64 / total as f64
-    }
-}
-
-/// Micro-averaged F1 score for multi-label classification.
-///
-/// A label is predicted positive when its logit is `> 0` (sigmoid > 0.5).
-/// `targets` holds 0/1 ground truth with the same shape as `logits`.
-/// Returns 0 when there are no positives anywhere.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn micro_f1(logits: &Matrix, targets: &Matrix, mask: &[bool]) -> f64 {
-    assert_eq!(logits.shape(), targets.shape(), "micro_f1 shape mismatch");
-    assert_eq!(mask.len(), logits.rows(), "mask length mismatch");
-    let mut tp = 0u64;
-    let mut fp = 0u64;
-    let mut fn_ = 0u64;
-    for i in 0..logits.rows() {
-        if !mask[i] {
-            continue;
-        }
-        for (&z, &y) in logits.row(i).iter().zip(targets.row(i)) {
-            let pred = z > 0.0;
-            let truth = y > 0.5;
-            match (pred, truth) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                (false, false) => {}
-            }
-        }
-    }
-    let denom = 2 * tp + fp + fn_;
-    if denom == 0 {
-        0.0
-    } else {
-        2.0 * tp as f64 / denom as f64
-    }
-}
 
 /// Builds a multi-label 0/1 target matrix from per-node class lists.
 ///
@@ -99,45 +23,6 @@ pub fn multilabel_targets_from_classes(classes: &[Vec<usize>], num_classes: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accuracy_counts_argmax() {
-        let logits = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0]]);
-        let labels = [0, 1, 1];
-        let mask = [true, true, true];
-        let acc = accuracy(&logits, &labels, &mask);
-        assert!((acc - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accuracy_respects_mask() {
-        let logits = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0]]);
-        let acc = accuracy(&logits, &[0, 1], &[true, false]);
-        assert_eq!(acc, 1.0);
-        assert_eq!(accuracy(&logits, &[0, 1], &[false, false]), 0.0);
-    }
-
-    #[test]
-    fn micro_f1_perfect() {
-        let logits = Matrix::from_rows(&[&[5.0, -5.0], &[-5.0, 5.0]]);
-        let targets = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(micro_f1(&logits, &targets, &[true, true]), 1.0);
-    }
-
-    #[test]
-    fn micro_f1_half_precision() {
-        // One TP, one FP, one FN -> F1 = 2*1/(2*1+1+1) = 0.5
-        let logits = Matrix::from_rows(&[&[5.0, 5.0, -5.0]]);
-        let targets = Matrix::from_rows(&[&[1.0, 0.0, 1.0]]);
-        assert!((micro_f1(&logits, &targets, &[true]) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn micro_f1_no_positives_is_zero() {
-        let logits = Matrix::from_rows(&[&[-1.0]]);
-        let targets = Matrix::from_rows(&[&[0.0]]);
-        assert_eq!(micro_f1(&logits, &targets, &[true]), 0.0);
-    }
 
     #[test]
     fn multilabel_targets_built_correctly() {

@@ -7,7 +7,7 @@
 use gnn::ConvKind;
 use graph::DatasetSpec;
 use quant::BitWidth;
-use solver::{solve, BiObjectiveProblem, GroupSpec, PairSpec};
+use solver::{solve_flat, FlatProblem, GroupSpec};
 use tensor::Rng;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
     let cost = comm::Topology::new(2, 2).cost_model();
 
-    // One pair spec per directed device pair, messages grouped by 32.
+    // One pair per directed device pair, messages grouped by 32.
     let dim = 64usize;
     let group_size = 32usize;
     let mut pairs = Vec::new();
@@ -41,17 +41,13 @@ fn main() {
                 })
                 .collect();
             let (theta, gamma) = cost.link_params(p.rank, q);
-            pairs.push(PairSpec {
-                theta,
-                gamma,
-                groups,
-            });
+            pairs.push((theta, gamma, groups));
         }
     }
+    let num_groups = pairs.iter().map(|p| p.2.len()).sum::<usize>();
     println!(
-        "{} directed pairs, {} total message groups",
-        pairs.len(),
-        pairs.iter().map(|p| p.groups.len()).sum::<usize>()
+        "{} directed pairs, {num_groups} total message groups",
+        pairs.len()
     );
     println!();
     println!(
@@ -59,9 +55,13 @@ fn main() {
         "lambda", "variance", "max time", "#2bit", "#4bit", "#8bit"
     );
     for lambda in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let sol = solve(&BiObjectiveProblem::new(pairs.clone(), lambda));
+        let mut problem = FlatProblem::with_capacity(pairs.len(), num_groups, lambda);
+        for (theta, gamma, groups) in &pairs {
+            problem.push_pair(*theta, *gamma, groups.iter().copied());
+        }
+        let sol = solve_flat(&problem);
         let mut h = [0usize; 3];
-        for w in sol.widths.iter().flatten() {
+        for w in &sol.widths {
             match w {
                 BitWidth::B2 => h[0] += 1,
                 BitWidth::B4 => h[1] += 1,

@@ -1,56 +1,15 @@
-//! Single-device reference training with `gnn::fit`, and the check that
-//! makes the whole reproduction trustworthy: distributed Vanilla training
-//! over k devices reproduces the single-device loss trajectory exactly
+//! The check that makes the whole reproduction trustworthy: distributed
+//! Vanilla training over 3 devices reproduces the loss trajectory of a
+//! 1-device run of the same trainer, the single-device reference
 //! (full-precision halo exchange is lossless).
 //!
 //! Run with: `cargo run --release --example single_device_reference`
 
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
-use gnn::{fit, AggGraph, ConvKind, FitLabels, FitOptions, Gnn};
 use graph::DatasetSpec;
-use tensor::Rng;
 
 fn main() {
     let spec = DatasetSpec::tiny().scaled(2.0);
-    let ds = spec.generate(7);
-    println!(
-        "dataset {}: {} nodes, {} classes",
-        ds.name,
-        ds.num_nodes(),
-        ds.num_classes
-    );
-
-    // --- Single-device reference via the high-level fit API. ---
-    let g = ds.graph.with_self_loops();
-    let agg = AggGraph::full_graph_gcn(&g);
-    let mut rng = Rng::seed_from(7);
-    let mut model = Gnn::with_dropout(
-        ConvKind::Gcn,
-        &[ds.feature_dim(), 32, ds.num_classes],
-        0.0,
-        &mut rng,
-    );
-    let history = fit(
-        &mut model,
-        &agg,
-        &ds.features,
-        &FitLabels::Single(ds.single_labels()),
-        &ds.train_mask,
-        &ds.val_mask,
-        &FitOptions {
-            epochs: 30,
-            patience: Some(10),
-            ..FitOptions::default()
-        },
-    );
-    println!(
-        "single-device fit: best val {:.2}% at epoch {} ({} epochs run)",
-        history.best_val * 100.0,
-        history.best_epoch,
-        history.epochs.len()
-    );
-
-    // --- Distributed Vanilla must match a 1-device run of the same system. ---
     let cfg = |devices: usize| ExperimentConfig {
         dataset: spec.clone(),
         machines: 1,
@@ -67,7 +26,7 @@ fn main() {
     };
     let single = adaqp::run_experiment(&cfg(1)).expect("valid config");
     let multi = adaqp::run_experiment(&cfg(3)).expect("valid config");
-    println!();
+    println!("dataset {}", single.dataset);
     println!("epoch   loss(1 device)   loss(3 devices)   |gap|");
     for (s, m) in single.per_epoch.iter().zip(&multi.per_epoch) {
         println!(

@@ -1,5 +1,6 @@
 //! Integration: AdaQP's convergence curve tracks Vanilla's (the Sec. 5.2
-//! claim backed by the O(T^-1) analysis), while staleness-based methods lag.
+//! claim backed by the O(T^-1) analysis), while staleness-based methods lag;
+//! GraphSAGE learns through the same trainer as GCN.
 
 use adaqp::{ExperimentConfig, Method, TrainingConfig};
 use graph::DatasetSpec;
@@ -81,6 +82,30 @@ fn losses_are_monotone_ish_downward() {
         assert!(
             last < 0.8 * first,
             "{method:?}: loss {first} -> {last} did not drop enough"
+        );
+    }
+}
+
+#[test]
+fn sage_training_also_learns() {
+    // GraphSAGE-mean through the shipped trainer, on one device (the
+    // single-device reference) and split over two.
+    for devices in [1, 2] {
+        let mut c = cfg(Method::Vanilla, 89);
+        c.devices_per_machine = devices;
+        c.training.use_sage = true;
+        let r = adaqp::run_experiment(&c).expect("valid config");
+        assert_eq!(r.per_epoch.len(), c.training.epochs);
+        let first = r.per_epoch[0].loss;
+        let last = r.per_epoch.last().expect("epochs ran").loss;
+        assert!(
+            last < 0.25 * first,
+            "{devices} devices: loss {first} -> {last}"
+        );
+        assert!(
+            r.best_val > 0.9,
+            "{devices} devices: SAGE failed to learn, accuracy {}",
+            r.best_val
         );
     }
 }

@@ -143,7 +143,7 @@ fn score_digest(result: &adaqp::RunResult) -> u64 {
 /// the straggler whose breakdown each epoch reports.
 fn epoch_time_digest(cfg: &ExperimentConfig, result: &adaqp::RunResult) -> u64 {
     fnv(result.per_epoch.iter().map(|e| {
-        let analytic = comm::TimeBreakdown {
+        let analytic = obs::time::TimeBreakdown {
             solve: 0.0,
             ..e.breakdown
         };

@@ -78,7 +78,7 @@ fn event_sums_reconstruct_run_result_totals() {
         // runner does, matches the per-epoch simulated seconds...
         let schedule = schedule_for(c.method, c.training.disable_overlap);
         let mut total = 0.0;
-        let mut tb = comm::TimeBreakdown::new();
+        let mut tb = obs::time::TimeBreakdown::new();
         for (e, em) in r.per_epoch.iter().enumerate() {
             let (rank, t) = straggler(schedule, tbs.iter().map(|dev| &dev[e]));
             assert!(
