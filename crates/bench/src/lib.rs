@@ -24,8 +24,9 @@
 )]
 
 use adaqp::metrics::Schedule;
-use adaqp::{ExperimentConfig, Method, RunProfile, RunResult, TrainingConfig};
-use graph::DatasetSpec;
+use adaqp::{DevicePartition, ExperimentConfig, Method, RunProfile, RunResult, TrainingConfig};
+use graph::partition::Partition;
+use graph::{Dataset, DatasetSpec};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -234,6 +235,23 @@ impl Runs {
     /// Number of distinct configs run so far.
     pub fn distinct(&self) -> usize {
         self.cache.len()
+    }
+
+    /// The stand-in `name` at the first seed, its partition into `k`
+    /// devices and every device's view, for the tables that read a partition
+    /// rather than a run. GCN aggregation includes self loops, so the views
+    /// carry the boundary sets training exchanges.
+    #[expect(
+        clippy::expect_used,
+        reason = "the tables split the suite's own graphs"
+    )]
+    pub fn split(&self, name: &str, k: usize) -> (Dataset, Partition, Vec<DevicePartition>) {
+        let seed = self.setup.seeds()[0];
+        let ds = self.setup.dataset(name).generate(seed);
+        let partition =
+            adaqp::partition_graph(&ds.graph, k, seed).expect("the parts fit the graph");
+        let parts = adaqp::build_partitions(&ds, &partition, gnn::ConvKind::Gcn);
+        (ds, partition, parts)
     }
 }
 

@@ -5,22 +5,15 @@
 
 use super::Files;
 use crate::Runs;
-use gnn::ConvKind;
 use graph::stats::BoundaryInfo;
 
 /// Prints Fig. 2's volume matrix and returns its cells.
 pub fn run(runs: &mut Runs) -> Files {
-    let spec = runs.setup.dataset("amazon-products-sim");
-    let seed = runs.setup.seeds()[0];
-    let ds = spec.generate(seed);
-    let k = 4;
-    let part = adaqp::partition_graph(&ds.graph, k, seed).expect("4 parts fit the graph");
-    // Layer-1 messages carry raw features: the GCN aggregation graph
-    // includes self loops, matching the training-time boundary sets.
-    let parts = adaqp::build_partitions(&ds, &part, ConvKind::Gcn);
+    let (name, k) = ("amazon-products-sim", 4);
+    let (ds, partition, parts) = runs.split(name, k);
+    // Layer-1 messages carry raw features.
     let dim = ds.feature_dim();
 
-    let name = &spec.name;
     println!("Fig. 2: layer-1 fp32 message volume per directed device pair (MB), {name} k={k}");
     print!("{:>8}", "src\\dst");
     for q in 0..k {
@@ -53,7 +46,7 @@ pub fn run(runs: &mut Runs) -> Files {
     println!("similar several-fold spread, which creates straggler rounds)");
 
     // Cross-check against the raw boundary structure.
-    let b = BoundaryInfo::build(&ds.graph.with_self_loops(), &part);
+    let b = BoundaryInfo::build(&ds.graph.with_self_loops(), &partition);
     let mut json = Vec::new();
     for p in 0..k {
         for q in 0..k {

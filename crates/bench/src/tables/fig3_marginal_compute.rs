@@ -4,16 +4,10 @@
 
 use super::Files;
 use crate::Runs;
-use gnn::ConvKind;
 
 /// Prints Fig. 3 and returns its per-device rows.
 pub fn run(runs: &mut Runs) -> Files {
-    let spec = runs.setup.dataset("ogbn-products-sim");
-    let seed = runs.setup.seeds()[0];
-    let ds = spec.generate(seed);
-    let k = 8;
-    let partition = adaqp::partition_graph(&ds.graph, k, seed).expect("8 parts fit the graph");
-    let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
+    let (ds, _, parts) = runs.split("ogbn-products-sim", 8);
     let cfg = runs.setup.training_defaults();
     let dims = cfg.dims(ds.feature_dim(), ds.num_classes);
 

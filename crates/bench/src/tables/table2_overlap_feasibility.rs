@@ -7,18 +7,13 @@
 
 use super::Files;
 use crate::Runs;
-use gnn::ConvKind;
 use quant::codec::predicted_wire_len;
 use quant::BitWidth;
 
 /// Prints Table 2 and returns its per-device rows.
 pub fn run(runs: &mut Runs) -> Files {
-    let spec = runs.setup.dataset("ogbn-products-sim");
-    let seed = runs.setup.seeds()[0];
-    let ds = spec.generate(seed);
-    let k = 8;
-    let partition = adaqp::partition_graph(&ds.graph, k, seed).expect("8 parts fit the graph");
-    let parts = adaqp::build_partitions(&ds, &partition, ConvKind::Gcn);
+    let (name, k) = ("ogbn-products-sim", 8);
+    let (ds, _, parts) = runs.split(name, k);
     let cfg = runs.setup.training_defaults();
     let cost = adaqp::TopologySpec::from_training(&cfg)
         .to_topology(2, 4)
@@ -28,7 +23,6 @@ pub fn run(runs: &mut Runs) -> Files {
     let num_layers = dims.len() - 1;
 
     println!("Table 2: per-epoch central computation vs 2-bit marginal communication");
-    let name = &spec.name;
     println!("({name} split 8 ways; paper shows comm > comp on every device)");
     println!(
         "{:<8} {:>12} {:>12} {:>8}",

@@ -2,10 +2,10 @@
 
 use crate::error::Error;
 use graph::DatasetSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Training system under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Method {
     /// Synchronous full-precision distributed full-graph training.
     Vanilla,
@@ -50,7 +50,7 @@ impl std::fmt::Display for Method {
 /// Model / optimization hyper-parameters (Table 8), plus the knobs of the
 /// Adaptive Bit-width Assigner (group size, lambda, re-assignment period) and
 /// the cost-model calibration (compute speed and the `topology` section).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainingConfig {
     /// Convolution family (`Gcn` or `Sage`). Stored as a flag rather than
     /// `gnn::ConvKind` so configs serialize cleanly.
@@ -98,7 +98,6 @@ pub struct TrainingConfig {
     /// when this or `profile` is set; the two only choose which views of it
     /// are attached. Off by default; with both off nothing is recorded and
     /// simulated numerics and runtime are unchanged.
-    #[serde(default)]
     pub telemetry: bool,
     /// Count typed metrics (per-device communication volume, per-width
     /// quantization error, solver iterations, per-epoch training metrics):
@@ -108,14 +107,12 @@ pub struct TrainingConfig {
     /// nothing is counted and no registry exists. The snapshot contains
     /// only deterministic series, byte-identical at any worker thread
     /// count.
-    #[serde(default)]
     pub metrics: bool,
     /// Worker threads for the deterministic parallel kernel runtime
     /// (aggregation, quantization, dense ops). `0` (the default) picks the
     /// host's available parallelism, honoring the `ADAQP_THREADS` env var.
     /// Results are byte-identical at any setting; only host wall-clock
     /// changes.
-    #[serde(default)]
     pub threads: usize,
     /// Run the determinism sanitizer (`adaqp-san`, see `tensor::san`): every
     /// instrumented parallel kernel verifies its chunk ownership claims and
@@ -124,7 +121,6 @@ pub struct TrainingConfig {
     /// are unchanged (the sanitizer only verifies and re-executes); host
     /// wall-clock is not — never benchmark sanitized runs. Off by default;
     /// the `ADAQP_SAN` env var enables the mode independently of this flag.
-    #[serde(default)]
     pub sanitize: bool,
     /// Attach the critical-path view of the run's flight log: the log
     /// itself (every charge, and the collective count) and the report
@@ -133,13 +129,11 @@ pub struct TrainingConfig {
     /// `telemetry` for when the log is recorded. Off by default; with both
     /// off a device pays one untaken branch per charge, and results are
     /// byte-identical either way.
-    #[serde(default)]
     pub profile: bool,
     /// The network: link bandwidths and latency per tier, and racks behind
     /// an oversubscribable spine. `None` (the default) is the paper-preset
     /// network, [`TopologySpec::default`]: one rack, so machines share one
     /// switch.
-    #[serde(default)]
     pub topology: Option<TopologySpec>,
 }
 
@@ -177,31 +171,26 @@ impl Default for TrainingConfig {
 /// device counts come from the owning [`ExperimentConfig`], so the spec stays
 /// valid across cluster sizes.
 ///
-/// Every field is optional and falls back to the paper-preset network, so a
-/// config file can say `"topology": {}` and get the Table 8 testbed, or
-/// override only the knob under study (e.g. `{"spine_bw": 16.25e6}` for an
-/// 8:1 oversubscribed spine).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Every field is optional and falls back to the paper-preset network, so
+/// [`TopologySpec::default`] is the Table 8 testbed and a spec sets only the
+/// knob under study (e.g. `spine_bw: Some(16.25e6)` for an 8:1
+/// oversubscribed spine).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TopologySpec {
     /// Machines per rack; `None` keeps the whole cluster in one rack (no
     /// spine tier: the paper's two-tier testbed).
-    #[serde(default)]
     pub machines_per_rack: Option<usize>,
     /// Intra-machine (NVLink/PCIe-class) bandwidth, bytes/second; `None`
     /// uses [`comm::costmodel::DEFAULT_INTRA_BW`].
-    #[serde(default)]
     pub intra_bw: Option<f64>,
     /// Intra-rack machine-to-machine bandwidth, bytes/second; `None` uses
     /// [`comm::costmodel::DEFAULT_INTER_BW`].
-    #[serde(default)]
     pub inter_bw: Option<f64>,
     /// Cross-rack spine bandwidth, bytes/second; `None` keeps the spine at
     /// the effective `inter_bw` (a non-blocking fabric).
-    #[serde(default)]
     pub spine_bw: Option<f64>,
     /// Per-transfer latency, seconds, applied to every tier; `None` uses
     /// [`comm::costmodel::DEFAULT_LATENCY`].
-    #[serde(default)]
     pub latency: Option<f64>,
 }
 
@@ -359,7 +348,7 @@ impl TrainingConfig {
 
 /// A complete experiment: dataset, cluster shape, method and
 /// hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentConfig {
     /// Dataset generator recipe.
     pub dataset: DatasetSpec,
@@ -503,6 +492,68 @@ mod tests {
         assert_eq!(c.lr, 0.01);
         assert_eq!(c.lambda, 0.5);
         assert!(!c.use_sage);
+    }
+
+    /// The value the written config records under `key` for the default
+    /// training config.
+    fn written_default(key: &str) -> serde_json::Value {
+        serde_json::to_value(&TrainingConfig::default())[key].clone()
+    }
+
+    #[test]
+    fn telemetry_field_defaults_off_and_deserializes_when_absent() {
+        assert!(!TrainingConfig::default().telemetry);
+        assert_eq!(written_default("telemetry").as_bool(), Some(false));
+        let mut on = tiny_cfg();
+        on.training.telemetry = true;
+        assert!(on.validate().is_ok());
+    }
+
+    #[test]
+    fn metrics_field_defaults_off_and_deserializes_when_absent() {
+        assert!(!TrainingConfig::default().metrics);
+        assert_eq!(written_default("metrics").as_bool(), Some(false));
+        let mut on = tiny_cfg();
+        on.training.metrics = true;
+        assert!(on.validate().is_ok());
+    }
+
+    #[test]
+    fn profile_field_defaults_off_and_deserializes_when_absent() {
+        assert!(!TrainingConfig::default().profile);
+        assert_eq!(written_default("profile").as_bool(), Some(false));
+        let mut on = tiny_cfg();
+        on.training.profile = true;
+        assert!(on.validate().is_ok());
+    }
+
+    #[test]
+    fn threads_field_defaults_to_auto_and_deserializes_when_absent() {
+        // 0 picks the host's parallelism.
+        assert_eq!(TrainingConfig::default().threads, 0);
+        assert_eq!(written_default("threads").as_u64(), Some(0));
+        let mut pinned = tiny_cfg();
+        pinned.training.threads = 4;
+        assert!(pinned.validate().is_ok());
+    }
+
+    #[test]
+    fn topology_section_defaults_absent_and_deserializes_when_absent() {
+        assert!(TrainingConfig::default().topology.is_none());
+        assert!(written_default("topology").is_null());
+        // No section is the paper-preset network.
+        let spec = TopologySpec::from_training(&TrainingConfig::default());
+        assert_eq!(spec, TopologySpec::default());
+        assert_eq!(spec.inter_bw(), comm::costmodel::DEFAULT_INTER_BW);
+    }
+
+    #[test]
+    fn sanitize_field_defaults_off_and_deserializes_when_absent() {
+        assert!(!TrainingConfig::default().sanitize);
+        assert_eq!(written_default("sanitize").as_bool(), Some(false));
+        let mut on = tiny_cfg();
+        on.training.sanitize = true;
+        assert!(on.validate().is_ok());
     }
 
     #[test]
@@ -688,76 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_field_defaults_off_and_deserializes_when_absent() {
-        assert!(!TrainingConfig::default().telemetry);
-        // Configs serialized before the field existed still load.
-        let mut v = serde_json::to_value(&TrainingConfig::default());
-        if let Some(obj) = v.as_object_mut() {
-            obj.remove("telemetry");
-        }
-        let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
-        assert!(!back.telemetry);
-    }
-
-    #[test]
-    fn metrics_field_defaults_off_and_deserializes_when_absent() {
-        assert!(!TrainingConfig::default().metrics);
-        let mut v = serde_json::to_value(&TrainingConfig::default());
-        if let Some(obj) = v.as_object_mut() {
-            obj.remove("metrics");
-        }
-        let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
-        assert!(!back.metrics);
-        let mut on = tiny_cfg();
-        on.training.metrics = true;
-        assert!(on.validate().is_ok());
-    }
-
-    #[test]
-    fn profile_field_defaults_off_and_deserializes_when_absent() {
-        assert!(!TrainingConfig::default().profile);
-        // Configs serialized before the field existed still load.
-        let mut v = serde_json::to_value(&TrainingConfig::default());
-        if let Some(obj) = v.as_object_mut() {
-            obj.remove("profile");
-        }
-        let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
-        assert!(!back.profile);
-        let mut on = tiny_cfg();
-        on.training.profile = true;
-        assert!(on.validate().is_ok());
-    }
-
-    #[test]
-    fn threads_field_defaults_to_auto_and_deserializes_when_absent() {
-        assert_eq!(TrainingConfig::default().threads, 0);
-        let mut v = serde_json::to_value(&TrainingConfig::default());
-        if let Some(obj) = v.as_object_mut() {
-            obj.remove("threads");
-        }
-        let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
-        assert_eq!(back.threads, 0);
-        let mut pinned = tiny_cfg();
-        pinned.training.threads = 4;
-        assert!(pinned.validate().is_ok());
-    }
-
-    #[test]
-    fn topology_section_defaults_absent_and_deserializes_when_absent() {
-        assert!(TrainingConfig::default().topology.is_none());
-        let mut v = serde_json::to_value(&TrainingConfig::default());
-        if let Some(obj) = v.as_object_mut() {
-            obj.remove("topology");
-        }
-        let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
-        assert!(back.topology.is_none());
-        // An empty section gets the paper-preset network.
-        let spec: TopologySpec = serde_json::from_str("{}").expect("all fields default");
-        assert_eq!(spec, TopologySpec::default());
-        assert_eq!(spec.inter_bw(), comm::costmodel::DEFAULT_INTER_BW);
-    }
-
-    #[test]
     fn cost_model_without_topology_matches_legacy_two_tier_exactly() {
         // Byte-identity of the pinned runs depends on this: the tier lookup
         // must not move a single float of the two-tier tables the legacy
@@ -874,19 +855,5 @@ mod tests {
             ..Default::default()
         });
         assert!(bad_latency.validate().is_err());
-    }
-
-    #[test]
-    fn sanitize_field_defaults_off_and_deserializes_when_absent() {
-        assert!(!TrainingConfig::default().sanitize);
-        let mut v = serde_json::to_value(&TrainingConfig::default());
-        if let Some(obj) = v.as_object_mut() {
-            obj.remove("sanitize");
-        }
-        let back: TrainingConfig = serde_json::from_value(v).expect("missing field defaults");
-        assert!(!back.sanitize);
-        let mut on = tiny_cfg();
-        on.training.sanitize = true;
-        assert!(on.validate().is_ok());
     }
 }

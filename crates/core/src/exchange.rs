@@ -148,7 +148,7 @@ pub fn matrix_to_bytes(m: &Matrix) -> Bytes {
     Bytes::from(raw)
 }
 
-/// Deserializes little-endian `f32` bytes into a `rows x cols` matrix.
+/// Decodes little-endian `f32` bytes into a `rows x cols` matrix.
 ///
 /// # Panics
 ///

@@ -8,13 +8,13 @@ use obs::critpath::CritPathReport;
 pub use obs::time::Schedule;
 use obs::time::TimeBreakdown;
 use quant::BitWidth;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensor::Matrix;
 
 /// Local metric accumulators one device reports for one epoch. For
 /// single-label tasks `val`/`test` hold `[correct, total, 0]`; for
 /// multi-label they hold `[tp, fp, fn]`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricParts {
     /// Validation accumulator.
     pub val: [f64; 3],
@@ -101,7 +101,7 @@ impl MetricParts {
 }
 
 /// One device's record of one epoch (collected by the runner).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceEpochRecord {
     /// Simulated time charged this epoch on this device.
     pub breakdown: TimeBreakdown,
@@ -113,12 +113,11 @@ pub struct DeviceEpochRecord {
     pub bytes_sent: usize,
     /// L2 norm of the allreduced parameter gradients before the Adam step
     /// (identical on every rank).
-    #[serde(default)]
     pub grad_norm: f64,
 }
 
 /// Cluster-level record of one epoch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct EpochMetrics {
     /// Epoch index.
     pub epoch: usize,
@@ -138,7 +137,7 @@ pub struct EpochMetrics {
 }
 
 /// Result of a full experiment run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RunResult {
     /// Method name.
     pub method: String,
@@ -163,12 +162,10 @@ pub struct RunResult {
     pub total_bytes: usize,
     /// Structured per-device event log; present only when the run was
     /// configured with `training.telemetry = true`.
-    #[serde(default)]
     pub telemetry: Option<crate::telemetry::TelemetryLog>,
     /// The run's metric snapshot ([`fold_run_metrics`]); present only when
     /// the run was configured with `training.metrics = true`. Contains only
     /// the deterministic series — byte-identical at any worker-thread count.
-    #[serde(default)]
     pub metrics: Option<obs::MetricsSnapshot>,
 }
 

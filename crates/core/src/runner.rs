@@ -84,7 +84,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<RunResult, Error> {
 ///
 /// Kept outside [`RunResult`] on purpose: profiling must never change the
 /// result artifact, so the profile travels next to it, not inside it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunProfile {
     /// Critical path, per-device idle attribution, and straggler ranking.
     pub report: CritPathReport,

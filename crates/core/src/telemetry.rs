@@ -16,13 +16,13 @@ pub use obs::time::{Event, EventDetail, EventKind, Span};
 
 use obs::critpath::FlightLog;
 use obs::time::{HostSeconds, TimeBreakdown, TimeCategory};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::{Map, Value};
 use std::io::Write;
 use std::path::Path;
 
 /// All events one device recorded over a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct DeviceLog {
     /// The recording device's rank.
     pub rank: usize,
@@ -31,7 +31,7 @@ pub struct DeviceLog {
 }
 
 /// The whole cluster's telemetry for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TelemetryLog {
     /// One log per device, in rank order.
     pub devices: Vec<DeviceLog>,
@@ -430,18 +430,15 @@ mod tests {
             threads: Some(4),
         };
         let text = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn host_seconds_defaults_for_old_logs() {
-        // Events serialized before the parallel runtime existed have no
-        // host_seconds/threads fields; deserialization must still work.
-        let text = r#"{"kind":"CentralCompute","start":0.0,"end":1.0,"epoch":0}"#;
-        let e: Event = serde_json::from_str(text).unwrap();
-        assert_eq!(e.host_seconds, HostSeconds::default());
-        assert_eq!(e.threads, None);
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"kind":"HaloSend","start":1.5,"end":2.0,"epoch":4,"layer":0,"#,
+                r#""bytes":1024,"width_bits":null,"host_seconds":0.002,"threads":4}"#,
+            )
+        );
+        let back = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, serde_json::to_value(&e));
     }
 
     #[test]
@@ -544,7 +541,21 @@ mod tests {
     fn log_serde_round_trip() {
         let log = sample_log();
         let text = serde_json::to_string(&log).unwrap();
-        let back: TelemetryLog = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, log);
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"devices":[{"rank":0,"events":[{"kind":"HaloSend","start":0.0,"#,
+                r#""end":1.0,"epoch":0,"layer":0,"bytes":128,"width_bits":32,"#,
+                r#""host_seconds":0.0,"threads":null},{"kind":"CentralCompute","start":0.0,"#,
+                r#""end":0.5,"epoch":0,"layer":0,"bytes":128,"width_bits":32,"#,
+                r#""host_seconds":0.0,"threads":null},{"kind":"MarginalCompute","#,
+                r#""start":1.0,"end":1.25,"epoch":1,"layer":0,"bytes":128,"width_bits":32,"#,
+                r#""host_seconds":0.0,"threads":null}]},{"rank":1,"#,
+                r#""events":[{"kind":"HaloSend","start":0.0,"end":2.0,"epoch":0,"layer":0,"#,
+                r#""bytes":128,"width_bits":32,"host_seconds":0.0,"threads":null}]}]}"#,
+            )
+        );
+        let back = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, serde_json::to_value(&log));
     }
 }

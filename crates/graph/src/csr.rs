@@ -1,7 +1,5 @@
 //! Compressed-sparse-row graph storage.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected graph in CSR form.
 ///
 /// Edges are stored symmetrically: if `(u, v)` is an edge then `v` appears in
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.num_directed_edges(), 4); // each edge stored both ways
 /// assert_eq!(g.neighbors(1), &[0, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<u32>,

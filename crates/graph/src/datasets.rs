@@ -20,12 +20,12 @@ use crate::generators::{
     skewed_communities, split_masks,
 };
 use crate::CsrGraph;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensor::{multilabel_targets_from_classes, Matrix, Rng};
 
 /// Learning task type, which selects the loss and metric (Sec. 5: accuracy
 /// for single-label, micro-F1 for multi-label).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Task {
     /// One class per node; softmax cross-entropy; accuracy metric.
     SingleLabel,
@@ -34,7 +34,7 @@ pub enum Task {
 }
 
 /// Node labels, matching the dataset's [`Task`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Labels {
     /// `classes[v]` is the class of node `v`.
     Single(Vec<usize>),
@@ -130,7 +130,7 @@ impl Dataset {
 }
 
 /// Recipe for generating a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetSpec {
     /// Dataset name.
     pub name: String,

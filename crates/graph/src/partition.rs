@@ -25,7 +25,6 @@
 //! ablations.
 
 use crate::CsrGraph;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tensor::Rng;
@@ -89,7 +88,7 @@ const REFINE_PASSES: usize = 8;
 /// assert_eq!(p.part_sizes(), vec![2, 2]);
 /// assert_eq!(p.nodes_of(1), vec![2, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// Number of parts.
     pub k: usize,

@@ -4,7 +4,7 @@
 //! ratio) and Fig. 2 (per-device-pair data volume) of the paper.
 
 use crate::{CsrGraph, Partition};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of undirected edges whose endpoints lie in different parts.
 ///
@@ -29,7 +29,7 @@ pub fn edge_cut(graph: &CsrGraph, partition: &Partition) -> usize {
 /// `send_sets[p][q]` lists nodes owned by `p` that have at least one neighbor
 /// in `q` (their messages travel `p -> q` each layer); by symmetry of the
 /// undirected graph this equals the set of nodes `q` must receive from `p`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BoundaryInfo {
     /// Parts count.
     pub k: usize,
@@ -81,7 +81,7 @@ impl BoundaryInfo {
 }
 
 /// Remote-neighbor statistics, as reported in Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteNeighborStats {
     /// Average over partitions of (#distinct remote 1-hop neighbors) /
     /// (#local nodes).

@@ -8,9 +8,11 @@
 //!               [--tolerances <thresholds.json>] [--default-rel <f64>]
 //! ```
 //!
-//! The thresholds file deserializes into [`obs::regress::Thresholds`]
-//! (`{"default_rel": 1e-9, "per_metric": {"ns": 3.0}}`); `--default-rel`
-//! overrides its default tolerance. `_meta` keys are ignored on both sides.
+//! The thresholds file is read by [`obs::regress::Thresholds::from_json`]
+//! (`{"default_rel": 1e-9, "per_metric": {"ns": 3.0}}`), which refuses any
+//! key, type or bound it does not know; `--default-rel` overrides its default
+//! tolerance and must likewise be finite and not negative. `_meta` keys are
+//! ignored on both sides.
 //!
 //! `ratio_gates` entries in the thresholds file additionally pin quotients
 //! of two metrics in the *current* file (e.g. the 2-bit quantize / fp32
@@ -18,7 +20,7 @@
 //! relative-drift tolerance cannot express. Exceeding `max_ratio` fails the
 //! gate exactly like a regression.
 
-use obs::regress::{check_ratio_gates, compare, Thresholds};
+use obs::regress::{check_ratio_gates, checked_bound, compare, Thresholds};
 use serde::value::Value;
 use std::process::ExitCode;
 
@@ -49,10 +51,8 @@ fn run(args: &[String]) -> Result<usize, String> {
                 let path = args
                     .get(i + 1)
                     .ok_or("--tolerances needs a file argument")?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                thresholds =
-                    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+                thresholds = Thresholds::from_json(&load_value(path)?)
+                    .map_err(|e| format!("{path}: {e}"))?;
                 i += 2;
             }
             "--default-rel" => {
@@ -60,7 +60,7 @@ fn run(args: &[String]) -> Result<usize, String> {
                 let v: f64 = raw
                     .parse()
                     .map_err(|_| format!("--default-rel: not a number: {raw}"))?;
-                default_rel_override = Some(v);
+                default_rel_override = Some(checked_bound("--default-rel", v)?);
                 i += 2;
             }
             other if other.starts_with("--") => {

@@ -24,11 +24,11 @@
 
 pub use crate::time::Schedule;
 use crate::time::{straggler, Span, TimeBreakdown};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One simulated-time charge a device made.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlightEvent {
     /// The charging device's rank.
     pub rank: usize,
@@ -42,7 +42,7 @@ pub struct FlightEvent {
 }
 
 /// The record of one run: every charge, and how many collectives ran.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FlightLog {
     /// Device count of the recorded cluster.
     pub num_devices: usize,
@@ -61,7 +61,7 @@ impl FlightLog {
 }
 
 /// Classification of one critical-path segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum SegmentClass {
     /// Central or marginal graph computation.
     Compute,
@@ -98,7 +98,7 @@ impl SegmentClass {
 }
 
 /// One ordered segment of the epoch critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Segment {
     /// Rank carrying the path over this interval (the epoch's bottleneck).
     pub rank: usize,
@@ -119,7 +119,7 @@ pub struct Segment {
 }
 
 /// One device's busy-vs-blocked profile over the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceProfile {
     /// Device rank.
     pub rank: usize,
@@ -139,7 +139,7 @@ pub struct DeviceProfile {
 }
 
 /// One straggler line: a rank and its share of the critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Straggler {
     /// Device rank.
     pub rank: usize,
@@ -151,7 +151,7 @@ pub struct Straggler {
 
 /// The analyzer's output: the classified critical path and the per-device
 /// idle profiles of one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CritPathReport {
     /// Schedule the epoch lengths were composed under.
     pub schedule: String,
@@ -492,8 +492,29 @@ mod tests {
     fn report_round_trips_through_serde() {
         let report = analyze(&two_rank_log(), Schedule::Overlapped, 2);
         let json = serde_json::to_string(&report).expect("encodes");
-        let back: CritPathReport = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, report);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"schedule":"overlapped","num_devices":2,"epochs":1,"total_seconds":6.0,"#,
+                r#""segments":[{"rank":0,"epoch":0,"class":"SerializationQuant","#,
+                r#""phase":"quant","start":0.0,"end":1.0,"seconds":1.0},{"rank":0,"#,
+                r#""epoch":0,"class":"Wire","phase":"comm","start":1.0,"end":5.0,"#,
+                r#""seconds":4.0},{"rank":0,"epoch":0,"class":"Compute","#,
+                r#""phase":"marginal_comp","start":5.0,"end":6.0,"seconds":1.0}],"#,
+                r#""class_totals":{"assigner-solve":0.0,"collective-wait":0.0,"#,
+                r#""compute":1.0,"serialization-quant":1.0,"wire":4.0},"#,
+                r#""collective_wait_seconds":2.0,"#,
+                r#""collective_wait_share":0.16666666666666666,"devices":[{"rank":0,"#,
+                r#""busy_seconds":6.0,"idle_seconds":0.0,"idle_fraction":0.0,"#,
+                r#""critical_seconds":6.0,"collective_waits":0},{"rank":1,"#,
+                r#""busy_seconds":4.0,"idle_seconds":2.0,"#,
+                r#""idle_fraction":0.3333333333333333,"critical_seconds":0.0,"#,
+                r#""collective_waits":0}],"stragglers":[{"rank":0,"critical_seconds":6.0,"#,
+                r#""share":1.0},{"rank":1,"critical_seconds":0.0,"share":0.0}]}"#,
+            )
+        );
+        let back = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, serde_json::to_value(&report));
     }
 
     #[test]
@@ -503,8 +524,30 @@ mod tests {
         log.events[1].span.layer = Some(1);
         log.events[1].span.detail.bytes = 300;
         let json = serde_json::to_string(&log).expect("encodes");
-        let back: FlightLog = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, log);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"num_devices":2,"collectives":2,"events":[{"rank":0,"epoch":0,"#,
+                r#""seconds":1.0,"span":{"kind":"QuantEncode","layer":null,"#,
+                r#""detail":{"bytes":0,"width_bits":null}}},{"rank":0,"epoch":0,"#,
+                r#""seconds":4.0,"span":{"kind":"HaloSend","layer":1,"detail":{"bytes":300,"#,
+                r#""width_bits":null}}},{"rank":0,"epoch":0,"seconds":2.0,"#,
+                r#""span":{"kind":"CentralCompute","layer":null,"detail":{"bytes":0,"#,
+                r#""width_bits":null}}},{"rank":0,"epoch":0,"seconds":1.0,"#,
+                r#""span":{"kind":"MarginalCompute","layer":null,"detail":{"bytes":0,"#,
+                r#""width_bits":null}}},{"rank":1,"epoch":0,"seconds":1.0,"#,
+                r#""span":{"kind":"QuantEncode","layer":null,"detail":{"bytes":0,"#,
+                r#""width_bits":null}}},{"rank":1,"epoch":0,"seconds":2.0,"#,
+                r#""span":{"kind":"HaloSend","layer":null,"detail":{"bytes":0,"#,
+                r#""width_bits":null}}},{"rank":1,"epoch":0,"seconds":1.0,"#,
+                r#""span":{"kind":"CentralCompute","layer":null,"detail":{"bytes":0,"#,
+                r#""width_bits":null}}},{"rank":1,"epoch":0,"seconds":1.0,"#,
+                r#""span":{"kind":"MarginalCompute","layer":null,"detail":{"bytes":0,"#,
+                r#""width_bits":null}}}]}"#,
+            )
+        );
+        let back = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, serde_json::to_value(&log));
         assert_eq!(log.num_events(), 8);
     }
 }

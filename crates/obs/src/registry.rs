@@ -1,10 +1,10 @@
 //! The typed metric registry and its snapshot/export forms.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// What a metric measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MetricKind {
     /// Monotone sum.
     Counter,
@@ -23,7 +23,7 @@ impl MetricKind {
 }
 
 /// One named metric with its labels and accumulated state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Metric {
     /// Metric name (Prometheus-style, e.g. `adaqp_comm_sent_bytes_total`).
     pub name: String,
@@ -139,7 +139,7 @@ impl Registry {
 /// A serializable point-in-time view of a registry, keyed by sample
 /// identity (so JSON diffs and regression tolerances address metrics by
 /// name, not by array position).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Identity -> metric, in identity order.
     pub metrics: BTreeMap<String, Metric>,
@@ -242,7 +242,15 @@ mod tests {
         r.gauge_set("g", &[], 1.0);
         let snap = r.into_snapshot();
         let json = serde_json::to_string(&snap).expect("serializes");
-        let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, snap);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"metrics":{"c{k=\"v\"}":{"name":"c","labels":[["k","v"]],"#,
+                r#""kind":"Counter","value":3.5},"g":{"name":"g","labels":[],"#,
+                r#""kind":"Gauge","value":1.0}}}"#,
+            )
+        );
+        let back = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, serde_json::to_value(&snap));
     }
 }

@@ -9,24 +9,25 @@
 //! `|current - baseline| <= tol * max(|baseline|, 1e-12)`, looked up by
 //! exact path first, then by the path's final segment (`ns`, `value`, ...),
 //! then the default.
+//!
+//! The tolerances file is the one JSON file the program reads back into a
+//! typed value: [`Thresholds::from_json`] picks it out of the parsed tree by
+//! key, and rejects any key, type or bound it does not know.
 
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::value::{Map, Value};
 use std::collections::BTreeMap;
 
 /// Tolerance configuration for a regression diff.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Thresholds {
     /// Relative tolerance applied when no per-metric override matches.
     pub default_rel: f64,
     /// Overrides by exact flattened path or by final path segment.
-    #[serde(default)]
     pub per_metric: BTreeMap<String, f64>,
     /// Absolute ratio ceilings checked against the *current* file alone
     /// (see [`check_ratio_gates`]). A relative tolerance can't express
     /// "quantize must stay within K× of fp32 serialize" — both sides drift
     /// together on a noisy host, so the gate pins their quotient instead.
-    #[serde(default)]
     pub ratio_gates: Vec<RatioGate>,
 }
 
@@ -41,7 +42,7 @@ impl Default for Thresholds {
 }
 
 /// An upper bound on the quotient of two metrics in the same artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatioGate {
     /// Flattened path of the numerator leaf (e.g. `codec_vs_fp32/quantize_2bit.ns`).
     pub numerator: String,
@@ -51,10 +52,62 @@ pub struct RatioGate {
     pub max_ratio: f64,
 }
 
+impl RatioGate {
+    /// Reads the gate at `at` (`ratio_gates[i]`) of a tolerances file.
+    fn from_json(v: &Value, at: &str) -> Result<Self, String> {
+        let (mut numerator, mut denominator, mut max_ratio) = (None, None, None);
+        for (key, x) in object(v, at)?.iter() {
+            let path = format!("{at}.{key}");
+            let leaf = || {
+                x.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| wrong_type(&path, "a string", x))
+            };
+            match key.as_str() {
+                "numerator" => numerator = Some(leaf()?),
+                "denominator" => denominator = Some(leaf()?),
+                "max_ratio" => max_ratio = Some(bound(x, &path)?),
+                _ => return Err(format!("unknown key `{path}`")),
+            }
+        }
+        let missing = |key: &str| format!("missing key `{at}.{key}`");
+        Ok(RatioGate {
+            numerator: numerator.ok_or_else(|| missing("numerator"))?,
+            denominator: denominator.ok_or_else(|| missing("denominator"))?,
+            max_ratio: max_ratio.ok_or_else(|| missing("max_ratio"))?,
+        })
+    }
+}
+
+/// `x` as the tolerance or ratio ceiling named `key`: finite and not
+/// negative. [`compare`] and [`check_ratio_gates`] fail only when a quotient
+/// *exceeds* its bound, and nothing exceeds NaN or infinity, so either
+/// would pass every change.
+pub fn checked_bound(key: &str, x: f64) -> Result<f64, String> {
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("`{key}` must be finite and not negative, got {x}"))
+    }
+}
+
+fn bound(v: &Value, key: &str) -> Result<f64, String> {
+    let x = v.as_f64().ok_or_else(|| wrong_type(key, "a number", v))?;
+    checked_bound(key, x)
+}
+
+fn object<'a>(v: &'a Value, key: &str) -> Result<&'a Map, String> {
+    v.as_object().ok_or_else(|| wrong_type(key, "an object", v))
+}
+
+fn wrong_type(key: &str, want: &str, got: &Value) -> String {
+    format!("`{key}` must be {want}, got {}", got.type_name())
+}
+
 /// One violated [`RatioGate`]: the quotient exceeded its ceiling, or one of
 /// the referenced leaves is missing from the artifact (a gate that silently
 /// stops measuring anything would be worse than a failing one).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatioViolation {
     /// The gate that failed.
     pub gate: RatioGate,
@@ -107,6 +160,40 @@ pub fn check_ratio_gates(current: &Value, thresholds: &Thresholds) -> Vec<RatioV
 }
 
 impl Thresholds {
+    /// Reads a tolerances file's tree: an object with a `default_rel`, an
+    /// optional `per_metric` object of tolerances, and an optional
+    /// `ratio_gates` array of `{numerator, denominator, max_ratio}` objects.
+    /// An unknown key, a value of the wrong type, a missing required key and
+    /// a tolerance or `max_ratio` that [`checked_bound`] refuses are each an
+    /// error naming the key: a misspelt `ratio_gates` would otherwise turn
+    /// every gate off without a word.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let mut default_rel = None;
+        let mut th = Thresholds::default();
+        for (key, x) in object(v, "the tolerances file")?.iter() {
+            match key.as_str() {
+                "default_rel" => default_rel = Some(bound(x, key)?),
+                "per_metric" => {
+                    for (metric, t) in object(x, key)?.iter() {
+                        let tol = bound(t, &format!("per_metric.{metric}"))?;
+                        th.per_metric.insert(metric.clone(), tol);
+                    }
+                }
+                "ratio_gates" => {
+                    let gates = x.as_array().ok_or_else(|| wrong_type(key, "an array", x))?;
+                    th.ratio_gates = gates
+                        .iter()
+                        .enumerate()
+                        .map(|(i, g)| RatioGate::from_json(g, &format!("ratio_gates[{i}]")))
+                        .collect::<Result<_, _>>()?;
+                }
+                _ => return Err(format!("unknown key `{key}`")),
+            }
+        }
+        th.default_rel = default_rel.ok_or("missing key `default_rel`")?;
+        Ok(th)
+    }
+
     /// The tolerance governing `path`.
     pub fn tolerance_for(&self, path: &str) -> f64 {
         if let Some(&t) = self.per_metric.get(path) {
@@ -121,7 +208,7 @@ impl Thresholds {
 }
 
 /// One metric that moved beyond its tolerance (or disappeared).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Flattened path of the offending leaf.
     pub path: String,
@@ -298,34 +385,125 @@ mod tests {
         assert_eq!(flat.get("xs[2].y"), Some(&3.0));
     }
 
+    fn gate(numerator: &str, denominator: &str, max_ratio: f64) -> RatioGate {
+        RatioGate {
+            numerator: numerator.to_string(),
+            denominator: denominator.to_string(),
+            max_ratio,
+        }
+    }
+
     #[test]
-    fn thresholds_roundtrip_json() {
-        let mut per = BTreeMap::new();
-        per.insert("ns".to_string(), 3.0);
-        let th = Thresholds {
-            default_rel: 1e-6,
-            per_metric: per,
-            ratio_gates: Vec::new(),
+    fn the_committed_tolerances_parse_to_a_literal() {
+        let text = include_str!("../../../results/baseline/tolerances.json");
+        let th = Thresholds::from_json(&parse(text)).expect("the committed file is valid");
+        let per_metric = [
+            ("ns", 3.0),
+            ("idle_fraction", 1e-6),
+            ("collective_wait_share", 1e-6),
+        ];
+        let expected = Thresholds {
+            default_rel: 1e-9,
+            per_metric: per_metric.map(|(k, t)| (k.to_string(), t)).into(),
+            ratio_gates: vec![
+                gate(
+                    "codec_vs_fp32/quantize_2bit.ns",
+                    "codec_vs_fp32/fp32_serialize.ns",
+                    2.0,
+                ),
+                gate(
+                    "assigner_round/control_plane/256.ns",
+                    "assigner_round/master_solve/256.ns",
+                    1.86,
+                ),
+                gate(
+                    "assigner_round/worker_decode/256.ns",
+                    "assigner_round/reply_encode/256.ns",
+                    2.5,
+                ),
+                gate(
+                    "matmul_transposed/g_times_w_t (input grads).ns",
+                    "matmul_transposed/a_t_times_g (weight grads).ns",
+                    1.5,
+                ),
+                gate(
+                    "halo_exchange/fleet_quant.ns",
+                    "halo_exchange/fleet_fp32.ns",
+                    2.05,
+                ),
+                gate(
+                    "dense_tail/dropout_forward/750x128.ns",
+                    "dense_tail/mask_draw/750x128.ns",
+                    1.43,
+                ),
+            ],
         };
-        let json = serde_json::to_string(&th).expect("serializes");
-        let back: Thresholds = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, th);
-        // per_metric is optional on disk.
-        let sparse: Thresholds = serde_json::from_str(r#"{"default_rel": 0.5}"#).expect("parses");
-        assert_eq!(sparse.default_rel, 0.5);
-        assert!(sparse.per_metric.is_empty());
-        assert!(sparse.ratio_gates.is_empty());
+        assert_eq!(th, expected);
+        // per_metric and ratio_gates are optional on disk.
+        let sparse = Thresholds::from_json(&parse(r#"{"default_rel": 0.5}"#)).expect("parses");
+        assert_eq!(
+            sparse,
+            Thresholds {
+                default_rel: 0.5,
+                ..Thresholds::default()
+            }
+        );
+    }
+
+    #[test]
+    fn malformed_tolerances_are_errors_naming_the_key() {
+        let gate = r#"{"numerator": "a", "denominator": "b", "max_ratio": 2.0}"#;
+        let cases = [
+            (r#"{"default_rel": 0.1, "ratio_gate": []}"#.to_string(), "unknown key `ratio_gate`"),
+            (r#"{"per_metric": {}}"#.to_string(), "missing key `default_rel`"),
+            (r#"{"default_rel": "0.1"}"#.to_string(), "`default_rel` must be a number, got string"),
+            (r#"{"default_rel": 1e999}"#.to_string(), "`default_rel` must be finite and not negative, got inf"),
+            (r#"{"default_rel": -0.5}"#.to_string(), "`default_rel` must be finite and not negative, got -0.5"),
+            (r#"{"default_rel": 0, "per_metric": {"ns": null}}"#.to_string(), "`per_metric.ns` must be a number, got null"),
+            (r#"{"default_rel": 0, "per_metric": {"ns": -3}}"#.to_string(), "`per_metric.ns` must be finite and not negative, got -3"),
+            (r#"{"default_rel": 0, "per_metric": [1]}"#.to_string(), "`per_metric` must be an object, got array"),
+            (r#"{"default_rel": 0, "ratio_gates": {}}"#.to_string(), "`ratio_gates` must be an array, got object"),
+            (r#"{"default_rel": 0, "ratio_gates": [1]}"#.to_string(), "`ratio_gates[0]` must be an object, got number"),
+            (
+                format!(r#"{{"default_rel": 0, "ratio_gates": [{gate}, {{"numerator": "a", "max_ratio": 2}}]}}"#),
+                "missing key `ratio_gates[1].denominator`",
+            ),
+            (
+                r#"{"default_rel": 0, "ratio_gates": [{"numerator": "a", "denominator": "b", "max_ratio": -1}]}"#.to_string(),
+                "`ratio_gates[0].max_ratio` must be finite and not negative, got -1",
+            ),
+            (
+                r#"{"default_rel": 0, "ratio_gates": [{"numerator": 1, "denominator": "b", "max_ratio": 1}]}"#.to_string(),
+                "`ratio_gates[0].numerator` must be a string, got number",
+            ),
+            (
+                r#"{"default_rel": 0, "ratio_gates": [{"numerator": "a", "denominator": "b", "max": 1}]}"#.to_string(),
+                "unknown key `ratio_gates[0].max`",
+            ),
+            ("[]".to_string(), "`the tolerances file` must be an object, got array"),
+        ];
+        for (text, message) in cases {
+            assert_eq!(
+                Thresholds::from_json(&parse(&text)),
+                Err(message.to_string()),
+                "{text}"
+            );
+        }
+        for x in [f64::NAN, f64::INFINITY, -1e-12] {
+            assert!(checked_bound("--default-rel", x).is_err(), "{x}");
+        }
+        assert_eq!(checked_bound("--default-rel", 0.0), Ok(0.0));
     }
 
     #[test]
     fn ratio_gate_flags_excess_and_passes_within_bound() {
-        let th: Thresholds = serde_json::from_str(
+        let th = Thresholds::from_json(&parse(
             r#"{"default_rel": 1e-9, "ratio_gates": [{
                 "numerator": "codec_vs_fp32.quantize_2bit.ns",
                 "denominator": "codec_vs_fp32.fp32_serialize.ns",
                 "max_ratio": 2.0
             }]}"#,
-        )
+        ))
         .expect("parses");
         let ok = parse(
             r#"{"codec_vs_fp32": {"quantize_2bit": {"ns": 110.0}, "fp32_serialize": {"ns": 60.0}}}"#,

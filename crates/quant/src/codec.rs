@@ -17,7 +17,6 @@
 
 use crate::{kernels, BitWidth};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use tensor::{Matrix, Rng};
 
 /// Per-row metadata overhead on the wire: bits byte + two f32 params.
@@ -50,7 +49,7 @@ pub const HEADER_BYTES: usize = 8;
 /// stochastic rounding (`dim * S^2 / 6` per row, the Theorem-1 variance),
 /// not a sampled error — so it is a pure function of the input data and
 /// width assignment and stays byte-identical at any thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WidthStats {
     /// Rows encoded at this width.
     pub rows: u64,
@@ -74,7 +73,7 @@ impl WidthStats {
 
 /// Per-width quantization statistics for one encoded block (or any number
 /// of blocks folded together with [`EncodeStats::merge`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EncodeStats {
     /// One accumulator per candidate width, in [`BitWidth::ALL`] order.
     pub per_width: [WidthStats; 3],

@@ -66,10 +66,8 @@ pub use codec::{
 };
 pub use kernels::min_max;
 
-use serde::{Deserialize, Serialize};
-
 /// Candidate quantization bit-widths (`B = {2, 4, 8}` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BitWidth {
     /// 2-bit quantization (4 levels) — most aggressive compression.
     B2,

@@ -1,11 +1,10 @@
 //! Problem and solution types for the bit-width assignment.
 
 use quant::BitWidth;
-use serde::{Deserialize, Serialize};
 
 /// One message group (Sec. 4.2: messages between a device pair are sorted by
 /// `beta` and chunked into groups; a group shares one bit-width).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupSpec {
     /// Total variance sensitivity of the group: sum of the member messages'
     /// `beta_k` coefficients. Contributes `beta / (2^b - 1)^2` to the
@@ -31,7 +30,7 @@ impl GroupSpec {
 
 /// One device pair's communication in one round: its affine link cost and
 /// the message groups it must move.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairSpec {
     /// Link seconds-per-byte.
     pub theta: f64,
@@ -101,7 +100,7 @@ impl PairSpec {
 
 /// A full assignment problem: all device pairs active in one communication
 /// round plus the scalarization weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiObjectiveProblem {
     /// Device pairs.
     pub pairs: Vec<PairSpec>,
@@ -324,7 +323,7 @@ impl FlatSolution {
 }
 
 /// Solver output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// `widths[pair][group]`.
     pub widths: Vec<Vec<BitWidth>>,
@@ -336,7 +335,6 @@ pub struct Solution {
     pub objective: f64,
     /// Candidate assignments the solver evaluated to arrive here
     /// (observability only; does not affect the solution).
-    #[serde(default)]
     pub iterations: usize,
 }
 

@@ -1,7 +1,6 @@
 //! Row-major dense `f32` matrix.
 
 use crate::ShapeError;
-use serde::{Deserialize, Serialize};
 
 /// Number of rows of the left operand below which matmul stays single
 /// threaded; parallelism only pays off for the large feature matrices that
@@ -34,7 +33,7 @@ const TN_BLOCK: usize = 32;
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

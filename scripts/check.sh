@@ -152,7 +152,6 @@ echo "==> regression gate (scripts/regress.sh --smoke)"
 scripts/regress.sh --smoke
 
 echo "==> size (scripts/loc.sh; informational)"
-scripts/loc.sh crates
-scripts/loc.sh shims
+scripts/loc.sh
 
 echo "All checks passed."

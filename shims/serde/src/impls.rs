@@ -1,7 +1,7 @@
-//! `Serialize`/`Deserialize` implementations for std types.
+//! `Serialize` implementations for std types.
 
 use crate::value::{Map, Number, Value};
-use crate::{Deserialize, Error, Serialize};
+use crate::Serialize;
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------- primitives
@@ -12,13 +12,6 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_bool()
-            .ok_or_else(|| Error::custom(format!("expected bool, got {}", v.type_name())))
-    }
-}
-
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -26,20 +19,10 @@ macro_rules! impl_signed {
                 Value::Number(Number::I64(*self as i64))
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_i64()
-                    .ok_or_else(|| Error::custom(format!(
-                        "expected integer, got {}", v.type_name())))?;
-                <$t>::try_from(n).map_err(|_| Error::custom(format!(
-                    "integer {n} out of range for {}", stringify!($t))))
-            }
-        }
     )*};
 }
 
-impl_signed!(i8, i16, i32, i64, isize);
+impl_signed!(i32, i64);
 
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
@@ -48,20 +31,10 @@ macro_rules! impl_unsigned {
                 Value::Number(Number::U64(*self as u64))
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(format!(
-                        "expected unsigned integer, got {}", v.type_name())))?;
-                <$t>::try_from(n).map_err(|_| Error::custom(format!(
-                    "integer {n} out of range for {}", stringify!($t))))
-            }
-        }
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64, usize);
+impl_unsigned!(u8, u32, u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -74,22 +47,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .ok_or_else(|| Error::custom(format!("expected number, got {}", v.type_name())))
-    }
-}
-
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         (*self as f64).to_value()
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
     }
 }
 
@@ -101,21 +61,7 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom(format!("expected string, got {}", v.type_name())))
-    }
-}
-
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
     }
@@ -129,33 +75,11 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            T::from_value(v).map(Some)
         }
     }
 }
@@ -172,32 +96,6 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        let n = items.len();
-        items
-            .try_into()
-            .map_err(|_| Error::custom(format!("expected array of length {N}, got {n}")))
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom(format!("expected array, got {}", v.type_name())))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
 macro_rules! impl_tuple {
     ($len:literal, $(($t:ident, $idx:tt)),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
@@ -205,24 +103,10 @@ macro_rules! impl_tuple {
                 Value::Array(vec![$(self.$idx.to_value()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let a = v.as_array().ok_or_else(|| Error::custom(format!(
-                    "expected array, got {}", v.type_name())))?;
-                if a.len() != $len {
-                    return Err(Error::custom(format!(
-                        "expected tuple of length {}, got {}", $len, a.len())));
-                }
-                Ok(($($t::from_value(&a[$idx])?,)+))
-            }
-        }
     };
 }
 
-impl_tuple!(1, (A, 0));
 impl_tuple!(2, (A, 0), (B, 1));
-impl_tuple!(3, (A, 0), (B, 1), (C, 2));
-impl_tuple!(4, (A, 0), (B, 1), (C, 2), (D, 3));
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
@@ -231,28 +115,11 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
     }
 }
 
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| Error::custom(format!("expected object, got {}", v.type_name())))?;
-        obj.iter()
-            .map(|(k, x)| Ok((k.clone(), V::from_value(x)?)))
-            .collect()
-    }
-}
-
 // Value serializes to itself so heterogeneous trees can be embedded in
 // derived structs and `json!` expressions.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
     }
 }
 
@@ -266,26 +133,38 @@ impl Serialize for Map {
 mod tests {
     use super::*;
 
+    // A reader recovers a written value from its tree with the named
+    // accessors, so a round trip is `to_value` followed by those.
+
     #[test]
     fn option_round_trip() {
-        let some: Option<u32> = Some(5);
-        let none: Option<u32> = None;
-        assert_eq!(Option::<u32>::from_value(&some.to_value()).unwrap(), some);
-        assert_eq!(Option::<u32>::from_value(&none.to_value()).unwrap(), none);
+        assert_eq!(Some(5u32).to_value(), Value::Number(Number::U64(5)));
+        assert_eq!(Some(5u32).to_value().as_u64(), Some(5));
+        assert!(None::<u32>.to_value().is_null());
     }
 
     #[test]
     fn vec_of_tuples_round_trip() {
         let xs: Vec<(usize, f64)> = vec![(1, 0.5), (2, 1.5)];
-        let back = Vec::<(usize, f64)>::from_value(&xs.to_value()).unwrap();
+        let tree = xs.to_value();
+        let back: Vec<(usize, f64)> = tree
+            .as_array()
+            .expect("an array")
+            .iter()
+            .map(|p| {
+                (
+                    p[0].as_u64().expect("an index") as usize,
+                    p[1].as_f64().expect("a float"),
+                )
+            })
+            .collect();
         assert_eq!(back, xs);
     }
 
     #[test]
-    fn out_of_range_integer_errors() {
-        let v = Value::Number(Number::I64(300));
-        assert!(u8::from_value(&v).is_err());
-        let neg = Value::Number(Number::I64(-1));
-        assert!(usize::from_value(&neg).is_err());
+    fn non_finite_floats_serialize_as_null() {
+        assert_eq!(f64::NAN.to_value(), Value::Null);
+        assert_eq!(f32::INFINITY.to_value(), Value::Null);
+        assert_eq!((-0.5f64).to_value(), Value::Number(Number::F64(-0.5)));
     }
 }

@@ -1,13 +1,14 @@
 //! Offline stand-in for `serde` (see `shims/README.md`).
 //!
-//! Upstream serde abstracts over data formats with visitor-based
-//! `Serializer`/`Deserializer` traits. This workspace only ever serializes to
-//! and from JSON, so the shim collapses the model to a concrete tree:
-//! [`Serialize`] renders a value into a [`Value`], [`Deserialize`] rebuilds a
-//! value from one, and the `serde_json` shim handles text. The derive macros
-//! (`#[derive(Serialize, Deserialize)]`, from the `serde_derive` shim) target
-//! these simplified traits, so downstream code is source-compatible for the
-//! subset this repository uses.
+//! Upstream serde abstracts over data formats with visitor-based serializer
+//! and deserializer traits. This workspace only ever writes JSON, so the shim
+//! collapses the model to a concrete tree: [`Serialize`] renders a value into
+//! a [`Value`], and the `serde_json` shim prints it. Nothing reads JSON back
+//! into a typed value: the workspace parses JSON only into a [`Value`]
+//! (`serde_json::from_str`) and picks fields out of it by name. The derive
+//! macro (`#[derive(Serialize)]`, from the `serde_derive` shim) targets this
+//! simplified trait, so downstream code is source-compatible for the subset
+//! this repository uses.
 
 mod impls;
 pub mod value;
@@ -15,54 +16,10 @@ pub mod value;
 pub use value::{Map, Number, Value};
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Error produced when rebuilding a typed value from a [`Value`] tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    msg: String,
-}
-
-impl Error {
-    /// Creates an error with a custom message.
-    pub fn custom(msg: impl std::fmt::Display) -> Self {
-        Error {
-            msg: msg.to_string(),
-        }
-    }
-
-    /// The human-readable message.
-    pub fn message(&self) -> &str {
-        &self.msg
-    }
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
+pub use serde_derive::Serialize;
 
 /// A value renderable into a [`Value`] tree.
 pub trait Serialize {
     /// Renders `self` as a tree.
     fn to_value(&self) -> Value;
-}
-
-/// A value reconstructible from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self`, erroring on shape or type mismatches.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-/// Namespace mirror so `serde::de::Error`-style paths keep working.
-pub mod de {
-    pub use crate::{Deserialize, Error};
-}
-
-/// Namespace mirror so `serde::ser::Serialize`-style paths keep working.
-pub mod ser {
-    pub use crate::{Error, Serialize};
 }

@@ -3,14 +3,17 @@
 //! Upstream serde_derive builds on `syn`/`quote`; neither is available
 //! offline, so this crate parses the item declaration directly from the raw
 //! [`proc_macro::TokenStream`] and emits impl code as a string. It supports
-//! exactly the shapes this workspace declares:
+//! exactly the shapes this workspace writes:
 //!
-//! - structs with named fields (plus unit and tuple structs),
-//! - enums whose variants are unit, newtype or tuple,
-//! - the `#[serde(default)]` and `#[serde(skip)]` field attributes.
+//! - structs with named fields, and newtype structs,
+//! - enums whose variants are all units,
+//! - the `#[serde(skip)]` field attribute.
 //!
-//! Anything else (generics, struct variants, other serde attributes) panics
-//! at expansion time with a clear message rather than mis-serializing.
+//! Anything else (generics, other tuple structs, variants carrying data,
+//! explicit discriminants, other serde attributes) panics at expansion time
+//! with a clear message rather than mis-serializing. There is no derive for
+//! reading: the workspace writes JSON and never reads it back into a typed
+//! value.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -21,47 +24,20 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     gen_serialize(&item).parse().expect("generated impl parses")
 }
 
-/// Derives the shim's tree-based `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("generated impl parses")
-}
-
 // ------------------------------------------------------------------ parsing
 
 struct Field {
     name: String,
-    attrs: FieldAttrs,
-}
-
-/// The serde field attributes the shim honors.
-#[derive(Default)]
-struct FieldAttrs {
-    /// `#[serde(default)]`: a missing key deserializes to `Default::default()`.
-    default: bool,
-    /// `#[serde(skip)]`: never serialized, always deserialized to
-    /// `Default::default()`.
+    /// `#[serde(skip)]`: the field is left out of the rendered object.
     skip: bool,
-}
-
-enum VariantKind {
-    Unit,
-    Tuple(usize),
-}
-
-struct Variant {
-    name: String,
-    kind: VariantKind,
 }
 
 enum Body {
     NamedStruct(Vec<Field>),
-    TupleStruct(usize),
-    UnitStruct,
-    Enum(Vec<Variant>),
+    /// A one-field tuple struct, written as its field.
+    Newtype,
+    /// The names of a unit-only enum's variants.
+    Enum(Vec<String>),
 }
 
 struct Item {
@@ -82,9 +58,10 @@ fn serde_attr_args(tokens: &[TokenTree]) -> Option<Vec<TokenTree>> {
     }
 }
 
-/// Consumes leading attributes at `i`, recording the serde ones in `attrs`.
-/// Panics on serde attributes the shim cannot honor.
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize, attrs: &mut FieldAttrs) {
+/// Consumes leading attributes at `i` and returns whether one of them was
+/// `#[serde(skip)]`. Panics on serde attributes the shim cannot honor.
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
+    let mut skip = false;
     loop {
         match (tokens.get(*i), tokens.get(*i + 1)) {
             (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g)))
@@ -94,12 +71,7 @@ fn skip_attrs(tokens: &[TokenTree], i: &mut usize, attrs: &mut FieldAttrs) {
                 if let Some(args) = serde_attr_args(&inner) {
                     for a in &args {
                         match a {
-                            TokenTree::Ident(id) if id.to_string() == "default" => {
-                                attrs.default = true;
-                            }
-                            TokenTree::Ident(id) if id.to_string() == "skip" => {
-                                attrs.skip = true;
-                            }
+                            TokenTree::Ident(id) if id.to_string() == "skip" => skip = true,
                             TokenTree::Punct(p) if p.as_char() == ',' => {}
                             other => {
                                 panic!("serde shim derive: unsupported serde attribute `{other}`")
@@ -109,7 +81,7 @@ fn skip_attrs(tokens: &[TokenTree], i: &mut usize, attrs: &mut FieldAttrs) {
                 }
                 *i += 2;
             }
-            _ => return,
+            _ => return skip,
         }
     }
 }
@@ -138,7 +110,7 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize, what: &str) -> String {
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs(&tokens, &mut i, &mut FieldAttrs::default());
+    skip_attrs(&tokens, &mut i);
     skip_vis(&tokens, &mut i);
     let kw = expect_ident(&tokens, &mut i, "`struct` or `enum`");
     let name = expect_ident(&tokens, &mut i, "type name");
@@ -150,10 +122,11 @@ fn parse_item(input: TokenStream) -> Item {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 Body::NamedStruct(parse_named_fields(g.stream()))
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Body::TupleStruct(count_top_level_fields(g.stream()))
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis && is_one_field(g.stream()) =>
+            {
+                Body::Newtype
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Body::UnitStruct,
             other => panic!("serde shim derive: unexpected struct body {other:?}"),
         },
         "enum" => match tokens.get(i) {
@@ -172,8 +145,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let mut attrs = FieldAttrs::default();
-        skip_attrs(&tokens, &mut i, &mut attrs);
+        let skip = skip_attrs(&tokens, &mut i);
         skip_vis(&tokens, &mut i);
         let name = expect_ident(&tokens, &mut i, "field name");
         match tokens.get(i) {
@@ -181,7 +153,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             other => panic!("serde shim derive: expected `:` after field, found {other:?}"),
         }
         skip_type(&tokens, &mut i);
-        fields.push(Field { name, attrs });
+        fields.push(Field { name, skip });
     }
     fields
 }
@@ -205,59 +177,28 @@ fn skip_type(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn count_top_level_fields(stream: TokenStream) -> usize {
+/// True when a tuple struct's field list holds one field: no comma outside
+/// generic arguments, bar a trailing one.
+fn is_one_field(stream: TokenStream) -> bool {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
-    let mut n = 1;
-    let mut angle: i32 = 0;
-    for t in &tokens {
-        match t {
-            TokenTree::Punct(p) if p.as_char() == '<' => angle += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => angle -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle == 0 => n += 1,
-            _ => {}
-        }
-    }
-    // A trailing comma would have over-counted by one.
-    if matches!(tokens.last(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-        n -= 1;
-    }
-    n
+    let mut i = 0;
+    skip_type(&tokens, &mut i);
+    !tokens.is_empty() && i == tokens.len()
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+fn parse_variants(stream: TokenStream) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs(&tokens, &mut i, &mut FieldAttrs::default());
+        skip_attrs(&tokens, &mut i);
         let name = expect_ident(&tokens, &mut i, "variant name");
-        let kind = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                i += 1;
-                VariantKind::Tuple(count_top_level_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                panic!("serde shim derive: struct variant `{name}` is not supported")
-            }
-            _ => VariantKind::Unit,
-        };
-        // Skip an explicit discriminant (`= expr`) and the trailing comma.
-        if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
-            i += 1;
-            while let Some(t) = tokens.get(i) {
-                if matches!(t, TokenTree::Punct(p) if p.as_char() == ',') {
-                    break;
-                }
-                i += 1;
-            }
+        match tokens.get(i) {
+            None => {}
+            Some(TokenTree::Punct(p)) if p.as_char() == ',' => i += 1,
+            Some(_) => panic!("serde shim derive: variant `{name}` is not a bare unit"),
         }
-        if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            i += 1;
-        }
-        variants.push(Variant { name, kind });
+        variants.push(name);
     }
     variants
 }
@@ -269,7 +210,7 @@ fn gen_serialize(item: &Item) -> String {
     let body = match &item.body {
         Body::NamedStruct(fields) => {
             let mut s = String::from("let mut m = ::serde::Map::new();\n");
-            for f in fields.iter().filter(|f| !f.attrs.skip) {
+            for f in fields.iter().filter(|f| !f.skip) {
                 s.push_str(&format!(
                     "m.insert(::std::string::String::from(\"{0}\"), \
                      ::serde::Serialize::to_value(&self.{0}));\n",
@@ -279,47 +220,13 @@ fn gen_serialize(item: &Item) -> String {
             s.push_str("::serde::Value::Object(m)");
             s
         }
-        Body::UnitStruct => "::serde::Value::Null".to_string(),
-        Body::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Body::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
+        Body::Newtype => "::serde::Serialize::to_value(&self.0)".to_string(),
         Body::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
-                let vname = &v.name;
-                match v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::String(\
-                         ::std::string::String::from(\"{vname}\")),\n"
-                    )),
-                    VariantKind::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vname}(x0) => {{\
-                         let mut m = ::serde::Map::new();\
-                         m.insert(::std::string::String::from(\"{vname}\"), \
-                         ::serde::Serialize::to_value(x0));\
-                         ::serde::Value::Object(m) }},\n"
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let binds: Vec<String> = (0..n).map(|k| format!("x{k}")).collect();
-                        let vals: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vname}({}) => {{\
-                             let mut m = ::serde::Map::new();\
-                             m.insert(::std::string::String::from(\"{vname}\"), \
-                             ::serde::Value::Array(vec![{}]));\
-                             ::serde::Value::Object(m) }},\n",
-                            binds.join(", "),
-                            vals.join(", ")
-                        ));
-                    }
-                }
+                arms.push_str(&format!(
+                    "{name}::{v} => ::serde::Value::String(::std::string::String::from(\"{v}\")),\n"
+                ));
             }
             format!("match self {{\n{arms}}}")
         }
@@ -327,115 +234,5 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.body {
-        Body::NamedStruct(fields) => {
-            let mut s = format!(
-                "let obj = v.as_object().ok_or_else(|| ::serde::Error::custom(\
-                 format!(\"expected object for {name}, got {{}}\", v.type_name())))?;\n\
-                 ::std::result::Result::Ok({name} {{\n"
-            );
-            for f in fields {
-                if f.attrs.skip {
-                    s.push_str(&format!(
-                        "{}: ::std::default::Default::default(),\n",
-                        f.name
-                    ));
-                    continue;
-                }
-                let missing = if f.attrs.default {
-                    "::std::default::Default::default()".to_string()
-                } else {
-                    format!(
-                        "return ::std::result::Result::Err(::serde::Error::custom(\
-                         \"missing field `{}` for {name}\"))",
-                        f.name
-                    )
-                };
-                s.push_str(&format!(
-                    "{0}: match obj.get(\"{0}\") {{\
-                     ::std::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?,\
-                     ::std::option::Option::None => {missing},\
-                     }},\n",
-                    f.name
-                ));
-            }
-            s.push_str("})");
-            s
-        }
-        Body::UnitStruct => format!(
-            "if v.is_null() {{ ::std::result::Result::Ok({name}) }} else {{\
-             ::std::result::Result::Err(::serde::Error::custom(\"expected null for {name}\")) }}"
-        ),
-        Body::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Body::TupleStruct(n) => {
-            let mut s = format!(
-                "let a = v.as_array().ok_or_else(|| ::serde::Error::custom(\
-                 format!(\"expected array for {name}, got {{}}\", v.type_name())))?;\n\
-                 if a.len() != {n} {{ return ::std::result::Result::Err(\
-                 ::serde::Error::custom(\"wrong tuple arity for {name}\")); }}\n\
-                 ::std::result::Result::Ok({name}("
-            );
-            for k in 0..*n {
-                s.push_str(&format!("::serde::Deserialize::from_value(&a[{k}])?, "));
-            }
-            s.push_str("))");
-            s
-        }
-        Body::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
-                let vname = &v.name;
-                match v.kind {
-                    VariantKind::Unit => unit_arms.push_str(&format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),\n"
-                    )),
-                    VariantKind::Tuple(1) => data_arms.push_str(&format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                         ::serde::Deserialize::from_value(x)?)),\n"
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let mut fields = String::new();
-                        for k in 0..n {
-                            fields
-                                .push_str(&format!("::serde::Deserialize::from_value(&a[{k}])?, "));
-                        }
-                        data_arms.push_str(&format!(
-                            "\"{vname}\" => {{\
-                             let a = x.as_array().ok_or_else(|| ::serde::Error::custom(\
-                             \"expected array payload for {name}::{vname}\"))?;\
-                             if a.len() != {n} {{ return ::std::result::Result::Err(\
-                             ::serde::Error::custom(\"wrong arity for {name}::{vname}\")); }}\
-                             ::std::result::Result::Ok({name}::{vname}({fields})) }},\n"
-                        ));
-                    }
-                }
-            }
-            format!(
-                "match v {{\n\
-                 ::serde::Value::String(s) => match s.as_str() {{\n{unit_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"unknown variant `{{other}}` for {name}\"))),\n}},\n\
-                 ::serde::Value::Object(m) if m.len() == 1 => {{\n\
-                 let (k, x) = (&m.entries()[0].0, &m.entries()[0].1);\n\
-                 match k.as_str() {{\n{data_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"unknown variant `{{other}}` for {name}\"))),\n}}\n}},\n\
-                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"expected variant of {name}, got {{}}\", other.type_name()))),\n}}"
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         {body}\n}}\n}}\n"
     )
 }

@@ -1,12 +1,13 @@
 //! Recursive-descent JSON parser.
 
-use crate::Error;
+use crate::{Error, RECURSION_LIMIT};
 use serde::value::{Map, Number, Value};
 
 pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -20,6 +21,8 @@ pub(crate) fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -57,8 +60,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -66,6 +69,18 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `body`, one level deeper, failing
+    /// before recursing past [`RECURSION_LIMIT`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -249,6 +264,21 @@ mod tests {
     fn surrogate_pair_decodes() {
         let v = parse(r#""😀 é""#).unwrap();
         assert_eq!(v.as_str(), Some("😀 é"));
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        assert!(parse(&nested_arrays(RECURSION_LIMIT)).is_ok());
+        let object = "{\"a\":".repeat(RECURSION_LIMIT) + "1" + &"}".repeat(RECURSION_LIMIT);
+        assert!(parse(&object).is_ok());
+        for depth in [RECURSION_LIMIT + 1, 200_000] {
+            let err = parse(&nested_arrays(depth)).expect_err("too deep");
+            assert_eq!(err.to_string(), "recursion limit exceeded at byte 128");
+        }
     }
 
     #[test]
