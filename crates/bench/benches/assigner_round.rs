@@ -30,7 +30,7 @@ use adaqp::exchange::Direction;
 use adaqp::{
     build_partitions, partition_graph, ExperimentConfig, Method, TopologySpec, TrainingConfig,
 };
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use graph::DatasetSpec;
 use tensor::Rng;
 
@@ -138,26 +138,26 @@ fn bench_round(c: &mut Criterion) {
         let solutions = solve();
         let replies = gathered.encode_replies(&sections, &solutions);
 
-        group.bench_function(BenchmarkId::new("trace_encode", n), |b| b.iter(encode));
-        group.bench_function(BenchmarkId::new("master_decode", n), |b| {
+        group.bench_function(format!("trace_encode/{n}"), |b| b.iter(encode));
+        group.bench_function(format!("master_decode/{n}"), |b| {
             b.iter(|| check(&traces));
         });
-        group.bench_function(BenchmarkId::new("build", n), |b| b.iter(build));
-        group.bench_function(BenchmarkId::new("solve", n), |b| b.iter(solve));
-        group.bench_function(BenchmarkId::new("reply_encode", n), |b| {
+        group.bench_function(format!("build/{n}"), |b| b.iter(build));
+        group.bench_function(format!("solve/{n}"), |b| b.iter(solve));
+        group.bench_function(format!("reply_encode/{n}"), |b| {
             b.iter(|| gathered.encode_replies(&sections, &solutions));
         });
-        group.bench_function(BenchmarkId::new("worker_decode", n), |b| {
+        group.bench_function(format!("worker_decode/{n}"), |b| {
             b.iter(|| worker_decode(&replies));
         });
-        group.bench_function(BenchmarkId::new("control_plane", n), |b| {
+        group.bench_function(format!("control_plane/{n}"), |b| {
             b.iter(|| {
                 let traces = encode();
                 let gathered = Gathered::check(&traces).expect("valid traces");
                 worker_decode(&gathered.encode_replies(&sections, &solutions));
             });
         });
-        group.bench_function(BenchmarkId::new("master_solve", n), |b| {
+        group.bench_function(format!("master_solve/{n}"), |b| {
             b.iter(|| gathered.round(&cost, &training));
         });
     }

@@ -1,12 +1,9 @@
 //! The halo exchange (Sec. 3.2, Fig. 8) at message granularity: one forward
-//! exchange on every device of a cluster, fp32 and 8-bit, at the two shapes
-//! the end-to-end benchmark runs it in.
-//!
-//! * `fleet_*` — the weak-scaling fleet recipe at 256 devices (~75 nodes a
-//!   device, 8 columns): ~117 peers a device and ~2 rows a message, so the
-//!   time is what a *message* costs — buffers, headers, ring bookkeeping.
-//! * `halo32_*` — reddit-sim on 32 devices, 32 columns: tens of rows a
-//!   message, so the time is what a *byte* costs.
+//! exchange on every device of the weak-scaling fleet recipe at 256 devices
+//! (~75 nodes a device, 8 columns), fp32 and 8-bit. With ~117 peers a device
+//! and ~2 rows a message, the time is what a *message* costs — buffers,
+//! headers, ring bookkeeping. What a *byte* costs, at the benchmark's
+//! `halo32_*` shape, is the harness's `exchange.fwd_{fp32,quant}_s` probes.
 //!
 //! Each iteration spawns the cluster and runs [`ROUNDS`] exchanges on it, so
 //! the spawn is a small, equal share of both sides of
@@ -28,7 +25,6 @@ use tensor::{Matrix, Rng};
 const ROUNDS: usize = 8;
 
 struct Shape {
-    name: &'static str,
     parts: Vec<DevicePartition>,
     /// Per device: the `dim`-column matrix whose boundary rows travel.
     x: Vec<Matrix>,
@@ -36,7 +32,7 @@ struct Shape {
     widths: Vec<Vec<Vec<BitWidth>>>,
 }
 
-fn shape(name: &'static str, dataset: DatasetSpec, devices: usize, dim: usize) -> Shape {
+fn shape(dataset: DatasetSpec, devices: usize, dim: usize) -> Shape {
     let seed = 4242;
     let dataset = dataset.generate(seed);
     let partition = partition_graph(&dataset.graph, devices, seed).expect("a node per device");
@@ -55,50 +51,40 @@ fn shape(name: &'static str, dataset: DatasetSpec, devices: usize, dim: usize) -
                 .collect()
         })
         .collect();
-    Shape {
-        name,
-        parts,
-        x,
-        widths,
-    }
+    Shape { parts, x, widths }
 }
 
 fn bench_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("halo_exchange");
-    let shapes = [
-        shape("fleet", DatasetSpec::tiny().scaled(64.0), 256, 8),
-        shape("halo32", DatasetSpec::reddit_sim(), 32, 32),
-    ];
-    for s in &shapes {
-        let n = s.parts.len();
-        group.bench_function(format!("{}_fp32", s.name), |b| {
-            b.iter(|| {
-                Cluster::run_fn(n, |mut dev| {
-                    let r = dev.rank();
-                    for _ in 0..ROUNDS {
-                        black_box(exchange_forward_fp32(&mut dev, &s.parts[r], &s.x[r]));
-                    }
-                })
-            });
+    let s = shape(DatasetSpec::tiny().scaled(64.0), 256, 8);
+    let n = s.parts.len();
+    group.bench_function("fleet_fp32", |b| {
+        b.iter(|| {
+            Cluster::run_fn(n, |mut dev| {
+                let r = dev.rank();
+                for _ in 0..ROUNDS {
+                    black_box(exchange_forward_fp32(&mut dev, &s.parts[r], &s.x[r]));
+                }
+            })
         });
-        group.bench_function(format!("{}_quant", s.name), |b| {
-            b.iter(|| {
-                Cluster::run_fn(n, |mut dev| {
-                    let r = dev.rank();
-                    let mut rng = Rng::seed_from(r as u64);
-                    for _ in 0..ROUNDS {
-                        black_box(exchange_forward_quant(
-                            &mut dev,
-                            &s.parts[r],
-                            &s.x[r],
-                            &s.widths[r],
-                            &mut rng,
-                        ));
-                    }
-                })
-            });
+    });
+    group.bench_function("fleet_quant", |b| {
+        b.iter(|| {
+            Cluster::run_fn(n, |mut dev| {
+                let r = dev.rank();
+                let mut rng = Rng::seed_from(r as u64);
+                for _ in 0..ROUNDS {
+                    black_box(exchange_forward_quant(
+                        &mut dev,
+                        &s.parts[r],
+                        &s.x[r],
+                        &s.widths[r],
+                        &mut rng,
+                    ));
+                }
+            })
         });
-    }
+    });
     group.finish();
 }
 

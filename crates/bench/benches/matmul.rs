@@ -1,21 +1,11 @@
-//! Dense-kernel micro-benchmarks (the compute side of the simulated clock).
+//! The two transposed products of a dense layer's backward pass on a
+//! 1024 x 64 activation, as the `matmul_transposed` ratio gate in
+//! `results/baseline/tolerances.json` reads them: input grads (`G Wᵀ`)
+//! must stay near weight grads (`Aᵀ G`). The forward matmul and layer-norm
+//! times are the harness's `tensor.*` probes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use tensor::{Matrix, Rng};
-
-fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
-    for n in [128usize, 512, 1024] {
-        let mut rng = Rng::seed_from(1);
-        let a = Matrix::from_fn(n, 64, |_, _| rng.uniform(-1.0, 1.0));
-        let b = Matrix::from_fn(64, 64, |_, _| rng.uniform(-1.0, 1.0));
-        group.throughput(Throughput::Elements((n * 64 * 64) as u64));
-        group.bench_with_input(BenchmarkId::new("n_x_64_x_64", n), &n, |bencher, _| {
-            bencher.iter(|| a.matmul(&b));
-        });
-    }
-    group.finish();
-}
 
 fn bench_transposed_products(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_transposed");
@@ -32,19 +22,9 @@ fn bench_transposed_products(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_layer_norm(c: &mut Criterion) {
-    let mut rng = Rng::seed_from(3);
-    let x = Matrix::from_fn(2048, 64, |_, _| rng.uniform(-2.0, 2.0));
-    let gamma = vec![1.0f32; 64];
-    let beta = vec![0.0f32; 64];
-    c.bench_function("layer_norm_2048x64", |b| {
-        b.iter(|| tensor::layer_norm_forward(&x, &gamma, &beta));
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_transposed_products, bench_layer_norm
+    targets = bench_transposed_products
 }
 criterion_main!(benches);

@@ -85,7 +85,9 @@ fn assignment_digest(assignment: &[usize]) -> u64 {
 
 /// The multilevel partitioner's assignments, pinned bit for bit: every
 /// downstream result is computed on them, so a rewrite of a phase that
-/// picks a different matching, seed or move shows here first.
+/// picks a different matching, seed or move shows here first. The 256- and
+/// 1024-part cases are the weak-scaling fleet recipe (`tiny` scaled by
+/// parts / 4), partitioned as `partition_graph` does.
 #[test]
 fn golden_assignment_digests_survive_refactors() {
     let seed = 4242u64;
@@ -93,6 +95,11 @@ fn golden_assignment_digests_survive_refactors() {
         (DatasetSpec::reddit_sim(), 8usize, 0x1c24_c3ee_1ac8_15c1u64),
         (DatasetSpec::reddit_sim(), 32, 0xe2cf_3789_9f4d_cd23),
         (DatasetSpec::tiny().scaled(64.0), 256, 0x2865_ba42_980d_e0cd),
+        (
+            DatasetSpec::tiny().scaled(256.0),
+            1024,
+            0xf34a_4b8f_7044_223c,
+        ),
     ];
     for (spec, k, want) in cases {
         let ds = spec.generate(seed);

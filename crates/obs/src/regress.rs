@@ -451,6 +451,23 @@ mod tests {
     }
 
     #[test]
+    fn the_committed_bench_records_hold_and_pass_every_ratio_gate() {
+        let tolerances = include_str!("../../../results/baseline/tolerances.json");
+        let th = Thresholds::from_json(&parse(tolerances)).expect("the committed file is valid");
+        assert_eq!(th.ratio_gates.len(), 6);
+        let records = [
+            include_str!("../../../results/BENCH_kernels.json"),
+            include_str!("../../../results/baseline/BENCH_kernels.json"),
+        ];
+        // A gate whose operand is missing is a violation too, so this holds
+        // all 12 operands in each record as well as the six bounds.
+        for text in records {
+            let violations = check_ratio_gates(&parse(text), &th);
+            assert!(violations.is_empty(), "{violations:?}");
+        }
+    }
+
+    #[test]
     fn malformed_tolerances_are_errors_naming_the_key() {
         let gate = r#"{"numerator": "a", "denominator": "b", "max_ratio": 2.0}"#;
         let cases = [

@@ -154,7 +154,13 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((text.len(), digest), (1_566_671, 0x9a19_c1c5_021c_5265));
-        // The parser's input is untrusted, so it keeps the scan.
+        // The parser collects the entries and resolves duplicates in one
+        // sort: a repeated key keeps its first position and its last value.
+        assert_eq!(from_str(&text).unwrap(), to_value(&map));
+        let planted = format!(r#"{},"series{{src=\"7\"}}":-1}}"#, &text[..text.len() - 1]);
+        let mut want = map.clone();
+        want.insert("series{src=\"7\"}".to_string(), -1.0);
+        assert_eq!(from_str(&planted).unwrap(), to_value(&want));
         let v = from_str(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap();
         assert_eq!(to_string(&v).unwrap(), r#"{"a":3,"b":2}"#);
     }

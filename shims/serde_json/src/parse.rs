@@ -85,11 +85,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, Error> {
         self.eat(b'{')?;
-        let mut m = Map::new();
+        let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(m));
+            return Ok(Value::Object(Map::new()));
         }
         loop {
             self.skip_ws();
@@ -97,14 +97,13 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            m.insert(key, val);
+            entries.push((key, self.value()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(m));
+                    return Ok(Value::Object(Map::from_distinct(last_wins(entries))));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
@@ -245,6 +244,31 @@ impl<'a> Parser<'a> {
             .map(|f| Value::Number(Number::F64(f)))
             .map_err(|_| self.err("invalid number"))
     }
+}
+
+/// `entries` with each repeated key kept once, at its first position and
+/// with its last value — what inserting them one by one into a [`Map`]
+/// gives, in O(n log n) where that scan of every earlier key is O(n²).
+fn last_wins(mut entries: Vec<(String, Value)>) -> Vec<(String, Value)> {
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    // Stable: a key's occurrences stay in input order.
+    order.sort_by(|&a, &b| entries[a].0.cmp(&entries[b].0));
+    let mut keep = vec![true; entries.len()];
+    let mut first: Option<usize> = None;
+    for &i in &order {
+        match first {
+            Some(f) if entries[f].0 == entries[i].0 => {
+                entries[f].1 = std::mem::replace(&mut entries[i].1, Value::Null);
+                keep[i] = false;
+            }
+            _ => first = Some(i),
+        }
+    }
+    entries
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(e, k)| k.then_some(e))
+        .collect()
 }
 
 #[cfg(test)]
