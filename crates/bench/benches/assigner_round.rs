@@ -11,16 +11,16 @@
 //! The master checks the gathered traces' framing (`master_decode`), then
 //! takes each section from trace bytes to reply bytes in one pass
 //! (`master_solve`, `Gathered::round`): its stages, timed apart here, are
-//! `build` (betas read from the trace bytes into the solver's arrays),
-//! `solve` and `reply_encode` (the winning widths written into the
-//! replies).
+//! `build` (betas read from the trace bytes and summed, and the pairs that
+//! can move held whole), `solve` (their schedules and the Z sweep) and
+//! `reply_encode` (the winning widths written into the replies).
 //!
 //! `results/baseline/tolerances.json` gates two ratios of these entries:
 //! `control_plane` (every encode and decode, both directions) over
 //! `master_solve`, and `worker_decode` over `reply_encode` (decoding walks
-//! the bytes encoding wrote twice, once to check the whole reply and once
-//! to write it, so it costs about two encodes; a third pass or a heap block
-//! per listed peer would show here first).
+//! the reply once to check it and then copies its widths, while encoding
+//! writes most entries as one fill; a second walk or a heap block per
+//! listed peer would show here first).
 //!
 //! Device counts named on the command line replace the default 32 and 256
 //! (`scripts/bench.sh --smoke` runs 32 alone).
@@ -129,12 +129,7 @@ fn bench_round(c: &mut Criterion) {
                 .collect()
         };
         let sections = build();
-        let solve = || -> Vec<_> {
-            sections
-                .iter()
-                .map(|b| solver::solve_flat(&b.problem))
-                .collect()
-        };
+        let solve = || -> Vec<_> { sections.iter().map(|b| b.solve()).collect() };
         let solutions = solve();
         let replies = gathered.encode_replies(&sections, &solutions);
 

@@ -1,7 +1,7 @@
 //! Affine link cost model (`t = theta * bytes + gamma`).
 
 use crate::topology::Tiers;
-use crate::Topology;
+use crate::{LinkTier, Topology};
 
 /// Per-device-pair affine transfer cost `t(bytes) = theta * bytes + gamma`
 /// (seconds), the cost model of Eqn. 10, priced from the tiers of the
@@ -122,8 +122,17 @@ impl CostModel {
     pub fn ring_seconds(&self, rank: usize, sent: &[(u32, usize)], recv: &[(u32, usize)]) -> f64 {
         let n = self.num_devices();
         assert!(rank < n, "rank out of range");
-        let send_round = |&&(dst, _): &&(u32, usize)| (dst as usize + n - rank) % n;
-        let recv_round = |&&(src, _): &&(u32, usize)| (rank + n - src as usize) % n;
+        // `(a + n - b) % n` for ranks `a, b < n`, by one compare and subtract.
+        let ahead = |a: usize, b: usize| {
+            let d = a + n - b;
+            if d >= n {
+                d - n
+            } else {
+                d
+            }
+        };
+        let send_round = |&&(dst, _): &&(u32, usize)| ahead(dst as usize, rank);
+        let recv_round = |&&(src, _): &&(u32, usize)| ahead(rank, src as usize);
         // Send rounds ascend with the destination from the first peer above
         // `rank`, wrapping round; receive rounds ascend as the source
         // descends from the first peer below it. Round 0 is `rank` itself.
@@ -169,9 +178,25 @@ impl CostModel {
     ///
     /// Panics if ranks are out of range.
     pub fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
+        self.tier_params(self.link_tier(src, dst))
+    }
+
+    /// The tier the directed link `src -> dst` runs on:
+    /// [`LinkTier::Local`] on the diagonal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if ranks are out of range.
+    pub fn link_tier(&self, src: usize, dst: usize) -> LinkTier {
         let n = self.num_devices();
         assert!(src < n && dst < n, "rank out of range");
-        self.tiers.link_params(src, dst)
+        self.tiers.tier(src, dst)
+    }
+
+    /// The `(theta, gamma)` of every link on `tier`
+    /// ([`CostModel::link_params`] of any pair on it).
+    pub fn tier_params(&self, tier: LinkTier) -> (f64, f64) {
+        self.tiers.params(tier)
     }
 
     /// Sets per-device speedup multipliers (builder style): device `r`'s

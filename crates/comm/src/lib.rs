@@ -57,5 +57,5 @@ pub mod waitgraph;
 pub use cluster::{AsyncDevice, Cluster, ClusterError, DeviceHandle};
 pub use costmodel::CostModel;
 pub use event::ClusterReport;
-pub use topology::Topology;
+pub use topology::{LinkTier, Topology};
 pub use waitgraph::{BlockedRank, CollectiveFront, WaitCause, WaitGraph};

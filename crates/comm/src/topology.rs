@@ -166,18 +166,27 @@ impl Topology {
         CostModel::new(self)
     }
 
-    /// The three tiers of this topology, each priced once (see [`Tiers`]).
+    /// The three tiers of this topology, each priced once, and every
+    /// device's machine and rack (see [`Tiers`]).
     pub(crate) fn tiers(&self) -> Tiers {
         let priced = |bw: f64| (1.0 / bw, self.latency);
+        // Machine and rack numbers by counting, not dividing: a new machine
+        // every `devices_per_machine` devices, a new rack every
+        // `machines_per_rack` machines (the last rack may be partial).
+        let mut place = Vec::with_capacity(self.num_devices());
+        let (mut machine, mut rack, mut in_machine, mut in_rack) = (0u32, 0u32, 0, 0);
+        for _ in 0..self.num_devices() {
+            place.push([machine, rack]);
+            in_machine += 1;
+            if in_machine == self.devices_per_machine {
+                (machine, in_machine, in_rack) = (machine + 1, 0, in_rack + 1);
+                if in_rack == self.machines_per_rack {
+                    (rack, in_rack) = (rack + 1, 0);
+                }
+            }
+        }
         Tiers {
-            devices: self.num_devices(),
-            devices_per_machine: self.devices_per_machine,
-            // `rank / dpm / mpr == rank / (dpm * mpr)`; a product past
-            // `usize::MAX` means one rack, which the saturated divisor
-            // gives too.
-            devices_per_rack: self
-                .devices_per_machine
-                .saturating_mul(self.machines_per_rack),
+            place,
             params: [
                 priced(self.intra_bw),
                 priced(self.inter_bw),
@@ -187,14 +196,38 @@ impl Topology {
     }
 }
 
+/// The tier a directed link runs on. A topology has at most these four
+/// distinct links, so work that depends only on a pair's link can be done
+/// once per tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum LinkTier {
+    /// A device to itself: free.
+    Local,
+    /// Two devices of one machine.
+    Machine,
+    /// Two machines of one rack.
+    Rack,
+    /// Two racks, across the spine.
+    Spine,
+}
+
+impl LinkTier {
+    /// Every tier, in [`LinkTier::index`] order.
+    pub const ALL: [LinkTier; 4] = [Self::Local, Self::Machine, Self::Rack, Self::Spine];
+
+    /// Position in [`LinkTier::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// A [`Topology`]'s links as the cost model reads them: each tier's
-/// `(theta, gamma)` — `1 / bw` and the latency — computed once, and the
-/// two group sizes that find a pair's tier.
+/// `(theta, gamma)` — `1 / bw` and the latency — computed once, and each
+/// device's `[machine, rack]`, which find a pair's tier with two compares.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Tiers {
-    devices: usize,
-    devices_per_machine: usize,
-    devices_per_rack: usize,
+    /// `[machine, rack]` of every device.
+    place: Vec<[u32; 2]>,
     /// Same machine, same rack, across the spine.
     params: [(f64, f64); 3],
 }
@@ -202,30 +235,108 @@ pub(crate) struct Tiers {
 impl Tiers {
     /// Total device count.
     pub(crate) fn num_devices(&self) -> usize {
-        self.devices
+        self.place.len()
     }
 
-    /// The `(theta, gamma)` of the directed link `src -> dst`: its tier's
-    /// (same machine, then same rack, then spine), or `(0.0, 0.0)` on the
-    /// diagonal. Ranks are not range-checked.
-    pub(crate) fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
+    /// The tier of the directed link `src -> dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rank is out of range.
+    pub(crate) fn tier(&self, src: usize, dst: usize) -> LinkTier {
         if src == dst {
-            return (0.0, 0.0);
+            return LinkTier::Local;
         }
-        let tier = if src / self.devices_per_machine == dst / self.devices_per_machine {
-            0
-        } else if src / self.devices_per_rack == dst / self.devices_per_rack {
-            1
+        let ([src_machine, src_rack], [dst_machine, dst_rack]) = (self.place[src], self.place[dst]);
+        if src_machine == dst_machine {
+            LinkTier::Machine
+        } else if src_rack == dst_rack {
+            LinkTier::Rack
         } else {
-            2
-        };
-        self.params[tier]
+            LinkTier::Spine
+        }
+    }
+
+    /// The `(theta, gamma)` of links on `tier`; `(0.0, 0.0)` for
+    /// [`LinkTier::Local`].
+    pub(crate) fn params(&self, tier: LinkTier) -> (f64, f64) {
+        match tier {
+            LinkTier::Local => (0.0, 0.0),
+            LinkTier::Machine => self.params[0],
+            LinkTier::Rack => self.params[1],
+            LinkTier::Spine => self.params[2],
+        }
+    }
+
+    /// The `(theta, gamma)` of the directed link `src -> dst`: its tier's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rank is out of range.
+    pub(crate) fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
+        self.params(self.tier(src, dst))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A pair's tier as `Tiers` found it before it kept each device's
+    /// machine and rack: by dividing ranks by the devices per machine and
+    /// per rack (a product past `usize::MAX` meaning one rack).
+    fn divided_link_params(topo: &Topology, src: usize, dst: usize) -> (f64, f64) {
+        let tiers = topo.tiers();
+        if src == dst {
+            return (0.0, 0.0);
+        }
+        let per_rack = topo
+            .devices_per_machine
+            .saturating_mul(topo.machines_per_rack);
+        let tier = if src / topo.devices_per_machine == dst / topo.devices_per_machine {
+            0
+        } else if src / per_rack == dst / per_rack {
+            1
+        } else {
+            2
+        };
+        tiers.params[tier]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn counted_places_price_every_link_as_division_did(
+            machines in 1usize..24,
+            devices in proptest::prop_oneof![proptest::strategy::Just(1usize), 1usize..9],
+            rack in proptest::prop_oneof![
+                proptest::strategy::Just(1usize),
+                1usize..12,
+                proptest::strategy::Just(usize::MAX),
+            ],
+            spine in 1e3f64..1e12,
+        ) {
+            // Rack sizes that do not divide the machine count leave a
+            // partial last rack; one device per machine and one machine per
+            // rack make two tiers coincide.
+            let topo = Topology::new(machines, devices).machines_per_rack(rack).spine_bw(spine);
+            let tiers = topo.tiers();
+            let n = topo.num_devices();
+            proptest::prop_assert_eq!(tiers.num_devices(), n);
+            for src in 0..n {
+                proptest::prop_assert_eq!(tiers.place[src][1] as usize, topo.rack_of(src));
+                for dst in 0..n {
+                    let (got, want) = (tiers.link_params(src, dst), divided_link_params(&topo, src, dst));
+                    proptest::prop_assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits()),
+                        (want.0.to_bits(), want.1.to_bits()),
+                        "{} -> {}", src, dst
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn rack_mapping_and_label() {

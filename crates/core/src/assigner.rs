@@ -17,11 +17,12 @@ use crate::decompose::DevicePartition;
 use crate::exchange::Direction;
 use crate::peers::PeerTable;
 use bytes::Bytes;
-use comm::{AsyncDevice, CostModel};
+use comm::{AsyncDevice, CostModel, LinkTier};
 use obs::time::HostSeconds;
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
-use solver::{solve_flat, FlatProblem, FlatSolution, GroupSpec};
+use solver::{GroupSpec, PairShape, SplitProblem, SplitSolution, SplitWidths};
+use std::ops::Range;
 use tensor::{Matrix, Rng};
 
 /// How widths are chosen at each reassignment.
@@ -216,6 +217,10 @@ fn row_range(row: &[f32]) -> f32 {
 
 /// Observability record of one reassignment round, identical on every rank
 /// (the master broadcasts it alongside the measured solve time).
+///
+/// Every field but `secs` is a function of the gathered traces and the
+/// config alone, the same at any thread count and on any instruction set.
+/// The counts say what work the master's round did ([`Gathered::round`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveStats {
     /// Measured master solve time (host wall-clock; the paper blocks
@@ -229,39 +234,130 @@ pub struct SolveStats {
     pub objective_sum: f64,
     /// Number of bi-objective problems solved this round.
     pub problems: u64,
+    /// Pair-sections read: one per listed (sender, receiver) of every
+    /// (layer, direction).
+    pub pairs_read: u64,
+    /// Pair-sections whose messages were sorted by `beta` into the order
+    /// that carries group widths to messages: those that could still move
+    /// when read (the pairs that can move, and any read before the Z floor
+    /// rose past them).
+    pub pairs_sorted: u64,
+    /// The other pair-sections whose three or more `beta`s were sorted by
+    /// value, to be summed in `beta` order as the groups are.
+    pub sums_sorted: u64,
+    /// Pair-sections given a downgrade schedule: the pairs that can move.
+    pub pairs_scheduled: u64,
+    /// Moves in those schedules.
+    pub moves: u64,
+    /// (Z candidate, pair) move counts the sweeps looked up.
+    pub evaluations: u64,
+    /// Trace bytes the master checked.
+    pub trace_bytes: u64,
+    /// Reply bytes the master wrote.
+    pub reply_bytes: u64,
 }
 
+/// Version byte of the solve-stats broadcast ([`SolveStats::to_bytes`]).
+const STATS_VERSION: u8 = 1;
+
+/// Length of the solve-stats broadcast: the version byte, then twelve
+/// 8-byte fields.
+const STATS_BYTES: usize = 1 + 8 * 12;
+
 impl SolveStats {
-    /// Packs the stats into the 32-byte broadcast payload.
-    fn to_bytes(self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        out[0..8].copy_from_slice(&self.secs.secs().to_le_bytes());
-        // Iteration counts stay far below 2^53, so the f64 encoding is exact.
-        out[8..16].copy_from_slice(&(self.iterations as f64).to_le_bytes());
-        out[16..24].copy_from_slice(&self.objective_sum.to_le_bytes());
-        // Problem counts stay far below 2^53, so the f64 encoding is exact.
-        out[24..32].copy_from_slice(&(self.problems as f64).to_le_bytes());
+    /// Packs the stats into the broadcast payload:
+    ///
+    /// ```text
+    /// version u8 (= 1) | secs f64 | objective_sum f64
+    /// iterations, problems, pairs_read, pairs_sorted, sums_sorted,
+    /// pairs_scheduled, moves, evaluations, trace_bytes, reply_bytes: u64 each
+    /// ```
+    fn to_bytes(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(STATS_BYTES);
+        out.push(STATS_VERSION);
+        out.extend_from_slice(&self.secs.secs().to_le_bytes());
+        out.extend_from_slice(&self.objective_sum.to_le_bytes());
+        for count in self.counts() {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
         out
     }
 
+    /// The ten counts, in wire order.
+    fn counts(self) -> [u64; 10] {
+        [
+            self.iterations,
+            self.problems,
+            self.pairs_read,
+            self.pairs_sorted,
+            self.sums_sorted,
+            self.pairs_scheduled,
+            self.moves,
+            self.evaluations,
+            self.trace_bytes,
+            self.reply_bytes,
+        ]
+    }
+
     /// Parses the broadcast payload written by [`SolveStats::to_bytes`]:
-    /// exactly 32 bytes.
+    /// its version, then exactly [`STATS_BYTES`] bytes in all.
     fn from_bytes(raw: &[u8]) -> Result<Self, WireError> {
-        let (&[secs, iterations, objective_sum, problems], &[]) = raw.as_chunks::<8>() else {
-            return Err(if raw.len() < 32 {
-                WireError::Truncated
-            } else {
-                WireError::TrailingBytes
-            });
-        };
+        let (&version, rest) = raw.split_first().ok_or(WireError::Truncated)?;
+        if version != STATS_VERSION {
+            return Err(WireError::Version(version));
+        }
+        match raw.len().cmp(&STATS_BYTES) {
+            std::cmp::Ordering::Less => return Err(WireError::Truncated),
+            std::cmp::Ordering::Greater => return Err(WireError::TrailingBytes),
+            std::cmp::Ordering::Equal => {}
+        }
+        let (fields, _) = rest.as_chunks::<8>();
+        let count = |i: usize| u64::from_le_bytes(fields[2 + i]);
         Ok(SolveStats {
-            secs: HostSeconds::from_secs(f64::from_le_bytes(secs)),
-            // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
-            iterations: f64::from_le_bytes(iterations) as u64,
-            objective_sum: f64::from_le_bytes(objective_sum),
-            // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
-            problems: f64::from_le_bytes(problems) as u64,
+            secs: HostSeconds::from_secs(f64::from_le_bytes(fields[0])),
+            objective_sum: f64::from_le_bytes(fields[1]),
+            iterations: count(0),
+            problems: count(1),
+            pairs_read: count(2),
+            pairs_sorted: count(3),
+            sums_sorted: count(4),
+            pairs_scheduled: count(5),
+            moves: count(6),
+            evaluations: count(7),
+            trace_bytes: count(8),
+            reply_bytes: count(9),
         })
+    }
+
+    /// Adds another record's counts and objective sum to this one's.
+    fn add(&mut self, other: SolveStats) {
+        self.objective_sum += other.objective_sum;
+        self.iterations += other.iterations;
+        self.problems += other.problems;
+        self.pairs_read += other.pairs_read;
+        self.pairs_sorted += other.pairs_sorted;
+        self.sums_sorted += other.sums_sorted;
+        self.pairs_scheduled += other.pairs_scheduled;
+        self.moves += other.moves;
+        self.evaluations += other.evaluations;
+        self.trace_bytes += other.trace_bytes;
+        self.reply_bytes += other.reply_bytes;
+    }
+
+    /// One section's solve: its problem's counts and its solution's.
+    fn of_section(built: &Section, solution: &SplitSolution) -> Self {
+        SolveStats {
+            iterations: solution.iterations as u64,
+            objective_sum: solution.objective,
+            problems: 1,
+            pairs_read: built.pairs_read as u64,
+            pairs_sorted: built.sorted as u64,
+            sums_sorted: built.sums_sorted as u64,
+            pairs_scheduled: solution.counts.scheduled as u64,
+            moves: solution.counts.moves as u64,
+            evaluations: solution.counts.evaluations as u64,
+            ..SolveStats::default()
+        }
     }
 }
 
@@ -378,7 +474,7 @@ async fn reassign_adaptive(
         let payloads = replies.into_iter().map(Bytes::from).collect();
         // Piggy-back the solve stats: broadcast after scatter.
         let own = dev.scatter(0, Some(payloads)).await;
-        let stats_b = Bytes::from(stats.to_bytes().to_vec());
+        let stats_b = Bytes::from(stats.to_bytes());
         (own, dev.broadcast(0, Some(stats_b)).await)
     } else {
         let own = dev.scatter(0, None).await;
@@ -411,6 +507,8 @@ pub enum WireError {
     /// A reply's message count for a peer is not the partition's: the listed
     /// count differs, or a peer with messages is left out.
     Count(u32),
+    /// A versioned message carries a version this build does not write.
+    Version(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -424,6 +522,7 @@ impl std::fmt::Display for WireError {
             Self::DimsDisagree => write!(f, "devices disagree on the layer dimensions"),
             Self::Layers(l) => write!(f, "reply covers {l} layers, not this device's"),
             Self::Count(q) => write!(f, "message count for peer {q} is not the partition's"),
+            Self::Version(v) => write!(f, "version {v} is not this build's"),
         }
     }
 }
@@ -541,6 +640,8 @@ pub struct Gathered<'a> {
     dims: Vec<u32>,
     /// `blocks[section * n + src]`: device `src`'s block of `section`.
     blocks: Vec<Block<'a>>,
+    /// Bytes checked, across every message.
+    bytes: usize,
 }
 
 /// One device's checked block of one section: its `(peer, count, betas)`
@@ -570,16 +671,32 @@ impl<'a> Block<'a> {
     }
 }
 
-/// One section's problem as the solver takes it, with each pair's sort
-/// order, through which the solver's group widths reach the messages.
+/// One section's problem as the solver takes it ([`SplitProblem`]), with
+/// the sort order of each pair that can move, through which the solver's
+/// group widths reach its messages. Every other pair's messages all take
+/// one width (8 bits, or a uniform assignment's), so it keeps no order.
 #[derive(Debug)]
 pub struct Section {
     group_size: usize,
-    /// Per pair, in the section's message order: sorted position -> message
-    /// index.
+    /// The pairs that can move, ascending, each by its position among the
+    /// section's pairs (senders ascending, then receivers).
+    moving: Vec<u32>,
+    /// Per pair that can move, in turn: sorted position -> message index.
     order: Vec<u32>,
-    /// One pair per listed (sender, receiver), senders ascending.
-    pub problem: FlatProblem,
+    /// Pairs in the section.
+    pairs_read: usize,
+    /// Pairs sorted into a message order: those held whole.
+    sorted: usize,
+    /// Pairs not held whose betas were sorted by value to be summed.
+    sums_sorted: usize,
+    problem: SplitProblem,
+}
+
+impl Section {
+    /// Solves the section's problem.
+    pub fn solve(&self) -> SplitSolution {
+        self.problem.solve()
+    }
 }
 
 impl<'a> Gathered<'a> {
@@ -588,6 +705,7 @@ impl<'a> Gathered<'a> {
     pub fn check<B: AsRef<[u8]>>(traces: &'a [B]) -> Result<Self, WireError> {
         let n = traces.len();
         let mut readers: Vec<Reader> = traces.iter().map(|t| Reader(t.as_ref())).collect();
+        let bytes = readers.iter().map(|r| r.0.len()).sum();
         let mut dims: Option<Vec<u32>> = None;
         for r in &mut readers {
             let layers = r.u32()?;
@@ -613,7 +731,12 @@ impl<'a> Gathered<'a> {
             }
         }
         readers.into_iter().try_for_each(Reader::finish)?;
-        Ok(Self { n, dims, blocks })
+        Ok(Self {
+            n,
+            dims,
+            blocks,
+            bytes,
+        })
     }
 
     /// Number of (layer, direction) problems: two per layer.
@@ -625,51 +748,127 @@ impl<'a> Gathered<'a> {
         &self.blocks[section * self.n..(section + 1) * self.n]
     }
 
-    /// Builds one section's bi-objective problem from the trace bytes: each
-    /// pair's messages sorted by beta descending and chunked into groups of
-    /// `cfg.group_size`.
+    /// Builds one section's bi-objective problem from the trace bytes, in
+    /// one pass over its pairs (one per listed sender and receiver, senders
+    /// ascending). Each pair's messages form groups of `cfg.group_size` in
+    /// beta-descending order, and each group's beta is summed in that
+    /// order. With one or two messages the order needs no sort (`a + b`
+    /// rounds the same either way round); with more, the betas' values are
+    /// sorted, not the messages.
+    ///
+    /// Only the pairs that can move need their messages in that order, to
+    /// carry group widths to messages, and only their groups are held
+    /// ([`SplitProblem`]). Whether a pair can move depends on its link and
+    /// message count alone, which fix its size at every width (every pair
+    /// on one tier with one count has one size, worked out once), and on
+    /// the Z floor, known only once every pair is read: a pair that could
+    /// still move when read is sorted and held, and only the orders of
+    /// those that can move are kept.
     pub fn section(&self, section: usize, cost: &CostModel, cfg: &TrainingConfig) -> Section {
         let group_size = cfg.group_size.max(1);
         let dim = f64::from(self.dims[section / 2]);
-        let blocks = self.blocks_of(section);
-        let pairs: usize = blocks.iter().map(|b| b.peers as usize).sum();
-        let messages: usize = blocks.iter().map(|b| b.messages()).sum();
-        let mut order: Vec<u32> = Vec::with_capacity(messages);
-        // At most one short group per pair on top of the full ones.
-        let groups = messages / group_size + pairs;
-        let mut problem = FlatProblem::with_capacity(pairs, groups, cfg.lambda);
-        for (src, block) in blocks.iter().enumerate() {
-            for (dst, betas) in block.entries() {
-                let beta = |k: u32| f64::from_le_bytes(betas[k as usize]);
-                let at = order.len();
-                order.extend(0..betas.len() as u32);
-                let sorted = &mut order[at..];
-                sorted.sort_by(|&a, &b| beta(b).total_cmp(&beta(a)));
-                let (theta, gamma) = cost.link_params(src, dst as usize);
-                // Fold fixed wire overhead into gamma.
-                let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
-                problem.push_pair(
-                    theta,
-                    gamma + theta * overhead as f64,
-                    sorted.chunks(group_size).map(|group| GroupSpec {
-                        beta: group.iter().map(|&k| beta(k)).sum(),
-                        bytes_per_bit: group.len() as f64 * dim / 8.0,
-                    }),
-                );
+        let bytes_per_bit = |len: usize| len as f64 * dim / 8.0;
+        // A pair's size: its full groups, then at most one short one.
+        let shape = |tier: LinkTier, count: usize| {
+            let (theta, gamma) = cost.tier_params(tier);
+            // Fold fixed wire overhead into gamma.
+            let overhead = HEADER_BYTES + count * ROW_OVERHEAD_BYTES;
+            let (full, short) = (count / group_size, count % group_size);
+            let groups = std::iter::repeat_n(bytes_per_bit(group_size), full)
+                .chain((short > 0).then(|| bytes_per_bit(short)));
+            PairShape::new(theta, gamma + theta * overhead as f64, groups)
+        };
+        // Sizes by (count, tier) for counts below `MEMO`, which covers
+        // nearly every pair; a larger count is worked out for its own pair.
+        const MEMO: usize = 256;
+        let mut shapes: Vec<Option<PairShape>> = vec![None; 4 * MEMO];
+        let mut shape_of =
+            |tier: LinkTier, count: usize| match shapes.get_mut(count * 4 + tier.index()) {
+                Some(memo) => *memo.get_or_insert_with(|| shape(tier, count)),
+                None => shape(tier, count),
+            };
+        let mut built = Section {
+            group_size,
+            moving: Vec::new(),
+            order: Vec::new(),
+            pairs_read: 0,
+            sorted: 0,
+            sums_sorted: 0,
+            problem: SplitProblem::new(cfg.lambda.clamp(0.0, 1.0)),
+        };
+        // The pairs held whole, which may move: each with its span of
+        // `order`, where its messages are sorted by beta, descending.
+        let mut held: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut sorted: Vec<f64> = Vec::new();
+        let blocks = self.blocks_of(section).iter().enumerate();
+        for (src, (dst, betas)) in blocks.flat_map(|(src, b)| b.entries().map(move |e| (src, e))) {
+            let tier = cost.link_tier(src, dst as usize);
+            let pair = built.problem.place(shape_of(tier, betas.len()));
+            if pair.held() {
+                let beta = |k: &u32| f64::from_le_bytes(betas[*k as usize]);
+                let at = built.order.len();
+                built.order.extend(0..betas.len() as u32);
+                built.order[at..].sort_by(|a, b| beta(b).total_cmp(&beta(a)));
+                held.push((built.pairs_read, at..built.order.len()));
+                let groups = built.order[at..].chunks(group_size).map(|group| GroupSpec {
+                    beta: group.iter().map(beta).sum(),
+                    bytes_per_bit: bytes_per_bit(group.len()),
+                });
+                built.problem.push(pair, groups);
+            } else {
+                let value = |b: &[u8; 8]| f64::from_le_bytes(*b);
+                let mut two = [0.0; 2];
+                let values: &[f64] = match betas {
+                    [a] => {
+                        two[0] = value(a);
+                        &two[..1]
+                    }
+                    [a, b] => {
+                        let (a, b) = (value(a), value(b));
+                        two = if b.total_cmp(&a).is_gt() {
+                            [b, a]
+                        } else {
+                            [a, b]
+                        };
+                        &two
+                    }
+                    more => {
+                        sorted.clear();
+                        sorted.extend(more.iter().map(value));
+                        // Equal under `total_cmp` is equal bits, so an
+                        // unstable sort leaves the same sequence.
+                        sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+                        built.sums_sorted += 1;
+                        &sorted
+                    }
+                };
+                let groups = values.chunks(group_size).map(|group| GroupSpec {
+                    beta: group.iter().sum(),
+                    bytes_per_bit: bytes_per_bit(group.len()),
+                });
+                built.problem.push(pair, groups);
+            }
+            built.pairs_read += 1;
+        }
+        // Keep the orders of the pairs that can move, in turn.
+        built.sorted = held.len();
+        let mut order = Vec::new();
+        let mut held = held.into_iter();
+        for pair in built.problem.moving() {
+            if let Some((_, span)) = held.find(|(p, _)| *p == pair) {
+                built.moving.push(pair as u32);
+                order.extend_from_slice(&built.order[span]);
             }
         }
-        Section {
-            group_size,
-            order,
-            problem,
-        }
+        built.order = order;
+        built
     }
 
     /// Solves every section and writes one reply per device, each section
-    /// in one pass from trace bytes to reply bytes, one task per section on
-    /// the shared kernel pool (the paper uses a thread pool on the master
-    /// for the same reason). Returns the replies and the round's stats with
-    /// `secs` left zero for the caller to fill in from its own timer.
+    /// from trace bytes to reply bytes in one task on the shared kernel
+    /// pool (the paper uses a thread pool on the master for the same
+    /// reason). Returns the replies and the round's stats with `secs` left
+    /// zero for the caller to fill in from its own timer.
     ///
     /// ```text
     /// layers u32
@@ -681,34 +880,42 @@ impl<'a> Gathered<'a> {
     /// off the wire, where every row carries its own width.
     pub fn round(&self, cost: &CostModel, cfg: &TrainingConfig) -> (Vec<Vec<u8>>, SolveStats) {
         let mut replies = Vec::new();
-        let mut solved = vec![None; self.num_sections()];
+        let mut solved = vec![SolveStats::default(); self.num_sections()];
         let tasks: Vec<_> = solved
             .iter_mut()
             .zip(self.reply_blocks(&mut replies))
             .enumerate()
             .collect();
-        // Work: one unit per traced message, which every problem sorts,
-        // groups and sweeps — a low count, so a small round stays on this
-        // thread. The pool runs no more workers than tasks or cores.
+        // Work: one unit per traced message, which every problem reads and
+        // sums — a low count, so a small round stays on this thread. The
+        // pool runs no more workers than tasks or cores.
         let messages = self.blocks.iter().map(|b| b.messages()).sum();
         tensor::par::run_tasks(tasks, messages, |(section, (slot, out))| {
             let built = self.section(section, cost, cfg);
-            let solution = solve_flat(&built.problem);
+            let solution = built.solve();
             self.write(section, &built, &solution, out);
-            *slot = Some((solution.iterations, solution.objective));
+            *slot = SolveStats::of_section(&built, &solution);
         });
-        let mut stats = SolveStats::default();
-        for (iterations, objective) in solved.into_iter().flatten() {
-            stats.iterations += iterations as u64;
-            stats.objective_sum += objective;
-            stats.problems += 1;
+        let mut stats = SolveStats {
+            trace_bytes: self.bytes as u64,
+            reply_bytes: replies.iter().map(Vec::len).sum::<usize>() as u64,
+            ..SolveStats::default()
+        };
+        // Section by section, so the objective sum's rounding does not
+        // depend on which worker finished first.
+        for section in solved {
+            stats.add(section);
         }
         (replies, stats)
     }
 
     /// [`Gathered::round`]'s replies from sections built and solved already,
     /// `sections[s]` and `solutions[s]` being section `s`'s.
-    pub fn encode_replies(&self, sections: &[Section], solutions: &[FlatSolution]) -> Vec<Vec<u8>> {
+    pub fn encode_replies(
+        &self,
+        sections: &[Section],
+        solutions: &[SplitSolution],
+    ) -> Vec<Vec<u8>> {
         let mut replies = Vec::new();
         for (s, out) in self.reply_blocks(&mut replies).into_iter().enumerate() {
             self.write(s, &sections[s], &solutions[s], out);
@@ -746,23 +953,50 @@ impl<'a> Gathered<'a> {
             .collect()
     }
 
-    /// Writes `section`'s entries with `solution`'s widths, each message's
-    /// through its pair's sort order, into its sender's block `out[src]`.
-    fn write(&self, section: usize, built: &Section, solution: &FlatSolution, out: Vec<&mut [u8]>) {
-        let (mut pair, mut at) = (0, 0);
+    /// Writes `section`'s entries with `solution`'s widths into each
+    /// sender's block `out[src]`: a pair that can move through its sort
+    /// order, any other pair one width for every message.
+    fn write(
+        &self,
+        section: usize,
+        built: &Section,
+        solution: &SplitSolution,
+        out: Vec<&mut [u8]>,
+    ) {
+        let (mut moved, fill) = match &solution.widths {
+            SplitWidths::Moved(widths) => (Some(&widths[..]), BitWidth::B8),
+            &SplitWidths::Uniform(w) => (None, w),
+        };
+        let (mut moving, mut order) = (built.moving.iter().peekable(), &built.order[..]);
+        let mut pair = 0u32;
         for (block, reply) in self.blocks_of(section).iter().zip(out) {
             let (peers, mut rest) = reply.split_at_mut(4);
             peers.copy_from_slice(&block.peers.to_le_bytes());
             for (dst, betas) in block.entries() {
                 let count = betas.len();
                 let (entry, tail) = rest.split_at_mut(8 + count);
+                rest = tail;
                 entry[..4].copy_from_slice(&dst.to_le_bytes());
                 entry[4..8].copy_from_slice(&(count as u32).to_le_bytes());
-                let widths = &solution.widths[built.problem.groups_of(pair)];
-                for (pos, &k) in built.order[at..at + count].iter().enumerate() {
-                    entry[8 + k as usize] = widths[pos / built.group_size].bits() as u8;
+                let widths = &mut entry[8..];
+                let sorted = moving.next_if_eq(&&pair).map(|_| {
+                    let (own, later) = order.split_at(count);
+                    order = later;
+                    own
+                });
+                pair += 1;
+                match (sorted, &mut moved) {
+                    (Some(sorted), Some(groups)) => {
+                        let (own, later) = groups.split_at(count.div_ceil(built.group_size));
+                        *groups = later;
+                        for (group, w) in sorted.chunks(built.group_size).zip(own) {
+                            for &k in group {
+                                widths[k as usize] = w.bits() as u8;
+                            }
+                        }
+                    }
+                    _ => widths.fill(fill.bits() as u8),
                 }
-                (pair, at, rest) = (pair + 1, at + count, tail);
             }
         }
     }
@@ -772,47 +1006,35 @@ impl WidthAssignment {
     /// Overwrites every table with the master's reply ([`Gathered::round`])
     /// on a device of an `n`-device cluster.
     ///
-    /// The reply is checked in full first — framing, then against the
-    /// tables' own shape, which [`WidthAssignment::fixed`] took from the
-    /// partition: the same layers, every listed peer with exactly as many
-    /// widths as it has messages, no peer with messages left out — and
-    /// only then written, so on `Err` the tables are exactly as they were.
+    /// The reply is checked in full — framing, then against the tables'
+    /// own shape, which [`WidthAssignment::fixed`] took from the partition:
+    /// the same layers, every listed peer with exactly as many widths as it
+    /// has messages, no peer with messages left out, every width 2, 4 or
+    /// 8. One walk checks it and copies its width bytes into a scratch laid
+    /// out like the reply; only a reply that passes is converted into the
+    /// tables, so on `Err` they are exactly as they were.
     pub fn decode_into(&mut self, raw: &[u8], n: usize) -> Result<(), WireError> {
-        let width = |b: u8| BitWidth::from_bits(u32::from(b)).ok_or(WireError::Width(b));
-        self.visit_reply(raw, n, |_, bytes| {
-            bytes.iter().try_for_each(|&b| width(b).map(drop))
-        })?;
-        self.visit_reply(raw, n, |table, bytes| {
-            for (slot, &b) in table.iter_mut().zip(bytes) {
-                *slot = width(b)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Walks a reply, handing `entry` each listed peer's table next to that
-    /// peer's width bytes (equally long), in wire order.
-    fn visit_reply(
-        &mut self,
-        raw: &[u8],
-        n: usize,
-        mut entry: impl FnMut(&mut [BitWidth], &[u8]) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
         let mut r = Reader(raw);
         let layers = r.u32()?;
         // Every layer holds at least its two peer counts.
         if layers as usize > r.0.len() / 8 {
             return Err(WireError::Truncated);
         }
-        let mut tables = [&mut self.fwd, &mut self.bwd];
-        if tables.iter().any(|t| t.num_layers() != layers as usize) {
+        if [&self.fwd, &self.bwd]
+            .iter()
+            .any(|t| t.num_layers() != layers as usize)
+        {
             return Err(WireError::Layers(layers));
         }
-        for l in 0..layers as usize {
-            for table in &mut tables {
+        let messages = self.fwd.layout().num_messages() + self.bwd.layout().num_messages();
+        // The reply's width bytes, checked, in reply order: per layer, the
+        // forward arena's, then the backward arena's.
+        let mut scratch: Vec<u8> = Vec::with_capacity(messages * layers as usize);
+        for _ in 0..layers {
+            for layout in [self.fwd.layout(), self.bwd.layout()] {
                 // The listed peers not yet matched, ascending: the reply
                 // must name each, in order, with its message count.
-                let mut listed = table.peers_mut(l).peekable();
+                let mut listed = layout.iter().peekable();
                 let mut prev = None;
                 for _ in 0..r.u32()? {
                     let (peer, count) = r.peer(n, &mut prev)?;
@@ -821,7 +1043,12 @@ impl WidthAssignment {
                         return Err(WireError::Count(skipped as u32));
                     }
                     match listed.next_if(|(q, _)| *q == peer as usize) {
-                        Some((_, t)) if t.len() == bytes.len() => entry(t, bytes)?,
+                        Some((_, span)) if span.len() == bytes.len() => {
+                            if let Some(&b) = bytes.iter().find(|&&b| !matches!(b, 2 | 4 | 8)) {
+                                return Err(WireError::Width(b));
+                            }
+                            scratch.extend_from_slice(bytes);
+                        }
                         _ => return Err(WireError::Count(peer)),
                     }
                 }
@@ -830,7 +1057,23 @@ impl WidthAssignment {
                 }
             }
         }
-        r.finish()
+        r.finish()?;
+        let mut rest = &scratch[..];
+        for l in 0..layers as usize {
+            for table in [&mut self.fwd, &mut self.bwd] {
+                let arena = table.layer_mut(l);
+                let (own, later) = rest.split_at(arena.len());
+                for (slot, &b) in arena.iter_mut().zip(own) {
+                    *slot = match b {
+                        2 => BitWidth::B2,
+                        4 => BitWidth::B4,
+                        _ => BitWidth::B8,
+                    };
+                }
+                rest = later;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -841,6 +1084,7 @@ mod tests {
     use gnn::ConvKind;
     use graph::DatasetSpec;
     use proptest::prelude::*;
+    use solver::{solve_flat, FlatProblem, FlatSolution};
 
     /// Every device's traced betas decoded into one flat table of directed
     /// device pairs, grouped by section and, within a section, ascending by
@@ -1032,6 +1276,146 @@ mod tests {
             stats.objective_sum.to_bits(),
             stats.problems,
         )
+    }
+
+    /// One section as the master built it before pairs that cannot move
+    /// stopped being sorted, scheduled, swept and written one by one:
+    /// every pair's messages sorted by beta descending into one
+    /// `FlatProblem`, groups of `cfg.group_size`, and per pair the sorted
+    /// position -> message index map. With [`flat_round`], the oracle the
+    /// lean round ([`Gathered::section`], [`Section::solve`],
+    /// [`Gathered::write`]) is pinned to.
+    fn flat_section(
+        g: &Gathered,
+        section: usize,
+        cost: &CostModel,
+        cfg: &TrainingConfig,
+    ) -> (FlatProblem, Vec<u32>) {
+        let group_size = cfg.group_size.max(1);
+        let dim = f64::from(g.dims[section / 2]);
+        let blocks = g.blocks_of(section);
+        let pairs: usize = blocks.iter().map(|b| b.peers as usize).sum();
+        let messages: usize = blocks.iter().map(|b| b.messages()).sum();
+        let mut order: Vec<u32> = Vec::with_capacity(messages);
+        let groups = messages / group_size + pairs;
+        let mut problem = FlatProblem::with_capacity(pairs, groups, cfg.lambda);
+        for (src, block) in blocks.iter().enumerate() {
+            for (dst, betas) in block.entries() {
+                let beta = |k: u32| f64::from_le_bytes(betas[k as usize]);
+                let at = order.len();
+                order.extend(0..betas.len() as u32);
+                let sorted = &mut order[at..];
+                sorted.sort_by(|&a, &b| beta(b).total_cmp(&beta(a)));
+                let (theta, gamma) = cost.link_params(src, dst as usize);
+                let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
+                problem.push_pair(
+                    theta,
+                    gamma + theta * overhead as f64,
+                    sorted.chunks(group_size).map(|group| GroupSpec {
+                        beta: group.iter().map(|&k| beta(k)).sum(),
+                        bytes_per_bit: group.len() as f64 * dim / 8.0,
+                    }),
+                );
+            }
+        }
+        (problem, order)
+    }
+
+    /// The round through [`flat_section`], `solve_flat`, and the write that
+    /// took every message's width through its pair's sort order.
+    fn flat_round(
+        g: &Gathered,
+        cost: &CostModel,
+        cfg: &TrainingConfig,
+    ) -> (Vec<Vec<u8>>, SolveStats) {
+        let group_size = cfg.group_size.max(1);
+        let mut replies = Vec::new();
+        let mut stats = SolveStats::default();
+        for (section, out) in g.reply_blocks(&mut replies).into_iter().enumerate() {
+            let (problem, order) = flat_section(g, section, cost, cfg);
+            let solution = solve_flat(&problem);
+            let (mut pair, mut at) = (0, 0);
+            for (block, reply) in g.blocks_of(section).iter().zip(out) {
+                let (peers, mut rest) = reply.split_at_mut(4);
+                peers.copy_from_slice(&block.peers.to_le_bytes());
+                for (dst, betas) in block.entries() {
+                    let count = betas.len();
+                    let (entry, tail) = rest.split_at_mut(8 + count);
+                    entry[..4].copy_from_slice(&dst.to_le_bytes());
+                    entry[4..8].copy_from_slice(&(count as u32).to_le_bytes());
+                    let widths = &solution.widths[problem.groups_of(pair)];
+                    for (pos, &k) in order[at..at + count].iter().enumerate() {
+                        entry[8 + k as usize] = widths[pos / group_size].bits() as u8;
+                    }
+                    (pair, at, rest) = (pair + 1, at + count, tail);
+                }
+            }
+            stats.iterations += solution.iterations as u64;
+            stats.objective_sum += solution.objective;
+            stats.problems += 1;
+        }
+        (replies, stats)
+    }
+
+    /// The counts a round over `g` reports, restated from the flat oracle's
+    /// problems. A pair can move when `lambda < 1` and its all-8-bit bytes
+    /// overshoot what fits the Z floor, the slowest all-2-bit time; each
+    /// such pair is scheduled, with two moves per group that carries bytes.
+    /// A pair is sorted into a message order when it could still move when
+    /// read: against the slowest all-2-bit time up to and including its
+    /// own. Each other pair with three or more messages has its betas
+    /// sorted to be summed.
+    fn flat_counts(g: &Gathered, cost: &CostModel, cfg: &TrainingConfig) -> [u64; 5] {
+        let [mut read, mut sorted, mut sums_sorted, mut scheduled, mut moves] = [0u64; 5];
+        for section in 0..g.num_sections() {
+            let (problem, _) = flat_section(g, section, cost, cfg);
+            let bytes = |p: usize, bits: f64| {
+                let groups = problem.groups_of(p).map(|k| problem.group(k));
+                groups.fold(-0.0, |sum, k| sum + k.bytes_per_bit * bits)
+            };
+            let time2 = |p: usize| {
+                let (theta, gamma) = problem.link(p);
+                theta * bytes(p, 2.0) + gamma
+            };
+            let needs_move = |p: usize, floor: f64| {
+                let (theta, gamma) = problem.link(p);
+                let fits = if theta > 0.0 {
+                    (floor - gamma) / theta
+                } else {
+                    f64::INFINITY
+                };
+                problem.lambda() < 1.0 && bytes(p, 8.0) - fits > 0.0
+            };
+            let z_floor = (0..problem.num_pairs()).fold(0.0f64, |z, p| z.max(time2(p)));
+            let mut floor = 0.0f64;
+            let counts = g.blocks_of(section).iter().flat_map(|b| b.entries());
+            for (p, (_, betas)) in counts.enumerate() {
+                read += 1;
+                floor = floor.max(time2(p));
+                if needs_move(p, floor) {
+                    sorted += 1;
+                } else if betas.len() >= 3 {
+                    sums_sorted += 1;
+                }
+                if needs_move(p, z_floor) {
+                    scheduled += 1;
+                    let carrying = problem.groups_of(p).map(|k| problem.group(k));
+                    moves += 2 * carrying.filter(|k| k.bytes_per_bit > 0.0).count() as u64;
+                }
+            }
+        }
+        [read, sorted, sums_sorted, scheduled, moves]
+    }
+
+    /// A round's counts in [`flat_counts`]'s order.
+    fn pair_counts(stats: SolveStats) -> [u64; 5] {
+        [
+            stats.pairs_read,
+            stats.pairs_sorted,
+            stats.sums_sorted,
+            stats.pairs_scheduled,
+            stats.moves,
+        ]
     }
 
     fn setup(k: usize) -> Vec<DevicePartition> {
@@ -1428,11 +1812,37 @@ mod tests {
             let gathered = Gathered::check(&msgs).expect("valid traces");
             let table = PairTable::decode(&msgs).expect("valid traces");
             for section in 0..gathered.num_sections() {
-                let flat = gathered.section(section, &cost, &cfg).problem;
+                let (flat, _) = flat_section(&gathered, section, &cost, &cfg);
                 let want = nested_build(&table, section, &cost, &cfg).flatten();
                 // `==` for the shape, `Debug` for the bits (it tells zeros apart).
                 prop_assert_eq!(&flat, &want);
                 prop_assert_eq!(format!("{flat:?}"), format!("{want:?}"));
+                // The lean section holds the same problem: it solves to the
+                // same widths, each movable pair's groups where the flat
+                // problem has them, and the same scores, bit for bit.
+                let built = gathered.section(section, &cost, &cfg);
+                let (got, want) = (built.solve(), solve_flat(&flat));
+                let widths = match got.widths {
+                    SplitWidths::Uniform(w) => vec![w; flat.num_groups()],
+                    SplitWidths::Moved(moved) => {
+                        let mut widths = vec![BitWidth::B8; flat.num_groups()];
+                        let mut moved = moved.into_iter();
+                        for &p in &built.moving {
+                            for w in &mut widths[flat.groups_of(p as usize)] {
+                                *w = moved.next().expect("a width per movable group");
+                            }
+                        }
+                        prop_assert!(moved.next().is_none());
+                        widths
+                    }
+                };
+                prop_assert_eq!(widths, want.widths);
+                let bits = |v: f64, t: f64, o: f64| (v.to_bits(), t.to_bits(), o.to_bits());
+                prop_assert_eq!(
+                    bits(got.variance, got.max_time, got.objective),
+                    bits(want.variance, want.max_time, want.objective)
+                );
+                prop_assert_eq!(got.iterations, want.iterations);
             }
         }
 
@@ -1453,6 +1863,167 @@ mod tests {
             let (want, want_stats) = staged_round(&msgs, &cost, &cfg).expect("valid traces");
             prop_assert_eq!(replies, want);
             prop_assert_eq!(stat_bits(stats), stat_bits(want_stats));
+        }
+    }
+
+    /// Traces shaped to break a round that skips work: most listed peers
+    /// carry one or two messages, some up to twelve (several groups at a
+    /// small group size); ranges and `alpha_sq`s come from a few values, so
+    /// betas tie within a pair; and about one message in 40 traces an
+    /// infinite or NaN range, so its beta is not finite.
+    fn arb_fleet_traces(
+        n: usize,
+        layers: usize,
+        rng: &mut Rng,
+    ) -> (Vec<Vec<Vec<f64>>>, Vec<Trace>) {
+        let dims: Vec<usize> = (0..layers).map(|_| [8, 16, 24][rng.below(3)]).collect();
+        let per_peer = |rng: &mut Rng| -> Vec<usize> {
+            (0..n)
+                .map(|_| match rng.below(8) {
+                    0..=2 => 0,
+                    3..=4 => 1,
+                    5 => 2,
+                    6 => 3 + rng.below(3),
+                    _ => 6 + rng.below(7),
+                })
+                .collect()
+        };
+        (0..n)
+            .map(|_| {
+                let (sends, recvs) = (per_peer(rng), per_peer(rng));
+                let mut ranges = |lens: &[usize]| {
+                    let sets: Vec<Vec<()>> = lens.iter().map(|&len| vec![(); len]).collect();
+                    let mut table = PeerTable::filled(&PeerLayout::of(&sets), layers, 0.0);
+                    for r in table.values_mut() {
+                        *r = match rng.below(40) {
+                            0 => [f32::INFINITY, f32::NAN][rng.below(2)],
+                            k => [0.25, 1.0, 2.0, 3.5][k % 4],
+                        };
+                    }
+                    table
+                };
+                let (fwd, bwd) = (ranges(&sends), ranges(&recvs));
+                let trace = Trace {
+                    dims: dims.clone(),
+                    fwd,
+                    bwd,
+                };
+                let alpha = sends
+                    .iter()
+                    .map(|&len| (0..len).map(|_| [0.5, 1.0][rng.below(2)]).collect())
+                    .collect();
+                (alpha, trace)
+            })
+            .unzip()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lean_round_matches_the_flat_oracle(
+            machines in 1usize..=8,
+            devices in 1usize..=4,
+            rack in 1usize..=3,
+            layers in 1usize..=2,
+            group_size in prop_oneof![1usize..=4, Just(64)],
+            lambda in prop_oneof![Just(0.0), Just(0.5), Just(1.0), 0.0f64..1.0],
+            seed in 0u64..u64::MAX,
+        ) {
+            let n = machines * devices;
+            let cost = comm::Topology::new(machines, devices)
+                .machines_per_rack(rack)
+                .oversubscription(4.0)
+                .cost_model();
+            let (alphas, traces) = arb_fleet_traces(n, layers, &mut Rng::seed_from(seed));
+            let msgs = encode_all(&alphas, &traces);
+            let cfg = TrainingConfig { group_size, lambda, ..TrainingConfig::default() };
+            let gathered = Gathered::check(&msgs).expect("valid traces");
+            let (want, want_stats) = flat_round(&gathered, &cost, &cfg);
+            let mut evaluations = None;
+            // A round this small runs inline at any setting; the
+            // 256-device fleet test runs one across pool workers.
+            for threads in [1, 8] {
+                tensor::par::set_threads(threads);
+                let (replies, stats) = gathered.round(&cost, &cfg);
+                prop_assert_eq!(&replies, &want);
+                prop_assert_eq!(stat_bits(stats), stat_bits(want_stats));
+                prop_assert_eq!(pair_counts(stats), flat_counts(&gathered, &cost, &cfg));
+                let bytes = |m: &[Vec<u8>]| m.iter().map(Vec::len).sum::<usize>() as u64;
+                prop_assert_eq!((stats.trace_bytes, stats.reply_bytes), (bytes(&msgs), bytes(&replies)));
+                prop_assert_eq!(*evaluations.get_or_insert(stats.evaluations), stats.evaluations);
+            }
+            tensor::par::set_threads(0);
+        }
+
+        #[test]
+        fn one_pass_decode_refuses_every_corruption_untouched(
+            n in 1usize..=4,
+            layers in 1usize..=2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let (alphas, traces) = arb_traces(n, layers, &mut rng);
+            let table = PairTable::decode(&encode_all(&alphas, &traces)).expect("valid traces");
+            let replies = table.encode_replies(&arb_widths(&table, &mut rng));
+            for (rank, reply) in replies.iter().enumerate() {
+                let before = shaped_like(&traces, rank);
+                // The tables pin every count and no single flipped bit turns
+                // one width into another, so every corruption is refused,
+                // and a refused reply has written nothing.
+                for bad in corruptions(reply) {
+                    let mut a = before.clone();
+                    prop_assert!(a.decode_into(&bad, n).is_err());
+                    prop_assert_eq!(&a, &before);
+                }
+            }
+        }
+
+        #[test]
+        fn stats_broadcast_round_trips_and_refuses_corruption(
+            floats in proptest::collection::vec(0u64..u64::MAX, 2..=2),
+            counts in proptest::collection::vec(0u64..u64::MAX, 10..=10),
+        ) {
+            // Any bits, NaN payloads included.
+            let floats: Vec<f64> = floats.into_iter().map(f64::from_bits).collect();
+            let stats = SolveStats {
+                secs: HostSeconds::from_secs(floats[0]),
+                objective_sum: floats[1],
+                iterations: counts[0],
+                problems: counts[1],
+                pairs_read: counts[2],
+                pairs_sorted: counts[3],
+                sums_sorted: counts[4],
+                pairs_scheduled: counts[5],
+                moves: counts[6],
+                evaluations: counts[7],
+                trace_bytes: counts[8],
+                reply_bytes: counts[9],
+            };
+            let raw = stats.to_bytes();
+            prop_assert_eq!(raw.len(), STATS_BYTES);
+            let back = SolveStats::from_bytes(&raw).expect("what to_bytes wrote");
+            prop_assert_eq!(back.to_bytes(), raw.clone());
+            prop_assert_eq!(back.counts(), stats.counts());
+            for len in 0..raw.len() {
+                prop_assert_eq!(SolveStats::from_bytes(&raw[..len]), Err(WireError::Truncated));
+            }
+            let mut long = raw.clone();
+            long.push(0);
+            prop_assert_eq!(SolveStats::from_bytes(&long), Err(WireError::TrailingBytes));
+            // A flipped version bit is refused; any other flipped bit lands
+            // in exactly one field, which decodes to the flipped value.
+            for bit in 0..8 * raw.len() {
+                let mut bad = raw.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                match SolveStats::from_bytes(&bad) {
+                    Err(e) => prop_assert_eq!((bit < 8, e), (true, WireError::Version(bad[0]))),
+                    Ok(got) => {
+                        prop_assert!(bit >= 8);
+                        prop_assert_eq!(got.to_bytes(), bad);
+                    }
+                }
+            }
         }
     }
 

@@ -196,6 +196,12 @@ pub(crate) fn floor_code_bounded<const BITS: u32>(x: f32) -> u32 {
 /// row down the scalar tail (3x slower).
 const ENC_BLOCK: usize = 32;
 
+/// Lanes of [`encode_span`]'s short chunks: the part of a row past its
+/// last whole [`ENC_BLOCK`] goes through the same branch-free quantizer
+/// eight lanes at a time (one AVX2 register of `f32`), which keeps whole
+/// output bytes at every width (2, 4 or 8 bytes per chunk).
+const ENC_CHUNK: usize = 8;
+
 /// Fused stochastic-round + pack of `row` into `out`, one wire byte per
 /// outer iteration. `out` must hold exactly `packed_len(row.len())` bytes
 /// for `BITS`-bit codes; element `j` draws its coin from
@@ -211,10 +217,6 @@ const ENC_BLOCK: usize = 32;
 /// dispatch on `scale.is_normal()`; both paths produce identical bytes on
 /// their shared domain.
 #[inline]
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "codes are clamped to max_code <= 255; lane and shift indices are below 32"
-)]
 pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
     row: &[f32],
     mn: f32,
@@ -223,83 +225,112 @@ pub(crate) fn encode_span<const BITS: u32, const EXACT: bool>(
     out: &mut [u8],
 ) {
     let per_byte = (8 / BITS) as usize;
-    let max_code = (1u32 << BITS) - 1;
     // Lane-parallel middle: quantize ENC_BLOCK elements into a code array
     // (branch-free, no loop-carried state — the counter for lane k is
     // `base + k*φ32`, so every step autovectorizes), then fold the codes
-    // into whole wire bytes. The chunks_exact pairing (instead of manual
+    // into whole wire bytes. The whole-chunk pairing (instead of manual
     // `out[blk*n..]` slicing) is what lets LLVM drop the per-block bounds
     // checks when the span length is only known at run time — measured
     // ~25% faster on dim-64 rows.
-    let blocks = row.len() / ENC_BLOCK;
+    let (whole, _) = row.as_chunks::<ENC_BLOCK>();
+    let blocks = whole.len();
     let bytes_per_block = ENC_BLOCK / per_byte;
-    for (blk, (lanes, obytes)) in row
-        .chunks_exact(ENC_BLOCK)
-        .zip(out[..blocks * bytes_per_block].chunks_exact_mut(bytes_per_block))
+    let (block_out, chunk_out) = out.split_at_mut(blocks * bytes_per_block);
+    for (blk, (lanes, obytes)) in whole
+        .iter()
+        .zip(block_out.chunks_exact_mut(bytes_per_block))
         .enumerate()
     {
-        let base = counter_at(seed, blk * ENC_BLOCK);
-        let mut codes = [0u32; ENC_BLOCK];
-        for k in 0..ENC_BLOCK {
-            let c32 = base.wrapping_add((k as u32).wrapping_mul(PHI32));
-            // x >= 0 by construction (row[j] >= mn), so floor_code computes
-            // exactly `(x as u32).min(max_code)` — the stochastic-rounding
-            // clamp — without the scalar saturating-cast chain.
-            let x = (lanes[k] - mn) * inv_scale + coin(c32);
-            codes[k] = if EXACT {
-                floor_code(x, max_code)
-            } else {
-                floor_code_bounded::<BITS>(x)
-            };
-        }
-        // SWAR byte assembly: adjacent u32 codes pair into one u64 (LLVM
-        // merges the two loads), and two shift+or steps drop each code onto
-        // its LSB-first bit position — the naive `acc |= code << k*BITS`
-        // fold made LLVM extract every vector lane through a scalar
-        // register. The truncating `as u8` keeps only the assembled byte;
-        // the high half carries the shifted copies.
-        if BITS == 2 {
-            for (b, byte) in obytes.iter_mut().enumerate() {
-                let j = b * 4;
-                let w1 = u64::from(codes[j]) | u64::from(codes[j + 1]) << 32;
-                let w2 = u64::from(codes[j + 2]) | u64::from(codes[j + 3]) << 32;
-                let t = w1 | (w2 << 4);
-                *byte = (t | (t >> 30)) as u8;
-            }
-        } else if BITS == 4 {
-            for (b, byte) in obytes.iter_mut().enumerate() {
-                let j = b * 2;
-                let w = u64::from(codes[j]) | u64::from(codes[j + 1]) << 32;
-                *byte = (w | (w >> 28)) as u8;
-            }
-        } else {
-            for (b, byte) in obytes.iter_mut().enumerate() {
-                *byte = codes[b] as u8;
-            }
-        }
+        let codes =
+            quantize_lanes::<BITS, EXACT, ENC_BLOCK>(lanes, mn, inv_scale, seed, blk * ENC_BLOCK);
+        pack_codes::<BITS>(&codes, obytes);
     }
-    // Scalar tail: whole bytes first, then the final partial byte.
+    // The rest, shorter than one block, in chunks of eight lanes. The last
+    // chunk's padding lanes hold `mn`, whose code is 0 whatever the coin:
+    // `0 * inv_scale + coin` is below 1, or NaN where `inv_scale` or `mn`
+    // is not finite, and both clamps map NaN to 0. So a partial last byte
+    // holds exactly the row's own codes, and the padding's whole bytes,
+    // past the end of `out`, are dropped.
     let done = blocks * ENC_BLOCK;
-    let full = row.len() / per_byte;
-    for (b, byte) in out.iter_mut().enumerate().take(full).skip(done / per_byte) {
-        let mut acc = 0u8;
-        for k in 0..per_byte {
-            let j = b * per_byte + k;
-            let x = (row[j] - mn) * inv_scale + coin(counter_at(seed, j));
-            let code = (x as u32).min(max_code) as u8;
-            acc |= code << (k as u32 * BITS);
-        }
-        *byte = acc;
+    let bytes_per_chunk = ENC_CHUNK / per_byte;
+    for (c, obytes) in chunk_out.chunks_mut(bytes_per_chunk).enumerate() {
+        let start = done + c * ENC_CHUNK;
+        let rest = &row[start..];
+        let mut lanes = [mn; ENC_CHUNK];
+        let len = rest.len().min(ENC_CHUNK);
+        lanes[..len].copy_from_slice(&rest[..len]);
+        let codes = quantize_lanes::<BITS, EXACT, ENC_CHUNK>(&lanes, mn, inv_scale, seed, start);
+        let mut packed = [0u8; ENC_CHUNK];
+        pack_codes::<BITS>(&codes, &mut packed[..bytes_per_chunk]);
+        obytes.copy_from_slice(&packed[..obytes.len()]);
     }
-    let tail = full * per_byte;
-    if tail < row.len() {
-        let mut acc = 0u8;
-        for (k, j) in (tail..row.len()).enumerate() {
-            let x = (row[j] - mn) * inv_scale + coin(counter_at(seed, j));
-            let code = (x as u32).min(max_code) as u8;
-            acc |= code << (k as u32 * BITS);
+}
+
+/// Stochastic-round codes of `N` lanes, lane `k` being element `first + k`
+/// of its span (its coin counter `counter_at(seed, first + k)`).
+#[inline(always)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "lane indices are below 32; counters wrap mod 2^32"
+)]
+fn quantize_lanes<const BITS: u32, const EXACT: bool, const N: usize>(
+    lanes: &[f32; N],
+    mn: f32,
+    inv_scale: f32,
+    seed: u32,
+    first: usize,
+) -> [u32; N] {
+    let max_code = (1u32 << BITS) - 1;
+    let base = counter_at(seed, first);
+    let mut codes = [0u32; N];
+    for k in 0..N {
+        let c32 = base.wrapping_add((k as u32).wrapping_mul(PHI32));
+        // x >= 0 by construction (row[j] >= mn), so floor_code computes
+        // exactly `(x as u32).min(max_code)` — the stochastic-rounding
+        // clamp — without the scalar saturating-cast chain.
+        let x = (lanes[k] - mn) * inv_scale + coin(c32);
+        codes[k] = if EXACT {
+            floor_code(x, max_code)
+        } else {
+            floor_code_bounded::<BITS>(x)
+        };
+    }
+    codes
+}
+
+/// Packs `codes` LSB-first, `BITS` bits each, into `obytes`, one byte per
+/// `8 / BITS` codes.
+///
+/// SWAR byte assembly: adjacent u32 codes pair into one u64 (LLVM merges
+/// the two loads), and two shift+or steps drop each code onto its
+/// LSB-first bit position — the naive `acc |= code << k*BITS` fold made
+/// LLVM extract every vector lane through a scalar register. The
+/// truncating `as u8` keeps only the assembled byte; the high half
+/// carries the shifted copies.
+#[inline(always)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "codes are clamped to max_code <= 255"
+)]
+fn pack_codes<const BITS: u32>(codes: &[u32], obytes: &mut [u8]) {
+    if BITS == 2 {
+        for (b, byte) in obytes.iter_mut().enumerate() {
+            let j = b * 4;
+            let w1 = u64::from(codes[j]) | u64::from(codes[j + 1]) << 32;
+            let w2 = u64::from(codes[j + 2]) | u64::from(codes[j + 3]) << 32;
+            let t = w1 | (w2 << 4);
+            *byte = (t | (t >> 30)) as u8;
         }
-        out[full] = acc;
+    } else if BITS == 4 {
+        for (b, byte) in obytes.iter_mut().enumerate() {
+            let j = b * 2;
+            let w = u64::from(codes[j]) | u64::from(codes[j + 1]) << 32;
+            *byte = (w | (w >> 28)) as u8;
+        }
+    } else {
+        for (b, byte) in obytes.iter_mut().enumerate() {
+            *byte = codes[b] as u8;
+        }
     }
 }
 
@@ -543,6 +574,93 @@ mod tests {
                 assert_eq!(got, want, "{:?} n = {n}", &xs[..4]);
                 let bits = |(a, b): (f32, f32)| (a.to_bits(), b.to_bits());
                 assert_eq!(bits(got), bits(lanes), "{:?} n = {n}", &xs[..4]);
+            }
+        }
+    }
+
+    /// The scalar loop `encode_span` ran on every element past its last
+    /// whole block before short rows went through padded 8-lane chunks:
+    /// one byte at a time, each code `(x as u32).min(max_code)`.
+    fn encode_scalar<const BITS: u32>(
+        row: &[f32],
+        mn: f32,
+        inv_scale: f32,
+        seed: u32,
+        out: &mut [u8],
+    ) {
+        let per_byte = (8 / BITS) as usize;
+        let max_code = (1u32 << BITS) - 1;
+        for (b, byte) in out.iter_mut().enumerate() {
+            let mut acc = 0u8;
+            for k in 0..per_byte {
+                let j = b * per_byte + k;
+                if j < row.len() {
+                    let x = (row[j] - mn) * inv_scale + coin(counter_at(seed, j));
+                    let code = (x as u32).min(max_code) as u8;
+                    acc |= code << (k as u32 * BITS);
+                }
+            }
+            *byte = acc;
+        }
+    }
+
+    /// `encode_span` against [`encode_scalar`] on one row, at the clamp
+    /// the codec would pick for it.
+    fn assert_span_is_scalar<const BITS: u32>(row: &[f32], seed: u32) {
+        let (mn, mx) = min_max(row);
+        let max_code = ((1u32 << BITS) - 1) as f32;
+        let scale = if mx > mn { (mx - mn) / max_code } else { 0.0 };
+        let inv_scale = 1.0 / scale;
+        let len = (row.len() * BITS as usize).div_ceil(8);
+        let (mut got, mut want) = (vec![0xA5u8; len], vec![0x5Au8; len]);
+        if scale.is_normal() {
+            encode_span::<BITS, false>(row, mn, inv_scale, seed, &mut got);
+        } else {
+            encode_span::<BITS, true>(row, mn, inv_scale, seed, &mut got);
+        }
+        encode_scalar::<BITS>(row, mn, inv_scale, seed, &mut want);
+        assert_eq!(
+            got,
+            want,
+            "BITS {BITS}, len {}, scale {scale:e}: {row:?}",
+            row.len()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn padded_chunks_encode_every_length_as_the_scalar_loop(
+            seed in 0u32..u32::MAX,
+            kind in 0u8..4,
+            values in proptest::collection::vec(-3.0f32..3.0, 70..=70),
+        ) {
+            // Normal scales take the bounded clamp; a subnormal scale (a
+            // row spanning less than 2^-126 * max_code) or an infinite one
+            // (a row spanning more than f32::MAX) takes the exact clamp.
+            let row: Vec<f32> = match kind {
+                0 => values,
+                1 => values.iter().map(|v| v * 1e-39).collect(),
+                2 => values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| match i % 5 {
+                        0 => f32::MAX,
+                        1 => -f32::MAX,
+                        _ => v,
+                    })
+                    .collect(),
+                _ => values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 7 == 3 { f32::NAN } else { v })
+                    .collect(),
+            };
+            for len in 1..=row.len() {
+                assert_span_is_scalar::<2>(&row[..len], seed);
+                assert_span_is_scalar::<4>(&row[..len], seed);
+                assert_span_is_scalar::<8>(&row[..len], seed);
             }
         }
     }

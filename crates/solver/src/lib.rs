@@ -41,5 +41,8 @@
 mod problem;
 mod solve;
 
-pub use problem::{BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, PairSpec, Solution};
-pub use solve::{brute_force, solve, solve_flat};
+pub use problem::{
+    BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, PairSpec, Solution, SolveCounts,
+    SplitSolution, SplitWidths,
+};
+pub use solve::{brute_force, solve, solve_flat, PairShape, Placed, SplitProblem};

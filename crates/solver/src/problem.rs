@@ -273,21 +273,10 @@ impl FlatProblem {
             bytes_per_bit: self.bytes_per_bit[g],
         }
     }
-
-    /// See [`BiObjectiveProblem::objective_from_parts`].
-    pub(crate) fn objective_from_parts(
-        &self,
-        variance: f64,
-        max_time: f64,
-        v_ref: f64,
-        t_ref: f64,
-    ) -> f64 {
-        scalarize(self.lambda, variance, max_time, v_ref, t_ref)
-    }
 }
 
 /// The scalarized objective (Eqn. 12) from normalized parts.
-fn scalarize(lambda: f64, variance: f64, max_time: f64, v_ref: f64, t_ref: f64) -> f64 {
+pub(crate) fn scalarize(lambda: f64, variance: f64, max_time: f64, v_ref: f64, t_ref: f64) -> f64 {
     lambda * variance / v_ref.max(1e-30) + (1.0 - lambda) * max_time / t_ref.max(1e-30)
 }
 
@@ -320,6 +309,46 @@ impl FlatSolution {
             iterations: self.iterations,
         }
     }
+}
+
+/// [`crate::SplitProblem::solve`]'s output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SplitSolution {
+    /// The winning widths.
+    pub widths: SplitWidths,
+    /// Total variance objective value.
+    pub variance: f64,
+    /// Slowest pair time.
+    pub max_time: f64,
+    /// Scalarized objective.
+    pub objective: f64,
+    /// Candidate assignments evaluated (see [`Solution::iterations`]).
+    pub iterations: usize,
+    /// The work the solve did.
+    pub counts: SolveCounts,
+}
+
+/// The widths of a [`SplitSolution`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SplitWidths {
+    /// Every group of every pair at one width: a uniform assignment won.
+    Uniform(BitWidth),
+    /// One width per group of the pairs that can move, in the order they
+    /// were pushed; every other pair keeps 8 bits.
+    Moved(Vec<BitWidth>),
+}
+
+/// What a [`crate::SplitProblem`] solve did, in units that do not depend on
+/// the host: the same counts at any thread count and on any instruction set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SolveCounts {
+    /// Pairs given a downgrade schedule: the pairs that can move.
+    pub scheduled: usize,
+    /// Moves in those schedules.
+    pub moves: usize,
+    /// Move counts the Z sweep looked up, one per (candidate, movable pair)
+    /// it walked.
+    pub evaluations: usize,
 }
 
 /// Solver output.

@@ -1,19 +1,346 @@
 //! The two-level solver: per-pair knapsack greedy inside a Z sweep.
 
-use crate::problem::{BiObjectiveProblem, FlatProblem, FlatSolution, Solution};
+use crate::problem::{
+    scalarize, BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, Solution, SolveCounts,
+    SplitSolution, SplitWidths,
+};
 use quant::BitWidth;
+use std::ops::Range;
 
 /// Number of candidate `Z` values sampled between the global min and max
 /// feasible times (plus every pair's own breakpoints).
 const Z_SAMPLES: usize = 48;
 
-/// Everything [`solve_flat`] needs to know about a problem: the three
-/// uniform assignments' scores (the objective normalizers, the sweep's seeds
-/// and the Z range), and per pair its uniform totals and, if it has to move
-/// under some Z candidate, its greedy downgrade schedule (moves sorted by
-/// variance added per byte saved, as prefix sums in arenas shared by all
-/// pairs, so a byte budget resolves with a search instead of a fresh sort).
-struct Schedules {
+/// Problems of at most this many pairs add every pair's own time extremes
+/// to the Z candidates. Per-pair breakpoints sharpen the sweep, but on
+/// large clusters they multiply into the dominant solver cost (pairs grow
+/// quadratically with devices); past 32 pairs the uniform grid is accurate
+/// enough.
+const BREAKPOINT_PAIRS: usize = 32;
+
+/// A pair's link and its size: its `(theta, gamma)` and its bytes with
+/// every group at each width of [`BitWidth::ALL`]. That is everything about
+/// a pair that does not depend on its messages' `beta`s, and it decides
+/// whether the pair can move at all ([`SplitProblem::place`]) before any
+/// `beta` is read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairShape {
+    theta: f64,
+    gamma: f64,
+    /// Bytes with every group at `BitWidth::ALL[i]`, summed group by group.
+    bytes: [f64; 3],
+}
+
+impl PairShape {
+    /// The shape of a pair on link `(theta, gamma)` (see [`PairSpec`]) whose
+    /// groups carry `bytes_per_bit` each, in group order.
+    ///
+    /// [`PairSpec`]: crate::PairSpec
+    pub fn new(theta: f64, gamma: f64, bytes_per_bit: impl IntoIterator<Item = f64>) -> Self {
+        // Sums start from `Iterator::sum`'s identity and run group by group
+        // ([`GroupSpec::bytes_at`]): the order `PairSpec`'s own accessors
+        // use, so every total rounds as theirs does.
+        let mut bytes = [-0.0f64; 3];
+        for b in bytes_per_bit {
+            for (sum, w) in bytes.iter_mut().zip(BitWidth::ALL) {
+                *sum += b * w.bits() as f64;
+            }
+        }
+        Self {
+            theta,
+            gamma,
+            bytes,
+        }
+    }
+
+    /// Transfer time with every group at `BitWidth::ALL[i]`.
+    fn times(&self) -> [f64; 3] {
+        self.bytes.map(|b| self.theta * b + self.gamma)
+    }
+
+    /// Bytes over what fits in `budget_seconds` at 8 bits; never rises with it.
+    fn need(&self, budget_seconds: f64) -> f64 {
+        need(self.theta, self.gamma, self.bytes[2], budget_seconds)
+    }
+}
+
+/// Bytes of a pair on link `(theta, gamma)` moving `bytes8` at 8 bits over
+/// what fits in `budget_seconds`; never rises with the budget.
+fn need(theta: f64, gamma: f64, bytes8: f64, budget_seconds: f64) -> f64 {
+    let budget_bytes = if theta > 0.0 {
+        (budget_seconds - gamma) / theta
+    } else {
+        f64::INFINITY
+    };
+    bytes8 - budget_bytes
+}
+
+/// A problem split by what each pair can do under the Z sweep, taken in
+/// one pass over its pairs.
+///
+/// A pair that can move (it needs a move at the smallest Z candidate, the
+/// slowest all-2-bit time) is held whole and, when solved, given its greedy
+/// downgrade schedule. Every other pair keeps 8 bits under every
+/// candidate, so only its totals count: its variance at each uniform width,
+/// summed into the problem's, its all-8-bit variance, kept in pair order,
+/// and its all-8-bit time, folded into one slowest time. The smallest
+/// candidate is known only once every pair is in, but it only rises as
+/// pairs come in, and `need` never rises with it: a pair that needs no move
+/// at the slowest all-2-bit time so far needs none at the end. So only the
+/// pairs that do are held whole, and the solve keeps those that still do.
+#[derive(Debug, Clone)]
+pub struct SplitProblem {
+    lambda: f64,
+    /// Slowest pair time with every group at `BitWidth::ALL[i]`, folded from
+    /// zero.
+    slowest: [f64; 3],
+    /// Every pair's `(all-2-bit, all-8-bit)` time while there are at most
+    /// [`BREAKPOINT_PAIRS`].
+    extremes: Vec<(f64, f64)>,
+    /// Total variance with every group at `BitWidth::ALL[i]`, summed pair
+    /// by pair.
+    variance: [f64; 3],
+    /// Every pair's all-8-bit variance, in pair order.
+    var8: Vec<f64>,
+    /// The slowest all-8-bit time among the pairs not held whole, folded
+    /// from zero.
+    settled_max: f64,
+    /// The pairs held whole, in pair order.
+    held: Vec<Held>,
+    /// Their groups, group-major.
+    beta: Vec<f64>,
+    bytes_per_bit: Vec<f64>,
+}
+
+/// A pair's shape, placed by [`SplitProblem::place`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Placed {
+    shape: PairShape,
+    held: bool,
+}
+
+impl Placed {
+    /// Whether the pair will be held whole: it may still move.
+    pub fn held(&self) -> bool {
+        self.held
+    }
+}
+
+/// A pair held whole: its position, its shape and its groups' span.
+#[derive(Debug, Clone)]
+struct Held {
+    pair: usize,
+    shape: PairShape,
+    groups: Range<usize>,
+}
+
+impl SplitProblem {
+    /// A problem with no pair yet and weight `lambda` on the variance
+    /// objective (taken as it stands: clamp it first if it may leave
+    /// `[0, 1]`).
+    pub fn new(lambda: f64) -> Self {
+        Self {
+            lambda,
+            slowest: [0.0; 3],
+            extremes: Vec::new(),
+            variance: [-0.0; 3],
+            var8: Vec::new(),
+            settled_max: 0.0,
+            held: Vec::new(),
+            beta: Vec::new(),
+            bytes_per_bit: Vec::new(),
+        }
+    }
+
+    /// The next pair, placed: whether [`SplitProblem::push`] will hold it
+    /// whole, which it does if it needs a move at the slowest all-2-bit
+    /// time so far, its own included (it may still move once every pair is
+    /// in; [`SplitProblem::moving`] tells which do).
+    pub fn place(&self, shape: PairShape) -> Placed {
+        let floor = self.slowest[0].max(shape.times()[0]);
+        let held = !self.pure_variance() && shape.need(floor) > 0.0;
+        Placed { shape, held }
+    }
+
+    /// Takes the next pair, as [`SplitProblem::place`] placed it just
+    /// before, with its groups in group order (their `bytes_per_bit` those
+    /// its shape was built from).
+    pub fn push(&mut self, pair: Placed, groups: impl IntoIterator<Item = GroupSpec>) {
+        let Placed { shape, held } = pair;
+        let times = shape.times();
+        for (slowest, t) in self.slowest.iter_mut().zip(times) {
+            *slowest = slowest.max(t);
+        }
+        let pair = self.var8.len();
+        if pair < BREAKPOINT_PAIRS {
+            self.extremes.push((times[0], times[2]));
+        } else if pair == BREAKPOINT_PAIRS {
+            self.extremes = Vec::new();
+        }
+        // Per width of `BitWidth::ALL`: this pair's variance, summed group
+        // by group.
+        let mut var = [-0.0f64; 3];
+        let mut add = |g: &GroupSpec| {
+            for (sum, w) in var.iter_mut().zip(BitWidth::ALL) {
+                *sum += g.variance_at(w);
+            }
+        };
+        if held {
+            let start = self.beta.len();
+            for g in groups {
+                add(&g);
+                self.beta.push(g.beta);
+                self.bytes_per_bit.push(g.bytes_per_bit);
+            }
+            let groups = start..self.beta.len();
+            self.held.push(Held {
+                pair,
+                shape,
+                groups,
+            });
+        } else {
+            groups.into_iter().for_each(|g| add(&g));
+            self.settled_max = self.settled_max.max(times[2]);
+        }
+        self.var8.push(var[2]);
+        for (total, v) in self.variance.iter_mut().zip(var) {
+            *total += v;
+        }
+    }
+
+    /// Whether `shape`'s pair needs a move at the slowest all-2-bit time.
+    /// Never when `lambda >= 1`, where every group keeps 8 bits.
+    fn may_move(&self, shape: &PairShape) -> bool {
+        !self.pure_variance() && shape.need(self.slowest[0]) > 0.0
+    }
+
+    /// Whether the objective weighs variance alone (`lambda >= 1`), where
+    /// every group keeps 8 bits.
+    fn pure_variance(&self) -> bool {
+        self.lambda >= 1.0
+    }
+
+    /// The pairs that can move, ascending by position: those that need a
+    /// move at the smallest Z candidate, as `need` never rises with Z.
+    pub fn moving(&self) -> impl Iterator<Item = usize> + '_ {
+        self.held
+            .iter()
+            .filter(|h| self.may_move(&h.shape))
+            .map(|h| h.pair)
+    }
+
+    /// Group `g` of the pairs held whole.
+    fn group(&self, g: usize) -> GroupSpec {
+        GroupSpec {
+            beta: self.beta[g],
+            bytes_per_bit: self.bytes_per_bit[g],
+        }
+    }
+
+    /// The Z candidates of the outer sweep, ascending and distinct: the
+    /// global floor and ceiling, every pair's own extremes on small
+    /// problems, and a uniform grid between. Never NaN: the floor and
+    /// ceiling are `f64::max` folds from zero.
+    fn z_candidates(&self) -> Vec<f64> {
+        let z_floor = self.slowest[0];
+        let z_ceil = self.slowest[2].max(z_floor);
+        let mut candidates = Vec::with_capacity(Z_SAMPLES + 2 * self.extremes.len() + 2);
+        candidates.push(z_floor);
+        candidates.push(z_ceil);
+        for &(min_time, max_time) in &self.extremes {
+            candidates.push(min_time.max(z_floor));
+            candidates.push(max_time.min(z_ceil).max(z_floor));
+        }
+        // A uniform grid strictly between the floor and the ceiling.
+        if z_ceil > z_floor {
+            for i in 0..Z_SAMPLES {
+                candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
+            }
+        }
+        candidates.sort_by(f64::total_cmp);
+        candidates.dedup();
+        candidates
+    }
+
+    /// Solves the scalarized bi-objective problem (Eqn. 12); see [`solve`].
+    pub fn solve(&self) -> SplitSolution {
+        let mut counts = SolveCounts::default();
+        if self.var8.is_empty() {
+            return SplitSolution {
+                widths: SplitWidths::Moved(Vec::new()),
+                variance: 0.0,
+                max_time: 0.0,
+                objective: 0.0,
+                iterations: 0,
+                counts,
+            };
+        }
+        // `(total variance, slowest pair time)` with every group at
+        // `BitWidth::ALL[i]`: the objective normalizers, the sweep's seeds
+        // and the Z range.
+        let uniform: [(f64, f64); 3] = std::array::from_fn(|i| (self.variance[i], self.slowest[i]));
+        let (v_ref, t_ref) = (uniform[0].0, uniform[2].1);
+        let score = |(v, t): (f64, f64)| scalarize(self.lambda, v, t, v_ref, t_ref);
+        // A uniform assignment, scored from the totals: only the candidate
+        // that survives the sweep is ever materialized.
+        let uniform_wins = |w: BitWidth, iterations: usize, counts: SolveCounts| {
+            let (variance, max_time) = uniform[w.index()];
+            SplitSolution {
+                widths: SplitWidths::Uniform(w),
+                variance,
+                max_time,
+                objective: score((variance, max_time)),
+                iterations,
+                counts,
+            }
+        };
+        if self.pure_variance() {
+            // Pure variance objective: maximize precision everywhere.
+            return uniform_wins(BitWidth::B8, 1, counts);
+        }
+        let schedule = Schedule::of(self);
+        counts.scheduled = schedule.heads.len();
+        counts.moves = schedule.moves.len();
+        let candidates = self.z_candidates();
+        // Candidate-assignment evaluation count, reported on the solution.
+        let iterations = BitWidth::ALL.len() + candidates.len();
+
+        // Seed with the three uniform assignments so the sweep can never
+        // lose to a trivial candidate.
+        let scores = uniform.map(score);
+        let seed =
+            (1..scores.len()).fold(0, |seed, i| if scores[i] < scores[seed] { i } else { seed });
+
+        let (variance, max_time) = schedule.sweep(&self.var8, &candidates, &mut counts.evaluations);
+        let mut best_candidate: Option<(f64, f64)> = None; // (objective, z)
+        for ((&z, &v), &t) in candidates.iter().zip(&variance).zip(&max_time) {
+            let obj = score((v, t));
+            if best_candidate.is_none_or(|(o, _)| obj < o) {
+                best_candidate = Some((obj, z));
+            }
+        }
+        match best_candidate {
+            Some((obj, z)) if obj < scores[seed] => {
+                let (widths, variance, max_time) = schedule.materialize(self, z);
+                SplitSolution {
+                    widths: SplitWidths::Moved(widths),
+                    variance,
+                    max_time,
+                    objective: score((variance, max_time)),
+                    iterations,
+                    counts,
+                }
+            }
+            _ => uniform_wins(BitWidth::ALL[seed], iterations, counts),
+        }
+    }
+}
+
+/// The greedy downgrade schedules of a [`SplitProblem`]'s moving pairs:
+/// moves sorted by variance added per byte saved, as prefix sums in arenas
+/// shared by all of them, so a byte budget resolves with a search instead
+/// of a fresh sort.
+struct Schedule {
     heads: Vec<PairHead>,
     /// Cumulative bytes saved after a pair's first `k + 1` moves.
     saved: Vec<f64>,
@@ -21,120 +348,86 @@ struct Schedules {
     dvar: Vec<f64>,
     /// Move `k`'s `(group, to)`, the group counted within its pair.
     moves: Vec<(usize, BitWidth)>,
-    /// `(total variance, slowest pair time)` with every group at
-    /// `BitWidth::ALL[i]`.
-    uniform: [(f64, f64); 3],
+    /// The slowest all-8-bit time among the pairs that cannot move.
+    fixed_max: f64,
 }
 
-/// One pair's slice of the [`Schedules`] arenas (empty if it never moves),
-/// its link, and its totals at the uniform widths.
+/// A moving pair: its position, its slices of the [`SplitProblem`] group
+/// arrays and of the [`Schedule`] arenas, its link, and its all-8-bit
+/// totals.
 struct PairHead {
-    moves: std::ops::Range<usize>,
+    pair: usize,
+    groups: Range<usize>,
+    moves: Range<usize>,
     theta: f64,
     gamma: f64,
     bytes8: f64,
     var8: f64,
-    /// All-2-bit and all-8-bit transfer times.
-    min_time: f64,
     max_time: f64,
 }
 
-impl PairHead {
-    /// Bytes over what fits in `budget_seconds` at 8 bits; never rises with it.
-    fn need(&self, budget_seconds: f64) -> f64 {
-        let budget_bytes = if self.theta > 0.0 {
-            (budget_seconds - self.gamma) / self.theta
-        } else {
-            f64::INFINITY
-        };
-        self.bytes8 - budget_bytes
-    }
-}
-
-impl Schedules {
-    fn build(problem: &FlatProblem) -> Self {
-        // Per group: (variance, bytes) at each width of `BitWidth::ALL`.
-        let at = |g: usize| {
-            let g = problem.group(g);
-            BitWidth::ALL.map(|w| (g.variance_at(w), g.bytes_at(w)))
-        };
+impl Schedule {
+    /// Schedules every pair of `problem` that can move; any other pair held
+    /// whole only adds its time to the slowest.
+    fn of(problem: &SplitProblem) -> Self {
         let mut out = Self {
-            heads: Vec::with_capacity(problem.num_pairs()),
+            heads: Vec::new(),
             saved: Vec::new(),
             dvar: Vec::new(),
             moves: Vec::new(),
-            // Sums start from `Iterator::sum`'s identity and maxima from
-            // zero, and run pair by pair over per-pair sums taken group by
-            // group: the order `BiObjectiveProblem`'s own accessors use, so
-            // every total rounds as theirs does.
-            uniform: [(-0.0, 0.0); 3],
+            fixed_max: problem.settled_max,
         };
-        for p in 0..problem.num_pairs() {
-            let (theta, gamma) = problem.link(p);
-            // Per width of `BitWidth::ALL`: this pair's (variance, bytes).
-            let mut sums = [(-0.0f64, -0.0f64); 3];
-            for g in problem.groups_of(p) {
-                for (sum, (v, b)) in sums.iter_mut().zip(at(g)) {
-                    sum.0 += v;
-                    sum.1 += b;
-                }
-            }
-            let time = sums.map(|(_, bytes)| theta * bytes + gamma);
-            for (total, ((var, _), t)) in out.uniform.iter_mut().zip(sums.into_iter().zip(time)) {
-                total.0 += var;
-                total.1 = total.1.max(t);
-            }
-            out.heads.push(PairHead {
-                moves: 0..0,
-                theta,
-                gamma,
-                bytes8: sums[2].1,
-                var8: sums[2].0,
-                min_time: time[0],
-                max_time: time[2],
-            });
-        }
-        // Schedules only for the pairs that need a move at the smallest
-        // candidate: `need` never rises with Z, so every other pair takes no
-        // move under any candidate and its schedule would never be read.
-        let z_floor = out.uniform[0].1;
         // Per move: (variance added per byte saved, group, to, dv, db).
-        let mut moves: Vec<(f64, usize, BitWidth, f64, f64)> = Vec::new();
-        for p in 0..problem.num_pairs() {
-            if out.heads[p].need(z_floor) <= 0.0 {
+        let mut sorting: Vec<(f64, usize, BitWidth, f64, f64)> = Vec::new();
+        for held in &problem.held {
+            let shape = &held.shape;
+            let max_time = shape.theta * shape.bytes[2] + shape.gamma;
+            if !problem.may_move(shape) {
+                out.fixed_max = out.fixed_max.max(max_time);
                 continue;
             }
-            moves.clear();
-            for (k, g) in problem.groups_of(p).enumerate() {
-                let at = at(g);
+            sorting.clear();
+            for (k, g) in held.groups.clone().enumerate() {
+                let spec = problem.group(g);
+                let at = BitWidth::ALL.map(|w| (spec.variance_at(w), spec.bytes_at(w)));
                 // 8 -> 4, then 4 -> 2.
                 for to in [1, 0] {
                     let dv = at[to].0 - at[to + 1].0;
                     let db = at[to + 1].1 - at[to].1;
                     if db > 0.0 {
-                        moves.push((dv / db, k, BitWidth::ALL[to], dv, db));
+                        sorting.push((dv / db, k, BitWidth::ALL[to], dv, db));
                     }
                 }
             }
             // Convexity of 1/(2^b-1)^2 vs bytes guarantees a group's 8->4
             // move sorts before its 4->2 move, so prefix application stays
             // legal.
-            moves.sort_by(|a, b| a.0.total_cmp(&b.0));
+            sorting.sort_by(|a, b| a.0.total_cmp(&b.0));
             let (start, mut s, mut v) = (out.saved.len(), 0.0, 0.0);
-            for &(_, group, to, dv, db) in &moves {
+            for &(_, group, to, dv, db) in &sorting {
                 s += db;
                 v += dv;
                 out.saved.push(s);
                 out.dvar.push(v);
                 out.moves.push((group, to));
             }
-            out.heads[p].moves = start..out.saved.len();
+            out.heads.push(PairHead {
+                pair: held.pair,
+                groups: held.groups.clone(),
+                moves: start..out.saved.len(),
+                theta: shape.theta,
+                gamma: shape.gamma,
+                bytes8: shape.bytes[2],
+                var8: problem.var8[held.pair],
+                max_time,
+            });
         }
         out
     }
 
-    /// Number of prefix moves pair `p` needs to fit `budget_seconds` (all of
-    /// them when even all-2-bit does not fit). Never rises with the budget.
+    /// Number of prefix moves head `p` needs to fit `budget_seconds` (all
+    /// of them when even all-2-bit does not fit). Never rises with the
+    /// budget.
     ///
     /// `cursor` is where the previous budget's search on this pair ended
     /// (start it at 0): budgets swept in sorted order move it monotonically,
@@ -143,7 +436,7 @@ impl Schedules {
     /// correctly.
     fn moves_for_budget(&self, p: usize, budget_seconds: f64, cursor: &mut usize) -> usize {
         let head = &self.heads[p];
-        let need = head.need(budget_seconds);
+        let need = need(head.theta, head.gamma, head.bytes8, budget_seconds);
         if need <= 0.0 {
             return 0;
         }
@@ -160,7 +453,7 @@ impl Schedules {
         (*cursor + 1).min(saved.len())
     }
 
-    /// `(variance, time)` of pair `p` after its first `k` moves.
+    /// `(variance, time)` of head `p` after its first `k` moves.
     fn stats_after(&self, p: usize, k: usize) -> (f64, f64) {
         let head = &self.heads[p];
         let (saved, dvar) = if k == 0 {
@@ -175,35 +468,117 @@ impl Schedules {
         )
     }
 
-    /// The Z candidates of the outer sweep, ascending and distinct: the
-    /// global floor and ceiling, every pair's own extremes on small
-    /// problems, and a uniform grid between. Never NaN: the floor and
-    /// ceiling are `f64::max` folds from zero.
-    fn z_candidates(&self) -> Vec<f64> {
-        let n_pairs = self.heads.len();
-        let z_floor = self.uniform[0].1;
-        let z_ceil = self.uniform[2].1.max(z_floor);
-        let mut candidates: Vec<f64> = Vec::with_capacity(Z_SAMPLES + 2 * n_pairs.min(32) + 2);
-        candidates.push(z_floor);
-        candidates.push(z_ceil);
-        // Per-pair breakpoints sharpen the sweep, but on large clusters they
-        // multiply into the dominant solver cost (pairs grow quadratically
-        // with devices); past 32 pairs the uniform grid is accurate enough.
-        if n_pairs <= 32 {
-            for head in &self.heads {
-                candidates.push(head.min_time.max(z_floor));
-                candidates.push(head.max_time.min(z_ceil).max(z_floor));
+    /// Every candidate's `(total variance, slowest pair time)`, `var8` being
+    /// every pair's all-8-bit variance.
+    ///
+    /// Each candidate sums its pairs' variances in pair order, which keeps
+    /// the sums, and so the widths, bit-identical to a candidate-major
+    /// loop. A pair that takes no move adds its all-8-bit variance, so
+    /// candidates under which every pair so far took no move hold the
+    /// same sum: they share one accumulator (`shared`, for candidates
+    /// `split..`) until a moving pair needs a move under one of them. A
+    /// pair that cannot move therefore adds to `split` candidates and the
+    /// shared sum only, and its time, the same under every candidate,
+    /// folds into one maximum (exact in any order).
+    ///
+    /// A moving pair walks the ascending candidates with a cursor into its
+    /// own schedule. Its move count never rises with the budget, so once it
+    /// needs no move it needs none under any later candidate, and the walk
+    /// stops there; each lookup counts as one evaluation.
+    fn sweep(
+        &self,
+        var8: &[f64],
+        candidates: &[f64],
+        evaluations: &mut usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = candidates.len();
+        let mut variance = vec![0.0f64; n];
+        let mut max_time = vec![0.0f64; n];
+        let (mut split, mut shared, mut next) = (0, 0.0f64, 0);
+        let add_fixed = |run: &[f64], variance: &mut [f64], shared: &mut f64| {
+            for &v in run {
+                for var in variance.iter_mut() {
+                    *var += v;
+                }
+                *shared += v;
+            }
+        };
+        for (p, head) in self.heads.iter().enumerate() {
+            add_fixed(&var8[next..head.pair], &mut variance[..split], &mut shared);
+            next = head.pair + 1;
+            let (mut c, mut cursor) = (0, 0);
+            while c < n {
+                let k = self.moves_for_budget(p, candidates[c], &mut cursor);
+                *evaluations += 1;
+                if k == 0 {
+                    break;
+                }
+                let (v, t) = self.stats_after(p, k);
+                if c >= split {
+                    variance[c] = shared;
+                }
+                variance[c] += v;
+                max_time[c] = max_time[c].max(t);
+                c += 1;
+            }
+            // From candidate `c` on, the pair keeps 8 bits.
+            let (v, t) = self.stats_after(p, 0);
+            for var in &mut variance[c.min(split)..split] {
+                *var += v;
+            }
+            shared += v;
+            split = split.max(c);
+            for time in &mut max_time[c..] {
+                *time = time.max(t);
             }
         }
-        // A uniform grid strictly between the floor and the ceiling.
-        if z_ceil > z_floor {
-            for i in 0..Z_SAMPLES {
-                candidates.push(z_floor + (z_ceil - z_floor) * (i as f64 + 0.5) / Z_SAMPLES as f64);
-            }
+        add_fixed(&var8[next..], &mut variance[..split], &mut shared);
+        variance[split..].fill(shared);
+        for time in &mut max_time {
+            *time = time.max(self.fixed_max);
         }
-        candidates.sort_by(f64::total_cmp);
-        candidates.dedup();
-        candidates
+        (variance, max_time)
+    }
+
+    /// The widths of the moving pairs' groups under `z`, head by head, and
+    /// the total variance and slowest time scored from them, group by
+    /// group within a pair and pair by pair.
+    fn materialize(&self, problem: &SplitProblem, z: f64) -> (Vec<BitWidth>, f64, f64) {
+        let mut widths = Vec::new();
+        let (mut variance, mut max_time) = (-0.0, self.fixed_max);
+        let mut next = 0;
+        for (p, head) in self.heads.iter().enumerate() {
+            for &v in &problem.var8[next..head.pair] {
+                variance += v;
+            }
+            next = head.pair + 1;
+            let start = widths.len();
+            widths.resize(start + head.groups.len(), BitWidth::B8);
+            // A pair that takes no move keeps 8 bits, whose sums its head
+            // already holds, taken in the same order.
+            let k = self.moves_for_budget(p, z, &mut 0);
+            if k == 0 {
+                variance += head.var8;
+                max_time = max_time.max(head.max_time);
+                continue;
+            }
+            let own = &mut widths[start..];
+            for &(g, to) in &self.moves[head.moves.start..][..k] {
+                own[g] = to;
+            }
+            let (mut var, mut bytes) = (-0.0, -0.0);
+            for (g, &w) in head.groups.clone().zip(own.iter()) {
+                let spec = problem.group(g);
+                var += spec.variance_at(w);
+                bytes += spec.bytes_at(w);
+            }
+            variance += var;
+            max_time = max_time.max(head.theta * bytes + head.gamma);
+        }
+        for &v in &problem.var8[next..] {
+            variance += v;
+        }
+        (widths, variance, max_time)
     }
 }
 
@@ -221,116 +596,35 @@ pub fn solve(problem: &BiObjectiveProblem) -> Solution {
     solve_flat(&flat).nest(&flat)
 }
 
-/// [`solve`] on a problem already in CSR form, the way the assigner's master
-/// builds it.
+/// [`solve`] on a problem already in CSR form, through a [`SplitProblem`].
 pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
-    let n_pairs = problem.num_pairs();
-    if n_pairs == 0 {
-        return FlatSolution {
-            widths: Vec::new(),
-            variance: 0.0,
-            max_time: 0.0,
-            objective: 0.0,
-            iterations: 0,
-        };
+    let mut split = SplitProblem::new(problem.lambda());
+    for p in 0..problem.num_pairs() {
+        let (theta, gamma) = problem.link(p);
+        let groups = problem.groups_of(p).map(|g| problem.group(g));
+        let shape = PairShape::new(theta, gamma, groups.clone().map(|g| g.bytes_per_bit));
+        split.push(split.place(shape), groups);
     }
-    let schedules = Schedules::build(problem);
-    let (v_ref, t_ref) = (schedules.uniform[0].0, schedules.uniform[2].1);
-    // A uniform assignment, scored from the one pass: only the candidate
-    // that survives the sweep is ever materialized.
-    let uniform = |w: BitWidth, iterations: usize| -> FlatSolution {
-        let (variance, max_time) = schedules.uniform[w.index()];
-        FlatSolution {
-            widths: vec![w; problem.num_groups()],
-            variance,
-            max_time,
-            objective: problem.objective_from_parts(variance, max_time, v_ref, t_ref),
-            iterations,
+    let solution = split.solve();
+    let widths = match solution.widths {
+        SplitWidths::Uniform(w) => vec![w; problem.num_groups()],
+        SplitWidths::Moved(moved) => {
+            let mut widths = vec![BitWidth::B8; problem.num_groups()];
+            let mut moved = moved.into_iter();
+            for p in split.moving() {
+                for (w, m) in widths[problem.groups_of(p)].iter_mut().zip(&mut moved) {
+                    *w = m;
+                }
+            }
+            widths
         }
     };
-    if problem.lambda() >= 1.0 {
-        // Pure variance objective: maximize precision everywhere.
-        return uniform(BitWidth::B8, 1);
-    }
-    let candidates = schedules.z_candidates();
-    // Candidate-assignment evaluation count, reported on the solution.
-    let iterations = BitWidth::ALL.len() + candidates.len();
-
-    // Seed with the three uniform assignments so the sweep can never lose
-    // to a trivial candidate.
-    let scores = schedules
-        .uniform
-        .map(|(v, t)| problem.objective_from_parts(v, t, v_ref, t_ref));
-    let seed = (1..scores.len()).fold(0, |seed, i| if scores[i] < scores[seed] { i } else { seed });
-
-    // Pair-major sweep: each pair walks the ascending candidates with a
-    // cursor into its own schedule. Its move count never rises with the
-    // budget, so once it needs no move it needs none under any later
-    // candidate: that whole run takes the pair's all-8-bit `(variance,
-    // time)` from one evaluation and the walk stops (at fleet scale that is
-    // most pairs, at their first candidate). Every candidate still
-    // accumulates the same values in pair order, so the sums round exactly
-    // as a candidate-major loop's would.
-    let mut variance = vec![0.0f64; candidates.len()];
-    let mut max_time = vec![0.0f64; candidates.len()];
-    for p in 0..n_pairs {
-        let (mut c, mut cursor) = (0, 0);
-        while c < candidates.len() {
-            let k = schedules.moves_for_budget(p, candidates[c], &mut cursor);
-            let end = if k == 0 { candidates.len() } else { c + 1 };
-            let (v, t) = schedules.stats_after(p, k);
-            for (var, time) in variance[c..end].iter_mut().zip(&mut max_time[c..end]) {
-                *var += v;
-                *time = time.max(t);
-            }
-            c = end;
-        }
-    }
-    let mut best_candidate: Option<(f64, f64)> = None; // (objective, z)
-    for ((&z, &v), &t) in candidates.iter().zip(&variance).zip(&max_time) {
-        let obj = problem.objective_from_parts(v, t, v_ref, t_ref);
-        if best_candidate.is_none_or(|(o, _)| obj < o) {
-            best_candidate = Some((obj, z));
-        }
-    }
-
-    match best_candidate {
-        Some((obj, z)) if obj < scores[seed] => {
-            // Materialize the winner and score it from its widths, group by
-            // group within a pair and pair by pair.
-            let mut widths = vec![BitWidth::B8; problem.num_groups()];
-            let (mut variance, mut max_time) = (-0.0, 0.0f64);
-            // A pair that takes no move keeps 8 bits, whose sums its head
-            // already holds, taken in the same order.
-            for (p, head) in schedules.heads.iter().enumerate() {
-                let groups = problem.groups_of(p);
-                let k = schedules.moves_for_budget(p, z, &mut 0);
-                if k == 0 {
-                    variance += head.var8;
-                    max_time = max_time.max(head.max_time);
-                    continue;
-                }
-                for &(g, to) in &schedules.moves[head.moves.start..][..k] {
-                    widths[groups.start + g] = to;
-                }
-                let (mut var, mut bytes) = (-0.0, -0.0);
-                for g in groups {
-                    let spec = problem.group(g);
-                    var += spec.variance_at(widths[g]);
-                    bytes += spec.bytes_at(widths[g]);
-                }
-                variance += var;
-                max_time = max_time.max(head.theta * bytes + head.gamma);
-            }
-            FlatSolution {
-                widths,
-                variance,
-                max_time,
-                objective: problem.objective_from_parts(variance, max_time, v_ref, t_ref),
-                iterations,
-            }
-        }
-        _ => uniform(BitWidth::ALL[seed], iterations),
+    FlatSolution {
+        widths,
+        variance: solution.variance,
+        max_time: solution.max_time,
+        objective: solution.objective,
+        iterations: solution.iterations,
     }
 }
 
@@ -704,6 +998,54 @@ mod tests {
             prop_assert_eq!(got.max_time.to_bits(), want.max_time.to_bits());
             prop_assert_eq!(got.iterations, want.iterations);
             prop_assert_eq!(got.widths, want.widths);
+        }
+    }
+
+    /// `problem` taken into a [`SplitProblem`], as `solve_flat` takes it.
+    fn split(problem: &BiObjectiveProblem) -> SplitProblem {
+        let flat = problem.flatten();
+        let mut split = SplitProblem::new(flat.lambda());
+        for p in 0..flat.num_pairs() {
+            let (theta, gamma) = flat.link(p);
+            let groups = flat.groups_of(p).map(|g| flat.group(g));
+            let shape = PairShape::new(theta, gamma, groups.clone().map(|g| g.bytes_per_bit));
+            split.push(split.place(shape), groups);
+        }
+        split
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_shared_sweep_sums_every_candidate_in_pair_order(
+            problem in prop_oneof![arb_problem(), arb_fleet_problem()],
+        ) {
+            let split = split(&problem);
+            prop_assume!(!split.var8.is_empty() && !split.pure_variance());
+            let schedule = Schedule::of(&split);
+            let candidates = split.z_candidates();
+            let (variance, max_time) = schedule.sweep(&split.var8, &candidates, &mut 0);
+            // Candidate by candidate, pair by pair: a moving pair's totals
+            // after its moves under the candidate, any other pair's at 8
+            // bits.
+            for (c, &z) in candidates.iter().enumerate() {
+                let (mut var, mut time, mut heads) = (0.0f64, 0.0f64, 0);
+                for (pair, &var8) in split.var8.iter().enumerate() {
+                    let (v, t) = match schedule.heads.get(heads) {
+                        Some(head) if head.pair == pair => {
+                            heads += 1;
+                            let k = schedule.moves_for_budget(heads - 1, z, &mut 0);
+                            schedule.stats_after(heads - 1, k)
+                        }
+                        _ => (var8, problem.pairs[pair].max_time()),
+                    };
+                    var += v;
+                    time = time.max(t);
+                }
+                prop_assert_eq!(variance[c].to_bits(), var.to_bits(), "candidate {}", c);
+                prop_assert_eq!(max_time[c].to_bits(), time.to_bits(), "candidate {}", c);
+            }
         }
     }
 

@@ -35,7 +35,7 @@ case "${1:-}" in
 esac
 
 if [[ "$SMOKE" == 1 ]]; then
-    # The assigner's flat path end to end (build, solve_flat, in-place
+    # The assigner's round end to end (build, solve, write, in-place
     # decode), executed rather than merely compiled.
     echo "==> cargo bench -p bench --bench assigner_round -- 32" >&2
     cargo bench --offline -q -p bench --bench assigner_round -- 32

@@ -2,7 +2,9 @@
 //! cluster — trace, gather, solve, scatter — and the structure of what it
 //! returns.
 
-use adaqp::assigner::{reassign, AssignMode, Trace, WidthAssignment};
+use adaqp::assigner::{
+    encode_trace, reassign, AssignMode, Gathered, SolveStats, Trace, WidthAssignment,
+};
 use adaqp::exchange::Direction::{Backward, Forward};
 use adaqp::{build_partitions, ExperimentConfig, Method, TopologySpec, TrainingConfig};
 use comm::{AsyncDevice, Cluster, CostModel};
@@ -320,8 +322,9 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
         let reply = 4 + layers * (block(&part.send_sets) + block(&part.recv_slots));
         let (sent, messages) = master[&rank];
         assert!(messages > 0, "master sent to every rank");
-        // The scattered reply plus the 32-byte solve-stats broadcast.
-        assert_eq!(sent, (reply + 32) as u64, "rank {rank}");
+        // The scattered reply plus the 97-byte solve-stats broadcast (a
+        // version byte and twelve 8-byte fields).
+        assert_eq!(sent, (reply + 97) as u64, "rank {rank}");
         peers.push(part.send_sets.iter().filter(|s| !s.is_empty()).count());
     }
     // Ranks differ in how many of the 63 possible peers they list, so no
@@ -393,22 +396,181 @@ fn golden_widths_on_a_racked_64_device_fleet() {
             assignment_digest(&assign, part.num_parts),
             assign.histogram(),
             (stats.iterations, stats.objective_sum.to_bits()),
+            [
+                stats.pairs_read,
+                stats.pairs_sorted,
+                stats.sums_sorted,
+                stats.pairs_scheduled,
+                stats.moves,
+                stats.evaluations,
+                stats.trace_bytes,
+                stats.reply_bytes,
+            ],
         )
     });
-    let (h2, h4, h8) = out
-        .iter()
-        .fold((0, 0, 0), |h, (_, r, _)| (h.0 + r.0, h.1 + r.1, h.2 + r.2));
+    let (h2, h4, h8) = out.iter().fold((0, 0, 0), |h, (_, r, _, _)| {
+        (h.0 + r.0, h.1 + r.1, h.2 + r.2)
+    });
     // Mostly static, yet some pairs move: both halves of the sweep count.
     assert!(
         h2 + h4 > 0 && h8 > 4 * (h2 + h4),
         "histogram ({h2}, {h4}, {h8})"
     );
-    let fleet = out.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, (d, _, _)| {
-        (h ^ d).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let fleet = out
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, (d, _, _, _)| {
+            (h ^ d).wrapping_mul(0x0000_0100_0000_01b3)
+        });
     assert_eq!(fleet, GOLDEN_FLEET_DIGEST, "got {fleet:#018x}");
     assert_eq!(out[0].2, GOLDEN_FLEET_STATS, "got {:#x?}", out[0].2);
+    // The round's work counts, recorded when the master began to count
+    // them: pair-sections read, sorted, summed after a value sort,
+    // scheduled; moves; sweep evaluations; trace and reply bytes. Every
+    // rank reads the master's broadcast.
+    for (_, _, _, counts) in &out {
+        assert_eq!(*counts, GOLDEN_FLEET_COUNTS, "got {counts:?}");
+    }
 }
 
 const GOLDEN_FLEET_DIGEST: u64 = 0x0b5d_7ced_317f_b2dd;
 const GOLDEN_FLEET_STATS: (u64, u64) = (212, 0x3ffa_bae2_a984_319d);
+const GOLDEN_FLEET_COUNTS: [u64; 8] = [11_600, 700, 6_072, 528, 1_056, 7_144, 554_656, 151_588];
+
+#[test]
+fn only_the_pairs_that_can_move_are_scheduled_on_the_256_device_fleet() {
+    // The `fleet256_adaqp` recipe, as `assigner_round` benches it: ~75
+    // nodes per device, racks of 8 machines under a 4x oversubscribed
+    // spine, GraphSAGE, hidden 8, traced ranges seeded in [0.05, 2).
+    let mut training = TrainingConfig {
+        use_sage: true,
+        hidden: 8,
+        ..TrainingConfig::default()
+    };
+    let mut topology = TopologySpec::from_training(&training);
+    topology.machines_per_rack = Some(8);
+    training.topology = Some(topology.oversubscription(4.0));
+    let exp = ExperimentConfig {
+        dataset: DatasetSpec::tiny().scaled(64.0),
+        machines: 64,
+        devices_per_machine: 4,
+        method: Method::AdaQp,
+        training,
+        seed: 4242,
+    };
+    let ds = exp.dataset.generate(exp.seed);
+    let partition = adaqp::partition_graph(&ds.graph, 256, exp.seed).expect("a node per device");
+    let parts = build_partitions(&ds, &partition, exp.training.conv_kind());
+    let dims = exp.training.dims(ds.features.cols(), ds.num_classes);
+    let dims = &dims[..dims.len() - 1];
+    let mut rng = Rng::seed_from(exp.seed);
+    let traces: Vec<Vec<u8>> = parts
+        .iter()
+        .map(|part| {
+            let mut trace = Trace::new(part, dims);
+            for dir in [Forward, Backward] {
+                for r in trace.table_mut(dir).values_mut() {
+                    *r = rng.uniform(0.05, 2.0);
+                }
+            }
+            encode_trace(&part.send_alpha_sq, &trace)
+        })
+        .collect();
+    let cost = exp.cost_model();
+    let gathered = Gathered::check(&traces).expect("valid traces");
+
+    // Which pairs can move, from sizes and links alone: a pair of `count`
+    // messages moves `count * dim / 8` bytes per bit in groups of
+    // `group_size`, plus its wire overhead at its link's rate, and it can
+    // move when its all-8-bit bytes overshoot what fits the section's Z
+    // floor, the slowest all-2-bit time.
+    let group_size = exp.training.group_size;
+    let (mut read, mut movable, mut held) = (0u64, 0u64, 0u64);
+    for &dim in dims {
+        for dir in [Forward, Backward] {
+            let pairs: Vec<(f64, f64, [f64; 2])> = parts
+                .iter()
+                .enumerate()
+                .flat_map(|(src, part)| {
+                    let sets = match dir {
+                        Forward => &part.send_sets,
+                        Backward => &part.recv_slots,
+                    };
+                    let cost = &cost;
+                    sets.iter()
+                        .enumerate()
+                        .filter(|(_, s)| !s.is_empty())
+                        .map(move |(dst, s)| {
+                            let (theta, gamma) = cost.link_params(src, dst);
+                            let overhead = quant::codec::HEADER_BYTES
+                                + s.len() * quant::codec::ROW_OVERHEAD_BYTES;
+                            let lens = (0..s.len())
+                                .step_by(group_size)
+                                .map(|at| (s.len() - at).min(group_size));
+                            let bytes = |bits: f64| {
+                                lens.clone().fold(-0.0, |sum, len| {
+                                    sum + len as f64 * dim as f64 / 8.0 * bits
+                                })
+                            };
+                            (
+                                theta,
+                                gamma + theta * overhead as f64,
+                                [bytes(2.0), bytes(8.0)],
+                            )
+                        })
+                })
+                .collect();
+            let time2 = |&(theta, gamma, bytes): &(f64, f64, [f64; 2])| theta * bytes[0] + gamma;
+            let needs_move = |&(theta, gamma, bytes): &(f64, f64, [f64; 2]), floor: f64| {
+                bytes[1] - (floor - gamma) / theta > 0.0
+            };
+            let z_floor = pairs.iter().map(time2).fold(0.0f64, f64::max);
+            read += pairs.len() as u64;
+            movable += pairs.iter().filter(|p| needs_move(p, z_floor)).count() as u64;
+            // Sorted into a message order: the pairs that could still move
+            // when read, against the slowest all-2-bit time so far.
+            let mut floor = 0.0f64;
+            for p in &pairs {
+                floor = floor.max(time2(p));
+                held += u64::from(needs_move(p, floor));
+            }
+        }
+    }
+    assert!(
+        read > 100_000 && movable > 0 && movable * 100 < read,
+        "{movable} of {read}"
+    );
+    assert!(
+        held >= movable && held * 100 < read,
+        "{held} held of {read}"
+    );
+
+    let mut rounds = Vec::new();
+    for threads in [1, 8] {
+        tensor::par::set_threads(threads);
+        rounds.push(gathered.round(&cost, &exp.training));
+    }
+    tensor::par::set_threads(0);
+    let (replies, stats) = &rounds[0];
+    assert_eq!(
+        (stats.pairs_read, stats.pairs_sorted, stats.pairs_scheduled),
+        (read, held, movable)
+    );
+    // The same replies and every count at 8 threads; only the objective
+    // sum is a float.
+    let (replies_8, stats_8) = &rounds[1];
+    assert_eq!(replies, replies_8);
+    assert_eq!(
+        stats.objective_sum.to_bits(),
+        stats_8.objective_sum.to_bits()
+    );
+    assert_eq!(
+        SolveStats {
+            objective_sum: 0.0,
+            ..*stats
+        },
+        SolveStats {
+            objective_sum: 0.0,
+            ..*stats_8
+        }
+    );
+}
