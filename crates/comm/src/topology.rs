@@ -212,10 +212,7 @@ pub enum LinkTier {
 }
 
 impl LinkTier {
-    /// Every tier, in [`LinkTier::index`] order.
-    pub const ALL: [LinkTier; 4] = [Self::Local, Self::Machine, Self::Rack, Self::Spine];
-
-    /// Position in [`LinkTier::ALL`].
+    /// Position in declaration order: `Local` is 0, `Spine` 3.
     pub fn index(self) -> usize {
         self as usize
     }

@@ -42,7 +42,6 @@ mod problem;
 mod solve;
 
 pub use problem::{
-    BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, PairSpec, Solution, SolveCounts,
-    SplitSolution, SplitWidths,
+    BiObjectiveProblem, GroupSpec, PairSpec, Solution, SolveCounts, SplitSolution, SplitWidths,
 };
-pub use solve::{brute_force, solve, solve_flat, PairShape, Placed, SplitProblem};
+pub use solve::{brute_force, solve, PairShape, Placed, SplitProblem};

@@ -179,136 +179,11 @@ impl BiObjectiveProblem {
     pub fn num_groups(&self) -> usize {
         self.pairs.iter().map(|p| p.groups.len()).sum()
     }
-
-    /// The same problem in the solver's CSR form.
-    pub fn flatten(&self) -> FlatProblem {
-        let mut flat = FlatProblem::with_capacity(self.pairs.len(), self.num_groups(), self.lambda);
-        // A hand-built problem's `lambda` is taken as it stands, as `solve`
-        // always has.
-        flat.lambda = self.lambda;
-        for p in &self.pairs {
-            flat.push_pair(p.theta, p.gamma, p.groups.iter().copied());
-        }
-        flat
-    }
-}
-
-/// A [`BiObjectiveProblem`] in CSR form: one entry per pair in `theta` and
-/// `gamma`, one entry per group in `beta` and `bytes_per_bit`, pair `p`
-/// owning groups `group_start[p]..group_start[p + 1]`. This is the form
-/// [`crate::solve_flat`] works on; at fleet scale nearly every pair holds a
-/// single group, and a `Vec` per pair costs more than the numbers in it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatProblem {
-    theta: Vec<f64>,
-    gamma: Vec<f64>,
-    group_start: Vec<usize>,
-    beta: Vec<f64>,
-    bytes_per_bit: Vec<f64>,
-    lambda: f64,
-}
-
-impl FlatProblem {
-    /// An empty problem with room for `pairs` pairs and `groups` groups;
-    /// `lambda` is clamped into `[0, 1]` as [`BiObjectiveProblem::new`] does.
-    pub fn with_capacity(pairs: usize, groups: usize, lambda: f64) -> Self {
-        let mut group_start = Vec::with_capacity(pairs + 1);
-        group_start.push(0);
-        Self {
-            theta: Vec::with_capacity(pairs),
-            gamma: Vec::with_capacity(pairs),
-            group_start,
-            beta: Vec::with_capacity(groups),
-            bytes_per_bit: Vec::with_capacity(groups),
-            lambda: lambda.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Appends one pair: its link cost (see [`PairSpec`]) and its groups.
-    pub fn push_pair(
-        &mut self,
-        theta: f64,
-        gamma: f64,
-        groups: impl IntoIterator<Item = GroupSpec>,
-    ) {
-        self.theta.push(theta);
-        self.gamma.push(gamma);
-        for g in groups {
-            self.beta.push(g.beta);
-            self.bytes_per_bit.push(g.bytes_per_bit);
-        }
-        self.group_start.push(self.beta.len());
-    }
-
-    /// Number of device pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.theta.len()
-    }
-
-    /// Total number of groups across pairs.
-    pub fn num_groups(&self) -> usize {
-        self.beta.len()
-    }
-
-    /// Weight on the variance objective, in `[0, 1]`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Pair `p`'s `(theta, gamma)`.
-    pub fn link(&self, p: usize) -> (f64, f64) {
-        (self.theta[p], self.gamma[p])
-    }
-
-    /// The groups pair `p` owns, as indices into the group-major arrays
-    /// (and into [`FlatSolution::widths`]).
-    pub fn groups_of(&self, p: usize) -> std::ops::Range<usize> {
-        self.group_start[p]..self.group_start[p + 1]
-    }
-
-    /// Group `g` of the group-major arrays.
-    pub fn group(&self, g: usize) -> GroupSpec {
-        GroupSpec {
-            beta: self.beta[g],
-            bytes_per_bit: self.bytes_per_bit[g],
-        }
-    }
 }
 
 /// The scalarized objective (Eqn. 12) from normalized parts.
 pub(crate) fn scalarize(lambda: f64, variance: f64, max_time: f64, v_ref: f64, t_ref: f64) -> f64 {
     lambda * variance / v_ref.max(1e-30) + (1.0 - lambda) * max_time / t_ref.max(1e-30)
-}
-
-/// [`crate::solve_flat`]'s output: [`Solution`] with one group-major width
-/// list, laid out like the problem's groups ([`FlatProblem::groups_of`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatSolution {
-    /// One width per group, group-major.
-    pub widths: Vec<BitWidth>,
-    /// Total variance objective value.
-    pub variance: f64,
-    /// Slowest pair time.
-    pub max_time: f64,
-    /// Scalarized objective.
-    pub objective: f64,
-    /// Candidate assignments evaluated (see [`Solution::iterations`]).
-    pub iterations: usize,
-}
-
-impl FlatSolution {
-    /// The same solution with one width list per pair of `problem`.
-    pub fn nest(self, problem: &FlatProblem) -> Solution {
-        Solution {
-            widths: (0..problem.num_pairs())
-                .map(|p| self.widths[problem.groups_of(p)].to_vec())
-                .collect(),
-            variance: self.variance,
-            max_time: self.max_time,
-            objective: self.objective,
-            iterations: self.iterations,
-        }
-    }
 }
 
 /// [`crate::SplitProblem::solve`]'s output.

@@ -1,8 +1,7 @@
 //! The two-level solver: per-pair knapsack greedy inside a Z sweep.
 
 use crate::problem::{
-    scalarize, BiObjectiveProblem, FlatProblem, FlatSolution, GroupSpec, Solution, SolveCounts,
-    SplitSolution, SplitWidths,
+    scalarize, BiObjectiveProblem, GroupSpec, Solution, SolveCounts, SplitSolution, SplitWidths,
 };
 use quant::BitWidth;
 use std::ops::Range;
@@ -590,42 +589,46 @@ impl Schedule {
 /// everything gets 8-bit; with `lambda == 0` only the slowest pair matters
 /// and the result is the fastest feasible assignment.
 ///
-/// [`solve_flat`] on the problem's CSR form.
+/// The problem is taken into a [`SplitProblem`] pair by pair, and its
+/// widths come back one list per pair.
 pub fn solve(problem: &BiObjectiveProblem) -> Solution {
-    let flat = problem.flatten();
-    solve_flat(&flat).nest(&flat)
-}
-
-/// [`solve`] on a problem already in CSR form, through a [`SplitProblem`].
-pub fn solve_flat(problem: &FlatProblem) -> FlatSolution {
-    let mut split = SplitProblem::new(problem.lambda());
-    for p in 0..problem.num_pairs() {
-        let (theta, gamma) = problem.link(p);
-        let groups = problem.groups_of(p).map(|g| problem.group(g));
-        let shape = PairShape::new(theta, gamma, groups.clone().map(|g| g.bytes_per_bit));
-        split.push(split.place(shape), groups);
-    }
+    let split = split(problem);
     let solution = split.solve();
-    let widths = match solution.widths {
-        SplitWidths::Uniform(w) => vec![w; problem.num_groups()],
+    let mut widths: Vec<Vec<BitWidth>> = problem
+        .pairs
+        .iter()
+        .map(|p| vec![BitWidth::B8; p.groups.len()])
+        .collect();
+    match solution.widths {
+        SplitWidths::Uniform(w) => widths.iter_mut().flatten().for_each(|x| *x = w),
         SplitWidths::Moved(moved) => {
-            let mut widths = vec![BitWidth::B8; problem.num_groups()];
             let mut moved = moved.into_iter();
             for p in split.moving() {
-                for (w, m) in widths[problem.groups_of(p)].iter_mut().zip(&mut moved) {
+                for (w, m) in widths[p].iter_mut().zip(&mut moved) {
                     *w = m;
                 }
             }
-            widths
         }
-    };
-    FlatSolution {
+    }
+    Solution {
         widths,
         variance: solution.variance,
         max_time: solution.max_time,
         objective: solution.objective,
         iterations: solution.iterations,
     }
+}
+
+/// `problem`'s pairs, in order, in a [`SplitProblem`] with its `lambda` as
+/// it stands.
+fn split(problem: &BiObjectiveProblem) -> SplitProblem {
+    let mut split = SplitProblem::new(problem.lambda);
+    for pair in &problem.pairs {
+        let bytes_per_bit = pair.groups.iter().map(|g| g.bytes_per_bit);
+        let shape = PairShape::new(pair.theta, pair.gamma, bytes_per_bit);
+        split.push(split.place(shape), pair.groups.iter().copied());
+    }
+    split
 }
 
 fn finish(problem: &BiObjectiveProblem, widths: Vec<Vec<BitWidth>>) -> Solution {
@@ -999,19 +1002,6 @@ mod tests {
             prop_assert_eq!(got.iterations, want.iterations);
             prop_assert_eq!(got.widths, want.widths);
         }
-    }
-
-    /// `problem` taken into a [`SplitProblem`], as `solve_flat` takes it.
-    fn split(problem: &BiObjectiveProblem) -> SplitProblem {
-        let flat = problem.flatten();
-        let mut split = SplitProblem::new(flat.lambda());
-        for p in 0..flat.num_pairs() {
-            let (theta, gamma) = flat.link(p);
-            let groups = flat.groups_of(p).map(|g| flat.group(g));
-            let shape = PairShape::new(theta, gamma, groups.clone().map(|g| g.bytes_per_bit));
-            split.push(split.place(shape), groups);
-        }
-        split
     }
 
     proptest! {

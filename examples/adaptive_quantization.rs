@@ -7,7 +7,7 @@
 use gnn::ConvKind;
 use graph::DatasetSpec;
 use quant::BitWidth;
-use solver::{solve_flat, FlatProblem, GroupSpec};
+use solver::{solve, BiObjectiveProblem, GroupSpec, PairSpec};
 use tensor::Rng;
 
 fn main() {
@@ -41,10 +41,14 @@ fn main() {
                 })
                 .collect();
             let (theta, gamma) = cost.link_params(p.rank, q);
-            pairs.push((theta, gamma, groups));
+            pairs.push(PairSpec {
+                theta,
+                gamma,
+                groups,
+            });
         }
     }
-    let num_groups = pairs.iter().map(|p| p.2.len()).sum::<usize>();
+    let num_groups = pairs.iter().map(|p| p.groups.len()).sum::<usize>();
     println!(
         "{} directed pairs, {num_groups} total message groups",
         pairs.len()
@@ -55,13 +59,9 @@ fn main() {
         "lambda", "variance", "max time", "#2bit", "#4bit", "#8bit"
     );
     for lambda in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut problem = FlatProblem::with_capacity(pairs.len(), num_groups, lambda);
-        for (theta, gamma, groups) in &pairs {
-            problem.push_pair(*theta, *gamma, groups.iter().copied());
-        }
-        let sol = solve_flat(&problem);
+        let sol = solve(&BiObjectiveProblem::new(pairs.clone(), lambda));
         let mut h = [0usize; 3];
-        for w in &sol.widths {
+        for w in sol.widths.iter().flatten() {
             match w {
                 BitWidth::B2 => h[0] += 1,
                 BitWidth::B4 => h[1] += 1,

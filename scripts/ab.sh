@@ -2,14 +2,13 @@
 # A/B campaign on the benchmark harness: a base revision against this
 # checkout's working tree, in alternating pairs.
 #
-#   scripts/ab.sh <base-rev> [--pairs N] [--workloads w1,w2,...] [--seed S]
-#                 [--seconds S] [--workdir DIR]
+#   scripts/ab.sh <base-rev> [--pairs N] [--workloads w1,w2,...] [--workdir DIR]
 #
 # Exports <base-rev> with `git archive` into DIR/base (nothing is written to
 # the repository's .git, and a dirty checkout is fine), builds each side's
 # harness into its own target directory (DIR/target-base, DIR/target-change),
 # then, per workload, runs N pairs of
-#     benchmark/run.sh --workload <w> --seed <S> --seconds <S> --trace 0
+#     benchmark/run.sh --workload <w> --seed 4242 --seconds <run_seconds> --trace 0
 # one base run and one change run per pair, the base first in even pairs and
 # the change first in odd ones. Each run's JSON result line is kept under
 # DIR/runs/. For every end-to-end metric the table gives, per side, the
@@ -19,15 +18,15 @@
 # than the base's interquartile range; then every result_digest seen per
 # side.
 #
-# Defaults: 10 pairs, every workload in BENCHMARK.json, seed 4242, the
-# benchmark's own run_seconds, DIR a fresh directory under ${TMPDIR:-/tmp}.
+# run_seconds is BENCHMARK.json's. Defaults: 10 pairs, every workload in
+# BENCHMARK.json, DIR a fresh directory under ${TMPDIR:-/tmp}.
 # Wraps benchmark/ and edits nothing under it. Needs git, jq and python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
     echo "usage: scripts/ab.sh <base-rev> [--pairs N] [--workloads w1,w2,...]" \
-        "[--seed S] [--seconds S] [--workdir DIR]" >&2
+        "[--workdir DIR]" >&2
     exit 2
 }
 
@@ -36,7 +35,6 @@ BASE_REV="$1"
 shift
 PAIRS=10
 WORKLOADS="$(jq -r '[.workloads[].name] | join(",")' BENCHMARK.json)"
-SEED=4242
 SECONDS_PER_RUN="$(jq -r '.run_seconds' BENCHMARK.json)"
 WORKDIR=""
 while [[ $# -gt 0 ]]; do
@@ -44,8 +42,6 @@ while [[ $# -gt 0 ]]; do
     case "$1" in
     --pairs) PAIRS="$2" ;;
     --workloads) WORKLOADS="$2" ;;
-    --seed) SEED="$2" ;;
-    --seconds) SECONDS_PER_RUN="$2" ;;
     --workdir) WORKDIR="$2" ;;
     *) usage ;;
     esac
@@ -76,7 +72,7 @@ run_side() { # side workload pair
     local side="$1" workload="$2" pair="$3"
     local out="$WORKDIR/runs/$workload.$side.$pair.json"
     CARGO_TARGET_DIR="$(target_of "$side")" bash "$(root_of "$side")/benchmark/run.sh" \
-        --workload "$workload" --seed "$SEED" --seconds "$SECONDS_PER_RUN" --trace 0 \
+        --workload "$workload" --seed 4242 --seconds "$SECONDS_PER_RUN" --trace 0 \
         >"$out.txt" 2>"$out.log"
     tail -n 1 "$out.txt" >"$out"
     jq -e '.correct' "$out" >/dev/null || {

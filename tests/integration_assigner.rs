@@ -322,9 +322,9 @@ fn reply_size_follows_the_ranks_own_cut_not_the_fleet() {
         let reply = 4 + layers * (block(&part.send_sets) + block(&part.recv_slots));
         let (sent, messages) = master[&rank];
         assert!(messages > 0, "master sent to every rank");
-        // The scattered reply plus the 97-byte solve-stats broadcast (a
-        // version byte and twelve 8-byte fields).
-        assert_eq!(sent, (reply + 97) as u64, "rank {rank}");
+        // The scattered reply plus the 89-byte solve-stats broadcast (a
+        // version byte and eleven 8-byte fields).
+        assert_eq!(sent, (reply + 89) as u64, "rank {rank}");
         peers.push(part.send_sets.iter().filter(|s| !s.is_empty()).count());
     }
     // Ranks differ in how many of the 63 possible peers they list, so no
@@ -399,7 +399,6 @@ fn golden_widths_on_a_racked_64_device_fleet() {
             [
                 stats.pairs_read,
                 stats.pairs_sorted,
-                stats.sums_sorted,
                 stats.pairs_scheduled,
                 stats.moves,
                 stats.evaluations,
@@ -424,8 +423,8 @@ fn golden_widths_on_a_racked_64_device_fleet() {
     assert_eq!(fleet, GOLDEN_FLEET_DIGEST, "got {fleet:#018x}");
     assert_eq!(out[0].2, GOLDEN_FLEET_STATS, "got {:#x?}", out[0].2);
     // The round's work counts, recorded when the master began to count
-    // them: pair-sections read, sorted, summed after a value sort,
-    // scheduled; moves; sweep evaluations; trace and reply bytes. Every
+    // them: pair-sections read, sorted, scheduled; moves; sweep
+    // evaluations; trace and reply bytes. Every
     // rank reads the master's broadcast.
     for (_, _, _, counts) in &out {
         assert_eq!(*counts, GOLDEN_FLEET_COUNTS, "got {counts:?}");
@@ -434,7 +433,7 @@ fn golden_widths_on_a_racked_64_device_fleet() {
 
 const GOLDEN_FLEET_DIGEST: u64 = 0x0b5d_7ced_317f_b2dd;
 const GOLDEN_FLEET_STATS: (u64, u64) = (212, 0x3ffa_bae2_a984_319d);
-const GOLDEN_FLEET_COUNTS: [u64; 8] = [11_600, 700, 6_072, 528, 1_056, 7_144, 554_656, 151_588];
+const GOLDEN_FLEET_COUNTS: [u64; 7] = [11_600, 700, 528, 1_056, 7_144, 554_656, 151_588];
 
 #[test]
 fn only_the_pairs_that_can_move_are_scheduled_on_the_256_device_fleet() {

@@ -47,16 +47,16 @@ fn golden_snapshot_digests() {
     // count as halo traffic: its row gained one
     // `adaqp_halo_sent_bytes_total{src, width="32"}` per device, and with
     // those four removed it reads the first row again. Third, the AdaQP row
-    // alone: the master's solve-stats broadcast grew from 32 to 97 bytes (a
+    // alone: the master's solve-stats broadcast grew from 32 to 89 bytes (a
     // version byte and the round's work counts), so its
-    // `adaqp_comm_sent_bytes_total{src="0"}` reads 65 bytes more per worker
-    // per round (282 479 -> 283 259), and no other series moved.
+    // `adaqp_comm_sent_bytes_total{src="0"}` reads 57 bytes more per worker
+    // per round (282 479 -> 283 163), and no other series moved.
     for (method, want_series, want_json, want_prom) in [
         (
             Method::AdaQp,
             54,
-            0x959a_8303_40f7_6e04_u64,
-            0xba4a_3dc5_9412_478f_u64,
+            0xbf31_0245_1104_ae4d_u64,
+            0x00b5_1d36_b6c1_35a2_u64,
         ),
         (
             Method::AdaQpUniform,
